@@ -11,7 +11,7 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// The -autopilot suite (BENCH_7.json): what the closed loop costs. The
+// The autopilot suite (BENCH_7.json): what the closed loop costs. The
 // controller rides every cluster round forever, so its steady-state
 // price is the headline: ControllerObserve is the raw policy state
 // machine, PilotStep adds the live signal gathering, and
@@ -23,10 +23,6 @@ import (
 // with -quick) runs a compressed scenario day end to end with the
 // autopilot driving.
 // ---------------------------------------------------------------------
-
-// autopilotGateBenchName is the -autopilot allocation-gate target: the
-// steady-state cluster tick with the controller observing every round.
-const autopilotGateBenchName = "AutopilotQuiescentTick"
 
 func autopilotBenches(quick bool) []bench {
 	var gate *cluster.Cluster
@@ -49,8 +45,8 @@ func autopilotBenches(quick bool) []bench {
 		// One pilot step against a live idle cluster: the per-round
 		// signal sweep plus the controller.
 		{"PilotStep", func(b *testing.B) {
-			cl := benchReconfigCluster(b, 3, 2, 8, 256_000)
-			pilot := cluster.NewPilot(cl, reconfigNodeConfig(), autopilot.Config{})
+			cl := benchCluster(b, 6, 3, 2, 8, 256_000)
+			pilot := cluster.NewPilot(cl, nodeConfig(6), autopilot.Config{})
 			for j := 0; j < 12; j++ {
 				if _, err := cl.OpenStream(fmt.Sprintf("clip-%d", j%8)); err != nil {
 					b.Fatal(err)
@@ -72,10 +68,10 @@ func autopilotBenches(quick bool) []bench {
 		// The allocation-gate target: the reconfig suite's steady-state
 		// cluster tick with the pilot attached. The loop must add zero
 		// allocations to a path that is already allocation-free.
-		{autopilotGateBenchName, func(b *testing.B) {
+		{"AutopilotQuiescentTick", func(b *testing.B) {
 			if gate == nil {
-				cl := benchReconfigCluster(b, 3, 2, 8, 4_000_000)
-				pilot := cluster.NewPilot(cl, reconfigNodeConfig(), autopilot.Config{})
+				cl := benchCluster(b, 6, 3, 2, 8, 4_000_000)
+				pilot := cluster.NewPilot(cl, nodeConfig(6), autopilot.Config{})
 				for j := 0; j < 64; j++ {
 					if _, err := cl.OpenStream(fmt.Sprintf("clip-%d", j%8)); err != nil {
 						break
@@ -109,8 +105,8 @@ func autopilotBenches(quick bool) []bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cl := benchReconfigCluster(b, 3, 2, 8, 256_000)
-				pilot := cluster.NewPilot(cl, reconfigNodeConfig(), autopilot.Config{
+				cl := benchCluster(b, 6, 3, 2, 8, 256_000)
+				pilot := cluster.NewPilot(cl, nodeConfig(6), autopilot.Config{
 					Window: 4, ReplaceCooldown: 1,
 				})
 				for j := 0; j < 8; j++ {

@@ -1,63 +1,53 @@
 // Command cmbench runs the repository's headline benchmarks outside `go
-// test` and emits a machine-readable JSON report (BENCH_1.json by
-// default): per-benchmark ns/op, throughput and allocation counts, the
-// figure headline metrics (clips for Figure 5, serviced clips for
-// Figure 6), and the speedup against the recorded pre-overhaul baseline.
+// test` and emits a machine-readable JSON report: per-benchmark ns/op,
+// throughput and allocation counts, any headline metrics the benchmark
+// reports, and the speedup against the suite's recorded baseline.
 //
-// The XOR kernel and the experiment sweeps are benchmarked in both their
-// old and new forms — a byte-wise reference kernel next to the word-wise
-// one, and single-worker sweeps next to the parallel ones — so one run
-// documents the before/after honestly on the machine it ran on.
+// -suite selects one suite from the registry below (exactly one runs per
+// invocation; its report goes to the suite's BENCH_<n>.json unless -o
+// says otherwise):
 //
-// The -cluster flag swaps in the cluster-tier suite (BENCH_2.json by
-// default): stream routing/spillover cost, cluster round cost with
-// failover traffic, and the multi-node simulation end to end.
+//	single     BENCH_1  XOR kernel, layout, admission and the Figure 5/6
+//	           sweeps. The XOR kernel and the sweeps are benchmarked in
+//	           both their old and new forms — a byte-wise reference kernel
+//	           next to the word-wise one, single-worker sweeps next to the
+//	           parallel ones — so one run documents the before/after
+//	           honestly on the machine it ran on.
+//	cluster    BENCH_2  stream routing/spillover cost, cluster round cost
+//	           with failover traffic, the multi-node simulation end to end.
+//	pq         BENCH_3  the GF(2^8) Q-column encode kernel in its byte-wise
+//	           and word-sliced forms, every two-erasure reconstruction
+//	           pair, and the doubly-degraded server round end to end.
+//	streams    BENCH_4  the per-round Tick cost at 1k/10k/100k concurrent
+//	           streams in healthy, degraded and rebuilding modes, on a
+//	           fast-disk geometry where the scheduling overhead (not the
+//	           simulated disk) dominates. Gate: the steady-state tick.
+//	reconfig   BENCH_5  view-log mutation cost, the end-to-end cost of a
+//	           graceful drain, a join rebalance and a disk-addition
+//	           re-layout. Gate: the steady-state cluster tick after a
+//	           join/drain/retire history — the quiescent reconfiguration
+//	           step must stay off the allocator.
+//	workload   BENCH_6  arrivals-per-second throughput and allocs/op for
+//	           draining million-request (and, without -quick,
+//	           ten-million-request) streams from the uniform and Zipf
+//	           Poisson sources. Gate: the scenario engine's
+//	           diurnal+flash-crowd NHPP source — a full compressed day
+//	           must stay O(active pauses) in memory.
+//	autopilot  BENCH_7  the policy state machine and pilot signal sweep
+//	           per round, a kill-to-replaced recovery, and (without
+//	           -quick) a compressed closed-loop scenario day. Gate: the
+//	           steady-state cluster tick with the controller attached —
+//	           observing must add zero allocations.
 //
-// The -pq flag swaps in the P+Q double-parity suite (BENCH_3.json by
-// default): the GF(2^8) Q-column encode kernel in its byte-wise and
-// word-sliced forms, every two-erasure reconstruction pair, and the
-// doubly-degraded server round end to end.
-//
-// The -streams flag swaps in the high-stream-count round-tick suite
-// (BENCH_4.json by default): the per-round Tick cost at 1k/10k/100k
-// concurrent streams in healthy, degraded, and rebuilding modes, on a
-// fast-disk geometry where the scheduling overhead (not the simulated
-// disk) dominates. -allocgate makes the run fail if the suite's gate
-// benchmark (the steady-state tick) allocates more than the given
-// budget per op.
-//
-// The -reconfig flag swaps in the elastic-reconfiguration suite
-// (BENCH_5.json by default): view-log mutation cost, the steady-state
-// cluster tick after a join/drain/retire history (the suite's
-// -allocgate target — the quiescent reconfiguration step must stay off
-// the allocator), and the end-to-end cost of a graceful drain, a join
-// rebalance, and a single-node disk-addition re-layout.
-//
-// The -workload flag swaps in the arrival-generation suite (BENCH_6.json
-// by default): arrivals-per-second throughput and allocs/op for draining
-// million-request (and, without -quick, ten-million-request) streams
-// from the uniform and Zipf Poisson sources and the scenario engine's
-// diurnal+flash-crowd NHPP source (the suite's -allocgate target — a
-// full compressed day must stay O(active pauses) in memory).
-//
-// The -autopilot flag swaps in the closed-loop controller suite
-// (BENCH_7.json by default): the policy state machine and pilot signal
-// sweep per round, the steady-state cluster tick with the controller
-// attached (the suite's -allocgate target — observing must add zero
-// allocations to an already allocation-free tick), a kill-to-replaced
-// recovery, and (without -quick) a compressed closed-loop scenario day.
+// -allocgate N makes the run fail if the suite's gate benchmark allocates
+// more than N times per op; suites without a gate reject the flag.
 //
 // Usage:
 //
-//	cmbench            # full single-array suite -> BENCH_1.json
-//	cmbench -cluster   # cluster routing/admission suite -> BENCH_2.json
-//	cmbench -pq        # P+Q encode/reconstruct suite -> BENCH_3.json
-//	cmbench -streams   # high-stream-count tick suite -> BENCH_4.json
-//	cmbench -reconfig  # elastic-reconfiguration suite -> BENCH_5.json
-//	cmbench -workload  # arrival-generation suite -> BENCH_6.json
-//	cmbench -autopilot # closed-loop controller suite -> BENCH_7.json
-//	cmbench -o out.json
-//	cmbench -quick     # skip the slow simulation benchmarks
+//	cmbench                      # single-array suite -> BENCH_1.json
+//	cmbench -suite streams       # high-stream-count tick suite -> BENCH_4.json
+//	cmbench -suite reconfig -allocgate 0 -o out.json
+//	cmbench -quick               # skip the suite's slow benchmarks
 package main
 
 import (
@@ -69,6 +59,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ftcms/internal/admission"
@@ -86,10 +77,12 @@ import (
 	"ftcms/internal/units"
 )
 
-// seedBaseline records ns/op measured at the pre-overhaul seed commit on
-// the reference machine (1 CPU, Intel Xeon 2.70 GHz), keyed by benchmark
-// name. The report computes speedup = baseline / measured for matching
-// names; on other machines the ratio is indicative, not exact.
+// seedDesc and seedBaseline record ns/op measured at the pre-overhaul
+// seed commit on the reference machine, keyed by benchmark name. The
+// report computes speedup = baseline / measured for matching names; on
+// other machines the ratio is indicative, not exact.
+const seedDesc = "seed commit, 1-CPU Intel Xeon 2.70 GHz (ns/op)"
+
 var seedBaseline = map[string]float64{
 	"XOR":                745890,
 	"DeclusteredPlace":   15.61,
@@ -100,7 +93,7 @@ var seedBaseline = map[string]float64{
 	"SimRound":           20362658,
 }
 
-// streamsBaseline records ns/op for the -streams suite measured at the
+// streamsBaseline records ns/op for the streams suite measured at the
 // commit immediately before the round-tick overhaul (5s benchtime), on
 // the same reference machine, so the report documents the scheduling
 // win the same way seedBaseline documents the XOR and admission wins.
@@ -113,6 +106,62 @@ var streamsBaseline = map[string]float64{
 	"Tick1kRebuilding": 856310977,
 	"Tick10k":          1344970394,
 	"ClusterTick10k":   2141250579,
+}
+
+// suite is one registry entry: everything that used to hang off a
+// per-suite flag.
+type suite struct {
+	name string
+	// out is the default report path.
+	out string
+	// benches lists the suite's benchmarks; quick drops the slow ones.
+	benches func(quick bool) []bench
+	// baseline (may be nil) holds the ns/op the report computes speedups
+	// against, and baselineDesc says where those numbers came from.
+	baseline     map[string]float64
+	baselineDesc string
+	// gate names the benchmark -allocgate applies to: the suite's
+	// designated steady-state tick. Empty for suites without one.
+	gate string
+}
+
+var suites = []suite{
+	{"single", "BENCH_1.json", singleBenches, seedBaseline, seedDesc, ""},
+	{"cluster", "BENCH_2.json", clusterBenches, nil, seedDesc, ""},
+	{"pq", "BENCH_3.json", pqBenches, nil, seedDesc, ""},
+	{"streams", "BENCH_4.json", streamsBenches, streamsBaseline,
+		"pre-overhaul tick path, 1-CPU Intel Xeon 2.70 GHz (ns/op)", "Tick1kSteady"},
+	{"reconfig", "BENCH_5.json", reconfigBenches, nil,
+		"none (suite introduced together with the reconfiguration subsystem)", "ReconfigQuiescentTick"},
+	{"workload", "BENCH_6.json", workloadBenches, nil,
+		"none (suite introduced together with the scenario engine)", "ScenarioDiurnal1M"},
+	{"autopilot", "BENCH_7.json", autopilotBenches, nil,
+		"none (suite introduced together with the autopilot)", "AutopilotQuiescentTick"},
+}
+
+// suiteNames lists the registered suites, or only those with a gate.
+func suiteNames(gatedOnly bool) string {
+	var names []string
+	for _, s := range suites {
+		if s.gate != "" || !gatedOnly {
+			names = append(names, s.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// selectSuite resolves -suite and checks -allocgate against it.
+func selectSuite(name string, allocGate int) (suite, error) {
+	for _, s := range suites {
+		if s.name != name {
+			continue
+		}
+		if allocGate >= 0 && s.gate == "" {
+			return s, fmt.Errorf("-allocgate needs a suite with a gate benchmark (%s)", suiteNames(true))
+		}
+		return s, nil
+	}
+	return suite{}, fmt.Errorf("unknown suite %q (valid: %s)", name, suiteNames(false))
 }
 
 type benchResult struct {
@@ -166,17 +215,16 @@ type bench struct {
 }
 
 func main() {
-	out := flag.String("o", "", "output JSON path (default BENCH_1.json; BENCH_2.json with -cluster, BENCH_3.json with -pq, BENCH_4.json with -streams, BENCH_5.json with -reconfig, BENCH_6.json with -workload, BENCH_7.json with -autopilot)")
-	quick := flag.Bool("quick", false, "skip the slow simulation benchmarks (Figure 6, SimRound, ClusterSim, ClusterTick100k, the 10M-request workload tier, ClosedLoopDay)")
-	clusterSuite := flag.Bool("cluster", false, "run the cluster routing/admission suite instead")
-	pqSuite := flag.Bool("pq", false, "run the P+Q double-parity suite instead")
-	streamsSuite := flag.Bool("streams", false, "run the high-stream-count tick suite instead")
-	reconfigSuite := flag.Bool("reconfig", false, "run the elastic-reconfiguration suite instead")
-	workloadSuite := flag.Bool("workload", false, "run the arrival-generation workload suite instead")
-	autopilotSuite := flag.Bool("autopilot", false, "run the closed-loop controller suite instead")
-	allocGate := flag.Int("allocgate", -1, "with -streams, -reconfig, -workload, or -autopilot: exit non-zero if the suite's gate benchmark exceeds this many allocs/op (-1 disables)")
+	suiteName := flag.String("suite", "single", "suite to run: "+suiteNames(false))
+	out := flag.String("o", "", "output JSON path (default: the suite's BENCH_<n>.json)")
+	quick := flag.Bool("quick", false, "skip the suite's slow benchmarks (Figure 6, SimRound, ClusterSim, ClusterTick100k, the 10M-request workload tier, ClosedLoopDay)")
+	allocGate := flag.Int("allocgate", -1, "exit non-zero if the suite's gate benchmark exceeds this many allocs/op (-1 disables)")
 	benchtime := flag.String("benchtime", "", "per-benchmark measuring time (e.g. 5s or 100x), as in go test; empty keeps the 1s default")
 	flag.Parse()
+	st, err := selectSuite(*suiteName, *allocGate)
+	if err != nil {
+		fatal(err)
+	}
 	if *benchtime != "" {
 		// testing.Init registers the test.* flags testing.Benchmark
 		// reads; a longer benchtime averages over GC-phase noise on
@@ -187,24 +235,73 @@ func main() {
 		}
 	}
 	if *out == "" {
-		switch {
-		case *clusterSuite:
-			*out = "BENCH_2.json"
-		case *pqSuite:
-			*out = "BENCH_3.json"
-		case *streamsSuite:
-			*out = "BENCH_4.json"
-		case *reconfigSuite:
-			*out = "BENCH_5.json"
-		case *workloadSuite:
-			*out = "BENCH_6.json"
-		case *autopilotSuite:
-			*out = "BENCH_7.json"
-		default:
-			*out = "BENCH_1.json"
-		}
+		*out = st.out
 	}
 
+	rep := report{
+		GOOS:     runtime.GOOS,
+		GOARCH:   runtime.GOARCH,
+		CPUs:     runtime.NumCPU(),
+		Baseline: st.baselineDesc,
+	}
+	for _, bc := range st.benches(*quick) {
+		fmt.Fprintf(os.Stderr, "cmbench: running %s...\n", bc.name)
+		r := testing.Benchmark(bc.fn)
+		br := benchResult{
+			Name:        bc.name,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
+			Iterations:  r.N,
+		}
+		if r.Bytes > 0 && r.T > 0 {
+			br.MBPerS = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
+		}
+		if len(r.Extra) > 0 {
+			br.Metrics = make(map[string]float64, len(r.Extra))
+			for k, v := range r.Extra {
+				br.Metrics[k] = v
+			}
+		}
+		if base, ok := st.baseline[bc.name]; ok && br.NsPerOp > 0 {
+			br.SpeedupVsSeed = base / br.NsPerOp
+		}
+		rep.Results = append(rep.Results, br)
+		fmt.Fprintf(os.Stderr, "cmbench: %-20s %12.1f ns/op", bc.name, br.NsPerOp)
+		if br.MBPerS > 0 {
+			fmt.Fprintf(os.Stderr, "  %8.1f MB/s", br.MBPerS)
+		}
+		if br.SpeedupVsSeed > 0 {
+			fmt.Fprintf(os.Stderr, "  %5.2fx vs seed", br.SpeedupVsSeed)
+		}
+		fmt.Fprintln(os.Stderr)
+	}
+
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(*out, data, 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "cmbench: wrote %s\n", *out)
+
+	// The allocation regression gate runs after the report is written so
+	// a failing run still leaves the numbers behind for inspection.
+	if *allocGate >= 0 {
+		for _, r := range rep.Results {
+			if r.Name == st.gate && r.AllocsPerOp > int64(*allocGate) {
+				fatal(fmt.Errorf("allocation gate: %s at %d allocs/op exceeds budget %d",
+					r.Name, r.AllocsPerOp, *allocGate))
+			}
+		}
+	}
+}
+
+// singleBenches is the single-array suite: the XOR kernel, layout and
+// admission primitives, and the Figure 5/6 sweeps.
+func singleBenches(quick bool) []bench {
 	benches := []bench{
 		{"XORNaive", func(b *testing.B) {
 			dst, srcs := xorInputs()
@@ -274,7 +371,7 @@ func main() {
 			benchFigure5(b, 0)
 		}},
 	}
-	if !*quick {
+	if !quick {
 		benches = append(benches,
 			bench{"Figure6_256MB_seq", func(b *testing.B) { benchFigure6(b, 1) }},
 			bench{"Figure6_256MB", func(b *testing.B) { benchFigure6(b, 0) }},
@@ -293,104 +390,7 @@ func main() {
 			}},
 		)
 	}
-	baseline := seedBaseline
-	baselineDesc := "seed commit, 1-CPU Intel Xeon 2.70 GHz (ns/op)"
-	// gateBench is the benchmark -allocgate applies to; only suites with
-	// a designated steady-state tick have one.
-	gateBench := ""
-	if *clusterSuite {
-		benches = clusterBenches(*quick)
-	}
-	if *pqSuite {
-		benches = pqBenches()
-	}
-	if *streamsSuite {
-		benches = streamsBenches(*quick)
-		baseline = streamsBaseline
-		baselineDesc = "pre-overhaul tick path, 1-CPU Intel Xeon 2.70 GHz (ns/op)"
-		gateBench = steadyBenchName
-	}
-	if *reconfigSuite {
-		benches = reconfigBenches()
-		baseline = nil
-		baselineDesc = "none (suite introduced together with the reconfiguration subsystem)"
-		gateBench = reconfigGateBenchName
-	}
-	if *workloadSuite {
-		benches = workloadBenches(*quick)
-		baseline = nil
-		baselineDesc = "none (suite introduced together with the scenario engine)"
-		gateBench = workloadGateBenchName
-	}
-	if *autopilotSuite {
-		benches = autopilotBenches(*quick)
-		baseline = nil
-		baselineDesc = "none (suite introduced together with the autopilot)"
-		gateBench = autopilotGateBenchName
-	}
-	if *allocGate >= 0 && gateBench == "" {
-		fatal(errors.New("-allocgate needs a suite with a gate benchmark (-streams, -reconfig, -workload, or -autopilot)"))
-	}
-
-	rep := report{
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		CPUs:     runtime.NumCPU(),
-		Baseline: baselineDesc,
-	}
-	for _, bc := range benches {
-		fmt.Fprintf(os.Stderr, "cmbench: running %s...\n", bc.name)
-		r := testing.Benchmark(bc.fn)
-		br := benchResult{
-			Name:        bc.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-		}
-		if r.Bytes > 0 && r.T > 0 {
-			br.MBPerS = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
-		}
-		if len(r.Extra) > 0 {
-			br.Metrics = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				br.Metrics[k] = v
-			}
-		}
-		if base, ok := baseline[bc.name]; ok && br.NsPerOp > 0 {
-			br.SpeedupVsSeed = base / br.NsPerOp
-		}
-		rep.Results = append(rep.Results, br)
-		fmt.Fprintf(os.Stderr, "cmbench: %-20s %12.1f ns/op", bc.name, br.NsPerOp)
-		if br.MBPerS > 0 {
-			fmt.Fprintf(os.Stderr, "  %8.1f MB/s", br.MBPerS)
-		}
-		if br.SpeedupVsSeed > 0 {
-			fmt.Fprintf(os.Stderr, "  %5.2fx vs seed", br.SpeedupVsSeed)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "cmbench: wrote %s\n", *out)
-
-	// The allocation regression gate runs after the report is written so
-	// a failing run still leaves the numbers behind for inspection.
-	if *allocGate >= 0 {
-		for _, r := range rep.Results {
-			if r.Name == gateBench && r.AllocsPerOp > int64(*allocGate) {
-				fatal(fmt.Errorf("allocation gate: %s at %d allocs/op exceeds budget %d",
-					r.Name, r.AllocsPerOp, *allocGate))
-			}
-		}
-	}
+	return benches
 }
 
 func benchFigure5(b *testing.B, workers int) {
@@ -423,29 +423,43 @@ func benchFigure6(b *testing.B, workers int) {
 	}
 }
 
-// benchCluster builds a cluster of small declustered arrays with nclips
+// patternData returns n bytes of a fixed non-repeating-looking pattern.
+func patternData(n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i * 131)
+	}
+	return data
+}
+
+// nodeConfig is a small d-disk declustered array with the default disk
+// model. The cluster suite uses d=7; the reconfiguration and autopilot
+// suites use d=6, because (7, 3) has a BIBD construction and so AddDisk
+// can grow a 6-disk node, unlike a 7-disk one.
+func nodeConfig(d int) core.Config {
+	return core.Config{
+		Scheme: core.Declustered,
+		Disk:   diskmodel.Default(),
+		D:      d, P: 3,
+		Block: 64 * units.KB,
+		Q:     8, F: 2,
+		Buffer: 256 * units.MB,
+	}
+}
+
+// benchCluster builds a cluster of nodes d-disk arrays holding nclips
 // replicated clips of clipBytes bytes each.
-func benchCluster(b *testing.B, nodes, rep, nclips, clipBytes int) *cluster.Cluster {
+func benchCluster(b *testing.B, d, nodes, rep, nclips, clipBytes int) *cluster.Cluster {
 	b.Helper()
 	cfg := cluster.Config{Replication: rep}
 	for i := 0; i < nodes; i++ {
-		cfg.Nodes = append(cfg.Nodes, core.Config{
-			Scheme: core.Declustered,
-			Disk:   diskmodel.Default(),
-			D:      7, P: 3,
-			Block: 64 * units.KB,
-			Q:     8, F: 2,
-			Buffer: 256 * units.MB,
-		})
+		cfg.Nodes = append(cfg.Nodes, nodeConfig(d))
 	}
 	cl, err := cluster.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := make([]byte, clipBytes)
-	for i := range data {
-		data[i] = byte(i * 131)
-	}
+	data := patternData(clipBytes)
 	for i := 0; i < nclips; i++ {
 		if err := cl.AddClip(fmt.Sprintf("clip-%d", i), data); err != nil {
 			b.Fatal(err)
@@ -454,7 +468,7 @@ func benchCluster(b *testing.B, nodes, rep, nclips, clipBytes int) *cluster.Clus
 	return cl
 }
 
-// clusterBenches is the -cluster suite: stream routing, node-failure
+// clusterBenches is the cluster suite: stream routing, node-failure
 // failover, cluster round cost under delivery, and the multi-node
 // simulation.
 func clusterBenches(quick bool) []bench {
@@ -462,7 +476,7 @@ func clusterBenches(quick bool) []bench {
 		// Routing + admission decision cost: open on the least-loaded
 		// live replica (with spillover bookkeeping), then release.
 		{"ClusterRoute", func(b *testing.B) {
-			cl := benchCluster(b, 4, 2, 16, 256_000)
+			cl := benchCluster(b, 7, 4, 2, 16, 256_000)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -476,7 +490,7 @@ func clusterBenches(quick bool) []bench {
 		// Failover cost: kill a node with in-flight streams; each stream
 		// of a replicated clip re-admits on a surviving replica.
 		{"ClusterFailover", func(b *testing.B) {
-			cl := benchCluster(b, 3, 2, 8, 256_000)
+			cl := benchCluster(b, 7, 3, 2, 8, 256_000)
 			var streams []*cluster.Stream
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -505,7 +519,7 @@ func clusterBenches(quick bool) []bench {
 		// Sustained cluster round cost: Tick all nodes and drain one read
 		// per stream, reopening streams as they finish.
 		{"ClusterTick", func(b *testing.B) {
-			cl := benchCluster(b, 3, 2, 8, 4_000_000)
+			cl := benchCluster(b, 7, 3, 2, 8, 4_000_000)
 			var streams []*cluster.Stream
 			for j := 0; ; j++ {
 				st, err := cl.OpenStream(fmt.Sprintf("clip-%d", j%8))
@@ -614,10 +628,10 @@ func benchRecoverPQ(b *testing.B, nd int, missing []int) {
 	}
 }
 
-// pqBenches is the -pq suite: the Q encode kernel in both forms, every
+// pqBenches is the pq suite: the Q encode kernel in both forms, every
 // two-erasure reconstruction class, and the doubly-degraded server
 // round end to end.
-func pqBenches() []bench {
+func pqBenches(bool) []bench {
 	const nd = 8 // data columns per group in the kernel benchmarks
 	return []bench{
 		{"QEncodeNaive", func(b *testing.B) {
@@ -672,10 +686,7 @@ func pqBenches() []bench {
 			if err != nil {
 				b.Fatal(err)
 			}
-			data := make([]byte, 4_000_000)
-			for i := range data {
-				data[i] = byte(i * 131)
-			}
+			data := patternData(4_000_000)
 			for i := 0; i < 4; i++ {
 				if err := srv.AddClip(fmt.Sprintf("clip-%d", i), data); err != nil {
 					b.Fatal(err)
@@ -720,7 +731,7 @@ func pqBenches() []bench {
 }
 
 // ---------------------------------------------------------------------
-// -streams: high-stream-count round-tick suite.
+// streams: high-stream-count round-tick suite.
 //
 // The paper's service model makes the per-round tick the server's hot
 // path, so this suite measures Tick at populations where scheduling
@@ -731,11 +742,6 @@ func pqBenches() []bench {
 // clips are long enough that no stream reaches EOF inside a normal
 // benchtime, so the steady-state loop does the same work every round.
 // ---------------------------------------------------------------------
-
-// steadyBenchName is the benchmark the -allocgate budget applies to:
-// the healthy steady-state tick, whose hot path is required to stay
-// allocation-free.
-const steadyBenchName = "Tick1kSteady"
 
 const (
 	streamsBlock      = 32 * units.KB // 4 KB blocks: scheduling dominates transfer
@@ -771,48 +777,39 @@ func streamsServerConfig(d, q, spares int) core.Config {
 
 // streamsClipData builds one shared clip payload; Array.Write copies
 // into its own buffers, so every clip can alias this slice.
-func streamsClipData() []byte {
-	data := make([]byte, streamsClipBlocks*int(streamsBlock/8))
-	for i := range data {
-		data[i] = byte(i * 131)
-	}
-	return data
-}
+func streamsClipData() []byte { return patternData(streamsClipBlocks * int(streamsBlock/8)) }
 
-// tickBench is one cached high-stream-count server population.
+// tickBench is one cached high-stream-count population, on a single
+// server or sharded over a cluster: tickFn and openFn hide which.
 type tickBench struct {
-	srv     *core.Server
-	cl      *cluster.Cluster
-	streams []*core.Stream
-	cstream []*cluster.Stream
+	srv     *core.Server // the single server; nil for a cluster population
+	tickFn  func() error
+	openFn  func(clip string) (io.Reader, error)
+	streams []io.Reader
 	names   []string
 	scratch []byte
+}
+
+// asReader adapts a server's or cluster's OpenStream to tickBench.openFn.
+func asReader[S io.Reader](open func(string) (S, error)) func(string) (io.Reader, error) {
+	return func(clip string) (io.Reader, error) {
+		st, err := open(clip)
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
+	}
 }
 
 // drainOne reads one round's payload from stream j, recycling it if the
 // clip finished (a safety net: clips are sized so this doesn't happen
 // inside a normal benchtime).
 func (tb *tickBench) drainOne(b *testing.B, j int) {
-	if tb.cl != nil {
-		_, err := tb.cstream[j].Read(tb.scratch)
-		switch {
-		case err == nil || errors.Is(err, core.ErrNoData):
-		case err == io.EOF:
-			if ns, oerr := tb.cl.OpenStream(tb.names[j]); oerr == nil {
-				tb.cstream[j] = ns
-			} else if !errors.Is(oerr, core.ErrAdmission) {
-				b.Fatal(oerr)
-			}
-		default:
-			b.Fatal(err)
-		}
-		return
-	}
 	_, err := tb.streams[j].Read(tb.scratch)
 	switch {
 	case err == nil || errors.Is(err, core.ErrNoData):
 	case err == io.EOF:
-		if ns, oerr := tb.srv.OpenStream(tb.names[j]); oerr == nil {
+		if ns, oerr := tb.openFn(tb.names[j]); oerr == nil {
 			tb.streams[j] = ns
 		} else if !errors.Is(oerr, core.ErrAdmission) {
 			b.Fatal(oerr)
@@ -822,24 +819,11 @@ func (tb *tickBench) drainOne(b *testing.B, j int) {
 	}
 }
 
-func (tb *tickBench) n() int {
-	if tb.cl != nil {
-		return len(tb.cstream)
-	}
-	return len(tb.streams)
-}
-
 func (tb *tickBench) tick(b *testing.B) {
-	var err error
-	if tb.cl != nil {
-		err = tb.cl.Tick()
-	} else {
-		err = tb.srv.Tick()
-	}
-	if err != nil {
+	if err := tb.tickFn(); err != nil {
 		b.Fatal(err)
 	}
-	for j := 0; j < tb.n(); j++ {
+	for j := range tb.streams {
 		tb.drainOne(b, j)
 	}
 }
@@ -850,46 +834,28 @@ func (tb *tickBench) tick(b *testing.B) {
 // between batches exactly like a live arrival wave.
 func (tb *tickBench) open(b *testing.B, want int) {
 	b.Helper()
-	openClip := func(name string) error {
-		if tb.cl != nil {
-			st, err := tb.cl.OpenStream(name)
-			if err != nil {
-				return err
-			}
-			tb.cstream = append(tb.cstream, st)
-		} else {
-			st, err := tb.srv.OpenStream(name)
-			if err != nil {
-				return err
-			}
-			tb.streams = append(tb.streams, st)
-		}
-		tb.names = append(tb.names, name)
-		return nil
-	}
 	clips := tb.names // the builder filled names with the clip catalog
 	tb.names = nil
-	for rounds := 0; tb.n() < want; rounds++ {
+	for rounds := 0; len(tb.streams) < want; rounds++ {
 		if rounds > want {
-			b.Fatalf("admission stalled: %d/%d streams after %d rounds", tb.n(), want, rounds)
+			b.Fatalf("admission stalled: %d/%d streams after %d rounds", len(tb.streams), want, rounds)
 		}
 		for _, name := range clips {
-			for tb.n() < want {
-				if err := openClip(name); err != nil {
-					if errors.Is(err, core.ErrAdmission) {
-						break // this clip's cell is full this round
-					}
+			for len(tb.streams) < want {
+				st, err := tb.openFn(name)
+				if errors.Is(err, core.ErrAdmission) {
+					break // this clip's cell is full this round
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			if tb.n() >= want {
-				break
+				tb.streams = append(tb.streams, st)
+				tb.names = append(tb.names, name)
 			}
 		}
-		if tb.n() >= want {
-			break
+		if len(tb.streams) < want {
+			tb.tick(b)
 		}
-		tb.tick(b)
 	}
 }
 
@@ -901,7 +867,7 @@ func newTickBench(b *testing.B, cfg core.Config, nclips, want int) *tickBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tb := &tickBench{srv: srv, scratch: make([]byte, int(streamsBlock/8))}
+	tb := &tickBench{srv: srv, tickFn: srv.Tick, openFn: asReader(srv.OpenStream), scratch: make([]byte, int(streamsBlock/8))}
 	data := streamsClipData()
 	for i := 0; i < nclips; i++ {
 		name := fmt.Sprintf("clip-%d", i)
@@ -931,7 +897,7 @@ func newClusterTickBench(b *testing.B, nodes, clipsPerNode, want int) *tickBench
 	if err != nil {
 		b.Fatal(err)
 	}
-	tb := &tickBench{cl: cl, scratch: make([]byte, int(streamsBlock/8))}
+	tb := &tickBench{tickFn: cl.Tick, openFn: asReader(cl.OpenStream), scratch: make([]byte, int(streamsBlock/8))}
 	data := streamsClipData()
 	for i := 0; i < nodes*clipsPerNode; i++ {
 		name := fmt.Sprintf("clip-%d", i)
@@ -957,7 +923,7 @@ func lazyTick(build func(b *testing.B) *tickBench, perIter func(b *testing.B, tb
 		if tb == nil {
 			tb = build(b)
 		}
-		b.ReportMetric(float64(tb.n()), "streams")
+		b.ReportMetric(float64(len(tb.streams)), "streams")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -969,14 +935,14 @@ func lazyTick(build func(b *testing.B) *tickBench, perIter func(b *testing.B, tb
 	}
 }
 
-// streamsBenches is the -streams suite. Each benchmark caches its server
+// streamsBenches is the streams suite. Each benchmark caches its server
 // in the closure via lazyTick.
 func streamsBenches(quick bool) []bench {
 	lazy := lazyTick
 	benches := []bench{
 		// The allocation-gate target: healthy steady state, 1k streams on
 		// 32 disks at q=128.
-		{steadyBenchName, lazy(func(b *testing.B) *tickBench {
+		{"Tick1kSteady", lazy(func(b *testing.B) *tickBench {
 			return newTickBench(b, streamsServerConfig(32, 128, 0), 8, 1000)
 		}, nil)},
 		// Same population with one failed disk and no spare: every
@@ -1026,7 +992,7 @@ func streamsBenches(quick bool) []bench {
 }
 
 // ---------------------------------------------------------------------
-// -reconfig: elastic-reconfiguration suite.
+// reconfig: elastic-reconfiguration suite.
 //
 // Measures the versioned-view machinery end to end: the view-log
 // mutations themselves, the steady-state cluster tick *after* a
@@ -1036,47 +1002,6 @@ func streamsBenches(quick bool) []bench {
 // three reconfiguration operations (graceful drain, join-then-drain
 // hardware swap, single-node disk-addition re-layout).
 // ---------------------------------------------------------------------
-
-// reconfigGateBenchName is the -reconfig allocation-gate target: the
-// post-reconfiguration steady-state cluster tick.
-const reconfigGateBenchName = "ReconfigQuiescentTick"
-
-// reconfigNodeConfig is a 6-disk declustered node: (7, 3) has a BIBD
-// construction, so AddDisk can grow it, unlike the 7-disk default.
-func reconfigNodeConfig() core.Config {
-	return core.Config{
-		Scheme: core.Declustered,
-		Disk:   diskmodel.Default(),
-		D:      6, P: 3,
-		Block: 64 * units.KB,
-		Q:     8, F: 2,
-		Buffer: 256 * units.MB,
-	}
-}
-
-// benchReconfigCluster builds a cluster of growable 6-disk nodes with
-// nclips replicated clips of clipBytes bytes each.
-func benchReconfigCluster(b *testing.B, nodes, rep, nclips, clipBytes int) *cluster.Cluster {
-	b.Helper()
-	cfg := cluster.Config{Replication: rep}
-	for i := 0; i < nodes; i++ {
-		cfg.Nodes = append(cfg.Nodes, reconfigNodeConfig())
-	}
-	cl, err := cluster.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, clipBytes)
-	for i := range data {
-		data[i] = byte(i * 131)
-	}
-	for i := 0; i < nclips; i++ {
-		if err := cl.AddClip(fmt.Sprintf("clip-%d", i), data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return cl
-}
 
 // tickUntil ticks cl until done() reports true, failing the benchmark
 // if convergence takes more than limit rounds.
@@ -1111,7 +1036,7 @@ func retired(cl *cluster.Cluster, n int) func() bool {
 	}
 }
 
-func reconfigBenches() []bench {
+func reconfigBenches(bool) []bench {
 	var gate *cluster.Cluster
 	return []bench{
 		// The raw view-log mutation cycle: join, drain, retire, remove,
@@ -1139,10 +1064,10 @@ func reconfigBenches() []bench {
 		// join and a full drain/retire ticks in steady state with admitted
 		// streams. The quiescent per-round reconfiguration step is on this
 		// path every round, so it must not allocate.
-		{reconfigGateBenchName, func(b *testing.B) {
+		{"ReconfigQuiescentTick", func(b *testing.B) {
 			if gate == nil {
-				cl := benchReconfigCluster(b, 3, 2, 8, 4_000_000)
-				if _, err := cl.JoinNode(reconfigNodeConfig()); err != nil {
+				cl := benchCluster(b, 6, 3, 2, 8, 4_000_000)
+				if _, err := cl.JoinNode(nodeConfig(6)); err != nil {
 					b.Fatal(err)
 				}
 				if err := cl.DrainNode(0); err != nil {
@@ -1179,7 +1104,7 @@ func reconfigBenches() []bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cl := benchReconfigCluster(b, 3, 2, 8, 256_000)
+				cl := benchCluster(b, 6, 3, 2, 8, 256_000)
 				for j := 0; j < 8; j++ {
 					if _, err := cl.OpenStream(fmt.Sprintf("clip-%d", j)); err != nil {
 						b.Fatal(err)
@@ -1198,9 +1123,9 @@ func reconfigBenches() []bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cl := benchReconfigCluster(b, 3, 2, 8, 256_000)
+				cl := benchCluster(b, 6, 3, 2, 8, 256_000)
 				b.StartTimer()
-				if _, err := cl.JoinNode(reconfigNodeConfig()); err != nil {
+				if _, err := cl.JoinNode(nodeConfig(6)); err != nil {
 					b.Fatal(err)
 				}
 				if err := cl.DrainNode(0); err != nil {
@@ -1212,14 +1137,11 @@ func reconfigBenches() []bench {
 		// Growing one array by a disk: copy every block onto the wider
 		// (d+1)-disk PGT layout on idle capacity, then flip atomically.
 		{"AddDiskRelayout", func(b *testing.B) {
-			data := make([]byte, 256_000)
-			for k := range data {
-				data[k] = byte(k * 131)
-			}
+			data := patternData(256_000)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				srv, err := core.New(reconfigNodeConfig())
+				srv, err := core.New(nodeConfig(6))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,6 @@
 package main
 
-// -workload: arrival-generation suite (BENCH_6.json by default).
+// workload: arrival-generation suite (BENCH_6.json by default).
 //
 // Measures the streaming workload engines at scenario scale: raw
 // arrivals-per-second throughput and allocation counts for draining a
@@ -19,10 +19,6 @@ import (
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
 )
-
-// workloadGateBenchName is the -workload allocation-gate target: the
-// scenario source's million-request diurnal day.
-const workloadGateBenchName = "ScenarioDiurnal1M"
 
 // drainSource pulls a source dry and returns the request count.
 func drainSource(b *testing.B, src workload.ArrivalSource) int {
@@ -90,7 +86,7 @@ func reportArrivals(b *testing.B, total int) {
 	b.ReportMetric(float64(total)/float64(b.N), "arrivals/op")
 }
 
-// workloadBenches is the -workload suite. The 1M tier runs always; the
+// workloadBenches is the workload suite. The 1M tier runs always; the
 // 10M tier is skipped with -quick.
 func workloadBenches(quick bool) []bench {
 	zipf := func(b *testing.B) workload.Selector {
@@ -111,7 +107,7 @@ func workloadBenches(quick bool) []bench {
 		}},
 		// The scenario engine's full diurnal+flash+VCR day at 900k
 		// subscribers (≈1.4M requests through ≈7M thinning candidates).
-		{workloadGateBenchName, func(b *testing.B) {
+		{"ScenarioDiurnal1M", func(b *testing.B) {
 			benchScenario(b, 900000)
 		}},
 	}

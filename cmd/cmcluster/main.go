@@ -1,21 +1,31 @@
-// Command cmcluster is the cluster-tier demonstration front end: it
-// composes several fault-tolerant arrays into one logical continuous
-// media server (internal/cluster), stores synthetic clips across them
-// with replication, paces cluster rounds in (scaled) real time, and
-// proxies the cmserve protocol across nodes.
+// Command cmcluster is the demonstration TCP streaming daemon: it
+// composes fault-tolerant arrays into one logical continuous media
+// server (internal/cluster), stores synthetic clips across them with
+// replication, paces cluster rounds in (scaled) real time, and streams
+// clip bytes to TCP clients through disk and node failures. A single
+// array is the one-node case:
 //
-// Protocol (one command line per connection, like cmserve):
+//	cmcluster -nodes 1 -rep 1
+//
+// Protocol (one command line per connection; the verbs table below is
+// the authoritative list of verbs and arguments):
 //
 //	LIST                  clip names with sizes and replica nodes
-//	PLAY <clip>           stream clip bytes; survives node failures when
-//	                      the clip is replicated
-//	STATS                 cluster counters plus per-node summaries,
-//	                      including each node's scrub progress and
-//	                      corruption detect/repair counters
-//	FAIL <node>           demo alias for the node-fault injector: the
-//	                      health detector discovers the fault from the
-//	                      node's own probe errors and fails it over —
-//	                      never an operator command on the data path
+//	PLAY <clip>           stream clip bytes as rounds deliver them, then
+//	                      close; survives disk failures inside a node
+//	                      and, when the clip is replicated, node failures
+//	STATS                 cluster counters, then one line per node with
+//	                      its failure-lifecycle mode, hot-spare and
+//	                      rebuild progress, scrub progress and corruption
+//	                      detect/repair counters
+//	FAIL <node> [<disk>]  demo alias for the fault injectors: with a disk,
+//	                      fail-stop that disk inside the node (the node's
+//	                      detector declares it from its own read errors
+//	                      and, given -spares, rebuilds it online); without,
+//	                      fail-stop the whole node (the cluster detector
+//	                      discovers it from probe errors and fails its
+//	                      streams over) — never an operator command on
+//	                      the data path
 //	CORRUPT <node> <disk> demo alias for the silent-corruption injector:
 //	                      rots blocks of one disk inside one node; only
 //	                      that node's checksums (patrol scrub or read
@@ -40,9 +50,16 @@
 //	                      under a failover backlog (see -autopilot to
 //	                      start enabled; STATS carries autopilot=)
 //
+// On SIGINT/SIGTERM the daemon shuts down gracefully: it stops accepting
+// connections, refuses new and still-queued PLAYs, lets active streams
+// drain, then exits. Every client write carries a deadline so one
+// stalled client cannot wedge a handler.
+//
 // Usage:
 //
 //	cmcluster -addr :9100 -nodes 3 -rep 2 -scheme declustered -d 7 -p 3
+//
+// speed scales time: 100 means rounds run 100x faster than real playback.
 //
 // Observability: -pprof serves net/http/pprof on a side address, and
 // -cpuprofile/-memprofile write whole-run profiles, matching cmsim.
@@ -66,8 +83,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,9 +103,10 @@ type server struct {
 	mu sync.Mutex
 	cl *cluster.Cluster
 
-	// inj[i] is node i's disk-fault injector, armed at startup so
-	// CORRUPT can script silent corruption inside a node. Distinct from
-	// the cluster-level injector, which scripts whole-node faults.
+	// inj[i] is node i's disk-fault injector, armed as nodes appear so
+	// FAIL <node> <disk> and CORRUPT can script faults inside a node.
+	// Distinct from the cluster-level injector, which scripts whole-node
+	// faults.
 	inj []*faultinject.Injector
 
 	// tickHist tracks recent cluster-round Tick latencies (guarded by
@@ -112,9 +129,13 @@ type server struct {
 	// flag) toggle whether it observes and acts.
 	pilot *cluster.Pilot
 
+	// writeTimeout bounds every client write.
 	writeTimeout time.Duration
-	closing      chan struct{}
-	conns        sync.WaitGroup
+	// closing is closed when shutdown begins: accept stops and PLAYs not
+	// yet streaming are refused while in-flight streams drain.
+	closing chan struct{}
+	// conns tracks active connection handlers for the drain.
+	conns sync.WaitGroup
 }
 
 func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Duration, autopilotOn bool) *server {
@@ -126,10 +147,17 @@ func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Durat
 		closing:      make(chan struct{}),
 	}
 	s.pilot.SetEnabled(autopilotOn)
-	for i := 0; i < cl.NodeCount(); i++ {
-		s.inj = append(s.inj, cl.NodeServer(i).InjectFaults(faultinject.Plan{Seed: int64(i) + 1}))
-	}
+	s.armInjectors()
 	return s
+}
+
+// armInjectors gives every node that lacks one an (empty-plan) disk-fault
+// injector: the bootset at startup, then each node JOIN or the autopilot
+// adds, so FAIL and CORRUPT work against it too. Callers hold mu.
+func (s *server) armInjectors() {
+	for id := len(s.inj); id < s.cl.NodeCount(); id++ {
+		s.inj = append(s.inj, s.cl.NodeServer(id).InjectFaults(faultinject.Plan{Seed: int64(id) + 1}))
+	}
 }
 
 // tick advances one cluster round under the mutex: the service tick,
@@ -152,12 +180,7 @@ func (s *server) tick() {
 	a, ok, err := s.pilot.Step()
 	if ok {
 		log.Printf("cmcluster: autopilot: %s", a)
-		// Arm the corruption injector on any node the pilot just joined,
-		// exactly as the JOIN verb does, so CORRUPT works against it.
-		for len(s.inj) < s.cl.NodeCount() {
-			id := len(s.inj)
-			s.inj = append(s.inj, s.cl.NodeServer(id).InjectFaults(faultinject.Plan{Seed: int64(id) + 1}))
-		}
+		s.armInjectors()
 	}
 	if err != nil {
 		log.Printf("cmcluster: autopilot: %v", err)
@@ -169,11 +192,12 @@ func main() {
 	schemeFlag := flag.String("scheme", "declustered", "per-node fault-tolerance scheme")
 	d := flag.Int("d", 7, "disks per node")
 	p := flag.Int("p", 3, "parity group size")
-	nodes := flag.Int("nodes", 3, "cluster nodes")
+	nodes := flag.Int("nodes", 3, "cluster nodes (1: a single array)")
 	rep := flag.Int("rep", 2, "replicas per clip")
 	nclips := flag.Int("clips", 4, "synthetic clips to store")
 	clipKB := flag.Int("clipkb", 256, "clip size in KB")
 	speed := flag.Float64("speed", 100, "time acceleration factor")
+	spares := flag.Int("spares", 1, "per-node hot spares for automatic online rebuild")
 	scrub := flag.Int("scrub", -1, "per-node patrol scrub rate in verify reads per disk per round (0: off, -1: idle-bounded)")
 	wtimeout := flag.Duration("wtimeout", 10*time.Second, "per-client write deadline")
 	autopilotOn := flag.Bool("autopilot", false, "start with the closed-loop controller enabled (AUTOPILOT on|off toggles it live)")
@@ -190,37 +214,16 @@ func main() {
 	if err != nil {
 		log.Fatalf("cmcluster: %v", err)
 	}
-
 	if *pprofAddr != "" {
 		go func() {
 			log.Printf("cmcluster: pprof: %v", http.ListenAndServe(*pprofAddr, nil))
 		}()
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatalf("cmcluster: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cmcluster: %v", err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiling, err := cliutil.StartProfiling(*cpuprofile, *memprofile)
+	if err != nil {
+		log.Fatalf("cmcluster: %v", err)
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Printf("cmcluster: %v", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Printf("cmcluster: %v", err)
-			}
-		}()
-	}
+	defer stopProfiling()
 
 	cfg := cluster.Config{
 		Replication: *rep,
@@ -237,6 +240,7 @@ func main() {
 		Q:         8,
 		F:         2,
 		Buffer:    256 * units.MB,
+		Spares:    *spares,
 		ScrubRate: *scrub,
 	}
 	for i := 0; i < *nodes; i++ {
@@ -257,7 +261,8 @@ func main() {
 	s := newServer(cl, nodeCfg, *wtimeout, *autopilotOn)
 
 	// Round pacer: every node's round duration is identical (same config),
-	// so one clock drives the whole cluster.
+	// so one clock drives the whole cluster. It keeps running through the
+	// drain so in-flight streams finish delivery.
 	go func() {
 		interval := time.Duration(float64(cl.NodeServer(0).RoundDuration().Seconds()) / *speed * float64(time.Second))
 		if interval < time.Millisecond {
@@ -274,8 +279,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("cmcluster: %v", err)
 	}
-	log.Printf("cmcluster: %d nodes × (%s, d=%d, p=%d), replication %d, %d clips, listening on %s",
-		*nodes, scheme, geo.D, geo.P, *rep, *nclips, ln.Addr())
+	log.Printf("cmcluster: %d nodes × (%s, d=%d, p=%d, %d spares), replication %d, %d clips, listening on %s",
+		*nodes, scheme, geo.D, geo.P, *spares, *rep, *nclips, ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -296,10 +301,8 @@ func main() {
 // beginShutdown flips the server into draining mode and stops the accept
 // loop by closing the listener.
 func (s *server) beginShutdown(ln net.Listener) {
-	select {
-	case <-s.closing:
+	if s.draining() {
 		return
-	default:
 	}
 	close(s.closing)
 	ln.Close()
@@ -335,6 +338,7 @@ func (s *server) acceptLoop(ln net.Listener) {
 }
 
 // drain waits for active connection handlers to finish, up to timeout.
+// It reports whether the drain completed.
 func (s *server) drain(timeout time.Duration) bool {
 	done := make(chan struct{})
 	go func() {
@@ -349,6 +353,8 @@ func (s *server) drain(timeout time.Duration) bool {
 	}
 }
 
+// write sends bytes to the client under the per-connection write
+// deadline, so a stalled client cannot wedge the handler.
 func (s *server) write(conn net.Conn, data []byte) error {
 	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	_, err := conn.Write(data)
@@ -359,27 +365,123 @@ func (s *server) printf(conn net.Conn, format string, args ...any) error {
 	return s.write(conn, []byte(fmt.Sprintf(format, args...)))
 }
 
-// parseNode parses the single <node> argument of a reconfiguration
-// command and range-checks it, reporting usage or range errors to the
-// client itself. ok is false when the command line was already answered.
-func (s *server) parseNode(conn net.Conn, fields []string, usage string) (int, bool) {
-	if len(fields) < 2 {
-		s.printf(conn, "ERR usage: %s\n", usage)
-		return 0, false
+// args is one command line's parsed arguments. node and disk are -1
+// when the verb's synopsis has no such parameter or an optional one was
+// omitted; word is the verb's free-form argument (a clip name, on|off).
+type args struct {
+	node, disk int
+	word       string
+}
+
+// verb is one protocol command. params is the argument synopsis, which
+// both renders the usage error and drives parsing: "<node>" and "<disk>"
+// are integers range-checked against the live cluster, "[...]" is
+// optional, "a|b" must be one of the listed words, and anything else is
+// free-form. Exactly one of admin and serve is set: admin runs under
+// s.mu and returns the text of an "OK ..." reply (or an error for an
+// "ERR ..." one); serve writes its own reply and takes the lock only as
+// it needs to.
+type verb struct {
+	params string
+	admin  func(s *server, a args) (string, error)
+	serve  func(s *server, conn net.Conn, a args)
+}
+
+var verbs = map[string]verb{
+	"LIST":  {serve: (*server).list},
+	"STATS": {serve: (*server).stats},
+	"PLAY":  {params: "<clip>", serve: (*server).play},
+	// Demo alias for the fault injectors: schedule a fail-stop starting
+	// next round — on the whole node, or on one disk inside it. The
+	// respective detector notices from probe/read errors and fails over
+	// or degrades on its own.
+	"FAIL": {params: "<node> [<disk>]", admin: func(s *server, a args) (string, error) {
+		inj, unit, reply := s.cl.Injector(), a.node, fmt.Sprintf("node %d failed", a.node)
+		if a.disk >= 0 {
+			inj, unit, reply = s.inj[a.node], a.disk, fmt.Sprintf("node %d disk %d failed", a.node, a.disk)
+		}
+		inj.AddFailStop(faultinject.FailStop{Disk: unit, Round: inj.Round() + 1})
+		return reply, nil
+	}},
+	// Demo alias for the silent-corruption injector: rot a burst of
+	// blocks on one disk of one node starting next round. Nothing on the
+	// data path is told — only that node's checksums (patrol scrub or a
+	// stream read) can catch it and repair from parity.
+	"CORRUPT": {params: "<node> <disk>", admin: func(s *server, a args) (string, error) {
+		next := s.inj[a.node].Round() + 1
+		s.inj[a.node].AddSilentCorruption(faultinject.SilentCorruption{
+			Disk: a.disk, Block: -1, Rate: 1, From: next, Until: next + 1, Bits: 3,
+		})
+		return fmt.Sprintf("node %d disk %d corrupted", a.node, a.disk), nil
+	}},
+	// Join a fresh node built from the boot-time template. The migration
+	// planner re-spreads replicas onto it on idle round capacity; nothing
+	// else changes until clips land there.
+	"JOIN": {admin: func(s *server, _ args) (string, error) {
+		id, err := s.cl.JoinNode(s.nodeCfg)
+		if err != nil {
+			return "", err
+		}
+		s.armInjectors()
+		return fmt.Sprintf("node %d joined view=%d", id, s.cl.View().Version), nil
+	}},
+	"DRAIN": {params: "<node>", admin: func(s *server, a args) (string, error) {
+		err := s.cl.DrainNode(a.node)
+		return fmt.Sprintf("node %d draining view=%d", a.node, s.cl.View().Version), err
+	}},
+	"REMOVE": {params: "<node>", admin: func(s *server, a args) (string, error) {
+		err := s.cl.RemoveNode(a.node)
+		return fmt.Sprintf("node %d removed view=%d", a.node, s.cl.View().Version), err
+	}},
+	// Fails most commonly for want of a BIBD construction for (d+1, p).
+	// The view only bumps once the re-layout flips.
+	"ADDDISK": {params: "<node>", admin: func(s *server, a args) (string, error) {
+		return fmt.Sprintf("node %d re-layout started", a.node), s.cl.AddDisk(a.node)
+	}},
+	"AUTOPILOT": {params: "on|off", admin: func(s *server, a args) (string, error) {
+		s.pilot.SetEnabled(a.word == "on")
+		return "autopilot " + a.word, nil
+	}},
+}
+
+// parse matches a command line's arguments against the verb's synopsis.
+// It is the one place usage, arity and range errors come from. Callers
+// hold mu (the ranges are the live cluster's).
+func (s *server) parse(name string, v verb, fields []string) (args, error) {
+	a := args{node: -1, disk: -1}
+	usage := fmt.Errorf("usage: %s %s", name, v.params)
+	for i, param := range strings.Fields(v.params) {
+		if i >= len(fields) {
+			if strings.HasPrefix(param, "[") {
+				break
+			}
+			return a, usage
+		}
+		param = strings.Trim(param, "[]")
+		switch {
+		case param == "<node>" || param == "<disk>":
+			n, err := strconv.Atoi(fields[i])
+			if err != nil {
+				return a, usage
+			}
+			what, limit, dst := "node", s.cl.NodeCount(), &a.node
+			if param == "<disk>" {
+				what, limit, dst = "disk", s.cl.NodeServer(a.node).Disks(), &a.disk
+			}
+			if n < 0 || n >= limit {
+				return a, fmt.Errorf("%s %d out of range [0, %d)", what, n, limit)
+			}
+			*dst = n
+		case strings.Contains(param, "|"):
+			a.word = strings.ToLower(fields[i])
+			if !slices.Contains(strings.Split(param, "|"), a.word) {
+				return a, usage
+			}
+		default:
+			a.word = fields[i]
+		}
 	}
-	node, err := strconv.Atoi(fields[1])
-	if err != nil {
-		s.printf(conn, "ERR usage: %s\n", usage)
-		return 0, false
-	}
-	s.mu.Lock()
-	n := s.cl.NodeCount()
-	s.mu.Unlock()
-	if node < 0 || node >= n {
-		s.printf(conn, "ERR node %d out of range [0, %d)\n", node, n)
-		return 0, false
-	}
-	return node, true
+	return a, nil
 }
 
 func (s *server) handle(conn net.Conn) {
@@ -394,251 +496,129 @@ func (s *server) handle(conn net.Conn) {
 		s.printf(conn, "ERR empty command\n")
 		return
 	}
-	switch strings.ToUpper(fields[0]) {
-	case "LIST":
-		s.mu.Lock()
-		names := s.cl.Clips()
-		type row struct {
-			size     int64
-			replicas []int
-		}
-		rows := make(map[string]row, len(names))
-		for _, name := range names {
-			rows[name] = row{s.cl.ClipSize(name), s.cl.Replicas(name)}
-		}
-		s.mu.Unlock()
-		for _, name := range names {
-			if s.printf(conn, "%s %d nodes=%v\n", name, rows[name].size, rows[name].replicas) != nil {
-				return
-			}
-		}
-	case "STATS":
-		s.mu.Lock()
-		st := s.cl.Stats()
-		ticks := s.tickHist.String()
-		migs := s.migrateHist.String()
-		apMode := "off"
-		var aps autopilot.Status
-		if s.pilot.Enabled() {
-			aps = s.pilot.Status()
-			apMode = aps.Mode
-		}
-		s.mu.Unlock()
-		if s.printf(conn, "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q tick_hist=%s migrate_hist=%s\n",
-			st.Round, st.Nodes, st.Alive, st.FailedNodes, st.Active, st.AwaitingFailover,
-			st.Served, st.FailedOver, st.Terminated, st.Rejected,
-			st.ViewVersion, st.Draining, st.Retired, st.MigrateDone, st.MigrateTotal,
-			st.MigratedBlocks, st.MigratedStreams,
-			apMode, aps.Actions, aps.Cooldown, aps.Last, aps.Interlock, ticks, migs) != nil {
-			return
-		}
-		for i, ns := range st.Node {
-			if s.printf(conn, "node=%d active=%d served=%d hiccups=%d failed_disks=%v mode=%s scrub_scanned=%d scrub_total=%d scrub_cycles=%d corruptions=%d corruption_repairs=%d detect_hist=%s rebuild_hist=%s\n",
-				i, ns.Active, ns.Served, ns.Hiccups, ns.FailedDisks, ns.Mode,
-				ns.ScrubScanned, ns.ScrubTotal, ns.ScrubCycles,
-				ns.CorruptionsDetected, ns.CorruptionRepairs,
-				cliutil.Histogram(ns.DetectLatencies), cliutil.Histogram(ns.RebuildLatencies)) != nil {
-				return
-			}
-		}
-	case "FAIL":
-		// Demo alias for the node-fault injector: schedule a node
-		// fail-stop starting next round; the detector's probes discover it
-		// and trigger failover on their own.
-		if len(fields) < 2 {
-			s.printf(conn, "ERR usage: FAIL <node>\n")
-			return
-		}
-		node, err := strconv.Atoi(fields[1])
-		if err != nil {
-			s.printf(conn, "ERR usage: FAIL <node>\n")
-			return
-		}
-		s.mu.Lock()
-		n := s.cl.NodeCount()
-		if node < 0 || node >= n {
-			s.mu.Unlock()
-			s.printf(conn, "ERR node %d out of range [0, %d)\n", node, n)
-			return
-		}
-		inj := s.cl.Injector()
-		inj.AddFailStop(faultinject.FailStop{Disk: node, Round: inj.Round() + 1})
-		s.mu.Unlock()
-		s.printf(conn, "OK node %d failed\n", node)
-	case "CORRUPT":
-		// Demo alias for the silent-corruption injector: rot a burst of
-		// blocks on one disk of one node starting next round. Nothing on
-		// the data path is told — only that node's checksums (patrol
-		// scrub or a stream read) can catch it and repair from parity.
-		if len(fields) < 3 {
-			s.printf(conn, "ERR usage: CORRUPT <node> <disk>\n")
-			return
-		}
-		node, err1 := strconv.Atoi(fields[1])
-		disk, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil {
-			s.printf(conn, "ERR usage: CORRUPT <node> <disk>\n")
-			return
-		}
-		s.mu.Lock()
-		if n := s.cl.NodeCount(); node < 0 || node >= n {
-			s.mu.Unlock()
-			s.printf(conn, "ERR node %d out of range [0, %d)\n", node, n)
-			return
-		}
-		if nd := s.cl.NodeServer(node).Disks(); disk < 0 || disk >= nd {
-			s.mu.Unlock()
-			s.printf(conn, "ERR disk %d out of range [0, %d)\n", disk, nd)
-			return
-		}
-		next := s.inj[node].Round() + 1
-		s.inj[node].AddSilentCorruption(faultinject.SilentCorruption{
-			Disk: disk, Block: -1, Rate: 1, From: next, Until: next + 1, Bits: 3,
-		})
-		s.mu.Unlock()
-		s.printf(conn, "OK node %d disk %d corrupted\n", node, disk)
-	case "JOIN":
-		// Join a fresh node built from the boot-time template. The
-		// migration planner re-spreads replicas onto it on idle round
-		// capacity; nothing else changes until clips land there.
-		s.mu.Lock()
-		id, err := s.cl.JoinNode(s.nodeCfg)
-		if err != nil {
-			s.mu.Unlock()
-			s.printf(conn, "ERR %v\n", err)
-			return
-		}
-		// Arm the joined node's corruption injector like the bootset's so
-		// CORRUPT works against it too.
-		s.inj = append(s.inj, s.cl.NodeServer(id).InjectFaults(faultinject.Plan{Seed: int64(id) + 1}))
-		view := s.cl.View().Version
-		s.mu.Unlock()
-		s.printf(conn, "OK node %d joined view=%d\n", id, view)
-	case "DRAIN":
-		node, ok := s.parseNode(conn, fields, "DRAIN <node>")
-		if !ok {
-			return
-		}
-		s.mu.Lock()
-		err := s.cl.DrainNode(node)
-		view := s.cl.View().Version
-		s.mu.Unlock()
-		if err != nil {
-			s.printf(conn, "ERR %v\n", err)
-			return
-		}
-		s.printf(conn, "OK node %d draining view=%d\n", node, view)
-	case "REMOVE":
-		node, ok := s.parseNode(conn, fields, "REMOVE <node>")
-		if !ok {
-			return
-		}
-		s.mu.Lock()
-		err := s.cl.RemoveNode(node)
-		view := s.cl.View().Version
-		s.mu.Unlock()
-		if err != nil {
-			s.printf(conn, "ERR %v\n", err)
-			return
-		}
-		s.printf(conn, "OK node %d removed view=%d\n", node, view)
-	case "ADDDISK":
-		node, ok := s.parseNode(conn, fields, "ADDDISK <node>")
-		if !ok {
-			return
-		}
-		s.mu.Lock()
-		err := s.cl.AddDisk(node)
-		s.mu.Unlock()
-		if err != nil {
-			// Most commonly: no BIBD construction for (d+1, p). The view
-			// only bumps once the re-layout flips.
-			s.printf(conn, "ERR %v\n", err)
-			return
-		}
-		s.printf(conn, "OK node %d re-layout started\n", node)
-	case "AUTOPILOT":
-		if len(fields) < 2 {
-			s.printf(conn, "ERR usage: AUTOPILOT on|off\n")
-			return
-		}
-		switch strings.ToLower(fields[1]) {
-		case "on":
-			s.mu.Lock()
-			s.pilot.SetEnabled(true)
-			s.mu.Unlock()
-			s.printf(conn, "OK autopilot on\n")
-		case "off":
-			s.mu.Lock()
-			s.pilot.SetEnabled(false)
-			s.mu.Unlock()
-			s.printf(conn, "OK autopilot off\n")
-		default:
-			s.printf(conn, "ERR usage: AUTOPILOT on|off\n")
-		}
-	case "PLAY":
-		if len(fields) < 2 {
-			s.printf(conn, "ERR usage: PLAY <clip>\n")
-			return
-		}
+	name := strings.ToUpper(fields[0])
+	v, ok := verbs[name]
+	if !ok {
+		s.printf(conn, "ERR unknown command\n")
+		return
+	}
+	var reply string
+	s.mu.Lock()
+	a, err := s.parse(name, v, fields[1:])
+	if err == nil && v.admin != nil {
+		reply, err = v.admin(s, a)
+	}
+	s.mu.Unlock()
+	switch {
+	case err != nil:
+		s.printf(conn, "ERR %v\n", err)
+	case v.admin != nil:
+		s.printf(conn, "OK %s\n", reply)
+	default:
+		v.serve(s, conn, a)
+	}
+}
+
+func (s *server) list(conn net.Conn, _ args) {
+	var b strings.Builder
+	s.mu.Lock()
+	for _, name := range s.cl.Clips() {
+		fmt.Fprintf(&b, "%s %d nodes=%v\n", name, s.cl.ClipSize(name), s.cl.Replicas(name))
+	}
+	s.mu.Unlock()
+	s.write(conn, []byte(b.String()))
+}
+
+func (s *server) stats(conn net.Conn, _ args) {
+	s.mu.Lock()
+	st := s.cl.Stats()
+	ticks := s.tickHist.String()
+	migs := s.migrateHist.String()
+	apMode := "off"
+	var aps autopilot.Status
+	if s.pilot.Enabled() {
+		aps = s.pilot.Status()
+		apMode = aps.Mode
+	}
+	s.mu.Unlock()
+	var b strings.Builder
+	fmt.Fprintf(&b, "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q tick_hist=%s migrate_hist=%s\n",
+		st.Round, st.Nodes, st.Alive, st.FailedNodes, st.Active, st.AwaitingFailover,
+		st.Served, st.FailedOver, st.Terminated, st.Rejected,
+		st.ViewVersion, st.Draining, st.Retired, st.MigrateDone, st.MigrateTotal,
+		st.MigratedBlocks, st.MigratedStreams,
+		apMode, aps.Actions, aps.Cooldown, aps.Last, aps.Interlock, ticks, migs)
+	for i, ns := range st.Node {
+		fmt.Fprintf(&b, "node=%d active=%d served=%d hiccups=%d failed_disks=%v mode=%s scrub_scanned=%d scrub_total=%d scrub_cycles=%d corruptions=%d corruption_repairs=%d detect_hist=%s rebuild_hist=%s overflows=%d spares=%d rebuilding=%d rebuild_pending=%d rebuild_total=%d rebuilds_done=%d terminated=%d\n",
+			i, ns.Active, ns.Served, ns.Hiccups, ns.FailedDisks, ns.Mode,
+			ns.ScrubScanned, ns.ScrubTotal, ns.ScrubCycles,
+			ns.CorruptionsDetected, ns.CorruptionRepairs,
+			cliutil.Histogram(ns.DetectLatencies), cliutil.Histogram(ns.RebuildLatencies),
+			ns.Overflows, ns.SparesLeft, ns.Rebuilding, ns.RebuildPending, ns.RebuildTotal,
+			ns.RebuildsDone, ns.Terminated)
+	}
+	s.write(conn, []byte(b.String()))
+}
+
+func (s *server) play(conn net.Conn, a args) {
+	// Graceful degradation: while the autopilot sheds, new sessions are
+	// refused up front instead of joining the admission retry scrum —
+	// in-flight streams and failovers keep the capacity.
+	s.mu.Lock()
+	shedding := s.pilot.Shedding()
+	s.mu.Unlock()
+	if shedding {
+		s.printf(conn, "ERR overloaded: autopilot is shedding new sessions\n")
+		return
+	}
+	// Cluster-wide admission rejects behave like the paper's pending
+	// list: retry each round for a while before giving up — unless
+	// shutdown begins first, so a queued PLAY never holds up the drain.
+	var st *cluster.Stream
+	for deadline := time.Now().Add(10 * time.Second); st == nil; {
 		if s.draining() {
 			s.printf(conn, "ERR shutting down\n")
 			return
 		}
-		// Graceful degradation: while the autopilot sheds, new sessions
-		// are refused up front instead of joining the admission retry
-		// scrum — in-flight streams and failovers keep the capacity.
 		s.mu.Lock()
-		shedding := s.pilot.Shedding()
+		opened, err := s.cl.OpenStream(a.word)
 		s.mu.Unlock()
-		if shedding {
-			s.printf(conn, "ERR overloaded: autopilot is shedding new sessions\n")
-			return
-		}
-		// Cluster-wide admission rejects behave like the paper's pending
-		// list: retry each round for a while before giving up.
-		var st *cluster.Stream
-		var err error
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			s.mu.Lock()
-			st, err = s.cl.OpenStream(fields[1])
-			s.mu.Unlock()
-			if err == nil || !errors.Is(err, core.ErrAdmission) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if err != nil {
+		switch {
+		case err == nil:
+			st = opened
+		case !errors.Is(err, core.ErrAdmission) || time.Now().After(deadline):
 			s.printf(conn, "ERR %v\n", err)
 			return
+		default:
+			time.Sleep(5 * time.Millisecond)
 		}
-		buf := make([]byte, 64<<10)
-		for {
-			s.mu.Lock()
-			n, rerr := st.Read(buf)
-			s.mu.Unlock()
-			if n > 0 {
-				if s.write(conn, buf[:n]) != nil {
-					s.mu.Lock()
-					st.Close()
-					s.mu.Unlock()
-					return
-				}
-			}
-			if errors.Is(rerr, core.ErrNoData) {
-				// Also covers the parked-awaiting-failover window.
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if errors.Is(rerr, core.ErrStreamLost) {
-				s.printf(conn, "\nERR %v\n", rerr)
+	}
+	buf := make([]byte, 64<<10)
+	for {
+		s.mu.Lock()
+		n, rerr := st.Read(buf)
+		s.mu.Unlock()
+		if n > 0 {
+			if s.write(conn, buf[:n]) != nil {
+				s.mu.Lock()
+				st.Close()
+				s.mu.Unlock()
 				return
 			}
-			if rerr != nil {
-				return // EOF or closed
-			}
 		}
-	default:
-		s.printf(conn, "ERR unknown command\n")
+		if errors.Is(rerr, core.ErrNoData) {
+			// Also covers the parked-awaiting-failover window.
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		if errors.Is(rerr, core.ErrStreamLost) {
+			// A further failure stranded the stream: tell the client why
+			// instead of silently closing.
+			s.printf(conn, "\nERR %v\n", rerr)
+			return
+		}
+		if rerr != nil {
+			return // EOF or closed
+		}
 	}
 }

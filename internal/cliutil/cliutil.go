@@ -3,7 +3,11 @@ package cliutil
 
 import (
 	"fmt"
+	"log"
 	"math"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -77,7 +81,7 @@ func Histogram(samples []int64) string {
 const latencyWindow = 512
 
 // LatencyHist tracks recent operation latencies — per-round tick
-// durations in the daemons — as a sliding window of bucketed samples.
+// durations in cmcluster — as a sliding window of bucketed samples.
 // Raw durations are too jittery for Histogram's exact multiset, so each
 // is rounded up to a 1-2-5 series of microseconds first; the window
 // then renders through Histogram as value:count pairs whose values are
@@ -117,4 +121,47 @@ func bucketUS(d time.Duration) int64 {
 		}
 	}
 	return us // beyond the series (>2.5e5 seconds); keep it exact
+}
+
+// StartProfiling wires the -cpuprofile/-memprofile flags the commands
+// share: it starts a whole-run CPU profile into cpuPath (skipped when
+// empty). The returned stop function, to be deferred by main, ends the
+// CPU profile and writes a heap profile to memPath (skipped when empty);
+// its failures are logged, since by then the run's real output is
+// already out. (The daemon's live -pprof listener stays in cmcluster:
+// serving it from here would link net/http into every command.)
+func StartProfiling(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				log.Printf("cpuprofile: %v", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			log.Printf("memprofile: %v", err)
+			return
+		}
+		runtime.GC() // materialize up-to-date allocation statistics
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			log.Printf("memprofile: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			log.Printf("memprofile: %v", err)
+		}
+	}, nil
 }

@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -97,5 +99,29 @@ func TestLatencyHist(t *testing.T) {
 	}
 	if got := h.String(); got != "[10:512]" {
 		t.Errorf("LatencyHist after wrap = %q, want [10:512]", got)
+	}
+}
+
+func TestStartProfilingWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := StartProfiling(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty after stop (err %v)", filepath.Base(path), err)
+		}
+	}
+	// Nothing requested: stop is still callable and creates nothing.
+	stop, err = StartProfiling("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if _, err := StartProfiling(filepath.Join(dir, "no/such/dir/cpu.prof"), ""); err == nil {
+		t.Error("uncreatable -cpuprofile path accepted")
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Geometry is the validated -d/-p array geometry the front ends share
-// (cmopt, cmsim, cmserve, cmcluster), so every command rejects a
+// (cmopt, cmsim, cmcluster), so every command rejects a
 // nonsensical array the same way instead of each rolling its own checks.
 type Geometry struct {
 	// D is the number of disks.

@@ -20,8 +20,8 @@
 // Like core.Server, a Cluster is deliberately synchronous: Tick()
 // advances every live node one service round and drives node-failure
 // detection. Callers that share a Cluster across goroutines must
-// serialize access (the cmcluster front end holds one mutex, exactly as
-// cmserve does for a single array).
+// serialize access (the cmcluster front end holds one mutex, for one
+// array — cmcluster -nodes 1 — as for many).
 package cluster
 
 import (

@@ -15,7 +15,7 @@ import (
 )
 
 // fastDisk is a disk model with negligible seek costs so tests stream
-// many rounds quickly (same shape as the cmserve test model).
+// many rounds quickly (same shape as the cmcluster test model).
 func fastDisk() diskmodel.Parameters {
 	return diskmodel.Parameters{
 		TransferRate: 45 * units.Mbps,

@@ -11,7 +11,7 @@
 // The server is deliberately synchronous: Tick() advances one service
 // round, which makes behaviour deterministic and lets tests and examples
 // drive failures at exact round boundaries. Wall-clock pacing (for the
-// cmserve demo) is the caller's concern: one round corresponds to
+// cmcluster demo) is the caller's concern: one round corresponds to
 // RoundDuration() of playback.
 package core
 
@@ -595,7 +595,7 @@ func (s *Server) FailDisk(disk int) error {
 
 // InjectFaults installs a fault plan at runtime (replacing any existing
 // injector), returning the injector so callers can mutate the plan —
-// the cmserve FAIL demo alias goes through this.
+// cmcluster's FAIL <node> <disk> demo alias goes through this.
 func (s *Server) InjectFaults(plan faultinject.Plan) *faultinject.Injector {
 	s.injector = faultinject.New(plan)
 	s.injector.SetRound(s.engine.Round())

@@ -182,7 +182,7 @@ func (in *Injector) Round() int64 {
 	return in.round
 }
 
-// AddFailStop schedules a fail-stop at runtime (the cmserve FAIL demo
+// AddFailStop schedules a fail-stop at runtime (the cmcluster FAIL demo
 // alias injects through this).
 func (in *Injector) AddFailStop(f FailStop) {
 	in.mu.Lock()
@@ -211,7 +211,7 @@ func (in *Injector) AddSlow(s Slow) {
 	in.plan.Slows = append(in.plan.Slows, s)
 }
 
-// AddSilentCorruption schedules at-rest bit rot at runtime (the cmserve
+// AddSilentCorruption schedules at-rest bit rot at runtime (the cmcluster
 // CORRUPT demo alias injects through this).
 func (in *Injector) AddSilentCorruption(c SilentCorruption) {
 	in.mu.Lock()

@@ -1,53 +1,27 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
-	"ftcms/internal/experiments"
 	"ftcms/internal/sim"
 )
 
-// WriteTimelineCSV emits a scenario run's per-bucket timeline:
-// start_s,offered,admitted,batched,rejected,shed,actions,active,queue,
-// view_version,node_active rows. shed and actions are the autopilot
-// columns (0 on open-loop runs); node_active joins per-node stream
-// counts with ';' (empty for single-array runs).
+// WriteTimelineCSV emits a scenario run's per-bucket timeline. shed and
+// actions are the autopilot columns (0 on open-loop runs); node_active
+// joins per-node stream counts with ';' (empty for single-array runs).
 func WriteTimelineCSV(w io.Writer, buckets []sim.TimelineBucket) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"start_s", "offered", "admitted", "batched", "rejected",
-		"shed", "actions", "active", "queue", "view_version", "node_active",
-	}); err != nil {
-		return err
-	}
-	for _, b := range buckets {
-		nodes := make([]string, len(b.NodeActive))
-		for i, n := range b.NodeActive {
-			nodes[i] = fmt.Sprint(n)
-		}
-		rec := []string{
-			fmt.Sprintf("%.6f", b.Start.Seconds()),
-			fmt.Sprint(b.Offered),
-			fmt.Sprint(b.Admitted),
-			fmt.Sprint(b.Batched),
-			fmt.Sprint(b.Rejected),
-			fmt.Sprint(b.Shed),
-			fmt.Sprint(b.Actions),
-			fmt.Sprint(b.Active),
-			fmt.Sprint(b.Queue),
-			fmt.Sprint(b.ViewVersion),
-			strings.Join(nodes, ";"),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "start_s,offered,admitted,batched,rejected,shed,actions,active,queue,view_version,node_active",
+		buckets, func(b sim.TimelineBucket) []any {
+			nodes := make([]string, len(b.NodeActive))
+			for i, n := range b.NodeActive {
+				nodes[i] = fmt.Sprint(n)
+			}
+			return []any{secs(b.Start), b.Offered, b.Admitted, b.Batched, b.Rejected, b.Shed, b.Actions,
+				b.Active, b.Queue, b.ViewVersion, strings.Join(nodes, ";")}
+		})
 }
 
 // timelineJSON is the JSON shape of one timeline bucket.
@@ -87,69 +61,4 @@ func WriteTimelineJSON(w io.Writer, buckets []sim.TimelineBucket) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// WriteAutopilotCSV emits the E21 closed-vs-open-loop sweep:
-// multiplier,offered,open_serviced,open_rejected,open_lost,
-// closed_serviced,closed_rejected,closed_shed,closed_lost,actions,
-// joins rows.
-func WriteAutopilotCSV(w io.Writer, points []experiments.AutopilotPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"multiplier", "offered", "open_serviced", "open_rejected", "open_lost",
-		"closed_serviced", "closed_rejected", "closed_shed", "closed_lost",
-		"actions", "joins",
-	}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			fmt.Sprintf("%g", pt.Multiplier),
-			fmt.Sprint(pt.Offered),
-			fmt.Sprint(pt.OpenServiced),
-			fmt.Sprint(pt.OpenRejected),
-			fmt.Sprint(pt.OpenLost),
-			fmt.Sprint(pt.ClosedServiced),
-			fmt.Sprint(pt.ClosedRejected),
-			fmt.Sprint(pt.ClosedShed),
-			fmt.Sprint(pt.ClosedLost),
-			fmt.Sprint(pt.Actions),
-			fmt.Sprint(pt.Joins),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteScenarioCSV emits the E20 flash-crowd sweep:
-// multiplier,offered,serviced,rejected,peak_active,failed_over,
-// lost_streams,view_version rows.
-func WriteScenarioCSV(w io.Writer, points []experiments.ScenarioPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"multiplier", "offered", "serviced", "rejected", "peak_active",
-		"failed_over", "lost_streams", "view_version",
-	}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			fmt.Sprintf("%g", pt.Multiplier),
-			fmt.Sprint(pt.Offered),
-			fmt.Sprint(pt.Serviced),
-			fmt.Sprint(pt.Rejected),
-			fmt.Sprint(pt.PeakActive),
-			fmt.Sprint(pt.FailedOver),
-			fmt.Sprint(pt.LostStreams),
-			fmt.Sprint(pt.ViewVersion),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,222 +1,123 @@
 // Package trace serializes experiment results as CSV so the figures can
-// be re-plotted outside Go. Columns are stable and documented per writer;
-// all writers emit a header row.
+// be re-plotted outside Go. Columns are stable — each writer's header is
+// the comma-separated string it passes to writeCSV — and all writers emit
+// a header row.
 package trace
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strings"
 
 	"ftcms/internal/experiments"
+	"ftcms/internal/units"
 )
 
-// WriteFigure5CSV emits scheme,p,clips,q,f,block_bits rows.
+// writeCSV emits the comma-separated header, then one record per point:
+// row returns the point's column values in header order, each rendered
+// with fmt.Sprint (so floats print as %g and Stringers by name; columns
+// needing a fixed precision arrive pre-formatted as strings).
+func writeCSV[T any](w io.Writer, header string, points []T, row func(T) []any) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(strings.Split(header, ",")); err != nil {
+		return err
+	}
+	for _, pt := range points {
+		vals := row(pt)
+		rec := make([]string, len(vals))
+		for i, v := range vals {
+			rec[i] = fmt.Sprint(v)
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// secs renders a duration as seconds with microsecond precision.
+func secs(d units.Duration) string { return fmt.Sprintf("%.6f", d.Seconds()) }
+
+// WriteFigure5CSV emits the Figure 5 capacity points.
 func WriteFigure5CSV(w io.Writer, points []experiments.Figure5Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"scheme", "p", "clips", "q", "f", "block_bits"}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			pt.Scheme.String(),
-			fmt.Sprint(pt.P),
-			fmt.Sprint(pt.Clips),
-			fmt.Sprint(pt.Q),
-			fmt.Sprint(pt.F),
-			fmt.Sprint(int64(pt.Block)),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "scheme,p,clips,q,f,block_bits", points, func(pt experiments.Figure5Point) []any {
+		return []any{pt.Scheme, pt.P, pt.Clips, pt.Q, pt.F, int64(pt.Block)}
+	})
 }
 
-// WriteFigure6CSV emits scheme,p,serviced,peak_active,mean_response_s
-// rows.
+// WriteFigure6CSV emits the Figure 6 simulation points.
 func WriteFigure6CSV(w io.Writer, points []experiments.Figure6Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"scheme", "p", "serviced", "peak_active", "mean_response_s"}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			pt.Scheme.String(),
-			fmt.Sprint(pt.P),
-			fmt.Sprint(pt.Serviced),
-			fmt.Sprint(pt.PeakActive),
-			fmt.Sprintf("%.6f", pt.MeanResponse.Seconds()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "scheme,p,serviced,peak_active,mean_response_s", points, func(pt experiments.Figure6Point) []any {
+		return []any{pt.Scheme, pt.P, pt.Serviced, pt.PeakActive, secs(pt.MeanResponse)}
+	})
 }
 
-// WriteContinuityCSV emits scheme,p,serviced,deadline_misses,lost_blocks
-// rows (E10).
+// WriteContinuityCSV emits the E10 failure-continuity points.
 func WriteContinuityCSV(w io.Writer, points []experiments.ContinuityPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"scheme", "p", "serviced", "deadline_misses", "lost_blocks"}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			pt.Scheme.String(),
-			fmt.Sprint(pt.P),
-			fmt.Sprint(pt.Serviced),
-			fmt.Sprint(pt.DeadlineMisses),
-			fmt.Sprint(pt.LostBlocks),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "scheme,p,serviced,deadline_misses,lost_blocks", points, func(pt experiments.ContinuityPoint) []any {
+		return []any{pt.Scheme, pt.P, pt.Serviced, pt.DeadlineMisses, pt.LostBlocks}
+	})
 }
 
-// WriteClusterCSV emits
-// nodes,replication,serviced,peak_active,mean_response_s,fault_serviced,
-// failed_over,lost_streams rows (E14).
+// WriteClusterCSV emits the E14 cluster-scaling points.
 func WriteClusterCSV(w io.Writer, points []experiments.ClusterPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"nodes", "replication", "serviced", "peak_active", "mean_response_s",
-		"fault_serviced", "failed_over", "lost_streams",
-	}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			fmt.Sprint(pt.Nodes),
-			fmt.Sprint(pt.Replication),
-			fmt.Sprint(pt.Serviced),
-			fmt.Sprint(pt.PeakActive),
-			fmt.Sprintf("%.6f", pt.MeanResponse.Seconds()),
-			fmt.Sprint(pt.FaultServiced),
-			fmt.Sprint(pt.FailedOver),
-			fmt.Sprint(pt.LostStreams),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "nodes,replication,serviced,peak_active,mean_response_s,fault_serviced,failed_over,lost_streams",
+		points, func(pt experiments.ClusterPoint) []any {
+			return []any{pt.Nodes, pt.Replication, pt.Serviced, pt.PeakActive, secs(pt.MeanResponse),
+				pt.FaultServiced, pt.FailedOver, pt.LostStreams}
+		})
 }
 
-// WriteViewCSV emits
-// arrival_rate,baseline,drained,migrated,lost,drain_rounds,
-// join_drained,join_drain_rounds,view_version rows (E19 — elastic
-// reconfiguration under load). Unfinished drains report -1 rounds.
+// WriteViewCSV emits the E19 elastic-reconfiguration-under-load points.
+// Unfinished drains report -1 rounds.
 func WriteViewCSV(w io.Writer, points []experiments.ReconfigPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"arrival_rate", "baseline", "drained", "migrated", "lost",
-		"drain_rounds", "join_drained", "join_drain_rounds", "view_version",
-	}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			fmt.Sprintf("%g", pt.ArrivalRate),
-			fmt.Sprint(pt.Baseline),
-			fmt.Sprint(pt.Serviced),
-			fmt.Sprint(pt.MigratedStreams),
-			fmt.Sprint(pt.LostStreams),
-			fmt.Sprint(pt.DrainRounds),
-			fmt.Sprint(pt.JoinServiced),
-			fmt.Sprint(pt.JoinDrainRounds),
-			fmt.Sprint(pt.ViewVersion),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "arrival_rate,baseline,drained,migrated,lost,drain_rounds,join_drained,join_drain_rounds,view_version",
+		points, func(pt experiments.ReconfigPoint) []any {
+			return []any{pt.ArrivalRate, pt.Baseline, pt.Serviced, pt.MigratedStreams, pt.LostStreams,
+				pt.DrainRounds, pt.JoinServiced, pt.JoinDrainRounds, pt.ViewVersion}
+		})
 }
 
-// WriteCorruptionCSV emits
-// scrub_rate,serviced,injected,detected,repaired,mean_detection_s,sweeps
-// rows (E17).
+// WriteCorruptionCSV emits the E17 scrub-rate sweep.
 func WriteCorruptionCSV(w io.Writer, points []experiments.CorruptionPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"scrub_rate", "serviced", "injected", "detected", "repaired",
-		"mean_detection_s", "sweeps",
-	}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			fmt.Sprint(pt.Rate),
-			fmt.Sprint(pt.Serviced),
-			fmt.Sprint(pt.Injected),
-			fmt.Sprint(pt.Detected),
-			fmt.Sprint(pt.Repaired),
-			fmt.Sprintf("%.6f", pt.MeanDetection.Seconds()),
-			fmt.Sprint(pt.Sweeps),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "scrub_rate,serviced,injected,detected,repaired,mean_detection_s,sweeps",
+		points, func(pt experiments.CorruptionPoint) []any {
+			return []any{pt.Rate, pt.Serviced, pt.Injected, pt.Detected, pt.Repaired, secs(pt.MeanDetection), pt.Sweeps}
+		})
 }
 
-// WriteRebuildCSV emits scheme,p,rebuild_s,mttdl_hours rows (E11).
-// WriteDoubleFaultCSV emits the E18 double-failure sweep as CSV.
+// WriteDoubleFaultCSV emits the E18 double-failure sweep.
 func WriteDoubleFaultCSV(w io.Writer, points []experiments.DoubleFaultPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"scheme", "streams", "completed", "lost", "hiccups",
-		"lost_blocks", "rebuilds_done", "rebuild_rounds_sim", "rebuild_rounds_model",
-	}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			string(pt.Scheme),
-			fmt.Sprint(pt.Streams),
-			fmt.Sprint(pt.Completed),
-			fmt.Sprint(pt.Lost),
-			fmt.Sprint(pt.Hiccups),
-			fmt.Sprint(pt.LostBlocks),
-			fmt.Sprint(pt.RebuildsDone),
-			fmt.Sprint(pt.MeasuredRebuild),
-			fmt.Sprint(pt.AnalyticRebuild),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "scheme,streams,completed,lost,hiccups,lost_blocks,rebuilds_done,rebuild_rounds_sim,rebuild_rounds_model",
+		points, func(pt experiments.DoubleFaultPoint) []any {
+			return []any{pt.Scheme, pt.Streams, pt.Completed, pt.Lost, pt.Hiccups, pt.LostBlocks,
+				pt.RebuildsDone, pt.MeasuredRebuild, pt.AnalyticRebuild}
+		})
 }
 
+// WriteRebuildCSV emits the E11 rebuild-time ablation.
 func WriteRebuildCSV(w io.Writer, points []experiments.RebuildPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"scheme", "p", "rebuild_s", "mttdl_hours"}); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec := []string{
-			pt.Scheme.String(),
-			fmt.Sprint(pt.P),
-			fmt.Sprintf("%.3f", pt.Rebuild.Seconds()),
-			fmt.Sprintf("%.6g", float64(pt.MTTDL)),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, "scheme,p,rebuild_s,mttdl_hours", points, func(pt experiments.RebuildPoint) []any {
+		return []any{pt.Scheme, pt.P, fmt.Sprintf("%.3f", pt.Rebuild.Seconds()), fmt.Sprintf("%.6g", float64(pt.MTTDL))}
+	})
+}
+
+// WriteAutopilotCSV emits the E21 closed-vs-open-loop sweep.
+func WriteAutopilotCSV(w io.Writer, points []experiments.AutopilotPoint) error {
+	return writeCSV(w, "multiplier,offered,open_serviced,open_rejected,open_lost,closed_serviced,closed_rejected,closed_shed,closed_lost,actions,joins",
+		points, func(pt experiments.AutopilotPoint) []any {
+			return []any{pt.Multiplier, pt.Offered, pt.OpenServiced, pt.OpenRejected, pt.OpenLost,
+				pt.ClosedServiced, pt.ClosedRejected, pt.ClosedShed, pt.ClosedLost, pt.Actions, pt.Joins}
+		})
+}
+
+// WriteScenarioCSV emits the E20 flash-crowd sweep.
+func WriteScenarioCSV(w io.Writer, points []experiments.ScenarioPoint) error {
+	return writeCSV(w, "multiplier,offered,serviced,rejected,peak_active,failed_over,lost_streams,view_version",
+		points, func(pt experiments.ScenarioPoint) []any {
+			return []any{pt.Multiplier, pt.Offered, pt.Serviced, pt.Rejected, pt.PeakActive,
+				pt.FailedOver, pt.LostStreams, pt.ViewVersion}
+		})
 }
