@@ -603,9 +603,8 @@ func (s *Server) InjectFaults(plan faultinject.Plan) *faultinject.Injector {
 	return s.injector
 }
 
-// RepairDisk clears the failure and rebuilds the disk's blocks from the
-// surviving members of each parity group (data via reconstruction, parity
-// by recomputation).
+// RepairDisk clears the failure and rebuilds the disk's blocks — data, P
+// and Q members alike — from the surviving members of each parity group.
 func (s *Server) RepairDisk(disk int) error {
 	if err := s.store.Array.Repair(disk); err != nil {
 		return err
@@ -624,30 +623,20 @@ func (s *Server) RepairDisk(disk int) error {
 	if s.injector != nil {
 		s.injector.ClearDisk(disk) // replacement drive: old faults gone
 	}
-	// Rebuild: every stored data block either lives on the disk
-	// (reconstruct and rewrite) or has parity there (rewrite refreshes
-	// it).
-	for _, ci := range s.clips {
-		for n := int64(0); n < ci.blocks; n++ {
-			i := ci.block(n)
-			addr := s.lay.Place(i)
-			g := s.lay.GroupOf(i)
-			if addr.Disk != disk && g.Parity.Disk != disk && !(g.HasQ && g.Q.Disk == disk) {
-				continue
-			}
-			data, err := s.store.Reconstruct(i)
-			if addr.Disk != disk {
-				data, err = s.store.ReadBlock(i)
-			}
-			if err != nil {
-				return fmt.Errorf("core: rebuild block %d: %w", i, err)
-			}
-			if err := s.store.WriteBlock(i, data); err != nil {
-				return err
-			}
+	var err error
+	s.storedMembers(func(m groupMember) {
+		if m.addr.Disk != disk || err != nil {
+			return
 		}
-	}
-	return nil
+		data, rerr := s.repairMember(s.lay.GroupOf(m.logical), m.idx, repairMode{offRound: true})
+		if rerr != nil {
+			err = fmt.Errorf("core: rebuild block %d: %w", m.logical, rerr)
+			return
+		}
+		err = s.store.Array.Write(disk, m.addr.Block, data)
+		s.putBlock(data)
+	})
+	return err
 }
 
 // Stats returns the server's counters.

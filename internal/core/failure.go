@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftcms/internal/health"
 	"ftcms/internal/layout"
-	"ftcms/internal/recovery"
 	"ftcms/internal/storage"
 )
 
@@ -55,9 +55,9 @@ var ErrStreamLost = errors.New("core: stream lost to unrecoverable parity group"
 // rebuildState tracks one online rebuild.
 type rebuildState struct {
 	disk int
-	// queue lists, in ascending order, the logical data-block indices
-	// whose data block or parity block lives on the disk being rebuilt.
-	queue []int64
+	// queue lists the group members living on the disk being rebuilt —
+	// data, P and Q blocks alike — in ascending order of logical index.
+	queue []groupMember
 	next  int
 	// skipped counts queue entries that could not be rebuilt because a
 	// second failure made their group unrecoverable. A rebuild that
@@ -109,7 +109,7 @@ func (s *Server) onDiskFailed(disk int) {
 }
 
 // maxRebuilds bounds the number of concurrent online rebuilds: the P+Q
-// scheme repairs both halves of a double failure at once; every other
+// scheme rebuilds both disks of a double failure at once; every other
 // scheme keeps the original one-at-a-time behaviour.
 func (s *Server) maxRebuilds() int {
 	if s.cfg.Scheme == DeclusteredPQ {
@@ -147,33 +147,14 @@ func (s *Server) startRebuild(disk int) {
 	if s.injector != nil {
 		s.injector.ClearDisk(disk)
 	}
-	// Walk clips in sorted-name order: map iteration is randomized, and
-	// the representative logical index recorded for each parity block
-	// (the first group member seen) must be replayable or the sorted
-	// queue's entry order — and with it the rebuild's round-by-round
-	// progress — varies run to run.
-	var queue []int64
-	seenParity := make(map[layout.BlockAddr]bool)
-	for _, name := range s.Clips() {
-		ci := s.clips[name]
-		for n := int64(0); n < ci.blocks; n++ {
-			i := ci.block(n)
-			g := s.lay.GroupOf(i)
-			switch {
-			case s.lay.Place(i).Disk == disk:
-				queue = append(queue, i)
-			case g.Parity.Disk == disk && !seenParity[g.Parity]:
-				// One entry per parity block, not one per group member.
-				seenParity[g.Parity] = true
-				queue = append(queue, i)
-			case g.HasQ && g.Q.Disk == disk && !seenParity[g.Q]:
-				seenParity[g.Q] = true
-				queue = append(queue, i)
-			}
+	var queue []groupMember
+	s.storedMembers(func(m groupMember) {
+		if m.addr.Disk == disk {
+			queue = append(queue, m)
 		}
-	}
-	// Clip-map iteration is randomized; rebuild order must not be.
-	sort.Slice(queue, func(a, b int) bool { return queue[a] < queue[b] })
+	})
+	// A disk holds one member per group, so logical indices are distinct.
+	sort.Slice(queue, func(a, b int) bool { return queue[a].logical < queue[b].logical })
 	s.rebuilds = append(s.rebuilds, &rebuildState{disk: disk, queue: queue})
 }
 
@@ -199,103 +180,26 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 	if arr.State(rb.disk) != storage.Rebuilding {
 		return true // spare crashed or operator repaired the disk
 	}
-	q := s.cfg.Q
 	for rb.next < len(rb.queue) {
-		i := rb.queue[rb.next]
-		g := s.lay.GroupOf(i)
-		if g.HasQ {
-			switch s.rebuildPQEntry(rb, i, g) {
-			case rebuildStalled:
-				return false // out of idle capacity; resume next round
-			case rebuildLost:
-				rb.skipped++
-				s.lostBlocks++
-				fallthrough
-			case rebuildOK:
-				rb.next++
-			case rebuildAbandon:
-				return true
-			}
-			continue
-		}
-		addr := s.lay.Place(i)
-		target := addr
-		var need []layout.BlockAddr
-		if addr.Disk == rb.disk {
-			for k, li := range g.Data {
-				if li != i {
-					need = append(need, g.DataAddr[k])
-				}
-			}
-			need = append(need, g.Parity)
-		} else {
-			// The group's parity lives on the rebuilding disk: recompute
-			// it from the data members.
-			target = g.Parity
-			need = g.DataAddr
-		}
-		dead := false
-		idle := true
-		for _, a := range need {
-			if arr.Failed(a.Disk) {
-				dead = true
-				break
-			}
-			if s.engine.Load(a.Disk) >= q {
-				idle = false
-				break
-			}
-		}
-		if dead {
-			// Second failure took a source: this block is unrecoverable
-			// for now. Leave it absent (explicit error on read) and move
-			// on — never write a guess.
-			rb.skipped++
-			s.lostBlocks++
-			rb.next++
-			continue
-		}
-		if !idle {
+		m := rb.queue[rb.next]
+		data, err := s.repairMember(s.lay.GroupOf(m.logical), m.idx, repairMode{idle: true, ledger: &s.rebuildReads})
+		switch {
+		case err == errRepairStalled:
 			return false // out of idle capacity; resume next round
-		}
-		var data []byte
-		var err error
-		if addr.Disk == rb.disk {
-			for _, a := range need {
-				s.charge(a.Disk)
-				s.rebuildReads++
-			}
-			data, err = s.reconstructMonitored(i)
-		} else {
-			data = s.getBlock()
-			clear(data)
-			member := s.getBlock()
-			for _, a := range need {
-				s.charge(a.Disk)
-				s.rebuildReads++
-				if rerr := s.readMemberInto(a, member); rerr != nil {
-					err = rerr
-					break
-				}
-				recovery.XORInto(data, member)
-			}
-			s.putBlock(member)
-		}
-		if err != nil {
-			if data != nil {
-				s.putBlock(data)
-			}
+		case err != nil:
+			// Further failures took too many sources: this block is
+			// unrecoverable for now. Leave it absent (explicit error on
+			// read) and move on — never write a guess.
 			rb.skipped++
 			s.lostBlocks++
-			rb.next++
-			continue
+		default:
+			werr := arr.Write(rb.disk, m.addr.Block, data)
+			s.putBlock(data)
+			if werr != nil {
+				return true // spare crashed mid-write; abandon
+			}
+			s.rebuiltBlocks++
 		}
-		werr := arr.Write(rb.disk, target.Block, data)
-		s.putBlock(data)
-		if werr != nil {
-			return true // spare crashed mid-write; abandon
-		}
-		s.rebuiltBlocks++
 		rb.next++
 	}
 	// Queue exhausted.
@@ -356,76 +260,22 @@ func (s *Server) readMonitored(logical int64, addr layout.BlockAddr) ([]byte, er
 		return data, nil
 	}
 	s.putBlock(data)
-	switch {
-	case errors.Is(err, storage.ErrBadBlock):
-		// Latent sector error on an otherwise healthy disk: reconstruct
-		// the block from its parity group and rewrite it in place.
-		data, rerr := s.reconstructCharged(logical)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if werr := arr.Write(addr.Disk, addr.Block, data); werr == nil {
-			if s.injector != nil {
-				s.injector.ClearBadBlock(addr.Disk, addr.Block)
-			}
-			s.badBlockRepairs++
-		}
-		return data, nil
-	case errors.Is(err, storage.ErrCorruptBlock):
-		// Checksum mismatch: the disk answered with rotten bytes. Serve
-		// the true contents from the parity group — contingency
-		// bandwidth, same accounting as a failed-disk read — and rewrite
-		// them in place, which re-records the checksum. The detector has
-		// already scored the observation toward the disk's corruption
-		// threshold.
-		s.corruptionsDetected++
-		data, rerr := s.reconstructCharged(logical)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if werr := arr.Write(addr.Disk, addr.Block, data); werr == nil {
-			s.corruptionRepairs++
-		}
-		return data, nil
-	case errors.Is(err, storage.ErrNotWritten) && arr.State(addr.Disk) == storage.Rebuilding:
-		// Not yet rebuilt: serve by reconstruction and install the block
-		// on the spare while we have it (free rebuild progress).
-		data, rerr := s.reconstructCharged(logical)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if arr.Write(addr.Disk, addr.Block, data) == nil {
-			s.rebuiltBlocks++
-		}
-		return data, nil
+	if errors.Is(err, storage.ErrBadBlock) || errors.Is(err, storage.ErrCorruptBlock) ||
+		errors.Is(err, storage.ErrNotWritten) && arr.State(addr.Disk) == storage.Rebuilding {
+		// The disk answered, the block did not: serve the true contents
+		// from the parity group — contingency bandwidth, same accounting
+		// as a failed-disk read — and rewrite them in place.
+		g := s.lay.GroupOf(logical)
+		return s.repairInPlace(g, groupMember{logical: logical, idx: slices.Index(g.Data, logical), addr: addr}, err, repairMode{})
 	}
 	return nil, err
 }
 
-// readMember reads one surviving parity-group member through the
-// detector, preserving the short-group convention: an absent block on a
-// healthy disk is zeroes. Absent blocks on a rebuilding disk stay
-// errors — they have real, not-yet-rebuilt contents.
-func (s *Server) readMember(a layout.BlockAddr) ([]byte, error) {
-	arr := s.store.Array
-	if arr.Failed(a.Disk) {
-		return nil, fmt.Errorf("storage: disk %d: %w", a.Disk, storage.ErrFailed)
-	}
-	data := s.getBlock()
-	err := s.detector.ReadInto(arr, a.Disk, a.Block, data)
-	if errors.Is(err, storage.ErrNotWritten) && arr.State(a.Disk) == storage.Healthy {
-		clear(data)
-		return data, nil
-	}
-	if err != nil {
-		s.putBlock(data)
-		return nil, err
-	}
-	return data, nil
-}
-
-// readMemberInto is readMember filling a caller-owned scratch buffer, so
-// the XOR accumulation loops allocate nothing per member read.
+// readMemberInto reads one surviving parity-group member through the
+// detector into a caller-owned buffer, preserving the short-group
+// convention: an absent block on a healthy disk is zeroes. Absent blocks
+// on a rebuilding disk stay errors — they have real, not-yet-rebuilt
+// contents.
 func (s *Server) readMemberInto(a layout.BlockAddr, dst []byte) error {
 	arr := s.store.Array
 	if arr.Failed(a.Disk) {
@@ -437,56 +287,6 @@ func (s *Server) readMemberInto(a layout.BlockAddr, dst []byte) error {
 		return nil
 	}
 	return err
-}
-
-// reconstructMonitored rebuilds logical block i from the surviving
-// members of its parity group, reading every member through the
-// detector (so a failing survivor is detected here, not three reads
-// later). It fails with recovery.ErrUnrecoverable when any member is
-// unavailable after retries.
-func (s *Server) reconstructMonitored(i int64) ([]byte, error) {
-	g := s.lay.GroupOf(i)
-	if g.HasQ {
-		return s.reconstructPQMonitored(i, g, false)
-	}
-	out := s.getBlock()
-	clear(out)
-	member := s.getBlock()
-	defer s.putBlock(member)
-	for k, li := range g.Data {
-		if li == i {
-			continue
-		}
-		a := g.DataAddr[k]
-		if err := s.readMemberInto(a, member); err != nil {
-			s.putBlock(out)
-			return nil, fmt.Errorf("%w: disk %d also unavailable: %v", recovery.ErrUnrecoverable, a.Disk, err)
-		}
-		recovery.XORInto(out, member)
-	}
-	if err := s.readMemberInto(g.Parity, member); err != nil {
-		s.putBlock(out)
-		return nil, fmt.Errorf("%w: parity disk %d also unavailable: %v", recovery.ErrUnrecoverable, g.Parity.Disk, err)
-	}
-	recovery.XORInto(out, member)
-	return out, nil
-}
-
-// reconstructCharged is reconstructMonitored plus the round-ledger
-// charges for every survivor read. The P+Q path charges from inside the
-// reconstruction, where the set of disks actually read is decided.
-func (s *Server) reconstructCharged(i int64) ([]byte, error) {
-	g := s.lay.GroupOf(i)
-	if g.HasQ {
-		return s.reconstructPQMonitored(i, g, true)
-	}
-	for k, li := range g.Data {
-		if li != i {
-			s.charge(g.DataAddr[k].Disk)
-		}
-	}
-	s.charge(g.Parity.Disk)
-	return s.reconstructMonitored(i)
 }
 
 // blockReadable reports whether the physical block at a can currently
@@ -510,26 +310,8 @@ func (s *Server) blockUnrecoverable(i int64) bool {
 		return false
 	}
 	g := s.lay.GroupOf(i)
-	tolerance := 1
-	if g.HasQ {
-		tolerance = 2
-	}
-	unreadable := 1 // the block itself
-	for k, li := range g.Data {
-		if li == i {
-			continue
-		}
-		if !s.blockReadable(g.DataAddr[k]) {
-			unreadable++
-		}
-	}
-	if !s.blockReadable(g.Parity) {
-		unreadable++
-	}
-	if g.HasQ && !s.blockReadable(g.Q) {
-		unreadable++
-	}
-	return unreadable > tolerance
+	var scratch [4]int
+	return len(s.unreadable(g, slices.Index(g.Data, i), scratch[:0])) > parityCols(g)
 }
 
 // UnrecoverableGroups enumerates (up to max, unlimited when max <= 0)
@@ -538,18 +320,12 @@ func (s *Server) blockUnrecoverable(i int64) bool {
 // single-failure state.
 func (s *Server) UnrecoverableGroups(max int) []int64 {
 	var out []int64
-	for _, name := range s.Clips() {
-		ci := s.clips[name]
-		for n := int64(0); n < ci.blocks; n++ {
-			i := ci.block(n)
-			if s.blockUnrecoverable(i) {
-				out = append(out, i)
-				if max > 0 && len(out) >= max {
-					return out
-				}
-			}
+	s.storedBlocks(func(i int64) bool {
+		if s.blockUnrecoverable(i) {
+			out = append(out, i)
 		}
-	}
+		return max <= 0 || len(out) < max
+	})
 	return out
 }
 
@@ -566,11 +342,18 @@ func (s *Server) terminateUnrecoverable() {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	// Only a block on a disk that is not serving can be unrecoverable;
+	// one state snapshot keeps the array's lock out of the sweep over
+	// every stream's remaining blocks.
+	down := make([]bool, s.cfg.D)
+	for d := range down {
+		down[d] = s.store.Array.State(d) != storage.Healthy
+	}
 	for _, id := range ids {
 		st := s.streams[id]
 		for n := st.nextDeliver; n < st.clip.blocks; n++ {
 			i := st.clip.block(n)
-			if s.blockUnrecoverable(i) {
+			if down[s.lay.Place(i).Disk] && s.blockUnrecoverable(i) {
 				addr := s.lay.Place(i)
 				s.terminate(st, fmt.Errorf("%w: clip block %d at %v, failed disks %v",
 					ErrStreamLost, n, addr, s.store.Array.FailedDisks()))

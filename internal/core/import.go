@@ -101,11 +101,8 @@ func (s *Server) ImportClipBlockIdle(name string, n int64, data []byte) (bool, e
 // is charged. The write itself re-records the block's checksum.
 func (s *Server) writeBlockIdle(i int64, data []byte) (bool, error) {
 	g := s.lay.GroupOf(i)
-	q := s.cfg.Q
-	for _, a := range g.DataAddr {
-		if s.engine.Load(a.Disk) >= q {
-			return false, nil // out of idle capacity; retry next round
-		}
+	if !s.idle(g.DataAddr...) {
+		return false, nil // out of idle capacity; retry next round
 	}
 	for _, a := range g.DataAddr {
 		s.charge(a.Disk)
@@ -197,20 +194,7 @@ func (s *Server) ReadClipBlockIdleInto(name string, n int64, dst []byte) (bool, 
 	}
 	i := ci.block(n)
 	addr := s.lay.Place(i)
-	g := s.lay.GroupOf(i)
-	q := s.cfg.Q
-	if s.engine.Load(addr.Disk) >= q {
-		return false, nil
-	}
-	for _, a := range g.DataAddr {
-		if s.engine.Load(a.Disk) >= q {
-			return false, nil
-		}
-	}
-	if s.engine.Load(g.Parity.Disk) >= q {
-		return false, nil
-	}
-	if g.HasQ && s.engine.Load(g.Q.Disk) >= q {
+	if !s.groupIdle(s.lay.GroupOf(i)) {
 		return false, nil
 	}
 	s.charge(addr.Disk)

@@ -83,12 +83,10 @@ func (s *Server) AddDisk() error {
 		return err
 	}
 	var queue []int64
-	for _, name := range s.Clips() {
-		ci := s.clips[name]
-		for n := int64(0); n < ci.blocks; n++ {
-			queue = append(queue, ci.block(n))
-		}
-	}
+	s.storedBlocks(func(i int64) bool {
+		queue = append(queue, i)
+		return true
+	})
 	slices.Sort(queue)
 	s.relayout = &relayoutState{
 		lay:    lay2,
@@ -115,23 +113,11 @@ func (s *Server) relayoutStep() {
 	if s.Mode() != ModeHealthy {
 		return
 	}
-	q := s.cfg.Q
 	for rl.next < len(rl.queue) {
 		i := rl.queue[rl.next]
 		addr := s.lay.Place(i)
-		g := s.lay.GroupOf(i)
-		if s.engine.Load(addr.Disk) >= q {
+		if !s.groupIdle(s.lay.GroupOf(i)) {
 			return // out of idle capacity; resume next round
-		}
-		idle := true
-		for _, a := range g.DataAddr {
-			if s.engine.Load(a.Disk) >= q {
-				idle = false
-				break
-			}
-		}
-		if !idle || s.engine.Load(g.Parity.Disk) >= q || (g.HasQ && s.engine.Load(g.Q.Disk) >= q) {
-			return
 		}
 		s.charge(addr.Disk)
 		s.migrateReads++

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"ftcms/internal/layout"
-	"ftcms/internal/recovery"
 	"ftcms/internal/storage"
 )
 
@@ -13,7 +12,7 @@ import (
 // online rebuild: it spends only the idle block-read capacity each round
 // leaves under the Equation-1 budget q — streams first, then rebuild,
 // then scrubbing — so the rate guarantee is never touched. A sweep
-// visits every stored block (data blocks plus one entry per parity
+// visits every stored block (data blocks plus one entry per P and Q
 // block) in C-SCAN order: ascending physical block address, ties by
 // disk, then wrap to a fresh sweep. Each visit is a verify read through
 // the failure detector; a checksum mismatch (or latent bad block found
@@ -24,45 +23,19 @@ import (
 // whenever the server is not fully healthy: during degraded mode and
 // rebuilds, every spare read belongs to reconstruction, not patrol.
 
-// scrubEntry is one verify target of a sweep.
-type scrubEntry struct {
-	// logical is the entry's logical data-block index; for parity
-	// entries it is a representative data member of the group (the
-	// group, and hence the parity address, is recovered via GroupOf).
-	logical int64
-	// parity marks an entry that verifies the group's parity block.
-	parity bool
-	addr   layout.BlockAddr
-}
-
 // scrubState is one in-progress sweep.
 type scrubState struct {
-	queue []scrubEntry
+	queue []groupMember
 	next  int
 }
 
 // buildScrubQueue snapshots the stored blocks into a C-SCAN-ordered
-// sweep: every clip data block, plus one entry per distinct parity
+// sweep: every clip data block, plus one entry per distinct P and Q
 // block.
 func (s *Server) buildScrubQueue() *scrubState {
-	// Sorted-name clip order keeps each parity entry's representative
-	// logical index replayable across runs (see startRebuild).
-	var queue []scrubEntry
-	seenParity := make(map[layout.BlockAddr]bool)
-	for _, name := range s.Clips() {
-		ci := s.clips[name]
-		for n := int64(0); n < ci.blocks; n++ {
-			i := ci.block(n)
-			queue = append(queue, scrubEntry{logical: i, addr: s.lay.Place(i)})
-			g := s.lay.GroupOf(i)
-			if !seenParity[g.Parity] {
-				seenParity[g.Parity] = true
-				queue = append(queue, scrubEntry{logical: i, parity: true, addr: g.Parity})
-			}
-		}
-	}
-	// C-SCAN: one monotone pass across the physical block address space
-	// (clip-map iteration is randomized; sweep order must not be).
+	var queue []groupMember
+	s.storedMembers(func(m groupMember) { queue = append(queue, m) })
+	// C-SCAN: one monotone pass across the physical block address space.
 	sort.Slice(queue, func(a, b int) bool {
 		if queue[a].addr.Block != queue[b].addr.Block {
 			return queue[a].addr.Block < queue[b].addr.Block
@@ -111,10 +84,9 @@ func (s *Server) scrubStep() {
 	if budget < 0 {
 		budget = len(s.scrub.queue) + 1
 	}
-	q := s.cfg.Q
 	for s.scrub.next < len(s.scrub.queue) && budget > 0 {
 		e := s.scrub.queue[s.scrub.next]
-		if s.engine.Load(e.addr.Disk) >= q {
+		if !s.idle(e.addr) {
 			return // no idle slot on this disk; resume here next round
 		}
 		s.charge(e.addr.Disk)
@@ -130,12 +102,21 @@ func (s *Server) scrubStep() {
 		case err == nil:
 			s.scrub.next++
 		case errors.Is(err, storage.ErrCorruptBlock), errors.Is(err, storage.ErrBadBlock):
-			switch s.scrubRepair(e, err) {
-			case repairDeferred:
-				return // not enough idle capacity to repair; retry next round
-			default:
-				s.scrub.next++
+			// Rot, or a latent bad block the patrol found before any
+			// stream did: repair from the parity group, on idle capacity
+			// only — scrub repairs, like scrub reads, never intrude on
+			// the round budget.
+			data, rerr := s.repairInPlace(s.lay.GroupOf(e.logical), e, err, repairMode{idle: true})
+			if rerr == errRepairStalled {
+				return // the whole repair retries next round
 			}
+			if rerr == nil {
+				s.putBlock(data)
+			}
+			// A failed reconstruction (e.g. a second rotten member in the
+			// same group) is skipped: the next cycle retries after the
+			// sibling is repaired.
+			s.scrub.next++
 		default:
 			// Hard error or absent block: the detector scored what there
 			// was to score; patrol moves on.
@@ -153,91 +134,4 @@ func (s *Server) scrubRead(a layout.BlockAddr) error {
 	scratch := s.getBlock()
 	defer s.putBlock(scratch)
 	return s.detector.ReadInto(s.store.Array, a.Disk, a.Block, scratch)
-}
-
-// repairOutcome is scrubRepair's verdict on one entry.
-type repairOutcome int
-
-const (
-	// repairDone: the block was reconstructed and rewritten.
-	repairDone repairOutcome = iota
-	// repairDeferred: some needed disk has no idle slot this round; the
-	// entry stays current and the whole repair retries next round.
-	repairDeferred
-	// repairSkipped: reconstruction itself failed (e.g. a second rotten
-	// member in the same group); the sweep moves on and the next cycle
-	// retries after the sibling is repaired.
-	repairSkipped
-)
-
-// scrubRepair reconstructs the entry's true bytes from its parity group
-// and rewrites them in place, but only if every source disk still has
-// an idle slot — scrub repairs, like scrub reads, never intrude on the
-// round budget. cause distinguishes rot (checksum mismatch) from a
-// latent bad block the patrol found before any stream did.
-func (s *Server) scrubRepair(e scrubEntry, cause error) repairOutcome {
-	g := s.lay.GroupOf(e.logical)
-	var need []layout.BlockAddr
-	if e.parity {
-		need = g.DataAddr
-	} else {
-		for k, li := range g.Data {
-			if li != e.logical {
-				need = append(need, g.DataAddr[k])
-			}
-		}
-		need = append(need, g.Parity)
-	}
-	q := s.cfg.Q
-	for _, a := range need {
-		if s.engine.Load(a.Disk) >= q {
-			return repairDeferred
-		}
-	}
-	if errors.Is(cause, storage.ErrCorruptBlock) {
-		s.corruptionsDetected++
-	}
-	var data []byte
-	var err error
-	if e.parity {
-		// Recompute the parity block from its data members.
-		data = s.getBlock()
-		clear(data)
-		member := s.getBlock()
-		for _, a := range need {
-			s.charge(a.Disk)
-			if rerr := s.readMemberInto(a, member); rerr != nil {
-				err = rerr
-				break
-			}
-			recovery.XORInto(data, member)
-		}
-		s.putBlock(member)
-	} else {
-		for _, a := range need {
-			s.charge(a.Disk)
-		}
-		data, err = s.reconstructMonitored(e.logical)
-	}
-	if err != nil {
-		if data != nil {
-			s.putBlock(data)
-		}
-		return repairSkipped
-	}
-	werr := s.store.Array.Write(e.addr.Disk, e.addr.Block, data)
-	s.putBlock(data)
-	if werr != nil {
-		return repairSkipped
-	}
-	switch {
-	case errors.Is(cause, storage.ErrCorruptBlock):
-		s.corruptionRepairs++
-	case errors.Is(cause, storage.ErrBadBlock):
-		if s.injector != nil {
-			s.injector.ClearBadBlock(e.addr.Disk, e.addr.Block)
-		}
-		s.badBlockRepairs++
-	}
-	return repairDone
 }

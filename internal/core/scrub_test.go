@@ -473,3 +473,64 @@ func TestChaosCorruptionIntegrity(t *testing.T) {
 		}
 	}
 }
+
+// TestScrubPatrolsQColumn: under P+Q the sweep visits Q blocks too, and
+// a scrub repair charges exactly the disks it reads. One Q block and one
+// data block of another group rot; one full sweep on an otherwise idle
+// array must find and repair both inside the round budget.
+func TestScrubPatrolsQColumn(t *testing.T) {
+	cfg := testConfig(DeclusteredPQ, 13, 4)
+	cfg.ScrubRate = -1
+	s, clip := scrubServer(t, cfg, 800_000)
+	arr := s.store.Array
+	data, q := s.lay.Place(7), s.lay.GroupOf(60).Q
+	if g := s.lay.GroupOf(7); g.Q == q || q == data {
+		t.Fatal("test wants rot in two different groups")
+	}
+	for _, a := range []layout.BlockAddr{data, q} {
+		if err := arr.CorruptBits(a.Disk, a.Block, []uint64{5, 77}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arr.ResetReadCounts()
+	charged := make([]int64, cfg.D)
+	for round := 0; s.Stats().ScrubCycles == 0; round++ {
+		if round > 200 {
+			t.Fatal("sweep never completed")
+		}
+		tick(t, s, 1)
+		for d := range charged {
+			charged[d] += int64(s.DiskLoad(d))
+		}
+	}
+	st := s.Stats()
+	if st.CorruptionsDetected != 2 || st.CorruptionRepairs != 2 || st.Overflows != 0 {
+		t.Fatalf("detected/repaired/overflows = %d/%d/%d, want 2/2/0",
+			st.CorruptionsDetected, st.CorruptionRepairs, st.Overflows)
+	}
+	if audit := arr.AuditChecksums(); len(audit) != 0 {
+		t.Fatalf("audit after sweep = %v, want clean", audit)
+	}
+	// Every charge is a read that was served, except the two verify
+	// reads that found the rot (charged, answered with an error).
+	for d := range charged {
+		want := arr.ReadCount(d)
+		for _, a := range []layout.BlockAddr{data, q} {
+			if a.Disk == d {
+				want++
+			}
+		}
+		if charged[d] != want {
+			t.Errorf("disk %d: charged %d, want %d (reads served + rot found)", d, charged[d], want)
+		}
+	}
+	bb := s.cfg.Block.Bytes()
+	if got, err := s.store.ReadBlock(7); err != nil || !bytes.Equal(got, clip[7*bb:8*bb]) {
+		t.Fatalf("repaired data block: err %v, byte-exact %v", err, err == nil)
+	}
+	for _, i := range []int64{7, 60} {
+		if err := s.store.VerifyParity(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

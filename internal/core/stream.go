@@ -526,8 +526,9 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 			return fmt.Errorf("%w: parity disk %d also failed", recovery.ErrUnrecoverable, g.Parity.Disk)
 		}
 		s.chargeTick(sh, g.Parity.Disk)
-		pbuf, err := s.readMember(g.Parity)
-		if err != nil {
+		pbuf := s.getBlock()
+		if err := s.readMemberInto(g.Parity, pbuf); err != nil {
+			s.putBlock(pbuf)
 			return fmt.Errorf("%w: parity disk %d unavailable: %v", recovery.ErrUnrecoverable, g.Parity.Disk, err)
 		}
 		st.parity[n] = pbuf
@@ -535,7 +536,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 	}
 	// Declustered / non-clustered: read the surviving members and parity
 	// now.
-	data, err := s.reconstructCharged(logical)
+	data, err := s.reconstruct(logical)
 	if err != nil {
 		return err
 	}

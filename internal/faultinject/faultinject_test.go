@@ -162,7 +162,7 @@ func TestHookOnArray(t *testing.T) {
 	if _, err := arr.Read(1, 0); !errors.Is(err, storage.ErrBadBlock) {
 		t.Fatalf("bad block via array: %v", err)
 	}
-	_, slow, err := arr.ReadTimed(2, 0)
+	slow, err := arr.ReadTimedInto(2, 0, make([]byte, arr.BlockSize()))
 	if err != nil || slow != 8 {
 		t.Fatalf("slow read via array: slow=%v err=%v", slow, err)
 	}

@@ -110,9 +110,9 @@ func TestCorruptionThresholdDefaultAndDisable(t *testing.T) {
 func TestReadCorruptBlockSurfacesAfterOneRetry(t *testing.T) {
 	dt := NewDetector(1, Config{Retries: 5})
 	attempts := 0
-	_, err := dt.Read(0, func() ([]byte, float64, error) {
+	_, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
-		return nil, 1, storage.ErrCorruptBlock
+		return 1, storage.ErrCorruptBlock
 	})
 	if !errors.Is(err, storage.ErrCorruptBlock) {
 		t.Fatalf("Read = %v, want ErrCorruptBlock", err)
@@ -134,12 +134,13 @@ func TestReadCorruptBlockSurfacesAfterOneRetry(t *testing.T) {
 func TestReadCorruptBlockRecoversOnRetry(t *testing.T) {
 	dt := NewDetector(1, Config{})
 	attempts := 0
-	data, err := dt.Read(0, func() ([]byte, float64, error) {
+	data, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
 		if attempts == 1 {
-			return nil, 1, storage.ErrCorruptBlock
+			return 1, storage.ErrCorruptBlock
 		}
-		return []byte{42}, 1, nil
+		dst[0] = 42
+		return 1, nil
 	})
 	if err != nil || len(data) != 1 {
 		t.Fatalf("Read = (%v, %v), want data", data, err)

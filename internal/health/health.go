@@ -6,7 +6,7 @@
 // The detector is deliberately simple and deterministic — the classic
 // consecutive-error counter with a timeout channel:
 //
-//   - every block read goes through bounded retry with backoff (Read);
+//   - every block read goes through bounded retry with backoff (ReadInto);
 //   - a hard error (storage.ErrFailed or any unclassified error)
 //     increments the disk's consecutive-error count; any success resets
 //     it;
@@ -68,7 +68,7 @@ type Config struct {
 	// Retries is how many times a failed read attempt is retried before
 	// the error is surfaced (0 selects the default 2, i.e. up to 3
 	// attempts; any negative value disables retry entirely — exactly one
-	// attempt per Read).
+	// attempt per ReadInto).
 	Retries int
 	// FailThreshold is k: consecutive hard errors or timeouts on a disk
 	// that declare it failed (default 3).
@@ -132,7 +132,7 @@ func ExponentialBackoff(base time.Duration) func(attempt int) {
 	}
 }
 
-// ErrStopped is returned by Read once the detector has been stopped.
+// ErrStopped is returned by ReadInto once the detector has been stopped.
 var ErrStopped = errors.New("health: detector stopped")
 
 // Detector watches d disks. Safe for concurrent use; the OnFail
@@ -202,12 +202,12 @@ func NewDetector(d int, cfg Config) *Detector {
 	return dt
 }
 
-// Stop shuts the detector down: any Read sleeping in a BackoffBase
+// Stop shuts the detector down: any ReadInto sleeping in a BackoffBase
 // backoff wakes immediately and surfaces its last error without further
-// attempts (and without scoring extra strikes), and subsequent Reads
+// attempts (and without scoring extra strikes), and subsequent reads
 // return ErrStopped. Observe keeps working — callers that only score
 // outcomes are unaffected. Stop is idempotent and safe to call
-// concurrently with Reads.
+// concurrently with reads.
 func (dt *Detector) Stop() {
 	dt.stopOnce.Do(func() { close(dt.stop) })
 }
@@ -482,17 +482,19 @@ func (dt *Detector) Observe(disk int, slowdown float64, err error) State {
 }
 
 // BlockReader is the read surface ReadInto monitors: one timed physical
-// read into a caller-owned buffer. *storage.Array satisfies it
-// directly, which is the point — the streaming hot path can do a
-// monitored read without building a per-call closure.
+// read into a caller-owned buffer. *storage.Array satisfies it directly;
+// tests script it attempt by attempt.
 type BlockReader interface {
 	ReadTimedInto(disk int, block int64, dst []byte) (float64, error)
 }
 
-// ReadInto is Read with the attempt inlined: a monitored read of
-// (disk, block) from r into dst under exactly Read's retry, backoff and
-// scoring rules, but with zero per-call allocations. On success dst
-// holds the block; on error dst's contents are unspecified.
+// ReadInto performs one monitored read of (disk, block) from r into dst
+// with bounded retry and backoff: up to Retries+1 attempts, every outcome
+// Observed. Hard errors and timeouts retry; a bad block or corrupt block
+// retries once then surfaces (reconstruction is the cure, not
+// persistence); ErrNotWritten surfaces immediately. The returned error
+// is the last attempt's. On success dst holds the block; on error its
+// contents are unspecified. Zero per-call allocations.
 func (dt *Detector) ReadInto(r BlockReader, disk int, block int64, dst []byte) error {
 	dt.mu.Lock()
 	cfg := dt.cfg
@@ -528,47 +530,4 @@ func (dt *Detector) ReadInto(r BlockReader, disk int, block int64, dst []byte) e
 		}
 	}
 	return lastErr
-}
-
-// Read performs one monitored block read with bounded retry and backoff:
-// attempt() is tried up to Retries+1 times; every outcome is Observed.
-// Hard errors and timeouts retry; a bad block or corrupt block retries
-// once then surfaces (reconstruction is the cure, not persistence);
-// ErrNotWritten surfaces immediately. The returned error is the last
-// attempt's.
-func (dt *Detector) Read(disk int, attempt func() (data []byte, slowdown float64, err error)) ([]byte, error) {
-	dt.mu.Lock()
-	cfg := dt.cfg
-	dt.mu.Unlock()
-	if dt.stopped() {
-		return nil, ErrStopped
-	}
-	var lastErr error
-	for try := 0; try <= cfg.Retries; try++ {
-		if try > 0 {
-			switch {
-			case cfg.BackoffBase > 0:
-				if !dt.sleep(backoffDelay(cfg.BackoffBase, try)) {
-					// Stopped mid-backoff: surface the last attempt's
-					// error as-is; no further attempts, no extra strikes.
-					return nil, lastErr
-				}
-			case cfg.Backoff != nil:
-				cfg.Backoff(try)
-			}
-		}
-		data, slowdown, err := attempt()
-		dt.Observe(disk, slowdown, err)
-		if err == nil {
-			return data, nil
-		}
-		lastErr = err
-		if errors.Is(err, storage.ErrNotWritten) {
-			return nil, err
-		}
-		if (errors.Is(err, storage.ErrBadBlock) || errors.Is(err, storage.ErrCorruptBlock)) && try >= 1 {
-			return nil, err
-		}
-	}
-	return nil, lastErr
 }

@@ -98,15 +98,29 @@ func TestResetClearsDown(t *testing.T) {
 	}
 }
 
+// attempt scripts one physical read attempt; as a BlockReader it lets the
+// tests below drive ReadInto's retry loop outcome by outcome.
+type attempt func(dst []byte) (slowdown float64, err error)
+
+func (f attempt) ReadTimedInto(_ int, _ int64, dst []byte) (float64, error) { return f(dst) }
+
+// readScript runs one monitored read of the disk with scripted attempts,
+// returning the buffer ReadInto filled.
+func readScript(dt *Detector, disk int, fn attempt) ([]byte, error) {
+	dst := make([]byte, 1)
+	return dst, dt.ReadInto(fn, disk, 0, dst)
+}
+
 func TestReadRetriesTransientErrors(t *testing.T) {
 	dt := NewDetector(1, Config{Retries: 2, FailThreshold: 10})
 	attempts := 0
-	data, err := dt.Read(0, func() ([]byte, float64, error) {
+	data, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
 		if attempts < 3 {
-			return nil, 1, storage.ErrFailed
+			return 1, storage.ErrFailed
 		}
-		return []byte{42}, 1, nil
+		dst[0] = 42
+		return 1, nil
 	})
 	if err != nil || len(data) != 1 || data[0] != 42 {
 		t.Fatalf("Read = %v, %v after %d attempts", data, err, attempts)
@@ -125,9 +139,9 @@ func TestReadExhaustsRetriesAndDeclares(t *testing.T) {
 	var fired bool
 	dt.SetOnFail(func(int) { fired = true })
 	attempts := 0
-	_, err := dt.Read(0, func() ([]byte, float64, error) {
+	_, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
-		return nil, 1, storage.ErrFailed
+		return 1, storage.ErrFailed
 	})
 	if !errors.Is(err, storage.ErrFailed) {
 		t.Fatalf("err = %v", err)
@@ -144,9 +158,9 @@ func TestReadExhaustsRetriesAndDeclares(t *testing.T) {
 func TestReadBadBlockSurfacesAfterOneRetry(t *testing.T) {
 	dt := NewDetector(1, Config{Retries: 5})
 	attempts := 0
-	_, err := dt.Read(0, func() ([]byte, float64, error) {
+	_, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
-		return nil, 1, storage.ErrBadBlock
+		return 1, storage.ErrBadBlock
 	})
 	if !errors.Is(err, storage.ErrBadBlock) {
 		t.Fatalf("err = %v", err)
@@ -159,9 +173,9 @@ func TestReadBadBlockSurfacesAfterOneRetry(t *testing.T) {
 func TestReadNotWrittenSurfacesImmediately(t *testing.T) {
 	dt := NewDetector(1, Config{Retries: 5})
 	attempts := 0
-	_, err := dt.Read(0, func() ([]byte, float64, error) {
+	_, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
-		return nil, 1, storage.ErrNotWritten
+		return 1, storage.ErrNotWritten
 	})
 	if !errors.Is(err, storage.ErrNotWritten) || attempts != 1 {
 		t.Fatalf("err=%v attempts=%d, want immediate ErrNotWritten", err, attempts)
@@ -171,7 +185,7 @@ func TestReadNotWrittenSurfacesImmediately(t *testing.T) {
 func TestReadBackoffCalledBetweenRetries(t *testing.T) {
 	var waits []int
 	dt := NewDetector(1, Config{Retries: 2, FailThreshold: 99, Backoff: func(n int) { waits = append(waits, n) }})
-	_, _ = dt.Read(0, func() ([]byte, float64, error) { return nil, 1, storage.ErrFailed })
+	_, _ = readScript(dt, 0, func(dst []byte) (float64, error) { return 1, storage.ErrFailed })
 	if len(waits) != 2 || waits[0] != 1 || waits[1] != 2 {
 		t.Fatalf("backoff calls = %v, want [1 2]", waits)
 	}
@@ -193,9 +207,9 @@ func TestExponentialBackoffSleeps(t *testing.T) {
 func TestZeroRetryConfig(t *testing.T) {
 	dt := NewDetector(2, Config{Retries: -1})
 	attempts := 0
-	_, err := dt.Read(0, func() ([]byte, float64, error) {
+	_, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
-		return nil, 1, storage.ErrFailed
+		return 1, storage.ErrFailed
 	})
 	if !errors.Is(err, storage.ErrFailed) {
 		t.Fatalf("Read error %v", err)
@@ -210,9 +224,9 @@ func TestZeroRetryConfig(t *testing.T) {
 	// Zero still means "default": up to 3 attempts.
 	dt = NewDetector(2, Config{})
 	attempts = 0
-	dt.Read(0, func() ([]byte, float64, error) {
+	readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
-		return nil, 1, storage.ErrFailed
+		return 1, storage.ErrFailed
 	})
 	if attempts != 3 {
 		t.Fatalf("%d attempts with default retries, want 3", attempts)
@@ -231,10 +245,10 @@ func TestStopInterruptsInFlightBackoff(t *testing.T) {
 	done := make(chan error, 1)
 	attempts := 0
 	go func() {
-		_, err := dt.Read(1, func() ([]byte, float64, error) {
+		_, err := readScript(dt, 1, func(dst []byte) (float64, error) {
 			attempts++
 			close(attempted)
-			return nil, 1, storage.ErrFailed
+			return 1, storage.ErrFailed
 		})
 		done <- err
 	}()
@@ -261,9 +275,9 @@ func TestStopInterruptsInFlightBackoff(t *testing.T) {
 
 	// After Stop, Reads refuse without attempting.
 	attempts = 0
-	if _, err := dt.Read(1, func() ([]byte, float64, error) {
+	if _, err := readScript(dt, 1, func(dst []byte) (float64, error) {
 		attempts++
-		return nil, 1, nil
+		return 1, nil
 	}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Read after Stop: %v, want ErrStopped", err)
 	}

@@ -1,9 +1,6 @@
 package recovery
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The P+Q double-parity codec: every parity group stores, besides the
 // XOR parity P = Σ D_k, a Reed-Solomon-lite column
@@ -97,28 +94,36 @@ func SolveTwoData(dx, dy []byte, x, y int) {
 // columns. missing lists the lost members by index: 0..len(data)-1 for
 // data blocks, len(data) for P, len(data)+1 for Q. The slices at
 // missing positions are output buffers (contents ignored on entry); all
-// other slices must hold their true contents. q may be nil when it is
-// neither present-and-needed nor missing (the single-parity XOR cases).
+// other slices must hold their true contents. A nil q is the
+// single-parity group: P is the only column, index len(data)+1 does not
+// exist, and a lone erasure is all it covers.
 //
-// At most two members may be missing; more returns ErrUnrecoverable.
+// At most as many members may be missing as there are parity columns;
+// more returns ErrUnrecoverable.
 func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 	nd := len(data)
 	iP, iQ := nd, nd+1
-	switch len(missing) {
-	case 0:
-		return nil
-	case 1, 2:
-	default:
-		return fmt.Errorf("%w: %d members missing", ErrUnrecoverable, len(missing))
+	cols := 2
+	if q == nil {
+		cols = 1
 	}
-	m := append([]int(nil), missing...)
-	sort.Ints(m)
-	if len(m) == 2 && m[0] == m[1] {
+	if len(missing) == 0 {
+		return nil
+	}
+	if len(missing) > cols {
+		return fmt.Errorf("%w: %d members missing, %d parity columns", ErrUnrecoverable, len(missing), cols)
+	}
+	// Ascending copy, on the stack: this runs once per degraded read.
+	var m [2]int
+	if copy(m[:], missing) == 2 && m[0] > m[1] {
+		m[0], m[1] = m[1], m[0]
+	}
+	if len(missing) == 2 && m[0] == m[1] {
 		return fmt.Errorf("recovery: duplicate missing index %d", m[0])
 	}
-	for _, idx := range m {
-		if idx < 0 || idx > iQ {
-			return fmt.Errorf("recovery: missing index %d outside [0, %d]", idx, iQ)
+	for _, idx := range missing {
+		if idx < 0 || idx >= nd+cols {
+			return fmt.Errorf("recovery: missing index %d outside [0, %d)", idx, nd+cols)
 		}
 	}
 	// others collects the present data blocks, excluding positions x, y.
@@ -132,7 +137,7 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		return out
 	}
 
-	if len(m) == 1 {
+	if len(missing) == 1 {
 		switch x := m[0]; {
 		case x == iP:
 			XOR(p, data...)

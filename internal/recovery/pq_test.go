@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -177,6 +178,29 @@ func TestRecoverPQRejectsThreeLosses(t *testing.T) {
 	p, q := make([]byte, 8), make([]byte, 8)
 	if err := RecoverPQ(data, p, q, []int{0, 1, 2}); err == nil {
 		t.Fatal("RecoverPQ accepted three missing members")
+	}
+}
+
+// A nil q is a single-parity group: each lone erasure is closed by P, a
+// second one is unrecoverable, and there is no member len(data)+1.
+func TestRecoverPQSingleParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	data := [][]byte{randBytes(rng, 24), randBytes(rng, 24), randBytes(rng, 24)}
+	p := make([]byte, 24)
+	XOR(p, data...)
+	for lost := 0; lost <= len(data); lost++ {
+		bufs := append(append([][]byte{}, data...), p)
+		want := bufs[lost]
+		bufs[lost] = make([]byte, 24)
+		if err := RecoverPQ(bufs[:3], bufs[3], nil, []int{lost}); err != nil || !bytes.Equal(bufs[lost], want) {
+			t.Fatalf("member %d: err %v, byte-exact %v", lost, err, err == nil)
+		}
+	}
+	if err := RecoverPQ(data, p, nil, []int{0, 3}); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("two erasures, one column: err = %v, want ErrUnrecoverable", err)
+	}
+	if err := RecoverPQ(data, p, nil, []int{4}); err == nil {
+		t.Fatal("RecoverPQ accepted a Q index on a group without Q")
 	}
 }
 

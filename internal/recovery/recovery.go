@@ -1,11 +1,11 @@
-// Package recovery implements XOR parity maintenance and degraded-mode
+// Package recovery implements parity maintenance and degraded-mode
 // reconstruction over a storage.Array and a layout.Layout — the data path
 // that actually survives the single disk failure the paper's schemes are
-// designed around.
+// designed around (and, with a Q column, a second one).
 //
 // A Store writes a logical stream of data blocks, computing and storing
-// the parity block of every group it completes. ReadBlock transparently
-// reconstructs blocks of a failed disk by XOR-ing the surviving members of
+// the parity block(s) of every group it completes. ReadBlock transparently
+// reconstructs blocks of a failed disk from the surviving members of
 // their parity group, exactly as §3 of the paper describes (the XOR cost
 // is assumed negligible next to the disk reads, which the timing layers
 // model separately).
@@ -14,6 +14,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ftcms/internal/layout"
@@ -117,33 +118,40 @@ func (s *Store) ReadBlock(i int64) ([]byte, error) {
 	return nil, err
 }
 
-// Reconstruct rebuilds logical block i from the surviving members of its
-// parity group, without attempting a direct read. Single-parity groups
-// fail with ErrUnrecoverable if any other member of the group is also
-// unreadable; P+Q groups tolerate one additional unreadable member.
+// Reconstruct rebuilds logical block i from the other members of its
+// parity group, without attempting a direct read: every member that
+// answers is read (absent blocks on healthy disks as zeroes), the rest
+// join i on the erasure list, and RecoverPQ solves the group — for
+// single-parity groups in its q == nil form. It fails with
+// ErrUnrecoverable when more members are unreadable than the group has
+// parity columns: one besides i under P+Q, none under single parity.
 func (s *Store) Reconstruct(i int64) ([]byte, error) {
 	g := s.Layout.GroupOf(i)
+	nd := len(g.Data)
+	addrs := append(slices.Clone(g.DataAddr), g.Parity)
 	if g.HasQ {
-		return s.reconstructPQ(i, g)
+		addrs = append(addrs, g.Q)
 	}
-	out := make([]byte, s.Array.BlockSize())
-	member := s.getBuf()
-	defer s.putBuf(member)
-	for k, li := range g.Data {
-		if li == i {
+	// RecoverPQ numbering: data 0..nd-1, P at nd, Q at nd+1 (nil without
+	// a Q column). Buffers at unreadable positions are output slots.
+	x := slices.Index(g.Data, i)
+	bufs := make([][]byte, nd+2)
+	bufs[x] = make([]byte, s.Array.BlockSize())
+	missing := []int{x}
+	for idx, a := range addrs {
+		if idx == x {
 			continue
 		}
-		a := g.DataAddr[k]
-		if err := s.Array.ReadZeroInto(a.Disk, a.Block, member); err != nil {
-			return nil, fmt.Errorf("%w: disk %d also unavailable", ErrUnrecoverable, a.Disk)
+		bufs[idx] = s.getBuf()
+		defer s.putBuf(bufs[idx])
+		if s.Array.ReadZeroInto(a.Disk, a.Block, bufs[idx]) != nil {
+			missing = append(missing, idx)
 		}
-		XORInto(out, member)
 	}
-	if err := s.Array.ReadZeroInto(g.Parity.Disk, g.Parity.Block, member); err != nil {
-		return nil, fmt.Errorf("%w: parity disk %d also unavailable", ErrUnrecoverable, g.Parity.Disk)
+	if err := RecoverPQ(bufs[:nd], bufs[nd], bufs[nd+1], missing); err != nil {
+		return nil, err
 	}
-	XORInto(out, member)
-	return out, nil
+	return bufs[x], nil
 }
 
 // DegradedReadSet returns the addresses that must be fetched to serve

@@ -194,7 +194,7 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 // ErrFailed for failed disks, ErrNotWritten for absent blocks, and
 // whatever the installed ReadHook injects.
 func (a *Array) Read(disk int, block int64) ([]byte, error) {
-	out, _, err := a.ReadTimed(disk, block)
+	out, _, err := a.readTimed(disk, block, nil)
 	return out, err
 }
 
@@ -219,16 +219,10 @@ func (a *Array) ReadZeroInto(disk int, block int64, dst []byte) error {
 	return err
 }
 
-// ReadTimed is Read plus the service-time multiplier the fault-injection
-// hook reported for this read (1 when no hook is installed or the hook
-// left timing alone). The health detector consumes the multiplier as its
-// timeout signal.
-func (a *Array) ReadTimed(disk int, block int64) ([]byte, float64, error) {
-	return a.readTimed(disk, block, nil)
-}
-
-// ReadTimedInto is ReadTimed copying into dst (which must be blockSize
-// bytes) instead of allocating.
+// ReadTimedInto is ReadInto plus the service-time multiplier the
+// fault-injection hook reported for this read (1 when no hook is
+// installed or the hook left timing alone). The health detector consumes
+// the multiplier as its timeout signal.
 func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error) {
 	_, slow, err := a.readTimed(disk, block, dst)
 	return slow, err

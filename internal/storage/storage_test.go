@@ -304,7 +304,8 @@ func TestReadHookInjection(t *testing.T) {
 	if _, err := a.Read(0, 0); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("first read: %v, want ErrBadBlock", err)
 	}
-	got, slow, err := a.ReadTimed(0, 0)
+	got := make([]byte, 16)
+	slow, err := a.ReadTimedInto(0, 0, got)
 	if err != nil || !bytes.Equal(got, block(7, 16)) {
 		t.Fatalf("second read = %v, %v", got, err)
 	}
