@@ -208,7 +208,10 @@ type Server struct {
 	admitSimple  *admission.Simple
 	admitDynamic *admission.Dynamic
 	clips        map[string]clipInfo
-	nextFree     int64 // next free logical block in the store
+	// spans indexes the stored clips by position in the logical address
+	// space (see publish, clipAt).
+	spans    []clipSpan
+	nextFree int64 // next free logical block in the store
 	// nextFreeRow is the per-super-clip allocation cursor (dynamic scheme
 	// only): clip blocks of row k go to logical k + i·r.
 	nextFreeRow []int64
@@ -237,9 +240,13 @@ type Server struct {
 	parallelRounds int64
 
 	// Failure lifecycle (failure.go).
-	detector         *health.Detector
-	injector         *faultinject.Injector
-	sparesLeft       int
+	detector   *health.Detector
+	injector   *faultinject.Injector
+	sparesLeft int
+	// erasures is how many lost members every parity group can close —
+	// its parity columns: the number of disks that may be out of service
+	// at once with nothing unrecoverable, and of concurrent rebuilds.
+	erasures         int
 	rebuilds         []*rebuildState
 	rebuildQueue     []int
 	rebuildsDone     int
@@ -261,7 +268,7 @@ type Server struct {
 	rebuildLat []int64
 
 	// Data integrity (scrub.go).
-	scrub               *scrubState
+	scrub               scrubState
 	scrubCycles         int64
 	corruptionsInjected int64
 	corruptionsDetected int64
@@ -298,6 +305,8 @@ type Server struct {
 	// keeps it safe for the sharded tick.
 	blockMu   sync.Mutex
 	blockFree [][]byte
+	// scratchFree recycles repair scratch the same way (repair.go).
+	scratchFree []*repairScratch
 }
 
 // getBlock returns a block-sized buffer with unspecified contents.
@@ -399,6 +408,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.lay = lay
+	s.erasures = parityCols(lay.GroupOf(0))
 
 	arr, err := storage.NewArray(cfg.D, int(cfg.Block.Bytes()))
 	if err != nil {
@@ -574,7 +584,7 @@ func (s *Server) AddClip(name string, data []byte) error {
 			return err
 		}
 	}
-	s.clips[name] = ci
+	s.publish(name, ci)
 	return nil
 }
 
@@ -623,20 +633,18 @@ func (s *Server) RepairDisk(disk int) error {
 	if s.injector != nil {
 		s.injector.ClearDisk(disk) // replacement drive: old faults gone
 	}
-	var err error
-	s.storedMembers(func(m groupMember) {
-		if m.addr.Disk != disk || err != nil {
-			return
+	for _, m := range s.membersOn(disk) {
+		data, err := s.repairAt(layout.BlockAddr{Disk: disk, Block: m.block}, repairMode{offRound: true})
+		if err != nil {
+			return fmt.Errorf("core: rebuild block %d: %w", m.key, err)
 		}
-		data, rerr := s.repairMember(s.lay.GroupOf(m.logical), m.idx, repairMode{offRound: true})
-		if rerr != nil {
-			err = fmt.Errorf("core: rebuild block %d: %w", m.logical, rerr)
-			return
-		}
-		err = s.store.Array.Write(disk, m.addr.Block, data)
+		err = s.store.Array.Write(disk, m.block, data)
 		s.putBlock(data)
-	})
-	return err
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stats returns the server's counters.
@@ -681,10 +689,7 @@ func (s *Server) Stats() Stats {
 		st.RelayoutTotal = len(s.relayout.queue)
 		st.RelayoutPending = len(s.relayout.queue) - s.relayout.next
 	}
-	if s.scrub != nil {
-		st.ScrubScanned = s.scrub.next
-		st.ScrubTotal = len(s.scrub.queue)
-	}
+	st.ScrubScanned, st.ScrubTotal = s.scrub.scanned, s.scrub.total
 	return st
 }
 

@@ -1,0 +1,245 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"ftcms/internal/diskmodel"
+	"ftcms/internal/faultinject"
+	"ftcms/internal/units"
+)
+
+// failBench is a d=32 p=4 declustered array with unlimited spares, clips
+// of 4 KB blocks and a population of open streams — the shape of the
+// repository benchmark's rebuild workload.
+type failBench struct {
+	s       *Server
+	streams []*Stream
+	buf     []byte
+}
+
+func newFailBench(tb testing.TB, streams, clips int, clipBlocks int64) *failBench {
+	tb.Helper()
+	s, err := New(Config{
+		Scheme: Declustered,
+		Disk: diskmodel.Parameters{
+			TransferRate: 6 * units.Gbps,
+			Settle:       10 * units.Microsecond,
+			Seek:         100 * units.Microsecond,
+			Capacity:     64 * units.GB,
+			PlaybackRate: 1500 * units.Kbps,
+		},
+		D: 32, P: 4, Block: 4 * units.KB, Q: 64, F: 16,
+		Buffer: 2 * units.GB, Spares: 1 << 30, TickWorkers: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fb := &failBench{s: s, buf: make([]byte, s.store.Array.BlockSize())}
+	clip := make([]byte, clipBlocks*int64(len(fb.buf)))
+	for c := 0; c < clips; c++ {
+		for i := range clip {
+			clip[i] = byte(i*7 + c)
+		}
+		if err := s.AddClip(fmt.Sprintf("clip-%02d", c), clip); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for rounds := 0; len(fb.streams) < streams; rounds++ {
+		if rounds > streams {
+			tb.Fatalf("admission stalled at %d of %d streams", len(fb.streams), streams)
+		}
+		for c := 0; c < clips && len(fb.streams) < streams; c++ {
+			st, err := s.OpenStream(fmt.Sprintf("clip-%02d", c))
+			if errors.Is(err, ErrAdmission) {
+				continue
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+			fb.streams = append(fb.streams, st)
+		}
+		fb.round(tb)
+	}
+	return fb
+}
+
+// round is one service round: Tick, then every stream's reader takes the
+// block it was delivered.
+func (fb *failBench) round(tb testing.TB) {
+	tb.Helper()
+	if err := fb.s.Tick(); err != nil {
+		tb.Fatal(err)
+	}
+	for _, st := range fb.streams {
+		_, _ = st.Read(fb.buf) // io.EOF once played out: nothing more to take
+	}
+}
+
+// BenchmarkFailDisk times what a tolerated failure costs inside its round:
+// FailDisk plus the first Tick of the rebuild. Neither the open streams
+// nor the stored blocks may show in it beyond the work the round itself
+// does (stream service, and the rebuild's idle-capacity share).
+func BenchmarkFailDisk(b *testing.B) {
+	for _, streams := range []int{125, 1000} {
+		for _, clipBlocks := range []int64{1024, 8192} {
+			b.Run(fmt.Sprintf("streams=%d/clipblocks=%d", streams, clipBlocks), func(b *testing.B) {
+				fb := newFailBench(b, streams, 8, clipBlocks)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := fb.s.FailDisk(i % fb.s.cfg.D); err != nil {
+						b.Fatal(err)
+					}
+					fb.round(b)
+					b.StopTimer()
+					for fb.s.Mode() != ModeHealthy {
+						fb.round(b)
+					}
+					b.StartTimer()
+				}
+			})
+		}
+	}
+}
+
+// mallocs counts the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFailDiskAllocs pins the failure handler's cost model from the
+// allocation side: within tolerance FailDisk allocates a handful of
+// objects — the spare's empty medium, the rebuild's state and its one
+// queue — however many streams are open and clips stored, and starting a
+// scrub sweep allocates nothing a later round of the sweep does not.
+func TestFailDiskAllocs(t *testing.T) {
+	for _, streams := range []int{50, 800} {
+		for _, clips := range []int{2, 8} {
+			fb := newFailBench(t, streams, clips, 1024)
+			for disk := 0; disk < 3; disk++ {
+				n := mallocs(func() {
+					if err := fb.s.FailDisk(disk); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if n > 16 {
+					t.Errorf("%d streams, %d clips: FailDisk(%d) allocated %d objects, want <= 16", streams, clips, disk, n)
+				}
+				if st := fb.s.Stats(); st.Terminated != 0 || st.Rebuilding != disk {
+					t.Fatalf("terminated %d, rebuilding %d", st.Terminated, st.Rebuilding)
+				}
+				for fb.s.Mode() != ModeHealthy {
+					fb.round(t)
+				}
+			}
+		}
+	}
+
+	// A repair itself — group fill, survey, plan, reads, solve — allocates
+	// nothing, whichever member is the target: a rebuild round is left
+	// with what the memory-backed spare allocates to store the blocks.
+	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
+		s, _ := scrubServer(t, testConfig(scheme, 13, 4), 400_000)
+		g := s.lay.GroupOf(17)
+		for idx := 0; idx < len(g.Data)+parityCols(g); idx++ {
+			a := memberAddr(g, idx)
+			if n := testing.AllocsPerRun(20, func() {
+				data, err := s.repairAt(a, repairMode{offRound: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.putBlock(data)
+			}); n != 0 {
+				t.Errorf("%s: repairing member %d allocates %v objects", scheme, idx, n)
+			}
+		}
+	}
+
+	cfg := testConfig(Declustered, 13, 4)
+	cfg.ScrubRate = 5
+	s, _ := scrubServer(t, cfg, 400_000)
+	for s.Stats().ScrubCycles == 0 {
+		tick(t, s, 1) // a whole sweep, so that the block pool is warm
+	}
+	if s.scrub.total != 0 {
+		t.Fatal("sweep in progress after the cycle count moved")
+	}
+	start := mallocs(func() { tick(t, s, 1) })
+	next := mallocs(func() { tick(t, s, 1) })
+	if s.scrub.scanned != 10 || start > next {
+		t.Errorf("sweep start allocated %d objects, the next round %d (scanned %d)", start, next, s.scrub.scanned)
+	}
+}
+
+// TestDetectedFailureReplayPin is TestRebuildReplayPin for a failure the
+// health detector declares: a scripted fail-stop, so the handler runs
+// inside Tick, under the read that met the dead disk. The ledger, the
+// arc's length and both latency clocks are pinned to what the store-wide
+// queue build produced for this seed.
+func TestDetectedFailureReplayPin(t *testing.T) {
+	for _, tc := range []struct {
+		scheme        Scheme
+		reads         int64
+		rounds, total int
+		detect, lat   []int64
+	}{
+		{Declustered, 807, 11, 269, []int64{0}, []int64{11}},
+		{DeclusteredPQ, 816, 12, 408, []int64{0}, []int64{12}},
+	} {
+		cfg := testConfig(tc.scheme, 13, 4)
+		cfg.Spares = 1
+		cfg.Faults = &faultinject.Plan{Seed: 9, FailStops: []faultinject.FailStop{{Disk: 5, Round: 40}}}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clips := map[string][]byte{"a": clipBytes(31, 12_000_000), "b": clipBytes(32, 9_000_000)}
+		for _, name := range []string{"a", "b"} {
+			if err := s.AddClip(name, clips[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var tracks []*pqTrack
+		buf := make([]byte, 64<<10)
+		total, rounds := 0, 0
+		for round := 1; s.Stats().RebuildsDone == 0; round++ {
+			if round > 3000 {
+				t.Fatalf("%s: rebuild never finished", tc.scheme)
+			}
+			if round <= 24 {
+				name := []string{"a", "b"}[round%2]
+				st, err := s.OpenStream(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tracks = append(tracks, &pqTrack{st: st, want: clips[name]})
+			}
+			tick(t, s, 1)
+			for _, tr := range tracks {
+				tr.drainTick(t, buf)
+			}
+			if st := s.Stats(); st.Rebuilding >= 0 {
+				total = st.RebuildTotal
+				rounds++
+			}
+		}
+		st := s.Stats()
+		if st.RebuildReads != tc.reads || rounds != tc.rounds || total != tc.total ||
+			!reflect.DeepEqual(st.DetectLatencies, tc.detect) || !reflect.DeepEqual(st.RebuildLatencies, tc.lat) {
+			t.Errorf("%s: RebuildReads=%d rounds=%d RebuildTotal=%d detect=%v latencies=%v, want %d, %d, %d, %v, %v",
+				tc.scheme, st.RebuildReads, rounds, total, st.DetectLatencies, st.RebuildLatencies,
+				tc.reads, tc.rounds, tc.total, tc.detect, tc.lat)
+		}
+		if st.Overflows != 0 || st.Hiccups != 0 || st.LostBlocks != 0 || st.Terminated != 0 {
+			t.Errorf("%s: overflows=%d hiccups=%d lost=%d terminated=%d", tc.scheme, st.Overflows, st.Hiccups, st.LostBlocks, st.Terminated)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"ftcms/internal/health"
@@ -55,9 +54,9 @@ var ErrStreamLost = errors.New("core: stream lost to unrecoverable parity group"
 // rebuildState tracks one online rebuild.
 type rebuildState struct {
 	disk int
-	// queue lists the group members living on the disk being rebuilt —
-	// data, P and Q blocks alike — in ascending order of logical index.
-	queue []groupMember
+	// queue is membersOn(disk) as of the rebuild's start, consumed as far
+	// as each round's idle capacity reaches.
+	queue []diskMember
 	next  int
 	// skipped counts queue entries that could not be rebuilt because a
 	// second failure made their group unrecoverable. A rebuild that
@@ -100,22 +99,12 @@ func (s *Server) onDiskFailed(disk int) {
 	s.dropRebuild(disk)
 	s.terminateUnrecoverable()
 	if s.sparesLeft > 0 {
-		if len(s.rebuilds) < s.maxRebuilds() {
+		if len(s.rebuilds) < s.erasures {
 			s.startRebuild(disk)
 		} else {
 			s.rebuildQueue = append(s.rebuildQueue, disk)
 		}
 	}
-}
-
-// maxRebuilds bounds the number of concurrent online rebuilds: the P+Q
-// scheme rebuilds both disks of a double failure at once; every other
-// scheme keeps the original one-at-a-time behaviour.
-func (s *Server) maxRebuilds() int {
-	if s.cfg.Scheme == DeclusteredPQ {
-		return 2
-	}
-	return 1
 }
 
 // dropRebuild abandons the in-flight rebuild of disk, if any.
@@ -147,15 +136,7 @@ func (s *Server) startRebuild(disk int) {
 	if s.injector != nil {
 		s.injector.ClearDisk(disk)
 	}
-	var queue []groupMember
-	s.storedMembers(func(m groupMember) {
-		if m.addr.Disk == disk {
-			queue = append(queue, m)
-		}
-	})
-	// A disk holds one member per group, so logical indices are distinct.
-	sort.Slice(queue, func(a, b int) bool { return queue[a].logical < queue[b].logical })
-	s.rebuilds = append(s.rebuilds, &rebuildState{disk: disk, queue: queue})
+	s.rebuilds = append(s.rebuilds, &rebuildState{disk: disk, queue: s.membersOn(disk)})
 }
 
 // rebuildStep advances every in-flight online rebuild using only this
@@ -181,8 +162,8 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 		return true // spare crashed or operator repaired the disk
 	}
 	for rb.next < len(rb.queue) {
-		m := rb.queue[rb.next]
-		data, err := s.repairMember(s.lay.GroupOf(m.logical), m.idx, repairMode{idle: true, ledger: &s.rebuildReads})
+		block := rb.queue[rb.next].block
+		data, err := s.repairAt(layout.BlockAddr{Disk: rb.disk, Block: block}, repairMode{idle: true, ledger: &s.rebuildReads})
 		switch {
 		case err == errRepairStalled:
 			return false // out of idle capacity; resume next round
@@ -193,7 +174,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 			rb.skipped++
 			s.lostBlocks++
 		default:
-			werr := arr.Write(rb.disk, m.addr.Block, data)
+			werr := arr.Write(rb.disk, block, data)
 			s.putBlock(data)
 			if werr != nil {
 				return true // spare crashed mid-write; abandon
@@ -237,7 +218,7 @@ func (s *Server) DetectLatencies() []int64 {
 
 // nextRebuild starts queued rebuilds while slots and spares remain.
 func (s *Server) nextRebuild() {
-	for len(s.rebuilds) < s.maxRebuilds() && len(s.rebuildQueue) > 0 && s.sparesLeft > 0 {
+	for len(s.rebuilds) < s.erasures && len(s.rebuildQueue) > 0 && s.sparesLeft > 0 {
 		disk := s.rebuildQueue[0]
 		s.rebuildQueue = s.rebuildQueue[1:]
 		if s.store.Array.Failed(disk) {
@@ -265,8 +246,7 @@ func (s *Server) readMonitored(logical int64, addr layout.BlockAddr) ([]byte, er
 		// The disk answered, the block did not: serve the true contents
 		// from the parity group — contingency bandwidth, same accounting
 		// as a failed-disk read — and rewrite them in place.
-		g := s.lay.GroupOf(logical)
-		return s.repairInPlace(g, groupMember{logical: logical, idx: slices.Index(g.Data, logical), addr: addr}, err, repairMode{})
+		return s.repairInPlace(addr, err, repairMode{})
 	}
 	return nil, err
 }
@@ -301,27 +281,39 @@ func (s *Server) blockReadable(a layout.BlockAddr) bool {
 	return true
 }
 
-// blockUnrecoverable reports whether logical data block i can currently
+// blockUnrecoverable reports whether the data block at a can currently
 // be served neither directly nor by reconstruction: the count of
 // unreadable group members (the block itself included) exceeds what the
-// group's redundancy covers — one for single parity, two for P+Q.
-func (s *Server) blockUnrecoverable(i int64) bool {
-	if s.blockReadable(s.lay.Place(i)) {
+// group's redundancy covers — one for single parity, two for P+Q. g is
+// scratch.
+func (s *Server) blockUnrecoverable(a layout.BlockAddr, g *layout.Group) bool {
+	if s.blockReadable(a) {
 		return false
 	}
-	g := s.lay.GroupOf(i)
+	t := s.lay.GroupAt(a, g)
 	var scratch [4]int
-	return len(s.unreadable(g, slices.Index(g.Data, i), scratch[:0])) > parityCols(g)
+	return len(s.unreadable(*g, t, scratch[:0])) > parityCols(*g)
 }
+
+// withinTolerance reports whether so few disks are out of service that
+// no parity group can be unrecoverable: a group has one member per disk,
+// so it is missing at most as many members as there are disks not
+// Healthy, and closes as many erasures as it has parity columns.
+func (s *Server) withinTolerance() bool { return s.DegradedDisks() <= s.erasures }
 
 // UnrecoverableGroups enumerates (up to max, unlimited when max <= 0)
 // logical data blocks of stored clips that currently cannot be served at
 // all — the blocks a second failure stranded. Empty in every
 // single-failure state.
 func (s *Server) UnrecoverableGroups(max int) []int64 {
+	if s.withinTolerance() {
+		return nil
+	}
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	var out []int64
 	s.storedBlocks(func(i int64) bool {
-		if s.blockUnrecoverable(i) {
+		if s.blockUnrecoverable(s.lay.Place(i), &sc.g) {
 			out = append(out, i)
 		}
 		return max <= 0 || len(out) < max
@@ -332,9 +324,11 @@ func (s *Server) UnrecoverableGroups(max int) []int64 {
 // terminateUnrecoverable ends, with an explicit reason, every active
 // stream whose remaining playback needs a block in an unrecoverable
 // parity group. Every other stream is untouched — its rate guarantee
-// stands.
+// stands. Within the array's tolerance there is no such block and
+// nothing to look at; beyond it, every stream's remaining blocks are
+// swept up front.
 func (s *Server) terminateUnrecoverable() {
-	if len(s.store.Array.FailedDisks()) == 0 {
+	if s.withinTolerance() {
 		return
 	}
 	ids := make([]int, 0, len(s.streams))
@@ -349,12 +343,12 @@ func (s *Server) terminateUnrecoverable() {
 	for d := range down {
 		down[d] = s.store.Array.State(d) != storage.Healthy
 	}
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	for _, id := range ids {
 		st := s.streams[id]
 		for n := st.nextDeliver; n < st.clip.blocks; n++ {
-			i := st.clip.block(n)
-			if down[s.lay.Place(i).Disk] && s.blockUnrecoverable(i) {
-				addr := s.lay.Place(i)
+			if addr := s.lay.Place(st.clip.block(n)); down[addr.Disk] && s.blockUnrecoverable(addr, &sc.g) {
 				s.terminate(st, fmt.Errorf("%w: clip block %d at %v, failed disks %v",
 					ErrStreamLost, n, addr, s.store.Array.FailedDisks()))
 				break

@@ -140,7 +140,7 @@ func (s *Server) CommitClipImport(name string) (done bool, err error) {
 		}
 		im.padNext++
 	}
-	s.clips[name] = im.ci
+	s.publish(name, im.ci)
 	delete(s.imports, name)
 	return true, nil
 }

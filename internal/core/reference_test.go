@@ -1,0 +1,337 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"ftcms/internal/layout"
+)
+
+// This file keeps, as test-only references, the store-wide enumerations
+// the failure handler and the scrubber ran inside a round before they
+// were driven from one disk's addresses: the walk over every stored
+// member, the rebuild and scrub queues filtered and sorted out of it, and
+// the sweep over every stream's remaining blocks. The tests below hold
+// the cursor-driven code to exactly their output.
+
+// refMember is the old queue entry.
+type refMember struct {
+	logical int64
+	idx     int
+	addr    layout.BlockAddr
+}
+
+// refStoredMembers calls fn once per distinct stored group member: every
+// clip data block, plus one entry per P and per Q block, represented by
+// the first data member the sorted-name walk meets.
+func refStoredMembers(s *Server, fn func(m refMember)) {
+	seen := make(map[layout.BlockAddr]bool)
+	s.storedBlocks(func(i int64) bool {
+		g := s.lay.GroupOf(i)
+		nd, x := len(g.Data), slices.Index(g.Data, i)
+		fn(refMember{logical: i, idx: x, addr: g.DataAddr[x]})
+		for idx := nd; idx < nd+parityCols(g); idx++ {
+			if a := memberAddr(g, idx); !seen[a] {
+				seen[a] = true
+				fn(refMember{logical: i, idx: idx, addr: a})
+			}
+		}
+		return true
+	})
+}
+
+func refRebuildQueue(s *Server, disk int) []refMember {
+	var queue []refMember
+	refStoredMembers(s, func(m refMember) {
+		if m.addr.Disk == disk {
+			queue = append(queue, m)
+		}
+	})
+	sort.Slice(queue, func(a, b int) bool { return queue[a].logical < queue[b].logical })
+	return queue
+}
+
+func refScrubQueue(s *Server) []refMember {
+	var queue []refMember
+	refStoredMembers(s, func(m refMember) { queue = append(queue, m) })
+	sort.Slice(queue, func(a, b int) bool {
+		if queue[a].addr.Block != queue[b].addr.Block {
+			return queue[a].addr.Block < queue[b].addr.Block
+		}
+		return queue[a].addr.Disk < queue[b].addr.Disk
+	})
+	return queue
+}
+
+// refUnrecoverable is the old blockUnrecoverable, over an allocated group.
+func refUnrecoverable(s *Server, i int64) bool {
+	if s.blockReadable(s.lay.Place(i)) {
+		return false
+	}
+	g := s.lay.GroupOf(i)
+	return len(s.unreadable(g, slices.Index(g.Data, i), nil)) > parityCols(g)
+}
+
+// refSweep is the old terminateUnrecoverable without its early return and
+// without terminating anything: the reason each stream would have been
+// ended with, by stream id.
+func refSweep(s *Server) map[int]string {
+	verdicts := map[int]string{}
+	for id, st := range s.streams {
+		for n := st.nextDeliver; n < st.clip.blocks; n++ {
+			if i := st.clip.block(n); refUnrecoverable(s, i) {
+				verdicts[id] = fmt.Errorf("%w: clip block %d at %v, failed disks %v",
+					ErrStreamLost, n, s.lay.Place(i), s.store.Array.FailedDisks()).Error()
+				break
+			}
+		}
+	}
+	return verdicts
+}
+
+// sevenSchemes lists every scheme with a geometry it accepts.
+var sevenSchemes = []struct {
+	scheme Scheme
+	d, p   int
+}{
+	{Declustered, 13, 4},
+	{DeclusteredDynamic, 7, 3},
+	{PrefetchParityDisk, 8, 4},
+	{PrefetchFlat, 9, 4},
+	{StreamingRAID, 8, 4},
+	{NonClustered, 8, 4},
+	{DeclusteredPQ, 13, 4},
+}
+
+// TestRebuildOrderMatchesReference: for every scheme, clip population and
+// disk, membersOn yields exactly the sequence the store-wide filter and
+// sort produced — same blocks, same order, same representative for every
+// P and Q block — and the layout names the same member index for each.
+func TestRebuildOrderMatchesReference(t *testing.T) {
+	populations := map[string][]struct {
+		name string
+		size int
+	}{
+		"one clip": {{"a", 400_000}},
+		// Names sort in an order that is not allocation order, and groups
+		// straddle clip boundaries.
+		"several clips":    {{"m", 150_000}, {"b", 90_000}, {"z", 210_000}, {"a", 40_000}},
+		"last group short": {{"a", 8000 * 37}, {"b", 8000*3 + 1}},
+	}
+	for _, sc := range sevenSchemes {
+		for popName, pop := range populations {
+			t.Run(fmt.Sprintf("%s/%s", sc.scheme, popName), func(t *testing.T) {
+				s := newServer(t, sc.scheme, sc.d, sc.p)
+				for k, c := range pop {
+					if err := s.AddClip(c.name, clipBytes(int64(k), c.size)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var g layout.Group
+				total := 0
+				for disk := 0; disk < sc.d; disk++ {
+					want := refRebuildQueue(s, disk)
+					got := s.membersOn(disk)
+					if len(got) != len(want) {
+						t.Fatalf("disk %d: %d members, want %d", disk, len(got), len(want))
+					}
+					for k, m := range got {
+						a := layout.BlockAddr{Disk: disk, Block: m.block}
+						idx := s.lay.GroupAt(a, &g)
+						if m.key != want[k].logical || a != want[k].addr || idx != want[k].idx {
+							t.Fatalf("disk %d entry %d: key %d addr %v idx %d, want %+v", disk, k, m.key, a, idx, want[k])
+						}
+					}
+					total += len(got)
+				}
+				if want := len(refScrubQueue(s)); total != want || s.store.Array.WrittenBlocks() != want {
+					t.Errorf("members over all disks %d, written blocks %d, want %d", total, s.store.Array.WrittenBlocks(), want)
+				}
+			})
+		}
+	}
+}
+
+// TestScrubVisitsMatchReference records every physical read of scrub-only
+// rounds and holds the sequence, and the progress Stats reports after each
+// round, to the old queue's — at an unlimited and at a small scrub rate,
+// across two sweeps.
+func TestScrubVisitsMatchReference(t *testing.T) {
+	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
+		for _, rate := range []int{-1, 7} {
+			t.Run(fmt.Sprintf("%s/rate=%d", scheme, rate), func(t *testing.T) {
+				cfg := testConfig(scheme, 13, 4)
+				cfg.ScrubRate = rate
+				s, _ := scrubServer(t, cfg, 300_000)
+				if err := s.AddClip("b", clipBytes(4, 8000*11+5)); err != nil {
+					t.Fatal(err)
+				}
+				want := refScrubQueue(s)
+				var visits []layout.BlockAddr
+				s.store.Array.SetReadHook(func(disk int, block int64) (float64, error) {
+					visits = append(visits, layout.BlockAddr{Disk: disk, Block: block})
+					return 1, nil
+				})
+				for round := 0; s.Stats().ScrubCycles < 2; round++ {
+					if round > 2000 {
+						t.Fatal("sweeps never completed")
+					}
+					tick(t, s, 1)
+					st := s.Stats()
+					scanned := len(visits) - int(st.ScrubCycles)*len(want)
+					if st.ScrubCycles < 2 && scanned > 0 && (st.ScrubTotal != len(want) || st.ScrubScanned != scanned) {
+						t.Fatalf("round %d: scrub progress %d/%d, want %d/%d", round, st.ScrubScanned, st.ScrubTotal, scanned, len(want))
+					}
+				}
+				if len(visits) != 2*len(want) {
+					t.Fatalf("%d visits over two sweeps, want %d", len(visits), 2*len(want))
+				}
+				for k, a := range visits {
+					if a != want[k%len(want)].addr {
+						t.Fatalf("visit %d at %v, want %v", k, a, want[k%len(want)].addr)
+					}
+				}
+			})
+		}
+	}
+}
+
+// gateServer is a server with streams open at staggered positions over
+// three clips, for the gate tests: no spares, so disk states stay exactly
+// as the test sets them.
+func gateServer(t *testing.T, scheme Scheme) *Server {
+	t.Helper()
+	cfg := testConfig(scheme, 13, 4)
+	cfg.Q, cfg.F = 24, 6
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, name := range []string{"a", "b", "c"} {
+		if err := s.AddClip(name, clipBytes(int64(k), 500_000+k*77_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 30; k++ {
+		if _, err := s.OpenStream([]string{"a", "b", "c"}[k%3]); err != nil {
+			t.Fatal(err)
+		}
+		tick(t, s, 2)
+	}
+	return s
+}
+
+// setDown puts the listed disks out of service behind the handler's back:
+// failed, or — when spare is set — the first of them replaced by an empty
+// spare (Rebuilding, every block unwritten).
+func setDown(t *testing.T, s *Server, spare bool, disks ...int) {
+	t.Helper()
+	for _, d := range disks {
+		if err := s.store.Array.Fail(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spare {
+		if err := s.store.Array.Replace(disks[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestToleranceGateMatchesReference: within the array's tolerance — every
+// single disk under single parity, every pair under P+Q, failed or an
+// empty rebuilding spare — the full sweep finds nothing to terminate, so
+// returning before it loses no verdict; beyond tolerance the handler ends
+// the same streams with the same reasons as the reference sweep.
+func TestToleranceGateMatchesReference(t *testing.T) {
+	within := func(t *testing.T, s *Server, disks ...int) {
+		for _, spare := range []bool{false, true} {
+			setDown(t, s, spare, disks...)
+			if !s.withinTolerance() {
+				t.Fatalf("disks %v (spare %v) not within tolerance", disks, spare)
+			}
+			if v := refSweep(s); len(v) != 0 {
+				t.Fatalf("disks %v (spare %v): reference sweep terminates %v", disks, spare, v)
+			}
+			s.terminateUnrecoverable()
+			if got := s.UnrecoverableGroups(0); s.terminated != 0 || got != nil {
+				t.Fatalf("disks %v (spare %v): terminated %d, unrecoverable %v", disks, spare, s.terminated, got)
+			}
+			for _, d := range disks {
+				if err := s.RepairDisk(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	t.Run("single parity within", func(t *testing.T) {
+		s := gateServer(t, Declustered)
+		for d := 0; d < s.cfg.D; d++ {
+			within(t, s, d)
+		}
+	})
+	t.Run("P+Q within", func(t *testing.T) {
+		s := gateServer(t, DeclusteredPQ)
+		for a := 0; a < s.cfg.D; a++ {
+			for b := 0; b < s.cfg.D; b++ {
+				if a != b {
+					within(t, s, a, b)
+				}
+			}
+		}
+	})
+	for _, tc := range []struct {
+		scheme Scheme
+		spare  bool
+		block  int64 // the down disks are those of this block's group
+	}{
+		{Declustered, false, 150},
+		{Declustered, true, 170},
+		{DeclusteredPQ, false, 150},
+		{DeclusteredPQ, true, 170},
+	} {
+		t.Run(fmt.Sprintf("%s beyond spare=%v", tc.scheme, tc.spare), func(t *testing.T) {
+			s := gateServer(t, tc.scheme)
+			g := s.lay.GroupOf(tc.block)
+			disks := []int{g.Parity.Disk, g.DataAddr[0].Disk}
+			if g.HasQ {
+				disks = append(disks, g.Q.Disk)
+			}
+			setDown(t, s, tc.spare, disks...)
+			if s.withinTolerance() {
+				t.Fatalf("disks %v within tolerance", disks)
+			}
+			want := refSweep(s)
+			if len(want) == 0 || len(want) == len(s.streams) {
+				t.Fatalf("reference terminates %d of %d streams; the case wants some, not all", len(want), len(s.streams))
+			}
+			streams := make(map[int]*Stream, len(s.streams))
+			for id, st := range s.streams {
+				streams[id] = st
+			}
+			s.terminateUnrecoverable()
+			got := map[int]string{}
+			for id, st := range streams {
+				if err := st.Err(); err != nil {
+					got[id] = err.Error()
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("terminated %v\nreference  %v", got, want)
+			}
+			var unrec []int64
+			s.storedBlocks(func(i int64) bool {
+				if refUnrecoverable(s, i) {
+					unrec = append(unrec, i)
+				}
+				return true
+			})
+			if got := s.UnrecoverableGroups(0); !slices.Equal(got, unrec) {
+				t.Fatalf("UnrecoverableGroups = %v, reference %v", got, unrec)
+			}
+		})
+	}
+}

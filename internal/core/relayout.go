@@ -208,7 +208,7 @@ func (s *Server) finishRelayout() {
 		s.store.Array.SetReadHook(s.injector.Hook)
 	}
 	// Scrub sweeps hold physical addresses of the old layout.
-	s.scrub = nil
+	s.scrub = scrubState{}
 	s.relayout = nil
 	s.relayoutsDone++
 }

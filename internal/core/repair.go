@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -42,22 +43,10 @@ func memberAddr(g layout.Group, idx int) layout.BlockAddr {
 	}
 }
 
-// groupMember names one stored member of a parity group: the queue entry
-// of rebuilds and scrub sweeps.
-type groupMember struct {
-	// logical is a data block of the group — the member itself for data
-	// members, a representative for P and Q (the group, and with it
-	// every member address, is recovered via GroupOf).
-	logical int64
-	idx     int
-	addr    layout.BlockAddr
-}
-
 // storedBlocks calls fn with the logical index of every stored clip
 // block, clips in sorted-name order, until fn returns false. The clip map
-// iterates in random order; everything derived from this walk (rebuild
-// and scrub queue entries, the representative recorded for each parity
-// block) must replay run to run.
+// iterates in random order; everything derived from this walk must replay
+// run to run.
 func (s *Server) storedBlocks(fn func(i int64) bool) {
 	for _, name := range s.Clips() {
 		ci := s.clips[name]
@@ -69,23 +58,95 @@ func (s *Server) storedBlocks(fn func(i int64) bool) {
 	}
 }
 
-// storedMembers calls fn once per distinct stored group member: every
-// clip data block, plus one entry per P and per Q block (not one per
-// group member), represented by the first data member the walk meets.
-func (s *Server) storedMembers(fn func(m groupMember)) {
-	seen := make(map[layout.BlockAddr]bool)
-	s.storedBlocks(func(i int64) bool {
-		g := s.lay.GroupOf(i)
-		nd, x := len(g.Data), slices.Index(g.Data, i)
-		fn(groupMember{logical: i, idx: x, addr: g.DataAddr[x]})
-		for idx := nd; idx < nd+parityCols(g); idx++ {
-			if a := memberAddr(g, idx); !seen[a] {
-				seen[a] = true
-				fn(groupMember{logical: i, idx: idx, addr: a})
-			}
+// clipSpan is one stored clip in the server's position index, which
+// orders clips as their blocks lie in the logical address space — by row
+// (start mod stride: the dynamic scheme's super-clip, 0 elsewhere) and
+// then by start — so each is one contiguous run of its row.
+type clipSpan struct {
+	name string
+	clipInfo
+}
+
+// cmpAddr orders the span's first block against logical block x; every
+// clip of a server has the same stride.
+func (sp clipSpan) cmpAddr(x int64) int {
+	return cmp.Or(cmp.Compare(sp.start%sp.stride, x%sp.stride), cmp.Compare(sp.start, x))
+}
+
+// publish makes a fully written clip visible: openable by name, and
+// findable by address.
+func (s *Server) publish(name string, ci clipInfo) {
+	s.clips[name] = ci
+	k, _ := slices.BinarySearchFunc(s.spans, ci.start, clipSpan.cmpAddr)
+	s.spans = slices.Insert(s.spans, k, clipSpan{name, ci})
+}
+
+// clipAt returns the stored clip that owns logical block x and x's block
+// number in it, or nil when no stored clip does.
+func (s *Server) clipAt(x int64) (*clipSpan, int64) {
+	k, found := slices.BinarySearchFunc(s.spans, x, clipSpan.cmpAddr)
+	if !found {
+		k-- // the last clip that starts before x
+	}
+	if k < 0 {
+		return nil, 0
+	}
+	sp := &s.spans[k]
+	if n := (x - sp.start) / sp.stride; x%sp.stride == sp.start%sp.stride && n < sp.blocks {
+		return sp, n
+	}
+	return nil, 0
+}
+
+// diskMember is one stored block of a disk: an entry of a rebuild queue.
+type diskMember struct {
+	// key orders the queue: the logical index of a data block; for a P or
+	// Q block, that of the data member of its group which the sorted-name
+	// clip walk (storedBlocks) meets first.
+	key   int64
+	block int64
+}
+
+// memberKey returns the queue key of the block at a, or -1 when no stored
+// clip has a block there (a parity block is stored once any data member
+// of its group is). g is scratch.
+func (s *Server) memberKey(a layout.BlockAddr, g *layout.Group) int64 {
+	if i := s.lay.LogicalAt(a); i >= 0 {
+		if sp, _ := s.clipAt(i); sp == nil {
+			return -1
 		}
-		return true
-	})
+		return i
+	}
+	if s.lay.GroupAt(a, g) < 0 {
+		return -1
+	}
+	var first *clipSpan
+	key, firstN := int64(-1), int64(0)
+	for _, i := range g.Data {
+		sp, n := s.clipAt(i)
+		if sp != nil && (first == nil || sp.name < first.name || sp == first && n < firstN) {
+			first, firstN, key = sp, n, i
+		}
+	}
+	return key
+}
+
+// membersOn lists the stored group members living on one disk — data, P
+// and Q blocks alike — in ascending key order. It walks that disk's
+// physical addresses alone, asking the layout what each one holds; a disk
+// has one member per group, so keys are distinct.
+func (s *Server) membersOn(disk int) []diskMember {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	extent := s.store.Array.Extent()
+	out := make([]diskMember, 0, extent)
+	for b := int64(0); b < extent; b++ {
+		if key := s.memberKey(layout.BlockAddr{Disk: disk, Block: b}, &sc.g); key >= 0 {
+			out = append(out, diskMember{key, b})
+		}
+	}
+	slices.SortFunc(out, func(a, b diskMember) int { return cmp.Compare(a.key, b.key) })
+	return out
 }
 
 // idle reports whether every listed disk still has a read slot left
@@ -144,8 +205,8 @@ func (s *Server) pqBalance(g layout.Group, missing []int) ([]int, int) {
 // still has to read: every present member not read yet, except that a
 // lone erasure in a P+Q group is closed by one parity column alone — Q
 // is skipped unless the erasure IS Q (then the data members suffice and
-// P is skipped).
-func planReads(g layout.Group, missing []int, read []bool) []int {
+// P is skipped). The plan is appended to need.
+func planReads(g layout.Group, missing []int, read []bool, need []int) []int {
 	nd := len(g.Data)
 	skip := -1
 	if g.HasQ && len(missing) == 1 {
@@ -154,7 +215,6 @@ func planReads(g layout.Group, missing []int, read []bool) []int {
 			skip = nd
 		}
 	}
-	var need []int
 	for idx := range read {
 		if idx != skip && !read[idx] && !slices.Contains(missing, idx) {
 			need = append(need, idx)
@@ -184,6 +244,43 @@ type repairMode struct {
 	offRound bool
 }
 
+// repairScratch is what one repair needs besides block buffers. Repairs
+// run inside tick shards too (a corrupt block met on a healthy array), so
+// scratch comes off a freelist under blockMu, never from a bare field.
+type repairScratch struct {
+	g    layout.Group // the caller's group fill (repairAt)
+	bufs [][]byte
+	read []bool
+	need []int
+}
+
+func (s *Server) getScratch() *repairScratch {
+	s.blockMu.Lock()
+	defer s.blockMu.Unlock()
+	if n := len(s.scratchFree); n > 0 {
+		sc := s.scratchFree[n-1]
+		s.scratchFree = s.scratchFree[:n-1]
+		return sc
+	}
+	return new(repairScratch)
+}
+
+func (s *Server) putScratch(sc *repairScratch) {
+	s.blockMu.Lock()
+	s.scratchFree = append(s.scratchFree, sc)
+	s.blockMu.Unlock()
+}
+
+// repairAt is repairMember for the block at address a, whichever member
+// of its group that is.
+func (s *Server) repairAt(a layout.BlockAddr, mode repairMode) ([]byte, error) {
+	sc := s.getScratch()
+	t := s.lay.GroupAt(a, &sc.g)
+	data, err := s.repairMember(sc.g, t, mode)
+	s.putScratch(sc)
+	return data, err
+}
+
 // repairMember recovers member t of group g from the other members:
 // survey which are readable, plan the reads the erasure count needs,
 // (in idle mode) refuse before the first charge if a planned disk is
@@ -196,44 +293,60 @@ type repairMode struct {
 // caller owns it. Errors: errRepairStalled, or one wrapping
 // recovery.ErrUnrecoverable (raised from the survey with zero charges,
 // or the moment a late read failure exceeds the columns).
-func (s *Server) repairMember(g layout.Group, t int, mode repairMode) (out []byte, err error) {
+func (s *Server) repairMember(g layout.Group, t int, mode repairMode) ([]byte, error) {
 	nd, cols := len(g.Data), parityCols(g)
-	lost := func(missing []int) error {
-		return fmt.Errorf("%w: %d members of the group of block %d unavailable, parity covers %d",
-			recovery.ErrUnrecoverable, len(missing), g.Data[0], cols)
-	}
 	var scratch [4]int
 	missing := s.unreadable(g, t, scratch[:0])
 	if len(missing) > cols {
-		return nil, lost(missing)
+		return nil, errLost(g, len(missing))
 	}
-	missing, synth := s.pqBalance(g, missing)
-
 	// bufs follows the member numbering; without a Q column bufs[nd+1]
 	// stays nil, which is RecoverPQ's single-parity form.
-	bufs := make([][]byte, nd+2)
+	sc := s.getScratch()
+	sc.bufs = slices.Grow(sc.bufs[:0], nd+2)[:nd+2] // all nil: cleared on release
+	sc.read = slices.Grow(sc.read[:0], nd+cols)[:nd+cols]
+	clear(sc.read)
 	for idx := 0; idx < nd+cols; idx++ {
-		bufs[idx] = s.getBlock()
+		sc.bufs[idx] = s.getBlock()
 	}
-	defer func() {
-		for idx, b := range bufs[:nd+cols] {
-			if idx != t || err != nil {
-				s.putBlock(b)
-			}
+	err := s.solve(sc, g, missing, mode)
+	var out []byte
+	for idx, b := range sc.bufs[:nd+cols] {
+		if idx == t && err == nil {
+			out = b
+		} else {
+			s.putBlock(b)
 		}
-	}()
-	read := make([]bool, nd+cols)
+	}
+	clear(sc.bufs)
+	s.putScratch(sc)
+	return out, err
+}
+
+// errLost reports a group with more members unavailable than its parity
+// columns cover.
+func errLost(g layout.Group, missing int) error {
+	return fmt.Errorf("%w: %d members of the group of block %d unavailable, parity covers %d",
+		recovery.ErrUnrecoverable, missing, g.Data[0], parityCols(g))
+}
+
+// solve is repairMember's plan → gate → read → RecoverPQ loop over the
+// block buffers in sc: on success every erased member's buffer holds its
+// recovered bytes.
+func (s *Server) solve(sc *repairScratch, g layout.Group, missing []int, mode repairMode) error {
+	nd, cols := len(g.Data), parityCols(g)
+	missing, synth := s.pqBalance(g, missing)
 	for replan := true; replan; {
 		replan = false
-		need := planReads(g, missing, read)
+		sc.need = planReads(g, missing, sc.read, sc.need[:0])
 		if mode.idle {
-			for _, idx := range need {
+			for _, idx := range sc.need {
 				if !s.idle(memberAddr(g, idx)) {
-					return nil, errRepairStalled
+					return errRepairStalled
 				}
 			}
 		}
-		for _, idx := range need {
+		for _, idx := range sc.need {
 			a := memberAddr(g, idx)
 			if !mode.offRound {
 				s.charge(a.Disk)
@@ -241,8 +354,8 @@ func (s *Server) repairMember(g layout.Group, t int, mode repairMode) (out []byt
 					*mode.ledger++
 				}
 			}
-			read[idx] = true
-			if s.readMemberInto(a, bufs[idx]) == nil {
+			sc.read[idx] = true
+			if s.readMemberInto(a, sc.bufs[idx]) == nil {
 				continue
 			}
 			if synth >= 0 {
@@ -250,27 +363,24 @@ func (s *Server) repairMember(g layout.Group, t int, mode repairMode) (out []byt
 				synth = -1
 			}
 			if missing = append(missing, idx); len(missing) > cols {
-				return nil, lost(missing)
+				return errLost(g, len(missing))
 			}
 			replan = true
 			break
 		}
 	}
-	if err := recovery.RecoverPQ(bufs[:nd], bufs[nd], bufs[nd+1], missing); err != nil {
-		return nil, err
-	}
-	return bufs[t], nil
+	return recovery.RecoverPQ(sc.bufs[:nd], sc.bufs[nd], sc.bufs[nd+1], missing)
 }
 
-// repairInPlace recovers member m, whose direct read failed with cause —
-// a latent bad block, a checksum mismatch, or a block not yet rebuilt
-// onto its spare — rewrites it where it lives (which re-records its
-// checksum) and books the repair under the cause's counter. A stalled
+// repairInPlace recovers the block at a, whose direct read failed with
+// cause — a latent bad block, a checksum mismatch, or a block not yet
+// rebuilt onto its spare — rewrites it where it lives (which re-records
+// its checksum) and books the repair under the cause's counter. A stalled
 // repair books nothing, so its retry is not counted twice. The
 // recovered block is returned even when the rewrite is refused: the
 // bytes are good, only the medium is not.
-func (s *Server) repairInPlace(g layout.Group, m groupMember, cause error, mode repairMode) ([]byte, error) {
-	data, err := s.repairMember(g, m.idx, mode)
+func (s *Server) repairInPlace(a layout.BlockAddr, cause error, mode repairMode) ([]byte, error) {
+	data, err := s.repairAt(a, mode)
 	if err == errRepairStalled {
 		return nil, err
 	}
@@ -283,7 +393,7 @@ func (s *Server) repairInPlace(g layout.Group, m groupMember, cause error, mode 
 	if err != nil {
 		return nil, err
 	}
-	if s.store.Array.Write(m.addr.Disk, m.addr.Block, data) != nil {
+	if s.store.Array.Write(a.Disk, a.Block, data) != nil {
 		return data, nil
 	}
 	switch {
@@ -292,7 +402,7 @@ func (s *Server) repairInPlace(g layout.Group, m groupMember, cause error, mode 
 	case errors.Is(cause, storage.ErrBadBlock):
 		// Sector remap: the rewrite lands on a good sector.
 		if s.injector != nil {
-			s.injector.ClearBadBlock(m.addr.Disk, m.addr.Block)
+			s.injector.ClearBadBlock(a.Disk, a.Block)
 		}
 		s.badBlockRepairs++
 	default:
@@ -300,11 +410,4 @@ func (s *Server) repairInPlace(g layout.Group, m groupMember, cause error, mode 
 		s.rebuiltBlocks++
 	}
 	return data, nil
-}
-
-// reconstruct serves logical data block i from its parity group: the
-// degraded read.
-func (s *Server) reconstruct(i int64) ([]byte, error) {
-	g := s.lay.GroupOf(i)
-	return s.repairMember(g, slices.Index(g.Data, i), repairMode{})
 }

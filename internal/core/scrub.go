@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"ftcms/internal/layout"
 	"ftcms/internal/storage"
@@ -23,26 +22,29 @@ import (
 // whenever the server is not fully healthy: during degraded mode and
 // rebuilds, every spare read belongs to reconstruction, not patrol.
 
-// scrubState is one in-progress sweep.
+// scrubState is one sweep: a cursor over the array's physical addresses —
+// C-SCAN order is physical order — that stops at every written block. The
+// zero value (total 0) means no sweep is in progress.
 type scrubState struct {
-	queue []groupMember
-	next  int
+	// pos numbers the next address the sweep examines, ascending block
+	// and ties by disk: block·d + disk.
+	pos int64
+	// scanned counts the blocks visited; total is the array's written
+	// blocks as the sweep began.
+	scanned, total int
 }
 
-// buildScrubQueue snapshots the stored blocks into a C-SCAN-ordered
-// sweep: every clip data block, plus one entry per distinct P and Q
-// block.
-func (s *Server) buildScrubQueue() *scrubState {
-	var queue []groupMember
-	s.storedMembers(func(m groupMember) { queue = append(queue, m) })
-	// C-SCAN: one monotone pass across the physical block address space.
-	sort.Slice(queue, func(a, b int) bool {
-		if queue[a].addr.Block != queue[b].addr.Block {
-			return queue[a].addr.Block < queue[b].addr.Block
+// seek moves the cursor to the next written block at or after pos and
+// returns its address; ok is false once the sweep is past the array's
+// last block.
+func (sc *scrubState) seek(arr *storage.Array) (a layout.BlockAddr, ok bool) {
+	d := int64(arr.Disks())
+	for end := arr.Extent() * d; sc.pos < end; sc.pos++ {
+		if a = (layout.BlockAddr{Disk: int(sc.pos % d), Block: sc.pos / d}); arr.Written(a.Disk, a.Block) {
+			return a, true
 		}
-		return queue[a].addr.Disk < queue[b].addr.Disk
-	})
-	return &scrubState{queue: queue}
+	}
+	return a, false
 }
 
 // applyCorruptions lands the injector's due silent-corruption orders on
@@ -73,40 +75,38 @@ func (s *Server) scrubStep() {
 	if s.cfg.ScrubRate == 0 || s.Mode() != ModeHealthy {
 		return
 	}
-	if s.scrub == nil {
-		s.scrub = s.buildScrubQueue()
-		if len(s.scrub.queue) == 0 {
-			s.scrub = nil
+	arr := s.store.Array
+	sc := &s.scrub
+	if sc.total == 0 {
+		if sc.total = arr.WrittenBlocks(); sc.total == 0 {
 			return
 		}
 	}
-	budget := s.cfg.ScrubRate
-	if budget < 0 {
-		budget = len(s.scrub.queue) + 1
-	}
-	for s.scrub.next < len(s.scrub.queue) && budget > 0 {
-		e := s.scrub.queue[s.scrub.next]
-		if !s.idle(e.addr) {
-			return // no idle slot on this disk; resume here next round
+	// A negative rate is no cap: counting down from it never reaches 0.
+	for budget := s.cfg.ScrubRate; ; budget-- {
+		a, ok := sc.seek(arr)
+		if !ok {
+			s.scrubCycles++
+			s.scrub = scrubState{} // next round starts a fresh sweep
+			return
 		}
-		s.charge(e.addr.Disk)
-		budget--
-		err := s.scrubRead(e.addr)
+		if budget == 0 || !s.idle(a) {
+			return // out of budget, or of idle slots on this disk; resume here next round
+		}
+		s.charge(a.Disk)
+		err := s.scrubRead(a)
 		if s.Mode() != ModeHealthy {
 			// The verify read pushed the disk over a threshold and the
 			// detector declared it failed — rebuild owns the idle
 			// capacity from here.
 			return
 		}
-		switch {
-		case err == nil:
-			s.scrub.next++
-		case errors.Is(err, storage.ErrCorruptBlock), errors.Is(err, storage.ErrBadBlock):
+		if errors.Is(err, storage.ErrCorruptBlock) || errors.Is(err, storage.ErrBadBlock) {
 			// Rot, or a latent bad block the patrol found before any
 			// stream did: repair from the parity group, on idle capacity
 			// only — scrub repairs, like scrub reads, never intrude on
 			// the round budget.
-			data, rerr := s.repairInPlace(s.lay.GroupOf(e.logical), e, err, repairMode{idle: true})
+			data, rerr := s.repairInPlace(a, err, repairMode{idle: true})
 			if rerr == errRepairStalled {
 				return // the whole repair retries next round
 			}
@@ -116,16 +116,11 @@ func (s *Server) scrubStep() {
 			// A failed reconstruction (e.g. a second rotten member in the
 			// same group) is skipped: the next cycle retries after the
 			// sibling is repaired.
-			s.scrub.next++
-		default:
-			// Hard error or absent block: the detector scored what there
-			// was to score; patrol moves on.
-			s.scrub.next++
 		}
-	}
-	if s.scrub.next >= len(s.scrub.queue) {
-		s.scrubCycles++
-		s.scrub = nil // next round snapshots a fresh sweep
+		// Any other error is a hard error or an absent block: the detector
+		// scored what there was to score; patrol moves on.
+		sc.pos++
+		sc.scanned++
 	}
 }
 

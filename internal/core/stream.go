@@ -536,7 +536,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 	}
 	// Declustered / non-clustered: read the surviving members and parity
 	// now.
-	data, err := s.reconstruct(logical)
+	data, err := s.repairAt(addr, repairMode{})
 	if err != nil {
 		return err
 	}

@@ -33,16 +33,13 @@ func Sum(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
 }
 
-type key struct {
-	disk  int
-	block int64
-}
-
 // Map records one checksum per (disk, block) address. Safe for
 // concurrent use. The zero value is not usable; call NewMap.
 type Map struct {
-	mu   sync.RWMutex
-	sums map[key]uint32
+	mu sync.RWMutex
+	// sums is keyed by disk, then block, so that swapping a disk's medium
+	// drops its records without visiting any other disk's.
+	sums map[int]map[int64]uint32
 
 	// counters for Stats; atomic so Verify — on the hot read path,
 	// possibly from several tick shards at once — never takes the write
@@ -65,7 +62,7 @@ type Stats struct {
 
 // NewMap creates an empty checksum map.
 func NewMap() *Map {
-	return &Map{sums: make(map[key]uint32)}
+	return &Map{sums: make(map[int]map[int64]uint32)}
 }
 
 // Record stores the checksum of data for (disk, block), replacing any
@@ -73,7 +70,12 @@ func NewMap() *Map {
 func (m *Map) Record(disk int, block int64, data []byte) {
 	sum := Sum(data)
 	m.mu.Lock()
-	m.sums[key{disk, block}] = sum
+	blocks := m.sums[disk]
+	if blocks == nil {
+		blocks = make(map[int64]uint32)
+		m.sums[disk] = blocks
+	}
+	blocks[block] = sum
 	m.mu.Unlock()
 	m.recorded.Add(1)
 }
@@ -82,7 +84,7 @@ func (m *Map) Record(disk int, block int64, data []byte) {
 func (m *Map) Has(disk int, block int64) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	_, ok := m.sums[key{disk, block}]
+	_, ok := m.sums[disk][block]
 	return ok
 }
 
@@ -92,7 +94,7 @@ func (m *Map) Has(disk int, block int64) bool {
 // an error wrapping ErrMismatch.
 func (m *Map) Verify(disk int, block int64, data []byte) error {
 	m.mu.RLock()
-	want, ok := m.sums[key{disk, block}]
+	want, ok := m.sums[disk][block]
 	m.mu.RUnlock()
 	if !ok {
 		return nil
@@ -110,7 +112,7 @@ func (m *Map) Verify(disk int, block int64, data []byte) error {
 // Drop forgets the record for (disk, block).
 func (m *Map) Drop(disk int, block int64) {
 	m.mu.Lock()
-	delete(m.sums, key{disk, block})
+	delete(m.sums[disk], block)
 	m.mu.Unlock()
 }
 
@@ -120,11 +122,7 @@ func (m *Map) Drop(disk int, block int64) {
 // refills them.
 func (m *Map) DropDisk(disk int) {
 	m.mu.Lock()
-	for k := range m.sums {
-		if k.disk == disk {
-			delete(m.sums, k)
-		}
-	}
+	delete(m.sums, disk)
 	m.mu.Unlock()
 }
 
@@ -132,7 +130,11 @@ func (m *Map) DropDisk(disk int) {
 func (m *Map) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.sums)
+	n := 0
+	for _, blocks := range m.sums {
+		n += len(blocks)
+	}
+	return n
 }
 
 // Stats returns a counter snapshot.

@@ -109,22 +109,27 @@ func (l *Clustered) KindAt(addr BlockAddr) Kind {
 	return Data
 }
 
-// GroupOf implements Layout: the group of block i is the p−1 consecutive
+// GroupOf implements Layout.
+func (l *Clustered) GroupOf(i int64) Group {
+	g := newGroup(l.GroupSize())
+	l.GroupAt(l.Place(i), &g)
+	return g
+}
+
+// GroupAt implements Layout: the group at addr is the p−1 consecutive
 // logical blocks occupying its cluster at its level, with parity on the
 // cluster's parity disk at the same level.
-func (l *Clustered) GroupOf(i int64) Group {
-	addr := l.Place(i)
+func (l *Clustered) GroupAt(addr BlockAddr, g *Group) int {
+	checkDiskRange(addr.Disk, l.d)
 	c := addr.Disk / l.p
-	dd := int64(l.DataDisks())
-	first := addr.Block*dd + int64(c)*int64(l.p-1)
-	var g Group
+	first := addr.Block*int64(l.DataDisks()) + int64(c)*int64(l.p-1)
+	*g = Group{Data: g.Data[:0], DataAddr: g.DataAddr[:0]}
 	for k := 0; k < l.p-1; k++ {
-		li := first + int64(k)
-		g.Data = append(g.Data, li)
+		g.Data = append(g.Data, first+int64(k))
 		g.DataAddr = append(g.DataAddr, BlockAddr{Disk: c*l.p + k, Block: addr.Block})
 	}
 	g.Parity = BlockAddr{Disk: l.ParityDiskOf(c), Block: addr.Block}
-	return g
+	return addr.Disk % l.p
 }
 
 // ClusterOfBlock returns the cluster that stores logical block i.

@@ -130,39 +130,47 @@ func (l *Declustered) RowOf(i int64) int {
 	return int(m % int64(l.Table.R))
 }
 
-// GroupOf implements Layout: the parity group of logical block i consists
-// of the window-n occurrence of its set; every non-parity member is a data
-// block. The group is assembled straight from the table — set membership,
-// row and parity residue are all precomputed lookups — so the whole call
-// costs two small slice allocations.
+// GroupOf implements Layout.
 func (l *Declustered) GroupOf(i int64) Group {
-	addr := l.Place(i)
-	t := l.Table
+	g := newGroup(l.GroupSize())
+	l.GroupAt(l.Place(i), &g)
+	return g
+}
+
+// GroupAt implements Layout.
+func (l *Declustered) GroupAt(addr BlockAddr, g *Group) int {
+	return tableGroupAt(l.Table, l, false, addr, g)
+}
+
+// tableGroupAt is GroupAt for the PGT-driven placements: the group that
+// owns addr is the window-n occurrence of the set in addr's table cell,
+// one member per disk of the set at that disk's row of the window. Set
+// membership, rows and the parity rotation are precomputed lookups; l
+// decodes the data members' logical indices, and withQ selects the P+Q
+// rotation, which parks a second parity block per window.
+func tableGroupAt(t *pgt.Table, l Layout, withQ bool, addr BlockAddr, g *Group) int {
+	checkDiskRange(addr.Disk, t.D)
 	r := int64(t.R)
-	row := int(addr.Block % r)
 	n := addr.Block / r
-	s := t.Set(row, addr.Disk)
-	pd := t.ParityDisk(s, int(n))
-	disks := t.Disks(s)
-	out := Group{
-		Data:     make([]int64, 0, len(disks)-1),
-		DataAddr: make([]BlockAddr, 0, len(disks)-1),
+	s := t.Set(int(addr.Block%r), addr.Disk)
+	pd, qd := t.ParityDisk(s, int(n)), -1
+	if withQ {
+		qd = t.ParityDiskQ(s, int(n))
 	}
-	for _, m := range disks {
-		mrow := t.RowOf(s, m)
-		a := BlockAddr{Disk: m, Block: n*r + int64(mrow)}
-		if m == pd {
-			out.Parity = a
-			continue
+	*g = Group{Data: g.Data[:0], DataAddr: g.DataAddr[:0], HasQ: withQ}
+	for _, m := range t.Disks(s) {
+		a := BlockAddr{Disk: m, Block: n*r + int64(t.RowOf(s, m))}
+		switch m {
+		case pd:
+			g.Parity = a
+		case qd:
+			g.Q = a
+		default:
+			g.Data = append(g.Data, l.LogicalAt(a))
+			g.DataAddr = append(g.DataAddr, a)
 		}
-		li := l.LogicalAt(a)
-		if li < 0 {
-			panic("layout: non-parity group member decoded as parity")
-		}
-		out.Data = append(out.Data, li)
-		out.DataAddr = append(out.DataAddr, a)
 	}
-	return out
+	return g.member(addr)
 }
 
 // SuperClipped is the §5.1 variant used by the dynamic reservation scheme:
@@ -230,41 +238,4 @@ func (l *SuperClipped) LogicalAt(addr BlockAddr) (row int, i int64) {
 		return -1, -1
 	}
 	return row, int64(addr.Disk) + t*int64(l.Table.D)
-}
-
-// SuperBlock identifies one data block in the super-clipped store: the
-// super-clip (PGT row) it belongs to and its index within that super-clip.
-type SuperBlock struct {
-	Row   int
-	Index int64
-}
-
-// GroupOf returns the parity group of block i of super-clip row. Note that
-// a parity group generally spans *several* super-clips: its set occupies
-// different PGT rows in different columns, so each data member carries its
-// own (row, index) identity.
-func (l *SuperClipped) GroupOf(row int, i int64) (data []SuperBlock, dataAddr []BlockAddr, parity BlockAddr) {
-	addr := l.Place(row, i)
-	t := l.Table
-	r := int64(t.R)
-	n := addr.Block / r
-	s := t.Set(row, addr.Disk)
-	pd := t.ParityDisk(s, int(n))
-	disks := t.Disks(s)
-	data = make([]SuperBlock, 0, len(disks)-1)
-	dataAddr = make([]BlockAddr, 0, len(disks)-1)
-	for _, m := range disks {
-		a := BlockAddr{Disk: m, Block: n*r + int64(t.RowOf(s, m))}
-		if m == pd {
-			parity = a
-			continue
-		}
-		mrow, li := l.LogicalAt(a)
-		if li < 0 {
-			panic("layout: non-parity group member decoded as parity")
-		}
-		data = append(data, SuperBlock{Row: mrow, Index: li})
-		dataAddr = append(dataAddr, a)
-	}
-	return data, dataAddr, parity
 }

@@ -225,37 +225,6 @@ func TestSuperClippedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSuperClippedGroups: groups have p−1 data members on distinct disks
-// and include the queried block; members may come from other super-clips.
-func TestSuperClippedGroups(t *testing.T) {
-	l, err := NewSuperClipped(7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row < 3; row++ {
-		for i := int64(0); i < 50; i++ {
-			data, addrs, parity := l.GroupOf(row, i)
-			if len(data) != 2 || len(addrs) != 2 {
-				t.Fatalf("group (%d,%d): %d members, want 2", row, i, len(data))
-			}
-			self := false
-			disks := map[int]bool{parity.Disk: true}
-			for k, sb := range data {
-				if sb.Row == row && sb.Index == i {
-					self = true
-				}
-				if disks[addrs[k].Disk] {
-					t.Fatalf("group (%d,%d) repeats disk", row, i)
-				}
-				disks[addrs[k].Disk] = true
-			}
-			if !self {
-				t.Fatalf("group (%d,%d) missing self", row, i)
-			}
-		}
-	}
-}
-
 func TestSuperClippedPanics(t *testing.T) {
 	l, err := NewSuperClipped(7, 3)
 	if err != nil {

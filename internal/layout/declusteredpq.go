@@ -142,40 +142,16 @@ func (l *DeclusteredPQ) RowOf(i int64) int {
 	return int(m % int64(l.Table.R))
 }
 
-// GroupOf implements Layout: the group's data members in ascending
-// set-disk order (their positions fix the Q coefficients), plus the P
-// and Q addresses for this window's rotation.
+// GroupOf implements Layout.
 func (l *DeclusteredPQ) GroupOf(i int64) Group {
-	addr := l.Place(i)
-	t := l.Table
-	r := int64(t.R)
-	row := int(addr.Block % r)
-	n := addr.Block / r
-	s := t.Set(row, addr.Disk)
-	pd := t.ParityDisk(s, int(n))
-	qd := t.ParityDiskQ(s, int(n))
-	disks := t.Disks(s)
-	out := Group{
-		Data:     make([]int64, 0, len(disks)-2),
-		DataAddr: make([]BlockAddr, 0, len(disks)-2),
-		HasQ:     true,
-	}
-	for _, m := range disks {
-		mrow := t.RowOf(s, m)
-		a := BlockAddr{Disk: m, Block: n*r + int64(mrow)}
-		switch m {
-		case pd:
-			out.Parity = a
-		case qd:
-			out.Q = a
-		default:
-			li := l.LogicalAt(a)
-			if li < 0 {
-				panic("layout: non-parity group member decoded as parity")
-			}
-			out.Data = append(out.Data, li)
-			out.DataAddr = append(out.DataAddr, a)
-		}
-	}
-	return out
+	g := newGroup(l.GroupSize())
+	l.GroupAt(l.Place(i), &g)
+	return g
+}
+
+// GroupAt implements Layout: the data members come in ascending set-disk
+// order (their positions fix the Q coefficients), P and Q follow this
+// window's rotation.
+func (l *DeclusteredPQ) GroupAt(addr BlockAddr, g *Group) int {
+	return tableGroupAt(l.Table, l, true, addr, g)
 }

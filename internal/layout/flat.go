@@ -78,35 +78,48 @@ func (l *FlatUniform) parityTargetDisk(c int, g int64) int {
 	return (last + 1 + int(g%int64(l.d-(l.p-1)))) % l.d
 }
 
+// parityLevels counts the levels g' < limit of cluster c whose parity
+// lands on disk target, and returns the lowest such level (the others
+// follow at period M = d−(p−1)).
+func (l *FlatUniform) parityLevels(c, target int, limit int64) (count, first int64) {
+	M := int64(l.d - (l.p - 1))
+	// Levels g' with (base + g' mod M) mod d == target:
+	// g' mod M == (target - base) mod d, representable iff < M.
+	first = int64(((target-l.parityTargetDisk(c, 0))%l.d + l.d) % l.d)
+	if first >= M || limit <= first {
+		return 0, first
+	}
+	return (limit - first + M - 1) / M, first
+}
+
 // parityBlockNumber returns the disk block number holding parity for
 // (cluster c, level g) on its target disk: parity blocks follow the data
 // region in (cluster, level) order.
 func (l *FlatUniform) parityBlockNumber(c int, g int64) int64 {
 	target := l.parityTargetDisk(c, g)
-	seq := int64(0)
 	// Count parity blocks (c', g') lexicographically before (c, g) that
-	// also land on target. For cluster c', levels hitting target are
-	// g' ≡ g0(c') (mod M) with M = d−(p−1); count those with
-	// g' < levels (c' < c) or g' < g (c' == c).
-	M := int64(l.d - (l.p - 1))
-	for cp := 0; cp <= c; cp++ {
-		base := l.parityTargetDisk(cp, 0)
-		// Levels g' with (base + g' mod M) mod d == target:
-		// g' mod M == (target - base) mod d, representable iff < M.
-		off := ((target-base)%l.d + l.d) % l.d
-		if off >= int(M) {
-			continue
-		}
-		limit := l.levels() // exclusive bound on g'
-		if cp == c {
-			limit = g
-		}
-		if limit <= int64(off) {
-			continue
-		}
-		seq += (limit - int64(off) + M - 1) / M
+	// also land on target.
+	seq, _ := l.parityLevels(c, target, g)
+	for cp := 0; cp < c; cp++ {
+		n, _ := l.parityLevels(cp, target, l.levels())
+		seq += n
 	}
 	return l.levels() + seq
+}
+
+// parityGroupAt inverts parityBlockNumber: the (cluster, level) whose
+// parity block is addr, or ok=false when addr lies past the disk's last
+// parity block.
+func (l *FlatUniform) parityGroupAt(addr BlockAddr) (c int, g int64, ok bool) {
+	seq := addr.Block - l.levels()
+	for c := 0; c < l.Clusters(); c++ {
+		n, first := l.parityLevels(c, addr.Disk, l.levels())
+		if seq < n {
+			return c, first + seq*int64(l.d-(l.p-1)), true
+		}
+		seq -= n
+	}
+	return 0, 0, false
 }
 
 // LogicalAt implements Layout.
@@ -126,23 +139,36 @@ func (l *FlatUniform) KindAt(addr BlockAddr) Kind {
 	return Data
 }
 
-// GroupOf implements Layout: logical block i sits in cluster
-// c = (i mod d)/(p−1) at level g = i div d; its group is the p−1 blocks of
-// that cluster's level.
+// GroupOf implements Layout.
 func (l *FlatUniform) GroupOf(i int64) Group {
-	addr := l.Place(i)
-	c := addr.Disk / (l.p - 1)
-	g0 := addr.Block*int64(l.d) + int64(c)*int64(l.p-1)
-	var g Group
-	for k := 0; k < l.p-1; k++ {
-		g.Data = append(g.Data, g0+int64(k))
-		g.DataAddr = append(g.DataAddr, BlockAddr{Disk: c*(l.p-1) + k, Block: addr.Block})
-	}
-	g.Parity = BlockAddr{
-		Disk:  l.parityTargetDisk(c, addr.Block),
-		Block: l.parityBlockNumber(c, addr.Block),
-	}
+	g := newGroup(l.GroupSize())
+	l.GroupAt(l.Place(i), &g)
 	return g
+}
+
+// GroupAt implements Layout: a data block at level g of cluster
+// c = disk/(p−1) belongs to the p−1 blocks of that cluster's level; a
+// block past the data region is the parity of the (cluster, level) its
+// sequence number on the disk decodes to.
+func (l *FlatUniform) GroupAt(addr BlockAddr, g *Group) int {
+	checkDiskRange(addr.Disk, l.d)
+	c, level, idx := addr.Disk/(l.p-1), addr.Block, addr.Disk%(l.p-1)
+	*g = Group{Data: g.Data[:0], DataAddr: g.DataAddr[:0], Parity: addr}
+	if level >= l.levels() {
+		var ok bool
+		if c, level, ok = l.parityGroupAt(addr); !ok {
+			return -1
+		}
+		idx = l.p - 1
+	} else {
+		g.Parity = BlockAddr{Disk: l.parityTargetDisk(c, level), Block: l.parityBlockNumber(c, level)}
+	}
+	first := level*int64(l.d) + int64(c)*int64(l.p-1)
+	for k := 0; k < l.p-1; k++ {
+		g.Data = append(g.Data, first+int64(k))
+		g.DataAddr = append(g.DataAddr, BlockAddr{Disk: c*(l.p-1) + k, Block: level})
+	}
+	return idx
 }
 
 // ParityTargetClass returns the residue g mod (d−(p−1)) that determines

@@ -73,17 +73,18 @@ func (l *Interleaved) KindAt(addr BlockAddr) Kind {
 	return Data
 }
 
-// GroupOf implements Layout. Group members generally belong to different
+// GroupOf implements Layout.
+func (l *Interleaved) GroupOf(x int64) Group {
+	g := newGroup(l.GroupSize())
+	l.GroupAt(l.Place(x), &g)
+	return g
+}
+
+// GroupAt implements Layout. Group members generally belong to different
 // super-clips (§5.1), which the interleaved address space represents
 // naturally.
-func (l *Interleaved) GroupOf(x int64) Group {
-	row, i := l.split(x)
-	data, addrs, parity := l.S.GroupOf(row, i)
-	g := Group{Data: make([]int64, len(data)), DataAddr: addrs, Parity: parity}
-	for k, sb := range data {
-		g.Data[k] = l.join(sb.Row, sb.Index)
-	}
-	return g
+func (l *Interleaved) GroupAt(addr BlockAddr, g *Group) int {
+	return tableGroupAt(l.S.Table, l, false, addr, g)
 }
 
 // RowOf returns the super-clip (PGT row) of logical block x.

@@ -79,6 +79,36 @@ type Layout interface {
 	KindAt(addr BlockAddr) Kind
 	// GroupOf returns the parity group containing logical data block i.
 	GroupOf(i int64) Group
+	// GroupAt fills g with the parity group that owns the block at addr —
+	// a data, P or Q block alike — reusing g's slices, and returns addr's
+	// member index in it: k for Data[k], len(Data) for P, len(Data)+1 for
+	// Q. It returns -1, with g unspecified, when no group has a block at
+	// addr. Once g's slices have grown to the group size it allocates
+	// nothing; GroupOf(i) is GroupAt(Place(i)) into a fresh Group.
+	GroupAt(addr BlockAddr, g *Group) int
+}
+
+// newGroup returns an empty Group with room for the data members of a
+// parity group of size p: what every GroupOf fills through its own
+// GroupAt (a call on the concrete type, so the Group stays off the heap).
+func newGroup(p int) Group {
+	return Group{Data: make([]int64, 0, p-1), DataAddr: make([]BlockAddr, 0, p-1)}
+}
+
+// member returns addr's member index in g (see Layout.GroupAt).
+func (g *Group) member(addr BlockAddr) int {
+	for k, a := range g.DataAddr {
+		if a == addr {
+			return k
+		}
+	}
+	switch {
+	case addr == g.Parity:
+		return len(g.Data)
+	case g.HasQ && addr == g.Q:
+		return len(g.Data) + 1
+	}
+	return -1
 }
 
 // checkDiskRange panics on an out-of-range disk; placements are internal

@@ -126,15 +126,18 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 			return fmt.Errorf("recovery: missing index %d outside [0, %d)", idx, nd+cols)
 		}
 	}
-	// others collects the present data blocks, excluding positions x, y.
+	// others collects the present data blocks, excluding positions x, y,
+	// followed by P — on the stack for groups up to 16 wide: this too runs
+	// once per degraded read.
+	var stack [16][]byte
 	others := func(x, y int) [][]byte {
-		out := make([][]byte, 0, nd)
+		out := stack[:0]
 		for k, d := range data {
 			if k != x && k != y {
 				out = append(out, d)
 			}
 		}
-		return out
+		return append(out, p)
 	}
 
 	if len(missing) == 1 {
@@ -144,7 +147,7 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		case x == iQ:
 			QEncode(q, data...)
 		default:
-			XOR(data[x], append(others(x, -1), p)...)
+			XOR(data[x], others(x, -1)...)
 		}
 		return nil
 	}
@@ -155,7 +158,7 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		XOR(p, data...)
 		QEncode(q, data...)
 	case y == iQ && x < nd: // one data block and Q: data via P, then Q.
-		XOR(data[x], append(others(x, -1), p)...)
+		XOR(data[x], others(x, -1)...)
 		QEncode(q, data...)
 	case y == iP: // one data block and P: data via Q, then P.
 		buf := data[x]
@@ -168,7 +171,7 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		MulConst(buf, GInv(GExp(x)))
 		XOR(p, data...)
 	default: // two data blocks: the full two-erasure solve.
-		XOR(data[x], append(others(x, y), p)...)
+		XOR(data[x], others(x, y)...)
 		copy(data[y], q)
 		for k, d := range data {
 			if k != x && k != y {

@@ -106,6 +106,9 @@ type Array struct {
 	disks     []map[int64][]byte
 	state     []DiskState
 	hook      ReadHook
+	// extent is one past the highest block number ever written on any
+	// disk: the bound of a walk over the array's physical addresses.
+	extent int64
 	// sums holds one CRC-32C per written block; maintained by Write,
 	// checked by every read, dropped wholesale when a disk's medium is
 	// swapped (Replace/Repair).
@@ -184,6 +187,7 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	if !ok {
 		buf = make([]byte, a.blockSize)
 		a.disks[disk][block] = buf
+		a.extent = max(a.extent, block+1)
 	}
 	copy(buf, data)
 	a.sums.Record(disk, block, buf)
@@ -319,6 +323,25 @@ func (a *Array) Written(disk int, block int64) bool {
 	defer a.mu.RUnlock()
 	_, ok := a.disks[disk][block]
 	return ok
+}
+
+// Extent returns one past the highest block number ever written on any
+// disk — like Written and WrittenBlocks, a planning probe.
+func (a *Array) Extent() int64 {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.extent
+}
+
+// WrittenBlocks returns the number of blocks the array holds now.
+func (a *Array) WrittenBlocks() int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	n := 0
+	for _, blocks := range a.disks {
+		n += len(blocks)
+	}
+	return n
 }
 
 // Fail marks a disk as failed. Its contents become unreadable until
