@@ -364,8 +364,8 @@ func (c *Cluster) ClipSize(name string) int64 {
 }
 
 // candidates returns the clip's serving replica nodes, active replicas
-// first (each tier ordered by current stream load ascending, ties to
-// the lower node id), optionally skipping one node id. Draining
+// first (each tier ordered by current stream load ascending, ties in
+// placement order), optionally skipping one node id. Draining
 // replicas trail as a last resort: a stream never dies while any
 // serving replica exists, but new routes prefer nodes that are staying.
 func (c *Cluster) candidates(name string, skip int) []*node {
@@ -383,7 +383,7 @@ func (c *Cluster) candidates(name string, skip int) []*node {
 	}
 	byLoad := func(out []*node) {
 		sort.SliceStable(out, func(a, b int) bool {
-			return out[a].srv.Stats().Active < out[b].srv.Stats().Active
+			return out[a].srv.ActiveStreams() < out[b].srv.ActiveStreams()
 		})
 	}
 	byLoad(active)

@@ -198,8 +198,11 @@ type Stats struct {
 
 // Server is a fault-tolerant continuous media server.
 type Server struct {
-	cfg    Config
-	lay    layout.Layout
+	cfg Config
+	lay layout.Layout
+	// pgt is lay by its concrete type under the three PGT-driven schemes
+	// (nil under the others), whose admission coordinates are its rows.
+	pgt    *layout.Declustered
 	store  *recovery.Store
 	engine *sched.Engine
 	pool   *buffer.Pool
@@ -375,39 +378,11 @@ func New(cfg Config) (*Server, error) {
 		prefetchDepth: 1,
 	}
 
-	var lay layout.Layout
-	var err error
-	switch cfg.Scheme {
-	case Declustered:
-		lay, err = layout.NewDeclustered(cfg.D, cfg.P)
-	case DeclusteredDynamic:
-		var il *layout.Interleaved
-		il, err = layout.NewInterleaved(cfg.D, cfg.P)
-		if err == nil {
-			lay = il
-			s.nextFreeRow = make([]int64, il.Rows())
-		}
-	case PrefetchParityDisk:
-		lay, err = layout.NewPrefetchParityDisk(cfg.D, cfg.P)
-		s.prefetchDepth = int64(cfg.P - 1)
-	case PrefetchFlat:
-		lay, err = layout.NewFlatUniform(cfg.D, cfg.P, cfg.Capacity)
-		s.prefetchDepth = int64(cfg.P - 1)
-	case StreamingRAID:
-		lay, err = layout.NewStreamingRAID(cfg.D, cfg.P)
-		s.prefetchDepth = int64(cfg.P - 1)
-		s.groupFetch = true
-	case NonClustered:
-		lay, err = layout.NewNonClustered(cfg.D, cfg.P)
-	case DeclusteredPQ:
-		lay, err = layout.NewDeclusteredPQ(cfg.D, cfg.P)
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %q", cfg.Scheme)
-	}
+	lay, pgt, err := newLayout(cfg.Scheme, cfg.D, cfg.P, cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
-	s.lay = lay
+	s.lay, s.pgt = lay, pgt
 	s.erasures = parityCols(lay.GroupOf(0))
 
 	arr, err := storage.NewArray(cfg.D, int(cfg.Block.Bytes()))
@@ -437,32 +412,19 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	switch cfg.Scheme {
-	case Declustered:
-		r := lay.(*layout.Declustered).Rows()
-		f := cfg.F
-		if f < 1 {
-			f = 1
-		}
-		s.admitStatic, err = admission.NewStatic(cfg.D, r, cfg.Q, f)
-	case DeclusteredPQ:
-		// Same static contingency reservation as single-parity
-		// declustering; a double-degraded read still spreads over one
-		// parity group, only with up to one extra source per block.
-		r := lay.(*layout.DeclusteredPQ).Rows()
-		f := cfg.F
-		if f < 1 {
-			f = 1
-		}
-		s.admitStatic, err = admission.NewStatic(cfg.D, r, cfg.Q, f)
+	case PrefetchParityDisk, PrefetchFlat, StreamingRAID:
+		s.prefetchDepth = int64(cfg.P - 1)
+		s.groupFetch = cfg.Scheme == StreamingRAID
+	}
+	switch cfg.Scheme {
+	case Declustered, DeclusteredPQ, PrefetchFlat:
+		// P+Q keeps single parity's static contingency reservation: a
+		// double-degraded read still spreads over one parity group, only
+		// with up to one extra source per block.
+		s.admitStatic, err = admission.NewStatic(cfg.D, s.staticClasses(), cfg.Q, max(cfg.F, 1))
 	case DeclusteredDynamic:
-		s.admitDynamic, err = admission.NewDynamic(lay.(*layout.Interleaved).S.Table, cfg.Q)
-	case PrefetchFlat:
-		m := cfg.D - (cfg.P - 1)
-		f := cfg.F
-		if f < 1 {
-			f = 1
-		}
-		s.admitStatic, err = admission.NewStatic(cfg.D, m, cfg.Q, f)
+		s.nextFreeRow = make([]int64, pgt.Rows())
+		s.admitDynamic, err = admission.NewDynamic(pgt.Table, cfg.Q)
 	case PrefetchParityDisk, NonClustered:
 		dataDisks := cfg.D * (cfg.P - 1) / cfg.P
 		s.admitSimple, err = admission.NewSimple(dataDisks, cfg.Q)
@@ -473,6 +435,44 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// newLayout is the scheme → placement mapping, for New and for AddDisk's
+// wider array. pgt is lay by its concrete type when the scheme is driven
+// by a parity group table, nil otherwise.
+func newLayout(scheme Scheme, d, p int, capacity int64) (lay layout.Layout, pgt *layout.Declustered, err error) {
+	switch scheme {
+	case Declustered:
+		pgt, err = layout.NewDeclustered(d, p)
+	case DeclusteredPQ:
+		pgt, err = layout.NewDeclusteredPQ(d, p)
+	case DeclusteredDynamic:
+		pgt, err = layout.NewInterleaved(d, p)
+	case PrefetchParityDisk:
+		lay, err = layout.NewPrefetchParityDisk(d, p)
+	case PrefetchFlat:
+		lay, err = layout.NewFlatUniform(d, p, capacity)
+	case StreamingRAID:
+		lay, err = layout.NewStreamingRAID(d, p)
+	case NonClustered:
+		lay, err = layout.NewNonClustered(d, p)
+	default:
+		err = fmt.Errorf("core: unknown scheme %q", scheme)
+	}
+	if pgt != nil {
+		lay = pgt
+	}
+	return lay, pgt, err
+}
+
+// staticClasses returns m, the classes the static controller books per
+// disk: the PGT rows, or the flat placement's d−(p−1) parity-target
+// residues.
+func (s *Server) staticClasses() int {
+	if s.pgt != nil {
+		return s.pgt.Rows()
+	}
+	return s.cfg.D - (s.cfg.P - 1)
 }
 
 // BlockSize returns the configured block size.
@@ -523,9 +523,8 @@ func (s *Server) allocClip(size int64) (clipInfo, error) {
 	if s.cfg.Scheme == DeclusteredDynamic {
 		// §5.1: each clip lives wholly inside one super-clip; assign
 		// rows round-robin and allocate within the row.
-		il := s.lay.(*layout.Interleaved)
-		r := int64(il.Rows())
-		row := s.clipCount % il.Rows()
+		r := int64(s.pgt.Rows())
+		row := s.clipCount % s.pgt.Rows()
 		base := s.nextFreeRow[row]
 		if (base+blocks)*r > s.cfg.Capacity {
 			return clipInfo{}, fmt.Errorf("core: super-clip %d full: clip needs %d blocks", row, blocks)
@@ -706,13 +705,7 @@ func (s *Server) CheckAdmission() error {
 	switch {
 	case s.admitStatic != nil:
 		q, f := s.admitStatic.MaxPerRound(), s.admitStatic.Reserved()
-		m := s.cfg.D - (s.cfg.P - 1) // flat parity-target classes
-		if l, ok := s.lay.(*layout.Declustered); ok {
-			m = l.Rows()
-		}
-		if l, ok := s.lay.(*layout.DeclusteredPQ); ok {
-			m = l.Rows()
-		}
+		m := s.staticClasses()
 		for i := 0; i < s.cfg.D; i++ {
 			if l := s.admitStatic.DiskLoad(now, i); l > q-f {
 				return fmt.Errorf("core: disk %d booked %d streams > q-f=%d", i, l, q-f)

@@ -47,6 +47,21 @@ func newServer(t *testing.T, scheme Scheme, d, p int) *Server {
 	return s
 }
 
+// readAt reads the block at (disk, block) straight off the array.
+func readAt(s *Server, disk int, block int64) ([]byte, error) {
+	buf := make([]byte, s.store.Array.BlockSize())
+	if err := s.store.Array.ReadInto(disk, block, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// readLogical is readAt for logical block i.
+func readLogical(s *Server, i int64) ([]byte, error) {
+	a := s.lay.Place(i)
+	return readAt(s, a.Disk, a.Block)
+}
+
 func clipBytes(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]byte, n)

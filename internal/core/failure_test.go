@@ -171,7 +171,7 @@ func TestBadBlockRepairedInPlace(t *testing.T) {
 		t.Fatalf("%d hiccups", stats.Hiccups)
 	}
 	// The repair rewrote the physical block: a direct read now succeeds.
-	if _, err := s.store.Array.Read(addr.Disk, addr.Block); err != nil {
+	if _, err := readAt(s, addr.Disk, addr.Block); err != nil {
 		t.Fatalf("bad block not rewritten in place: %v", err)
 	}
 }
@@ -428,7 +428,8 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 		if addr.Disk != 2 || s.store.Array.Written(2, addr.Block) {
 			continue
 		}
-		if _, err := s.store.Array.ReadZero(2, addr.Block); errors.Is(err, storage.ErrNotWritten) {
+		buf := make([]byte, s.store.Array.BlockSize())
+		if err := s.store.Array.ReadZeroInto(2, addr.Block, buf); errors.Is(err, storage.ErrNotWritten) {
 			sawExplicit = true
 		} else {
 			t.Fatalf("unrebuilt block read as data: %v", err)

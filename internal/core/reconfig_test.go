@@ -111,12 +111,21 @@ func TestClipImportAbortReclaims(t *testing.T) {
 	}
 }
 
-// AddDisk re-layout: clips play byte-exactly across the flip, capacity
-// grows, admission re-audits, the migration stays within budget, and
-// fault injection still reaches the new array.
+// AddDisk re-layout, single parity and P+Q through the one PGT path: clips
+// play byte-exactly across the flip, which lands in the same round it
+// always did (recorded at commit 523f853), capacity grows, admission
+// re-audits before, during and after, the migration stays within budget,
+// and fault injection still reaches the new array.
 func TestAddDiskRelayout(t *testing.T) {
-	s := newServer(t, Declustered, 6, 3)
-	data := clipBytes(43, 120_000)
+	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
+		t.Run(string(scheme), func(t *testing.T) { addDiskRelayout(t, scheme) })
+	}
+}
+
+func addDiskRelayout(t *testing.T, scheme Scheme) {
+	const wantFlip = 3 // both schemes
+	s := newServer(t, scheme, 6, 3)
+	data := clipBytes(43, 1_200_000)
 	if err := s.AddClip("movie", data); err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +136,12 @@ func TestAddDiskRelayout(t *testing.T) {
 	}
 	// 7→8 disks has no BIBD construction at p=3; AddDisk must refuse
 	// with the layout's error rather than wedge.
-	wide := newServer(t, Declustered, 7, 3)
+	wide := newServer(t, scheme, 7, 3)
 	if err := wide.AddDisk(); err == nil {
 		t.Fatal("AddDisk to an unconstructible geometry succeeded")
+	}
+	if err := s.CheckAdmission(); err != nil {
+		t.Fatalf("before AddDisk: %v", err)
 	}
 	if err := s.AddDisk(); err != nil {
 		t.Fatal(err)
@@ -175,6 +187,12 @@ func TestAddDiskRelayout(t *testing.T) {
 	}
 	if s.Relayouting() {
 		t.Fatal("re-layout never finished")
+	}
+	if flipped != wantFlip {
+		t.Errorf("flipped in round %d, want %d", flipped, wantFlip)
+	}
+	if err := s.CheckAdmission(); err != nil {
+		t.Fatalf("after the flip: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("stream across flip differs: got %d bytes want %d", len(got), len(data))
@@ -260,5 +278,12 @@ func TestAddDiskUnsupportedScheme(t *testing.T) {
 	s := newServer(t, StreamingRAID, 6, 3)
 	if err := s.AddDisk(); err == nil {
 		t.Fatal("AddDisk on streaming RAID succeeded")
+	}
+	// The dynamic scheme shares the PGT layout type with the two schemes
+	// that can grow, but ties admission rows to the clip address space.
+	dyn := newServer(t, DeclusteredDynamic, 7, 3)
+	const want = `core: AddDisk unsupported for scheme "declustered-dynamic"`
+	if err := dyn.AddDisk(); err == nil || err.Error() != want {
+		t.Fatalf("AddDisk on the dynamic scheme: %v, want %s", err, want)
 	}
 }

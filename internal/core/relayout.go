@@ -28,7 +28,7 @@ import (
 
 // relayoutState tracks one in-flight AddDisk re-layout.
 type relayoutState struct {
-	lay   layout.Layout
+	lay   *layout.Declustered
 	store *recovery.Store
 	// queue lists, ascending, the logical indices of every stored clip
 	// block to copy onto the shadow array.
@@ -63,14 +63,7 @@ func (s *Server) AddDisk() error {
 		return errors.New("core: array not healthy; repair before growing")
 	}
 	d2 := s.cfg.D + 1
-	var lay2 layout.Layout
-	var err error
-	switch s.cfg.Scheme {
-	case Declustered:
-		lay2, err = layout.NewDeclustered(d2, s.cfg.P)
-	case DeclusteredPQ:
-		lay2, err = layout.NewDeclusteredPQ(d2, s.cfg.P)
-	}
+	_, lay2, err := newLayout(s.cfg.Scheme, d2, s.cfg.P, 0)
 	if err != nil {
 		return err
 	}
@@ -149,18 +142,7 @@ func (s *Server) relayoutStep() {
 func (s *Server) finishRelayout() {
 	rl := s.relayout
 	d2 := s.cfg.D + 1
-	var rows int
-	switch l := rl.lay.(type) {
-	case *layout.Declustered:
-		rows = l.Rows()
-	case *layout.DeclusteredPQ:
-		rows = l.Rows()
-	}
-	f := s.cfg.F
-	if f < 1 {
-		f = 1
-	}
-	newAdmit, err := admission.NewStatic(d2, rows, s.cfg.Q, f)
+	newAdmit, err := admission.NewStatic(d2, rl.lay.Rows(), s.cfg.Q, max(s.cfg.F, 1))
 	if err != nil {
 		// Geometry the admission layer cannot express (cannot happen for
 		// the supported schemes); abandon rather than wedge the server.
@@ -175,14 +157,7 @@ func (s *Server) finishRelayout() {
 			continue
 		}
 		pos := st.clip.block(min(st.nextFetch, st.clip.blocks-1))
-		var tk admission.Ticket
-		var ok bool
-		switch l := rl.lay.(type) {
-		case *layout.Declustered:
-			tk, ok = newAdmit.Admit(now, l.Place(pos).Disk, l.RowOf(pos))
-		case *layout.DeclusteredPQ:
-			tk, ok = newAdmit.Admit(now, l.Place(pos).Disk, l.RowOf(pos))
-		}
+		tk, ok := newAdmit.Admit(now, rl.lay.Place(pos).Disk, rl.lay.RowOf(pos))
 		if !ok {
 			return // defer the flip; retry next round with the old view intact
 		}
@@ -196,7 +171,7 @@ func (s *Server) finishRelayout() {
 		st.ticket = ticketRef{kind: ticketStatic, t: reissued[k]}
 	}
 	s.admitStatic = newAdmit
-	s.lay = rl.lay
+	s.lay, s.pgt = rl.lay, rl.lay
 	s.store = rl.store
 	s.cfg.D = d2
 	s.cfg.Capacity = rl.newCap

@@ -116,7 +116,7 @@ func repairCase(t *testing.T, scheme Scheme, lose []int, spare bool) (*Server, l
 	var want [][]byte
 	for idx := 0; idx < len(g.Data)+parityCols(g); idx++ {
 		a := memberAddr(g, idx)
-		b, err := arr.Read(a.Disk, a.Block)
+		b, err := readAt(s, a.Disk, a.Block)
 		if err != nil {
 			t.Fatalf("member %d not stored: %v", idx, err)
 		}

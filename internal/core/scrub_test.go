@@ -85,9 +85,9 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 		t.Fatalf("audit after repair = %v, want clean", audit)
 	}
 	bb := s.cfg.Block.Bytes()
-	got, err := s.store.ReadBlock(2)
+	got, err := readLogical(s, 2)
 	if err != nil {
-		t.Fatalf("ReadBlock after repair: %v", err)
+		t.Fatalf("read after repair: %v", err)
 	}
 	if !bytes.Equal(got, clip[2*bb:3*bb]) {
 		t.Fatal("repaired block is not byte-exact")
@@ -461,7 +461,7 @@ func TestChaosCorruptionIntegrity(t *testing.T) {
 	for i, clip := range clips {
 		ci := s.clips[string(rune('a'+i))]
 		for n := int64(0); n < ci.blocks; n++ {
-			got, err := s.store.ReadBlock(ci.block(n))
+			got, err := readLogical(s, ci.block(n))
 			if err != nil {
 				t.Fatalf("clip %d block %d: %v", i, n, err)
 			}
@@ -525,7 +525,7 @@ func TestScrubPatrolsQColumn(t *testing.T) {
 		}
 	}
 	bb := s.cfg.Block.Bytes()
-	if got, err := s.store.ReadBlock(7); err != nil || !bytes.Equal(got, clip[7*bb:8*bb]) {
+	if got, err := readLogical(s, 7); err != nil || !bytes.Equal(got, clip[7*bb:8*bb]) {
 		t.Fatalf("repaired data block: err %v, byte-exact %v", err, err == nil)
 	}
 	for _, i := range []int64{7, 60} {

@@ -167,20 +167,11 @@ func (s *Server) compactReg() {
 // coordinates.
 func (s *Server) admit(now int64, start int64) (ticketRef, bool) {
 	switch s.cfg.Scheme {
-	case Declustered:
-		l := s.lay.(*layout.Declustered)
-		addr := l.Place(start)
-		tk, ok := s.admitStatic.Admit(now, addr.Disk, l.RowOf(start))
-		return ticketRef{kind: ticketStatic, t: tk}, ok
-	case DeclusteredPQ:
-		l := s.lay.(*layout.DeclusteredPQ)
-		addr := l.Place(start)
-		tk, ok := s.admitStatic.Admit(now, addr.Disk, l.RowOf(start))
+	case Declustered, DeclusteredPQ:
+		tk, ok := s.admitStatic.Admit(now, s.pgt.Place(start).Disk, s.pgt.RowOf(start))
 		return ticketRef{kind: ticketStatic, t: tk}, ok
 	case DeclusteredDynamic:
-		l := s.lay.(*layout.Interleaved)
-		addr := l.Place(start)
-		tk, ok := s.admitDynamic.Admit(now, addr.Disk, l.RowOf(start))
+		tk, ok := s.admitDynamic.Admit(now, s.pgt.Place(start).Disk, s.pgt.RowOf(start))
 		return ticketRef{kind: ticketDynamic, t: tk}, ok
 	case PrefetchFlat:
 		l := s.lay.(*layout.FlatUniform)

@@ -106,7 +106,7 @@ func TestSilentCorruptionLandsOnArrayUndetectedByHook(t *testing.T) {
 	if slow, herr := in.Hook(1, 7); herr != nil || slow != 1 {
 		t.Fatalf("Hook = (%v, %v), want silent (1, nil)", slow, herr)
 	}
-	if _, err := arr.Read(1, 7); !errors.Is(err, storage.ErrCorruptBlock) {
+	if err := arr.ReadInto(1, 7, make([]byte, arr.BlockSize())); !errors.Is(err, storage.ErrCorruptBlock) {
 		t.Fatalf("read of rotted block = %v, want ErrCorruptBlock", err)
 	}
 	if st := in.Stats(); st.HardErrors != 0 || st.BadBlockErrors != 0 {

@@ -153,20 +153,21 @@ func TestHookOnArray(t *testing.T) {
 	})
 	arr.SetReadHook(in.Hook)
 	in.SetRound(1)
-	if _, err := arr.Read(0, 0); !errors.Is(err, storage.ErrFailed) {
+	buf := make([]byte, arr.BlockSize())
+	if err := arr.ReadInto(0, 0, buf); !errors.Is(err, storage.ErrFailed) {
 		t.Fatalf("fail-stop via array: %v", err)
 	}
 	if arr.Failed(0) {
 		t.Fatal("injector must not set the array's failure flag — detection does")
 	}
-	if _, err := arr.Read(1, 0); !errors.Is(err, storage.ErrBadBlock) {
+	if err := arr.ReadInto(1, 0, buf); !errors.Is(err, storage.ErrBadBlock) {
 		t.Fatalf("bad block via array: %v", err)
 	}
-	slow, err := arr.ReadTimedInto(2, 0, make([]byte, arr.BlockSize()))
+	slow, err := arr.ReadTimedInto(2, 0, buf)
 	if err != nil || slow != 8 {
 		t.Fatalf("slow read via array: slow=%v err=%v", slow, err)
 	}
-	if _, err := arr.Read(3, 0); err != nil {
+	if err := arr.ReadInto(3, 0, buf); err != nil {
 		t.Fatalf("untouched disk: %v", err)
 	}
 }

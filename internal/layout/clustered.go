@@ -101,14 +101,6 @@ func (l *Clustered) LogicalAt(addr BlockAddr) int64 {
 	return addr.Block*int64(l.DataDisks()) + int64(ord)
 }
 
-// KindAt implements Layout.
-func (l *Clustered) KindAt(addr BlockAddr) Kind {
-	if l.IsParityDisk(addr.Disk) {
-		return Parity
-	}
-	return Data
-}
-
 // GroupOf implements Layout.
 func (l *Clustered) GroupOf(i int64) Group {
 	g := newGroup(l.GroupSize())

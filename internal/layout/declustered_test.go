@@ -44,11 +44,6 @@ func TestFigure2GoldenPlacement(t *testing.T) {
 				if p := l.Place(want); p != addr {
 					t.Errorf("Place(D%d) = %v, want %v", want, p, addr)
 				}
-				if l.KindAt(addr) != Data {
-					t.Errorf("KindAt(%v) = parity, want data", addr)
-				}
-			} else if l.KindAt(addr) != Parity {
-				t.Errorf("KindAt(%v) = data, want parity", addr)
 			}
 		}
 	}
@@ -94,9 +89,6 @@ func TestDeclusteredRoundTrip(t *testing.T) {
 			if back := l.LogicalAt(addr); back != i {
 				t.Fatalf("(%d,%d): LogicalAt(Place(%d)) = %d", cfg.d, cfg.p, i, back)
 			}
-			if l.KindAt(addr) != Data {
-				t.Fatalf("(%d,%d): Place(%d) marked parity", cfg.d, cfg.p, i)
-			}
 		}
 	}
 }
@@ -138,7 +130,7 @@ func TestDeclusteredGroupInvariants(t *testing.T) {
 			if !foundSelf {
 				t.Fatalf("(%d,%d): group of %d does not contain it", cfg.d, cfg.p, i)
 			}
-			if l.KindAt(g.Parity) != Parity {
+			if l.LogicalAt(g.Parity) >= 0 {
 				t.Fatalf("(%d,%d): parity addr of %d holds data", cfg.d, cfg.p, i)
 			}
 		}
@@ -167,7 +159,7 @@ func TestDeclusteredParityShare(t *testing.T) {
 	for disk := 0; disk < 7; disk++ {
 		count := 0
 		for blk := int64(0); blk < 9; blk++ {
-			if l.KindAt(BlockAddr{Disk: disk, Block: blk}) == Parity {
+			if l.LogicalAt(BlockAddr{Disk: disk, Block: blk}) < 0 {
 				count++
 			}
 		}
@@ -196,54 +188,49 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-// --- SuperClipped ---
+// --- §5.1 super-clips: the row-first address space x = row + i·r ---
 
+// TestSuperClippedRoundTrip: block i of super-clip row is logical block
+// row + i·r; it round-trips, lives only in row-k disk blocks, and no
+// address is shared across super-clips.
 func TestSuperClippedRoundTrip(t *testing.T) {
 	for _, cfg := range []struct{ d, p int }{{7, 3}, {32, 8}, {32, 16}} {
-		l, err := NewSuperClipped(cfg.d, cfg.p)
+		l, err := NewInterleaved(cfg.d, cfg.p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := int64(l.Rows())
 		seen := map[BlockAddr]bool{}
-		for row := 0; row < l.Rows(); row++ {
+		for row := int64(0); row < r; row++ {
 			for i := int64(0); i < 300; i++ {
-				addr := l.Place(row, i)
+				x := row + i*r
+				addr := l.Place(x)
 				if seen[addr] {
 					t.Fatalf("(%d,%d): address %v reused across super-clips", cfg.d, cfg.p, addr)
 				}
 				seen[addr] = true
-				grow, gi := l.LogicalAt(addr)
-				if grow != row || gi != i {
-					t.Fatalf("(%d,%d): LogicalAt(Place(row %d, %d)) = (%d, %d)", cfg.d, cfg.p, row, i, grow, gi)
+				if back := l.LogicalAt(addr); back != x {
+					t.Fatalf("(%d,%d): LogicalAt(Place(row %d, %d)) = %d, want %d", cfg.d, cfg.p, row, i, back, x)
 				}
-				// Blocks of super-clip k live only in row-k disk blocks.
-				if int(addr.Block)%l.Rows() != row {
-					t.Fatalf("(%d,%d): super-clip %d block landed in row %d", cfg.d, cfg.p, row, int(addr.Block)%l.Rows())
+				if addr.Block%r != row || l.RowOf(x) != int(row) {
+					t.Fatalf("(%d,%d): super-clip %d block landed in row %d (RowOf %d)", cfg.d, cfg.p, row, addr.Block%r, l.RowOf(x))
 				}
 			}
 		}
 	}
 }
 
-func TestSuperClippedPanics(t *testing.T) {
-	l, err := NewSuperClipped(7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic(t, func() { l.Place(3, 0) })
-	mustPanic(t, func() { l.Place(0, -1) })
-}
-
 // TestSuperClippedConsecutiveDisks: successive blocks of a super-clip land
 // on consecutive disks (round-robin), which the §5 rotation argument needs.
 func TestSuperClippedConsecutiveDisks(t *testing.T) {
-	l, err := NewSuperClipped(32, 8)
+	l, err := NewInterleaved(32, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := int64(l.Rows())
 	for i := int64(0); i < 200; i++ {
-		a := l.Place(1, i)
-		b := l.Place(1, i+1)
+		a := l.Place(1 + i*r)
+		b := l.Place(1 + (i+1)*r)
 		if b.Disk != (a.Disk+1)%32 {
 			t.Fatalf("block %d on disk %d, block %d on disk %d: not consecutive", i, a.Disk, i+1, b.Disk)
 		}

@@ -131,14 +131,6 @@ func (l *FlatUniform) LogicalAt(addr BlockAddr) int64 {
 	return addr.Block*int64(l.d) + int64(addr.Disk)
 }
 
-// KindAt implements Layout.
-func (l *FlatUniform) KindAt(addr BlockAddr) Kind {
-	if l.LogicalAt(addr) < 0 {
-		return Parity
-	}
-	return Data
-}
-
 // GroupOf implements Layout.
 func (l *FlatUniform) GroupOf(i int64) Group {
 	g := newGroup(l.GroupSize())

@@ -142,9 +142,6 @@ func TestFlatRoundTrip(t *testing.T) {
 		if back := l.LogicalAt(addr); back != i {
 			t.Fatalf("LogicalAt(Place(%d)) = %d", i, back)
 		}
-		if l.KindAt(addr) != Data {
-			t.Fatalf("Place(%d) marked parity", i)
-		}
 	}
 }
 

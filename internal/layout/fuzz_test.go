@@ -3,34 +3,50 @@ package layout
 import "testing"
 
 // FuzzDeclusteredRoundTrip: Place/LogicalAt stay inverse for arbitrary
-// block indices across several geometries, including the approximate
-// designs of the paper's evaluation.
+// block indices in all three flavours of the PGT placement across several
+// geometries, including the approximate designs of the paper's evaluation.
 func FuzzDeclusteredRoundTrip(f *testing.F) {
 	f.Add(uint16(0))
 	f.Add(uint16(41))
 	f.Add(uint16(65535))
-	geometries := []struct{ d, p int }{{7, 3}, {13, 4}, {32, 8}, {32, 2}, {32, 32}}
-	layouts := make([]*Declustered, len(geometries))
-	for i, g := range geometries {
-		l, err := NewDeclustered(g.d, g.p)
-		if err != nil {
-			f.Fatal(err)
+	var layouts []Layout
+	for _, fl := range pgtFlavours {
+		for _, g := range [][2]int{{7, 3}, {13, 4}, {32, 8}, {32, 2}, {32, 32}} {
+			if g[1] < fl.minP {
+				continue
+			}
+			l, err := fl.new(g[0], g[1])
+			if err != nil {
+				f.Fatal(err)
+			}
+			layouts = append(layouts, l)
 		}
-		layouts[i] = l
 	}
 	f.Fuzz(func(t *testing.T, raw uint16) {
 		x := int64(raw)
-		for i, l := range layouts {
+		for _, l := range layouts {
+			d, p := l.Disks(), l.GroupSize()
 			addr := l.Place(x)
 			if back := l.LogicalAt(addr); back != x {
-				t.Fatalf("geometry %v: LogicalAt(Place(%d)) = %d", geometries[i], x, back)
+				t.Fatalf("%s(%d,%d): LogicalAt(Place(%d)) = %d", l.Name(), d, p, x, back)
 			}
 			g := l.GroupOf(x)
-			if len(g.Data) != geometries[i].p-1 {
-				t.Fatalf("geometry %v: group size %d", geometries[i], len(g.Data))
+			if want := p - parityColumns(g); len(g.Data) != want {
+				t.Fatalf("%s(%d,%d): %d data members, want %d", l.Name(), d, p, len(g.Data), want)
+			}
+			if k := g.member(addr); k < 0 || g.Data[k] != x {
+				t.Fatalf("%s(%d,%d): block %d is member %d of its group %+v", l.Name(), d, p, x, k, g)
 			}
 		}
 	})
+}
+
+// parityColumns is 2 for a P+Q group, else 1.
+func parityColumns(g Group) int {
+	if g.HasQ {
+		return 2
+	}
+	return 1
 }
 
 // FuzzClusteredInverse: arbitrary addresses decode consistently — every

@@ -1,7 +1,8 @@
 // Package layout implements the data/parity placements of Özden et al.
-// (SIGMOD 1996): the declustered-parity placement of §4.1 (Figure 2), its
-// super-clip variant for the dynamic reservation scheme (§5.1), the
-// clustered placement with dedicated parity disks shared by the
+// (SIGMOD 1996): the declustered-parity placement of §4.1 (Figure 2) —
+// one type that also carries its P+Q double-parity form and the super-clip
+// addressing of the dynamic reservation scheme (§5.1) — the clustered
+// placement with dedicated parity disks shared by the
 // pre-fetching scheme of §6.1, streaming RAID [TPBG93] and the
 // non-clustered scheme [BGM95], and the flat-uniform placement of §6.2
 // (Figure 3).
@@ -28,17 +29,6 @@ type BlockAddr struct {
 }
 
 func (a BlockAddr) String() string { return fmt.Sprintf("(disk %d, block %d)", a.Disk, a.Block) }
-
-// Kind identifies the content of a disk block.
-type Kind int
-
-// Disk block kinds.
-const (
-	// Data blocks hold clip content.
-	Data Kind = iota
-	// Parity blocks hold XOR parity for their group.
-	Parity
-)
 
 // Group describes one parity group: the logical indices of its data
 // blocks, their addresses, and the parity block's address. Data blocks
@@ -75,8 +65,6 @@ type Layout interface {
 	// LogicalAt returns the logical data block stored at addr, or -1 when
 	// the address holds parity.
 	LogicalAt(addr BlockAddr) int64
-	// KindAt reports whether addr holds data or parity.
-	KindAt(addr BlockAddr) Kind
 	// GroupOf returns the parity group containing logical data block i.
 	GroupOf(i int64) Group
 	// GroupAt fills g with the parity group that owns the block at addr —

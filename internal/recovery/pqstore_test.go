@@ -63,9 +63,9 @@ func TestPQStoreReconstructEveryPair(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := int64(0); i < n; i++ {
-				got, err := s.ReadBlock(i)
+				got, err := readBlock(s, i)
 				if err != nil {
-					t.Fatalf("disks %d+%d failed: ReadBlock(%d): %v", f1, f2, i, err)
+					t.Fatalf("disks %d+%d failed: readBlock(%d): %v", f1, f2, i, err)
 				}
 				if !bytes.Equal(got, deterministicBlock(i)) {
 					t.Fatalf("disks %d+%d failed: block %d reconstructed wrong", f1, f2, i)
@@ -95,8 +95,8 @@ func TestPQStoreTripleFailureUnrecoverable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.ReadBlock(0); !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("ReadBlock(0) with 3 group disks down: err = %v, want ErrUnrecoverable", err)
+	if _, err := readBlock(s, 0); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("readBlock(0) with 3 group disks down: err = %v, want ErrUnrecoverable", err)
 	}
 	// Blocks touching at most two failed disks must still be exact.
 	failed := map[int]bool{fail[0]: true, fail[1]: true, fail[2]: true}
@@ -118,9 +118,9 @@ func TestPQStoreTripleFailureUnrecoverable(t *testing.T) {
 		if down > 2 {
 			continue
 		}
-		got, err := s.ReadBlock(i)
+		got, err := readBlock(s, i)
 		if err != nil {
-			t.Fatalf("ReadBlock(%d) with %d group disks down: %v", i, down, err)
+			t.Fatalf("readBlock(%d) with %d group disks down: %v", i, down, err)
 		}
 		if !bytes.Equal(got, deterministicBlock(i)) {
 			t.Fatalf("block %d wrong with %d group disks down", i, down)
@@ -147,9 +147,9 @@ func TestPQStorePartialGroups(t *testing.T) {
 			t.Fatalf("VerifyParity(%d): %v", i, err)
 		}
 		if err := s.Array.Fail(s.Layout.Place(i).Disk); err == nil {
-			got, err := s.ReadBlock(i)
+			got, err := readBlock(s, i)
 			if err != nil {
-				t.Fatalf("ReadBlock(%d): %v", i, err)
+				t.Fatalf("readBlock(%d): %v", i, err)
 			}
 			if !bytes.Equal(got, deterministicBlock(i)) {
 				t.Fatalf("block %d wrong after its disk failed", i)

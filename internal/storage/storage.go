@@ -18,7 +18,7 @@
 //   - Rebuilding: a hot spare has been swapped in for a failed disk. The
 //     spare starts empty and is written block by block by the online
 //     rebuild. Present blocks read normally; absent blocks return
-//     ErrNotWritten and are NOT zero-filled by ReadZero — an unrebuilt
+//     ErrNotWritten and are NOT zero-filled by ReadZeroInto — an unrebuilt
 //     block must never masquerade as zeroes, or a concurrent second
 //     failure would silently corrupt reconstructions that XOR it in.
 //
@@ -45,7 +45,7 @@ import (
 var ErrFailed = errors.New("storage: disk failed")
 
 // ErrNotWritten is returned when reading a block that was never written.
-// Callers that treat absent blocks as zero-filled should use ReadZero.
+// Callers that treat absent blocks as zero-filled should use ReadZeroInto.
 var ErrNotWritten = errors.New("storage: block not written")
 
 // ErrBadBlock is returned for a latent sector error: the disk responds
@@ -194,25 +194,20 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	return nil
 }
 
-// Read returns a copy of the block at (disk, block). It fails with
-// ErrFailed for failed disks, ErrNotWritten for absent blocks, and
-// whatever the installed ReadHook injects.
-func (a *Array) Read(disk int, block int64) ([]byte, error) {
-	out, _, err := a.readTimed(disk, block, nil)
-	return out, err
-}
-
 // ReadInto copies the block at (disk, block) into dst, which must be
-// exactly blockSize bytes, with Read's error semantics. It exists so hot
-// paths (parity rebuild, reconstruction) can reuse scratch buffers
-// instead of allocating a copy per read.
+// exactly blockSize bytes. It fails with ErrFailed for failed disks,
+// ErrNotWritten for absent blocks, ErrCorruptBlock when the stored bytes
+// miss their checksum, and whatever the installed ReadHook injects.
 func (a *Array) ReadInto(disk int, block int64, dst []byte) error {
-	_, _, err := a.readTimed(disk, block, dst)
+	_, err := a.ReadTimedInto(disk, block, dst)
 	return err
 }
 
-// ReadZeroInto is ReadInto with ReadZero's short-group convention: an
-// absent block on a healthy disk fills dst with zeroes.
+// ReadZeroInto is ReadInto, except an absent block on a *healthy* disk
+// reads as zeroes — the convention parity maintenance uses for short
+// groups. On a rebuilding disk an absent block stays ErrNotWritten: it
+// has real contents that simply have not been rebuilt yet, and
+// zero-filling it would corrupt any reconstruction that XORs it in.
 func (a *Array) ReadZeroInto(disk int, block int64, dst []byte) error {
 	err := a.ReadInto(disk, block, dst)
 	if errors.Is(err, ErrNotWritten) && a.State(disk) == Healthy {
@@ -227,26 +222,20 @@ func (a *Array) ReadZeroInto(disk int, block int64, dst []byte) error {
 // fault-injection hook reported for this read (1 when no hook is
 // installed or the hook left timing alone). The health detector consumes
 // the multiplier as its timeout signal.
+//
+// The whole read runs under one read-lock — per-disk read counts are
+// atomic — so concurrent ticks sharded across cores never serialize on
+// the array. Holding the lock across the hook call is safe (hooks must
+// not call back into the Array) and makes the read atomic with respect to
+// a concurrent Fail.
 func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error) {
-	_, slow, err := a.readTimed(disk, block, dst)
-	return slow, err
-}
-
-// readTimed serves a physical read, copying the block into dst when
-// non-nil (dst must then be blockSize bytes) and into a fresh buffer
-// otherwise. The whole read runs under one read-lock — per-disk read
-// counts are atomic — so concurrent ticks sharded across cores never
-// serialize on the array. Holding the lock across the hook call is safe
-// (hooks must not call back into the Array) and makes the read atomic
-// with respect to a concurrent Fail.
-func (a *Array) readTimed(disk int, block int64, dst []byte) ([]byte, float64, error) {
 	if err := a.checkAddr(disk, block); err != nil {
-		return nil, 1, err
+		return 1, err
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.state[disk] == Failed {
-		return nil, 1, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrFailed)
+		return 1, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrFailed)
 	}
 	slow := 1.0
 	if h := a.hook; h != nil {
@@ -256,45 +245,26 @@ func (a *Array) readTimed(disk int, block int64, dst []byte) ([]byte, float64, e
 			slow = 1
 		}
 		if err != nil {
-			return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, err)
+			return slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, err)
 		}
 	}
 	buf, ok := a.disks[disk][block]
 	if !ok {
-		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
+		return slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
 	}
 	if verr := a.sums.Verify(disk, block, buf); verr != nil {
 		// The disk answered with the wrong bytes. Surfacing the error —
 		// instead of the data — is the whole point of the checksum
 		// layer: corrupt bytes must never reach a stream or be XORed
 		// into a reconstruction. The read is not counted as served.
-		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w: %v", disk, block, ErrCorruptBlock, verr)
+		return slow, fmt.Errorf("storage: read disk %d block %d: %w: %v", disk, block, ErrCorruptBlock, verr)
 	}
 	atomic.AddInt64(&a.reads[disk], 1)
-	if dst != nil {
-		if len(dst) != a.blockSize {
-			return nil, slow, fmt.Errorf("storage: read into %d bytes, want block size %d", len(dst), a.blockSize)
-		}
-		copy(dst, buf)
-		return dst, slow, nil
+	if len(dst) != a.blockSize {
+		return slow, fmt.Errorf("storage: read into %d bytes, want block size %d", len(dst), a.blockSize)
 	}
-	out := make([]byte, a.blockSize)
-	copy(out, buf)
-	return out, slow, nil
-}
-
-// ReadZero is Read, except an absent block on a *healthy* disk reads as
-// zeroes — the convention parity maintenance uses for short groups. On a
-// rebuilding disk an absent block stays ErrNotWritten: it has real
-// contents that simply have not been rebuilt yet, and zero-filling it
-// would corrupt any reconstruction that XORs it in.
-func (a *Array) ReadZero(disk int, block int64) ([]byte, error) {
-	out, err := a.Read(disk, block)
-	if errors.Is(err, ErrNotWritten) && a.State(disk) == Healthy {
-		atomic.AddInt64(&a.reads[disk], 1)
-		return make([]byte, a.blockSize), nil
-	}
-	return out, err
+	copy(dst, buf)
+	return slow, nil
 }
 
 // AllHealthy reports whether every disk is in the Healthy state — the

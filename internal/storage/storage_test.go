@@ -36,28 +36,39 @@ func TestNewArrayValidation(t *testing.T) {
 	}
 }
 
+// read and readZero are ReadInto and ReadZeroInto into a fresh buffer.
+func read(a *Array, disk int, block int64) ([]byte, error) {
+	buf := make([]byte, a.BlockSize())
+	if err := a.ReadInto(disk, block, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+func readZero(a *Array, disk int, block int64) ([]byte, error) {
+	buf := make([]byte, a.BlockSize())
+	if err := a.ReadZeroInto(disk, block, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	a := newArray(t)
 	data := block(0xAB, 16)
 	if err := a.Write(2, 7, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Read(2, 7)
+	got, err := read(a, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("read returned different bytes")
 	}
-	// Mutating the returned buffer must not affect the stored block.
-	got[0] = 0
-	got2, _ := a.Read(2, 7)
-	if got2[0] != 0xAB {
-		t.Fatal("Read returned aliased buffer")
-	}
-	// Mutating the written buffer must not either.
+	// Mutating the written buffer must not affect the stored block.
 	data[1] = 0
-	got3, _ := a.Read(2, 7)
+	got3, _ := read(a, 2, 7)
 	if got3[1] != 0xAB {
 		t.Fatal("Write aliased caller's buffer")
 	}
@@ -81,18 +92,18 @@ func TestWriteValidation(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	a := newArray(t)
-	if _, err := a.Read(0, 0); !errors.Is(err, ErrNotWritten) {
+	if _, err := read(a, 0, 0); !errors.Is(err, ErrNotWritten) {
 		t.Errorf("absent block: %v, want ErrNotWritten", err)
 	}
-	if _, err := a.Read(9, 0); err == nil {
+	if _, err := read(a, 9, 0); err == nil {
 		t.Error("accepted out-of-range disk")
 	}
-	got, err := a.ReadZero(0, 0)
+	got, err := readZero(a, 0, 0)
 	if err != nil {
-		t.Fatalf("ReadZero on absent block: %v", err)
+		t.Fatalf("ReadZeroInto on absent block: %v", err)
 	}
 	if !bytes.Equal(got, block(0, 16)) {
-		t.Error("ReadZero returned non-zero data")
+		t.Error("ReadZeroInto returned non-zero data")
 	}
 }
 
@@ -107,11 +118,11 @@ func TestFailRepair(t *testing.T) {
 	if !a.Failed(1) || a.Failed(0) {
 		t.Fatal("failure flags wrong")
 	}
-	if _, err := a.Read(1, 0); !errors.Is(err, ErrFailed) {
+	if _, err := read(a, 1, 0); !errors.Is(err, ErrFailed) {
 		t.Errorf("read of failed disk: %v, want ErrFailed", err)
 	}
-	if _, err := a.ReadZero(1, 0); !errors.Is(err, ErrFailed) {
-		t.Errorf("ReadZero of failed disk: %v, want ErrFailed", err)
+	if _, err := readZero(a, 1, 0); !errors.Is(err, ErrFailed) {
+		t.Errorf("ReadZeroInto of failed disk: %v, want ErrFailed", err)
 	}
 	if err := a.Write(1, 1, block(0, 16)); !errors.Is(err, ErrFailed) {
 		t.Errorf("write to failed disk: %v, want ErrFailed", err)
@@ -127,7 +138,7 @@ func TestFailRepair(t *testing.T) {
 	if a.Failed(1) {
 		t.Fatal("still failed after repair")
 	}
-	if _, err := a.Read(1, 0); !errors.Is(err, ErrNotWritten) {
+	if _, err := read(a, 1, 0); !errors.Is(err, ErrNotWritten) {
 		t.Errorf("repaired disk should be empty: %v", err)
 	}
 }
@@ -148,11 +159,11 @@ func TestReadCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := a.Read(0, 0); err != nil {
+		if _, err := read(a, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.ReadZero(0, 5); err != nil { // absent: still counted
+	if _, err := readZero(a, 0, 5); err != nil { // absent: still counted
 		t.Fatal(err)
 	}
 	if got := a.ReadCount(0); got != 4 {
@@ -187,7 +198,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(disk int) {
 			var firstErr error
 			for i := int64(0); i < 50; i++ {
-				if _, err := a.ReadZero(disk, i); err != nil && firstErr == nil {
+				if _, err := readZero(a, disk, i); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}
@@ -236,18 +247,18 @@ func TestReplaceRejoinLifecycle(t *testing.T) {
 		t.Error("rebuilding disk reports Failed")
 	}
 	// The spare comes up empty: absent blocks are ErrNotWritten, and
-	// ReadZero must NOT zero-fill them.
-	if _, err := a.Read(2, 0); !errors.Is(err, ErrNotWritten) {
+	// ReadZeroInto must NOT zero-fill them.
+	if _, err := read(a, 2, 0); !errors.Is(err, ErrNotWritten) {
 		t.Fatalf("read of unrebuilt block: %v, want ErrNotWritten", err)
 	}
-	if _, err := a.ReadZero(2, 0); !errors.Is(err, ErrNotWritten) {
-		t.Fatalf("ReadZero of unrebuilt block: %v, want ErrNotWritten", err)
+	if _, err := readZero(a, 2, 0); !errors.Is(err, ErrNotWritten) {
+		t.Fatalf("ReadZeroInto of unrebuilt block: %v, want ErrNotWritten", err)
 	}
 	// Rebuild writes are accepted; rebuilt blocks read back.
 	if err := a.Write(2, 0, block(0xCD, 16)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Read(2, 0)
+	got, err := read(a, 2, 0)
 	if err != nil || !bytes.Equal(got, block(0xCD, 16)) {
 		t.Fatalf("rebuilt block read = %v, %v", got, err)
 	}
@@ -257,9 +268,9 @@ func TestReplaceRejoinLifecycle(t *testing.T) {
 	if a.State(2) != Healthy {
 		t.Fatalf("state after Rejoin = %v, want Healthy", a.State(2))
 	}
-	// ReadZero zero-fills absent blocks again once healthy.
-	if got, err := a.ReadZero(2, 9); err != nil || !bytes.Equal(got, make([]byte, 16)) {
-		t.Fatalf("ReadZero on healthy disk = %v, %v", got, err)
+	// ReadZeroInto zero-fills absent blocks again once healthy.
+	if got, err := readZero(a, 2, 9); err != nil || !bytes.Equal(got, make([]byte, 16)) {
+		t.Fatalf("ReadZeroInto on healthy disk = %v, %v", got, err)
 	}
 	if err := a.Rejoin(2); err == nil {
 		t.Error("Rejoin accepted a healthy disk")
@@ -283,7 +294,7 @@ func TestFailDuringRebuildFailsSpare(t *testing.T) {
 	if a.State(3) != Failed {
 		t.Fatalf("state = %v, want Failed", a.State(3))
 	}
-	if _, err := a.Read(3, 0); !errors.Is(err, ErrFailed) {
+	if _, err := read(a, 3, 0); !errors.Is(err, ErrFailed) {
 		t.Fatalf("read of re-failed spare: %v, want ErrFailed", err)
 	}
 }
@@ -301,7 +312,7 @@ func TestReadHookInjection(t *testing.T) {
 		}
 		return 3.5, nil
 	})
-	if _, err := a.Read(0, 0); !errors.Is(err, ErrBadBlock) {
+	if _, err := read(a, 0, 0); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("first read: %v, want ErrBadBlock", err)
 	}
 	got := make([]byte, 16)
@@ -317,7 +328,7 @@ func TestReadHookInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := calls
-	if _, err := a.Read(0, 0); !errors.Is(err, ErrFailed) {
+	if _, err := read(a, 0, 0); !errors.Is(err, ErrFailed) {
 		t.Fatalf("read of failed disk: %v, want ErrFailed", err)
 	}
 	if calls != before {
@@ -328,8 +339,8 @@ func TestReadHookInjection(t *testing.T) {
 	if err := a.Repair(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.ReadZero(0, 5); err != nil {
-		t.Fatalf("ReadZero after hook removal: %v", err)
+	if _, err := readZero(a, 0, 5); err != nil {
+		t.Fatalf("ReadZeroInto after hook removal: %v", err)
 	}
 }
 
