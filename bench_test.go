@@ -25,7 +25,6 @@ import (
 	"ftcms/internal/admission"
 	"ftcms/internal/analytic"
 	"ftcms/internal/bibd"
-	"ftcms/internal/core"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/experiments"
 	"ftcms/internal/layout"
@@ -244,53 +243,6 @@ func BenchmarkAdmissionDynamic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if tk, ok := dy.Admit(int64(i), i%32, i%tab.R); ok {
 			dy.Release(tk)
-		}
-	}
-}
-
-func BenchmarkServerTick(b *testing.B) {
-	// A loaded core server: 20 concurrent streams on 7 disks.
-	disk := diskmodel.Parameters{
-		TransferRate: 45 * units.Mbps, Settle: 0.05 * units.Millisecond,
-		Seek: 0.1 * units.Millisecond, Rotation: 0.1 * units.Millisecond,
-		Capacity: 2 * units.GB, PlaybackRate: 1.5 * units.Mbps,
-	}
-	srv, err := core.New(core.Config{
-		Scheme: core.Declustered, Disk: disk, D: 7, P: 3,
-		Block: 8 * units.KB, Q: 8, F: 3, Buffer: 256 * units.MB,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 800_000) // 100 blocks
-	if err := srv.AddClip("m", data); err != nil {
-		b.Fatal(err)
-	}
-	var streams []*core.Stream
-	for i := 0; i < 20; i++ {
-		st, err := srv.OpenStream("m")
-		if err != nil {
-			break
-		}
-		streams = append(streams, st)
-		srv.Tick() // stagger phases
-	}
-	buf := make([]byte, 64<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := srv.Tick(); err != nil {
-			b.Fatal(err)
-		}
-		for _, st := range streams {
-			st.Read(buf)
-		}
-		if i%50 == 49 { // restart finished streams to keep load steady
-			for j, st := range streams {
-				st.Close()
-				if ns, err := srv.OpenStream("m"); err == nil {
-					streams[j] = ns
-				}
-			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ftcms/internal/autopilot"
@@ -220,6 +221,109 @@ func TestPilotQuiescentStepAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("quiescent Step allocates %.1f per run, want 0", avg)
+	}
+}
+
+// TestQuiescentTickAllocs pins what the reconfiguration step and the
+// pilot add to every round for ever: after a join, a drain and the
+// drained node's retirement, a round of the cluster — Tick, the pilot's
+// Step when one is attached, every stream taking its block — allocates
+// nothing at TickWorkers: 1. At the default the per-node fan-out
+// (parallel.ForEach: its error slice, counter, wait group and goroutines)
+// costs a few objects a round on a multi-core machine; the pin there is
+// that the number does not depend on how many streams are open. The worker
+// count is fixed in New, so AllocsPerRun's GOMAXPROCS(1) does not hide it.
+func TestQuiescentTickAllocs(t *testing.T) {
+	build := func(workers, streams int, withPilot bool) func() int {
+		c, err := New(Config{
+			Nodes:       []core.Config{node6Config(), node6Config(), node6Config()},
+			Replication: 2, TickWorkers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := c.AddClip(fmt.Sprintf("clip%d", i), clipBytes(int64(i), 1_200_000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.JoinNode(node6Config()); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DrainNode(0); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; !slices.Contains(c.Stats().Retired, 0); r++ {
+			if r > 5000 {
+				t.Fatalf("drain never retired node 0: %+v", c.Stats())
+			}
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var pilot *Pilot
+		var open []*Stream
+		buf := make([]byte, 64<<10)
+		round := func() int {
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			if pilot != nil {
+				if _, acted, err := pilot.Step(); err != nil || acted {
+					t.Fatalf("quiescent cluster: pilot acted=%v err=%v", acted, err)
+				}
+			}
+			delivered := 0
+			for _, st := range open {
+				n, err := st.Read(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delivered += n
+			}
+			return delivered
+		}
+		// A clip's streams share an admission cell each round, so the
+		// population builds up over a few rounds; the pilot attaches after
+		// them, or the refusals on the way would read as a scale-out signal.
+		for i := 0; len(open) < streams; i++ {
+			if i > 10*streams {
+				t.Fatalf("admission stalled at %d of %d streams", len(open), streams)
+			}
+			st, err := c.OpenStream(fmt.Sprintf("clip%d", i%8))
+			if errors.Is(err, core.ErrAdmission) {
+				round()
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			open = append(open, st)
+		}
+		if withPilot {
+			pilot = NewPilot(c, node6Config(), autopilot.Config{})
+		}
+		return round
+	}
+	for _, withPilot := range []bool{false, true} {
+		for _, workers := range []int{1, 0} {
+			var allocs [2]float64
+			for i, streams := range []int{8, 48} {
+				round := build(workers, streams, withPilot)
+				delivered := 0
+				allocs[i] = testing.AllocsPerRun(100, func() { delivered += round() })
+				if want := 101 * streams * 8000; delivered != want {
+					t.Fatalf("delivered %d bytes over 101 rounds, want %d: not every stream got its block every round", delivered, want)
+				}
+			}
+			if workers == 1 && allocs != [2]float64{} {
+				t.Errorf("pilot=%v, TickWorkers 1: a quiescent round allocates %v objects at 8 and 48 streams, want 0", withPilot, allocs)
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("pilot=%v, TickWorkers %d: a quiescent round allocates %v objects at 8 streams and %v at 48", withPilot, workers, allocs[0], allocs[1])
+			}
+			t.Logf("pilot=%v TickWorkers=%d: %v allocs/round", withPilot, workers, allocs[0])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func nodeConfig() core.Config {
 	}
 }
 
-func testCluster(t *testing.T, nodes, rep int) *Cluster {
+func testCluster(t testing.TB, nodes, rep int) *Cluster {
 	t.Helper()
 	cfg := Config{Replication: rep}
 	for i := 0; i < nodes; i++ {
@@ -255,6 +256,43 @@ func TestFailoverResumesByteExact(t *testing.T) {
 		}
 	}
 	t.Fatalf("failover stream did not finish (offset %d of %d)", off, len(clip))
+}
+
+// BenchmarkFailNode times a node kill with streams in flight: every
+// stream the node was serving re-admits on the clip's other replica. The
+// repository benchmark has no workload that loses a node.
+func BenchmarkFailNode(b *testing.B) {
+	c := testCluster(b, 3, 2)
+	for i := 0; i < 8; i++ {
+		if err := c.AddClip(fmt.Sprintf("clip%d", i), clipBytes(int64(i), 256_000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var streams []*Stream
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, st := range streams {
+			st.Close()
+		}
+		streams = streams[:0]
+		if err := c.RejoinNode(0); err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 16; j++ {
+			st, err := c.OpenStream(fmt.Sprintf("clip%d", j%8))
+			if err != nil {
+				break // replicas full this round: kill the node under what was admitted
+			}
+			streams = append(streams, st)
+		}
+		b.StartTimer()
+		if err := c.FailNode(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(c.Stats().FailedOver)/float64(b.N), "failovers/op")
 }
 
 func TestUnreplicatedClipTerminatesWithStreamLost(t *testing.T) {

@@ -68,15 +68,17 @@ func newFailBench(tb testing.TB, streams, clips int, clipBlocks int64) *failBenc
 }
 
 // round is one service round: Tick, then every stream's reader takes the
-// block it was delivered.
-func (fb *failBench) round(tb testing.TB) {
+// block it was delivered. It returns the bytes taken.
+func (fb *failBench) round(tb testing.TB) (delivered int) {
 	tb.Helper()
 	if err := fb.s.Tick(); err != nil {
 		tb.Fatal(err)
 	}
 	for _, st := range fb.streams {
-		_, _ = st.Read(fb.buf) // io.EOF once played out: nothing more to take
+		n, _ := st.Read(fb.buf) // io.EOF once played out: nothing more to take
+		delivered += n
 	}
+	return delivered
 }
 
 // BenchmarkFailDisk times what a tolerated failure costs inside its round:
@@ -176,6 +178,25 @@ func TestFailDiskAllocs(t *testing.T) {
 	next := mallocs(func() { tick(t, s, 1) })
 	if s.scrub.scanned != 10 || start > next {
 		t.Errorf("sweep start allocated %d objects, the next round %d (scanned %d)", start, next, s.scrub.scanned)
+	}
+}
+
+// TestHealthyRoundAllocs pins the steady state from the same side: a
+// healthy round — Tick, then every stream takes its block — allocates
+// nothing once the population is admitted. 200 streams keep it cheap under
+// the race detector; the repository benchmark's steady workload measures
+// the same path at 4000 (core.allocs_per_round). The pin is for the
+// sequential tick (newFailBench sets TickWorkers: 1), so it holds on any
+// core count; a sharded tick pays its fan-out's few objects per round.
+func TestHealthyRoundAllocs(t *testing.T) {
+	fb := newFailBench(t, 200, 8, 1024)
+	delivered := 0
+	allocs := testing.AllocsPerRun(100, func() { delivered += fb.round(t) })
+	if want := 101 * len(fb.streams) * len(fb.buf); delivered != want {
+		t.Fatalf("delivered %d bytes over 101 rounds, want %d: not every stream was served every round", delivered, want)
+	}
+	if allocs != 0 {
+		t.Errorf("a healthy round of %d streams allocates %v objects, want 0", len(fb.streams), allocs)
 	}
 }
 

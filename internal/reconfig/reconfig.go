@@ -77,18 +77,6 @@ func (v View) Member(node int) (Member, bool) {
 	return Member{}, false
 }
 
-// Serving lists nodes still carrying streams: active and draining, in
-// node order.
-func (v View) Serving() []int {
-	var out []int
-	for _, m := range v.Members {
-		if m.State == Active || m.State == Draining {
-			out = append(out, m.Node)
-		}
-	}
-	return out
-}
-
 // Draining lists draining nodes in node order.
 func (v View) Draining() []int {
 	var out []int

@@ -91,8 +91,10 @@ func TestRetireAndRemoveGuards(t *testing.T) {
 		t.Fatal("shrinking SetDisks succeeded, want error")
 	}
 	v := l.View()
-	if got := v.Serving(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Serving() = %v, want [1 2]", got)
+	for node, want := range []State{Retired, Active, Active} {
+		if m, ok := v.Member(node); !ok || m.State != want {
+			t.Fatalf("node %d: member %+v (found %v), want state %v", node, m, ok, want)
+		}
 	}
 }
 

@@ -204,6 +204,71 @@ func TestRecoverPQSingleParity(t *testing.T) {
 	}
 }
 
+// benchGroup is a parity group of nd 256 KB data columns with P and Q.
+func benchGroup(nd int) (data [][]byte, p, q []byte) {
+	const size = 256 << 10
+	rng := rand.New(rand.NewSource(11))
+	data = make([][]byte, nd)
+	for k := range data {
+		data[k] = randBytes(rng, size)
+	}
+	p, q = make([]byte, size), make([]byte, size)
+	XOR(p, data...)
+	QEncode(q, data...)
+	return data, p, q
+}
+
+// BenchmarkQEncode times the Q-column kernel beside naiveQ, the reference
+// the tests check it against.
+func BenchmarkQEncode(b *testing.B) {
+	data, _, q := benchGroup(8)
+	for _, kernel := range []struct {
+		name string
+		fn   func()
+	}{
+		{"kernel", func() { QEncode(q, data...) }},
+		{"naive", func() { naiveQ(data) }},
+	} {
+		b.Run(kernel.name, func(b *testing.B) {
+			b.SetBytes(int64(len(q) * len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kernel.fn()
+			}
+		})
+	}
+}
+
+// BenchmarkRecoverPQ times each two-erasure class. The lost members are
+// cleared every iteration so that each one is a full reconstruction.
+func BenchmarkRecoverPQ(b *testing.B) {
+	const nd = 8
+	data, p, q := benchGroup(nd)
+	members := append(append([][]byte{}, data...), p, q)
+	for _, class := range []struct {
+		name    string
+		missing []int
+	}{
+		{"data-data", []int{1, 5}},
+		{"data-P", []int{2, nd}},
+		{"data-Q", []int{3, nd + 1}},
+		{"P-Q", []int{nd, nd + 1}},
+	} {
+		b.Run(class.name, func(b *testing.B) {
+			b.SetBytes(int64(len(p) * len(class.missing)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, m := range class.missing {
+					clear(members[m])
+				}
+				if err := RecoverPQ(data, p, q, class.missing); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzPQReconstruct round-trips the codec: derive a group from the fuzz
 // input, lose any two of the d+2 members, and require byte-exact
 // recovery of everything.

@@ -148,3 +148,32 @@ func TestSourceValidation(t *testing.T) {
 		t.Error("accepted end < start")
 	}
 }
+
+// BenchmarkPoissonSource drains a million-request Poisson stream (10k/s
+// over 100 s, a fresh source each op, as a simulation run pays for it)
+// through the uniform and the Zipf inverse-CDF selector.
+func BenchmarkPoissonSource(b *testing.B) {
+	zipf, err := NewZipfSelector(1000, 1.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sel := range []struct {
+		name string
+		sel  Selector
+	}{{"uniform", UniformSelector{N: 1000}}, {"zipf", zipf}} {
+		b.Run(sel.name, func(b *testing.B) {
+			arrivals := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				src, err := NewPoissonSource(10000, 100*units.Second, sel.sel, int64(i+1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, ok := src.Next(); ok; _, ok = src.Next() {
+					arrivals++
+				}
+			}
+			b.ReportMetric(float64(arrivals)/b.Elapsed().Seconds(), "arrivals/s")
+		})
+	}
+}
