@@ -36,7 +36,7 @@ import (
 
 func BenchmarkFigure1Parameters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.WriteFigure1(io.Discard); err != nil {
+		if err := experiments.Run(io.Discard, "cmopt", "figure1", experiments.Params{}, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func benchFigure5(b *testing.B, buffer units.Bits) {
 	var points []experiments.Figure5Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = experiments.Figure5(buffer)
+		points, err = experiments.Figure5(buffer, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,139 +1,49 @@
-// Command cmopt reproduces the analytical results of the paper: the
-// Figure 1 disk parameter table, the Figure 5 capacity curves (both
-// buffer sizes), per-scheme optimal operating points (the Figure 4
-// computeOptimal procedure), and the E9 staggered-buffering ablation.
+// Command cmopt reproduces the analytical results of the paper: every
+// analytic experiment of the registry in internal/experiments (`cmopt
+// -exp list` prints names, ids and one-line descriptions; EXPERIMENTS.md
+// has the measured tables).
 //
 // Usage:
 //
-//	cmopt                 # Figure 5, both panels
-//	cmopt -params         # Figure 1 parameter table
-//	cmopt -optimal        # computeOptimal for every scheme
-//	cmopt -staggered      # E9 staggered-buffering ablation
-//	cmopt -rebuild        # E11 rebuild-time/MTTDL ablation
-//	cmopt -conservatism   # E13 Equation-1 conservatism ablation
-//	cmopt -mttdl          # MTTDL vs storage overhead per redundancy level
-//	cmopt -csv            # CSV output (Figure 5 and -rebuild)
-//	cmopt -buffer 512MB   # custom buffer size
-//	cmopt -d 64           # custom array width (with -optimal)
+//	cmopt                     # Figure 5, both panels (-exp figure5)
+//	cmopt -exp rebuild -csv   # a registered experiment's columns as CSV
+//	cmopt -buffer 512MB       # custom buffer size instead of both paper sizes
+//	cmopt -exp optimal -d 64  # custom array width
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/cliutil"
 	"ftcms/internal/experiments"
-	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
 func main() {
-	params := flag.Bool("params", false, "print the Figure 1 disk parameter table")
-	optimal := flag.Bool("optimal", false, "print computeOptimal (Figure 4) results per scheme")
-	staggered := flag.Bool("staggered", false, "print the E9 staggered-buffering ablation")
-	rebuild := flag.Bool("rebuild", false, "print the E11 rebuild-time/MTTDL ablation")
-	conservatism := flag.Bool("conservatism", false, "print the E13 Equation-1 conservatism ablation")
-	mttdl := flag.Bool("mttdl", false, "print MTTDL vs storage overhead for single parity, P+Q and replication")
-	p := flag.Int("p", 4, "parity group size (with -mttdl)")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of a table (Figure 5 and -rebuild)")
+	var list strings.Builder
+	experiments.Run(&list, "cmopt", "list", experiments.Params{}, false) // a Builder takes every write
+	exp := flag.String("exp", "figure5", "print a registered experiment as a text table (with -csv: as CSV); -exp list prints these:\n"+list.String())
+	p := flag.Int("p", 4, "parity group size (with -exp mttdl)")
+	csvOut := flag.Bool("csv", false, "emit the table's columns as CSV instead of a text table")
 	bufferFlag := flag.String("buffer", "", "buffer size (e.g. 256MB, 2GB); default: both paper sizes")
-	d := flag.Int("d", 32, "number of disks")
+	d := flag.Int("d", 32, "number of disks (with -exp optimal and -exp mttdl)")
 	flag.Parse()
 
 	if _, err := cliutil.ParseGeometry(*d, 0); err != nil {
 		fatal(err)
 	}
-
-	if *params {
-		if err := experiments.WriteFigure1(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	buffers := experiments.BufferSizes
+	var buffer units.Bits
 	if *bufferFlag != "" {
-		b, err := cliutil.ParseSize(*bufferFlag)
-		if err != nil {
+		var err error
+		if buffer, err = cliutil.ParseSize(*bufferFlag); err != nil {
 			fatal(err)
 		}
-		buffers = []units.Bits{b}
 	}
-
-	switch {
-	case *mttdl:
-		if err := experiments.WriteMTTDLTradeoff(os.Stdout, *d, *p); err != nil {
-			fatal(err)
-		}
-	case *optimal:
-		for _, b := range buffers {
-			cfg := experiments.PaperAnalyticConfig(b)
-			cfg.D = *d
-			fmt.Printf("computeOptimal — d=%d, B=%v\n", *d, b)
-			for _, s := range analytic.Schemes() {
-				res, err := analytic.Optimize(cfg, s)
-				if err != nil {
-					fmt.Printf("  %-36s infeasible: %v\n", s, err)
-					continue
-				}
-				fmt.Printf("  %-36s p=%-3d b=%-9v q=%-3d f=%-3d -> %d clips\n",
-					s, res.P, res.Block, res.Q, res.F, res.Clips)
-			}
-			fmt.Println()
-		}
-	case *staggered:
-		for _, b := range buffers {
-			if err := experiments.WriteStaggeredAblation(os.Stdout, b); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-	case *conservatism:
-		for _, b := range buffers {
-			if err := experiments.WriteConservatismAblation(os.Stdout, b, 500, 1); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-	case *rebuild:
-		for _, b := range buffers {
-			if *csvOut {
-				pts, err := experiments.RebuildAblation(b)
-				if err != nil {
-					fatal(err)
-				}
-				if err := trace.WriteRebuildCSV(os.Stdout, pts); err != nil {
-					fatal(err)
-				}
-				continue
-			}
-			if err := experiments.WriteRebuildAblation(os.Stdout, b); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-	default:
-		if *d != 32 {
-			fatal(fmt.Errorf("figure 5 is defined for d=32; use -optimal with -d"))
-		}
-		for _, b := range buffers {
-			if *csvOut {
-				pts, err := experiments.Figure5(b)
-				if err != nil {
-					fatal(err)
-				}
-				if err := trace.WriteFigure5CSV(os.Stdout, pts); err != nil {
-					fatal(err)
-				}
-				continue
-			}
-			if err := experiments.WriteFigure5(os.Stdout, b); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
+	if err := experiments.Run(os.Stdout, "cmopt", *exp, experiments.Params{Buffer: buffer, D: *d, P: *p}, *csvOut); err != nil {
+		fatal(err)
 	}
 }
 

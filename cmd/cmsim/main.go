@@ -1,29 +1,15 @@
-// Command cmsim runs the paper's simulation study (§8.2): single runs,
-// the full Figure 6 panels, failure-injection experiments (E10), and the
-// admission-policy ablation (E8).
+// Command cmsim runs the paper's simulation study (§8.2): every
+// simulated experiment of the registry in internal/experiments (`cmsim
+// -exp list` prints names, ids and one-line descriptions; EXPERIMENTS.md
+// has the measured tables), single runs, and scenario days.
 //
 // Usage:
 //
-//	cmsim -grid                          # Figure 6, both panels
-//	cmsim -scheme declustered -p 8       # one run, metrics printed
-//	cmsim -scheme non-clustered -p 8 -fail 2 -failat 100
-//	cmsim -ablation                      # E8 admission ablation
-//	cmsim -continuity                    # E10 failure continuity table
-//	cmsim -fail 5 -failat 50 -rebuild    # E12 online rebuild
-//	cmsim -batch 10                      # E15 request batching window
-//	cmsim -mixed                         # E16 mixed-rate workload
-//	cmsim -integrity                     # E17 patrol-scrub vs. corruption sweep
-//	cmsim -doublefault                   # E18 double-failure sweep (single parity vs P+Q)
-//	cmsim -reconfig                      # E19 drain-under-prime-time reconfiguration sweep
-//	cmsim -scenario primetime-flashcrowd-rebuild   # internet-scale scenario day
-//	cmsim -scenario day.json -timeline tl.csv      # custom profile, timeline to CSV
-//	cmsim -scenario list                 # list the builtin scenarios
-//	cmsim -scenario primetime-autopilot -autopilot # closed-loop: autopilot drives reconfig
-//	cmsim -scenariosweep                 # E20 flash-crowd-during-node-loss sweep
-//	cmsim -autopilotsweep                # E21 closed-vs-open-loop reject curves
-//	cmsim -corrupt 5@100:40 -scrub -1    # rot 40 blocks of disk 5 at t=100s
-//	cmsim -dynamic                       # §5 dynamic reservation controller
-//	cmsim -csv                           # CSV output (-grid, -continuity, -integrity)
+//	cmsim -exp figure6                   # a registered experiment as a text table
+//	cmsim -exp continuity -csv           # the same columns as CSV
+//	cmsim -scheme non-clustered -p 8 -fail 2 -failat 100   # one run, metrics printed
+//	cmsim -scenario primetime-flashcrowd-rebuild           # a scenario day (-scenario list)
+//	cmsim -h                             # every single-run and scenario flag
 package main
 
 import (
@@ -32,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/autopilot"
 	"ftcms/internal/cliutil"
 	"ftcms/internal/diskmodel"
@@ -44,12 +29,12 @@ import (
 )
 
 func main() {
-	grid := flag.Bool("grid", false, "run the full Figure 6 grid (both buffer sizes)")
-	ablation := flag.Bool("ablation", false, "run the E8 admission-policy ablation")
-	continuity := flag.Bool("continuity", false, "run the E10 failure-continuity experiment")
+	var list strings.Builder
+	experiments.Run(&list, "cmsim", "list", experiments.Params{}, false) // a Builder takes every write
+	exp := flag.String("exp", "", "print a registered experiment as a text table (with -csv: as CSV); -exp list prints these:\n"+list.String())
 	schemeFlag := flag.String("scheme", "declustered", "scheme: "+strings.Join(cliutil.SchemeNames(), ", "))
 	p := flag.Int("p", 4, "parity group size")
-	bufferFlag := flag.String("buffer", "256MB", "server buffer (e.g. 256MB, 2GB)")
+	bufferFlag := flag.String("buffer", "", "server buffer (e.g. 256MB, 2GB); default 256MB, and with -exp also 2GB where the paper has two panels")
 	seed := flag.Int64("seed", 1, "random seed")
 	duration := flag.Float64("duration", 600, "simulated seconds")
 	rate := flag.Float64("rate", 20, "Poisson arrival rate (requests/second)")
@@ -58,31 +43,39 @@ func main() {
 	rebuildFlag := flag.Bool("rebuild", false, "rebuild the failed disk online from spare bandwidth")
 	dynamic := flag.Bool("dynamic", false, "use the §5 dynamic reservation controller (declustered only)")
 	bypass := flag.Int("bypass", 0, "pending-list bypass window (0: default 256, -1: strict FIFO)")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of tables (-grid and -continuity)")
+	csvOut := flag.Bool("csv", false, "with -exp: emit the table's columns as CSV; with -scenario: the timeline CSV to stdout")
 	batch := flag.Float64("batch", 0, "batching window in seconds (0: off): requests piggyback on same-clip streams")
-	mixed := flag.Bool("mixed", false, "run the E16 mixed-rate workload (audio + MPEG-1 + MPEG-2, declustered)")
-	integrity := flag.Bool("integrity", false, "run the E17 patrol-scrub vs. silent-corruption sweep")
-	doublefault := flag.Bool("doublefault", false, "run the E18 double-failure sweep (single parity vs P+Q)")
-	reconfig := flag.Bool("reconfig", false, "run the E19 drain-under-prime-time reconfiguration sweep")
 	scenarioFlag := flag.String("scenario", "", "run a scenario day: a builtin name, a profile JSON file, or 'list'")
-	scenarioSweep := flag.Bool("scenariosweep", false, "run the E20 flash-crowd-during-node-loss sweep")
 	autopilotFlag := flag.Bool("autopilot", false, "run the scenario closed-loop: the autopilot drives all reconfiguration")
-	autopilotSweep := flag.Bool("autopilotsweep", false, "run the E21 closed-vs-open-loop sweep")
 	timelineFlag := flag.String("timeline", "", "write the scenario timeline here (.json for JSON, else CSV; '-' for stdout)")
-	subscribers := flag.Int64("subscribers", 0, "override the scenario profile's subscriber count")
-	timescale := flag.Float64("timescale", 0, "override the scenario profile's time compression factor")
+	subscribers := flag.Int64("subscribers", 0, "override the scenario's (or scenario sweep's) subscriber count")
+	timescale := flag.Float64("timescale", 0, "override the scenario's (or scenario sweep's) time compression factor")
 	nodes := flag.Int("nodes", 0, "scenario cluster size (0: default 3; 1: single array)")
 	replication := flag.Int("rep", 0, "scenario replication factor (0: default 2)")
 	scrub := flag.Int("scrub", 0, "patrol scrub rate in verify reads per disk per round (0: off, -1: idle-bounded)")
 	corrupt := flag.String("corrupt", "", "silent-corruption script: disk@sec:blocks[,disk@sec:blocks...]")
-	workers := flag.Int("workers", 0, "parallel sweep workers for -grid (0: one per CPU, 1: sequential)")
+	workers := flag.Int("workers", 0, "parallel sweep workers (0: one per CPU, 1: sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	buffer, err := cliutil.ParseSize(*bufferFlag)
-	if err != nil {
-		fatal(err)
+	// -exp reaches an entry only through these flags; any other flag on
+	// the same command line belongs to a single run or a scenario day.
+	if *exp != "" {
+		applies := map[string]bool{"exp": true, "csv": true, "buffer": true, "seed": true, "workers": true,
+			"subscribers": true, "timescale": true, "p": true, "cpuprofile": true, "memprofile": true}
+		flag.Visit(func(f *flag.Flag) {
+			if !applies[f.Name] {
+				fatal(fmt.Errorf("-%s does not apply to -exp", f.Name))
+			}
+		})
+	}
+	var buffer units.Bits
+	if *bufferFlag != "" {
+		var err error
+		if buffer, err = cliutil.ParseSize(*bufferFlag); err != nil {
+			fatal(err)
+		}
 	}
 
 	stopProfiling, err := cliutil.StartProfiling(*cpuprofile, *memprofile)
@@ -92,6 +85,13 @@ func main() {
 	defer stopProfiling()
 
 	switch {
+	case *exp != "":
+		if err := experiments.Run(os.Stdout, "cmsim", *exp, experiments.Params{
+			Buffer: buffer, Seed: *seed, Workers: *workers,
+			Subscribers: *subscribers, TimeScale: *timescale, D: 32, P: *p,
+		}, *csvOut); err != nil {
+			fatal(err)
+		}
 	case *scenarioFlag != "":
 		if err := runScenario(*scenarioFlag, scenarioOpts{
 			timeline: *timelineFlag, csv: *csvOut, seed: *seed, workers: *workers,
@@ -101,145 +101,6 @@ func main() {
 		}); err != nil {
 			fatal(err)
 		}
-	case *autopilotSweep:
-		cfg := experiments.AutopilotSweepConfig{Seed: *seed, Workers: *workers}
-		if *subscribers > 0 {
-			cfg.Subscribers = *subscribers
-		}
-		if *timescale > 0 {
-			cfg.TimeScale = *timescale
-		}
-		if *csvOut {
-			pts, err := experiments.AutopilotSweep(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if err := trace.WriteAutopilotCSV(os.Stdout, pts); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := experiments.WriteAutopilotSweep(os.Stdout, cfg); err != nil {
-			fatal(err)
-		}
-	case *scenarioSweep:
-		cfg := experiments.ScenarioSweepConfig{Seed: *seed, Workers: *workers}
-		if *subscribers > 0 {
-			cfg.Subscribers = *subscribers
-		}
-		if *timescale > 0 {
-			cfg.TimeScale = *timescale
-		}
-		if *csvOut {
-			pts, err := experiments.ScenarioSweep(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if err := trace.WriteScenarioCSV(os.Stdout, pts); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := experiments.WriteScenarioSweep(os.Stdout, cfg); err != nil {
-			fatal(err)
-		}
-	case *mixed:
-		res, err := sim.RunMixed(sim.MixedConfig{
-			Disk: diskmodel.Default(), D: 32, P: *p, F: 2, Buffer: buffer,
-			Mix: []analytic.RateClass{
-				{Name: "audio", Rate: 256 * units.Kbps, Share: 0.3},
-				{Name: "mpeg1", Rate: 1.5 * units.Mbps, Share: 0.5},
-				{Name: "mpeg2", Rate: 4 * units.Mbps, Share: 0.2},
-			},
-			ClipLength: 50 * units.Second, ArrivalRate: *rate,
-			Duration: units.Duration(*duration), Seed: *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("mixed workload (30%% audio / 50%% MPEG-1 / 20%% MPEG-2), p=%d, B=%v\n", *p, buffer)
-		fmt.Printf("round duration    %v\n", res.Round)
-		fmt.Printf("serviced          %d (audio %d, mpeg1 %d, mpeg2 %d)\n",
-			res.Serviced, res.PerClass[0], res.PerClass[1], res.PerClass[2])
-		fmt.Printf("peak concurrent   %d\n", res.PeakActive)
-		fmt.Printf("max queue         %d\n", res.MaxQueue)
-	case *grid:
-		for _, b := range experiments.BufferSizes {
-			if *csvOut {
-				pts, err := experiments.Figure6(experiments.Figure6Config{Buffer: b, Seed: *seed, Workers: *workers})
-				if err != nil {
-					fatal(err)
-				}
-				if err := trace.WriteFigure6CSV(os.Stdout, pts); err != nil {
-					fatal(err)
-				}
-				continue
-			}
-			if err := experiments.WriteFigure6(os.Stdout, experiments.Figure6Config{Buffer: b, Seed: *seed, Workers: *workers}); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-	case *ablation:
-		if err := experiments.WriteAdmissionAblation(os.Stdout, buffer, *seed); err != nil {
-			fatal(err)
-		}
-	case *integrity:
-		if *csvOut {
-			pts, err := experiments.CorruptionSweep(buffer, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			if err := trace.WriteCorruptionCSV(os.Stdout, pts); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := experiments.WriteCorruptionSweep(os.Stdout, buffer, *seed); err != nil {
-			fatal(err)
-		}
-	case *doublefault:
-		if *csvOut {
-			pts, err := experiments.DoubleFaultSweep(*seed)
-			if err != nil {
-				fatal(err)
-			}
-			if err := trace.WriteDoubleFaultCSV(os.Stdout, pts); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := experiments.WriteDoubleFaultSweep(os.Stdout, *seed); err != nil {
-			fatal(err)
-		}
-	case *reconfig:
-		if *csvOut {
-			pts, err := experiments.ReconfigSweep(experiments.ReconfigSweepConfig{Buffer: buffer, Seed: *seed})
-			if err != nil {
-				fatal(err)
-			}
-			if err := trace.WriteViewCSV(os.Stdout, pts); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := experiments.WriteReconfigSweep(os.Stdout, experiments.ReconfigSweepConfig{Buffer: buffer, Seed: *seed}); err != nil {
-			fatal(err)
-		}
-	case *continuity:
-		if *csvOut {
-			pts, err := experiments.FailureContinuity(buffer, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			if err := trace.WriteContinuityCSV(os.Stdout, pts); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := experiments.WriteFailureContinuity(os.Stdout, buffer, *seed); err != nil {
-			fatal(err)
-		}
 	default:
 		scheme, err := cliutil.ResolveScheme(*schemeFlag)
 		if err != nil {
@@ -247,6 +108,9 @@ func main() {
 		}
 		if _, err := cliutil.ParseGeometry(32, *p); err != nil {
 			fatal(err)
+		}
+		if buffer == 0 {
+			buffer = experiments.BufferSizes[0]
 		}
 		corruptions, err := parseCorruptions(*corrupt)
 		if err != nil {

@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/sim"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
@@ -66,21 +66,15 @@ func AdmissionAblation(buffer units.Bits, seed int64) ([]AdmissionAblationPoint,
 	})
 }
 
-// WriteAdmissionAblation renders E8.
-func WriteAdmissionAblation(w io.Writer, buffer units.Bits, seed int64) error {
-	pts, err := AdmissionAblation(buffer, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "E8 — admission policy ablation (declustered, B=%v)\n", buffer)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tstatic-f\tdynamic(§5)\tstrict-FIFO\tresp static\tresp dynamic\tresp strict")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%v\t%v\t%v\n",
-			pt.P, pt.StaticServiced, pt.DynamicServiced, pt.StrictServiced,
-			pt.StaticResponse, pt.DynamicResponse, pt.StrictResponse)
-	}
-	return tw.Flush()
+// AdmissionColumns is E8's table; the responses are seconds in the CSV.
+var AdmissionColumns = []trace.Column[AdmissionAblationPoint]{
+	trace.Col("p", "p", func(pt AdmissionAblationPoint) any { return pt.P }),
+	trace.Col("static_serviced", "static-f", func(pt AdmissionAblationPoint) any { return pt.StaticServiced }),
+	trace.Col("dynamic_serviced", "dynamic(§5)", func(pt AdmissionAblationPoint) any { return pt.DynamicServiced }),
+	trace.Col("strict_serviced", "strict-FIFO", func(pt AdmissionAblationPoint) any { return pt.StrictServiced }),
+	trace.Seconds("static_response_s", "resp static", func(pt AdmissionAblationPoint) units.Duration { return pt.StaticResponse }),
+	trace.Seconds("dynamic_response_s", "resp dynamic", func(pt AdmissionAblationPoint) units.Duration { return pt.DynamicResponse }),
+	trace.Seconds("strict_response_s", "resp strict", func(pt AdmissionAblationPoint) units.Duration { return pt.StrictResponse }),
 }
 
 // StaggeredAblationPoint compares prefetch buffering with and without the
@@ -120,19 +114,11 @@ func StaggeredAblation(buffer units.Bits) ([]StaggeredAblationPoint, error) {
 	return out, nil
 }
 
-// WriteStaggeredAblation renders E9.
-func WriteStaggeredAblation(w io.Writer, buffer units.Bits) error {
-	pts, err := StaggeredAblation(buffer)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "E9 — staggered-group buffering ablation (prefetch-flat, B=%v)\n", buffer)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tclips (staggered, p·b/2)\tclips (plain, p·b)")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%d\t%d\n", pt.P, pt.StaggeredClips, pt.PlainClips)
-	}
-	return tw.Flush()
+// StaggeredColumns is E9's table.
+var StaggeredColumns = []trace.Column[StaggeredAblationPoint]{
+	trace.Col("p", "p", func(pt StaggeredAblationPoint) any { return pt.P }),
+	trace.Col("staggered_clips", "clips (staggered, p·b/2)", func(pt StaggeredAblationPoint) any { return pt.StaggeredClips }),
+	trace.Col("plain_clips", "clips (plain, p·b)", func(pt StaggeredAblationPoint) any { return pt.PlainClips }),
 }
 
 // ContinuityPoint summarizes a failure-injection run (E10).
@@ -178,17 +164,36 @@ func FailureContinuity(buffer units.Bits, seed int64) ([]ContinuityPoint, error)
 	})
 }
 
-// WriteFailureContinuity renders E10.
-func WriteFailureContinuity(w io.Writer, buffer units.Bits, seed int64) error {
-	pts, err := FailureContinuity(buffer, seed)
+// ContinuityColumns is E10's table.
+var ContinuityColumns = []trace.Column[ContinuityPoint]{
+	trace.Col("scheme", "scheme", func(pt ContinuityPoint) any { return pt.Scheme }),
+	trace.Col("p", "p", func(pt ContinuityPoint) any { return pt.P }),
+	trace.Col("serviced", "serviced", func(pt ContinuityPoint) any { return pt.Serviced }),
+	trace.Col("deadline_misses", "deadline misses", func(pt ContinuityPoint) any { return pt.DeadlineMisses }),
+	trace.Col("lost_blocks", "lost blocks", func(pt ContinuityPoint) any { return pt.LostBlocks }),
+}
+
+// mixedWorkload runs E16: audio, MPEG-1 and MPEG-2 classes under the
+// weighted admission controller on the declustered scheme.
+func mixedWorkload(w io.Writer, p Params) error {
+	res, err := sim.RunMixed(sim.MixedConfig{
+		Disk: diskmodel.Default(), D: 32, P: p.P, F: 2, Buffer: p.Buffer,
+		Mix: []analytic.RateClass{
+			{Name: "audio", Rate: 256 * units.Kbps, Share: 0.3},
+			{Name: "mpeg1", Rate: 1.5 * units.Mbps, Share: 0.5},
+			{Name: "mpeg2", Rate: 4 * units.Mbps, Share: 0.2},
+		},
+		ClipLength: 50 * units.Second, ArrivalRate: 20,
+		Duration: 600 * units.Second, Seed: p.Seed,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "E10 — disk 5 fails at t=100s of 300s (B=%v)\n", buffer)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scheme\tp\tserviced\tdeadline misses\tlost blocks")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%v\t%d\t%d\t%d\t%d\n", pt.Scheme, pt.P, pt.Serviced, pt.DeadlineMisses, pt.LostBlocks)
-	}
-	return tw.Flush()
+	fmt.Fprintf(w, "mixed workload (30%% audio / 50%% MPEG-1 / 20%% MPEG-2), p=%d, B=%v\n", p.P, p.Buffer)
+	fmt.Fprintf(w, "round duration    %v\n", res.Round)
+	fmt.Fprintf(w, "serviced          %d (audio %d, mpeg1 %d, mpeg2 %d)\n",
+		res.Serviced, res.PerClass[0], res.PerClass[1], res.PerClass[2])
+	fmt.Fprintf(w, "peak concurrent   %d\n", res.PeakActive)
+	_, err = fmt.Fprintf(w, "max queue         %d\n", res.MaxQueue)
+	return err
 }

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 
 	"ftcms/internal/autopilot"
 	"ftcms/internal/parallel"
 	"ftcms/internal/scenario"
+	"ftcms/internal/trace"
 )
 
 // AutopilotPoint is one flash-crowd-multiplier cell of E21: the
@@ -33,74 +32,17 @@ type AutopilotPoint struct {
 	Actions, Joins int
 }
 
-// AutopilotSweepConfig parameterizes E21. Zero values select defaults.
-type AutopilotSweepConfig struct {
-	// Subscribers is the population per cell (default 200000, matching
-	// E20).
-	Subscribers int64
-	// TimeScale is the day's compression factor (default 480).
-	TimeScale float64
-	// Multipliers is the flash-crowd axis (default 1, 2, 4, 8).
-	Multipliers []float64
-	// Nodes and Replication size the cluster (default 3, 2).
-	Nodes, Replication int
-	// Seed drives all randomness (default 1).
-	Seed int64
-	// Workers bounds sweep parallelism (0 = one per CPU).
-	Workers int
-}
-
-func (c AutopilotSweepConfig) withDefaults() AutopilotSweepConfig {
-	if c.Subscribers <= 0 {
-		c.Subscribers = 200000
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 480
-	}
-	if len(c.Multipliers) == 0 {
-		c.Multipliers = []float64{1, 2, 4, 8}
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.Replication <= 0 {
-		c.Replication = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// autopilotProfile builds one E21 cell: the E20 day with the operator
-// join removed — the 19:45 loss goes unanswered unless the controller
-// answers it.
-func autopilotProfile(cfg AutopilotSweepConfig, mult float64) scenario.Profile {
-	return scenario.Profile{
-		Name:        fmt.Sprintf("e21-autopilot-x%g", mult),
-		TimeScale:   cfg.TimeScale,
-		Subscribers: cfg.Subscribers,
-		Zipf:        1.1,
-		PatienceMin: 8,
-		BucketMin:   60,
-		Mix:         scenario.SessionMix{VCRShare: 0.3, Pause: 0.25, EarlyStop: 0.35, ResumeMin: 20},
-		Phases: []scenario.Phase{
-			{Kind: scenario.KindDiurnal, StartHour: 0, EndHour: 24, PeakHour: 20.5, MinFrac: 0.1},
-			{Kind: scenario.KindFlashCrowd, StartHour: 20, EndHour: 21, Multiplier: mult, Clip: 0},
-			{Kind: scenario.KindMaintenance, Action: scenario.ActionFail, Node: 1, Hour: 19.75},
-		},
-	}
-}
-
-// AutopilotSweep runs E21: each flash-crowd cell twice, open loop then
-// closed loop, same seed and profile. Cells run in parallel; the two
-// runs within a cell share nothing but the config, so determinism
-// holds cell by cell.
-func AutopilotSweep(cfg AutopilotSweepConfig) ([]AutopilotPoint, error) {
+// AutopilotSweep runs E21 over E20's configuration: each flash-crowd
+// cell is the E20 day with the operator join removed — the 19:45 loss
+// goes unanswered unless the controller answers it — run twice, open
+// loop then closed loop, same seed and profile. Cells run in parallel;
+// the two runs within a cell share nothing but the config, so
+// determinism holds cell by cell.
+func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
 	cfg = cfg.withDefaults()
 	return parallel.Map(len(cfg.Multipliers), cfg.Workers, func(k int) (AutopilotPoint, error) {
 		mult := cfg.Multipliers[k]
-		compiled, err := scenario.Compile(autopilotProfile(cfg, mult))
+		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, false))
 		if err != nil {
 			return AutopilotPoint{}, fmt.Errorf("autopilot sweep ×%g: %w", mult, err)
 		}
@@ -136,22 +78,17 @@ func AutopilotSweep(cfg AutopilotSweepConfig) ([]AutopilotPoint, error) {
 	})
 }
 
-// WriteAutopilotSweep renders E21 as a table.
-func WriteAutopilotSweep(w io.Writer, cfg AutopilotSweepConfig) error {
-	pts, err := AutopilotSweep(cfg)
-	if err != nil {
-		return err
-	}
-	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "E21 — closed vs open loop (%d subscribers, %g× compressed day, %d nodes rep %d; fail 19:45 unanswered, crowd 20:00–21:00)\n",
-		cfg.Subscribers, cfg.TimeScale, cfg.Nodes, cfg.Replication)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "crowd ×\toffered\topen serviced\topen rejected\topen lost\tclosed serviced\tclosed rejected\tclosed shed\tclosed lost\tactions\tjoins")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%g\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			pt.Multiplier, pt.Offered, pt.OpenServiced, pt.OpenRejected, pt.OpenLost,
-			pt.ClosedServiced, pt.ClosedRejected, pt.ClosedShed, pt.ClosedLost,
-			pt.Actions, pt.Joins)
-	}
-	return tw.Flush()
+// AutopilotColumns is E21's table.
+var AutopilotColumns = []trace.Column[AutopilotPoint]{
+	trace.Col("multiplier", "crowd ×", func(pt AutopilotPoint) any { return pt.Multiplier }),
+	trace.Col("offered", "offered", func(pt AutopilotPoint) any { return pt.Offered }),
+	trace.Col("open_serviced", "open serviced", func(pt AutopilotPoint) any { return pt.OpenServiced }),
+	trace.Col("open_rejected", "open rejected", func(pt AutopilotPoint) any { return pt.OpenRejected }),
+	trace.Col("open_lost", "open lost", func(pt AutopilotPoint) any { return pt.OpenLost }),
+	trace.Col("closed_serviced", "closed serviced", func(pt AutopilotPoint) any { return pt.ClosedServiced }),
+	trace.Col("closed_rejected", "closed rejected", func(pt AutopilotPoint) any { return pt.ClosedRejected }),
+	trace.Col("closed_shed", "closed shed", func(pt AutopilotPoint) any { return pt.ClosedShed }),
+	trace.Col("closed_lost", "closed lost", func(pt AutopilotPoint) any { return pt.ClosedLost }),
+	trace.Col("actions", "actions", func(pt AutopilotPoint) any { return pt.Actions }),
+	trace.Col("joins", "joins", func(pt AutopilotPoint) any { return pt.Joins }),
 }

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/sim"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
@@ -129,21 +128,14 @@ func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterPoint, error) {
 	})
 }
 
-// WriteClusterSweep renders E14 as a table.
-func WriteClusterSweep(w io.Writer, cfg ClusterSweepConfig) error {
-	pts, err := ClusterSweep(cfg)
-	if err != nil {
-		return err
-	}
-	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "E14 — cluster scaling and node-failure survival (B=%v per node, λ=%g/s, %v, fail node 0 at %v)\n",
-		cfg.Buffer, cfg.ArrivalRate, cfg.Duration, cfg.Duration/2)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "nodes\trep\tserviced\tpeak\tfault serviced\tfailed over\tlost")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			pt.Nodes, pt.Replication, pt.Serviced, pt.PeakActive,
-			pt.FaultServiced, pt.FailedOver, pt.LostStreams)
-	}
-	return tw.Flush()
+// ClusterColumns is E14's table; the mean response is CSV-only.
+var ClusterColumns = []trace.Column[ClusterPoint]{
+	trace.Col("nodes", "nodes", func(pt ClusterPoint) any { return pt.Nodes }),
+	trace.Col("replication", "rep", func(pt ClusterPoint) any { return pt.Replication }),
+	trace.Col("serviced", "serviced", func(pt ClusterPoint) any { return pt.Serviced }),
+	trace.Col("peak_active", "peak", func(pt ClusterPoint) any { return pt.PeakActive }),
+	trace.Seconds("mean_response_s", "", func(pt ClusterPoint) units.Duration { return pt.MeanResponse }),
+	trace.Col("fault_serviced", "fault serviced", func(pt ClusterPoint) any { return pt.FaultServiced }),
+	trace.Col("failed_over", "failed over", func(pt ClusterPoint) any { return pt.FailedOver }),
+	trace.Col("lost_streams", "lost", func(pt ClusterPoint) any { return pt.LostStreams }),
 }

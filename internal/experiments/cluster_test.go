@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -45,20 +44,12 @@ func TestClusterSweep(t *testing.T) {
 }
 
 func TestWriteClusterSweep(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := ClusterSweepConfig{
-		NodeCounts:   []int{2},
-		Replications: []int{2},
-		Duration:     30 * units.Second,
-	}
-	if err := WriteClusterSweep(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, "cmsim", "cluster", Params{Seed: 1}, false)
 	if !strings.Contains(out, "E14") || !strings.Contains(out, "failed over") {
 		t.Fatalf("unexpected report:\n%s", out)
 	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 3 {
-		t.Fatalf("want banner + header + 1 row:\n%s", out)
+	// rep=2 on 1 node is skipped: 1×{1} + 2×{1,2} + 4×{1,2} = 5 cells.
+	if len(strings.Split(strings.TrimSpace(out), "\n")) != 7 {
+		t.Fatalf("want banner + header + 5 rows:\n%s", out)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"text/tabwriter"
 
 	"ftcms/internal/core"
 	"ftcms/internal/diskmodel"
@@ -14,6 +13,7 @@ import (
 	"ftcms/internal/layout"
 	"ftcms/internal/parallel"
 	"ftcms/internal/reliability"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
@@ -107,9 +107,9 @@ func doubleFaultRun(scheme core.Scheme, seed int64) (DoubleFaultPoint, error) {
 		return DoubleFaultPoint{}, err
 	}
 	clips := map[string][]byte{
-		"a": doubleFaultClip(seed + 1, 480_000),
-		"b": doubleFaultClip(seed + 2, 400_000),
-		"c": doubleFaultClip(seed + 3, 320_000),
+		"a": doubleFaultClip(seed+1, 480_000),
+		"b": doubleFaultClip(seed+2, 400_000),
+		"c": doubleFaultClip(seed+3, 320_000),
 	}
 	for _, name := range []string{"a", "b", "c"} {
 		if err := s.AddClip(name, clips[name]); err != nil {
@@ -202,10 +202,12 @@ func MeasureRebuild(scheme core.Scheme) (int64, int64, error) {
 	if err := s.AddClip("v", doubleFaultClip(7, clipSize)); err != nil {
 		return 0, 0, err
 	}
-	fail := 0
-	if err := s.FailDisk(fail); err != nil {
+	if err := s.FailDisk(0); err != nil {
 		return 0, 0, err
 	}
+	// The rebuild queue the failure produced: one entry per data block on
+	// the disk plus one per distinct parity (and Q) block on it.
+	entries := int64(s.Stats().RebuildTotal)
 	for round := 0; round < 10000; round++ {
 		if err := s.Tick(); err != nil {
 			return 0, 0, err
@@ -217,10 +219,6 @@ func MeasureRebuild(scheme core.Scheme) (int64, int64, error) {
 	lats := s.RebuildLatencies()
 	if len(lats) != 1 {
 		return 0, 0, fmt.Errorf("%s: rebuild never completed", scheme)
-	}
-	entries, err := rebuildQueueLen(scheme, cfg, fail, clipSize)
-	if err != nil {
-		return 0, 0, err
 	}
 	roundDur := cfg.Disk.RoundDuration(cfg.Block)
 	var rt units.Duration
@@ -235,93 +233,55 @@ func MeasureRebuild(scheme core.Scheme) (int64, int64, error) {
 	return lats[0], int64(rt / roundDur), nil
 }
 
-// rebuildQueueLen counts, from the layout alone, the rebuild queue a
-// failed disk produces for a clip of the given size: one entry per data
-// block on the disk plus one per distinct parity (and Q) block on it —
-// exactly the queue the server's online rebuild walks.
-func rebuildQueueLen(scheme core.Scheme, cfg core.Config, disk int, clipSize int64) (int64, error) {
-	var lay layout.Layout
-	var err error
-	switch scheme {
-	case core.Declustered:
-		lay, err = layout.NewDeclustered(cfg.D, cfg.P)
-	case core.DeclusteredPQ:
-		lay, err = layout.NewDeclusteredPQ(cfg.D, cfg.P)
-	default:
-		return 0, fmt.Errorf("experiments: no rebuild model for %s", scheme)
-	}
-	if err != nil {
-		return 0, err
-	}
-	blockBytes := int64(cfg.Block.Bytes())
-	clipBlocks := (clipSize + blockBytes - 1) / blockBytes
-	var entries int64
-	seen := make(map[layout.BlockAddr]bool)
-	for i := int64(0); i < clipBlocks; i++ {
-		g := lay.GroupOf(i)
-		switch {
-		case lay.Place(i).Disk == disk:
-			entries++
-		case g.Parity.Disk == disk && !seen[g.Parity]:
-			seen[g.Parity] = true
-			entries++
-		case g.HasQ && g.Q.Disk == disk && !seen[g.Q]:
-			seen[g.Q] = true
-			entries++
-		}
-	}
-	return entries, nil
+// DoubleFaultColumns is E18's table.
+var DoubleFaultColumns = []trace.Column[DoubleFaultPoint]{
+	trace.Col("scheme", "scheme", func(pt DoubleFaultPoint) any { return pt.Scheme }),
+	trace.Col("streams", "streams", func(pt DoubleFaultPoint) any { return pt.Streams }),
+	trace.Col("completed", "completed", func(pt DoubleFaultPoint) any { return pt.Completed }),
+	trace.Col("lost", "lost", func(pt DoubleFaultPoint) any { return pt.Lost }),
+	trace.Col("hiccups", "hiccups", func(pt DoubleFaultPoint) any { return pt.Hiccups }),
+	trace.Col("lost_blocks", "lost blocks", func(pt DoubleFaultPoint) any { return pt.LostBlocks }),
+	trace.Col("rebuilds_done", "rebuilds", func(pt DoubleFaultPoint) any { return pt.RebuildsDone }),
+	trace.Col("rebuild_rounds_sim", "rebuild rounds (sim)", func(pt DoubleFaultPoint) any { return pt.MeasuredRebuild }),
+	trace.Col("rebuild_rounds_model", "rebuild rounds (model)", func(pt DoubleFaultPoint) any { return pt.AnalyticRebuild }),
 }
 
-// WriteDoubleFaultSweep renders E18.
-func WriteDoubleFaultSweep(w io.Writer, seed int64) error {
-	pts, err := DoubleFaultSweep(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "E18 — two overlapping disk failures in one parity group (d=13, p=4, 3 streams, 2 spares)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scheme\tstreams\tcompleted\tlost\thiccups\tlost blocks\trebuilds\trebuild rounds (sim)\trebuild rounds (model)")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			pt.Scheme, pt.Streams, pt.Completed, pt.Lost, pt.Hiccups,
-			pt.LostBlocks, pt.RebuildsDone, pt.MeasuredRebuild, pt.AnalyticRebuild)
-	}
-	return tw.Flush()
+// MTTDLColumns is the redundancy tradeoff's table (E18b); overhead is a
+// fraction in the CSV and a percentage in the text table, which also
+// shows the MTTDL in years.
+var MTTDLColumns = []trace.Column[reliability.Tradeoff]{
+	trace.Col("scheme", "scheme", func(r reliability.Tradeoff) any { return r.Scheme }),
+	{CSV: "overhead", Title: "overhead",
+		Value: func(r reliability.Tradeoff) any { return r.Overhead },
+		Text:  func(r reliability.Tradeoff) any { return fmt.Sprintf("%.1f%%", r.Overhead*100) }},
+	{CSV: "mttdl_hours", Title: "MTTDL (hours)",
+		Value: func(r reliability.Tradeoff) any { return fmt.Sprintf("%.6g", float64(r.MTTDL)) },
+		Text:  func(r reliability.Tradeoff) any { return fmt.Sprintf("%.3g", float64(r.MTTDL)) }},
+	trace.Col("", "MTTDL (years)", func(r reliability.Tradeoff) any { return fmt.Sprintf("%.3g", float64(r.MTTDL)/(24*365)) }),
 }
 
-// WriteMTTDLTradeoff renders the redundancy-selection table: what each
-// level of redundancy costs in storage and buys in expected time to
-// data loss, on one geometry. The repair window fed to the MTTDL
-// models is each scheme's own analytic rebuild time (floored at one
-// hour — operator handling dominates tiny windows), so faster rebuild
-// directly buys reliability.
-func WriteMTTDLTradeoff(w io.Writer, d, p int) error {
-	if d < 3 || p < 3 || p > d {
-		return fmt.Errorf("experiments: bad geometry d=%d p=%d", d, p)
+// mttdlTradeoff computes the redundancy-selection table: what each level
+// of redundancy costs in storage and buys in expected time to data
+// loss, on one geometry. The repair window fed to the MTTDL models is
+// each scheme's own analytic rebuild time (floored at one hour —
+// operator handling dominates tiny windows), so faster rebuild directly
+// buys reliability.
+func mttdlTradeoff(p Params) (string, []reliability.Tradeoff, error) {
+	if p.D < 3 || p.P < 3 || p.P > p.D {
+		return "", nil, fmt.Errorf("experiments: bad geometry d=%d p=%d", p.D, p.P)
 	}
 	disk := diskmodel.Default()
 	block := 8 * units.KB
 	blocks := int64(disk.Capacity / block)
-	rt, err := reliability.RebuildTime(blocks, p, d, 1, disk.RoundDuration(block))
+	rt, err := reliability.RebuildTime(blocks, p.P, p.D, 1, disk.RoundDuration(block))
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	mttr := reliability.Hours(rt.Seconds() / 3600)
 	if mttr < 1 {
 		mttr = 1
 	}
-	rows, err := reliability.CompareRedundancy(reliability.PaperDiskMTTF, d, p, mttr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "MTTDL vs storage overhead — d=%d, p=%d, %v disks, MTTF %.0f h, MTTR %.1f h\n",
-		d, p, disk.Capacity, float64(reliability.PaperDiskMTTF), float64(mttr))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scheme\toverhead\tMTTDL (hours)\tMTTDL (years)")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.1f%%\t%.3g\t%.3g\n",
-			r.Scheme, r.Overhead*100, float64(r.MTTDL), float64(r.MTTDL)/(24*365))
-	}
-	return tw.Flush()
+	rows, err := reliability.CompareRedundancy(reliability.PaperDiskMTTF, p.D, p.P, mttr)
+	return fmt.Sprintf("MTTDL vs storage overhead — d=%d, p=%d, %v disks, MTTF %.0f h, MTTR %.1f h",
+		p.D, p.P, disk.Capacity, float64(reliability.PaperDiskMTTF), float64(mttr)), rows, err
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -67,11 +67,7 @@ func TestRebuildModelValidation(t *testing.T) {
 }
 
 func TestWriteDoubleFaultSweep(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteDoubleFaultSweep(&buf, 3); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, "cmsim", "doublefault", Params{Seed: 3}, false)
 	for _, want := range []string{"E18", "declustered-pq", "rebuild rounds (model)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -80,17 +76,13 @@ func TestWriteDoubleFaultSweep(t *testing.T) {
 }
 
 func TestWriteMTTDLTradeoff(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMTTDLTradeoff(&buf, 32, 4); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, "cmopt", "mttdl", Params{D: 32, P: 4}, false)
 	for _, want := range []string{"declustered", "declustered-pq", "replication", "overhead"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	if err := WriteMTTDLTradeoff(&buf, 4, 8); err == nil {
+	if err := Run(io.Discard, "cmopt", "mttdl", Params{D: 4, P: 8}, false); err == nil {
 		t.Fatal("accepted p > d")
 	}
 }

@@ -2,9 +2,10 @@
 // evaluation (§8): the Figure 1 parameter table, the analytical Figure 5
 // curves, the simulated Figure 6 curves, and the ablations the design
 // calls out (E8: admission policy; E9: staggered-group buffering; E10:
-// failure continuity). The cmd/ tools and the repository's bench targets
-// are thin wrappers over this package, so printed tables and benchmark
-// output always agree.
+// failure continuity). Each experiment is a typed sweep, one column list
+// beside its point type that renders both the text table and the CSV,
+// and one entry in Registry (registry.go), which is all cmd/cmsim and
+// cmd/cmopt know of it.
 package experiments
 
 import (
@@ -16,6 +17,7 @@ import (
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/sim"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
 )
@@ -58,17 +60,23 @@ type Figure5Point struct {
 	Block units.Bits
 }
 
-// Figure5 computes the full Figure 5 panel for one buffer size (E4/E5),
-// fanning the scheme×p grid out over one worker per CPU. Each grid point
-// is an independent closed-form solve, and results are index-addressed,
-// so the output is identical to the sequential sweep.
-func Figure5(buffer units.Bits) ([]Figure5Point, error) {
-	return Figure5Workers(buffer, 0)
+// Figure5Columns pivots scheme × p on clips in the text table; the CSV
+// carries the solved operating point too.
+var Figure5Columns = []trace.Column[Figure5Point]{
+	trace.Col("scheme", "scheme", func(pt Figure5Point) any { return pt.Scheme }),
+	trace.Col("p", "p", func(pt Figure5Point) any { return pt.P }),
+	trace.Col("clips", "clips", func(pt Figure5Point) any { return pt.Clips }),
+	trace.Col("q", "", func(pt Figure5Point) any { return pt.Q }),
+	trace.Col("f", "", func(pt Figure5Point) any { return pt.F }),
+	trace.Col("block_bits", "", func(pt Figure5Point) any { return int64(pt.Block) }),
 }
 
-// Figure5Workers is Figure5 with an explicit worker count (1 forces the
-// sequential path; <= 0 means one worker per CPU).
-func Figure5Workers(buffer units.Bits, workers int) ([]Figure5Point, error) {
+// Figure5 computes the full Figure 5 panel for one buffer size (E4/E5),
+// fanning the scheme×p grid out over workers (<= 0: one per CPU, 1: the
+// sequential path). Each grid point is an independent closed-form solve,
+// and results are index-addressed, so the output is identical for any
+// worker count.
+func Figure5(buffer units.Bits, workers int) ([]Figure5Point, error) {
 	cfg := PaperAnalyticConfig(buffer)
 	schemes := analytic.Schemes()
 	return parallel.Map(len(schemes)*len(GroupSizes), workers, func(k int) (Figure5Point, error) {
@@ -84,31 +92,6 @@ func Figure5Workers(buffer units.Bits, workers int) ([]Figure5Point, error) {
 	})
 }
 
-// WriteFigure5 renders the panel as a table.
-func WriteFigure5(w io.Writer, buffer units.Bits) error {
-	points, err := Figure5(buffer)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Figure 5 — concurrent clips vs parity group size (analytic), d=32, B=%v\n", buffer)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "scheme")
-	for _, p := range GroupSizes {
-		fmt.Fprintf(tw, "\tp=%d", p)
-	}
-	fmt.Fprintln(tw)
-	for _, s := range analytic.Schemes() {
-		fmt.Fprint(tw, s)
-		for _, pt := range points {
-			if pt.Scheme == s {
-				fmt.Fprintf(tw, "\t%d", pt.Clips)
-			}
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
-}
-
 // Figure6Point is one (scheme, p) result of the simulation study.
 type Figure6Point struct {
 	Scheme analytic.Scheme
@@ -120,6 +103,15 @@ type Figure6Point struct {
 	MeanResponse units.Duration
 	// PeakActive is the concurrency high-water mark.
 	PeakActive int
+}
+
+// Figure6Columns pivots scheme × p on serviced in the text table.
+var Figure6Columns = []trace.Column[Figure6Point]{
+	trace.Col("scheme", "scheme", func(pt Figure6Point) any { return pt.Scheme }),
+	trace.Col("p", "p", func(pt Figure6Point) any { return pt.P }),
+	trace.Col("serviced", "serviced", func(pt Figure6Point) any { return pt.Serviced }),
+	trace.Col("peak_active", "", func(pt Figure6Point) any { return pt.PeakActive }),
+	trace.Seconds("mean_response_s", "", func(pt Figure6Point) units.Duration { return pt.MeanResponse }),
 }
 
 // Figure6Config parameterizes a simulation sweep.
@@ -171,38 +163,8 @@ func Figure6(cfg Figure6Config) ([]Figure6Point, error) {
 	})
 }
 
-// WriteFigure6 renders the panel as a table.
-func WriteFigure6(w io.Writer, cfg Figure6Config) error {
-	points, err := Figure6(cfg)
-	if err != nil {
-		return err
-	}
-	dur := cfg.Duration
-	if dur == 0 {
-		dur = 600 * units.Second
-	}
-	fmt.Fprintf(w, "Figure 6 — clips serviced in %v (simulation), d=32, B=%v, Poisson(20/s), seed %d\n",
-		dur, cfg.Buffer, cfg.Seed)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "scheme")
-	for _, p := range GroupSizes {
-		fmt.Fprintf(tw, "\tp=%d", p)
-	}
-	fmt.Fprintln(tw)
-	for _, s := range analytic.Schemes() {
-		fmt.Fprint(tw, s)
-		for _, pt := range points {
-			if pt.Scheme == s {
-				fmt.Fprintf(tw, "\t%d", pt.Serviced)
-			}
-		}
-		fmt.Fprintln(tw)
-	}
-	return tw.Flush()
-}
-
-// WriteFigure1 prints the disk parameter table (E1).
-func WriteFigure1(w io.Writer) error {
+// figure1 prints the disk parameter table (E1).
+func figure1(w io.Writer, _ Params) error {
 	p := diskmodel.Default()
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Figure 1 — disk parameters")
@@ -214,4 +176,22 @@ func WriteFigure1(w io.Writer) error {
 	fmt.Fprintf(tw, "Disk capacity\tC_d\t%v\n", p.Capacity)
 	fmt.Fprintf(tw, "Playback rate\tr_p\t%v\n", p.PlaybackRate)
 	return tw.Flush()
+}
+
+// optimal prints each scheme's best operating point on p.D disks: the
+// Figure 4 computeOptimal procedure and its per-scheme variants.
+func optimal(w io.Writer, p Params) error {
+	cfg := PaperAnalyticConfig(p.Buffer)
+	cfg.D = p.D
+	fmt.Fprintf(w, "computeOptimal — d=%d, B=%v\n", p.D, p.Buffer)
+	for _, s := range analytic.Schemes() {
+		res, err := analytic.Optimize(cfg, s)
+		if err != nil {
+			fmt.Fprintf(w, "  %-36s infeasible: %v\n", s, err)
+			continue
+		}
+		fmt.Fprintf(w, "  %-36s p=%-3d b=%-9v q=%-3d f=%-3d -> %d clips\n",
+			s, res.P, res.Block, res.Q, res.F, res.Clips)
+	}
+	return nil
 }

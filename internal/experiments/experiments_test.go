@@ -10,6 +10,17 @@ import (
 	"ftcms/internal/units"
 )
 
+// render runs one registry entry through the dispatcher, as the commands
+// do, and returns what it printed.
+func render(t *testing.T, cmd, name string, p Params, csv bool) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Run(&buf, cmd, name, p, csv); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestPaperCatalog(t *testing.T) {
 	c := PaperCatalog()
 	if c.Len() != 1000 {
@@ -22,7 +33,7 @@ func TestPaperCatalog(t *testing.T) {
 
 func TestFigure5Complete(t *testing.T) {
 	for _, buf := range BufferSizes {
-		pts, err := Figure5(buf)
+		pts, err := Figure5(buf, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,11 +49,7 @@ func TestFigure5Complete(t *testing.T) {
 }
 
 func TestWriteFigure5(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFigure5(&buf, 256*units.MB); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, "cmopt", "figure5", Params{Buffer: 256 * units.MB, D: 32}, false)
 	for _, want := range []string{"Figure 5", "Declustered parity", "Streaming RAID", "p=32"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
@@ -72,23 +79,17 @@ func TestWriteFigure6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	var buf bytes.Buffer
-	if err := WriteFigure6(&buf, Figure6Config{Buffer: 256 * units.MB, Seed: 1, Duration: 60 * units.Second}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 6") || !strings.Contains(buf.String(), "Non-clustered") {
-		t.Errorf("table malformed:\n%s", buf.String())
+	out := render(t, "cmsim", "figure6", Params{Buffer: 256 * units.MB, Seed: 1}, false)
+	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "Non-clustered") {
+		t.Errorf("table malformed:\n%s", out)
 	}
 }
 
 func TestWriteFigure1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFigure1(&buf); err != nil {
-		t.Fatal(err)
-	}
+	out := render(t, "cmopt", "figure1", Params{}, false)
 	for _, want := range []string{"45 Mbps", "17 ms", "8.34 ms", "2 GB", "1.5 Mbps"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("Figure 1 table missing %q:\n%s", want, buf.String())
+		if !strings.Contains(out, want) {
+			t.Errorf("Figure 1 table missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -105,11 +106,7 @@ func TestStaggeredAblation(t *testing.T) {
 			t.Errorf("p=%d: staggered %d < plain %d", pt.P, pt.StaggeredClips, pt.PlainClips)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteStaggeredAblation(&buf, 256*units.MB); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "E9") {
+	if !strings.Contains(render(t, "cmopt", "staggered", Params{Buffer: 256 * units.MB}, false), "E9") {
 		t.Error("E9 table malformed")
 	}
 }
@@ -137,11 +134,7 @@ func TestFailureContinuity(t *testing.T) {
 	if !sawNonClusteredLoss {
 		t.Error("non-clustered scheme lost nothing; expected transition loss")
 	}
-	var buf bytes.Buffer
-	if err := WriteFailureContinuity(&buf, 256*units.MB, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "E10") {
+	if !strings.Contains(render(t, "cmsim", "continuity", Params{Buffer: 256 * units.MB, Seed: 1}, false), "E10") {
 		t.Error("E10 table malformed")
 	}
 }
@@ -150,11 +143,7 @@ func TestAdmissionAblationShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	var buf bytes.Buffer
-	if err := WriteAdmissionAblation(&buf, 256*units.MB, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, "cmsim", "admission", Params{Buffer: 256 * units.MB, Seed: 1}, false)
 	if !strings.Contains(out, "E8") || !strings.Contains(out, "dynamic") {
 		t.Errorf("E8 table malformed:\n%s", out)
 	}
@@ -187,11 +176,7 @@ func TestRebuildAblation(t *testing.T) {
 	if byKey[analytic.StreamingRAID.String()+"-2"].MTTDL <= byKey[analytic.Declustered.String()+"-2"].MTTDL {
 		t.Error("p=2: clustered MTTDL should beat declustered")
 	}
-	var buf bytes.Buffer
-	if err := WriteRebuildAblation(&buf, 256*units.MB); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "E11") {
+	if !strings.Contains(render(t, "cmopt", "rebuild", Params{Buffer: 256 * units.MB}, false), "E11") {
 		t.Error("E11 table malformed")
 	}
 }
@@ -211,11 +196,7 @@ func TestConservatismAblation(t *testing.T) {
 			t.Errorf("%v p=%d: conservatism %.2f outside [1, 3]", pt.Scheme, pt.P, pt.Ratio)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteConservatismAblation(&buf, 256*units.MB, 50, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "E13") {
+	if !strings.Contains(render(t, "cmopt", "conservatism", Params{Buffer: 256 * units.MB}, false), "E13") {
 		t.Error("E13 table malformed")
 	}
 }
@@ -237,7 +218,7 @@ func TestFigure5Golden(t *testing.T) {
 		"2g:" + analytic.NonClustered.String():        {464, 672, 784, 780, 682},
 	}
 	for tag, buf := range map[string]units.Bits{"256": 256 * units.MB, "2g": 2 * units.GB} {
-		pts, err := Figure5(buf)
+		pts, err := Figure5(buf, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,12 +16,12 @@ import (
 // the fanned-out sweep must produce the sequential panel element for
 // element, for several worker counts.
 func TestFigure5ParallelMatchesSequential(t *testing.T) {
-	seq, err := Figure5Workers(256*units.MB, 1)
+	seq, err := Figure5(256*units.MB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 16} {
-		par, err := Figure5Workers(256*units.MB, workers)
+		par, err := Figure5(256*units.MB, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -101,7 +101,7 @@ func TestRunManyMatchesRunLoop(t *testing.T) {
 // sweeps return, the worker goroutines are gone.
 func TestSweepsLeaveNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	if _, err := Figure5Workers(256*units.MB, 8); err != nil {
+	if _, err := Figure5(256*units.MB, 8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.RunMany(sim.Config{

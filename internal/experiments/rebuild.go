@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/reliability"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
@@ -74,19 +73,17 @@ func RebuildAblation(buffer units.Bits) ([]RebuildPoint, error) {
 	})
 }
 
-// WriteRebuildAblation renders E11.
-func WriteRebuildAblation(w io.Writer, buffer units.Bits) error {
-	pts, err := RebuildAblation(buffer)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "E11 — rebuild time and MTTDL per operating point (B=%v, 2 GB disk, 300,000 h disk MTTF)\n", buffer)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scheme\tp\trebuild\tMTTDL (hours)")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%v\t%d\t%v\t%.3g\n", pt.Scheme, pt.P, pt.Rebuild, float64(pt.MTTDL))
-	}
-	return tw.Flush()
+// RebuildColumns is E11's table: the CSV keeps millisecond and six-digit
+// precision, the text table rounds for reading.
+var RebuildColumns = []trace.Column[RebuildPoint]{
+	trace.Col("scheme", "scheme", func(pt RebuildPoint) any { return pt.Scheme }),
+	trace.Col("p", "p", func(pt RebuildPoint) any { return pt.P }),
+	{CSV: "rebuild_s", Title: "rebuild",
+		Value: func(pt RebuildPoint) any { return fmt.Sprintf("%.3f", pt.Rebuild.Seconds()) },
+		Text:  func(pt RebuildPoint) any { return pt.Rebuild }},
+	{CSV: "mttdl_hours", Title: "MTTDL (hours)",
+		Value: func(pt RebuildPoint) any { return fmt.Sprintf("%.6g", float64(pt.MTTDL)) },
+		Text:  func(pt RebuildPoint) any { return fmt.Sprintf("%.3g", float64(pt.MTTDL)) }},
 }
 
 // ConservatismPoint quantifies Equation 1's worst-case margin (E13): the
@@ -130,17 +127,12 @@ func ConservatismAblation(buffer units.Bits, trials int, seed int64) ([]Conserva
 	})
 }
 
-// WriteConservatismAblation renders E13.
-func WriteConservatismAblation(w io.Writer, buffer units.Bits, trials int, seed int64) error {
-	pts, err := ConservatismAblation(buffer, trials, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "E13 — Equation 1 worst-case conservatism (B=%v, %d trials)\n", buffer, trials)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scheme\tp\tq\tbudget / measured")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%v\t%d\t%d\t%.2f\n", pt.Scheme, pt.P, pt.Q, pt.Ratio)
-	}
-	return tw.Flush()
+// ConservatismColumns is E13's table; the CSV carries the unrounded ratio.
+var ConservatismColumns = []trace.Column[ConservatismPoint]{
+	trace.Col("scheme", "scheme", func(pt ConservatismPoint) any { return pt.Scheme }),
+	trace.Col("p", "p", func(pt ConservatismPoint) any { return pt.P }),
+	trace.Col("q", "q", func(pt ConservatismPoint) any { return pt.Q }),
+	{CSV: "budget_over_measured", Title: "budget / measured",
+		Value: func(pt ConservatismPoint) any { return pt.Ratio },
+		Text:  func(pt ConservatismPoint) any { return fmt.Sprintf("%.2f", pt.Ratio) }},
 }

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/sim"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
@@ -141,29 +140,28 @@ func ReconfigSweep(cfg ReconfigSweepConfig) ([]ReconfigPoint, error) {
 	})
 }
 
-// WriteReconfigSweep renders E19 as a table.
-func WriteReconfigSweep(w io.Writer, cfg ReconfigSweepConfig) error {
-	pts, err := ReconfigSweep(cfg)
-	if err != nil {
-		return err
+// unfinished renders a drain-rounds cell: -1 (the CSV's value for a drain
+// that never completed) reads "unfinished" in the text table.
+func unfinished(rounds int64) any {
+	if rounds < 0 {
+		return "unfinished"
 	}
-	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "E19 — drain under prime time (%d nodes rep %d, B=%v per node, %v; join at %v, drain node 1 at %v)\n",
-		cfg.Nodes, cfg.Replication, cfg.Buffer, cfg.Duration, cfg.Duration/4, cfg.Duration/2)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "λ/s\tbaseline\tdrained\tmigrated\tlost\tdrain rounds\t+join drained\t+join drain rounds")
-	for _, pt := range pts {
-		dr := fmt.Sprint(pt.DrainRounds)
-		if pt.DrainRounds < 0 {
-			dr = "unfinished"
-		}
-		jdr := fmt.Sprint(pt.JoinDrainRounds)
-		if pt.JoinDrainRounds < 0 {
-			jdr = "unfinished"
-		}
-		fmt.Fprintf(tw, "%g\t%d\t%d\t%d\t%d\t%s\t%d\t%s\n",
-			pt.ArrivalRate, pt.Baseline, pt.Serviced, pt.MigratedStreams,
-			pt.LostStreams, dr, pt.JoinServiced, jdr)
-	}
-	return tw.Flush()
+	return rounds
+}
+
+// ReconfigColumns is E19's table; the final view version is CSV-only.
+var ReconfigColumns = []trace.Column[ReconfigPoint]{
+	trace.Col("arrival_rate", "λ/s", func(pt ReconfigPoint) any { return pt.ArrivalRate }),
+	trace.Col("baseline", "baseline", func(pt ReconfigPoint) any { return pt.Baseline }),
+	trace.Col("drained", "drained", func(pt ReconfigPoint) any { return pt.Serviced }),
+	trace.Col("migrated", "migrated", func(pt ReconfigPoint) any { return pt.MigratedStreams }),
+	trace.Col("lost", "lost", func(pt ReconfigPoint) any { return pt.LostStreams }),
+	{CSV: "drain_rounds", Title: "drain rounds",
+		Value: func(pt ReconfigPoint) any { return pt.DrainRounds },
+		Text:  func(pt ReconfigPoint) any { return unfinished(pt.DrainRounds) }},
+	trace.Col("join_drained", "+join drained", func(pt ReconfigPoint) any { return pt.JoinServiced }),
+	{CSV: "join_drain_rounds", Title: "+join drain rounds",
+		Value: func(pt ReconfigPoint) any { return pt.JoinDrainRounds },
+		Text:  func(pt ReconfigPoint) any { return unfinished(pt.JoinDrainRounds) }},
+	trace.Col("view_version", "", func(pt ReconfigPoint) any { return pt.ViewVersion }),
 }

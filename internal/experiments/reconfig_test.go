@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -43,19 +42,11 @@ func TestReconfigSweep(t *testing.T) {
 }
 
 func TestWriteReconfigSweep(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := ReconfigSweepConfig{
-		ArrivalRates: []float64{5},
-		Duration:     30 * units.Second,
-	}
-	if err := WriteReconfigSweep(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "E19") || !strings.Contains(out, "drain rounds") {
+	out := render(t, "cmsim", "reconfig", Params{Seed: 1}, false)
+	if !strings.Contains(out, "E19") || !strings.Contains(out, "drain rounds") || !strings.Contains(out, "unfinished") {
 		t.Fatalf("unexpected report:\n%s", out)
 	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 3 {
-		t.Fatalf("want banner + header + 1 row:\n%s", out)
+	if len(strings.Split(strings.TrimSpace(out), "\n")) != 6 {
+		t.Fatalf("want banner + header + 4 rows:\n%s", out)
 	}
 }

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 
 	"ftcms/internal/parallel"
 	"ftcms/internal/scenario"
+	"ftcms/internal/trace"
 )
 
 // ScenarioPoint is one flash-crowd-multiplier cell of E20: the
@@ -31,7 +30,8 @@ type ScenarioPoint struct {
 	ViewVersion int64
 }
 
-// ScenarioSweepConfig parameterizes E20. Zero values select defaults.
+// ScenarioSweepConfig parameterizes E20 and E21. Zero values select
+// defaults.
 type ScenarioSweepConfig struct {
 	// Subscribers is the population per cell (default 200000 — large
 	// enough to saturate prime time on a three-node cluster, small
@@ -72,10 +72,11 @@ func (c ScenarioSweepConfig) withDefaults() ScenarioSweepConfig {
 	return c
 }
 
-// scenarioProfile builds one E20 cell's profile: the flagship
-// prime-time day with the flash multiplier as the swept variable.
-func scenarioProfile(cfg ScenarioSweepConfig, mult float64) scenario.Profile {
-	return scenario.Profile{
+// scenarioProfile builds one cell's profile: the flagship prime-time day
+// with the flash multiplier as the swept variable and node 1 lost at
+// 19:45. E20 has an operator join a replacement at 20:00; E21 does not.
+func scenarioProfile(cfg ScenarioSweepConfig, mult float64, join bool) scenario.Profile {
+	p := scenario.Profile{
 		Name:        fmt.Sprintf("e20-flash-x%g", mult),
 		TimeScale:   cfg.TimeScale,
 		Subscribers: cfg.Subscribers,
@@ -87,9 +88,14 @@ func scenarioProfile(cfg ScenarioSweepConfig, mult float64) scenario.Profile {
 			{Kind: scenario.KindDiurnal, StartHour: 0, EndHour: 24, PeakHour: 20.5, MinFrac: 0.1},
 			{Kind: scenario.KindFlashCrowd, StartHour: 20, EndHour: 21, Multiplier: mult, Clip: 0},
 			{Kind: scenario.KindMaintenance, Action: scenario.ActionFail, Node: 1, Hour: 19.75},
-			{Kind: scenario.KindMaintenance, Action: scenario.ActionJoin, Hour: 20},
 		},
 	}
+	if join {
+		p.Phases = append(p.Phases, scenario.Phase{Kind: scenario.KindMaintenance, Action: scenario.ActionJoin, Hour: 20})
+	} else {
+		p.Name = fmt.Sprintf("e21-autopilot-x%g", mult)
+	}
+	return p
 }
 
 // ScenarioSweep runs E20: the scenario engine's prime-time day with a
@@ -100,7 +106,7 @@ func ScenarioSweep(cfg ScenarioSweepConfig) ([]ScenarioPoint, error) {
 	cfg = cfg.withDefaults()
 	return parallel.Map(len(cfg.Multipliers), cfg.Workers, func(k int) (ScenarioPoint, error) {
 		mult := cfg.Multipliers[k]
-		compiled, err := scenario.Compile(scenarioProfile(cfg, mult))
+		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, true))
 		if err != nil {
 			return ScenarioPoint{}, fmt.Errorf("scenario sweep ×%g: %w", mult, err)
 		}
@@ -127,21 +133,14 @@ func ScenarioSweep(cfg ScenarioSweepConfig) ([]ScenarioPoint, error) {
 	})
 }
 
-// WriteScenarioSweep renders E20 as a table.
-func WriteScenarioSweep(w io.Writer, cfg ScenarioSweepConfig) error {
-	pts, err := ScenarioSweep(cfg)
-	if err != nil {
-		return err
-	}
-	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "E20 — flash crowd during node loss (%d subscribers, %g× compressed day, %d nodes rep %d; fail 19:45, join 20:00, crowd 20:00–21:00)\n",
-		cfg.Subscribers, cfg.TimeScale, cfg.Nodes, cfg.Replication)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "crowd ×\toffered\tserviced\trejected\tpeak active\tfailed over\tlost\tview")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%g\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			pt.Multiplier, pt.Offered, pt.Serviced, pt.Rejected,
-			pt.PeakActive, pt.FailedOver, pt.LostStreams, pt.ViewVersion)
-	}
-	return tw.Flush()
+// ScenarioColumns is E20's table.
+var ScenarioColumns = []trace.Column[ScenarioPoint]{
+	trace.Col("multiplier", "crowd ×", func(pt ScenarioPoint) any { return pt.Multiplier }),
+	trace.Col("offered", "offered", func(pt ScenarioPoint) any { return pt.Offered }),
+	trace.Col("serviced", "serviced", func(pt ScenarioPoint) any { return pt.Serviced }),
+	trace.Col("rejected", "rejected", func(pt ScenarioPoint) any { return pt.Rejected }),
+	trace.Col("peak_active", "peak active", func(pt ScenarioPoint) any { return pt.PeakActive }),
+	trace.Col("failed_over", "failed over", func(pt ScenarioPoint) any { return pt.FailedOver }),
+	trace.Col("lost_streams", "lost", func(pt ScenarioPoint) any { return pt.LostStreams }),
+	trace.Col("view_version", "view", func(pt ScenarioPoint) any { return pt.ViewVersion }),
 }

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-	"text/tabwriter"
-
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/sim"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
@@ -74,22 +71,21 @@ func CorruptionSweep(buffer units.Bits, seed int64) ([]CorruptionPoint, error) {
 	})
 }
 
-// WriteCorruptionSweep renders E17.
-func WriteCorruptionSweep(w io.Writer, buffer units.Bits, seed int64) error {
-	pts, err := CorruptionSweep(buffer, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "E17 — patrol scrub vs. silent corruption (declustered p=4, B=%v, 80 rotten blocks)\n", buffer)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scrub rate\tserviced\tinjected\tdetected\trepaired\tmean detection\tsweeps")
-	for _, pt := range pts {
-		rate := fmt.Sprint(pt.Rate)
-		if pt.Rate < 0 {
-			rate = "idle"
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%v\t%d\n",
-			rate, pt.Serviced, pt.Injected, pt.Detected, pt.Repaired, pt.MeanDetection, pt.Sweeps)
-	}
-	return tw.Flush()
+// CorruptionColumns is E17's table; the idle-bounded rate is -1 in the CSV
+// and "idle" in the text table.
+var CorruptionColumns = []trace.Column[CorruptionPoint]{
+	{CSV: "scrub_rate", Title: "scrub rate",
+		Value: func(pt CorruptionPoint) any { return pt.Rate },
+		Text: func(pt CorruptionPoint) any {
+			if pt.Rate < 0 {
+				return "idle"
+			}
+			return pt.Rate
+		}},
+	trace.Col("serviced", "serviced", func(pt CorruptionPoint) any { return pt.Serviced }),
+	trace.Col("injected", "injected", func(pt CorruptionPoint) any { return pt.Injected }),
+	trace.Col("detected", "detected", func(pt CorruptionPoint) any { return pt.Detected }),
+	trace.Col("repaired", "repaired", func(pt CorruptionPoint) any { return pt.Repaired }),
+	trace.Seconds("mean_detection_s", "mean detection", func(pt CorruptionPoint) units.Duration { return pt.MeanDetection }),
+	trace.Col("sweeps", "sweeps", func(pt CorruptionPoint) any { return pt.Sweeps }),
 }

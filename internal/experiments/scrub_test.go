@@ -52,11 +52,7 @@ func TestCorruptionSweep(t *testing.T) {
 }
 
 func TestWriteCorruptionSweep(t *testing.T) {
-	var b strings.Builder
-	if err := WriteCorruptionSweep(&b, 256*units.MB, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, "cmsim", "integrity", Params{Buffer: 256 * units.MB, Seed: 1}, false)
 	if !strings.Contains(out, "E17") || !strings.Contains(out, "idle") {
 		t.Fatalf("missing header or idle row:\n%s", out)
 	}

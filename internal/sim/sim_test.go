@@ -437,7 +437,7 @@ func TestOnlineRebuildParityDisk(t *testing.T) {
 	}
 }
 
-// TestFlashCrowd (E14): a 30-second flash crowd is absorbed without
+// TestFlashCrowd (E22): a 30-second flash crowd is absorbed without
 // admission-control breakdown — the queue drains after the spike, the
 // starvation-free pending list keeps serving, and the response-time
 // penalty is bounded by the burst backlog.

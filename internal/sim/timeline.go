@@ -20,36 +20,37 @@ type TimelineConfig struct {
 	Bucket units.Duration
 }
 
-// TimelineBucket is one reporting interval of a run.
+// TimelineBucket is one reporting interval of a run. The json tags are
+// the column names of trace.WriteTimelineJSON (and the timeline CSV).
 type TimelineBucket struct {
 	// Start is the bucket's start time.
-	Start units.Duration
+	Start units.Duration `json:"start_s"`
 	// Offered counts requests that arrived during the bucket.
-	Offered int
+	Offered int `json:"offered"`
 	// Admitted counts fresh streams started during the bucket.
-	Admitted int
+	Admitted int `json:"admitted"`
 	// Batched counts requests served by piggybacking on a live stream.
-	Batched int
+	Batched int `json:"batched,omitempty"`
 	// Rejected counts pending requests that abandoned (waited past the
 	// run's Patience) during the bucket.
-	Rejected int
+	Rejected int `json:"rejected"`
 	// Shed counts new lean-back requests turned away at arrival by the
 	// autopilot's degradation mode during the bucket. Shed requests
 	// never enter the pending queue, so they are disjoint from Rejected
 	// — a session is counted as shed or abandoned, never both.
-	Shed int
+	Shed int `json:"shed,omitempty"`
 	// Actions counts autopilot actions that fired during the bucket.
-	Actions int
+	Actions int `json:"actions,omitempty"`
 	// Active is the number of in-flight streams when the bucket closed.
-	Active int
+	Active int `json:"active"`
 	// Queue is the pending-list length when the bucket closed.
-	Queue int
+	Queue int `json:"queue"`
 	// ViewVersion is the cluster membership view version when the bucket
 	// closed (0 for single-array runs).
-	ViewVersion int64
+	ViewVersion int64 `json:"view_version,omitempty"`
 	// NodeActive is each node's in-flight stream count when the bucket
 	// closed (nil for single-array runs).
-	NodeActive []int
+	NodeActive []int `json:"node_active,omitempty"`
 }
 
 // timeline accumulates buckets; a nil *timeline is a valid no-op

@@ -7,58 +7,42 @@ import (
 	"strings"
 
 	"ftcms/internal/sim"
+	"ftcms/internal/units"
 )
 
-// WriteTimelineCSV emits a scenario run's per-bucket timeline. shed and
+// timelineColumns is a scenario run's per-bucket timeline. shed and
 // actions are the autopilot columns (0 on open-loop runs); node_active
 // joins per-node stream counts with ';' (empty for single-array runs).
-func WriteTimelineCSV(w io.Writer, buckets []sim.TimelineBucket) error {
-	return writeCSV(w, "start_s,offered,admitted,batched,rejected,shed,actions,active,queue,view_version,node_active",
-		buckets, func(b sim.TimelineBucket) []any {
-			nodes := make([]string, len(b.NodeActive))
-			for i, n := range b.NodeActive {
-				nodes[i] = fmt.Sprint(n)
-			}
-			return []any{secs(b.Start), b.Offered, b.Admitted, b.Batched, b.Rejected, b.Shed, b.Actions,
-				b.Active, b.Queue, b.ViewVersion, strings.Join(nodes, ";")}
-		})
+var timelineColumns = []Column[sim.TimelineBucket]{
+	Seconds("start_s", "", func(b sim.TimelineBucket) units.Duration { return b.Start }),
+	Col("offered", "", func(b sim.TimelineBucket) any { return b.Offered }),
+	Col("admitted", "", func(b sim.TimelineBucket) any { return b.Admitted }),
+	Col("batched", "", func(b sim.TimelineBucket) any { return b.Batched }),
+	Col("rejected", "", func(b sim.TimelineBucket) any { return b.Rejected }),
+	Col("shed", "", func(b sim.TimelineBucket) any { return b.Shed }),
+	Col("actions", "", func(b sim.TimelineBucket) any { return b.Actions }),
+	Col("active", "", func(b sim.TimelineBucket) any { return b.Active }),
+	Col("queue", "", func(b sim.TimelineBucket) any { return b.Queue }),
+	Col("view_version", "", func(b sim.TimelineBucket) any { return b.ViewVersion }),
+	Col("node_active", "", func(b sim.TimelineBucket) any {
+		nodes := make([]string, len(b.NodeActive))
+		for i, n := range b.NodeActive {
+			nodes[i] = fmt.Sprint(n)
+		}
+		return strings.Join(nodes, ";")
+	}),
 }
 
-// timelineJSON is the JSON shape of one timeline bucket.
-type timelineJSON struct {
-	StartS      float64 `json:"start_s"`
-	Offered     int     `json:"offered"`
-	Admitted    int     `json:"admitted"`
-	Batched     int     `json:"batched,omitempty"`
-	Rejected    int     `json:"rejected"`
-	Shed        int     `json:"shed,omitempty"`
-	Actions     int     `json:"actions,omitempty"`
-	Active      int     `json:"active"`
-	Queue       int     `json:"queue"`
-	ViewVersion int64   `json:"view_version,omitempty"`
-	NodeActive  []int   `json:"node_active,omitempty"`
+// WriteTimelineCSV emits a scenario run's per-bucket timeline.
+func WriteTimelineCSV(w io.Writer, buckets []sim.TimelineBucket) error {
+	return WriteCSV(w, timelineColumns, buckets)
 }
 
 // WriteTimelineJSON emits the timeline as a JSON array, one object per
-// bucket, for consumers that want structure instead of CSV.
+// bucket (sim.TimelineBucket's json tags name the CSV's columns), for
+// consumers that want structure instead of CSV.
 func WriteTimelineJSON(w io.Writer, buckets []sim.TimelineBucket) error {
-	out := make([]timelineJSON, len(buckets))
-	for i, b := range buckets {
-		out[i] = timelineJSON{
-			StartS:      b.Start.Seconds(),
-			Offered:     b.Offered,
-			Admitted:    b.Admitted,
-			Batched:     b.Batched,
-			Rejected:    b.Rejected,
-			Shed:        b.Shed,
-			Actions:     b.Actions,
-			Active:      b.Active,
-			Queue:       b.Queue,
-			ViewVersion: b.ViewVersion,
-			NodeActive:  b.NodeActive,
-		}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(buckets)
 }

@@ -1,7 +1,8 @@
-// Package trace serializes experiment results as CSV so the figures can
-// be re-plotted outside Go. Columns are stable — each writer's header is
-// the comma-separated string it passes to writeCSV — and all writers emit
-// a header row.
+// Package trace renders result series: one Column list drives both the
+// CSV (for re-plotting outside Go) and the aligned text table of whatever
+// declares it, so the two cannot drift. The package knows no experiment;
+// internal/experiments declares a list per experiment, and the scenario
+// timeline's is in timeline.go.
 package trace
 
 import (
@@ -9,115 +10,99 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"text/tabwriter"
 
-	"ftcms/internal/experiments"
 	"ftcms/internal/units"
 )
 
-// writeCSV emits the comma-separated header, then one record per point:
-// row returns the point's column values in header order, each rendered
-// with fmt.Sprint (so floats print as %g and Stringers by name; columns
-// needing a fixed precision arrive pre-formatted as strings).
-func writeCSV[T any](w io.Writer, header string, points []T, row func(T) []any) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(strings.Split(header, ",")); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		vals := row(pt)
-		rec := make([]string, len(vals))
-		for i, v := range vals {
-			rec[i] = fmt.Sprint(v)
+// Column is one series of a result table over points of type T.
+type Column[T any] struct {
+	// CSV is the header in the CSV; "" keeps the column out of it.
+	CSV string
+	// Title is the heading in the text table; "" keeps the column out of it.
+	Title string
+	// Value returns the point's cell, rendered with fmt.Sprint (so floats
+	// print as %g and Stringers by name; a column needing a fixed precision
+	// returns a pre-formatted string).
+	Value func(T) any
+	// Text, when set, replaces Value in the text table.
+	Text func(T) any
+}
+
+// Col is a column whose CSV and text cells are the same value.
+func Col[T any](csv, title string, value func(T) any) Column[T] {
+	return Column[T]{CSV: csv, Title: title, Value: value}
+}
+
+// Seconds is a duration column: seconds with microsecond precision in
+// the CSV, the duration's own unit in the text table.
+func Seconds[T any](csv, title string, d func(T) units.Duration) Column[T] {
+	return Column[T]{CSV: csv, Title: title,
+		Value: func(pt T) any { return fmt.Sprintf("%.6f", d(pt).Seconds()) },
+		Text:  func(pt T) any { return d(pt) }}
+}
+
+// cells renders the header row, then one row per point, of the columns
+// named in the chosen output: by CSV, or by Title when text is set.
+func cells[T any](cols []Column[T], points []T, text bool) [][]string {
+	rows := make([][]string, 1+len(points))
+	for _, c := range cols {
+		name, value := c.CSV, c.Value
+		if text {
+			name = c.Title
+			if c.Text != nil {
+				value = c.Text
+			}
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
+		if name == "" {
+			continue
+		}
+		rows[0] = append(rows[0], name)
+		for i, pt := range points {
+			rows[i+1] = append(rows[i+1], fmt.Sprint(value(pt)))
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return rows
 }
 
-// secs renders a duration as seconds with microsecond precision.
-func secs(d units.Duration) string { return fmt.Sprintf("%.6f", d.Seconds()) }
-
-// WriteFigure5CSV emits the Figure 5 capacity points.
-func WriteFigure5CSV(w io.Writer, points []experiments.Figure5Point) error {
-	return writeCSV(w, "scheme,p,clips,q,f,block_bits", points, func(pt experiments.Figure5Point) []any {
-		return []any{pt.Scheme, pt.P, pt.Clips, pt.Q, pt.F, int64(pt.Block)}
-	})
+// WriteCSV emits the header row of the columns that have a CSV name, then
+// one record per point.
+func WriteCSV[T any](w io.Writer, cols []Column[T], points []T) error {
+	return csv.NewWriter(w).WriteAll(cells(cols, points, false))
 }
 
-// WriteFigure6CSV emits the Figure 6 simulation points.
-func WriteFigure6CSV(w io.Writer, points []experiments.Figure6Point) error {
-	return writeCSV(w, "scheme,p,serviced,peak_active,mean_response_s", points, func(pt experiments.Figure6Point) []any {
-		return []any{pt.Scheme, pt.P, pt.Serviced, pt.PeakActive, secs(pt.MeanResponse)}
-	})
+// WriteText emits the caption, then an aligned table with one row per
+// point and one column per titled Column.
+func WriteText[T any](w io.Writer, caption string, cols []Column[T], points []T) error {
+	return writeRows(w, caption, cells(cols, points, true))
 }
 
-// WriteContinuityCSV emits the E10 failure-continuity points.
-func WriteContinuityCSV(w io.Writer, points []experiments.ContinuityPoint) error {
-	return writeCSV(w, "scheme,p,serviced,deadline_misses,lost_blocks", points, func(pt experiments.ContinuityPoint) []any {
-		return []any{pt.Scheme, pt.P, pt.Serviced, pt.DeadlineMisses, pt.LostBlocks}
-	})
+// WritePivot emits the caption, then the points as a grid: the first
+// column's values label the rows, the second's head the columns (as
+// title=value) and the third's fill the cells. Points must arrive
+// row-major, as the scheme × p sweeps produce them.
+func WritePivot[T any](w io.Writer, caption string, cols []Column[T], points []T) error {
+	flat := cells(cols[:3], points, true)
+	grid := [][]string{{flat[0][0]}}
+	for i, r := range flat[1:] {
+		if i == 0 || r[0] != flat[i][0] { // flat[i] is the previous point's row
+			grid = append(grid, []string{r[0]})
+		}
+		if len(grid) == 2 {
+			grid[0] = append(grid[0], flat[0][1]+"="+r[1])
+		}
+		grid[len(grid)-1] = append(grid[len(grid)-1], r[2])
+	}
+	return writeRows(w, caption, grid)
 }
 
-// WriteClusterCSV emits the E14 cluster-scaling points.
-func WriteClusterCSV(w io.Writer, points []experiments.ClusterPoint) error {
-	return writeCSV(w, "nodes,replication,serviced,peak_active,mean_response_s,fault_serviced,failed_over,lost_streams",
-		points, func(pt experiments.ClusterPoint) []any {
-			return []any{pt.Nodes, pt.Replication, pt.Serviced, pt.PeakActive, secs(pt.MeanResponse),
-				pt.FaultServiced, pt.FailedOver, pt.LostStreams}
-		})
-}
-
-// WriteViewCSV emits the E19 elastic-reconfiguration-under-load points.
-// Unfinished drains report -1 rounds.
-func WriteViewCSV(w io.Writer, points []experiments.ReconfigPoint) error {
-	return writeCSV(w, "arrival_rate,baseline,drained,migrated,lost,drain_rounds,join_drained,join_drain_rounds,view_version",
-		points, func(pt experiments.ReconfigPoint) []any {
-			return []any{pt.ArrivalRate, pt.Baseline, pt.Serviced, pt.MigratedStreams, pt.LostStreams,
-				pt.DrainRounds, pt.JoinServiced, pt.JoinDrainRounds, pt.ViewVersion}
-		})
-}
-
-// WriteCorruptionCSV emits the E17 scrub-rate sweep.
-func WriteCorruptionCSV(w io.Writer, points []experiments.CorruptionPoint) error {
-	return writeCSV(w, "scrub_rate,serviced,injected,detected,repaired,mean_detection_s,sweeps",
-		points, func(pt experiments.CorruptionPoint) []any {
-			return []any{pt.Rate, pt.Serviced, pt.Injected, pt.Detected, pt.Repaired, secs(pt.MeanDetection), pt.Sweeps}
-		})
-}
-
-// WriteDoubleFaultCSV emits the E18 double-failure sweep.
-func WriteDoubleFaultCSV(w io.Writer, points []experiments.DoubleFaultPoint) error {
-	return writeCSV(w, "scheme,streams,completed,lost,hiccups,lost_blocks,rebuilds_done,rebuild_rounds_sim,rebuild_rounds_model",
-		points, func(pt experiments.DoubleFaultPoint) []any {
-			return []any{pt.Scheme, pt.Streams, pt.Completed, pt.Lost, pt.Hiccups, pt.LostBlocks,
-				pt.RebuildsDone, pt.MeasuredRebuild, pt.AnalyticRebuild}
-		})
-}
-
-// WriteRebuildCSV emits the E11 rebuild-time ablation.
-func WriteRebuildCSV(w io.Writer, points []experiments.RebuildPoint) error {
-	return writeCSV(w, "scheme,p,rebuild_s,mttdl_hours", points, func(pt experiments.RebuildPoint) []any {
-		return []any{pt.Scheme, pt.P, fmt.Sprintf("%.3f", pt.Rebuild.Seconds()), fmt.Sprintf("%.6g", float64(pt.MTTDL))}
-	})
-}
-
-// WriteAutopilotCSV emits the E21 closed-vs-open-loop sweep.
-func WriteAutopilotCSV(w io.Writer, points []experiments.AutopilotPoint) error {
-	return writeCSV(w, "multiplier,offered,open_serviced,open_rejected,open_lost,closed_serviced,closed_rejected,closed_shed,closed_lost,actions,joins",
-		points, func(pt experiments.AutopilotPoint) []any {
-			return []any{pt.Multiplier, pt.Offered, pt.OpenServiced, pt.OpenRejected, pt.OpenLost,
-				pt.ClosedServiced, pt.ClosedRejected, pt.ClosedShed, pt.ClosedLost, pt.Actions, pt.Joins}
-		})
-}
-
-// WriteScenarioCSV emits the E20 flash-crowd sweep.
-func WriteScenarioCSV(w io.Writer, points []experiments.ScenarioPoint) error {
-	return writeCSV(w, "multiplier,offered,serviced,rejected,peak_active,failed_over,lost_streams,view_version",
-		points, func(pt experiments.ScenarioPoint) []any {
-			return []any{pt.Multiplier, pt.Offered, pt.Serviced, pt.Rejected, pt.PeakActive,
-				pt.FailedOver, pt.LostStreams, pt.ViewVersion}
-		})
+// writeRows emits the caption line, then the rows aligned in columns; a
+// failed write surfaces from the Flush.
+func writeRows(w io.Writer, caption string, rows [][]string) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, caption)
+	for _, row := range rows {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
+	}
+	return tw.Flush()
 }

@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/experiments"
+	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
 
@@ -21,12 +22,12 @@ func parseCSV(t *testing.T, s string) [][]string {
 }
 
 func TestWriteFigure5CSV(t *testing.T) {
-	points, err := experiments.Figure5(256 * units.MB)
+	points, err := experiments.Figure5(256*units.MB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFigure5CSV(&buf, points); err != nil {
+	if err := trace.WriteCSV(&buf, experiments.Figure5Columns, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -48,7 +49,7 @@ func TestWriteFigure6CSV(t *testing.T) {
 		{Scheme: analytic.Declustered, P: 4, Serviced: 100, PeakActive: 12, MeanResponse: 1.5},
 	}
 	var buf bytes.Buffer
-	if err := WriteFigure6CSV(&buf, points); err != nil {
+	if err := trace.WriteCSV(&buf, experiments.Figure6Columns, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -62,7 +63,7 @@ func TestWriteContinuityCSV(t *testing.T) {
 		{Scheme: analytic.NonClustered, P: 8, Serviced: 5, DeadlineMisses: 7, LostBlocks: 2},
 	}
 	var buf bytes.Buffer
-	if err := WriteContinuityCSV(&buf, points); err != nil {
+	if err := trace.WriteCSV(&buf, experiments.ContinuityColumns, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -77,7 +78,7 @@ func TestWriteRebuildCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteRebuildCSV(&buf, points); err != nil {
+	if err := trace.WriteCSV(&buf, experiments.RebuildColumns, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -116,16 +117,16 @@ func TestWriteErrorsPropagate(t *testing.T) {
 	cont := []experiments.ContinuityPoint{{Scheme: analytic.Declustered, P: 4}}
 	reb := []experiments.RebuildPoint{{Scheme: analytic.Declustered, P: 4, Rebuild: 1, MTTDL: 1}}
 	for _, n := range []int{0, 10} {
-		if err := WriteFigure5CSV(&failWriter{n: n}, f5); err == nil {
+		if err := trace.WriteCSV(&failWriter{n: n}, experiments.Figure5Columns, f5); err == nil {
 			t.Errorf("Figure5 n=%d: error swallowed", n)
 		}
-		if err := WriteFigure6CSV(&failWriter{n: n}, f6); err == nil {
+		if err := trace.WriteCSV(&failWriter{n: n}, experiments.Figure6Columns, f6); err == nil {
 			t.Errorf("Figure6 n=%d: error swallowed", n)
 		}
-		if err := WriteContinuityCSV(&failWriter{n: n}, cont); err == nil {
+		if err := trace.WriteCSV(&failWriter{n: n}, experiments.ContinuityColumns, cont); err == nil {
 			t.Errorf("Continuity n=%d: error swallowed", n)
 		}
-		if err := WriteRebuildCSV(&failWriter{n: n}, reb); err == nil {
+		if err := trace.WriteCSV(&failWriter{n: n}, experiments.RebuildColumns, reb); err == nil {
 			t.Errorf("Rebuild n=%d: error swallowed", n)
 		}
 	}
@@ -137,7 +138,7 @@ func TestWriteClusterCSV(t *testing.T) {
 			MeanResponse: units.Duration(0.25), FaultServiced: 850, FailedOver: 30, LostStreams: 2},
 	}
 	var buf bytes.Buffer
-	if err := WriteClusterCSV(&buf, points); err != nil {
+	if err := trace.WriteCSV(&buf, experiments.ClusterColumns, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -160,7 +161,7 @@ func TestWriteCorruptionCSV(t *testing.T) {
 			MeanDetection: 300 * units.Second, Sweeps: 0},
 	}
 	var buf bytes.Buffer
-	if err := WriteCorruptionCSV(&buf, points); err != nil {
+	if err := trace.WriteCSV(&buf, experiments.CorruptionColumns, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
@@ -174,7 +175,7 @@ func TestWriteCorruptionCSV(t *testing.T) {
 		t.Fatalf("rows %v", rows[1:])
 	}
 	for _, n := range []int{0, 10} {
-		if err := WriteCorruptionCSV(&failWriter{n: n}, points); err == nil {
+		if err := trace.WriteCSV(&failWriter{n: n}, experiments.CorruptionColumns, points); err == nil {
 			t.Errorf("Corruption n=%d: error swallowed", n)
 		}
 	}

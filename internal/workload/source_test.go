@@ -26,7 +26,7 @@ func fingerprint(reqs []Request) (int, uint64) {
 // generators produced before they became adapters over the streaming
 // sources: same seed → byte-identical arrivals before and after the
 // refactor. The constants were recorded from the pre-ArrivalSource
-// implementation. Figure 6, E14 and E19 all ride on these generators.
+// implementation. Figure 6, E19 and E22 all ride on these generators.
 func TestArrivalGoldenTraces(t *testing.T) {
 	uni := UniformSelector{N: 1000}
 	zipf, err := NewZipfSelector(1000, 1.1)
