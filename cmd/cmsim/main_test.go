@@ -69,10 +69,13 @@ func TestExperimentSurfaces(t *testing.T) {
 }
 
 // TestOtherSurfacesUnchanged pins a single run and a scenario day, whose
-// flags -exp does not touch, to bytes printed before -exp existed.
+// flags -exp does not touch, to bytes printed before -exp existed, and the
+// same scenario surface on a single array (-nodes 1), text and timeline.
 func TestOtherSurfacesUnchanged(t *testing.T) {
 	golden(t, "run_rebuild.txt", "-duration", "120", "-fail", "5", "-failat", "50", "-rebuild")
 	golden(t, "scenario_flagship.txt", "-scenario", "primetime-flashcrowd-rebuild", "-csv")
+	golden(t, "scenario_single.txt", "-scenario", "primetime-flashcrowd", "-nodes", "1")
+	golden(t, "scenario_single.csv", "-scenario", "primetime-flashcrowd", "-nodes", "1", "-csv")
 }
 
 // TestExpFlagErrors: -exp refuses what it would otherwise have to guess
