@@ -190,7 +190,26 @@ func BenchmarkSimRound(b *testing.B) {
 		if _, err := sim.Run(sim.Config{
 			Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 			Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
-			Duration: 600 * units.Second, Seed: int64(i), FailDisk: -1,
+			Duration: 600 * units.Second, Seed: int64(i),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSimCluster(b *testing.B) {
+	// The same round loop at three nodes, replication 2: routing by load
+	// and per-node completion on top of BenchmarkSimRound's work.
+	cat := experiments.PaperCatalog()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunCluster(sim.ClusterConfig{
+			Node: sim.Config{
+				Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+				Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
+				Duration: 600 * units.Second, Seed: int64(i),
+			},
+			Nodes: 3, Replication: 2,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -116,6 +116,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		// An out-of-range -fail scripts nothing.
+		var failure []sim.FailureEvent
+		if *failDisk >= 0 && *failDisk < 32 {
+			failure = []sim.FailureEvent{{Disk: *failDisk, At: units.Duration(*failAt), Rebuild: *rebuildFlag}}
+		}
 		res, err := sim.Run(sim.Config{
 			Scheme:      scheme,
 			Dynamic:     *dynamic,
@@ -128,9 +133,7 @@ func main() {
 			Duration:    units.Duration(*duration),
 			Seed:        *seed,
 			QueueBypass: *bypass,
-			FailDisk:    *failDisk,
-			FailAt:      units.Duration(*failAt),
-			Rebuild:     *rebuildFlag,
+			Trace:       failure,
 			BatchWindow: units.Duration(*batch),
 			ScrubRate:   *scrub,
 			Corruptions: corruptions,
@@ -236,8 +239,9 @@ func runScenario(arg string, opts scenarioOpts) error {
 		return err
 	}
 
+	single := opts.nodes == 1
 	engine := "cluster"
-	if !res.Cluster {
+	if single {
 		engine = "single array"
 	}
 	prof := compiled.Profile
@@ -257,12 +261,11 @@ func runScenario(arg string, opts scenarioOpts) error {
 	fmt.Printf("mean response     %v\n", res.MeanResponse)
 	fmt.Printf("p95 response      %v\n", res.ResponseP95)
 	fmt.Printf("max queue         %d\n", res.MaxQueue)
-	if res.Cluster {
-		cr := res.ClusterRes
+	if !single {
 		fmt.Printf("maintenance       %d failures, %d joins, %d drains, %d disk adds\n",
-			cr.NodeFailures, cr.Joins, cr.Drains, cr.DiskAdds)
+			res.NodeFailures, res.Joins, res.Drains, res.DiskAdds)
 		fmt.Printf("stream movement   %d failed over, %d lost, %d migrated\n",
-			cr.FailedOver, cr.LostStreams, cr.MigratedStreams)
+			res.FailedOver, res.LostStreams, res.MigratedStreams)
 		fmt.Printf("view version      %d\n", res.ViewVersion)
 		if opts.autopilot {
 			fmt.Printf("autopilot         %d actions\n", len(res.Actions))
@@ -270,9 +273,9 @@ func runScenario(arg string, opts scenarioOpts) error {
 				fmt.Printf("  %s\n", a)
 			}
 		}
-	} else if res.Single.RebuildsDone > 0 {
+	} else if res.RebuildsDone > 0 {
 		fmt.Printf("rebuilds          %d (first finished in %v)\n",
-			res.Single.RebuildsDone, res.Single.RebuildTime)
+			res.RebuildsDone, res.RebuildTime)
 	}
 	fmt.Printf("timeline          %d buckets of %v\n", len(res.Timeline), compiled.Bucket())
 

@@ -46,8 +46,7 @@ func main() {
 			ArrivalRate: 20,
 			Duration:    300 * units.Second,
 			Seed:        7,
-			FailDisk:    5,
-			FailAt:      100 * units.Second,
+			Trace:       []sim.FailureEvent{{Disk: 5, At: 100 * units.Second}},
 		})
 		if err != nil {
 			log.Fatal(err)

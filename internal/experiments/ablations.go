@@ -36,7 +36,7 @@ func AdmissionAblation(buffer units.Bits, seed int64) ([]AdmissionAblationPoint,
 	base := sim.Config{
 		Disk: diskmodel.Default(), D: 32, Buffer: buffer, Catalog: cat,
 		ArrivalRate: 20, Duration: 600 * units.Second, Seed: seed,
-		FailDisk: -1, Scheme: analytic.Declustered,
+		Scheme: analytic.Declustered,
 	}
 	return parallel.Map(len(GroupSizes), 0, func(k int) (AdmissionAblationPoint, error) {
 		pt := AdmissionAblationPoint{P: GroupSizes[k]}
@@ -152,7 +152,7 @@ func FailureContinuity(buffer units.Bits, seed int64) ([]ContinuityPoint, error)
 			Scheme: c.s, Disk: diskmodel.Default(), D: 32, P: c.p,
 			Buffer: buffer, Catalog: cat, ArrivalRate: 20,
 			Duration: 300 * units.Second, Seed: seed,
-			FailDisk: 5, FailAt: 100 * units.Second,
+			Trace: []sim.FailureEvent{{Disk: 5, At: 100 * units.Second}},
 		})
 		if err != nil {
 			return ContinuityPoint{}, err

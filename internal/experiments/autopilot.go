@@ -40,8 +40,8 @@ type AutopilotPoint struct {
 // determinism holds cell by cell.
 func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
 	cfg = cfg.withDefaults()
-	return parallel.Map(len(cfg.Multipliers), cfg.Workers, func(k int) (AutopilotPoint, error) {
-		mult := cfg.Multipliers[k]
+	return parallel.Map(len(scenarioMultipliers), cfg.Workers, func(k int) (AutopilotPoint, error) {
+		mult := scenarioMultipliers[k]
 		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, false))
 		if err != nil {
 			return AutopilotPoint{}, fmt.Errorf("autopilot sweep ×%g: %w", mult, err)
@@ -49,8 +49,8 @@ func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
 		rc := scenario.RunConfig{
 			Scenario:    compiled,
 			Seed:        cfg.Seed,
-			Nodes:       cfg.Nodes,
-			Replication: cfg.Replication,
+			Nodes:       scenarioNodes,
+			Replication: scenarioReplication,
 			Workers:     1, // cells already fan out; keep each run sequential
 		}
 		open, err := scenario.Run(rc)
@@ -73,7 +73,7 @@ func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
 			ClosedShed:     closed.Shed,
 			ClosedLost:     closed.LostStreams,
 			Actions:        len(closed.Actions),
-			Joins:          closed.ClusterRes.Joins,
+			Joins:          closed.Joins,
 		}, nil
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
+	"ftcms/internal/workload"
 )
 
 // ClusterPoint is one (nodes, replication) cell of the cluster sweep
@@ -31,46 +32,52 @@ type ClusterPoint struct {
 	LostStreams int
 }
 
-// ClusterSweepConfig parameterizes the sweep. The zero value of any
+// ClusterSweepConfig parameterizes E14 and E19. The zero value of any
 // field selects the documented default.
 type ClusterSweepConfig struct {
 	// Buffer is each node's RAM buffer (default 128 MB).
 	Buffer units.Bits
-	// NodeCounts are the cluster sizes to sweep (default 1, 2, 4).
-	NodeCounts []int
-	// Replications are the replication factors to sweep (default 1, 2);
-	// cells with replication > nodes are skipped.
-	Replications []int
-	// ArrivalRate is the cluster-wide Poisson arrival rate (default 5/s,
-	// low enough that failover capacity exists on survivors).
-	ArrivalRate float64
-	// Duration is the simulated horizon (default 120 s). The faulted run
-	// kills node 0 at Duration/2.
-	Duration units.Duration
 	// Seed drives all randomness (default 1).
 	Seed int64
 }
+
+// E14's grid and load: cells with replication > nodes are skipped; the
+// cluster-wide Poisson arrival rate is low enough that failover capacity
+// exists on survivors; the faulted run kills node 0 at half time.
+var (
+	clusterNodeCounts   = []int{1, 2, 4}
+	clusterReplications = []int{1, 2}
+)
+
+const (
+	clusterArrivalRate = 5.0
+	clusterDuration    = 120 * units.Second
+)
 
 func (c ClusterSweepConfig) withDefaults() ClusterSweepConfig {
 	if c.Buffer <= 0 {
 		c.Buffer = 128 * units.MB
 	}
-	if len(c.NodeCounts) == 0 {
-		c.NodeCounts = []int{1, 2, 4}
-	}
-	if len(c.Replications) == 0 {
-		c.Replications = []int{1, 2}
-	}
-	if c.ArrivalRate <= 0 {
-		c.ArrivalRate = 5
-	}
-	if c.Duration <= 0 {
-		c.Duration = 120 * units.Second
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
+}
+
+// node is the sweeps' node template: a 16-disk declustered array under a
+// cluster-wide Poisson load.
+func (c ClusterSweepConfig) node(catalog *workload.Catalog, rate float64, duration units.Duration) sim.Config {
+	return sim.Config{
+		Scheme:      analytic.Declustered,
+		Disk:        diskmodel.Default(),
+		D:           16,
+		P:           4,
+		Buffer:      c.Buffer,
+		Catalog:     catalog,
+		ArrivalRate: rate,
+		Duration:    duration,
+		Seed:        c.Seed,
+	}
 }
 
 // ClusterSweep runs E14: sim.RunCluster over the (nodes, replication)
@@ -81,8 +88,8 @@ func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterPoint, error) {
 	catalog := PaperCatalog()
 	type cell struct{ nodes, rep int }
 	var grid []cell
-	for _, n := range cfg.NodeCounts {
-		for _, r := range cfg.Replications {
+	for _, n := range clusterNodeCounts {
+		for _, r := range clusterReplications {
 			if r <= n {
 				grid = append(grid, cell{n, r})
 			}
@@ -91,17 +98,7 @@ func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterPoint, error) {
 	return parallel.Map(len(grid), 0, func(k int) (ClusterPoint, error) {
 		c := grid[k]
 		base := sim.ClusterConfig{
-			Node: sim.Config{
-				Scheme:      analytic.Declustered,
-				Disk:        diskmodel.Default(),
-				D:           16,
-				P:           4,
-				Buffer:      cfg.Buffer,
-				Catalog:     catalog,
-				ArrivalRate: cfg.ArrivalRate,
-				Duration:    cfg.Duration,
-				Seed:        cfg.Seed,
-			},
+			Node:        cfg.node(catalog, clusterArrivalRate, clusterDuration),
 			Nodes:       c.nodes,
 			Replication: c.rep,
 		}
@@ -110,7 +107,7 @@ func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterPoint, error) {
 			return ClusterPoint{}, fmt.Errorf("cluster sweep n=%d rep=%d: %w", c.nodes, c.rep, err)
 		}
 		faulted := base
-		faulted.NodeTrace = []sim.FailureEvent{{Disk: 0, At: cfg.Duration / 2}}
+		faulted.NodeTrace = []sim.FailureEvent{{Disk: 0, At: clusterDuration / 2}}
 		fres, err := sim.RunCluster(faulted)
 		if err != nil {
 			return ClusterPoint{}, fmt.Errorf("cluster sweep n=%d rep=%d (faulted): %w", c.nodes, c.rep, err)

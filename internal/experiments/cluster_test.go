@@ -3,23 +3,16 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"ftcms/internal/units"
 )
 
 func TestClusterSweep(t *testing.T) {
-	cfg := ClusterSweepConfig{
-		NodeCounts:   []int{1, 3},
-		Replications: []int{1, 2},
-		Duration:     60 * units.Second,
-	}
-	pts, err := ClusterSweep(cfg)
+	pts, err := ClusterSweep(ClusterSweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rep=2 on 1 node is skipped: 1×{1} + 3×{1,2} = 3 cells.
-	if len(pts) != 3 {
-		t.Fatalf("%d points, want 3", len(pts))
+	// rep=2 on 1 node is skipped: 1×{1} + 2×{1,2} + 4×{1,2} = 5 cells.
+	if len(pts) != 5 {
+		t.Fatalf("%d points, want 5", len(pts))
 	}
 	byCell := map[[2]int]ClusterPoint{}
 	for _, pt := range pts {
@@ -28,18 +21,18 @@ func TestClusterSweep(t *testing.T) {
 		}
 		byCell[[2]int{pt.Nodes, pt.Replication}] = pt
 	}
-	// The replicated 3-node cell survives the node kill with failovers;
+	// The replicated 4-node cell survives the node kill with failovers;
 	// the unreplicated one only loses streams.
-	rep2 := byCell[[2]int{3, 2}]
+	rep2 := byCell[[2]int{4, 2}]
 	if rep2.FailedOver == 0 {
-		t.Errorf("n=3 rep=2 failed over nothing: %+v", rep2)
+		t.Errorf("n=4 rep=2 failed over nothing: %+v", rep2)
 	}
-	rep1 := byCell[[2]int{3, 1}]
+	rep1 := byCell[[2]int{4, 1}]
 	if rep1.FailedOver != 0 {
-		t.Errorf("n=3 rep=1 failed over %d streams with no replicas", rep1.FailedOver)
+		t.Errorf("n=4 rep=1 failed over %d streams with no replicas", rep1.FailedOver)
 	}
 	if rep1.LostStreams == 0 {
-		t.Errorf("n=3 rep=1 lost nothing to the node kill: %+v", rep1)
+		t.Errorf("n=4 rep=1 lost nothing to the node kill: %+v", rep1)
 	}
 }
 

@@ -151,7 +151,6 @@ func Figure6(cfg Figure6Config) ([]Figure6Point, error) {
 			ArrivalRate: 20,
 			Duration:    cfg.Duration,
 			Seed:        cfg.Seed,
-			FailDisk:    -1,
 		})
 		if err != nil {
 			return Figure6Point{}, fmt.Errorf("experiments: %v p=%d: %w", s, p, err)

@@ -71,7 +71,7 @@ func TestRunManyMatchesRunLoop(t *testing.T) {
 	cfg := sim.Config{
 		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: PaperCatalog(), ArrivalRate: 20,
-		Duration: 60 * units.Second, FailDisk: -1,
+		Duration: 60 * units.Second,
 	}
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	want := make([]sim.Result, len(seeds))
@@ -107,7 +107,7 @@ func TestSweepsLeaveNoGoroutines(t *testing.T) {
 	if _, err := sim.RunMany(sim.Config{
 		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: PaperCatalog(), ArrivalRate: 20,
-		Duration: 30 * units.Second, FailDisk: -1,
+		Duration: 30 * units.Second,
 	}, []int64{1, 2, 3, 4}, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ftcms/internal/analytic"
-	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
@@ -36,43 +34,15 @@ type ReconfigPoint struct {
 	ViewVersion int64
 }
 
-// ReconfigSweepConfig parameterizes E19. Zero values select defaults.
-type ReconfigSweepConfig struct {
-	// Buffer is each node's RAM buffer (default 128 MB).
-	Buffer units.Bits
-	// Nodes and Replication size the cluster (default 3, 2).
-	Nodes, Replication int
-	// ArrivalRates are the load levels to sweep (default 2, 5, 10, 20 —
-	// quiet night through saturated prime time).
-	ArrivalRates []float64
-	// Duration is the simulated horizon (default 120 s). The join fires
-	// at Duration/4 and the drain at Duration/2.
-	Duration units.Duration
-	// Seed drives all randomness (default 1).
-	Seed int64
-}
+// E19's cluster and load axis: quiet night through saturated prime time
+// on three nodes at replication 2; the join fires a quarter of the way
+// in and the drain at half time.
+var reconfigArrivalRates = []float64{2, 5, 10, 20}
 
-func (c ReconfigSweepConfig) withDefaults() ReconfigSweepConfig {
-	if c.Buffer <= 0 {
-		c.Buffer = 128 * units.MB
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.Replication <= 0 {
-		c.Replication = 2
-	}
-	if len(c.ArrivalRates) == 0 {
-		c.ArrivalRates = []float64{2, 5, 10, 20}
-	}
-	if c.Duration <= 0 {
-		c.Duration = 120 * units.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+const (
+	reconfigNodes, reconfigReplication = 3, 2
+	reconfigDuration                   = 120 * units.Second
+)
 
 // drainRounds extracts the drain-start→retirement gap for node.
 func drainRounds(res sim.ClusterResult, node int) int64 {
@@ -83,44 +53,34 @@ func drainRounds(res sim.ClusterResult, node int) int64 {
 	return pn.RetiredRound - pn.DrainRound
 }
 
-// ReconfigSweep runs E19: sim.RunCluster over the arrival-rate axis,
-// three runs per cell — baseline, drain-under-load, and join-then-
-// drain — on the paper's catalog with 16-disk declustered nodes.
-// Cells run in parallel.
-func ReconfigSweep(cfg ReconfigSweepConfig) ([]ReconfigPoint, error) {
+// ReconfigSweep runs E19 on E14's node shape and configuration:
+// sim.RunCluster over the arrival-rate axis, three runs per cell —
+// baseline, drain-under-load, and join-then-drain — on the paper's
+// catalog with 16-disk declustered nodes. Cells run in parallel.
+func ReconfigSweep(cfg ClusterSweepConfig) ([]ReconfigPoint, error) {
 	cfg = cfg.withDefaults()
 	catalog := PaperCatalog()
-	return parallel.Map(len(cfg.ArrivalRates), 0, func(k int) (ReconfigPoint, error) {
-		rate := cfg.ArrivalRates[k]
+	return parallel.Map(len(reconfigArrivalRates), 0, func(k int) (ReconfigPoint, error) {
+		rate := reconfigArrivalRates[k]
 		base := sim.ClusterConfig{
-			Node: sim.Config{
-				Scheme:      analytic.Declustered,
-				Disk:        diskmodel.Default(),
-				D:           16,
-				P:           4,
-				Buffer:      cfg.Buffer,
-				Catalog:     catalog,
-				ArrivalRate: rate,
-				Duration:    cfg.Duration,
-				Seed:        cfg.Seed,
-			},
-			Nodes:       cfg.Nodes,
-			Replication: cfg.Replication,
+			Node:        cfg.node(catalog, rate, reconfigDuration),
+			Nodes:       reconfigNodes,
+			Replication: reconfigReplication,
 		}
 		healthy, err := sim.RunCluster(base)
 		if err != nil {
 			return ReconfigPoint{}, fmt.Errorf("reconfig sweep λ=%g: %w", rate, err)
 		}
 		drained := base
-		drained.ViewTrace = []sim.ViewEvent{{Kind: "drain", Node: 1, At: cfg.Duration / 2}}
+		drained.ViewTrace = []sim.ViewEvent{{Kind: "drain", Node: 1, At: reconfigDuration / 2}}
 		dres, err := sim.RunCluster(drained)
 		if err != nil {
 			return ReconfigPoint{}, fmt.Errorf("reconfig sweep λ=%g (drain): %w", rate, err)
 		}
 		swapped := base
 		swapped.ViewTrace = []sim.ViewEvent{
-			{Kind: "join", At: cfg.Duration / 4},
-			{Kind: "drain", Node: 1, At: cfg.Duration / 2},
+			{Kind: "join", At: reconfigDuration / 4},
+			{Kind: "drain", Node: 1, At: reconfigDuration / 2},
 		}
 		sres, err := sim.RunCluster(swapped)
 		if err != nil {

@@ -3,21 +3,15 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"ftcms/internal/units"
 )
 
 func TestReconfigSweep(t *testing.T) {
-	cfg := ReconfigSweepConfig{
-		ArrivalRates: []float64{2, 10},
-		Duration:     60 * units.Second,
-	}
-	pts, err := ReconfigSweep(cfg)
+	pts, err := ReconfigSweep(ClusterSweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points, want 2", len(pts))
+	if len(pts) != len(reconfigArrivalRates) {
+		t.Fatalf("%d points, want %d", len(pts), len(reconfigArrivalRates))
 	}
 	for _, pt := range pts {
 		if pt.Baseline == 0 || pt.Serviced == 0 {

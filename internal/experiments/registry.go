@@ -93,7 +93,7 @@ var Registry = []Experiment{
 			cfg := ClusterSweepConfig{Buffer: p.Buffer, Seed: p.Seed}.withDefaults()
 			pts, err := ClusterSweep(cfg)
 			return fmt.Sprintf("E14 — cluster scaling and node-failure survival (B=%v per node, λ=%g/s, %v, fail node 0 at %v)",
-				cfg.Buffer, cfg.ArrivalRate, cfg.Duration, cfg.Duration/2), pts, err
+				cfg.Buffer, clusterArrivalRate, clusterDuration, clusterDuration/2), pts, err
 		})},
 	{Name: "mixed", ID: "E16", Cmd: "cmsim", Doc: "mixed-rate workload (audio + MPEG-1 + MPEG-2, declustered); takes -p", Render: plain(mixedWorkload)},
 	{Name: "integrity", ID: "E17", Cmd: "cmsim", Doc: "patrol scrub rate vs. a silent-corruption campaign",
@@ -110,24 +110,24 @@ var Registry = []Experiment{
 		Render: table(MTTDLColumns, trace.WriteText, mttdlTradeoff)},
 	{Name: "reconfig", ID: "E19", Cmd: "cmsim", Doc: "graceful node drain under prime-time load, with and without a join",
 		Render: table(ReconfigColumns, trace.WriteText, func(p Params) (string, []ReconfigPoint, error) {
-			cfg := ReconfigSweepConfig{Buffer: p.Buffer, Seed: p.Seed}.withDefaults()
+			cfg := ClusterSweepConfig{Buffer: p.Buffer, Seed: p.Seed}.withDefaults()
 			pts, err := ReconfigSweep(cfg)
 			return fmt.Sprintf("E19 — drain under prime time (%d nodes rep %d, B=%v per node, %v; join at %v, drain node 1 at %v)",
-				cfg.Nodes, cfg.Replication, cfg.Buffer, cfg.Duration, cfg.Duration/4, cfg.Duration/2), pts, err
+				reconfigNodes, reconfigReplication, cfg.Buffer, reconfigDuration, reconfigDuration/4, reconfigDuration/2), pts, err
 		})},
 	{Name: "scenariosweep", ID: "E20", Cmd: "cmsim", Doc: "flash crowd during node loss; takes -subscribers -timescale",
 		Render: table(ScenarioColumns, trace.WriteText, func(p Params) (string, []ScenarioPoint, error) {
 			cfg := ScenarioSweepConfig{Subscribers: p.Subscribers, TimeScale: p.TimeScale, Seed: p.Seed, Workers: p.Workers}.withDefaults()
 			pts, err := ScenarioSweep(cfg)
 			return fmt.Sprintf("E20 — flash crowd during node loss (%d subscribers, %g× compressed day, %d nodes rep %d; fail 19:45, join 20:00, crowd 20:00–21:00)",
-				cfg.Subscribers, cfg.TimeScale, cfg.Nodes, cfg.Replication), pts, err
+				cfg.Subscribers, cfg.TimeScale, scenarioNodes, scenarioReplication), pts, err
 		})},
 	{Name: "autopilotsweep", ID: "E21", Cmd: "cmsim", Doc: "closed vs open loop reject curves; takes -subscribers -timescale",
 		Render: table(AutopilotColumns, trace.WriteText, func(p Params) (string, []AutopilotPoint, error) {
 			cfg := ScenarioSweepConfig{Subscribers: p.Subscribers, TimeScale: p.TimeScale, Seed: p.Seed, Workers: p.Workers}.withDefaults()
 			pts, err := AutopilotSweep(cfg)
 			return fmt.Sprintf("E21 — closed vs open loop (%d subscribers, %g× compressed day, %d nodes rep %d; fail 19:45 unanswered, crowd 20:00–21:00)",
-				cfg.Subscribers, cfg.TimeScale, cfg.Nodes, cfg.Replication), pts, err
+				cfg.Subscribers, cfg.TimeScale, scenarioNodes, scenarioReplication), pts, err
 		})},
 }
 

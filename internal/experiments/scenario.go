@@ -40,15 +40,16 @@ type ScenarioSweepConfig struct {
 	// TimeScale is the day's compression factor (default 480: a 24-hour
 	// day in 180 simulated seconds).
 	TimeScale float64
-	// Multipliers is the flash-crowd axis (default 1, 2, 4, 8).
-	Multipliers []float64
-	// Nodes and Replication size the cluster (default 3, 2).
-	Nodes, Replication int
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// Workers bounds sweep parallelism (0 = one per CPU).
 	Workers int
 }
+
+// E20's and E21's flash-crowd axis and cluster shape.
+var scenarioMultipliers = []float64{1, 2, 4, 8}
+
+const scenarioNodes, scenarioReplication = 3, 2
 
 func (c ScenarioSweepConfig) withDefaults() ScenarioSweepConfig {
 	if c.Subscribers <= 0 {
@@ -56,15 +57,6 @@ func (c ScenarioSweepConfig) withDefaults() ScenarioSweepConfig {
 	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 480
-	}
-	if len(c.Multipliers) == 0 {
-		c.Multipliers = []float64{1, 2, 4, 8}
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.Replication <= 0 {
-		c.Replication = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -104,8 +96,8 @@ func scenarioProfile(cfg ScenarioSweepConfig, mult float64, join bool) scenario.
 // and deterministic.
 func ScenarioSweep(cfg ScenarioSweepConfig) ([]ScenarioPoint, error) {
 	cfg = cfg.withDefaults()
-	return parallel.Map(len(cfg.Multipliers), cfg.Workers, func(k int) (ScenarioPoint, error) {
-		mult := cfg.Multipliers[k]
+	return parallel.Map(len(scenarioMultipliers), cfg.Workers, func(k int) (ScenarioPoint, error) {
+		mult := scenarioMultipliers[k]
 		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, true))
 		if err != nil {
 			return ScenarioPoint{}, fmt.Errorf("scenario sweep ×%g: %w", mult, err)
@@ -113,8 +105,8 @@ func ScenarioSweep(cfg ScenarioSweepConfig) ([]ScenarioPoint, error) {
 		res, err := scenario.Run(scenario.RunConfig{
 			Scenario:    compiled,
 			Seed:        cfg.Seed,
-			Nodes:       cfg.Nodes,
-			Replication: cfg.Replication,
+			Nodes:       scenarioNodes,
+			Replication: scenarioReplication,
 			Workers:     1, // cells already fan out; keep each run sequential
 		})
 		if err != nil {

@@ -52,7 +52,6 @@ func CorruptionSweep(buffer units.Bits, seed int64) ([]CorruptionPoint, error) {
 			ArrivalRate: 2,
 			Duration:    1500 * units.Second,
 			Seed:        seed,
-			FailDisk:    -1,
 			ScrubRate:   ScrubRates[k],
 			Corruptions: corruptionCampaign(),
 		})

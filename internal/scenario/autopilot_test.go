@@ -56,15 +56,15 @@ func TestClosedLoopFlagshipAcceptance(t *testing.T) {
 			drains++
 		}
 	}
-	if closed.ClusterRes.Joins != joins+replaces {
+	if closed.Joins != joins+replaces {
 		t.Fatalf("joins %d not all autopilot-issued (trace has %d scale-outs + %d replaces)",
-			closed.ClusterRes.Joins, joins, replaces)
+			closed.Joins, joins, replaces)
 	}
-	if closed.ClusterRes.Drains != drains {
-		t.Fatalf("drains %d not all autopilot-issued (trace has %d)", closed.ClusterRes.Drains, drains)
+	if closed.Drains != drains {
+		t.Fatalf("drains %d not all autopilot-issued (trace has %d)", closed.Drains, drains)
 	}
-	if closed.ClusterRes.DiskAdds != 0 {
-		t.Fatalf("operator adddisk leaked into closed-loop run: %d", closed.ClusterRes.DiskAdds)
+	if closed.DiskAdds != 0 {
+		t.Fatalf("operator adddisk leaked into closed-loop run: %d", closed.DiskAdds)
 	}
 	// The node loss was confirmed and replaced from the spare budget.
 	if replaces != 1 {
@@ -140,10 +140,10 @@ func TestClosedLoopActionTraceDeterminism(t *testing.T) {
 // can save the day — and does.
 func TestAutopilotBuiltinExercisesLoop(t *testing.T) {
 	res := closedLoop(t, "primetime-autopilot", 11, 0)
-	if res.ClusterRes.NodeFailures != 1 {
-		t.Fatalf("node failures = %d, want 1", res.ClusterRes.NodeFailures)
+	if res.NodeFailures != 1 {
+		t.Fatalf("node failures = %d, want 1", res.NodeFailures)
 	}
-	if res.ClusterRes.Joins == 0 {
+	if res.Joins == 0 {
 		t.Fatal("autopilot never joined a node")
 	}
 	if res.LostStreams != 0 {

@@ -20,9 +20,9 @@ type RunConfig struct {
 	// Seed drives all randomness: arrivals, clip choice, session
 	// behavior and placements.
 	Seed int64
-	// Nodes is the cluster size (default 3). 1 runs the single-array
-	// engine: fail/restart maintenance becomes a disk failure with an
-	// online rebuild, and drain/join/adddisk are rejected.
+	// Nodes is the cluster size (default 3). 1 is a single array:
+	// fail/restart maintenance becomes a disk failure with an online
+	// rebuild, and drain/join/adddisk are rejected.
 	Nodes int
 	// Replication is the clip replication factor (default 2, clamped to
 	// Nodes).
@@ -44,41 +44,18 @@ type RunConfig struct {
 	Autopilot *autopilot.Config
 }
 
-// Result is a scenario run's outcome: the flat summary both engines
-// share, the per-bucket timeline, and the underlying engine result for
-// anything scenario-agnostic.
+// Result is a scenario run's outcome: the engine's result — service
+// summary, stream movement, per-bucket timeline — plus what only the
+// scenario knows.
 type Result struct {
+	sim.ClusterResult
 	// Name echoes the profile name.
 	Name string
-	// Cluster reports which engine ran.
-	Cluster bool
 	// Duration is the compressed day's simulated length.
 	Duration units.Duration
 	// Offered counts requests the scenario offered (admitted + rejected +
 	// still pending at close).
 	Offered int
-	// Serviced, Completed, Rejected, Batched, PeakActive and MaxQueue
-	// summarize service (Rejected counts patience abandonments).
-	Serviced, Completed, Rejected, Batched int
-	PeakActive, MaxQueue                   int
-	// Shed counts lean-back sessions the autopilot's degradation mode
-	// turned away at arrival (disjoint from Rejected).
-	Shed int
-	// Actions is the autopilot's decision trace (nil on open-loop runs).
-	Actions []autopilot.Action
-	// MeanResponse and ResponseP95 are arrival→admission delays.
-	MeanResponse, ResponseP95 units.Duration
-	// FailedOver, LostStreams and MigratedStreams count failure and
-	// drain stream movement (cluster runs only).
-	FailedOver, LostStreams, MigratedStreams int
-	// ViewVersion is the final membership view version (cluster runs).
-	ViewVersion int64
-	// Timeline is the per-bucket timeline.
-	Timeline []sim.TimelineBucket
-	// Single and ClusterRes expose the full engine result; exactly one
-	// is meaningful, per Cluster.
-	Single     sim.Result
-	ClusterRes sim.ClusterResult
 }
 
 func (rc RunConfig) withDefaults() RunConfig {
@@ -106,9 +83,9 @@ func (rc RunConfig) withDefaults() RunConfig {
 
 // Run executes a compiled scenario end to end: it builds the catalog and
 // streaming arrival source, maps the maintenance schedule onto the
-// engine's failure and view traces, and runs the cluster engine (or the
-// single-array engine for Nodes == 1) with a timeline collector sized by
-// the profile's bucket width.
+// simulator's failure and view traces — disk failures for a single array
+// (Nodes == 1), node failures and view events for a cluster — and runs it
+// with a timeline collector sized by the profile's bucket width.
 func Run(rc RunConfig) (Result, error) {
 	if rc.Scenario == nil {
 		return Result{}, fmt.Errorf("scenario: RunConfig needs a compiled scenario")
@@ -138,12 +115,12 @@ func Run(rc RunConfig) (Result, error) {
 		Catalog:  catalog,
 		Duration: c.Duration(),
 		Seed:     rc.Seed,
-		FailDisk: -1,
 		Source:   src,
 		Patience: c.Patience(),
 		Timeline: &sim.TimelineConfig{Bucket: c.Bucket()},
 	}
 
+	out := Result{Name: p.Name, Duration: c.Duration()}
 	if rc.Nodes == 1 {
 		if rc.Autopilot != nil {
 			return Result{}, fmt.Errorf("scenario: autopilot needs a cluster (nodes > 1)")
@@ -161,67 +138,34 @@ func Run(rc RunConfig) (Result, error) {
 				return Result{}, fmt.Errorf("scenario: maintenance action %q needs a cluster (nodes > 1)", ev.Action)
 			}
 		}
-		res, err := sim.Run(node)
-		if err != nil {
-			return Result{}, err
+		out.Result, err = sim.Run(node)
+	} else {
+		ccfg := sim.ClusterConfig{
+			Node:        node,
+			Nodes:       rc.Nodes,
+			Replication: rc.Replication,
+			Workers:     rc.Workers,
+			Autopilot:   rc.Autopilot,
 		}
-		out := Result{
-			Name: p.Name, Cluster: false, Duration: c.Duration(),
-			Serviced: res.Serviced, Completed: res.Completed,
-			Rejected: res.Rejected, Batched: res.Batched,
-			PeakActive: res.PeakActive, MaxQueue: res.MaxQueue,
-			MeanResponse: res.MeanResponse, ResponseP95: res.ResponseP95,
-			Timeline: res.Timeline, Single: res,
-		}
-		out.Offered = offered(res.Timeline)
-		return out, nil
-	}
-
-	ccfg := sim.ClusterConfig{
-		Node:        node,
-		Nodes:       rc.Nodes,
-		Replication: rc.Replication,
-		Workers:     rc.Workers,
-		Autopilot:   rc.Autopilot,
-	}
-	for _, ev := range c.Maintenance() {
-		switch ev.Action {
-		case ActionFail:
-			ccfg.NodeTrace = append(ccfg.NodeTrace, sim.FailureEvent{Disk: ev.Node, At: ev.At})
-		case ActionRestart:
-			ccfg.NodeTrace = append(ccfg.NodeTrace, sim.FailureEvent{Disk: ev.Node, At: ev.At, Rebuild: true})
-		case ActionDrain, ActionJoin, ActionAddDisk:
-			// Closed-loop runs suppress operator reconfiguration: the
-			// autopilot owns capacity. Faults above still fire.
-			if rc.Autopilot != nil {
-				continue
-			}
+		for _, ev := range c.Maintenance() {
 			switch ev.Action {
-			case ActionDrain:
-				ccfg.ViewTrace = append(ccfg.ViewTrace, sim.ViewEvent{Kind: "drain", Node: ev.Node, At: ev.At})
-			case ActionJoin:
-				ccfg.ViewTrace = append(ccfg.ViewTrace, sim.ViewEvent{Kind: "join", At: ev.At})
-			case ActionAddDisk:
-				ccfg.ViewTrace = append(ccfg.ViewTrace, sim.ViewEvent{Kind: "adddisk", Node: ev.Node, At: ev.At})
+			case ActionFail, ActionRestart:
+				ccfg.NodeTrace = append(ccfg.NodeTrace, sim.FailureEvent{Disk: ev.Node, At: ev.At, Rebuild: ev.Action == ActionRestart})
+			case ActionDrain, ActionJoin, ActionAddDisk:
+				// The action names are the simulator's view-event kinds.
+				// Closed-loop runs suppress operator reconfiguration: the
+				// autopilot owns capacity. Faults above still fire.
+				if rc.Autopilot == nil {
+					ccfg.ViewTrace = append(ccfg.ViewTrace, sim.ViewEvent{Kind: ev.Action, Node: ev.Node, At: ev.At})
+				}
 			}
 		}
+		out.ClusterResult, err = sim.RunCluster(ccfg)
 	}
-	res, err := sim.RunCluster(ccfg)
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{
-		Name: p.Name, Cluster: true, Duration: c.Duration(),
-		Serviced: res.Serviced, Completed: res.Completed,
-		Rejected:   res.Rejected,
-		PeakActive: res.PeakActive, MaxQueue: res.MaxQueue,
-		MeanResponse: res.MeanResponse, ResponseP95: res.ResponseP95,
-		FailedOver: res.FailedOver, LostStreams: res.LostStreams,
-		MigratedStreams: res.MigratedStreams, ViewVersion: res.ViewVersion,
-		Shed: res.Shed, Actions: res.Actions,
-		Timeline: res.Timeline, ClusterRes: res,
-	}
-	out.Offered = offered(res.Timeline)
+	out.Offered = offered(out.Timeline)
 	return out, nil
 }
 

@@ -29,8 +29,8 @@ func TestRunClusterScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cluster {
-		t.Fatal("default run should use the cluster engine")
+	if len(res.PerNode) < 3 {
+		t.Fatalf("default run should be a three-node cluster, got %d nodes", len(res.PerNode))
 	}
 	if res.Name != "small-day" {
 		t.Fatalf("result name %q", res.Name)
@@ -68,10 +68,9 @@ func TestRunClusterScenario(t *testing.T) {
 	}
 	// The scripted maintenance all took effect: one node failure, one
 	// join, one drain, and a view version bump for each transition.
-	cr := res.ClusterRes
-	if cr.NodeFailures != 1 || cr.Joins != 1 || cr.Drains != 1 {
+	if res.NodeFailures != 1 || res.Joins != 1 || res.Drains != 1 {
 		t.Fatalf("failures/joins/drains = %d/%d/%d, want 1/1/1",
-			cr.NodeFailures, cr.Joins, cr.Drains)
+			res.NodeFailures, res.Joins, res.Drains)
 	}
 	if res.ViewVersion < 2 {
 		t.Fatalf("view version %d after join+drain, want ≥ 2", res.ViewVersion)
@@ -97,8 +96,8 @@ func TestRunSingleArrayScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cluster {
-		t.Fatal("Nodes=1 should use the single-array engine")
+	if res.PerNode != nil || res.NodeFailures != 0 {
+		t.Fatalf("Nodes=1 should fail a disk of a single array, not a node: %+v", res.ClusterResult)
 	}
 	if res.Serviced == 0 {
 		t.Fatal("no clips serviced")
@@ -106,9 +105,9 @@ func TestRunSingleArrayScenario(t *testing.T) {
 	if len(res.Timeline) != 12 {
 		t.Fatalf("%d buckets, want 12", len(res.Timeline))
 	}
-	if !res.Single.RebuildDone || res.Single.RebuildTime <= 0 {
+	if !res.RebuildDone || res.RebuildTime <= 0 {
 		t.Fatalf("fail maintenance did not rebuild: done=%v time=%v",
-			res.Single.RebuildDone, res.Single.RebuildTime)
+			res.RebuildDone, res.RebuildTime)
 	}
 }
 
@@ -179,7 +178,7 @@ func TestFlagshipScenarioAtScale(t *testing.T) {
 		return res
 	}
 	res := run()
-	if res.ClusterRes.Rounds == 0 {
+	if res.Rounds == 0 {
 		t.Fatal("no rounds simulated")
 	}
 	// One million subscribers × 2 sessions/day through the diurnal curve
@@ -191,8 +190,8 @@ func TestFlagshipScenarioAtScale(t *testing.T) {
 	if res.Serviced == 0 || res.Rejected == 0 {
 		t.Fatalf("flagship day: serviced %d rejected %d, want both > 0", res.Serviced, res.Rejected)
 	}
-	if res.ClusterRes.NodeFailures != 1 || res.ClusterRes.Joins != 1 || res.ClusterRes.Drains != 1 || res.ClusterRes.DiskAdds != 1 {
-		t.Fatalf("maintenance not applied: %+v", res.ClusterRes)
+	if res.NodeFailures != 1 || res.Joins != 1 || res.Drains != 1 || res.DiskAdds != 1 {
+		t.Fatalf("maintenance not applied: %+v", res.ClusterResult)
 	}
 	if len(res.Timeline) != 96 {
 		t.Fatalf("%d buckets, want 96 (15-minute buckets over 24 h)", len(res.Timeline))
@@ -205,5 +204,17 @@ func TestFlagshipScenarioAtScale(t *testing.T) {
 	if res.Serviced != again.Serviced || res.Rejected != again.Rejected {
 		t.Fatalf("flagship totals diverged: %d/%d vs %d/%d",
 			res.Serviced, res.Rejected, again.Serviced, again.Rejected)
+	}
+}
+
+// TestActionsAreViewEventKinds: Run hands drain/join/adddisk to the
+// simulator by name, so each must be a kind RunCluster's validation knows.
+func TestActionsAreViewEventKinds(t *testing.T) {
+	c := mustCompile(t, `{"name": "kinds", "subscribers": 200, "time_scale": 240, "zipf": 1.1, "patience_min": 8, "bucket_min": 120, "phases": [
+		{"kind": "maintenance", "action": "`+ActionJoin+`", "hour": 1},
+		{"kind": "maintenance", "action": "`+ActionAddDisk+`", "node": 0, "hour": 2},
+		{"kind": "maintenance", "action": "`+ActionDrain+`", "node": 1, "hour": 3}]}`)
+	if res, err := Run(RunConfig{Scenario: c}); err != nil || res.Joins+res.DiskAdds+res.Drains != 3 {
+		t.Fatalf("joins/diskadds/drains = %d/%d/%d, err %v", res.Joins, res.DiskAdds, res.Drains, err)
 	}
 }

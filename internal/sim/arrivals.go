@@ -1,10 +1,8 @@
 package sim
 
-// Shared arrival handling for the single-array and cluster engines. Both
-// used to materialize the full request trace up front and re-implement
-// the same per-round enqueue loop; the feeder replaces both with one
-// incremental consumer of a workload.ArrivalSource, so a 10M-request
-// scenario costs O(pending requests) memory instead of O(trace).
+// Arrival handling for the round loop: the feeder is an incremental
+// consumer of a workload.ArrivalSource, so a 10M-request scenario costs
+// O(pending requests) memory instead of O(trace).
 
 import (
 	"math"

@@ -1,16 +1,19 @@
 package sim
 
-// Multi-node cluster simulation: N single-array engines behind one
-// placement and admission layer, mirroring internal/cluster at simulation
-// scale. Clips are placed round-robin with a replication factor; a
-// request is routed to the least-loaded live replica whose own admission
-// controller accepts it; a scripted node failure moves the victim's
-// in-flight streams to surviving replicas when their controllers have
-// room and counts them lost otherwise.
+// The simulator's one round loop and its control plane: n nodes (engine,
+// sim.go) behind one pending list, placement and admission layer. Clips
+// are placed round-robin with a replication factor; a request is routed
+// to the least-loaded live replica whose own admission controller accepts
+// it; a scripted node failure moves the victim's in-flight streams to
+// surviving replicas when their controllers have room and counts them
+// lost otherwise. A single array is the n = 1 case: one replica, nothing
+// to fail over to, no membership to change — Run is this loop with one
+// node whose per-disk scripts are live.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftcms/internal/admission"
@@ -26,8 +29,9 @@ type ClusterConfig struct {
 	// Node is the per-node template: scheme, disk model, geometry, buffer
 	// and catalog, plus the cluster-level workload knobs (ArrivalRate or
 	// Arrivals/Selector, Duration, Seed, QueueBypass, BatchWindow is not
-	// supported at cluster level). Node.Trace and Node.FailDisk are
-	// ignored — failures happen at node granularity via NodeTrace.
+	// supported at cluster level). Node.Trace, Node.ScrubRate and
+	// Node.Corruptions are ignored — failures happen at node granularity
+	// via NodeTrace.
 	Node Config
 	// Nodes is the cluster size.
 	Nodes int
@@ -96,18 +100,13 @@ type NodeResult struct {
 
 // ClusterResult carries a cluster run's metrics.
 type ClusterResult struct {
-	// Serviced, Completed, PeakActive, MeanResponse, ResponseP95 and
-	// MaxQueue aggregate across the cluster like Result does for one
-	// array (failovers are not re-counted in Serviced).
-	Serviced     int
-	Completed    int
-	PeakActive   int
-	MeanResponse units.Duration
-	ResponseP95  units.Duration
-	MaxQueue     int
-	// Rejected counts pending requests that abandoned after waiting past
-	// Node.Patience (always 0 without a patience bound).
-	Rejected int
+	// Result aggregates service across the cluster as it does for one
+	// array (failovers are not re-counted in Serviced; PeakActive counts
+	// live nodes' streams); Block, Q and F echo the per-node operating
+	// point, and timeline buckets carry per-node active counts and the
+	// view version. Its per-disk failure and scrub fields stay zero:
+	// cluster nodes run no disk scripts.
+	Result
 	// Shed counts new lean-back requests the autopilot's degradation
 	// mode turned away at arrival. Shed requests never enter the
 	// pending queue, so Rejected and Shed partition the lost demand —
@@ -116,14 +115,6 @@ type ClusterResult struct {
 	// Actions is the autopilot's decision trace in firing order (nil
 	// without an Autopilot config).
 	Actions []autopilot.Action
-	// Timeline is the per-bucket timeline (nil unless Node.Timeline was
-	// set). Cluster buckets carry per-node active counts and the view
-	// version.
-	Timeline []TimelineBucket
-	// Rounds, Block, Q, F echo the per-node operating point.
-	Rounds int64
-	Block  units.Bits
-	Q, F   int
 	// NodeFailures counts scripted node failures that took effect.
 	NodeFailures int
 	// FailedOver counts in-flight streams moved to a surviving replica.
@@ -150,48 +141,182 @@ type ClusterResult struct {
 	PerNode []NodeResult
 }
 
-// clusterActive snapshots the cluster's in-flight stream counts: the
-// total over live nodes and the per-node breakdown (dead and retired
-// nodes report their own count, which is zero once their streams moved).
-func clusterActive(engines []*engine, alive []bool) (int, []int) {
-	total := 0
-	perNode := make([]int, len(engines))
-	for i, e := range engines {
-		perNode[i] = e.nactive
-		if alive[i] {
-			total += e.nactive
-		}
+// RunCluster executes a multi-node simulation: the round loop over
+// cfg.Nodes nodes with their per-disk scripts cleared — single-disk
+// failures, scrubbing and corruption are node internals this tier does
+// not model.
+func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
+	if cfg.Node.BatchWindow > 0 {
+		return ClusterResult{}, errors.New("sim: batching is not supported at cluster level")
 	}
-	return total, perNode
+	cfg.Node.Trace, cfg.Node.ScrubRate, cfg.Node.Corruptions = nil, 0, nil
+	return simulate(cfg)
 }
 
-// RunCluster executes a multi-node simulation.
-func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
+// simulate is the simulator's round loop. A round feeds arrivals,
+// completes finished streams, lets impatient requests abandon, retries
+// parked failovers, admits from the pending list, runs every node's
+// disk-level accounting, applies node failures and membership changes,
+// consults the autopilot and closes timeline buckets.
+func simulate(cfg ClusterConfig) (ClusterResult, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return ClusterResult{}, err
+	}
+	totalRounds := int64(float64(cfg.Node.Duration)/float64(r.roundDur)) + 1
+	for now := int64(0); now < totalRounds; now++ {
+		r.now = now
+		r.tStart = units.Duration(now) * r.roundDur
+		r.tEnd = units.Duration(now+1) * r.roundDur
+		r.arrive()
+		r.complete()
+		r.abandon()
+		r.retryParked()
+		r.admit()
+		for _, e := range r.nodes {
+			e.failureStep(now)
+			e.scrubStep(now)
+		}
+		r.failNodes()
+		if err := r.applyViewEvents(); err != nil {
+			return ClusterResult{}, err
+		}
+		r.flipRelayouts()
+		r.drain()
+		if err := r.autopilot(); err != nil {
+			return ClusterResult{}, err
+		}
+		act, perNode := r.gauges()
+		r.tl.roll(r.tEnd, act, r.queue.Len(), r.viewVersion, perNode)
+	}
+	return r.finish(totalRounds), nil
+}
+
+// Membership roles of a node.
+const (
+	roleActive = iota
+	// roleDraining: serving but closed to new admissions; retires
+	// (alive=false) once its last stream moves or completes.
+	roleDraining
+	roleRetired
+)
+
+// parkedStream is an in-flight stream whose node died with no replica
+// room at the instant. With a Patience bound it retries each round (the
+// viewer waits, interrupted) until it lands or gives up; without one,
+// failure-time refusal is an immediate loss.
+type parkedStream struct {
+	clipID    int
+	remaining int64
+	since     int64
+}
+
+// run is one simulation's control plane — the pending list, placement
+// and membership in front of the nodes — plus the state of the round in
+// progress. Its step methods are simulate's round, in call order.
+type run struct {
+	cfg ClusterConfig // Replication clamped to >= 1
+	op  analytic.Result
+	res ClusterResult
+
+	nodes []*engine
+	alive []bool
+	role  []int
+	// roundDur and clipRounds are the nodes' common round duration and
+	// whole-clip playback length.
+	roundDur   units.Duration
+	clipRounds int64
+
+	feed  *feeder
+	tl    *timeline
+	queue admission.Queue[pending]
+	// lastStart[clipID] is the round the most recent stream of the clip
+	// started; kept only when batching is on.
+	lastStart   map[int]int64
+	responseSum units.Duration
+	responses   []units.Duration
+
+	// Scripted node failures and view events in time order, and the
+	// failover streams waiting for room.
+	events    []FailureEvent
+	nextEvent int
+	views     []ViewEvent
+	nextView  int
+	parked    []parkedStream
+	// relayoutAt maps a node mid-AddDisk to the round its wider array
+	// goes live; viewVersion bumps on every observable transition.
+	relayoutAt  map[int]int64
+	viewVersion int64
+
+	// pilot is the closed-loop controller (nil on open-loop runs);
+	// perNodeCap is one node's stream capacity, pilotReserve the slots
+	// held back for failovers while shedding, nodeLosses the permanent
+	// node losses it may replace.
+	pilot        *autopilot.Controller
+	perNodeCap   int
+	pilotReserve int
+	nodeLosses   int
+
+	// The round in progress: its clock, whether the autopilot is
+	// shedding, how many requests abandoned, and the live stream count
+	// after admission.
+	now          int64
+	tStart, tEnd units.Duration
+	shedding     bool
+	abandoned    int
+	active       int
+
+	// completeNode is the completion step's per-node body, built once;
+	// the rest is scratch reused across rounds.
+	completeNode func(i int) error
+	completions  []int
+	cand         []int
+	candDraining []int
+	nodeActive   []int
+}
+
+// newRun validates the configuration and builds the run: operating
+// point, nodes, ordered traces, arrival feeder, timeline and autopilot.
+func newRun(cfg ClusterConfig) (*run, error) {
+	nc := &cfg.Node
 	if cfg.Nodes < 1 {
-		return ClusterResult{}, errors.New("sim: cluster needs at least one node")
+		return nil, errors.New("sim: cluster needs at least one node")
 	}
-	rep := cfg.Replication
-	if rep < 1 {
-		rep = 1
+	if cfg.Replication < 1 {
+		cfg.Replication = 1
 	}
-	if rep > cfg.Nodes {
-		return ClusterResult{}, fmt.Errorf("sim: replication %d exceeds %d nodes", rep, cfg.Nodes)
+	if cfg.Replication > cfg.Nodes {
+		return nil, fmt.Errorf("sim: replication %d exceeds %d nodes", cfg.Replication, cfg.Nodes)
 	}
-	nc := cfg.Node
 	if nc.Catalog == nil || nc.Catalog.Len() == 0 {
-		return ClusterResult{}, errors.New("sim: empty catalog")
+		return nil, errors.New("sim: empty catalog")
 	}
 	if nc.Duration <= 0 {
-		return ClusterResult{}, errors.New("sim: need positive duration")
+		return nil, errors.New("sim: need positive duration")
 	}
 	if nc.ArrivalRate <= 0 && nc.Arrivals == nil && nc.Source == nil {
-		return ClusterResult{}, errors.New("sim: need a positive arrival rate, an arrival trace, or an arrival source")
+		return nil, errors.New("sim: need a positive arrival rate, an arrival trace, or an arrival source")
 	}
 	if nc.D < 2 {
-		return ClusterResult{}, errors.New("sim: need at least 2 disks per node")
+		return nil, errors.New("sim: need at least 2 disks per node")
 	}
-	if nc.BatchWindow > 0 {
-		return ClusterResult{}, errors.New("sim: batching is not supported at cluster level")
+	events, err := orderedTrace(cfg.NodeTrace, "node", cfg.Nodes)
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range cfg.ViewTrace {
+		switch ev.Kind {
+		case "join":
+		case "drain", "adddisk":
+			if ev.Node < 0 {
+				return nil, fmt.Errorf("sim: view trace: negative node %d", ev.Node)
+			}
+		default:
+			return nil, fmt.Errorf("sim: view trace: unknown kind %q", ev.Kind)
+		}
+		if ev.At < 0 {
+			return nil, fmt.Errorf("sim: view trace: negative event time %v", ev.At)
+		}
 	}
 	op, err := analytic.Solve(analytic.Config{
 		Disk:    nc.Disk,
@@ -200,237 +325,47 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		Storage: nc.Catalog.TotalSize(),
 	}, nc.Scheme, nc.P)
 	if err != nil {
-		return ClusterResult{}, fmt.Errorf("sim: operating point: %w", err)
+		return nil, fmt.Errorf("sim: operating point: %w", err)
 	}
 
-	// One engine per node. Seeds are decorrelated so each node draws its
-	// own clip start positions; scripted single-disk failures are node
-	// internals this simulation does not model.
-	engines := make([]*engine, cfg.Nodes)
-	for i := range engines {
-		c := nc
-		c.Seed = nc.Seed + int64(i)*7919
-		c.Trace = nil
-		c.FailDisk = -1
-		engines[i], err = newEngine(c, op)
-		if err != nil {
-			return ClusterResult{}, err
+	r := &run{
+		cfg:        cfg,
+		op:         op,
+		events:     events,
+		views:      slices.Clone(cfg.ViewTrace),
+		relayoutAt: map[int]int64{},
+	}
+	sort.SliceStable(r.views, func(a, b int) bool { return r.views[a].At < r.views[b].At })
+	r.res.Block, r.res.Q, r.res.F = op.Block, op.Q, op.F
+	for len(r.nodes) < cfg.Nodes {
+		if err := r.addNode(); err != nil {
+			return nil, err
 		}
 	}
-
-	// Validate and order the node trace.
-	events := make([]FailureEvent, len(cfg.NodeTrace))
-	copy(events, cfg.NodeTrace)
-	for _, ev := range events {
-		if ev.Disk < 0 || ev.Disk >= cfg.Nodes {
-			return ClusterResult{}, fmt.Errorf("sim: node trace: node %d out of range [0, %d)", ev.Disk, cfg.Nodes)
+	r.roundDur, r.clipRounds = r.nodes[0].roundDur, r.nodes[0].clipRounds
+	r.completeNode = func(i int) error {
+		if r.alive[i] {
+			r.completions[i] = r.nodes[i].complete(r.now)
 		}
-		if ev.At < 0 {
-			return ClusterResult{}, fmt.Errorf("sim: node trace: negative failure time %v", ev.At)
-		}
-	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
-
-	// Validate and order the view trace.
-	views := make([]ViewEvent, len(cfg.ViewTrace))
-	copy(views, cfg.ViewTrace)
-	for _, ev := range views {
-		switch ev.Kind {
-		case "join":
-		case "drain", "adddisk":
-			if ev.Node < 0 {
-				return ClusterResult{}, fmt.Errorf("sim: view trace: negative node %d", ev.Node)
-			}
-		default:
-			return ClusterResult{}, fmt.Errorf("sim: view trace: unknown kind %q", ev.Kind)
-		}
-		if ev.At < 0 {
-			return ClusterResult{}, fmt.Errorf("sim: view trace: negative event time %v", ev.At)
-		}
-	}
-	sort.SliceStable(views, func(a, b int) bool { return views[a].At < views[b].At })
-
-	res := ClusterResult{
-		Block:   op.Block,
-		Q:       op.Q,
-		F:       op.F,
-		PerNode: make([]NodeResult, cfg.Nodes),
-	}
-	for i := range res.PerNode {
-		res.PerNode[i].FailRound = -1
-		res.PerNode[i].DrainRound = -1
-		res.PerNode[i].RetiredRound = -1
-	}
-
-	feed, err := newFeeder(&nc, nc.Seed+1)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	tl, err := newTimeline(nc.Timeline)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-
-	var queue admission.Queue[pending]
-	switch {
-	case nc.QueueBypass > 0:
-		queue.Bypass = nc.QueueBypass
-	case nc.QueueBypass == 0:
-		queue.Bypass = 256
-	default:
-		queue.Bypass = 0
-	}
-
-	const (
-		roleActive = iota
-		// roleDraining: serving but closed to new admissions; retires
-		// (alive=false) once its last stream moves or completes.
-		roleDraining
-		roleRetired
-	)
-	alive := make([]bool, cfg.Nodes)
-	for i := range alive {
-		alive[i] = true
-	}
-	role := make([]int, cfg.Nodes)
-	// bonusFree[i] is node i's post-AddDisk extra admission slots; a
-	// stream admitted on one (clip.bonus) returns the slot at release.
-	bonusFree := make([]int, cfg.Nodes)
-	// replicasOf returns the clip's replica nodes in placement order.
-	// Joined nodes (id >= cfg.Nodes) never appear here: the round-robin
-	// placement is fixed at the original membership, and joins
-	// contribute as spillover candidates instead.
-	replicasOf := func(clipID int) []int {
-		out := make([]int, 0, rep)
-		for k := 0; k < rep; k++ {
-			out = append(out, (clipID+k)%cfg.Nodes)
-		}
-		return out
-	}
-	// candidates orders the clip's serving replicas by active-stream
-	// load: active replicas (and joined spillover nodes) first, draining
-	// replicas as a last resort — mirroring internal/cluster's routing.
-	candidates := func(clipID int) []int {
-		var act, drn []int
-		for _, id := range replicasOf(clipID) {
-			if !alive[id] {
-				continue
-			}
-			if role[id] == roleDraining {
-				drn = append(drn, id)
-			} else {
-				act = append(act, id)
-			}
-		}
-		for id := cfg.Nodes; id < len(engines); id++ {
-			// Joined nodes hold spill replicas of everything (the cluster
-			// re-replicates onto them in the background), so they take
-			// admissions for any clip.
-			if alive[id] && role[id] == roleActive {
-				act = append(act, id)
-			}
-		}
-		byLoad := func(out []int) {
-			sort.SliceStable(out, func(a, b int) bool {
-				return engines[out[a]].nactive < engines[out[b]].nactive
-			})
-		}
-		byLoad(act)
-		byLoad(drn)
-		return append(act, drn...)
-	}
-	// admitOn books one stream of clipID on node id for rounds rounds,
-	// honoring the node's own buffer pool and admission controller, with
-	// spillover onto the node's AddDisk bonus slots when the controller
-	// is full.
-	admitOn := func(id, clipID int, now, rounds int64) bool {
-		e := engines[id]
-		if !e.pool.Reserve(e.perClip) {
-			return false
-		}
-		tk, ok := e.ctrl.admit(now, e.position[clipID])
-		if !ok && bonusFree[id] == 0 {
-			e.pool.Release(e.perClip)
-			return false
-		}
-		c := &clip{clipID: clipID, doneRound: now + rounds, ticket: tk, bufSize: e.perClip}
-		if !ok {
-			bonusFree[id]--
-			c.bonus = true
-		}
-		e.active[c.doneRound] = append(e.active[c.doneRound], c)
-		e.nactive++
-		return true
-	}
-	// releaseOn returns a finished or displaced stream's resources.
-	releaseOn := func(id int, c *clip) {
-		e := engines[id]
-		if c.bonus {
-			bonusFree[id]++
-		} else {
-			e.ctrl.release(c.ticket)
-		}
-		e.pool.Release(c.bufSize)
-		e.nactive--
-	}
-
-	// Parked failover streams: in-flight streams whose node died with no
-	// replica room at the instant. With a Patience bound they retry each
-	// round (the viewer waits, interrupted) until they land or give up;
-	// without one, failure-time refusal is an immediate loss.
-	type parkedStream struct {
-		clipID    int
-		remaining int64
-		since     int64
-	}
-	var parkedStreams []parkedStream
-
-	roundDur := engines[0].roundDur
-	clipRounds := engines[0].clipRounds
-	totalRounds := int64(float64(nc.Duration)/float64(roundDur)) + 1
-	var responseSum units.Duration
-	var responses []units.Duration
-	nextEvent, nextView := 0, 0
-	workers := parallel.Workers(cfg.Workers)
-	completions := make([]int, cfg.Nodes)
-	// relayoutAt maps a node mid-AddDisk to the round its wider array
-	// goes live; viewVersion bumps on every observable transition.
-	relayoutAt := map[int]int64{}
-	var viewVersion int64
-
-	// joinNode adds a fresh node — scripted join, autopilot scale-out,
-	// or spare replacement all land here. The new node takes the next id
-	// and absorbs admissions for any clip as a spillover candidate.
-	joinNode := func() error {
-		id := len(engines)
-		jc := nc
-		jc.Seed = nc.Seed + int64(id)*7919
-		jc.Trace = nil
-		jc.FailDisk = -1
-		je, jerr := newEngine(jc, op)
-		if jerr != nil {
-			return jerr
-		}
-		engines = append(engines, je)
-		alive = append(alive, true)
-		role = append(role, roleActive)
-		bonusFree = append(bonusFree, 0)
-		completions = append(completions, 0)
-		res.PerNode = append(res.PerNode, NodeResult{FailRound: -1, DrainRound: -1, RetiredRound: -1})
-		res.Joins++
-		viewVersion++
 		return nil
 	}
-
-	// The autopilot observes the round's signals after the reconfig
-	// machinery has run and applies at most one action through the same
-	// join/drain paths the ViewTrace uses. Everything it reads is
-	// computed in the sequential section, so the action trace is
-	// byte-identical at any worker count.
-	var pilot *autopilot.Controller
-	perNodeCap := 0
-	nodeLosses := 0
-	pilotReserve := 0
+	if r.feed, err = newFeeder(nc, nc.Seed+1); err != nil {
+		return nil, err
+	}
+	if r.tl, err = newTimeline(nc.Timeline); err != nil {
+		return nil, err
+	}
+	switch {
+	case nc.QueueBypass > 0:
+		r.queue.Bypass = nc.QueueBypass
+	case nc.QueueBypass == 0:
+		r.queue.Bypass = 256
+	default:
+		r.queue.Bypass = 0 // strict head-of-line
+	}
+	if nc.BatchWindow > 0 {
+		r.lastStart = make(map[int]int64)
+	}
 	if cfg.Autopilot != nil {
 		ac := *cfg.Autopilot
 		if ac.MinNodes <= 0 {
@@ -438,8 +373,8 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			// round-robin placement needs every original node.
 			ac.MinNodes = cfg.Nodes
 		}
-		pilot = autopilot.New(ac)
-		perNodeCap = (op.Q - op.F) * nc.D
+		r.pilot = autopilot.New(ac)
+		r.perNodeCap = (op.Q - op.F) * nc.D
 		// While shedding, hold slots back from new admissions so an
 		// overloaded cluster can still fail a lost node's streams over
 		// instead of dropping them. One node's capacity is not enough:
@@ -448,359 +383,445 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		// replica nodes plus the joined spillover nodes, and each node's
 		// share is further fragmented across per-disk position classes.
 		// Three nodes' worth keeps the reachable, class-diverse share
-		// above one (full) node's stream count.
-		pilotReserve = ac.FailoverReserve
-		if pilotReserve == 0 {
-			pilotReserve = 3 * perNodeCap
-		} else if pilotReserve < 0 {
-			pilotReserve = 0
+		// above one (full) node's stream count. Negative disables it.
+		switch {
+		case ac.FailoverReserve == 0:
+			r.pilotReserve = 3 * r.perNodeCap
+		case ac.FailoverReserve > 0:
+			r.pilotReserve = ac.FailoverReserve
 		}
 	}
+	return r, nil
+}
 
-	for now := int64(0); now < totalRounds; now++ {
-		tStart := units.Duration(now) * roundDur
-		tEnd := units.Duration(now+1) * roundDur
+// addNode builds the next node from the template: at start-up, and for
+// a scripted join, an autopilot scale-out or a spare replacement. Seeds
+// are decorrelated so each node draws its own clip start positions.
+func (r *run) addNode() error {
+	c := r.cfg.Node
+	c.Seed += int64(len(r.nodes)) * 7919
+	e, err := newEngine(c, r.op, &r.res.Result)
+	if err != nil {
+		return err
+	}
+	r.nodes = append(r.nodes, e)
+	r.alive = append(r.alive, true)
+	r.role = append(r.role, roleActive)
+	// Scratch grows with the membership, so the round never reallocates it.
+	r.completions = append(r.completions, 0)
+	r.cand = append(r.cand, 0)
+	r.candDraining = append(r.candDraining, 0)
+	r.res.PerNode = append(r.res.PerNode, NodeResult{FailRound: -1, DrainRound: -1, RetiredRound: -1})
+	return nil
+}
 
-		// 1. Enqueue arrivals up to the end of this round. Under the
-		// autopilot's degradation mode, new lean-back sessions (whole-clip
-		// plays) are turned away at the door while VCR resumes — viewers
-		// already mid-session — still queue. Shed requests never enter
-		// the queue, so they can never also be counted as patience
-		// abandonments below.
-		shedding := pilot != nil && pilot.Shedding()
-		tl.offered(feed.feed(tEnd, func(r workload.Request) {
-			if shedding && (r.Frac <= 0 || r.Frac >= 1) {
-				res.Shed++
-				tl.shed(1)
-				return
-			}
-			queue.Push(pending{arrival: r.Arrival, clipID: r.ClipID, frac: r.Frac})
-		}))
-		if queue.Len() > res.MaxQueue {
-			res.MaxQueue = queue.Len()
+// join adds a fresh node under the next id. Joined nodes never enter the
+// round-robin placement, which is fixed at the original membership; they
+// absorb admissions for any clip as spillover candidates (the cluster
+// re-replicates onto them in the background).
+func (r *run) join() error {
+	if err := r.addNode(); err != nil {
+		return err
+	}
+	r.res.Joins++
+	r.viewVersion++
+	return nil
+}
+
+// startDrain closes a node to new admissions; one that is unknown, down,
+// already draining or retired is left alone.
+func (r *run) startDrain(id int) {
+	if id >= len(r.nodes) || !r.alive[id] || r.role[id] != roleActive {
+		return
+	}
+	r.role[id] = roleDraining
+	r.res.Drains++
+	r.res.PerNode[id].DrainRound = r.now
+	r.viewVersion++
+}
+
+// candidates orders the clip's serving nodes by active-stream load:
+// active replicas and joined spillover nodes first, draining replicas as
+// a last resort — mirroring internal/cluster's routing. It returns the
+// run's scratch slice, valid until the next call, and how many of its
+// leading entries are active nodes.
+func (r *run) candidates(clipID int) (ids []int, nactive int) {
+	ids, draining := r.cand[:0], r.candDraining[:0]
+	id := clipID % r.cfg.Nodes
+	for k := 0; k < r.cfg.Replication; k++ {
+		switch {
+		case !r.alive[id]:
+		case r.role[id] == roleDraining:
+			draining = r.insertByLoad(draining, id)
+		default:
+			ids = r.insertByLoad(ids, id)
 		}
-
-		// 2. Complete streams whose playback ends this round. Each node
-		// releases only its own tickets and buffers, so the nodes run on
-		// the worker pool; per-node tallies merge in node order below.
-		clear(completions)
-		_ = parallel.ForEach(len(engines), workers, func(i int) error {
-			e := engines[i]
-			if !alive[i] {
-				return nil
-			}
-			for _, c := range e.active[now] {
-				releaseOn(i, c)
-				completions[i]++
-			}
-			delete(e.active, now)
-			return nil
-		})
-		for i, n := range completions {
-			res.Completed += n
-			res.PerNode[i].Completed += n
+		if id++; id == r.cfg.Nodes {
+			id = 0
 		}
-
-		// 3. Abandonment: pending requests whose patience ran out leave
-		// before this round's admissions.
-		abandoned := 0
-		if nc.Patience > 0 {
-			cut := tStart - nc.Patience
-			abandoned = queue.ExpireHead(func(pd pending) bool { return pd.arrival < cut })
-			res.Rejected += abandoned
-			tl.rejected(abandoned)
+	}
+	for id := r.cfg.Nodes; id < len(r.nodes); id++ {
+		if r.alive[id] && r.role[id] == roleActive {
+			ids = r.insertByLoad(ids, id)
 		}
+	}
+	nactive = len(ids)
+	return append(ids, draining...), nactive
+}
 
-		// 3b. Retry parked failover streams ahead of new admissions:
-		// interrupted viewers outrank arrivals, and under the autopilot
-		// they land in the failover reserve. A stream parked longer than
-		// Patience is lost — its viewer gave up.
-		if len(parkedStreams) > 0 {
-			kept := parkedStreams[:0]
-			for _, p := range parkedStreams {
-				moved := false
-				for _, id := range candidates(p.clipID) {
-					if admitOn(id, p.clipID, now, p.remaining) {
-						res.FailedOver++
-						res.PerNode[id].FailedOverIn++
-						moved = true
-						break
-					}
-				}
-				switch {
-				case moved:
-				case units.Duration(p.since)*roundDur < tStart-nc.Patience:
-					res.LostStreams++
-				default:
-					kept = append(kept, p)
-				}
-			}
-			parkedStreams = kept
-		}
+// insertByLoad appends id to ids keeping them ordered by active-stream
+// load, equal loads in insertion order.
+func (r *run) insertByLoad(ids []int, id int) []int {
+	ids = append(ids, id)
+	for j := len(ids) - 1; j > 0 && r.nodes[ids[j]].nactive < r.nodes[ids[j-1]].nactive; j-- {
+		ids[j], ids[j-1] = ids[j-1], ids[j]
+	}
+	return ids
+}
 
-		// 4. Admit from the cluster queue: least-loaded live replica
-		// first, spillover to the rest, stay queued otherwise. While the
-		// autopilot sheds, new admissions stop short of full capacity so
-		// the failover reserve stays free for a node loss.
-		free := 0
-		if shedding && pilotReserve > 0 {
-			for id, e := range engines {
-				if alive[id] && role[id] == roleActive {
-					free += perNodeCap - e.nactive
-				}
+// place books rounds rounds of clipID on the first candidate whose own
+// admission accepts it — active nodes only when activeOnly — and returns
+// that node, or -1 when none has room.
+func (r *run) place(clipID int, rounds int64, activeOnly bool) int {
+	if r.cfg.Replication == 1 && len(r.nodes) == r.cfg.Nodes {
+		// One replica and no spillover nodes — every single array: the
+		// lone candidate needs no list and no ordering. Most attempts of
+		// a saturated round are refused, so this keeps a refusal as cheap
+		// as the node's own.
+		id := clipID % r.cfg.Nodes
+		if r.alive[id] && (r.role[id] == roleActive || !activeOnly) && r.nodes[id].admit(clipID, r.now, rounds) {
+			return id
+		}
+		return -1
+	}
+	ids, nactive := r.candidates(clipID)
+	if activeOnly {
+		ids = ids[:nactive]
+	}
+	for _, id := range ids {
+		if r.nodes[id].admit(clipID, r.now, rounds) {
+			return id
+		}
+	}
+	return -1
+}
+
+// failover moves an interrupted stream's remaining rounds to a surviving
+// candidate and reports whether one had room.
+func (r *run) failover(clipID int, remaining int64) bool {
+	id := r.place(clipID, remaining, false)
+	if id < 0 {
+		return false
+	}
+	r.res.FailedOver++
+	r.res.PerNode[id].FailedOverIn++
+	return true
+}
+
+// arrive enqueues the arrivals up to the end of this round. Under the
+// autopilot's degradation mode, new lean-back sessions (whole-clip plays)
+// are turned away at the door while VCR resumes — viewers already
+// mid-session — still queue. Shed requests never enter the queue, so
+// they can never also be counted as patience abandonments.
+func (r *run) arrive() {
+	r.shedding = r.pilot != nil && r.pilot.Shedding()
+	r.tl.cur.Offered += r.feed.feed(r.tEnd, func(req workload.Request) {
+		if r.shedding && (req.Frac <= 0 || req.Frac >= 1) {
+			r.res.Shed++
+			r.tl.cur.Shed++
+			return
+		}
+		r.queue.Push(pending{arrival: req.Arrival, clipID: req.ClipID, frac: req.Frac})
+	})
+	r.res.MaxQueue = max(r.res.MaxQueue, r.queue.Len())
+}
+
+// complete finishes the streams whose playback ends this round. Each
+// node releases only its own tickets and buffers, so the nodes run on
+// the worker pool; per-node tallies merge in node order, which keeps the
+// result identical at any worker count.
+func (r *run) complete() {
+	clear(r.completions)
+	_ = parallel.ForEach(len(r.nodes), r.cfg.Workers, r.completeNode) // completeNode returns nil
+	for i, n := range r.completions {
+		r.res.Completed += n
+		r.res.PerNode[i].Completed += n
+	}
+}
+
+// abandon removes pending requests whose patience ran out, before this
+// round's admissions.
+func (r *run) abandon() {
+	r.abandoned = 0
+	if patience := r.cfg.Node.Patience; patience > 0 {
+		cut := r.tStart - patience
+		r.abandoned = r.queue.ExpireHead(func(pd pending) bool { return pd.arrival < cut })
+		r.res.Rejected += r.abandoned
+		r.tl.cur.Rejected += r.abandoned
+	}
+}
+
+// retryParked retries parked failover streams ahead of new admissions:
+// interrupted viewers outrank arrivals, and under the autopilot they land
+// in the failover reserve. A stream parked longer than Patience is lost —
+// its viewer gave up.
+func (r *run) retryParked() {
+	kept := r.parked[:0]
+	for _, p := range r.parked {
+		switch {
+		case r.failover(p.clipID, p.remaining):
+		case units.Duration(p.since)*r.roundDur < r.tStart-r.cfg.Node.Patience:
+			r.res.LostStreams++
+		default:
+			kept = append(kept, p)
+		}
+	}
+	r.parked = kept
+}
+
+// admit serves the pending list: a request joins a fresh stream of the
+// same clip for free when batching allows, else goes to the least-loaded
+// live replica, spills over to the rest, and stays queued otherwise.
+// While the autopilot sheds, new admissions stop short of full capacity
+// so the failover reserve stays free for a node loss.
+func (r *run) admit() {
+	nc := &r.cfg.Node
+	reserve := r.shedding && r.pilotReserve > 0
+	free := 0
+	if reserve {
+		for id, e := range r.nodes {
+			if r.alive[id] && r.role[id] == roleActive {
+				free += r.perNodeCap - e.nactive
 			}
 		}
-		queue.Drain(func(pd pending) bool {
-			if shedding && pilotReserve > 0 && free <= pilotReserve {
-				return false
-			}
-			for _, id := range candidates(pd.clipID) {
-				if !admitOn(id, pd.clipID, now, streamRounds(clipRounds, pd.frac)) {
-					continue
-				}
-				free--
-				res.Serviced++
-				res.PerNode[id].Serviced++
-				tl.admitted()
-				resp := units.Duration(now)*roundDur - pd.arrival
-				responseSum += resp
-				responses = append(responses, resp)
+	}
+	serviced := func(pd pending) {
+		r.res.Serviced++
+		resp := units.Duration(r.now)*r.roundDur - pd.arrival
+		r.responseSum += resp
+		r.responses = append(r.responses, resp)
+	}
+	r.queue.Drain(func(pd pending) bool {
+		if reserve && free <= r.pilotReserve {
+			return false
+		}
+		if nc.BatchWindow > 0 {
+			if start, ok := r.lastStart[pd.clipID]; ok &&
+				units.Duration(r.now-start)*r.roundDur <= nc.BatchWindow {
+				r.res.Batched++
+				r.tl.cur.Batched++
+				serviced(pd)
 				return true
 			}
+		}
+		id := r.place(pd.clipID, streamRounds(r.clipRounds, pd.frac), false)
+		if id < 0 {
 			return false
+		}
+		free--
+		r.res.PerNode[id].Serviced++
+		r.tl.cur.Admitted++
+		if nc.BatchWindow > 0 {
+			r.lastStart[pd.clipID] = r.now
+		}
+		serviced(pd)
+		return true
+	})
+	r.active, _ = r.gauges()
+	r.res.PeakActive = max(r.res.PeakActive, r.active)
+}
+
+// failNodes applies the node failures due this round (the node still
+// served the round it dies in). In-flight streams fail over to a
+// surviving replica with admission room, park if their viewers have
+// patience, or die with the node.
+func (r *run) failNodes() {
+	for r.nextEvent < len(r.events) && r.events[r.nextEvent].At < r.tEnd {
+		ev := r.events[r.nextEvent]
+		r.nextEvent++
+		if !r.alive[ev.Disk] {
+			continue
+		}
+		r.res.NodeFailures++
+		r.res.PerNode[ev.Disk].FailRound = r.now
+		r.alive[ev.Disk] = false
+		// Every stream leaves the dead node, which releases it: a no-op
+		// for a node that stays down, a clean slate for one restarting.
+		r.nodes[ev.Disk].displace(func(c *clip) bool {
+			remaining := c.doneRound - r.now
+			switch {
+			case r.failover(c.clipID, remaining):
+			case r.cfg.Node.Patience > 0:
+				r.parked = append(r.parked, parkedStream{clipID: c.clipID, remaining: remaining, since: r.now})
+			default:
+				r.res.LostStreams++
+			}
+			return true
 		})
-		active := 0
-		for i, e := range engines {
-			if alive[i] {
-				active += e.nactive
-			}
-		}
-		if active > res.PeakActive {
-			res.PeakActive = active
-		}
-
-		// 5. Node failures due this round (the node still served the
-		// round it dies in). In-flight streams fail over to a surviving
-		// replica with admission room, or die with the node.
-		for nextEvent < len(events) && events[nextEvent].At < tEnd {
-			ev := events[nextEvent]
-			nextEvent++
-			if !alive[ev.Disk] {
-				continue
-			}
-			res.NodeFailures++
-			res.PerNode[ev.Disk].FailRound = now
-			alive[ev.Disk] = false
-			e := engines[ev.Disk]
-			// Oldest completions first, so longer-running streams get the
-			// first shot at scarce replica capacity.
-			var rounds []int64
-			for r := range e.active {
-				rounds = append(rounds, r)
-			}
-			sort.Slice(rounds, func(a, b int) bool { return rounds[a] < rounds[b] })
-			for _, r := range rounds {
-				for _, c := range e.active[r] {
-					// Release against the dead node: a no-op for a node
-					// that stays down, a clean slate for one restarting.
-					releaseOn(ev.Disk, c)
-					remaining := c.doneRound - now
-					moved := false
-					for _, id := range candidates(c.clipID) {
-						if admitOn(id, c.clipID, now, remaining) {
-							res.FailedOver++
-							res.PerNode[id].FailedOverIn++
-							moved = true
-							break
-						}
-					}
-					if !moved {
-						if nc.Patience > 0 {
-							parkedStreams = append(parkedStreams, parkedStream{clipID: c.clipID, remaining: remaining, since: now})
-						} else {
-							res.LostStreams++
-						}
-					}
-				}
-				delete(e.active, r)
-			}
-			if ev.Rebuild {
-				// Fast restart: the node rejoins empty next round.
-				alive[ev.Disk] = true
-			} else {
-				// A permanent loss the autopilot may replace.
-				nodeLosses++
-			}
-		}
-
-		// 6. Elastic reconfiguration: apply due view events, flip
-		// finished re-layouts, migrate streams off draining nodes, and
-		// retire drainers that emptied.
-		for nextView < len(views) && views[nextView].At < tEnd {
-			ev := views[nextView]
-			nextView++
-			switch ev.Kind {
-			case "join":
-				if jerr := joinNode(); jerr != nil {
-					return ClusterResult{}, jerr
-				}
-			case "drain":
-				if ev.Node >= len(engines) || !alive[ev.Node] || role[ev.Node] != roleActive {
-					continue // down, already draining, or retired: no-op
-				}
-				role[ev.Node] = roleDraining
-				res.Drains++
-				res.PerNode[ev.Node].DrainRound = now
-				viewVersion++
-			case "adddisk":
-				if ev.Node >= len(engines) || !alive[ev.Node] || role[ev.Node] != roleActive {
-					continue
-				}
-				if _, pending := relayoutAt[ev.Node]; pending {
-					continue // one re-layout at a time per node
-				}
-				relayoutAt[ev.Node] = now + clipRounds
-				res.DiskAdds++
-			}
-		}
-		if len(relayoutAt) > 0 {
-			flips := make([]int, 0, len(relayoutAt))
-			for id := range relayoutAt {
-				flips = append(flips, id)
-			}
-			sort.Ints(flips)
-			for _, id := range flips {
-				if relayoutAt[id] > now {
-					continue
-				}
-				delete(relayoutAt, id)
-				if alive[id] && role[id] != roleRetired {
-					// The wider array is live: one disk's worth of extra
-					// admission slots, and the view's geometry bumps.
-					bonusFree[id] += op.Q
-					viewVersion++
-				}
-			}
-		}
-		for id := 0; id < len(engines); id++ {
-			if role[id] != roleDraining || !alive[id] {
-				continue
-			}
-			// Move the drainer's streams to active candidates with
-			// admission room, oldest completions first; a stream that
-			// cannot move keeps playing where it is (never dropped).
-			e := engines[id]
-			var rounds []int64
-			for r := range e.active {
-				rounds = append(rounds, r)
-			}
-			sort.Slice(rounds, func(a, b int) bool { return rounds[a] < rounds[b] })
-			for _, r := range rounds {
-				kept := e.active[r][:0]
-				for _, c := range e.active[r] {
-					moved := false
-					for _, dst := range candidates(c.clipID) {
-						if dst == id || role[dst] != roleActive {
-							continue
-						}
-						if admitOn(dst, c.clipID, now, c.doneRound-now) {
-							moved = true
-							break
-						}
-					}
-					if !moved {
-						kept = append(kept, c)
-						continue
-					}
-					releaseOn(id, c)
-					res.MigratedStreams++
-				}
-				if len(kept) == 0 {
-					delete(e.active, r)
-				} else {
-					e.active[r] = kept
-				}
-			}
-			if e.nactive == 0 {
-				role[id] = roleRetired
-				alive[id] = false
-				res.Retired++
-				res.PerNode[id].RetiredRound = now
-				viewVersion++
-			}
-		}
-
-		// 7. Autopilot: feed the round's signals to the controller and
-		// apply its action, if any, through the same paths the scripted
-		// view events use.
-		if pilot != nil {
-			activeNodes, draining := 0, 0
-			for id := range engines {
-				if !alive[id] {
-					continue
-				}
-				switch role[id] {
-				case roleActive:
-					activeNodes++
-				case roleDraining:
-					draining++
-				}
-			}
-			// The drain candidate is the least-loaded surplus node —
-			// only nodes beyond the original membership are surplus,
-			// because the fixed placement needs every original node.
-			cand, candLoad := -1, 0
-			for id := cfg.Nodes; id < len(engines); id++ {
-				if alive[id] && role[id] == roleActive && (cand < 0 || engines[id].nactive < candLoad) {
-					cand, candLoad = id, engines[id].nactive
-				}
-			}
-			if a, ok := pilot.Observe(autopilot.Signals{
-				Round:          now,
-				Rejects:        abandoned,
-				QueueDepth:     queue.Len(),
-				Active:         active,
-				Capacity:       activeNodes * perNodeCap,
-				ActiveNodes:    activeNodes,
-				NodeLosses:     nodeLosses,
-				Reconfiguring:  draining > 0 || len(relayoutAt) > 0,
-				DrainCandidate: cand,
-			}); ok {
-				switch a.Kind {
-				case autopilot.ScaleOut, autopilot.Replace:
-					if jerr := joinNode(); jerr != nil {
-						return ClusterResult{}, jerr
-					}
-				case autopilot.ScaleIn:
-					if a.Node < len(engines) && alive[a.Node] && role[a.Node] == roleActive {
-						role[a.Node] = roleDraining
-						res.Drains++
-						res.PerNode[a.Node].DrainRound = now
-						viewVersion++
-					}
-				}
-				res.Actions = append(res.Actions, a)
-				tl.action()
-			}
-		}
-
-		if tl != nil {
-			act, perNode := clusterActive(engines, alive)
-			tl.roll(tEnd, act, queue.Len(), viewVersion, perNode)
+		if ev.Rebuild {
+			// Fast restart: the node rejoins empty next round.
+			r.alive[ev.Disk] = true
+		} else {
+			// A permanent loss the autopilot may replace.
+			r.nodeLosses++
 		}
 	}
+}
 
-	if tl != nil {
-		act, perNode := clusterActive(engines, alive)
-		res.Timeline = tl.done(act, queue.Len(), viewVersion, perNode)
+// applyViewEvents fires the scripted reconfiguration events due this
+// round.
+func (r *run) applyViewEvents() error {
+	for r.nextView < len(r.views) && r.views[r.nextView].At < r.tEnd {
+		ev := r.views[r.nextView]
+		r.nextView++
+		switch ev.Kind {
+		case "join":
+			if err := r.join(); err != nil {
+				return err
+			}
+		case "drain":
+			r.startDrain(ev.Node)
+		case "adddisk":
+			if ev.Node >= len(r.nodes) || !r.alive[ev.Node] || r.role[ev.Node] != roleActive {
+				continue
+			}
+			if _, pending := r.relayoutAt[ev.Node]; pending {
+				continue // one re-layout at a time per node
+			}
+			r.relayoutAt[ev.Node] = r.now + r.clipRounds
+			r.res.DiskAdds++
+		}
 	}
+	return nil
+}
+
+// flipRelayouts brings finished re-layouts live, in node order: one
+// disk's worth of extra admission slots, and the view's geometry bumps.
+func (r *run) flipRelayouts() {
+	if len(r.relayoutAt) == 0 {
+		return
+	}
+	for id, e := range r.nodes {
+		at, pending := r.relayoutAt[id]
+		if !pending || at > r.now {
+			continue
+		}
+		delete(r.relayoutAt, id)
+		if r.alive[id] && r.role[id] != roleRetired {
+			e.bonusFree += r.op.Q
+			r.viewVersion++
+		}
+	}
+}
+
+// drain moves each draining node's streams to active candidates with
+// admission room — a stream that cannot move keeps playing where it is,
+// never dropped — and retires the drainers that emptied.
+func (r *run) drain() {
+	for id, e := range r.nodes {
+		if r.role[id] != roleDraining || !r.alive[id] {
+			continue
+		}
+		e.displace(func(c *clip) bool {
+			if r.place(c.clipID, c.doneRound-r.now, true) < 0 {
+				return false
+			}
+			r.res.MigratedStreams++
+			return true
+		})
+		if e.nactive == 0 {
+			r.role[id] = roleRetired
+			r.alive[id] = false
+			r.res.Retired++
+			r.res.PerNode[id].RetiredRound = r.now
+			r.viewVersion++
+		}
+	}
+}
+
+// autopilot feeds the round's signals to the controller and applies its
+// action, if any, through the same paths the scripted view events use.
+func (r *run) autopilot() error {
+	if r.pilot == nil {
+		return nil
+	}
+	activeNodes, draining := 0, 0
+	// The drain candidate is the least-loaded surplus node — only nodes
+	// beyond the original membership are surplus, because the fixed
+	// placement needs every original node.
+	cand := -1
+	for id, e := range r.nodes {
+		if !r.alive[id] {
+			continue
+		}
+		switch r.role[id] {
+		case roleActive:
+			activeNodes++
+			if id >= r.cfg.Nodes && (cand < 0 || e.nactive < r.nodes[cand].nactive) {
+				cand = id
+			}
+		case roleDraining:
+			draining++
+		}
+	}
+	a, ok := r.pilot.Observe(autopilot.Signals{
+		Round:          r.now,
+		Rejects:        r.abandoned,
+		QueueDepth:     r.queue.Len(),
+		Active:         r.active,
+		Capacity:       activeNodes * r.perNodeCap,
+		ActiveNodes:    activeNodes,
+		NodeLosses:     r.nodeLosses,
+		Reconfiguring:  draining > 0 || len(r.relayoutAt) > 0,
+		DrainCandidate: cand,
+	})
+	if !ok {
+		return nil
+	}
+	switch a.Kind {
+	case autopilot.ScaleOut, autopilot.Replace:
+		if err := r.join(); err != nil {
+			return err
+		}
+	case autopilot.ScaleIn:
+		r.startDrain(a.Node)
+	}
+	r.res.Actions = append(r.res.Actions, a)
+	r.tl.cur.Actions++
+	return nil
+}
+
+// gauges snapshots the in-flight stream counts: the total over live
+// nodes and, for the timeline, the per-node breakdown (dead and retired
+// nodes report their own count, which is zero once their streams moved).
+func (r *run) gauges() (total int, perNode []int) {
+	r.nodeActive = r.nodeActive[:0]
+	for i, e := range r.nodes {
+		r.nodeActive = append(r.nodeActive, e.nactive)
+		if r.alive[i] {
+			total += e.nactive
+		}
+	}
+	return total, r.nodeActive
+}
+
+// finish folds the terminal state into the result.
+func (r *run) finish(totalRounds int64) ClusterResult {
+	act, perNode := r.gauges()
+	r.res.Timeline = r.tl.done(act, r.queue.Len(), r.viewVersion, perNode)
 	// Failover streams still parked at close never resumed: lost.
-	res.LostStreams += len(parkedStreams)
-	res.ViewVersion = viewVersion
-	res.Rounds = totalRounds
-	if res.Serviced > 0 {
-		res.MeanResponse = responseSum / units.Duration(res.Serviced)
-		res.ResponseP95 = percentile(responses, 0.95)
+	r.res.LostStreams += len(r.parked)
+	r.res.ViewVersion = r.viewVersion
+	rebuildsReq := 0
+	for _, e := range r.nodes {
+		e.finishScrub()
+		rebuildsReq += e.rebuildsReq
 	}
-	return res, nil
+	r.res.RebuildDone = rebuildsReq > 0 && r.res.RebuildsDone == rebuildsReq
+	r.res.Rounds = totalRounds
+	if r.res.Serviced > 0 {
+		r.res.MeanResponse = r.responseSum / units.Duration(r.res.Serviced)
+		r.res.ResponseP95 = percentile(r.responses, 0.95)
+	}
+	return r.res
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"ftcms/internal/analytic"
@@ -96,29 +97,41 @@ func TestRunClusterScalesCapacity(t *testing.T) {
 	}
 }
 
-// A single-array Run and a 1-node RunCluster agree on the operating
-// point, and the cluster run services a comparable load.
-func TestRunClusterMatchesSingleNodeOperatingPoint(t *testing.T) {
-	base := clusterBase(t)
-	base.Nodes = 1
-	base.Replication = 1
+// Run is the round loop at one node: for every scheme, with and without
+// patience, it returns exactly the embedded Result of a one-node
+// RunCluster — every shared field and every timeline bucket — less the
+// per-node timeline column a single array does not report.
+func TestRunMatchesOneNodeCluster(t *testing.T) {
+	for _, s := range analytic.Schemes() {
+		for _, patience := range []units.Duration{0, 2 * units.Second} {
+			base := clusterBase(t)
+			base.Nodes, base.Replication = 1, 1
+			base.Node.Scheme = s
+			base.Node.Patience = patience
+			base.Node.Timeline = &TimelineConfig{Bucket: 10 * units.Second}
 
-	solo := base.Node
-	solo.FailDisk = -1
-	single, err := Run(solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := RunCluster(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Block != single.Block || cl.Q != single.Q || cl.F != single.F {
-		t.Fatalf("operating point diverged: cluster (b=%v q=%d f=%d) vs single (b=%v q=%d f=%d)",
-			cl.Block, cl.Q, cl.F, single.Block, single.Q, single.F)
-	}
-	if cl.Rounds != single.Rounds {
-		t.Fatalf("rounds diverged: %d vs %d", cl.Rounds, single.Rounds)
+			single, err := Run(base.Node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := RunCluster(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if single.Serviced == 0 || len(single.Timeline) == 0 {
+				t.Fatalf("%v: degenerate run %+v", s, single)
+			}
+			for i := range cl.Timeline {
+				if got := cl.Timeline[i].NodeActive; len(got) != 1 || got[0] != cl.Timeline[i].Active {
+					t.Fatalf("%v: bucket %d NodeActive = %v, want [%d]", s, i, got, cl.Timeline[i].Active)
+				}
+				cl.Timeline[i].NodeActive = nil
+			}
+			if !reflect.DeepEqual(single, cl.Result) {
+				t.Fatalf("%v patience %v: Run diverges from a one-node cluster:\nRun        %+v\nRunCluster %+v",
+					s, patience, single, cl.Result)
+			}
+		}
 	}
 }
 
@@ -308,5 +321,39 @@ func TestRunClusterViewTraceValidation(t *testing.T) {
 	bad.ViewTrace = []ViewEvent{{Kind: "drain", Node: 0, At: -units.Second}}
 	if _, err := RunCluster(bad); err == nil {
 		t.Error("accepted negative event time")
+	}
+}
+
+// TestRunAllocsPerRequest pins the round loop's allocation cost on the
+// Figure 6 node shape (declustered, d=32, p=4, 256 MB, 20 req/s, 600 s):
+// a serviced request costs its stream record and its share of the
+// completion buckets and response samples — routing allocates nothing,
+// at one node or at several.
+func TestRunAllocsPerRequest(t *testing.T) {
+	base := clusterBase(t)
+	base.Node.D, base.Node.Buffer = 32, 256*units.MB
+	base.Node.Duration, base.Node.Seed = 600*units.Second, 7
+	for _, tc := range []struct {
+		nodes, rep int
+		budget     float64
+	}{{1, 1, 3}, {3, 2, 4}} {
+		cfg := base
+		cfg.Nodes, cfg.Replication = tc.nodes, tc.rep
+		var res ClusterResult
+		allocs := testing.AllocsPerRun(1, func() {
+			var err error
+			if res, err = RunCluster(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if res.Serviced == 0 {
+			t.Fatalf("%d nodes: nothing serviced", tc.nodes)
+		}
+		if per := allocs / float64(res.Serviced); per > tc.budget {
+			t.Errorf("%d nodes rep %d: %.0f allocations for %d serviced requests = %.2f each, budget %.0f",
+				tc.nodes, tc.rep, allocs, res.Serviced, per, tc.budget)
+		} else {
+			t.Logf("%d nodes rep %d: %.2f allocations per serviced request", tc.nodes, tc.rep, per)
+		}
 	}
 }

@@ -2,31 +2,28 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"ftcms/internal/admission"
 	"ftcms/internal/analytic"
 	"ftcms/internal/units"
 )
 
-// initTrace normalizes the failure script: the legacy
-// FailDisk/FailAt/Rebuild shorthand becomes a one-event trace, events are
-// validated and ordered by time.
-func (e *engine) initTrace() error {
-	trace := e.cfg.Trace
-	if len(trace) == 0 && e.cfg.FailDisk >= 0 && e.cfg.FailDisk < e.cfg.D {
-		trace = []FailureEvent{{Disk: e.cfg.FailDisk, At: e.cfg.FailAt, Rebuild: e.cfg.Rebuild}}
-	}
+// orderedTrace validates a failure script over n units (disks of an
+// array, nodes of a cluster) and returns a copy ordered by time.
+func orderedTrace(trace []FailureEvent, unit string, n int) ([]FailureEvent, error) {
 	for _, ev := range trace {
-		if ev.Disk < 0 || ev.Disk >= e.cfg.D {
-			return fmt.Errorf("sim: trace disk %d out of range [0, %d)", ev.Disk, e.cfg.D)
+		if ev.Disk < 0 || ev.Disk >= n {
+			return nil, fmt.Errorf("sim: trace %s %d out of range [0, %d)", unit, ev.Disk, n)
 		}
 		if ev.At < 0 {
-			return fmt.Errorf("sim: trace event at negative time %v", ev.At)
+			return nil, fmt.Errorf("sim: trace event at negative time %v", ev.At)
 		}
 	}
-	e.trace = append([]FailureEvent(nil), trace...)
-	sort.SliceStable(e.trace, func(i, j int) bool { return e.trace[i].At < e.trace[j].At })
-	return nil
+	trace = slices.Clone(trace)
+	sort.SliceStable(trace, func(i, j int) bool { return trace[i].At < trace[j].At })
+	return trace, nil
 }
 
 // rebuildTarget is the number of reconstruction reads a full online
@@ -52,28 +49,29 @@ func (e *engine) independent(x, y int) bool {
 	return false
 }
 
+// diskLoader is the per-disk load query of the static and dynamic
+// controllers.
+type diskLoader interface {
+	DiskLoad(now int64, disk int) int
+}
+
 // dueLoad is the number of blocks due from disk x this round — the load
 // that is lost outright while x is the younger disk of a dependent double
 // failure (its groups cannot reconstruct).
 func (e *engine) dueLoad(now int64, x int) int64 {
 	p := e.cfg.P
 	switch e.cfg.Scheme {
-	case analytic.Declustered:
-		if e.cfg.Dynamic {
-			return int64(e.ctrl.(dynamicCtrl).d.DiskLoad(now, x))
-		}
-		return int64(e.ctrl.(staticCtrl).s.DiskLoad(now, x))
-	case analytic.PrefetchFlat:
-		return int64(e.ctrl.(staticCtrl).s.DiskLoad(now, x))
+	case analytic.Declustered, analytic.PrefetchFlat:
+		return int64(e.ctrl.(diskLoader).DiskLoad(now, x))
 	case analytic.PrefetchParityDisk, analytic.NonClustered:
 		if x%p == p-1 {
 			return 0 // parity disk: no data blocks due
 		}
-		return int64(e.ctrl.(simpleCtrl).s.UnitLoad(now, x/p*(p-1)+x%p))
+		return int64(e.ctrl.(simpleCtrl).UnitLoad(now, x/p*(p-1)+x%p))
 	case analytic.StreamingRAID:
 		// Every active group read of the cluster loses its block: the
 		// group is short two members.
-		return int64(e.ctrl.(simpleCtrl).s.UnitLoad(now, x/p))
+		return int64(e.ctrl.(simpleCtrl).UnitLoad(now, x/p))
 	}
 	return 0
 }
@@ -178,9 +176,9 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 		for l := 0; l < e.table.R; l++ {
 			var n int
 			if e.cfg.Dynamic {
-				n = e.ctrl.(dynamicCtrl).d.RowDiskLoad(now, x, l)
+				n = e.ctrl.(*admission.Dynamic).RowDiskLoad(now, x, l)
 			} else {
-				n = e.ctrl.(staticCtrl).s.CellLoad(now, x, l)
+				n = e.ctrl.(*admission.Static).CellLoad(now, x, l)
 			}
 			if n == 0 {
 				continue
@@ -196,13 +194,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 			if i == x {
 				continue
 			}
-			var load int
-			if e.cfg.Dynamic {
-				load = e.ctrl.(dynamicCtrl).d.DiskLoad(now, i)
-			} else {
-				load = e.ctrl.(staticCtrl).s.DiskLoad(now, i)
-			}
-			if over := load + extra[i] - q; over > 0 {
+			if over := e.ctrl.(diskLoader).DiskLoad(now, i) + extra[i] - q; over > 0 {
 				e.res.DeadlineMisses += int64(over)
 			} else {
 				spare += int64(-over)
@@ -210,7 +202,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 		}
 
 	case analytic.PrefetchFlat:
-		st := e.ctrl.(staticCtrl).s
+		st := e.ctrl.(*admission.Static)
 		m := d - (p - 1)
 		extra := make([]int, d)
 		for c := 0; c < m; c++ {
@@ -232,7 +224,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 		}
 
 	case analytic.PrefetchParityDisk:
-		s := e.ctrl.(simpleCtrl).s
+		s := e.ctrl.(simpleCtrl)
 		cluster := x / p
 		if x%p == p-1 {
 			// Parity disk failed: data reads unaffected; rebuild reads
@@ -264,13 +256,13 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 		// The group read simply substitutes the parity block for the lost
 		// data block: no extra load, no misses, by construction. Idle
 		// group slots of the failed disk's cluster drive the rebuild.
-		s := e.ctrl.(simpleCtrl).s
+		s := e.ctrl.(simpleCtrl)
 		if idle := q - s.UnitLoad(now, x/p); idle > 0 {
 			spare += int64(idle)
 		}
 
 	case analytic.NonClustered:
-		s := e.ctrl.(simpleCtrl).s
+		s := e.ctrl.(simpleCtrl)
 		cluster := x / p
 		if x%p == p-1 {
 			// Parity disk failed: data unaffected; rebuild from the

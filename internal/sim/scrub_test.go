@@ -23,7 +23,6 @@ func scrubConfig(t *testing.T) Config {
 		ArrivalRate: 2,
 		Duration:    1500 * units.Second,
 		Seed:        1,
-		FailDisk:    -1,
 	}
 }
 

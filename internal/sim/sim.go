@@ -4,6 +4,13 @@
 // starvation-free pending list, per-scheme admission control and buffer
 // accounting, and optional single-disk failure injection.
 //
+// There is one round loop (simulate, cluster.go) over one node type
+// (engine, this file): a node is a d-disk array with its own admission
+// controller, buffer pool and per-disk failure and scrub accounting, and
+// the loop is the control plane in front of n of them — pending list,
+// routing, node failover, membership changes, autopilot. Run is that loop
+// with one node; RunCluster is the same loop with n.
+//
 // The paper's experiment: 32 disks, 1000 clips of 50 time units, Poisson
 // arrivals at mean 20 per unit time, uniform clip choice, per-scheme
 // block sizes chosen by the §7 optimizer, 600 time units of simulated
@@ -18,11 +25,10 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ftcms/internal/admission"
 	"ftcms/internal/analytic"
@@ -65,24 +71,12 @@ type Config struct {
 	// to; -1 selects strict FIFO head-of-line (one blocked head stalls
 	// the round), the E8 ablation's other endpoint.
 	QueueBypass int
-	// FailDisk, when >= 0, fails that disk at time FailAt.
-	FailDisk int
-	// FailAt is the failure time.
-	FailAt units.Duration
-	// Rebuild, when true, starts rebuilding the failed disk onto a spare
-	// immediately after the failure: every surviving disk donates its
-	// idle round capacity (q minus its service and reconstruction load)
-	// to reading surviving group members, until blocks·(p−1) reads have
-	// been served. The failed disk rejoins when the rebuild finishes.
-	Rebuild bool
-	// Trace scripts a multi-event failure sequence (fail → rebuild →
-	// second failure → …). When non-empty it supersedes the
-	// FailDisk/FailAt/Rebuild single-event shorthand. While two dependent
-	// failures overlap (same parity domain: any pair for the declustered
-	// and flat schemes, same cluster for the clustered ones), the younger
-	// failed disk's due blocks are counted as LostBlocks each round and
-	// its rebuild stalls; independent failures are each accounted as
-	// ordinary single failures.
+	// Trace scripts disk failures (fail → rebuild → second failure → …);
+	// empty means none. While two dependent failures overlap (same parity
+	// domain: any pair for the declustered and flat schemes, same cluster
+	// for the clustered ones), the younger failed disk's due blocks are
+	// counted as LostBlocks each round and its rebuild stalls; independent
+	// failures are each accounted as ordinary single failures.
 	Trace []FailureEvent
 	// Selector overrides uniform clip choice when non-nil.
 	Selector workload.Selector
@@ -126,7 +120,11 @@ type FailureEvent struct {
 	Disk int
 	// At is the failure time.
 	At units.Duration
-	// Rebuild starts an online rebuild onto a hot spare immediately.
+	// Rebuild starts an online rebuild onto a hot spare immediately:
+	// every surviving disk donates its idle round capacity (q minus its
+	// service and reconstruction load) to reading surviving group
+	// members, until blocks·(p−1) reads have been served. The failed
+	// disk rejoins when the rebuild finishes.
 	Rebuild bool
 }
 
@@ -210,44 +208,24 @@ type clip struct {
 	clipID    int
 	doneRound int64
 	ticket    admission.Ticket
-	bufSize   units.Bits
-	// bonus marks a cluster-sim stream admitted on post-AddDisk bonus
-	// capacity instead of a controller ticket (cluster.go); the
-	// single-array engine never sets it.
+	// bonus marks a stream admitted on the node's post-AddDisk bonus
+	// capacity instead of a controller ticket.
 	bonus bool
 }
 
-// Run executes the simulation.
+// Run executes the simulation of one array: the round loop with a single
+// node, whose per-disk scripts (Trace, ScrubRate, Corruptions) are live.
 func Run(cfg Config) (Result, error) {
-	if cfg.Catalog == nil || cfg.Catalog.Len() == 0 {
-		return Result{}, errors.New("sim: empty catalog")
+	res, err := simulate(ClusterConfig{Node: cfg, Nodes: 1})
+	// A single array's timeline has no per-node column.
+	for i := range res.Timeline {
+		res.Timeline[i].NodeActive = nil
 	}
-	if cfg.Duration <= 0 {
-		return Result{}, errors.New("sim: need positive duration")
-	}
-	if cfg.ArrivalRate <= 0 && cfg.Arrivals == nil && cfg.Source == nil {
-		return Result{}, errors.New("sim: need a positive arrival rate, an arrival trace, or an arrival source")
-	}
-	if cfg.D < 2 {
-		return Result{}, errors.New("sim: need at least 2 disks")
-	}
-	op, err := analytic.Solve(analytic.Config{
-		Disk:    cfg.Disk,
-		D:       cfg.D,
-		Buffer:  cfg.Buffer,
-		Storage: cfg.Catalog.TotalSize(),
-	}, cfg.Scheme, cfg.P)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: operating point: %w", err)
-	}
-	eng, err := newEngine(cfg, op)
-	if err != nil {
-		return Result{}, err
-	}
-	return eng.run()
+	return res.Result, err
 }
 
-// engine is the per-run state.
+// engine is one node of a run: a d-disk array with its own admission
+// controller, buffer pool, stream registry and per-disk accounting.
 type engine struct {
 	cfg Config
 	op  analytic.Result
@@ -263,13 +241,12 @@ type engine struct {
 	// table is set for declustered schemes (failure accounting).
 	table *pgt.Table
 
-	queue   admission.Queue[pending]
 	active  map[int64][]*clip // completion buckets by round
+	rounds  []int64           // displace's scratch
 	nactive int
-	// lastStart[clipID] is the round the most recent stream of the clip
-	// started, for batching.
-	lastStart map[int]int64
-	responses []units.Duration
+	// bonusFree is the node's post-AddDisk extra admission slots; a
+	// stream admitted on one (clip.bonus) returns the slot at release.
+	bonusFree int
 
 	// position assigns each catalog clip its fixed random start
 	// (disk/unit, class/row), chosen once like the paper's disk(C),
@@ -287,7 +264,10 @@ type engine struct {
 	// corruption nor scrubbing.
 	scrub *scrubModel
 
-	res Result
+	// res receives the per-disk accounting of failure.go and scrub.go. It
+	// is the run's one Result, shared by its nodes, and is written only
+	// from the round's sequential section.
+	res *Result
 }
 
 // failureState is one outstanding disk failure from the trace.
@@ -311,40 +291,29 @@ type startPos struct {
 	unit, class int
 }
 
-// controller abstracts the per-scheme admission controllers.
+// controller is what the per-scheme admission controllers share:
+// *admission.Static and *admission.Dynamic as they are, *admission.Simple
+// through simpleCtrl.
 type controller interface {
-	admit(now int64, pos startPos) (admission.Ticket, bool)
-	release(t admission.Ticket)
+	Admit(now int64, unit, class int) (admission.Ticket, bool)
+	Release(t admission.Ticket)
 }
 
-type staticCtrl struct{ s *admission.Static }
+// simpleCtrl gives the one-dimensional controller the common signature:
+// its units have no class.
+type simpleCtrl struct{ *admission.Simple }
 
-func (c staticCtrl) admit(now int64, pos startPos) (admission.Ticket, bool) {
-	return c.s.Admit(now, pos.unit, pos.class)
+func (c simpleCtrl) Admit(now int64, unit, _ int) (admission.Ticket, bool) {
+	return c.Simple.Admit(now, unit)
 }
-func (c staticCtrl) release(t admission.Ticket) { c.s.Release(t) }
 
-type dynamicCtrl struct{ d *admission.Dynamic }
-
-func (c dynamicCtrl) admit(now int64, pos startPos) (admission.Ticket, bool) {
-	return c.d.Admit(now, pos.unit, pos.class)
-}
-func (c dynamicCtrl) release(t admission.Ticket) { c.d.Release(t) }
-
-type simpleCtrl struct{ s *admission.Simple }
-
-func (c simpleCtrl) admit(now int64, pos startPos) (admission.Ticket, bool) {
-	return c.s.Admit(now, pos.unit)
-}
-func (c simpleCtrl) release(t admission.Ticket) { c.s.Release(t) }
-
-func newEngine(cfg Config, op analytic.Result) (*engine, error) {
+func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
 	e := &engine{
-		cfg:       cfg,
-		op:        op,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		active:    make(map[int64][]*clip),
-		lastStart: make(map[int]int64),
+		cfg:    cfg,
+		op:     op,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		active: make(map[int64][]*clip),
+		res:    res,
 	}
 	var err error
 	e.pool, err = buffer.NewPool(cfg.Buffer)
@@ -402,13 +371,13 @@ func newEngine(cfg Config, op analytic.Result) (*engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.ctrl = dynamicCtrl{dy}
+			e.ctrl = dy
 		} else {
 			st, err := admission.NewStatic(d, e.table.R, op.Q, op.F)
 			if err != nil {
 				return nil, err
 			}
-			e.ctrl = staticCtrl{st}
+			e.ctrl = st
 		}
 		e.randomPositions(d, e.table.R)
 	case analytic.PrefetchFlat:
@@ -417,7 +386,7 @@ func newEngine(cfg Config, op analytic.Result) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.ctrl = staticCtrl{st}
+		e.ctrl = st
 		e.randomPositions(d, m)
 	case analytic.PrefetchParityDisk, analytic.NonClustered:
 		dataDisks := d * (p - 1) / p
@@ -440,6 +409,12 @@ func newEngine(cfg Config, op analytic.Result) (*engine, error) {
 		e.ctrl = simpleCtrl{s}
 		e.randomPositions(clusters, 1)
 	}
+	if e.trace, err = orderedTrace(cfg.Trace, "disk", d); err != nil {
+		return nil, err
+	}
+	if err := e.initScrub(); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -451,127 +426,77 @@ func (e *engine) randomPositions(units, classes int) {
 	}
 }
 
-func (e *engine) run() (Result, error) {
-	feed, err := newFeeder(&e.cfg, e.cfg.Seed+1)
-	if err != nil {
-		return Result{}, err
+// admit books one stream of clipID on the node for rounds rounds,
+// honoring its buffer pool and admission controller, with spillover onto
+// the AddDisk bonus slots when the controller is full.
+func (e *engine) admit(clipID int, now, rounds int64) bool {
+	if !e.pool.Reserve(e.perClip) {
+		return false
 	}
-	tl, err := newTimeline(e.cfg.Timeline)
-	if err != nil {
-		return Result{}, err
+	pos := e.position[clipID]
+	tk, ok := e.ctrl.Admit(now, pos.unit, pos.class)
+	if !ok && e.bonusFree == 0 {
+		e.pool.Release(e.perClip)
+		return false
 	}
-	switch {
-	case e.cfg.QueueBypass > 0:
-		e.queue.Bypass = e.cfg.QueueBypass
-	case e.cfg.QueueBypass == 0:
-		e.queue.Bypass = 256
-	default:
-		e.queue.Bypass = 0 // strict head-of-line
+	c := &clip{clipID: clipID, doneRound: now + rounds, ticket: tk, bonus: !ok}
+	if c.bonus {
+		e.bonusFree--
 	}
+	e.active[c.doneRound] = append(e.active[c.doneRound], c)
+	e.nactive++
+	return true
+}
 
-	totalRounds := int64(float64(e.cfg.Duration)/float64(e.roundDur)) + 1
-	if err := e.initTrace(); err != nil {
-		return Result{}, err
+// release returns a finished or displaced stream's resources; the caller
+// unlinks it from the completion buckets.
+func (e *engine) release(c *clip) {
+	if c.bonus {
+		e.bonusFree++
+	} else {
+		e.ctrl.Release(c.ticket)
 	}
-	if err := e.initScrub(); err != nil {
-		return Result{}, err
+	e.pool.Release(e.perClip)
+	e.nactive--
+}
+
+// complete releases the streams whose playback ends this round and
+// returns how many there were.
+func (e *engine) complete(now int64) int {
+	done := e.active[now]
+	for _, c := range done {
+		e.release(c)
 	}
+	delete(e.active, now)
+	return len(done)
+}
 
-	var responseSum units.Duration
-	for now := int64(0); now < totalRounds; now++ {
-		tStart := units.Duration(now) * e.roundDur
-		tEnd := units.Duration(now+1) * e.roundDur
-
-		// 1. Enqueue arrivals up to the end of this round.
-		tl.offered(feed.feed(tEnd, func(r workload.Request) {
-			e.queue.Push(pending{arrival: r.Arrival, clipID: r.ClipID, frac: r.Frac})
-		}))
-		if e.queue.Len() > e.res.MaxQueue {
-			e.res.MaxQueue = e.queue.Len()
-		}
-
-		// 2. Complete clips whose playback ends this round.
-		for _, c := range e.active[now] {
-			e.ctrl.release(c.ticket)
-			e.pool.Release(c.bufSize)
-			e.nactive--
-			e.res.Completed++
-		}
-		delete(e.active, now)
-
-		// 3. Abandonment: pending requests whose patience ran out leave
-		// before this round's admissions.
-		if e.cfg.Patience > 0 {
-			cut := tStart - e.cfg.Patience
-			n := e.queue.ExpireHead(func(pd pending) bool { return pd.arrival < cut })
-			e.res.Rejected += n
-			tl.rejected(n)
-		}
-
-		// 4. Admit from the pending list.
-		e.queue.Drain(func(pd pending) bool {
-			// Batching: join a fresh stream of the same clip for free.
-			if e.cfg.BatchWindow > 0 {
-				if start, ok := e.lastStart[pd.clipID]; ok &&
-					units.Duration(now-start)*e.roundDur <= e.cfg.BatchWindow {
-					e.res.Serviced++
-					e.res.Batched++
-					tl.batched()
-					resp := units.Duration(now)*e.roundDur - pd.arrival
-					responseSum += resp
-					e.responses = append(e.responses, resp)
-					return true
-				}
+// displace offers every stream of the node to move, which reports
+// whether the stream left — moved elsewhere, parked or lost — and
+// releases and unlinks the ones that did. Streams go oldest completion
+// first, so longer-running streams get the first shot at scarce capacity
+// elsewhere.
+func (e *engine) displace(move func(c *clip) bool) {
+	e.rounds = e.rounds[:0]
+	for r := range e.active {
+		e.rounds = append(e.rounds, r)
+	}
+	slices.Sort(e.rounds)
+	for _, r := range e.rounds {
+		kept := e.active[r][:0]
+		for _, c := range e.active[r] {
+			if move(c) {
+				e.release(c)
+			} else {
+				kept = append(kept, c)
 			}
-			if !e.pool.Reserve(e.perClip) {
-				return false
-			}
-			pos := e.position[pd.clipID]
-			tk, ok := e.ctrl.admit(now, pos)
-			if !ok {
-				e.pool.Release(e.perClip)
-				return false
-			}
-			c := &clip{
-				clipID:    pd.clipID,
-				doneRound: now + streamRounds(e.clipRounds, pd.frac),
-				ticket:    tk,
-				bufSize:   e.perClip,
-			}
-			e.active[c.doneRound] = append(e.active[c.doneRound], c)
-			e.nactive++
-			e.res.Serviced++
-			tl.admitted()
-			e.lastStart[pd.clipID] = now
-			resp := units.Duration(now)*e.roundDur - pd.arrival
-			responseSum += resp
-			e.responses = append(e.responses, resp)
-			return true
-		})
-		if e.nactive > e.res.PeakActive {
-			e.res.PeakActive = e.nactive
 		}
-
-		// 5. Failure-mode accounting and online rebuilds (failure.go).
-		e.failureStep(now)
-
-		// 6. Silent corruption and the patrol scrub (scrub.go).
-		e.scrubStep(now)
-
-		tl.roll(tEnd, e.nactive, e.queue.Len(), 0, nil)
+		if len(kept) == 0 {
+			delete(e.active, r)
+		} else {
+			e.active[r] = kept
+		}
 	}
-	e.finishScrub()
-	e.res.Timeline = tl.done(e.nactive, e.queue.Len(), 0, nil)
-
-	e.res.RebuildDone = e.rebuildsReq > 0 && e.res.RebuildsDone == e.rebuildsReq
-	e.res.Rounds = totalRounds
-	e.res.Block = e.op.Block
-	e.res.Q, e.res.F = e.op.Q, e.op.F
-	if e.res.Serviced > 0 {
-		e.res.MeanResponse = responseSum / units.Duration(e.res.Serviced)
-		e.res.ResponseP95 = percentile(e.responses, 0.95)
-	}
-	return e.res, nil
 }
 
 // percentile returns the p-quantile (0 < p <= 1) of the samples by the
@@ -580,7 +505,7 @@ func percentile(samples []units.Duration, p float64) units.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	slices.Sort(samples)
 	idx := int(math.Ceil(p*float64(len(samples)))) - 1
 	if idx < 0 {
 		idx = 0

@@ -33,7 +33,6 @@ func paperRun(t *testing.T, s analytic.Scheme, p int, buf units.Bits, mut func(*
 		ArrivalRate: 20,
 		Duration:    600 * units.Second,
 		Seed:        1,
-		FailDisk:    -1,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -50,7 +49,7 @@ func TestRunValidation(t *testing.T) {
 	base := Config{
 		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
-		Duration: 10 * units.Second, FailDisk: -1,
+		Duration: 10 * units.Second,
 	}
 	bad := base
 	bad.Catalog = nil
@@ -257,8 +256,7 @@ func TestFailureContinuityGuaranteed(t *testing.T) {
 	for _, c := range cases {
 		res := paperRun(t, c.scheme, c.p, 256*units.MB, func(cf *Config) {
 			cf.Duration = 300 * units.Second
-			cf.FailDisk = 5
-			cf.FailAt = 100 * units.Second
+			cf.Trace = []FailureEvent{{Disk: 5, At: 100 * units.Second}}
 			cf.Dynamic = c.dynamic
 		})
 		if res.DeadlineMisses != 0 {
@@ -277,8 +275,7 @@ func TestFailureContinuityGuaranteed(t *testing.T) {
 func TestFailureNonClusteredLoses(t *testing.T) {
 	res := paperRun(t, analytic.NonClustered, 8, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
-		cf.FailDisk = 2 // a data disk of cluster 0
-		cf.FailAt = 100 * units.Second
+		cf.Trace = []FailureEvent{{Disk: 2, At: 100 * units.Second}} // a data disk of cluster 0
 	})
 	if res.LostBlocks == 0 {
 		t.Error("non-clustered lost no blocks in transition; expected loss")
@@ -294,8 +291,7 @@ func TestFailureParityDiskBenign(t *testing.T) {
 	for _, s := range []analytic.Scheme{analytic.PrefetchParityDisk, analytic.NonClustered} {
 		res := paperRun(t, s, 4, 256*units.MB, func(cf *Config) {
 			cf.Duration = 200 * units.Second
-			cf.FailDisk = 3 // parity disk of cluster 0 (p=4)
-			cf.FailAt = 50 * units.Second
+			cf.Trace = []FailureEvent{{Disk: 3, At: 50 * units.Second}} // parity disk of cluster 0 (p=4)
 		})
 		if res.DeadlineMisses != 0 || res.LostBlocks != 0 {
 			t.Errorf("%v: parity-disk failure caused misses=%d lost=%d",
@@ -370,9 +366,7 @@ func TestOnlineRebuild(t *testing.T) {
 	run := func(s analytic.Scheme, p int) Result {
 		return paperRun(t, s, p, 256*units.MB, func(cf *Config) {
 			cf.Duration = 600 * units.Second
-			cf.FailDisk = 5
-			cf.FailAt = 50 * units.Second
-			cf.Rebuild = true
+			cf.Trace = []FailureEvent{{Disk: 5, At: 50 * units.Second, Rebuild: true}}
 		})
 	}
 	// p=2 uses the exact pair design, so the zero-miss guarantee is
@@ -395,8 +389,7 @@ func TestOnlineRebuild(t *testing.T) {
 	// Without Rebuild, no rebuild metrics appear.
 	plain := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 200 * units.Second
-		cf.FailDisk = 5
-		cf.FailAt = 50 * units.Second
+		cf.Trace = []FailureEvent{{Disk: 5, At: 50 * units.Second}}
 	})
 	if plain.RebuildDone || plain.RebuildTime != 0 {
 		t.Error("rebuild metrics set without Rebuild")
@@ -414,10 +407,8 @@ func TestOnlineRebuildParityDisk(t *testing.T) {
 	// disk needs most of the run even at a light load.
 	res := paperRun(t, analytic.PrefetchParityDisk, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 600 * units.Second
-		cf.ArrivalRate = 1 // far below saturation: idle capacity exists
-		cf.FailDisk = 3    // parity disk of cluster 0
-		cf.FailAt = 10 * units.Second
-		cf.Rebuild = true
+		cf.ArrivalRate = 1                                                         // far below saturation: idle capacity exists
+		cf.Trace = []FailureEvent{{Disk: 3, At: 10 * units.Second, Rebuild: true}} // parity disk of cluster 0
 	})
 	if !res.RebuildDone {
 		t.Fatal("parity-disk rebuild did not finish")
@@ -428,9 +419,7 @@ func TestOnlineRebuildParityDisk(t *testing.T) {
 	// At full saturation the same rebuild starves: no reserved bandwidth.
 	sat := paperRun(t, analytic.PrefetchParityDisk, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 600 * units.Second
-		cf.FailDisk = 3
-		cf.FailAt = 50 * units.Second
-		cf.Rebuild = true
+		cf.Trace = []FailureEvent{{Disk: 3, At: 50 * units.Second, Rebuild: true}}
 	})
 	if sat.RebuildDone && sat.RebuildTime < res.RebuildTime {
 		t.Error("saturated rebuild finished faster than unsaturated — spare accounting broken")
@@ -522,7 +511,7 @@ func TestExplicitArrivalsWithoutRate(t *testing.T) {
 	res, err := Run(Config{
 		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: paperCatalog(t),
-		Duration: 60 * units.Second, Seed: 1, FailDisk: -1,
+		Duration: 60 * units.Second, Seed: 1,
 		Arrivals: trace,
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 package sim
 
-// Per-bucket timeline reporting for scenario runs. The engines count
-// offered/admitted/batched/rejected requests as they happen and close a
+// Per-bucket timeline reporting for scenario runs. The round loop counts
+// offered/admitted/batched/rejected requests as they happen and closes a
 // bucket whenever the simulated clock crosses a bucket boundary, so a
 // compressed 24-hour day comes back as a demand-and-service curve instead
 // of a single aggregate.
@@ -53,18 +53,18 @@ type TimelineBucket struct {
 	NodeActive []int `json:"node_active,omitempty"`
 }
 
-// timeline accumulates buckets; a nil *timeline is a valid no-op
-// collector so the engines' hot loops need no conditionals.
+// timeline accumulates buckets. The round loop counts straight into cur;
+// a collector built without a TimelineConfig has a zero bucket width and
+// never closes one, so the loop needs no conditionals.
 type timeline struct {
 	bucket units.Duration
 	cur    TimelineBucket
 	out    []TimelineBucket
-	dirty  bool
 }
 
 func newTimeline(cfg *TimelineConfig) (*timeline, error) {
 	if cfg == nil {
-		return nil, nil
+		return &timeline{}, nil
 	}
 	if cfg.Bucket <= 0 {
 		return nil, errors.New("sim: timeline bucket width must be positive")
@@ -72,56 +72,11 @@ func newTimeline(cfg *TimelineConfig) (*timeline, error) {
 	return &timeline{bucket: cfg.Bucket}, nil
 }
 
-func (t *timeline) offered(n int) {
-	if t != nil && n != 0 {
-		t.cur.Offered += n
-		t.dirty = true
-	}
-}
-
-func (t *timeline) admitted() {
-	if t != nil {
-		t.cur.Admitted++
-		t.dirty = true
-	}
-}
-
-func (t *timeline) batched() {
-	if t != nil {
-		t.cur.Batched++
-		t.dirty = true
-	}
-}
-
-func (t *timeline) rejected(n int) {
-	if t != nil && n != 0 {
-		t.cur.Rejected += n
-		t.dirty = true
-	}
-}
-
-func (t *timeline) shed(n int) {
-	if t != nil && n != 0 {
-		t.cur.Shed += n
-		t.dirty = true
-	}
-}
-
-func (t *timeline) action() {
-	if t != nil {
-		t.cur.Actions++
-		t.dirty = true
-	}
-}
-
 // roll closes every bucket whose window ends at or before now, stamping
 // each with the current gauges. Called once per round with the round's
 // end time.
 func (t *timeline) roll(now units.Duration, active, queue int, view int64, nodeActive []int) {
-	if t == nil {
-		return
-	}
-	for t.cur.Start+t.bucket <= now {
+	for t.bucket > 0 && t.cur.Start+t.bucket <= now {
 		t.close(active, queue, view, nodeActive)
 	}
 }
@@ -135,16 +90,12 @@ func (t *timeline) close(active, queue int, view int64, nodeActive []int) {
 	}
 	t.out = append(t.out, t.cur)
 	t.cur = TimelineBucket{Start: t.cur.Start + t.bucket}
-	t.dirty = false
 }
 
-// done flushes a trailing partial bucket and returns the timeline (nil
-// for a nil collector).
+// done flushes a trailing partial bucket that counted anything and
+// returns the timeline (nil when not recording).
 func (t *timeline) done(active, queue int, view int64, nodeActive []int) []TimelineBucket {
-	if t == nil {
-		return nil
-	}
-	if t.dirty {
+	if c := t.cur; t.bucket > 0 && c.Offered+c.Admitted+c.Batched+c.Rejected+c.Shed+c.Actions > 0 {
 		t.close(active, queue, view, nodeActive)
 	}
 	return t.out

@@ -15,7 +15,7 @@ func TestTraceValidation(t *testing.T) {
 		return Config{
 			Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 			Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
-			Duration: 10 * units.Second, FailDisk: -1,
+			Duration: 10 * units.Second,
 		}
 	}
 	bad := base()
@@ -27,29 +27,6 @@ func TestTraceValidation(t *testing.T) {
 	bad.Trace = []FailureEvent{{Disk: 1, At: -units.Second}}
 	if _, err := Run(bad); err == nil {
 		t.Error("accepted negative trace time")
-	}
-}
-
-// TestTraceMatchesLegacyShorthand: a one-event trace must reproduce the
-// FailDisk/FailAt/Rebuild shorthand exactly.
-func TestTraceMatchesLegacyShorthand(t *testing.T) {
-	legacy := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
-		cf.FailDisk = 5
-		cf.FailAt = 50 * units.Second
-		cf.Rebuild = true
-	})
-	traced := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
-		cf.Trace = []FailureEvent{{Disk: 5, At: 50 * units.Second, Rebuild: true}}
-	})
-	if legacy.Serviced != traced.Serviced ||
-		legacy.DeadlineMisses != traced.DeadlineMisses ||
-		legacy.LostBlocks != traced.LostBlocks ||
-		legacy.RebuildDone != traced.RebuildDone ||
-		legacy.RebuildTime != traced.RebuildTime {
-		t.Fatalf("trace diverges from shorthand:\nlegacy %+v\ntrace  %+v", legacy, traced)
-	}
-	if traced.RebuildsDone != 1 {
-		t.Fatalf("RebuildsDone = %d, want 1", traced.RebuildsDone)
 	}
 }
 

@@ -22,7 +22,6 @@ func workloadConfig(t *testing.T) Config {
 		ArrivalRate: 20,
 		Duration:    300 * units.Second,
 		Seed:        1,
-		FailDisk:    -1,
 	}
 }
 
