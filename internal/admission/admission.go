@@ -46,6 +46,27 @@ type Ticket struct {
 	row int
 }
 
+// Controller is what the per-scheme admission controllers share: *Static
+// and *Dynamic as they are, *Simple through Unclassed.
+type Controller interface {
+	Admit(now int64, unit, class int) (Ticket, bool)
+	Release(t Ticket)
+	// Audit checks the admitted population against the controller's own
+	// invariant for round now, returning nil when no disk (or cluster) can
+	// be asked for more than q blocks in any round — the paper's rate
+	// guarantee. A non-nil error is a bookkeeping bug, never a legal state.
+	Audit(now int64) error
+}
+
+// Unclassed gives the one-dimensional controller the common signature:
+// its units have no class.
+type Unclassed struct{ *Simple }
+
+// Admit implements Controller.
+func (c Unclassed) Admit(now int64, unit, _ int) (Ticket, bool) {
+	return c.Simple.Admit(now, unit)
+}
+
 // Static enforces the two-level condition shared by the declustered
 // (§4.2) and flat pre-fetching (§6.2) schemes:
 //
@@ -144,8 +165,18 @@ func (s *Static) CellLoad(now int64, i, class int) int {
 	return s.cell[cell]
 }
 
-// MaxPerRound returns q, the per-disk per-round block budget.
-func (s *Static) MaxPerRound() int { return s.q }
-
-// Reserved returns f.
-func (s *Static) Reserved() int { return s.f }
+// Audit implements Controller: per-disk load within q−f and per-(disk,
+// class) load within f.
+func (s *Static) Audit(now int64) error {
+	for i := 0; i < s.d; i++ {
+		if l := s.DiskLoad(now, i); l > s.q-s.f {
+			return fmt.Errorf("admission: disk %d booked %d streams > q-f=%d", i, l, s.q-s.f)
+		}
+		for c := 0; c < s.m; c++ {
+			if l := s.CellLoad(now, i, c); l > s.f {
+				return fmt.Errorf("admission: disk %d class %d booked %d streams > f=%d", i, c, l, s.f)
+			}
+		}
+	}
+	return nil
+}

@@ -167,9 +167,6 @@ func (dy *Dynamic) Release(t Ticket) {
 // Active returns the number of admitted clips.
 func (dy *Dynamic) Active() int { return dy.active }
 
-// MaxPerRound returns q.
-func (dy *Dynamic) MaxPerRound() int { return dy.q }
-
 // DiskLoad returns the clips reading disk i during round now.
 func (dy *Dynamic) DiskLoad(now int64, i int) int {
 	return dy.serviceCount(dy.phase(now, i))
@@ -181,6 +178,17 @@ func (dy *Dynamic) DiskLoad(now int64, i int) int {
 func (dy *Dynamic) WorstCaseFailureLoad(now int64, i int) int {
 	c := dy.phase(now, i)
 	return dy.serviceCount(c) + dy.maxCont(c)
+}
+
+// Audit implements Controller: serviceCount plus worst-case contingency
+// within q on every disk.
+func (dy *Dynamic) Audit(now int64) error {
+	for i := 0; i < dy.t.D; i++ {
+		if l := dy.WorstCaseFailureLoad(now, i); l > dy.q {
+			return fmt.Errorf("admission: disk %d worst-case failure load %d > q=%d", i, l, dy.q)
+		}
+	}
+	return nil
 }
 
 // Simple is the single-cap controller used by pre-fetching with parity
@@ -253,6 +261,16 @@ func (s *Simple) UnitLoad(now int64, i int) int {
 
 // MaxPerRound returns q.
 func (s *Simple) MaxPerRound() int { return s.q }
+
+// Audit implements Controller: per-unit load within q.
+func (s *Simple) Audit(now int64) error {
+	for i := 0; i < s.units; i++ {
+		if l := s.UnitLoad(now, i); l > s.q {
+			return fmt.Errorf("admission: unit %d booked %d streams > q=%d", i, l, s.q)
+		}
+	}
+	return nil
+}
 
 // RowDiskLoad returns the number of super-clip-row clips reading disk i
 // during round now — the failure accounting in the simulator needs the

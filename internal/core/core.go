@@ -18,6 +18,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ftcms/internal/admission"
@@ -207,10 +208,10 @@ type Server struct {
 	engine *sched.Engine
 	pool   *buffer.Pool
 
-	admitStatic  *admission.Static
-	admitSimple  *admission.Simple
-	admitDynamic *admission.Dynamic
-	clips        map[string]clipInfo
+	// ctrl is the scheme's admission controller (see admit for the
+	// coordinates each scheme books in).
+	ctrl  admission.Controller
+	clips map[string]clipInfo
 	// spans indexes the stored clips by position in the logical address
 	// space (see publish, clipAt).
 	spans    []clipSpan
@@ -221,17 +222,16 @@ type Server struct {
 	// clipCount round-robins super-clip assignment for the dynamic
 	// scheme.
 	clipCount    int
-	streams      map[int]*Stream
 	nextStreamID int
 	served       int
 	hiccups      int64
 
 	// reg is the service registry: every stream the Tick loop visits, in
-	// ascending-id order, maintained incrementally on open/release
-	// instead of being collected and sorted from the streams map every
-	// round. Released streams linger (active=false) until the next
-	// round's compaction sweep drops them in place.
-	reg []*Stream
+	// ascending-id order, maintained incrementally on open/release.
+	// Released streams linger (active=false) until the next round's
+	// compaction sweep drops them in place; active counts the rest.
+	reg    []*Stream
+	active int
 	// tickWorkers is Config.TickWorkers resolved via parallel.Workers.
 	tickWorkers int
 	// shards holds the per-worker accumulators of the sharded tick,
@@ -265,8 +265,8 @@ type Server struct {
 	rebuildReadsLast int64
 	// failRound records, per disk, the round its failure was handled —
 	// the start of the detect→rebuild clock (satellite of the health
-	// histograms).
-	failRound map[int]int64
+	// histograms) — or -1 while no failure of the disk awaits its rejoin.
+	failRound []int64
 	// rebuildLat collects completed rebuilds' durations in rounds.
 	rebuildLat []int64
 
@@ -300,42 +300,17 @@ type Server struct {
 	// groupFetch is set for streaming RAID: fetch a whole group at once.
 	groupFetch bool
 
-	// blockMu guards blockFree, the freelist recycling block-sized
-	// buffers between the fetch/reconstruction paths and delivery. A
-	// plain LIFO stack rather than a sync.Pool: Put(&b) boxes the slice
-	// header on every recycle — one heap allocation per delivered block —
-	// while push/pop on a pre-grown slice allocates nothing. The mutex
-	// keeps it safe for the sharded tick.
-	blockMu   sync.Mutex
-	blockFree [][]byte
-	// scratchFree recycles repair scratch the same way (repair.go).
+	// scratchMu guards scratchFree, the freelist of repair scratch
+	// (repair.go); block buffers come off the store's own freelist.
+	scratchMu   sync.Mutex
 	scratchFree []*repairScratch
 }
 
 // getBlock returns a block-sized buffer with unspecified contents.
-func (s *Server) getBlock() []byte {
-	s.blockMu.Lock()
-	if n := len(s.blockFree); n > 0 {
-		b := s.blockFree[n-1]
-		s.blockFree[n-1] = nil
-		s.blockFree = s.blockFree[:n-1]
-		s.blockMu.Unlock()
-		return b
-	}
-	s.blockMu.Unlock()
-	return make([]byte, s.store.Array.BlockSize())
-}
+func (s *Server) getBlock() []byte { return s.store.GetBlock() }
 
-// putBlock recycles a block buffer. Callers must drop every reference
-// first; delivered payload is always copied out before the put.
-func (s *Server) putBlock(b []byte) {
-	if len(b) != s.store.Array.BlockSize() {
-		return
-	}
-	s.blockMu.Lock()
-	s.blockFree = append(s.blockFree, b)
-	s.blockMu.Unlock()
-}
+// putBlock recycles one: delivered payload is always copied out first.
+func (s *Server) putBlock(b []byte) { s.store.PutBlock(b) }
 
 type clipInfo struct {
 	start  int64
@@ -373,9 +348,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:           cfg,
 		clips:         make(map[string]clipInfo),
 		imports:       make(map[string]*importState),
-		streams:       make(map[int]*Stream),
-		failRound:     make(map[int]int64),
+		failRound:     make([]int64, cfg.D),
 		prefetchDepth: 1,
+	}
+	for i := range s.failRound {
+		s.failRound[i] = -1
 	}
 
 	lay, pgt, err := newLayout(cfg.Scheme, cfg.D, cfg.P, cfg.Capacity)
@@ -420,16 +397,25 @@ func New(cfg Config) (*Server, error) {
 	case Declustered, DeclusteredPQ, PrefetchFlat:
 		// P+Q keeps single parity's static contingency reservation: a
 		// double-degraded read still spreads over one parity group, only
-		// with up to one extra source per block.
-		s.admitStatic, err = admission.NewStatic(cfg.D, s.staticClasses(), cfg.Q, max(cfg.F, 1))
+		// with up to one extra source per block. The classes booked per
+		// disk are the PGT rows, or the flat placement's d−(p−1)
+		// parity-target residues.
+		m := cfg.D - (cfg.P - 1)
+		if pgt != nil {
+			m = pgt.Rows()
+		}
+		s.ctrl, err = admission.NewStatic(cfg.D, m, cfg.Q, max(cfg.F, 1))
 	case DeclusteredDynamic:
 		s.nextFreeRow = make([]int64, pgt.Rows())
-		s.admitDynamic, err = admission.NewDynamic(pgt.Table, cfg.Q)
-	case PrefetchParityDisk, NonClustered:
-		dataDisks := cfg.D * (cfg.P - 1) / cfg.P
-		s.admitSimple, err = admission.NewSimple(dataDisks, cfg.Q)
-	case StreamingRAID:
-		s.admitSimple, err = admission.NewSimple(cfg.D/cfg.P, cfg.Q)
+		s.ctrl, err = admission.NewDynamic(pgt.Table, cfg.Q)
+	case PrefetchParityDisk, NonClustered, StreamingRAID:
+		n := cfg.D * (cfg.P - 1) / cfg.P // data disks
+		if cfg.Scheme == StreamingRAID {
+			n = cfg.D / cfg.P // clusters
+		}
+		var simple *admission.Simple
+		simple, err = admission.NewSimple(n, cfg.Q)
+		s.ctrl = admission.Unclassed{Simple: simple}
 	}
 	if err != nil {
 		return nil, err
@@ -465,16 +451,6 @@ func newLayout(scheme Scheme, d, p int, capacity int64) (lay layout.Layout, pgt 
 	return lay, pgt, err
 }
 
-// staticClasses returns m, the classes the static controller books per
-// disk: the PGT rows, or the flat placement's d−(p−1) parity-target
-// residues.
-func (s *Server) staticClasses() int {
-	if s.pgt != nil {
-		return s.pgt.Rows()
-	}
-	return s.cfg.D - (s.cfg.P - 1)
-}
-
 // BlockSize returns the configured block size.
 func (s *Server) BlockSize() units.Bits { return s.cfg.Block }
 
@@ -487,7 +463,7 @@ func (s *Server) Contingency() int { return s.cfg.F }
 
 // ActiveStreams returns the number of open streams. Unlike Stats, it
 // never allocates — cheap enough for a per-round poll.
-func (s *Server) ActiveStreams() int { return len(s.streams) }
+func (s *Server) ActiveStreams() int { return s.active }
 
 // RoundDuration returns the playback time one round covers — b/r_p, or
 // (p−1)·b/r_p for streaming RAID's whole-group rounds.
@@ -570,9 +546,7 @@ func (s *Server) AddClip(name string, data []byte) error {
 	for n := int64(0); n < blocks; n++ {
 		lo := int(n) * bs
 		hi := lo + bs
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		if lo < len(data) {
 			if hi > len(data) {
 				hi = len(data)
@@ -650,7 +624,7 @@ func (s *Server) RepairDisk(disk int) error {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Rounds:           s.engine.Round(),
-		Active:           len(s.streams),
+		Active:           s.active,
 		Served:           s.served,
 		Hiccups:          s.hiccups,
 		Overflows:        s.engine.Overflows,
@@ -693,47 +667,10 @@ func (s *Server) Stats() Stats {
 }
 
 // CheckAdmission audits the admitted stream population against the
-// scheme's own admission invariant for the current round: per-disk load
-// within q−f and per-(disk, class) load within f for the static
-// controllers, serviceCount plus worst-case contingency within q for the
-// dynamic controller, and per-unit load within q for the simple
-// controllers. It returns nil when no disk (or cluster) can be asked for
-// more than q blocks in any round — the paper's rate guarantee. A
-// non-nil error indicates a bookkeeping bug, never a legal state.
-func (s *Server) CheckAdmission() error {
-	now := s.engine.Round()
-	switch {
-	case s.admitStatic != nil:
-		q, f := s.admitStatic.MaxPerRound(), s.admitStatic.Reserved()
-		m := s.staticClasses()
-		for i := 0; i < s.cfg.D; i++ {
-			if l := s.admitStatic.DiskLoad(now, i); l > q-f {
-				return fmt.Errorf("core: disk %d booked %d streams > q-f=%d", i, l, q-f)
-			}
-			for c := 0; c < m; c++ {
-				if l := s.admitStatic.CellLoad(now, i, c); l > f {
-					return fmt.Errorf("core: disk %d class %d booked %d streams > f=%d", i, c, l, f)
-				}
-			}
-		}
-	case s.admitDynamic != nil:
-		q := s.admitDynamic.MaxPerRound()
-		for i := 0; i < s.cfg.D; i++ {
-			if l := s.admitDynamic.WorstCaseFailureLoad(now, i); l > q {
-				return fmt.Errorf("core: disk %d worst-case failure load %d > q=%d", i, l, q)
-			}
-		}
-	case s.admitSimple != nil:
-		q := s.admitSimple.MaxPerRound()
-		units := s.admitSimple.Capacity() / q
-		for i := 0; i < units; i++ {
-			if l := s.admitSimple.UnitLoad(now, i); l > q {
-				return fmt.Errorf("core: unit %d booked %d streams > q=%d", i, l, q)
-			}
-		}
-	}
-	return nil
-}
+// scheme's own admission invariant for the current round (see
+// admission.Controller.Audit). A non-nil error indicates a bookkeeping
+// bug, never a legal state.
+func (s *Server) CheckAdmission() error { return s.ctrl.Audit(s.engine.Round()) }
 
 // Clips returns the names of all stored clips in insertion-independent
 // sorted order.
@@ -742,11 +679,7 @@ func (s *Server) Clips() []string {
 	for name := range s.clips {
 		out = append(out, name)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -200,6 +200,24 @@ func TestHealthyRoundAllocs(t *testing.T) {
 	}
 }
 
+// TestOpenCloseAllocs pins a session's lifecycle at the Stream and its
+// pipeline ring: admission, the registry and Close's pipeline recycle add
+// nothing. (With a map per pipeline side, made at open and again at
+// close, the pair cost five objects.)
+func TestOpenCloseAllocs(t *testing.T) {
+	fb := newFailBench(t, 8, 8, 64)
+	allocs := testing.AllocsPerRun(200, func() {
+		st, err := fb.s.OpenStream("clip-00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	})
+	if allocs > 2 {
+		t.Errorf("OpenStream + Close allocates %v objects, want at most 2", allocs)
+	}
+}
+
 // TestDetectedFailureReplayPin is TestRebuildReplayPin for a failure the
 // health detector declares: a scripted fail-stop, so the handler runs
 // inside Tick, under the read that met the dead disk. The ledger, the

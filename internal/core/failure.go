@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ftcms/internal/health"
 	"ftcms/internal/layout"
@@ -91,7 +90,7 @@ func (s *Server) SparesLeft() int { return s.sparesLeft }
 // spare is available.
 func (s *Server) onDiskFailed(disk int) {
 	s.detectedFailures++
-	if _, seen := s.failRound[disk]; !seen {
+	if s.failRound[disk] < 0 {
 		s.failRound[disk] = s.engine.Round()
 	}
 	// A failure of the disk currently being rebuilt kills the spare:
@@ -198,9 +197,9 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 // recordRebuildDone closes the detect→rejoin latency clock for a disk
 // whose rebuild completed, feeding the time-to-rebuild histogram.
 func (s *Server) recordRebuildDone(disk int) {
-	if start, ok := s.failRound[disk]; ok {
+	if start := s.failRound[disk]; start >= 0 {
 		s.rebuildLat = append(s.rebuildLat, s.engine.Round()-start)
-		delete(s.failRound, disk)
+		s.failRound[disk] = -1
 	}
 }
 
@@ -331,11 +330,6 @@ func (s *Server) terminateUnrecoverable() {
 	if s.withinTolerance() {
 		return
 	}
-	ids := make([]int, 0, len(s.streams))
-	for id := range s.streams {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	// Only a block on a disk that is not serving can be unrecoverable;
 	// one state snapshot keeps the array's lock out of the sweep over
 	// every stream's remaining blocks.
@@ -345,8 +339,10 @@ func (s *Server) terminateUnrecoverable() {
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	for _, id := range ids {
-		st := s.streams[id]
+	for _, st := range s.reg { // ascending id
+		if !st.active {
+			continue
+		}
 		for n := st.nextDeliver; n < st.clip.blocks; n++ {
 			if addr := s.lay.Place(st.clip.block(n)); down[addr.Disk] && s.blockUnrecoverable(addr, &sc.g) {
 				s.terminate(st, fmt.Errorf("%w: clip block %d at %v, failed disks %v",
@@ -367,10 +363,7 @@ func (s *Server) terminate(st *Stream, reason error) {
 	st.termErr = reason
 	st.done = true
 	s.terminated++
-	if st.paused {
-		delete(s.streams, st.id)
-		st.active = false
-		return
+	if !st.paused { // a paused stream holds no bandwidth or buffer
+		s.release(st)
 	}
-	s.release(st)
 }

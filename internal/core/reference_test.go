@@ -75,12 +75,24 @@ func refUnrecoverable(s *Server, i int64) bool {
 	return len(s.unreadable(g, slices.Index(g.Data, i), nil)) > parityCols(g)
 }
 
+// activeStreams is the map the server used to keep beside its registry:
+// every active stream by id.
+func activeStreams(s *Server) map[int]*Stream {
+	m := map[int]*Stream{}
+	for _, st := range s.reg {
+		if st.active {
+			m[st.id] = st
+		}
+	}
+	return m
+}
+
 // refSweep is the old terminateUnrecoverable without its early return and
 // without terminating anything: the reason each stream would have been
 // ended with, by stream id.
 func refSweep(s *Server) map[int]string {
 	verdicts := map[int]string{}
-	for id, st := range s.streams {
+	for id, st := range activeStreams(s) {
 		for n := st.nextDeliver; n < st.clip.blocks; n++ {
 			if i := st.clip.block(n); refUnrecoverable(s, i) {
 				verdicts[id] = fmt.Errorf("%w: clip block %d at %v, failed disks %v",
@@ -305,12 +317,9 @@ func TestToleranceGateMatchesReference(t *testing.T) {
 				t.Fatalf("disks %v within tolerance", disks)
 			}
 			want := refSweep(s)
-			if len(want) == 0 || len(want) == len(s.streams) {
-				t.Fatalf("reference terminates %d of %d streams; the case wants some, not all", len(want), len(s.streams))
-			}
-			streams := make(map[int]*Stream, len(s.streams))
-			for id, st := range s.streams {
-				streams[id] = st
+			streams := activeStreams(s)
+			if len(want) == 0 || len(want) == len(streams) || len(streams) != s.ActiveStreams() {
+				t.Fatalf("reference terminates %d of %d (%d counted) streams; the case wants some, not all", len(want), len(streams), s.ActiveStreams())
 			}
 			s.terminateUnrecoverable()
 			got := map[int]string{}

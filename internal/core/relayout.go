@@ -168,12 +168,13 @@ func (s *Server) finishRelayout() {
 	// Old tickets die with the old controller; paused streams hold no
 	// ticket and re-admit on the new controller at Resume.
 	for k, st := range streams {
-		st.ticket = ticketRef{kind: ticketStatic, t: reissued[k]}
+		st.ticket = reissued[k]
 	}
-	s.admitStatic = newAdmit
+	s.ctrl = newAdmit
 	s.lay, s.pgt = rl.lay, rl.lay
 	s.store = rl.store
 	s.cfg.D = d2
+	s.failRound = append(s.failRound, -1)
 	s.cfg.Capacity = rl.newCap
 	s.engine.AddDisk()
 	s.detector.Grow(1)

@@ -30,7 +30,7 @@ type Stream struct {
 	id     int
 	srv    *Server
 	clip   clipInfo
-	ticket ticketRef
+	ticket admission.Ticket
 	buf    units.Bits
 
 	// nextFetch indexes the next clip block to fetch (clip-relative).
@@ -40,13 +40,13 @@ type Stream struct {
 	// started flips once the pre-fetch threshold is reached and delivery
 	// begins.
 	started bool
-	// fetched caches fetched blocks (clip-relative index → data) until
-	// their parity group is fully delivered; the pre-fetching schemes
+	// ring is the pipeline: prefetchDepth slots, clip block n in slot
+	// n mod depth. Fetching stays inside [nextDeliver, nextDeliver+depth),
+	// so two buffered blocks never share a slot. The pre-fetching schemes
 	// reconstruct failed-disk blocks from it.
-	fetched map[int64][]byte
-	// parity caches parity blocks fetched in degraded mode, keyed by the
-	// clip-relative index of the block they substitute for.
-	parity map[int64][]byte
+	ring []slot
+	// pendingParity counts the ring's parity slots.
+	pendingParity int
 
 	// readable is delivered-but-unread payload; readOff is the reader's
 	// cursor into it. Read advances the cursor instead of re-slicing, so
@@ -57,12 +57,12 @@ type Stream struct {
 	// deliveredBytes counts payload moved into readable so far.
 	deliveredBytes int64
 	done           bool
-	// active mirrors membership in srv.streams: true from OpenStream (or
-	// Resume) until release, Pause or termination. The Tick loop checks
-	// it instead of a map lookup.
+	// active marks a stream the Tick loop serves and srv.active counts:
+	// true from OpenStream (or Resume) until release, Pause or
+	// termination.
 	active bool
 	// inReg marks presence in srv.reg; cleared by the compaction sweep,
-	// checked by regAdd so a Resume before compaction does not insert a
+	// checked by activate so a Resume before compaction does not insert a
 	// duplicate.
 	inReg bool
 	// termErr is the explicit reason the server terminated the stream
@@ -74,18 +74,50 @@ type Stream struct {
 	paused bool
 }
 
-// ticketKind identifies which controller issued a ticket.
-type ticketKind int
+// slot is one place in a stream's pipeline ring.
+type slot struct {
+	// n is the clip-relative index of the block buf stands for; buf is nil
+	// when the slot is empty.
+	n   int64
+	buf []byte
+	// isParity marks buf as the group's parity block, fetched in degraded
+	// mode in place of block n; reconstruction XORs the siblings into it
+	// and clears the mark. Otherwise buf is block n itself.
+	isParity bool
+}
 
-const (
-	ticketSimple ticketKind = iota
-	ticketStatic
-	ticketDynamic
-)
+// slot returns the ring slot that holds clip block n, or nil when the
+// pipeline does not hold it (as for a group member outside the clip).
+func (st *Stream) slot(n int64) *slot {
+	if n < 0 {
+		return nil
+	}
+	if sl := &st.ring[n%int64(len(st.ring))]; sl.buf != nil && sl.n == n {
+		return sl
+	}
+	return nil
+}
 
-type ticketRef struct {
-	kind ticketKind
-	t    admission.Ticket
+// data returns clip block n when the pipeline holds the block itself.
+func (st *Stream) data(n int64) []byte {
+	if sl := st.slot(n); sl != nil && !sl.isParity {
+		return sl.buf
+	}
+	return nil
+}
+
+// hold puts a fetched buffer in clip block n's (empty) slot.
+func (st *Stream) hold(n int64, buf []byte, isParity bool) {
+	st.ring[n%int64(len(st.ring))] = slot{n: n, buf: buf, isParity: isParity}
+	if isParity {
+		st.pendingParity++
+	}
+}
+
+// reconstructed marks a parity slot as holding its block's own bytes.
+func (st *Stream) reconstructed(sl *slot) {
+	sl.isParity = false
+	st.pendingParity--
 }
 
 // OpenStream starts playback of a stored clip. Admission is attempted at
@@ -95,38 +127,30 @@ func (s *Server) OpenStream(clipName string) (*Stream, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown clip %q", clipName)
 	}
-	perClip, err := buffer.PerClip(string(s.cfg.Scheme), s.cfg.Block, s.cfg.P)
+	tk, perClip, err := s.admit(ci.start)
 	if err != nil {
 		return nil, err
 	}
-	if !s.pool.Reserve(perClip) {
-		return nil, fmt.Errorf("%w: buffer pool full", ErrAdmission)
-	}
-	tk, ok := s.admit(s.engine.Round(), ci.start)
-	if !ok {
-		s.pool.Release(perClip)
-		return nil, fmt.Errorf("%w: bandwidth caps", ErrAdmission)
-	}
 	st := &Stream{
-		id:      s.nextStreamID,
-		srv:     s,
-		clip:    ci,
-		ticket:  tk,
-		buf:     perClip,
-		fetched: make(map[int64][]byte),
-		parity:  make(map[int64][]byte),
+		id:     s.nextStreamID,
+		srv:    s,
+		clip:   ci,
+		ticket: tk,
+		buf:    perClip,
+		ring:   make([]slot, s.prefetchDepth),
 	}
 	s.nextStreamID++
-	s.streams[st.id] = st
-	st.active = true
-	s.regAdd(st)
+	s.activate(st)
 	return st, nil
 }
 
-// regAdd inserts st into the service registry, keeping ascending-id
-// order. New streams append (ids are issued in increasing order); a
-// Resume after compaction re-inserts at the sorted position.
-func (s *Server) regAdd(st *Stream) {
+// activate marks st active and inserts it into the service registry,
+// keeping ascending-id order. New streams append (ids are issued in
+// increasing order); a Resume after compaction re-inserts at the sorted
+// position.
+func (s *Server) activate(st *Stream) {
+	st.active = true
+	s.active++
 	if st.inReg {
 		return
 	}
@@ -157,52 +181,49 @@ func (s *Server) compactReg() {
 	}
 	// Zero the tail so released streams don't leak through the backing
 	// array.
-	for i := len(keep); i < len(s.reg); i++ {
-		s.reg[i] = nil
-	}
+	clear(s.reg[len(keep):])
 	s.reg = keep
 }
 
-// admit maps the clip's real start placement to the scheme's admission
-// coordinates.
-func (s *Server) admit(now int64, start int64) (ticketRef, bool) {
+// admit reserves a stream's share of the buffer and books its bandwidth
+// in the current round, mapping the real placement of start — the logical
+// block fetching begins at — to the scheme's admission coordinates.
+func (s *Server) admit(start int64) (admission.Ticket, units.Bits, error) {
+	perClip, err := buffer.PerClip(string(s.cfg.Scheme), s.cfg.Block, s.cfg.P)
+	if err != nil {
+		return admission.Ticket{}, 0, err
+	}
+	if !s.pool.Reserve(perClip) {
+		return admission.Ticket{}, 0, fmt.Errorf("%w: buffer pool full", ErrAdmission)
+	}
+	var unit, class int
 	switch s.cfg.Scheme {
-	case Declustered, DeclusteredPQ:
-		tk, ok := s.admitStatic.Admit(now, s.pgt.Place(start).Disk, s.pgt.RowOf(start))
-		return ticketRef{kind: ticketStatic, t: tk}, ok
-	case DeclusteredDynamic:
-		tk, ok := s.admitDynamic.Admit(now, s.pgt.Place(start).Disk, s.pgt.RowOf(start))
-		return ticketRef{kind: ticketDynamic, t: tk}, ok
+	case Declustered, DeclusteredPQ, DeclusteredDynamic:
+		unit, class = s.pgt.Place(start).Disk, s.pgt.RowOf(start)
 	case PrefetchFlat:
 		l := s.lay.(*layout.FlatUniform)
 		addr := l.Place(start)
-		tk, ok := s.admitStatic.Admit(now, addr.Disk, l.ParityTargetClass(addr.Block))
-		return ticketRef{kind: ticketStatic, t: tk}, ok
+		unit, class = addr.Disk, l.ParityTargetClass(addr.Block)
 	case PrefetchParityDisk, NonClustered:
 		addr := s.lay.Place(start)
-		ord := addr.Disk/s.cfg.P*(s.cfg.P-1) + addr.Disk%s.cfg.P
-		tk, ok := s.admitSimple.Admit(now, ord)
-		return ticketRef{t: tk}, ok
+		unit = addr.Disk/s.cfg.P*(s.cfg.P-1) + addr.Disk%s.cfg.P
 	case StreamingRAID:
-		cluster := s.lay.Place(start).Disk / s.cfg.P
-		tk, ok := s.admitSimple.Admit(now, cluster)
-		return ticketRef{t: tk}, ok
+		unit = s.lay.Place(start).Disk / s.cfg.P
 	}
-	return ticketRef{}, false
+	tk, ok := s.ctrl.Admit(s.engine.Round(), unit, class)
+	if !ok {
+		s.pool.Release(perClip)
+		return tk, 0, fmt.Errorf("%w: bandwidth caps", ErrAdmission)
+	}
+	return tk, perClip, nil
 }
 
+// release returns an active stream's bandwidth and buffer.
 func (s *Server) release(st *Stream) {
-	switch st.ticket.kind {
-	case ticketStatic:
-		s.admitStatic.Release(st.ticket.t)
-	case ticketDynamic:
-		s.admitDynamic.Release(st.ticket.t)
-	default:
-		s.admitSimple.Release(st.ticket.t)
-	}
+	s.ctrl.Release(st.ticket)
 	s.pool.Release(st.buf)
-	delete(s.streams, st.id)
 	st.active = false
+	s.active--
 }
 
 // Close abandons the stream, releasing its resources. Reading after Close
@@ -215,12 +236,9 @@ func (st *Stream) Close() error {
 	st.readable = nil
 	st.readOff = 0
 	st.recyclePipeline()
-	if st.paused {
-		delete(st.srv.streams, st.id) // bandwidth/buffer already released
-		st.active = false
-		return nil
+	if !st.paused { // a paused stream released its bandwidth and buffer already
+		st.srv.release(st)
 	}
-	st.srv.release(st)
 	return nil
 }
 
@@ -278,17 +296,14 @@ func (st *Stream) SeekTo(offset int64) error {
 }
 
 // recyclePipeline hands every buffered pipeline block back to the
-// server's block pool and resets the caches. Safe because map entries
-// are single-owner: readable holds copies, never the cached slices.
+// server's block freelist and empties the ring. Safe because slots are
+// single-owner: readable holds copies, never the buffered slices.
 func (st *Stream) recyclePipeline() {
-	for _, b := range st.fetched {
-		st.srv.putBlock(b)
+	for _, sl := range st.ring {
+		st.srv.putBlock(sl.buf)
 	}
-	for _, b := range st.parity {
-		st.srv.putBlock(b)
-	}
-	st.fetched = make(map[int64][]byte)
-	st.parity = make(map[int64][]byte)
+	clear(st.ring)
+	st.pendingParity = 0
 }
 
 // Resume re-admits a paused stream at its saved position. On
@@ -301,31 +316,14 @@ func (st *Stream) Resume() error {
 	if !st.paused {
 		return nil
 	}
-	s := st.srv
-	perClip, err := buffer.PerClip(string(s.cfg.Scheme), s.cfg.Block, s.cfg.P)
+	// Admission coordinates follow the stream's *next* block, not the
+	// clip's first: bandwidth is consumed from wherever fetching resumes.
+	tk, perClip, err := st.srv.admit(st.clip.block(min(st.nextFetch, st.clip.blocks-1)))
 	if err != nil {
 		return err
 	}
-	if !s.pool.Reserve(perClip) {
-		return fmt.Errorf("%w: buffer pool full", ErrAdmission)
-	}
-	// Admission coordinates follow the stream's *next* block, not the
-	// clip's first: bandwidth is consumed from wherever fetching resumes.
-	pos := st.clip.block(st.nextFetch)
-	if st.nextFetch >= st.clip.blocks {
-		pos = st.clip.block(st.clip.blocks - 1)
-	}
-	tk, ok := s.admit(s.engine.Round(), pos)
-	if !ok {
-		s.pool.Release(perClip)
-		return fmt.Errorf("%w: bandwidth caps", ErrAdmission)
-	}
-	st.ticket = tk
-	st.buf = perClip
-	st.paused = false
-	s.streams[st.id] = st
-	st.active = true
-	s.regAdd(st)
+	st.ticket, st.buf, st.paused = tk, perClip, false
+	st.srv.activate(st)
 	return nil
 }
 
@@ -397,10 +395,7 @@ func (s *Server) Tick() error {
 		perRound = int64(s.cfg.P - 1)
 	}
 	// Deterministic iteration: the service registry holds every active
-	// stream in ascending-id order, maintained incrementally — no
-	// per-tick collect-and-sort of the streams map (first an O(n²)
-	// insertion sort, then slices.Sort, both with a fresh slice every
-	// round).
+	// stream in ascending-id order, maintained incrementally.
 	s.compactReg()
 	if err := s.serviceStreams(perRound); err != nil {
 		return err
@@ -499,7 +494,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 		s.chargeTick(sh, addr.Disk)
 		data, err := s.readMonitored(logical, addr)
 		if err == nil {
-			st.fetched[n] = data
+			st.hold(n, data, false)
 			return nil
 		}
 		if !errors.Is(err, storage.ErrFailed) {
@@ -522,7 +517,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 			s.putBlock(pbuf)
 			return fmt.Errorf("%w: parity disk %d unavailable: %v", recovery.ErrUnrecoverable, g.Parity.Disk, err)
 		}
-		st.parity[n] = pbuf
+		st.hold(n, pbuf, true)
 		return nil
 	}
 	// Declustered / non-clustered: read the surviving members and parity
@@ -531,7 +526,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 	if err != nil {
 		return err
 	}
-	st.fetched[n] = data
+	st.hold(n, data, false)
 	return nil
 }
 
@@ -540,44 +535,36 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 // reconstruction. It runs before the group's first delivery, when §6.1
 // guarantees all surviving members are in the buffer.
 func (s *Server) reconstructPending(st *Stream, n int64) {
-	if len(st.parity) == 0 {
+	if st.pendingParity == 0 {
 		// Nothing pending — the common case, and the healthy path's only
 		// one. Returning before GroupOf keeps its two slice allocations
 		// out of every delivery.
 		return
 	}
-	logical := st.clip.block(n)
-	g := s.lay.GroupOf(logical)
+	// idx is a group member's clip-relative index.
+	idx := func(l int64) int64 { return (l - st.clip.start) / st.clip.stride }
+	g := s.lay.GroupOf(st.clip.block(n))
 	for _, li := range g.Data {
-		m := (li - st.clip.start) / st.clip.stride
-		pbuf, pending := st.parity[m]
-		if !pending {
+		sl := st.slot(idx(li))
+		if sl == nil || !sl.isParity {
 			continue
 		}
 		complete := true
 		for _, lj := range g.Data {
-			if lj == li {
-				continue
-			}
-			if _, have := st.fetched[(lj-st.clip.start)/st.clip.stride]; !have {
-				complete = false
+			if lj != li && st.data(idx(lj)) == nil {
+				complete = false // group not fully fetched yet; retry next delivery
 				break
 			}
 		}
 		if !complete {
-			continue // group not fully fetched yet; retry next delivery
+			continue
 		}
-		data := s.getBlock()
-		copy(data, pbuf)
 		for _, lj := range g.Data {
-			if lj == li {
-				continue
+			if lj != li {
+				recovery.XORInto(sl.buf, st.data(idx(lj)))
 			}
-			recovery.XORInto(data, st.fetched[(lj-st.clip.start)/st.clip.stride])
 		}
-		st.fetched[m] = data
-		delete(st.parity, m)
-		s.putBlock(pbuf)
+		st.reconstructed(sl)
 	}
 }
 
@@ -585,24 +572,8 @@ func (s *Server) reconstructPending(st *Stream, n int64) {
 func (s *Server) deliver(st *Stream, sh *tickShard) error {
 	n := st.nextDeliver
 	s.reconstructPending(st, n)
-	data, ok := st.fetched[n]
-	if !ok {
-		if pbuf, havePar := st.parity[n]; havePar {
-			// A mid-group restart (pause/resume across a failure) dropped
-			// the buffered siblings the §6 invariant normally provides;
-			// fall back to reading them from disk for this one group.
-			rebuilt, err := s.reconstructFromDisk(st, n, pbuf, sh)
-			if err != nil {
-				return err
-			}
-			if rebuilt != nil {
-				data, ok = rebuilt, true
-				delete(st.parity, n)
-				s.putBlock(pbuf)
-			}
-		}
-	}
-	if !ok {
+	sl := st.slot(n)
+	if sl == nil {
 		// The pipeline failed to produce the block in time.
 		if sh == nil {
 			s.hiccups++
@@ -610,11 +581,15 @@ func (s *Server) deliver(st *Stream, sh *tickShard) error {
 			sh.hiccups++
 		}
 		st.nextDeliver++
-		if pbuf, have := st.parity[n]; have {
-			delete(st.parity, n)
-			s.putBlock(pbuf)
-		}
 		return nil
+	}
+	if sl.isParity {
+		// A mid-group restart (pause/resume across a failure) dropped
+		// the buffered siblings the §6 invariant normally provides;
+		// fall back to reading them from disk for this one group.
+		if err := s.reconstructFromDisk(st, sl, sh); err != nil {
+			return err
+		}
 	}
 	// Trim the final block to the clip's true payload length.
 	bs := int64(s.store.Array.BlockSize())
@@ -624,44 +599,41 @@ func (s *Server) deliver(st *Stream, sh *tickShard) error {
 		hi = st.clip.size
 	}
 	if lo < st.clip.size {
-		st.readable = append(st.readable, data[:hi-lo]...)
+		st.readable = append(st.readable, sl.buf[:hi-lo]...)
 		st.deliveredBytes += hi - lo
 	}
-	delete(st.fetched, n)
-	s.putBlock(data)
+	s.putBlock(sl.buf)
+	*sl = slot{}
 	st.nextDeliver++
 	return nil
 }
 
-// reconstructFromDisk rebuilds clip block n from its parity block plus
-// sibling reads, preferring buffered siblings and charging disk reads
-// for the rest. A sibling on another failed disk makes the group
-// unrecoverable.
-func (s *Server) reconstructFromDisk(st *Stream, n int64, pbuf []byte, sh *tickShard) ([]byte, error) {
-	logical := st.clip.block(n)
+// reconstructFromDisk turns the parity block in sl into the clip block it
+// stands for by XORing the siblings in, preferring buffered siblings and
+// charging disk reads for the rest. A sibling on another failed disk makes
+// the group unrecoverable (and leaves sl half-summed: the stream ends).
+func (s *Server) reconstructFromDisk(st *Stream, sl *slot, sh *tickShard) error {
+	logical := st.clip.block(sl.n)
 	g := s.lay.GroupOf(logical)
-	out := s.getBlock()
-	copy(out, pbuf)
 	scratch := s.getBlock()
 	defer s.putBlock(scratch)
 	for _, li := range g.Data {
 		if li == logical {
 			continue
 		}
-		m := (li - st.clip.start) / st.clip.stride
-		if sib, have := st.fetched[m]; have {
-			recovery.XORInto(out, sib)
+		if sib := st.data((li - st.clip.start) / st.clip.stride); sib != nil {
+			recovery.XORInto(sl.buf, sib)
 			continue
 		}
 		addr := s.lay.Place(li)
 		s.chargeTick(sh, addr.Disk)
 		if err := s.readMemberInto(addr, scratch); err != nil {
-			s.putBlock(out)
-			return nil, fmt.Errorf("%w: disk %d also unavailable: %v", recovery.ErrUnrecoverable, addr.Disk, err)
+			return fmt.Errorf("%w: disk %d also unavailable: %v", recovery.ErrUnrecoverable, addr.Disk, err)
 		}
-		recovery.XORInto(out, scratch)
+		recovery.XORInto(sl.buf, scratch)
 	}
-	return out, nil
+	st.reconstructed(sl)
+	return nil
 }
 
 // charge records a physical read against the round ledger; budget

@@ -130,41 +130,78 @@ func TestPauseFreesCapacity(t *testing.T) {
 	st1.Close()
 }
 
-// TestPauseResumeAcrossFailure: pause, disk failure, resume — content
-// still byte-exact.
+// TestPauseResumeAcrossFailure: pause mid-group, fail the disk of the very
+// block the stream resumes at, resume — content still byte-exact. Under
+// the pre-fetching schemes the resume lands mid-group, so the lost block
+// is rebuilt from its parity block and sibling reads; a second pause, again
+// mid-group, then seeks back and replays the clip through the degraded
+// pipeline, parity slots and all.
 func TestPauseResumeAcrossFailure(t *testing.T) {
-	s := newServer(t, Declustered, 7, 3)
-	want := clipBytes(31, 140_000)
-	if err := s.AddClip("m", want); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.OpenStream("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []byte
-	tickN(t, s, 4)
-	part, _ := readAvailable(t, st)
-	got = append(got, part...)
-	if err := st.Pause(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.FailDisk(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 120; i++ {
-		tickN(t, s, 1)
-		part, done := readAvailable(t, st)
-		got = append(got, part...)
-		if done {
-			break
+	for _, tc := range []struct {
+		scheme Scheme
+		d, p   int
+		seek   int64 // byte offset the second pause seeks to; -1 for no second pause
+	}{
+		{Declustered, 7, 3, -1},
+		{PrefetchParityDisk, 8, 4, 20_000},
+		{PrefetchFlat, 9, 4, 20_000},
+	} {
+		s := newServer(t, tc.scheme, tc.d, tc.p)
+		clip := clipBytes(31, 140_000)
+		if err := s.AddClip("m", clip); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("pause + failure + resume corrupted stream")
+		st, err := s.OpenStream("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		play := func(rounds int) {
+			for i := 0; i < rounds; i++ {
+				tickN(t, s, 1)
+				part, done := readAvailable(t, st)
+				if got = append(got, part...); done {
+					return
+				}
+			}
+		}
+		play(4)
+		if err := st.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		if depth := s.prefetchDepth; depth > 1 && st.nextDeliver%depth == 0 {
+			t.Fatalf("%s: paused at block %d, a group boundary", tc.scheme, st.nextDeliver)
+		}
+		if err := s.FailDisk(s.lay.Place(st.clip.block(st.nextDeliver)).Disk); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		want := clip
+		if tc.seek >= 0 {
+			play(5)
+			if err := st.Pause(); err != nil {
+				t.Fatal(err)
+			}
+			if st.nextDeliver%s.prefetchDepth == 0 {
+				t.Fatalf("%s: second pause at block %d, a group boundary", tc.scheme, st.nextDeliver)
+			}
+			if err := st.SeekTo(tc.seek); err != nil {
+				t.Fatal(err)
+			}
+			want = append(bytes.Clone(got), clip[st.Pos():]...)
+			if err := st.Resume(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		play(120)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: pause + failure + resume corrupted stream", tc.scheme)
+		}
+		if h := s.Stats().Hiccups; h != 0 {
+			t.Fatalf("%s: %d hiccups", tc.scheme, h)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package integrity
 
 import (
-	"errors"
 	"hash/crc32"
-	"math/rand"
 	"testing"
 )
 
@@ -15,119 +13,5 @@ func TestSumIsCastagnoli(t *testing.T) {
 	}
 	if ieee := crc32.ChecksumIEEE(data); Sum(data) == ieee {
 		t.Fatalf("Sum matches IEEE polynomial; want Castagnoli")
-	}
-}
-
-func TestMapRecordVerify(t *testing.T) {
-	m := NewMap()
-	data := make([]byte, 512)
-	rand.New(rand.NewSource(1)).Read(data)
-
-	// Unrecorded blocks verify trivially: the map only vouches for
-	// blocks it has seen written.
-	if err := m.Verify(0, 7, data); err != nil {
-		t.Fatalf("Verify of unrecorded block: %v", err)
-	}
-	if m.Has(0, 7) {
-		t.Fatalf("Has(0,7) = true before Record")
-	}
-
-	m.Record(0, 7, data)
-	if !m.Has(0, 7) {
-		t.Fatalf("Has(0,7) = false after Record")
-	}
-	if err := m.Verify(0, 7, data); err != nil {
-		t.Fatalf("Verify of intact block: %v", err)
-	}
-
-	// Any single-bit flip must be detected.
-	flipped := append([]byte(nil), data...)
-	flipped[100] ^= 0x10
-	if err := m.Verify(0, 7, flipped); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("Verify of flipped block = %v, want ErrMismatch", err)
-	}
-
-	// Overwrite re-records.
-	m.Record(0, 7, flipped)
-	if err := m.Verify(0, 7, flipped); err != nil {
-		t.Fatalf("Verify after re-record: %v", err)
-	}
-
-	st := m.Stats()
-	if st.Recorded != 2 || st.Verified != 2 || st.Mismatches != 1 {
-		t.Fatalf("Stats = %+v, want recorded=2 verified=2 mismatches=1", st)
-	}
-}
-
-func TestMapKeysAreIndependent(t *testing.T) {
-	m := NewMap()
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	m.Record(0, 0, a)
-	m.Record(1, 0, b)
-	if err := m.Verify(0, 0, a); err != nil {
-		t.Fatalf("disk 0: %v", err)
-	}
-	if err := m.Verify(1, 0, b); err != nil {
-		t.Fatalf("disk 1: %v", err)
-	}
-	if err := m.Verify(0, 0, b); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("cross-disk verify = %v, want ErrMismatch", err)
-	}
-}
-
-func TestMapDrop(t *testing.T) {
-	m := NewMap()
-	data := []byte("x")
-	m.Record(2, 1, data)
-	m.Record(2, 9, data)
-	m.Record(3, 1, data)
-
-	m.Drop(2, 1)
-	if m.Has(2, 1) {
-		t.Fatalf("Has(2,1) after Drop")
-	}
-	if !m.Has(2, 9) || !m.Has(3, 1) {
-		t.Fatalf("Drop removed unrelated records")
-	}
-
-	m.DropDisk(2)
-	if m.Has(2, 9) {
-		t.Fatalf("Has(2,9) after DropDisk(2)")
-	}
-	if !m.Has(3, 1) {
-		t.Fatalf("DropDisk(2) removed disk 3's record")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
-	}
-
-	// Dropped blocks verify trivially again — the spare has no history.
-	if err := m.Verify(2, 9, []byte("anything")); err != nil {
-		t.Fatalf("Verify after DropDisk: %v", err)
-	}
-}
-
-func TestMapConcurrent(t *testing.T) {
-	m := NewMap()
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			data := []byte{byte(g)}
-			for i := int64(0); i < 200; i++ {
-				m.Record(g, i, data)
-				if err := m.Verify(g, i, data); err != nil {
-					t.Errorf("goroutine %d: %v", g, err)
-					return
-				}
-				if i%10 == 0 {
-					m.Drop(g, i)
-				}
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		<-done
 	}
 }

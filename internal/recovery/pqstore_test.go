@@ -167,3 +167,27 @@ func TestPQStorePartialGroups(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteBlockAllocs pins the parity-maintaining write at zero
+// allocations once its groups are whole and the freelist is warm: the
+// group is filled in place and every scratch buffer comes off the store's
+// LIFO. (An absent member still costs ReadZeroInto its ErrNotWritten.)
+func TestWriteBlockAllocs(t *testing.T) {
+	for name, s := range map[string]*Store{
+		"single parity": declusteredStore(t, 7, 3),
+		"P+Q":           pqStore(t, 13, 4),
+	} {
+		data := deterministicBlock(1)
+		write := func(n int64) {
+			for i := int64(0); i < n; i++ {
+				if err := s.WriteBlock(i, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		write(1024)
+		if got := testing.AllocsPerRun(20, func() { write(32) }); got != 0 {
+			t.Errorf("%s: WriteBlock allocates %v objects per 32 steady-state writes, want 0", name, got)
+		}
+	}
+}

@@ -31,21 +31,43 @@ type Store struct {
 	// Array holds the bytes.
 	Array *storage.Array
 
-	// scratch pools block-sized buffers so the steady-state parity
-	// write/rebuild path allocates nothing.
-	scratch sync.Pool
+	// mu guards free, the server's one freelist of block-sized buffers:
+	// parity maintenance here and core's fetch, reconstruction and
+	// delivery paths all draw from it. A LIFO stack, not the sync
+	// package's pool, whose Put(&b) boxes the slice header — one heap
+	// allocation per recycled block. The mutex keeps it safe for the
+	// sharded tick.
+	mu   sync.Mutex
+	free [][]byte
+	// wmu makes WriteBlock's read-modify-write of a group's parity atomic
+	// and guards wg, the group it fills.
+	wmu sync.Mutex
+	wg  layout.Group
 }
 
-// getBuf returns a block-sized scratch buffer (contents unspecified).
-func (s *Store) getBuf() []byte {
-	if b, ok := s.scratch.Get().(*[]byte); ok {
-		return *b
+// GetBlock returns a block-sized buffer with unspecified contents.
+func (s *Store) GetBlock() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		b := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return b
 	}
 	return make([]byte, s.Array.BlockSize())
 }
 
-// putBuf returns a scratch buffer to the pool.
-func (s *Store) putBuf(b []byte) { s.scratch.Put(&b) }
+// PutBlock recycles a block buffer. Callers must drop every reference
+// first.
+func (s *Store) PutBlock(b []byte) {
+	if len(b) != s.Array.BlockSize() {
+		return
+	}
+	s.mu.Lock()
+	s.free = append(s.free, b)
+	s.mu.Unlock()
+}
 
 // NewStore validates that the array matches the layout's disk count.
 func NewStore(l layout.Layout, a *storage.Array) (*Store, error) {
@@ -66,37 +88,47 @@ func (s *Store) WriteBlock(i int64, data []byte) error {
 	if err := s.Array.Write(addr.Disk, addr.Block, data); err != nil {
 		return err
 	}
-	return s.rebuildParity(s.Layout.GroupOf(i))
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.Layout.GroupAt(addr, &s.wg)
+	return s.rebuildParity(s.wg)
 }
 
-func (s *Store) rebuildParity(g layout.Group) error {
-	parity := s.getBuf()
-	defer s.putBuf(parity)
-	member := s.getBuf()
-	defer s.putBuf(member)
-	clear(parity)
-	var q []byte
+// parityOf computes the group's parity column(s) from its data members,
+// absent ones reading as zeroes, into buffers off the freelist that the
+// caller puts back (also on error); q is nil without a Q column.
+func (s *Store) parityOf(g layout.Group) (p, q []byte, err error) {
+	member := s.GetBlock()
+	defer s.PutBlock(member)
+	p = s.GetBlock()
+	clear(p)
 	if g.HasQ {
-		q = s.getBuf()
-		defer s.putBuf(q)
+		q = s.GetBlock()
 		clear(q)
 	}
 	for k, a := range g.DataAddr {
-		if err := s.Array.ReadZeroInto(a.Disk, a.Block, member); err != nil {
-			return fmt.Errorf("recovery: rebuilding parity: %w", err)
+		if err = s.Array.ReadZeroInto(a.Disk, a.Block, member); err != nil {
+			return p, q, err
 		}
-		XORInto(parity, member)
-		if g.HasQ {
+		XORInto(p, member)
+		if q != nil {
 			MulAccum(q, member, GExp(k))
 		}
 	}
-	if err := s.Array.Write(g.Parity.Disk, g.Parity.Block, parity); err != nil {
+	return p, q, nil
+}
+
+func (s *Store) rebuildParity(g layout.Group) error {
+	p, q, err := s.parityOf(g)
+	defer s.PutBlock(p)
+	defer s.PutBlock(q) // a nil q is not block-sized: ignored
+	if err != nil {
+		return fmt.Errorf("recovery: rebuilding parity: %w", err)
+	}
+	if err := s.Array.Write(g.Parity.Disk, g.Parity.Block, p); err != nil || q == nil {
 		return err
 	}
-	if g.HasQ {
-		return s.Array.Write(g.Q.Disk, g.Q.Block, q)
-	}
-	return nil
+	return s.Array.Write(g.Q.Disk, g.Q.Block, q)
 }
 
 // Reconstruct rebuilds logical block i from the other members of its
@@ -123,8 +155,8 @@ func (s *Store) Reconstruct(i int64) ([]byte, error) {
 		if idx == x {
 			continue
 		}
-		bufs[idx] = s.getBuf()
-		defer s.putBuf(bufs[idx])
+		bufs[idx] = s.GetBlock()
+		defer s.PutBlock(bufs[idx])
 		if s.Array.ReadZeroInto(a.Disk, a.Block, bufs[idx]) != nil {
 			missing = append(missing, idx)
 		}
@@ -140,33 +172,20 @@ func (s *Store) Reconstruct(i int64) ([]byte, error) {
 // layouts), returning an error on mismatch — a test/fsck helper.
 func (s *Store) VerifyParity(i int64) error {
 	g := s.Layout.GroupOf(i)
-	want := s.getBuf()
-	defer s.putBuf(want)
-	member := s.getBuf()
-	defer s.putBuf(member)
-	clear(want)
-	var wantQ []byte
-	if g.HasQ {
-		wantQ = s.getBuf()
-		defer s.putBuf(wantQ)
-		clear(wantQ)
+	want, wantQ, err := s.parityOf(g)
+	defer s.PutBlock(want)
+	defer s.PutBlock(wantQ)
+	if err != nil {
+		return err
 	}
-	for k, a := range g.DataAddr {
-		if err := s.Array.ReadZeroInto(a.Disk, a.Block, member); err != nil {
-			return err
-		}
-		XORInto(want, member)
-		if g.HasQ {
-			MulAccum(wantQ, member, GExp(k))
-		}
-	}
-	// member is free again: each stored parity column goes through it.
+	got := s.GetBlock() // each stored parity column goes through it
+	defer s.PutBlock(got)
 	check := func(name string, a layout.BlockAddr, want []byte) error {
-		if err := s.Array.ReadZeroInto(a.Disk, a.Block, member); err != nil {
+		if err := s.Array.ReadZeroInto(a.Disk, a.Block, got); err != nil {
 			return err
 		}
 		for k := range want {
-			if want[k] != member[k] {
+			if want[k] != got[k] {
 				return fmt.Errorf("recovery: %s mismatch for group of block %d at byte %d", name, i, k)
 			}
 		}

@@ -67,11 +67,11 @@ func (e *engine) dueLoad(now int64, x int) int64 {
 		if x%p == p-1 {
 			return 0 // parity disk: no data blocks due
 		}
-		return int64(e.ctrl.(simpleCtrl).UnitLoad(now, x/p*(p-1)+x%p))
+		return int64(e.ctrl.(admission.Unclassed).UnitLoad(now, x/p*(p-1)+x%p))
 	case analytic.StreamingRAID:
 		// Every active group read of the cluster loses its block: the
 		// group is short two members.
-		return int64(e.ctrl.(simpleCtrl).UnitLoad(now, x/p))
+		return int64(e.ctrl.(admission.Unclassed).UnitLoad(now, x/p))
 	}
 	return 0
 }
@@ -224,7 +224,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 		}
 
 	case analytic.PrefetchParityDisk:
-		s := e.ctrl.(simpleCtrl)
+		s := e.ctrl.(admission.Unclassed)
 		cluster := x / p
 		if x%p == p-1 {
 			// Parity disk failed: data reads unaffected; rebuild reads
@@ -256,13 +256,13 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 		// The group read simply substitutes the parity block for the lost
 		// data block: no extra load, no misses, by construction. Idle
 		// group slots of the failed disk's cluster drive the rebuild.
-		s := e.ctrl.(simpleCtrl)
+		s := e.ctrl.(admission.Unclassed)
 		if idle := q - s.UnitLoad(now, x/p); idle > 0 {
 			spare += int64(idle)
 		}
 
 	case analytic.NonClustered:
-		s := e.ctrl.(simpleCtrl)
+		s := e.ctrl.(admission.Unclassed)
 		cluster := x / p
 		if x%p == p-1 {
 			// Parity disk failed: data unaffected; rebuild from the

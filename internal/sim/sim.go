@@ -237,7 +237,7 @@ type engine struct {
 	// clipRounds is the playback duration of every catalog clip in rounds.
 	clipRounds int64
 
-	ctrl controller
+	ctrl admission.Controller
 	// table is set for declustered schemes (failure accounting).
 	table *pgt.Table
 
@@ -289,22 +289,6 @@ type pending struct {
 
 type startPos struct {
 	unit, class int
-}
-
-// controller is what the per-scheme admission controllers share:
-// *admission.Static and *admission.Dynamic as they are, *admission.Simple
-// through simpleCtrl.
-type controller interface {
-	Admit(now int64, unit, class int) (admission.Ticket, bool)
-	Release(t admission.Ticket)
-}
-
-// simpleCtrl gives the one-dimensional controller the common signature:
-// its units have no class.
-type simpleCtrl struct{ *admission.Simple }
-
-func (c simpleCtrl) Admit(now int64, unit, _ int) (admission.Ticket, bool) {
-	return c.Simple.Admit(now, unit)
 }
 
 func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
@@ -394,7 +378,7 @@ func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.ctrl = simpleCtrl{s}
+		e.ctrl = admission.Unclassed{Simple: s}
 		// §8.2 randomizes disk(C) uniformly for every scheme, so clips
 		// start on any data disk (a mid-cluster start only means the
 		// clip's first parity group is partial, which admission does not
@@ -406,7 +390,7 @@ func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.ctrl = simpleCtrl{s}
+		e.ctrl = admission.Unclassed{Simple: s}
 		e.randomPositions(clusters, 1)
 	}
 	if e.trace, err = orderedTrace(cfg.Trace, "disk", d); err != nil {

@@ -1,0 +1,277 @@
+package storage
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"ftcms/internal/integrity"
+)
+
+// model is the array kept the obvious way — per disk, a map from block
+// number to bytes and a second one to checksums — with the semantics the
+// package comment promises. FuzzArrayModel holds the record store to it.
+type model struct {
+	data   []map[int64][]byte
+	sums   []map[int64]uint32
+	state  []DiskState
+	reads  []int64
+	extent int64
+	stats  integrity.Stats
+}
+
+var errOther = errors.New("some other error")
+
+// class reduces an error to the sentinel it wraps.
+func class(err error) error {
+	for _, e := range []error{ErrFailed, ErrNotWritten, ErrCorruptBlock} {
+		if errors.Is(err, e) {
+			return e
+		}
+	}
+	if err != nil {
+		return errOther
+	}
+	return nil
+}
+
+func newModel(d int) *model {
+	m := &model{data: make([]map[int64][]byte, d), sums: make([]map[int64]uint32, d), state: make([]DiskState, d), reads: make([]int64, d)}
+	for i := range m.data {
+		m.blank(i)
+	}
+	return m
+}
+
+func (m *model) blank(disk int) {
+	m.data[disk], m.sums[disk] = map[int64][]byte{}, map[int64]uint32{}
+}
+
+func (m *model) inRange(disk int) bool { return disk >= 0 && disk < len(m.data) }
+
+func (m *model) write(disk int, block int64, b []byte) error {
+	switch {
+	case !m.inRange(disk):
+		return errOther
+	case m.state[disk] == Failed:
+		return ErrFailed
+	}
+	m.data[disk][block] = bytes.Clone(b)
+	m.sums[disk][block] = integrity.Sum(b)
+	m.extent = max(m.extent, block+1)
+	m.stats.Recorded++
+	return nil
+}
+
+// verify is the checksum comparison every read and the audit make.
+func (m *model) verify(disk int, block int64) bool {
+	ok := integrity.Sum(m.data[disk][block]) == m.sums[disk][block]
+	if ok {
+		m.stats.Verified++
+	} else {
+		m.stats.Mismatches++
+	}
+	return ok
+}
+
+func (m *model) read(disk int, block int64, zero bool) ([]byte, error) {
+	switch {
+	case !m.inRange(disk):
+		return nil, errOther
+	case m.state[disk] == Failed:
+		return nil, ErrFailed
+	}
+	b, ok := m.data[disk][block]
+	switch {
+	case !ok && zero && m.state[disk] == Healthy:
+		b = make([]byte, 16)
+	case !ok:
+		return nil, ErrNotWritten
+	case !m.verify(disk, block):
+		return nil, ErrCorruptBlock
+	}
+	m.reads[disk]++
+	return b, nil
+}
+
+func (m *model) corrupt(disk int, block int64, bits []uint64) error {
+	switch {
+	case !m.inRange(disk):
+		return errOther
+	case m.state[disk] == Failed:
+		return ErrFailed
+	case m.data[disk][block] == nil:
+		return ErrNotWritten
+	}
+	for _, b := range bits {
+		b %= 16 * 8
+		m.data[disk][block][b/8] ^= 1 << (b % 8)
+	}
+	return nil
+}
+
+// blocks lists the disk's written blocks, ascending.
+func (m *model) blocks(disk int) []int64 {
+	var out []int64
+	for b := range m.data[disk] {
+		out = append(out, b)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (m *model) audit() [][2]int64 {
+	var bad [][2]int64
+	for disk := range m.data {
+		if m.state[disk] == Failed {
+			continue
+		}
+		for _, b := range m.blocks(disk) {
+			if !m.verify(disk, b) {
+				bad = append(bad, [2]int64{int64(disk), b})
+			}
+		}
+	}
+	return bad
+}
+
+// Scripts are four bytes an op: kind, disk, block, argument.
+const (
+	opWrite = iota
+	opRead
+	opReadZero
+	opFail
+	opReplace
+	opRejoin
+	opRepair
+	opCorruptBits
+	opCorruptRandom
+	opAudit
+	nOps
+)
+
+// FuzzArrayModel runs an op script against the array and the model and
+// demands the same errors (by errors.Is), the same bytes, the same
+// Written/Extent/WrittenBlocks/State/ReadCount/ChecksumStats after every
+// op, the same CorruptRandomBlock pick and the same AuditChecksums order.
+func FuzzArrayModel(f *testing.F) {
+	// What integrity.Map's own tests pinned, as the array shows it.
+	// Record, verify, a flipped bit is caught, an overwrite re-records:
+	f.Add([]byte{opWrite, 0, 7, 1, opRead, 0, 7, 0, opCorruptBits, 0, 7, 100, opRead, 0, 7, 0, opWrite, 0, 7, 2, opRead, 0, 7, 0})
+	// Keys are independent: the same block number on two disks, one rots.
+	f.Add([]byte{opWrite, 0, 0, 1, opWrite, 1, 0, 2, opCorruptBits, 1, 0, 9, opRead, 0, 0, 0, opRead, 1, 0, 0, opAudit, 0, 0, 0})
+	// Dropping a disk forgets its sums and nobody else's, and a block the
+	// spare never saw written has no sum to fail: the rotten block 9 of
+	// disk 2 reads as absent after Replace, and rewrites verify.
+	f.Add([]byte{opWrite, 2, 1, 1, opWrite, 2, 9, 1, opWrite, 3, 1, 1, opCorruptBits, 2, 9, 5, opFail, 2, 0, 0, opReplace, 2, 0, 0,
+		opRead, 2, 9, 0, opReadZero, 2, 9, 0, opWrite, 2, 9, 3, opRead, 2, 9, 0, opRead, 3, 1, 0, opRejoin, 2, 0, 0, opReadZero, 2, 1, 0, opAudit, 0, 0, 0})
+	// Lifecycle edges: repair from any state, the picker on an empty and a
+	// failed disk, out-of-range disks.
+	f.Add([]byte{opCorruptRandom, 1, 0, 3, opWrite, 1, 9, 1, opWrite, 1, 3, 1, opWrite, 1, 7, 1, opCorruptRandom, 1, 0, 1, opRead, 1, 7, 0,
+		opFail, 1, 0, 0, opCorruptRandom, 1, 0, 0, opRepair, 1, 0, 0, opRejoin, 1, 0, 0, opReplace, 1, 0, 0, opWrite, 4, 0, 0, opRead, 4, 0, 0, opFail, 4, 0, 0})
+	for seed := int64(1); seed <= 4; seed++ {
+		script := make([]byte, 4*400)
+		rand.New(rand.NewSource(seed)).Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const d, bs, nblocks = 4, 16, 12
+		a, err := NewArray(d, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newModel(d)
+		for i := 0; i+4 <= len(script); i += 4 {
+			op, disk, block, arg := script[i]%nOps, int(script[i+1]%(d+1)), int64(script[i+2]%nblocks), script[i+3]
+			bits := []uint64{uint64(arg), uint64(arg)*37 + 5}
+			var got, want error
+			dst, sentinel := bytes.Repeat([]byte{0xAA}, bs), bytes.Repeat([]byte{0xAA}, bs)
+			switch op {
+			case opWrite:
+				b := bytes.Repeat([]byte{arg}, bs)
+				b[0] = byte(block)
+				got, want = a.Write(disk, block, b), m.write(disk, block, b)
+			case opRead, opReadZero:
+				if op == opRead {
+					got = a.ReadInto(disk, block, dst)
+				} else {
+					got = a.ReadZeroInto(disk, block, dst)
+				}
+				var b []byte
+				if b, want = m.read(disk, block, op == opReadZero); want != nil {
+					b = sentinel // a refused read leaves dst alone
+				}
+				if !bytes.Equal(dst, b) {
+					t.Fatalf("op %d: read (%d, %d) = %v, model %v", i/4, disk, block, dst, b)
+				}
+			case opFail:
+				if got = a.Fail(disk); m.inRange(disk) {
+					m.state[disk] = Failed
+				} else {
+					want = errOther
+				}
+			case opReplace, opRejoin:
+				from, to, do := Failed, Rebuilding, a.Replace
+				if op == opRejoin {
+					from, to, do = Rebuilding, Healthy, a.Rejoin
+				}
+				if got = do(disk); !m.inRange(disk) || m.state[disk] != from {
+					want = errOther
+				} else {
+					m.state[disk] = to
+					if op == opReplace {
+						m.blank(disk)
+					}
+				}
+			case opRepair:
+				if got = a.Repair(disk); m.inRange(disk) {
+					m.state[disk] = Healthy
+					m.blank(disk)
+				} else {
+					want = errOther
+				}
+			case opCorruptBits:
+				got, want = a.CorruptBits(disk, block, bits), m.corrupt(disk, block, bits)
+			case opCorruptRandom:
+				var hit, pick int64
+				hit, got = a.CorruptRandomBlock(disk, uint64(arg), bits)
+				if !m.inRange(disk) {
+					want = errOther
+				} else if blocks := m.blocks(disk); len(blocks) == 0 {
+					want = ErrNotWritten
+				} else {
+					pick = blocks[int(arg)%len(blocks)]
+					want = m.corrupt(disk, pick, bits)
+				}
+				if hit != pick {
+					t.Fatalf("op %d: CorruptRandomBlock(%d, %d) hit block %d, model %d", i/4, disk, arg, hit, pick)
+				}
+			case opAudit:
+				if bad, ref := a.AuditChecksums(), m.audit(); !slices.Equal(bad, ref) {
+					t.Fatalf("op %d: AuditChecksums = %v, model %v", i/4, bad, ref)
+				}
+			}
+			if class(got) != want {
+				t.Fatalf("op %d (kind %d disk %d block %d): error %v, model %v", i/4, op, disk, block, got, want)
+			}
+			written := 0
+			for disk := 0; disk < d; disk++ {
+				if a.State(disk) != m.state[disk] || a.ReadCount(disk) != m.reads[disk] {
+					t.Fatalf("op %d: disk %d is %v with %d reads, model %v with %d", i/4, disk, a.State(disk), a.ReadCount(disk), m.state[disk], m.reads[disk])
+				}
+				written += len(m.data[disk])
+				for block := int64(0); block < nblocks; block++ {
+					if _, ok := m.data[disk][block]; a.Written(disk, block) != ok {
+						t.Fatalf("op %d: Written(%d, %d) = %v, model %v", i/4, disk, block, !ok, ok)
+					}
+				}
+			}
+			if a.Extent() != m.extent || a.WrittenBlocks() != written || a.ChecksumStats() != m.stats {
+				t.Fatalf("op %d: extent %d, %d written, sums %+v; model %d, %d, %+v",
+					i/4, a.Extent(), a.WrittenBlocks(), a.ChecksumStats(), m.extent, written, m.stats)
+			}
+		}
+	})
+}

@@ -33,7 +33,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -97,22 +96,30 @@ func (s DiskState) String() string {
 // accounting. Hooks must not call back into the Array.
 type ReadHook func(disk int, block int64) (slowdown float64, err error)
 
-// Array is a simulated array of d disks, each a sparse sequence of
-// fixed-size blocks. It is safe for concurrent use.
+// record is one block of a disk: its bytes and the CRC-32C Write took of
+// them, which every read re-checks. Nil data means not written.
+type record struct {
+	data []byte
+	sum  uint32
+}
+
+// Array is a simulated array of d disks, each a sequence of fixed-size
+// blocks indexed by block number. It is safe for concurrent use.
 type Array struct {
 	mu        sync.RWMutex
 	d         int
 	blockSize int
-	disks     []map[int64][]byte
-	state     []DiskState
-	hook      ReadHook
-	// extent is one past the highest block number ever written on any
-	// disk: the bound of a walk over the array's physical addresses.
-	extent int64
-	// sums holds one CRC-32C per written block; maintained by Write,
-	// checked by every read, dropped wholesale when a disk's medium is
-	// swapped (Replace/Repair).
-	sums *integrity.Map
+	// disks[disk][block] is the block's record. A disk's slice reaches its
+	// highest block ever written and never shrinks: swapping the medium
+	// (Replace/Repair) blanks the records in place. Each block's bytes are
+	// their own allocation — one slab grown by doubling would hold, while
+	// it copies, twice the data the array stores.
+	disks [][]record
+	// written counts each disk's written blocks.
+	written []int
+	state   []DiskState
+	hook    ReadHook
+	sums    integrity.Counters
 
 	// reads counts successful block reads per disk, for load assertions.
 	reads []int64
@@ -129,13 +136,10 @@ func NewArray(d, blockSize int) (*Array, error) {
 	a := &Array{
 		d:         d,
 		blockSize: blockSize,
-		disks:     make([]map[int64][]byte, d),
+		disks:     make([][]record, d),
+		written:   make([]int, d),
 		state:     make([]DiskState, d),
-		sums:      integrity.NewMap(),
 		reads:     make([]int64, d),
-	}
-	for i := range a.disks {
-		a.disks[i] = make(map[int64][]byte)
 	}
 	return a, nil
 }
@@ -164,6 +168,15 @@ func (a *Array) checkAddr(disk int, block int64) error {
 	return nil
 }
 
+// at returns the record of (disk, block), or nil when the block is not
+// written. The caller holds mu and has checked the address.
+func (a *Array) at(disk int, block int64) *record {
+	if recs := a.disks[disk]; block < int64(len(recs)) && recs[block].data != nil {
+		return &recs[block]
+	}
+	return nil
+}
+
 // Write stores data (exactly blockSize bytes) at (disk, block). Writing
 // to a failed disk is rejected: the array models a crashed, not a
 // degraded, device. Rebuilding disks accept writes — that is how the
@@ -183,14 +196,17 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	// Overwrites reuse the stored buffer: Read hands out copies, so no
 	// caller can hold a reference into it, and the steady-state parity
 	// rewrite path stays allocation-free.
-	buf, ok := a.disks[disk][block]
-	if !ok {
-		buf = make([]byte, a.blockSize)
-		a.disks[disk][block] = buf
-		a.extent = max(a.extent, block+1)
+	for int64(len(a.disks[disk])) <= block {
+		a.disks[disk] = append(a.disks[disk], record{})
 	}
-	copy(buf, data)
-	a.sums.Record(disk, block, buf)
+	r := &a.disks[disk][block]
+	if r.data == nil {
+		r.data = make([]byte, a.blockSize)
+		a.written[disk]++
+	}
+	copy(r.data, data)
+	r.sum = integrity.Sum(r.data)
+	a.sums.Recorded()
 	return nil
 }
 
@@ -232,6 +248,9 @@ func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error
 	if err := a.checkAddr(disk, block); err != nil {
 		return 1, err
 	}
+	if len(dst) != a.blockSize {
+		return 1, fmt.Errorf("storage: read into %d bytes, want block size %d", len(dst), a.blockSize)
+	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.state[disk] == Failed {
@@ -248,22 +267,19 @@ func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error
 			return slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, err)
 		}
 	}
-	buf, ok := a.disks[disk][block]
-	if !ok {
+	r := a.at(disk, block)
+	if r == nil {
 		return slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
 	}
-	if verr := a.sums.Verify(disk, block, buf); verr != nil {
+	if got := integrity.Sum(r.data); !a.sums.Verified(got == r.sum) {
 		// The disk answered with the wrong bytes. Surfacing the error —
 		// instead of the data — is the whole point of the checksum
 		// layer: corrupt bytes must never reach a stream or be XORed
 		// into a reconstruction. The read is not counted as served.
-		return slow, fmt.Errorf("storage: read disk %d block %d: %w: %v", disk, block, ErrCorruptBlock, verr)
+		return slow, fmt.Errorf("storage: read disk %d block %d: %w: sum %08x, want %08x", disk, block, ErrCorruptBlock, got, r.sum)
 	}
 	atomic.AddInt64(&a.reads[disk], 1)
-	if len(dst) != a.blockSize {
-		return slow, fmt.Errorf("storage: read into %d bytes, want block size %d", len(dst), a.blockSize)
-	}
-	copy(dst, buf)
+	copy(dst, r.data)
 	return slow, nil
 }
 
@@ -291,8 +307,7 @@ func (a *Array) Written(disk int, block int64) bool {
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	_, ok := a.disks[disk][block]
-	return ok
+	return a.at(disk, block) != nil
 }
 
 // Extent returns one past the highest block number ever written on any
@@ -300,7 +315,11 @@ func (a *Array) Written(disk int, block int64) bool {
 func (a *Array) Extent() int64 {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.extent
+	n := 0
+	for _, recs := range a.disks {
+		n = max(n, len(recs))
+	}
+	return int64(n)
 }
 
 // WrittenBlocks returns the number of blocks the array holds now.
@@ -308,10 +327,17 @@ func (a *Array) WrittenBlocks() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	n := 0
-	for _, blocks := range a.disks {
-		n += len(blocks)
+	for _, w := range a.written {
+		n += w
 	}
 	return n
+}
+
+// blank empties the disk for a swap of its medium: bytes and checksums go
+// together, so the old disk's sums never vouch for the new one's blocks.
+func (a *Array) blank(disk int) {
+	clear(a.disks[disk])
+	a.written[disk] = 0
 }
 
 // Fail marks a disk as failed. Its contents become unreadable until
@@ -342,10 +368,7 @@ func (a *Array) Replace(disk int) error {
 		return fmt.Errorf("storage: replace disk %d: disk is %v, not failed", disk, a.state[disk])
 	}
 	a.state[disk] = Rebuilding
-	a.disks[disk] = make(map[int64][]byte)
-	// The spare is new medium: the old disk's checksums vouch for blocks
-	// that no longer exist. The rebuild re-records sums as it writes.
-	a.sums.DropDisk(disk)
+	a.blank(disk)
 	return nil
 }
 
@@ -376,8 +399,7 @@ func (a *Array) Repair(disk int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.state[disk] = Healthy
-	a.disks[disk] = make(map[int64][]byte)
-	a.sums.DropDisk(disk)
+	a.blank(disk)
 	return nil
 }
 
@@ -429,17 +451,6 @@ func (a *Array) ResetReadCounts() {
 	}
 }
 
-// VerifyRead checks data against the checksum recorded for
-// (disk, block), flagging a mismatch as ErrCorruptBlock. The read path
-// applies it to every block served; it is exported so scrubbers and
-// tests can verify bytes they already hold without a second read.
-func (a *Array) VerifyRead(disk int, block int64, data []byte) error {
-	if err := a.sums.Verify(disk, block, data); err != nil {
-		return fmt.Errorf("storage: verify disk %d block %d: %w: %v", disk, block, ErrCorruptBlock, err)
-	}
-	return nil
-}
-
 // ChecksumStats returns a snapshot of the integrity layer's counters.
 func (a *Array) ChecksumStats() integrity.Stats {
 	return a.sums.Stats()
@@ -464,13 +475,13 @@ func (a *Array) CorruptBits(disk int, block int64, bits []uint64) error {
 	if a.state[disk] == Failed {
 		return fmt.Errorf("storage: corrupt disk %d block %d: %w", disk, block, ErrFailed)
 	}
-	buf, ok := a.disks[disk][block]
-	if !ok {
+	r := a.at(disk, block)
+	if r == nil {
 		return fmt.Errorf("storage: corrupt disk %d block %d: %w", disk, block, ErrNotWritten)
 	}
 	for _, b := range bits {
 		b %= uint64(a.blockSize) * 8
-		buf[b/8] ^= 1 << (b % 8)
+		r.data[b/8] ^= 1 << (b % 8)
 	}
 	return nil
 }
@@ -485,42 +496,42 @@ func (a *Array) CorruptRandomBlock(disk int, pick uint64, bits []uint64) (int64,
 		return 0, err
 	}
 	a.mu.RLock()
-	blocks := make([]int64, 0, len(a.disks[disk]))
-	for b := range a.disks[disk] {
-		blocks = append(blocks, b)
-	}
-	a.mu.RUnlock()
-	if len(blocks) == 0 {
+	n := uint64(a.written[disk])
+	if n == 0 {
+		a.mu.RUnlock()
 		return 0, fmt.Errorf("storage: corrupt disk %d: no written blocks: %w", disk, ErrNotWritten)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	block := blocks[pick%uint64(len(blocks))]
+	block := int64(0)
+	for rank := pick % n; ; block++ {
+		if a.disks[disk][block].data == nil {
+			continue
+		}
+		if rank == 0 {
+			break
+		}
+		rank--
+	}
+	a.mu.RUnlock()
 	return block, a.CorruptBits(disk, block, bits)
 }
 
 // AuditChecksums re-verifies every written block on every non-failed
-// disk and returns the (disk, block) addresses that no longer match
-// their recorded checksums. A planning/assertion probe: it consults no
-// hook and counts no reads.
+// disk and returns, in ascending order, the (disk, block) addresses that
+// no longer match their recorded checksums. A planning/assertion probe:
+// it consults no hook and counts no reads.
 func (a *Array) AuditChecksums() [][2]int64 {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var bad [][2]int64
-	for disk := range a.disks {
+	for disk, recs := range a.disks {
 		if a.state[disk] == Failed {
 			continue
 		}
-		for block, buf := range a.disks[disk] {
-			if a.sums.Verify(disk, block, buf) != nil {
-				bad = append(bad, [2]int64{int64(disk), block})
+		for block, r := range recs {
+			if r.data != nil && !a.sums.Verified(integrity.Sum(r.data) == r.sum) {
+				bad = append(bad, [2]int64{int64(disk), int64(block)})
 			}
 		}
 	}
-	sort.Slice(bad, func(i, j int) bool {
-		if bad[i][0] != bad[j][0] {
-			return bad[i][0] < bad[j][0]
-		}
-		return bad[i][1] < bad[j][1]
-	})
 	return bad
 }

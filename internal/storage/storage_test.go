@@ -98,6 +98,17 @@ func TestReadErrors(t *testing.T) {
 	if _, err := read(a, 9, 0); err == nil {
 		t.Error("accepted out-of-range disk")
 	}
+	// A wrong-sized buffer is refused with the address, before the disk is
+	// consulted: it is not a served read.
+	if err := a.Write(0, 1, block(1, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReadInto(0, 1, make([]byte, 15)); err == nil {
+		t.Error("accepted short buffer")
+	}
+	if got := a.ReadCount(0); got != 0 {
+		t.Errorf("ReadCount(0) = %d after a refused read, want 0", got)
+	}
 	got, err := readZero(a, 0, 0)
 	if err != nil {
 		t.Fatalf("ReadZeroInto on absent block: %v", err)
