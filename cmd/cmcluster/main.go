@@ -68,14 +68,17 @@
 // histogram of recent cluster-round Tick latencies (bucket upper bounds
 // in µs), plus migrate_hist — the same latency restricted to rounds
 // that actually carried migration traffic, so the cost of background
-// re-replication on the tick is directly visible.
+// re-replication on the tick is directly visible — and pace_hist, how
+// late each tick started against its absolute deadline (see nextRound).
 package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -83,6 +86,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -102,6 +106,9 @@ import (
 type server struct {
 	mu sync.Mutex
 	cl *cluster.Cluster
+	// wake (on mu) is broadcast at the end of every tick and when shutdown
+	// begins: a PLAY with no block yet, or refused admission, waits on it.
+	wake *sync.Cond
 
 	// inj[i] is node i's disk-fault injector, armed as nodes appear so
 	// FAIL <node> <disk> and CORRUPT can script faults inside a node.
@@ -109,9 +116,10 @@ type server struct {
 	// faults.
 	inj []*faultinject.Injector
 
-	// tickHist tracks recent cluster-round Tick latencies (guarded by
-	// mu, like the Tick it times); STATS reports it as tick_hist.
-	tickHist cliutil.LatencyHist
+	// tickHist tracks recent cluster-round Tick latencies and paceHist
+	// how late each tick started against its deadline (guarded by mu,
+	// like the Tick they time); STATS reports tick_hist and pace_hist.
+	tickHist, paceHist cliutil.LatencyHist
 
 	// migrateHist is tickHist restricted to rounds that copied at least
 	// one migration block, so STATS can show what background
@@ -131,9 +139,9 @@ type server struct {
 
 	// writeTimeout bounds every client write.
 	writeTimeout time.Duration
-	// closing is closed when shutdown begins: accept stops and PLAYs not
-	// yet streaming are refused while in-flight streams drain.
-	closing chan struct{}
+	// closing is set (under mu) when shutdown begins: accept stops and
+	// PLAYs not yet streaming are refused while in-flight streams drain.
+	closing bool
 	// conns tracks active connection handlers for the drain.
 	conns sync.WaitGroup
 }
@@ -144,8 +152,8 @@ func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Durat
 		nodeCfg:      nodeCfg,
 		pilot:        cluster.NewPilot(cl, nodeCfg, autopilot.Config{}),
 		writeTimeout: writeTimeout,
-		closing:      make(chan struct{}),
 	}
+	s.wake = sync.NewCond(&s.mu)
 	s.pilot.SetEnabled(autopilotOn)
 	s.armInjectors()
 	return s
@@ -160,13 +168,15 @@ func (s *server) armInjectors() {
 	}
 }
 
-// tick advances one cluster round under the mutex: the service tick,
-// latency accounting, and one autopilot step. Both the real pacer and
-// the test pacer drive rounds through here so the controller always
-// observes completed rounds.
-func (s *server) tick() {
+// tick advances one cluster round under the mutex, late after it was
+// due: the service tick, latency accounting, one autopilot step, and the
+// wake of every waiting PLAY. Both the pacer and the tests drive rounds
+// through here so the controller always observes completed rounds.
+func (s *server) tick(late time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.wake.Broadcast()
+	s.paceHist.Observe(late)
 	start := time.Now()
 	if err := s.cl.Tick(); err != nil {
 		log.Printf("cmcluster: tick: %v", err)
@@ -263,17 +273,8 @@ func main() {
 	// Round pacer: every node's round duration is identical (same config),
 	// so one clock drives the whole cluster. It keeps running through the
 	// drain so in-flight streams finish delivery.
-	go func() {
-		interval := time.Duration(float64(cl.NodeServer(0).RoundDuration().Seconds()) / *speed * float64(time.Second))
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-		pacer := time.NewTicker(interval)
-		defer pacer.Stop()
-		for range pacer.C {
-			s.tick()
-		}
-	}()
+	interval := time.Duration(float64(cl.NodeServer(0).RoundDuration().Seconds()) / *speed * float64(time.Second))
+	go s.pace(context.Background(), max(interval, time.Millisecond))
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -298,24 +299,42 @@ func main() {
 	}
 }
 
-// beginShutdown flips the server into draining mode and stops the accept
-// loop by closing the listener.
-func (s *server) beginShutdown(ln net.Listener) {
-	if s.draining() {
-		return
+// maxCatchUp is how many rounds behind its schedule the pacer still runs
+// back to back: a scheduling stall, not a stopped process or suspended VM.
+const maxCatchUp = 64
+
+// nextRound is the pacer's arithmetic. Round k is due at t0 + k·interval,
+// wherever now is: a late round runs at once and the one after it is not
+// pushed back, so none is dropped — unless the pacer is more than
+// maxCatchUp rounds behind, when it re-anchors at now instead of bursting.
+func nextRound(prev, now time.Time, interval time.Duration) (due time.Time, reanchored bool) {
+	if due = prev.Add(interval); now.Sub(due) > maxCatchUp*interval {
+		return now, true
 	}
-	close(s.closing)
-	ln.Close()
+	return due, false
 }
 
-// draining reports whether shutdown has begun.
-func (s *server) draining() bool {
-	select {
-	case <-s.closing:
-		return true
-	default:
-		return false
+// pace runs rounds on that schedule until ctx ends (never, in main).
+func (s *server) pace(ctx context.Context, interval time.Duration) {
+	runtime.LockOSThread() // sleepUntil blocks the thread, not the goroutine
+	defer runtime.UnlockOSThread()
+	for due, behind := time.Now(), false; ctx.Err() == nil; {
+		if due, behind = nextRound(due, time.Now(), interval); behind {
+			log.Printf("cmcluster: pacer more than %d rounds behind: schedule re-anchored", maxCatchUp)
+		}
+		sleepUntil(due)
+		s.tick(time.Since(due))
 	}
+}
+
+// beginShutdown flips the server into draining mode, stops the accept
+// loop by closing the listener and releases every PLAY waiting to start.
+func (s *server) beginShutdown(ln net.Listener) {
+	ln.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closing = true
+	s.wake.Broadcast()
 }
 
 // acceptLoop serves connections until the listener closes for shutdown.
@@ -323,7 +342,7 @@ func (s *server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if s.draining() {
+			if errors.Is(err, net.ErrClosed) {
 				return
 			}
 			log.Printf("cmcluster: accept: %v", err)
@@ -484,11 +503,17 @@ func (s *server) parse(name string, v verb, fields []string) (args, error) {
 	return a, nil
 }
 
+// maxCommand caps a command line; every verb fits many times over.
+const maxCommand = 4 << 10
+
 func (s *server) handle(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
+	line, err := bufio.NewReader(io.LimitReader(conn, maxCommand)).ReadString('\n')
 	if err != nil {
+		if len(line) == maxCommand {
+			s.printf(conn, "ERR command too long\n")
+		}
 		return
 	}
 	fields := strings.Fields(line)
@@ -532,8 +557,7 @@ func (s *server) list(conn net.Conn, _ args) {
 func (s *server) stats(conn net.Conn, _ args) {
 	s.mu.Lock()
 	st := s.cl.Stats()
-	ticks := s.tickHist.String()
-	migs := s.migrateHist.String()
+	ticks, migs, paces := s.tickHist.String(), s.migrateHist.String(), s.paceHist.String()
 	apMode := "off"
 	var aps autopilot.Status
 	if s.pilot.Enabled() {
@@ -542,12 +566,12 @@ func (s *server) stats(conn net.Conn, _ args) {
 	}
 	s.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q tick_hist=%s migrate_hist=%s\n",
+	fmt.Fprintf(&b, "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q tick_hist=%s migrate_hist=%s pace_hist=%s\n",
 		st.Round, st.Nodes, st.Alive, st.FailedNodes, st.Active, st.AwaitingFailover,
 		st.Served, st.FailedOver, st.Terminated, st.Rejected,
 		st.ViewVersion, st.Draining, st.Retired, st.MigrateDone, st.MigrateTotal,
 		st.MigratedBlocks, st.MigratedStreams,
-		apMode, aps.Actions, aps.Cooldown, aps.Last, aps.Interlock, ticks, migs)
+		apMode, aps.Actions, aps.Cooldown, aps.Last, aps.Interlock, ticks, migs, paces)
 	for i, ns := range st.Node {
 		fmt.Fprintf(&b, "node=%d active=%d served=%d hiccups=%d failed_disks=%v mode=%s scrub_scanned=%d scrub_total=%d scrub_cycles=%d corruptions=%d corruption_repairs=%d detect_hist=%s rebuild_hist=%s overflows=%d spares=%d rebuilding=%d rebuild_pending=%d rebuild_total=%d rebuilds_done=%d terminated=%d\n",
 			i, ns.Active, ns.Served, ns.Hiccups, ns.FailedDisks, ns.Mode,
@@ -560,56 +584,49 @@ func (s *server) stats(conn net.Conn, _ args) {
 	s.write(conn, []byte(b.String()))
 }
 
-func (s *server) play(conn net.Conn, a args) {
-	// Graceful degradation: while the autopilot sheds, new sessions are
-	// refused up front instead of joining the admission retry scrum —
-	// in-flight streams and failovers keep the capacity.
+// admit opens a PLAY's stream. A cluster-wide admission reject behaves
+// like the paper's pending list: admission state only changes at a round,
+// so the PLAY waits for the next tick and retries, for a while — unless
+// shutdown begins first, so a queued PLAY never holds up the drain.
+func (s *server) admit(clip string) (*cluster.Stream, error) {
 	s.mu.Lock()
-	shedding := s.pilot.Shedding()
-	s.mu.Unlock()
-	if shedding {
-		s.printf(conn, "ERR overloaded: autopilot is shedding new sessions\n")
-		return
+	defer s.mu.Unlock()
+	// Graceful degradation: while the autopilot sheds, new sessions are
+	// refused up front; in-flight streams and failovers keep the capacity.
+	if s.pilot.Shedding() {
+		return nil, errors.New("overloaded: autopilot is shedding new sessions")
 	}
-	// Cluster-wide admission rejects behave like the paper's pending
-	// list: retry each round for a while before giving up — unless
-	// shutdown begins first, so a queued PLAY never holds up the drain.
-	var st *cluster.Stream
-	for deadline := time.Now().Add(10 * time.Second); st == nil; {
-		if s.draining() {
-			s.printf(conn, "ERR shutting down\n")
-			return
+	for deadline := time.Now().Add(10 * time.Second); ; s.wake.Wait() {
+		if s.closing {
+			return nil, errors.New("shutting down")
 		}
-		s.mu.Lock()
-		opened, err := s.cl.OpenStream(a.word)
-		s.mu.Unlock()
-		switch {
-		case err == nil:
-			st = opened
-		case !errors.Is(err, core.ErrAdmission) || time.Now().After(deadline):
-			s.printf(conn, "ERR %v\n", err)
-			return
-		default:
-			time.Sleep(5 * time.Millisecond)
+		st, err := s.cl.OpenStream(clip)
+		if !errors.Is(err, core.ErrAdmission) || time.Now().After(deadline) {
+			return st, err
 		}
+	}
+}
+
+func (s *server) play(conn net.Conn, a args) {
+	st, err := s.admit(a.word)
+	if err != nil {
+		s.printf(conn, "ERR %v\n", err)
+		return
 	}
 	buf := make([]byte, 64<<10)
 	for {
 		s.mu.Lock()
 		n, rerr := st.Read(buf)
-		s.mu.Unlock()
-		if n > 0 {
-			if s.write(conn, buf[:n]) != nil {
-				s.mu.Lock()
-				st.Close()
-				s.mu.Unlock()
-				return
-			}
+		for n == 0 && errors.Is(rerr, core.ErrNoData) {
+			s.wake.Wait() // for the next tick; also covers the parked-awaiting-failover window
+			n, rerr = st.Read(buf)
 		}
-		if errors.Is(rerr, core.ErrNoData) {
-			// Also covers the parked-awaiting-failover window.
-			time.Sleep(time.Millisecond)
-			continue
+		s.mu.Unlock()
+		if n > 0 && s.write(conn, buf[:n]) != nil {
+			s.mu.Lock()
+			st.Close()
+			s.mu.Unlock()
+			return
 		}
 		if errors.Is(rerr, core.ErrStreamLost) {
 			// A further failure stranded the stream: tell the client why
@@ -617,7 +634,7 @@ func (s *server) play(conn net.Conn, a args) {
 			s.printf(conn, "\nERR %v\n", rerr)
 			return
 		}
-		if rerr != nil {
+		if rerr != nil && !errors.Is(rerr, core.ErrNoData) {
 			return // EOF or closed
 		}
 	}

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"os"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -51,7 +54,7 @@ type daemon struct {
 }
 
 // start builds the front end for a shape with a fast disk model, stores
-// two clips, starts the listener and (unless sh.manual) a 1 ms pacer.
+// two clips, starts the listener and (unless sh.manual) the 1 ms pacer.
 func start(t *testing.T, sh shape) *daemon {
 	t.Helper()
 	cfg := cluster.Config{
@@ -104,27 +107,18 @@ func start(t *testing.T, sh shape) *daemon {
 	return d
 }
 
-// pace starts the 1 ms round pacer and stops it when the test ends.
+// pace starts the daemon's own pacer at 1 ms rounds and stops it when the
+// test ends.
 func (d *daemon) pace(t *testing.T) {
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				d.s.tick()
-			}
-		}
+		defer close(done)
+		d.s.pace(ctx, time.Millisecond)
 	}()
 	t.Cleanup(func() {
-		close(stop)
-		wg.Wait()
+		cancel()
+		<-done
 	})
 }
 
@@ -231,7 +225,7 @@ func TestHandleStats(t *testing.T) {
 		d := start(t, sh)
 		out := d.expect(t, "STATS", fmt.Sprintf("nodes=%d alive=%d failed=[]", sh.nodes, sh.nodes))
 		if !regexp.MustCompile(`^round=\d+ nodes=`).MatchString(out) ||
-			!regexp.MustCompile(`tick_hist=\[[^\]]*\] migrate_hist=\[[^\]]*\]\n`).MatchString(out) {
+			!regexp.MustCompile(`tick_hist=\[[^\]]*\] migrate_hist=\[[^\]]*\] pace_hist=\[[^\]]*\]\n`).MatchString(out) {
 			t.Fatalf("STATS cluster line: %s", out)
 		}
 		nodeRE := regexp.MustCompile(`^node=\d+ active=0 served=0 hiccups=0 failed_disks=\[\] mode=healthy ` +
@@ -327,6 +321,9 @@ func TestHandleErrors(t *testing.T) {
 			"AUTOPILOT on|off": "ERR usage: AUTOPILOT on|off",
 			"BOGUS":            "ERR unknown command",
 			"   ":              "ERR empty command",
+			// A line is capped, newline or not: the daemon answers after
+			// maxCommand bytes instead of buffering for the read deadline.
+			"PLAY " + strings.Repeat("x", maxCommand): "ERR command too long",
 		} {
 			if out := string(d.send(t, cmd)); !strings.Contains(out, want) {
 				t.Errorf("%q -> %q, want %q", cmd, strings.TrimSpace(out), want)
@@ -388,39 +385,60 @@ func TestGracefulShutdown(t *testing.T) {
 	})
 }
 
-// TestShutdownReleasesQueuedPlay: a PLAY parked in the admission-retry
-// loop must not sit out its 10 s retry deadline once shutdown begins —
-// it is refused with "ERR shutting down" and the drain completes at once.
+// openUntilRefused opens streams of clip directly on the cluster until
+// admission refuses one, and returns those it got.
+func (d *daemon) openUntilRefused(clip string) []*cluster.Stream {
+	d.s.mu.Lock()
+	defer d.s.mu.Unlock()
+	var held []*cluster.Stream
+	for {
+		st, err := d.s.cl.OpenStream(clip)
+		if err != nil {
+			return held
+		}
+		held = append(held, st)
+	}
+}
+
+func (d *daemon) stats() cluster.Stats {
+	d.s.mu.Lock()
+	defer d.s.mu.Unlock()
+	return d.s.cl.Stats()
+}
+
+// oneActive accepts a STATS reply whose cluster line counts one stream.
+func oneActive(stats string) bool { return strings.Contains(stats, "] active=1 awaiting_failover=") }
+
+// awaitRejected waits for the handlers to bring Stats().Rejected to
+// exactly want: a PLAY waiting for admission shows only as its refusals.
+func (d *daemon) awaitRejected(t *testing.T, want int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		switch now := d.stats().Rejected; {
+		case now == want:
+			return
+		case now > want || time.Now().After(deadline):
+			t.Fatalf("%s: rejected=%d, want %d", what, now, want)
+		}
+	}
+}
+
+// TestShutdownReleasesQueuedPlay: a PLAY waiting for admission must not
+// sit out its 10 s retry deadline once shutdown begins — it is refused
+// with "ERR shutting down" and the drain completes at once.
 func TestShutdownReleasesQueuedPlay(t *testing.T) {
 	sh := shapes[0]
 	sh.manual = true
 	d := start(t, sh)
 	// Same-clip opens in one round share an admission cell: fill it, and
-	// with the pacer off no round ever frees it, so the next PLAY of the
-	// clip stays parked in the retry loop for as long as the test likes.
-	d.s.mu.Lock()
-	for {
-		if _, err := d.s.cl.OpenStream("clip-0"); err != nil {
-			break
-		}
-	}
-	rejected := d.s.cl.Stats().Rejected
-	d.s.mu.Unlock()
+	// with the pacer off no round ever frees it — or retries the PLAY,
+	// which stays parked on its first refusal for as long as the test likes.
+	d.openUntilRefused("clip-0")
+	rejected := d.stats().Rejected
 
 	reply := make(chan string, 1)
 	go func() { reply <- string(d.send(t, "PLAY clip-0")) }()
-	// The handler is parked once its own retries show up as rejects.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		d.s.mu.Lock()
-		now := d.s.cl.Stats().Rejected
-		d.s.mu.Unlock()
-		if now >= rejected+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("PLAY never entered the admission-retry loop")
-		}
-	}
+	d.awaitRejected(t, rejected+1, "PLAY never parked on an admission refusal")
 	began := time.Now()
 	d.s.beginShutdown(d.ln)
 	select {
@@ -433,6 +451,163 @@ func TestShutdownReleasesQueuedPlay(t *testing.T) {
 	}
 	if !d.s.drain(3*time.Second) || time.Since(began) > 3*time.Second {
 		t.Fatalf("drain took %v with only a queued PLAY outstanding", time.Since(began))
+	}
+}
+
+// TestPlayOneBlockPerTick is the barrier on the delivery side: a playing
+// connection gets one block per tick and nothing between ticks, because
+// the tick's broadcast is the only thing that wakes its handler.
+func TestPlayOneBlockPerTick(t *testing.T) {
+	forShapes(t, func(t *testing.T, sh shape) {
+		sh.manual = true
+		d := start(t, sh)
+		conn, err := net.DialTimeout("tcp", d.addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "PLAY clip-0\n")
+		d.await(t, "the PLAY's stream", oneActive)
+		// quiet: nothing arrives while no tick runs.
+		buf := make([]byte, 64<<10)
+		quiet := func(when string) {
+			t.Helper()
+			conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+			if n, err := conn.Read(buf); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("%s: read %d bytes, err %v; want none without a tick", when, n, err)
+			}
+		}
+		quiet("before the first tick")
+		// A second stream opened in the same round is the oracle for what
+		// each tick delivers to the first.
+		d.s.mu.Lock()
+		ref, err := d.s.cl.OpenStream("clip-0")
+		d.s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, refBuf := d.clips["clip-0"], make([]byte, 64<<10)
+		for off, ticks := 0, 1; off < len(want); ticks++ {
+			if ticks > 100 {
+				t.Fatalf("%d ticks delivered %d of %d bytes", ticks, off, len(want))
+			}
+			d.s.tick(0)
+			d.s.mu.Lock()
+			n, _ := ref.Read(refBuf)
+			d.s.mu.Unlock()
+			if n > 0 {
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := io.ReadFull(conn, buf[:n]); err != nil || !bytes.Equal(buf[:n], want[off:off+n]) {
+					t.Fatalf("tick %d: block of %d bytes at %d: err %v or wrong bytes", ticks, n, off, err)
+				}
+				off += n
+			}
+			if off < len(want) {
+				quiet(fmt.Sprintf("after tick %d", ticks))
+			}
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(buf); n != 0 || err != io.EOF {
+			t.Fatalf("after the last block: read %d bytes, err %v; want EOF", n, err)
+		}
+	})
+}
+
+// TestQueuedPlayRetriesOncePerTick is the barrier on the admission side,
+// the paper's pending list: a refused PLAY retries once per tick, not on a
+// clock of its own, and is admitted by the first tick after capacity frees.
+func TestQueuedPlayRetriesOncePerTick(t *testing.T) {
+	sh := shapes[0]
+	sh.manual = true
+	d := start(t, sh)
+	// A clip long enough to hold its capacity for the whole test.
+	d.s.mu.Lock()
+	err := d.s.cl.AddClip("long", make([]byte, 100*8000))
+	d.s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill every admission cell: a tick moves new opens to the next cell,
+	// so keep opening after each until a full cycle of ticks frees nothing.
+	var held []*cluster.Stream
+	for full, ticks := 0, 0; full < 7; ticks++ {
+		if ticks > 60 {
+			t.Fatal("admission never filled up")
+		}
+		d.s.tick(0)
+		got := d.openUntilRefused("long")
+		if held = append(held, got...); len(got) == 0 {
+			full++
+		} else {
+			full = 0
+		}
+	}
+	rejected := d.stats().Rejected
+
+	reply := make(chan []byte, 1)
+	go func() { reply <- d.send(t, "PLAY clip-0") }()
+	d.awaitRejected(t, rejected+1, "PLAY never parked on an admission refusal")
+	for k := 1; k <= 3; k++ {
+		d.s.tick(0)
+		d.awaitRejected(t, rejected+1+k, fmt.Sprintf("tick %d while parked", k))
+	}
+	// Freed capacity alone wakes nobody: admission is retried at the round.
+	d.s.mu.Lock()
+	for _, st := range held {
+		st.Close()
+	}
+	d.s.mu.Unlock()
+	d.s.tick(0)
+	d.await(t, "admission by the first tick after capacity freed", oneActive)
+	if got := d.stats().Rejected; got != rejected+4 {
+		t.Fatalf("rejected=%d after admission, want %d", got, rejected+4)
+	}
+	d.pace(t)
+	if got := <-reply; !bytes.Equal(got, d.clips["clip-0"]) {
+		t.Fatalf("admitted PLAY returned %d bytes, want %d (exact)", len(got), len(d.clips["clip-0"]))
+	}
+}
+
+// TestNextRound pins the pacer's arithmetic: an absolute schedule that a
+// late round does not push back, and a re-anchor beyond maxCatchUp.
+func TestNextRound(t *testing.T) {
+	const iv = time.Millisecond
+	t0 := time.Unix(1000, 0)
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	for _, c := range []struct {
+		name       string
+		prev, now  time.Duration // offsets from t0
+		due        time.Duration
+		reanchored bool
+	}{
+		{name: "on time: sleeps to the next deadline", prev: 0, now: 50 * time.Microsecond, due: iv},
+		{name: "exactly on the deadline", prev: 0, now: iv, due: iv},
+		{name: "late by less than a round: due at once, schedule kept", prev: 0, now: iv + 300*time.Microsecond, due: iv},
+		{name: "late by several rounds: catches up one at a time", prev: 0, now: 5 * iv, due: iv},
+		{name: "at the catch-up limit: still catches up", prev: 0, now: (maxCatchUp + 1) * iv, due: iv},
+		{name: "beyond the limit: re-anchors at now", prev: 0, now: (maxCatchUp+1)*iv + 1, due: (maxCatchUp+1)*iv + 1, reanchored: true},
+		{name: "the round after a re-anchor is on schedule again", prev: 40 * iv, now: 40*iv + 50*time.Microsecond, due: 41 * iv},
+	} {
+		due, reanchored := nextRound(at(c.prev), at(c.now), iv)
+		if !due.Equal(at(c.due)) || reanchored != c.reanchored {
+			t.Errorf("%s: due t0+%v reanchored=%v, want t0+%v %v", c.name, due.Sub(t0), reanchored, c.due, c.reanchored)
+		}
+	}
+	// The long-run rate is exact however late each round starts, as long
+	// as it stays inside the catch-up limit: n rounds end n intervals on.
+	due, now := t0, t0
+	for k := 0; k < 1000; k++ {
+		var reanchored bool
+		if due, reanchored = nextRound(due, now, iv); reanchored {
+			t.Fatalf("round %d re-anchored inside the catch-up limit", k)
+		}
+		if due.After(now) {
+			now = due // sleepUntil
+		}
+		now = now.Add(time.Duration(k%7) * 250 * time.Microsecond) // a tick of 0 to 1.5 rounds
+	}
+	if !due.Equal(at(1000 * iv)) {
+		t.Fatalf("1000 rounds ended at t0+%v, want t0+%v", due.Sub(t0), 1000*iv)
 	}
 }
 
@@ -498,7 +673,7 @@ func TestStatsReportsRebuildProgress(t *testing.T) {
 				if round > 20000 {
 					t.Fatalf("rebuild never completed (mode arc %v); last STATS: %s", arc, last)
 				}
-				d.s.tick()
+				d.s.tick(0)
 				last = nodeLine(string(d.send(t, "STATS")), 0)
 				if m := modeRE.FindStringSubmatch(last); arc[len(arc)-1] != m[1] {
 					arc = append(arc, m[1])
