@@ -442,15 +442,15 @@ var verbs = map[string]verb{
 			return "", err
 		}
 		s.armInjectors()
-		return fmt.Sprintf("node %d joined view=%d", id, s.cl.View().Version), nil
+		return fmt.Sprintf("node %d joined view=%d", id, s.cl.ViewVersion()), nil
 	}},
 	"DRAIN": {params: "<node>", admin: func(s *server, a args) (string, error) {
 		err := s.cl.DrainNode(a.node)
-		return fmt.Sprintf("node %d draining view=%d", a.node, s.cl.View().Version), err
+		return fmt.Sprintf("node %d draining view=%d", a.node, s.cl.ViewVersion()), err
 	}},
 	"REMOVE": {params: "<node>", admin: func(s *server, a args) (string, error) {
 		err := s.cl.RemoveNode(a.node)
-		return fmt.Sprintf("node %d removed view=%d", a.node, s.cl.View().Version), err
+		return fmt.Sprintf("node %d removed view=%d", a.node, s.cl.ViewVersion()), err
 	}},
 	// Fails most commonly for want of a BIBD construction for (d+1, p).
 	// The view only bumps once the re-layout flips.

@@ -102,7 +102,7 @@ func (p *Pilot) Step() (autopilot.Action, bool, error) {
 	reconfiguring := len(c.jobs) > 0
 	cand, candLoad := -1, 0
 	for _, n := range c.nodes {
-		if n.state == nodeDraining {
+		if n.draining() {
 			reconfiguring = true
 		}
 		if !n.serving() {
@@ -111,7 +111,7 @@ func (p *Pilot) Step() (autopilot.Action, bool, error) {
 		if n.srv.DegradedDisks() > 0 {
 			rebuilding = true
 		}
-		if n.state != nodeActive {
+		if !n.placeable() {
 			continue
 		}
 		activeNodes++

@@ -226,15 +226,16 @@ func TestPilotQuiescentStepAllocs(t *testing.T) {
 
 // TestQuiescentTickAllocs pins what the reconfiguration step and the
 // pilot add to every round for ever: after a join, a drain and the
-// drained node's retirement, a round of the cluster — Tick, the pilot's
-// Step when one is attached, every stream taking its block — allocates
-// nothing at TickWorkers: 1. At the default the per-node fan-out
+// drained node's retirement — or a failure mid-drain that leaves the node
+// down — a round of the cluster (Tick, the pilot's Step when one is
+// attached, every stream taking its block) allocates nothing at
+// TickWorkers: 1. At the default the per-node fan-out
 // (parallel.ForEach: its error slice, counter, wait group and goroutines)
 // costs a few objects a round on a multi-core machine; the pin there is
 // that the number does not depend on how many streams are open. The worker
 // count is fixed in New, so AllocsPerRun's GOMAXPROCS(1) does not hide it.
 func TestQuiescentTickAllocs(t *testing.T) {
-	build := func(workers, streams int, withPilot bool) func() int {
+	build := func(workers, streams int, withPilot, failMidDrain bool) func() int {
 		c, err := New(Config{
 			Nodes:       []core.Config{node6Config(), node6Config(), node6Config()},
 			Replication: 2, TickWorkers: workers,
@@ -253,13 +254,24 @@ func TestQuiescentTickAllocs(t *testing.T) {
 		if err := c.DrainNode(0); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; !slices.Contains(c.Stats().Retired, 0); r++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if failMidDrain {
+			if err := c.FailNode(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; !c.quiescent(); r++ {
 			if r > 5000 {
-				t.Fatalf("drain never retired node 0: %+v", c.Stats())
+				t.Fatalf("reconfiguration never settled: %+v", c.Stats())
 			}
 			if err := c.Tick(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if s := c.Stats(); failMidDrain != slices.Contains(s.FailedNodes, 0) || failMidDrain == slices.Contains(s.Retired, 0) {
+			t.Fatalf("failMidDrain=%v: node 0 failed=%v retired=%v", failMidDrain, s.FailedNodes, s.Retired)
 		}
 		var pilot *Pilot
 		var open []*Stream
@@ -301,28 +313,32 @@ func TestQuiescentTickAllocs(t *testing.T) {
 			open = append(open, st)
 		}
 		if withPilot {
-			pilot = NewPilot(c, node6Config(), autopilot.Config{})
+			// No spare: the down node's loss is not replaced.
+			pilot = NewPilot(c, node6Config(), autopilot.Config{Spares: -1})
 		}
 		return round
 	}
-	for _, withPilot := range []bool{false, true} {
-		for _, workers := range []int{1, 0} {
-			var allocs [2]float64
-			for i, streams := range []int{8, 48} {
-				round := build(workers, streams, withPilot)
-				delivered := 0
-				allocs[i] = testing.AllocsPerRun(100, func() { delivered += round() })
-				if want := 101 * streams * 8000; delivered != want {
-					t.Fatalf("delivered %d bytes over 101 rounds, want %d: not every stream got its block every round", delivered, want)
+	for _, failMidDrain := range []bool{false, true} {
+		for _, withPilot := range []bool{false, true} {
+			for _, workers := range []int{1, 0} {
+				var allocs [2]float64
+				for i, streams := range []int{8, 48} {
+					round := build(workers, streams, withPilot, failMidDrain)
+					delivered := 0
+					allocs[i] = testing.AllocsPerRun(100, func() { delivered += round() })
+					if want := 101 * streams * 8000; delivered != want {
+						t.Fatalf("delivered %d bytes over 101 rounds, want %d: not every stream got its block every round", delivered, want)
+					}
 				}
+				name := fmt.Sprintf("failMidDrain=%v pilot=%v TickWorkers=%d", failMidDrain, withPilot, workers)
+				if workers == 1 && allocs != [2]float64{} {
+					t.Errorf("%s: a quiescent round allocates %v objects at 8 and 48 streams, want 0", name, allocs)
+				}
+				if allocs[0] != allocs[1] {
+					t.Errorf("%s: a quiescent round allocates %v objects at 8 streams and %v at 48", name, allocs[0], allocs[1])
+				}
+				t.Logf("%s: %v allocs/round", name, allocs[0])
 			}
-			if workers == 1 && allocs != [2]float64{} {
-				t.Errorf("pilot=%v, TickWorkers 1: a quiescent round allocates %v objects at 8 and 48 streams, want 0", withPilot, allocs)
-			}
-			if allocs[0] != allocs[1] {
-				t.Errorf("pilot=%v, TickWorkers %d: a quiescent round allocates %v objects at 8 streams and %v at 48", withPilot, workers, allocs[0], allocs[1])
-			}
-			t.Logf("pilot=%v TickWorkers=%d: %v allocs/round", withPilot, workers, allocs[0])
 		}
 	}
 }

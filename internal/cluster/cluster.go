@@ -25,15 +25,16 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftcms/internal/core"
 	"ftcms/internal/faultinject"
 	"ftcms/internal/health"
 	"ftcms/internal/parallel"
-	"ftcms/internal/reconfig"
 )
 
 // ErrNoReplica is returned by OpenStream when no live node holds the
@@ -71,9 +72,7 @@ type Config struct {
 	TickWorkers int
 }
 
-// nodeState is a node's cluster-level lifecycle stage. It refines the
-// old alive flag for online reconfiguration: draining nodes still serve
-// but take no new placements, retired nodes are gone for good.
+// nodeState is a node's membership stage: active → draining → retired.
 type nodeState int
 
 const (
@@ -82,25 +81,33 @@ const (
 	// nodeDraining: serving its current streams while they migrate off;
 	// no new placements. Retires once empty and re-replicated.
 	nodeDraining
-	// nodeFailed: down; may rejoin (a restart over persistent disks).
-	nodeFailed
 	// nodeRetired: left the cluster permanently; never probed, never
 	// rejoins.
 	nodeRetired
 )
 
-// node is one member array and its cluster-level lifecycle state.
+// node is one member array and its record in the view. state is the
+// membership (versioned); down is liveness (set by a failure, cleared by
+// RejoinNode, never versioned — so a drain survives a crash); disks is
+// the array width the view last recorded.
 type node struct {
 	id    int
 	srv   *core.Server
 	state nodeState
+	down  bool
+	disks int
 }
 
 // serving reports whether the node currently carries streams.
-func (n *node) serving() bool { return n.state == nodeActive || n.state == nodeDraining }
+func (n *node) serving() bool { return !n.down && n.state != nodeRetired }
 
-// placeable reports whether new clip placements may target the node.
-func (n *node) placeable() bool { return n.state == nodeActive }
+// placeable reports whether new placements and stream moves may target
+// the node.
+func (n *node) placeable() bool { return !n.down && n.state == nodeActive }
+
+// draining reports a live node on its way out; one that fails mid-drain
+// counts as failed until it rejoins.
+func (n *node) draining() bool { return !n.down && n.state == nodeDraining }
 
 // Cluster is a set of fault-tolerant arrays behind one admission and
 // placement layer.
@@ -143,9 +150,9 @@ type Cluster struct {
 	nodeLosses int
 
 	// Online reconfiguration (reconfig.go in this package).
-	// views is the versioned membership log; every transition bumps it
-	// and re-audits admission on every serving node.
-	views *reconfig.Log
+	// version is the view: the node records are its members, and bump
+	// advances it on every membership or width change.
+	version int64
 	// desired records each clip's requested replica count, so repairs
 	// know what drain/remove must restore.
 	desired map[string]int
@@ -156,9 +163,6 @@ type Cluster struct {
 	// planDirty marks that membership or placement changed and
 	// planRepairs must re-derive the job set.
 	planDirty bool
-	// geom caches each node's last observed disk count so the per-round
-	// geometry poll is allocation-free when nothing changed.
-	geom []int
 	// Cumulative migration counters.
 	jobsPlanned, jobsDone int
 	migratedBlocks        int64
@@ -230,10 +234,8 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
-		c.nodes = append(c.nodes, &node{id: i, srv: srv, state: nodeActive})
-		c.geom = append(c.geom, srv.Disks())
+		c.nodes = append(c.nodes, &node{id: i, srv: srv, disks: srv.Disks()})
 	}
-	c.views = reconfig.NewLog(c.geom)
 	c.tickWorkers = parallel.Workers(cfg.TickWorkers)
 	c.tickFn = func(i int) error {
 		n := c.live[i]
@@ -243,7 +245,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil
 	}
 	c.detector = health.NewDetector(len(cfg.Nodes), cfg.Health)
-	c.detector.SetOnFail(c.nodeDeclared)
+	c.detector.SetOnFail(c.nodeFailed)
 	if cfg.Faults != nil {
 		c.injector = faultinject.New(*cfg.Faults)
 	}
@@ -375,7 +377,7 @@ func (c *Cluster) candidates(name string, skip int) []*node {
 		if !n.serving() || n.id == skip {
 			continue
 		}
-		if n.state == nodeDraining {
+		if n.draining() {
 			draining = append(draining, n)
 		} else {
 			active = append(active, n)
@@ -468,41 +470,33 @@ func (c *Cluster) Round() int64 { return c.round }
 // FailNode kills a node by operator command — the path the detector
 // normally triggers by itself. Idempotent.
 func (c *Cluster) FailNode(i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("cluster: node %d out of range [0, %d)", i, len(c.nodes))
-	}
-	if !c.nodes[i].serving() {
-		return nil
+	if _, err := c.member(i); err != nil {
+		return err
 	}
 	c.nodeFailed(i)
 	return nil
 }
 
-// nodeDeclared is the detector's OnFail callback.
-func (c *Cluster) nodeDeclared(i int) { c.nodeFailed(i) }
-
-// nodeFailed marks the node down and disposes of its in-flight streams:
-// replicated clips fail over (or park for retry), unreplicated ones
-// terminate with ErrStreamLost. A node that dies mid-drain takes this
-// path too — its drain intent survives in the view, and the repair
-// planner re-replicates around the loss.
+// nodeFailed, the detector's OnFail callback, marks the node down and
+// evacuates its streams. A node that dies mid-drain takes this path
+// too — its membership stays draining, and the repair planner
+// re-replicates around the loss.
 func (c *Cluster) nodeFailed(i int) {
 	n := c.nodes[i]
 	if !n.serving() {
 		return
 	}
-	n.state = nodeFailed
+	n.down = true
 	c.nodeLosses++
 	c.planDirty = true
-	ids := make([]int, 0, len(c.streams))
-	for id, st := range c.streams {
-		if st.node == i && st.st != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st := c.streams[id]
+	c.evacuate(i)
+}
+
+// evacuate takes every stream off node i, which no longer serves, in
+// stream-id order: replicated clips fail over (or park for retry),
+// unreplicated ones terminate with ErrStreamLost.
+func (c *Cluster) evacuate(i int) {
+	for _, st := range c.streamsWhere(func(st *Stream) bool { return st.node == i }) {
 		// The node is gone; its core stream with it. Close releases the
 		// dead server's bookkeeping (harmless) and guards against reuse.
 		st.st.Close()
@@ -511,27 +505,37 @@ func (c *Cluster) nodeFailed(i int) {
 	}
 }
 
+// streamsWhere returns the streams that hold a core stream and satisfy
+// keep, in id order, so node evacuation and drain moves are
+// deterministic whatever the map order.
+func (c *Cluster) streamsWhere(keep func(*Stream) bool) []*Stream {
+	var out []*Stream
+	for _, st := range c.streams {
+		if st.st != nil && keep(st) {
+			out = append(out, st)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Stream) int { return cmp.Compare(a.id, b.id) })
+	return out
+}
+
 // RejoinNode brings a failed node back with its stored clips intact (a
 // process restart over persistent disks). Detection state and any
 // scripted faults against the node are cleared; new placements and
 // routes include it again. Streams do not fail back. A node that was
-// draining when it died resumes draining — the drain intent is recorded
-// in the view and survives the failure. Retired nodes never rejoin.
+// draining when it died resumes draining — only its liveness changed.
+// Retired nodes never rejoin.
 func (c *Cluster) RejoinNode(i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("cluster: node %d out of range [0, %d)", i, len(c.nodes))
-	}
-	n := c.nodes[i]
-	switch n.state {
-	case nodeActive, nodeDraining:
-		return nil
-	case nodeRetired:
+	n, err := c.member(i)
+	switch {
+	case err != nil:
+		return err
+	case n.state == nodeRetired:
 		return fmt.Errorf("cluster: node %d is retired and cannot rejoin", i)
+	case !n.down:
+		return nil
 	}
-	n.state = nodeActive
-	if m, ok := c.views.View().Member(i); ok && m.State == reconfig.Draining {
-		n.state = nodeDraining
-	}
+	n.down = false
 	c.planDirty = true
 	c.detector.Reset(i)
 	if c.injector != nil {
@@ -562,52 +566,24 @@ func (c *Cluster) failover(st *Stream) {
 		return
 	}
 	for _, n := range cands {
-		cs, err := c.reopenAt(n, st.clip, st.offset)
+		cs, err := n.srv.OpenStreamAt(st.clip, st.offset)
+		if errors.Is(err, core.ErrAdmission) {
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, core.ErrAdmission) {
-				continue
-			}
 			st.err = fmt.Errorf("cluster: failover of %q to node %d: %v: %w", st.clip, n.id, err, core.ErrStreamLost)
 			c.terminated++
 			delete(c.streams, st.id)
 			return
 		}
-		st.node = n.id
-		st.st = cs
-		// SeekTo snapped to a block (or parity-group) boundary at or
-		// below the offset; discard the replayed prefix.
-		st.skip = st.offset - cs.Pos()
+		// cs starts at a block (or parity-group) boundary at or below the
+		// offset; skip discards the replayed prefix.
+		st.node, st.st, st.skip = n.id, cs, st.offset-cs.Pos()
 		c.failedOver++
 		return
 	}
 	// Replicas exist but are full right now: park and retry each round.
 	c.pendingFailover = append(c.pendingFailover, st)
-}
-
-// reopenAt opens a stream on the node and repositions it to the block
-// containing offset. Errors wrapping core.ErrAdmission mean "full right
-// now"; anything else is fatal for this node.
-func (c *Cluster) reopenAt(n *node, clip string, offset int64) (*core.Stream, error) {
-	cs, err := n.srv.OpenStream(clip)
-	if err != nil {
-		return nil, err
-	}
-	if offset == 0 {
-		return cs, nil
-	}
-	if err := cs.Pause(); err != nil {
-		cs.Close()
-		return nil, err
-	}
-	if err := cs.SeekTo(offset); err != nil {
-		cs.Close()
-		return nil, err
-	}
-	if err := cs.Resume(); err != nil {
-		cs.Close()
-		return nil, err
-	}
-	return cs, nil
 }
 
 // retryFailovers re-attempts admission for parked streams.
@@ -643,7 +619,7 @@ func (c *Cluster) Stats() Stats {
 		FailedOver:      c.failedOver,
 		Terminated:      c.terminated,
 		Rejected:        c.rejected,
-		ViewVersion:     c.views.Version(),
+		ViewVersion:     c.version,
 		MigrateJobs:     len(c.jobs),
 		MigrateDone:     c.jobsDone,
 		MigrateTotal:    c.jobsPlanned,
@@ -651,16 +627,16 @@ func (c *Cluster) Stats() Stats {
 		MigratedStreams: c.migratedStreams,
 	}
 	for _, n := range c.nodes {
-		switch n.state {
-		case nodeActive:
-			st.Alive++
-		case nodeDraining:
+		switch {
+		case n.state == nodeRetired:
+			st.Retired = append(st.Retired, n.id)
+		case n.down:
+			st.FailedNodes = append(st.FailedNodes, n.id)
+		case n.state == nodeDraining:
 			st.Alive++
 			st.Draining = append(st.Draining, n.id)
-		case nodeFailed:
-			st.FailedNodes = append(st.FailedNodes, n.id)
-		case nodeRetired:
-			st.Retired = append(st.Retired, n.id)
+		default:
+			st.Alive++
 		}
 		st.Node = append(st.Node, n.srv.Stats())
 	}

@@ -417,6 +417,74 @@ func TestFailoverParksWhenReplicaFullThenResumes(t *testing.T) {
 	}
 }
 
+// TestFailoverAdmitsAtResumeBlock: a failover books bandwidth where the
+// stream resumes, not where its clip starts. With the survivor's
+// clip-start cell filled this round by fresh opens of the same clip, the
+// stream still moves at once — its resume block's cell has room.
+func TestFailoverAdmitsAtResumeBlock(t *testing.T) {
+	c := testCluster(t, 2, 2)
+	clip := clipBytes(21, 60_000)
+	if err := c.AddClip("x", clip); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.OpenStream("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := st.Node()
+	survivor := 1 - victim
+	var off int64
+	for r := 0; r < 4; r++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readAvailable(t, st, clip, &off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if off == 0 {
+		t.Fatal("no bytes delivered before the failure")
+	}
+	fresh := 0
+	for {
+		if _, err := c.NodeServer(survivor).OpenStream("x"); err != nil {
+			if !errors.Is(err, core.ErrAdmission) {
+				t.Fatal(err)
+			}
+			break
+		}
+		fresh++
+	}
+	if fresh == 0 {
+		t.Fatal("survivor refused every fresh open — test premise broken")
+	}
+	if err := c.FailNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Node(); got != survivor {
+		t.Fatalf("stream on node %d after failover, want %d at once (clip-start cell full, resume cell free)", got, survivor)
+	}
+	if s := c.Stats(); s.FailedOver != 1 || s.AwaitingFailover != 0 {
+		t.Fatalf("FailedOver=%d AwaitingFailover=%d, want 1, 0", s.FailedOver, s.AwaitingFailover)
+	}
+	for r := 0; r < 400; r++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		done, err := readAvailable(t, st, clip, &off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			if off != int64(len(clip)) {
+				t.Fatalf("EOF at %d of %d", off, len(clip))
+			}
+			return
+		}
+	}
+	t.Fatalf("failover stream did not finish (offset %d of %d)", off, len(clip))
+}
+
 func TestDetectorDeclaresScriptedNodeFault(t *testing.T) {
 	cfg := Config{
 		Replication: 2,

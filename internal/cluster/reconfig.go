@@ -1,17 +1,15 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
 
 	"ftcms/internal/core"
-	"ftcms/internal/reconfig"
 )
 
-// This file is the cluster's online-reconfiguration engine: versioned
-// view transitions (join, drain, remove, per-node disk addition) and
+// This file is the cluster's online-reconfiguration engine: view
+// transitions (join, drain, remove, per-node disk addition) and
 // the background migration that makes them safe. All repair traffic —
 // clip re-replication off draining or failed nodes — moves block by
 // block over the nodes' idle-capacity import/export surface
@@ -39,9 +37,34 @@ type migrateJob struct {
 	begun       bool
 }
 
-// View returns the current membership view. Its version bumps by
-// exactly one on every observable transition.
-func (c *Cluster) View() reconfig.View { return c.views.View() }
+// ViewVersion returns the membership view's version: it advances by
+// exactly one on every join, drain, retirement, removal and AddDisk
+// flip, and never on a failure or rejoin.
+func (c *Cluster) ViewVersion() int64 { return c.version }
+
+// bump publishes a membership or width change as the next view version
+// and re-audits admission on every serving node, so no transition can
+// leave a stream without the bandwidth it was promised.
+func (c *Cluster) bump() error {
+	c.version++
+	for _, n := range c.nodes {
+		if !n.serving() {
+			continue
+		}
+		if err := n.srv.CheckAdmission(); err != nil {
+			return fmt.Errorf("cluster: view %d: node %d admission audit: %w", c.version, n.id, err)
+		}
+	}
+	return nil
+}
+
+// member returns node i, or an error naming the valid range.
+func (c *Cluster) member(i int) (*node, error) {
+	if i < 0 || i >= len(c.nodes) {
+		return nil, fmt.Errorf("cluster: node %d out of range [0, %d)", i, len(c.nodes))
+	}
+	return c.nodes[i], nil
+}
 
 // JoinNode adds a freshly built node to the cluster. The node starts
 // empty, active and placeable; the repair planner does not move
@@ -54,17 +77,10 @@ func (c *Cluster) JoinNode(nc core.Config) (int, error) {
 		return -1, fmt.Errorf("cluster: join: %w", err)
 	}
 	id := len(c.nodes)
-	vid, _ := c.views.Join(srv.Disks())
-	if vid != id {
-		// Node slots are never deleted, so the view's max-id+1 always
-		// matches len(c.nodes); a mismatch is a programming bug.
-		return -1, fmt.Errorf("cluster: join id mismatch: view assigned %d, have %d nodes", vid, id)
-	}
-	c.nodes = append(c.nodes, &node{id: id, srv: srv, state: nodeActive})
-	c.geom = append(c.geom, srv.Disks())
+	c.nodes = append(c.nodes, &node{id: id, srv: srv, disks: srv.Disks()})
 	c.detector.Grow(1)
 	c.planDirty = true
-	return id, c.auditAdmission()
+	return id, c.bump()
 }
 
 // DrainNode starts a graceful leave: the node keeps serving its
@@ -72,26 +88,22 @@ func (c *Cluster) JoinNode(nc core.Config) (int, error) {
 // re-replicates every clip whose active replica count would drop and
 // moves the node's streams to active replicas as admission allows.
 // The node retires automatically once it is empty and every clip is
-// safe. Idempotent on an already-draining node.
+// safe. Idempotent on an already-draining node (no view bump).
 func (c *Cluster) DrainNode(i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("cluster: node %d out of range [0, %d)", i, len(c.nodes))
-	}
-	n := c.nodes[i]
-	switch n.state {
-	case nodeDraining:
-		return nil // idempotent; no view bump either (reconfig.Log agrees)
-	case nodeFailed:
-		return fmt.Errorf("cluster: node %d is down; RejoinNode it first or RemoveNode it", i)
-	case nodeRetired:
-		return fmt.Errorf("cluster: node %d already retired", i)
-	}
-	if _, err := c.views.Drain(i); err != nil {
+	n, err := c.member(i)
+	switch {
+	case err != nil:
 		return err
+	case n.state == nodeRetired:
+		return fmt.Errorf("cluster: node %d already retired", i)
+	case n.down:
+		return fmt.Errorf("cluster: node %d is down; RejoinNode it first or RemoveNode it", i)
+	case n.state == nodeDraining:
+		return nil
 	}
 	n.state = nodeDraining
 	c.planDirty = true
-	return c.auditAdmission()
+	return c.bump()
 }
 
 // RemoveNode takes a node out immediately — the abrupt counterpart of
@@ -101,60 +113,47 @@ func (c *Cluster) DrainNode(i int) error {
 // deregistered from failure detection and never probed, rejoined or
 // re-declared failed.
 func (c *Cluster) RemoveNode(i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("cluster: node %d out of range [0, %d)", i, len(c.nodes))
+	n, err := c.member(i)
+	if err != nil {
+		return err
 	}
-	n := c.nodes[i]
 	if n.state == nodeRetired {
 		return fmt.Errorf("cluster: node %d already retired", i)
 	}
-	if _, err := c.views.Remove(i); err != nil {
-		return err
-	}
-	wasServing := n.serving()
-	n.state = nodeRetired
-	c.detector.Deregister(i)
-	if wasServing {
-		ids := make([]int, 0, len(c.streams))
-		for id, st := range c.streams {
-			if st.node == i && st.st != nil {
-				ids = append(ids, id)
-			}
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			st := c.streams[id]
-			st.st.Close()
-			st.st = nil
-			c.failover(st)
-		}
-	}
+	c.retire(n)
+	c.evacuate(i)
 	// Jobs reading from or importing into the node are dead; abort them
 	// and let the planner route around the loss.
-	keep := c.jobs[:0]
-	for _, j := range c.jobs {
+	c.jobs = slices.DeleteFunc(c.jobs, func(j *migrateJob) bool {
 		if j.src == i || j.dst == i {
 			c.abortJob(j)
-			continue
+			return true
 		}
-		keep = append(keep, j)
-	}
-	c.jobs = keep
-	c.scrubPlacement(i)
+		return false
+	})
+	return c.bump()
+}
+
+// retire takes n out of the cluster for good: off failure detection (a
+// late probe can never re-declare it failed) and out of every placement.
+// The caller bumps the view once the transition is complete.
+func (c *Cluster) retire(n *node) {
+	n.state = nodeRetired
+	c.detector.Deregister(n.id)
+	c.scrubPlacement(n.id)
 	c.planDirty = true
-	return c.auditAdmission()
 }
 
 // AddDisk starts growing node i's array by one disk (see
 // core.Server.AddDisk: shadow array, idle-capacity copy, transactional
-// flip). The view's geometry entry bumps when the node's re-layout
-// flips, observed by the per-round geometry poll.
+// flip). The view bumps when the node's re-layout flips, observed by
+// the per-round geometry poll.
 func (c *Cluster) AddDisk(i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("cluster: node %d out of range [0, %d)", i, len(c.nodes))
+	n, err := c.member(i)
+	if err != nil {
+		return err
 	}
-	n := c.nodes[i]
-	if n.state != nodeActive {
+	if !n.placeable() {
 		return fmt.Errorf("cluster: node %d not active; disks grow only on active nodes", i)
 	}
 	return n.srv.AddDisk()
@@ -185,15 +184,7 @@ func (c *Cluster) reconfigStep() error {
 
 // quiescent reports that no reconfiguration work is pending.
 func (c *Cluster) quiescent() bool {
-	if len(c.jobs) > 0 || c.planDirty {
-		return false
-	}
-	for _, n := range c.nodes {
-		if n.state == nodeDraining {
-			return false
-		}
-	}
-	return true
+	return len(c.jobs) == 0 && !c.planDirty && !slices.ContainsFunc(c.nodes, (*node).draining)
 }
 
 // pollGeometry records AddDisk flips in the view. A node's Disks()
@@ -201,18 +192,11 @@ func (c *Cluster) quiescent() bool {
 // admission is re-audited under the new geometry.
 func (c *Cluster) pollGeometry() error {
 	for _, n := range c.nodes {
-		if !n.serving() {
+		if !n.serving() || n.srv.Disks() == n.disks {
 			continue
 		}
-		d := n.srv.Disks()
-		if d == c.geom[n.id] {
-			continue
-		}
-		c.geom[n.id] = d
-		if _, err := c.views.SetDisks(n.id, d); err != nil {
-			return err
-		}
-		if err := c.auditAdmission(); err != nil {
+		n.disks = n.srv.Disks()
+		if err := c.bump(); err != nil {
 			return err
 		}
 	}
@@ -240,13 +224,8 @@ func (c *Cluster) migrationPaused() bool {
 // order, ties to the lower node id.
 func (c *Cluster) planRepairs() {
 	c.planDirty = false
-	activeNodes := 0
-	for _, n := range c.nodes {
-		if n.state == nodeActive {
-			activeNodes++
-		}
-	}
-	if activeNodes == 0 {
+	placeable := c.placeableNodes()
+	if placeable == 0 {
 		return
 	}
 	names := make([]string, 0, len(c.placement))
@@ -258,41 +237,22 @@ func (c *Cluster) planRepairs() {
 		if c.jobClips[name] {
 			continue
 		}
-		want := c.desired[name]
-		if want > activeNodes {
-			want = activeNodes
-		}
-		active := 0
-		for _, id := range c.placement[name] {
-			if c.nodes[id].state == nodeActive {
-				active++
-			}
-		}
-		if active >= want {
+		if want, have := c.replicaNeed(name, placeable); have >= want {
 			continue
 		}
-		var src *node
-		for _, id := range c.placement[name] {
-			if c.nodes[id].state == nodeActive {
-				src = c.nodes[id]
-				break
-			}
+		reps := c.placement[name]
+		k := slices.IndexFunc(reps, func(id int) bool { return c.nodes[id].placeable() })
+		if k < 0 {
+			k = slices.IndexFunc(reps, func(id int) bool { return c.nodes[id].draining() })
 		}
-		if src == nil {
-			for _, id := range c.placement[name] {
-				if c.nodes[id].state == nodeDraining {
-					src = c.nodes[id]
-					break
-				}
-			}
-		}
-		if src == nil {
+		if k < 0 {
 			continue // no readable replica right now; replan on rejoin
 		}
+		src := c.nodes[reps[k]]
 		var dst *node
 		var dstFree int64
 		for _, n := range c.nodes {
-			if n.state != nodeActive || n.srv.Relayouting() {
+			if !n.placeable() || n.srv.Relayouting() {
 				continue
 			}
 			if n.srv.BlockSize() != src.srv.BlockSize() {
@@ -335,7 +295,7 @@ func (c *Cluster) stepJobs() {
 // some disk's idle slots for this round ran out — retried next round.
 func (c *Cluster) stepJob(j *migrateJob) bool {
 	src, dst := c.nodes[j.src], c.nodes[j.dst]
-	if !src.serving() || dst.state != nodeActive {
+	if !src.serving() || !dst.placeable() {
 		// An endpoint died (or got drained/removed) mid-copy; the planner
 		// re-derives a route from whatever replicas survive.
 		c.abortJob(j)
@@ -404,74 +364,40 @@ func (c *Cluster) abortJob(j *migrateJob) {
 }
 
 // moveDrainingStreams gracefully moves streams off draining nodes:
-// open on an active replica first, reposition to the exact delivered
-// byte, only then close the old stream — the stream is never parked.
-// When no active replica has admission capacity the stream simply
-// stays on the drainer (it keeps serving) and the move retries next
-// round.
+// open on an active replica at the exact delivered byte first, only
+// then close the old stream — the stream is never parked. When no
+// active replica admits it the stream simply stays on the drainer (it
+// keeps serving) and the move retries next round.
 func (c *Cluster) moveDrainingStreams() {
-	anyDraining := false
-	for _, n := range c.nodes {
-		if n.state == nodeDraining {
-			anyDraining = true
-			break
-		}
-	}
-	if !anyDraining {
-		return
-	}
-	ids := make([]int, 0, len(c.streams))
-	for id, st := range c.streams {
-		if st.st != nil && c.nodes[st.node].state == nodeDraining {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st := c.streams[id]
+	for _, st := range c.streamsWhere(func(st *Stream) bool { return c.nodes[st.node].draining() }) {
 		if st.offset >= st.size {
 			continue // fully delivered to the reader; it finishes in place
 		}
 		for _, n := range c.candidates(st.clip, st.node) {
-			if n.state != nodeActive {
+			if !n.placeable() {
 				continue
 			}
-			cs, err := c.reopenAt(n, st.clip, st.offset)
-			if err != nil {
-				if errors.Is(err, core.ErrAdmission) {
-					continue // this replica is full; try the next
-				}
-				continue // replica unusable right now; keep serving off the drainer
+			// A replica that refuses is full (or unusable) right now.
+			if cs, err := n.srv.OpenStreamAt(st.clip, st.offset); err == nil {
+				st.st.Close()
+				st.node, st.st, st.skip = n.id, cs, st.offset-cs.Pos()
+				c.migratedStreams++
+				break
 			}
-			old := st.st
-			st.node = n.id
-			st.st = cs
-			st.skip = st.offset - cs.Pos()
-			old.Close()
-			c.migratedStreams++
-			break
 		}
 	}
 }
 
 // checkRetirements retires every draining node whose drain is
 // complete: no streams, no migration jobs touching it, and every clip
-// it holds safely replicated on active nodes. Retirement bumps the
-// view, deregisters the node from failure detection (it can never be
-// re-declared failed) and drops it from all placements.
+// it holds safely replicated on active nodes.
 func (c *Cluster) checkRetirements() error {
 	for _, n := range c.nodes {
-		if n.state != nodeDraining || !c.drainComplete(n.id) {
+		if !n.draining() || !c.drainComplete(n.id) {
 			continue
 		}
-		if _, err := c.views.Retire(n.id); err != nil {
-			return err
-		}
-		n.state = nodeRetired
-		c.detector.Deregister(n.id)
-		c.scrubPlacement(n.id)
-		c.planDirty = true
-		if err := c.auditAdmission(); err != nil {
+		c.retire(n)
+		if err := c.bump(); err != nil {
 			return err
 		}
 	}
@@ -485,45 +411,44 @@ func (c *Cluster) drainComplete(i int) bool {
 			return false
 		}
 	}
-	for _, j := range c.jobs {
-		if j.src == i || j.dst == i {
-			return false
-		}
+	if slices.ContainsFunc(c.jobs, func(j *migrateJob) bool { return j.src == i || j.dst == i }) {
+		return false
 	}
-	activeNodes := 0
-	for _, n := range c.nodes {
-		if n.state == nodeActive {
-			activeNodes++
-		}
-	}
+	placeable := c.placeableNodes()
 	for name, reps := range c.placement {
-		holds := false
-		active := 0
-		for _, id := range reps {
-			if id == i {
-				holds = true
-			}
-			if c.nodes[id].state == nodeActive {
-				active++
-			}
-		}
-		if !holds {
+		if !slices.Contains(reps, i) {
 			continue
 		}
-		want := c.desired[name]
-		if want > activeNodes {
-			want = activeNodes
-		}
-		if want < 1 {
-			// Never retire the last readable copy, even when no active
-			// node can take a replica right now.
-			want = 1
-		}
-		if active < want {
+		// Never retire the last readable copy, even when no active node
+		// can take a replica right now.
+		if want, have := c.replicaNeed(name, placeable); have < max(want, 1) {
 			return false
 		}
 	}
 	return true
+}
+
+// placeableNodes counts the nodes that take placements.
+func (c *Cluster) placeableNodes() int {
+	k := 0
+	for _, n := range c.nodes {
+		if n.placeable() {
+			k++
+		}
+	}
+	return k
+}
+
+// replicaNeed returns how many of the clip's replicas should sit on
+// placeable nodes — its desired count, capped by the placeable nodes
+// there are — and how many do.
+func (c *Cluster) replicaNeed(name string, placeable int) (want, have int) {
+	for _, id := range c.placement[name] {
+		if c.nodes[id].placeable() {
+			have++
+		}
+	}
+	return min(c.desired[name], placeable), have
 }
 
 // scrubPlacement removes node i from every clip's replica list.
@@ -537,19 +462,4 @@ func (c *Cluster) scrubPlacement(i int) {
 		}
 		c.placement[name] = out
 	}
-}
-
-// auditAdmission re-checks every serving node's admission invariant —
-// called at every view transition so no membership or geometry change
-// can leave a stream without the bandwidth it was promised.
-func (c *Cluster) auditAdmission() error {
-	for _, n := range c.nodes {
-		if !n.serving() {
-			continue
-		}
-		if err := n.srv.CheckAdmission(); err != nil {
-			return fmt.Errorf("cluster: view %d: node %d admission audit: %w", c.views.Version(), n.id, err)
-		}
-	}
-	return nil
 }

@@ -87,7 +87,7 @@ func TestChaosReconfiguration(t *testing.T) {
 		}
 	}
 
-	v0 := c.View().Version
+	v0 := c.ViewVersion()
 	for r := 0; r < 3; r++ {
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
@@ -106,7 +106,7 @@ func TestChaosReconfiguration(t *testing.T) {
 	if id != 3 {
 		t.Fatalf("JoinNode id = %d, want 3", id)
 	}
-	v1 := c.View().Version
+	v1 := c.ViewVersion()
 	if v1 <= v0 {
 		t.Fatalf("join did not bump the view: %d -> %d", v0, v1)
 	}
@@ -116,7 +116,7 @@ func TestChaosReconfiguration(t *testing.T) {
 	if err := c.DrainNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	v2 := c.View().Version
+	v2 := c.ViewVersion()
 	if v2 <= v1 {
 		t.Fatalf("drain did not bump the view: %d -> %d", v1, v2)
 	}
@@ -124,7 +124,7 @@ func TestChaosReconfiguration(t *testing.T) {
 	if err := c.DrainNode(victim); err != nil {
 		t.Fatalf("second DrainNode: %v", err)
 	}
-	if got := c.View().Version; got != v2 {
+	if got := c.ViewVersion(); got != v2 {
 		t.Fatalf("idempotent drain bumped the view: %d -> %d", v2, got)
 	}
 
@@ -249,11 +249,11 @@ func TestClusterRemoveNodeImmediate(t *testing.T) {
 		}
 	}
 	victim := st.Node()
-	v0 := c.View().Version
+	v0 := c.ViewVersion()
 	if err := c.RemoveNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.View().Version; got != v0+1 {
+	if got := c.ViewVersion(); got != v0+1 {
 		t.Fatalf("remove bumped view %d -> %d, want +1", v0, got)
 	}
 	if c.Detector().Registered(victim) {
@@ -305,7 +305,7 @@ func TestClusterAddDiskRelayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v0 := c.View().Version
+	v0 := c.ViewVersion()
 	if err := c.AddDisk(target); err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +327,11 @@ func TestClusterAddDiskRelayout(t *testing.T) {
 				t.Fatalf("round %d: node %d budget overdrawn", c.Round(), i)
 			}
 		}
-		if m, ok := c.View().Member(target); ok && m.Disks == 7 && flipped < 0 {
+		if flipped < 0 && c.NodeServer(target).Disks() == 7 {
 			flipped = c.Round()
+			if got := c.ViewVersion(); got != v0+1 {
+				t.Fatalf("round %d: flip left view %d, want %d", flipped, got, v0+1)
+			}
 		}
 		d, rerr := readAvailable(t, st, data, &off)
 		if rerr != nil {
@@ -347,8 +350,8 @@ func TestClusterAddDiskRelayout(t *testing.T) {
 	if !done || off != int64(len(data)) {
 		t.Fatalf("stream did not complete across the flip: %d of %d bytes", off, len(data))
 	}
-	if got := c.View().Version; got <= v0 {
-		t.Fatalf("disk addition did not bump the view: %d -> %d", v0, got)
+	if got := c.ViewVersion(); got != v0+1 {
+		t.Fatalf("disk addition bumped the view %d -> %d, want exactly +1", v0, got)
 	}
 	if got := c.NodeServer(target).Disks(); got != 7 {
 		t.Fatalf("node %d Disks = %d, want 7", target, got)
@@ -413,6 +416,7 @@ func TestDrainSurvivesFailure(t *testing.T) {
 	if err := c.DrainNode(victim); err != nil {
 		t.Fatal(err)
 	}
+	v := c.ViewVersion()
 	if err := c.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -421,6 +425,14 @@ func TestDrainSurvivesFailure(t *testing.T) {
 	}
 	if err := c.RejoinNode(victim); err != nil {
 		t.Fatal(err)
+	}
+	if got := c.ViewVersion(); got != v {
+		t.Fatalf("failure and rejoin moved the view %d -> %d; liveness is not versioned", v, got)
+	}
+	for _, err := range []error{c.DrainNode(3), c.RemoveNode(-1), c.RejoinNode(3), c.FailNode(-1), c.AddDisk(3)} {
+		if err == nil {
+			t.Fatal("out-of-range node id accepted")
+		}
 	}
 	st := c.Stats()
 	if !slices.Contains(st.Draining, victim) {

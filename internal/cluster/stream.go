@@ -29,7 +29,7 @@ type Stream struct {
 	// offset counts bytes handed to the reader; a failover resumes here.
 	offset int64
 	// skip is the replayed prefix still to discard after a failover
-	// (SeekTo snaps down to a block/group boundary).
+	// (OpenStreamAt snaps down to a block/group boundary).
 	skip int64
 
 	err    error

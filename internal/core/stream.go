@@ -122,22 +122,33 @@ func (st *Stream) reconstructed(sl *slot) {
 
 // OpenStream starts playback of a stored clip. Admission is attempted at
 // the current round; ErrAdmission means try again on a later round.
-func (s *Server) OpenStream(clipName string) (*Stream, error) {
+func (s *Server) OpenStream(clipName string) (*Stream, error) { return s.OpenStreamAt(clipName, 0) }
+
+// OpenStreamAt starts playback at the block SeekTo would choose for
+// offset and makes its one admission there, where fetching begins.
+func (s *Server) OpenStreamAt(clipName string, offset int64) (*Stream, error) {
 	ci, ok := s.clips[clipName]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown clip %q", clipName)
 	}
-	tk, perClip, err := s.admit(ci.start)
+	block, err := s.seekBlock(ci, offset)
+	if err != nil {
+		return nil, err
+	}
+	tk, perClip, err := s.admit(ci.block(block))
 	if err != nil {
 		return nil, err
 	}
 	st := &Stream{
-		id:     s.nextStreamID,
-		srv:    s,
-		clip:   ci,
-		ticket: tk,
-		buf:    perClip,
-		ring:   make([]slot, s.prefetchDepth),
+		id:             s.nextStreamID,
+		srv:            s,
+		clip:           ci,
+		ticket:         tk,
+		buf:            perClip,
+		ring:           make([]slot, s.prefetchDepth),
+		nextFetch:      block,
+		nextDeliver:    block,
+		deliveredBytes: block * int64(s.store.Array.BlockSize()),
 	}
 	s.nextStreamID++
 	s.activate(st)
@@ -276,23 +287,27 @@ func (st *Stream) SeekTo(offset int64) error {
 	if !st.paused {
 		return errors.New("core: Seek requires a paused stream")
 	}
-	if offset < 0 || offset >= st.clip.size {
-		return fmt.Errorf("core: seek offset %d outside clip [0, %d)", offset, st.clip.size)
+	block, err := st.srv.seekBlock(st.clip, offset)
+	if err != nil {
+		return err
 	}
-	bs := int64(st.srv.store.Array.BlockSize())
-	block := offset / bs
-	// The pre-fetching schemes must restart at a parity-group boundary so
-	// the read-ahead invariant holds from the first delivered block.
-	if depth := st.srv.prefetchDepth; depth > 1 {
-		block = block / depth * depth
-	}
-	st.nextDeliver = block
-	st.nextFetch = block
+	st.nextDeliver, st.nextFetch = block, block
 	st.recyclePipeline()
 	st.readable = nil
 	st.readOff = 0
-	st.deliveredBytes = block * bs
+	st.deliveredBytes = block * int64(st.srv.store.Array.BlockSize())
 	return nil
+}
+
+// seekBlock is the clip block playback restarts at for offset: the one
+// holding it, snapped down to a parity-group boundary for the
+// pre-fetching schemes so their read-ahead holds from the first block.
+func (s *Server) seekBlock(ci clipInfo, offset int64) (int64, error) {
+	if offset < 0 || offset >= ci.size {
+		return 0, fmt.Errorf("core: seek offset %d outside clip [0, %d)", offset, ci.size)
+	}
+	depth := s.prefetchDepth // 1 outside the pre-fetching schemes
+	return offset / int64(s.store.Array.BlockSize()) / depth * depth, nil
 }
 
 // recyclePipeline hands every buffered pipeline block back to the
