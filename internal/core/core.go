@@ -309,7 +309,7 @@ type Server struct {
 // getBlock returns a block-sized buffer with unspecified contents.
 func (s *Server) getBlock() []byte { return s.store.GetBlock() }
 
-// putBlock recycles one: delivered payload is always copied out first.
+// putBlock recycles one the caller owns, never bytes the store lent.
 func (s *Server) putBlock(b []byte) { s.store.PutBlock(b) }
 
 type clipInfo struct {

@@ -149,22 +149,24 @@ func TestAddClipErrors(t *testing.T) {
 	}
 }
 
+// allSchemes is every scheme at a small geometry it accepts.
+var allSchemes = []struct {
+	scheme Scheme
+	d, p   int
+}{
+	{Declustered, 7, 3},
+	{DeclusteredDynamic, 7, 3},
+	{PrefetchParityDisk, 8, 4},
+	{PrefetchFlat, 9, 4},
+	{StreamingRAID, 8, 4},
+	{NonClustered, 8, 4},
+	{DeclusteredPQ, 13, 4},
+}
+
 // TestStreamRoundTripAllSchemes: store clips and stream them back
 // byte-exact under every scheme, fault-free.
 func TestStreamRoundTripAllSchemes(t *testing.T) {
-	cases := []struct {
-		scheme Scheme
-		d, p   int
-	}{
-		{Declustered, 7, 3},
-		{DeclusteredDynamic, 7, 3},
-		{PrefetchParityDisk, 8, 4},
-		{PrefetchFlat, 9, 4},
-		{StreamingRAID, 8, 4},
-		{NonClustered, 8, 4},
-		{DeclusteredPQ, 13, 4},
-	}
-	for _, c := range cases {
+	for _, c := range allSchemes {
 		s := newServer(t, c.scheme, c.d, c.p)
 		want := clipBytes(7, 123_456) // ~15.5 blocks: exercises padding
 		if err := s.AddClip("movie", want); err != nil {

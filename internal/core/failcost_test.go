@@ -200,6 +200,60 @@ func TestHealthyRoundAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkHealthyRound times TestHealthyRoundAllocs's round at the scale
+// of the repository benchmark's steady workload: Tick, then every stream
+// takes the block it was delivered. A fresh population replaces one whose
+// first stream has played out, outside the clock.
+func BenchmarkHealthyRound(b *testing.B) {
+	const streams = 1000
+	fb := newFailBench(b, streams, 8, 1024)
+	served := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fb.s.ActiveStreams() < streams {
+			b.StopTimer()
+			fb = newFailBench(b, streams, 8, 1024)
+			b.StartTimer()
+		}
+		served += fb.round(b) / len(fb.buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(served), "ns/stream-round")
+}
+
+// TestLaggingReadAllocs pins the reader that stays three rounds behind:
+// once its chunk queue has grown, a round of delivery and of Read calls
+// that straddle blocks allocates nothing — the queue slides its unread
+// chunks down instead of growing.
+func TestLaggingReadAllocs(t *testing.T) {
+	fb := newFailBench(t, 8, 8, 1024)
+	tickN(t, fb.s, 3)
+	piece := make([]byte, 1000)
+	round := func() {
+		tickN(t, fb.s, 1)
+		for _, st := range fb.streams {
+			for left := len(fb.buf); left > 0; {
+				n, err := st.Read(piece[:min(len(piece), left)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				left -= n
+			}
+		}
+	}
+	for range 8 {
+		round() // grow the queues
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a round of a lagging reader allocates %v objects, want 0", allocs)
+	}
+	for k, st := range fb.streams {
+		if lag := len(st.readable) - st.head; lag != 3 {
+			t.Fatalf("stream %d has %d blocks queued, want 3", k, lag)
+		}
+	}
+}
+
 // TestOpenCloseAllocs pins a session's lifecycle at the Stream and its
 // pipeline ring: admission, the registry and Close's pipeline recycle add
 // nothing. (With a map per pipeline side, made at open and again at

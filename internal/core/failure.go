@@ -226,28 +226,28 @@ func (s *Server) nextRebuild() {
 	}
 }
 
-// readMonitored reads one logical block through the failure detector:
+// readMonitored reads one data block through the failure detector:
 // bounded retry with backoff, per-block reconstruction for latent bad
 // blocks (with rewrite — the sector-remap model) and for blocks not yet
-// rebuilt onto a spare (which are opportunistically installed). It
+// rebuilt onto a spare (which are opportunistically installed). A clean
+// read lends the stored bytes; only a repaired block is owned. It
 // returns an error satisfying errors.Is(err, storage.ErrFailed) when the
 // disk is truly unresponsive — the caller then takes the degraded path.
-func (s *Server) readMonitored(logical int64, addr layout.BlockAddr) ([]byte, error) {
+func (s *Server) readMonitored(addr layout.BlockAddr) (chunk, error) {
 	arr := s.store.Array
-	data := s.getBlock()
-	err := s.detector.ReadInto(arr, addr.Disk, addr.Block, data)
+	data, err := s.detector.Lend(arr, addr.Disk, addr.Block)
 	if err == nil {
-		return data, nil
+		return chunk{buf: data}, nil
 	}
-	s.putBlock(data)
 	if errors.Is(err, storage.ErrBadBlock) || errors.Is(err, storage.ErrCorruptBlock) ||
 		errors.Is(err, storage.ErrNotWritten) && arr.State(addr.Disk) == storage.Rebuilding {
 		// The disk answered, the block did not: serve the true contents
 		// from the parity group — contingency bandwidth, same accounting
 		// as a failed-disk read — and rewrite them in place.
-		return s.repairInPlace(addr, err, repairMode{})
+		data, err = s.repairInPlace(addr, err, repairMode{})
+		return chunk{data, true}, err
 	}
-	return nil, err
+	return chunk{}, err
 }
 
 // readMemberInto reads one surviving parity-group member through the

@@ -199,12 +199,12 @@ func (s *Server) ReadClipBlockIdleInto(name string, n int64, dst []byte) (bool, 
 	}
 	s.charge(addr.Disk)
 	s.migrateReads++
-	data, err := s.readMonitored(i, addr)
+	c, err := s.readMonitored(addr)
 	if err != nil {
 		return false, err
 	}
-	copy(dst, data)
-	s.putBlock(data)
+	copy(dst, c.buf)
+	s.recycle(c)
 	return true, nil
 }
 

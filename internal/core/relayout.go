@@ -114,7 +114,7 @@ func (s *Server) relayoutStep() {
 		}
 		s.charge(addr.Disk)
 		s.migrateReads++
-		data, err := s.readMonitored(i, addr)
+		c, err := s.readMonitored(addr)
 		if err != nil {
 			// The read escalated (disk declared failed mid-copy): the
 			// mode check pauses the re-layout from the next step on; the
@@ -122,8 +122,8 @@ func (s *Server) relayoutStep() {
 			// after AddClip.
 			return
 		}
-		werr := rl.store.WriteBlock(i, data)
-		s.putBlock(data)
+		werr := rl.store.WriteBlock(i, c.buf)
+		s.recycle(c)
 		if werr != nil {
 			return
 		}

@@ -94,7 +94,7 @@ func (s *Server) scrubStep() {
 			return // out of budget, or of idle slots on this disk; resume here next round
 		}
 		s.charge(a.Disk)
-		err := s.scrubRead(a)
+		_, err := s.detector.Lend(arr, a.Disk, a.Block) // a verify read: the bytes are not needed
 		if s.Mode() != ModeHealthy {
 			// The verify read pushed the disk over a threshold and the
 			// detector declared it failed — rebuild owns the idle
@@ -122,11 +122,4 @@ func (s *Server) scrubStep() {
 		sc.pos++
 		sc.scanned++
 	}
-}
-
-// scrubRead verifies one physical block through the failure detector.
-func (s *Server) scrubRead(a layout.BlockAddr) error {
-	scratch := s.getBlock()
-	defer s.putBlock(scratch)
-	return s.detector.ReadInto(s.store.Array, a.Disk, a.Block, scratch)
 }

@@ -48,13 +48,14 @@ type Stream struct {
 	// pendingParity counts the ring's parity slots.
 	pendingParity int
 
-	// readable is delivered-but-unread payload; readOff is the reader's
-	// cursor into it. Read advances the cursor instead of re-slicing, so
-	// once the reader drains everything the buffer resets to its full
-	// capacity and steady-state delivery appends without reallocating.
-	readable []byte
+	// readable queues the delivered-but-unread blocks from index head on;
+	// readOff is the reader's cursor into readable[head]. Delivery slides
+	// the unread chunks to the front when the queue is full, so in steady
+	// state it appends without reallocating.
+	readable []chunk
+	head     int
 	readOff  int
-	// deliveredBytes counts payload moved into readable so far.
+	// deliveredBytes counts payload queued on readable so far.
 	deliveredBytes int64
 	done           bool
 	// active marks a stream the Tick loop serves and srv.active counts:
@@ -78,12 +79,28 @@ type Stream struct {
 type slot struct {
 	// n is the clip-relative index of the block buf stands for; buf is nil
 	// when the slot is empty.
-	n   int64
-	buf []byte
-	// isParity marks buf as the group's parity block, fetched in degraded
-	// mode in place of block n; reconstruction XORs the siblings into it
-	// and clears the mark. Otherwise buf is block n itself.
+	n int64
+	chunk
+	// isParity marks buf (always owned) as the group's parity block,
+	// fetched in degraded mode in place of block n; reconstruction XORs the
+	// siblings into it and clears the mark. Otherwise buf is block n itself.
 	isParity bool
+}
+
+// chunk is a block's bytes and who owns them: a freelist buffer its holder
+// recycles (owned), or the store's own verified bytes, lent read-only by a
+// clean read. On the readable queue it is trimmed to the clip's payload.
+type chunk struct {
+	buf   []byte
+	owned bool
+}
+
+// recycle puts an owned buffer back on the freelist; lent bytes are the
+// stored block itself and are only dropped.
+func (s *Server) recycle(c chunk) {
+	if c.owned {
+		s.putBlock(c.buf[:cap(c.buf)])
+	}
 }
 
 // slot returns the ring slot that holds clip block n, or nil when the
@@ -107,8 +124,8 @@ func (st *Stream) data(n int64) []byte {
 }
 
 // hold puts a fetched buffer in clip block n's (empty) slot.
-func (st *Stream) hold(n int64, buf []byte, isParity bool) {
-	st.ring[n%int64(len(st.ring))] = slot{n: n, buf: buf, isParity: isParity}
+func (st *Stream) hold(n int64, c chunk, isParity bool) {
+	st.ring[n%int64(len(st.ring))] = slot{n: n, chunk: c, isParity: isParity}
 	if isParity {
 		st.pendingParity++
 	}
@@ -244,8 +261,7 @@ func (st *Stream) Close() error {
 		return nil
 	}
 	st.done = true
-	st.readable = nil
-	st.readOff = 0
+	st.dropReadable()
 	st.recyclePipeline()
 	if !st.paused { // a paused stream released its bandwidth and buffer already
 		st.srv.release(st)
@@ -293,8 +309,7 @@ func (st *Stream) SeekTo(offset int64) error {
 	}
 	st.nextDeliver, st.nextFetch = block, block
 	st.recyclePipeline()
-	st.readable = nil
-	st.readOff = 0
+	st.dropReadable()
 	st.deliveredBytes = block * int64(st.srv.store.Array.BlockSize())
 	return nil
 }
@@ -310,15 +325,24 @@ func (s *Server) seekBlock(ci clipInfo, offset int64) (int64, error) {
 	return offset / int64(s.store.Array.BlockSize()) / depth * depth, nil
 }
 
-// recyclePipeline hands every buffered pipeline block back to the
-// server's block freelist and empties the ring. Safe because slots are
-// single-owner: readable holds copies, never the buffered slices.
+// recyclePipeline hands every owned pipeline buffer back to the server's
+// block freelist and empties the ring. Safe because a buffer is in one
+// place at a time: deliver moves it from its slot to readable.
 func (st *Stream) recyclePipeline() {
 	for _, sl := range st.ring {
-		st.srv.putBlock(sl.buf)
+		st.srv.recycle(sl.chunk) // an empty slot owns nothing
 	}
 	clear(st.ring)
 	st.pendingParity = 0
+}
+
+// dropReadable discards the delivered-but-unread blocks.
+func (st *Stream) dropReadable() {
+	for _, c := range st.readable[st.head:] {
+		st.srv.recycle(c)
+	}
+	clear(st.readable)
+	st.readable, st.head, st.readOff = st.readable[:0], 0, 0
 }
 
 // Resume re-admits a paused stream at its saved position. On
@@ -360,7 +384,7 @@ func (st *Stream) Err() error { return st.termErr }
 // ErrNoData when the pipeline has not delivered the next block yet and
 // io.EOF once the whole clip has been read.
 func (st *Stream) Read(p []byte) (int, error) {
-	if st.readOff >= len(st.readable) {
+	if st.head == len(st.readable) {
 		if st.done {
 			if st.termErr != nil {
 				return 0, st.termErr
@@ -372,13 +396,16 @@ func (st *Stream) Read(p []byte) (int, error) {
 		}
 		return 0, ErrNoData
 	}
-	n := copy(p, st.readable[st.readOff:])
-	st.readOff += n
-	if st.readOff == len(st.readable) {
-		// Fully drained: rewind so the buffer's whole capacity is reused
-		// by the next round's delivery instead of reallocating.
-		st.readable = st.readable[:0]
-		st.readOff = 0
+	n := 0
+	for n < len(p) && st.head < len(st.readable) {
+		c := &st.readable[st.head]
+		k := copy(p[n:], c.buf[st.readOff:])
+		n += k
+		if st.readOff += k; st.readOff == len(c.buf) {
+			st.srv.recycle(*c)
+			*c = chunk{}
+			st.head, st.readOff = st.head+1, 0
+		}
 	}
 	return n, nil
 }
@@ -507,9 +534,9 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 	addr := s.lay.Place(logical)
 	if !s.store.Array.Failed(addr.Disk) {
 		s.chargeTick(sh, addr.Disk)
-		data, err := s.readMonitored(logical, addr)
+		c, err := s.readMonitored(addr)
 		if err == nil {
-			st.hold(n, data, false)
+			st.hold(n, c, false)
 			return nil
 		}
 		if !errors.Is(err, storage.ErrFailed) {
@@ -532,7 +559,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 			s.putBlock(pbuf)
 			return fmt.Errorf("%w: parity disk %d unavailable: %v", recovery.ErrUnrecoverable, g.Parity.Disk, err)
 		}
-		st.hold(n, pbuf, true)
+		st.hold(n, chunk{pbuf, true}, true)
 		return nil
 	}
 	// Declustered / non-clustered: read the surviving members and parity
@@ -541,7 +568,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 	if err != nil {
 		return err
 	}
-	st.hold(n, data, false)
+	st.hold(n, chunk{data, true}, false)
 	return nil
 }
 
@@ -583,7 +610,7 @@ func (s *Server) reconstructPending(st *Stream, n int64) {
 	}
 }
 
-// deliver moves clip block nextDeliver into the readable buffer.
+// deliver moves clip block nextDeliver from its slot to the readable queue.
 func (s *Server) deliver(st *Stream, sh *tickShard) error {
 	n := st.nextDeliver
 	s.reconstructPending(st, n)
@@ -614,10 +641,18 @@ func (s *Server) deliver(st *Stream, sh *tickShard) error {
 		hi = st.clip.size
 	}
 	if lo < st.clip.size {
-		st.readable = append(st.readable, sl.buf[:hi-lo]...)
+		if len(st.readable) == cap(st.readable) && st.head > 0 {
+			// Full but partly read: slide the unread chunks to the front
+			// instead of growing the queue.
+			k := copy(st.readable, st.readable[st.head:])
+			clear(st.readable[k:])
+			st.readable, st.head = st.readable[:k], 0
+		}
+		st.readable = append(st.readable, chunk{sl.buf[:hi-lo], sl.owned})
 		st.deliveredBytes += hi - lo
+	} else {
+		s.recycle(sl.chunk) // padding past the payload
 	}
-	s.putBlock(sl.buf)
 	*sl = slot{}
 	st.nextDeliver++
 	return nil

@@ -6,7 +6,7 @@
 // The detector is deliberately simple and deterministic — the classic
 // consecutive-error counter with a timeout channel:
 //
-//   - every block read goes through bounded retry with backoff (ReadInto);
+//   - every block read goes through bounded retry with backoff (Lend);
 //   - a hard error (storage.ErrFailed or any unclassified error)
 //     increments the disk's consecutive-error count; any success resets
 //     it;
@@ -68,7 +68,7 @@ type Config struct {
 	// Retries is how many times a failed read attempt is retried before
 	// the error is surfaced (0 selects the default 2, i.e. up to 3
 	// attempts; any negative value disables retry entirely — exactly one
-	// attempt per ReadInto).
+	// attempt per Lend).
 	Retries int
 	// FailThreshold is k: consecutive hard errors or timeouts on a disk
 	// that declare it failed (default 3).
@@ -132,14 +132,15 @@ func ExponentialBackoff(base time.Duration) func(attempt int) {
 	}
 }
 
-// ErrStopped is returned by ReadInto once the detector has been stopped.
+// ErrStopped is returned by every read once the detector has been stopped.
 var ErrStopped = errors.New("health: detector stopped")
 
 // Detector watches d disks. Safe for concurrent use; the OnFail
 // callback runs without the detector's lock held.
 type Detector struct {
-	mu     sync.Mutex
+	// cfg is immutable after NewDetector, so reads take it without mu.
 	cfg    Config
+	mu     sync.Mutex
 	consec []int
 	// corrupt is the per-disk cumulative corrupt-block count feeding
 	// CorruptionThreshold escalation. Cleared only by Reset.
@@ -202,7 +203,7 @@ func NewDetector(d int, cfg Config) *Detector {
 	return dt
 }
 
-// Stop shuts the detector down: any ReadInto sleeping in a BackoffBase
+// Stop shuts the detector down: any read sleeping in a BackoffBase
 // backoff wakes immediately and surfaces its last error without further
 // attempts (and without scoring extra strikes), and subsequent reads
 // return ErrStopped. Observe keeps working — callers that only score
@@ -481,27 +482,25 @@ func (dt *Detector) Observe(disk int, slowdown float64, err error) State {
 	return st
 }
 
-// BlockReader is the read surface ReadInto monitors: one timed physical
-// read into a caller-owned buffer. *storage.Array satisfies it directly;
-// tests script it attempt by attempt.
+// BlockReader is the read surface the detector monitors: one timed
+// physical read that lends the block's verified bytes. *storage.Array
+// satisfies it directly; tests script it attempt by attempt.
 type BlockReader interface {
-	ReadTimedInto(disk int, block int64, dst []byte) (float64, error)
+	Lend(disk int, block int64) ([]byte, float64, error)
 }
 
-// ReadInto performs one monitored read of (disk, block) from r into dst
-// with bounded retry and backoff: up to Retries+1 attempts, every outcome
-// Observed. Hard errors and timeouts retry; a bad block or corrupt block
-// retries once then surfaces (reconstruction is the cure, not
-// persistence); ErrNotWritten surfaces immediately. The returned error
-// is the last attempt's. On success dst holds the block; on error its
-// contents are unspecified. Zero per-call allocations.
-func (dt *Detector) ReadInto(r BlockReader, disk int, block int64, dst []byte) error {
-	dt.mu.Lock()
-	cfg := dt.cfg
-	dt.mu.Unlock()
+// Lend performs one monitored read of (disk, block) from r with bounded
+// retry and backoff: up to Retries+1 attempts, every outcome Observed.
+// Hard errors and timeouts retry; a bad block or corrupt block retries
+// once then surfaces (reconstruction is the cure, not persistence);
+// ErrNotWritten surfaces immediately. The returned error is the last
+// attempt's. On success it returns the bytes r lent, which the caller
+// must not change. Zero per-call allocations.
+func (dt *Detector) Lend(r BlockReader, disk int, block int64) ([]byte, error) {
 	if dt.stopped() {
-		return ErrStopped
+		return nil, ErrStopped
 	}
+	cfg := &dt.cfg
 	var lastErr error
 	for try := 0; try <= cfg.Retries; try++ {
 		if try > 0 {
@@ -510,24 +509,32 @@ func (dt *Detector) ReadInto(r BlockReader, disk int, block int64, dst []byte) e
 				if !dt.sleep(backoffDelay(cfg.BackoffBase, try)) {
 					// Stopped mid-backoff: surface the last attempt's
 					// error as-is; no further attempts, no extra strikes.
-					return lastErr
+					return nil, lastErr
 				}
 			case cfg.Backoff != nil:
 				cfg.Backoff(try)
 			}
 		}
-		slowdown, err := r.ReadTimedInto(disk, block, dst)
+		b, slowdown, err := r.Lend(disk, block)
 		dt.Observe(disk, slowdown, err)
 		if err == nil {
-			return nil
+			return b, nil
 		}
 		lastErr = err
 		if errors.Is(err, storage.ErrNotWritten) {
-			return err
+			return nil, err
 		}
 		if (errors.Is(err, storage.ErrBadBlock) || errors.Is(err, storage.ErrCorruptBlock)) && try >= 1 {
-			return err
+			return nil, err
 		}
 	}
-	return lastErr
+	return nil, lastErr
+}
+
+// ReadInto is Lend plus a copy into dst, which must be as long as the
+// block. On error dst is left alone.
+func (dt *Detector) ReadInto(r BlockReader, disk int, block int64, dst []byte) error {
+	b, err := dt.Lend(r, disk, block)
+	copy(dst, b)
+	return err
 }

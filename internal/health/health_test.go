@@ -102,7 +102,11 @@ func TestResetClearsDown(t *testing.T) {
 // tests below drive ReadInto's retry loop outcome by outcome.
 type attempt func(dst []byte) (slowdown float64, err error)
 
-func (f attempt) ReadTimedInto(_ int, _ int64, dst []byte) (float64, error) { return f(dst) }
+func (f attempt) Lend(int, int64) ([]byte, float64, error) {
+	b := make([]byte, 1)
+	slowdown, err := f(b)
+	return b, slowdown, err
+}
 
 // readScript runs one monitored read of the disk with scripted attempts,
 // returning the buffer ReadInto filled.

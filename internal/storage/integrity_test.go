@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 )
 
 // corruptArray returns a 4×16 array with block 5 of disks 0..2 written
@@ -201,5 +202,54 @@ func TestAuditChecksums(t *testing.T) {
 	}
 	if bad := a.AuditChecksums(); len(bad) != 0 {
 		t.Fatalf("audit after rewrites = %v, want none", bad)
+	}
+}
+
+// TestLentBytesStayVerified pins Lend's promise: the slice it hands out
+// keeps the bytes that were verified when it was lent, whatever happens to
+// the block afterwards, while the next read sees what the block holds now.
+func TestLentBytesStayVerified(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		do   func(a *Array) error
+		want error  // of the next read of the block
+		next []byte // its bytes when it succeeds
+	}{
+		{"CorruptBits", func(a *Array) error { return a.CorruptBits(1, 5, []uint64{3, 90}) }, ErrCorruptBlock, nil},
+		{"Write", func(a *Array) error { return a.Write(1, 5, block(9, 16)) }, nil, block(9, 16)},
+		{"Replace", func(a *Array) error {
+			if err := a.Fail(1); err != nil {
+				return err
+			}
+			return a.Replace(1)
+		}, ErrNotWritten, nil},
+		{"Repair", func(a *Array) error { return a.Repair(1) }, ErrNotWritten, nil},
+	} {
+		a := corruptArray(t)
+		lent, slow, err := a.Lend(1, 5)
+		if err != nil || slow != 1 || !bytes.Equal(lent, block(2, 16)) {
+			t.Fatalf("%s: Lend = %v, %v, %v", tc.name, lent, slow, err)
+		}
+		if again, _, _ := a.Lend(1, 5); &again[0] != &lent[0] {
+			t.Fatalf("%s: a second Lend of an unchanged block copied it", tc.name)
+		}
+		if err := tc.do(a); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(lent, block(2, 16)) {
+			t.Errorf("%s changed lent bytes to %v", tc.name, lent)
+		}
+		got, _, err := a.Lend(1, 5)
+		if !errors.Is(err, tc.want) || tc.want == nil && !bytes.Equal(got, tc.next) {
+			t.Errorf("%s: next read = %v, %v; want %v, %v", tc.name, got, err, tc.want, tc.next)
+		}
+	}
+}
+
+// TestRecordSize pins the per-block overhead: the lent mark fits in the
+// padding after the CRC, so a record is still 32 bytes.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n != 32 {
+		t.Errorf("record is %d bytes, want 32", n)
 	}
 }

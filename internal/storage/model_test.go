@@ -149,6 +149,7 @@ const (
 	opCorruptBits
 	opCorruptRandom
 	opAudit
+	opLend
 	nOps
 )
 
@@ -156,6 +157,8 @@ const (
 // demands the same errors (by errors.Is), the same bytes, the same
 // Written/Extent/WrittenBlocks/State/ReadCount/ChecksumStats after every
 // op, the same CorruptRandomBlock pick and the same AuditChecksums order.
+// Every slice Lend hands out must keep, after every later op, the bytes it
+// had when it was lent.
 func FuzzArrayModel(f *testing.F) {
 	// What integrity.Map's own tests pinned, as the array shows it.
 	// Record, verify, a flipped bit is caught, an overwrite re-records:
@@ -171,6 +174,11 @@ func FuzzArrayModel(f *testing.F) {
 	// failed disk, out-of-range disks.
 	f.Add([]byte{opCorruptRandom, 1, 0, 3, opWrite, 1, 9, 1, opWrite, 1, 3, 1, opWrite, 1, 7, 1, opCorruptRandom, 1, 0, 1, opRead, 1, 7, 0,
 		opFail, 1, 0, 0, opCorruptRandom, 1, 0, 0, opRepair, 1, 0, 0, opRejoin, 1, 0, 0, opReplace, 1, 0, 0, opWrite, 4, 0, 0, opRead, 4, 0, 0, opFail, 4, 0, 0})
+	// A lent block outlives a flip, an overwrite, a medium swap and a
+	// repair, and each of them shows on the next read instead.
+	f.Add([]byte{opWrite, 1, 4, 1, opLend, 1, 4, 0, opCorruptBits, 1, 4, 9, opLend, 1, 4, 0, opWrite, 1, 4, 2, opLend, 1, 4, 0,
+		opWrite, 1, 4, 3, opLend, 1, 4, 0, opFail, 1, 0, 0, opLend, 1, 4, 0, opReplace, 1, 0, 0, opLend, 1, 4, 0,
+		opWrite, 1, 4, 5, opLend, 1, 4, 0, opRepair, 1, 0, 0, opLend, 1, 4, 0, opWrite, 1, 4, 6, opRead, 1, 4, 0})
 	for seed := int64(1); seed <= 4; seed++ {
 		script := make([]byte, 4*400)
 		rand.New(rand.NewSource(seed)).Read(script)
@@ -183,6 +191,7 @@ func FuzzArrayModel(f *testing.F) {
 			t.Fatal(err)
 		}
 		m := newModel(d)
+		var lent, kept [][]byte // what Lend returned, and a copy taken then
 		for i := 0; i+4 <= len(script); i += 4 {
 			op, disk, block, arg := script[i]%nOps, int(script[i+1]%(d+1)), int64(script[i+2]%nblocks), script[i+3]
 			bits := []uint64{uint64(arg), uint64(arg)*37 + 5}
@@ -251,6 +260,20 @@ func FuzzArrayModel(f *testing.F) {
 			case opAudit:
 				if bad, ref := a.AuditChecksums(), m.audit(); !slices.Equal(bad, ref) {
 					t.Fatalf("op %d: AuditChecksums = %v, model %v", i/4, bad, ref)
+				}
+			case opLend:
+				var b, ref []byte
+				b, _, got = a.Lend(disk, block)
+				if ref, want = m.read(disk, block, false); !bytes.Equal(b, ref) {
+					t.Fatalf("op %d: Lend(%d, %d) = %v, model %v", i/4, disk, block, b, ref)
+				}
+				if got == nil {
+					lent, kept = append(lent, b), append(kept, bytes.Clone(b))
+				}
+			}
+			for k := range lent {
+				if !bytes.Equal(lent[k], kept[k]) {
+					t.Fatalf("op %d: lent slice %d changed from %v to %v", i/4, k, kept[k], lent[k])
 				}
 			}
 			if class(got) != want {

@@ -31,6 +31,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -101,6 +102,9 @@ type ReadHook func(disk int, block int64) (slowdown float64, err error)
 type record struct {
 	data []byte
 	sum  uint32
+	// lent marks data as handed out by Lend, so Write and CorruptBits give
+	// the record fresh bytes instead (atomic: lending reads hold RLock).
+	lent atomic.Bool
 }
 
 // Array is a simulated array of d disks, each a sequence of fixed-size
@@ -193,16 +197,18 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	if a.state[disk] == Failed {
 		return fmt.Errorf("storage: write to disk %d: %w", disk, ErrFailed)
 	}
-	// Overwrites reuse the stored buffer: Read hands out copies, so no
-	// caller can hold a reference into it, and the steady-state parity
-	// rewrite path stays allocation-free.
+	// Overwrites reuse the stored buffer unless Lend handed it out (a lent
+	// buffer stays with its holders), so the steady-state parity rewrite
+	// path, whose reads copy, stays allocation-free.
 	for int64(len(a.disks[disk])) <= block {
 		a.disks[disk] = append(a.disks[disk], record{})
 	}
 	r := &a.disks[disk][block]
 	if r.data == nil {
-		r.data = make([]byte, a.blockSize)
 		a.written[disk]++
+	}
+	if r.data == nil || r.lent.Swap(false) {
+		r.data = make([]byte, a.blockSize)
 	}
 	copy(r.data, data)
 	r.sum = integrity.Sum(r.data)
@@ -238,23 +244,33 @@ func (a *Array) ReadZeroInto(disk int, block int64, dst []byte) error {
 // fault-injection hook reported for this read (1 when no hook is
 // installed or the hook left timing alone). The health detector consumes
 // the multiplier as its timeout signal.
-//
-// The whole read runs under one read-lock — per-disk read counts are
-// atomic — so concurrent ticks sharded across cores never serialize on
-// the array. Holding the lock across the hook call is safe (hooks must
-// not call back into the Array) and makes the read atomic with respect to
-// a concurrent Fail.
 func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error) {
-	if err := a.checkAddr(disk, block); err != nil {
-		return 1, err
-	}
 	if len(dst) != a.blockSize {
 		return 1, fmt.Errorf("storage: read into %d bytes, want block size %d", len(dst), a.blockSize)
+	}
+	_, slow, err := a.read(disk, block, dst)
+	return slow, err
+}
+
+// Lend is ReadTimedInto without the copy: it returns the block's own
+// verified bytes, read-only. Nothing changes them while anyone holds them:
+// a later Write or CorruptBits gives the block fresh bytes instead.
+func (a *Array) Lend(disk int, block int64) ([]byte, float64, error) {
+	return a.read(disk, block, nil)
+}
+
+// read is every block read: a copy into dst, or with a nil dst a loan. One
+// read-lock (read counts and the lent mark are atomic) keeps sharded ticks
+// from serializing on the array; holding it across the hook (which must not
+// call back) makes the read atomic with respect to a concurrent Fail.
+func (a *Array) read(disk int, block int64, dst []byte) ([]byte, float64, error) {
+	if err := a.checkAddr(disk, block); err != nil {
+		return nil, 1, err
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.state[disk] == Failed {
-		return 1, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrFailed)
+		return nil, 1, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrFailed)
 	}
 	slow := 1.0
 	if h := a.hook; h != nil {
@@ -264,23 +280,28 @@ func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error
 			slow = 1
 		}
 		if err != nil {
-			return slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, err)
+			return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, err)
 		}
 	}
 	r := a.at(disk, block)
 	if r == nil {
-		return slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
+		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
 	}
 	if got := integrity.Sum(r.data); !a.sums.Verified(got == r.sum) {
 		// The disk answered with the wrong bytes. Surfacing the error —
 		// instead of the data — is the whole point of the checksum
 		// layer: corrupt bytes must never reach a stream or be XORed
 		// into a reconstruction. The read is not counted as served.
-		return slow, fmt.Errorf("storage: read disk %d block %d: %w: sum %08x, want %08x", disk, block, ErrCorruptBlock, got, r.sum)
+		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w: sum %08x, want %08x", disk, block, ErrCorruptBlock, got, r.sum)
 	}
 	atomic.AddInt64(&a.reads[disk], 1)
-	copy(dst, r.data)
-	return slow, nil
+	if dst != nil {
+		return dst[:copy(dst, r.data)], slow, nil
+	}
+	if !r.lent.Load() { // a load first: most reads of a block are not its first
+		r.lent.Store(true)
+	}
+	return r.data, slow, nil
 }
 
 // AllHealthy reports whether every disk is in the Healthy state — the
@@ -457,12 +478,12 @@ func (a *Array) ChecksumStats() integrity.Stats {
 }
 
 // CorruptBits flips the given bit offsets (taken modulo the block's bit
-// width) of the stored block in place — silent corruption: no error is
-// returned at injection time, the checksum record is left stale on
-// purpose, and nothing is counted as a read or write. The next read of
-// the block fails verification with ErrCorruptBlock. Corrupting an
-// absent block reports ErrNotWritten and a failed disk ErrFailed, so
-// injectors know the flip did not land.
+// width) of the stored block — silent corruption: no error is returned at
+// injection time, the checksum record is left stale on purpose, nothing is
+// counted as a read or write, and bytes Lend handed out keep what was
+// verified. The next read fails with ErrCorruptBlock. Corrupting an absent
+// block reports ErrNotWritten and a failed disk ErrFailed, so injectors
+// know the flip did not land.
 func (a *Array) CorruptBits(disk int, block int64, bits []uint64) error {
 	if err := a.checkAddr(disk, block); err != nil {
 		return err
@@ -478,6 +499,9 @@ func (a *Array) CorruptBits(disk int, block int64, bits []uint64) error {
 	r := a.at(disk, block)
 	if r == nil {
 		return fmt.Errorf("storage: corrupt disk %d block %d: %w", disk, block, ErrNotWritten)
+	}
+	if r.lent.Swap(false) {
+		r.data = bytes.Clone(r.data)
 	}
 	for _, b := range bits {
 		b %= uint64(a.blockSize) * 8
@@ -527,8 +551,8 @@ func (a *Array) AuditChecksums() [][2]int64 {
 		if a.state[disk] == Failed {
 			continue
 		}
-		for block, r := range recs {
-			if r.data != nil && !a.sums.Verified(integrity.Sum(r.data) == r.sum) {
+		for block := range recs {
+			if r := &recs[block]; r.data != nil && !a.sums.Verified(integrity.Sum(r.data) == r.sum) {
 				bad = append(bad, [2]int64{int64(disk), int64(block)})
 			}
 		}
