@@ -30,6 +30,7 @@ import (
 	"ftcms/internal/layout"
 	"ftcms/internal/pgt"
 	"ftcms/internal/recovery"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/units"
 )
@@ -71,7 +72,7 @@ func BenchmarkFigure3FlatLayout(b *testing.B) {
 func BenchmarkFigure4ComputeOptimal(b *testing.B) {
 	cfg := experiments.PaperAnalyticConfig(256 * units.MB)
 	for i := 0; i < b.N; i++ {
-		for _, s := range analytic.Schemes() {
+		for _, s := range scheme.Paper() {
 			if _, err := analytic.Optimize(cfg, s); err != nil {
 				b.Fatal(err)
 			}
@@ -188,7 +189,7 @@ func BenchmarkSimRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sim.Config{
-			Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+			Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 			Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
 			Duration: 600 * units.Second, Seed: int64(i),
 		}); err != nil {
@@ -205,7 +206,7 @@ func BenchmarkSimCluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunCluster(sim.ClusterConfig{
 			Node: sim.Config{
-				Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+				Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 				Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
 				Duration: 600 * units.Second, Seed: int64(i),
 			},

@@ -100,6 +100,7 @@ import (
 	"ftcms/internal/core"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/faultinject"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -199,7 +200,7 @@ func (s *server) tick(late time.Duration) {
 
 func main() {
 	addr := flag.String("addr", ":9100", "listen address")
-	schemeFlag := flag.String("scheme", "declustered", "per-node fault-tolerance scheme")
+	schemeFlag := flag.String("scheme", "declustered", "per-node fault-tolerance scheme: "+strings.Join(scheme.Names(nil), ", "))
 	d := flag.Int("d", 7, "disks per node")
 	p := flag.Int("p", 3, "parity group size")
 	nodes := flag.Int("nodes", 3, "cluster nodes (1: a single array)")
@@ -216,7 +217,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	scheme, err := cliutil.ResolveCoreScheme(*schemeFlag)
+	sc, err := scheme.Parse(*schemeFlag)
 	if err != nil {
 		log.Fatalf("cmcluster: %v", err)
 	}
@@ -242,7 +243,7 @@ func main() {
 		Faults: &faultinject.Plan{Seed: 1},
 	}
 	nodeCfg := core.Config{
-		Scheme:    scheme,
+		Scheme:    sc,
 		Disk:      diskmodel.Default(),
 		D:         geo.D,
 		P:         geo.P,
@@ -281,7 +282,7 @@ func main() {
 		log.Fatalf("cmcluster: %v", err)
 	}
 	log.Printf("cmcluster: %d nodes × (%s, d=%d, p=%d, %d spares), replication %d, %d clips, listening on %s",
-		*nodes, scheme, geo.D, geo.P, *spares, *rep, *nclips, ln.Addr())
+		*nodes, sc, geo.D, geo.P, *spares, *rep, *nclips, ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -23,6 +23,7 @@ import (
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/experiments"
 	"ftcms/internal/scenario"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
@@ -32,7 +33,7 @@ func main() {
 	var list strings.Builder
 	experiments.Run(&list, "cmsim", "list", experiments.Params{}, false) // a Builder takes every write
 	exp := flag.String("exp", "", "print a registered experiment as a text table (with -csv: as CSV); -exp list prints these:\n"+list.String())
-	schemeFlag := flag.String("scheme", "declustered", "scheme: "+strings.Join(cliutil.SchemeNames(), ", "))
+	schemeFlag := flag.String("scheme", "declustered", "scheme: "+strings.Join(scheme.Names(sim.Models), ", "))
 	p := flag.Int("p", 4, "parity group size")
 	bufferFlag := flag.String("buffer", "", "server buffer (e.g. 256MB, 2GB); default 256MB, and with -exp also 2GB where the paper has two panels")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -41,7 +42,6 @@ func main() {
 	failDisk := flag.Int("fail", -1, "disk to fail (-1: none)")
 	failAt := flag.Float64("failat", 0, "failure time (seconds)")
 	rebuildFlag := flag.Bool("rebuild", false, "rebuild the failed disk online from spare bandwidth")
-	dynamic := flag.Bool("dynamic", false, "use the §5 dynamic reservation controller (declustered only)")
 	bypass := flag.Int("bypass", 0, "pending-list bypass window (0: default 256, -1: strict FIFO)")
 	csvOut := flag.Bool("csv", false, "with -exp: emit the table's columns as CSV; with -scenario: the timeline CSV to stdout")
 	batch := flag.Float64("batch", 0, "batching window in seconds (0: off): requests piggyback on same-clip streams")
@@ -102,7 +102,7 @@ func main() {
 			fatal(err)
 		}
 	default:
-		scheme, err := cliutil.ResolveScheme(*schemeFlag)
+		sc, err := scheme.Parse(*schemeFlag)
 		if err != nil {
 			fatal(err)
 		}
@@ -122,8 +122,7 @@ func main() {
 			failure = []sim.FailureEvent{{Disk: *failDisk, At: units.Duration(*failAt), Rebuild: *rebuildFlag}}
 		}
 		res, err := sim.Run(sim.Config{
-			Scheme:      scheme,
-			Dynamic:     *dynamic,
+			Scheme:      sc,
 			Disk:        diskmodel.Default(),
 			D:           32,
 			P:           *p,
@@ -141,7 +140,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("scheme            %v (p=%d, dynamic=%v)\n", scheme, *p, *dynamic)
+		fmt.Printf("scheme            %s (p=%d, dynamic=%v)\n", sc.Legend(), *p, sc.Dynamic())
 		fmt.Printf("operating point   b=%v q=%d f=%d\n", res.Block, res.Q, res.F)
 		fmt.Printf("rounds            %d\n", res.Rounds)
 		fmt.Printf("serviced          %d\n", res.Serviced)

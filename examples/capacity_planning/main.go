@@ -11,6 +11,7 @@ import (
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -30,17 +31,17 @@ func main() {
 			Storage: library,
 		}
 		fmt.Printf("RAM budget %v:\n", ram)
-		for _, scheme := range analytic.Schemes() {
-			res, err := analytic.Optimize(cfg, scheme)
+		for _, s := range scheme.Paper() {
+			res, err := analytic.Optimize(cfg, s)
 			if err != nil {
-				log.Fatalf("%v: %v", scheme, err)
+				log.Fatalf("%v: %v", s, err)
 			}
 			verdict := "MISSES target"
 			if res.Clips >= target {
 				verdict = "meets target ✓"
 			}
 			fmt.Printf("  %-36s p=%-3d b=%-8v q=%-3d f=%-2d -> %4d clips  %s\n",
-				scheme, res.P, res.Block, res.Q, res.F, res.Clips, verdict)
+				s.Legend(), res.P, res.Block, res.Q, res.F, res.Clips, verdict)
 		}
 		fmt.Println()
 	}

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/experiments"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/units"
 )
@@ -25,15 +25,15 @@ func main() {
 	fmt.Printf("%-36s %8s %10s %15s %12s\n", "scheme", "p", "serviced", "deadline misses", "lost blocks")
 
 	cases := []struct {
-		scheme analytic.Scheme
+		scheme scheme.Scheme
 		p      int
 	}{
-		{analytic.Declustered, 2},
-		{analytic.Declustered, 32},
-		{analytic.PrefetchFlat, 2},
-		{analytic.PrefetchParityDisk, 8},
-		{analytic.StreamingRAID, 8},
-		{analytic.NonClustered, 8},
+		{scheme.Declustered, 2},
+		{scheme.Declustered, 32},
+		{scheme.PrefetchFlat, 2},
+		{scheme.PrefetchParityDisk, 8},
+		{scheme.StreamingRAID, 8},
+		{scheme.NonClustered, 8},
 	}
 	for _, c := range cases {
 		res, err := sim.Run(sim.Config{
@@ -52,7 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-36v %8d %10d %15d %12d\n",
-			c.scheme, c.p, res.Serviced, res.DeadlineMisses, res.LostBlocks)
+			c.scheme.Legend(), c.p, res.Serviced, res.DeadlineMisses, res.LostBlocks)
 	}
 
 	fmt.Println()

@@ -29,94 +29,9 @@ import (
 
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
-
-// Scheme enumerates the five fault-tolerant schemes the paper evaluates.
-type Scheme int
-
-// The schemes, in the paper's presentation order.
-const (
-	// Declustered is the declustered-parity scheme of §4 (also used by
-	// the §5 dynamic-reservation variant, whose capacity analysis is the
-	// same).
-	Declustered Scheme = iota
-	// PrefetchFlat is pre-fetching without parity disks (§6.2).
-	PrefetchFlat
-	// PrefetchParityDisk is pre-fetching with dedicated parity disks
-	// (§6.1).
-	PrefetchParityDisk
-	// StreamingRAID is the baseline of [TPBG93] (§7.3).
-	StreamingRAID
-	// NonClustered is the baseline of [BGM95] (§7.4).
-	NonClustered
-
-	numSchemes
-)
-
-// Schemes lists all schemes in presentation order.
-func Schemes() []Scheme {
-	return []Scheme{Declustered, PrefetchFlat, PrefetchParityDisk, StreamingRAID, NonClustered}
-}
-
-// String implements fmt.Stringer with the paper's figure-legend names.
-func (s Scheme) String() string {
-	switch s {
-	case Declustered:
-		return "Declustered parity"
-	case PrefetchFlat:
-		return "Pre-fetching without parity disk"
-	case PrefetchParityDisk:
-		return "Pre-fetching with parity disk"
-	case StreamingRAID:
-		return "Streaming RAID"
-	case NonClustered:
-		return "Non-clustered"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
-
-// Key returns the scheme's canonical string key — the name the buffer,
-// reliability and core packages switch on and cmsim's -scheme flag
-// accepts. (The §5 dynamic-reservation variant shares Declustered's
-// capacity analysis; its runtime key "declustered-dynamic" is selected
-// separately by the simulator's Dynamic knob.)
-func (s Scheme) Key() string {
-	switch s {
-	case Declustered:
-		return "declustered"
-	case PrefetchFlat:
-		return "prefetch-flat"
-	case PrefetchParityDisk:
-		return "prefetch-parity-disk"
-	case StreamingRAID:
-		return "streaming-raid"
-	case NonClustered:
-		return "non-clustered"
-	default:
-		return "unknown"
-	}
-}
-
-// Short returns a compact label for benchmark metric names and other
-// width-constrained output.
-func (s Scheme) Short() string {
-	switch s {
-	case Declustered:
-		return "decl"
-	case PrefetchFlat:
-		return "pflat"
-	case PrefetchParityDisk:
-		return "ppd"
-	case StreamingRAID:
-		return "sraid"
-	case NonClustered:
-		return "nc"
-	default:
-		return "unk"
-	}
-}
 
 // Config is the server sizing problem: the disk model, array width d,
 // server buffer B, and total storage requirement S of the clip library
@@ -169,8 +84,9 @@ func (c Config) MinGroupSize() int {
 
 // Result is one solved operating point.
 type Result struct {
-	// Scheme identifies the scheme solved for.
-	Scheme Scheme
+	// Scheme identifies the closed form solved: Declustered for the §5
+	// dynamic variant too, whose capacity analysis is §4's.
+	Scheme scheme.Scheme
 	// P is the parity group size.
 	P int
 	// Q is the per-disk (per-cluster for streaming RAID) blocks-per-round
@@ -239,7 +155,7 @@ func SolveDeclustered(c Config, p, f int) (Result, error) {
 		return Result{}, fmt.Errorf("analytic: declustered p=%d f=%d infeasible (q=%d)", p, f, q)
 	}
 	return Result{
-		Scheme: Declustered, P: p, Q: q, F: f, Rows: r, Block: b,
+		Scheme: scheme.Declustered, P: p, Q: q, F: f, Rows: r, Block: b,
 		Clips: (q - f) * c.D,
 	}, nil
 }
@@ -271,7 +187,7 @@ func SolvePrefetchFlat(c Config, p, f int) (Result, error) {
 		return Result{}, fmt.Errorf("analytic: prefetch-flat p=%d f=%d infeasible (q=%d)", p, f, q)
 	}
 	return Result{
-		Scheme: PrefetchFlat, P: p, Q: q, F: f, Block: b,
+		Scheme: scheme.PrefetchFlat, P: p, Q: q, F: f, Block: b,
 		Clips: (q - f) * c.D,
 	}, nil
 }
@@ -295,7 +211,7 @@ func SolvePrefetchParityDisk(c Config, p int) (Result, error) {
 		return Result{}, fmt.Errorf("analytic: prefetch-parity-disk p=%d infeasible", p)
 	}
 	return Result{
-		Scheme: PrefetchParityDisk, P: p, Q: q, Block: b,
+		Scheme: scheme.PrefetchParityDisk, P: p, Q: q, Block: b,
 		Clips: q * dataDisks,
 	}, nil
 }
@@ -333,7 +249,7 @@ func SolveStreamingRAID(c Config, p int) (Result, error) {
 		return Result{}, fmt.Errorf("analytic: streaming RAID p=%d infeasible", p)
 	}
 	return Result{
-		Scheme: StreamingRAID, P: p, Q: q, Block: b,
+		Scheme: scheme.StreamingRAID, P: p, Q: q, Block: b,
 		Clips: q * clusters,
 	}, nil
 }
@@ -360,7 +276,7 @@ func SolveNonClustered(c Config, p int) (Result, error) {
 		return Result{}, fmt.Errorf("analytic: non-clustered p=%d infeasible", p)
 	}
 	return Result{
-		Scheme: NonClustered, P: p, Q: q, Block: b,
+		Scheme: scheme.NonClustered, P: p, Q: q, Block: b,
 		Clips: q * (p - 1) * clusters,
 	}, nil
 }
@@ -369,28 +285,29 @@ func SolveNonClustered(c Config, p int) (Result, error) {
 // search (Figure 4's inner loop) for the two schemes that reserve
 // contingency bandwidth: f grows from 1 until the row/class capacity
 // covers the admitted clips (r·f ≥ q−f for declustered with
-// r = ⌊(d−1)/(p−1)⌋; f·(d−(p−1)) ≥ q−f for prefetch-flat).
-func Solve(c Config, s Scheme, p int) (Result, error) {
+// r = ⌊(d−1)/(p−1)⌋; f·(d−(p−1)) ≥ q−f for prefetch-flat). The §5
+// dynamic variant shares the declustered closed form; P+Q has none.
+func Solve(c Config, s scheme.Scheme, p int) (Result, error) {
 	switch s {
-	case Declustered:
+	case scheme.Declustered, scheme.DeclusteredDynamic:
 		r := (c.D - 1) / (p - 1)
 		if r < 1 {
 			r = 1
 		}
 		return solveWithF(p, func(f int) (Result, error) { return SolveDeclustered(c, p, f) },
 			func(res Result, f int) bool { return r*f >= res.Q-f })
-	case PrefetchFlat:
+	case scheme.PrefetchFlat:
 		m := c.D - (p - 1)
 		return solveWithF(p, func(f int) (Result, error) { return SolvePrefetchFlat(c, p, f) },
 			func(res Result, f int) bool { return f*m >= res.Q-f })
-	case PrefetchParityDisk:
+	case scheme.PrefetchParityDisk:
 		return SolvePrefetchParityDisk(c, p)
-	case StreamingRAID:
+	case scheme.StreamingRAID:
 		return SolveStreamingRAID(c, p)
-	case NonClustered:
+	case scheme.NonClustered:
 		return SolveNonClustered(c, p)
 	default:
-		return Result{}, fmt.Errorf("analytic: unknown scheme %d", int(s))
+		return Result{}, fmt.Errorf("analytic: no §7 closed form for scheme %v", s)
 	}
 }
 
@@ -417,7 +334,7 @@ func solveWithF(p int, solve func(f int) (Result, error), enough func(Result, in
 // Optimize runs the outer loop of Figure 4 for one scheme: p sweeps from
 // max(pmin, 2) to d (restricted to feasible geometries), and the point
 // maximizing Clips wins.
-func Optimize(c Config, s Scheme) (Result, error) {
+func Optimize(c Config, s scheme.Scheme) (Result, error) {
 	return OptimizeWorkers(c, s, 0)
 }
 
@@ -426,7 +343,7 @@ func Optimize(c Config, s Scheme) (Result, error) {
 // Candidate solves are independent and the best-point scan runs over the
 // collected results in ascending p, so the chosen operating point is
 // identical to the sequential sweep's for any worker count.
-func OptimizeWorkers(c Config, s Scheme, workers int) (Result, error) {
+func OptimizeWorkers(c Config, s scheme.Scheme, workers int) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}

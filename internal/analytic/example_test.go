@@ -5,6 +5,7 @@ import (
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -17,7 +18,7 @@ func ExampleOptimize() {
 		Buffer:  256 * units.MB,
 		Storage: 9 * units.GB,
 	}
-	res, err := analytic.Optimize(cfg, analytic.Declustered)
+	res, err := analytic.Optimize(cfg, scheme.Declustered)
 	if err != nil {
 		panic(err)
 	}

@@ -3,6 +3,7 @@ package analytic
 import (
 	"testing"
 
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -36,7 +37,7 @@ func TestSolveMixedValidation(t *testing.T) {
 // solver (same constraints, different search granularity).
 func TestSolveMixedUniformMatchesSingleRate(t *testing.T) {
 	c := paperConfig(256 * units.MB)
-	single := solveAt(t, c, Declustered, 4)
+	single := solveAt(t, c, scheme.Declustered, 4)
 	mixed, err := SolveMixed(c, 4, single.F, MPEG1Mix())
 	if err != nil {
 		t.Fatal(err)

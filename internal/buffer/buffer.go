@@ -1,9 +1,7 @@
 // Package buffer implements the server RAM buffer accounting of the
-// paper: every scheme allocates a fixed per-clip buffer before data
-// retrieval starts (2·b for declustered and non-clustered, p·b for plain
-// pre-fetching, p·b/2 with the staggered-group optimization,
-// 2·(p−1)·b for streaming RAID), and the total may never exceed the
-// server buffer B.
+// paper: every stream reserves a fixed per-clip buffer before data
+// retrieval starts (its size is the scheme's; see scheme.PerClip), and
+// the total may never exceed the server buffer B.
 package buffer
 
 import (
@@ -62,30 +60,4 @@ func (p *Pool) Release(size units.Bits) {
 	}
 	p.used -= size
 	p.clips--
-}
-
-// PerClip returns the per-clip buffer requirement of each scheme for
-// block size b and parity group size p, following §4, §6 and §7:
-//
-//	declustered, dynamic:     2·b
-//	prefetch (staggered):     p·b/2
-//	streaming RAID:           2·(p−1)·b
-//	non-clustered:            2·b
-//
-// The prefetch figure covers both §6.1 and §6.2, which share the
-// staggered-group optimization of [BGM95].
-func PerClip(scheme string, b units.Bits, p int) (units.Bits, error) {
-	if b <= 0 || p < 2 {
-		return 0, fmt.Errorf("buffer: bad parameters b=%d p=%d", b, p)
-	}
-	switch scheme {
-	case "declustered", "declustered-dynamic", "non-clustered", "declustered-pq":
-		return 2 * b, nil
-	case "prefetch-parity-disk", "prefetch-flat":
-		return units.Bits(p) * b / 2, nil
-	case "streaming-raid":
-		return 2 * units.Bits(p-1) * b, nil
-	default:
-		return 0, fmt.Errorf("buffer: unknown scheme %q", scheme)
-	}
 }

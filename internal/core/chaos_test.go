@@ -28,7 +28,7 @@ type chaosStream struct {
 // interleave.
 func TestChaos(t *testing.T) {
 	for _, scheme := range []Scheme{Declustered, DeclusteredDynamic, PrefetchParityDisk, PrefetchFlat, StreamingRAID, NonClustered} {
-		t.Run(string(scheme), func(t *testing.T) {
+		t.Run(scheme.Key(), func(t *testing.T) {
 			d, p := 8, 4
 			switch scheme {
 			case Declustered, DeclusteredDynamic:
@@ -42,7 +42,7 @@ func TestChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(int64(len(scheme))))
+			rng := rand.New(rand.NewSource(int64(len(scheme.Key()))))
 			clips := make([][]byte, 6)
 			for i := range clips {
 				clips[i] = clipBytes(int64(1000+i), 40_000+i*8000)
@@ -223,7 +223,7 @@ func TestChaosMultiFault(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rng := rand.New(rand.NewSource(seed*100 + int64(len(scheme))))
+				rng := rand.New(rand.NewSource(seed*100 + int64(len(scheme.Key()))))
 				clips := make([][]byte, 4)
 				for i := range clips {
 					clips[i] = clipBytes(seed*10+int64(i), 40_000+i*8000)

@@ -30,38 +30,24 @@ import (
 	"ftcms/internal/parallel"
 	"ftcms/internal/recovery"
 	"ftcms/internal/sched"
+	"ftcms/internal/scheme"
 	"ftcms/internal/storage"
 	"ftcms/internal/units"
 )
 
-// Scheme names the fault-tolerance scheme a Server runs.
-type Scheme string
+// Scheme selects a Server's fault-tolerance scheme; the constants are
+// the scheme package's, re-exported for the facade's callers.
+type Scheme = scheme.Scheme
 
-// The five schemes of the paper.
+// The seven schemes (see package scheme).
 const (
-	// Declustered is the §4 declustered-parity scheme with static
-	// contingency reservation.
-	Declustered Scheme = "declustered"
-	// DeclusteredDynamic is the §5 dynamic reservation scheme: the same
-	// declustered layout organized as r super-clips, with per-clip
-	// contingency reservations instead of a static f.
-	DeclusteredDynamic Scheme = "declustered-dynamic"
-	// PrefetchParityDisk is the §6.1 pre-fetching scheme with dedicated
-	// parity disks.
-	PrefetchParityDisk Scheme = "prefetch-parity-disk"
-	// PrefetchFlat is the §6.2 pre-fetching scheme with flat parity
-	// placement.
-	PrefetchFlat Scheme = "prefetch-flat"
-	// StreamingRAID is the [TPBG93] baseline: whole-group retrieval.
-	StreamingRAID Scheme = "streaming-raid"
-	// NonClustered is the [BGM95] baseline: parity disks, no
-	// pre-fetching, degraded-mode whole-group reads.
-	NonClustered Scheme = "non-clustered"
-	// DeclusteredPQ is the §4 declustered scheme hardened with RAID-6
-	// style P+Q double parity: every group carries an XOR column and a
-	// GF(2^8) Reed-Solomon column, so any two overlapping disk failures
-	// stay recoverable and up to two online rebuilds run concurrently.
-	DeclusteredPQ Scheme = "declustered-pq"
+	Declustered        = scheme.Declustered
+	DeclusteredDynamic = scheme.DeclusteredDynamic
+	DeclusteredPQ      = scheme.DeclusteredPQ
+	PrefetchParityDisk = scheme.PrefetchParityDisk
+	PrefetchFlat       = scheme.PrefetchFlat
+	StreamingRAID      = scheme.StreamingRAID
+	NonClustered       = scheme.NonClustered
 )
 
 // Config sizes a Server.
@@ -202,22 +188,21 @@ type Server struct {
 	cfg Config
 	lay layout.Layout
 	// pgt is lay by its concrete type under the three PGT-driven schemes
-	// (nil under the others), whose admission coordinates are its rows.
+	// (nil under the others).
 	pgt    *layout.Declustered
 	store  *recovery.Store
 	engine *sched.Engine
 	pool   *buffer.Pool
 
-	// ctrl is the scheme's admission controller (see admit for the
-	// coordinates each scheme books in).
+	// ctrl is the scheme's admission controller.
 	ctrl  admission.Controller
 	clips map[string]clipInfo
 	// spans indexes the stored clips by position in the logical address
 	// space (see publish, clipAt).
 	spans    []clipSpan
 	nextFree int64 // next free logical block in the store
-	// nextFreeRow is the per-super-clip allocation cursor (dynamic scheme
-	// only): clip blocks of row k go to logical k + i·r.
+	// nextFreeRow is the per-super-clip allocation cursor, nil unless the
+	// scheme is dynamic (§5.1): clip blocks of row k go to logical k + i·r.
 	nextFreeRow []int64
 	// clipCount round-robins super-clip assignment for the dynamic
 	// scheme.
@@ -349,18 +334,22 @@ func New(cfg Config) (*Server, error) {
 		clips:         make(map[string]clipInfo),
 		imports:       make(map[string]*importState),
 		failRound:     make([]int64, cfg.D),
-		prefetchDepth: 1,
+		prefetchDepth: int64(cfg.Scheme.PrefetchDepth(cfg.P)),
+		groupFetch:    cfg.Scheme.GroupFetch(),
+		erasures:      cfg.Scheme.ParityCols(),
 	}
 	for i := range s.failRound {
 		s.failRound[i] = -1
 	}
 
-	lay, pgt, err := newLayout(cfg.Scheme, cfg.D, cfg.P, cfg.Capacity)
+	lay, pgt, err := cfg.Scheme.Layout(cfg.D, cfg.P, cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
 	s.lay, s.pgt = lay, pgt
-	s.erasures = parityCols(lay.GroupOf(0))
+	if cfg.Scheme.Dynamic() {
+		s.nextFreeRow = make([]int64, pgt.Rows())
+	}
 
 	arr, err := storage.NewArray(cfg.D, int(cfg.Block.Bytes()))
 	if err != nil {
@@ -388,67 +377,10 @@ func New(cfg Config) (*Server, error) {
 		arr.SetReadHook(s.injector.Hook)
 	}
 
-	switch cfg.Scheme {
-	case PrefetchParityDisk, PrefetchFlat, StreamingRAID:
-		s.prefetchDepth = int64(cfg.P - 1)
-		s.groupFetch = cfg.Scheme == StreamingRAID
-	}
-	switch cfg.Scheme {
-	case Declustered, DeclusteredPQ, PrefetchFlat:
-		// P+Q keeps single parity's static contingency reservation: a
-		// double-degraded read still spreads over one parity group, only
-		// with up to one extra source per block. The classes booked per
-		// disk are the PGT rows, or the flat placement's d−(p−1)
-		// parity-target residues.
-		m := cfg.D - (cfg.P - 1)
-		if pgt != nil {
-			m = pgt.Rows()
-		}
-		s.ctrl, err = admission.NewStatic(cfg.D, m, cfg.Q, max(cfg.F, 1))
-	case DeclusteredDynamic:
-		s.nextFreeRow = make([]int64, pgt.Rows())
-		s.ctrl, err = admission.NewDynamic(pgt.Table, cfg.Q)
-	case PrefetchParityDisk, NonClustered, StreamingRAID:
-		n := cfg.D * (cfg.P - 1) / cfg.P // data disks
-		if cfg.Scheme == StreamingRAID {
-			n = cfg.D / cfg.P // clusters
-		}
-		var simple *admission.Simple
-		simple, err = admission.NewSimple(n, cfg.Q)
-		s.ctrl = admission.Unclassed{Simple: simple}
-	}
-	if err != nil {
+	if s.ctrl, err = cfg.Scheme.Admission(cfg.D, cfg.P, cfg.Q, cfg.F, pgt); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// newLayout is the scheme → placement mapping, for New and for AddDisk's
-// wider array. pgt is lay by its concrete type when the scheme is driven
-// by a parity group table, nil otherwise.
-func newLayout(scheme Scheme, d, p int, capacity int64) (lay layout.Layout, pgt *layout.Declustered, err error) {
-	switch scheme {
-	case Declustered:
-		pgt, err = layout.NewDeclustered(d, p)
-	case DeclusteredPQ:
-		pgt, err = layout.NewDeclusteredPQ(d, p)
-	case DeclusteredDynamic:
-		pgt, err = layout.NewInterleaved(d, p)
-	case PrefetchParityDisk:
-		lay, err = layout.NewPrefetchParityDisk(d, p)
-	case PrefetchFlat:
-		lay, err = layout.NewFlatUniform(d, p, capacity)
-	case StreamingRAID:
-		lay, err = layout.NewStreamingRAID(d, p)
-	case NonClustered:
-		lay, err = layout.NewNonClustered(d, p)
-	default:
-		err = fmt.Errorf("core: unknown scheme %q", scheme)
-	}
-	if pgt != nil {
-		lay = pgt
-	}
-	return lay, pgt, err
 }
 
 // BlockSize returns the configured block size.
@@ -468,11 +400,7 @@ func (s *Server) ActiveStreams() int { return s.active }
 // RoundDuration returns the playback time one round covers — b/r_p, or
 // (p−1)·b/r_p for streaming RAID's whole-group rounds.
 func (s *Server) RoundDuration() units.Duration {
-	d := s.cfg.Disk.RoundDuration(s.cfg.Block)
-	if s.groupFetch {
-		return units.Duration(s.cfg.P-1) * d
-	}
-	return d
+	return units.Duration(s.cfg.Scheme.RoundBlocks(s.cfg.P)) * s.cfg.Disk.RoundDuration(s.cfg.Block)
 }
 
 // clipBlocks returns how many store blocks a payload of size bytes
@@ -496,7 +424,7 @@ func (s *Server) clipBlocks(size int64) int64 {
 func (s *Server) allocClip(size int64) (clipInfo, error) {
 	blocks := s.clipBlocks(size)
 	var start, stride int64
-	if s.cfg.Scheme == DeclusteredDynamic {
+	if s.nextFreeRow != nil {
 		// §5.1: each clip lives wholly inside one super-clip; assign
 		// rows round-robin and allocate within the row.
 		r := int64(s.pgt.Rows())
@@ -691,7 +619,7 @@ func (s *Server) CapacityBlocks() int64 { return s.cfg.Capacity }
 // remaining row capacity (a clip must fit inside one super-clip, so a
 // large clip can be refused even with this much total space free).
 func (s *Server) FreeBlocks() int64 {
-	if s.cfg.Scheme == DeclusteredDynamic {
+	if s.nextFreeRow != nil {
 		r := int64(len(s.nextFreeRow))
 		perRow := s.cfg.Capacity / r
 		var free int64

@@ -97,15 +97,21 @@ func drainStream(t *testing.T, s *Server, st *Stream, maxTicks int) []byte {
 	return nil
 }
 
+// TestNewRejectsInvalidScheme: the zero Scheme and an out-of-range value
+// are both refused.
+func TestNewRejectsInvalidScheme(t *testing.T) {
+	for _, sc := range []Scheme{0, 99} {
+		if _, err := New(testConfig(sc, 7, 3)); err == nil {
+			t.Errorf("accepted scheme %v", sc)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	cfg := testConfig(Declustered, 7, 3)
 	cfg.D = 1
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted d=1")
-	}
-	cfg = testConfig(Scheme("bogus"), 7, 3)
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted unknown scheme")
 	}
 	cfg = testConfig(Declustered, 7, 3)
 	cfg.Block = 100 // violates Equation 1 at q=8

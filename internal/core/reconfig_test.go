@@ -118,7 +118,7 @@ func TestClipImportAbortReclaims(t *testing.T) {
 // and fault injection still reaches the new array.
 func TestAddDiskRelayout(t *testing.T) {
 	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
-		t.Run(string(scheme), func(t *testing.T) { addDiskRelayout(t, scheme) })
+		t.Run(scheme.Key(), func(t *testing.T) { addDiskRelayout(t, scheme) })
 	}
 }
 

@@ -48,9 +48,7 @@ func (s *Server) Relayouting() bool { return s.relayout != nil }
 // The re-layout runs in the background on idle capacity; the wider
 // geometry (and the extra capacity) becomes visible only at the flip.
 func (s *Server) AddDisk() error {
-	switch s.cfg.Scheme {
-	case Declustered, DeclusteredPQ:
-	default:
+	if !s.cfg.Scheme.CanAddDisk() {
 		return fmt.Errorf("core: AddDisk unsupported for scheme %q", s.cfg.Scheme)
 	}
 	if s.relayout != nil {
@@ -63,7 +61,7 @@ func (s *Server) AddDisk() error {
 		return errors.New("core: array not healthy; repair before growing")
 	}
 	d2 := s.cfg.D + 1
-	_, lay2, err := newLayout(s.cfg.Scheme, d2, s.cfg.P, 0)
+	lay2, err := s.cfg.Scheme.Table(d2, s.cfg.P)
 	if err != nil {
 		return err
 	}
@@ -142,7 +140,7 @@ func (s *Server) relayoutStep() {
 func (s *Server) finishRelayout() {
 	rl := s.relayout
 	d2 := s.cfg.D + 1
-	newAdmit, err := admission.NewStatic(d2, rl.lay.Rows(), s.cfg.Q, max(s.cfg.F, 1))
+	newAdmit, err := s.cfg.Scheme.Admission(d2, s.cfg.P, s.cfg.Q, s.cfg.F, rl.lay)
 	if err != nil {
 		// Geometry the admission layer cannot express (cannot happen for
 		// the supported schemes); abandon rather than wedge the server.
@@ -157,7 +155,8 @@ func (s *Server) finishRelayout() {
 			continue
 		}
 		pos := st.clip.block(min(st.nextFetch, st.clip.blocks-1))
-		tk, ok := newAdmit.Admit(now, rl.lay.Place(pos).Disk, rl.lay.RowOf(pos))
+		unit, class := s.cfg.Scheme.Coords(rl.lay, rl.lay, pos)
+		tk, ok := newAdmit.Admit(now, unit, class)
 		if !ok {
 			return // defer the flip; retry next round with the old view intact
 		}

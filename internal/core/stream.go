@@ -8,8 +8,6 @@ import (
 	"slices"
 
 	"ftcms/internal/admission"
-	"ftcms/internal/buffer"
-	"ftcms/internal/layout"
 	"ftcms/internal/recovery"
 	"ftcms/internal/storage"
 	"ftcms/internal/units"
@@ -217,27 +215,11 @@ func (s *Server) compactReg() {
 // in the current round, mapping the real placement of start — the logical
 // block fetching begins at — to the scheme's admission coordinates.
 func (s *Server) admit(start int64) (admission.Ticket, units.Bits, error) {
-	perClip, err := buffer.PerClip(string(s.cfg.Scheme), s.cfg.Block, s.cfg.P)
-	if err != nil {
-		return admission.Ticket{}, 0, err
-	}
+	perClip := s.cfg.Scheme.PerClip(s.cfg.Block, s.cfg.P)
 	if !s.pool.Reserve(perClip) {
 		return admission.Ticket{}, 0, fmt.Errorf("%w: buffer pool full", ErrAdmission)
 	}
-	var unit, class int
-	switch s.cfg.Scheme {
-	case Declustered, DeclusteredPQ, DeclusteredDynamic:
-		unit, class = s.pgt.Place(start).Disk, s.pgt.RowOf(start)
-	case PrefetchFlat:
-		l := s.lay.(*layout.FlatUniform)
-		addr := l.Place(start)
-		unit, class = addr.Disk, l.ParityTargetClass(addr.Block)
-	case PrefetchParityDisk, NonClustered:
-		addr := s.lay.Place(start)
-		unit = addr.Disk/s.cfg.P*(s.cfg.P-1) + addr.Disk%s.cfg.P
-	case StreamingRAID:
-		unit = s.lay.Place(start).Disk / s.cfg.P
-	}
+	unit, class := s.cfg.Scheme.Coords(s.lay, s.pgt, start)
 	tk, ok := s.ctrl.Admit(s.engine.Round(), unit, class)
 	if !ok {
 		s.pool.Release(perClip)

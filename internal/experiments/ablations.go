@@ -7,6 +7,7 @@ import (
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
@@ -36,7 +37,7 @@ func AdmissionAblation(buffer units.Bits, seed int64) ([]AdmissionAblationPoint,
 	base := sim.Config{
 		Disk: diskmodel.Default(), D: 32, Buffer: buffer, Catalog: cat,
 		ArrivalRate: 20, Duration: 600 * units.Second, Seed: seed,
-		Scheme: analytic.Declustered,
+		Scheme: scheme.Declustered,
 	}
 	return parallel.Map(len(GroupSizes), 0, func(k int) (AdmissionAblationPoint, error) {
 		pt := AdmissionAblationPoint{P: GroupSizes[k]}
@@ -48,14 +49,14 @@ func AdmissionAblation(buffer units.Bits, seed int64) ([]AdmissionAblationPoint,
 		}
 		pt.StaticServiced, pt.StaticResponse, pt.BypassMaxQueue = res.Serviced, res.MeanResponse, res.MaxQueue
 
-		cfg.Dynamic = true
-		res, err = sim.Run(cfg)
+		dyn := cfg
+		dyn.Scheme = scheme.DeclusteredDynamic
+		res, err = sim.Run(dyn)
 		if err != nil {
 			return pt, err
 		}
 		pt.DynamicServiced, pt.DynamicResponse = res.Serviced, res.MeanResponse
 
-		cfg.Dynamic = false
 		cfg.QueueBypass = -1
 		res, err = sim.Run(cfg)
 		if err != nil {
@@ -94,7 +95,7 @@ func StaggeredAblation(buffer units.Bits) ([]StaggeredAblationPoint, error) {
 	cfg := PaperAnalyticConfig(buffer)
 	var out []StaggeredAblationPoint
 	for _, p := range GroupSizes {
-		stag, err := analytic.Solve(cfg, analytic.PrefetchFlat, p)
+		stag, err := analytic.Solve(cfg, scheme.PrefetchFlat, p)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +103,7 @@ func StaggeredAblation(buffer units.Bits) ([]StaggeredAblationPoint, error) {
 		// equivalent to halving B in the staggered formulas.
 		half := cfg
 		half.Buffer = cfg.Buffer / 2
-		plain, err := analytic.Solve(half, analytic.PrefetchFlat, p)
+		plain, err := analytic.Solve(half, scheme.PrefetchFlat, p)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +124,7 @@ var StaggeredColumns = []trace.Column[StaggeredAblationPoint]{
 
 // ContinuityPoint summarizes a failure-injection run (E10).
 type ContinuityPoint struct {
-	Scheme         analytic.Scheme
+	Scheme         scheme.Scheme
 	P              int
 	Serviced       int
 	DeadlineMisses int64
@@ -136,15 +137,15 @@ type ContinuityPoint struct {
 func FailureContinuity(buffer units.Bits, seed int64) ([]ContinuityPoint, error) {
 	cat := PaperCatalog()
 	cases := []struct {
-		s analytic.Scheme
+		s scheme.Scheme
 		p int
 	}{
-		{analytic.Declustered, 2},
-		{analytic.Declustered, 32},
-		{analytic.PrefetchFlat, 2},
-		{analytic.PrefetchParityDisk, 8},
-		{analytic.StreamingRAID, 8},
-		{analytic.NonClustered, 8},
+		{scheme.Declustered, 2},
+		{scheme.Declustered, 32},
+		{scheme.PrefetchFlat, 2},
+		{scheme.PrefetchParityDisk, 8},
+		{scheme.StreamingRAID, 8},
+		{scheme.NonClustered, 8},
 	}
 	return parallel.Map(len(cases), 0, func(k int) (ContinuityPoint, error) {
 		c := cases[k]
@@ -166,7 +167,7 @@ func FailureContinuity(buffer units.Bits, seed int64) ([]ContinuityPoint, error)
 
 // ContinuityColumns is E10's table.
 var ContinuityColumns = []trace.Column[ContinuityPoint]{
-	trace.Col("scheme", "scheme", func(pt ContinuityPoint) any { return pt.Scheme }),
+	trace.Col("scheme", "scheme", func(pt ContinuityPoint) any { return pt.Scheme.Legend() }),
 	trace.Col("p", "p", func(pt ContinuityPoint) any { return pt.P }),
 	trace.Col("serviced", "serviced", func(pt ContinuityPoint) any { return pt.Serviced }),
 	trace.Col("deadline_misses", "deadline misses", func(pt ContinuityPoint) any { return pt.DeadlineMisses }),

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
@@ -68,7 +68,7 @@ func (c ClusterSweepConfig) withDefaults() ClusterSweepConfig {
 // cluster-wide Poisson load.
 func (c ClusterSweepConfig) node(catalog *workload.Catalog, rate float64, duration units.Duration) sim.Config {
 	return sim.Config{
-		Scheme:      analytic.Declustered,
+		Scheme:      scheme.Declustered,
 		Disk:        diskmodel.Default(),
 		D:           16,
 		P:           4,

@@ -221,12 +221,7 @@ func MeasureRebuild(scheme core.Scheme) (int64, int64, error) {
 		return 0, 0, fmt.Errorf("%s: rebuild never completed", scheme)
 	}
 	roundDur := cfg.Disk.RoundDuration(cfg.Block)
-	var rt units.Duration
-	if scheme == core.DeclusteredPQ {
-		rt, err = reliability.RebuildTimePQ(entries, cfg.P, cfg.D, cfg.Q, roundDur)
-	} else {
-		rt, err = reliability.RebuildTime(entries, cfg.P, cfg.D, cfg.Q, roundDur)
-	}
+	rt, err := reliability.RebuildTime(entries, cfg.P, scheme.ParityCols(), cfg.D, cfg.Q, roundDur)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -273,7 +268,7 @@ func mttdlTradeoff(p Params) (string, []reliability.Tradeoff, error) {
 	disk := diskmodel.Default()
 	block := 8 * units.KB
 	blocks := int64(disk.Capacity / block)
-	rt, err := reliability.RebuildTime(blocks, p.P, p.D, 1, disk.RoundDuration(block))
+	rt, err := reliability.RebuildTime(blocks, p.P, 1, p.D, 1, disk.RoundDuration(block))
 	if err != nil {
 		return "", nil, err
 	}

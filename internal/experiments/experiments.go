@@ -16,6 +16,7 @@ import (
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
@@ -50,7 +51,7 @@ func PaperAnalyticConfig(buffer units.Bits) analytic.Config {
 
 // Figure5Point is one (scheme, p) operating point of the analytic study.
 type Figure5Point struct {
-	Scheme analytic.Scheme
+	Scheme scheme.Scheme
 	P      int
 	// Clips is the number of concurrently serviceable clips (the Figure 5
 	// y-axis).
@@ -63,7 +64,7 @@ type Figure5Point struct {
 // Figure5Columns pivots scheme × p on clips in the text table; the CSV
 // carries the solved operating point too.
 var Figure5Columns = []trace.Column[Figure5Point]{
-	trace.Col("scheme", "scheme", func(pt Figure5Point) any { return pt.Scheme }),
+	trace.Col("scheme", "scheme", func(pt Figure5Point) any { return pt.Scheme.Legend() }),
 	trace.Col("p", "p", func(pt Figure5Point) any { return pt.P }),
 	trace.Col("clips", "clips", func(pt Figure5Point) any { return pt.Clips }),
 	trace.Col("q", "", func(pt Figure5Point) any { return pt.Q }),
@@ -78,7 +79,7 @@ var Figure5Columns = []trace.Column[Figure5Point]{
 // worker count.
 func Figure5(buffer units.Bits, workers int) ([]Figure5Point, error) {
 	cfg := PaperAnalyticConfig(buffer)
-	schemes := analytic.Schemes()
+	schemes := scheme.Paper()
 	return parallel.Map(len(schemes)*len(GroupSizes), workers, func(k int) (Figure5Point, error) {
 		s := schemes[k/len(GroupSizes)]
 		p := GroupSizes[k%len(GroupSizes)]
@@ -94,7 +95,7 @@ func Figure5(buffer units.Bits, workers int) ([]Figure5Point, error) {
 
 // Figure6Point is one (scheme, p) result of the simulation study.
 type Figure6Point struct {
-	Scheme analytic.Scheme
+	Scheme scheme.Scheme
 	P      int
 	// Serviced is the clips serviced in 600 time units (the Figure 6
 	// y-axis).
@@ -107,7 +108,7 @@ type Figure6Point struct {
 
 // Figure6Columns pivots scheme × p on serviced in the text table.
 var Figure6Columns = []trace.Column[Figure6Point]{
-	trace.Col("scheme", "scheme", func(pt Figure6Point) any { return pt.Scheme }),
+	trace.Col("scheme", "scheme", func(pt Figure6Point) any { return pt.Scheme.Legend() }),
 	trace.Col("p", "p", func(pt Figure6Point) any { return pt.P }),
 	trace.Col("serviced", "serviced", func(pt Figure6Point) any { return pt.Serviced }),
 	trace.Col("peak_active", "", func(pt Figure6Point) any { return pt.PeakActive }),
@@ -137,7 +138,7 @@ func Figure6(cfg Figure6Config) ([]Figure6Point, error) {
 		cfg.Duration = 600 * units.Second
 	}
 	cat := PaperCatalog()
-	schemes := analytic.Schemes()
+	schemes := scheme.Paper()
 	return parallel.Map(len(schemes)*len(GroupSizes), cfg.Workers, func(k int) (Figure6Point, error) {
 		s := schemes[k/len(GroupSizes)]
 		p := GroupSizes[k%len(GroupSizes)]
@@ -183,14 +184,14 @@ func optimal(w io.Writer, p Params) error {
 	cfg := PaperAnalyticConfig(p.Buffer)
 	cfg.D = p.D
 	fmt.Fprintf(w, "computeOptimal — d=%d, B=%v\n", p.D, p.Buffer)
-	for _, s := range analytic.Schemes() {
+	for _, s := range scheme.Paper() {
 		res, err := analytic.Optimize(cfg, s)
 		if err != nil {
-			fmt.Fprintf(w, "  %-36s infeasible: %v\n", s, err)
+			fmt.Fprintf(w, "  %-36s infeasible: %v\n", s.Legend(), err)
 			continue
 		}
 		fmt.Fprintf(w, "  %-36s p=%-3d b=%-9v q=%-3d f=%-3d -> %d clips\n",
-			s, res.P, res.Block, res.Q, res.F, res.Clips)
+			s.Legend(), res.P, res.Block, res.Q, res.F, res.Clips)
 	}
 	return nil
 }

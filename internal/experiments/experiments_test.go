@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ftcms/internal/analytic"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -37,8 +38,8 @@ func TestFigure5Complete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pts) != len(analytic.Schemes())*len(GroupSizes) {
-			t.Fatalf("B=%v: %d points, want %d", buf, len(pts), len(analytic.Schemes())*len(GroupSizes))
+		if len(pts) != len(scheme.Paper())*len(GroupSizes) {
+			t.Fatalf("B=%v: %d points, want %d", buf, len(pts), len(scheme.Paper())*len(GroupSizes))
 		}
 		for _, pt := range pts {
 			if pt.Clips < 1 || pt.Q < 1 || pt.Block <= 0 {
@@ -121,7 +122,7 @@ func TestFailureContinuity(t *testing.T) {
 	}
 	sawNonClusteredLoss := false
 	for _, pt := range pts {
-		if pt.Scheme == analytic.NonClustered {
+		if pt.Scheme == scheme.NonClustered {
 			if pt.LostBlocks > 0 {
 				sawNonClusteredLoss = true
 			}
@@ -166,14 +167,14 @@ func TestRebuildAblation(t *testing.T) {
 		}
 	}
 	for _, p := range GroupSizes {
-		decl := byKey[analytic.Declustered.String()+"-"+fmt.Sprint(p)]
-		sraid := byKey[analytic.StreamingRAID.String()+"-"+fmt.Sprint(p)]
+		decl := byKey[scheme.Declustered.String()+"-"+fmt.Sprint(p)]
+		sraid := byKey[scheme.StreamingRAID.String()+"-"+fmt.Sprint(p)]
 		if decl.Rebuild > sraid.Rebuild {
 			t.Errorf("p=%d: declustered rebuild %v slower than streaming RAID %v", p, decl.Rebuild, sraid.Rebuild)
 		}
 	}
 	// Small p: clustered critical set (p−1) beats declustered's d−1.
-	if byKey[analytic.StreamingRAID.String()+"-2"].MTTDL <= byKey[analytic.Declustered.String()+"-2"].MTTDL {
+	if byKey[scheme.StreamingRAID.String()+"-2"].MTTDL <= byKey[scheme.Declustered.String()+"-2"].MTTDL {
 		t.Error("p=2: clustered MTTDL should beat declustered")
 	}
 	if !strings.Contains(render(t, "cmopt", "rebuild", Params{Buffer: 256 * units.MB}, false), "E11") {
@@ -206,16 +207,16 @@ func TestConservatismAblation(t *testing.T) {
 // capacity model and must be deliberate (update EXPERIMENTS.md with it).
 func TestFigure5Golden(t *testing.T) {
 	want := map[string][5]int{
-		"256:" + analytic.Declustered.String():        {672, 640, 576, 480, 352},
-		"256:" + analytic.PrefetchFlat.String():       {768, 672, 576, 448, 224},
-		"256:" + analytic.PrefetchParityDisk.String(): {432, 552, 532, 450, 341},
-		"256:" + analytic.StreamingRAID.String():      {400, 464, 404, 320, 243},
-		"256:" + analytic.NonClustered.String():       {400, 552, 616, 540, 341},
-		"2g:" + analytic.Declustered.String():         {864, 800, 704, 576, 448},
-		"2g:" + analytic.PrefetchFlat.String():        {896, 864, 800, 736, 384},
-		"2g:" + analytic.PrefetchParityDisk.String():  {464, 672, 756, 750, 682},
-		"2g:" + analytic.StreamingRAID.String():       {464, 656, 680, 622, 525},
-		"2g:" + analytic.NonClustered.String():        {464, 672, 784, 780, 682},
+		"256:" + scheme.Declustered.String():        {672, 640, 576, 480, 352},
+		"256:" + scheme.PrefetchFlat.String():       {768, 672, 576, 448, 224},
+		"256:" + scheme.PrefetchParityDisk.String(): {432, 552, 532, 450, 341},
+		"256:" + scheme.StreamingRAID.String():      {400, 464, 404, 320, 243},
+		"256:" + scheme.NonClustered.String():       {400, 552, 616, 540, 341},
+		"2g:" + scheme.Declustered.String():         {864, 800, 704, 576, 448},
+		"2g:" + scheme.PrefetchFlat.String():        {896, 864, 800, 736, 384},
+		"2g:" + scheme.PrefetchParityDisk.String():  {464, 672, 756, 750, 682},
+		"2g:" + scheme.StreamingRAID.String():       {464, 656, 680, 622, 525},
+		"2g:" + scheme.NonClustered.String():        {464, 672, 784, 780, 682},
 	}
 	for tag, buf := range map[string]units.Bits{"256": 256 * units.MB, "2g": 2 * units.GB} {
 		pts, err := Figure5(buf, 0)
@@ -255,14 +256,14 @@ func TestSimLoadBalance(t *testing.T) {
 	// an exact multiple of d (or of data-disk/cluster counts).
 	cfg := PaperAnalyticConfig(256 * units.MB)
 	for _, p := range GroupSizes {
-		decl, err := analytic.Solve(cfg, analytic.Declustered, p)
+		decl, err := analytic.Solve(cfg, scheme.Declustered, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if decl.Clips%32 != 0 {
 			t.Errorf("declustered p=%d capacity %d not a multiple of d", p, decl.Clips)
 		}
-		sr, err := analytic.Solve(cfg, analytic.StreamingRAID, p)
+		sr, err := analytic.Solve(cfg, scheme.StreamingRAID, p)
 		if err != nil {
 			t.Fatal(err)
 		}

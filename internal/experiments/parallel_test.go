@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/units"
 )
@@ -69,7 +69,7 @@ func TestFigure6ParallelMatchesSequential(t *testing.T) {
 // index-addressed, at any worker count.
 func TestRunManyMatchesRunLoop(t *testing.T) {
 	cfg := sim.Config{
-		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+		Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: PaperCatalog(), ArrivalRate: 20,
 		Duration: 60 * units.Second,
 	}
@@ -105,7 +105,7 @@ func TestSweepsLeaveNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sim.RunMany(sim.Config{
-		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+		Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: PaperCatalog(), ArrivalRate: 20,
 		Duration: 30 * units.Second,
 	}, []int64{1, 2, 3, 4}, 4); err != nil {

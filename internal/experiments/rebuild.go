@@ -7,6 +7,7 @@ import (
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/reliability"
+	"ftcms/internal/scheme"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
@@ -17,7 +18,7 @@ import (
 // rebuild reads over all d−1 survivors; the clustered ones confine them
 // to the failed disk's p−1 cluster mates.
 type RebuildPoint struct {
-	Scheme analytic.Scheme
+	Scheme scheme.Scheme
 	P      int
 	// Rebuild is the estimated rebuild duration.
 	Rebuild units.Duration
@@ -33,7 +34,7 @@ type RebuildPoint struct {
 // 1 for the schemes that reserve none).
 func RebuildAblation(buffer units.Bits) ([]RebuildPoint, error) {
 	cfg := PaperAnalyticConfig(buffer)
-	schemes := analytic.Schemes()
+	schemes := scheme.Paper()
 	return parallel.Map(len(schemes)*len(GroupSizes), 0, func(k int) (RebuildPoint, error) {
 		s := schemes[k/len(GroupSizes)]
 		p := GroupSizes[k%len(GroupSizes)]
@@ -46,14 +47,13 @@ func RebuildAblation(buffer units.Bits) ([]RebuildPoint, error) {
 		if f < 1 {
 			f = 1
 		}
-		// Contribution spread: all d disks' survivors for the
-		// declustered/flat layouts, the cluster for the rest.
+		// Contribution spread: the cluster when parity groups stay in
+		// one, all d disks' survivors otherwise.
 		spread := cfg.D
-		switch s {
-		case analytic.PrefetchParityDisk, analytic.StreamingRAID, analytic.NonClustered:
+		if s.Clustered() {
 			spread = p
 		}
-		rt, err := reliability.RebuildTime(blocks, p, spread, f, cfg.Disk.RoundDuration(op.Block))
+		rt, err := reliability.RebuildTime(blocks, p, s.ParityCols(), spread, f, cfg.Disk.RoundDuration(op.Block))
 		if err != nil {
 			return RebuildPoint{}, err
 		}
@@ -61,7 +61,7 @@ func RebuildAblation(buffer units.Bits) ([]RebuildPoint, error) {
 		if hours < 1 {
 			hours = 1
 		}
-		crit, err := reliability.CriticalDisks(s.Key(), cfg.D, p)
+		crit, err := reliability.CriticalDisks(cfg.D, spread)
 		if err != nil {
 			return RebuildPoint{}, err
 		}
@@ -76,7 +76,7 @@ func RebuildAblation(buffer units.Bits) ([]RebuildPoint, error) {
 // RebuildColumns is E11's table: the CSV keeps millisecond and six-digit
 // precision, the text table rounds for reading.
 var RebuildColumns = []trace.Column[RebuildPoint]{
-	trace.Col("scheme", "scheme", func(pt RebuildPoint) any { return pt.Scheme }),
+	trace.Col("scheme", "scheme", func(pt RebuildPoint) any { return pt.Scheme.Legend() }),
 	trace.Col("p", "p", func(pt RebuildPoint) any { return pt.P }),
 	{CSV: "rebuild_s", Title: "rebuild",
 		Value: func(pt RebuildPoint) any { return fmt.Sprintf("%.3f", pt.Rebuild.Seconds()) },
@@ -90,7 +90,7 @@ var RebuildColumns = []trace.Column[RebuildPoint]{
 // ratio of the admission budget to the measured expected round time at
 // each scheme's optimal operating point.
 type ConservatismPoint struct {
-	Scheme analytic.Scheme
+	Scheme scheme.Scheme
 	P      int
 	Q      int
 	Ratio  float64
@@ -101,13 +101,13 @@ func ConservatismAblation(buffer units.Bits, trials int, seed int64) ([]Conserva
 	cfg := PaperAnalyticConfig(buffer)
 	model := diskmodel.DefaultSeekModel()
 	type gridCase struct {
-		s analytic.Scheme
+		s scheme.Scheme
 		p int
 	}
 	var grid []gridCase
-	for _, s := range analytic.Schemes() {
-		if s == analytic.StreamingRAID {
-			continue // its round equation differs; Equation 1 does not apply
+	for _, s := range scheme.Paper() {
+		if s.GroupFetch() {
+			continue // whole-group rounds: Equation 1 does not apply
 		}
 		for _, p := range GroupSizes {
 			grid = append(grid, gridCase{s, p})
@@ -129,7 +129,7 @@ func ConservatismAblation(buffer units.Bits, trials int, seed int64) ([]Conserva
 
 // ConservatismColumns is E13's table; the CSV carries the unrounded ratio.
 var ConservatismColumns = []trace.Column[ConservatismPoint]{
-	trace.Col("scheme", "scheme", func(pt ConservatismPoint) any { return pt.Scheme }),
+	trace.Col("scheme", "scheme", func(pt ConservatismPoint) any { return pt.Scheme.Legend() }),
 	trace.Col("p", "p", func(pt ConservatismPoint) any { return pt.P }),
 	trace.Col("q", "q", func(pt ConservatismPoint) any { return pt.Q }),
 	{CSV: "budget_over_measured", Title: "budget / measured",

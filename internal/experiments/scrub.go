@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
@@ -43,7 +43,7 @@ func corruptionCampaign() []sim.CorruptionEvent {
 func CorruptionSweep(buffer units.Bits, seed int64) ([]CorruptionPoint, error) {
 	return parallel.Map(len(ScrubRates), 0, func(k int) (CorruptionPoint, error) {
 		res, err := sim.Run(sim.Config{
-			Scheme:      analytic.Declustered,
+			Scheme:      scheme.Declustered,
 			Disk:        diskmodel.Default(),
 			D:           32,
 			P:           4,

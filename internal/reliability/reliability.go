@@ -109,32 +109,14 @@ func MTTDLReplication(disk Hours, d int, mttr Hours) (Hours, error) {
 	return disk * disk / (Hours(d) * mttr), nil
 }
 
-// StorageOverhead returns the fraction of raw capacity a redundancy
-// scheme spends on redundancy for parity-group size p:
-//
-//	single parity:  1/p
-//	P+Q:            2/p
-//	replication:    1/2
-func StorageOverhead(scheme string, p int) (float64, error) {
-	switch scheme {
-	case "replication":
-		return 0.5, nil
+// StorageOverhead returns the fraction of raw capacity a parity scheme
+// with cols parity columns per group of p spends on redundancy: 1/p for
+// single parity, 2/p for P+Q. (Replication spends 1/2.)
+func StorageOverhead(cols, p int) (float64, error) {
+	if cols < 1 || p <= cols {
+		return 0, fmt.Errorf("reliability: %d parity columns need groups larger than p=%d", cols, p)
 	}
-	if p < 2 {
-		return 0, fmt.Errorf("reliability: bad parity group size p=%d", p)
-	}
-	switch scheme {
-	case "prefetch-parity-disk", "streaming-raid", "non-clustered",
-		"declustered", "declustered-dynamic", "prefetch-flat":
-		return 1 / float64(p), nil
-	case "declustered-pq":
-		if p < 3 {
-			return 0, fmt.Errorf("reliability: P+Q needs p >= 3, got %d", p)
-		}
-		return 2 / float64(p), nil
-	default:
-		return 0, fmt.Errorf("reliability: unknown scheme %q", scheme)
-	}
+	return float64(cols) / float64(p), nil
 }
 
 // Tradeoff is one row of the redundancy-selection table: what a scheme
@@ -154,94 +136,59 @@ func CompareRedundancy(disk Hours, d, p int, mttr Hours) ([]Tradeoff, error) {
 	if d < 3 || p < 3 || p > d {
 		return nil, fmt.Errorf("reliability: bad geometry d=%d p=%d (need 3 <= p <= d)", d, p)
 	}
-	out := make([]Tradeoff, 0, 3)
-	for _, scheme := range []string{"declustered", "declustered-pq", "replication"} {
-		ov, err := StorageOverhead(scheme, p)
-		if err != nil {
-			return nil, err
-		}
-		var mttdl Hours
-		switch scheme {
-		case "declustered":
-			mttdl, err = MTTDL(disk, d, d-1, mttr)
-		case "declustered-pq":
-			mttdl, err = MTTDLDouble(disk, d, d-1, d-1, mttr)
-		case "replication":
-			mttdl, err = MTTDLReplication(disk, d, mttr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Tradeoff{Scheme: scheme, Overhead: ov, MTTR: mttr, MTTDL: mttdl})
+	single, err := MTTDL(disk, d, d-1, mttr)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	double, err := MTTDLDouble(disk, d, d-1, d-1, mttr)
+	if err != nil {
+		return nil, err
+	}
+	mirror, err := MTTDLReplication(disk, d, mttr)
+	if err != nil {
+		return nil, err
+	}
+	return []Tradeoff{
+		{Scheme: "declustered", Overhead: 1 / float64(p), MTTR: mttr, MTTDL: single},
+		{Scheme: "declustered-pq", Overhead: 2 / float64(p), MTTR: mttr, MTTDL: double},
+		{Scheme: "replication", Overhead: 0.5, MTTR: mttr, MTTDL: mirror},
+	}, nil
 }
 
 // CriticalDisks returns how many surviving disks can cause data loss if
-// they fail while the named scheme rebuilds one failed disk.
-//
-//   - clustered schemes (prefetch-parity-disk, streaming-raid,
-//     non-clustered): only the p−1 other disks of the failed disk's
-//     cluster;
-//   - declustered and flat-uniform placements: parity groups span the
-//     array, so every other disk is critical (d−1);
-//   - declustered-pq: the same d−1 — but a critical failure only drops
-//     the group to single redundancy; see MTTDLDouble for the
-//     data-loss chain.
-func CriticalDisks(scheme string, d, p int) (int, error) {
-	if d < 2 || p < 2 || p > d {
-		return 0, fmt.Errorf("reliability: bad geometry d=%d p=%d", d, p)
+// they fail while one failed disk rebuilds, when its parity groups span
+// spread of the d disks: p−1 cluster mates when groups stay inside a
+// p-disk cluster, all d−1 others for the flat and declustered layouts.
+// Under P+Q a critical failure only drops a group to single redundancy;
+// see MTTDLDouble for the data-loss chain.
+func CriticalDisks(d, spread int) (int, error) {
+	if spread < 2 || spread > d {
+		return 0, fmt.Errorf("reliability: parity groups spanning %d of %d disks", spread, d)
 	}
-	switch scheme {
-	case "prefetch-parity-disk", "streaming-raid", "non-clustered":
-		return p - 1, nil
-	case "declustered", "declustered-dynamic", "prefetch-flat", "declustered-pq":
-		return d - 1, nil
-	default:
-		return 0, fmt.Errorf("reliability: unknown scheme %q", scheme)
-	}
+	return spread - 1, nil
 }
 
 // RebuildTime estimates how long rebuilding a replaced disk takes when
 // every surviving disk contributes `f` spare block-reads per round (the
-// contingency bandwidth of §4) and the failed disk held `blocks` blocks
-// of size `b`.
+// contingency bandwidth of §4) and the failed disk held `blocks` blocks.
 //
-// Declustering spreads the rebuild reads over all d−1 survivors, so the
-// bottleneck is the reconstruction read rate: each lost block needs p−1
-// reads, spread evenly, giving
+// A group of p carries cols parity columns, and a single erasure is
+// closed by one of them, so each lost block needs p−cols reads (p−1 for
+// single parity, p−2 for P+Q). Declustering spreads them over all d−1
+// survivors, so the bottleneck is the reconstruction read rate:
 //
-//	rounds ≈ blocks · (p−1) / ((d−1) · f)
+//	rounds ≈ blocks · (p−cols) / ((d−1) · f)
 //
 // and rebuild time = rounds · roundDuration. Clustered layouts confine
 // the reads to p−1 survivors (set d = p for them).
-func RebuildTime(blocks int64, p, d, f int, roundDur units.Duration) (units.Duration, error) {
+func RebuildTime(blocks int64, p, cols, d, f int, roundDur units.Duration) (units.Duration, error) {
 	if blocks < 0 || roundDur <= 0 {
 		return 0, errors.New("reliability: bad rebuild parameters")
 	}
-	if p < 2 || d < p || f < 1 {
-		return 0, fmt.Errorf("reliability: bad geometry p=%d d=%d f=%d", p, d, f)
+	if cols < 1 || p <= cols || d < p || f < 1 {
+		return 0, fmt.Errorf("reliability: bad geometry p=%d cols=%d d=%d f=%d", p, cols, d, f)
 	}
-	reads := blocks * int64(p-1)
-	perRound := int64(d-1) * int64(f)
-	rounds := (reads + perRound - 1) / perRound
-	return units.Duration(rounds) * roundDur, nil
-}
-
-// RebuildTimePQ is RebuildTime for a P+Q layout rebuilding one failed
-// disk: a group of size p holds p−2 data members plus two parity
-// columns, and a single erasure is closed by one parity column alone,
-// so each lost block needs only p−2 reads:
-//
-//	rounds ≈ blocks · (p−2) / ((d−1) · f)
-func RebuildTimePQ(blocks int64, p, d, f int, roundDur units.Duration) (units.Duration, error) {
-	if blocks < 0 || roundDur <= 0 {
-		return 0, errors.New("reliability: bad rebuild parameters")
-	}
-	if p < 3 || d < p || f < 1 {
-		return 0, fmt.Errorf("reliability: bad P+Q geometry p=%d d=%d f=%d", p, d, f)
-	}
-	reads := blocks * int64(p-2)
+	reads := blocks * int64(p-cols)
 	perRound := int64(d-1) * int64(f)
 	rounds := (reads + perRound - 1) / perRound
 	return units.Duration(rounds) * roundDur, nil

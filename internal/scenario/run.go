@@ -3,9 +3,9 @@ package scenario
 import (
 	"fmt"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/autopilot"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
@@ -33,7 +33,7 @@ type RunConfig struct {
 	// Buffer is the per-node RAM buffer (default 128 MB).
 	Buffer units.Bits
 	// Scheme is the fault-tolerant scheme (default declustered parity).
-	Scheme analytic.Scheme
+	Scheme scheme.Scheme
 	// Workers sizes the cluster engine's per-round completion pool
 	// (0 = one per CPU).
 	Workers int
@@ -77,7 +77,9 @@ func (rc RunConfig) withDefaults() RunConfig {
 	if rc.Buffer == 0 {
 		rc.Buffer = 128 * units.MB
 	}
-	// Scheme's zero value is already analytic.Declustered.
+	if rc.Scheme == 0 {
+		rc.Scheme = scheme.Declustered
+	}
 	return rc
 }
 

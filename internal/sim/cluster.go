@@ -15,11 +15,13 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"ftcms/internal/admission"
 	"ftcms/internal/analytic"
 	"ftcms/internal/autopilot"
 	"ftcms/internal/parallel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
 )
@@ -317,6 +319,9 @@ func newRun(cfg ClusterConfig) (*run, error) {
 		if ev.At < 0 {
 			return nil, fmt.Errorf("sim: view trace: negative event time %v", ev.At)
 		}
+	}
+	if !Models(nc.Scheme) {
+		return nil, fmt.Errorf("sim: scheme %v not modelled (want one of %s)", nc.Scheme, strings.Join(scheme.Names(Models), ", "))
 	}
 	op, err := analytic.Solve(analytic.Config{
 		Disk:    nc.Disk,

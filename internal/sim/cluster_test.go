@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -13,7 +13,7 @@ func clusterBase(t *testing.T) ClusterConfig {
 	t.Helper()
 	return ClusterConfig{
 		Node: Config{
-			Scheme:      analytic.Declustered,
+			Scheme:      scheme.Declustered,
 			Disk:        diskmodel.Default(),
 			D:           16,
 			P:           4,
@@ -102,7 +102,7 @@ func TestRunClusterScalesCapacity(t *testing.T) {
 // RunCluster — every shared field and every timeline bucket — less the
 // per-node timeline column a single array does not report.
 func TestRunMatchesOneNodeCluster(t *testing.T) {
-	for _, s := range analytic.Schemes() {
+	for _, s := range scheme.Paper() {
 		for _, patience := range []units.Duration{0, 2 * units.Second} {
 			base := clusterBase(t)
 			base.Nodes, base.Replication = 1, 1

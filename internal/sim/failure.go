@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"ftcms/internal/admission"
-	"ftcms/internal/analytic"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -31,7 +31,7 @@ func orderedTrace(trace []FailureEvent, unit string, n int) ([]FailureEvent, err
 // the cluster read that serves a group also yields the lost block).
 func (e *engine) rebuildTarget() int64 {
 	blocksOnDisk := int64(e.cfg.Disk.Capacity / e.op.Block)
-	if e.cfg.Scheme == analytic.StreamingRAID {
+	if e.cfg.Scheme.GroupFetch() {
 		return blocksOnDisk
 	}
 	return blocksOnDisk * int64(e.cfg.P-1)
@@ -42,11 +42,7 @@ func (e *engine) rebuildTarget() int64 {
 // schemes confine every parity group to one cluster; the declustered and
 // flat layouts spread groups across all disks, so any pair overlaps.
 func (e *engine) independent(x, y int) bool {
-	switch e.cfg.Scheme {
-	case analytic.PrefetchParityDisk, analytic.StreamingRAID, analytic.NonClustered:
-		return x/e.cfg.P != y/e.cfg.P
-	}
-	return false
+	return e.cfg.Scheme.Clustered() && x/e.cfg.P != y/e.cfg.P
 }
 
 // diskLoader is the per-disk load query of the static and dynamic
@@ -61,14 +57,14 @@ type diskLoader interface {
 func (e *engine) dueLoad(now int64, x int) int64 {
 	p := e.cfg.P
 	switch e.cfg.Scheme {
-	case analytic.Declustered, analytic.PrefetchFlat:
+	case scheme.Declustered, scheme.DeclusteredDynamic, scheme.PrefetchFlat:
 		return int64(e.ctrl.(diskLoader).DiskLoad(now, x))
-	case analytic.PrefetchParityDisk, analytic.NonClustered:
+	case scheme.PrefetchParityDisk, scheme.NonClustered:
 		if x%p == p-1 {
 			return 0 // parity disk: no data blocks due
 		}
 		return int64(e.ctrl.(admission.Unclassed).UnitLoad(now, x/p*(p-1)+x%p))
-	case analytic.StreamingRAID:
+	case scheme.StreamingRAID:
 		// Every active group read of the cluster loses its block: the
 		// group is short two members.
 		return int64(e.ctrl.(admission.Unclassed).UnitLoad(now, x/p))
@@ -171,11 +167,11 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 	q := e.op.Q
 
 	switch e.cfg.Scheme {
-	case analytic.Declustered:
+	case scheme.Declustered, scheme.DeclusteredDynamic:
 		extra := make([]int, d)
 		for l := 0; l < e.table.R; l++ {
 			var n int
-			if e.cfg.Dynamic {
+			if e.cfg.Scheme.Dynamic() {
 				n = e.ctrl.(*admission.Dynamic).RowDiskLoad(now, x, l)
 			} else {
 				n = e.ctrl.(*admission.Static).CellLoad(now, x, l)
@@ -201,7 +197,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 			}
 		}
 
-	case analytic.PrefetchFlat:
+	case scheme.PrefetchFlat:
 		st := e.ctrl.(*admission.Static)
 		m := d - (p - 1)
 		extra := make([]int, d)
@@ -223,7 +219,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 			}
 		}
 
-	case analytic.PrefetchParityDisk:
+	case scheme.PrefetchParityDisk:
 		s := e.ctrl.(admission.Unclassed)
 		cluster := x / p
 		if x%p == p-1 {
@@ -252,7 +248,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 			}
 		}
 
-	case analytic.StreamingRAID:
+	case scheme.StreamingRAID:
 		// The group read simply substitutes the parity block for the lost
 		// data block: no extra load, no misses, by construction. Idle
 		// group slots of the failed disk's cluster drive the rebuild.
@@ -261,7 +257,7 @@ func (e *engine) accountFailure(now int64, x int, transition bool) (spare int64)
 			spare += int64(idle)
 		}
 
-	case analytic.NonClustered:
+	case scheme.NonClustered:
 		s := e.ctrl.(admission.Unclassed)
 		cluster := x / p
 		if x%p == p-1 {

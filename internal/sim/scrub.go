@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/units"
 )
 
@@ -81,8 +80,8 @@ func (e *engine) initScrub() error {
 		rng:        rand.New(rand.NewSource(e.cfg.Seed + 2)),
 		events:     append([]CorruptionEvent(nil), e.cfg.Corruptions...),
 	}
-	if e.cfg.Scheme == analytic.StreamingRAID {
-		m.repairCost = 1
+	if e.cfg.Scheme.GroupFetch() {
+		m.repairCost = 1 // the group read yields the parity
 	}
 	if m.blocksPer < 1 {
 		m.blocksPer = 1

@@ -4,15 +4,15 @@ import (
 	"reflect"
 	"testing"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
 func scrubConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Scheme:  analytic.Declustered,
+		Scheme:  scheme.Declustered,
 		Disk:    diskmodel.Default(),
 		D:       32,
 		P:       4,

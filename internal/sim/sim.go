@@ -32,23 +32,20 @@ import (
 
 	"ftcms/internal/admission"
 	"ftcms/internal/analytic"
-	"ftcms/internal/bibd"
 	"ftcms/internal/buffer"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/pgt"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
 )
 
 // Config describes one simulation run.
 type Config struct {
-	// Scheme selects the fault-tolerant scheme.
-	Scheme analytic.Scheme
-	// Dynamic switches the declustered scheme to the §5 dynamic
-	// reservation controller (only meaningful with Scheme ==
-	// analytic.Declustered).
-	Dynamic bool
+	// Scheme selects the fault-tolerant scheme: any single-parity one
+	// (see Models), DeclusteredDynamic for the §5 controller.
+	Scheme scheme.Scheme
 	// Disk is the disk model (Figure 1 defaults via diskmodel.Default).
 	Disk diskmodel.Parameters
 	// D is the number of disks.
@@ -111,6 +108,10 @@ type Config struct {
 	// Corruptions scripts silent at-rest corruption events (scrub.go).
 	Corruptions []CorruptionEvent
 }
+
+// Models reports whether the simulator models s: the single-parity
+// schemes, whose §8 failure accounting it implements.
+func Models(s scheme.Scheme) bool { return s.ParityCols() == 1 }
 
 // FailureEvent is one scripted disk failure in a Config.Trace.
 type FailureEvent struct {
@@ -238,7 +239,7 @@ type engine struct {
 	clipRounds int64
 
 	ctrl admission.Controller
-	// table is set for declustered schemes (failure accounting).
+	// table is set for the table-driven schemes (failure accounting).
 	table *pgt.Table
 
 	active  map[int64][]*clip // completion buckets by round
@@ -305,94 +306,30 @@ func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
 		return nil, err
 	}
 
-	d, p := cfg.D, cfg.P
-	schemeName := cfg.Scheme.Key()
-	switch cfg.Scheme {
-	case analytic.Declustered:
-		if cfg.Dynamic {
-			schemeName = "declustered-dynamic"
-		}
-	case analytic.PrefetchFlat, analytic.PrefetchParityDisk, analytic.StreamingRAID, analytic.NonClustered:
-	default:
-		return nil, fmt.Errorf("sim: unknown scheme %v", cfg.Scheme)
-	}
-	e.perClip, err = buffer.PerClip(schemeName, op.Block, p)
+	d, p, sc := cfg.D, cfg.P, cfg.Scheme
+	e.perClip = sc.PerClip(op.Block, p)
+	// A round delivers one block per stream, or one (p−1)-block group
+	// under whole-group fetching; the catalog is uniform, so compute the
+	// clip length in rounds once.
+	k := sc.RoundBlocks(p)
+	e.roundDur = units.Duration(k) * cfg.Disk.RoundDuration(op.Block)
+	e.clipRounds = max((cfg.Catalog.Clip(0).Blocks(op.Block)+int64(k)-1)/int64(k), 1)
+
+	// Controller and start positions. §8.2 randomizes disk(C) uniformly
+	// for every scheme, so clips start on any unit of the admission grid
+	// (for the clustered schemes a mid-cluster start only means the
+	// clip's first parity group is partial, which admission does not see).
+	t, err := sc.Table(d, p)
 	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if t != nil {
+		e.table = t.Table
+	}
+	if e.ctrl, err = sc.Admission(d, p, op.Q, op.F, t); err != nil {
 		return nil, err
 	}
-
-	// Round duration: b/r_p, except streaming RAID where a round delivers
-	// a whole (p−1)-block group.
-	e.roundDur = cfg.Disk.RoundDuration(op.Block)
-	if cfg.Scheme == analytic.StreamingRAID {
-		e.roundDur = units.Duration(p-1) * cfg.Disk.RoundDuration(op.Block)
-	}
-
-	// Rounds per clip: one block per round (one group per round for
-	// streaming RAID). The catalog is uniform, so compute once.
-	blocks := cfg.Catalog.Clip(0).Blocks(op.Block)
-	e.clipRounds = blocks
-	if cfg.Scheme == analytic.StreamingRAID {
-		e.clipRounds = (blocks + int64(p-1) - 1) / int64(p-1)
-	}
-	if e.clipRounds < 1 {
-		e.clipRounds = 1
-	}
-
-	// Controller + start positions.
-	switch cfg.Scheme {
-	case analytic.Declustered:
-		des, err := bibd.New(d, p)
-		if err != nil {
-			return nil, fmt.Errorf("sim: declustered design: %w", err)
-		}
-		e.table, err = pgt.New(des)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Dynamic {
-			dy, err := admission.NewDynamic(e.table, op.Q)
-			if err != nil {
-				return nil, err
-			}
-			e.ctrl = dy
-		} else {
-			st, err := admission.NewStatic(d, e.table.R, op.Q, op.F)
-			if err != nil {
-				return nil, err
-			}
-			e.ctrl = st
-		}
-		e.randomPositions(d, e.table.R)
-	case analytic.PrefetchFlat:
-		m := d - (p - 1)
-		st, err := admission.NewStatic(d, m, op.Q, op.F)
-		if err != nil {
-			return nil, err
-		}
-		e.ctrl = st
-		e.randomPositions(d, m)
-	case analytic.PrefetchParityDisk, analytic.NonClustered:
-		dataDisks := d * (p - 1) / p
-		s, err := admission.NewSimple(dataDisks, op.Q)
-		if err != nil {
-			return nil, err
-		}
-		e.ctrl = admission.Unclassed{Simple: s}
-		// §8.2 randomizes disk(C) uniformly for every scheme, so clips
-		// start on any data disk (a mid-cluster start only means the
-		// clip's first parity group is partial, which admission does not
-		// see).
-		e.randomPositions(dataDisks, 1)
-	case analytic.StreamingRAID:
-		clusters := d / p
-		s, err := admission.NewSimple(clusters, op.Q)
-		if err != nil {
-			return nil, err
-		}
-		e.ctrl = admission.Unclassed{Simple: s}
-		e.randomPositions(clusters, 1)
-	}
+	e.randomPositions(sc.Grid(d, p, t))
 	if e.trace, err = orderedTrace(cfg.Trace, "disk", d); err != nil {
 		return nil, err
 	}

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
 )
@@ -21,7 +23,7 @@ func paperCatalog(t *testing.T) *workload.Catalog {
 	return c
 }
 
-func paperRun(t *testing.T, s analytic.Scheme, p int, buf units.Bits, mut func(*Config)) Result {
+func paperRun(t *testing.T, s scheme.Scheme, p int, buf units.Bits, mut func(*Config)) Result {
 	t.Helper()
 	cfg := Config{
 		Scheme:      s,
@@ -47,7 +49,7 @@ func paperRun(t *testing.T, s analytic.Scheme, p int, buf units.Bits, mut func(*
 func TestRunValidation(t *testing.T) {
 	cat := paperCatalog(t)
 	base := Config{
-		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+		Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
 		Duration: 10 * units.Second,
 	}
@@ -72,20 +74,36 @@ func TestRunValidation(t *testing.T) {
 		t.Error("accepted d=1")
 	}
 	bad = base
-	bad.Scheme = analytic.StreamingRAID
+	bad.Scheme = scheme.StreamingRAID
 	bad.P = 5 // does not divide 32
 	if _, err := Run(bad); err == nil {
 		t.Error("accepted p∤d for streaming RAID")
 	}
 }
 
+// TestRunRejectsUnmodelledScheme: the zero Scheme, an out-of-range value
+// and P+Q, which the §8 failure models do not cover, all fail, and the
+// error lists what the simulator does model.
+func TestRunRejectsUnmodelledScheme(t *testing.T) {
+	for _, s := range []scheme.Scheme{0, 99, scheme.DeclusteredPQ} {
+		_, err := Run(Config{
+			Scheme: s, Disk: diskmodel.Default(), D: 32, P: 4,
+			Buffer: 256 * units.MB, Catalog: paperCatalog(t), ArrivalRate: 20,
+			Duration: 10 * units.Second,
+		})
+		if err == nil || !strings.Contains(err.Error(), "declustered-dynamic") {
+			t.Errorf("Run(%v): err %v, want a refusal listing the modelled schemes", s, err)
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
-	a := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(c *Config) { c.Duration = 120 * units.Second })
-	b := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(c *Config) { c.Duration = 120 * units.Second })
+	a := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(c *Config) { c.Duration = 120 * units.Second })
+	b := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(c *Config) { c.Duration = 120 * units.Second })
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
 	}
-	c := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	c := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 120 * units.Second
 		cf.Seed = 99
 	})
@@ -97,7 +115,7 @@ func TestRunDeterministic(t *testing.T) {
 // TestRunBasicAccounting: conservation and sanity of counters on a short
 // run of every scheme.
 func TestRunBasicAccounting(t *testing.T) {
-	for _, s := range analytic.Schemes() {
+	for _, s := range scheme.Paper() {
 		res := paperRun(t, s, 4, 256*units.MB, func(c *Config) { c.Duration = 120 * units.Second })
 		if res.Serviced <= 0 {
 			t.Errorf("%v: nothing serviced", s)
@@ -125,7 +143,7 @@ func TestRunBasicAccounting(t *testing.T) {
 // admission friction), and never exceeds it by more than the ramp-up
 // allowance.
 func TestSaturatedThroughputMatchesCapacity(t *testing.T) {
-	for _, s := range []analytic.Scheme{analytic.Declustered, analytic.StreamingRAID} {
+	for _, s := range []scheme.Scheme{scheme.Declustered, scheme.StreamingRAID} {
 		op, err := analytic.Solve(analytic.Config{
 			Disk: diskmodel.Default(), D: 32, Buffer: 256 * units.MB,
 			Storage: paperCatalog(t).TotalSize(),
@@ -158,14 +176,14 @@ func TestFigure6Shape256MB(t *testing.T) {
 	}
 	buf := 256 * units.MB
 	grid := []int{2, 4, 8, 16, 32}
-	serviced := map[analytic.Scheme]map[int]int{}
-	for _, s := range analytic.Schemes() {
+	serviced := map[scheme.Scheme]map[int]int{}
+	for _, s := range scheme.Paper() {
 		serviced[s] = map[int]int{}
 		for _, p := range grid {
 			serviced[s][p] = paperRun(t, s, p, buf, nil).Serviced
 		}
 	}
-	for _, s := range []analytic.Scheme{analytic.Declustered, analytic.PrefetchFlat} {
+	for _, s := range []scheme.Scheme{scheme.Declustered, scheme.PrefetchFlat} {
 		for i := 1; i < len(grid); i++ {
 			if serviced[s][grid[i]] > serviced[s][grid[i-1]] {
 				t.Errorf("%v: serviced rose from p=%d (%d) to p=%d (%d)",
@@ -173,7 +191,7 @@ func TestFigure6Shape256MB(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range []analytic.Scheme{analytic.PrefetchParityDisk, analytic.StreamingRAID, analytic.NonClustered} {
+	for _, s := range []scheme.Scheme{scheme.PrefetchParityDisk, scheme.StreamingRAID, scheme.NonClustered} {
 		if serviced[s][4] <= serviced[s][2] {
 			t.Errorf("%v: no initial rise (p=2 %d, p=4 %d)", s, serviced[s][2], serviced[s][4])
 		}
@@ -181,14 +199,14 @@ func TestFigure6Shape256MB(t *testing.T) {
 			t.Errorf("%v: no final fall (p=16 %d, p=32 %d)", s, serviced[s][16], serviced[s][32])
 		}
 	}
-	if serviced[analytic.NonClustered][16] <= serviced[analytic.Declustered][16] {
+	if serviced[scheme.NonClustered][16] <= serviced[scheme.Declustered][16] {
 		t.Errorf("p=16: non-clustered (%d) should beat declustered (%d)",
-			serviced[analytic.NonClustered][16], serviced[analytic.Declustered][16])
+			serviced[scheme.NonClustered][16], serviced[scheme.Declustered][16])
 	}
 	// Declustered and prefetch-flat dominate the trio at p=2.
-	for _, s := range []analytic.Scheme{analytic.PrefetchParityDisk, analytic.StreamingRAID, analytic.NonClustered} {
-		if serviced[analytic.Declustered][2] <= serviced[s][2] {
-			t.Errorf("p=2: declustered (%d) should beat %v (%d)", serviced[analytic.Declustered][2], s, serviced[s][2])
+	for _, s := range []scheme.Scheme{scheme.PrefetchParityDisk, scheme.StreamingRAID, scheme.NonClustered} {
+		if serviced[scheme.Declustered][2] <= serviced[s][2] {
+			t.Errorf("p=2: declustered (%d) should beat %v (%d)", serviced[scheme.Declustered][2], s, serviced[s][2])
 		}
 	}
 }
@@ -203,8 +221,8 @@ func TestFigure6Shape2GB(t *testing.T) {
 	}
 	buf := 2 * units.GB
 	grid := []int{2, 4, 8, 16, 32}
-	serviced := map[analytic.Scheme]map[int]int{}
-	for _, s := range analytic.Schemes() {
+	serviced := map[scheme.Scheme]map[int]int{}
+	for _, s := range scheme.Paper() {
 		serviced[s] = map[int]int{}
 		for _, p := range grid {
 			serviced[s][p] = paperRun(t, s, p, buf, nil).Serviced
@@ -213,25 +231,25 @@ func TestFigure6Shape2GB(t *testing.T) {
 	// "beyond a parity group size of 4, it services fewer clips per unit
 	// time than the other schemes".
 	for _, p := range []int{8, 16} {
-		for _, s := range []analytic.Scheme{analytic.PrefetchFlat, analytic.PrefetchParityDisk, analytic.StreamingRAID, analytic.NonClustered} {
-			if serviced[analytic.Declustered][p] >= serviced[s][p] {
+		for _, s := range []scheme.Scheme{scheme.PrefetchFlat, scheme.PrefetchParityDisk, scheme.StreamingRAID, scheme.NonClustered} {
+			if serviced[scheme.Declustered][p] >= serviced[s][p] {
 				t.Errorf("p=%d: declustered (%d) should trail %v (%d)",
-					p, serviced[analytic.Declustered][p], s, serviced[s][p])
+					p, serviced[scheme.Declustered][p], s, serviced[s][p])
 			}
 		}
 	}
 	// "the declustered parity scheme performs worse than the streaming
 	// RAID scheme at a parity group size of 8".
-	if serviced[analytic.Declustered][8] >= serviced[analytic.StreamingRAID][8] {
+	if serviced[scheme.Declustered][8] >= serviced[scheme.StreamingRAID][8] {
 		t.Errorf("p=8: declustered (%d) should trail streaming RAID (%d)",
-			serviced[analytic.Declustered][8], serviced[analytic.StreamingRAID][8])
+			serviced[scheme.Declustered][8], serviced[scheme.StreamingRAID][8])
 	}
 	// "the non-clustered scheme performs the best at a parity group size
 	// of 16".
-	for _, s := range analytic.Schemes() {
-		if s != analytic.NonClustered && serviced[s][16] >= serviced[analytic.NonClustered][16] {
+	for _, s := range scheme.Paper() {
+		if s != scheme.NonClustered && serviced[s][16] >= serviced[scheme.NonClustered][16] {
 			t.Errorf("p=16: %v (%d) should trail non-clustered (%d)",
-				s, serviced[s][16], serviced[analytic.NonClustered][16])
+				s, serviced[s][16], serviced[scheme.NonClustered][16])
 		}
 	}
 }
@@ -242,26 +260,23 @@ func TestFigure6Shape2GB(t *testing.T) {
 // is unconditional.
 func TestFailureContinuityGuaranteed(t *testing.T) {
 	cases := []struct {
-		scheme  analytic.Scheme
-		p       int
-		dynamic bool
+		scheme scheme.Scheme
+		p      int
 	}{
-		{analytic.Declustered, 2, false},  // exact pair design
-		{analytic.Declustered, 32, false}, // exact trivial design
-		{analytic.Declustered, 2, true},   // dynamic reservation
-		{analytic.PrefetchFlat, 2, false},
-		{analytic.PrefetchParityDisk, 4, false},
-		{analytic.StreamingRAID, 4, false},
+		{scheme.Declustered, 2},  // exact pair design
+		{scheme.Declustered, 32}, // exact trivial design
+		{scheme.DeclusteredDynamic, 2},
+		{scheme.PrefetchFlat, 2},
+		{scheme.PrefetchParityDisk, 4},
+		{scheme.StreamingRAID, 4},
 	}
 	for _, c := range cases {
 		res := paperRun(t, c.scheme, c.p, 256*units.MB, func(cf *Config) {
 			cf.Duration = 300 * units.Second
 			cf.Trace = []FailureEvent{{Disk: 5, At: 100 * units.Second}}
-			cf.Dynamic = c.dynamic
 		})
 		if res.DeadlineMisses != 0 {
-			t.Errorf("%v p=%d dynamic=%v: %d deadline misses, want 0",
-				c.scheme, c.p, c.dynamic, res.DeadlineMisses)
+			t.Errorf("%v p=%d: %d deadline misses, want 0", c.scheme, c.p, res.DeadlineMisses)
 		}
 		if res.LostBlocks != 0 {
 			t.Errorf("%v p=%d: %d lost blocks, want 0", c.scheme, c.p, res.LostBlocks)
@@ -273,7 +288,7 @@ func TestFailureContinuityGuaranteed(t *testing.T) {
 // blocks in the failure transition and misses deadlines in degraded mode
 // — the paper's §9 caveat ("could result in hiccups and data loss").
 func TestFailureNonClusteredLoses(t *testing.T) {
-	res := paperRun(t, analytic.NonClustered, 8, 256*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.NonClustered, 8, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
 		cf.Trace = []FailureEvent{{Disk: 2, At: 100 * units.Second}} // a data disk of cluster 0
 	})
@@ -288,7 +303,7 @@ func TestFailureNonClusteredLoses(t *testing.T) {
 // TestFailureParityDiskBenign: losing a dedicated parity disk degrades
 // nothing for the parity-disk schemes.
 func TestFailureParityDiskBenign(t *testing.T) {
-	for _, s := range []analytic.Scheme{analytic.PrefetchParityDisk, analytic.NonClustered} {
+	for _, s := range []scheme.Scheme{scheme.PrefetchParityDisk, scheme.NonClustered} {
 		res := paperRun(t, s, 4, 256*units.MB, func(cf *Config) {
 			cf.Duration = 200 * units.Second
 			cf.Trace = []FailureEvent{{Disk: 3, At: 50 * units.Second}} // parity disk of cluster 0 (p=4)
@@ -305,12 +320,11 @@ func TestFailureParityDiskBenign(t *testing.T) {
 // tuned controller (its §5 advantage is skew robustness — shown directly
 // in the admission package tests — not raw saturated throughput).
 func TestAblationDynamicVsStatic(t *testing.T) {
-	static := paperRun(t, analytic.Declustered, 16, 2*units.GB, func(cf *Config) {
+	static := paperRun(t, scheme.Declustered, 16, 2*units.GB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
 	})
-	dynamic := paperRun(t, analytic.Declustered, 16, 2*units.GB, func(cf *Config) {
+	dynamic := paperRun(t, scheme.DeclusteredDynamic, 16, 2*units.GB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
-		cf.Dynamic = true
 	})
 	if dynamic.Serviced*100 < static.Serviced*85 {
 		t.Errorf("dynamic serviced %d < 85%% of static %d at p=16", dynamic.Serviced, static.Serviced)
@@ -320,10 +334,10 @@ func TestAblationDynamicVsStatic(t *testing.T) {
 // TestAblationBypass (E8): strict head-of-line admission throttles
 // throughput versus the bounded-bypass default.
 func TestAblationBypass(t *testing.T) {
-	def := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	def := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
 	})
-	strict := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	strict := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
 		cf.QueueBypass = -1
 	})
@@ -340,11 +354,11 @@ func TestZipfSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 200 * units.Second
 		cf.Selector = sel
 	})
-	uniform := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	uniform := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 200 * units.Second
 	})
 	if res.Serviced <= 0 {
@@ -363,7 +377,7 @@ func TestZipfSkew(t *testing.T) {
 // rebuilds faster than the cluster-confined streaming RAID at the same
 // group size.
 func TestOnlineRebuild(t *testing.T) {
-	run := func(s analytic.Scheme, p int) Result {
+	run := func(s scheme.Scheme, p int) Result {
 		return paperRun(t, s, p, 256*units.MB, func(cf *Config) {
 			cf.Duration = 600 * units.Second
 			cf.Trace = []FailureEvent{{Disk: 5, At: 50 * units.Second, Rebuild: true}}
@@ -372,7 +386,7 @@ func TestOnlineRebuild(t *testing.T) {
 	// p=2 uses the exact pair design, so the zero-miss guarantee is
 	// unconditional; the reserved f also guarantees rebuild bandwidth
 	// even at full admission load.
-	decl := run(analytic.Declustered, 2)
+	decl := run(scheme.Declustered, 2)
 	if !decl.RebuildDone {
 		t.Fatal("declustered rebuild did not finish in 600 s")
 	}
@@ -382,12 +396,12 @@ func TestOnlineRebuild(t *testing.T) {
 	if decl.DeadlineMisses != 0 {
 		t.Fatalf("rebuild caused %d deadline misses", decl.DeadlineMisses)
 	}
-	sraid := run(analytic.StreamingRAID, 4)
+	sraid := run(scheme.StreamingRAID, 4)
 	if sraid.RebuildDone && sraid.RebuildTime < decl.RebuildTime {
 		t.Errorf("cluster-confined rebuild (%v) beat declustered (%v)", sraid.RebuildTime, decl.RebuildTime)
 	}
 	// Without Rebuild, no rebuild metrics appear.
-	plain := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	plain := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 200 * units.Second
 		cf.Trace = []FailureEvent{{Disk: 5, At: 50 * units.Second}}
 	})
@@ -405,7 +419,7 @@ func TestOnlineRebuildParityDisk(t *testing.T) {
 	// A cluster-confined rebuild is slow even when idle: the 3 surviving
 	// disks of the cluster serve at most 3·q reads per round, so a 2 GB
 	// disk needs most of the run even at a light load.
-	res := paperRun(t, analytic.PrefetchParityDisk, 4, 256*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.PrefetchParityDisk, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 600 * units.Second
 		cf.ArrivalRate = 1                                                         // far below saturation: idle capacity exists
 		cf.Trace = []FailureEvent{{Disk: 3, At: 10 * units.Second, Rebuild: true}} // parity disk of cluster 0
@@ -417,7 +431,7 @@ func TestOnlineRebuildParityDisk(t *testing.T) {
 		t.Fatalf("parity-disk rebuild caused misses=%d lost=%d", res.DeadlineMisses, res.LostBlocks)
 	}
 	// At full saturation the same rebuild starves: no reserved bandwidth.
-	sat := paperRun(t, analytic.PrefetchParityDisk, 4, 256*units.MB, func(cf *Config) {
+	sat := paperRun(t, scheme.PrefetchParityDisk, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 600 * units.Second
 		cf.Trace = []FailureEvent{{Disk: 3, At: 50 * units.Second, Rebuild: true}}
 	})
@@ -437,11 +451,11 @@ func TestFlashCrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
 		cf.Arrivals = burst
 	})
-	calm := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	calm := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
 		cf.ArrivalRate = 5
 	})
@@ -469,8 +483,8 @@ func TestBatching(t *testing.T) {
 		cf.Duration = 300 * units.Second
 		cf.Selector = sel
 	}
-	plain := paperRun(t, analytic.Declustered, 4, 256*units.MB, base)
-	batched := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	plain := paperRun(t, scheme.Declustered, 4, 256*units.MB, base)
+	batched := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		base(cf)
 		cf.BatchWindow = 10 * units.Second
 	})
@@ -490,7 +504,7 @@ func TestBatching(t *testing.T) {
 
 // TestResponsePercentile: p95 is at least the mean and is reported.
 func TestResponsePercentile(t *testing.T) {
-	res := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 200 * units.Second
 	})
 	if res.ResponseP95 < res.MeanResponse {
@@ -509,7 +523,7 @@ func TestExplicitArrivalsWithoutRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+		Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: paperCatalog(t),
 		Duration: 60 * units.Second, Seed: 1,
 		Arrivals: trace,

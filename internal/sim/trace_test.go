@@ -3,8 +3,8 @@ package sim
 import (
 	"testing"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
 
@@ -13,7 +13,7 @@ func TestTraceValidation(t *testing.T) {
 	cat := paperCatalog(t)
 	base := func() Config {
 		return Config{
-			Scheme: analytic.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
+			Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 			Buffer: 256 * units.MB, Catalog: cat, ArrivalRate: 20,
 			Duration: 10 * units.Second,
 		}
@@ -35,7 +35,7 @@ func TestTraceValidation(t *testing.T) {
 // overlap, the younger disk's due blocks are lost; once the first rebuild
 // completes, the second proceeds and both finish.
 func TestTraceDoubleFailureDeclustered(t *testing.T) {
-	res := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 1500 * units.Second // one full rebuild takes ~400s
 		cf.Trace = []FailureEvent{
 			{Disk: 5, At: 50 * units.Second, Rebuild: true},
@@ -53,7 +53,7 @@ func TestTraceDoubleFailureDeclustered(t *testing.T) {
 	}
 	// A single failure with the same load loses nothing — the losses are
 	// attributable to the overlap.
-	single := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	single := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Trace = []FailureEvent{{Disk: 5, At: 50 * units.Second, Rebuild: true}}
 	})
 	if single.LostBlocks != 0 {
@@ -65,7 +65,7 @@ func TestTraceDoubleFailureDeclustered(t *testing.T) {
 // failures in different clusters are each ordinary single failures — no
 // losses, and with the parity-disk scheme no deadline misses either.
 func TestTraceIndependentClusters(t *testing.T) {
-	res := paperRun(t, analytic.PrefetchParityDisk, 4, 512*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.PrefetchParityDisk, 4, 512*units.MB, func(cf *Config) {
 		cf.Trace = []FailureEvent{
 			{Disk: 0, At: 50 * units.Second},  // data disk, cluster 0
 			{Disk: 4, At: 100 * units.Second}, // data disk, cluster 1
@@ -83,7 +83,7 @@ func TestTraceIndependentClusters(t *testing.T) {
 // cluster strands the cluster's groups — the younger disk's due blocks
 // are lost.
 func TestTraceSameClusterLoses(t *testing.T) {
-	res := paperRun(t, analytic.NonClustered, 4, 512*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.NonClustered, 4, 512*units.MB, func(cf *Config) {
 		cf.Trace = []FailureEvent{
 			{Disk: 0, At: 50 * units.Second}, // data disk, cluster 0
 			{Disk: 1, At: 60 * units.Second}, // second data disk, cluster 0
@@ -97,7 +97,7 @@ func TestTraceSameClusterLoses(t *testing.T) {
 // TestTraceRefailIgnored: re-failing a still-failed disk must not spawn a
 // second failure state or a second rebuild.
 func TestTraceRefailIgnored(t *testing.T) {
-	res := paperRun(t, analytic.Declustered, 4, 256*units.MB, func(cf *Config) {
+	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Trace = []FailureEvent{
 			{Disk: 5, At: 50 * units.Second, Rebuild: true},
 			{Disk: 5, At: 55 * units.Second, Rebuild: true},

@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
 )
@@ -13,7 +13,7 @@ import (
 func workloadConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Scheme:      analytic.Declustered,
+		Scheme:      scheme.Declustered,
 		Disk:        diskmodel.Default(),
 		D:           32,
 		P:           4,

@@ -5,9 +5,9 @@ import (
 	"io"
 	"testing"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/core"
 	"ftcms/internal/experiments"
+	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
@@ -29,15 +29,15 @@ func TestGoldenOutputs(t *testing.T) {
 	}{
 		{"Figure5", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.Figure5Columns, []experiments.Figure5Point{
-				{Scheme: analytic.Declustered, P: 4, Clips: 1000, Q: 20, F: 3, Block: 524288}})
+				{Scheme: scheme.Declustered, P: 4, Clips: 1000, Q: 20, F: 3, Block: 524288}})
 		}, "scheme,p,clips,q,f,block_bits\nDeclustered parity,4,1000,20,3,524288\n"},
 		{"Figure6", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.Figure6Columns, []experiments.Figure6Point{
-				{Scheme: analytic.PrefetchFlat, P: 8, Serviced: 100, PeakActive: 12, MeanResponse: 1.5}})
+				{Scheme: scheme.PrefetchFlat, P: 8, Serviced: 100, PeakActive: 12, MeanResponse: 1.5}})
 		}, "scheme,p,serviced,peak_active,mean_response_s\nPre-fetching without parity disk,8,100,12,1.500000\n"},
 		{"Continuity", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.ContinuityColumns, []experiments.ContinuityPoint{
-				{Scheme: analytic.NonClustered, P: 8, Serviced: 5, DeadlineMisses: 7, LostBlocks: 2}})
+				{Scheme: scheme.NonClustered, P: 8, Serviced: 5, DeadlineMisses: 7, LostBlocks: 2}})
 		}, "scheme,p,serviced,deadline_misses,lost_blocks\nNon-clustered,8,5,7,2\n"},
 		{"Cluster", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.ClusterColumns, []experiments.ClusterPoint{
@@ -65,7 +65,7 @@ func TestGoldenOutputs(t *testing.T) {
 			"declustered-pq,24,23,1,2,5,2,310,300\n"},
 		{"Rebuild", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.RebuildColumns, []experiments.RebuildPoint{
-				{Scheme: analytic.Declustered, P: 4, Rebuild: 1234.5678, MTTDL: 1.23456789e9}})
+				{Scheme: scheme.Declustered, P: 4, Rebuild: 1234.5678, MTTDL: 1.23456789e9}})
 		}, "scheme,p,rebuild_s,mttdl_hours\nDeclustered parity,4,1234.568,1.23457e+09\n"},
 		{"TimelineCSV", func(w io.Writer) error { return trace.WriteTimelineCSV(w, buckets) },
 			"start_s,offered,admitted,batched,rejected,shed,actions,active,queue,view_version,node_active\n" +

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"ftcms/internal/analytic"
 	"ftcms/internal/experiments"
+	"ftcms/internal/scheme"
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
@@ -38,7 +38,7 @@ func TestWriteFigure5CSV(t *testing.T) {
 		t.Fatalf("header %v", rows[0])
 	}
 	for i, pt := range points {
-		if rows[i+1][0] != pt.Scheme.String() {
+		if rows[i+1][0] != pt.Scheme.Legend() {
 			t.Fatalf("row %d scheme %q", i, rows[i+1][0])
 		}
 	}
@@ -46,7 +46,7 @@ func TestWriteFigure5CSV(t *testing.T) {
 
 func TestWriteFigure6CSV(t *testing.T) {
 	points := []experiments.Figure6Point{
-		{Scheme: analytic.Declustered, P: 4, Serviced: 100, PeakActive: 12, MeanResponse: 1.5},
+		{Scheme: scheme.Declustered, P: 4, Serviced: 100, PeakActive: 12, MeanResponse: 1.5},
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, experiments.Figure6Columns, points); err != nil {
@@ -60,7 +60,7 @@ func TestWriteFigure6CSV(t *testing.T) {
 
 func TestWriteContinuityCSV(t *testing.T) {
 	points := []experiments.ContinuityPoint{
-		{Scheme: analytic.NonClustered, P: 8, Serviced: 5, DeadlineMisses: 7, LostBlocks: 2},
+		{Scheme: scheme.NonClustered, P: 8, Serviced: 5, DeadlineMisses: 7, LostBlocks: 2},
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, experiments.ContinuityColumns, points); err != nil {
@@ -112,10 +112,10 @@ type writeErr struct{}
 func (*writeErr) Error() string { return "synthetic write failure" }
 
 func TestWriteErrorsPropagate(t *testing.T) {
-	f5 := []experiments.Figure5Point{{Scheme: analytic.Declustered, P: 4, Clips: 1, Q: 1, F: 1, Block: 8}}
-	f6 := []experiments.Figure6Point{{Scheme: analytic.Declustered, P: 4, Serviced: 1}}
-	cont := []experiments.ContinuityPoint{{Scheme: analytic.Declustered, P: 4}}
-	reb := []experiments.RebuildPoint{{Scheme: analytic.Declustered, P: 4, Rebuild: 1, MTTDL: 1}}
+	f5 := []experiments.Figure5Point{{Scheme: scheme.Declustered, P: 4, Clips: 1, Q: 1, F: 1, Block: 8}}
+	f6 := []experiments.Figure6Point{{Scheme: scheme.Declustered, P: 4, Serviced: 1}}
+	cont := []experiments.ContinuityPoint{{Scheme: scheme.Declustered, P: 4}}
+	reb := []experiments.RebuildPoint{{Scheme: scheme.Declustered, P: 4, Rebuild: 1, MTTDL: 1}}
 	for _, n := range []int{0, 10} {
 		if err := trace.WriteCSV(&failWriter{n: n}, experiments.Figure5Columns, f5); err == nil {
 			t.Errorf("Figure5 n=%d: error swallowed", n)
