@@ -54,19 +54,26 @@ func main() {
 	replication := flag.Int("rep", 0, "scenario replication factor (0: default 2)")
 	scrub := flag.Int("scrub", 0, "patrol scrub rate in verify reads per disk per round (0: off, -1: idle-bounded)")
 	corrupt := flag.String("corrupt", "", "silent-corruption script: disk@sec:blocks[,disk@sec:blocks...]")
-	workers := flag.Int("workers", 0, "parallel sweep workers (0: one per CPU, 1: sequential)")
+	workers := flag.Int("workers", 0, "parallel sweep workers, -exp only (0: one per CPU, 1: sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
 	// -exp reaches an entry only through these flags; any other flag on
-	// the same command line belongs to a single run or a scenario day.
+	// the same command line belongs to a single run or a scenario day,
+	// which in turn have no use for -workers: each is one round loop.
 	if *exp != "" {
 		applies := map[string]bool{"exp": true, "csv": true, "buffer": true, "seed": true, "workers": true,
 			"subscribers": true, "timescale": true, "p": true, "cpuprofile": true, "memprofile": true}
 		flag.Visit(func(f *flag.Flag) {
 			if !applies[f.Name] {
 				fatal(fmt.Errorf("-%s does not apply to -exp", f.Name))
+			}
+		})
+	} else {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "workers" {
+				fatal(fmt.Errorf("-workers applies only to -exp"))
 			}
 		})
 	}
@@ -94,7 +101,7 @@ func main() {
 		}
 	case *scenarioFlag != "":
 		if err := runScenario(*scenarioFlag, scenarioOpts{
-			timeline: *timelineFlag, csv: *csvOut, seed: *seed, workers: *workers,
+			timeline: *timelineFlag, csv: *csvOut, seed: *seed,
 			subscribers: *subscribers, timescale: *timescale,
 			nodes: *nodes, replication: *replication,
 			autopilot: *autopilotFlag,
@@ -179,7 +186,6 @@ type scenarioOpts struct {
 	timeline           string
 	csv                bool
 	seed               int64
-	workers            int
 	subscribers        int64
 	timescale          float64
 	nodes, replication int
@@ -228,7 +234,6 @@ func runScenario(arg string, opts scenarioOpts) error {
 		Seed:        opts.seed,
 		Nodes:       opts.nodes,
 		Replication: opts.replication,
-		Workers:     opts.workers,
 	}
 	if opts.autopilot {
 		rc.Autopilot = &autopilot.Config{}

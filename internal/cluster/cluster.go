@@ -68,7 +68,10 @@ type Config struct {
 	// rounds out on: 0 (the default) means one worker per available
 	// CPU, 1 forces the sequential loop. Nodes are fully independent
 	// arrays (own engine, detector, buffers), so parallel node ticks
-	// are deterministic regardless of worker count.
+	// are deterministic regardless of worker count. It is the one
+	// in-round fan-out left, because it pays: 4 nodes of ≈ 1000 streams
+	// each tick 1.37× faster on two workers than on one (2 vCPUs). Each
+	// node's own round stays on the one goroutine that ticks it.
 	TickWorkers int
 }
 

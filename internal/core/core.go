@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"ftcms/internal/admission"
 	"ftcms/internal/buffer"
@@ -27,7 +26,6 @@ import (
 	"ftcms/internal/faultinject"
 	"ftcms/internal/health"
 	"ftcms/internal/layout"
-	"ftcms/internal/parallel"
 	"ftcms/internal/recovery"
 	"ftcms/internal/sched"
 	"ftcms/internal/scheme"
@@ -92,12 +90,11 @@ type Config struct {
 	// pre-scrub behaviour); negative means unlimited — the sweep is then
 	// bounded only by the idle capacity each round leaves under q.
 	ScrubRate int
-	// TickWorkers bounds the worker pool Tick shards stream service
-	// across: 0 (the default) means one worker per available CPU, 1
-	// forces the sequential path, n > 1 uses n workers. Sharding engages
-	// only on fully healthy, fault-quiescent rounds with a large stream
-	// population and is bit-identical to the sequential tick (see
-	// tickshard.go).
+	// TickWorkers is kept only because the benchmark module still sets
+	// it (bench/inproc.go, bench/coreloads.go); it goes once that module
+	// stops.
+	//
+	// Deprecated: ignored; a server's rounds run on the calling goroutine.
 	TickWorkers int
 }
 
@@ -183,7 +180,10 @@ type Stats struct {
 	RebuildLatencies []int64
 }
 
-// Server is a fault-tolerant continuous media server.
+// Server is a fault-tolerant continuous media server. It is owned by one
+// goroutine: its methods, Tick included, must not run concurrently, and
+// a round's stream service is one pass over the registry on the calling
+// goroutine. Callers that share a Server serialize on their own lock.
 type Server struct {
 	cfg Config
 	lay layout.Layout
@@ -217,15 +217,6 @@ type Server struct {
 	// compaction sweep drops them in place; active counts the rest.
 	reg    []*Stream
 	active int
-	// tickWorkers is Config.TickWorkers resolved via parallel.Workers.
-	tickWorkers int
-	// shards holds the per-worker accumulators of the sharded tick,
-	// allocated once and reset each parallel round.
-	shards []tickShard
-	// parallelRounds counts rounds whose stream service actually
-	// sharded (parallelOK held); tests use it to prove the parallel
-	// path engaged rather than silently falling back to sequential.
-	parallelRounds int64
 
 	// Failure lifecycle (failure.go).
 	detector   *health.Detector
@@ -285,9 +276,8 @@ type Server struct {
 	// groupFetch is set for streaming RAID: fetch a whole group at once.
 	groupFetch bool
 
-	// scratchMu guards scratchFree, the freelist of repair scratch
-	// (repair.go); block buffers come off the store's own freelist.
-	scratchMu   sync.Mutex
+	// scratchFree is the freelist of repair scratch (repair.go); block
+	// buffers come off the store's own freelist.
 	scratchFree []*repairScratch
 }
 
@@ -368,7 +358,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.sparesLeft = cfg.Spares
-	s.tickWorkers = parallel.Workers(cfg.TickWorkers)
 	s.detector = health.NewDetector(cfg.D, cfg.Health)
 	s.detector.SetOnFail(s.failDeclared)
 	s.detector.SetClock(s.engine.Round)

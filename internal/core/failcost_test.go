@@ -33,7 +33,7 @@ func newFailBench(tb testing.TB, streams, clips int, clipBlocks int64) *failBenc
 			PlaybackRate: 1500 * units.Kbps,
 		},
 		D: 32, P: 4, Block: 4 * units.KB, Q: 64, F: 16,
-		Buffer: 2 * units.GB, Spares: 1 << 30, TickWorkers: 1,
+		Buffer: 2 * units.GB, Spares: 1 << 30,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -183,13 +183,13 @@ func TestFailDiskAllocs(t *testing.T) {
 
 // TestHealthyRoundAllocs pins the steady state from the same side: a
 // healthy round — Tick, then every stream takes its block — allocates
-// nothing once the population is admitted. 200 streams keep it cheap under
+// nothing once the population is admitted. 300 streams keep it cheap under
 // the race detector; the repository benchmark's steady workload measures
-// the same path at 4000 (core.allocs_per_round). The pin is for the
-// sequential tick (newFailBench sets TickWorkers: 1), so it holds on any
-// core count; a sharded tick pays its fan-out's few objects per round.
+// the same path at 4000 (core.allocs_per_round). newFailBench runs the
+// default config, so the pin holds at any GOMAXPROCS: a round is one pass
+// on the calling goroutine, with no fan-out to pay for.
 func TestHealthyRoundAllocs(t *testing.T) {
-	fb := newFailBench(t, 200, 8, 1024)
+	fb := newFailBench(t, 300, 8, 1024)
 	delivered := 0
 	allocs := testing.AllocsPerRun(100, func() { delivered += fb.round(t) })
 	if want := 101 * len(fb.streams) * len(fb.buf); delivered != want {

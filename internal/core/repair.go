@@ -244,9 +244,9 @@ type repairMode struct {
 	offRound bool
 }
 
-// repairScratch is what one repair needs besides block buffers. Repairs
-// run inside tick shards too (a corrupt block met on a healthy array), so
-// scratch comes off a freelist under scratchMu, never from a bare field.
+// repairScratch is what one repair needs besides block buffers. repairAt
+// holds one while repairMember takes another, so scratch comes off a
+// freelist, never from a bare field.
 type repairScratch struct {
 	g    layout.Group // the caller's group fill (repairAt)
 	bufs [][]byte
@@ -255,8 +255,6 @@ type repairScratch struct {
 }
 
 func (s *Server) getScratch() *repairScratch {
-	s.scratchMu.Lock()
-	defer s.scratchMu.Unlock()
 	if n := len(s.scratchFree); n > 0 {
 		sc := s.scratchFree[n-1]
 		s.scratchFree = s.scratchFree[:n-1]
@@ -266,9 +264,7 @@ func (s *Server) getScratch() *repairScratch {
 }
 
 func (s *Server) putScratch(sc *repairScratch) {
-	s.scratchMu.Lock()
 	s.scratchFree = append(s.scratchFree, sc)
-	s.scratchMu.Unlock()
 }
 
 // repairAt is repairMember for the block at address a, whichever member

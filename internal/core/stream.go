@@ -433,18 +433,13 @@ func (s *Server) Tick() error {
 }
 
 // serviceStreams runs the round's fetch/delivery phase for every active
-// stream, sharding across the worker pool when the round qualifies
-// (see parallelOK) and falling back to the plain sequential loop
-// otherwise.
+// stream, in registry order.
 func (s *Server) serviceStreams(perRound int64) error {
-	if s.parallelOK() {
-		return s.tickParallel(perRound)
-	}
 	for _, st := range s.reg {
 		if !st.active || st.done {
 			continue // released or terminated earlier this round
 		}
-		if err := s.tickStream(st, perRound, nil); err != nil {
+		if err := s.tickStream(st, perRound); err != nil {
 			return err
 		}
 	}
@@ -452,11 +447,7 @@ func (s *Server) serviceStreams(perRound int64) error {
 }
 
 // tickStream runs one stream's fetch and delivery phases for the round.
-// With a non-nil shard, every shared-state side effect (round-ledger
-// charges, hiccup counting, completion and termination bookkeeping)
-// goes to the shard's accumulators instead, to be merged at the round
-// barrier.
-func (s *Server) tickStream(st *Stream, perRound int64, sh *tickShard) error {
+func (s *Server) tickStream(st *Stream, perRound int64) error {
 	// Fetch phase: keep the pipeline prefetchDepth blocks ahead of
 	// delivery (whole groups at once for streaming RAID).
 	target := st.nextDeliver + s.prefetchDepth
@@ -465,9 +456,9 @@ func (s *Server) tickStream(st *Stream, perRound int64, sh *tickShard) error {
 	}
 	fetchBudget := perRound
 	for st.nextFetch < target && fetchBudget > 0 {
-		if err := s.fetchInto(st, st.nextFetch, sh); err != nil {
+		if err := s.fetchInto(st, st.nextFetch); err != nil {
 			if errors.Is(err, recovery.ErrUnrecoverable) {
-				s.terminateTick(sh, st, fmt.Errorf("%w: %v", ErrStreamLost, err))
+				s.terminate(st, fmt.Errorf("%w: %v", ErrStreamLost, err))
 				return nil
 			}
 			return err
@@ -483,9 +474,9 @@ func (s *Server) tickStream(st *Stream, perRound int64, sh *tickShard) error {
 	// Delivery phase: one block of playback per round once started.
 	if st.started {
 		for k := int64(0); k < perRound && st.nextDeliver < st.clip.blocks; k++ {
-			if err := s.deliver(st, sh); err != nil {
+			if err := s.deliver(st); err != nil {
 				if errors.Is(err, recovery.ErrUnrecoverable) {
-					s.terminateTick(sh, st, fmt.Errorf("%w: %v", ErrStreamLost, err))
+					s.terminate(st, fmt.Errorf("%w: %v", ErrStreamLost, err))
 					return nil
 				}
 				return err
@@ -494,12 +485,8 @@ func (s *Server) tickStream(st *Stream, perRound int64, sh *tickShard) error {
 	}
 	if st.nextDeliver >= st.clip.blocks {
 		st.done = true
-		if sh == nil {
-			s.served++
-			s.release(st)
-		} else {
-			sh.completed = append(sh.completed, st)
-		}
+		s.served++
+		s.release(st)
 	}
 	return nil
 }
@@ -511,11 +498,11 @@ func (s *Server) tickStream(st *Stream, perRound int64, sh *tickShard) error {
 // injected — the pre-fetching schemes fetch the group's parity block
 // instead (§6) and the others fetch the surviving members and
 // reconstruct (§4).
-func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
+func (s *Server) fetchInto(st *Stream, n int64) error {
 	logical := st.clip.block(n)
 	addr := s.lay.Place(logical)
 	if !s.store.Array.Failed(addr.Disk) {
-		s.chargeTick(sh, addr.Disk)
+		s.charge(addr.Disk)
 		c, err := s.readMonitored(addr)
 		if err == nil {
 			st.hold(n, c, false)
@@ -535,7 +522,7 @@ func (s *Server) fetchInto(st *Stream, n int64, sh *tickShard) error {
 		if s.store.Array.Failed(g.Parity.Disk) {
 			return fmt.Errorf("%w: parity disk %d also failed", recovery.ErrUnrecoverable, g.Parity.Disk)
 		}
-		s.chargeTick(sh, g.Parity.Disk)
+		s.charge(g.Parity.Disk)
 		pbuf := s.getBlock()
 		if err := s.readMemberInto(g.Parity, pbuf); err != nil {
 			s.putBlock(pbuf)
@@ -593,17 +580,13 @@ func (s *Server) reconstructPending(st *Stream, n int64) {
 }
 
 // deliver moves clip block nextDeliver from its slot to the readable queue.
-func (s *Server) deliver(st *Stream, sh *tickShard) error {
+func (s *Server) deliver(st *Stream) error {
 	n := st.nextDeliver
 	s.reconstructPending(st, n)
 	sl := st.slot(n)
 	if sl == nil {
 		// The pipeline failed to produce the block in time.
-		if sh == nil {
-			s.hiccups++
-		} else {
-			sh.hiccups++
-		}
+		s.hiccups++
 		st.nextDeliver++
 		return nil
 	}
@@ -611,7 +594,7 @@ func (s *Server) deliver(st *Stream, sh *tickShard) error {
 		// A mid-group restart (pause/resume across a failure) dropped
 		// the buffered siblings the §6 invariant normally provides;
 		// fall back to reading them from disk for this one group.
-		if err := s.reconstructFromDisk(st, sl, sh); err != nil {
+		if err := s.reconstructFromDisk(st, sl); err != nil {
 			return err
 		}
 	}
@@ -644,7 +627,7 @@ func (s *Server) deliver(st *Stream, sh *tickShard) error {
 // stands for by XORing the siblings in, preferring buffered siblings and
 // charging disk reads for the rest. A sibling on another failed disk makes
 // the group unrecoverable (and leaves sl half-summed: the stream ends).
-func (s *Server) reconstructFromDisk(st *Stream, sl *slot, sh *tickShard) error {
+func (s *Server) reconstructFromDisk(st *Stream, sl *slot) error {
 	logical := st.clip.block(sl.n)
 	g := s.lay.GroupOf(logical)
 	scratch := s.getBlock()
@@ -658,7 +641,7 @@ func (s *Server) reconstructFromDisk(st *Stream, sl *slot, sh *tickShard) error 
 			continue
 		}
 		addr := s.lay.Place(li)
-		s.chargeTick(sh, addr.Disk)
+		s.charge(addr.Disk)
 		if err := s.readMemberInto(addr, scratch); err != nil {
 			return fmt.Errorf("%w: disk %d also unavailable: %v", recovery.ErrUnrecoverable, addr.Disk, err)
 		}

@@ -51,7 +51,6 @@ func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
 			Seed:        cfg.Seed,
 			Nodes:       scenarioNodes,
 			Replication: scenarioReplication,
-			Workers:     1, // cells already fan out; keep each run sequential
 		}
 		open, err := scenario.Run(rc)
 		if err != nil {

@@ -107,7 +107,6 @@ func ScenarioSweep(cfg ScenarioSweepConfig) ([]ScenarioPoint, error) {
 			Seed:        cfg.Seed,
 			Nodes:       scenarioNodes,
 			Replication: scenarioReplication,
-			Workers:     1, // cells already fan out; keep each run sequential
 		})
 		if err != nil {
 			return ScenarioPoint{}, fmt.Errorf("scenario sweep ×%g: %w", mult, err)

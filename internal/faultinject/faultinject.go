@@ -315,43 +315,6 @@ func (in *Injector) ClearDisk(disk int) {
 	}
 }
 
-// QuiescentAt reports whether the injector is provably inert for every
-// read of round r: no verdict, no slowdown, no RNG draw, and no latent
-// damage already landed on the array. The sharded tick uses it as a
-// parallel-safety gate, so it errs on the side of false:
-//
-//   - any latent bad block or any corruption entry (fired or not — a
-//     fired entry means rotten bytes may still sit on the array) makes
-//     every future round non-quiescent;
-//   - a fail-stop is non-quiescent from its round on (the array flag is
-//     not set until detection, so reads really do error);
-//   - transient and slow windows are non-quiescent while open —
-//     transients also draw from the seeded RNG per read, which must
-//     stay sequenced.
-func (in *Injector) QuiescentAt(r int64) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if len(in.bad) > 0 || len(in.corr) > 0 {
-		return false
-	}
-	for _, f := range in.plan.FailStops {
-		if r >= f.Round {
-			return false
-		}
-	}
-	for _, tr := range in.plan.Transients {
-		if window(r, tr.From, tr.Until) {
-			return false
-		}
-	}
-	for _, sl := range in.plan.Slows {
-		if sl.Factor > 1 && window(r, sl.From, sl.Until) {
-			return false
-		}
-	}
-	return true
-}
-
 // Stats returns a snapshot of the injection counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()

@@ -34,9 +34,9 @@ type Stats struct {
 	Mismatches int64
 }
 
-// Counters tallies an array's checksum work. Atomic, so verifying — on
-// the hot read path, possibly from several tick shards at once — needs
-// no lock of its own. The zero value is ready to use.
+// Counters tallies an array's checksum work. Atomic, so verifying on the
+// hot read path, under the array's shared read lock, needs no lock of
+// its own. The zero value is ready to use.
 type Counters struct {
 	recorded, verified, mismatches atomic.Int64
 }

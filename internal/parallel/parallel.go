@@ -1,5 +1,6 @@
 // Package parallel provides the small bounded worker pool the experiment
-// sweeps and simulation batches fan out on.
+// sweeps, simulation batches and the cluster's per-node rounds fan out
+// on. Nothing fans out inside one array's round.
 //
 // The determinism contract: work items are addressed by index, every
 // worker writes only its own item's slot, and errors are reported as the

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"ftcms/internal/layout"
 	"ftcms/internal/storage"
@@ -24,31 +23,27 @@ import (
 // one disk of its parity group has failed.
 var ErrUnrecoverable = errors.New("recovery: block unrecoverable (multiple failures in parity group)")
 
-// Store ties a placement to an array and keeps parity consistent.
+// Store ties a placement to an array and keeps parity consistent. It is
+// owned by one goroutine, like the core.Server it backs: no method may
+// run concurrently with another.
 type Store struct {
 	// Layout places data and parity blocks.
 	Layout layout.Layout
 	// Array holds the bytes.
 	Array *storage.Array
 
-	// mu guards free, the server's one freelist of block-sized buffers:
-	// parity maintenance here and core's fetch, reconstruction and
-	// delivery paths all draw from it. A LIFO stack, not the sync
-	// package's pool, whose Put(&b) boxes the slice header — one heap
-	// allocation per recycled block. The mutex keeps it safe for the
-	// sharded tick.
-	mu   sync.Mutex
+	// free is the server's one freelist of block-sized buffers: parity
+	// maintenance here and core's fetch, reconstruction and delivery
+	// paths all draw from it. A LIFO stack, not the sync package's pool,
+	// whose Put(&b) boxes the slice header — one heap allocation per
+	// recycled block.
 	free [][]byte
-	// wmu makes WriteBlock's read-modify-write of a group's parity atomic
-	// and guards wg, the group it fills.
-	wmu sync.Mutex
-	wg  layout.Group
+	// wg is the group WriteBlock fills for its parity refresh.
+	wg layout.Group
 }
 
 // GetBlock returns a block-sized buffer with unspecified contents.
 func (s *Store) GetBlock() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n := len(s.free); n > 0 {
 		b := s.free[n-1]
 		s.free[n-1] = nil
@@ -64,9 +59,7 @@ func (s *Store) PutBlock(b []byte) {
 	if len(b) != s.Array.BlockSize() {
 		return
 	}
-	s.mu.Lock()
 	s.free = append(s.free, b)
-	s.mu.Unlock()
 }
 
 // NewStore validates that the array matches the layout's disk count.
@@ -88,8 +81,6 @@ func (s *Store) WriteBlock(i int64, data []byte) error {
 	if err := s.Array.Write(addr.Disk, addr.Block, data); err != nil {
 		return err
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
 	s.Layout.GroupAt(addr, &s.wg)
 	return s.rebuildParity(s.wg)
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // closedLoop runs the named builtin with the autopilot on.
-func closedLoop(t *testing.T, name string, seed int64, workers int) Result {
+func closedLoop(t *testing.T, name string, seed int64) Result {
 	t.Helper()
 	c, err := Builtin(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(RunConfig{Scenario: c, Seed: seed, Workers: workers, Autopilot: &autopilot.Config{}})
+	res, err := Run(RunConfig{Scenario: c, Seed: seed, Autopilot: &autopilot.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestClosedLoopFlagshipAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed := closedLoop(t, "primetime-flashcrowd-rebuild", 11, 0)
+	closed := closedLoop(t, "primetime-flashcrowd-rebuild", 11)
 
 	// Zero operator commands: the profile's scripted join/drain/adddisk
 	// were suppressed, so every join and drain in the result is the
@@ -118,20 +118,20 @@ func TestClosedLoopFlagshipAcceptance(t *testing.T) {
 }
 
 // TestClosedLoopActionTraceDeterminism pins the replay bar: the same
-// scenario and seed yield a byte-identical autopilot action trace at any
-// worker count. Runs under -race in CI.
+// scenario and seed yield a byte-identical autopilot action trace on
+// every run.
 func TestClosedLoopActionTraceDeterminism(t *testing.T) {
-	a := closedLoop(t, "primetime-autopilot", 7, 1)
-	b := closedLoop(t, "primetime-autopilot", 7, 4)
+	a := closedLoop(t, "primetime-autopilot", 7)
+	b := closedLoop(t, "primetime-autopilot", 7)
 	ta, tb := autopilot.TraceString(a.Actions), autopilot.TraceString(b.Actions)
 	if ta == "" {
 		t.Fatal("closed-loop run produced an empty action trace")
 	}
 	if ta != tb {
-		t.Fatalf("action trace diverged across worker counts:\n--- workers=1\n%s--- workers=4\n%s", ta, tb)
+		t.Fatalf("action trace diverged between runs:\n--- first\n%s--- second\n%s", ta, tb)
 	}
 	if a.Serviced != b.Serviced || a.Rejected != b.Rejected || a.Shed != b.Shed || a.LostStreams != b.LostStreams {
-		t.Fatalf("closed-loop totals diverged across workers: %+v vs %+v", a, b)
+		t.Fatalf("closed-loop totals diverged between runs: %+v vs %+v", a, b)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestClosedLoopActionTraceDeterminism(t *testing.T) {
 // a node loss with no scripted operator response, so only the controller
 // can save the day — and does.
 func TestAutopilotBuiltinExercisesLoop(t *testing.T) {
-	res := closedLoop(t, "primetime-autopilot", 11, 0)
+	res := closedLoop(t, "primetime-autopilot", 11)
 	if res.NodeFailures != 1 {
 		t.Fatalf("node failures = %d, want 1", res.NodeFailures)
 	}

@@ -34,9 +34,6 @@ type RunConfig struct {
 	Buffer units.Bits
 	// Scheme is the fault-tolerant scheme (default declustered parity).
 	Scheme scheme.Scheme
-	// Workers sizes the cluster engine's per-round completion pool
-	// (0 = one per CPU).
-	Workers int
 	// Autopilot, when set, runs the scenario closed-loop: the policy
 	// controller drives all reconfiguration, so the profile's operator
 	// join/drain/adddisk maintenance is suppressed (faults — fail and
@@ -146,7 +143,6 @@ func Run(rc RunConfig) (Result, error) {
 			Node:        node,
 			Nodes:       rc.Nodes,
 			Replication: rc.Replication,
-			Workers:     rc.Workers,
 			Autopilot:   rc.Autopilot,
 		}
 		for _, ev := range c.Maintenance() {

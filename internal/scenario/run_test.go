@@ -124,20 +124,20 @@ func TestRunSingleArrayRejectsClusterMaintenance(t *testing.T) {
 }
 
 // TestRunDeterminism: the full pipeline — source, engines, timeline —
-// reproduces bit-identically from the same seed at any worker count.
+// reproduces bit-identically from the same seed.
 func TestRunDeterminism(t *testing.T) {
 	c1 := mustCompile(t, smallDay)
-	a, err := Run(RunConfig{Scenario: c1, Seed: 7, Workers: 1})
+	a, err := Run(RunConfig{Scenario: c1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := mustCompile(t, smallDay)
-	b, err := Run(RunConfig{Scenario: c2, Seed: 7, Workers: 4})
+	b, err := Run(RunConfig{Scenario: c2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed diverged across worker counts:\n%+v\n%+v", a, b)
+		t.Fatalf("same seed diverged between runs:\n%+v\n%+v", a, b)
 	}
 }
 

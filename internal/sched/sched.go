@@ -79,31 +79,6 @@ func (e *Engine) Charge(disk int) bool {
 	return true
 }
 
-// ChargeN records n block reads on a disk at once, with overflow
-// accounting identical to n successive Charge calls: every charge
-// beyond the q budget counts one overflow. The sharded tick uses it to
-// merge per-shard read tallies at the round barrier — the final ledger
-// and overflow count are bit-identical to the sequential interleaving,
-// because both depend only on per-disk totals.
-func (e *Engine) ChargeN(disk, n int) {
-	if n <= 0 {
-		return
-	}
-	if disk < 0 || disk >= e.d {
-		panic(fmt.Sprintf("sched: disk %d out of range [0, %d)", disk, e.d))
-	}
-	before := e.reads[disk]
-	after := before + n
-	e.reads[disk] = after
-	if after > e.q {
-		from := before
-		if from < e.q {
-			from = e.q
-		}
-		e.Overflows += int64(after - from)
-	}
-}
-
 // AddDisk widens the engine by one disk with a zero ledger for the
 // current round, preserving the round clock and overflow count. The
 // re-layout path calls it at the instant the wider layout table flips

@@ -20,7 +20,6 @@ import (
 	"ftcms/internal/admission"
 	"ftcms/internal/analytic"
 	"ftcms/internal/autopilot"
-	"ftcms/internal/parallel"
 	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
@@ -56,19 +55,11 @@ type ClusterConfig struct {
 	// after a re-layout delay of one clip's playback time — a coarse
 	// stand-in for the online PGT re-layout the real cluster runs.
 	ViewTrace []ViewEvent
-	// Workers sizes the pool for the per-node completion phase of each
-	// round (0 = one per CPU, 1 = sequential). Nodes complete their own
-	// streams against their own controller and buffer pool, and per-node
-	// tallies are merged in node order, so the result is identical at any
-	// worker count.
-	Workers int
 	// Autopilot, when set, runs the closed-loop policy controller: one
 	// Observe per round over the engine's own deterministic signals,
 	// with actions applied through the same join/drain machinery the
 	// ViewTrace uses. MinNodes defaults to the original membership (the
-	// replication floor) and MaxNodes to MinNodes+2. The controller
-	// runs in the sequential section of the round, so the action trace
-	// is byte-identical at any worker count.
+	// replication floor) and MaxNodes to MinNodes+2.
 	Autopilot *autopilot.Config
 }
 
@@ -268,10 +259,7 @@ type run struct {
 	abandoned    int
 	active       int
 
-	// completeNode is the completion step's per-node body, built once;
-	// the rest is scratch reused across rounds.
-	completeNode func(i int) error
-	completions  []int
+	// Scratch reused across rounds.
 	cand         []int
 	candDraining []int
 	nodeActive   []int
@@ -348,12 +336,6 @@ func newRun(cfg ClusterConfig) (*run, error) {
 		}
 	}
 	r.roundDur, r.clipRounds = r.nodes[0].roundDur, r.nodes[0].clipRounds
-	r.completeNode = func(i int) error {
-		if r.alive[i] {
-			r.completions[i] = r.nodes[i].complete(r.now)
-		}
-		return nil
-	}
 	if r.feed, err = newFeeder(nc, nc.Seed+1); err != nil {
 		return nil, err
 	}
@@ -413,7 +395,6 @@ func (r *run) addNode() error {
 	r.alive = append(r.alive, true)
 	r.role = append(r.role, roleActive)
 	// Scratch grows with the membership, so the round never reallocates it.
-	r.completions = append(r.completions, 0)
 	r.cand = append(r.cand, 0)
 	r.candDraining = append(r.candDraining, 0)
 	r.res.PerNode = append(r.res.PerNode, NodeResult{FailRound: -1, DrainRound: -1, RetiredRound: -1})
@@ -541,14 +522,14 @@ func (r *run) arrive() {
 	r.res.MaxQueue = max(r.res.MaxQueue, r.queue.Len())
 }
 
-// complete finishes the streams whose playback ends this round. Each
-// node releases only its own tickets and buffers, so the nodes run on
-// the worker pool; per-node tallies merge in node order, which keeps the
-// result identical at any worker count.
+// complete finishes the streams whose playback ends this round, on every
+// live node in node order.
 func (r *run) complete() {
-	clear(r.completions)
-	_ = parallel.ForEach(len(r.nodes), r.cfg.Workers, r.completeNode) // completeNode returns nil
-	for i, n := range r.completions {
+	for i, e := range r.nodes {
+		if !r.alive[i] {
+			continue
+		}
+		n := e.complete(r.now)
 		r.res.Completed += n
 		r.res.PerNode[i].Completed += n
 	}

@@ -266,8 +266,7 @@ type engine struct {
 	scrub *scrubModel
 
 	// res receives the per-disk accounting of failure.go and scrub.go. It
-	// is the run's one Result, shared by its nodes, and is written only
-	// from the round's sequential section.
+	// is the run's one Result, shared by its nodes.
 	res *Result
 }
 

@@ -304,20 +304,6 @@ func (a *Array) read(disk int, block int64, dst []byte) ([]byte, float64, error)
 	return r.data, slow, nil
 }
 
-// AllHealthy reports whether every disk is in the Healthy state — the
-// cheap gate the parallel tick uses to prove no read can take a
-// degraded-mode path this round.
-func (a *Array) AllHealthy() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	for _, st := range a.state {
-		if st != Healthy {
-			return false
-		}
-	}
-	return true
-}
-
 // Written reports whether (disk, block) currently holds a written block.
 // It consults neither the read hook nor the failure state and does not
 // count as a read — a planning probe for rebuild and recoverability
