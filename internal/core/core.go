@@ -453,26 +453,12 @@ func (s *Server) AddClip(name string, data []byte) error {
 		// never be copied to the wider array.
 		return errors.New("core: re-layout in progress; retry after it completes")
 	}
-	bs := int(s.cfg.Block.Bytes())
 	ci, err := s.allocClip(int64(len(data)))
 	if err != nil {
 		return err
 	}
-	blocks := ci.blocks
-	buf := make([]byte, bs)
-	for n := int64(0); n < blocks; n++ {
-		lo := int(n) * bs
-		hi := lo + bs
-		clear(buf)
-		if lo < len(data) {
-			if hi > len(data) {
-				hi = len(data)
-			}
-			copy(buf, data[lo:hi])
-		}
-		if err := s.store.WriteBlock(ci.block(n), buf); err != nil {
-			return err
-		}
+	if err := s.store.WriteRun(ci.start, ci.stride, ci.blocks, data); err != nil {
+		return err
 	}
 	s.publish(name, ci)
 	return nil

@@ -146,8 +146,8 @@ func TestFailDiskAllocs(t *testing.T) {
 	}
 
 	// A repair itself — group fill, survey, plan, reads, solve — allocates
-	// nothing, whichever member is the target: a rebuild round is left
-	// with what the memory-backed spare allocates to store the blocks.
+	// nothing, whichever member is the target (TestRebuildAllocs pins the
+	// whole rebuild).
 	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
 		s, _ := scrubServer(t, testConfig(scheme, 13, 4), 400_000)
 		g := s.lay.GroupOf(17)
@@ -178,6 +178,43 @@ func TestFailDiskAllocs(t *testing.T) {
 	next := mallocs(func() { tick(t, s, 1) })
 	if s.scrub.scanned != 10 || start > next {
 		t.Errorf("sweep start allocated %d objects, the next round %d (scanned %d)", start, next, s.scrub.scanned)
+	}
+}
+
+// TestRebuildAllocs pins a rebuild's cost per block from the allocation
+// side: over blocks no stream has read, a FailDisk → rebuild → rejoin cycle
+// allocates nothing per rebuilt block. The spare's slots keep the failed
+// medium's buffers, and the rebuild's member reads copy, which leaves their
+// blocks unmarked, so every rebuilt block is written into the buffer its
+// slot already has. Objects are counted per block as testing.AllocsPerRun
+// counts them per run: the cycle's total over its blocks, in whole objects
+// (FailDisk's own few objects — the rebuild's state and queue — are shared
+// by some hundred blocks).
+func TestRebuildAllocs(t *testing.T) {
+	fb := newFailBench(t, 0, 4, 1024)
+	s := fb.s
+	cycle := func(disk int) (rebuilt int64, objects uint64) {
+		before := s.rebuiltBlocks
+		objects = mallocs(func() {
+			if err := s.FailDisk(disk); err != nil {
+				t.Fatal(err)
+			}
+			for s.Mode() != ModeHealthy {
+				fb.round(t)
+			}
+		})
+		return s.rebuiltBlocks - before, objects
+	}
+	cycle(0) // warm: the block freelist, repair scratch, the latency log
+	for disk := 1; disk < 4; disk++ {
+		rebuilt, objects := cycle(disk)
+		if rebuilt < 100 {
+			t.Fatalf("disk %d: rebuilt %d blocks, want a disk's worth", disk, rebuilt)
+		}
+		t.Logf("disk %d: %d objects for %d rebuilt blocks", disk, objects, rebuilt)
+		if per := objects / uint64(rebuilt); per != 0 {
+			t.Errorf("disk %d: a rebuild cycle allocated %d objects for %d blocks, %d per block; want 0", disk, objects, rebuilt, per)
+		}
 	}
 }
 
@@ -219,6 +256,28 @@ func BenchmarkHealthyRound(b *testing.B) {
 		served += fb.round(b) / len(fb.buf)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(served), "ns/stream-round")
+}
+
+// BenchmarkAddClip times storing a clip on the same array: 1024 blocks of
+// 4 KB, the last one short, written group by group with their parity.
+// SetBytes makes the figure MB/s of clip. A fresh server replaces one
+// holding 16 clips, outside the clock, to keep the heap small.
+func BenchmarkAddClip(b *testing.B) {
+	clip := clipBytes(1, 1024*4096-100)
+	var fb *failBench
+	b.SetBytes(int64(len(clip)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			b.StopTimer()
+			fb = newFailBench(b, 0, 0, 0)
+			b.StartTimer()
+		}
+		if err := fb.s.AddClip(fmt.Sprint("clip-", i), clip); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestLaggingReadAllocs pins the reader that stays three rounds behind:

@@ -230,12 +230,12 @@ func (s *Server) nextRebuild() {
 // bounded retry with backoff, per-block reconstruction for latent bad
 // blocks (with rewrite — the sector-remap model) and for blocks not yet
 // rebuilt onto a spare (which are opportunistically installed). A clean
-// read lends the stored bytes; only a repaired block is owned. It
-// returns an error satisfying errors.Is(err, storage.ErrFailed) when the
-// disk is truly unresponsive — the caller then takes the degraded path.
-func (s *Server) readMonitored(addr layout.BlockAddr) (chunk, error) {
+// read lends the stored bytes (copies them into dst, if given); only a
+// repaired block is owned. It returns an error satisfying
+// errors.Is(err, storage.ErrFailed) when the disk is truly unresponsive.
+func (s *Server) readMonitored(addr layout.BlockAddr, dst []byte) (chunk, error) {
 	arr := s.store.Array
-	data, err := s.detector.Lend(arr, addr.Disk, addr.Block)
+	data, err := s.detector.Read(arr, addr.Disk, addr.Block, dst)
 	if err == nil {
 		return chunk{buf: data}, nil
 	}
@@ -250,11 +250,10 @@ func (s *Server) readMonitored(addr layout.BlockAddr) (chunk, error) {
 	return chunk{}, err
 }
 
-// readMemberInto reads one surviving parity-group member through the
+// readMemberInto copies one surviving parity-group member through the
 // detector into a caller-owned buffer, preserving the short-group
 // convention: an absent block on a healthy disk is zeroes. Absent blocks
-// on a rebuilding disk stay errors — they have real, not-yet-rebuilt
-// contents.
+// on a rebuilding disk stay errors — they have real, unrebuilt contents.
 func (s *Server) readMemberInto(a layout.BlockAddr, dst []byte) error {
 	arr := s.store.Array
 	if arr.Failed(a.Disk) {

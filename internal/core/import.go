@@ -95,10 +95,10 @@ func (s *Server) ImportClipBlockIdle(name string, n int64, data []byte) (bool, e
 	return true, nil
 }
 
-// writeBlockIdle writes one logical block on idle capacity: the store's
-// parity maintenance re-reads every data member of the block's group,
-// so the write proceeds only when all of them have idle slots, and each
-// is charged. The write itself re-records the block's checksum.
+// writeBlockIdle writes one logical block on idle capacity. It books a
+// slot on every data member's disk of the block's group (the write waits
+// until each has one), one more than the store's parity maintenance
+// reads, which keeps migration's pace. The write re-records the checksum.
 func (s *Server) writeBlockIdle(i int64, data []byte) (bool, error) {
 	g := s.lay.GroupOf(i)
 	if !s.idle(g.DataAddr...) {
@@ -128,10 +128,7 @@ func (s *Server) CommitClipImport(name string) (done bool, err error) {
 		return false, fmt.Errorf("core: import %q incomplete: %d/%d blocks", name, im.written, im.dataBlocks)
 	}
 	for im.padNext < im.ci.blocks {
-		zero := s.getBlock()
-		clear(zero)
-		ok, werr := s.writeBlockIdle(im.ci.block(im.padNext), zero)
-		s.putBlock(zero)
+		ok, werr := s.writeBlockIdle(im.ci.block(im.padNext), nil) // a zero block
 		if werr != nil {
 			return false, werr
 		}
@@ -199,11 +196,11 @@ func (s *Server) ReadClipBlockIdleInto(name string, n int64, dst []byte) (bool, 
 	}
 	s.charge(addr.Disk)
 	s.migrateReads++
-	c, err := s.readMonitored(addr)
+	c, err := s.readMonitored(addr, dst) // a copy read: the block stays unmarked
 	if err != nil {
 		return false, err
 	}
-	copy(dst, c.buf)
+	copy(dst, c.buf) // a no-op unless the block was repaired into a freelist buffer
 	s.recycle(c)
 	return true, nil
 }

@@ -112,7 +112,7 @@ func (s *Server) relayoutStep() {
 		}
 		s.charge(addr.Disk)
 		s.migrateReads++
-		c, err := s.readMonitored(addr)
+		c, err := s.readMonitored(addr, nil)
 		if err != nil {
 			// The read escalated (disk declared failed mid-copy): the
 			// mode check pauses the re-layout from the next step on; the

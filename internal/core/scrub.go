@@ -94,7 +94,9 @@ func (s *Server) scrubStep() {
 			return // out of budget, or of idle slots on this disk; resume here next round
 		}
 		s.charge(a.Disk)
-		_, err := s.detector.Lend(arr, a.Disk, a.Block) // a verify read: the bytes are not needed
+		buf := s.getBlock() // a verify read copies: a loan would mark the block
+		err := s.detector.ReadInto(arr, a.Disk, a.Block, buf)
+		s.putBlock(buf)
 		if s.Mode() != ModeHealthy {
 			// The verify read pushed the disk over a threshold and the
 			// detector declared it failed — rebuild owns the idle

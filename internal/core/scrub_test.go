@@ -94,6 +94,26 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	}
 }
 
+// TestScrubLeavesNoMark: the patrol's verify read copies and drops the
+// bytes instead of borrowing them, so after a whole sweep every block's
+// next write still lands in the buffer its slot holds and allocates
+// nothing.
+func TestScrubLeavesNoMark(t *testing.T) {
+	cfg := testConfig(Declustered, 7, 3)
+	cfg.ScrubRate = -1
+	s, clip := scrubServer(t, cfg, 64_000)
+	for s.Stats().ScrubCycles == 0 {
+		tick(t, s, 1)
+	}
+	bb := s.cfg.Block.Bytes()
+	for i := int64(0); i < 8; i++ {
+		a, b := s.lay.Place(i), clip[i*bb:(i+1)*bb]
+		if n := mallocs(func() { _ = s.store.Array.Write(a.Disk, a.Block, b) }); n != 0 {
+			t.Errorf("block %d: a write after the sweep allocated %d objects, want 0", i, n)
+		}
+	}
+}
+
 // TestScrubRepairsParityBlock: rot on a parity block (which no stream
 // ever reads) is found and recomputed from the group's data members.
 func TestScrubRepairsParityBlock(t *testing.T) {

@@ -194,8 +194,8 @@ func (s *Server) activate(st *Stream) {
 
 // compactReg drops released streams from the registry in place,
 // preserving order. Runs at the top of every Tick; between ticks the
-// registry only ever gains entries (OpenStream/Resume), so within a
-// round it is stable and shardable.
+// registry only ever gains entries (OpenStream/Resume), and within a
+// round a release only clears a stream's active mark.
 func (s *Server) compactReg() {
 	keep := s.reg[:0]
 	for _, st := range s.reg {
@@ -503,7 +503,7 @@ func (s *Server) fetchInto(st *Stream, n int64) error {
 	addr := s.lay.Place(logical)
 	if !s.store.Array.Failed(addr.Disk) {
 		s.charge(addr.Disk)
-		c, err := s.readMonitored(addr)
+		c, err := s.readMonitored(addr, nil)
 		if err == nil {
 			st.hold(n, c, false)
 			return nil

@@ -6,7 +6,7 @@
 // The detector is deliberately simple and deterministic — the classic
 // consecutive-error counter with a timeout channel:
 //
-//   - every block read goes through bounded retry with backoff (Lend);
+//   - every block read goes through bounded retry with backoff (Read);
 //   - a hard error (storage.ErrFailed or any unclassified error)
 //     increments the disk's consecutive-error count; any success resets
 //     it;
@@ -68,7 +68,7 @@ type Config struct {
 	// Retries is how many times a failed read attempt is retried before
 	// the error is surfaced (0 selects the default 2, i.e. up to 3
 	// attempts; any negative value disables retry entirely — exactly one
-	// attempt per Lend).
+	// attempt per Read).
 	Retries int
 	// FailThreshold is k: consecutive hard errors or timeouts on a disk
 	// that declare it failed (default 3).
@@ -483,20 +483,22 @@ func (dt *Detector) Observe(disk int, slowdown float64, err error) State {
 }
 
 // BlockReader is the read surface the detector monitors: one timed
-// physical read that lends the block's verified bytes. *storage.Array
-// satisfies it directly; tests script it attempt by attempt.
+// physical read that lends the block's verified bytes or copies them.
+// *storage.Array satisfies it directly; tests script it attempt by attempt.
 type BlockReader interface {
 	Lend(disk int, block int64) ([]byte, float64, error)
+	ReadTimedInto(disk int, block int64, dst []byte) (float64, error)
 }
 
-// Lend performs one monitored read of (disk, block) from r with bounded
+// Read performs one monitored read of (disk, block) from r with bounded
 // retry and backoff: up to Retries+1 attempts, every outcome Observed.
 // Hard errors and timeouts retry; a bad block or corrupt block retries
 // once then surfaces (reconstruction is the cure, not persistence);
 // ErrNotWritten surfaces immediately. The returned error is the last
-// attempt's. On success it returns the bytes r lent, which the caller
-// must not change. Zero per-call allocations.
-func (dt *Detector) Lend(r BlockReader, disk int, block int64) ([]byte, error) {
+// attempt's. On success it returns the bytes r lent, which the caller must
+// not change, or with a dst the copy there (on error dst is left alone).
+// Zero per-call allocations.
+func (dt *Detector) Read(r BlockReader, disk int, block int64, dst []byte) ([]byte, error) {
 	if dt.stopped() {
 		return nil, ErrStopped
 	}
@@ -515,7 +517,12 @@ func (dt *Detector) Lend(r BlockReader, disk int, block int64) ([]byte, error) {
 				cfg.Backoff(try)
 			}
 		}
-		b, slowdown, err := r.Lend(disk, block)
+		b, slowdown, err := dst, 0.0, error(nil)
+		if dst == nil {
+			b, slowdown, err = r.Lend(disk, block)
+		} else {
+			slowdown, err = r.ReadTimedInto(disk, block, dst)
+		}
 		dt.Observe(disk, slowdown, err)
 		if err == nil {
 			return b, nil
@@ -531,10 +538,9 @@ func (dt *Detector) Lend(r BlockReader, disk int, block int64) ([]byte, error) {
 	return nil, lastErr
 }
 
-// ReadInto is Lend plus a copy into dst, which must be as long as the
-// block. On error dst is left alone.
+// ReadInto is Read into dst, which must be as long as the block: unlike a
+// loan, a copy leaves the block unmarked, so its next write reuses its bytes.
 func (dt *Detector) ReadInto(r BlockReader, disk int, block int64, dst []byte) error {
-	b, err := dt.Lend(r, disk, block)
-	copy(dst, b)
+	_, err := dt.Read(r, disk, block, dst)
 	return err
 }

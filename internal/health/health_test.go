@@ -1,6 +1,7 @@
 package health
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -99,7 +100,7 @@ func TestResetClearsDown(t *testing.T) {
 }
 
 // attempt scripts one physical read attempt; as a BlockReader it lets the
-// tests below drive ReadInto's retry loop outcome by outcome.
+// tests below drive Read's retry loop outcome by outcome.
 type attempt func(dst []byte) (slowdown float64, err error)
 
 func (f attempt) Lend(int, int64) ([]byte, float64, error) {
@@ -108,11 +109,45 @@ func (f attempt) Lend(int, int64) ([]byte, float64, error) {
 	return b, slowdown, err
 }
 
+func (f attempt) ReadTimedInto(_ int, _ int64, dst []byte) (float64, error) { return f(dst) }
+
 // readScript runs one monitored read of the disk with scripted attempts,
 // returning the buffer ReadInto filled.
 func readScript(dt *Detector, disk int, fn attempt) ([]byte, error) {
 	dst := make([]byte, 1)
 	return dst, dt.ReadInto(fn, disk, 0, dst)
+}
+
+// TestCopyReadLeavesNoMark: ReadInto copies the block without lending it,
+// so the block's next Write reuses its buffer and allocates nothing; Read
+// with a nil dst lends, and the Write then leaves the lent bytes alone.
+func TestCopyReadLeavesNoMark(t *testing.T) {
+	arr, err := storage.NewArray(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, next := bytes.Repeat([]byte{7}, 64), bytes.Repeat([]byte{9}, 64)
+	write := func() {
+		if err := arr.Write(0, 3, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	dt := NewDetector(1, Config{})
+	dst := make([]byte, 64)
+	if err := dt.ReadInto(arr, 0, 3, dst); err != nil || !bytes.Equal(dst, old) {
+		t.Fatalf("ReadInto = %v, %v", dst[:4], err)
+	}
+	if n := testing.AllocsPerRun(10, write); n != 0 {
+		t.Errorf("a Write after a copy read allocates %v objects, want 0", n)
+	}
+	lent, err := dt.Read(arr, 0, 3, nil)
+	if err != nil || !bytes.Equal(lent, old) {
+		t.Fatalf("Read(nil) = %v, %v", lent, err)
+	}
+	if err := arr.Write(0, 3, next); err != nil || !bytes.Equal(lent, old) {
+		t.Fatalf("a Write after a loan changed the lent bytes (%v, %v)", lent, err)
+	}
 }
 
 func TestReadRetriesTransientErrors(t *testing.T) {

@@ -169,15 +169,17 @@ func TestPQStorePartialGroups(t *testing.T) {
 }
 
 // TestWriteBlockAllocs pins the parity-maintaining write at zero
-// allocations once its groups are whole and the freelist is warm: the
-// group is filled in place and every scratch buffer comes off the store's
-// LIFO. (An absent member still costs ReadZeroInto its ErrNotWritten.)
+// allocations once the freelist is warm: the group is filled in place and
+// every scratch buffer comes off the store's LIFO. That holds for whole
+// groups and for a lone block whose group is otherwise absent: an absent
+// member on a healthy disk reads as zeroes without an error being built.
 func TestWriteBlockAllocs(t *testing.T) {
-	for name, s := range map[string]*Store{
-		"single parity": declusteredStore(t, 7, 3),
-		"P+Q":           pqStore(t, 13, 4),
+	for name, mk := range map[string]func() *Store{
+		"single parity": func() *Store { return declusteredStore(t, 7, 3) },
+		"P+Q":           func() *Store { return pqStore(t, 13, 4) },
 	} {
 		data := deterministicBlock(1)
+		s := mk()
 		write := func(n int64) {
 			for i := int64(0); i < n; i++ {
 				if err := s.WriteBlock(i, data); err != nil {
@@ -188,6 +190,10 @@ func TestWriteBlockAllocs(t *testing.T) {
 		write(1024)
 		if got := testing.AllocsPerRun(20, func() { write(32) }); got != 0 {
 			t.Errorf("%s: WriteBlock allocates %v objects per 32 steady-state writes, want 0", name, got)
+		}
+		s = mk()
+		if got := testing.AllocsPerRun(20, func() { write(1) }); got != 0 {
+			t.Errorf("%s: overwriting a lone block of a group allocates %v objects per write, want 0", name, got)
 		}
 	}
 }

@@ -38,7 +38,7 @@ type Store struct {
 	// whose Put(&b) boxes the slice header — one heap allocation per
 	// recycled block.
 	free [][]byte
-	// wg is the group WriteBlock fills for its parity refresh.
+	// wg is the group WriteRun fills for each block of its run.
 	wg layout.Group
 }
 
@@ -73,22 +73,66 @@ func NewStore(l layout.Layout, a *storage.Array) (*Store, error) {
 	return &Store{Layout: l, Array: a}, nil
 }
 
-// WriteBlock stores data as logical block i and refreshes its group's
-// parity. Absent group members read as zeroes, so groups may be written
-// in any order and partially.
-func (s *Store) WriteBlock(i int64, data []byte) error {
-	addr := s.Layout.Place(i)
-	if err := s.Array.Write(addr.Disk, addr.Block, data); err != nil {
-		return err
+// WriteBlock stores data, zero-padded to one block, as logical block i and
+// refreshes its group's parity: WriteRun's one-block case.
+func (s *Store) WriteBlock(i int64, data []byte) error { return s.WriteRun(i, 1, 1, data) }
+
+// WriteRun stores n logical blocks, first, first+stride, …, block k holding
+// data[k·bs:(k+1)·bs] zero-padded, one parity group at a time: at the
+// run's first block in a group it writes the group's run members and its
+// parity, computed once from their bytes and from the members outside the
+// run (read; absent ones as zeroes), so groups may be written partially.
+func (s *Store) WriteRun(first, stride, n int64, data []byte) error {
+	if stride < 1 || int64(len(data)) > n*int64(s.Array.BlockSize()) {
+		return fmt.Errorf("recovery: %d bytes do not fit a run of %d blocks by %d", len(data), n, stride)
 	}
-	s.Layout.GroupAt(addr, &s.wg)
-	return s.rebuildParity(s.wg)
+	r := run{first, stride, n, data}
+	for k := int64(0); k < n; k++ {
+		s.Layout.GroupAt(s.Layout.Place(first+k*stride), &s.wg)
+		lead := int64(-1) // the group's first block in the run
+		for _, i := range s.wg.Data {
+			if lead = r.index(i); lead >= 0 {
+				break
+			}
+		}
+		if lead != k {
+			continue // written at an earlier block of the run
+		}
+		p, q, err := s.parityOf(s.wg, r)
+		if err == nil {
+			err = s.Array.Write(s.wg.Parity.Disk, s.wg.Parity.Block, p)
+		}
+		if err == nil && q != nil {
+			err = s.Array.Write(s.wg.Q.Disk, s.wg.Q.Block, q)
+		}
+		s.PutBlock(p)
+		s.PutBlock(q) // a nil q is not block-sized: ignored
+		if err != nil {
+			return fmt.Errorf("recovery: writing the group of block %d: %w", s.wg.Data[0], err)
+		}
+	}
+	return nil
 }
 
-// parityOf computes the group's parity column(s) from its data members,
-// absent ones reading as zeroes, into buffers off the freelist that the
-// caller puts back (also on error); q is nil without a Q column.
-func (s *Store) parityOf(g layout.Group) (p, q []byte, err error) {
+// run is the blocks of one WriteRun.
+type run struct {
+	first, stride, n int64
+	data             []byte
+}
+
+// index returns logical block i's place in the run, or -1.
+func (r run) index(i int64) int64 {
+	if off := i - r.first; off >= 0 && off%r.stride == 0 && off/r.stride < r.n {
+		return off / r.stride
+	}
+	return -1
+}
+
+// parityOf computes the group's parity column(s) into buffers off the
+// freelist that the caller puts back (also on error); q is nil without a
+// Q column. Data members in the run r are written from its bytes on the
+// way; the rest are read, absent ones as zeroes.
+func (s *Store) parityOf(g layout.Group, r run) (p, q []byte, err error) {
 	member := s.GetBlock()
 	defer s.PutBlock(member)
 	p = s.GetBlock()
@@ -97,29 +141,28 @@ func (s *Store) parityOf(g layout.Group) (p, q []byte, err error) {
 		q = s.GetBlock()
 		clear(q)
 	}
-	for k, a := range g.DataAddr {
-		if err = s.Array.ReadZeroInto(a.Disk, a.Block, member); err != nil {
+	bs, end := int64(len(member)), int64(len(r.data))
+	for j, a := range g.DataAddr {
+		b := member
+		if k := r.index(g.Data[j]); k < 0 {
+			err = s.Array.ReadZeroInto(a.Disk, a.Block, member)
+		} else {
+			lo := min(k*bs, end)
+			if b = r.data[lo:min(lo+bs, end)]; int64(len(b)) < bs {
+				b = member // the short last block, or padding past the data
+				clear(b[copy(b, r.data[lo:]):])
+			}
+			err = s.Array.Write(a.Disk, a.Block, b)
+		}
+		if err != nil {
 			return p, q, err
 		}
-		XORInto(p, member)
+		XORInto(p, b)
 		if q != nil {
-			MulAccum(q, member, GExp(k))
+			MulAccum(q, b, GExp(j))
 		}
 	}
 	return p, q, nil
-}
-
-func (s *Store) rebuildParity(g layout.Group) error {
-	p, q, err := s.parityOf(g)
-	defer s.PutBlock(p)
-	defer s.PutBlock(q) // a nil q is not block-sized: ignored
-	if err != nil {
-		return fmt.Errorf("recovery: rebuilding parity: %w", err)
-	}
-	if err := s.Array.Write(g.Parity.Disk, g.Parity.Block, p); err != nil || q == nil {
-		return err
-	}
-	return s.Array.Write(g.Q.Disk, g.Q.Block, q)
 }
 
 // Reconstruct rebuilds logical block i from the other members of its
@@ -163,7 +206,7 @@ func (s *Store) Reconstruct(i int64) ([]byte, error) {
 // layouts), returning an error on mismatch — a test/fsck helper.
 func (s *Store) VerifyParity(i int64) error {
 	g := s.Layout.GroupOf(i)
-	want, wantQ, err := s.parityOf(g)
+	want, wantQ, err := s.parityOf(g, run{stride: 1})
 	defer s.PutBlock(want)
 	defer s.PutBlock(wantQ)
 	if err != nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -244,6 +245,76 @@ func TestLentBytesStayVerified(t *testing.T) {
 			t.Errorf("%s: next read = %v, %v; want %v, %v", tc.name, got, err, tc.want, tc.next)
 		}
 	}
+}
+
+// TestSwapKeepsSlotBuffers: a medium swap leaves every slot of the disk
+// unwritten — reads and CorruptBits report ErrNotWritten, Written is false,
+// the audit finds nothing — but each slot keeps its buffer, so its next
+// Write allocates nothing and lands in the same bytes. A slot whose bytes
+// were lent before the swap gets fresh ones, and the loan keeps what it
+// was lent.
+func TestSwapKeepsSlotBuffers(t *testing.T) {
+	for _, swap := range []struct {
+		name string
+		do   func(a *Array) error
+	}{
+		{"Replace", func(a *Array) error {
+			if err := a.Fail(1); err != nil {
+				return err
+			}
+			return a.Replace(1)
+		}},
+		{"Repair", func(a *Array) error { return a.Repair(1) }},
+	} {
+		a := corruptArray(t)
+		if err := a.Write(1, 7, block(7, 16)); err != nil {
+			t.Fatal(err)
+		}
+		lent, _, err := a.Lend(1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := &a.disks[1][5].data[0]
+		if err := swap.do(a); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []int64{5, 7} {
+			if _, err := read(a, 1, b); !errors.Is(err, ErrNotWritten) {
+				t.Errorf("%s: read of block %d = %v, want ErrNotWritten", swap.name, b, err)
+			}
+			if err := a.CorruptBits(1, b, []uint64{1}); !errors.Is(err, ErrNotWritten) {
+				t.Errorf("%s: CorruptBits of block %d = %v, want ErrNotWritten", swap.name, b, err)
+			}
+			if a.Written(1, b) {
+				t.Errorf("%s: block %d still written", swap.name, b)
+			}
+		}
+		if bad := a.AuditChecksums(); len(bad) != 0 {
+			t.Errorf("%s: audit after the swap = %v, want none", swap.name, bad)
+		}
+		fresh, next := block(4, 16), block(8, 16)
+		if n := mallocs(func() { _ = a.Write(1, 5, fresh) }); n != 0 || &a.disks[1][5].data[0] != kept {
+			t.Errorf("%s: the first Write after the swap allocated %d objects (buffer kept: %v)", swap.name, n, &a.disks[1][5].data[0] == kept)
+		}
+		if err := a.Write(1, 7, next); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := read(a, 1, 5); err != nil || !bytes.Equal(got, fresh) {
+			t.Errorf("%s: rewritten block 5 = %v, %v", swap.name, got, err)
+		}
+		if got, err := read(a, 1, 7); err != nil || !bytes.Equal(got, next) || !bytes.Equal(lent, block(7, 16)) {
+			t.Errorf("%s: rewritten lent block 7 = %v, %v; the loan holds %v", swap.name, got, err, lent)
+		}
+	}
+}
+
+// mallocs counts the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestRecordSize pins the per-block overhead: the lent mark fits in the

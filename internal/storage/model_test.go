@@ -179,6 +179,17 @@ func FuzzArrayModel(f *testing.F) {
 	f.Add([]byte{opWrite, 1, 4, 1, opLend, 1, 4, 0, opCorruptBits, 1, 4, 9, opLend, 1, 4, 0, opWrite, 1, 4, 2, opLend, 1, 4, 0,
 		opWrite, 1, 4, 3, opLend, 1, 4, 0, opFail, 1, 0, 0, opLend, 1, 4, 0, opReplace, 1, 0, 0, opLend, 1, 4, 0,
 		opWrite, 1, 4, 5, opLend, 1, 4, 0, opRepair, 1, 0, 0, opLend, 1, 4, 0, opWrite, 1, 4, 6, opRead, 1, 4, 0})
+	// A swap keeps each slot's buffer and nothing else: on the spare a
+	// written block reads, flips and audits as absent, a rewrite reads back
+	// its new bytes (a lent block's too, while its loan keeps the old), and
+	// a second swap by Repair blanks the rewrites again.
+	f.Add([]byte{opWrite, 1, 2, 1, opWrite, 1, 6, 1, opLend, 1, 6, 0, opFail, 1, 0, 0, opReplace, 1, 0, 0, opRead, 1, 2, 0,
+		opCorruptBits, 1, 2, 3, opAudit, 0, 0, 0, opWrite, 1, 2, 4, opRead, 1, 2, 0, opWrite, 1, 6, 5, opLend, 1, 6, 0,
+		opRejoin, 1, 0, 0, opReadZero, 1, 9, 0, opRepair, 1, 0, 0, opReadZero, 1, 2, 0, opWrite, 1, 2, 6, opRead, 1, 2, 0, opAudit, 0, 0, 0})
+	// Replace then write back only some blocks: the rest stay absent, never
+	// zeroes, while rebuilding, and the picker only sees the rewritten one.
+	f.Add([]byte{opWrite, 0, 1, 1, opWrite, 0, 3, 2, opWrite, 0, 5, 3, opFail, 0, 0, 0, opReplace, 0, 0, 0, opWrite, 0, 3, 7,
+		opReadZero, 0, 1, 0, opRead, 0, 3, 0, opCorruptRandom, 0, 0, 9, opRead, 0, 3, 0, opWrite, 0, 3, 8, opRejoin, 0, 0, 0, opRead, 0, 5, 0})
 	for seed := int64(1); seed <= 4; seed++ {
 		script := make([]byte, 4*400)
 		rand.New(rand.NewSource(seed)).Read(script)

@@ -98,7 +98,7 @@ func (s DiskState) String() string {
 type ReadHook func(disk int, block int64) (slowdown float64, err error)
 
 // record is one block of a disk: its bytes and the CRC-32C Write took of
-// them, which every read re-checks. Nil data means not written.
+// them, which every read re-checks. Empty data means not written.
 type record struct {
 	data []byte
 	sum  uint32
@@ -115,9 +115,9 @@ type Array struct {
 	blockSize int
 	// disks[disk][block] is the block's record. A disk's slice reaches its
 	// highest block ever written and never shrinks: swapping the medium
-	// (Replace/Repair) blanks the records in place. Each block's bytes are
-	// their own allocation — one slab grown by doubling would hold, while
-	// it copies, twice the data the array stores.
+	// (Replace/Repair) blanks the records in place and keeps their buffers.
+	// Each block's bytes are their own allocation — one slab grown by
+	// doubling would hold, while it copies, twice the data the array stores.
 	disks [][]record
 	// written counts each disk's written blocks.
 	written []int
@@ -175,7 +175,7 @@ func (a *Array) checkAddr(disk int, block int64) error {
 // at returns the record of (disk, block), or nil when the block is not
 // written. The caller holds mu and has checked the address.
 func (a *Array) at(disk int, block int64) *record {
-	if recs := a.disks[disk]; block < int64(len(recs)) && recs[block].data != nil {
+	if recs := a.disks[disk]; block < int64(len(recs)) && len(recs[block].data) != 0 {
 		return &recs[block]
 	}
 	return nil
@@ -197,20 +197,20 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	if a.state[disk] == Failed {
 		return fmt.Errorf("storage: write to disk %d: %w", disk, ErrFailed)
 	}
-	// Overwrites reuse the stored buffer unless Lend handed it out (a lent
-	// buffer stays with its holders), so the steady-state parity rewrite
-	// path, whose reads copy, stays allocation-free.
+	// A write reuses the slot's buffer, kept across a medium swap, unless
+	// Lend handed it out, so parity rewrites and rebuilds, whose reads
+	// copy, stay allocation-free.
 	for int64(len(a.disks[disk])) <= block {
 		a.disks[disk] = append(a.disks[disk], record{})
 	}
 	r := &a.disks[disk][block]
-	if r.data == nil {
+	if len(r.data) == 0 {
 		a.written[disk]++
 	}
-	if r.data == nil || r.lent.Swap(false) {
-		r.data = make([]byte, a.blockSize)
+	if r.lent.Swap(false) {
+		r.data = nil // the lent bytes stay with their holders
 	}
-	copy(r.data, data)
+	r.data = append(r.data[:0], data...)
 	r.sum = integrity.Sum(r.data)
 	a.sums.Recorded()
 	return nil
@@ -231,12 +231,7 @@ func (a *Array) ReadInto(disk int, block int64, dst []byte) error {
 // has real contents that simply have not been rebuilt yet, and
 // zero-filling it would corrupt any reconstruction that XORs it in.
 func (a *Array) ReadZeroInto(disk int, block int64, dst []byte) error {
-	err := a.ReadInto(disk, block, dst)
-	if errors.Is(err, ErrNotWritten) && a.State(disk) == Healthy {
-		atomic.AddInt64(&a.reads[disk], 1)
-		clear(dst)
-		return nil
-	}
+	_, err := a.readInto(disk, block, dst, true)
 	return err
 }
 
@@ -245,10 +240,15 @@ func (a *Array) ReadZeroInto(disk int, block int64, dst []byte) error {
 // installed or the hook left timing alone). The health detector consumes
 // the multiplier as its timeout signal.
 func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error) {
+	return a.readInto(disk, block, dst, false)
+}
+
+// readInto is read into a caller's buffer, which must be one block long.
+func (a *Array) readInto(disk int, block int64, dst []byte, zero bool) (float64, error) {
 	if len(dst) != a.blockSize {
 		return 1, fmt.Errorf("storage: read into %d bytes, want block size %d", len(dst), a.blockSize)
 	}
-	_, slow, err := a.read(disk, block, dst)
+	_, slow, err := a.read(disk, block, dst, zero)
 	return slow, err
 }
 
@@ -256,14 +256,14 @@ func (a *Array) ReadTimedInto(disk int, block int64, dst []byte) (float64, error
 // verified bytes, read-only. Nothing changes them while anyone holds them:
 // a later Write or CorruptBits gives the block fresh bytes instead.
 func (a *Array) Lend(disk int, block int64) ([]byte, float64, error) {
-	return a.read(disk, block, nil)
+	return a.read(disk, block, nil, false)
 }
 
-// read is every block read: a copy into dst, or with a nil dst a loan. One
-// read-lock (read counts and the lent mark are atomic) keeps sharded ticks
-// from serializing on the array; holding it across the hook (which must not
-// call back) makes the read atomic with respect to a concurrent Fail.
-func (a *Array) read(disk int, block int64, dst []byte) ([]byte, float64, error) {
+// read is every block read: a copy into dst, or with a nil dst a loan (the
+// one read that marks a block lent); with zero, an absent block of a healthy
+// disk is zeroes, with no error built. It takes only the read-lock (counts
+// and the mark are atomic), held across the hook to be atomic with Fail.
+func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, float64, error) {
 	if err := a.checkAddr(disk, block); err != nil {
 		return nil, 1, err
 	}
@@ -284,6 +284,11 @@ func (a *Array) read(disk int, block int64, dst []byte) ([]byte, float64, error)
 		}
 	}
 	r := a.at(disk, block)
+	if r == nil && zero && a.state[disk] == Healthy {
+		atomic.AddInt64(&a.reads[disk], 1)
+		clear(dst)
+		return dst, slow, nil
+	}
 	if r == nil {
 		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
 	}
@@ -340,10 +345,12 @@ func (a *Array) WrittenBlocks() int {
 	return n
 }
 
-// blank empties the disk for a swap of its medium: bytes and checksums go
-// together, so the old disk's sums never vouch for the new one's blocks.
+// blank empties the disk for a swap of its medium. Each slot keeps its
+// buffer for the next Write, and its lent mark, so a loan keeps its bytes.
 func (a *Array) blank(disk int) {
-	clear(a.disks[disk])
+	for b := range a.disks[disk] {
+		a.disks[disk][b].data = a.disks[disk][b].data[:0]
+	}
 	a.written[disk] = 0
 }
 
@@ -513,7 +520,7 @@ func (a *Array) CorruptRandomBlock(disk int, pick uint64, bits []uint64) (int64,
 	}
 	block := int64(0)
 	for rank := pick % n; ; block++ {
-		if a.disks[disk][block].data == nil {
+		if len(a.disks[disk][block].data) == 0 {
 			continue
 		}
 		if rank == 0 {
@@ -538,7 +545,7 @@ func (a *Array) AuditChecksums() [][2]int64 {
 			continue
 		}
 		for block := range recs {
-			if r := &recs[block]; r.data != nil && !a.sums.Verified(integrity.Sum(r.data) == r.sum) {
+			if r := &recs[block]; len(r.data) != 0 && !a.sums.Verified(integrity.Sum(r.data) == r.sum) {
 				bad = append(bad, [2]int64{int64(disk), int64(block)})
 			}
 		}
