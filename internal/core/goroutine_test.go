@@ -49,32 +49,46 @@ func importName(f *ast.File, ip string) string {
 	return ""
 }
 
-// TestOneGoroutinePerArray enforces that a round runs on one goroutine:
-// core's non-test files start no goroutine and import neither sync nor
-// the worker pool, and the simulator starts none and reaches the pool
-// only from RunMany, whose runs are independent. The live cluster's node
-// fan-out (cluster.Tick) is the one in-round fan-out, one node per
-// worker.
+// TestOneGoroutinePerArray enforces single ownership below the daemon:
+// one goroutine at a time uses an array and everything its round touches
+// (server, store, detector, injector), so no package under internal/
+// starts a goroutine or imports sync or sync/atomic, except the worker
+// pool, and none reads the wall clock, except cliutil, the daemon's
+// helpers. core does not use the pool, and the simulator reaches it only
+// from RunMany, whose runs are independent. The live cluster's node
+// fan-out (cluster.Tick) is the one in-round fan-out, one node's whole
+// stack per worker.
 func TestOneGoroutinePerArray(t *testing.T) {
 	fset := token.NewFileSet()
-	noGo := func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				t.Errorf("%s: go statement; a round runs on the calling goroutine", fset.Position(g.Pos()))
-			}
-			return true
-		})
+	ents, err := os.ReadDir("..")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range parsePackage(t, fset, ".") {
-		noGo(f)
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "ftcms/internal/parallel" {
-				t.Errorf("%s: core imports %s", fset.Position(imp.Pos()), p)
+	for _, e := range ents {
+		if !e.IsDir() {
+			continue
+		}
+		pkg := e.Name()
+		for _, f := range parsePackage(t, fset, filepath.Join("..", pkg)) {
+			if pkg != "parallel" {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						t.Errorf("%s: go statement; a round runs on the calling goroutine", fset.Position(g.Pos()))
+					}
+					return true
+				})
+			}
+			for _, imp := range f.Imports {
+				switch p, _ := strconv.Unquote(imp.Path.Value); {
+				case (p == "sync" || p == "sync/atomic") && pkg != "parallel",
+					p == "time" && pkg != "cliutil",
+					p == "ftcms/internal/parallel" && pkg == "core":
+					t.Errorf("%s: %s imports %s", fset.Position(imp.Pos()), pkg, p)
+				}
 			}
 		}
 	}
 	for _, f := range parsePackage(t, fset, filepath.Join("..", "sim")) {
-		noGo(f)
 		pool := importName(f, "ftcms/internal/parallel")
 		if pool == "" {
 			continue

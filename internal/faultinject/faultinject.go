@@ -30,7 +30,7 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"ftcms/internal/storage"
 )
@@ -132,10 +132,9 @@ type Stats struct {
 }
 
 // Injector applies a Plan to an array's reads. Install its Hook with
-// storage.Array.SetReadHook and advance its clock with SetRound. Safe
-// for concurrent use.
+// storage.Array.SetReadHook and advance its clock with SetRound. Like the
+// array it serves, one goroutine uses it at a time.
 type Injector struct {
-	mu    sync.Mutex
 	plan  Plan
 	rng   *rand.Rand
 	round int64
@@ -150,9 +149,12 @@ type corruptionEntry struct {
 	fired bool // explicit-block entries corrupt exactly once
 }
 
-// New compiles a plan. The plan is copied; later mutations go through
-// the Add* methods.
+// New compiles a plan. The plan is copied, slices too, so injectors built
+// from one plan share nothing; later mutations go through the Add* methods.
 func New(plan Plan) *Injector {
+	plan.FailStops = slices.Clone(plan.FailStops)
+	plan.Transients = slices.Clone(plan.Transients)
+	plan.Slows = slices.Clone(plan.Slows)
 	in := &Injector{
 		plan: plan,
 		rng:  rand.New(rand.NewSource(plan.Seed)),
@@ -170,52 +172,38 @@ func New(plan Plan) *Injector {
 // SetRound moves the injector's round clock; round-scoped events key off
 // it. The driver calls this once per service round.
 func (in *Injector) SetRound(r int64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.round = r
 }
 
 // Round returns the injector's current round.
 func (in *Injector) Round() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.round
 }
 
 // AddFailStop schedules a fail-stop at runtime (the cmcluster FAIL demo
 // alias injects through this).
 func (in *Injector) AddFailStop(f FailStop) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.plan.FailStops = append(in.plan.FailStops, f)
 }
 
 // AddBadBlock marks a block as latently unreadable at runtime.
 func (in *Injector) AddBadBlock(b BadBlock) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.bad[[2]int64{int64(b.Disk), b.Block}] = true
 }
 
 // AddTransient schedules a transient-error window at runtime.
 func (in *Injector) AddTransient(tr Transient) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.plan.Transients = append(in.plan.Transients, tr)
 }
 
 // AddSlow schedules a slow-disk window at runtime.
 func (in *Injector) AddSlow(s Slow) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.plan.Slows = append(in.plan.Slows, s)
 }
 
 // AddSilentCorruption schedules at-rest bit rot at runtime (the cmcluster
 // CORRUPT demo alias injects through this).
 func (in *Injector) AddSilentCorruption(c SilentCorruption) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.corr = append(in.corr, corruptionEntry{SilentCorruption: c})
 }
 
@@ -225,8 +213,6 @@ func (in *Injector) AddSilentCorruption(c SilentCorruption) {
 // round driver must call this exactly once per round, after SetRound and
 // before serving reads, so the seeded RNG sequence stays reproducible.
 func (in *Injector) CorruptionsDue() []CorruptionOrder {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	var out []CorruptionOrder
 	for i := range in.corr {
 		c := &in.corr[i]
@@ -268,8 +254,6 @@ func (in *Injector) randBits(n int) []uint64 {
 // ClearBadBlock removes a latent error — the model of a sector remap
 // after the block is reconstructed and rewritten.
 func (in *Injector) ClearBadBlock(disk int, block int64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	delete(in.bad, [2]int64{int64(disk), block})
 }
 
@@ -278,8 +262,6 @@ func (in *Injector) ClearBadBlock(disk int, block int64) {
 // inherits none of the old one's fail-stops, bad blocks, transients or
 // slowdowns; events added afterwards target the new disk normally.
 func (in *Injector) ClearDisk(disk int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	filterFS := in.plan.FailStops[:0]
 	for _, f := range in.plan.FailStops {
 		if f.Disk != disk {
@@ -317,8 +299,6 @@ func (in *Injector) ClearDisk(disk int) {
 
 // Stats returns a snapshot of the injection counters.
 func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.stats
 }
 
@@ -331,8 +311,6 @@ func window(round, from, until int64) bool {
 // block, then transient; slowdowns stack multiplicatively with whichever
 // verdict wins (a limping disk limps even while erroring).
 func (in *Injector) Hook(disk int, block int64) (float64, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	slow := 1.0
 	for _, s := range in.plan.Slows {
 		if s.Disk == disk && s.Factor > 1 && window(in.round, s.From, s.Until) {

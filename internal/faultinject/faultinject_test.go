@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"ftcms/internal/storage"
@@ -131,6 +132,27 @@ func TestRuntimeMutation(t *testing.T) {
 	}
 	if slow, _ := in.Hook(3, 0); slow != 2 {
 		t.Fatalf("added slow: %v", slow)
+	}
+}
+
+// Two injectors built from one plan, as two nodes built from one config
+// are, own their events: one's ClearDisk or Add* reaches neither the other
+// nor the caller's plan.
+func TestInjectorsShareNoPlan(t *testing.T) {
+	plan := Plan{FailStops: make([]FailStop, 2, 4)}
+	plan.FailStops[0], plan.FailStops[1] = FailStop{Disk: 1}, FailStop{Disk: 2}
+	a, b := New(plan), New(plan)
+	a.ClearDisk(1)
+	if _, err := b.Hook(1, 0); !errors.Is(err, storage.ErrFailed) {
+		t.Fatalf("b.Hook(1, 0) after a.ClearDisk(1) = %v, want ErrFailed", err)
+	}
+	a.AddFailStop(FailStop{Disk: 3})
+	b.AddFailStop(FailStop{Disk: 4})
+	if _, err := a.Hook(3, 0); !errors.Is(err, storage.ErrFailed) {
+		t.Fatalf("a.Hook(3, 0) after b.AddFailStop = %v, want ErrFailed", err)
+	}
+	if want := []FailStop{{Disk: 1}, {Disk: 2}}; !slices.Equal(plan.FailStops, want) {
+		t.Fatalf("caller's plan = %v, want %v", plan.FailStops, want)
 	}
 }
 

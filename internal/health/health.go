@@ -6,7 +6,8 @@
 // The detector is deliberately simple and deterministic — the classic
 // consecutive-error counter with a timeout channel:
 //
-//   - every block read goes through bounded retry with backoff (Read);
+//   - every block read goes through bounded retry (Read): a count of
+//     attempts, with no wall-clock wait between them;
 //   - a hard error (storage.ErrFailed or any unclassified error)
 //     increments the disk's consecutive-error count; any success resets
 //     it;
@@ -30,8 +31,6 @@ package health
 
 import (
 	"errors"
-	"sync"
-	"time"
 
 	"ftcms/internal/storage"
 )
@@ -78,15 +77,6 @@ type Config struct {
 	// budgets leave far less than 8× slack, so a disk this slow has
 	// already blown its round).
 	SlowFactor float64
-	// Backoff, when non-nil, is called before retry attempt n (1-based).
-	// Synchronous drivers (tests, the tick-driven core) leave it nil;
-	// wall-clock servers can pass ExponentialBackoff. A custom Backoff
-	// cannot be interrupted by Stop; prefer BackoffBase for that.
-	Backoff func(attempt int)
-	// BackoffBase, when positive, enables the detector's built-in
-	// exponential retry backoff (base << (attempt−1), capped at 32×base)
-	// which Stop interrupts immediately. Takes precedence over Backoff.
-	BackoffBase time.Duration
 	// CorruptionThreshold is the cumulative per-disk count of corrupt
 	// block observations that declares the disk failed (default 16; any
 	// negative value disables escalation). Cumulative, not consecutive:
@@ -114,33 +104,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backoffDelay is base << (attempt-1), capped at 32× base.
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	shift := attempt - 1
-	if shift > 5 {
-		shift = 5
-	}
-	return base << shift
-}
-
-// ExponentialBackoff returns a Backoff that sleeps base << (attempt-1),
-// capped at 32× base. It cannot be interrupted by Stop; prefer
-// Config.BackoffBase in servers that shut down.
-func ExponentialBackoff(base time.Duration) func(attempt int) {
-	return func(attempt int) {
-		time.Sleep(backoffDelay(base, attempt))
-	}
-}
-
-// ErrStopped is returned by every read once the detector has been stopped.
-var ErrStopped = errors.New("health: detector stopped")
-
-// Detector watches d disks. Safe for concurrent use; the OnFail
-// callback runs without the detector's lock held.
+// Detector watches d disks. Like the array it watches, one goroutine uses
+// it at a time; the OnFail callback runs once an observation is scored.
 type Detector struct {
-	// cfg is immutable after NewDetector, so reads take it without mu.
 	cfg    Config
-	mu     sync.Mutex
 	consec []int
 	// corrupt is the per-disk cumulative corrupt-block count feeding
 	// CorruptionThreshold escalation. Cleared only by Reset.
@@ -159,9 +126,6 @@ type Detector struct {
 	clock     func() int64
 	suspectAt []int64
 	detectLat []int64
-	// stop is closed by Stop; in-flight BackoffBase sleeps wake on it.
-	stop     chan struct{}
-	stopOnce sync.Once
 
 	// counters for Stats
 	hardErrors  int64
@@ -194,7 +158,6 @@ func NewDetector(d int, cfg Config) *Detector {
 		corrupt: make([]int, d),
 		state:   make([]State, d),
 		retired: make([]bool, d),
-		stop:    make(chan struct{}),
 	}
 	dt.suspectAt = make([]int64, d)
 	for i := range dt.suspectAt {
@@ -203,55 +166,25 @@ func NewDetector(d int, cfg Config) *Detector {
 	return dt
 }
 
-// Stop shuts the detector down: any read sleeping in a BackoffBase
-// backoff wakes immediately and surfaces its last error without further
-// attempts (and without scoring extra strikes), and subsequent reads
-// return ErrStopped. Observe keeps working — callers that only score
-// outcomes are unaffected. Stop is idempotent and safe to call
-// concurrently with reads.
-func (dt *Detector) Stop() {
-	dt.stopOnce.Do(func() { close(dt.stop) })
-}
-
-// stopped reports whether Stop has been called.
-func (dt *Detector) stopped() bool {
-	select {
-	case <-dt.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// sleep waits d or until Stop, reporting false when interrupted.
-func (dt *Detector) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-dt.stop:
-		return false
-	}
-}
+// Stop is kept only because the benchmark module still calls it
+// (bench/layers.go); it goes once that module stops.
+//
+// Deprecated: does nothing; a detector holds no goroutine, timer or wait.
+func (dt *Detector) Stop() {}
 
 // SetOnFail installs the callback fired (once per declaration) when a
 // disk crosses the failure threshold. The server uses it to fail-stop
 // the disk in the array and flip to degraded mode.
 func (dt *Detector) SetOnFail(fn func(disk int)) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	dt.onFail = fn
 }
 
 // SetClock installs the timestamp source used for time-to-detect
-// accounting. The detector reads it (under its lock) at the first
-// strike of a suspicion window and again at declaration; the tick-
-// driven server passes the round counter. With no clock, detection
-// latencies are simply not recorded.
+// accounting. The detector reads it at the first strike of a suspicion
+// window and again at declaration; the tick-driven server passes the
+// round counter. With no clock, detection latencies are simply not
+// recorded.
 func (dt *Detector) SetClock(fn func() int64) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	dt.clock = fn
 }
 
@@ -259,8 +192,6 @@ func (dt *Detector) SetClock(fn func() int64) {
 // declared disk's first suspicious observation to its declaration, in
 // clock units. Empty when no clock is installed.
 func (dt *Detector) DetectLatencies() []int64 {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	return append([]int64(nil), dt.detectLat...)
 }
 
@@ -285,8 +216,6 @@ func (dt *Detector) declareAt(disk int) {
 
 // State returns the detector's opinion of the disk.
 func (dt *Detector) State(disk int) State {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	if disk < 0 || disk >= len(dt.state) {
 		return OK
 	}
@@ -295,8 +224,6 @@ func (dt *Detector) State(disk int) State {
 
 // ConsecutiveErrors returns the disk's current strike count.
 func (dt *Detector) ConsecutiveErrors(disk int) int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	if disk < 0 || disk >= len(dt.consec) {
 		return 0
 	}
@@ -305,8 +232,6 @@ func (dt *Detector) ConsecutiveErrors(disk int) int {
 
 // CorruptionCount returns the disk's cumulative corrupt-block count.
 func (dt *Detector) CorruptionCount(disk int) int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	if disk < 0 || disk >= len(dt.corrupt) {
 		return 0
 	}
@@ -315,16 +240,12 @@ func (dt *Detector) CorruptionCount(disk int) int {
 
 // Stats returns a counter snapshot.
 func (dt *Detector) Stats() Stats {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	return Stats{HardErrors: dt.hardErrors, Timeouts: dt.timeouts, BadBlocks: dt.badBlocks, Corruptions: dt.corruptions, Declared: dt.declared}
 }
 
 // Reset clears the disk's strikes and state — called when a rebuilt disk
 // rejoins or an operator repairs it.
 func (dt *Detector) Reset(disk int) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	if disk < 0 || disk >= len(dt.state) {
 		return
 	}
@@ -340,8 +261,6 @@ func (dt *Detector) Reset(disk int) {
 // targets are unaffected. Deregistration is permanent (retired nodes
 // never rejoin); Reset does not resurrect a deregistered slot.
 func (dt *Detector) Deregister(disk int) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	if disk < 0 || disk >= len(dt.state) {
 		return
 	}
@@ -355,8 +274,6 @@ func (dt *Detector) Deregister(disk int) {
 // Registered reports whether the target is still being scored. Out-of-
 // range targets report false.
 func (dt *Detector) Registered(disk int) bool {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	return disk >= 0 && disk < len(dt.state) && !dt.retired[disk]
 }
 
@@ -365,8 +282,6 @@ func (dt *Detector) Registered(disk int) bool {
 // cluster is not a failure. Allocation-free — policy loops poll it every
 // round.
 func (dt *Detector) DownCount() int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	n := 0
 	for i, s := range dt.state {
 		if s == Down && !dt.retired[i] {
@@ -380,8 +295,6 @@ func (dt *Detector) DownCount() int {
 // Down, in index order — the detector-confirmed losses the autopilot
 // replaces.
 func (dt *Detector) Down() []int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	var out []int
 	for i, s := range dt.state {
 		if s == Down && !dt.retired[i] {
@@ -396,8 +309,6 @@ func (dt *Detector) Down() []int {
 // next indices in order. Used when a node joins the cluster or an array
 // adds a disk.
 func (dt *Detector) Grow(n int) int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	for i := 0; i < n; i++ {
 		dt.consec = append(dt.consec, 0)
 		dt.corrupt = append(dt.corrupt, 0)
@@ -414,9 +325,7 @@ func (dt *Detector) Grow(n int) int {
 // data came back; hard errors are strikes; bad blocks and absent blocks
 // are not.
 func (dt *Detector) Observe(disk int, slowdown float64, err error) State {
-	dt.mu.Lock()
 	if disk < 0 || disk >= len(dt.state) || dt.retired[disk] {
-		dt.mu.Unlock()
 		return OK
 	}
 	strike := false
@@ -475,7 +384,6 @@ func (dt *Detector) Observe(disk int, slowdown float64, err error) State {
 		}
 	}
 	st := dt.state[disk]
-	dt.mu.Unlock()
 	if fire != nil {
 		fire(disk)
 	}
@@ -491,7 +399,7 @@ type BlockReader interface {
 }
 
 // Read performs one monitored read of (disk, block) from r with bounded
-// retry and backoff: up to Retries+1 attempts, every outcome Observed.
+// retry: up to Retries+1 back-to-back attempts, every outcome Observed.
 // Hard errors and timeouts retry; a bad block or corrupt block retries
 // once then surfaces (reconstruction is the cure, not persistence);
 // ErrNotWritten surfaces immediately. The returned error is the last
@@ -499,24 +407,8 @@ type BlockReader interface {
 // not change, or with a dst the copy there (on error dst is left alone).
 // Zero per-call allocations.
 func (dt *Detector) Read(r BlockReader, disk int, block int64, dst []byte) ([]byte, error) {
-	if dt.stopped() {
-		return nil, ErrStopped
-	}
-	cfg := &dt.cfg
 	var lastErr error
-	for try := 0; try <= cfg.Retries; try++ {
-		if try > 0 {
-			switch {
-			case cfg.BackoffBase > 0:
-				if !dt.sleep(backoffDelay(cfg.BackoffBase, try)) {
-					// Stopped mid-backoff: surface the last attempt's
-					// error as-is; no further attempts, no extra strikes.
-					return nil, lastErr
-				}
-			case cfg.Backoff != nil:
-				cfg.Backoff(try)
-			}
-		}
+	for try := 0; try <= dt.cfg.Retries; try++ {
 		b, slowdown, err := dst, 0.0, error(nil)
 		if dst == nil {
 			b, slowdown, err = r.Lend(disk, block)

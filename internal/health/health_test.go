@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"ftcms/internal/storage"
 )
@@ -221,26 +220,6 @@ func TestReadNotWrittenSurfacesImmediately(t *testing.T) {
 	}
 }
 
-func TestReadBackoffCalledBetweenRetries(t *testing.T) {
-	var waits []int
-	dt := NewDetector(1, Config{Retries: 2, FailThreshold: 99, Backoff: func(n int) { waits = append(waits, n) }})
-	_, _ = readScript(dt, 0, func(dst []byte) (float64, error) { return 1, storage.ErrFailed })
-	if len(waits) != 2 || waits[0] != 1 || waits[1] != 2 {
-		t.Fatalf("backoff calls = %v, want [1 2]", waits)
-	}
-}
-
-func TestExponentialBackoffSleeps(t *testing.T) {
-	b := ExponentialBackoff(time.Millisecond)
-	start := time.Now()
-	b(1)
-	b(2)
-	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
-		t.Fatalf("backoff slept only %v", elapsed)
-	}
-	b(99) // capped shift must not overflow
-}
-
 // A negative Retries disables retry entirely: one attempt per Read, one
 // strike scored. Retries == 0 keeps selecting the default.
 func TestZeroRetryConfig(t *testing.T) {
@@ -272,61 +251,7 @@ func TestZeroRetryConfig(t *testing.T) {
 	}
 }
 
-// Stopping the detector while a Read sleeps in its retry backoff wakes
-// the sleeper immediately: the Read returns the last real error, scores
-// no extra strikes, and never declares the disk failed.
-func TestStopInterruptsInFlightBackoff(t *testing.T) {
-	dt := NewDetector(2, Config{Retries: 5, BackoffBase: time.Hour, FailThreshold: 10})
-	var declared []int
-	dt.SetOnFail(func(d int) { declared = append(declared, d) })
-
-	attempted := make(chan struct{})
-	done := make(chan error, 1)
-	attempts := 0
-	go func() {
-		_, err := readScript(dt, 1, func(dst []byte) (float64, error) {
-			attempts++
-			close(attempted)
-			return 1, storage.ErrFailed
-		})
-		done <- err
-	}()
-
-	<-attempted // the Read is now in (or headed into) its hour-long backoff
-	dt.Stop()
-	select {
-	case err := <-done:
-		if !errors.Is(err, storage.ErrFailed) {
-			t.Fatalf("interrupted Read returned %v, want the last attempt's error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Read still sleeping after Stop — backoff not interruptible")
-	}
-	if attempts != 1 {
-		t.Fatalf("%d attempts after Stop, want 1", attempts)
-	}
-	if got := dt.Stats().HardErrors; got != 1 {
-		t.Fatalf("HardErrors = %d after interrupt, want 1 (no spurious strikes)", got)
-	}
-	if len(declared) != 0 || dt.State(1) == Down {
-		t.Fatalf("interrupting a backoff declared the disk failed (declared=%v, state=%v)", declared, dt.State(1))
-	}
-
-	// After Stop, Reads refuse without attempting.
-	attempts = 0
-	if _, err := readScript(dt, 1, func(dst []byte) (float64, error) {
-		attempts++
-		return 1, nil
-	}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Read after Stop: %v, want ErrStopped", err)
-	}
-	if attempts != 0 {
-		t.Fatal("Read after Stop still attempted I/O")
-	}
-	dt.Stop() // idempotent
-}
-
-// Stop does not disturb pure Observe users (the tick-driven core).
+// Stop, a no-op, does not disturb Observe users (the tick-driven core).
 func TestStopLeavesObserveWorking(t *testing.T) {
 	dt := NewDetector(1, Config{FailThreshold: 2})
 	dt.Stop()

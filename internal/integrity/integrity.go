@@ -10,10 +10,7 @@
 // this package is the polynomial and the counters.
 package integrity
 
-import (
-	"hash/crc32"
-	"sync/atomic"
-)
+import "hash/crc32"
 
 // castagnoli is the CRC-32C table shared by all sums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -34,27 +31,26 @@ type Stats struct {
 	Mismatches int64
 }
 
-// Counters tallies an array's checksum work. Atomic, so verifying on the
-// hot read path, under the array's shared read lock, needs no lock of
-// its own. The zero value is ready to use.
+// Counters tallies an array's checksum work and belongs to the array's
+// owner, like the array. The zero value is ready to use.
 type Counters struct {
-	recorded, verified, mismatches atomic.Int64
+	recorded, verified, mismatches int64
 }
 
 // Recorded counts one checksum taken on write.
-func (c *Counters) Recorded() { c.recorded.Add(1) }
+func (c *Counters) Recorded() { c.recorded++ }
 
 // Verified counts one verification by its outcome, which it returns.
 func (c *Counters) Verified(ok bool) bool {
 	if ok {
-		c.verified.Add(1)
+		c.verified++
 	} else {
-		c.mismatches.Add(1)
+		c.mismatches++
 	}
 	return ok
 }
 
 // Stats returns a counter snapshot.
 func (c *Counters) Stats() Stats {
-	return Stats{Recorded: c.recorded.Load(), Verified: c.verified.Load(), Mismatches: c.mismatches.Load()}
+	return Stats{Recorded: c.recorded, Verified: c.verified, Mismatches: c.mismatches}
 }

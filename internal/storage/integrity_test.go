@@ -119,14 +119,19 @@ func TestCorruptBitsSemantics(t *testing.T) {
 	if err := a.CorruptBits(2, 5, []uint64{1}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("corrupt failed disk = %v, want ErrFailed", err)
 	}
-	// Bit offsets wrap modulo the block width, and a double flip is the
-	// identity: the block verifies again.
+	// Bit offsets wrap modulo the block width, and offsets that meet there
+	// flip their bit once rather than cancel: the block reads corrupt.
 	width := uint64(16 * 8)
 	if err := a.CorruptBits(0, 5, []uint64{7, 7 + width}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := read(a, 0, 5); err != nil {
-		t.Fatalf("read after self-cancelling flips: %v", err)
+	if _, err := read(a, 0, 5); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("read after coinciding flips = %v, want ErrCorruptBlock", err)
+	}
+	want := block(1, 16)
+	want[0] ^= 1 << 7
+	if got := a.disks[0][5].data; !bytes.Equal(got, want) {
+		t.Fatalf("block after coinciding flips = %v, want %v (bit 7 flipped once)", got, want)
 	}
 }
 

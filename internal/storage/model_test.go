@@ -105,8 +105,11 @@ func (m *model) corrupt(disk int, block int64, bits []uint64) error {
 	case m.data[disk][block] == nil:
 		return ErrNotWritten
 	}
+	flip := map[uint64]bool{} // each distinct position once
 	for _, b := range bits {
-		b %= 16 * 8
+		flip[b%(16*8)] = true
+	}
+	for b := range flip {
 		m.data[disk][block][b/8] ^= 1 << (b % 8)
 	}
 	return nil
@@ -205,7 +208,7 @@ func FuzzArrayModel(f *testing.F) {
 		var lent, kept [][]byte // what Lend returned, and a copy taken then
 		for i := 0; i+4 <= len(script); i += 4 {
 			op, disk, block, arg := script[i]%nOps, int(script[i+1]%(d+1)), int64(script[i+2]%nblocks), script[i+3]
-			bits := []uint64{uint64(arg), uint64(arg)*37 + 5}
+			bits := []uint64{uint64(arg), uint64(arg)*37 + 5, uint64(arg) + 16*8}
 			var got, want error
 			dst, sentinel := bytes.Repeat([]byte{0xAA}, bs), bytes.Repeat([]byte{0xAA}, bs)
 			switch op {

@@ -34,8 +34,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"ftcms/internal/integrity"
 )
@@ -103,14 +102,14 @@ type record struct {
 	data []byte
 	sum  uint32
 	// lent marks data as handed out by Lend, so Write and CorruptBits give
-	// the record fresh bytes instead (atomic: lending reads hold RLock).
-	lent atomic.Bool
+	// the record fresh bytes instead.
+	lent bool
 }
 
 // Array is a simulated array of d disks, each a sequence of fixed-size
-// blocks indexed by block number. It is safe for concurrent use.
+// blocks indexed by block number. One goroutine uses it at a time, and it
+// holds no lock.
 type Array struct {
-	mu        sync.RWMutex
 	d         int
 	blockSize int
 	// disks[disk][block] is the block's record. A disk's slice reaches its
@@ -157,8 +156,6 @@ func (a *Array) BlockSize() int { return a.blockSize }
 // SetReadHook installs (or, with nil, removes) the fault-injection hook
 // consulted on every physical read of a non-failed disk.
 func (a *Array) SetReadHook(h ReadHook) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.hook = h
 }
 
@@ -173,7 +170,7 @@ func (a *Array) checkAddr(disk int, block int64) error {
 }
 
 // at returns the record of (disk, block), or nil when the block is not
-// written. The caller holds mu and has checked the address.
+// written. The caller has checked the address.
 func (a *Array) at(disk int, block int64) *record {
 	if recs := a.disks[disk]; block < int64(len(recs)) && len(recs[block].data) != 0 {
 		return &recs[block]
@@ -192,8 +189,6 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	if len(data) != a.blockSize {
 		return fmt.Errorf("storage: write of %d bytes, want block size %d", len(data), a.blockSize)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.state[disk] == Failed {
 		return fmt.Errorf("storage: write to disk %d: %w", disk, ErrFailed)
 	}
@@ -207,8 +202,8 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	if len(r.data) == 0 {
 		a.written[disk]++
 	}
-	if r.lent.Swap(false) {
-		r.data = nil // the lent bytes stay with their holders
+	if r.lent {
+		r.lent, r.data = false, nil // the lent bytes stay with their holders
 	}
 	r.data = append(r.data[:0], data...)
 	r.sum = integrity.Sum(r.data)
@@ -261,14 +256,11 @@ func (a *Array) Lend(disk int, block int64) ([]byte, float64, error) {
 
 // read is every block read: a copy into dst, or with a nil dst a loan (the
 // one read that marks a block lent); with zero, an absent block of a healthy
-// disk is zeroes, with no error built. It takes only the read-lock (counts
-// and the mark are atomic), held across the hook to be atomic with Fail.
+// disk is zeroes, with no error built.
 func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, float64, error) {
 	if err := a.checkAddr(disk, block); err != nil {
 		return nil, 1, err
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	if a.state[disk] == Failed {
 		return nil, 1, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrFailed)
 	}
@@ -285,7 +277,7 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 	}
 	r := a.at(disk, block)
 	if r == nil && zero && a.state[disk] == Healthy {
-		atomic.AddInt64(&a.reads[disk], 1)
+		a.reads[disk]++
 		clear(dst)
 		return dst, slow, nil
 	}
@@ -299,13 +291,11 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 		// into a reconstruction. The read is not counted as served.
 		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w: sum %08x, want %08x", disk, block, ErrCorruptBlock, got, r.sum)
 	}
-	atomic.AddInt64(&a.reads[disk], 1)
+	a.reads[disk]++
 	if dst != nil {
 		return dst[:copy(dst, r.data)], slow, nil
 	}
-	if !r.lent.Load() { // a load first: most reads of a block are not its first
-		r.lent.Store(true)
-	}
+	r.lent = true
 	return r.data, slow, nil
 }
 
@@ -317,16 +307,12 @@ func (a *Array) Written(disk int, block int64) bool {
 	if a.checkAddr(disk, block) != nil {
 		return false
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.at(disk, block) != nil
 }
 
 // Extent returns one past the highest block number ever written on any
 // disk — like Written and WrittenBlocks, a planning probe.
 func (a *Array) Extent() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	n := 0
 	for _, recs := range a.disks {
 		n = max(n, len(recs))
@@ -336,8 +322,6 @@ func (a *Array) Extent() int64 {
 
 // WrittenBlocks returns the number of blocks the array holds now.
 func (a *Array) WrittenBlocks() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	n := 0
 	for _, w := range a.written {
 		n += w
@@ -362,8 +346,6 @@ func (a *Array) Fail(disk int) error {
 	if err := a.checkAddr(disk, 0); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.state[disk] = Failed
 	return nil
 }
@@ -376,8 +358,6 @@ func (a *Array) Replace(disk int) error {
 	if err := a.checkAddr(disk, 0); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.state[disk] != Failed {
 		return fmt.Errorf("storage: replace disk %d: disk is %v, not failed", disk, a.state[disk])
 	}
@@ -392,8 +372,6 @@ func (a *Array) Rejoin(disk int) error {
 	if err := a.checkAddr(disk, 0); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.state[disk] != Rebuilding {
 		return fmt.Errorf("storage: rejoin disk %d: disk is %v, not rebuilding", disk, a.state[disk])
 	}
@@ -410,8 +388,6 @@ func (a *Array) Repair(disk int) error {
 	if err := a.checkAddr(disk, 0); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.state[disk] = Healthy
 	a.blank(disk)
 	return nil
@@ -420,8 +396,6 @@ func (a *Array) Repair(disk int) error {
 // State returns the disk's lifecycle state (Healthy for out-of-range
 // indices, matching Failed's tolerance).
 func (a *Array) State(disk int) DiskState {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	if disk < 0 || disk >= a.d {
 		return Healthy
 	}
@@ -431,15 +405,11 @@ func (a *Array) State(disk int) DiskState {
 // Failed reports whether the disk is failed (a rebuilding disk is not:
 // it serves the blocks already rebuilt).
 func (a *Array) Failed(disk int) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return disk >= 0 && disk < a.d && a.state[disk] == Failed
 }
 
 // FailedDisks returns the indices of all failed disks.
 func (a *Array) FailedDisks() []int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	var out []int
 	for i, st := range a.state {
 		if st == Failed {
@@ -455,14 +425,12 @@ func (a *Array) ReadCount(disk int) int64 {
 	if disk < 0 || disk >= a.d {
 		return 0
 	}
-	return atomic.LoadInt64(&a.reads[disk])
+	return a.reads[disk]
 }
 
 // ResetReadCounts zeroes all per-disk read counters.
 func (a *Array) ResetReadCounts() {
-	for i := range a.reads {
-		atomic.StoreInt64(&a.reads[i], 0)
-	}
+	clear(a.reads)
 }
 
 // ChecksumStats returns a snapshot of the integrity layer's counters.
@@ -471,7 +439,7 @@ func (a *Array) ChecksumStats() integrity.Stats {
 }
 
 // CorruptBits flips the given bit offsets (taken modulo the block's bit
-// width) of the stored block — silent corruption: no error is returned at
+// width, each distinct position once) of the stored block — silent corruption: no error is returned at
 // injection time, the checksum record is left stale on purpose, nothing is
 // counted as a read or write, and bytes Lend handed out keep what was
 // verified. The next read fails with ErrCorruptBlock. Corrupting an absent
@@ -484,8 +452,6 @@ func (a *Array) CorruptBits(disk int, block int64, bits []uint64) error {
 	if len(bits) == 0 {
 		return errors.New("storage: corrupt with no bits to flip")
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.state[disk] == Failed {
 		return fmt.Errorf("storage: corrupt disk %d block %d: %w", disk, block, ErrFailed)
 	}
@@ -493,12 +459,14 @@ func (a *Array) CorruptBits(disk int, block int64, bits []uint64) error {
 	if r == nil {
 		return fmt.Errorf("storage: corrupt disk %d block %d: %w", disk, block, ErrNotWritten)
 	}
-	if r.lent.Swap(false) {
-		r.data = bytes.Clone(r.data)
+	if r.lent {
+		r.lent, r.data = false, bytes.Clone(r.data)
 	}
-	for _, b := range bits {
-		b %= uint64(a.blockSize) * 8
-		r.data[b/8] ^= 1 << (b % 8)
+	w := uint64(a.blockSize) * 8
+	for i, b := range bits {
+		if b %= w; !slices.ContainsFunc(bits[:i], func(o uint64) bool { return o%w == b }) {
+			r.data[b/8] ^= 1 << (b % 8)
+		}
 	}
 	return nil
 }
@@ -512,10 +480,8 @@ func (a *Array) CorruptRandomBlock(disk int, pick uint64, bits []uint64) (int64,
 	if err := a.checkAddr(disk, 0); err != nil {
 		return 0, err
 	}
-	a.mu.RLock()
 	n := uint64(a.written[disk])
 	if n == 0 {
-		a.mu.RUnlock()
 		return 0, fmt.Errorf("storage: corrupt disk %d: no written blocks: %w", disk, ErrNotWritten)
 	}
 	block := int64(0)
@@ -528,7 +494,6 @@ func (a *Array) CorruptRandomBlock(disk int, pick uint64, bits []uint64) (int64,
 		}
 		rank--
 	}
-	a.mu.RUnlock()
 	return block, a.CorruptBits(disk, block, bits)
 }
 
@@ -537,8 +502,6 @@ func (a *Array) CorruptRandomBlock(disk int, pick uint64, bits []uint64) (int64,
 // no longer match their recorded checksums. A planning/assertion probe:
 // it consults no hook and counts no reads.
 func (a *Array) AuditChecksums() [][2]int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	var bad [][2]int64
 	for disk, recs := range a.disks {
 		if a.state[disk] == Failed {

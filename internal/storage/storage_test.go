@@ -192,37 +192,6 @@ func TestReadCounts(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccess(t *testing.T) {
-	a, err := NewArray(8, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 16)
-	for g := 0; g < 8; g++ {
-		go func(disk int) {
-			var err error
-			for i := int64(0); i < 50 && err == nil; i++ {
-				err = a.Write(disk, i, block(byte(disk), 32))
-			}
-			done <- err
-		}(g)
-		go func(disk int) {
-			var firstErr error
-			for i := int64(0); i < 50; i++ {
-				if _, err := readZero(a, disk, i); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			done <- firstErr
-		}(g)
-	}
-	for i := 0; i < 16; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestFailIdempotent(t *testing.T) {
 	a := newArray(t)
 	if err := a.Fail(1); err != nil {
