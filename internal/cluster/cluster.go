@@ -579,9 +579,7 @@ func (c *Cluster) failover(st *Stream) {
 			delete(c.streams, st.id)
 			return
 		}
-		// cs starts at a block (or parity-group) boundary at or below the
-		// offset; skip discards the replayed prefix.
-		st.node, st.st, st.skip = n.id, cs, st.offset-cs.Pos()
+		st.node, st.st = n.id, cs
 		c.failedOver++
 		return
 	}

@@ -258,6 +258,79 @@ func TestFailoverResumesByteExact(t *testing.T) {
 	t.Fatalf("failover stream did not finish (offset %d of %d)", off, len(clip))
 }
 
+// TestMoveResumesInsideGroup: a failover and a drain move reopen the
+// stream on the clip's other replica at the reader's exact byte — here
+// inside block 4, the middle block of a prefetch-flat parity group, so the
+// new node fetches from block 3 — and the reader gets every byte once.
+func TestMoveResumesInsideGroup(t *testing.T) {
+	const at = 4*8000 + 500
+	clip := clipBytes(31, 200_000)
+	for _, move := range []string{"failover", "drain"} {
+		cfg := Config{Replication: 2}
+		for i := 0; i < 3; i++ {
+			nc := nodeConfig()
+			nc.Scheme, nc.D, nc.P = core.PrefetchFlat, 9, 4
+			cfg.Nodes = append(cfg.Nodes, nc)
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddClip("v", clip); err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.OpenStream("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var off int64
+		for r := 0; off < at; r++ {
+			if r > 100 {
+				t.Fatalf("%s: reader stuck at byte %d", move, off)
+			}
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, at-off)
+			n, err := st.Read(buf)
+			if !bytes.Equal(buf[:n], clip[off:off+int64(n)]) {
+				t.Fatalf("%s: bytes diverge at offset %d", move, off)
+			}
+			if off += int64(n); err != nil && !errors.Is(err, core.ErrNoData) {
+				t.Fatal(err)
+			}
+		}
+		from := st.Node()
+		if move == "failover" {
+			err = c.FailNode(from)
+		} else {
+			err = c.DrainNode(from)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; ; r++ {
+			if r > 400 {
+				t.Fatalf("%s: stream did not finish (offset %d of %d)", move, off, len(clip))
+			}
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			done, err := readAvailable(t, st, clip, &off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				break
+			}
+		}
+		if s := c.Stats(); off != int64(len(clip)) || st.Node() == from || s.FailedOver+s.MigratedStreams != 1 {
+			t.Fatalf("%s: EOF at %d of %d on node %d (from %d), %d failovers, %d moves",
+				move, off, len(clip), st.Node(), from, s.FailedOver, s.MigratedStreams)
+		}
+	}
+}
+
 // BenchmarkFailNode times a node kill with streams in flight: every
 // stream the node was serving re-admits on the clip's other replica. The
 // repository benchmark has no workload that loses a node.

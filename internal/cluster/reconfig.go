@@ -380,7 +380,7 @@ func (c *Cluster) moveDrainingStreams() {
 			// A replica that refuses is full (or unusable) right now.
 			if cs, err := n.srv.OpenStreamAt(st.clip, st.offset); err == nil {
 				st.st.Close()
-				st.node, st.st, st.skip = n.id, cs, st.offset-cs.Pos()
+				st.node, st.st = n.id, cs
 				c.migratedStreams++
 				break
 			}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"ftcms/internal/core"
@@ -26,11 +25,9 @@ type Stream struct {
 	node int
 	st   *core.Stream
 
-	// offset counts bytes handed to the reader; a failover resumes here.
+	// offset counts bytes handed to the reader; a failover or drain move
+	// reopens the clip at exactly this byte (core.Server.OpenStreamAt).
 	offset int64
-	// skip is the replayed prefix still to discard after a failover
-	// (OpenStreamAt snaps down to a block/group boundary).
-	skip int64
 
 	err    error
 	closed bool
@@ -88,12 +85,6 @@ func (st *Stream) Read(p []byte) (int, error) {
 	if st.st == nil {
 		return 0, core.ErrNoData // parked awaiting failover
 	}
-	if err := st.drainSkip(); err != nil {
-		return 0, err
-	}
-	if st.st == nil { // drainSkip hit a node-level loss and parked us
-		return 0, core.ErrNoData
-	}
 	n, err := st.st.Read(p)
 	st.offset += int64(n)
 	switch {
@@ -119,43 +110,6 @@ func (st *Stream) Read(p []byte) (int, error) {
 	default:
 		return n, err
 	}
-}
-
-// drainSkip discards the replayed prefix after a failover so the reader
-// never sees a byte twice.
-func (st *Stream) drainSkip() error {
-	if st.skip == 0 {
-		return nil
-	}
-	var scratch [4096]byte
-	for st.skip > 0 {
-		want := st.skip
-		if want > int64(len(scratch)) {
-			want = int64(len(scratch))
-		}
-		n, err := st.st.Read(scratch[:want])
-		st.skip -= int64(n)
-		switch {
-		case err == nil:
-			continue
-		case errors.Is(err, core.ErrNoData):
-			if st.skip > 0 {
-				return core.ErrNoData
-			}
-			return nil
-		case errors.Is(err, core.ErrStreamLost):
-			st.lostNode()
-			if st.err != nil {
-				return st.err
-			}
-			return core.ErrNoData
-		case errors.Is(err, io.EOF):
-			return fmt.Errorf("cluster: stream %d: EOF inside replayed prefix (%d bytes short)", st.id, st.skip)
-		default:
-			return err
-		}
-	}
-	return nil
 }
 
 // lostNode handles a node-level stream loss discovered mid-read: drop

@@ -128,15 +128,9 @@ func TestChaos(t *testing.T) {
 								t.Fatal(err)
 							}
 							// The seek took effect regardless of whether
-							// the resume below is admitted: expected
-							// offset moves to the (group-aligned) block
-							// boundary now.
-							bs := int64(8000)
-							blk := off / bs
-							if depth := int64(p - 1); scheme == PrefetchParityDisk || scheme == PrefetchFlat || scheme == StreamingRAID {
-								blk = blk / depth * depth
-							}
-							cs.offset = blk * bs
+							// the resume below is admitted: the next byte
+							// read is clip byte off.
+							cs.offset = off
 							if err := cs.st.Resume(); err == nil {
 								cs.paused = false
 							} else if !errors.Is(err, ErrAdmission) {

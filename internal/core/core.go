@@ -166,7 +166,7 @@ type Stats struct {
 	// the measured migration rate.
 	MigrateReads, MigrateReadsLastRound int64
 	// RelayoutPending and RelayoutTotal report AddDisk re-layout
-	// progress in queue entries (both zero when no re-layout is active).
+	// progress in blocks (both zero when no re-layout is active).
 	RelayoutPending, RelayoutTotal int
 	// RelayoutsDone counts completed AddDisk re-layouts.
 	RelayoutsDone int
@@ -449,8 +449,8 @@ func (s *Server) AddClip(name string, data []byte) error {
 		return errors.New("core: empty clip")
 	}
 	if s.relayout != nil {
-		// The re-layout queue was snapshotted; a clip written now would
-		// never be copied to the wider array.
+		// The re-layout cursor walks the clips stored at AddDisk; a clip
+		// written now would never be copied to the wider array.
 		return errors.New("core: re-layout in progress; retry after it completes")
 	}
 	ci, err := s.allocClip(int64(len(data)))
@@ -562,8 +562,8 @@ func (s *Server) Stats() Stats {
 	st.MigrateReadsLastRound = s.migrateReadsLast
 	st.RelayoutsDone = s.relayoutsDone
 	if s.relayout != nil {
-		st.RelayoutTotal = len(s.relayout.queue)
-		st.RelayoutPending = len(s.relayout.queue) - s.relayout.next
+		st.RelayoutTotal = int(s.relayout.total)
+		st.RelayoutPending = int(s.relayout.total - s.relayout.copied)
 	}
 	st.ScrubScanned, st.ScrubTotal = s.scrub.scanned, s.scrub.total
 	return st

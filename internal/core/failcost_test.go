@@ -181,6 +181,50 @@ func TestFailDiskAllocs(t *testing.T) {
 	}
 }
 
+// TestFailDiskBeyondToleranceAllocs: a failure that crosses the array's
+// tolerance sweeps nothing either. Loss is found where a stream reads, so
+// FailDisk allocates the same handful of objects however many of the open
+// streams the failure dooms.
+func TestFailDiskBeyondToleranceAllocs(t *testing.T) {
+	for _, streams := range []int{100, 1000} {
+		fb := newFailBench(t, streams, 8, 1024)
+		if err := fb.s.FailDisk(0); err != nil { // its spare is rebuilding: not serving
+			t.Fatal(err)
+		}
+		n := mallocs(func() {
+			if err := fb.s.FailDisk(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		doomed := len(refSweep(fb.s))
+		if n > 16 || doomed < streams/2 {
+			t.Errorf("%d streams: FailDisk beyond tolerance allocated %d objects with %d streams doomed; want <= 16, and at least half doomed", streams, n, doomed)
+		}
+	}
+}
+
+// TestAddDiskAllocs: AddDisk sets a cursor over the clips, not a list of
+// their blocks, so what it allocates does not grow with the blocks stored
+// (a list of 2000 would be 16 KB).
+func TestAddDiskAllocs(t *testing.T) {
+	addDisk := func(size int) uint64 {
+		s, _ := scrubServer(t, testConfig(Declustered, 6, 3), size)
+		runtime.GC() // twice: empty fmt's sync.Pool, victim cache and all,
+		runtime.GC() // whatever the set-up left in it
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.AddDisk(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := addDisk(10*8000), addDisk(2000*8000)
+	if large > small+1024 {
+		t.Errorf("AddDisk allocated %d bytes over 10 stored blocks and %d over 2000", small, large)
+	}
+}
+
 // TestRebuildAllocs pins a rebuild's cost per block from the allocation
 // side: over blocks no stream has read, a FailDisk → rebuild → rejoin cycle
 // allocates nothing per rebuilt block. The spare's slots keep the failed

@@ -13,7 +13,7 @@ import (
 // operator performs by hand: detect → degrade → rebuild → rejoin.
 //
 //   - Detection: every physical read in the streaming path goes through
-//     the health detector (bounded retry + backoff). k consecutive hard
+//     the health detector (a bounded count of retries). k consecutive hard
 //     errors or timeouts on a disk declare it failed — the array is
 //     fail-stopped and the server flips to degraded mode with no
 //     operator command.
@@ -26,10 +26,11 @@ import (
 //     (mirroring sim/failure.go's spare accounting).
 //   - Rejoin: when every block is back, the spare is promoted to
 //     healthy and detection state clears.
-//   - Second failure: parity groups with two unreadable members are
-//     enumerated; only the streams that still need one of those groups
-//     are terminated, each with an explicit reason. Every other stream
-//     keeps its rate guarantee.
+//   - Beyond tolerance: nothing is enumerated when the failure lands. A
+//     stream learns of a group with more unreadable members than parity
+//     columns at the read that needs it, and ends there with an explicit
+//     reason naming the block. Every other stream keeps its rate
+//     guarantee.
 
 // Mode is the server's failure-lifecycle state.
 type Mode string
@@ -47,7 +48,8 @@ const (
 )
 
 // ErrStreamLost is wrapped into the explicit error a stream ends with
-// when a second failure makes one of its parity groups unrecoverable.
+// when it reads a block that failures beyond the scheme's tolerance made
+// unrecoverable.
 var ErrStreamLost = errors.New("core: stream lost to unrecoverable parity group")
 
 // rebuildState tracks one online rebuild.
@@ -85,9 +87,9 @@ func (s *Server) SparesLeft() int { return s.sparesLeft }
 
 // onDiskFailed runs once per disk failure — whether declared by the
 // detector or injected by the operator FailDisk command. The array's
-// fail-stop flag is already set. It terminates the streams a second
-// failure strands and starts (or queues) an online rebuild if a hot
-// spare is available.
+// fail-stop flag is already set. It starts (or queues) an online rebuild
+// if a hot spare is available; it looks at no stream and no block, so it
+// costs the same at any failure count.
 func (s *Server) onDiskFailed(disk int) {
 	s.detectedFailures++
 	if s.failRound[disk] < 0 {
@@ -96,7 +98,6 @@ func (s *Server) onDiskFailed(disk int) {
 	// A failure of the disk currently being rebuilt kills the spare:
 	// abandon the rebuild (a further spare, if any, restarts it).
 	s.dropRebuild(disk)
-	s.terminateUnrecoverable()
 	if s.sparesLeft > 0 {
 		if len(s.rebuilds) < s.erasures {
 			s.startRebuild(disk)
@@ -227,7 +228,7 @@ func (s *Server) nextRebuild() {
 }
 
 // readMonitored reads one data block through the failure detector:
-// bounded retry with backoff, per-block reconstruction for latent bad
+// bounded retry, per-block reconstruction for latent bad
 // blocks (with rewrite — the sector-remap model) and for blocks not yet
 // rebuilt onto a spare (which are opportunistically installed). A clean
 // read lends the stored bytes (copies them into dst, if given); only a
@@ -279,90 +280,12 @@ func (s *Server) blockReadable(a layout.BlockAddr) bool {
 	return true
 }
 
-// blockUnrecoverable reports whether the data block at a can currently
-// be served neither directly nor by reconstruction: the count of
-// unreadable group members (the block itself included) exceeds what the
-// group's redundancy covers — one for single parity, two for P+Q. g is
-// scratch.
-func (s *Server) blockUnrecoverable(a layout.BlockAddr, g *layout.Group) bool {
-	if s.blockReadable(a) {
-		return false
-	}
-	t := s.lay.GroupAt(a, g)
-	var scratch [4]int
-	return len(s.unreadable(*g, t, scratch[:0])) > parityCols(*g)
-}
-
-// withinTolerance reports whether so few disks are out of service that
-// no parity group can be unrecoverable: a group has one member per disk,
-// so it is missing at most as many members as there are disks not
-// Healthy, and closes as many erasures as it has parity columns.
-func (s *Server) withinTolerance() bool { return s.DegradedDisks() <= s.erasures }
-
-// UnrecoverableGroups enumerates (up to max, unlimited when max <= 0)
-// logical data blocks of stored clips that currently cannot be served at
-// all — the blocks a second failure stranded. Empty in every
-// single-failure state.
-func (s *Server) UnrecoverableGroups(max int) []int64 {
-	if s.withinTolerance() {
-		return nil
-	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	var out []int64
-	s.storedBlocks(func(i int64) bool {
-		if s.blockUnrecoverable(s.lay.Place(i), &sc.g) {
-			out = append(out, i)
-		}
-		return max <= 0 || len(out) < max
-	})
-	return out
-}
-
-// terminateUnrecoverable ends, with an explicit reason, every active
-// stream whose remaining playback needs a block in an unrecoverable
-// parity group. Every other stream is untouched — its rate guarantee
-// stands. Within the array's tolerance there is no such block and
-// nothing to look at; beyond it, every stream's remaining blocks are
-// swept up front.
-func (s *Server) terminateUnrecoverable() {
-	if s.withinTolerance() {
-		return
-	}
-	// Only a block on a disk that is not serving can be unrecoverable;
-	// one state snapshot keeps the array's lock out of the sweep over
-	// every stream's remaining blocks.
-	down := make([]bool, s.cfg.D)
-	for d := range down {
-		down[d] = s.store.Array.State(d) != storage.Healthy
-	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	for _, st := range s.reg { // ascending id
-		if !st.active {
-			continue
-		}
-		for n := st.nextDeliver; n < st.clip.blocks; n++ {
-			if addr := s.lay.Place(st.clip.block(n)); down[addr.Disk] && s.blockUnrecoverable(addr, &sc.g) {
-				s.terminate(st, fmt.Errorf("%w: clip block %d at %v, failed disks %v",
-					ErrStreamLost, n, addr, s.store.Array.FailedDisks()))
-				break
-			}
-		}
-	}
-}
-
-// terminate ends one stream with an explicit reason: resources release,
-// the stream's reader drains what was already delivered and then
-// receives the reason instead of io.EOF.
+// terminate ends one playing stream with an explicit reason: resources
+// release, the stream's reader drains what was already delivered and
+// then receives the reason instead of io.EOF.
 func (s *Server) terminate(st *Stream, reason error) {
-	if st.done {
-		return
-	}
-	st.termErr = reason
-	st.done = true
+	st.termErr, st.done = reason, true
 	s.terminated++
-	if !st.paused { // a paused stream holds no bandwidth or buffer
-		s.release(st)
-	}
+	st.recyclePipeline()
+	s.release(st)
 }

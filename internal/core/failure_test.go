@@ -416,7 +416,7 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	if st := s.store.Array.State(2); st != storage.Rebuilding {
 		t.Fatalf("partially-rebuilt disk 2 is %v, want rebuilding", st)
 	}
-	if groups := s.UnrecoverableGroups(5); len(groups) == 0 {
+	if groups := refUnrecoverableGroups(s); len(groups) == 0 {
 		t.Fatal("no unrecoverable groups enumerated after double failure")
 	}
 	// Unrebuilt blocks on the partial spare must error explicitly, never

@@ -58,16 +58,6 @@ func (s *Server) BeginClipImport(name string, size int64) error {
 	return nil
 }
 
-// ImportBlocks reports how many data blocks of an in-flight import have
-// been written, or -1 for an unknown import.
-func (s *Server) ImportBlocks(name string) int64 {
-	im, ok := s.imports[name]
-	if !ok {
-		return -1
-	}
-	return im.written
-}
-
 // ImportClipBlockIdle writes the n-th data block of an in-flight import,
 // if this round's idle capacity allows. Blocks must arrive in order (n
 // equals the count written so far). It returns (false, nil) when some

@@ -231,14 +231,14 @@ func TestPQThirdFailureGraceful(t *testing.T) {
 		}
 		if !thirdFailed && len(st.RebuildingDisks) == 2 {
 			// Both rebuilds in flight: land the third overlapping failure
-			// now and record, from the server's own damage report, which
-			// streams are truly lost.
+			// now and record, from the reference damage set, which streams
+			// are truly lost.
 			if err := s.FailDisk(disks[2]); err != nil {
 				t.Fatal(err)
 			}
 			thirdFailed = true
 			lost := map[int64]bool{}
-			for _, i := range s.UnrecoverableGroups(0) {
+			for _, i := range refUnrecoverableGroups(s) {
 				lost[i] = true
 			}
 			if len(lost) == 0 {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
-	"reflect"
+	"io"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"ftcms/internal/layout"
@@ -12,10 +15,11 @@ import (
 
 // This file keeps, as test-only references, the store-wide enumerations
 // the failure handler and the scrubber ran inside a round before they
-// were driven from one disk's addresses: the walk over every stored
-// member, the rebuild and scrub queues filtered and sorted out of it, and
-// the sweep over every stream's remaining blocks. The tests below hold
-// the cursor-driven code to exactly their output.
+// were driven from one disk's addresses or left to the read: the walk
+// over every stored member, the rebuild and scrub queues filtered and
+// sorted out of it, and the sweep over every stream's remaining blocks.
+// The tests below hold the cursor-driven code to exactly their output,
+// and the read to the sweep's verdicts.
 
 // refMember is the old queue entry.
 type refMember struct {
@@ -24,12 +28,24 @@ type refMember struct {
 	addr    layout.BlockAddr
 }
 
+// refStoredBlocks calls fn with the logical index of every stored clip
+// block, clips in sorted-name order: the walk the store-wide enumerations
+// made.
+func refStoredBlocks(s *Server, fn func(i int64)) {
+	for _, name := range s.Clips() {
+		ci := s.clips[name]
+		for n := int64(0); n < ci.blocks; n++ {
+			fn(ci.block(n))
+		}
+	}
+}
+
 // refStoredMembers calls fn once per distinct stored group member: every
 // clip data block, plus one entry per P and per Q block, represented by
 // the first data member the sorted-name walk meets.
 func refStoredMembers(s *Server, fn func(m refMember)) {
 	seen := make(map[layout.BlockAddr]bool)
-	s.storedBlocks(func(i int64) bool {
+	refStoredBlocks(s, func(i int64) {
 		g := s.lay.GroupOf(i)
 		nd, x := len(g.Data), slices.Index(g.Data, i)
 		fn(refMember{logical: i, idx: x, addr: g.DataAddr[x]})
@@ -39,7 +55,6 @@ func refStoredMembers(s *Server, fn func(m refMember)) {
 				fn(refMember{logical: i, idx: idx, addr: a})
 			}
 		}
-		return true
 	})
 }
 
@@ -66,13 +81,29 @@ func refScrubQueue(s *Server) []refMember {
 	return queue
 }
 
-// refUnrecoverable is the old blockUnrecoverable, over an allocated group.
+// refUnrecoverable reports whether logical block i can currently be
+// served neither directly nor by reconstruction: more members of its
+// group, itself included, are unreadable than the group has parity
+// columns.
 func refUnrecoverable(s *Server, i int64) bool {
 	if s.blockReadable(s.lay.Place(i)) {
 		return false
 	}
 	g := s.lay.GroupOf(i)
 	return len(s.unreadable(g, slices.Index(g.Data, i), nil)) > parityCols(g)
+}
+
+// refUnrecoverableGroups lists, in sorted-name clip order, every stored
+// clip block refUnrecoverable holds for: the damage failures beyond
+// tolerance did.
+func refUnrecoverableGroups(s *Server) []int64 {
+	var out []int64
+	refStoredBlocks(s, func(i int64) {
+		if refUnrecoverable(s, i) {
+			out = append(out, i)
+		}
+	})
+	return out
 }
 
 // activeStreams is the map the server used to keep beside its registry:
@@ -87,21 +118,20 @@ func activeStreams(s *Server) map[int]*Stream {
 	return m
 }
 
-// refSweep is the old terminateUnrecoverable without its early return and
-// without terminating anything: the reason each stream would have been
-// ended with, by stream id.
-func refSweep(s *Server) map[int]string {
-	verdicts := map[int]string{}
+// refSweep is the sweep the failure handler once ran over every stream's
+// remaining blocks, terminating nothing: each doomed stream's first
+// unrecoverable clip block, by stream id.
+func refSweep(s *Server) map[int]int64 {
+	doomed := map[int]int64{}
 	for id, st := range activeStreams(s) {
 		for n := st.nextDeliver; n < st.clip.blocks; n++ {
-			if i := st.clip.block(n); refUnrecoverable(s, i) {
-				verdicts[id] = fmt.Errorf("%w: clip block %d at %v, failed disks %v",
-					ErrStreamLost, n, s.lay.Place(i), s.store.Array.FailedDisks()).Error()
+			if refUnrecoverable(s, st.clip.block(n)) {
+				doomed[id] = n
 				break
 			}
 		}
 	}
-	return verdicts
+	return doomed
 }
 
 // sevenSchemes lists every scheme with a geometry it accepts.
@@ -213,8 +243,9 @@ func TestScrubVisitsMatchReference(t *testing.T) {
 
 // gateServer is a server with streams open at staggered positions over
 // three clips, for the gate tests: no spares, so disk states stay exactly
-// as the test sets them.
-func gateServer(t *testing.T, scheme Scheme) *Server {
+// as the test sets them. No stream has been read: each one's readable
+// queue holds its clip from byte 0. want maps a stream id to its clip.
+func gateServer(t *testing.T, scheme Scheme) (s *Server, want map[int][]byte) {
 	t.Helper()
 	cfg := testConfig(scheme, 13, 4)
 	cfg.Q, cfg.F = 24, 6
@@ -222,18 +253,24 @@ func gateServer(t *testing.T, scheme Scheme) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, name := range []string{"a", "b", "c"} {
-		if err := s.AddClip(name, clipBytes(int64(k), 500_000+k*77_000)); err != nil {
+	names := []string{"a", "b", "c"}
+	clips := map[string][]byte{}
+	for k, name := range names {
+		clips[name] = clipBytes(int64(k), 500_000+k*77_000)
+		if err := s.AddClip(name, clips[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	want = map[int][]byte{}
 	for k := 0; k < 30; k++ {
-		if _, err := s.OpenStream([]string{"a", "b", "c"}[k%3]); err != nil {
+		st, err := s.OpenStream(names[k%3])
+		if err != nil {
 			t.Fatal(err)
 		}
+		want[st.id] = clips[names[k%3]]
 		tick(t, s, 2)
 	}
-	return s
+	return s, want
 }
 
 // setDown puts the listed disks out of service behind the handler's back:
@@ -255,22 +292,21 @@ func setDown(t *testing.T, s *Server, spare bool, disks ...int) {
 
 // TestToleranceGateMatchesReference: within the array's tolerance — every
 // single disk under single parity, every pair under P+Q, failed or an
-// empty rebuilding spare — the full sweep finds nothing to terminate, so
-// returning before it loses no verdict; beyond tolerance the handler ends
-// the same streams with the same reasons as the reference sweep.
+// empty rebuilding spare — no stored block is unrecoverable and the
+// reference sweep dooms no stream, so the failure handler, which sweeps
+// nothing, loses no verdict. Beyond tolerance the read finds the loss:
+// each stream the sweep dooms plays byte-exact up to its first
+// unrecoverable block and then ends with ErrStreamLost naming that block,
+// and every other stream plays its clip to the end.
 func TestToleranceGateMatchesReference(t *testing.T) {
 	within := func(t *testing.T, s *Server, disks ...int) {
 		for _, spare := range []bool{false, true} {
 			setDown(t, s, spare, disks...)
-			if !s.withinTolerance() {
-				t.Fatalf("disks %v (spare %v) not within tolerance", disks, spare)
-			}
 			if v := refSweep(s); len(v) != 0 {
-				t.Fatalf("disks %v (spare %v): reference sweep terminates %v", disks, spare, v)
+				t.Fatalf("disks %v (spare %v): reference sweep dooms %v", disks, spare, v)
 			}
-			s.terminateUnrecoverable()
-			if got := s.UnrecoverableGroups(0); s.terminated != 0 || got != nil {
-				t.Fatalf("disks %v (spare %v): terminated %d, unrecoverable %v", disks, spare, s.terminated, got)
+			if u := refUnrecoverableGroups(s); len(u) != 0 {
+				t.Fatalf("disks %v (spare %v): blocks %v unrecoverable", disks, spare, u)
 			}
 			for _, d := range disks {
 				if err := s.RepairDisk(d); err != nil {
@@ -280,13 +316,13 @@ func TestToleranceGateMatchesReference(t *testing.T) {
 		}
 	}
 	t.Run("single parity within", func(t *testing.T) {
-		s := gateServer(t, Declustered)
+		s, _ := gateServer(t, Declustered)
 		for d := 0; d < s.cfg.D; d++ {
 			within(t, s, d)
 		}
 	})
 	t.Run("P+Q within", func(t *testing.T) {
-		s := gateServer(t, DeclusteredPQ)
+		s, _ := gateServer(t, DeclusteredPQ)
 		for a := 0; a < s.cfg.D; a++ {
 			for b := 0; b < s.cfg.D; b++ {
 				if a != b {
@@ -306,40 +342,39 @@ func TestToleranceGateMatchesReference(t *testing.T) {
 		{DeclusteredPQ, true, 170},
 	} {
 		t.Run(fmt.Sprintf("%s beyond spare=%v", tc.scheme, tc.spare), func(t *testing.T) {
-			s := gateServer(t, tc.scheme)
+			s, want := gateServer(t, tc.scheme)
 			g := s.lay.GroupOf(tc.block)
 			disks := []int{g.Parity.Disk, g.DataAddr[0].Disk}
 			if g.HasQ {
 				disks = append(disks, g.Q.Disk)
 			}
 			setDown(t, s, tc.spare, disks...)
-			if s.withinTolerance() {
-				t.Fatalf("disks %v within tolerance", disks)
-			}
-			want := refSweep(s)
+			doomed := refSweep(s)
 			streams := activeStreams(s)
-			if len(want) == 0 || len(want) == len(streams) || len(streams) != s.ActiveStreams() {
-				t.Fatalf("reference terminates %d of %d (%d counted) streams; the case wants some, not all", len(want), len(streams), s.ActiveStreams())
+			if len(doomed) == 0 || len(doomed) == len(streams) || len(streams) != s.ActiveStreams() {
+				t.Fatalf("reference dooms %d of %d (%d counted) streams; the case wants some, not all", len(doomed), len(streams), s.ActiveStreams())
 			}
-			s.terminateUnrecoverable()
-			got := map[int]string{}
+			s.onDiskFailed(disks[len(disks)-1]) // the failure that crossed tolerance
+			for round := 0; s.ActiveStreams() > 0; round++ {
+				if round > 200 {
+					t.Fatal("streams never finished")
+				}
+				tick(t, s, 1)
+			}
+			bs := int64(s.store.Array.BlockSize())
 			for id, st := range streams {
-				if err := st.Err(); err != nil {
-					got[id] = err.Error()
+				got, err := io.ReadAll(st)
+				n, lost := doomed[id]
+				switch {
+				case !lost && (err != nil || !bytes.Equal(got, want[id])):
+					t.Errorf("stream %d: %d bytes, %v; want its clip's %d", id, len(got), err, len(want[id]))
+				case lost && (!bytes.Equal(got, want[id][:n*bs]) || !errors.Is(err, ErrStreamLost) ||
+					!strings.Contains(err.Error(), fmt.Sprintf("clip block %d:", n))):
+					t.Errorf("stream %d: %d bytes, %v; want %d bytes, then the loss of clip block %d", id, len(got), err, n*bs, n)
 				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("terminated %v\nreference  %v", got, want)
-			}
-			var unrec []int64
-			s.storedBlocks(func(i int64) bool {
-				if refUnrecoverable(s, i) {
-					unrec = append(unrec, i)
-				}
-				return true
-			})
-			if got := s.UnrecoverableGroups(0); !slices.Equal(got, unrec) {
-				t.Fatalf("UnrecoverableGroups = %v, reference %v", got, unrec)
+			if st := s.Stats(); st.Terminated != len(doomed) || st.Hiccups != 0 {
+				t.Errorf("terminated %d, hiccups %d; want %d, 0", st.Terminated, st.Hiccups, len(doomed))
 			}
 		})
 	}

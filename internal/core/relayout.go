@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"ftcms/internal/admission"
 	"ftcms/internal/layout"
@@ -30,10 +29,14 @@ import (
 type relayoutState struct {
 	lay   *layout.Declustered
 	store *recovery.Store
-	// queue lists, ascending, the logical indices of every stored clip
-	// block to copy onto the shadow array.
-	queue []int64
-	next  int
+	// span and n are the copy cursor: clip block n of s.spans[span] goes
+	// next. AddDisk admits only stride-1 schemes and no clip is published
+	// while the copy runs, so the spans stay fixed and the cursor walks
+	// every stored block in ascending logical order.
+	span int
+	n    int64
+	// copied and total count blocks, for Stats.
+	copied, total int64
 	// newCap is the data capacity the wider array advertises at flip.
 	newCap int64
 }
@@ -73,18 +76,11 @@ func (s *Server) AddDisk() error {
 	if err != nil {
 		return err
 	}
-	var queue []int64
-	s.storedBlocks(func(i int64) bool {
-		queue = append(queue, i)
-		return true
-	})
-	slices.Sort(queue)
-	s.relayout = &relayoutState{
-		lay:    lay2,
-		store:  store2,
-		queue:  queue,
-		newCap: s.cfg.Capacity / int64(s.cfg.D) * int64(d2),
+	rl := &relayoutState{lay: lay2, store: store2, newCap: s.cfg.Capacity / int64(s.cfg.D) * int64(d2)}
+	for _, sp := range s.spans {
+		rl.total += sp.blocks
 	}
+	s.relayout = rl
 	return nil
 }
 
@@ -104,28 +100,30 @@ func (s *Server) relayoutStep() {
 	if s.Mode() != ModeHealthy {
 		return
 	}
-	for rl.next < len(rl.queue) {
-		i := rl.queue[rl.next]
-		addr := s.lay.Place(i)
-		if !s.groupIdle(s.lay.GroupOf(i)) {
-			return // out of idle capacity; resume next round
+	for ; rl.span < len(s.spans); rl.span, rl.n = rl.span+1, 0 {
+		for ci := s.spans[rl.span].clipInfo; rl.n < ci.blocks; rl.n++ {
+			i := ci.block(rl.n)
+			addr := s.lay.Place(i)
+			if !s.groupIdle(s.lay.GroupOf(i)) {
+				return // out of idle capacity; resume next round
+			}
+			s.charge(addr.Disk)
+			s.migrateReads++
+			c, err := s.readMonitored(addr, nil)
+			if err != nil {
+				// The read escalated (disk declared failed mid-copy): the
+				// mode check pauses the re-layout from the next step on;
+				// the copied prefix stays valid because clip bytes never
+				// change after AddClip.
+				return
+			}
+			werr := rl.store.WriteBlock(i, c.buf)
+			s.recycle(c)
+			if werr != nil {
+				return
+			}
+			rl.copied++
 		}
-		s.charge(addr.Disk)
-		s.migrateReads++
-		c, err := s.readMonitored(addr, nil)
-		if err != nil {
-			// The read escalated (disk declared failed mid-copy): the
-			// mode check pauses the re-layout from the next step on; the
-			// copied prefix stays valid because clip bytes never change
-			// after AddClip.
-			return
-		}
-		werr := rl.store.WriteBlock(i, c.buf)
-		s.recycle(c)
-		if werr != nil {
-			return
-		}
-		rl.next++
 	}
 	s.finishRelayout()
 }

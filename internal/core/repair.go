@@ -43,21 +43,6 @@ func memberAddr(g layout.Group, idx int) layout.BlockAddr {
 	}
 }
 
-// storedBlocks calls fn with the logical index of every stored clip
-// block, clips in sorted-name order, until fn returns false. The clip map
-// iterates in random order; everything derived from this walk must replay
-// run to run.
-func (s *Server) storedBlocks(fn func(i int64) bool) {
-	for _, name := range s.Clips() {
-		ci := s.clips[name]
-		for n := int64(0); n < ci.blocks; n++ {
-			if !fn(ci.block(n)) {
-				return
-			}
-		}
-	}
-}
-
 // clipSpan is one stored clip in the server's position index, which
 // orders clips as their blocks lie in the logical address space — by row
 // (start mod stride: the dynamic scheme's super-clip, 0 elsewhere) and
@@ -101,8 +86,8 @@ func (s *Server) clipAt(x int64) (*clipSpan, int64) {
 // diskMember is one stored block of a disk: an entry of a rebuild queue.
 type diskMember struct {
 	// key orders the queue: the logical index of a data block; for a P or
-	// Q block, that of the data member of its group which the sorted-name
-	// clip walk (storedBlocks) meets first.
+	// Q block, that of the stored data member of its group whose clip
+	// sorts first by name, the lowest such member of that clip.
 	key   int64
 	block int64
 }
@@ -171,8 +156,7 @@ func (s *Server) groupIdle(g layout.Group) bool {
 // unreadable surveys the group for free (blockReadable consults no
 // disk), appending to missing the repair target t, erased by definition,
 // followed by every other member that cannot currently produce its
-// bytes. Append-style so the failure handler's sweep over every stream's
-// remaining blocks can survey from a stack buffer.
+// bytes. Append-style so a repair can survey from a stack buffer.
 func (s *Server) unreadable(g layout.Group, t int, missing []int) []int {
 	missing = append(missing, t)
 	for idx := 0; idx < len(g.Data)+parityCols(g); idx++ {

@@ -53,7 +53,9 @@ type Stream struct {
 	readable []chunk
 	head     int
 	readOff  int
-	// deliveredBytes counts payload queued on readable so far.
+	// deliveredBytes is the clip offset delivery has reached: the start
+	// offset (OpenStreamAt, SeekTo) plus the payload queued on readable
+	// since. Bytes of a delivered block below it are never queued.
 	deliveredBytes int64
 	done           bool
 	// active marks a stream the Tick loop serves and srv.active counts:
@@ -65,8 +67,8 @@ type Stream struct {
 	// duplicate.
 	inReg bool
 	// termErr is the explicit reason the server terminated the stream
-	// (an unrecoverable parity group after a second failure); the reader
-	// receives it, after draining delivered bytes, instead of io.EOF.
+	// (a block it read was unrecoverable); the reader receives it, after
+	// draining delivered bytes, instead of io.EOF.
 	termErr error
 	// paused marks a stream that released its bandwidth and buffer and
 	// holds its position for Resume.
@@ -139,8 +141,9 @@ func (st *Stream) reconstructed(sl *slot) {
 // the current round; ErrAdmission means try again on a later round.
 func (s *Server) OpenStream(clipName string) (*Stream, error) { return s.OpenStreamAt(clipName, 0) }
 
-// OpenStreamAt starts playback at the block SeekTo would choose for
-// offset and makes its one admission there, where fetching begins.
+// OpenStreamAt starts playback at byte offset: fetching begins, and the
+// one admission is made, at the block SeekTo would choose for it, and the
+// reader's first byte is clip byte offset.
 func (s *Server) OpenStreamAt(clipName string, offset int64) (*Stream, error) {
 	ci, ok := s.clips[clipName]
 	if !ok {
@@ -163,7 +166,7 @@ func (s *Server) OpenStreamAt(clipName string, offset int64) (*Stream, error) {
 		ring:           make([]slot, s.prefetchDepth),
 		nextFetch:      block,
 		nextDeliver:    block,
-		deliveredBytes: block * int64(s.store.Array.BlockSize()),
+		deliveredBytes: offset,
 	}
 	s.nextStreamID++
 	s.activate(st)
@@ -272,12 +275,12 @@ func (st *Stream) Pause() error {
 	return nil
 }
 
-// SeekTo repositions a *paused* stream to the block containing byte
-// offset, clearing its pipeline; the next Resume re-admits at the new
-// position (the disk the stream reads from changes, so its bandwidth
-// reservation must be renegotiated — hence the paused requirement).
-// Already-delivered-but-unread bytes are discarded. Reads after the
-// resume continue from the start of the target block.
+// SeekTo repositions a *paused* stream to byte offset, clearing its
+// pipeline; the next Resume re-admits at the block holding it (the disk
+// the stream reads from changes, so its bandwidth reservation must be
+// renegotiated — hence the paused requirement). Already-delivered-but-
+// unread bytes are discarded. Reads after the resume continue from byte
+// offset.
 func (st *Stream) SeekTo(offset int64) error {
 	if st.done {
 		return errors.New("core: stream finished")
@@ -292,13 +295,14 @@ func (st *Stream) SeekTo(offset int64) error {
 	st.nextDeliver, st.nextFetch = block, block
 	st.recyclePipeline()
 	st.dropReadable()
-	st.deliveredBytes = block * int64(st.srv.store.Array.BlockSize())
+	st.deliveredBytes = offset
 	return nil
 }
 
-// seekBlock is the clip block playback restarts at for offset: the one
+// seekBlock is the clip block fetching restarts at for offset: the one
 // holding it, snapped down to a parity-group boundary for the
 // pre-fetching schemes so their read-ahead holds from the first block.
+// Delivery drops the bytes between that block's start and offset.
 func (s *Server) seekBlock(ci clipInfo, offset int64) (int64, error) {
 	if offset < 0 || offset >= ci.size {
 		return 0, fmt.Errorf("core: seek offset %d outside clip [0, %d)", offset, ci.size)
@@ -352,9 +356,9 @@ func (st *Stream) Resume() error {
 func (st *Stream) Len() int64 { return st.clip.size }
 
 // Pos returns the byte offset playback has delivered up to: every byte
-// below Pos has either been read or is waiting in the readable buffer.
-// After a SeekTo it reflects the (block-aligned) resume position. A
-// failover layer uses it to resume a lost stream on a replica.
+// from the start offset to Pos has either been read or is waiting in the
+// readable buffer. After OpenStreamAt or SeekTo it starts at the offset
+// asked for.
 func (st *Stream) Pos() int64 { return st.deliveredBytes }
 
 // Err returns the explicit reason the server terminated the stream, or
@@ -394,12 +398,12 @@ func (st *Stream) Read(p []byte) (int, error) {
 
 // Tick advances one service round: every active stream fetches its due
 // block(s) — reconstructing across a failure if needed — and delivers
-// one round's worth of payload to its reader. A stream whose block falls
-// in an unrecoverable parity group (second failure) is terminated with
-// an explicit reason rather than failing the round; every other stream
-// is served normally. Idle capacity left after stream service drives the
-// online rebuild first and then the integrity scrubber. Tick itself
-// errors only on programming bugs.
+// one round's worth of payload to its reader. A stream that reads a block
+// in an unrecoverable parity group (failures beyond tolerance) is
+// terminated with an explicit reason rather than failing the round; every
+// other stream is served normally. Idle capacity left after stream
+// service drives the online rebuild first and then the integrity
+// scrubber. Tick itself errors only on programming bugs.
 func (s *Server) Tick() error {
 	// Close the previous round's migration ledger before anything else:
 	// migration charges land both inside Tick (the AddDisk re-layout
@@ -447,41 +451,19 @@ func (s *Server) serviceStreams(perRound int64) error {
 }
 
 // tickStream runs one stream's fetch and delivery phases for the round.
+// The read is where a stream learns its fate: the fetch or delivery of a
+// block its parity group can no longer produce ends the stream, with a
+// reason naming the block. Under single-block fetching every block before
+// it has been delivered; the pre-fetching schemes fetch up to p−2 blocks
+// ahead of delivery and drop those.
 func (s *Server) tickStream(st *Stream, perRound int64) error {
-	// Fetch phase: keep the pipeline prefetchDepth blocks ahead of
-	// delivery (whole groups at once for streaming RAID).
-	target := st.nextDeliver + s.prefetchDepth
-	if target > st.clip.blocks {
-		target = st.clip.blocks
+	n, err := s.advance(st, perRound)
+	if errors.Is(err, recovery.ErrUnrecoverable) {
+		s.terminate(st, fmt.Errorf("%w: clip block %d: %v", ErrStreamLost, n, err))
+		return nil
 	}
-	fetchBudget := perRound
-	for st.nextFetch < target && fetchBudget > 0 {
-		if err := s.fetchInto(st, st.nextFetch); err != nil {
-			if errors.Is(err, recovery.ErrUnrecoverable) {
-				s.terminate(st, fmt.Errorf("%w: %v", ErrStreamLost, err))
-				return nil
-			}
-			return err
-		}
-		st.nextFetch++
-		fetchBudget--
-	}
-	// Delivery may (re)start only once the pipeline is full — at
-	// stream start and again after a Resume.
-	if !st.started && st.nextFetch >= target {
-		st.started = true
-	}
-	// Delivery phase: one block of playback per round once started.
-	if st.started {
-		for k := int64(0); k < perRound && st.nextDeliver < st.clip.blocks; k++ {
-			if err := s.deliver(st); err != nil {
-				if errors.Is(err, recovery.ErrUnrecoverable) {
-					s.terminate(st, fmt.Errorf("%w: %v", ErrStreamLost, err))
-					return nil
-				}
-				return err
-			}
-		}
+	if err != nil {
+		return err
 	}
 	if st.nextDeliver >= st.clip.blocks {
 		st.done = true
@@ -489,6 +471,32 @@ func (s *Server) tickStream(st *Stream, perRound int64) error {
 		s.release(st)
 	}
 	return nil
+}
+
+// advance is tickStream's fetch and delivery; on error it also returns
+// the clip block it failed on.
+func (s *Server) advance(st *Stream, perRound int64) (int64, error) {
+	// Fetch phase: keep the pipeline prefetchDepth blocks ahead of
+	// delivery (whole groups at once for streaming RAID).
+	target := min(st.nextDeliver+s.prefetchDepth, st.clip.blocks)
+	for budget := perRound; st.nextFetch < target && budget > 0; budget-- {
+		if err := s.fetchInto(st, st.nextFetch); err != nil {
+			return st.nextFetch, err
+		}
+		st.nextFetch++
+	}
+	// Delivery may (re)start only once the pipeline is full — at
+	// stream start and again after a Resume.
+	if !st.started && st.nextFetch >= target {
+		st.started = true
+	}
+	// Delivery phase: one block of playback per round once started.
+	for k := int64(0); st.started && k < perRound && st.nextDeliver < st.clip.blocks; k++ {
+		if err := s.deliver(st); err != nil {
+			return st.nextDeliver, err
+		}
+	}
+	return 0, nil
 }
 
 // fetchInto fetches clip block n (clip-relative) for the stream, charging
@@ -598,14 +606,16 @@ func (s *Server) deliver(st *Stream) error {
 			return err
 		}
 	}
-	// Trim the final block to the clip's true payload length.
+	// The block holds clip bytes [lo, hi), the final one trimmed to the
+	// clip's true payload length. Only the bytes from deliveredBytes on
+	// are queued: a block wholly before a stream's start offset, or
+	// padding past the payload, is recycled, and the block holding the
+	// start offset — the first queued, so readable is empty — is read
+	// from the offset on.
 	bs := int64(s.store.Array.BlockSize())
 	lo := n * bs
-	hi := lo + bs
-	if hi > st.clip.size {
-		hi = st.clip.size
-	}
-	if lo < st.clip.size {
+	hi := min(lo+bs, st.clip.size)
+	if hi > st.deliveredBytes {
 		if len(st.readable) == cap(st.readable) && st.head > 0 {
 			// Full but partly read: slide the unread chunks to the front
 			// instead of growing the queue.
@@ -613,10 +623,13 @@ func (s *Server) deliver(st *Stream) error {
 			clear(st.readable[k:])
 			st.readable, st.head = st.readable[:k], 0
 		}
+		if lo < st.deliveredBytes {
+			st.readOff = int(st.deliveredBytes - lo)
+		}
 		st.readable = append(st.readable, chunk{sl.buf[:hi-lo], sl.owned})
-		st.deliveredBytes += hi - lo
+		st.deliveredBytes += hi - max(lo, st.deliveredBytes)
 	} else {
-		s.recycle(sl.chunk) // padding past the payload
+		s.recycle(sl.chunk)
 	}
 	*sl = slot{}
 	st.nextDeliver++

@@ -256,7 +256,7 @@ func TestVCRStateEdges(t *testing.T) {
 }
 
 // TestSeek: pause → seek → resume delivers exactly the clip's suffix from
-// the target block boundary, under normal and degraded operation.
+// the target byte, under normal and degraded operation.
 func TestSeek(t *testing.T) {
 	for _, scheme := range []Scheme{Declustered, PrefetchParityDisk} {
 		d, p := 7, 3
@@ -290,7 +290,6 @@ func TestSeek(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []byte
-		buf := make([]byte, 64<<10)
 		for i := 0; i < 150; i++ {
 			tickN(t, s, 1)
 			part, done := readAvailable(t, st)
@@ -299,22 +298,10 @@ func TestSeek(t *testing.T) {
 				break
 			}
 		}
-		// The stream restarted at a block (group) boundary at or before
-		// byte 100000; its output must be a suffix of the clip ending at
-		// the clip's end.
-		if len(got) == 0 || len(got) > len(want) {
-			t.Fatalf("%s: got %d bytes", scheme, len(got))
+		// The stream restarted at byte 100000 exactly, inside a block.
+		if !bytes.Equal(got, want[100_000:]) {
+			t.Fatalf("%s: got %d bytes, want the clip's %d from byte 100000", scheme, len(got), len(want)-100_000)
 		}
-		if !bytes.Equal(got, want[len(want)-len(got):]) {
-			t.Fatalf("%s: seek suffix corrupted", scheme)
-		}
-		// Boundary checks: offset must start on a block multiple <= 100000.
-		bs := 8000
-		start := len(want) - len(got)
-		if start%bs != 0 || start > 100_000 {
-			t.Fatalf("%s: restart offset %d not an aligned boundary <= 100000", scheme, start)
-		}
-		_ = buf
 	}
 }
 
@@ -350,5 +337,63 @@ func TestSeekValidation(t *testing.T) {
 	}
 	if err := st.SeekTo(0); err == nil {
 		t.Error("Seek on finished stream accepted")
+	}
+}
+
+// TestExactStartAllSchemes: OpenStreamAt and SeekTo start the reader at
+// the byte asked for — the first, one inside a block, a block's last, one
+// inside a pre-fetch group (block 4 of a three-block group) and the
+// clip's last — under every scheme, with the disk of the first block read
+// failed before it is fetched and rebuilt onto a spare while the stream
+// plays.
+func TestExactStartAllSchemes(t *testing.T) {
+	const size, bs = 123_456, 8000
+	clip := clipBytes(17, size)
+	for _, c := range allSchemes {
+		for _, off := range []int64{0, bs + 123, 2*bs - 1, 4*bs + 500, size - 1} {
+			for _, seek := range []bool{false, true} {
+				cfg := testConfig(c.scheme, c.d, c.p)
+				cfg.Spares = 1
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.AddClip("m", clip); err != nil {
+					t.Fatal(err)
+				}
+				var st *Stream
+				if seek {
+					if st, err = s.OpenStream("m"); err != nil {
+						t.Fatal(err)
+					}
+					tickN(t, s, 3)
+					if err = st.Pause(); err == nil {
+						err = st.SeekTo(off)
+					}
+				} else {
+					st, err = s.OpenStreamAt("m", off)
+				}
+				if err != nil {
+					t.Fatalf("%s at %d (seek %v): %v", c.scheme, off, seek, err)
+				}
+				if st.Pos() != off {
+					t.Fatalf("%s at %d (seek %v): Pos %d", c.scheme, off, seek, st.Pos())
+				}
+				if err := s.FailDisk(s.lay.Place(st.clip.block(st.nextFetch)).Disk); err != nil {
+					t.Fatal(err)
+				}
+				if seek {
+					if err := st.Resume(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := drainStream(t, s, st, 100); !bytes.Equal(got, clip[off:]) {
+					t.Fatalf("%s at %d (seek %v): got %d bytes, want the clip's %d from the offset", c.scheme, off, seek, len(got), size-off)
+				}
+				if st := s.Stats(); st.Hiccups != 0 || st.DetectedFailures != 1 {
+					t.Fatalf("%s at %d (seek %v): %d hiccups, %d failures", c.scheme, off, seek, st.Hiccups, st.DetectedFailures)
+				}
+			}
+		}
 	}
 }

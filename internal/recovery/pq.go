@@ -75,10 +75,10 @@ func SolveTwoData(dx, dy []byte, x, y int) {
 		panic("recovery: SolveTwoData length mismatch")
 	}
 	diff := ((y-x)%255 + 255) % 255
-	gd := GExp(diff)         // g^{y-x}, never 1 since x != y (mod 255)
-	denom := gd ^ 1          // g^{y-x} ⊕ 1, nonzero
-	a := GDiv(gd, denom)     // A
-	ginvx := GInv(GExp(x))   // g^{-x}
+	gd := GExp(diff)       // g^{y-x}, never 1 since x != y (mod 255)
+	denom := gd ^ 1        // g^{y-x} ⊕ 1, nonzero
+	a := GDiv(gd, denom)   // A
+	ginvx := GInv(GExp(x)) // g^{-x}
 	b := GMul(ginvx, GInv(denom))
 	ra, rb := mulRow(a), mulRow(b)
 	for i := range dx {
