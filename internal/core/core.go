@@ -195,11 +195,8 @@ type Server struct {
 	pool   *buffer.Pool
 
 	// ctrl is the scheme's admission controller.
-	ctrl  admission.Controller
-	clips map[string]clipInfo
-	// spans indexes the stored clips by position in the logical address
-	// space (see publish, clipAt).
-	spans    []clipSpan
+	ctrl     admission.Controller
+	clips    map[string]clipInfo
 	nextFree int64 // next free logical block in the store
 	// nextFreeRow is the per-super-clip allocation cursor, nil unless the
 	// scheme is dynamic (§5.1): clip blocks of row k go to logical k + i·r.
@@ -449,8 +446,8 @@ func (s *Server) AddClip(name string, data []byte) error {
 		return errors.New("core: empty clip")
 	}
 	if s.relayout != nil {
-		// The re-layout cursor walks the clips stored at AddDisk; a clip
-		// written now would never be copied to the wider array.
+		// The re-layout cursor walks the blocks allocated at AddDisk; a
+		// clip written now would never be copied to the wider array.
 		return errors.New("core: re-layout in progress; retry after it completes")
 	}
 	ci, err := s.allocClip(int64(len(data)))
@@ -460,7 +457,7 @@ func (s *Server) AddClip(name string, data []byte) error {
 	if err := s.store.WriteRun(ci.start, ci.stride, ci.blocks, data); err != nil {
 		return err
 	}
-	s.publish(name, ci)
+	s.clips[name] = ci
 	return nil
 }
 
@@ -489,38 +486,38 @@ func (s *Server) InjectFaults(plan faultinject.Plan) *faultinject.Injector {
 	return s.injector
 }
 
-// RepairDisk clears the failure and rebuilds the disk's blocks — data, P
-// and Q members alike — from the surviving members of each parity group.
+// RepairDisk swaps fresh medium in for the disk and, between rounds,
+// restores every block it owes — data, P and Q members alike — from the
+// surviving members of each parity group; then the disk rejoins. A group
+// beyond repair ends it with the disk still Rebuilding: its unrestored
+// blocks stay owed and read as errors, never as zeroes.
 func (s *Server) RepairDisk(disk int) error {
-	if err := s.store.Array.Repair(disk); err != nil {
+	arr := s.store.Array
+	if err := arr.Fail(disk); err != nil {
 		return err
 	}
+	_ = arr.Replace(disk)
 	// Operator replacement supersedes any in-flight online rebuild of
 	// the same disk and clears its detection history.
 	s.dropRebuild(disk)
 	s.nextRebuild()
-	for i := 0; i < len(s.rebuildQueue); i++ {
-		if s.rebuildQueue[i] == disk {
-			s.rebuildQueue = append(s.rebuildQueue[:i], s.rebuildQueue[i+1:]...)
-			i--
-		}
-	}
+	s.rebuildQueue = slices.DeleteFunc(s.rebuildQueue, func(d int) bool { return d == disk })
 	s.detector.Reset(disk)
 	if s.injector != nil {
 		s.injector.ClearDisk(disk) // replacement drive: old faults gone
 	}
-	for _, m := range s.membersOn(disk) {
-		data, err := s.repairAt(layout.BlockAddr{Disk: disk, Block: m.block}, repairMode{offRound: true})
+	for b := arr.NextOwed(disk, 0); b >= 0; b = arr.NextOwed(disk, b+1) {
+		data, err := s.repairAt(layout.BlockAddr{Disk: disk, Block: b}, repairMode{offRound: true})
 		if err != nil {
-			return fmt.Errorf("core: rebuild block %d: %w", m.key, err)
+			return fmt.Errorf("core: restore disk %d block %d: %w", disk, b, err)
 		}
-		err = s.store.Array.Write(disk, m.block, data)
+		err = arr.Write(disk, b, data)
 		s.putBlock(data)
 		if err != nil {
 			return err
 		}
 	}
-	return nil
+	return arr.Rejoin(disk)
 }
 
 // Stats returns the server's counters.
@@ -562,8 +559,8 @@ func (s *Server) Stats() Stats {
 	st.MigrateReadsLastRound = s.migrateReadsLast
 	st.RelayoutsDone = s.relayoutsDone
 	if s.relayout != nil {
-		st.RelayoutTotal = int(s.relayout.total)
-		st.RelayoutPending = int(s.relayout.total - s.relayout.copied)
+		st.RelayoutTotal = int(s.nextFree)
+		st.RelayoutPending = int(s.nextFree - s.relayout.next)
 	}
 	st.ScrubScanned, st.ScrubTotal = s.scrub.scanned, s.scrub.total
 	return st

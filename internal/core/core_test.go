@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"ftcms/internal/diskmodel"
+	"ftcms/internal/recovery"
+	"ftcms/internal/storage"
 	"ftcms/internal/units"
 )
 
@@ -197,7 +199,7 @@ func TestAddClipMatchesPerBlockWrites(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ref.publish(name, ci)
+			ref.clips[name] = ci
 		}
 		// The per-block path is WriteRun's one-block case, so the parity is
 		// also held to VerifyParity, which reads every data member.
@@ -413,6 +415,42 @@ func TestRepairDisk(t *testing.T) {
 	got := drainStream(t, s, st, 100)
 	if !bytes.Equal(got, want) {
 		t.Fatal("bytes differ after repair + second failure")
+	}
+}
+
+// TestRepairDiskUnrecoverable: an operator repair that meets a group with
+// more members down than its parity covers leaves the disk Rebuilding,
+// still owing what it could not restore, and a stream of the clip delivers
+// only true bytes before it ends with ErrStreamLost — a hole is never
+// XORed into a reconstruction as zeroes.
+func TestRepairDiskUnrecoverable(t *testing.T) {
+	s := newServer(t, Declustered, 13, 4)
+	want := clipBytes(12, 400_000)
+	if err := s.AddClip("a", want); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{1, 2} {
+		if err := s.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RepairDisk(1); !errors.Is(err, recovery.ErrUnrecoverable) || s.store.Array.State(1) != storage.Rebuilding {
+		t.Errorf("RepairDisk(1) = %v with disk 1 %v; want ErrUnrecoverable, rebuilding", err, s.store.Array.State(1))
+	}
+	st, err := s.OpenStream("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; s.ActiveStreams() > 0; round++ {
+		if round > 200 {
+			t.Fatal("stream never finished")
+		}
+		tick(t, s, 1)
+	}
+	got, err := io.ReadAll(st)
+	if !errors.Is(err, ErrStreamLost) || !bytes.Equal(got, want[:len(got)]) {
+		t.Fatalf("stream read %d bytes (true prefix: %v), then %v; want a true prefix, then ErrStreamLost",
+			len(got), bytes.Equal(got, want[:min(len(got), len(want))]), err)
 	}
 }
 

@@ -59,11 +59,6 @@ type rebuildState struct {
 	// as each round's idle capacity reaches.
 	queue []diskMember
 	next  int
-	// skipped counts queue entries that could not be rebuilt because a
-	// second failure made their group unrecoverable. A rebuild that
-	// skips anything never rejoins: an absent block on a rebuilding
-	// disk reads as an explicit error, never as zeroes.
-	skipped int64
 }
 
 // Mode returns the server's current failure-lifecycle mode.
@@ -169,9 +164,8 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 			return false // out of idle capacity; resume next round
 		case err != nil:
 			// Further failures took too many sources: this block is
-			// unrecoverable for now. Leave it absent (explicit error on
+			// unrecoverable for now. Leave it owed (explicit error on
 			// read) and move on — never write a guess.
-			rb.skipped++
 			s.lostBlocks++
 		default:
 			werr := arr.Write(rb.disk, block, data)
@@ -183,15 +177,14 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 		}
 		rb.next++
 	}
-	// Queue exhausted.
-	if rb.skipped == 0 {
-		_ = arr.Rejoin(rb.disk)
+	// Queue exhausted. A disk that still owes a block refuses to rejoin and
+	// stays Rebuilding: its owed blocks keep erroring explicitly rather
+	// than zero-filling.
+	if arr.Rejoin(rb.disk) == nil {
 		s.detector.Reset(rb.disk)
 		s.rebuildsDone++
 		s.recordRebuildDone(rb.disk)
 	}
-	// With skipped blocks the disk stays Rebuilding: its absent blocks
-	// must keep erroring explicitly rather than zero-filling.
 	return true
 }
 

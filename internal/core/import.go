@@ -127,7 +127,7 @@ func (s *Server) CommitClipImport(name string) (done bool, err error) {
 		}
 		im.padNext++
 	}
-	s.publish(name, im.ci)
+	s.clips[name] = im.ci
 	delete(s.imports, name)
 	return true, nil
 }
@@ -136,7 +136,8 @@ func (s *Server) CommitClipImport(name string) (done bool, err error) {
 // the most recent allocation its blocks are reclaimed; otherwise they
 // are leaked until restart (allocation is a cursor, not a free list) —
 // acceptable for the rare abort-under-churn case, and the leak is
-// bounded by one clip.
+// bounded by one clip. Leaked blocks already written stay stored like a
+// clip's: a rebuild restores them and an AddDisk re-layout copies them.
 func (s *Server) AbortClipImport(name string) error {
 	im, ok := s.imports[name]
 	if !ok {

@@ -90,6 +90,30 @@ func TestClipImportByteExact(t *testing.T) {
 	}
 }
 
+// importRange imports data blocks [from, to) of the in-flight import of
+// data, ticking whenever idle capacity runs out.
+func importRange(t *testing.T, s *Server, name string, data []byte, from, to int64) {
+	t.Helper()
+	bs := int64(s.store.Array.BlockSize())
+	buf := make([]byte, bs)
+	for n, stalls := from, 0; n < to; {
+		clear(buf)
+		copy(buf, data[n*bs:])
+		ok, err := s.ImportClipBlockIdle(name, n, buf)
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case ok:
+			n++
+		case stalls > 100:
+			t.Fatalf("import %q stalled at block %d", name, n)
+		default:
+			stalls++
+			tick(t, s, 1)
+		}
+	}
+}
+
 // Aborting the newest import reclaims its blocks.
 func TestClipImportAbortReclaims(t *testing.T) {
 	s := newServer(t, Declustered, 6, 3)
@@ -226,6 +250,49 @@ func addDiskRelayout(t *testing.T, scheme Scheme) {
 	}
 	if s.Mode() != ModeDegraded {
 		t.Fatalf("Mode after post-flip failure = %v, want degraded", s.Mode())
+	}
+}
+
+// TestAddDiskAfterAbortedImport: an import aborted below the allocation
+// cursor leaks its blocks, its written prefix included. The re-layout
+// copies that prefix, steps over the unwritten rest and completes, and
+// every clip reads byte-exact on the wider array.
+func TestAddDiskAfterAbortedImport(t *testing.T) {
+	s := newServer(t, Declustered, 6, 3)
+	clips := map[string][]byte{"a": clipBytes(1, 70_000), "c": clipBytes(3, 50_000)}
+	if err := s.AddClip("a", clips["a"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BeginClipImport("b", 90_000); err != nil {
+		t.Fatal(err)
+	}
+	importRange(t, s, "b", clipBytes(2, 90_000), 0, 4)
+	if err := s.AddClip("c", clips["c"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AbortClipImport("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDisk(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; s.Relayouting(); i++ {
+		if i > 1000 {
+			t.Fatal("re-layout never finished")
+		}
+		tick(t, s, 1)
+	}
+	if s.Disks() != 7 {
+		t.Fatalf("Disks = %d, want 7", s.Disks())
+	}
+	for name, want := range clips {
+		st, err := s.OpenStream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainStream(t, s, st, 1000); !bytes.Equal(got, want) {
+			t.Fatalf("clip %q differs on the wider array", name)
+		}
 	}
 }
 

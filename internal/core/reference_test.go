@@ -41,8 +41,8 @@ func refStoredBlocks(s *Server, fn func(i int64)) {
 }
 
 // refStoredMembers calls fn once per distinct stored group member: every
-// clip data block, plus one entry per P and per Q block, represented by
-// the first data member the sorted-name walk meets.
+// clip data block, plus one entry per P and per Q block, keyed by the
+// lowest data member of its group.
 func refStoredMembers(s *Server, fn func(m refMember)) {
 	seen := make(map[layout.BlockAddr]bool)
 	refStoredBlocks(s, func(i int64) {
@@ -52,7 +52,7 @@ func refStoredMembers(s *Server, fn func(m refMember)) {
 		for idx := nd; idx < nd+parityCols(g); idx++ {
 			if a := memberAddr(g, idx); !seen[a] {
 				seen[a] = true
-				fn(refMember{logical: i, idx: idx, addr: a})
+				fn(refMember{logical: slices.Min(g.Data), idx: idx, addr: a})
 			}
 		}
 	})
@@ -149,9 +149,10 @@ var sevenSchemes = []struct {
 }
 
 // TestRebuildOrderMatchesReference: for every scheme, clip population and
-// disk, membersOn yields exactly the sequence the store-wide filter and
-// sort produced — same blocks, same order, same representative for every
-// P and Q block — and the layout names the same member index for each.
+// disk, membersOn over the disk, failed and replaced, yields exactly the
+// sequence the store-wide filter and sort produced — same blocks, same
+// order, same key for every P and Q block — and the layout names the same
+// member index for each.
 func TestRebuildOrderMatchesReference(t *testing.T) {
 	populations := map[string][]struct {
 		name string
@@ -173,9 +174,10 @@ func TestRebuildOrderMatchesReference(t *testing.T) {
 					}
 				}
 				var g layout.Group
-				total := 0
+				total, written := 0, s.store.Array.WrittenBlocks()
 				for disk := 0; disk < sc.d; disk++ {
 					want := refRebuildQueue(s, disk)
+					setDown(t, s, true, disk)
 					got := s.membersOn(disk)
 					if len(got) != len(want) {
 						t.Fatalf("disk %d: %d members, want %d", disk, len(got), len(want))
@@ -189,8 +191,8 @@ func TestRebuildOrderMatchesReference(t *testing.T) {
 					}
 					total += len(got)
 				}
-				if want := len(refScrubQueue(s)); total != want || s.store.Array.WrittenBlocks() != want {
-					t.Errorf("members over all disks %d, written blocks %d, want %d", total, s.store.Array.WrittenBlocks(), want)
+				if want := len(refScrubQueue(s)); total != want || written != want {
+					t.Errorf("members over all disks %d, written blocks %d, want %d", total, written, want)
 				}
 			})
 		}

@@ -12,8 +12,8 @@ import (
 
 // This file implements per-array disk addition with online PGT
 // re-layout. AddDisk builds a shadow array one disk wider with its own
-// precomputed parity-group table, then relayoutStep copies every stored
-// clip block across on idle round capacity — read monitored from the
+// precomputed parity-group table, then relayoutStep copies every written
+// logical block across on idle round capacity — read monitored from the
 // old array (charged against the round ledger, counted on the migration
 // ledger), written through the shadow store's parity maintenance, which
 // recomputes parity and re-records the block's checksum: relocated
@@ -29,14 +29,10 @@ import (
 type relayoutState struct {
 	lay   *layout.Declustered
 	store *recovery.Store
-	// span and n are the copy cursor: clip block n of s.spans[span] goes
-	// next. AddDisk admits only stride-1 schemes and no clip is published
-	// while the copy runs, so the spans stay fixed and the cursor walks
-	// every stored block in ascending logical order.
-	span int
-	n    int64
-	// copied and total count blocks, for Stats.
-	copied, total int64
+	// next is the copy cursor over logical blocks [0, nextFree), which
+	// stays fixed while the copy runs (nothing is allocated meanwhile); it
+	// steps over unwritten blocks.
+	next int64
 	// newCap is the data capacity the wider array advertises at flip.
 	newCap int64
 }
@@ -76,11 +72,7 @@ func (s *Server) AddDisk() error {
 	if err != nil {
 		return err
 	}
-	rl := &relayoutState{lay: lay2, store: store2, newCap: s.cfg.Capacity / int64(s.cfg.D) * int64(d2)}
-	for _, sp := range s.spans {
-		rl.total += sp.blocks
-	}
-	s.relayout = rl
+	s.relayout = &relayoutState{lay: lay2, store: store2, newCap: s.cfg.Capacity / int64(s.cfg.D) * int64(d2)}
 	return nil
 }
 
@@ -100,29 +92,29 @@ func (s *Server) relayoutStep() {
 	if s.Mode() != ModeHealthy {
 		return
 	}
-	for ; rl.span < len(s.spans); rl.span, rl.n = rl.span+1, 0 {
-		for ci := s.spans[rl.span].clipInfo; rl.n < ci.blocks; rl.n++ {
-			i := ci.block(rl.n)
-			addr := s.lay.Place(i)
-			if !s.groupIdle(s.lay.GroupOf(i)) {
-				return // out of idle capacity; resume next round
-			}
-			s.charge(addr.Disk)
-			s.migrateReads++
-			c, err := s.readMonitored(addr, nil)
-			if err != nil {
-				// The read escalated (disk declared failed mid-copy): the
-				// mode check pauses the re-layout from the next step on;
-				// the copied prefix stays valid because clip bytes never
-				// change after AddClip.
-				return
-			}
-			werr := rl.store.WriteBlock(i, c.buf)
-			s.recycle(c)
-			if werr != nil {
-				return
-			}
-			rl.copied++
+	for ; rl.next < s.nextFree; rl.next++ {
+		i := rl.next
+		addr := s.lay.Place(i)
+		if !s.store.Array.Written(addr.Disk, addr.Block) {
+			continue // never written: an aborted import's unwritten tail
+		}
+		if !s.groupIdle(s.lay.GroupOf(i)) {
+			return // out of idle capacity; resume next round
+		}
+		s.charge(addr.Disk)
+		s.migrateReads++
+		c, err := s.readMonitored(addr, nil)
+		if err != nil {
+			// The read escalated (disk declared failed mid-copy): the
+			// mode check pauses the re-layout from the next step on;
+			// the copied prefix stays valid because clip bytes never
+			// change after AddClip.
+			return
+		}
+		werr := rl.store.WriteBlock(i, c.buf)
+		s.recycle(c)
+		if werr != nil {
+			return
 		}
 	}
 	s.finishRelayout()

@@ -43,92 +43,29 @@ func memberAddr(g layout.Group, idx int) layout.BlockAddr {
 	}
 }
 
-// clipSpan is one stored clip in the server's position index, which
-// orders clips as their blocks lie in the logical address space — by row
-// (start mod stride: the dynamic scheme's super-clip, 0 elsewhere) and
-// then by start — so each is one contiguous run of its row.
-type clipSpan struct {
-	name string
-	clipInfo
-}
-
-// cmpAddr orders the span's first block against logical block x; every
-// clip of a server has the same stride.
-func (sp clipSpan) cmpAddr(x int64) int {
-	return cmp.Or(cmp.Compare(sp.start%sp.stride, x%sp.stride), cmp.Compare(sp.start, x))
-}
-
-// publish makes a fully written clip visible: openable by name, and
-// findable by address.
-func (s *Server) publish(name string, ci clipInfo) {
-	s.clips[name] = ci
-	k, _ := slices.BinarySearchFunc(s.spans, ci.start, clipSpan.cmpAddr)
-	s.spans = slices.Insert(s.spans, k, clipSpan{name, ci})
-}
-
-// clipAt returns the stored clip that owns logical block x and x's block
-// number in it, or nil when no stored clip does.
-func (s *Server) clipAt(x int64) (*clipSpan, int64) {
-	k, found := slices.BinarySearchFunc(s.spans, x, clipSpan.cmpAddr)
-	if !found {
-		k-- // the last clip that starts before x
-	}
-	if k < 0 {
-		return nil, 0
-	}
-	sp := &s.spans[k]
-	if n := (x - sp.start) / sp.stride; x%sp.stride == sp.start%sp.stride && n < sp.blocks {
-		return sp, n
-	}
-	return nil, 0
-}
-
-// diskMember is one stored block of a disk: an entry of a rebuild queue.
+// diskMember is one block a disk owes: an entry of a rebuild queue.
 type diskMember struct {
-	// key orders the queue: the logical index of a data block; for a P or
-	// Q block, that of the stored data member of its group whose clip
-	// sorts first by name, the lowest such member of that clip.
+	// key orders the queue by the layout alone: the logical index of a data
+	// block; for a P or Q block, the lowest data member of its group. A disk
+	// has one member per group, so keys are distinct.
 	key   int64
 	block int64
 }
 
-// memberKey returns the queue key of the block at a, or -1 when no stored
-// clip has a block there (a parity block is stored once any data member
-// of its group is). g is scratch.
-func (s *Server) memberKey(a layout.BlockAddr, g *layout.Group) int64 {
-	if i := s.lay.LogicalAt(a); i >= 0 {
-		if sp, _ := s.clipAt(i); sp == nil {
-			return -1
-		}
-		return i
-	}
-	if s.lay.GroupAt(a, g) < 0 {
-		return -1
-	}
-	var first *clipSpan
-	key, firstN := int64(-1), int64(0)
-	for _, i := range g.Data {
-		sp, n := s.clipAt(i)
-		if sp != nil && (first == nil || sp.name < first.name || sp == first && n < firstN) {
-			first, firstN, key = sp, n, i
-		}
-	}
-	return key
-}
-
-// membersOn lists the stored group members living on one disk — data, P
-// and Q blocks alike — in ascending key order. It walks that disk's
-// physical addresses alone, asking the layout what each one holds; a disk
-// has one member per group, so keys are distinct.
+// membersOn lists the blocks the disk owes — data, P and Q members alike —
+// in ascending key order.
 func (s *Server) membersOn(disk int) []diskMember {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	extent := s.store.Array.Extent()
-	out := make([]diskMember, 0, extent)
-	for b := int64(0); b < extent; b++ {
-		if key := s.memberKey(layout.BlockAddr{Disk: disk, Block: b}, &sc.g); key >= 0 {
-			out = append(out, diskMember{key, b})
+	arr := s.store.Array
+	out := make([]diskMember, 0, arr.OwedBlocks(disk))
+	for b := arr.NextOwed(disk, 0); b >= 0; b = arr.NextOwed(disk, b+1) {
+		idx := s.lay.GroupAt(layout.BlockAddr{Disk: disk, Block: b}, &sc.g)
+		key := slices.Min(sc.g.Data)
+		if idx < len(sc.g.Data) {
+			key = sc.g.Data[idx]
 		}
+		out = append(out, diskMember{key, b})
 	}
 	slices.SortFunc(out, func(a, b diskMember) int { return cmp.Compare(a.key, b.key) })
 	return out

@@ -154,16 +154,7 @@ func TestPQStorePartialGroups(t *testing.T) {
 			if !bytes.Equal(got, deterministicBlock(i)) {
 				t.Fatalf("block %d wrong after its disk failed", i)
 			}
-			if err := s.Array.Repair(s.Layout.Place(i).Disk); err != nil {
-				t.Fatal(err)
-			}
-			// Repair erases the disk; rewrite so later iterations see
-			// true contents.
-			for j := int64(0); j < 120; j += 3 {
-				if err := s.WriteBlock(j, deterministicBlock(j)); err != nil {
-					t.Fatal(err)
-				}
-			}
+			swapDisk(t, s, s.Layout.Place(i).Disk)
 		}
 	}
 }

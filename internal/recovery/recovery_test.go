@@ -83,6 +83,38 @@ func readBlock(s *Store, i int64) ([]byte, error) {
 	return s.Reconstruct(i)
 }
 
+// swapDisk puts fresh medium in for a failed disk, restores every block it
+// owes from the rest of its group — a data block by Reconstruct, a parity
+// column by recomputing it — and rejoins it.
+func swapDisk(t *testing.T, s *Store, disk int) {
+	t.Helper()
+	if err := s.Array.Replace(disk); err != nil {
+		t.Fatal(err)
+	}
+	var g layout.Group
+	for b := s.Array.NextOwed(disk, 0); b >= 0; b = s.Array.NextOwed(disk, b+1) {
+		idx := s.Layout.GroupAt(layout.BlockAddr{Disk: disk, Block: b}, &g)
+		var data []byte
+		var err error
+		if idx < len(g.Data) {
+			data, err = s.Reconstruct(g.Data[idx])
+		} else {
+			var p, q []byte
+			p, q, err = s.parityOf(g, run{stride: 1})
+			data = [][]byte{p, q}[idx-len(g.Data)]
+		}
+		if err != nil {
+			t.Fatalf("restore disk %d block %d: %v", disk, b, err)
+		}
+		if err := s.Array.Write(disk, b, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Array.Rejoin(disk); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func deterministicBlock(i int64) []byte {
 	rng := rand.New(rand.NewSource(i*2654435761 + 1))
 	b := make([]byte, bs)
@@ -167,30 +199,7 @@ func TestReconstructEveryDiskDeclustered(t *testing.T) {
 				t.Fatalf("disk %d failed: block %d reconstructed wrong", fail, i)
 			}
 		}
-		// Un-fail without erasing: use a fresh failure flag cycle. Repair
-		// erases, so rebuild the erased disk's blocks by reconstruction.
-		if err := s.Array.Repair(fail); err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < n; i++ {
-			addr := s.Layout.Place(i)
-			if addr.Disk == fail {
-				buf, err := s.Reconstruct(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.WriteBlock(i, buf); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// Parity blocks on the repaired disk also need rebuilding: rewrite
-		// every block's group parity by rewriting one member.
-		for i := int64(0); i < n; i++ {
-			if err := s.WriteBlock(i, deterministicBlock(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		swapDisk(t, s, fail)
 	}
 }
 
@@ -215,14 +224,7 @@ func TestReconstructClustered(t *testing.T) {
 				t.Fatalf("disk %d failed: block %d wrong", fail, i)
 			}
 		}
-		if err := s.Array.Repair(fail); err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < n; i++ { // full rewrite rebuilds the disk
-			if err := s.WriteBlock(i, deterministicBlock(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		swapDisk(t, s, fail)
 	}
 }
 
@@ -247,14 +249,7 @@ func TestReconstructFlat(t *testing.T) {
 				t.Fatalf("disk %d failed: block %d wrong", fail, i)
 			}
 		}
-		if err := s.Array.Repair(fail); err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < n; i++ {
-			if err := s.WriteBlock(i, deterministicBlock(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		swapDisk(t, s, fail)
 	}
 }
 

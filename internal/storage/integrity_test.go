@@ -223,13 +223,8 @@ func TestLentBytesStayVerified(t *testing.T) {
 	}{
 		{"CorruptBits", func(a *Array) error { return a.CorruptBits(1, 5, []uint64{3, 90}) }, ErrCorruptBlock, nil},
 		{"Write", func(a *Array) error { return a.Write(1, 5, block(9, 16)) }, nil, block(9, 16)},
-		{"Replace", func(a *Array) error {
-			if err := a.Fail(1); err != nil {
-				return err
-			}
-			return a.Replace(1)
-		}, ErrNotWritten, nil},
-		{"Repair", func(a *Array) error { return a.Repair(1) }, ErrNotWritten, nil},
+		{"Replace", swapMedium(1), ErrNotWritten, nil},
+		{"Replace twice", swapMedium(2), ErrNotWritten, nil},
 	} {
 		a := corruptArray(t)
 		lent, slow, err := a.Lend(1, 5)
@@ -263,13 +258,8 @@ func TestSwapKeepsSlotBuffers(t *testing.T) {
 		name string
 		do   func(a *Array) error
 	}{
-		{"Replace", func(a *Array) error {
-			if err := a.Fail(1); err != nil {
-				return err
-			}
-			return a.Replace(1)
-		}},
-		{"Repair", func(a *Array) error { return a.Repair(1) }},
+		{"Replace", swapMedium(1)},
+		{"Replace twice", swapMedium(2)},
 	} {
 		a := corruptArray(t)
 		if err := a.Write(1, 7, block(7, 16)); err != nil {
@@ -313,6 +303,22 @@ func TestSwapKeepsSlotBuffers(t *testing.T) {
 	}
 }
 
+// swapMedium fails disk 1 and swaps its medium, times times: each swap
+// after the first fails the spare before it.
+func swapMedium(times int) func(a *Array) error {
+	return func(a *Array) error {
+		for range times {
+			if err := a.Fail(1); err != nil {
+				return err
+			}
+			if err := a.Replace(1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // mallocs counts the heap objects f allocates.
 func mallocs(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -322,8 +328,8 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestRecordSize pins the per-block overhead: the lent mark fits in the
-// padding after the CRC, so a record is still 32 bytes.
+// TestRecordSize pins the per-block overhead: the lent and owed marks fit
+// in the padding after the CRC, so a record is still 32 bytes.
 func TestRecordSize(t *testing.T) {
 	if n := unsafe.Sizeof(record{}); n != 32 {
 		t.Errorf("record is %d bytes, want 32", n)

@@ -11,11 +11,13 @@ import (
 )
 
 // model is the array kept the obvious way — per disk, a map from block
-// number to bytes and a second one to checksums — with the semantics the
-// package comment promises. FuzzArrayModel holds the record store to it.
+// number to bytes, a second one to checksums and a set of owed blocks —
+// with the semantics the package comment promises. FuzzArrayModel holds
+// the record store to it.
 type model struct {
 	data   []map[int64][]byte
 	sums   []map[int64]uint32
+	owed   []map[int64]bool
 	state  []DiskState
 	reads  []int64
 	extent int64
@@ -38,15 +40,32 @@ func class(err error) error {
 }
 
 func newModel(d int) *model {
-	m := &model{data: make([]map[int64][]byte, d), sums: make([]map[int64]uint32, d), state: make([]DiskState, d), reads: make([]int64, d)}
+	m := &model{data: make([]map[int64][]byte, d), sums: make([]map[int64]uint32, d), owed: make([]map[int64]bool, d),
+		state: make([]DiskState, d), reads: make([]int64, d)}
 	for i := range m.data {
-		m.blank(i)
+		m.data[i], m.sums[i], m.owed[i] = map[int64][]byte{}, map[int64]uint32{}, map[int64]bool{}
 	}
 	return m
 }
 
-func (m *model) blank(disk int) {
+// replace swaps the disk's medium: every block it held is owed, as is
+// every block it owed already.
+func (m *model) replace(disk int) {
+	for b := range m.data[disk] {
+		m.owed[disk][b] = true
+	}
 	m.data[disk], m.sums[disk] = map[int64][]byte{}, map[int64]uint32{}
+}
+
+// nextOwed is the lowest owed block of the disk at or after from, or -1.
+func (m *model) nextOwed(disk int, from int64) int64 {
+	next := int64(-1)
+	for b := range m.owed[disk] {
+		if b >= from && (next < 0 || b < next) {
+			next = b
+		}
+	}
+	return next
 }
 
 func (m *model) inRange(disk int) bool { return disk >= 0 && disk < len(m.data) }
@@ -60,6 +79,7 @@ func (m *model) write(disk int, block int64, b []byte) error {
 	}
 	m.data[disk][block] = bytes.Clone(b)
 	m.sums[disk][block] = integrity.Sum(b)
+	delete(m.owed[disk], block)
 	m.extent = max(m.extent, block+1)
 	m.stats.Recorded++
 	return nil
@@ -148,7 +168,6 @@ const (
 	opFail
 	opReplace
 	opRejoin
-	opRepair
 	opCorruptBits
 	opCorruptRandom
 	opAudit
@@ -158,10 +177,11 @@ const (
 
 // FuzzArrayModel runs an op script against the array and the model and
 // demands the same errors (by errors.Is), the same bytes, the same
-// Written/Extent/WrittenBlocks/State/ReadCount/ChecksumStats after every
-// op, the same CorruptRandomBlock pick and the same AuditChecksums order.
-// Every slice Lend hands out must keep, after every later op, the bytes it
-// had when it was lent.
+// Written/NextOwed/OwedBlocks/Extent/WrittenBlocks/State/ReadCount/
+// ChecksumStats after every op, the same CorruptRandomBlock pick and the
+// same AuditChecksums order. An owed block never reads as zeroes, and a
+// disk that owes blocks never rejoins. Every slice Lend hands out must
+// keep, after every later op, the bytes it had when it was lent.
 func FuzzArrayModel(f *testing.F) {
 	// What integrity.Map's own tests pinned, as the array shows it.
 	// Record, verify, a flipped bit is caught, an overwrite re-records:
@@ -173,24 +193,29 @@ func FuzzArrayModel(f *testing.F) {
 	// disk 2 reads as absent after Replace, and rewrites verify.
 	f.Add([]byte{opWrite, 2, 1, 1, opWrite, 2, 9, 1, opWrite, 3, 1, 1, opCorruptBits, 2, 9, 5, opFail, 2, 0, 0, opReplace, 2, 0, 0,
 		opRead, 2, 9, 0, opReadZero, 2, 9, 0, opWrite, 2, 9, 3, opRead, 2, 9, 0, opRead, 3, 1, 0, opRejoin, 2, 0, 0, opReadZero, 2, 1, 0, opAudit, 0, 0, 0})
-	// Lifecycle edges: repair from any state, the picker on an empty and a
-	// failed disk, out-of-range disks.
+	// Lifecycle edges: a rejoin refused until the last owed block is back,
+	// the picker on an empty, a failed and an emptied disk, out-of-range
+	// disks.
 	f.Add([]byte{opCorruptRandom, 1, 0, 3, opWrite, 1, 9, 1, opWrite, 1, 3, 1, opWrite, 1, 7, 1, opCorruptRandom, 1, 0, 1, opRead, 1, 7, 0,
-		opFail, 1, 0, 0, opCorruptRandom, 1, 0, 0, opRepair, 1, 0, 0, opRejoin, 1, 0, 0, opReplace, 1, 0, 0, opWrite, 4, 0, 0, opRead, 4, 0, 0, opFail, 4, 0, 0})
-	// A lent block outlives a flip, an overwrite, a medium swap and a
-	// repair, and each of them shows on the next read instead.
+		opFail, 1, 0, 0, opCorruptRandom, 1, 0, 0, opReplace, 1, 0, 0, opRejoin, 1, 0, 0, opCorruptRandom, 1, 0, 0, opWrite, 1, 3, 2,
+		opWrite, 1, 7, 2, opRejoin, 1, 0, 0, opWrite, 1, 9, 2, opRejoin, 1, 0, 0, opReplace, 1, 0, 0,
+		opWrite, 4, 0, 0, opRead, 4, 0, 0, opFail, 4, 0, 0})
+	// A lent block outlives a flip, an overwrite and two medium swaps, and
+	// each of them shows on the next read instead.
 	f.Add([]byte{opWrite, 1, 4, 1, opLend, 1, 4, 0, opCorruptBits, 1, 4, 9, opLend, 1, 4, 0, opWrite, 1, 4, 2, opLend, 1, 4, 0,
 		opWrite, 1, 4, 3, opLend, 1, 4, 0, opFail, 1, 0, 0, opLend, 1, 4, 0, opReplace, 1, 0, 0, opLend, 1, 4, 0,
-		opWrite, 1, 4, 5, opLend, 1, 4, 0, opRepair, 1, 0, 0, opLend, 1, 4, 0, opWrite, 1, 4, 6, opRead, 1, 4, 0})
+		opWrite, 1, 4, 5, opLend, 1, 4, 0, opFail, 1, 0, 0, opReplace, 1, 0, 0, opLend, 1, 4, 0, opWrite, 1, 4, 6, opRead, 1, 4, 0})
 	// A swap keeps each slot's buffer and nothing else: on the spare a
 	// written block reads, flips and audits as absent, a rewrite reads back
 	// its new bytes (a lent block's too, while its loan keeps the old), and
-	// a second swap by Repair blanks the rewrites again.
+	// a second swap owes the rewrites again.
 	f.Add([]byte{opWrite, 1, 2, 1, opWrite, 1, 6, 1, opLend, 1, 6, 0, opFail, 1, 0, 0, opReplace, 1, 0, 0, opRead, 1, 2, 0,
 		opCorruptBits, 1, 2, 3, opAudit, 0, 0, 0, opWrite, 1, 2, 4, opRead, 1, 2, 0, opWrite, 1, 6, 5, opLend, 1, 6, 0,
-		opRejoin, 1, 0, 0, opReadZero, 1, 9, 0, opRepair, 1, 0, 0, opReadZero, 1, 2, 0, opWrite, 1, 2, 6, opRead, 1, 2, 0, opAudit, 0, 0, 0})
-	// Replace then write back only some blocks: the rest stay absent, never
-	// zeroes, while rebuilding, and the picker only sees the rewritten one.
+		opRejoin, 1, 0, 0, opReadZero, 1, 9, 0, opFail, 1, 0, 0, opReplace, 1, 0, 0, opReadZero, 1, 2, 0, opWrite, 1, 2, 6,
+		opRead, 1, 2, 0, opRejoin, 1, 0, 0, opAudit, 0, 0, 0})
+	// Replace then write back only some blocks: the rest stay owed, never
+	// zeroes, the disk cannot rejoin, and the picker only sees the
+	// rewritten one.
 	f.Add([]byte{opWrite, 0, 1, 1, opWrite, 0, 3, 2, opWrite, 0, 5, 3, opFail, 0, 0, 0, opReplace, 0, 0, 0, opWrite, 0, 3, 7,
 		opReadZero, 0, 1, 0, opRead, 0, 3, 0, opCorruptRandom, 0, 0, 9, opRead, 0, 3, 0, opWrite, 0, 3, 8, opRejoin, 0, 0, 0, opRead, 0, 5, 0})
 	for seed := int64(1); seed <= 4; seed++ {
@@ -229,6 +254,9 @@ func FuzzArrayModel(f *testing.F) {
 				if !bytes.Equal(dst, b) {
 					t.Fatalf("op %d: read (%d, %d) = %v, model %v", i/4, disk, block, dst, b)
 				}
+				if m.inRange(disk) && m.owed[disk][block] && got == nil {
+					t.Fatalf("op %d: owed block (%d, %d) read as %v", i/4, disk, block, dst)
+				}
 			case opFail:
 				if got = a.Fail(disk); m.inRange(disk) {
 					m.state[disk] = Failed
@@ -240,20 +268,13 @@ func FuzzArrayModel(f *testing.F) {
 				if op == opRejoin {
 					from, to, do = Rebuilding, Healthy, a.Rejoin
 				}
-				if got = do(disk); !m.inRange(disk) || m.state[disk] != from {
+				if got = do(disk); !m.inRange(disk) || m.state[disk] != from || op == opRejoin && len(m.owed[disk]) > 0 {
 					want = errOther
 				} else {
 					m.state[disk] = to
 					if op == opReplace {
-						m.blank(disk)
+						m.replace(disk)
 					}
-				}
-			case opRepair:
-				if got = a.Repair(disk); m.inRange(disk) {
-					m.state[disk] = Healthy
-					m.blank(disk)
-				} else {
-					want = errOther
 				}
 			case opCorruptBits:
 				got, want = a.CorruptBits(disk, block, bits), m.corrupt(disk, block, bits)
@@ -299,9 +320,15 @@ func FuzzArrayModel(f *testing.F) {
 					t.Fatalf("op %d: disk %d is %v with %d reads, model %v with %d", i/4, disk, a.State(disk), a.ReadCount(disk), m.state[disk], m.reads[disk])
 				}
 				written += len(m.data[disk])
+				if a.OwedBlocks(disk) != len(m.owed[disk]) {
+					t.Fatalf("op %d: disk %d owes %d blocks, model %d", i/4, disk, a.OwedBlocks(disk), len(m.owed[disk]))
+				}
 				for block := int64(0); block < nblocks; block++ {
 					if _, ok := m.data[disk][block]; a.Written(disk, block) != ok {
 						t.Fatalf("op %d: Written(%d, %d) = %v, model %v", i/4, disk, block, !ok, ok)
+					}
+					if got, want := a.NextOwed(disk, block), m.nextOwed(disk, block); got != want {
+						t.Fatalf("op %d: NextOwed(%d, %d) = %d, model %d", i/4, disk, block, got, want)
 					}
 				}
 			}

@@ -16,8 +16,9 @@
 //   - Failed: every read and write is rejected with ErrFailed — a
 //     crashed, fail-stop device.
 //   - Rebuilding: a hot spare has been swapped in for a failed disk. The
-//     spare starts empty and is written block by block by the online
-//     rebuild. Present blocks read normally; absent blocks return
+//     spare starts empty and owes every block the failed disk held; the
+//     rebuild writes them back one by one, and the disk rejoins once it
+//     owes nothing. Present blocks read normally; absent blocks return
 //     ErrNotWritten and are NOT zero-filled by ReadZeroInto — an unrebuilt
 //     block must never masquerade as zeroes, or a concurrent second
 //     failure would silently corrupt reconstructions that XOR it in.
@@ -104,6 +105,9 @@ type record struct {
 	// lent marks data as handed out by Lend, so Write and CorruptBits give
 	// the record fresh bytes instead.
 	lent bool
+	// owed marks a block the disk held before its medium was swapped and
+	// that has not been written back since.
+	owed bool
 }
 
 // Array is a simulated array of d disks, each a sequence of fixed-size
@@ -114,15 +118,15 @@ type Array struct {
 	blockSize int
 	// disks[disk][block] is the block's record. A disk's slice reaches its
 	// highest block ever written and never shrinks: swapping the medium
-	// (Replace/Repair) blanks the records in place and keeps their buffers.
+	// (Replace) blanks the records in place and keeps their buffers.
 	// Each block's bytes are their own allocation — one slab grown by
 	// doubling would hold, while it copies, twice the data the array stores.
 	disks [][]record
-	// written counts each disk's written blocks.
-	written []int
-	state   []DiskState
-	hook    ReadHook
-	sums    integrity.Counters
+	// written and owed count each disk's written and owed blocks.
+	written, owed []int
+	state         []DiskState
+	hook          ReadHook
+	sums          integrity.Counters
 
 	// reads counts successful block reads per disk, for load assertions.
 	reads []int64
@@ -141,6 +145,7 @@ func NewArray(d, blockSize int) (*Array, error) {
 		blockSize: blockSize,
 		disks:     make([][]record, d),
 		written:   make([]int, d),
+		owed:      make([]int, d),
 		state:     make([]DiskState, d),
 		reads:     make([]int64, d),
 	}
@@ -201,6 +206,10 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	r := &a.disks[disk][block]
 	if len(r.data) == 0 {
 		a.written[disk]++
+	}
+	if r.owed {
+		r.owed = false
+		a.owed[disk]--
 	}
 	if r.lent {
 		r.lent, r.data = false, nil // the lent bytes stay with their holders
@@ -329,19 +338,10 @@ func (a *Array) WrittenBlocks() int {
 	return n
 }
 
-// blank empties the disk for a swap of its medium. Each slot keeps its
-// buffer for the next Write, and its lent mark, so a loan keeps its bytes.
-func (a *Array) blank(disk int) {
-	for b := range a.disks[disk] {
-		a.disks[disk][b].data = a.disks[disk][b].data[:0]
-	}
-	a.written[disk] = 0
-}
-
 // Fail marks a disk as failed. Its contents become unreadable until
-// Repair or Replace. Fail is idempotent: failing an already-failed disk
-// is a no-op, and failing a rebuilding disk fails the spare (its partial
-// contents are discarded — the spare crashed too).
+// Replace swaps fresh medium in. Fail is idempotent: failing an
+// already-failed disk is a no-op, and failing a rebuilding disk fails the
+// spare (the spare crashed too; the next one owes what it rebuilt).
 func (a *Array) Fail(disk int) error {
 	if err := a.checkAddr(disk, 0); err != nil {
 		return err
@@ -351,9 +351,11 @@ func (a *Array) Fail(disk int) error {
 }
 
 // Replace swaps a hot spare in for a failed disk: the slot transitions
-// Failed → Rebuilding with empty contents. The online rebuild then
-// refills it with Write and declares it live with Rejoin. Replacing a
-// non-failed disk is an error.
+// Failed → Rebuilding with empty contents, owing every block the disk held
+// or still owed. Each slot keeps its buffer for the next Write, and its
+// lent mark, so a loan keeps its bytes. The rebuild writes the owed blocks
+// back and declares the disk live with Rejoin. Replacing a non-failed
+// disk is an error.
 func (a *Array) Replace(disk int) error {
 	if err := a.checkAddr(disk, 0); err != nil {
 		return err
@@ -362,12 +364,18 @@ func (a *Array) Replace(disk int) error {
 		return fmt.Errorf("storage: replace disk %d: disk is %v, not failed", disk, a.state[disk])
 	}
 	a.state[disk] = Rebuilding
-	a.blank(disk)
+	for b := range a.disks[disk] {
+		r := &a.disks[disk][b]
+		r.owed = r.owed || len(r.data) != 0
+		r.data = r.data[:0]
+	}
+	a.owed[disk] += a.written[disk]
+	a.written[disk] = 0
 	return nil
 }
 
 // Rejoin promotes a fully-rebuilt spare to healthy. Rejoining a disk
-// that is not rebuilding is an error.
+// that is not rebuilding, or that still owes blocks, is an error.
 func (a *Array) Rejoin(disk int) error {
 	if err := a.checkAddr(disk, 0); err != nil {
 		return err
@@ -375,22 +383,34 @@ func (a *Array) Rejoin(disk int) error {
 	if a.state[disk] != Rebuilding {
 		return fmt.Errorf("storage: rejoin disk %d: disk is %v, not rebuilding", disk, a.state[disk])
 	}
+	if n := a.owed[disk]; n > 0 {
+		return fmt.Errorf("storage: rejoin disk %d: %d blocks not rebuilt", disk, n)
+	}
 	a.state[disk] = Healthy
 	return nil
 }
 
-// Repair clears the failure flag and erases the disk's contents in one
-// step — a replaced drive comes back empty, immediately healthy, and
-// must be rebuilt by the caller before its blocks are read. The online
-// rebuild path uses Replace/Rejoin instead so partially-rebuilt blocks
-// are never zero-filled.
-func (a *Array) Repair(disk int) error {
-	if err := a.checkAddr(disk, 0); err != nil {
-		return err
+// NextOwed returns the lowest block at or after from that the disk owes,
+// or -1 when it owes none there — like Written, a planning probe.
+func (a *Array) NextOwed(disk int, from int64) int64 {
+	if a.checkAddr(disk, 0) != nil {
+		return -1
 	}
-	a.state[disk] = Healthy
-	a.blank(disk)
-	return nil
+	recs := a.disks[disk]
+	for b := max(from, 0); b < int64(len(recs)); b++ {
+		if recs[b].owed {
+			return b
+		}
+	}
+	return -1
+}
+
+// OwedBlocks returns how many blocks the disk owes.
+func (a *Array) OwedBlocks(disk int) int {
+	if a.checkAddr(disk, 0) != nil {
+		return 0
+	}
+	return a.owed[disk]
 }
 
 // State returns the disk's lifecycle state (Healthy for out-of-range

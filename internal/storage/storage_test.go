@@ -142,15 +142,18 @@ func TestFailRepair(t *testing.T) {
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("FailedDisks = %v", got)
 	}
-	// Repair brings the disk back empty.
-	if err := a.Repair(1); err != nil {
+	// Fresh medium comes back empty, owing what the disk held.
+	if err := a.Replace(1); err != nil {
 		t.Fatal(err)
 	}
 	if a.Failed(1) {
-		t.Fatal("still failed after repair")
+		t.Fatal("still failed after the swap")
 	}
 	if _, err := read(a, 1, 0); !errors.Is(err, ErrNotWritten) {
-		t.Errorf("repaired disk should be empty: %v", err)
+		t.Errorf("swapped disk should be empty: %v", err)
+	}
+	if a.NextOwed(1, 0) != 0 || a.OwedBlocks(1) != 1 {
+		t.Errorf("swapped disk owes block %d of %d, want block 0 of 1", a.NextOwed(1, 0), a.OwedBlocks(1))
 	}
 }
 
@@ -159,8 +162,11 @@ func TestFailValidation(t *testing.T) {
 	if err := a.Fail(7); err == nil {
 		t.Error("accepted out-of-range disk")
 	}
-	if err := a.Repair(-2); err == nil {
+	if err := a.Replace(-2); err == nil {
 		t.Error("accepted negative disk")
+	}
+	if a.NextOwed(-2, 0) != -1 || a.OwedBlocks(9) != 0 {
+		t.Error("out-of-range disks owe blocks")
 	}
 }
 
@@ -316,7 +322,13 @@ func TestReadHookInjection(t *testing.T) {
 	}
 	// Removing the hook restores plain reads.
 	a.SetReadHook(nil)
-	if err := a.Repair(0); err != nil {
+	if err := a.Replace(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Write(0, 0, block(7, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Rejoin(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readZero(a, 0, 5); err != nil {
@@ -324,20 +336,35 @@ func TestReadHookInjection(t *testing.T) {
 	}
 }
 
+// TestRepairRestoresHealthyFromAnyState: a medium swap brings a failed
+// disk, or a rebuilding spare that failed in turn, back to Healthy once
+// every block it owes is written back, and not before.
 func TestRepairRestoresHealthyFromAnyState(t *testing.T) {
-	a := newArray(t)
-	for _, setup := range []func() error{
-		func() error { return a.Fail(1) },
-		func() error { _ = a.Fail(1); return a.Replace(1) },
+	for _, setup := range []func(a *Array) error{
+		func(a *Array) error { return a.Fail(1) },
+		func(a *Array) error { _ = a.Fail(1); _ = a.Replace(1); return a.Fail(1) },
 	} {
-		if err := setup(); err != nil {
+		a := corruptArray(t) // disk 1 holds block 5
+		if err := setup(a); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Repair(1); err != nil {
+		if err := a.Replace(1); err != nil {
 			t.Fatal(err)
 		}
-		if a.State(1) != Healthy {
-			t.Fatalf("state after Repair = %v, want Healthy", a.State(1))
+		if got := a.NextOwed(1, 0); got != 5 || a.NextOwed(1, 6) != -1 || a.OwedBlocks(1) != 1 {
+			t.Fatalf("disk 1 owes block %d of %d, want block 5 of 1", got, a.OwedBlocks(1))
+		}
+		if err := a.Rejoin(1); err == nil || a.State(1) != Rebuilding {
+			t.Fatalf("Rejoin owing block 5 = %v, state %v", err, a.State(1))
+		}
+		if err := a.Write(1, 5, block(2, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if a.NextOwed(1, 0) != -1 || a.OwedBlocks(1) != 0 {
+			t.Fatal("the write back did not clear the owed block")
+		}
+		if err := a.Rejoin(1); err != nil || a.State(1) != Healthy {
+			t.Fatalf("Rejoin = %v, state %v, want Healthy", err, a.State(1))
 		}
 	}
 }
