@@ -84,7 +84,7 @@ func benchFigure5(b *testing.B, buffer units.Bits) {
 	var points []experiments.Figure5Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = experiments.Figure5(buffer, 0)
+		points, err = experiments.Figure5(buffer)
 		if err != nil {
 			b.Fatal(err)
 		}

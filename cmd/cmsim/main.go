@@ -54,26 +54,18 @@ func main() {
 	replication := flag.Int("rep", 0, "scenario replication factor (0: default 2)")
 	scrub := flag.Int("scrub", 0, "patrol scrub rate in verify reads per disk per round (0: off, -1: idle-bounded)")
 	corrupt := flag.String("corrupt", "", "silent-corruption script: disk@sec:blocks[,disk@sec:blocks...]")
-	workers := flag.Int("workers", 0, "parallel sweep workers, -exp only (0: one per CPU, 1: sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
 	// -exp reaches an entry only through these flags; any other flag on
-	// the same command line belongs to a single run or a scenario day,
-	// which in turn have no use for -workers: each is one round loop.
+	// the same command line belongs to a single run or a scenario day.
 	if *exp != "" {
-		applies := map[string]bool{"exp": true, "csv": true, "buffer": true, "seed": true, "workers": true,
+		applies := map[string]bool{"exp": true, "csv": true, "buffer": true, "seed": true,
 			"subscribers": true, "timescale": true, "p": true, "cpuprofile": true, "memprofile": true}
 		flag.Visit(func(f *flag.Flag) {
 			if !applies[f.Name] {
 				fatal(fmt.Errorf("-%s does not apply to -exp", f.Name))
-			}
-		})
-	} else {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				fatal(fmt.Errorf("-workers applies only to -exp"))
 			}
 		})
 	}
@@ -94,7 +86,7 @@ func main() {
 	switch {
 	case *exp != "":
 		if err := experiments.Run(os.Stdout, "cmsim", *exp, experiments.Params{
-			Buffer: buffer, Seed: *seed, Workers: *workers,
+			Buffer: buffer, Seed: *seed,
 			Subscribers: *subscribers, TimeScale: *timescale, D: 32, P: *p,
 		}, *csvOut); err != nil {
 			fatal(err)
@@ -123,9 +115,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// An out-of-range -fail scripts nothing.
 		var failure []sim.FailureEvent
-		if *failDisk >= 0 && *failDisk < 32 {
+		if *failDisk >= 0 {
 			failure = []sim.FailureEvent{{Disk: *failDisk, At: units.Duration(*failAt), Rebuild: *rebuildFlag}}
 		}
 		res, err := sim.Run(sim.Config{

@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"ftcms/internal/diskmodel"
-	"ftcms/internal/parallel"
 	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
@@ -333,40 +332,16 @@ func solveWithF(p int, solve func(f int) (Result, error), enough func(Result, in
 
 // Optimize runs the outer loop of Figure 4 for one scheme: p sweeps from
 // max(pmin, 2) to d (restricted to feasible geometries), and the point
-// maximizing Clips wins.
+// maximizing Clips wins; the first p reaching the maximum keeps it.
 func Optimize(c Config, s scheme.Scheme) (Result, error) {
-	return OptimizeWorkers(c, s, 0)
-}
-
-// OptimizeWorkers is Optimize with an explicit worker count for the
-// p-sweep (1 forces the sequential path; <= 0 means one worker per CPU).
-// Candidate solves are independent and the best-point scan runs over the
-// collected results in ascending p, so the chosen operating point is
-// identical to the sequential sweep's for any worker count.
-func OptimizeWorkers(c Config, s scheme.Scheme, workers int) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
-	pmin := c.MinGroupSize()
-	n := c.D - pmin + 1
-	var results []Result
-	var feasible []bool
-	if n > 0 {
-		results = make([]Result, n)
-		feasible = make([]bool, n)
-		_ = parallel.ForEach(n, workers, func(k int) error {
-			res, err := Solve(c, s, pmin+k)
-			if err == nil {
-				results[k], feasible[k] = res, true
-			}
-			return nil
-		})
-	}
 	var best Result
 	found := false
-	for k := 0; k < n; k++ {
-		if feasible[k] && (!found || results[k].Clips > best.Clips) {
-			best, found = results[k], true
+	for p := c.MinGroupSize(); p <= c.D; p++ {
+		if res, err := Solve(c, s, p); err == nil && (!found || res.Clips > best.Clips) {
+			best, found = res, true
 		}
 	}
 	if !found {

@@ -11,7 +11,7 @@
 // machine over the signal stream. No clocks, no randomness, no
 // goroutines — the same signals in the same order produce a
 // byte-identical action trace, which is what makes closed-loop scenario
-// runs replayable across worker counts. Robustness comes from three
+// runs replayable at any GOMAXPROCS. Robustness comes from three
 // guards layered on the thresholds:
 //
 //   - hysteresis: a threshold must hold for a configured number of

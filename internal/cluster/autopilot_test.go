@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -229,16 +230,16 @@ func TestPilotQuiescentStepAllocs(t *testing.T) {
 // drained node's retirement — or a failure mid-drain that leaves the node
 // down — a round of the cluster (Tick, the pilot's Step when one is
 // attached, every stream taking its block) allocates nothing at
-// TickWorkers: 1. At the default the per-node fan-out
-// (parallel.ForEach: its error slice, counter, wait group and goroutines)
-// costs a few objects a round on a multi-core machine; the pin there is
-// that the number does not depend on how many streams are open. The worker
-// count is fixed in New, so AllocsPerRun's GOMAXPROCS(1) does not hide it.
+// GOMAXPROCS 1, where the node fan-out is a plain loop. At GOMAXPROCS 2
+// the fan-out (parallel.ForEach: its error slice, counter, wait group and
+// goroutines) costs a few objects a round; the pin there is that the
+// number does not depend on how many streams are open. AllocsPerRun runs
+// at GOMAXPROCS 1, so the wider case counts with runtime.MemStats.
 func TestQuiescentTickAllocs(t *testing.T) {
-	build := func(workers, streams int, withPilot, failMidDrain bool) func() int {
+	build := func(streams int, withPilot, failMidDrain bool) func() int {
 		c, err := New(Config{
 			Nodes:       []core.Config{node6Config(), node6Config(), node6Config()},
-			Replication: 2, TickWorkers: workers,
+			Replication: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -320,18 +321,23 @@ func TestQuiescentTickAllocs(t *testing.T) {
 	}
 	for _, failMidDrain := range []bool{false, true} {
 		for _, withPilot := range []bool{false, true} {
-			for _, workers := range []int{1, 0} {
+			for _, procs := range []int{1, 2} {
 				var allocs [2]float64
 				for i, streams := range []int{8, 48} {
-					round := build(workers, streams, withPilot, failMidDrain)
+					round := build(streams, withPilot, failMidDrain)
 					delivered := 0
-					allocs[i] = testing.AllocsPerRun(100, func() { delivered += round() })
+					f := func() { delivered += round() }
+					if procs == 1 {
+						allocs[i] = testing.AllocsPerRun(100, f)
+					} else {
+						allocs[i] = allocsAtProcs(procs, 100, f)
+					}
 					if want := 101 * streams * 8000; delivered != want {
 						t.Fatalf("delivered %d bytes over 101 rounds, want %d: not every stream got its block every round", delivered, want)
 					}
 				}
-				name := fmt.Sprintf("failMidDrain=%v pilot=%v TickWorkers=%d", failMidDrain, withPilot, workers)
-				if workers == 1 && allocs != [2]float64{} {
+				name := fmt.Sprintf("failMidDrain=%v pilot=%v GOMAXPROCS=%d", failMidDrain, withPilot, procs)
+				if procs == 1 && allocs != [2]float64{} {
 					t.Errorf("%s: a quiescent round allocates %v objects at 8 and 48 streams, want 0", name, allocs)
 				}
 				if allocs[0] != allocs[1] {
@@ -341,6 +347,21 @@ func TestQuiescentTickAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allocsAtProcs is testing.AllocsPerRun at the given GOMAXPROCS: one
+// warm-up call, then the whole number of heap objects per call over runs
+// calls.
+func allocsAtProcs(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 // TestPilotDisableFreezes: a disabled pilot neither observes nor acts,

@@ -64,14 +64,11 @@ type Config struct {
 	// detector, so a scripted fail-stop is discovered by detection —
 	// never by command — exactly like a disk inside one array.
 	Faults *faultinject.Plan
-	// TickWorkers bounds the worker pool Tick fans the per-node service
-	// rounds out on: 0 (the default) means one worker per available
-	// CPU, 1 forces the sequential loop. Nodes are fully independent
-	// arrays (own engine, detector, buffers), so parallel node ticks
-	// are deterministic regardless of worker count. It is the one
-	// in-round fan-out left, because it pays: 4 nodes of ≈ 1000 streams
-	// each tick 1.37× faster on two workers than on one (2 vCPUs). Each
-	// node's own round stays on the one goroutine that ticks it.
+	// TickWorkers is kept only because the benchmark module still sets
+	// it (bench/churn.go); it goes once that module stops.
+	//
+	// Deprecated: ignored; Tick always fans node rounds out on the
+	// parallel pool, whose width is GOMAXPROCS.
 	TickWorkers int
 }
 
@@ -128,11 +125,9 @@ type Cluster struct {
 	streams map[int]*Stream
 	nextID  int
 	round   int64
-	// tickWorkers is Config.TickWorkers resolved via parallel.Workers;
 	// live is the per-Tick scratch list of live nodes, reused so the
-	// steady-state tick allocates nothing.
-	tickWorkers int
-	live        []*node
+	// steady-state tick allocates nothing beyond the pool's fan-out.
+	live []*node
 	// tickFn is the per-node round body handed to parallel.ForEach,
 	// built once in New: a fresh closure every Tick would be the round's
 	// only heap allocation.
@@ -239,7 +234,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.nodes = append(c.nodes, &node{id: i, srv: srv, disks: srv.Disks()})
 	}
-	c.tickWorkers = parallel.Workers(cfg.TickWorkers)
 	c.tickFn = func(i int) error {
 		n := c.live[i]
 		if terr := n.srv.Tick(); terr != nil {
@@ -451,16 +445,18 @@ func (c *Cluster) Tick() error {
 			c.detector.Observe(n.id, slow, err)
 		}
 	}
-	// Nodes are independent arrays; their rounds fan out on the worker
-	// pool. ForEach reports the lowest-index failure, matching the
-	// sequential loop's first-error-wins.
+	// Nodes are independent arrays (own engine, detector, buffers); their
+	// rounds fan out on the pool, each on the one goroutine that ticks it,
+	// so the result is the same at any GOMAXPROCS. ForEach reports the
+	// lowest-index failure, matching the sequential loop's
+	// first-error-wins.
 	c.live = c.live[:0]
 	for _, n := range c.nodes {
 		if n.serving() {
 			c.live = append(c.live, n)
 		}
 	}
-	if err := parallel.ForEach(len(c.live), c.tickWorkers, c.tickFn); err != nil {
+	if err := parallel.ForEach(len(c.live), c.tickFn); err != nil {
 		return err
 	}
 	c.retryFailovers()

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
-	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -35,29 +34,15 @@ func parsePackage(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	return files
 }
 
-// importName returns the local name file f binds import path ip to, or ""
-// when f does not import it.
-func importName(f *ast.File, ip string) string {
-	for _, imp := range f.Imports {
-		if p, _ := strconv.Unquote(imp.Path.Value); p == ip {
-			if imp.Name != nil {
-				return imp.Name.Name
-			}
-			return path.Base(ip)
-		}
-	}
-	return ""
-}
-
 // TestOneGoroutinePerArray enforces single ownership below the daemon:
 // one goroutine at a time uses an array and everything its round touches
 // (server, store, detector, injector), so no package under internal/
 // starts a goroutine or imports sync or sync/atomic, except the worker
 // pool, and none reads the wall clock, except cliutil, the daemon's
-// helpers. core does not use the pool, and the simulator reaches it only
-// from RunMany, whose runs are independent. The live cluster's node
-// fan-out (cluster.Tick) is the one in-round fan-out, one node's whole
-// stack per worker.
+// helpers. Only whole independent jobs fan out on the pool: the live
+// cluster's node rounds (cluster.Tick, one node's whole stack per
+// worker) and the experiment sweeps' cells, so only cluster and
+// experiments import it.
 func TestOneGoroutinePerArray(t *testing.T) {
 	fset := token.NewFileSet()
 	ents, err := os.ReadDir("..")
@@ -82,29 +67,10 @@ func TestOneGoroutinePerArray(t *testing.T) {
 				switch p, _ := strconv.Unquote(imp.Path.Value); {
 				case (p == "sync" || p == "sync/atomic") && pkg != "parallel",
 					p == "time" && pkg != "cliutil",
-					p == "ftcms/internal/parallel" && pkg == "core":
+					p == "ftcms/internal/parallel" && pkg != "cluster" && pkg != "experiments":
 					t.Errorf("%s: %s imports %s", fset.Position(imp.Pos()), pkg, p)
 				}
 			}
-		}
-	}
-	for _, f := range parsePackage(t, fset, filepath.Join("..", "sim")) {
-		pool := importName(f, "ftcms/internal/parallel")
-		if pool == "" {
-			continue
-		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "RunMany" {
-				continue
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == pool {
-						t.Errorf("%s: sim uses %s.%s outside RunMany", fset.Position(sel.Pos()), pool, sel.Sel.Name)
-					}
-				}
-				return true
-			})
 		}
 	}
 }

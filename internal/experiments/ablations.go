@@ -39,7 +39,7 @@ func AdmissionAblation(buffer units.Bits, seed int64) ([]AdmissionAblationPoint,
 		ArrivalRate: 20, Duration: 600 * units.Second, Seed: seed,
 		Scheme: scheme.Declustered,
 	}
-	return parallel.Map(len(GroupSizes), 0, func(k int) (AdmissionAblationPoint, error) {
+	return parallel.Map(len(GroupSizes), func(k int) (AdmissionAblationPoint, error) {
 		pt := AdmissionAblationPoint{P: GroupSizes[k]}
 		cfg := base
 		cfg.P = GroupSizes[k]
@@ -147,7 +147,7 @@ func FailureContinuity(buffer units.Bits, seed int64) ([]ContinuityPoint, error)
 		{scheme.StreamingRAID, 8},
 		{scheme.NonClustered, 8},
 	}
-	return parallel.Map(len(cases), 0, func(k int) (ContinuityPoint, error) {
+	return parallel.Map(len(cases), func(k int) (ContinuityPoint, error) {
 		c := cases[k]
 		res, err := sim.Run(sim.Config{
 			Scheme: c.s, Disk: diskmodel.Default(), D: 32, P: c.p,

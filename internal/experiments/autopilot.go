@@ -40,7 +40,7 @@ type AutopilotPoint struct {
 // determinism holds cell by cell.
 func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
 	cfg = cfg.withDefaults()
-	return parallel.Map(len(scenarioMultipliers), cfg.Workers, func(k int) (AutopilotPoint, error) {
+	return parallel.Map(len(scenarioMultipliers), func(k int) (AutopilotPoint, error) {
 		mult := scenarioMultipliers[k]
 		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, false))
 		if err != nil {

@@ -95,7 +95,7 @@ func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterPoint, error) {
 			}
 		}
 	}
-	return parallel.Map(len(grid), 0, func(k int) (ClusterPoint, error) {
+	return parallel.Map(len(grid), func(k int) (ClusterPoint, error) {
 		c := grid[k]
 		base := sim.ClusterConfig{
 			Node:        cfg.node(catalog, clusterArrivalRate, clusterDuration),

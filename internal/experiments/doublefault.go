@@ -76,7 +76,7 @@ func doubleFaultClip(seed int64, n int) []byte {
 // P+Q parity group, under three playing streams.
 func DoubleFaultSweep(seed int64) ([]DoubleFaultPoint, error) {
 	schemes := []core.Scheme{core.Declustered, core.DeclusteredPQ}
-	return parallel.Map(len(schemes), 0, func(k int) (DoubleFaultPoint, error) {
+	return parallel.Map(len(schemes), func(k int) (DoubleFaultPoint, error) {
 		return doubleFaultRun(schemes[k], seed)
 	})
 }

@@ -72,25 +72,23 @@ var Figure5Columns = []trace.Column[Figure5Point]{
 	trace.Col("block_bits", "", func(pt Figure5Point) any { return int64(pt.Block) }),
 }
 
-// Figure5 computes the full Figure 5 panel for one buffer size (E4/E5),
-// fanning the scheme×p grid out over workers (<= 0: one per CPU, 1: the
-// sequential path). Each grid point is an independent closed-form solve,
-// and results are index-addressed, so the output is identical for any
-// worker count.
-func Figure5(buffer units.Bits, workers int) ([]Figure5Point, error) {
+// Figure5 computes the full Figure 5 panel for one buffer size (E4/E5):
+// one closed-form solve per scheme × p, in that order.
+func Figure5(buffer units.Bits) ([]Figure5Point, error) {
 	cfg := PaperAnalyticConfig(buffer)
-	schemes := scheme.Paper()
-	return parallel.Map(len(schemes)*len(GroupSizes), workers, func(k int) (Figure5Point, error) {
-		s := schemes[k/len(GroupSizes)]
-		p := GroupSizes[k%len(GroupSizes)]
-		res, err := analytic.Solve(cfg, s, p)
-		if err != nil {
-			return Figure5Point{}, fmt.Errorf("experiments: %v p=%d: %w", s, p, err)
+	var out []Figure5Point
+	for _, s := range scheme.Paper() {
+		for _, p := range GroupSizes {
+			res, err := analytic.Solve(cfg, s, p)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %v p=%d: %w", s, p, err)
+			}
+			out = append(out, Figure5Point{
+				Scheme: s, P: p, Clips: res.Clips, Q: res.Q, F: res.F, Block: res.Block,
+			})
 		}
-		return Figure5Point{
-			Scheme: s, P: p, Clips: res.Clips, Q: res.Q, F: res.F, Block: res.Block,
-		}, nil
-	})
+	}
+	return out, nil
 }
 
 // Figure6Point is one (scheme, p) result of the simulation study.
@@ -124,22 +122,19 @@ type Figure6Config struct {
 	Seed int64
 	// Duration defaults to the paper's 600 time units when zero.
 	Duration units.Duration
-	// Workers bounds the sweep's parallelism: <= 0 means one worker per
-	// CPU, 1 forces the sequential path. Every (scheme, p) run is an
-	// independent simulation with its own seeded RNG, so the panel is
-	// bit-identical for any worker count.
-	Workers int
 }
 
 // Figure6 runs the full simulated panel for one buffer size (E6/E7),
-// fanning the scheme×p grid out over cfg.Workers.
+// fanning the scheme×p grid out over the pool. Every (scheme, p) run is
+// an independent simulation with its own seeded RNG, so the panel is
+// bit-identical at any GOMAXPROCS.
 func Figure6(cfg Figure6Config) ([]Figure6Point, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 600 * units.Second
 	}
 	cat := PaperCatalog()
 	schemes := scheme.Paper()
-	return parallel.Map(len(schemes)*len(GroupSizes), cfg.Workers, func(k int) (Figure6Point, error) {
+	return parallel.Map(len(schemes)*len(GroupSizes), func(k int) (Figure6Point, error) {
 		s := schemes[k/len(GroupSizes)]
 		p := GroupSizes[k%len(GroupSizes)]
 		res, err := sim.Run(sim.Config{

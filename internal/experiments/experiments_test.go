@@ -34,7 +34,7 @@ func TestPaperCatalog(t *testing.T) {
 
 func TestFigure5Complete(t *testing.T) {
 	for _, buf := range BufferSizes {
-		pts, err := Figure5(buf, 0)
+		pts, err := Figure5(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestFigure5Golden(t *testing.T) {
 		"2g:" + scheme.NonClustered.String():        {464, 672, 784, 780, 682},
 	}
 	for tag, buf := range map[string]units.Bits{"256": 256 * units.MB, "2g": 2 * units.GB} {
-		pts, err := Figure5(buf, 0)
+		pts, err := Figure5(buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,43 +34,38 @@ type RebuildPoint struct {
 // 1 for the schemes that reserve none).
 func RebuildAblation(buffer units.Bits) ([]RebuildPoint, error) {
 	cfg := PaperAnalyticConfig(buffer)
-	schemes := scheme.Paper()
-	return parallel.Map(len(schemes)*len(GroupSizes), 0, func(k int) (RebuildPoint, error) {
-		s := schemes[k/len(GroupSizes)]
-		p := GroupSizes[k%len(GroupSizes)]
-		op, err := analytic.Solve(cfg, s, p)
-		if err != nil {
-			return RebuildPoint{}, err
+	var out []RebuildPoint
+	for _, s := range scheme.Paper() {
+		for _, p := range GroupSizes {
+			op, err := analytic.Solve(cfg, s, p)
+			if err != nil {
+				return nil, err
+			}
+			blocks := int64(cfg.Disk.Capacity / op.Block)
+			f := max(op.F, 1)
+			// Contribution spread: the cluster when parity groups stay in
+			// one, all d disks' survivors otherwise.
+			spread := cfg.D
+			if s.Clustered() {
+				spread = p
+			}
+			rt, err := reliability.RebuildTime(blocks, p, s.ParityCols(), spread, f, cfg.Disk.RoundDuration(op.Block))
+			if err != nil {
+				return nil, err
+			}
+			hours := max(reliability.Hours(rt.Seconds()/3600), 1)
+			crit, err := reliability.CriticalDisks(cfg.D, spread)
+			if err != nil {
+				return nil, err
+			}
+			mttdl, err := reliability.MTTDL(reliability.PaperDiskMTTF, cfg.D, crit, hours)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, RebuildPoint{Scheme: s, P: p, Rebuild: rt, MTTDL: mttdl})
 		}
-		blocks := int64(cfg.Disk.Capacity / op.Block)
-		f := op.F
-		if f < 1 {
-			f = 1
-		}
-		// Contribution spread: the cluster when parity groups stay in
-		// one, all d disks' survivors otherwise.
-		spread := cfg.D
-		if s.Clustered() {
-			spread = p
-		}
-		rt, err := reliability.RebuildTime(blocks, p, s.ParityCols(), spread, f, cfg.Disk.RoundDuration(op.Block))
-		if err != nil {
-			return RebuildPoint{}, err
-		}
-		hours := reliability.Hours(rt.Seconds() / 3600)
-		if hours < 1 {
-			hours = 1
-		}
-		crit, err := reliability.CriticalDisks(cfg.D, spread)
-		if err != nil {
-			return RebuildPoint{}, err
-		}
-		mttdl, err := reliability.MTTDL(reliability.PaperDiskMTTF, cfg.D, crit, hours)
-		if err != nil {
-			return RebuildPoint{}, err
-		}
-		return RebuildPoint{Scheme: s, P: p, Rebuild: rt, MTTDL: mttdl}, nil
-	})
+	}
+	return out, nil
 }
 
 // RebuildColumns is E11's table: the CSV keeps millisecond and six-digit
@@ -113,7 +108,7 @@ func ConservatismAblation(buffer units.Bits, trials int, seed int64) ([]Conserva
 			grid = append(grid, gridCase{s, p})
 		}
 	}
-	return parallel.Map(len(grid), 0, func(k int) (ConservatismPoint, error) {
+	return parallel.Map(len(grid), func(k int) (ConservatismPoint, error) {
 		s, p := grid[k].s, grid[k].p
 		op, err := analytic.Solve(cfg, s, p)
 		if err != nil {

@@ -60,7 +60,7 @@ func drainRounds(res sim.ClusterResult, node int) int64 {
 func ReconfigSweep(cfg ClusterSweepConfig) ([]ReconfigPoint, error) {
 	cfg = cfg.withDefaults()
 	catalog := PaperCatalog()
-	return parallel.Map(len(reconfigArrivalRates), 0, func(k int) (ReconfigPoint, error) {
+	return parallel.Map(len(reconfigArrivalRates), func(k int) (ReconfigPoint, error) {
 		rate := reconfigArrivalRates[k]
 		base := sim.ClusterConfig{
 			Node:        cfg.node(catalog, rate, reconfigDuration),

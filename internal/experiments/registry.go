@@ -18,8 +18,6 @@ type Params struct {
 	Buffer units.Bits
 	// Seed drives the simulated entries.
 	Seed int64
-	// Workers bounds sweep parallelism (0: one per CPU).
-	Workers int
 	// Subscribers and TimeScale override the scenario sweeps' population
 	// and day compression (0: the sweep's default).
 	Subscribers int64
@@ -53,12 +51,12 @@ var Registry = []Experiment{
 			if p.D != 32 {
 				return "", nil, fmt.Errorf("figure 5 is defined for d=32; use -exp optimal with -d")
 			}
-			pts, err := Figure5(p.Buffer, p.Workers)
+			pts, err := Figure5(p.Buffer)
 			return fmt.Sprintf("Figure 5 — concurrent clips vs parity group size (analytic), d=32, B=%v", p.Buffer), pts, err
 		})},
 	{Name: "figure6", ID: "E6/E7", Cmd: "cmsim", Doc: "Figure 6 simulated clips serviced vs parity group size", Panels: true,
 		Render: table(Figure6Columns, trace.WritePivot, func(p Params) (string, []Figure6Point, error) {
-			pts, err := Figure6(Figure6Config{Buffer: p.Buffer, Seed: p.Seed, Workers: p.Workers})
+			pts, err := Figure6(Figure6Config{Buffer: p.Buffer, Seed: p.Seed})
 			return fmt.Sprintf("Figure 6 — clips serviced in %v (simulation), d=32, B=%v, Poisson(20/s), seed %d",
 				600*units.Second, p.Buffer, p.Seed), pts, err
 		})},
@@ -117,14 +115,14 @@ var Registry = []Experiment{
 		})},
 	{Name: "scenariosweep", ID: "E20", Cmd: "cmsim", Doc: "flash crowd during node loss; takes -subscribers -timescale",
 		Render: table(ScenarioColumns, trace.WriteText, func(p Params) (string, []ScenarioPoint, error) {
-			cfg := ScenarioSweepConfig{Subscribers: p.Subscribers, TimeScale: p.TimeScale, Seed: p.Seed, Workers: p.Workers}.withDefaults()
+			cfg := ScenarioSweepConfig{Subscribers: p.Subscribers, TimeScale: p.TimeScale, Seed: p.Seed}.withDefaults()
 			pts, err := ScenarioSweep(cfg)
 			return fmt.Sprintf("E20 — flash crowd during node loss (%d subscribers, %g× compressed day, %d nodes rep %d; fail 19:45, join 20:00, crowd 20:00–21:00)",
 				cfg.Subscribers, cfg.TimeScale, scenarioNodes, scenarioReplication), pts, err
 		})},
 	{Name: "autopilotsweep", ID: "E21", Cmd: "cmsim", Doc: "closed vs open loop reject curves; takes -subscribers -timescale",
 		Render: table(AutopilotColumns, trace.WriteText, func(p Params) (string, []AutopilotPoint, error) {
-			cfg := ScenarioSweepConfig{Subscribers: p.Subscribers, TimeScale: p.TimeScale, Seed: p.Seed, Workers: p.Workers}.withDefaults()
+			cfg := ScenarioSweepConfig{Subscribers: p.Subscribers, TimeScale: p.TimeScale, Seed: p.Seed}.withDefaults()
 			pts, err := AutopilotSweep(cfg)
 			return fmt.Sprintf("E21 — closed vs open loop (%d subscribers, %g× compressed day, %d nodes rep %d; fail 19:45 unanswered, crowd 20:00–21:00)",
 				cfg.Subscribers, cfg.TimeScale, scenarioNodes, scenarioReplication), pts, err

@@ -42,8 +42,6 @@ type ScenarioSweepConfig struct {
 	TimeScale float64
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Workers bounds sweep parallelism (0 = one per CPU).
-	Workers int
 }
 
 // E20's and E21's flash-crowd axis and cluster shape.
@@ -96,7 +94,7 @@ func scenarioProfile(cfg ScenarioSweepConfig, mult float64, join bool) scenario.
 // and deterministic.
 func ScenarioSweep(cfg ScenarioSweepConfig) ([]ScenarioPoint, error) {
 	cfg = cfg.withDefaults()
-	return parallel.Map(len(scenarioMultipliers), cfg.Workers, func(k int) (ScenarioPoint, error) {
+	return parallel.Map(len(scenarioMultipliers), func(k int) (ScenarioPoint, error) {
 		mult := scenarioMultipliers[k]
 		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, true))
 		if err != nil {

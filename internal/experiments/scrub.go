@@ -41,7 +41,7 @@ func corruptionCampaign() []sim.CorruptionEvent {
 // CorruptionSweep runs E17: the declustered scheme under a fixed
 // silent-corruption campaign, swept across patrol scrub rates.
 func CorruptionSweep(buffer units.Bits, seed int64) ([]CorruptionPoint, error) {
-	return parallel.Map(len(ScrubRates), 0, func(k int) (CorruptionPoint, error) {
+	return parallel.Map(len(ScrubRates), func(k int) (CorruptionPoint, error) {
 		res, err := sim.Run(sim.Config{
 			Scheme:      scheme.Declustered,
 			Disk:        diskmodel.Default(),

@@ -9,53 +9,46 @@ import (
 	"time"
 )
 
-func TestWorkers(t *testing.T) {
-	if got := Workers(3); got != 3 {
-		t.Fatalf("Workers(3) = %d", got)
-	}
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-5); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-5) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+// atProcs runs fn once per GOMAXPROCS setting, restoring the old value.
+func atProcs(procs []int, fn func(procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		fn(p)
 	}
 }
 
 func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
+	atProcs([]int{1, 2, 7, 64}, func(procs int) {
 		const n = 100
 		var hits [n]atomic.Int32
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEach(n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+				t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, got)
 			}
 		}
-	}
+	})
 }
 
 func TestForEachLowestIndexError(t *testing.T) {
 	errs := map[int]error{3: errors.New("e3"), 7: errors.New("e7"), 42: errors.New("e42")}
-	for _, workers := range []int{2, 8} {
-		err := ForEach(100, workers, func(i int) error { return errs[i] })
-		if err != errs[3] {
-			t.Fatalf("workers=%d: got %v, want lowest-index error e3", workers, err)
+	// GOMAXPROCS 1 is the sequential path; it reports the same error.
+	atProcs([]int{1, 2, 8}, func(procs int) {
+		if err := ForEach(100, func(i int) error { return errs[i] }); err != errs[3] {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want lowest-index error e3", procs, err)
 		}
-	}
-	// Sequential path reports the same error.
-	if err := ForEach(100, 1, func(i int) error { return errs[i] }); err != errs[3] {
-		t.Fatalf("sequential: got %v, want e3", err)
-	}
+	})
 }
 
 func TestMapIndexAddressed(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		out, err := Map(50, workers, func(i int) (string, error) {
+	atProcs([]int{1, 4}, func(procs int) {
+		out, err := Map(50, func(i int) (string, error) {
 			return fmt.Sprintf("v%d", i), nil
 		})
 		if err != nil {
@@ -63,22 +56,22 @@ func TestMapIndexAddressed(t *testing.T) {
 		}
 		for i, v := range out {
 			if v != fmt.Sprintf("v%d", i) {
-				t.Fatalf("workers=%d: out[%d] = %q", workers, i, v)
+				t.Fatalf("GOMAXPROCS=%d: out[%d] = %q", procs, i, v)
 			}
 		}
-	}
-	if out, err := Map(10, 4, func(i int) (int, error) {
-		if i == 5 {
-			return 0, errors.New("boom")
+		if out, err := Map(10, func(i int) (int, error) {
+			if i == 5 {
+				return 0, errors.New("boom")
+			}
+			return i, nil
+		}); err == nil || out != nil {
+			t.Fatalf("GOMAXPROCS=%d: Map with error: got (%v, %v), want (nil, error)", procs, out, err)
 		}
-		return i, nil
-	}); err == nil || out != nil {
-		t.Fatalf("Map with error: got (%v, %v), want (nil, error)", out, err)
-	}
+	})
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := ForEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,9 +79,10 @@ func TestForEachEmpty(t *testing.T) {
 // TestForEachNoGoroutineLeak checks the pool drains completely: after
 // ForEach returns (including on error), no worker goroutines linger.
 func TestForEachNoGoroutineLeak(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	before := runtime.NumGoroutine()
 	for round := 0; round < 10; round++ {
-		_ = ForEach(64, 16, func(i int) error {
+		_ = ForEach(64, func(i int) error {
 			if i%9 == 0 {
 				return errors.New("e")
 			}

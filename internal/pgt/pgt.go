@@ -118,16 +118,6 @@ func (t *Table) RowOf(s, disk int) int { return t.rowIn[s*t.D+disk] }
 // sets sorted).
 func (t *Table) Disks(s int) []int { return t.Design.Sets[s] }
 
-// SetForBlock returns the set that disk block (disk, blk) maps to: the set
-// in cell (blk mod r, disk).
-func (t *Table) SetForBlock(disk, blk int) int {
-	return t.cell[blk%t.R][disk]
-}
-
-// Window returns the window index of disk block blk: parity groups form
-// within windows of r consecutive disk blocks.
-func (t *Table) Window(blk int) int { return blk / t.R }
-
 // ParityDisk returns the disk holding the parity block for the occurrence
 // of set s in window n. Parity rotates backwards through the set's disks —
 // windows 0, 1, 2 of a 3-disk set place parity on its 3rd, 2nd, 1st disk —
@@ -146,57 +136,6 @@ func (t *Table) ParityDiskQ(s, n int) int {
 	disks := t.Design.Sets[s]
 	p := len(disks)
 	return disks[(2*p-2-n%p)%p]
-}
-
-// BlockOf returns the disk block index on disk where set s's window-n
-// group member lives: n·r + rowOf(s, disk). It panics if the set does not
-// contain the disk — callers must only ask about member disks.
-func (t *Table) BlockOf(s, n, disk int) int {
-	row := t.RowOf(s, disk)
-	if row < 0 {
-		panic(fmt.Sprintf("pgt: set %d does not contain disk %d", s, disk))
-	}
-	return n*t.R + row
-}
-
-// IsParityBlock reports whether disk block (disk, blk) holds parity.
-func (t *Table) IsParityBlock(disk, blk int) bool {
-	s := t.SetForBlock(disk, blk)
-	return t.ParityDisk(s, t.Window(blk)) == disk
-}
-
-// Group describes one parity group: the window-n occurrence of a set.
-type Group struct {
-	// Set is the design set the group is mapped to.
-	Set int
-	// Window is the r-block window index.
-	Window int
-	// Members lists (disk, block) for every member, data and parity.
-	Members []Location
-	// Parity is the index into Members of the parity block.
-	Parity int
-}
-
-// Location addresses one disk block.
-type Location struct {
-	Disk  int
-	Block int
-}
-
-// GroupFor returns the full parity group containing disk block
-// (disk, blk).
-func (t *Table) GroupFor(disk, blk int) Group {
-	s := t.SetForBlock(disk, blk)
-	n := t.Window(blk)
-	pd := t.ParityDisk(s, n)
-	g := Group{Set: s, Window: n, Parity: -1}
-	for _, m := range t.Design.Sets[s] {
-		if m == pd {
-			g.Parity = len(g.Members)
-		}
-		g.Members = append(g.Members, Location{Disk: m, Block: t.BlockOf(s, n, m)})
-	}
-	return g
 }
 
 // Deltas returns Δᵢ for row i (§5.1): the set of column offsets δ such

@@ -95,70 +95,14 @@ func TestExample1ParityBlockMap(t *testing.T) {
 	for disk := 0; disk < 7; disk++ {
 		var got []int
 		for blk := 0; blk < 9; blk++ {
-			if tab.IsParityBlock(disk, blk) {
+			// Block blk of a disk is in window blk/r, in the set of cell
+			// (blk mod r, disk).
+			if tab.ParityDisk(tab.Set(blk%tab.R, disk), blk/tab.R) == disk {
 				got = append(got, blk)
 			}
 		}
 		if fmt.Sprint(got) != fmt.Sprint(wantParity[disk]) {
 			t.Errorf("disk %d parity blocks = %v, want %v", disk, got, wantParity[disk])
-		}
-	}
-}
-
-// TestExample1GroupForP1 pins the paper's claim that P1 (disk 4, block 0)
-// is the parity block for data blocks D8 (disk 1, block 1) and D2 (disk 2,
-// block 0) — i.e. the S1 window-0 group is {(1,1), (2,0), (4,0)} with
-// parity at disk 4.
-func TestExample1GroupForP1(t *testing.T) {
-	tab := fano(t)
-	g := tab.GroupFor(4, 0)
-	if g.Set != 1 || g.Window != 0 {
-		t.Fatalf("GroupFor(4,0) = set S%d window %d, want S1 window 0", g.Set, g.Window)
-	}
-	want := []Location{{1, 1}, {2, 0}, {4, 0}}
-	if len(g.Members) != 3 {
-		t.Fatalf("group has %d members, want 3", len(g.Members))
-	}
-	for i, m := range want {
-		if g.Members[i] != m {
-			t.Errorf("member %d = %+v, want %+v", i, g.Members[i], m)
-		}
-	}
-	if g.Members[g.Parity] != (Location{4, 0}) {
-		t.Errorf("parity member = %+v, want disk 4 block 0", g.Members[g.Parity])
-	}
-}
-
-// TestGroupSelfConsistent: GroupFor from any member returns the same group.
-func TestGroupSelfConsistent(t *testing.T) {
-	tab := fano(t)
-	for disk := 0; disk < 7; disk++ {
-		for blk := 0; blk < 12; blk++ {
-			g := tab.GroupFor(disk, blk)
-			found := false
-			for _, m := range g.Members {
-				if m.Disk == disk && m.Block == blk {
-					found = true
-				}
-				g2 := tab.GroupFor(m.Disk, m.Block)
-				if g2.Set != g.Set || g2.Window != g.Window {
-					t.Fatalf("group from (%d,%d) differs from group from (%d,%d)", disk, blk, m.Disk, m.Block)
-				}
-			}
-			if !found {
-				t.Fatalf("GroupFor(%d,%d) does not contain its argument", disk, blk)
-			}
-			if g.Parity < 0 || g.Parity >= len(g.Members) {
-				t.Fatalf("group (%d,%d) has no parity member", disk, blk)
-			}
-			// All members on distinct disks.
-			disks := map[int]bool{}
-			for _, m := range g.Members {
-				if disks[m.Disk] {
-					t.Fatalf("group (%d,%d) repeats a disk", disk, blk)
-				}
-				disks[m.Disk] = true
-			}
 		}
 	}
 }
@@ -253,16 +197,6 @@ func TestDeltasCyclicDesign(t *testing.T) {
 	}
 }
 
-func TestBlockOfPanicsOnNonMember(t *testing.T) {
-	tab := fano(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-member disk")
-		}
-	}()
-	tab.BlockOf(0, 0, 2) // S0 = {0,1,3} does not contain disk 2
-}
-
 func TestNewRejectsBadDesigns(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Error("New(nil) should error")
@@ -274,8 +208,8 @@ func TestNewRejectsBadDesigns(t *testing.T) {
 	}
 }
 
-// TestWindowAndSetForBlock sanity on the trivial design (r = 1): every
-// block is window-numbered by itself and maps to set 0.
+// TestTrivialDesignPGT: the trivial design has one row (r = 1), so every
+// block is window-numbered by itself and every disk's blocks map to set 0.
 func TestTrivialDesignPGT(t *testing.T) {
 	d, err := bibd.Trivial(4)
 	if err != nil {
@@ -288,12 +222,9 @@ func TestTrivialDesignPGT(t *testing.T) {
 	if tab.R != 1 {
 		t.Fatalf("r = %d, want 1", tab.R)
 	}
-	for blk := 0; blk < 8; blk++ {
-		if tab.SetForBlock(2, blk) != 0 {
-			t.Fatalf("SetForBlock != 0")
-		}
-		if tab.Window(blk) != blk {
-			t.Fatalf("Window(%d) = %d", blk, tab.Window(blk))
+	for col := 0; col < 4; col++ {
+		if got := tab.Set(0, col); got != 0 {
+			t.Fatalf("Set(0, %d) = S%d, want S0", col, got)
 		}
 	}
 	// Parity rotates across all 4 disks over 4 windows: backwards from

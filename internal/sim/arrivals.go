@@ -19,25 +19,18 @@ type feeder struct {
 	ok   bool
 }
 
-// newFeeder resolves a Config's three arrival specifications — Source,
-// an explicit Arrivals slice, or a Poisson(ArrivalRate) process — into
-// one stream, in that precedence order. seed is the RNG seed for the
-// generated Poisson case (historically cfg.Seed+1).
+// newFeeder resolves a Config's two arrival specifications — Source, or
+// a Poisson(ArrivalRate) process over uniform clip choice — into one
+// stream, Source first. seed is the RNG seed for the generated Poisson
+// case (historically cfg.Seed+1).
 func newFeeder(cfg *Config, seed int64) (*feeder, error) {
 	src := cfg.Source
 	if src == nil {
-		if cfg.Arrivals != nil {
-			src = workload.NewSliceSource(cfg.Arrivals)
-		} else {
-			sel := cfg.Selector
-			if sel == nil {
-				sel = workload.UniformSelector{N: cfg.Catalog.Len()}
-			}
-			var err error
-			src, err = workload.NewPoissonSource(cfg.ArrivalRate, cfg.Duration, sel, seed)
-			if err != nil {
-				return nil, err
-			}
+		var err error
+		src, err = workload.NewPoissonSource(cfg.ArrivalRate, cfg.Duration,
+			workload.UniformSelector{N: cfg.Catalog.Len()}, seed)
+		if err != nil {
+			return nil, err
 		}
 	}
 	f := &feeder{src: src}

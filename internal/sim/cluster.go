@@ -29,10 +29,9 @@ import (
 type ClusterConfig struct {
 	// Node is the per-node template: scheme, disk model, geometry, buffer
 	// and catalog, plus the cluster-level workload knobs (ArrivalRate or
-	// Arrivals/Selector, Duration, Seed, QueueBypass, BatchWindow is not
-	// supported at cluster level). Node.Trace, Node.ScrubRate and
-	// Node.Corruptions are ignored — failures happen at node granularity
-	// via NodeTrace.
+	// Source, Duration, Seed, QueueBypass; BatchWindow is not supported at
+	// cluster level). Node.Trace, Node.ScrubRate and Node.Corruptions are
+	// ignored — failures happen at node granularity via NodeTrace.
 	Node Config
 	// Nodes is the cluster size.
 	Nodes int
@@ -284,8 +283,8 @@ func newRun(cfg ClusterConfig) (*run, error) {
 	if nc.Duration <= 0 {
 		return nil, errors.New("sim: need positive duration")
 	}
-	if nc.ArrivalRate <= 0 && nc.Arrivals == nil && nc.Source == nil {
-		return nil, errors.New("sim: need a positive arrival rate, an arrival trace, or an arrival source")
+	if nc.ArrivalRate <= 0 && nc.Source == nil {
+		return nil, errors.New("sim: need a positive arrival rate or an arrival source")
 	}
 	if nc.D < 2 {
 		return nil, errors.New("sim: need at least 2 disks per node")

@@ -34,7 +34,6 @@ import (
 	"ftcms/internal/analytic"
 	"ftcms/internal/buffer"
 	"ftcms/internal/diskmodel"
-	"ftcms/internal/parallel"
 	"ftcms/internal/pgt"
 	"ftcms/internal/scheme"
 	"ftcms/internal/units"
@@ -75,16 +74,10 @@ type Config struct {
 	// counted as LostBlocks each round and its rebuild stalls; independent
 	// failures are each accounted as ordinary single failures.
 	Trace []FailureEvent
-	// Selector overrides uniform clip choice when non-nil.
-	Selector workload.Selector
-	// Arrivals overrides the generated Poisson trace when non-nil (e.g.
-	// a workload.BurstArrivals flash crowd). Must be sorted by arrival
-	// time. ArrivalRate and Selector are ignored when set.
-	Arrivals []workload.Request
-	// Source streams arrivals incrementally and supersedes both Arrivals
-	// and ArrivalRate when non-nil — the O(pending)-memory path scenario
-	// runs use. Sources are single-use: a Config with a Source cannot be
-	// re-run (RunMany callers must use ArrivalRate instead).
+	// Source streams arrivals incrementally and supersedes ArrivalRate
+	// (Poisson over uniform clip choice) when non-nil: a flash crowd, a
+	// Zipf catalog or a fixed trace (workload.NewSliceSource). Sources are
+	// single-use: a Config with a Source cannot be re-run.
 	Source workload.ArrivalSource
 	// Patience bounds how long a pending request waits: a request not
 	// admitted within Patience of its arrival abandons and is counted in
@@ -186,21 +179,6 @@ type Result struct {
 	// ScrubSweeps counts completed full-array patrol sweeps (the minimum
 	// over disks).
 	ScrubSweeps int64
-}
-
-// RunMany executes one independent simulation per seed, fanned out over
-// the given worker count (<= 0 means one worker per CPU, 1 forces a
-// sequential loop). Each run builds its own engine and RNG from its
-// seed, and results are index-addressed per seed, so out[i] is
-// bit-identical to Run with cfg.Seed = seeds[i] regardless of worker
-// count. The catalog (and any explicit trace) in cfg is shared across
-// runs and must not be mutated concurrently; Run itself only reads it.
-func RunMany(cfg Config, seeds []int64, workers int) ([]Result, error) {
-	return parallel.Map(len(seeds), workers, func(i int) (Result, error) {
-		c := cfg
-		c.Seed = seeds[i]
-		return Run(c)
-	})
 }
 
 // clip is one active stream. Failure accounting reads the controllers'

@@ -46,6 +46,17 @@ func paperRun(t *testing.T, s scheme.Scheme, p int, buf units.Bits, mut func(*Co
 	return res
 }
 
+// poissonSource is the arrival process a default run at cf's rate,
+// horizon and seed draws, with sel choosing the clips.
+func poissonSource(t *testing.T, cf *Config, sel workload.Selector) workload.ArrivalSource {
+	t.Helper()
+	src, err := workload.NewPoissonSource(cf.ArrivalRate, cf.Duration, sel, cf.Seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 func TestRunValidation(t *testing.T) {
 	cat := paperCatalog(t)
 	base := Config{
@@ -356,7 +367,7 @@ func TestZipfSkew(t *testing.T) {
 	}
 	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 200 * units.Second
-		cf.Selector = sel
+		cf.Source = poissonSource(t, cf, sel)
 	})
 	uniform := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 200 * units.Second
@@ -453,7 +464,7 @@ func TestFlashCrowd(t *testing.T) {
 	}
 	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
-		cf.Arrivals = burst
+		cf.Source = workload.NewSliceSource(burst)
 	})
 	calm := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
 		cf.Duration = 300 * units.Second
@@ -481,7 +492,7 @@ func TestBatching(t *testing.T) {
 	}
 	base := func(cf *Config) {
 		cf.Duration = 300 * units.Second
-		cf.Selector = sel
+		cf.Source = poissonSource(t, cf, sel)
 	}
 	plain := paperRun(t, scheme.Declustered, 4, 256*units.MB, base)
 	batched := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
@@ -526,7 +537,7 @@ func TestExplicitArrivalsWithoutRate(t *testing.T) {
 		Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: paperCatalog(t),
 		Duration: 60 * units.Second, Seed: 1,
-		Arrivals: trace,
+		Source: workload.NewSliceSource(trace),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func TestFracShortensStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.ArrivalRate = 0
-	cfg.Arrivals = full
+	cfg.Source = workload.NewSliceSource(full)
 	base, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestFracShortensStreams(t *testing.T) {
 	for i := range short {
 		short[i].Frac = 0.25
 	}
-	cfg.Arrivals = short
+	cfg.Source = workload.NewSliceSource(short)
 	quick, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func parseCSV(t *testing.T, s string) [][]string {
 }
 
 func TestWriteFigure5CSV(t *testing.T) {
-	points, err := experiments.Figure5(256*units.MB, 0)
+	points, err := experiments.Figure5(256 * units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
