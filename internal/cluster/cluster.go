@@ -422,8 +422,21 @@ func (c *Cluster) OpenStream(name string) (*Stream, error) {
 		}
 	}
 	c.rejected++
-	return nil, fmt.Errorf("cluster: all %d live replicas of %q refused: %w", len(cands), name, core.ErrAdmission)
+	return nil, refusedError{replicas: len(cands), clip: name}
 }
+
+// refusedError is OpenStream's refusal by every live replica: a churning
+// cluster returns it often, so its text is built only when read.
+type refusedError struct {
+	replicas int
+	clip     string
+}
+
+func (e refusedError) Error() string {
+	return fmt.Sprintf("cluster: all %d live replicas of %q refused: %v", e.replicas, e.clip, core.ErrAdmission)
+}
+
+func (e refusedError) Unwrap() error { return core.ErrAdmission }
 
 // Tick advances one cluster round: node-fault probes feed the detector,
 // every live node runs one service round, and parked failovers retry

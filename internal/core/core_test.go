@@ -384,6 +384,32 @@ func TestBufferPoolLimit(t *testing.T) {
 	}
 }
 
+// TestRefusedOpenAllocs: a refusal by the caps builds no error, so an
+// open the controller turns away allocates nothing.
+func TestRefusedOpenAllocs(t *testing.T) {
+	cfg := testConfig(Declustered, 7, 3)
+	cfg.Q = 3
+	cfg.F = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClip("m", clipBytes(3, 400_000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenStream("m"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.OpenStream("m"); !errors.Is(err, ErrAdmission) {
+			t.Fatalf("same-cell stream: %v, want ErrAdmission", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refused OpenStream allocates %v objects, want 0", allocs)
+	}
+}
+
 func TestOpenStreamUnknownClip(t *testing.T) {
 	s := newServer(t, Declustered, 7, 3)
 	if _, err := s.OpenStream("nope"); err == nil {

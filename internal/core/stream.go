@@ -18,6 +18,13 @@ import (
 // round (a queued front end lives in the sim package).
 var ErrAdmission = errors.New("core: admission refused")
 
+// The two refusals OpenStream returns, built once: a refused open is a hot
+// path under churn.
+var (
+	errPoolFull = fmt.Errorf("%w: buffer pool full", ErrAdmission)
+	errCaps     = fmt.Errorf("%w: bandwidth caps", ErrAdmission)
+)
+
 // ErrNoData is returned by Stream.Read when no block has been delivered
 // yet for the current position; more data arrives on the next Tick.
 var ErrNoData = errors.New("core: no data buffered yet")
@@ -220,13 +227,13 @@ func (s *Server) compactReg() {
 func (s *Server) admit(start int64) (admission.Ticket, units.Bits, error) {
 	perClip := s.cfg.Scheme.PerClip(s.cfg.Block, s.cfg.P)
 	if !s.pool.Reserve(perClip) {
-		return admission.Ticket{}, 0, fmt.Errorf("%w: buffer pool full", ErrAdmission)
+		return admission.Ticket{}, 0, errPoolFull
 	}
 	unit, class := s.cfg.Scheme.Coords(s.lay, s.pgt, start)
 	tk, ok := s.ctrl.Admit(s.engine.Round(), unit, class)
 	if !ok {
 		s.pool.Release(perClip)
-		return tk, 0, fmt.Errorf("%w: bandwidth caps", ErrAdmission)
+		return tk, 0, errCaps
 	}
 	return tk, perClip, nil
 }

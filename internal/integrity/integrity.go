@@ -1,10 +1,12 @@
 // Package integrity provides the per-block checksum that closes the gap
 // in the paper's loud-failure fault model: disks that return *wrong*
 // bytes without an error. Every block written to the array is summed
-// with CRC-32C (Castagnoli — hardware-accelerated on amd64/arm64 via
-// hash/crc32's table-driven kernels); every read is re-summed and
-// compared, so silent bit rot surfaces as a checksum mismatch instead of
-// propagating into streams or, worse, XOR reconstructions.
+// with CRC-32C (Castagnoli); every read is re-summed and compared, so
+// silent bit rot surfaces as a checksum mismatch instead of propagating
+// into streams or, worse, XOR reconstructions.
+//
+// Sum is hash/crc32's CRC-32C, bit for bit; on amd64 with AVX2 and
+// VPCLMULQDQ it folds 256-byte strides by carry-less multiply first.
 //
 // The sum lives beside the block's bytes in storage.Array's block record;
 // this package is the polynomial and the counters.
@@ -14,11 +16,6 @@ import "hash/crc32"
 
 // castagnoli is the CRC-32C table shared by all sums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Sum returns the CRC-32C (Castagnoli) checksum of data.
-func Sum(data []byte) uint32 {
-	return crc32.Checksum(data, castagnoli)
-}
 
 // Stats is a snapshot of a Counters.
 type Stats struct {

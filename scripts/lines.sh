@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The tracked number of ROADMAP aim 2: non-test Go lines per package and in
-# total outside bench/. Prints the table and writes it to LINES.txt at the
-# repository root. Reported, not thresholded.
+# The tracked number of ROADMAP aim 2: non-test source lines (Go and
+# assembly, *.go and *.s) per package and in total outside bench/. Prints
+# the table and writes it to LINES.txt at the repository root. Reported,
+# not thresholded.
 #
 # --diff <rev> prints the same table at <rev> (read with git show, no
 # worktree) beside the working tree, with the delta; a package present on
@@ -10,23 +11,24 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 if [[ ${1:-} != --diff ]]; then
   { for p in internal/* cmd/*; do
-      printf '%6d %s\n' "$(find "$p" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$p"
+      printf '%6d %s\n' "$(find "$p" \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' | xargs cat | wc -l)" "$p"
     done
-    printf '%6d total outside bench/\n' "$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+    printf '%6d total outside bench/\n' "$(find . -path ./bench -prune -o \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print | xargs cat | wc -l)"
   } | tee LINES.txt
   exit
 fi
 rev=${2:?usage: scripts/lines.sh [--diff <rev>]}
 git rev-parse --verify -q "$rev^{commit}" > /dev/null || { echo "lines.sh: unknown revision $rev" >&2; exit 2; }
 
-# files prints "<lines> <path>" for every non-test Go file outside bench/:
+# files prints "<lines> <path>" for every non-test Go or assembly file
+# outside bench/:
 # at the revision given, or in the working tree without one.
 files() {
   if [[ $# -gt 0 ]]; then
-    git ls-tree -r --name-only "$1" | grep '\.go$' | grep -v -e '_test\.go$' -e '^bench/' |
+    git ls-tree -r --name-only "$1" | grep -e '\.go$' -e '\.s$' | grep -v -e '_test\.go$' -e '^bench/' |
       while read -r f; do printf '%d %s\n' "$(git show "$1:$f" | wc -l)" "$f"; done
   else
-    find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | sed 's|^\./||' |
+    find . -path ./bench -prune -o \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print | sed 's|^\./||' |
       while read -r f; do printf '%d %s\n' "$(wc -l < "$f")" "$f"; done
   fi
 }
