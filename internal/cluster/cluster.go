@@ -117,14 +117,19 @@ type Cluster struct {
 	detector *health.Detector
 	injector *faultinject.Injector
 
-	// placement maps clip name → node ids holding a replica (in
-	// placement order); sizes caches the payload size.
-	placement map[string][]int
-	sizes     map[string]int64
+	// clips holds every stored clip's one record, so an open looks its
+	// name up once.
+	clips map[string]*clipRecord
 
-	streams map[int]*Stream
+	// streams holds the open streams in no particular order; each knows
+	// its index, so finish and Close remove it in O(1) by swapping the
+	// last entry in.
+	streams []*Stream
 	nextID  int
 	round   int64
+	// cands is candidates' result buffer. Its callers only call into
+	// core, which never calls back, so one buffer serves every route.
+	cands []*node
 	// live is the per-Tick scratch list of live nodes, reused so the
 	// steady-state tick allocates nothing beyond the pool's fan-out.
 	live []*node
@@ -151,13 +156,9 @@ type Cluster struct {
 	// version is the view: the node records are its members, and bump
 	// advances it on every membership or width change.
 	version int64
-	// desired records each clip's requested replica count, so repairs
-	// know what drain/remove must restore.
-	desired map[string]int
-	// jobs is the FIFO of in-flight clip re-replications; jobClips
-	// dedups (at most one job per clip).
-	jobs     []*migrateJob
-	jobClips map[string]bool
+	// jobs is the FIFO of in-flight clip re-replications, at most one
+	// per clip (clipRecord.migrating).
+	jobs []*migrateJob
 	// planDirty marks that membership or placement changed and
 	// planRepairs must re-derive the job set.
 	planDirty bool
@@ -165,6 +166,23 @@ type Cluster struct {
 	jobsPlanned, jobsDone int
 	migratedBlocks        int64
 	migratedStreams       int
+}
+
+// clipRecord is everything the cluster knows about one stored clip.
+type clipRecord struct {
+	// reps lists the node ids holding a replica, in placement order.
+	reps []int
+	// size is the payload size in bytes.
+	size int64
+	// desired is the requested replica count, so repairs know what
+	// drain/remove must restore.
+	desired int
+	// migrating marks the clip's one in-flight re-replication job.
+	migrating bool
+	// refused is the clip's last cluster-wide refusal, reused while the
+	// live replica count it names holds: a churning cluster refuses
+	// often.
+	refused *refusedError
 }
 
 // Stats reports cluster-level counters plus every node's own Stats.
@@ -220,12 +238,8 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: replication %d exceeds %d nodes", rep, len(cfg.Nodes))
 	}
 	c := &Cluster{
-		rep:       rep,
-		placement: make(map[string][]int),
-		sizes:     make(map[string]int64),
-		streams:   make(map[int]*Stream),
-		desired:   make(map[string]int),
-		jobClips:  make(map[string]bool),
+		rep:   rep,
+		clips: make(map[string]*clipRecord),
 	}
 	for i, nc := range cfg.Nodes {
 		srv, err := core.New(nc)
@@ -276,13 +290,10 @@ func (c *Cluster) Injector() *faultinject.Injector { return c.injector }
 // Replicas returns the node ids holding the clip, in placement order
 // (nil for unknown clips).
 func (c *Cluster) Replicas(name string) []int {
-	reps := c.placement[name]
-	out := make([]int, len(reps))
-	copy(out, reps)
-	if len(out) == 0 {
-		return nil
+	if rec, ok := c.clips[name]; ok && len(rec.reps) > 0 {
+		return slices.Clone(rec.reps)
 	}
-	return out
+	return nil
 }
 
 // AddClip stores a clip on Replication nodes chosen capacity-aware.
@@ -294,7 +305,7 @@ func (c *Cluster) AddClip(name string, data []byte) error {
 // by descending free capacity (ties to the lower node id). A clip that
 // cannot get all its replicas stored is rejected whole.
 func (c *Cluster) AddClipReplicated(name string, data []byte, replicas int) error {
-	if _, dup := c.placement[name]; dup {
+	if _, dup := c.clips[name]; dup {
 		return fmt.Errorf("cluster: clip %q already stored", name)
 	}
 	if replicas < 1 || replicas > len(c.nodes) {
@@ -337,16 +348,14 @@ func (c *Cluster) AddClipReplicated(name string, data []byte, replicas int) erro
 		}
 		return fmt.Errorf("cluster: no node can store clip %q (%d bytes)", name, len(data))
 	}
-	c.placement[name] = placed
-	c.sizes[name] = int64(len(data))
-	c.desired[name] = replicas
+	c.clips[name] = &clipRecord{reps: placed, size: int64(len(data)), desired: replicas}
 	return nil
 }
 
 // Clips returns every stored clip name in sorted order.
 func (c *Cluster) Clips() []string {
-	out := make([]string, 0, len(c.placement))
-	for name := range c.placement {
+	out := make([]string, 0, len(c.clips))
+	for name := range c.clips {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -355,39 +364,39 @@ func (c *Cluster) Clips() []string {
 
 // ClipSize returns a clip's payload size in bytes, or -1 when unknown.
 func (c *Cluster) ClipSize(name string) int64 {
-	sz, ok := c.sizes[name]
-	if !ok {
-		return -1
+	if rec, ok := c.clips[name]; ok {
+		return rec.size
 	}
-	return sz
+	return -1
 }
 
-// candidates returns the clip's serving replica nodes, active replicas
+// candidates returns the serving nodes among reps, active replicas
 // first (each tier ordered by current stream load ascending, ties in
 // placement order), optionally skipping one node id. Draining
 // replicas trail as a last resort: a stream never dies while any
 // serving replica exists, but new routes prefer nodes that are staying.
-func (c *Cluster) candidates(name string, skip int) []*node {
-	var active, draining []*node
-	for _, id := range c.placement[name] {
-		n := c.nodes[id]
-		if !n.serving() || n.id == skip {
-			continue
-		}
-		if n.draining() {
-			draining = append(draining, n)
-		} else {
-			active = append(active, n)
+// The result is c.cands, valid until the next call.
+func (c *Cluster) candidates(reps []int, skip int) []*node {
+	out := c.cands[:0]
+	for _, draining := range [2]bool{false, true} {
+		tier := len(out)
+		for _, id := range reps {
+			n := c.nodes[id]
+			if !n.serving() || n.id == skip || n.draining() != draining {
+				continue
+			}
+			// Insertion sort: the strict < keeps equal loads in placement
+			// order.
+			i := len(out)
+			out = append(out, n)
+			for ; i > tier && n.srv.ActiveStreams() < out[i-1].srv.ActiveStreams(); i-- {
+				out[i] = out[i-1]
+			}
+			out[i] = n
 		}
 	}
-	byLoad := func(out []*node) {
-		sort.SliceStable(out, func(a, b int) bool {
-			return out[a].srv.ActiveStreams() < out[b].srv.ActiveStreams()
-		})
-	}
-	byLoad(active)
-	byLoad(draining)
-	return append(active, draining...)
+	c.cands = out
+	return out
 }
 
 // OpenStream routes a PLAY to a replica whose own admission control
@@ -395,10 +404,11 @@ func (c *Cluster) candidates(name string, skip int) []*node {
 // replica refuses, the error wraps core.ErrAdmission (retry later); when
 // no live replica exists at all it is ErrNoReplica.
 func (c *Cluster) OpenStream(name string) (*Stream, error) {
-	if _, ok := c.placement[name]; !ok {
+	rec, ok := c.clips[name]
+	if !ok {
 		return nil, fmt.Errorf("cluster: unknown clip %q", name)
 	}
-	cands := c.candidates(name, -1)
+	cands := c.candidates(rec.reps, -1)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoReplica, name)
 	}
@@ -409,12 +419,13 @@ func (c *Cluster) OpenStream(name string) (*Stream, error) {
 				c:    c,
 				id:   c.nextID,
 				clip: name,
-				size: c.sizes[name],
+				size: rec.size,
 				node: n.id,
 				st:   cs,
+				idx:  len(c.streams),
 			}
 			c.nextID++
-			c.streams[st.id] = st
+			c.streams = append(c.streams, st)
 			return st, nil
 		}
 		if !errors.Is(err, core.ErrAdmission) {
@@ -422,21 +433,24 @@ func (c *Cluster) OpenStream(name string) (*Stream, error) {
 		}
 	}
 	c.rejected++
-	return nil, refusedError{replicas: len(cands), clip: name}
+	if rec.refused == nil || rec.refused.replicas != len(cands) {
+		rec.refused = &refusedError{replicas: len(cands), clip: name}
+	}
+	return nil, rec.refused
 }
 
-// refusedError is OpenStream's refusal by every live replica: a churning
-// cluster returns it often, so its text is built only when read.
+// refusedError is OpenStream's refusal by every live replica: its text is
+// built only when read.
 type refusedError struct {
 	replicas int
 	clip     string
 }
 
-func (e refusedError) Error() string {
+func (e *refusedError) Error() string {
 	return fmt.Sprintf("cluster: all %d live replicas of %q refused: %v", e.replicas, e.clip, core.ErrAdmission)
 }
 
-func (e refusedError) Unwrap() error { return core.ErrAdmission }
+func (e *refusedError) Unwrap() error { return core.ErrAdmission }
 
 // Tick advances one cluster round: node-fault probes feed the detector,
 // every live node runs one service round, and parked failovers retry
@@ -519,7 +533,7 @@ func (c *Cluster) evacuate(i int) {
 
 // streamsWhere returns the streams that hold a core stream and satisfy
 // keep, in id order, so node evacuation and drain moves are
-// deterministic whatever the map order.
+// deterministic although removals reorder c.streams.
 func (c *Cluster) streamsWhere(keep func(*Stream) bool) []*Stream {
 	var out []*Stream
 	for _, st := range c.streams {
@@ -569,12 +583,12 @@ func (c *Cluster) failover(st *Stream) {
 		c.finish(st)
 		return
 	}
-	cands := c.candidates(st.clip, st.node)
+	cands := c.candidates(c.clips[st.clip].reps, st.node)
 	if len(cands) == 0 {
 		st.err = fmt.Errorf("cluster: node %d down and clip %q has no other live replica: %w",
 			st.node, st.clip, core.ErrStreamLost)
 		c.terminated++
-		delete(c.streams, st.id)
+		c.unregister(st)
 		return
 	}
 	for _, n := range cands {
@@ -585,7 +599,7 @@ func (c *Cluster) failover(st *Stream) {
 		if err != nil {
 			st.err = fmt.Errorf("cluster: failover of %q to node %d: %v: %w", st.clip, n.id, err, core.ErrStreamLost)
 			c.terminated++
-			delete(c.streams, st.id)
+			c.unregister(st)
 			return
 		}
 		st.node, st.st = n.id, cs
@@ -613,10 +627,23 @@ func (c *Cluster) retryFailovers() {
 
 // finish retires a stream that delivered its whole clip.
 func (c *Cluster) finish(st *Stream) {
-	if _, open := c.streams[st.id]; open {
-		delete(c.streams, st.id)
+	if c.unregister(st) {
 		c.served++
 	}
+}
+
+// unregister removes st from c.streams, moving the last entry into its
+// place, and reports whether it was there.
+func (c *Cluster) unregister(st *Stream) bool {
+	if st.idx < 0 {
+		return false
+	}
+	k := len(c.streams) - 1
+	last := c.streams[k]
+	c.streams[st.idx], last.idx = last, st.idx
+	c.streams[k] = nil
+	c.streams, st.idx = c.streams[:k], -1
+	return true
 }
 
 // Stats returns the cluster's counters and every node's Stats.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"ftcms/internal/core"
 )
@@ -23,7 +22,7 @@ import (
 
 // migrateJob is one in-flight clip re-replication: copy every payload
 // block of clip from node src to node dst, then publish the new
-// replica. At most one job per clip exists at a time (jobClips).
+// replica. At most one job per clip exists at a time (clipRecord.migrating).
 type migrateJob struct {
 	clip     string
 	src, dst int
@@ -228,19 +227,15 @@ func (c *Cluster) planRepairs() {
 	if placeable == 0 {
 		return
 	}
-	names := make([]string, 0, len(c.placement))
-	for name := range c.placement {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if c.jobClips[name] {
+	for _, name := range c.Clips() {
+		rec := c.clips[name]
+		if rec.migrating {
 			continue
 		}
-		if want, have := c.replicaNeed(name, placeable); have >= want {
+		if want, have := c.replicaNeed(rec, placeable); have >= want {
 			continue
 		}
-		reps := c.placement[name]
+		reps := rec.reps
 		k := slices.IndexFunc(reps, func(id int) bool { return c.nodes[id].placeable() })
 		if k < 0 {
 			k = slices.IndexFunc(reps, func(id int) bool { return c.nodes[id].draining() })
@@ -258,7 +253,7 @@ func (c *Cluster) planRepairs() {
 			if n.srv.BlockSize() != src.srv.BlockSize() {
 				continue // block-granular copy needs matching geometry
 			}
-			if slices.Contains(c.placement[name], n.id) {
+			if slices.Contains(reps, n.id) {
 				continue
 			}
 			free := n.srv.FreeBlocks() * n.srv.BlockSize().Bytes()
@@ -270,7 +265,7 @@ func (c *Cluster) planRepairs() {
 			continue // nowhere to put a new replica; replan on membership change
 		}
 		c.jobs = append(c.jobs, &migrateJob{clip: name, src: src.id, dst: dst.id})
-		c.jobClips[name] = true
+		rec.migrating = true
 		c.jobsPlanned++
 	}
 }
@@ -305,7 +300,7 @@ func (c *Cluster) stepJob(j *migrateJob) bool {
 		if dst.srv.Relayouting() {
 			return false // imports are refused during a re-layout; wait it out
 		}
-		if err := dst.srv.BeginClipImport(j.clip, c.sizes[j.clip]); err != nil {
+		if err := dst.srv.BeginClipImport(j.clip, c.clips[j.clip].size); err != nil {
 			c.abortJob(j)
 			return true
 		}
@@ -345,9 +340,10 @@ func (c *Cluster) stepJob(j *migrateJob) bool {
 	if !done {
 		return false // padding sweep ran out of idle slots; commit retries
 	}
-	c.placement[j.clip] = append(c.placement[j.clip], j.dst)
+	rec := c.clips[j.clip]
+	rec.reps = append(rec.reps, j.dst)
+	rec.migrating = false
 	c.jobsDone++
-	delete(c.jobClips, j.clip)
 	c.planDirty = true
 	return true
 }
@@ -359,7 +355,7 @@ func (c *Cluster) abortJob(j *migrateJob) {
 	if j.begun && c.nodes[j.dst].serving() {
 		_ = c.nodes[j.dst].srv.AbortClipImport(j.clip)
 	}
-	delete(c.jobClips, j.clip)
+	c.clips[j.clip].migrating = false
 	c.planDirty = true
 }
 
@@ -373,7 +369,7 @@ func (c *Cluster) moveDrainingStreams() {
 		if st.offset >= st.size {
 			continue // fully delivered to the reader; it finishes in place
 		}
-		for _, n := range c.candidates(st.clip, st.node) {
+		for _, n := range c.candidates(c.clips[st.clip].reps, st.node) {
 			if !n.placeable() {
 				continue
 			}
@@ -406,22 +402,20 @@ func (c *Cluster) checkRetirements() error {
 
 // drainComplete reports whether node i may retire.
 func (c *Cluster) drainComplete(i int) bool {
-	for _, st := range c.streams {
-		if st.node == i && st.st != nil {
-			return false
-		}
+	if slices.ContainsFunc(c.streams, func(st *Stream) bool { return st.node == i && st.st != nil }) {
+		return false
 	}
 	if slices.ContainsFunc(c.jobs, func(j *migrateJob) bool { return j.src == i || j.dst == i }) {
 		return false
 	}
 	placeable := c.placeableNodes()
-	for name, reps := range c.placement {
-		if !slices.Contains(reps, i) {
+	for _, rec := range c.clips {
+		if !slices.Contains(rec.reps, i) {
 			continue
 		}
 		// Never retire the last readable copy, even when no active node
 		// can take a replica right now.
-		if want, have := c.replicaNeed(name, placeable); have < max(want, 1) {
+		if want, have := c.replicaNeed(rec, placeable); have < max(want, 1) {
 			return false
 		}
 	}
@@ -442,24 +436,18 @@ func (c *Cluster) placeableNodes() int {
 // replicaNeed returns how many of the clip's replicas should sit on
 // placeable nodes — its desired count, capped by the placeable nodes
 // there are — and how many do.
-func (c *Cluster) replicaNeed(name string, placeable int) (want, have int) {
-	for _, id := range c.placement[name] {
+func (c *Cluster) replicaNeed(rec *clipRecord, placeable int) (want, have int) {
+	for _, id := range rec.reps {
 		if c.nodes[id].placeable() {
 			have++
 		}
 	}
-	return min(c.desired[name], placeable), have
+	return min(rec.desired, placeable), have
 }
 
 // scrubPlacement removes node i from every clip's replica list.
 func (c *Cluster) scrubPlacement(i int) {
-	for name, reps := range c.placement {
-		out := reps[:0]
-		for _, id := range reps {
-			if id != i {
-				out = append(out, id)
-			}
-		}
-		c.placement[name] = out
+	for _, rec := range c.clips {
+		rec.reps = slices.DeleteFunc(rec.reps, func(id int) bool { return id == i })
 	}
 }

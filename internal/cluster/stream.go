@@ -31,6 +31,8 @@ type Stream struct {
 
 	err    error
 	closed bool
+	// idx is the stream's index in Cluster.streams, −1 once it left.
+	idx int
 }
 
 // Clip returns the clip name.
@@ -62,7 +64,7 @@ func (st *Stream) Close() error {
 		st.st.Close()
 		st.st = nil
 	}
-	delete(st.c.streams, st.id)
+	st.c.unregister(st)
 	return nil
 }
 

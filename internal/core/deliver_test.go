@@ -223,3 +223,45 @@ func TestFreelistAfterFailureArc(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseFinishedStream: closing a stream the server has already
+// finished drops what it delivered and the reader never took. The next
+// Read returns io.ErrClosedPipe, not the queued bytes, and an unread
+// block the stream owned (a degraded delivery) goes back on the freelist.
+func TestCloseFinishedStream(t *testing.T) {
+	for _, degraded := range []bool{false, true} {
+		s := newServer(t, Declustered, 7, 3)
+		if err := s.AddClip("c", clipBytes(5, 10)); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.OpenStream("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if degraded {
+			if err := s.FailDisk(s.lay.Place(st.clip.block(0)).Disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tickN(t, s, 5)
+		if !st.done || len(st.readable)-st.head != 1 || st.readable[st.head].owned != degraded {
+			t.Fatalf("degraded=%v: done=%v, %d blocks queued, want the stream finished with its one block unread",
+				degraded, st.done, len(st.readable)-st.head)
+		}
+		unread := st.readable[st.head].buf
+		st.Close()
+		if degraded {
+			b := s.getBlock()
+			if &b[0] != &unread[0] {
+				t.Errorf("Close left the unread degraded block off the freelist")
+			}
+			s.putBlock(b)
+		}
+		if n, err := st.Read(make([]byte, 64)); n != 0 || !errors.Is(err, io.ErrClosedPipe) {
+			t.Errorf("degraded=%v: Read after Close = (%d, %v), want (0, io.ErrClosedPipe)", degraded, n, err)
+		}
+		if s.ActiveStreams() != 0 {
+			t.Errorf("degraded=%v: %d streams active after Close", degraded, s.ActiveStreams())
+		}
+	}
+}

@@ -48,23 +48,29 @@ type Stream struct {
 	// ring is the pipeline: prefetchDepth slots, clip block n in slot
 	// n mod depth. Fetching stays inside [nextDeliver, nextDeliver+depth),
 	// so two buffered blocks never share a slot. The pre-fetching schemes
-	// reconstruct failed-disk blocks from it.
-	ring []slot
+	// reconstruct failed-disk blocks from it. A one-slot ring is ring1.
+	ring  []slot
+	ring1 [1]slot
 	// pendingParity counts the ring's parity slots.
 	pendingParity int
 
 	// readable queues the delivered-but-unread blocks from index head on;
 	// readOff is the reader's cursor into readable[head]. Delivery slides
 	// the unread chunks to the front when the queue is full, so in steady
-	// state it appends without reallocating.
-	readable []chunk
-	head     int
-	readOff  int
+	// state it appends without reallocating. It starts on readable2, which
+	// a reader that keeps up never outgrows.
+	readable  []chunk
+	readable2 [2]chunk
+	head      int
+	readOff   int
 	// deliveredBytes is the clip offset delivery has reached: the start
 	// offset (OpenStreamAt, SeekTo) plus the payload queued on readable
 	// since. Bytes of a delivered block below it are never queued.
 	deliveredBytes int64
 	done           bool
+	// closed marks a stream its reader closed: Read returns
+	// io.ErrClosedPipe.
+	closed bool
 	// active marks a stream the Tick loop serves and srv.active counts:
 	// true from OpenStream (or Resume) until release, Pause or
 	// termination.
@@ -170,10 +176,13 @@ func (s *Server) OpenStreamAt(clipName string, offset int64) (*Stream, error) {
 		clip:           ci,
 		ticket:         tk,
 		buf:            perClip,
-		ring:           make([]slot, s.prefetchDepth),
 		nextFetch:      block,
 		nextDeliver:    block,
 		deliveredBytes: offset,
+	}
+	st.ring, st.readable = st.ring1[:], st.readable2[:0]
+	if s.prefetchDepth > 1 {
+		st.ring = make([]slot, s.prefetchDepth)
 	}
 	s.nextStreamID++
 	s.activate(st)
@@ -246,14 +255,18 @@ func (s *Server) release(st *Stream) {
 	s.active--
 }
 
-// Close abandons the stream, releasing its resources. Reading after Close
-// returns io.ErrClosedPipe.
+// Close abandons the stream, releasing its resources and dropping any
+// bytes still unread. Reading after Close returns io.ErrClosedPipe.
 func (st *Stream) Close() error {
-	if st.done {
+	if st.closed {
+		return nil
+	}
+	st.closed = true
+	st.dropReadable()
+	if st.done { // finished or terminated: released then
 		return nil
 	}
 	st.done = true
-	st.dropReadable()
 	st.recyclePipeline()
 	if !st.paused { // a paused stream released its bandwidth and buffer already
 		st.srv.release(st)
@@ -377,6 +390,9 @@ func (st *Stream) Err() error { return st.termErr }
 // ErrNoData when the pipeline has not delivered the next block yet and
 // io.EOF once the whole clip has been read.
 func (st *Stream) Read(p []byte) (int, error) {
+	if st.closed {
+		return 0, io.ErrClosedPipe
+	}
 	if st.head == len(st.readable) {
 		if st.done {
 			if st.termErr != nil {
