@@ -5,8 +5,10 @@
 // silent bit rot surfaces as a checksum mismatch instead of propagating
 // into streams or, worse, XOR reconstructions.
 //
-// Sum is hash/crc32's CRC-32C, bit for bit; on amd64 with AVX2 and
-// VPCLMULQDQ it folds 256-byte strides by carry-less multiply first.
+// Sum is hash/crc32's CRC-32C, bit for bit. On amd64 with VPCLMULQDQ it
+// folds a block of 256 bytes or more by carry-less multiply, 256 bytes a
+// stride: all of it in 512-bit registers where the CPU has AVX-512, its
+// leading multiple of 256 bytes in 256-bit ones where it has only AVX2.
 //
 // The sum lives beside the block's bytes in storage.Array's block record;
 // this package is the polynomial and the counters.
