@@ -44,7 +44,6 @@ func main() {
 	rebuildFlag := flag.Bool("rebuild", false, "rebuild the failed disk online from spare bandwidth")
 	bypass := flag.Int("bypass", 0, "pending-list bypass window (0: default 256, -1: strict FIFO)")
 	csvOut := flag.Bool("csv", false, "with -exp: emit the table's columns as CSV; with -scenario: the timeline CSV to stdout")
-	batch := flag.Float64("batch", 0, "batching window in seconds (0: off): requests piggyback on same-clip streams")
 	scenarioFlag := flag.String("scenario", "", "run a scenario day: a builtin name, a profile JSON file, or 'list'")
 	autopilotFlag := flag.Bool("autopilot", false, "run the scenario closed-loop: the autopilot drives all reconfiguration")
 	timelineFlag := flag.String("timeline", "", "write the scenario timeline here (.json for JSON, else CSV; '-' for stdout)")
@@ -62,7 +61,7 @@ func main() {
 	// the same command line belongs to a single run or a scenario day.
 	if *exp != "" {
 		applies := map[string]bool{"exp": true, "csv": true, "buffer": true, "seed": true,
-			"subscribers": true, "timescale": true, "p": true, "cpuprofile": true, "memprofile": true}
+			"subscribers": true, "timescale": true, "cpuprofile": true, "memprofile": true}
 		flag.Visit(func(f *flag.Flag) {
 			if !applies[f.Name] {
 				fatal(fmt.Errorf("-%s does not apply to -exp", f.Name))
@@ -87,7 +86,7 @@ func main() {
 	case *exp != "":
 		if err := experiments.Run(os.Stdout, "cmsim", *exp, experiments.Params{
 			Buffer: buffer, Seed: *seed,
-			Subscribers: *subscribers, TimeScale: *timescale, D: 32, P: *p,
+			Subscribers: *subscribers, TimeScale: *timescale,
 		}, *csvOut); err != nil {
 			fatal(err)
 		}
@@ -131,7 +130,6 @@ func main() {
 			Seed:        *seed,
 			QueueBypass: *bypass,
 			Trace:       failure,
-			BatchWindow: units.Duration(*batch),
 			ScrubRate:   *scrub,
 			Corruptions: corruptions,
 		})
@@ -142,9 +140,6 @@ func main() {
 		fmt.Printf("operating point   b=%v q=%d f=%d\n", res.Block, res.Q, res.F)
 		fmt.Printf("rounds            %d\n", res.Rounds)
 		fmt.Printf("serviced          %d\n", res.Serviced)
-		if *batch > 0 {
-			fmt.Printf("batched           %d\n", res.Batched)
-		}
 		fmt.Printf("completed         %d\n", res.Completed)
 		fmt.Printf("peak concurrent   %d\n", res.PeakActive)
 		fmt.Printf("mean response     %v\n", res.MeanResponse)

@@ -79,8 +79,8 @@ func TestOtherSurfacesUnchanged(t *testing.T) {
 }
 
 // TestExpFlagErrors: -exp refuses what it would otherwise have to guess
-// at — an unknown name, CSV of an entry that is not a table, and flags
-// that belong to a single run or a scenario day — with a non-zero exit
+// at — an unknown name and flags that belong to a single run or a
+// scenario day — with a non-zero exit
 // and nothing on standard output. So do a single run of a scheme the
 // simulator does not model, naming the ones it does, and a -fail outside
 // the array.
@@ -88,10 +88,10 @@ func TestExpFlagErrors(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-exp nope", "autopilotsweep  E21"},
 		{"-exp figure5", "unknown experiment"},
-		{"-exp mixed -csv", "no -csv form"},
 		{"-exp figure6 -scenario primetime", "-scenario does not apply to -exp"},
 		{"-exp continuity -fail 3", "-fail does not apply to -exp"},
-		{"-exp mixed -rate 5", "-rate does not apply to -exp"},
+		{"-exp figure6 -rate 5", "-rate does not apply to -exp"},
+		{"-exp figure6 -p 8", "-p does not apply to -exp"},
 		{"-scheme declustered-pq", "not modelled (want one of declustered, prefetch-flat, prefetch-parity-disk, streaming-raid, non-clustered, declustered-dynamic)"},
 		{"-fail 40 -failat 5 -duration 20 -rebuild", "sim: trace disk 40 out of range [0, 32)"},
 	} {

@@ -26,24 +26,3 @@ func ExampleOptimize() {
 	// Output:
 	// p=2 q=22 f=1 -> 672 concurrent clips
 }
-
-// ExampleSolveMixed sizes the same server for a mixed audio/video load.
-func ExampleSolveMixed() {
-	cfg := analytic.Config{
-		Disk:   diskmodel.Default(),
-		D:      32,
-		Buffer: 256 * units.MB,
-	}
-	res, err := analytic.SolveMixed(cfg, 4, 2, []analytic.RateClass{
-		{Name: "mpeg1", Rate: 1.5 * units.Mbps, Share: 0.8},
-		{Name: "audio", Rate: 256 * units.Kbps, Share: 0.2},
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("video per disk: %d, audio per disk: %d\n", res.PerDisk[0], res.PerDisk[1])
-	fmt.Println("total clips:", res.Clips)
-	// Output:
-	// video per disk: 19, audio per disk: 4
-	// total clips: 736
-}

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"ftcms/internal/analytic"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
@@ -172,29 +169,4 @@ var ContinuityColumns = []trace.Column[ContinuityPoint]{
 	trace.Col("serviced", "serviced", func(pt ContinuityPoint) any { return pt.Serviced }),
 	trace.Col("deadline_misses", "deadline misses", func(pt ContinuityPoint) any { return pt.DeadlineMisses }),
 	trace.Col("lost_blocks", "lost blocks", func(pt ContinuityPoint) any { return pt.LostBlocks }),
-}
-
-// mixedWorkload runs E16: audio, MPEG-1 and MPEG-2 classes under the
-// weighted admission controller on the declustered scheme.
-func mixedWorkload(w io.Writer, p Params) error {
-	res, err := sim.RunMixed(sim.MixedConfig{
-		Disk: diskmodel.Default(), D: 32, P: p.P, F: 2, Buffer: p.Buffer,
-		Mix: []analytic.RateClass{
-			{Name: "audio", Rate: 256 * units.Kbps, Share: 0.3},
-			{Name: "mpeg1", Rate: 1.5 * units.Mbps, Share: 0.5},
-			{Name: "mpeg2", Rate: 4 * units.Mbps, Share: 0.2},
-		},
-		ClipLength: 50 * units.Second, ArrivalRate: 20,
-		Duration: 600 * units.Second, Seed: p.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "mixed workload (30%% audio / 50%% MPEG-1 / 20%% MPEG-2), p=%d, B=%v\n", p.P, p.Buffer)
-	fmt.Fprintf(w, "round duration    %v\n", res.Round)
-	fmt.Fprintf(w, "serviced          %d (audio %d, mpeg1 %d, mpeg2 %d)\n",
-		res.Serviced, res.PerClass[0], res.PerClass[1], res.PerClass[2])
-	fmt.Fprintf(w, "peak concurrent   %d\n", res.PeakActive)
-	_, err = fmt.Fprintf(w, "max queue         %d\n", res.MaxQueue)
-	return err
 }

@@ -93,7 +93,6 @@ var Registry = []Experiment{
 			return fmt.Sprintf("E14 — cluster scaling and node-failure survival (B=%v per node, λ=%g/s, %v, fail node 0 at %v)",
 				cfg.Buffer, clusterArrivalRate, clusterDuration, clusterDuration/2), pts, err
 		})},
-	{Name: "mixed", ID: "E16", Cmd: "cmsim", Doc: "mixed-rate workload (audio + MPEG-1 + MPEG-2, declustered); takes -p", Render: plain(mixedWorkload)},
 	{Name: "integrity", ID: "E17", Cmd: "cmsim", Doc: "patrol scrub rate vs. a silent-corruption campaign",
 		Render: table(CorruptionColumns, trace.WriteText, func(p Params) (string, []CorruptionPoint, error) {
 			pts, err := CorruptionSweep(p.Buffer, p.Seed)

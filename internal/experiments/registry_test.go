@@ -100,3 +100,38 @@ func TestRunDispatch(t *testing.T) {
 		t.Errorf("one-panel default:\n%s", out)
 	}
 }
+
+// TestEngineTable holds EXPERIMENTS.md's engine table to the registry
+// both ways: every entry has a row that starts with its id and names it,
+// and a row that names an -exp entry (rather than a Test) names a live
+// one under its id, so retiring an entry cannot leave its row behind.
+func TestEngineTable(t *testing.T) {
+	text, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(text), "\n## Engines\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no ## Engines section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	ids := map[string]string{} // entry name → id
+	for _, e := range Registry {
+		ids[e.Name] = e.ID
+	}
+	rows := map[string]string{} // id → the row's first code span
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 3 && strings.Count(cells[2], "`") > 1 {
+			id, name := strings.TrimSpace(cells[1]), strings.Split(cells[2], "`")[1]
+			rows[id] = name
+			if !strings.HasPrefix(name, "Test") && ids[name] != id {
+				t.Errorf("engine-table row %s names %q, which is no registry entry with that id", id, name)
+			}
+		}
+	}
+	for _, e := range Registry {
+		if rows[e.ID] != e.Name {
+			t.Errorf("%s (%s): no engine-table row starting with its id and `%s`", e.ID, e.Name, e.Name)
+		}
+	}
+}

@@ -29,9 +29,9 @@ import (
 type ClusterConfig struct {
 	// Node is the per-node template: scheme, disk model, geometry, buffer
 	// and catalog, plus the cluster-level workload knobs (ArrivalRate or
-	// Source, Duration, Seed, QueueBypass; BatchWindow is not supported at
-	// cluster level). Node.Trace, Node.ScrubRate and Node.Corruptions are
-	// ignored — failures happen at node granularity via NodeTrace.
+	// Source, Duration, Seed, QueueBypass). Node.Trace, Node.ScrubRate
+	// and Node.Corruptions are ignored — failures happen at node
+	// granularity via NodeTrace.
 	Node Config
 	// Nodes is the cluster size.
 	Nodes int
@@ -138,9 +138,6 @@ type ClusterResult struct {
 // failures, scrubbing and corruption are node internals this tier does
 // not model.
 func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
-	if cfg.Node.BatchWindow > 0 {
-		return ClusterResult{}, errors.New("sim: batching is not supported at cluster level")
-	}
 	cfg.Node.Trace, cfg.Node.ScrubRate, cfg.Node.Corruptions = nil, 0, nil
 	return simulate(cfg)
 }
@@ -219,12 +216,9 @@ type run struct {
 	roundDur   units.Duration
 	clipRounds int64
 
-	feed  *feeder
-	tl    *timeline
-	queue admission.Queue[pending]
-	// lastStart[clipID] is the round the most recent stream of the clip
-	// started; kept only when batching is on.
-	lastStart   map[int]int64
+	feed        *feeder
+	tl          *timeline
+	queue       admission.Queue[pending]
 	responseSum units.Duration
 	responses   []units.Duration
 
@@ -348,9 +342,6 @@ func newRun(cfg ClusterConfig) (*run, error) {
 		r.queue.Bypass = 256
 	default:
 		r.queue.Bypass = 0 // strict head-of-line
-	}
-	if nc.BatchWindow > 0 {
-		r.lastStart = make(map[int]int64)
 	}
 	if cfg.Autopilot != nil {
 		ac := *cfg.Autopilot
@@ -564,13 +555,11 @@ func (r *run) retryParked() {
 	r.parked = kept
 }
 
-// admit serves the pending list: a request joins a fresh stream of the
-// same clip for free when batching allows, else goes to the least-loaded
-// live replica, spills over to the rest, and stays queued otherwise.
+// admit serves the pending list: a request goes to the least-loaded live
+// replica, spills over to the rest, and stays queued otherwise.
 // While the autopilot sheds, new admissions stop short of full capacity
 // so the failover reserve stays free for a node loss.
 func (r *run) admit() {
-	nc := &r.cfg.Node
 	reserve := r.shedding && r.pilotReserve > 0
 	free := 0
 	if reserve {
@@ -580,24 +569,9 @@ func (r *run) admit() {
 			}
 		}
 	}
-	serviced := func(pd pending) {
-		r.res.Serviced++
-		resp := units.Duration(r.now)*r.roundDur - pd.arrival
-		r.responseSum += resp
-		r.responses = append(r.responses, resp)
-	}
 	r.queue.Drain(func(pd pending) bool {
 		if reserve && free <= r.pilotReserve {
 			return false
-		}
-		if nc.BatchWindow > 0 {
-			if start, ok := r.lastStart[pd.clipID]; ok &&
-				units.Duration(r.now-start)*r.roundDur <= nc.BatchWindow {
-				r.res.Batched++
-				r.tl.cur.Batched++
-				serviced(pd)
-				return true
-			}
 		}
 		id := r.place(pd.clipID, streamRounds(r.clipRounds, pd.frac), false)
 		if id < 0 {
@@ -606,10 +580,10 @@ func (r *run) admit() {
 		free--
 		r.res.PerNode[id].Serviced++
 		r.tl.cur.Admitted++
-		if nc.BatchWindow > 0 {
-			r.lastStart[pd.clipID] = r.now
-		}
-		serviced(pd)
+		r.res.Serviced++
+		resp := units.Duration(r.now)*r.roundDur - pd.arrival
+		r.responseSum += resp
+		r.responses = append(r.responses, resp)
 		return true
 	})
 	r.active, _ = r.gauges()

@@ -52,11 +52,6 @@ func TestRunClusterValidation(t *testing.T) {
 		t.Error("accepted zero duration")
 	}
 	bad = base
-	bad.Node.BatchWindow = units.Second
-	if _, err := RunCluster(bad); err == nil {
-		t.Error("accepted batching at cluster level")
-	}
-	bad = base
 	bad.NodeTrace = []FailureEvent{{Disk: 9, At: units.Second}}
 	if _, err := RunCluster(bad); err == nil {
 		t.Error("accepted out-of-range trace node")

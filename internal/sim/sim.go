@@ -88,11 +88,6 @@ type Config struct {
 	// Timeline, when non-nil, records a per-bucket demand/service
 	// timeline in Result.Timeline.
 	Timeline *TimelineConfig
-	// BatchWindow, when positive, enables request batching
-	// (piggybacking): a request for a clip joins an existing stream of
-	// the same clip that started within the window, consuming no extra
-	// disk bandwidth or buffer — the classic VoD multicast optimization.
-	BatchWindow units.Duration
 	// ScrubRate caps the patrol scrubber's verify reads per disk per
 	// round. 0 disables scrubbing (corruption then stays latent);
 	// negative means the sweep is bounded only by each disk's idle
@@ -135,9 +130,6 @@ type Result struct {
 	MeanResponse units.Duration
 	// ResponseP95 is the 95th-percentile arrival→admission delay.
 	ResponseP95 units.Duration
-	// Batched counts requests served by piggybacking on an existing
-	// stream (included in Serviced).
-	Batched int
 	// Rejected counts pending requests that abandoned after waiting past
 	// Config.Patience (always 0 without a patience bound).
 	Rejected int

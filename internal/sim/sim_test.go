@@ -451,68 +451,6 @@ func TestOnlineRebuildParityDisk(t *testing.T) {
 	}
 }
 
-// TestFlashCrowd (E22): a 30-second flash crowd is absorbed without
-// admission-control breakdown — the queue drains after the spike, the
-// starvation-free pending list keeps serving, and the response-time
-// penalty is bounded by the burst backlog.
-func TestFlashCrowd(t *testing.T) {
-	cat := paperCatalog(t)
-	burst, err := workload.BurstArrivals(5, 100, 100*units.Second, 130*units.Second,
-		300*units.Second, workload.UniformSelector{N: cat.Len()}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
-		cf.Duration = 300 * units.Second
-		cf.Source = workload.NewSliceSource(burst)
-	})
-	calm := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
-		cf.Duration = 300 * units.Second
-		cf.ArrivalRate = 5
-	})
-	if res.Serviced <= calm.Serviced {
-		t.Fatalf("flash crowd serviced %d <= calm load %d (extra demand absorbed nothing)",
-			res.Serviced, calm.Serviced)
-	}
-	if res.MaxQueue <= calm.MaxQueue {
-		t.Fatalf("flash crowd queue %d not above calm %d", res.MaxQueue, calm.MaxQueue)
-	}
-	if res.MeanResponse <= calm.MeanResponse {
-		t.Fatalf("flash crowd response %v not above calm %v", res.MeanResponse, calm.MeanResponse)
-	}
-}
-
-// TestBatching (E15): with Zipf-skewed popularity and a batching window,
-// piggybacking serves substantially more requests than one-stream-per-
-// request, at zero extra disk load — the classic VoD multicast win.
-func TestBatching(t *testing.T) {
-	sel, err := workload.NewZipfSelector(1000, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := func(cf *Config) {
-		cf.Duration = 300 * units.Second
-		cf.Source = poissonSource(t, cf, sel)
-	}
-	plain := paperRun(t, scheme.Declustered, 4, 256*units.MB, base)
-	batched := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
-		base(cf)
-		cf.BatchWindow = 10 * units.Second
-	})
-	if plain.Batched != 0 {
-		t.Fatalf("batching off but Batched = %d", plain.Batched)
-	}
-	if batched.Batched == 0 {
-		t.Fatal("batching on but nothing piggybacked under Zipf skew")
-	}
-	if batched.Serviced <= plain.Serviced {
-		t.Fatalf("batched serviced %d <= plain %d", batched.Serviced, plain.Serviced)
-	}
-	if batched.Batched >= batched.Serviced {
-		t.Fatal("batched count exceeds serviced")
-	}
-}
-
 // TestResponsePercentile: p95 is at least the mean and is reported.
 func TestResponsePercentile(t *testing.T) {
 	res := paperRun(t, scheme.Declustered, 4, 256*units.MB, func(cf *Config) {
@@ -529,10 +467,11 @@ func TestResponsePercentile(t *testing.T) {
 // TestExplicitArrivalsWithoutRate: a supplied trace does not require an
 // arrival rate.
 func TestExplicitArrivalsWithoutRate(t *testing.T) {
-	trace, err := workload.PoissonArrivals(10, 60*units.Second, workload.UniformSelector{N: 1000}, 3)
+	src, err := workload.NewPoissonSource(10, 60*units.Second, workload.UniformSelector{N: 1000}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := workload.Collect(src)
 	res, err := Run(Config{
 		Scheme: scheme.Declustered, Disk: diskmodel.Default(), D: 32, P: 4,
 		Buffer: 256 * units.MB, Catalog: paperCatalog(t),

@@ -1,7 +1,7 @@
 package sim
 
 // Per-bucket timeline reporting for scenario runs. The round loop counts
-// offered/admitted/batched/rejected requests as they happen and closes a
+// offered/admitted/rejected requests as they happen and closes a
 // bucket whenever the simulated clock crosses a bucket boundary, so a
 // compressed 24-hour day comes back as a demand-and-service curve instead
 // of a single aggregate.
@@ -29,8 +29,6 @@ type TimelineBucket struct {
 	Offered int `json:"offered"`
 	// Admitted counts fresh streams started during the bucket.
 	Admitted int `json:"admitted"`
-	// Batched counts requests served by piggybacking on a live stream.
-	Batched int `json:"batched,omitempty"`
 	// Rejected counts pending requests that abandoned (waited past the
 	// run's Patience) during the bucket.
 	Rejected int `json:"rejected"`
@@ -95,7 +93,7 @@ func (t *timeline) close(active, queue int, view int64, nodeActive []int) {
 // done flushes a trailing partial bucket that counted anything and
 // returns the timeline (nil when not recording).
 func (t *timeline) done(active, queue int, view int64, nodeActive []int) []TimelineBucket {
-	if c := t.cur; t.bucket > 0 && c.Offered+c.Admitted+c.Batched+c.Rejected+c.Shed+c.Actions > 0 {
+	if c := t.cur; t.bucket > 0 && c.Offered+c.Admitted+c.Rejected+c.Shed+c.Actions > 0 {
 		t.close(active, queue, view, nodeActive)
 	}
 	return t.out

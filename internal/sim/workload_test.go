@@ -120,11 +120,12 @@ func TestPatienceRejects(t *testing.T) {
 // same arrivals.
 func TestFracShortensStreams(t *testing.T) {
 	cfg := workloadConfig(t)
-	full, err := workload.PoissonArrivals(cfg.ArrivalRate, cfg.Duration,
+	src, err := workload.NewPoissonSource(cfg.ArrivalRate, cfg.Duration,
 		workload.UniformSelector{N: cfg.Catalog.Len()}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := workload.Collect(src)
 	cfg.ArrivalRate = 0
 	cfg.Source = workload.NewSliceSource(full)
 	base, err := Run(cfg)

@@ -18,7 +18,7 @@ import (
 // change to the shared CSV plumbing cannot move a column unnoticed.
 func TestGoldenOutputs(t *testing.T) {
 	buckets := []sim.TimelineBucket{
-		{Start: 1.5, Offered: 10, Admitted: 8, Batched: 1, Rejected: 2, Shed: 3, Actions: 1,
+		{Start: 1.5, Offered: 10, Admitted: 8, Rejected: 2, Shed: 3, Actions: 1,
 			Active: 40, Queue: 5, ViewVersion: 2, NodeActive: []int{20, 15, 5}},
 		{Start: 3, Offered: 4, Admitted: 4, Active: 44},
 	}
@@ -68,16 +68,15 @@ func TestGoldenOutputs(t *testing.T) {
 				{Scheme: scheme.Declustered, P: 4, Rebuild: 1234.5678, MTTDL: 1.23456789e9}})
 		}, "scheme,p,rebuild_s,mttdl_hours\nDeclustered parity,4,1234.568,1.23457e+09\n"},
 		{"TimelineCSV", func(w io.Writer) error { return trace.WriteTimelineCSV(w, buckets) },
-			"start_s,offered,admitted,batched,rejected,shed,actions,active,queue,view_version,node_active\n" +
-				"1.500000,10,8,1,2,3,1,40,5,2,20;15;5\n" +
-				"3.000000,4,4,0,0,0,0,44,0,0,\n"},
+			"start_s,offered,admitted,rejected,shed,actions,active,queue,view_version,node_active\n" +
+				"1.500000,10,8,2,3,1,40,5,2,20;15;5\n" +
+				"3.000000,4,4,0,0,0,44,0,0,\n"},
 		{"TimelineJSON", func(w io.Writer) error { return trace.WriteTimelineJSON(w, buckets) },
 			`[
   {
     "start_s": 1.5,
     "offered": 10,
     "admitted": 8,
-    "batched": 1,
     "rejected": 2,
     "shed": 3,
     "actions": 1,

@@ -17,7 +17,6 @@ var timelineColumns = []Column[sim.TimelineBucket]{
 	Seconds("start_s", "", func(b sim.TimelineBucket) units.Duration { return b.Start }),
 	Col("offered", "", func(b sim.TimelineBucket) any { return b.Offered }),
 	Col("admitted", "", func(b sim.TimelineBucket) any { return b.Admitted }),
-	Col("batched", "", func(b sim.TimelineBucket) any { return b.Batched }),
 	Col("rejected", "", func(b sim.TimelineBucket) any { return b.Rejected }),
 	Col("shed", "", func(b sim.TimelineBucket) any { return b.Shed }),
 	Col("actions", "", func(b sim.TimelineBucket) any { return b.Actions }),

@@ -4,14 +4,12 @@ package workload
 // time in nondecreasing arrival order, so a consumer that services
 // requests incrementally (the simulators) never holds more than its
 // pending set in memory — a 10M-request prime-time trace costs O(pending)
-// space instead of a materialized slice. The slice-returning generators
-// (PoissonArrivals, BurstArrivals) are thin adapters that drain the
-// corresponding source, so both paths draw the identical seeded random
+// space instead of a materialized slice. Collect materializes a source
+// for the callers that want a slice, drawing the identical seeded random
 // sequence.
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"ftcms/internal/units"
@@ -68,56 +66,6 @@ func (s *PoissonSource) Next() (Request, bool) {
 	return Request{Arrival: s.t, ClipID: s.sel.Pick(s.rng)}, true
 }
 
-// BurstSource streams a flash-crowd trace: Poisson at baseRate outside
-// [burstStart, burstEnd) and at burstRate inside it. Deterministic for a
-// fixed seed.
-type BurstSource struct {
-	rng                  *rand.Rand
-	baseRate, burstRate  float64
-	burstStart, burstEnd units.Duration
-	horizon              units.Duration
-	sel                  Selector
-	t                    units.Duration
-	done                 bool
-}
-
-// NewBurstSource validates the parameters and returns a streaming burst
-// generator.
-func NewBurstSource(baseRate, burstRate float64, burstStart, burstEnd, horizon units.Duration, sel Selector, seed int64) (*BurstSource, error) {
-	if baseRate <= 0 || burstRate <= 0 {
-		return nil, errors.New("workload: rates must be positive")
-	}
-	if horizon <= 0 || burstStart < 0 || burstEnd < burstStart || burstEnd > horizon {
-		return nil, fmt.Errorf("workload: bad burst window [%v, %v) in horizon %v", burstStart, burstEnd, horizon)
-	}
-	return &BurstSource{
-		rng:        rand.New(rand.NewSource(seed)),
-		baseRate:   baseRate,
-		burstRate:  burstRate,
-		burstStart: burstStart,
-		burstEnd:   burstEnd,
-		horizon:    horizon,
-		sel:        sel,
-	}, nil
-}
-
-// Next implements ArrivalSource.
-func (s *BurstSource) Next() (Request, bool) {
-	if s.done {
-		return Request{}, false
-	}
-	rate := s.baseRate
-	if s.t >= s.burstStart && s.t < s.burstEnd {
-		rate = s.burstRate
-	}
-	s.t += units.Duration(s.rng.ExpFloat64() / rate)
-	if s.t >= s.horizon {
-		s.done = true
-		return Request{}, false
-	}
-	return Request{Arrival: s.t, ClipID: s.sel.Pick(s.rng)}, true
-}
-
 // SliceSource adapts a pre-materialized request slice (sorted by arrival
 // time) to the ArrivalSource interface.
 type SliceSource struct {
@@ -139,9 +87,8 @@ func (s *SliceSource) Next() (Request, bool) {
 	return r, true
 }
 
-// Collect drains a source into a slice — the materialized form the
-// original generators returned. Use only for small traces; large
-// scenarios should stay streaming.
+// Collect drains a source into a slice. Use only for small traces;
+// large scenarios should stay streaming.
 func Collect(src ArrivalSource) []Request {
 	var out []Request
 	for {

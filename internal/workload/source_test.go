@@ -22,11 +22,10 @@ func fingerprint(reqs []Request) (int, uint64) {
 	return len(reqs), h.Sum64()
 }
 
-// TestArrivalGoldenTraces pins the exact seeded sequences the slice
-// generators produced before they became adapters over the streaming
-// sources: same seed → byte-identical arrivals before and after the
-// refactor. The constants were recorded from the pre-ArrivalSource
-// implementation. Figure 6, E19 and E22 all ride on these generators.
+// TestArrivalGoldenTraces pins the exact seeded sequences the Poisson
+// source draws: same seed → byte-identical arrivals. The constants were
+// recorded from the slice generators the streaming sources replaced.
+// Figure 6 and E19 ride on these traces.
 func TestArrivalGoldenTraces(t *testing.T) {
 	uni := UniformSelector{N: 1000}
 	zipf, err := NewZipfSelector(1000, 1.1)
@@ -35,25 +34,23 @@ func TestArrivalGoldenTraces(t *testing.T) {
 	}
 	cases := []struct {
 		name     string
-		gen      func() ([]Request, error)
+		src      func() (*PoissonSource, error)
 		wantN    int
 		wantHash uint64
 	}{
-		{"poisson-uniform", func() ([]Request, error) {
-			return PoissonArrivals(20, 600*units.Second, uni, 1)
+		{"poisson-uniform", func() (*PoissonSource, error) {
+			return NewPoissonSource(20, 600*units.Second, uni, 1)
 		}, 12161, 0x9b14d99d541b5958},
-		{"poisson-zipf", func() ([]Request, error) {
-			return PoissonArrivals(20, 600*units.Second, zipf, 7)
+		{"poisson-zipf", func() (*PoissonSource, error) {
+			return NewPoissonSource(20, 600*units.Second, zipf, 7)
 		}, 11881, 0x32bdbc418f923fcb},
-		{"burst-uniform", func() ([]Request, error) {
-			return BurstArrivals(2, 50, 100*units.Second, 120*units.Second, 300*units.Second, uni, 9)
-		}, 1587, 0x1a1d563c5a496c6b},
 	}
 	for _, tc := range cases {
-		reqs, err := tc.gen()
+		src, err := tc.src()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		reqs := Collect(src)
 		n, h := fingerprint(reqs)
 		if n != tc.wantN || h != tc.wantHash {
 			t.Errorf("%s: trace changed: n=%d hash=%#x, want n=%d hash=%#x",
@@ -63,57 +60,6 @@ func TestArrivalGoldenTraces(t *testing.T) {
 			if r.Frac != 0 {
 				t.Fatalf("%s: plain generator set Frac=%v", tc.name, r.Frac)
 			}
-		}
-	}
-}
-
-// TestSourceMatchesSlice: streaming a source yields the identical
-// sequence as the slice adapter, element by element.
-func TestSourceMatchesSlice(t *testing.T) {
-	sel := UniformSelector{N: 50}
-	want, err := PoissonArrivals(15, 120*units.Second, sel, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewPoissonSource(15, 120*units.Second, sel, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		got, ok := src.Next()
-		if !ok {
-			t.Fatalf("source ended early at %d/%d", i, len(want))
-		}
-		if got != w {
-			t.Fatalf("request %d differs: %+v vs %+v", i, got, w)
-		}
-	}
-	if r, ok := src.Next(); ok {
-		t.Fatalf("source continued past slice end with %+v", r)
-	}
-	// Exhausted sources stay exhausted.
-	if _, ok := src.Next(); ok {
-		t.Fatal("source revived after exhaustion")
-	}
-}
-
-func TestBurstSourceMatchesSlice(t *testing.T) {
-	sel := UniformSelector{N: 10}
-	want, err := BurstArrivals(2, 40, 30*units.Second, 45*units.Second, 90*units.Second, sel, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewBurstSource(2, 40, 30*units.Second, 45*units.Second, 90*units.Second, sel, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Collect(src)
-	if len(got) != len(want) {
-		t.Fatalf("lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("request %d differs", i)
 		}
 	}
 }
@@ -140,12 +86,6 @@ func TestSourceValidation(t *testing.T) {
 	}
 	if _, err := NewPoissonSource(1, 0, sel, 1); err == nil {
 		t.Error("accepted zero horizon")
-	}
-	if _, err := NewBurstSource(0, 5, 0, 1, 10, sel, 1); err == nil {
-		t.Error("accepted zero base rate")
-	}
-	if _, err := NewBurstSource(1, 5, 5, 3, 10, sel, 1); err == nil {
-		t.Error("accepted end < start")
 	}
 }
 

@@ -148,28 +148,3 @@ func (z *ZipfSelector) Pick(rng *rand.Rand) int {
 	}
 	return lo
 }
-
-// PoissonArrivals generates requests with exponential inter-arrival times
-// at the given mean rate (arrivals per second) over [0, horizon),
-// selecting clips via sel. Deterministic for a fixed seed. It is a thin
-// adapter over PoissonSource, so the materialized trace is identical to
-// the streamed one.
-func PoissonArrivals(rate float64, horizon units.Duration, sel Selector, seed int64) ([]Request, error) {
-	src, err := NewPoissonSource(rate, horizon, sel, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src), nil
-}
-
-// BurstArrivals generates a flash-crowd trace: Poisson at baseRate
-// outside [burstStart, burstEnd) and at burstRate inside it — the "new
-// release at 8pm" scenario a video-on-demand service must absorb.
-// Deterministic for a fixed seed. It is a thin adapter over BurstSource.
-func BurstArrivals(baseRate, burstRate float64, burstStart, burstEnd, horizon units.Duration, sel Selector, seed int64) ([]Request, error) {
-	src, err := NewBurstSource(baseRate, burstRate, burstStart, burstEnd, horizon, sel, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src), nil
-}

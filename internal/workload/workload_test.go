@@ -63,16 +63,20 @@ func TestClipBlocksPanics(t *testing.T) {
 	Clip{Length: units.Second, Rate: units.Mbps}.Blocks(0)
 }
 
+// poisson drains a fresh Poisson source into a slice.
+func poisson(t *testing.T, rate float64, horizon units.Duration, sel Selector, seed int64) []Request {
+	t.Helper()
+	src, err := NewPoissonSource(rate, horizon, sel, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Collect(src)
+}
+
 func TestPoissonArrivalsDeterministic(t *testing.T) {
 	sel := UniformSelector{N: 100}
-	a, err := PoissonArrivals(20, 60*units.Second, sel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PoissonArrivals(20, 60*units.Second, sel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := poisson(t, 20, 60*units.Second, sel, 1)
+	b := poisson(t, 20, 60*units.Second, sel, 1)
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic lengths: %d vs %d", len(a), len(b))
 	}
@@ -81,10 +85,7 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 			t.Fatalf("request %d differs", i)
 		}
 	}
-	c, err := PoissonArrivals(20, 60*units.Second, sel, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := poisson(t, 20, 60*units.Second, sel, 2)
 	if len(c) == len(a) {
 		same := true
 		for i := range a {
@@ -101,10 +102,11 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 
 func TestPoissonArrivalsRate(t *testing.T) {
 	sel := UniformSelector{N: 10}
-	reqs, err := PoissonArrivals(20, 600*units.Second, sel, 7)
+	src, err := NewPoissonSource(20, 600*units.Second, sel, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := Collect(src)
 	// Expect ~12000 arrivals; allow 5σ ≈ 550.
 	if n := len(reqs); math.Abs(float64(n)-12000) > 550 {
 		t.Fatalf("got %d arrivals for mean 12000", n)
@@ -121,15 +123,21 @@ func TestPoissonArrivalsRate(t *testing.T) {
 			t.Fatalf("clip ID %d out of range", r.ClipID)
 		}
 	}
+	// An exhausted source stays exhausted.
+	if r, ok := src.Next(); ok {
+		t.Fatalf("source revived after exhaustion with %+v", r)
+	}
 }
 
+// TestPoissonArrivalsValidation: negative parameters are refused like
+// the zero ones TestSourceValidation checks.
 func TestPoissonArrivalsValidation(t *testing.T) {
 	sel := UniformSelector{N: 10}
-	if _, err := PoissonArrivals(0, units.Second, sel, 1); err == nil {
-		t.Error("accepted zero rate")
+	if _, err := NewPoissonSource(-1, units.Second, sel, 1); err == nil {
+		t.Error("accepted negative rate")
 	}
-	if _, err := PoissonArrivals(1, 0, sel, 1); err == nil {
-		t.Error("accepted zero horizon")
+	if _, err := NewPoissonSource(1, -units.Second, sel, 1); err == nil {
+		t.Error("accepted negative horizon")
 	}
 }
 
@@ -180,50 +188,5 @@ func TestZipfSelector(t *testing.T) {
 		if counts[i] > counts[0] {
 			t.Errorf("rank %d (%d) more popular than rank 0 (%d)", i, counts[i], counts[0])
 		}
-	}
-}
-
-func TestBurstArrivals(t *testing.T) {
-	sel := UniformSelector{N: 10}
-	reqs, err := BurstArrivals(2, 50, 100*units.Second, 120*units.Second, 300*units.Second, sel, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, during, after int
-	for i, r := range reqs {
-		if i > 0 && r.Arrival < reqs[i-1].Arrival {
-			t.Fatal("arrivals not sorted")
-		}
-		switch {
-		case r.Arrival < 100*units.Second:
-			before++
-		case r.Arrival < 120*units.Second:
-			during++
-		default:
-			after++
-		}
-	}
-	// Expected ≈ 200 before, 1000 during, 360 after.
-	if during < before || during < after {
-		t.Fatalf("burst not visible: before=%d during=%d after=%d", before, during, after)
-	}
-	if during < 700 || during > 1300 {
-		t.Fatalf("burst count %d far from expected ~1000", during)
-	}
-}
-
-func TestBurstArrivalsValidation(t *testing.T) {
-	sel := UniformSelector{N: 3}
-	if _, err := BurstArrivals(0, 5, 0, 1, 10, sel, 1); err == nil {
-		t.Error("accepted zero base rate")
-	}
-	if _, err := BurstArrivals(1, 0, 0, 1, 10, sel, 1); err == nil {
-		t.Error("accepted zero burst rate")
-	}
-	if _, err := BurstArrivals(1, 5, 5, 3, 10, sel, 1); err == nil {
-		t.Error("accepted end < start")
-	}
-	if _, err := BurstArrivals(1, 5, 0, 20, 10, sel, 1); err == nil {
-		t.Error("accepted burst beyond horizon")
 	}
 }
