@@ -74,6 +74,44 @@ func TestSumMatchesCRC32C(t *testing.T) {
 	}
 }
 
+// TestSumParityIdentity pins the algebra a parity group's sums obey. A
+// CRC is affine in its input, Sum(a^b) = Sum(a)^Sum(b)^Sum(zeroes), so
+// over p equal-length members whose XOR is zero (p-1 data blocks and
+// their parity) the sums XOR to Sum(zeroes) for odd p and to 0 for even
+// p: on every path, at lengths that are and are not multiples of 256.
+func TestSumParityIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, path := range paths {
+		if path.missing != "" {
+			continue
+		}
+		restore := forced(path.ymm, path.zmm)
+		for _, p := range []int{2, 3, 4, 5, 8, 16} {
+			for _, n := range []int{1, 255, 4000, 4096} {
+				parity := make([]byte, n)
+				var got uint32
+				for range p - 1 {
+					d := make([]byte, n)
+					rng.Read(d)
+					for i := range d {
+						parity[i] ^= d[i]
+					}
+					got ^= Sum(d)
+				}
+				got ^= Sum(parity)
+				var want uint32
+				if p%2 == 1 {
+					want = Sum(make([]byte, n))
+				}
+				if got != want {
+					t.Errorf("%s: p=%d b=%d: sums XOR to %08x, want %08x", path.name, p, n, got, want)
+				}
+			}
+		}
+		restore()
+	}
+}
+
 // TestSumAllocs pins that Sum allocates nothing on any path.
 func TestSumAllocs(t *testing.T) {
 	p := make([]byte, 65536)

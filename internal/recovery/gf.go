@@ -1,5 +1,7 @@
 package recovery
 
+import "unsafe"
+
 // GF(2^8) arithmetic for the Q parity column of the P+Q (RAID-6-style)
 // double-parity scheme. The field is the conventional RAID-6 one:
 // polynomials over GF(2) modulo x^8 + x^4 + x^3 + x^2 + 1 (0x11d), with
@@ -12,8 +14,7 @@ package recovery
 //     block (one table lookup per byte);
 //   - the encode path never multiplies by anything but g, so Q is built
 //     by Horner's rule with a word-sliced multiply-by-2 kernel that
-//     processes eight field elements per uint64 operation, in the same
-//     style as the XOR kernel beside it (xor.go).
+//     processes eight field elements per uint64 operation.
 
 // gfPoly is the reduction polynomial x^8+x^4+x^3+x^2+1.
 const gfPoly = 0x11d
@@ -85,6 +86,17 @@ func gfMul2Word(v uint64) uint64 {
 	return ((v << 1) & gfLoMask) ^ (((v & gfHiMask) >> 7) * 0x1d)
 }
 
+// aligned8 reports whether b starts on an 8-byte boundary.
+func aligned8(b []byte) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0
+}
+
+// words reinterprets b's first w*8 bytes as w uint64s. Only valid when
+// aligned8(b) and len(b) >= w*8.
+func words(b []byte, w int) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), w)
+}
+
 // gfQStep is one Horner step: dst = g·dst ^ src, element-wise. Equal
 // lengths are the caller's contract (QEncode checks once).
 func gfQStep(dst, src []byte) {
@@ -103,17 +115,6 @@ func gfQStep(dst, src []byte) {
 	}
 }
 
-// mulWord is a convenience for the table row pointer: row c multiplies
+// mulRow is a convenience for the table row pointer: row c multiplies
 // by the constant c.
 func mulRow(c byte) *[256]byte { return &gfMulT[c] }
-
-// aliasCheck panics when dst overlaps src — the slice kernels stream
-// through dst while sources are still being read.
-func aliasCheck(dst, src []byte, op string) {
-	if len(src) != len(dst) {
-		panic("recovery: " + op + " length mismatch")
-	}
-	if overlaps(dst, src) {
-		panic("recovery: " + op + " dst aliases a source")
-	}
-}

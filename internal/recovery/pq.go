@@ -35,7 +35,7 @@ func MulAccum(dst, src []byte, c byte) {
 	case 0:
 		return
 	case 1:
-		xorWords(dst, src)
+		XORInto(dst, src)
 		return
 	}
 	row := mulRow(c)

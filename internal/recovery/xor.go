@@ -1,22 +1,19 @@
 package recovery
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"fmt"
 	"unsafe"
 )
 
-// The XOR kernel processes eight bytes per iteration through uint64
-// words, in the style of crypto/subtle.XORBytes: an aligned word-wise
-// fast path over the bulk of the buffer plus a byte tail. The
-// binary.LittleEndian load/store pairs compile to single MOVQs on
-// little-endian targets and stay correct (byte-swapped loads XOR to
-// byte-swapped stores) on big-endian ones.
+// The XOR kernel is crypto/subtle.XORBytes, the standard library's
+// vector loop (assembly on amd64, arm64, ppc64x and loong64; a word
+// loop elsewhere). The wrappers here add the contracts parity needs:
+// equal lengths and no overlap at all between dst and a source, where
+// XORBytes allows exact aliasing.
 //
-// Every degraded-mode read and parity rebuild funnels through this
-// kernel, so it is the server's single hottest compute loop.
-
-const xorWord = 8
+// Every degraded-mode read, parity rebuild and clip write funnels
+// through this kernel.
 
 // XOR sets dst to the byte-wise XOR of all srcs. All slices must share
 // dst's length. With zero sources dst is zeroed. dst must not alias
@@ -25,179 +22,39 @@ const xorWord = 8
 // parity silently.
 func XOR(dst []byte, srcs ...[]byte) {
 	for _, s := range srcs {
-		if len(s) != len(dst) {
-			panic(fmt.Sprintf("recovery: XOR length mismatch: %d vs %d", len(s), len(dst)))
-		}
-		if overlaps(dst, s) {
-			panic("recovery: XOR dst aliases a source")
-		}
+		aliasCheck(dst, s, "XOR")
 	}
 	switch len(srcs) {
 	case 0:
 		clear(dst)
-		return
 	case 1:
 		copy(dst, srcs[0])
-		return
-	}
-	// Fuse up to four sources per pass so dst is stored once per word
-	// instead of once per source, and the independent source loads
-	// pipeline.
-	var rest [][]byte
-	if len(srcs) >= 4 {
-		xorSet4(dst, srcs[0], srcs[1], srcs[2], srcs[3])
-		rest = srcs[4:]
-	} else {
-		xorSet2(dst, srcs[0], srcs[1])
-		rest = srcs[2:]
-	}
-	for len(rest) >= 3 {
-		xorAcc3(dst, rest[0], rest[1], rest[2])
-		rest = rest[3:]
-	}
-	switch len(rest) {
-	case 2:
-		xorAcc2(dst, rest[0], rest[1])
-	case 1:
-		xorWords(dst, rest[0])
+	default:
+		subtle.XORBytes(dst, srcs[0], srcs[1])
+		for _, s := range srcs[2:] {
+			subtle.XORBytes(dst, dst, s)
+		}
 	}
 }
 
-// XORInto accumulates src into dst (dst ^= src) with the same word-wise
-// kernel. The slices must share a length and must not alias. It is the
-// streaming form of XOR for callers that fold sources in one at a time
-// from a reused scratch buffer.
+// XORInto accumulates src into dst (dst ^= src). The slices must share
+// a length and must not alias. It is the streaming form of XOR for
+// callers that fold sources in one at a time from a reused scratch
+// buffer.
 func XORInto(dst, src []byte) {
+	aliasCheck(dst, src, "XOR")
+	subtle.XORBytes(dst, dst, src)
+}
+
+// aliasCheck panics unless src has dst's length and shares none of its
+// bytes: the slice kernels stream through dst while sources are still
+// being read.
+func aliasCheck(dst, src []byte, op string) {
 	if len(src) != len(dst) {
-		panic(fmt.Sprintf("recovery: XOR length mismatch: %d vs %d", len(src), len(dst)))
+		panic(fmt.Sprintf("recovery: %s length mismatch: %d vs %d", op, len(src), len(dst)))
 	}
 	if overlaps(dst, src) {
-		panic("recovery: XOR dst aliases a source")
-	}
-	xorWords(dst, src)
-}
-
-// The unchecked kernels below run a word-slice fast path when every
-// operand is 8-byte aligned (true for all pool/heap block buffers):
-// the slices are reinterpreted as []uint64 and XORed with a plain
-// indexed loop, which compiles to single MOVQs with no per-access
-// bounds checks. Misaligned operands (seen only in tests slicing into
-// shared arrays) fall back to a slice-advancing byte-order loop whose
-// loads the compiler also proves in range. Callers guarantee equal
-// lengths.
-
-// aligned8 reports whether b starts on an 8-byte boundary.
-func aligned8(b []byte) bool {
-	return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%xorWord == 0
-}
-
-// words reinterprets b's first w*8 bytes as w uint64s. Only valid when
-// aligned8(b) and len(b) >= w*8.
-func words(b []byte, w int) []uint64 {
-	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), w)
-}
-
-// xorWords: dst ^= src, eight bytes at a time.
-func xorWords(dst, src []byte) {
-	if w := len(dst) >> 3; w > 0 && aligned8(dst) && aligned8(src) {
-		dw, sw := words(dst, w), words(src, w)
-		for i := range dw {
-			dw[i] ^= sw[i]
-		}
-		dst, src = dst[w<<3:], src[w<<3:]
-	}
-	for len(dst) >= xorWord && len(src) >= xorWord {
-		v := binary.LittleEndian.Uint64(dst) ^ binary.LittleEndian.Uint64(src)
-		binary.LittleEndian.PutUint64(dst, v)
-		dst, src = dst[xorWord:], src[xorWord:]
-	}
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
-}
-
-// xorSet2: dst = a ^ b, one pass.
-func xorSet2(dst, a, b []byte) {
-	if w := len(dst) >> 3; w > 0 && aligned8(dst) && aligned8(a) && aligned8(b) {
-		dw, aw, bw := words(dst, w), words(a, w), words(b, w)
-		for i := range dw {
-			dw[i] = aw[i] ^ bw[i]
-		}
-		n := w << 3
-		dst, a, b = dst[n:], a[n:], b[n:]
-	}
-	for len(dst) >= xorWord && len(a) >= xorWord && len(b) >= xorWord {
-		v := binary.LittleEndian.Uint64(a) ^ binary.LittleEndian.Uint64(b)
-		binary.LittleEndian.PutUint64(dst, v)
-		dst, a, b = dst[xorWord:], a[xorWord:], b[xorWord:]
-	}
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
-// xorSet4: dst = a ^ b ^ c ^ d, one pass.
-func xorSet4(dst, a, b, c, d []byte) {
-	if w := len(dst) >> 3; w > 0 && aligned8(dst) && aligned8(a) && aligned8(b) &&
-		aligned8(c) && aligned8(d) {
-		dw, aw, bw, cw, ew := words(dst, w), words(a, w), words(b, w), words(c, w), words(d, w)
-		for i := range dw {
-			dw[i] = aw[i] ^ bw[i] ^ cw[i] ^ ew[i]
-		}
-		n := w << 3
-		dst, a, b, c, d = dst[n:], a[n:], b[n:], c[n:], d[n:]
-	}
-	for len(dst) >= xorWord && len(a) >= xorWord && len(b) >= xorWord &&
-		len(c) >= xorWord && len(d) >= xorWord {
-		v := binary.LittleEndian.Uint64(a) ^ binary.LittleEndian.Uint64(b) ^
-			binary.LittleEndian.Uint64(c) ^ binary.LittleEndian.Uint64(d)
-		binary.LittleEndian.PutUint64(dst, v)
-		dst, a, b, c, d = dst[xorWord:], a[xorWord:], b[xorWord:], c[xorWord:], d[xorWord:]
-	}
-	for i := range dst {
-		dst[i] = a[i] ^ b[i] ^ c[i] ^ d[i]
-	}
-}
-
-// xorAcc2: dst ^= a ^ b, one pass.
-func xorAcc2(dst, a, b []byte) {
-	if w := len(dst) >> 3; w > 0 && aligned8(dst) && aligned8(a) && aligned8(b) {
-		dw, aw, bw := words(dst, w), words(a, w), words(b, w)
-		for i := range dw {
-			dw[i] ^= aw[i] ^ bw[i]
-		}
-		n := w << 3
-		dst, a, b = dst[n:], a[n:], b[n:]
-	}
-	for len(dst) >= xorWord && len(a) >= xorWord && len(b) >= xorWord {
-		v := binary.LittleEndian.Uint64(dst) ^
-			binary.LittleEndian.Uint64(a) ^ binary.LittleEndian.Uint64(b)
-		binary.LittleEndian.PutUint64(dst, v)
-		dst, a, b = dst[xorWord:], a[xorWord:], b[xorWord:]
-	}
-	for i := range dst {
-		dst[i] ^= a[i] ^ b[i]
-	}
-}
-
-// xorAcc3: dst ^= a ^ b ^ c, one pass.
-func xorAcc3(dst, a, b, c []byte) {
-	if w := len(dst) >> 3; w > 0 && aligned8(dst) && aligned8(a) && aligned8(b) && aligned8(c) {
-		dw, aw, bw, cw := words(dst, w), words(a, w), words(b, w), words(c, w)
-		for i := range dw {
-			dw[i] ^= aw[i] ^ bw[i] ^ cw[i]
-		}
-		n := w << 3
-		dst, a, b, c = dst[n:], a[n:], b[n:], c[n:]
-	}
-	for len(dst) >= xorWord && len(a) >= xorWord && len(b) >= xorWord && len(c) >= xorWord {
-		v := binary.LittleEndian.Uint64(dst) ^ binary.LittleEndian.Uint64(a) ^
-			binary.LittleEndian.Uint64(b) ^ binary.LittleEndian.Uint64(c)
-		binary.LittleEndian.PutUint64(dst, v)
-		dst, a, b, c = dst[xorWord:], a[xorWord:], b[xorWord:], c[xorWord:]
-	}
-	for i := range dst {
-		dst[i] ^= a[i] ^ b[i] ^ c[i]
+		panic("recovery: " + op + " dst aliases a source")
 	}
 }
 

@@ -2,12 +2,13 @@ package recovery
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// refXOR is the trivially-correct byte-at-a-time reference the word-wise
-// kernel is checked against.
+// refXOR is the trivially-correct byte-at-a-time reference XOR and
+// XORInto are checked against.
 func refXOR(dst []byte, srcs ...[]byte) {
 	for i := range dst {
 		var v byte
@@ -26,13 +27,15 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// TestXORMatchesReference sweeps lengths around the word-size boundaries
-// (odd lengths, sub-word tails, empty) and source counts 0..16, with
-// sources deliberately cut at misaligned offsets out of a shared backing
-// array, and checks the kernel byte-for-byte against the reference.
+// TestXORMatchesReference sweeps lengths around the 8-, 16-, 32- and
+// 64-byte steps of XORBytes' kernels (odd lengths, short tails, empty)
+// and source counts 0..16, with sources deliberately cut at misaligned
+// offsets out of a shared backing array, and checks the kernel
+// byte-for-byte against the reference.
 func TestXORMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 63, 64, 65, 255, 1 << 12}
+	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 63, 64, 65,
+		127, 128, 129, 255, 4095, 1 << 12, 4097}
 	for _, n := range lengths {
 		for nsrc := 0; nsrc <= 16; nsrc++ {
 			// Backing array with per-source random offsets so the slices
@@ -147,6 +150,34 @@ func FuzzXOR(f *testing.F) {
 		XOR(dst, srcs...)
 		if !bytes.Equal(dst, want) {
 			t.Fatalf("XOR mismatch: n=%d k=%d", n, k)
+		}
+	})
+}
+
+// BenchmarkXOR times the kernel on 4 KB blocks: XOR over 1, 3 and 7
+// sources (a copy, a rebuild of a p = 4 group, a p = 8 parity) and
+// XORInto of one source, the clip-write fold.
+func BenchmarkXOR(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(3))
+	dst := make([]byte, n)
+	for _, k := range []int{1, 3, 7} {
+		srcs := make([][]byte, k)
+		for i := range srcs {
+			srcs[i] = randBytes(rng, n)
+		}
+		b.Run(fmt.Sprintf("srcs=%d", k), func(b *testing.B) {
+			b.SetBytes(int64(k * n))
+			for range b.N {
+				XOR(dst, srcs...)
+			}
+		})
+	}
+	src := randBytes(rng, n)
+	b.Run("into", func(b *testing.B) {
+		b.SetBytes(n)
+		for range b.N {
+			XORInto(dst, src)
 		}
 	})
 }
