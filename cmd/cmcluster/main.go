@@ -151,7 +151,7 @@ func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Durat
 	s := &server{
 		cl:           cl,
 		nodeCfg:      nodeCfg,
-		pilot:        cluster.NewPilot(cl, nodeCfg, autopilot.Config{}),
+		pilot:        cluster.NewPilot(cl, nodeCfg),
 		writeTimeout: writeTimeout,
 	}
 	s.wake = sync.NewCond(&s.mu)

@@ -16,9 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
-	"ftcms/internal/autopilot"
 	"ftcms/internal/cliutil"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/experiments"
@@ -28,6 +28,13 @@ import (
 	"ftcms/internal/trace"
 	"ftcms/internal/units"
 )
+
+// modeFlags lists the flags each mode reads.
+var modeFlags = map[string]string{
+	"-exp":         "exp csv buffer seed subscribers timescale",
+	"-scenario":    "scenario autopilot timeline csv seed subscribers timescale nodes rep",
+	"a single run": "scheme p buffer seed duration rate fail failat rebuild bypass scrub corrupt",
+}
 
 func main() {
 	var list strings.Builder
@@ -57,17 +64,20 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	// -exp reaches an entry only through these flags; any other flag on
-	// the same command line belongs to a single run or a scenario day.
+	// Each mode reads only its own flags (and the profiling pair); any
+	// other flag on the command line belongs to another mode.
+	mode := "a single run"
 	if *exp != "" {
-		applies := map[string]bool{"exp": true, "csv": true, "buffer": true, "seed": true,
-			"subscribers": true, "timescale": true, "cpuprofile": true, "memprofile": true}
-		flag.Visit(func(f *flag.Flag) {
-			if !applies[f.Name] {
-				fatal(fmt.Errorf("-%s does not apply to -exp", f.Name))
-			}
-		})
+		mode = "-exp"
+	} else if *scenarioFlag != "" {
+		mode = "-scenario"
 	}
+	applies := strings.Fields(modeFlags[mode] + " cpuprofile memprofile")
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(applies, f.Name) {
+			fatal(fmt.Errorf("-%s does not apply to %s", f.Name, mode))
+		}
+	})
 	var buffer units.Bits
 	if *bufferFlag != "" {
 		var err error
@@ -220,9 +230,7 @@ func runScenario(arg string, opts scenarioOpts) error {
 		Seed:        opts.seed,
 		Nodes:       opts.nodes,
 		Replication: opts.replication,
-	}
-	if opts.autopilot {
-		rc.Autopilot = &autopilot.Config{}
+		Autopilot:   opts.autopilot,
 	}
 	res, err := scenario.Run(rc)
 	if err != nil {

@@ -78,13 +78,13 @@ func TestOtherSurfacesUnchanged(t *testing.T) {
 	golden(t, "scenario_single.csv", "-scenario", "primetime-flashcrowd", "-nodes", "1", "-csv")
 }
 
-// TestExpFlagErrors: -exp refuses what it would otherwise have to guess
-// at — an unknown name and flags that belong to a single run or a
-// scenario day — with a non-zero exit
-// and nothing on standard output. So do a single run of a scheme the
-// simulator does not model, naming the ones it does, and a -fail outside
-// the array.
-func TestExpFlagErrors(t *testing.T) {
+// TestFlagErrors: -exp refuses what it would otherwise have to guess at
+// — an unknown name and flags that belong to a single run or a scenario
+// day — with a non-zero exit and nothing on standard output. So do a
+// scenario day and a single run given each other's flags, a single run of
+// a scheme the simulator does not model, naming the ones it does, and a
+// -fail outside the array.
+func TestFlagErrors(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-exp nope", "autopilotsweep  E21"},
 		{"-exp figure5", "unknown experiment"},
@@ -92,6 +92,16 @@ func TestExpFlagErrors(t *testing.T) {
 		{"-exp continuity -fail 3", "-fail does not apply to -exp"},
 		{"-exp figure6 -rate 5", "-rate does not apply to -exp"},
 		{"-exp figure6 -p 8", "-p does not apply to -exp"},
+		{"-scenario steady -subscribers 2000 -timescale 2880 -p 8", "-p does not apply to -scenario"},
+		{"-scenario steady -rate 99", "-rate does not apply to -scenario"},
+		{"-scenario steady -fail 3", "-fail does not apply to -scenario"},
+		{"-scenario steady -scheme streaming-raid", "-scheme does not apply to -scenario"},
+		{"-scenario steady -bypass -1", "-bypass does not apply to -scenario"},
+		{"-scenario steady -buffer 2GB", "-buffer does not apply to -scenario"},
+		{"-duration 5 -autopilot", "-autopilot does not apply to a single run"},
+		{"-duration 5 -nodes 3", "-nodes does not apply to a single run"},
+		{"-duration 5 -subscribers 7", "-subscribers does not apply to a single run"},
+		{"-duration 5 -csv", "-csv does not apply to a single run"},
 		{"-scheme declustered-pq", "not modelled (want one of declustered, prefetch-flat, prefetch-parity-disk, streaming-raid, non-clustered, declustered-dynamic)"},
 		{"-fail 40 -failat 5 -duration 20 -rebuild", "sim: trace disk 40 out of range [0, 32)"},
 	} {

@@ -14,11 +14,11 @@
 // runs replayable at any GOMAXPROCS. Robustness comes from three
 // guards layered on the thresholds:
 //
-//   - hysteresis: a threshold must hold for a configured number of
+//   - hysteresis: a threshold must hold for a fixed number of
 //     consecutive rounds before the action arms, so one bad round (or a
 //     flash crowd's leading edge) cannot flap the cluster;
 //   - per-action cooldowns: after an action fires, its kind is locked
-//     out for a configured number of rounds, bounding the action rate no
+//     out for a fixed number of rounds, bounding the action rate no
 //     matter how the load oscillates;
 //   - interlocks: scale-in never runs below the replication floor, never
 //     runs while a failure is unresolved or a rebuild/migration is in
@@ -113,116 +113,45 @@ type Signals struct {
 	DrainCandidate int
 }
 
-// Config sets the policy thresholds. The zero value of every field
-// selects the default shown; New clamps the rest.
-type Config struct {
-	// Window is the reject window width W in rounds (default 16).
-	Window int
-	// ScaleOutRejects arms scale-out when the window's reject sum
-	// reaches it (default 1 — any sustained rejection is capacity the
-	// cluster should add).
-	ScaleOutRejects int
-	// ScaleOutHold is how many consecutive rounds the window must stay
-	// over threshold before scale-out fires (default 4).
-	ScaleOutHold int
-	// ScaleOutCooldown locks out further scale-outs for this many rounds
-	// after one fires (default 4·Window).
-	ScaleOutCooldown int64
-	// MaxNodes caps the node count scale-out may grow the cluster to
-	// (default MinNodes+2). Replacements are budgeted separately.
-	MaxNodes int
-	// MinNodes is the replication-safety floor scale-in never crosses
-	// (default 1; the engines raise it to the original membership).
-	MinNodes int
-	// ScaleInUtil arms scale-in when utilization stays below it with an
-	// empty window and queue (default 0.5).
-	ScaleInUtil float64
-	// ScaleInHold is the consecutive-round hold for scale-in (default
-	// 4·Window — leaving is much cheaper to delay than arriving).
-	ScaleInHold int
-	// ScaleInCooldown locks out further scale-ins (default 4·Window).
-	ScaleInCooldown int64
-	// Spares is the replacement budget: how many lost nodes the
-	// controller may replace (default 1).
-	Spares int
-	// ReplaceCooldown spaces replacements (default Window).
-	ReplaceCooldown int64
-	// ShedQueue starts shedding when the backlog reaches it for
-	// ShedHold rounds (default 256). ShedExit stops once the backlog
-	// falls to it (default ShedQueue/8). Shedding needs no cooldown:
-	// the disjoint start/stop thresholds plus the hold are the
-	// hysteresis.
-	ShedQueue, ShedExit int
-	// ShedHold is the consecutive-round hold for entering and leaving
-	// the shed mode (default 4).
-	ShedHold int
-	// FailoverReserve is the number of admission slots the serving tier
-	// keeps free while the shed mode is on, so a node loss under
-	// overload can still fail its in-flight streams over instead of
-	// dropping them — the paper's contingency capacity raised to
-	// cluster granularity. 0 lets the engine pick its default (the sim
-	// engine uses three nodes' worth, sized so the slice of the reserve
-	// actually reachable from any one loss — it spreads over all nodes
-	// and fragments across replica subsets and position classes —
-	// covers that node's streams); negative disables the reserve. The
-	// controller itself only carries the value; enforcement lives in
-	// the admission path.
-	FailoverReserve int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.ScaleOutRejects <= 0 {
-		c.ScaleOutRejects = 1
-	}
-	if c.ScaleOutHold <= 0 {
-		c.ScaleOutHold = 4
-	}
-	if c.ScaleOutCooldown <= 0 {
-		c.ScaleOutCooldown = 4 * int64(c.Window)
-	}
-	if c.MinNodes <= 0 {
-		c.MinNodes = 1
-	}
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = c.MinNodes + 2
-	}
-	if c.MaxNodes < c.MinNodes {
-		c.MaxNodes = c.MinNodes
-	}
-	if c.ScaleInUtil <= 0 {
-		c.ScaleInUtil = 0.5
-	}
-	if c.ScaleInHold <= 0 {
-		c.ScaleInHold = 4 * c.Window
-	}
-	if c.ScaleInCooldown <= 0 {
-		c.ScaleInCooldown = 4 * int64(c.Window)
-	}
-	if c.Spares < 0 {
-		c.Spares = 0
-	} else if c.Spares == 0 {
-		c.Spares = 1
-	}
-	if c.ReplaceCooldown <= 0 {
-		c.ReplaceCooldown = int64(c.Window)
-	}
-	if c.ShedQueue <= 0 {
-		c.ShedQueue = 256
-	}
-	if c.ShedExit <= 0 {
-		c.ShedExit = c.ShedQueue / 8
-	}
-	if c.ShedExit >= c.ShedQueue {
-		c.ShedExit = c.ShedQueue - 1
-	}
-	if c.ShedHold <= 0 {
-		c.ShedHold = 4
-	}
-	return c
-}
+// The policy thresholds: the values every engine runs.
+const (
+	// window is the reject window width W in rounds.
+	window = 16
+	// scaleOutRejects arms scale-out when the window's reject sum
+	// reaches it: any sustained rejection is capacity the cluster should
+	// add.
+	scaleOutRejects = 1
+	// scaleOutHold is how many consecutive rounds the window must stay
+	// over threshold before scale-out fires.
+	scaleOutHold = 4
+	// scaleOutCooldown locks out further scale-outs for this many rounds
+	// after one fires.
+	scaleOutCooldown = 4 * window
+	// growth is how many nodes scale-out may add beyond minNodes.
+	// Replacements are budgeted separately.
+	growth = 2
+	// scaleInUtil arms scale-in when utilization stays below it with an
+	// empty window and queue.
+	scaleInUtil = 0.5
+	// scaleInHold is the consecutive-round hold for scale-in: leaving is
+	// much cheaper to delay than arriving.
+	scaleInHold = 4 * window
+	// scaleInCooldown locks out further scale-ins.
+	scaleInCooldown = 4 * window
+	// spares is the replacement budget: how many lost nodes the
+	// controller may replace.
+	spares = 1
+	// replaceCooldown spaces replacements.
+	replaceCooldown = window
+	// shedQueue starts shedding when the backlog reaches it for shedHold
+	// rounds; shedExit stops it once the backlog falls to it. Shedding
+	// needs no cooldown: the disjoint start/stop thresholds plus the hold
+	// are the hysteresis.
+	shedQueue, shedExit = 256, 32
+	// shedHold is the consecutive-round hold for entering and leaving
+	// the shed mode.
+	shedHold = 4
+)
 
 // Interlock reasons are static strings so recording one never allocates.
 const (
@@ -239,14 +168,15 @@ const (
 // Controller is the policy state machine. Not safe for concurrent use;
 // callers drive it from their own round loop.
 type Controller struct {
-	cfg                  Config
+	// minNodes is the replication-safety floor scale-in never crosses:
+	// the membership when the engine attached the controller.
+	minNodes             int
 	window               *admission.RejectWindow
-	overFor              int // consecutive rounds with window sum ≥ ScaleOutRejects
+	overFor              int // consecutive rounds with window sum ≥ scaleOutRejects
 	underFor             int // consecutive rounds idle enough to scale in
 	shedHiFor, shedLoFor int
 	cooldownUntil        [numKinds]int64
 	shedding             bool
-	joins                int // scale-out joins issued
 	replaced             int // losses replaced
 	actions              []Action
 	last                 Action
@@ -255,17 +185,14 @@ type Controller struct {
 	round                int64
 }
 
-// New builds a controller; zero-value Config fields take defaults.
-func New(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
+// New builds a controller that never scales in below minNodes nor out
+// beyond minNodes+2.
+func New(minNodes int) *Controller {
 	return &Controller{
-		cfg:    cfg,
-		window: admission.NewRejectWindow(cfg.Window),
+		minNodes: minNodes,
+		window:   admission.NewRejectWindow(window),
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Shedding reports whether the degradation mode is on; the serving tier
 // consults it before admitting new lean-back sessions.
@@ -300,24 +227,24 @@ func (c *Controller) Observe(s Signals) (Action, bool) {
 	// Hysteresis counters advance every round regardless of interlocks,
 	// so a blocked decision fires as soon as the lock clears instead of
 	// re-accumulating from zero.
-	if c.window.Sum() >= c.cfg.ScaleOutRejects {
+	if c.window.Sum() >= scaleOutRejects {
 		c.overFor++
 	} else {
 		c.overFor = 0
 	}
 	idle := c.window.Sum() == 0 && s.QueueDepth == 0 &&
-		s.Capacity > 0 && float64(s.Active) < c.cfg.ScaleInUtil*float64(s.Capacity)
+		s.Capacity > 0 && float64(s.Active) < scaleInUtil*float64(s.Capacity)
 	if idle {
 		c.underFor++
 	} else {
 		c.underFor = 0
 	}
-	if s.QueueDepth >= c.cfg.ShedQueue {
+	if s.QueueDepth >= shedQueue {
 		c.shedHiFor++
 	} else {
 		c.shedHiFor = 0
 	}
-	if s.QueueDepth <= c.cfg.ShedExit {
+	if s.QueueDepth <= shedExit {
 		c.shedLoFor++
 	} else {
 		c.shedLoFor = 0
@@ -326,7 +253,7 @@ func (c *Controller) Observe(s Signals) (Action, bool) {
 	// 1. Replace a confirmed node loss from the spare budget.
 	if s.NodeLosses > c.replaced {
 		switch {
-		case c.replaced >= c.cfg.Spares:
+		case c.replaced >= spares:
 			c.interlock = lockSpares
 		case s.Reconfiguring:
 			c.interlock = lockReconfig
@@ -334,14 +261,14 @@ func (c *Controller) Observe(s Signals) (Action, bool) {
 			c.interlock = lockCooldown
 		default:
 			c.replaced++
-			return c.fire(Replace, -1, "node loss confirmed", c.cfg.ReplaceCooldown), true
+			return c.fire(Replace, -1, "node loss confirmed", replaceCooldown), true
 		}
 	}
 
 	// 2. Scale out on sustained rejects.
-	if c.overFor >= c.cfg.ScaleOutHold {
+	if c.overFor >= scaleOutHold {
 		switch {
-		case s.ActiveNodes >= c.cfg.MaxNodes:
+		case s.ActiveNodes >= c.minNodes+growth:
 			c.interlock = lockBudget
 		case s.Reconfiguring:
 			c.interlock = lockReconfig
@@ -349,25 +276,24 @@ func (c *Controller) Observe(s Signals) (Action, bool) {
 			c.interlock = lockCooldown
 		default:
 			c.overFor = 0
-			c.joins++
-			return c.fire(ScaleOut, -1, "sustained rejects", c.cfg.ScaleOutCooldown), true
+			return c.fire(ScaleOut, -1, "sustained rejects", scaleOutCooldown), true
 		}
 	}
 
 	// 3. Shed-mode transitions: admission-level, so they are exempt
 	// from the reconfiguration interlock — degradation must be able to
 	// engage exactly when the cluster is busiest.
-	if !c.shedding && c.shedHiFor >= c.cfg.ShedHold {
+	if !c.shedding && c.shedHiFor >= shedHold {
 		c.shedding = true
 		return c.fire(ShedStart, -1, "backlog over shed threshold", 0), true
 	}
-	if c.shedding && c.shedLoFor >= c.cfg.ShedHold {
+	if c.shedding && c.shedLoFor >= shedHold {
 		c.shedding = false
 		return c.fire(ShedStop, -1, "backlog cleared", 0), true
 	}
 
 	// 4. Scale in off-peak.
-	if c.underFor >= c.cfg.ScaleInHold {
+	if c.underFor >= scaleInHold {
 		switch {
 		case s.NodeLosses > c.replaced || s.Rebuilding:
 			// Abort, don't defer: shrinking while degraded is never right.
@@ -379,7 +305,7 @@ func (c *Controller) Observe(s Signals) (Action, bool) {
 			}
 		case s.Reconfiguring:
 			c.interlock = lockReconfig
-		case s.ActiveNodes <= c.cfg.MinNodes:
+		case s.ActiveNodes <= c.minNodes:
 			c.interlock = lockFloor
 		case s.DrainCandidate < 0:
 			c.interlock = lockNoTarget
@@ -387,7 +313,7 @@ func (c *Controller) Observe(s Signals) (Action, bool) {
 			c.interlock = lockCooldown
 		default:
 			c.underFor = 0
-			return c.fire(ScaleIn, s.DrainCandidate, "sustained idle capacity", c.cfg.ScaleInCooldown), true
+			return c.fire(ScaleIn, s.DrainCandidate, "sustained idle capacity", scaleInCooldown), true
 		}
 	}
 

@@ -1,79 +1,70 @@
 package autopilot
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // calm returns a baseline healthy-cluster signal for round r.
 func calm(r int64) Signals {
 	return Signals{Round: r, Active: 80, Capacity: 100, ActiveNodes: 3, DrainCandidate: -1}
 }
 
-// TestScaleOutHysteresis: rejects must persist for Window-sum ≥ threshold
-// over ScaleOutHold consecutive rounds before a join fires; a single
-// spike inside the window does not.
+// TestScaleOutHysteresis: one reject keeps the window's sum over the
+// threshold for a whole window, and scale-out fires on the hold's last
+// round — not before — and never at the node budget.
 func TestScaleOutHysteresis(t *testing.T) {
-	c := New(Config{Window: 4, ScaleOutRejects: 3, ScaleOutHold: 3, MaxNodes: 5, MinNodes: 3})
-	// One spike of 5 rejects: window sum stays ≥ 3 for 4 rounds (the
-	// spike's residence time), which with hold 3 would fire — so use a
-	// spike of 2, under the sum threshold entirely.
-	for r := int64(0); r < 10; r++ {
-		s := calm(r)
-		if r == 2 {
-			s.Rejects = 2
-		}
-		if a, ok := c.Observe(s); ok {
-			t.Fatalf("sub-threshold spike fired %v", a)
-		}
-	}
-	// Sustained rejects: 1/round pushes the 4-round window sum to 3 at
-	// round 12, hold satisfied at round 14.
+	c := New(3)
 	var got []Action
-	for r := int64(10); r < 20; r++ {
+	for r := int64(0); r < 40; r++ {
 		s := calm(r)
-		s.Rejects = 1
+		if r == 10 {
+			s.Rejects = 1
+		}
 		if a, ok := c.Observe(s); ok {
 			got = append(got, a)
 		}
 	}
 	if len(got) != 1 || got[0].Kind != ScaleOut {
-		t.Fatalf("sustained rejects fired %v, want one scale-out", got)
+		t.Fatalf("one reject fired %v, want one scale-out", got)
 	}
-	if got[0].Round != 14 {
-		t.Fatalf("scale-out at round %d, want 14 (sum≥3 from 12, hold 3)", got[0].Round)
+	if want := int64(10 + scaleOutHold - 1); got[0].Round != want {
+		t.Fatalf("scale-out at round %d, want %d (sum≥1 from 10, hold %d)", got[0].Round, want, scaleOutHold)
+	}
+
+	// At minNodes+2 active nodes sustained rejects are suppressed.
+	c = New(1)
+	for r := int64(0); r < 40; r++ {
+		s := calm(r) // three active nodes
+		s.Rejects = 1
+		if a, ok := c.Observe(s); ok {
+			t.Fatalf("scale-out beyond the node budget: %v", a)
+		}
+	}
+	if got := c.Status().Interlock; got != lockBudget {
+		t.Fatalf("interlock %q, want %q", got, lockBudget)
 	}
 }
 
 // TestFlappingCooldown is the satellite coverage: a synthetic load that
-// oscillates across the scale-out threshold every other window must
-// produce at most one action per cooldown period.
+// oscillates across the scale-out threshold must produce at most one
+// action per cooldown period.
 func TestFlappingCooldown(t *testing.T) {
 	cases := []struct {
-		name           string
-		window, hold   int
-		cooldown       int64
-		rounds         int64
-		period         int64 // load on for period rounds, off for period
-		maxNodes       int
-		wantMaxPerCool int
+		name   string
+		period int64 // load on for period rounds, off for period
 	}{
-		{"every-other-window", 4, 2, 32, 256, 8, 64, 1},
-		{"fast-flap", 2, 1, 16, 200, 2, 64, 1},
-		{"slow-swing", 8, 4, 48, 384, 24, 64, 1},
+		{"every-other-window", window},
+		{"fast-flap", 2},
+		{"slow-swing", 3 * window / 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(Config{
-				Window: tc.window, ScaleOutRejects: 1, ScaleOutHold: tc.hold,
-				ScaleOutCooldown: tc.cooldown, MaxNodes: tc.maxNodes, MinNodes: 3,
-			})
-			for r := int64(0); r < tc.rounds; r++ {
+			// Joins land nowhere, so the node budget never binds and
+			// only the cooldown spaces the actions.
+			c := New(3)
+			for r := int64(0); r < 16*window; r++ {
 				s := calm(r)
 				if (r/tc.period)%2 == 0 {
 					s.Rejects = 5 // well over threshold: crossing every other period
 				}
-				s.ActiveNodes = 3 + len(c.Actions()) // joins take effect immediately
 				c.Observe(s)
 			}
 			// Bucket the fired actions by cooldown period: no bucket may
@@ -83,46 +74,43 @@ func TestFlappingCooldown(t *testing.T) {
 				if a.Kind != ScaleOut {
 					t.Fatalf("unexpected action %v", a)
 				}
-				buckets[a.Round/tc.cooldown]++
+				buckets[a.Round/scaleOutCooldown]++
 			}
 			for b, n := range buckets {
-				if n > tc.wantMaxPerCool {
-					t.Fatalf("cooldown period %d saw %d actions, want ≤ %d", b, n, tc.wantMaxPerCool)
+				if n > 1 {
+					t.Fatalf("cooldown period %d saw %d actions, want ≤ 1", b, n)
 				}
 			}
-			if len(c.Actions()) == 0 {
-				t.Fatal("oscillating load above threshold never fired at all")
+			if len(c.Actions()) < 2 {
+				t.Fatalf("oscillating load above threshold fired %d times, want one per cooldown", len(c.Actions()))
 			}
 		})
 	}
 }
 
-// TestScaleInFloorAndInterlocks: scale-in never crosses MinNodes, aborts
+// TestScaleInFloorAndInterlocks: scale-in never crosses minNodes, aborts
 // when a failure or rebuild is in flight, and defers while another
 // reconfiguration runs — each suppression recording its reason.
 func TestScaleInFloorAndInterlocks(t *testing.T) {
 	idle := func(r int64) Signals {
 		return Signals{Round: r, Active: 5, Capacity: 100, ActiveNodes: 4, DrainCandidate: 3}
 	}
-	mk := func() *Controller {
-		return New(Config{Window: 2, ScaleInUtil: 0.5, ScaleInHold: 3, MinNodes: 3, MaxNodes: 5})
-	}
 
-	// Happy path: idle for hold rounds drains the candidate.
-	c := mk()
+	// Happy path: idle for the hold drains the candidate.
+	c := New(3)
 	var fired []Action
-	for r := int64(0); r < 6; r++ {
+	for r := int64(0); r < scaleInHold+8; r++ {
 		if a, ok := c.Observe(idle(r)); ok {
 			fired = append(fired, a)
 		}
 	}
-	if len(fired) != 1 || fired[0].Kind != ScaleIn || fired[0].Node != 3 {
-		t.Fatalf("idle cluster fired %v, want one scale-in of node 3", fired)
+	if len(fired) != 1 || fired[0].Kind != ScaleIn || fired[0].Node != 3 || fired[0].Round != scaleInHold-1 {
+		t.Fatalf("idle cluster fired %v, want one scale-in of node 3 at round %d", fired, scaleInHold-1)
 	}
 
 	// At the floor: suppressed with the floor reason.
-	c = mk()
-	for r := int64(0); r < 10; r++ {
+	c = New(3)
+	for r := int64(0); r < 2*scaleInHold; r++ {
 		s := idle(r)
 		s.ActiveNodes = 3
 		s.DrainCandidate = -1
@@ -135,8 +123,8 @@ func TestScaleInFloorAndInterlocks(t *testing.T) {
 	}
 
 	// Rebuild in flight: aborted (hysteresis resets), reason recorded.
-	c = mk()
-	for r := int64(0); r < 10; r++ {
+	c = New(3)
+	for r := int64(0); r < scaleInHold; r++ {
 		s := idle(r)
 		s.Rebuilding = true
 		if a, ok := c.Observe(s); ok {
@@ -147,14 +135,17 @@ func TestScaleInFloorAndInterlocks(t *testing.T) {
 		t.Fatalf("interlock %q, want %q", got, lockRebuild)
 	}
 
-	// Unreplaced node loss blocks scale-in too (spares exhausted keeps
-	// NodeLosses > replaced forever).
-	c = New(Config{Window: 2, ScaleInUtil: 0.5, ScaleInHold: 3, MinNodes: 3, MaxNodes: 5, Spares: -1})
-	for r := int64(0); r < 9; r++ {
+	// Unreplaced node loss blocks scale-in too: the first loss takes the
+	// one spare, so a second keeps NodeLosses > replaced for ever.
+	c = New(3)
+	for r := int64(0); r < scaleInHold; r++ {
 		s := idle(r)
-		s.NodeLosses = 1
-		if a, ok := c.Observe(s); ok {
-			t.Fatalf("scale-in with unresolved failure: %v", a)
+		s.NodeLosses = 2
+		if r == 0 {
+			s.NodeLosses = 1
+		}
+		if a, ok := c.Observe(s); ok != (r == 0) || (ok && a.Kind != Replace) {
+			t.Fatalf("round %d with unresolved failure fired %v (ok=%v), want only the first loss's replace", r, a, ok)
 		}
 	}
 	if got := c.Status().Interlock; got != lockFailure {
@@ -162,8 +153,8 @@ func TestScaleInFloorAndInterlocks(t *testing.T) {
 	}
 
 	// Reconfiguration in flight: deferred, fires once clear.
-	c = mk()
-	for r := int64(0); r < 6; r++ {
+	c = New(3)
+	for r := int64(0); r < scaleInHold; r++ {
 		s := idle(r)
 		s.Reconfiguring = true
 		if a, ok := c.Observe(s); ok {
@@ -173,7 +164,7 @@ func TestScaleInFloorAndInterlocks(t *testing.T) {
 	if got := c.Status().Interlock; got != lockReconfig {
 		t.Fatalf("interlock %q, want %q", got, lockReconfig)
 	}
-	if a, ok := c.Observe(idle(6)); !ok || a.Kind != ScaleIn {
+	if a, ok := c.Observe(idle(scaleInHold)); !ok || a.Kind != ScaleIn {
 		t.Fatalf("cleared interlock did not release the deferred scale-in (got %v, %v)", a, ok)
 	}
 }
@@ -181,14 +172,14 @@ func TestScaleInFloorAndInterlocks(t *testing.T) {
 // TestReplaceOnLoss: a confirmed loss consumes one spare, exactly once,
 // and the budget caps further replacements.
 func TestReplaceOnLoss(t *testing.T) {
-	c := New(Config{Window: 4, Spares: 1, MinNodes: 3, MaxNodes: 5})
+	c := New(3)
 	s := calm(0)
 	s.NodeLosses = 1
 	a, ok := c.Observe(s)
 	if !ok || a.Kind != Replace {
 		t.Fatalf("loss produced %v ok=%v, want replace", a, ok)
 	}
-	for r := int64(1); r < 50; r++ {
+	for r := int64(1); r < 4*replaceCooldown; r++ {
 		s := calm(r)
 		s.NodeLosses = 1
 		if a, ok := c.Observe(s); ok {
@@ -196,7 +187,7 @@ func TestReplaceOnLoss(t *testing.T) {
 		}
 	}
 	// Second loss: spare budget exhausted.
-	s = calm(50)
+	s = calm(4 * replaceCooldown)
 	s.NodeLosses = 2
 	if a, ok := c.Observe(s); ok {
 		t.Fatalf("replacement beyond spare budget: %v", a)
@@ -207,39 +198,40 @@ func TestReplaceOnLoss(t *testing.T) {
 }
 
 // TestShedHysteresis: the shed mode starts after the backlog holds over
-// ShedQueue, stops only after it falls to ShedExit, and a backlog
-// wobbling between the two thresholds changes nothing.
+// shedQueue, stops only after it holds at shedExit or under, and a
+// backlog wobbling between the two thresholds changes nothing.
 func TestShedHysteresis(t *testing.T) {
-	c := New(Config{Window: 4, ShedQueue: 100, ShedExit: 10, ShedHold: 2, MinNodes: 3, MaxNodes: 3})
-	sig := func(r int64, q int) Signals {
-		s := calm(r)
-		s.QueueDepth = q
-		s.Rejects = 1 // keep the idle path disarmed
-		return s
-	}
-	seq := []struct {
-		q         int
-		wantKind  Kind
-		wantFired bool
+	c := New(3)
+	mode := false
+	steps := []struct {
+		q, rounds int
+		want      Kind // fired on the last round of the step
 	}{
-		{150, 0, false}, // first round over: hold not met
-		{150, ShedStart, true},
-		{50, 0, false}, // between thresholds: stays shedding
-		{50, 0, false},
-		{150, 0, false},
-		{5, 0, false}, // first round under exit
-		{5, ShedStop, true},
-		{5, 0, false},
+		{shedQueue - 1, 8, numKinds}, // just under: never starts
+		{shedQueue, shedHold, ShedStart},
+		{shedExit + 1, 8, numKinds}, // between thresholds: stays shedding
+		{shedQueue, 2, numKinds},
+		{shedExit, shedHold, ShedStop},
+		{0, 8, numKinds},
 	}
-	for i, st := range seq {
-		a, ok := c.Observe(sig(int64(i), st.q))
-		if ok != st.wantFired || (ok && a.Kind != st.wantKind) {
-			t.Fatalf("step %d (queue %d): got %v ok=%v, want fired=%v kind=%v",
-				i, st.q, a, ok, st.wantFired, st.wantKind)
-		}
-		wantMode := i >= 1 && i < 6
-		if c.Shedding() != wantMode {
-			t.Fatalf("step %d: shedding=%v, want %v", i, c.Shedding(), wantMode)
+	r := int64(0)
+	for i, st := range steps {
+		for k := 1; k <= st.rounds; k++ {
+			s := calm(r)
+			s.QueueDepth = st.q
+			a, ok := c.Observe(s)
+			r++
+			last := k == st.rounds && st.want != numKinds
+			if ok != last || (ok && a.Kind != st.want) {
+				t.Fatalf("step %d round %d (queue %d): got %v ok=%v, want fired=%v kind=%v",
+					i, k, st.q, a, ok, last, st.want)
+			}
+			if last {
+				mode = !mode
+			}
+			if c.Shedding() != mode {
+				t.Fatalf("step %d round %d: shedding=%v, want %v", i, k, c.Shedding(), mode)
+			}
 		}
 	}
 }
@@ -265,7 +257,7 @@ func TestDeterministicReplay(t *testing.T) {
 		stream[r] = s
 	}
 	run := func() string {
-		c := New(Config{Window: 8, MinNodes: 3, MaxNodes: 5})
+		c := New(3)
 		for _, s := range stream {
 			s.ActiveNodes += countJoins(c.Actions())
 			c.Observe(s)
@@ -291,26 +283,12 @@ func countJoins(actions []Action) int {
 // TestQuiescentObserveAllocs: with nothing pending, Observe must not
 // touch the heap — it runs inside every round tick.
 func TestQuiescentObserveAllocs(t *testing.T) {
-	c := New(Config{MinNodes: 3, MaxNodes: 5})
+	c := New(3)
 	r := int64(0)
 	if n := testing.AllocsPerRun(200, func() {
 		r++
 		c.Observe(calm(r))
 	}); n != 0 {
 		t.Fatalf("quiescent Observe allocates %v per call, want 0", n)
-	}
-}
-
-// TestConfigDefaults pins the documented zero-value defaults.
-func TestConfigDefaults(t *testing.T) {
-	got := New(Config{}).Config()
-	want := Config{
-		Window: 16, ScaleOutRejects: 1, ScaleOutHold: 4, ScaleOutCooldown: 64,
-		MaxNodes: 3, MinNodes: 1, ScaleInUtil: 0.5, ScaleInHold: 64,
-		ScaleInCooldown: 64, Spares: 1, ReplaceCooldown: 16,
-		ShedQueue: 256, ShedExit: 32, ShedHold: 4,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("defaults = %+v, want %+v", got, want)
 	}
 }

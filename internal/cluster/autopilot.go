@@ -38,16 +38,12 @@ type Pilot struct {
 
 // NewPilot attaches a controller to the cluster. The template is the
 // node configuration JoinNode uses for every scale-out and replacement.
-// Zero-value Config fields take the controller defaults, except
-// MinNodes, which defaults to the membership at attach time — the
-// pilot never shrinks the cluster below what the operator built.
-func NewPilot(c *Cluster, tmpl core.Config, cfg autopilot.Config) *Pilot {
-	if cfg.MinNodes <= 0 {
-		cfg.MinNodes = len(c.nodes)
-	}
+// The controller's floor is the membership at attach time — the pilot
+// never shrinks the cluster below what the operator built.
+func NewPilot(c *Cluster, tmpl core.Config) *Pilot {
 	return &Pilot{
 		c:            c,
-		ctrl:         autopilot.New(cfg),
+		ctrl:         autopilot.New(len(c.nodes)),
 		tmpl:         tmpl,
 		base:         len(c.nodes),
 		enabled:      true,

@@ -47,13 +47,7 @@ func tinyCluster(t *testing.T, nodes, rep int) *Cluster {
 // Runs under -race in CI.
 func TestChaosAutopilot(t *testing.T) {
 	c := tinyCluster(t, 3, 2)
-	pilot := NewPilot(c, tinyNodeConfig(), autopilot.Config{
-		Window:           4,
-		ScaleOutHold:     2,
-		ScaleOutCooldown: 40,
-		ReplaceCooldown:  4,
-		Spares:           1,
-	})
+	pilot := NewPilot(c, tinyNodeConfig())
 
 	clips := map[string][]byte{}
 	for i := 0; i < 3; i++ {
@@ -207,7 +201,7 @@ func TestChaosAutopilot(t *testing.T) {
 // observing an idle cluster allocates nothing.
 func TestPilotQuiescentStepAllocs(t *testing.T) {
 	c := tinyCluster(t, 3, 2)
-	pilot := NewPilot(c, tinyNodeConfig(), autopilot.Config{})
+	pilot := NewPilot(c, tinyNodeConfig())
 	for i := 0; i < 3; i++ {
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
@@ -277,12 +271,13 @@ func TestQuiescentTickAllocs(t *testing.T) {
 		var pilot *Pilot
 		var open []*Stream
 		buf := make([]byte, 64<<10)
+		mayAct := false // the pilot may act while it is being set up
 		round := func() int {
 			if err := c.Tick(); err != nil {
 				t.Fatal(err)
 			}
 			if pilot != nil {
-				if _, acted, err := pilot.Step(); err != nil || acted {
+				if _, acted, err := pilot.Step(); err != nil || acted && !mayAct {
 					t.Fatalf("quiescent cluster: pilot acted=%v err=%v", acted, err)
 				}
 			}
@@ -314,8 +309,25 @@ func TestQuiescentTickAllocs(t *testing.T) {
 			open = append(open, st)
 		}
 		if withPilot {
-			// No spare: the down node's loss is not replaced.
-			pilot = NewPilot(c, node6Config(), autopilot.Config{Spares: -1})
+			pilot = NewPilot(c, node6Config())
+		}
+		if withPilot && failMidDrain {
+			// The pilot replaces node 0's loss with its one spare. Losing
+			// the replacement too leaves a loss it cannot replace, which
+			// keeps it from acting in the measured rounds.
+			mayAct = true
+			for n := c.NodeCount(); c.NodeCount() == n; round() {
+				if c.Round() > 10_000 {
+					t.Fatal("pilot never replaced node 0")
+				}
+			}
+			if err := c.FailNode(c.NodeCount() - 1); err != nil {
+				t.Fatal(err)
+			}
+			for !c.quiescent() {
+				round()
+			}
+			mayAct = false
 		}
 		return round
 	}
@@ -369,9 +381,7 @@ func allocsAtProcs(procs, runs int, f func()) float64 {
 // rejects cannot fire a stale scale-out.
 func TestPilotDisableFreezes(t *testing.T) {
 	c := tinyCluster(t, 2, 2)
-	pilot := NewPilot(c, tinyNodeConfig(), autopilot.Config{
-		Window: 4, ScaleOutHold: 2,
-	})
+	pilot := NewPilot(c, tinyNodeConfig())
 	if !pilot.Enabled() {
 		t.Fatal("pilot starts disabled")
 	}

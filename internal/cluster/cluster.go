@@ -55,9 +55,6 @@ type Config struct {
 	// (default 1; capped by the node count). AddClipReplicated overrides
 	// it per clip.
 	Replication int
-	// Health tunes the node-failure detector; the zero value selects the
-	// detector's documented defaults.
-	Health health.Config
 	// Faults, when non-nil, scripts node-granularity fault injection:
 	// the plan's Disk fields index nodes, not disks. Each Tick probes
 	// the plan once per live node and feeds the outcome to the node
@@ -255,7 +252,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		return nil
 	}
-	c.detector = health.NewDetector(len(cfg.Nodes), cfg.Health)
+	c.detector = health.NewDetector(len(cfg.Nodes), health.Config{})
 	c.detector.SetOnFail(c.nodeFailed)
 	if cfg.Faults != nil {
 		c.injector = faultinject.New(*cfg.Faults)

@@ -562,7 +562,6 @@ func TestDetectorDeclaresScriptedNodeFault(t *testing.T) {
 	cfg := Config{
 		Replication: 2,
 		Faults:      &faultinject.Plan{Seed: 1, FailStops: []faultinject.FailStop{{Disk: 1, Round: 3}}},
-		Health:      health.Config{FailThreshold: 3},
 	}
 	for i := 0; i < 3; i++ {
 		cfg.Nodes = append(cfg.Nodes, nodeConfig())

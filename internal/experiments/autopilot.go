@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ftcms/internal/autopilot"
 	"ftcms/internal/parallel"
 	"ftcms/internal/scenario"
 	"ftcms/internal/trace"
@@ -56,7 +55,7 @@ func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
 		if err != nil {
 			return AutopilotPoint{}, fmt.Errorf("autopilot sweep ×%g open: %w", mult, err)
 		}
-		rc.Autopilot = &autopilot.Config{}
+		rc.Autopilot = true
 		closed, err := scenario.Run(rc)
 		if err != nil {
 			return AutopilotPoint{}, fmt.Errorf("autopilot sweep ×%g closed: %w", mult, err)

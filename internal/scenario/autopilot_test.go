@@ -13,7 +13,7 @@ func closedLoop(t *testing.T, name string, seed int64) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(RunConfig{Scenario: c, Seed: seed, Autopilot: &autopilot.Config{}})
+	res, err := Run(RunConfig{Scenario: c, Seed: seed, Autopilot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAutopilotBuiltinExercisesLoop(t *testing.T) {
 // to reconfigure.
 func TestAutopilotNeedsCluster(t *testing.T) {
 	c := mustCompile(t, `{"name": "tiny", "subscribers": 1000}`)
-	if _, err := Run(RunConfig{Scenario: c, Seed: 1, Nodes: 1, Autopilot: &autopilot.Config{}}); err == nil {
-		t.Fatal("single-array run accepted an autopilot config")
+	if _, err := Run(RunConfig{Scenario: c, Seed: 1, Nodes: 1, Autopilot: true}); err == nil {
+		t.Fatal("single-array run accepted the autopilot")
 	}
 }

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 
-	"ftcms/internal/autopilot"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
@@ -11,7 +10,15 @@ import (
 	"ftcms/internal/workload"
 )
 
-// RunConfig binds a compiled scenario to a server shape. The zero value
+// The per-node shape every scenario runs: a declustered-parity array of
+// 16 disks in parity groups of 4, with a 128 MB buffer.
+const (
+	nodeDisks  = 16
+	nodeParity = 4
+	nodeBuffer = 128 * units.MB
+)
+
+// RunConfig binds a compiled scenario to a cluster size. The zero value
 // of every field selects a default, so {Scenario: c} is a runnable
 // three-node declustered cluster.
 type RunConfig struct {
@@ -27,18 +34,11 @@ type RunConfig struct {
 	// Replication is the clip replication factor (default 2, clamped to
 	// Nodes).
 	Replication int
-	// D and P are the per-node disk count and parity group size
-	// (defaults 16 and 4).
-	D, P int
-	// Buffer is the per-node RAM buffer (default 128 MB).
-	Buffer units.Bits
-	// Scheme is the fault-tolerant scheme (default declustered parity).
-	Scheme scheme.Scheme
-	// Autopilot, when set, runs the scenario closed-loop: the policy
-	// controller drives all reconfiguration, so the profile's operator
+	// Autopilot runs the scenario closed-loop: the policy controller
+	// drives all reconfiguration, so the profile's operator
 	// join/drain/adddisk maintenance is suppressed (faults — fail and
 	// restart — still fire). Cluster runs only.
-	Autopilot *autopilot.Config
+	Autopilot bool
 }
 
 // Result is a scenario run's outcome: the engine's result — service
@@ -64,18 +64,6 @@ func (rc RunConfig) withDefaults() RunConfig {
 	}
 	if rc.Replication > rc.Nodes {
 		rc.Replication = rc.Nodes
-	}
-	if rc.D == 0 {
-		rc.D = 16
-	}
-	if rc.P == 0 {
-		rc.P = 4
-	}
-	if rc.Buffer == 0 {
-		rc.Buffer = 128 * units.MB
-	}
-	if rc.Scheme == 0 {
-		rc.Scheme = scheme.Declustered
 	}
 	return rc
 }
@@ -106,11 +94,11 @@ func Run(rc RunConfig) (Result, error) {
 	}
 
 	node := sim.Config{
-		Scheme:   rc.Scheme,
+		Scheme:   scheme.Declustered,
 		Disk:     diskmodel.Default(),
-		D:        rc.D,
-		P:        rc.P,
-		Buffer:   rc.Buffer,
+		D:        nodeDisks,
+		P:        nodeParity,
+		Buffer:   nodeBuffer,
 		Catalog:  catalog,
 		Duration: c.Duration(),
 		Seed:     rc.Seed,
@@ -121,14 +109,14 @@ func Run(rc RunConfig) (Result, error) {
 
 	out := Result{Name: p.Name, Duration: c.Duration()}
 	if rc.Nodes == 1 {
-		if rc.Autopilot != nil {
+		if rc.Autopilot {
 			return Result{}, fmt.Errorf("scenario: autopilot needs a cluster (nodes > 1)")
 		}
 		for _, ev := range c.Maintenance() {
 			switch ev.Action {
 			case ActionFail, ActionRestart:
-				if ev.Node >= rc.D {
-					return Result{}, fmt.Errorf("scenario: maintenance disk %d outside array of %d disks", ev.Node, rc.D)
+				if ev.Node >= nodeDisks {
+					return Result{}, fmt.Errorf("scenario: maintenance disk %d outside array of %d disks", ev.Node, nodeDisks)
 				}
 				// A single array repairs through the online rebuild path
 				// for both actions.
@@ -153,7 +141,7 @@ func Run(rc RunConfig) (Result, error) {
 				// The action names are the simulator's view-event kinds.
 				// Closed-loop runs suppress operator reconfiguration: the
 				// autopilot owns capacity. Faults above still fire.
-				if rc.Autopilot == nil {
+				if !rc.Autopilot {
 					ccfg.ViewTrace = append(ccfg.ViewTrace, sim.ViewEvent{Kind: ev.Action, Node: ev.Node, At: ev.At})
 				}
 			}

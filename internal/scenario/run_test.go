@@ -95,7 +95,7 @@ func TestRunSingleArrayScenario(t *testing.T) {
 		"zipf": 1.1, "patience_min": 8, "bucket_min": 120,
 		"phases": [{"kind": "maintenance", "action": "fail", "node": 3, "hour": 1}]
 	}`)
-	res, err := Run(RunConfig{Scenario: c, Seed: 2, Nodes: 1, D: 16})
+	res, err := Run(RunConfig{Scenario: c, Seed: 2, Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunPatienceRejects: a profile whose demand far exceeds one small
-// node sheds load through abandonment instead of queueing forever.
+// TestRunPatienceRejects: a profile whose demand far exceeds one node
+// sheds load through abandonment instead of queueing forever.
 func TestRunPatienceRejects(t *testing.T) {
 	c := mustCompile(t, `{
 		"name": "overload", "subscribers": 150000, "time_scale": 480,
 		"patience_min": 30, "bucket_min": 120
 	}`)
-	res, err := Run(RunConfig{Scenario: c, Seed: 3, Nodes: 1, Buffer: 32 * units.MB})
+	res, err := Run(RunConfig{Scenario: c, Seed: 3, Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

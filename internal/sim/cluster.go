@@ -54,12 +54,11 @@ type ClusterConfig struct {
 	// after a re-layout delay of one clip's playback time — a coarse
 	// stand-in for the online PGT re-layout the real cluster runs.
 	ViewTrace []ViewEvent
-	// Autopilot, when set, runs the closed-loop policy controller: one
-	// Observe per round over the engine's own deterministic signals,
-	// with actions applied through the same join/drain machinery the
-	// ViewTrace uses. MinNodes defaults to the original membership (the
-	// replication floor) and MaxNodes to MinNodes+2.
-	Autopilot *autopilot.Config
+	// Autopilot runs the closed-loop policy controller: one Observe per
+	// round over the engine's own deterministic signals, with actions
+	// applied through the same join/drain machinery the ViewTrace uses.
+	// Its floor is the original membership (the replication floor).
+	Autopilot bool
 }
 
 // ViewEvent is one scripted reconfiguration action in a ViewTrace.
@@ -105,7 +104,7 @@ type ClusterResult struct {
 	// a session is never counted in both.
 	Shed int
 	// Actions is the autopilot's decision trace in firing order (nil
-	// without an Autopilot config).
+	// without the Autopilot).
 	Actions []autopilot.Action
 	// NodeFailures counts scripted node failures that took effect.
 	NodeFailures int
@@ -343,30 +342,22 @@ func newRun(cfg ClusterConfig) (*run, error) {
 	default:
 		r.queue.Bypass = 0 // strict head-of-line
 	}
-	if cfg.Autopilot != nil {
-		ac := *cfg.Autopilot
-		if ac.MinNodes <= 0 {
-			// Never drain below the original membership: the fixed
-			// round-robin placement needs every original node.
-			ac.MinNodes = cfg.Nodes
-		}
-		r.pilot = autopilot.New(ac)
+	if cfg.Autopilot {
+		// Never drain below the original membership: the fixed
+		// round-robin placement needs every original node.
+		r.pilot = autopilot.New(cfg.Nodes)
 		r.perNodeCap = (op.Q - op.F) * nc.D
 		// While shedding, hold slots back from new admissions so an
 		// overloaded cluster can still fail a lost node's streams over
-		// instead of dropping them. One node's capacity is not enough:
-		// least-loaded routing spreads the reserve evenly across all
-		// active nodes, but a loss can only fail over to its clips'
+		// instead of dropping them — the paper's contingency capacity
+		// raised to cluster granularity. One node's capacity is not
+		// enough: least-loaded routing spreads the reserve evenly across
+		// all active nodes, but a loss can only fail over to its clips'
 		// replica nodes plus the joined spillover nodes, and each node's
 		// share is further fragmented across per-disk position classes.
 		// Three nodes' worth keeps the reachable, class-diverse share
-		// above one (full) node's stream count. Negative disables it.
-		switch {
-		case ac.FailoverReserve == 0:
-			r.pilotReserve = 3 * r.perNodeCap
-		case ac.FailoverReserve > 0:
-			r.pilotReserve = ac.FailoverReserve
-		}
+		// above one (full) node's stream count.
+		r.pilotReserve = 3 * r.perNodeCap
 	}
 	return r, nil
 }
