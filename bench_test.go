@@ -90,7 +90,7 @@ func benchFigure5(b *testing.B, buffer units.Bits) {
 		}
 	}
 	for _, pt := range points {
-		b.ReportMetric(float64(pt.Clips), "clips/"+pt.Scheme.Short()+"-p"+strconv.Itoa(pt.P))
+		b.ReportMetric(float64(pt.Clips), "clips/"+pt.Scheme.Key()+"-p"+strconv.Itoa(pt.P))
 	}
 }
 
@@ -101,13 +101,13 @@ func benchFigure6(b *testing.B, buffer units.Bits) {
 	var points []experiments.Figure6Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = experiments.Figure6(experiments.Figure6Config{Buffer: buffer, Seed: 1})
+		points, err = experiments.Figure6(buffer, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	for _, pt := range points {
-		b.ReportMetric(float64(pt.Serviced), "serviced/"+pt.Scheme.Short()+"-p"+strconv.Itoa(pt.P))
+		b.ReportMetric(float64(pt.Serviced), "serviced/"+pt.Scheme.Key()+"-p"+strconv.Itoa(pt.P))
 	}
 }
 
@@ -140,7 +140,7 @@ func BenchmarkFailureContinuity(b *testing.B) {
 		}
 	}
 	for _, pt := range pts {
-		b.ReportMetric(float64(pt.DeadlineMisses), "misses/"+pt.Scheme.Short()+"-p"+strconv.Itoa(pt.P))
+		b.ReportMetric(float64(pt.DeadlineMisses), "misses/"+pt.Scheme.Key()+"-p"+strconv.Itoa(pt.P))
 	}
 }
 

@@ -42,7 +42,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if err := experiments.Run(os.Stdout, "cmopt", *exp, experiments.Params{Buffer: buffer, D: *d, P: *p}, *csvOut); err != nil {
+	if err := experiments.Run(os.Stdout, "cmopt", *exp, experiments.Params{Buffer: buffer, D: *d, P: *p, Set: experiments.SetFlags(flag.CommandLine)}, *csvOut); err != nil {
 		fatal(err)
 	}
 }

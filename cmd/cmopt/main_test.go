@@ -60,6 +60,9 @@ func TestExperimentSurfaces(t *testing.T) {
 		{"-exp optimal -csv", "no -csv form"},
 		{"-d 64", "figure 5 is defined for d=32"},
 		{"-exp mttdl -d 4 -p 8", "bad geometry"},
+		{"-exp staggered -d 16 -p 8", "-d does not apply to -exp staggered"},
+		{"-exp rebuild -p 8", "-p does not apply to -exp rebuild"},
+		{"-exp conservatism -d 7", "-d does not apply to -exp conservatism"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, strings.Fields(tc.args)...)

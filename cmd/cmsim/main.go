@@ -29,9 +29,9 @@ import (
 	"ftcms/internal/units"
 )
 
-// modeFlags lists the flags each mode reads.
+// modeFlags lists the flags each mode reads. Under -exp each registry
+// entry names its own; experiments.Run refuses the rest.
 var modeFlags = map[string]string{
-	"-exp":         "exp csv buffer seed subscribers timescale",
 	"-scenario":    "scenario autopilot timeline csv seed subscribers timescale nodes rep",
 	"a single run": "scheme p buffer seed duration rate fail failat rebuild bypass scrub corrupt",
 }
@@ -66,18 +66,18 @@ func main() {
 
 	// Each mode reads only its own flags (and the profiling pair); any
 	// other flag on the command line belongs to another mode.
-	mode := "a single run"
-	if *exp != "" {
-		mode = "-exp"
-	} else if *scenarioFlag != "" {
-		mode = "-scenario"
-	}
-	applies := strings.Fields(modeFlags[mode] + " cpuprofile memprofile")
-	flag.Visit(func(f *flag.Flag) {
-		if !slices.Contains(applies, f.Name) {
-			fatal(fmt.Errorf("-%s does not apply to %s", f.Name, mode))
+	if *exp == "" {
+		mode := "a single run"
+		if *scenarioFlag != "" {
+			mode = "-scenario"
 		}
-	})
+		applies := strings.Fields(modeFlags[mode] + " cpuprofile memprofile")
+		flag.Visit(func(f *flag.Flag) {
+			if !slices.Contains(applies, f.Name) {
+				fatal(fmt.Errorf("-%s does not apply to %s", f.Name, mode))
+			}
+		})
+	}
 	var buffer units.Bits
 	if *bufferFlag != "" {
 		var err error
@@ -96,7 +96,7 @@ func main() {
 	case *exp != "":
 		if err := experiments.Run(os.Stdout, "cmsim", *exp, experiments.Params{
 			Buffer: buffer, Seed: *seed,
-			Subscribers: *subscribers, TimeScale: *timescale,
+			Subscribers: *subscribers, TimeScale: *timescale, Set: experiments.SetFlags(flag.CommandLine),
 		}, *csvOut); err != nil {
 			fatal(err)
 		}

@@ -79,8 +79,9 @@ func TestOtherSurfacesUnchanged(t *testing.T) {
 }
 
 // TestFlagErrors: -exp refuses what it would otherwise have to guess at
-// — an unknown name and flags that belong to a single run or a scenario
-// day — with a non-zero exit and nothing on standard output. So do a
+// — an unknown name, flags that belong to a single run or a scenario day,
+// and -exp flags the entry does not read — with a non-zero exit and
+// nothing on standard output. So do a
 // scenario day and a single run given each other's flags, a single run of
 // a scheme the simulator does not model, naming the ones it does, and a
 // -fail outside the array.
@@ -92,6 +93,8 @@ func TestFlagErrors(t *testing.T) {
 		{"-exp continuity -fail 3", "-fail does not apply to -exp"},
 		{"-exp figure6 -rate 5", "-rate does not apply to -exp"},
 		{"-exp figure6 -p 8", "-p does not apply to -exp"},
+		{"-exp doublefault -buffer 2GB", "-buffer does not apply to -exp doublefault"},
+		{"-exp integrity -subscribers 5 -timescale 3", "-subscribers does not apply to -exp integrity"},
 		{"-scenario steady -subscribers 2000 -timescale 2880 -p 8", "-p does not apply to -scenario"},
 		{"-scenario steady -rate 99", "-rate does not apply to -scenario"},
 		{"-scenario steady -fail 3", "-fail does not apply to -scenario"},

@@ -80,7 +80,6 @@ type Static struct {
 	d, m, q, f int
 	cell       []int // per phase class in Z_{d·m}
 	disk       []int // per disk phase class in Z_d
-	active     int
 }
 
 // NewStatic builds the controller for d disks, m classes (PGT rows or
@@ -116,13 +115,6 @@ func (s *Static) phaseOf(now int64, startDisk, startClass int) (cell, disk int) 
 	return cell, disk
 }
 
-// CanAdmit reports whether a clip starting at (startDisk, startClass) in
-// round now fits both caps.
-func (s *Static) CanAdmit(now int64, startDisk, startClass int) bool {
-	cell, disk := s.phaseOf(now, startDisk, startClass)
-	return s.disk[disk] < s.q-s.f && s.cell[cell] < s.f
-}
-
 // Admit admits the clip, returning the release ticket. ok is false when
 // the caps reject it.
 func (s *Static) Admit(now int64, startDisk, startClass int) (Ticket, bool) {
@@ -132,7 +124,6 @@ func (s *Static) Admit(now int64, startDisk, startClass int) (Ticket, bool) {
 	}
 	s.cell[cell]++
 	s.disk[disk]++
-	s.active++
 	return Ticket{phase: cell, row: -1}, true
 }
 
@@ -143,14 +134,7 @@ func (s *Static) Release(t Ticket) {
 	}
 	s.cell[t.phase]--
 	s.disk[t.phase%s.d]--
-	s.active--
 }
-
-// Active returns the number of admitted clips.
-func (s *Static) Active() int { return s.active }
-
-// Capacity returns the array-wide concurrent-clip bound, (q−f)·d.
-func (s *Static) Capacity() int { return (s.q - s.f) * s.d }
 
 // DiskLoad returns the number of clips reading disk i during round now.
 func (s *Static) DiskLoad(now int64, i int) int {

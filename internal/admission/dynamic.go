@@ -32,7 +32,6 @@ type Dynamic struct {
 	count [][]int
 	// deltas[l] lists Δ_l, ascending, normalized to (0, d).
 	deltas [][]int
-	active int
 
 	// svc[c] = Σ_l count[l][c], the service count of phase c.
 	svc []int
@@ -150,7 +149,6 @@ func (dy *Dynamic) Admit(now int64, startDisk, row int) (Ticket, bool) {
 	c := dy.phase(now, startDisk)
 	dy.bump(row, c, dy.count[row][c], +1)
 	dy.count[row][c]++
-	dy.active++
 	return Ticket{phase: c, row: row}, true
 }
 
@@ -161,11 +159,7 @@ func (dy *Dynamic) Release(t Ticket) {
 	}
 	dy.bump(t.row, t.phase, dy.count[t.row][t.phase], -1)
 	dy.count[t.row][t.phase]--
-	dy.active--
 }
-
-// Active returns the number of admitted clips.
-func (dy *Dynamic) Active() int { return dy.active }
 
 // DiskLoad returns the clips reading disk i during round now.
 func (dy *Dynamic) DiskLoad(now int64, i int) int {
@@ -199,7 +193,6 @@ func (dy *Dynamic) Audit(now int64) error {
 type Simple struct {
 	units, q int
 	count    []int
-	active   int
 }
 
 // NewSimple builds a controller over the given number of rotation units
@@ -222,12 +215,6 @@ func (s *Simple) phase(now int64, start int) int {
 	return int(((int64(start)-now)%u + u) % u)
 }
 
-// CanAdmit reports whether a clip starting at unit start fits at round
-// now.
-func (s *Simple) CanAdmit(now int64, start int) bool {
-	return s.count[s.phase(now, start)] < s.q
-}
-
 // Admit admits the clip if the unit has capacity.
 func (s *Simple) Admit(now int64, start int) (Ticket, bool) {
 	c := s.phase(now, start)
@@ -235,7 +222,6 @@ func (s *Simple) Admit(now int64, start int) (Ticket, bool) {
 		return Ticket{}, false
 	}
 	s.count[c]++
-	s.active++
 	return Ticket{phase: c, row: -1}, true
 }
 
@@ -245,22 +231,12 @@ func (s *Simple) Release(t Ticket) {
 		panic("admission: release of unknown or double-released ticket")
 	}
 	s.count[t.phase]--
-	s.active--
 }
-
-// Active returns the number of admitted clips.
-func (s *Simple) Active() int { return s.active }
-
-// Capacity returns units·q.
-func (s *Simple) Capacity() int { return s.units * s.q }
 
 // UnitLoad returns the clips served by unit i during round now.
 func (s *Simple) UnitLoad(now int64, i int) int {
 	return s.count[s.phase(now, i)]
 }
-
-// MaxPerRound returns q.
-func (s *Simple) MaxPerRound() int { return s.q }
 
 // Audit implements Controller: per-unit load within q.
 func (s *Simple) Audit(now int64) error {

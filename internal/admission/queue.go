@@ -62,12 +62,3 @@ func (q *Queue[T]) ExpireHead(expired func(T) bool) int {
 	}
 	return n
 }
-
-// Peek returns the head without removing it; ok is false when empty.
-func (q *Queue[T]) Peek() (item T, ok bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items[0], true
-}

@@ -10,7 +10,6 @@ type RejectWindow struct {
 	counts []int
 	sum    int
 	pos    int
-	seen   int
 }
 
 // NewRejectWindow returns a window over w rounds (w < 1 is treated as 1).
@@ -30,32 +29,7 @@ func (w *RejectWindow) Observe(rejects int) {
 	if w.pos == len(w.counts) {
 		w.pos = 0
 	}
-	if w.seen < len(w.counts) {
-		w.seen++
-	}
 }
 
-// Sum returns the total rejects over the last Window() observed rounds.
+// Sum returns the total rejects over the last w observed rounds.
 func (w *RejectWindow) Sum() int { return w.sum }
-
-// Window returns the window width in rounds.
-func (w *RejectWindow) Window() int { return len(w.counts) }
-
-// Observed returns how many rounds have been pushed, capped at the
-// window width — the divisor for a rate over a partially filled window.
-func (w *RejectWindow) Observed() int { return w.seen }
-
-// Rate returns rejects per round over the observed part of the window
-// (0 before the first Observe).
-func (w *RejectWindow) Rate() float64 {
-	if w.seen == 0 {
-		return 0
-	}
-	return float64(w.sum) / float64(w.seen)
-}
-
-// Reset clears the window to its initial empty state.
-func (w *RejectWindow) Reset() {
-	clear(w.counts)
-	w.sum, w.pos, w.seen = 0, 0, 0
-}

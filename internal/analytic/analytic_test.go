@@ -81,7 +81,7 @@ func TestSchemeStrings(t *testing.T) {
 	}
 	c := paperConfig(256 * units.MB)
 	for _, s := range scheme.Paper() {
-		if s.String() == "" || s.Key() == "" || s.Short() == "" || s.Legend() == "" {
+		if s.String() == "" || s.Key() == "" || s.Legend() == "" {
 			t.Errorf("scheme %d has an empty label", uint8(s))
 		}
 		if got := solveAt(t, c, s, 4).Scheme.String(); got != s.Key() {

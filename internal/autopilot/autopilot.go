@@ -178,9 +178,8 @@ type Controller struct {
 	cooldownUntil        [numKinds]int64
 	shedding             bool
 	replaced             int // losses replaced
-	actions              []Action
+	fired                int // actions fired
 	last                 Action
-	hasLast              bool
 	interlock            string // why the most recent armed decision was suppressed
 	round                int64
 }
@@ -198,10 +197,6 @@ func New(minNodes int) *Controller {
 // consults it before admitting new lean-back sessions.
 func (c *Controller) Shedding() bool { return c.shedding }
 
-// Actions returns the full decision trace in firing order. The slice is
-// the controller's own; callers must not mutate it.
-func (c *Controller) Actions() []Action { return c.actions }
-
 // cool reports whether kind k is out of cooldown at round r.
 func (c *Controller) cool(k Kind, r int64) bool { return r >= c.cooldownUntil[k] }
 
@@ -209,9 +204,8 @@ func (c *Controller) cool(k Kind, r int64) bool { return r >= c.cooldownUntil[k]
 func (c *Controller) fire(k Kind, node int, reason string, cooldown int64) Action {
 	a := Action{Round: c.round, Kind: k, Node: node, Reason: reason}
 	c.cooldownUntil[k] = c.round + cooldown
-	c.actions = append(c.actions, a)
+	c.fired++
 	c.last = a
-	c.hasLast = true
 	c.interlock = ""
 	return a
 }
@@ -337,11 +331,11 @@ type Status struct {
 
 // Status reports the controller's externally visible state.
 func (c *Controller) Status() Status {
-	st := Status{Mode: "steady", Actions: len(c.actions), Last: "none", Interlock: c.interlock}
+	st := Status{Mode: "steady", Actions: c.fired, Last: "none", Interlock: c.interlock}
 	if c.shedding {
 		st.Mode = "shedding"
 	}
-	if c.hasLast {
+	if c.fired > 0 {
 		st.Last = c.last.String()
 	}
 	for k := Kind(0); k < numKinds; k++ {
@@ -350,14 +344,4 @@ func (c *Controller) Status() Status {
 		}
 	}
 	return st
-}
-
-// TraceString renders the full action trace, one line per action — the
-// byte-identical replay artifact the determinism tests compare.
-func TraceString(actions []Action) string {
-	out := ""
-	for _, a := range actions {
-		out += a.String() + "\n"
-	}
-	return out
 }

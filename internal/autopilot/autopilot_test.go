@@ -1,6 +1,9 @@
 package autopilot
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // calm returns a baseline healthy-cluster signal for round r.
 func calm(r int64) Signals {
@@ -60,17 +63,20 @@ func TestFlappingCooldown(t *testing.T) {
 			// Joins land nowhere, so the node budget never binds and
 			// only the cooldown spaces the actions.
 			c := New(3)
+			var fired []Action
 			for r := int64(0); r < 16*window; r++ {
 				s := calm(r)
 				if (r/tc.period)%2 == 0 {
 					s.Rejects = 5 // well over threshold: crossing every other period
 				}
-				c.Observe(s)
+				if a, ok := c.Observe(s); ok {
+					fired = append(fired, a)
+				}
 			}
 			// Bucket the fired actions by cooldown period: no bucket may
 			// hold more than one.
 			buckets := map[int64]int{}
-			for _, a := range c.Actions() {
+			for _, a := range fired {
 				if a.Kind != ScaleOut {
 					t.Fatalf("unexpected action %v", a)
 				}
@@ -81,8 +87,8 @@ func TestFlappingCooldown(t *testing.T) {
 					t.Fatalf("cooldown period %d saw %d actions, want ≤ 1", b, n)
 				}
 			}
-			if len(c.Actions()) < 2 {
-				t.Fatalf("oscillating load above threshold fired %d times, want one per cooldown", len(c.Actions()))
+			if len(fired) < 2 {
+				t.Fatalf("oscillating load above threshold fired %d times, want one per cooldown", len(fired))
 			}
 		})
 	}
@@ -256,17 +262,20 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		stream[r] = s
 	}
-	run := func() string {
+	run := func() []Action {
 		c := New(3)
+		var fired []Action
 		for _, s := range stream {
-			s.ActiveNodes += countJoins(c.Actions())
-			c.Observe(s)
+			s.ActiveNodes += countJoins(fired)
+			if a, ok := c.Observe(s); ok {
+				fired = append(fired, a)
+			}
 		}
-		return TraceString(c.Actions())
+		return fired
 	}
 	a, b := run(), run()
-	if a != b || a == "" {
-		t.Fatalf("replay diverged or empty:\n%q\nvs\n%q", a, b)
+	if !slices.Equal(a, b) || len(a) == 0 {
+		t.Fatalf("replay diverged or empty:\n%v\nvs\n%v", a, b)
 	}
 }
 

@@ -63,10 +63,10 @@ func FuzzController(f *testing.F) {
 				} else {
 					loFor = 0
 				}
-				before := len(c.Actions())
+				before := c.Status().Actions
 				a, ok := c.Observe(s)
-				if len(c.Actions()) != before+btoi(ok) {
-					t.Fatalf("round %d: %d actions recorded for one observation", s.Round, len(c.Actions())-before)
+				if n := c.Status().Actions - before; n != btoi(ok) {
+					t.Fatalf("round %d: %d actions recorded for one observation", s.Round, n)
 				}
 				if !ok {
 					continue

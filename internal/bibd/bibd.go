@@ -47,9 +47,6 @@ type Design struct {
 	Exact bool
 }
 
-// NumSets returns s, the number of sets in the design.
-func (d *Design) NumSets() int { return len(d.Sets) }
-
 // Replication returns r, the number of sets each object occurs in.
 // It is exact for every design this package produces (including
 // approximations, which keep per-object replication uniform).

@@ -47,7 +47,7 @@ func TestTrivial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumSets() != 1 || d.K != 5 || d.Replication() != 1 {
+	if len(d.Sets) != 1 || d.K != 5 || d.Replication() != 1 {
 		t.Fatalf("trivial design malformed: %+v", d)
 	}
 	st, err := Verify(d)
@@ -68,8 +68,8 @@ func TestCompletePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumSets() != 15 {
-		t.Fatalf("C(6,2) = %d sets, want 15", d.NumSets())
+	if len(d.Sets) != 15 {
+		t.Fatalf("C(6,2) = %d sets, want 15", len(d.Sets))
 	}
 	if d.Replication() != 5 {
 		t.Fatalf("r = %d, want 5", d.Replication())
@@ -89,8 +89,8 @@ func TestAffinePlanes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AffinePlane(%d): %v", q, err)
 		}
-		if d.V != q*q || d.K != q || d.NumSets() != q*q+q {
-			t.Fatalf("AffinePlane(%d) dimensions wrong: v=%d k=%d s=%d", q, d.V, d.K, d.NumSets())
+		if d.V != q*q || d.K != q || len(d.Sets) != q*q+q {
+			t.Fatalf("AffinePlane(%d) dimensions wrong: v=%d k=%d s=%d", q, d.V, d.K, len(d.Sets))
 		}
 		if d.Replication() != q+1 {
 			t.Fatalf("AffinePlane(%d) r = %d, want %d", q, d.Replication(), q+1)
@@ -115,8 +115,8 @@ func TestProjectivePlanes(t *testing.T) {
 			t.Fatalf("ProjectivePlane(%d): %v", q, err)
 		}
 		v := q*q + q + 1
-		if d.V != v || d.K != q+1 || d.NumSets() != v {
-			t.Fatalf("PG(2,%d) dimensions wrong: v=%d k=%d s=%d", q, d.V, d.K, d.NumSets())
+		if d.V != v || d.K != q+1 || len(d.Sets) != v {
+			t.Fatalf("PG(2,%d) dimensions wrong: v=%d k=%d s=%d", q, d.V, d.K, len(d.Sets))
 		}
 		st, err := Verify(d)
 		if err != nil || !st.Exact {
@@ -377,8 +377,8 @@ func TestSteinerTriple(t *testing.T) {
 		if !st.Exact {
 			t.Fatalf("SteinerTriple(%d) not exact: %+v", v, st)
 		}
-		if want := v * (v - 1) / 6; d.NumSets() != want {
-			t.Fatalf("STS(%d) has %d triples, want %d", v, d.NumSets(), want)
+		if want := v * (v - 1) / 6; len(d.Sets) != want {
+			t.Fatalf("STS(%d) has %d triples, want %d", v, len(d.Sets), want)
 		}
 		if want := (v - 1) / 2; d.Replication() != want {
 			t.Fatalf("STS(%d) r = %d, want %d", v, d.Replication(), want)
@@ -391,7 +391,7 @@ func TestSteinerTriple(t *testing.T) {
 		t.Error("accepted v=12")
 	}
 	// v=3 degenerates to the trivial design.
-	if d, err := SteinerTriple(3); err != nil || d.NumSets() != 1 {
+	if d, err := SteinerTriple(3); err != nil || len(d.Sets) != 1 {
 		t.Errorf("SteinerTriple(3): %v, %v", d, err)
 	}
 }

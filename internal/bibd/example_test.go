@@ -36,7 +36,7 @@ func ExampleSteinerTriple() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("STS(15): %d triples, r=%d, exact=%v\n", d.NumSets(), d.Replication(), st.Exact)
+	fmt.Printf("STS(15): %d triples, r=%d, exact=%v\n", len(d.Sets), d.Replication(), st.Exact)
 	// Output:
 	// STS(15): 35 triples, r=7, exact=true
 }

@@ -15,7 +15,7 @@ import (
 type Pool struct {
 	capacity units.Bits
 	used     units.Bits
-	clips    int
+	clips    int // live reservations; only Release's guard reads it
 }
 
 // NewPool creates a pool of the given capacity.
@@ -26,17 +26,8 @@ func NewPool(capacity units.Bits) (*Pool, error) {
 	return &Pool{capacity: capacity}, nil
 }
 
-// Capacity returns the pool capacity B.
-func (p *Pool) Capacity() units.Bits { return p.capacity }
-
 // Used returns the currently reserved amount.
 func (p *Pool) Used() units.Bits { return p.used }
-
-// Free returns the unreserved amount.
-func (p *Pool) Free() units.Bits { return p.capacity - p.used }
-
-// Clips returns the number of live reservations.
-func (p *Pool) Clips() int { return p.clips }
 
 // Reserve takes size bits for one clip; it reports false without side
 // effects when the pool cannot fit it.

@@ -30,15 +30,15 @@ func TestReserveRelease(t *testing.T) {
 	if p.Reserve(4 * units.MB) {
 		t.Fatal("over-reserve accepted")
 	}
-	if p.Used() != 8*units.MB || p.Free() != 2*units.MB || p.Clips() != 2 {
-		t.Fatalf("accounting: used=%v free=%v clips=%d", p.Used(), p.Free(), p.Clips())
+	if p.Used() != 8*units.MB {
+		t.Fatalf("accounting: used=%v", p.Used())
 	}
 	p.Release(4 * units.MB)
 	if !p.Reserve(6 * units.MB) {
 		t.Fatal("reserve after release refused")
 	}
-	if p.Capacity() != 10*units.MB {
-		t.Fatalf("capacity changed: %v", p.Capacity())
+	if p.Used() != 10*units.MB || p.Reserve(units.Byte) {
+		t.Fatalf("capacity changed: used=%v and one more byte fits", p.Used())
 	}
 }
 
@@ -47,8 +47,8 @@ func TestExactFit(t *testing.T) {
 	if !p.Reserve(units.MB) {
 		t.Fatal("exact fit refused")
 	}
-	if p.Free() != 0 {
-		t.Fatalf("free = %v", p.Free())
+	if p.Reserve(units.Byte) {
+		t.Fatal("a full pool reserved one more byte")
 	}
 }
 
@@ -71,6 +71,20 @@ func TestReleasePanicsOnExcess(t *testing.T) {
 		}
 	}()
 	p.Release(2 * units.KB)
+}
+
+// TestReleasePanicsOnSplitExcess: one reservation released in two
+// halves is one release too many, although the bits still balance.
+func TestReleasePanicsOnSplitExcess(t *testing.T) {
+	p, _ := NewPool(units.MB)
+	p.Reserve(2 * units.KB)
+	p.Release(units.KB)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	p.Release(units.KB)
 }
 
 // TestPerClip: a pool sized for n clips of a scheme's per-clip buffer

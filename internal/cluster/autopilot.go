@@ -72,10 +72,6 @@ func (p *Pilot) Shedding() bool { return p.enabled && p.ctrl.Shedding() }
 // Status exposes the controller's STATS snapshot.
 func (p *Pilot) Status() autopilot.Status { return p.ctrl.Status() }
 
-// Actions exposes the controller's decision trace (the controller's
-// own slice; do not mutate).
-func (p *Pilot) Actions() []autopilot.Action { return p.ctrl.Actions() }
-
 // Step observes one completed round and applies at most one action.
 // Call it right after Cluster.Tick, under the same serialization. The
 // returned bool reports whether an action fired; the error is the

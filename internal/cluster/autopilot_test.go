@@ -86,11 +86,11 @@ func TestChaosAutopilot(t *testing.T) {
 	audit := func() {
 		t.Helper()
 		for i := 0; i < c.NodeCount(); i++ {
-			if !c.NodeAlive(i) {
+			if !c.nodes[i].serving() {
 				continue
 			}
 			if err := c.NodeServer(i).CheckAdmission(); err != nil {
-				t.Fatalf("round %d: node %d over-committed: %v", c.Round(), i, err)
+				t.Fatalf("round %d: node %d over-committed: %v", c.round, i, err)
 			}
 		}
 	}
@@ -101,19 +101,24 @@ func TestChaosAutopilot(t *testing.T) {
 		}
 		done, err := readAvailable(t, p.st, p.want, &p.off)
 		if err != nil {
-			t.Fatalf("round %d: clip %s at offset %d: %v", c.Round(), p.st.Clip(), p.off, err)
+			t.Fatalf("round %d: clip %s at offset %d: %v", c.round, p.st.clip, p.off, err)
 		}
 		if done {
 			p.done = true
 		}
 	}
+	var fired []autopilot.Action
 	step := func() {
 		t.Helper()
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := pilot.Step(); err != nil {
+		a, ok, err := pilot.Step()
+		if err != nil {
 			t.Fatal(err)
+		}
+		if ok {
+			fired = append(fired, a)
 		}
 		audit()
 		for _, p := range plays {
@@ -136,7 +141,7 @@ func TestChaosAutopilot(t *testing.T) {
 
 	// Node kill mid-playback: the pilot must replace the loss from its
 	// spare budget without any operator command.
-	victim := plays[0].st.Node()
+	victim := servedBy(plays[0].st)
 	if err := c.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -148,20 +153,20 @@ func TestChaosAutopilot(t *testing.T) {
 		t.Fatal("pilot never replaced the killed node")
 	}
 	var sawReplace bool
-	for _, a := range pilot.Actions() {
+	for _, a := range fired {
 		if a.Kind == autopilot.Replace {
 			sawReplace = true
 		}
 	}
 	if !sawReplace {
-		t.Fatalf("no replace action in trace: %s", autopilot.TraceString(pilot.Actions()))
+		t.Fatalf("no replace action in trace: %v", fired)
 	}
 
 	// Every stream that survived the kill finishes byte-exact.
 	for r := 0; r < 4000; r++ {
 		allDone := true
 		for _, p := range plays {
-			if !p.done && p.st.Err() == nil {
+			if !p.done && p.st.err == nil {
 				allDone = false
 			}
 		}
@@ -171,15 +176,15 @@ func TestChaosAutopilot(t *testing.T) {
 		step()
 	}
 	for _, p := range plays {
-		if p.st.Err() != nil {
+		if p.st.err != nil {
 			// Only acceptable loss: a stream whose clip lost both
 			// replicas — impossible here with replication 2 and one
 			// kill, so any error is a failure.
-			t.Fatalf("clip %s terminated: %v", p.st.Clip(), p.st.Err())
+			t.Fatalf("clip %s terminated: %v", p.st.clip, p.st.err)
 		}
 		if !p.done {
 			t.Fatalf("clip %s never completed (offset %d of %d, node %d)",
-				p.st.Clip(), p.off, len(p.want), p.st.Node())
+				p.st.clip, p.off, len(p.want), servedBy(p.st))
 		}
 	}
 
@@ -317,7 +322,7 @@ func TestQuiescentTickAllocs(t *testing.T) {
 			// keeps it from acting in the measured rounds.
 			mayAct = true
 			for n := c.NodeCount(); c.NodeCount() == n; round() {
-				if c.Round() > 10_000 {
+				if c.round > 10_000 {
 					t.Fatal("pilot never replaced node 0")
 				}
 			}

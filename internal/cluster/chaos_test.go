@@ -54,11 +54,11 @@ func TestChaosNodeKillMidRound(t *testing.T) {
 	audit := func() {
 		t.Helper()
 		for i := 0; i < c.NodeCount(); i++ {
-			if !c.NodeAlive(i) {
+			if !c.nodes[i].serving() {
 				continue
 			}
 			if err := c.NodeServer(i).CheckAdmission(); err != nil {
-				t.Fatalf("round %d: node %d over-committed: %v", c.Round(), i, err)
+				t.Fatalf("round %d: node %d over-committed: %v", c.round, i, err)
 			}
 		}
 	}
@@ -70,11 +70,11 @@ func TestChaosNodeKillMidRound(t *testing.T) {
 		}
 		done, err := readAvailable(t, p.st, p.want, &p.off)
 		if err != nil {
-			t.Fatalf("round %d: clip %s at offset %d: %v", c.Round(), p.st.Clip(), p.off, err)
+			t.Fatalf("round %d: clip %s at offset %d: %v", c.round, p.st.clip, p.off, err)
 		}
 		if done {
 			if p.off != int64(len(p.want)) {
-				t.Fatalf("clip %s: EOF at %d of %d", p.st.Clip(), p.off, len(p.want))
+				t.Fatalf("clip %s: EOF at %d of %d", p.st.clip, p.off, len(p.want))
 			}
 			p.done = true
 		}
@@ -95,24 +95,24 @@ func TestChaosNodeKillMidRound(t *testing.T) {
 	if solo.off == 0 {
 		t.Fatal("solo stream has not started; failure would not be mid-playback")
 	}
-	victim := solo.st.Node()
+	victim := servedBy(solo.st)
 	var moving int
 	for _, p := range replicated {
-		if p.st.Node() == victim {
+		if servedBy(p.st) == victim {
 			moving++
 		}
 	}
 	if err := c.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("killed node %d at round %d: %d replicated streams must move, solo must die", victim, c.Round(), moving)
+	t.Logf("killed node %d at round %d: %d replicated streams must move, solo must die", victim, c.round, moving)
 
 	// The unreplicated stream dies with the documented semantics.
 	if _, err := solo.st.Read(make([]byte, 512)); !errors.Is(err, core.ErrStreamLost) {
 		t.Fatalf("solo read after node loss: %v, want ErrStreamLost", err)
 	}
-	if !errors.Is(solo.st.Err(), core.ErrStreamLost) {
-		t.Fatalf("solo Err() = %v, want ErrStreamLost", solo.st.Err())
+	if !errors.Is(solo.st.err, core.ErrStreamLost) {
+		t.Fatalf("solo termination reason = %v, want ErrStreamLost", solo.st.err)
 	}
 
 	// Every replicated stream finishes byte-exact on a survivor, with the
@@ -133,18 +133,18 @@ func TestChaosNodeKillMidRound(t *testing.T) {
 		audit()
 		for _, p := range replicated {
 			drain(p)
-			if !p.done && p.st.Node() == victim {
-				t.Fatalf("round %d: clip %s still served by dead node %d", c.Round(), p.st.Clip(), victim)
+			if !p.done && servedBy(p.st) == victim {
+				t.Fatalf("round %d: clip %s still served by dead node %d", c.round, p.st.clip, victim)
 			}
 		}
 	}
 	for _, p := range replicated {
 		if !p.done {
 			t.Fatalf("clip %s never completed (offset %d of %d, node %d)",
-				p.st.Clip(), p.off, len(p.want), p.st.Node())
+				p.st.clip, p.off, len(p.want), servedBy(p.st))
 		}
-		if p.st.Err() != nil {
-			t.Fatalf("clip %s terminated: %v", p.st.Clip(), p.st.Err())
+		if p.st.err != nil {
+			t.Fatalf("clip %s terminated: %v", p.st.clip, p.st.err)
 		}
 	}
 

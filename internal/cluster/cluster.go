@@ -267,17 +267,10 @@ func (c *Cluster) NodeCount() int { return len(c.nodes) }
 // node's admission invariant through it).
 func (c *Cluster) NodeServer(i int) *core.Server { return c.nodes[i].srv }
 
-// NodeAlive reports whether the node is currently serving streams
-// (active or draining).
-func (c *Cluster) NodeAlive(i int) bool { return c.nodes[i].serving() }
-
 // MigratedBlocks returns the cumulative count of clip blocks copied
 // between nodes by the migration engine — cheap enough for a per-tick
 // poll (Stats allocates; this does not).
 func (c *Cluster) MigratedBlocks() int64 { return c.migratedBlocks }
-
-// Detector exposes the node-failure detector for inspection.
-func (c *Cluster) Detector() *health.Detector { return c.detector }
 
 // Injector exposes the node-fault injector (nil unless Config.Faults was
 // set). Front ends use it to schedule node faults that detection then
@@ -486,9 +479,6 @@ func (c *Cluster) Tick() error {
 	c.retryFailovers()
 	return c.reconfigStep()
 }
-
-// Round returns the number of completed cluster rounds.
-func (c *Cluster) Round() int64 { return c.round }
 
 // FailNode kills a node by operator command — the path the detector
 // normally triggers by itself. Idempotent.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ftcms/internal/core"
@@ -152,7 +153,7 @@ func TestRoutingSpilloverAndClusterReject(t *testing.T) {
 	}
 	nodes := map[int]int{}
 	for _, st := range streams {
-		nodes[st.Node()]++
+		nodes[servedBy(st)]++
 	}
 	if nodes[0] != 2 || nodes[1] != 2 {
 		t.Fatalf("spillover did not balance: %v", nodes)
@@ -213,7 +214,7 @@ func TestFailoverResumesByteExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := st.Node()
+	victim := servedBy(st)
 	var off int64
 	// Stream part of the clip, then kill the serving node mid-round.
 	for r := 0; r < 6; r++ {
@@ -230,7 +231,7 @@ func TestFailoverResumesByteExact(t *testing.T) {
 	if err := c.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Node(); got == victim {
+	if got := servedBy(st); got == victim {
 		t.Fatalf("stream still on failed node %d", got)
 	}
 	for r := 0; r < 400; r++ {
@@ -300,7 +301,7 @@ func TestMoveResumesInsideGroup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		from := st.Node()
+		from := servedBy(st)
 		if move == "failover" {
 			err = c.FailNode(from)
 		} else {
@@ -324,9 +325,9 @@ func TestMoveResumesInsideGroup(t *testing.T) {
 				break
 			}
 		}
-		if s := c.Stats(); off != int64(len(clip)) || st.Node() == from || s.FailedOver+s.MigratedStreams != 1 {
+		if s := c.Stats(); off != int64(len(clip)) || servedBy(st) == from || s.FailedOver+s.MigratedStreams != 1 {
 			t.Fatalf("%s: EOF at %d of %d on node %d (from %d), %d failovers, %d moves",
-				move, off, len(clip), st.Node(), from, s.FailedOver, s.MigratedStreams)
+				move, off, len(clip), servedBy(st), from, s.FailedOver, s.MigratedStreams)
 		}
 	}
 }
@@ -387,15 +388,15 @@ func TestUnreplicatedClipTerminatesWithStreamLost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.FailNode(st.Node()); err != nil {
+	if err := c.FailNode(servedBy(st)); err != nil {
 		t.Fatal(err)
 	}
 	_, err = st.Read(make([]byte, 4096))
 	if !errors.Is(err, core.ErrStreamLost) {
 		t.Fatalf("read after node loss: %v, want ErrStreamLost", err)
 	}
-	if !errors.Is(st.Err(), core.ErrStreamLost) {
-		t.Fatalf("Err() = %v, want ErrStreamLost", st.Err())
+	if !errors.Is(st.err, core.ErrStreamLost) {
+		t.Fatalf("termination reason = %v, want ErrStreamLost", st.err)
 	}
 	if got := c.Stats().Terminated; got != 1 {
 		t.Fatalf("Terminated = %d, want 1", got)
@@ -438,7 +439,7 @@ func TestFailoverParksWhenReplicaFullThenResumes(t *testing.T) {
 	}
 	var moved, parked []*Stream
 	for _, st := range streams {
-		switch st.Node() {
+		switch servedBy(st) {
 		case -1:
 			parked = append(parked, st)
 		case 0:
@@ -504,7 +505,7 @@ func TestFailoverAdmitsAtResumeBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := st.Node()
+	victim := servedBy(st)
 	survivor := 1 - victim
 	var off int64
 	for r := 0; r < 4; r++ {
@@ -534,7 +535,7 @@ func TestFailoverAdmitsAtResumeBlock(t *testing.T) {
 	if err := c.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Node(); got != survivor {
+	if got := servedBy(st); got != survivor {
 		t.Fatalf("stream on node %d after failover, want %d at once (clip-start cell full, resume cell free)", got, survivor)
 	}
 	if s := c.Stats(); s.FailedOver != 1 || s.AwaitingFailover != 0 {
@@ -576,32 +577,40 @@ func TestDetectorDeclaresScriptedNodeFault(t *testing.T) {
 	// Rounds 1..2: probes succeed. Rounds 3..5: three consecutive hard
 	// errors declare node 1 down — by detection, not command.
 	for r := 0; r < 6; r++ {
-		if c.NodeAlive(1) != (c.Round() < 5) {
-			t.Fatalf("round %d: alive=%v", c.Round(), c.NodeAlive(1))
+		if c.nodes[1].serving() != (c.round < 5) {
+			t.Fatalf("round %d: alive=%v", c.round, c.nodes[1].serving())
 		}
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.NodeAlive(1) {
+	if c.nodes[1].serving() {
 		t.Fatal("node 1 still alive after scripted fail-stop")
 	}
-	if got := c.Detector().State(1); got != health.Down {
+	if got := c.Stats().FailedNodes; !slices.Equal(got, []int{1}) {
+		t.Fatalf("failed nodes = %v, want [1]", got)
+	}
+	// A clean probe never lifts a declaration: the detector holds node 1
+	// Down until something resets it.
+	if got := c.detector.Observe(1, 1, nil); got != health.Down {
 		t.Fatalf("detector state = %v, want Down", got)
 	}
 	// Rejoin clears detection state and readmits the node for routing.
 	if err := c.RejoinNode(1); err != nil {
 		t.Fatal(err)
 	}
-	if !c.NodeAlive(1) || c.Detector().State(1) != health.OK {
+	if !c.nodes[1].serving() || len(c.Stats().FailedNodes) != 0 {
 		t.Fatal("rejoin did not restore the node")
+	}
+	if got := c.detector.Observe(1, 1, nil); got != health.OK {
+		t.Fatalf("detector state after rejoin = %v, want OK", got)
 	}
 	for r := 0; r < 3; r++ {
 		if err := c.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !c.NodeAlive(1) {
+	if !c.nodes[1].serving() {
 		t.Fatal("cleared fault plan still kills the rejoined node")
 	}
 }
@@ -641,16 +650,16 @@ func TestNodeCorruptionEscalatesToRebuild(t *testing.T) {
 	// drops a replaced disk's plan entries.
 	cfg.Nodes[1].Spares = 1
 	cfg.Nodes[1].Health = health.Config{CorruptionThreshold: 4}
-	cfg.Nodes[1].Faults = &faultinject.Plan{
-		Seed: 7,
-		Corruptions: []faultinject.SilentCorruption{
-			{Disk: 2, Block: -1, Rate: 1, From: 5, Bits: 1},
-		},
-	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.NodeServer(1).InjectFaults(faultinject.Plan{
+		Seed: 7,
+		Corruptions: []faultinject.SilentCorruption{
+			{Disk: 2, Block: -1, Rate: 1, From: 5, Bits: 1},
+		},
+	})
 	clip := clipBytes(9, 50_000)
 	if err := c.AddClip("clip", clip); err != nil {
 		t.Fatal(err)
@@ -736,7 +745,7 @@ func TestPlacementDiscountsDegradedNode(t *testing.T) {
 	if got := c.NodeServer(0).DegradedDisks(); got != 2 {
 		t.Fatalf("DegradedDisks = %d, want 2", got)
 	}
-	if !c.NodeAlive(0) {
+	if !c.nodes[0].serving() {
 		t.Fatal("a dual-degraded node must stay in service")
 	}
 	if err := c.AddClip("v", clipBytes(2, 64_000)); err != nil {
@@ -745,4 +754,13 @@ func TestPlacementDiscountsDegradedNode(t *testing.T) {
 	if reps := c.Replicas("v"); len(reps) != 1 || reps[0] == 0 {
 		t.Fatalf("placement went to %v, want a whole node (not 0)", reps)
 	}
+}
+
+// servedBy returns the node serving the stream, or -1 while it is parked
+// awaiting failover.
+func servedBy(st *Stream) int {
+	if st.st == nil {
+		return -1
+	}
+	return st.node
 }

@@ -41,14 +41,14 @@ func TestLifecycleTrace(t *testing.T) {
 	open := func(name string) {
 		st, err := c.OpenStream(name)
 		if err != nil {
-			t.Fatalf("round %d: open %s: %v", c.Round(), name, err)
+			t.Fatalf("round %d: open %s: %v", c.round, name, err)
 		}
 		plays = append(plays, &play{st: st})
 	}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("round %d: %v", c.Round(), err)
+			t.Fatalf("round %d: %v", c.round, err)
 		}
 	}
 	script := map[int64]func(){
@@ -61,11 +61,11 @@ func TestLifecycleTrace(t *testing.T) {
 		14: func() { must(c.RejoinNode(0)) },
 		20: func() { must(c.AddDisk(3)) },
 		40: func() { open("clip2") },
-		60: func() { must(c.RemoveNode(plays[2].st.Node())) },
+		60: func() { must(c.RemoveNode(servedBy(plays[2].st))) },
 		70: func() {
 			for _, err := range []error{c.DrainNode(4), c.RemoveNode(-1), c.RejoinNode(99), c.DrainNode(-1), c.RemoveNode(4)} {
 				if err == nil {
-					t.Fatalf("round %d: out-of-range node id accepted", c.Round())
+					t.Fatalf("round %d: out-of-range node id accepted", c.round)
 				}
 			}
 		},
@@ -82,9 +82,9 @@ func TestLifecycleTrace(t *testing.T) {
 			if p.done {
 				continue
 			}
-			done, err := readAvailable(t, p.st, clips[p.st.Clip()], &p.off)
+			done, err := readAvailable(t, p.st, clips[p.st.clip], &p.off)
 			if err != nil {
-				t.Fatalf("round %d: %s: %v", c.Round(), p.st.Clip(), err)
+				t.Fatalf("round %d: %s: %v", c.round, p.st.clip, err)
 			}
 			p.done = done
 		}
@@ -97,8 +97,8 @@ func TestLifecycleTrace(t *testing.T) {
 		t.Fatalf("Rejected = %d: the script must stay below admission capacity", got)
 	}
 	for _, p := range plays {
-		if !p.done || p.st.Err() != nil {
-			t.Fatalf("%s: done=%v err=%v at offset %d", p.st.Clip(), p.done, p.st.Err(), p.off)
+		if !p.done || p.st.err != nil {
+			t.Fatalf("%s: done=%v err=%v at offset %d", p.st.clip, p.done, p.st.err, p.off)
 		}
 	}
 	const golden = "testdata/lifecycle.txt"

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ftcms/internal/core"
+	"ftcms/internal/health"
 )
 
 // node6Config is a 6-disk declustered array — the geometry whose
@@ -59,14 +60,14 @@ func TestChaosReconfiguration(t *testing.T) {
 	audit := func() {
 		t.Helper()
 		for i := 0; i < c.NodeCount(); i++ {
-			if !c.NodeAlive(i) {
+			if !c.nodes[i].serving() {
 				continue
 			}
 			if err := c.NodeServer(i).CheckAdmission(); err != nil {
-				t.Fatalf("round %d: node %d over-committed: %v", c.Round(), i, err)
+				t.Fatalf("round %d: node %d over-committed: %v", c.round, i, err)
 			}
 			if ov := c.NodeServer(i).Stats().Overflows; ov != 0 {
-				t.Fatalf("round %d: node %d overdrew its round budget (%d overflows)", c.Round(), i, ov)
+				t.Fatalf("round %d: node %d overdrew its round budget (%d overflows)", c.round, i, ov)
 			}
 		}
 	}
@@ -77,11 +78,11 @@ func TestChaosReconfiguration(t *testing.T) {
 		}
 		done, err := readAvailable(t, p.st, p.want, &p.off)
 		if err != nil {
-			t.Fatalf("round %d: clip %s at offset %d: %v", c.Round(), p.st.Clip(), p.off, err)
+			t.Fatalf("round %d: clip %s at offset %d: %v", c.round, p.st.clip, p.off, err)
 		}
 		if done {
 			if p.off != int64(len(p.want)) {
-				t.Fatalf("clip %s: EOF at %d of %d", p.st.Clip(), p.off, len(p.want))
+				t.Fatalf("clip %s: EOF at %d of %d", p.st.clip, p.off, len(p.want))
 			}
 			p.done = true
 		}
@@ -112,7 +113,7 @@ func TestChaosReconfiguration(t *testing.T) {
 	}
 
 	// Drain a node that is actively serving a stream.
-	victim := plays[0].st.Node()
+	victim := servedBy(plays[0].st)
 	if err := c.DrainNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestChaosReconfiguration(t *testing.T) {
 	if err := c.FailNode(dead); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("node %d joined, node %d draining, node %d killed at round %d", id, victim, dead, c.Round())
+	t.Logf("node %d joined, node %d draining, node %d killed at round %d", id, victim, dead, c.round)
 
 	// Everything must converge: streams byte-exact, drain retired.
 	retired := func() bool { return slices.Contains(c.Stats().Retired, victim) }
@@ -169,18 +170,18 @@ func TestChaosReconfiguration(t *testing.T) {
 		audit()
 		for _, p := range plays {
 			drain(p)
-			if !p.done && p.st.Node() == dead {
-				t.Fatalf("round %d: clip %s still served by dead node %d", c.Round(), p.st.Clip(), dead)
+			if !p.done && servedBy(p.st) == dead {
+				t.Fatalf("round %d: clip %s still served by dead node %d", c.round, p.st.clip, dead)
 			}
 		}
 	}
 	for _, p := range plays {
 		if !p.done {
 			t.Fatalf("clip %s never completed (offset %d of %d, node %d)",
-				p.st.Clip(), p.off, len(p.want), p.st.Node())
+				p.st.clip, p.off, len(p.want), servedBy(p.st))
 		}
-		if p.st.Err() != nil {
-			t.Fatalf("replicated clip %s terminated: %v", p.st.Clip(), p.st.Err())
+		if p.st.err != nil {
+			t.Fatalf("replicated clip %s terminated: %v", p.st.clip, p.st.err)
 		}
 	}
 
@@ -211,11 +212,10 @@ func TestChaosReconfiguration(t *testing.T) {
 	// The retired node is deregistered from failure detection: even a
 	// storm of stale probe errors can never re-declare it failed (the
 	// ghost-probe regression this subsystem exists to prevent).
-	if c.Detector().Registered(victim) {
-		t.Fatalf("retired node %d still registered with the detector", victim)
-	}
 	for k := 0; k < 50; k++ {
-		c.Detector().Observe(victim, 50.0, errors.New("ghost probe"))
+		if st := c.detector.Observe(victim, 50.0, errors.New("ghost probe")); st != health.OK {
+			t.Fatalf("ghost probe %d scored retired node %d: %v", k, victim, st)
+		}
 	}
 	after := c.Stats()
 	if !slices.Contains(after.Retired, victim) {
@@ -248,7 +248,7 @@ func TestClusterRemoveNodeImmediate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victim := st.Node()
+	victim := servedBy(st)
 	v0 := c.ViewVersion()
 	if err := c.RemoveNode(victim); err != nil {
 		t.Fatal(err)
@@ -256,8 +256,8 @@ func TestClusterRemoveNodeImmediate(t *testing.T) {
 	if got := c.ViewVersion(); got != v0+1 {
 		t.Fatalf("remove bumped view %d -> %d, want +1", v0, got)
 	}
-	if c.Detector().Registered(victim) {
-		t.Fatal("removed node still registered with the detector")
+	if st := c.detector.Observe(victim, 50.0, errors.New("ghost probe")); st != health.OK {
+		t.Fatalf("a probe of the removed node scored it %v: still registered with the detector", st)
 	}
 	if err := c.RemoveNode(victim); err == nil {
 		t.Fatal("double remove succeeded")
@@ -279,8 +279,8 @@ func TestClusterRemoveNodeImmediate(t *testing.T) {
 	if !done || off != int64(len(data)) {
 		t.Fatalf("stream did not complete after remove: %d of %d bytes", off, len(data))
 	}
-	if st.Err() != nil {
-		t.Fatalf("replicated stream lost on remove: %v", st.Err())
+	if st.err != nil {
+		t.Fatalf("replicated stream lost on remove: %v", st.err)
 	}
 	if got := c.Stats(); !slices.Contains(got.Retired, victim) {
 		t.Fatalf("removed node %d not retired: %+v", victim, got.Retired)
@@ -321,14 +321,14 @@ func TestClusterAddDiskRelayout(t *testing.T) {
 		}
 		for i := 0; i < c.NodeCount(); i++ {
 			if err := c.NodeServer(i).CheckAdmission(); err != nil {
-				t.Fatalf("round %d: node %d: %v", c.Round(), i, err)
+				t.Fatalf("round %d: node %d: %v", c.round, i, err)
 			}
 			if ov := c.NodeServer(i).Stats().Overflows; ov != 0 {
-				t.Fatalf("round %d: node %d budget overdrawn", c.Round(), i)
+				t.Fatalf("round %d: node %d budget overdrawn", c.round, i)
 			}
 		}
 		if flipped < 0 && c.NodeServer(target).Disks() == 7 {
-			flipped = c.Round()
+			flipped = c.round
 			if got := c.ViewVersion(); got != v0+1 {
 				t.Fatalf("round %d: flip left view %d, want %d", flipped, got, v0+1)
 			}

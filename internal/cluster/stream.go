@@ -35,25 +35,6 @@ type Stream struct {
 	idx int
 }
 
-// Clip returns the clip name.
-func (st *Stream) Clip() string { return st.clip }
-
-// Len returns the clip payload size in bytes.
-func (st *Stream) Len() int64 { return st.size }
-
-// Node returns the id of the node currently serving the stream, or -1
-// while it is parked awaiting failover.
-func (st *Stream) Node() int {
-	if st.st == nil {
-		return -1
-	}
-	return st.node
-}
-
-// Err returns the explicit reason the cluster terminated the stream
-// (wrapping core.ErrStreamLost), or nil.
-func (st *Stream) Err() error { return st.err }
-
 // Close abandons the stream and releases its node resources.
 func (st *Stream) Close() error {
 	if st.closed {

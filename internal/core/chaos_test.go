@@ -212,11 +212,11 @@ func TestChaosMultiFault(t *testing.T) {
 				cfg := testConfig(scheme, d, p)
 				cfg.Buffer = 256 * 1000 * 1000 * 8
 				cfg.Spares = 1
-				cfg.Faults = &faultinject.Plan{Seed: seed}
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				s.InjectFaults(faultinject.Plan{Seed: seed})
 				rng := rand.New(rand.NewSource(seed*100 + int64(len(scheme.Key()))))
 				clips := make([][]byte, 4)
 				for i := range clips {
@@ -282,8 +282,8 @@ func TestChaosMultiFault(t *testing.T) {
 						if errors.Is(err, ErrStreamLost) {
 							// Explicit termination: the reason must be
 							// recorded on the stream too.
-							if !errors.Is(cs.st.Err(), ErrStreamLost) {
-								t.Fatalf("terminated stream lacks Err(): %v", cs.st.Err())
+							if !errors.Is(cs.st.termErr, ErrStreamLost) {
+								t.Fatalf("terminated stream lacks its reason: %v", cs.st.termErr)
 							}
 							lost++
 							return

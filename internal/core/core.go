@@ -69,9 +69,6 @@ type Config struct {
 	F int
 	// Buffer is the server RAM buffer.
 	Buffer units.Bits
-	// Capacity is the store's data capacity in blocks (defaults to
-	// 4096·d when zero).
-	Capacity int64
 	// Spares is the hot-spare budget: how many detected disk failures
 	// trigger an automatic online rebuild (0 = degraded mode persists
 	// until an operator calls RepairDisk, the pre-lifecycle behaviour).
@@ -80,11 +77,6 @@ type Config struct {
 	// documented defaults (3 attempts per read, 3 consecutive strikes to
 	// declare a disk failed, 8× slowdown counts as a timeout).
 	Health health.Config
-	// Faults, when non-nil, scripts deterministic fault injection into
-	// the array (see faultinject). Plan events at round ≥ 1 are safe:
-	// AddClip runs at round 0, before the injector's clock first
-	// advances.
-	Faults *faultinject.Plan
 	// ScrubRate caps the background scrubber's verify reads per round
 	// across the array. 0 disables scrubbing (the default, preserving
 	// pre-scrub behaviour); negative means unlimited — the sweep is then
@@ -309,12 +301,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.D < 2 || cfg.P < 2 || cfg.P > cfg.D {
 		return nil, fmt.Errorf("core: bad geometry d=%d p=%d", cfg.D, cfg.P)
 	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = int64(cfg.D) * 4096
-	}
-	if cfg.Capacity < int64(cfg.D) {
-		return nil, errors.New("core: capacity below one stripe")
-	}
 
 	s := &Server{
 		cfg:           cfg,
@@ -329,7 +315,7 @@ func New(cfg Config) (*Server, error) {
 		s.failRound[i] = -1
 	}
 
-	lay, pgt, err := cfg.Scheme.Layout(cfg.D, cfg.P, cfg.Capacity)
+	lay, pgt, err := cfg.Scheme.Layout(cfg.D, cfg.P, int64(cfg.D)*blocksPerDisk)
 	if err != nil {
 		return nil, err
 	}
@@ -358,10 +344,6 @@ func New(cfg Config) (*Server, error) {
 	s.detector = health.NewDetector(cfg.D, cfg.Health)
 	s.detector.SetOnFail(s.failDeclared)
 	s.detector.SetClock(s.engine.Round)
-	if cfg.Faults != nil {
-		s.injector = faultinject.New(*cfg.Faults)
-		arr.SetReadHook(s.injector.Hook)
-	}
 
 	if s.ctrl, err = cfg.Scheme.Admission(cfg.D, cfg.P, cfg.Q, cfg.F, pgt); err != nil {
 		return nil, err
@@ -416,15 +398,15 @@ func (s *Server) allocClip(size int64) (clipInfo, error) {
 		r := int64(s.pgt.Rows())
 		row := s.clipCount % s.pgt.Rows()
 		base := s.nextFreeRow[row]
-		if (base+blocks)*r > s.cfg.Capacity {
+		if (base+blocks)*r > s.capacity() {
 			return clipInfo{}, fmt.Errorf("core: super-clip %d full: clip needs %d blocks", row, blocks)
 		}
 		start, stride = int64(row)+base*r, r
 		s.nextFreeRow[row] = base + blocks
 		s.clipCount++
 	} else {
-		if s.nextFree+blocks > s.cfg.Capacity {
-			return clipInfo{}, fmt.Errorf("core: store full: %d blocks free, clip needs %d", s.cfg.Capacity-s.nextFree, blocks)
+		if s.nextFree+blocks > s.capacity() {
+			return clipInfo{}, fmt.Errorf("core: store full: %d blocks free, clip needs %d", s.capacity()-s.nextFree, blocks)
 		}
 		start, stride = s.nextFree, 1
 		s.nextFree += blocks
@@ -572,19 +554,11 @@ func (s *Server) Stats() Stats {
 // bug, never a legal state.
 func (s *Server) CheckAdmission() error { return s.ctrl.Audit(s.engine.Round()) }
 
-// Clips returns the names of all stored clips in insertion-independent
-// sorted order.
-func (s *Server) Clips() []string {
-	out := make([]string, 0, len(s.clips))
-	for name := range s.clips {
-		out = append(out, name)
-	}
-	slices.Sort(out)
-	return out
-}
+// blocksPerDisk is each disk's share of the store's data capacity.
+const blocksPerDisk = 4096
 
-// CapacityBlocks returns the store's configured data capacity in blocks.
-func (s *Server) CapacityBlocks() int64 { return s.cfg.Capacity }
+// capacity returns the store's data capacity in blocks.
+func (s *Server) capacity() int64 { return int64(s.cfg.D) * blocksPerDisk }
 
 // FreeBlocks returns the data blocks not yet allocated to clips. For the
 // dynamic scheme the free space is the sum over super-clips of their
@@ -593,14 +567,14 @@ func (s *Server) CapacityBlocks() int64 { return s.cfg.Capacity }
 func (s *Server) FreeBlocks() int64 {
 	if s.nextFreeRow != nil {
 		r := int64(len(s.nextFreeRow))
-		perRow := s.cfg.Capacity / r
+		perRow := s.capacity() / r
 		var free int64
 		for _, base := range s.nextFreeRow {
 			free += perRow - base
 		}
 		return free
 	}
-	return s.cfg.Capacity - s.nextFree
+	return s.capacity() - s.nextFree
 }
 
 // DegradedDisks counts disks currently not fully serving — failed or
@@ -614,14 +588,4 @@ func (s *Server) DegradedDisks() int {
 		}
 	}
 	return n
-}
-
-// ClipSize returns a stored clip's payload size in bytes, or -1 when the
-// clip is unknown.
-func (s *Server) ClipSize(name string) int64 {
-	ci, ok := s.clips[name]
-	if !ok {
-		return -1
-	}
-	return ci.size
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ftcms/internal/diskmodel"
@@ -48,6 +49,27 @@ func newServer(t *testing.T, scheme Scheme, d, p int) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// clipNames returns the stored clips' names in sorted order.
+func clipNames(s *Server) []string {
+	names := make([]string, 0, len(s.clips))
+	for name := range s.clips {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// countReads installs a read hook on the server's array that counts the
+// physical reads reaching each disk, and returns the counts.
+func countReads(s *Server) []int {
+	n := make([]int, s.cfg.D)
+	s.store.Array.SetReadHook(func(disk int, _ int64) (float64, error) {
+		n[disk]++
+		return 1, nil
+	})
+	return n
 }
 
 // readAt reads the block at (disk, block) straight off the array.
@@ -125,11 +147,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted p∤d for streaming RAID")
 	}
-	cfg = testConfig(Declustered, 7, 3)
-	cfg.Capacity = 3
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted sub-stripe capacity")
-	}
 	// Zero disk model defaults to Figure 1 (which needs a bigger block
 	// for q=8).
 	cfg = testConfig(Declustered, 7, 3)
@@ -152,7 +169,7 @@ func TestAddClipErrors(t *testing.T) {
 		t.Error("accepted empty clip")
 	}
 	// Fill the store.
-	huge := clipBytes(2, int(s.cfg.Capacity)*8000)
+	huge := clipBytes(2, int(s.capacity())*8000)
 	if err := s.AddClip("huge", huge); err == nil {
 		t.Error("accepted clip beyond capacity")
 	}
@@ -239,8 +256,8 @@ func TestStreamRoundTripAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: OpenStream: %v", c.scheme, err)
 		}
-		if st.Len() != int64(len(want)) {
-			t.Fatalf("%s: Len = %d, want %d", c.scheme, st.Len(), len(want))
+		if st.clip.size != int64(len(want)) {
+			t.Fatalf("%s: clip size = %d, want %d", c.scheme, st.clip.size, len(want))
 		}
 		got := drainStream(t, s, st, 100)
 		if !bytes.Equal(got, want) {

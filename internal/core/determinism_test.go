@@ -62,13 +62,14 @@ type runResult struct {
 // round-robin over the clips (ticking through admission refusals), and
 // runs rounds until every stream drains. hook runs before each Tick
 // with the upcoming round index so scenarios can script mid-run events.
-func runScenario(t *testing.T, cfg Config, clips [][]byte, streams, maxRounds int,
+func runScenario(t *testing.T, cfg Config, plan faultinject.Plan, clips [][]byte, streams, maxRounds int,
 	hook func(t *testing.T, s *Server, tracks []*runTrack, round int)) runResult {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.InjectFaults(plan)
 	for i, c := range clips {
 		if err := s.AddClip(fmt.Sprintf("c%03d", i), c); err != nil {
 			t.Fatal(err)
@@ -192,7 +193,7 @@ func declusteredScenario(t *testing.T) runResult {
 	for inGroup[failDisk] {
 		failDisk++
 	}
-	cfg.Faults = &faultinject.Plan{
+	plan := faultinject.Plan{
 		Seed:      11,
 		FailStops: []faultinject.FailStop{{Disk: failDisk, Round: 16}},
 	}
@@ -226,7 +227,7 @@ func declusteredScenario(t *testing.T) runResult {
 			}
 		}
 	}
-	res := runScenario(t, cfg, clips, 280, 600, hook)
+	res := runScenario(t, cfg, plan, clips, 280, 600, hook)
 	st := res.stats
 	if st.CorruptionsInjected != 1 || st.CorruptionsDetected < 1 || st.CorruptionRepairs < 1 {
 		t.Fatalf("corruption regime not exercised: injected/detected/repaired = %d/%d/%d",
@@ -250,14 +251,13 @@ func pqScenario(t *testing.T) runResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &faultinject.Plan{Seed: 3}
+	plan := faultinject.Plan{Seed: 3}
 	plan.Overlap(lay.Place(0).Disk, lay.GroupOf(0).Parity.Disk, 12, 1)
-	cfg.Faults = plan
 	clips := make([][]byte, 64)
 	for i := range clips {
 		clips[i] = clipBytes(int64(500+i), 320_000)
 	}
-	res := runScenario(t, cfg, clips, 280, 600, nil)
+	res := runScenario(t, cfg, plan, clips, 280, 600, nil)
 	st := res.stats
 	if st.DetectedFailures != 2 || st.RebuildsDone != 2 {
 		t.Fatalf("double-failure regime not exercised: detected=%d rebuilds=%d",

@@ -108,8 +108,10 @@ func BenchmarkFailDisk(b *testing.B) {
 	}
 }
 
-// mallocs counts the heap objects f allocates.
+// mallocs counts the heap objects f allocates. Like testing.AllocsPerRun
+// it runs f at GOMAXPROCS 1, so the global count is f's alone.
 func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
@@ -209,6 +211,8 @@ func TestFailDiskBeyondToleranceAllocs(t *testing.T) {
 func TestAddDiskAllocs(t *testing.T) {
 	addDisk := func(size int) uint64 {
 		s, _ := scrubServer(t, testConfig(Declustered, 6, 3), size)
+		// At GOMAXPROCS 1, as mallocs measures.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		runtime.GC() // twice: empty fmt's sync.Pool, victim cache and all,
 		runtime.GC() // whatever the set-up left in it
 		var before, after runtime.MemStats
@@ -399,11 +403,11 @@ func TestDetectedFailureReplayPin(t *testing.T) {
 	} {
 		cfg := testConfig(tc.scheme, 13, 4)
 		cfg.Spares = 1
-		cfg.Faults = &faultinject.Plan{Seed: 9, FailStops: []faultinject.FailStop{{Disk: 5, Round: 40}}}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.InjectFaults(faultinject.Plan{Seed: 9, FailStops: []faultinject.FailStop{{Disk: 5, Round: 40}}})
 		clips := map[string][]byte{"a": clipBytes(31, 12_000_000), "b": clipBytes(32, 9_000_000)}
 		for _, name := range []string{"a", "b"} {
 			if err := s.AddClip(name, clips[name]); err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ftcms/internal/health"
 	"ftcms/internal/layout"
 	"ftcms/internal/storage"
 )
@@ -73,12 +72,6 @@ func (s *Server) Mode() Mode {
 	}
 	return ModeHealthy
 }
-
-// Detector exposes the failure detector for inspection.
-func (s *Server) Detector() *health.Detector { return s.detector }
-
-// SparesLeft returns the number of unused hot spares.
-func (s *Server) SparesLeft() int { return s.sparesLeft }
 
 // onDiskFailed runs once per disk failure — whether declared by the
 // detector or injected by the operator FailDisk command. The array's

@@ -58,14 +58,14 @@ func drainResult(t *testing.T, s *Server, st *Stream, want []byte, maxTicks int)
 // with zero hiccups.
 func TestDetectionFlipsDegraded(t *testing.T) {
 	cfg := testConfig(Declustered, 7, 3)
-	cfg.Faults = &faultinject.Plan{
-		Seed:      1,
-		FailStops: []faultinject.FailStop{{Disk: 2, Round: 3}},
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.InjectFaults(faultinject.Plan{
+		Seed:      1,
+		FailStops: []faultinject.FailStop{{Disk: 2, Round: 3}},
+	})
 	clip := clipBytes(7, 320_000) // 40 blocks, touches every disk repeatedly
 	if err := s.AddClip("a", clip); err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestDetectionFlipsDegraded(t *testing.T) {
 	if stats.Hiccups != 0 {
 		t.Fatalf("%d hiccups across detection", stats.Hiccups)
 	}
-	if s.Detector().Stats().Declared != 1 {
-		t.Fatalf("detector declared %d disks, want 1", s.Detector().Stats().Declared)
+	if n := len(stats.DetectLatencies); n != 1 {
+		t.Fatalf("detector declared %d disks, want 1", n)
 	}
 }
 
@@ -102,14 +102,14 @@ func TestDetectionFlipsDegraded(t *testing.T) {
 // stays exact.
 func TestSlowDiskDeclaredByTimeout(t *testing.T) {
 	cfg := testConfig(Declustered, 7, 3)
-	cfg.Faults = &faultinject.Plan{
-		Seed:  1,
-		Slows: []faultinject.Slow{{Disk: 1, Factor: 10, From: 2}},
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.InjectFaults(faultinject.Plan{
+		Seed:  1,
+		Slows: []faultinject.Slow{{Disk: 1, Factor: 10, From: 2}},
+	})
 	clip := clipBytes(8, 320_000)
 	if err := s.AddClip("a", clip); err != nil {
 		t.Fatal(err)
@@ -126,8 +126,10 @@ func TestSlowDiskDeclaredByTimeout(t *testing.T) {
 	if len(stats.FailedDisks) != 1 || stats.FailedDisks[0] != 1 {
 		t.Fatalf("FailedDisks = %v, want [1]", stats.FailedDisks)
 	}
-	if ds := s.Detector().Stats(); ds.Timeouts == 0 {
-		t.Fatal("no timeout strikes recorded for a 10x-slow disk")
+	// The slow disk answered every read: only timeout strikes can have
+	// declared it.
+	if n := len(stats.DetectLatencies); n != 1 {
+		t.Fatalf("detector declared %d disks, want the slow one", n)
 	}
 	if stats.Hiccups != 0 {
 		t.Fatalf("%d hiccups", stats.Hiccups)
@@ -140,11 +142,11 @@ func TestSlowDiskDeclaredByTimeout(t *testing.T) {
 // the whole disk.
 func TestBadBlockRepairedInPlace(t *testing.T) {
 	cfg := testConfig(Declustered, 7, 3)
-	cfg.Faults = &faultinject.Plan{Seed: 1}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.InjectFaults(faultinject.Plan{Seed: 1})
 	clip := clipBytes(9, 320_000)
 	if err := s.AddClip("a", clip); err != nil {
 		t.Fatal(err)
@@ -181,14 +183,22 @@ func TestBadBlockRepairedInPlace(t *testing.T) {
 // degraded path) must keep delivery bit-exact with zero hiccups.
 func TestTransientErrorsRetried(t *testing.T) {
 	cfg := testConfig(Declustered, 7, 3)
-	cfg.Faults = &faultinject.Plan{
-		Seed:       42,
-		Transients: []faultinject.Transient{{Disk: 3, Prob: 0.35, From: 1}},
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := s.InjectFaults(faultinject.Plan{
+		Seed:       42,
+		Transients: []faultinject.Transient{{Disk: 3, Prob: 0.35, From: 1}},
+	})
+	injected := 0
+	s.store.Array.SetReadHook(func(disk int, block int64) (float64, error) {
+		slow, err := in.Hook(disk, block)
+		if err != nil {
+			injected++
+		}
+		return slow, err
+	})
 	clip := clipBytes(10, 320_000)
 	if err := s.AddClip("a", clip); err != nil {
 		t.Fatal(err)
@@ -201,7 +211,7 @@ func TestTransientErrorsRetried(t *testing.T) {
 	if !bytes.Equal(got, clip) {
 		t.Fatal("bytes diverge under transient errors")
 	}
-	if s.injector.Stats().HardErrors == 0 {
+	if injected == 0 {
 		t.Fatal("transient plan injected nothing")
 	}
 	if stats := s.Stats(); stats.Hiccups != 0 {
@@ -227,7 +237,7 @@ func TestHotSpareRebuildRejoin(t *testing.T) {
 	if err := s.FailDisk(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SparesLeft(); got != 0 {
+	if got := s.Stats().SparesLeft; got != 0 {
 		t.Fatalf("SparesLeft = %d after failure, want 0", got)
 	}
 	st, err := s.OpenStream("a")
@@ -289,17 +299,17 @@ func TestHotSpareRebuildRejoin(t *testing.T) {
 func TestSecondFailureDuringRebuild(t *testing.T) {
 	cfg := testConfig(Declustered, 7, 3)
 	cfg.Spares = 1
-	cfg.Faults = &faultinject.Plan{
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.InjectFaults(faultinject.Plan{
 		Seed: 1,
 		FailStops: []faultinject.FailStop{
 			{Disk: 2, Round: 2},
 			{Disk: 5, Round: 3},
 		},
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	clips := map[string][]byte{
 		"a": clipBytes(21, 960_000), // 120 blocks each: long enough that
 		"b": clipBytes(22, 960_000), // both failures land mid-playback
@@ -390,15 +400,15 @@ func TestSecondFailureDuringRebuild(t *testing.T) {
 	for _, r := range results {
 		if r.err != nil {
 			terminated++
-			if !errors.Is(r.st.Err(), ErrStreamLost) {
-				t.Fatalf("stream %s terminated without explicit reason: %v", r.name, r.st.Err())
+			if !errors.Is(r.st.termErr, ErrStreamLost) {
+				t.Fatalf("stream %s terminated without explicit reason: %v", r.name, r.st.termErr)
 			}
 		} else {
 			if r.bytes != int64(len(clips[r.name])) {
 				t.Fatalf("stream %s ended cleanly with %d of %d bytes", r.name, r.bytes, len(clips[r.name]))
 			}
-			if r.st.Err() != nil {
-				t.Fatalf("completed stream %s has Err %v", r.name, r.st.Err())
+			if r.st.termErr != nil {
+				t.Fatalf("completed stream %s has a termination reason %v", r.name, r.st.termErr)
 			}
 		}
 	}

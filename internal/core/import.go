@@ -207,9 +207,5 @@ func (s *Server) ClipDataBlocks(name string) int64 {
 	return (ci.size + bs - 1) / bs
 }
 
-// DiskLoad returns the blocks charged to a disk this round — test and
-// audit surface for the idle-capacity invariant.
-func (s *Server) DiskLoad(disk int) int { return s.engine.Load(disk) }
-
 // Budget returns the per-disk round budget q.
 func (s *Server) Budget() int { return s.cfg.Q }

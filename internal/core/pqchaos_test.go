@@ -61,10 +61,11 @@ func (tr *pqTrack) drainTick(t *testing.T, buf []byte) {
 	}
 }
 
-// pqOverlapConfig builds the scenario: a (13, 4) projective-plane P+Q
-// array with two spares, and a fault plan fail-stopping block 0's own
-// disk and its group's P disk within a 3-round window.
-func pqOverlapConfig(t *testing.T, spares int) (Config, [3]int) {
+// pqOverlapServer builds the scenario: a (13, 4) projective-plane P+Q
+// array with the given spares, and a fault plan fail-stopping block 0's
+// own disk and its group's P disk within a 3-round window. It returns the
+// server and the group's data, P and Q disks.
+func pqOverlapServer(t *testing.T, spares int) (*Server, [3]int) {
 	t.Helper()
 	cfg := testConfig(DeclusteredPQ, 13, 4)
 	cfg.Spares = spares
@@ -76,10 +77,14 @@ func pqOverlapConfig(t *testing.T, spares int) (Config, [3]int) {
 	d1 := lay.Place(0).Disk
 	d2 := g.Parity.Disk
 	d3 := g.Q.Disk
-	plan := &faultinject.Plan{Seed: 3}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.Plan{Seed: 3}
 	plan.Overlap(d1, d2, 5, 1)
-	cfg.Faults = plan
-	return cfg, [3]int{d1, d2, d3}
+	s.InjectFaults(plan)
+	return s, [3]int{d1, d2, d3}
 }
 
 // TestPQDoubleFailureChaos is the headline acceptance run: overlapping
@@ -88,11 +93,7 @@ func pqOverlapConfig(t *testing.T, spares int) (Config, [3]int) {
 // must balance every round, and both disks must rebuild and rejoin on
 // idle capacity alone.
 func TestPQDoubleFailureChaos(t *testing.T) {
-	cfg, _ := pqOverlapConfig(t, 2)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := pqOverlapServer(t, 2)
 	// Clips big enough that each rebuild queue spans many rounds of
 	// idle capacity — the two rebuilds must demonstrably overlap.
 	clips := map[string][]byte{
@@ -176,7 +177,7 @@ func TestPQDoubleFailureChaos(t *testing.T) {
 	}
 	// The store must be whole again: every block of every clip verifies
 	// against both parity columns.
-	for _, name := range s.Clips() {
+	for _, name := range clipNames(s) {
 		ci := s.clips[name]
 		for n := int64(0); n < ci.blocks; n++ {
 			if err := s.store.VerifyParity(ci.block(n)); err != nil {
@@ -191,11 +192,7 @@ func TestPQDoubleFailureChaos(t *testing.T) {
 // remaining playback truly needs a stranded group may end — each with an
 // explicit ErrStreamLost — and every other stream completes byte-exact.
 func TestPQThirdFailureGraceful(t *testing.T) {
-	cfg, disks := pqOverlapConfig(t, 2)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, disks := pqOverlapServer(t, 2)
 	clips := map[string][]byte{
 		"a": clipBytes(31, 2_400_000),
 		"b": clipBytes(32, 96_000), // 12 blocks: may dodge the stranded groups

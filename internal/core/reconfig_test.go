@@ -153,7 +153,7 @@ func addDiskRelayout(t *testing.T, scheme Scheme) {
 	if err := s.AddClip("movie", data); err != nil {
 		t.Fatal(err)
 	}
-	oldCap := s.CapacityBlocks()
+	oldCap := s.capacity()
 	st, err := s.OpenStream("movie")
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +224,8 @@ func addDiskRelayout(t *testing.T, scheme Scheme) {
 	if s.Disks() != 7 {
 		t.Fatalf("Disks after flip = %d, want 7", s.Disks())
 	}
-	if s.CapacityBlocks() <= oldCap {
-		t.Fatalf("capacity did not grow: %d -> %d", oldCap, s.CapacityBlocks())
+	if s.capacity() <= oldCap {
+		t.Fatalf("capacity did not grow: %d -> %d", oldCap, s.capacity())
 	}
 	if s.Stats().RelayoutsDone != 1 {
 		t.Fatalf("RelayoutsDone = %d, want 1", s.Stats().RelayoutsDone)

@@ -32,7 +32,7 @@ type refMember struct {
 // block, clips in sorted-name order: the walk the store-wide enumerations
 // made.
 func refStoredBlocks(s *Server, fn func(i int64)) {
-	for _, name := range s.Clips() {
+	for _, name := range clipNames(s) {
 		ci := s.clips[name]
 		for n := int64(0); n < ci.blocks; n++ {
 			fn(ci.block(n))

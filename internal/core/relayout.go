@@ -33,8 +33,6 @@ type relayoutState struct {
 	// stays fixed while the copy runs (nothing is allocated meanwhile); it
 	// steps over unwritten blocks.
 	next int64
-	// newCap is the data capacity the wider array advertises at flip.
-	newCap int64
 }
 
 // Relayouting reports whether an AddDisk re-layout is in flight.
@@ -72,7 +70,7 @@ func (s *Server) AddDisk() error {
 	if err != nil {
 		return err
 	}
-	s.relayout = &relayoutState{lay: lay2, store: store2, newCap: s.cfg.Capacity / int64(s.cfg.D) * int64(d2)}
+	s.relayout = &relayoutState{lay: lay2, store: store2}
 	return nil
 }
 
@@ -164,7 +162,6 @@ func (s *Server) finishRelayout() {
 	s.store = rl.store
 	s.cfg.D = d2
 	s.failRound = append(s.failRound, -1)
-	s.cfg.Capacity = rl.newCap
 	s.engine.AddDisk()
 	s.detector.Grow(1)
 	if s.injector != nil {

@@ -104,8 +104,9 @@ const (
 // stored parity group and makes the listed members unreadable — by
 // fail-stopping their disks, or (spare) by replacing the failed disks
 // with empty spares so the members are unwritten blocks on rebuilding
-// disks. It returns the server, the group and each member's true bytes.
-func repairCase(t *testing.T, scheme Scheme, lose []int, spare bool) (*Server, layout.Group, [][]byte) {
+// disks. It returns the server, the group, each member's true bytes and
+// the per-disk count of physical reads from then on.
+func repairCase(t *testing.T, scheme Scheme, lose []int, spare bool) (*Server, layout.Group, [][]byte, []int) {
 	t.Helper()
 	s := newServer(t, scheme, 13, 4)
 	if err := s.AddClip("a", clipBytes(41, 800_000)); err != nil {
@@ -133,21 +134,19 @@ func repairCase(t *testing.T, scheme Scheme, lose []int, spare bool) (*Server, l
 			}
 		}
 	}
-	arr.ResetReadCounts()
-	return s, g, want
+	return s, g, want, countReads(s)
 }
 
 // ledgerVsReads fails the test unless every disk's round-ledger charge
-// equals the reads it actually served, and returns the disks read.
-func ledgerVsReads(t *testing.T, s *Server) []int {
+// equals the physical reads that reached it, and returns the disks read.
+func ledgerVsReads(t *testing.T, s *Server, reads []int) []int {
 	t.Helper()
 	var read []int
 	for d := 0; d < s.cfg.D; d++ {
-		charged, served := s.DiskLoad(d), int(s.store.Array.ReadCount(d))
-		if charged != served {
-			t.Errorf("disk %d: charged %d, read %d", d, charged, served)
+		if charged := s.engine.Load(d); charged != reads[d] {
+			t.Errorf("disk %d: charged %d, read %d", d, charged, reads[d])
 		}
-		if served > 0 {
+		if reads[d] > 0 {
 			read = append(read, d)
 		}
 	}
@@ -193,14 +192,14 @@ func TestRepairMemberTable(t *testing.T) {
 
 func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int, spare bool) {
 	lose := append([]int{target}, extra...)
-	s, g, want := repairCase(t, scheme, lose, spare)
+	s, g, want, reads := repairCase(t, scheme, lose, spare)
 	got, err := s.repairMember(g, target, repairMode{})
 
 	if len(lose) > cols {
 		if !errors.Is(err, recovery.ErrUnrecoverable) {
 			t.Fatalf("%d erasures over %d parity columns: err = %v, want ErrUnrecoverable", len(lose), cols, err)
 		}
-		if read := ledgerVsReads(t, s); len(read) != 0 || s.Stats().Overflows != 0 {
+		if read := ledgerVsReads(t, s, reads); len(read) != 0 || s.Stats().Overflows != 0 {
 			t.Fatalf("unrecoverable repair read disks %v", read)
 		}
 		return
@@ -211,7 +210,7 @@ func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int,
 	if !bytes.Equal(got, want[target]) {
 		t.Fatal("recovered bytes differ from the written bytes")
 	}
-	read := ledgerVsReads(t, s)
+	read := ledgerVsReads(t, s, reads)
 	if len(read) == 0 {
 		t.Fatal("repair read nothing")
 	}
@@ -242,7 +241,7 @@ func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int,
 	// data erasure under P+Q, which routes around a busy P disk through
 	// Q — and then must really leave P alone.
 	for _, busy := range read {
-		s, g, want := repairCase(t, scheme, lose, spare)
+		s, g, want, reads := repairCase(t, scheme, lose, spare)
 		for k := 0; k < s.cfg.Q; k++ {
 			s.charge(busy)
 		}
@@ -252,7 +251,7 @@ func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int,
 			if err != nil || !bytes.Equal(got, want[target]) {
 				t.Fatalf("P disk busy: rerouted repair failed: %v", err)
 			}
-			if s.store.Array.ReadCount(busy) != 0 || s.Stats().Overflows != 0 {
+			if reads[busy] != 0 || s.Stats().Overflows != 0 {
 				t.Fatal("P disk busy: rerouted repair read it anyway")
 			}
 			continue
@@ -261,8 +260,8 @@ func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int,
 			t.Fatalf("disk %d busy: err = %v after %d charged reads, want a stall before the first", busy, err, ledger)
 		}
 		for d := 0; d < s.cfg.D; d++ {
-			if n := s.store.Array.ReadCount(d); n != 0 || (d != busy && s.DiskLoad(d) != 0) {
-				t.Fatalf("disk %d busy: stalled, yet disk %d read %d / charged %d", busy, d, n, s.DiskLoad(d))
+			if n := reads[d]; n != 0 || (d != busy && s.engine.Load(d) != 0) {
+				t.Fatalf("disk %d busy: stalled, yet disk %d read %d / charged %d", busy, d, n, s.engine.Load(d))
 			}
 		}
 	}

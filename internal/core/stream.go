@@ -372,19 +372,11 @@ func (st *Stream) Resume() error {
 	return nil
 }
 
-// Len returns the clip payload size in bytes.
-func (st *Stream) Len() int64 { return st.clip.size }
-
 // Pos returns the byte offset playback has delivered up to: every byte
 // from the start offset to Pos has either been read or is waiting in the
 // readable buffer. After OpenStreamAt or SeekTo it starts at the offset
 // asked for.
 func (st *Stream) Pos() int64 { return st.deliveredBytes }
-
-// Err returns the explicit reason the server terminated the stream, or
-// nil for streams that finished normally (or are still playing). A
-// non-nil Err wraps ErrStreamLost.
-func (st *Stream) Err() error { return st.termErr }
 
 // Read implements io.Reader over the delivered bytes. It returns
 // ErrNoData when the pipeline has not delivered the next block yet and

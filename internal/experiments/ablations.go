@@ -14,16 +14,15 @@ import (
 // scheme at one p (E8): static-f versus §5 dynamic reservation, and the
 // bounded-bypass pending list versus strict head-of-line FIFO.
 type AdmissionAblationPoint struct {
-	P                 int
-	StaticServiced    int
-	DynamicServiced   int
-	StaticResponse    units.Duration
-	DynamicResponse   units.Duration
-	StrictServiced    int // static controller, strict FIFO
-	StrictMaxQueue    int
-	BypassMaxQueue    int
-	StrictResponse    units.Duration
-	DynamicWorstQLoad int
+	P               int
+	StaticServiced  int
+	DynamicServiced int
+	StaticResponse  units.Duration
+	DynamicResponse units.Duration
+	StrictServiced  int // static controller, strict FIFO
+	StrictMaxQueue  int
+	BypassMaxQueue  int
+	StrictResponse  units.Duration
 }
 
 // AdmissionAblation runs E8 for one buffer size, one parallel worker per

@@ -36,18 +36,17 @@ type AutopilotPoint struct {
 // goes unanswered unless the controller answers it — run twice, open
 // loop then closed loop, same seed and profile. Cells run in parallel;
 // the two runs within a cell share nothing but the config, so
-// determinism holds cell by cell.
-func AutopilotSweep(cfg ScenarioSweepConfig) ([]AutopilotPoint, error) {
-	cfg = cfg.withDefaults()
+// determinism holds cell by cell. It takes ScenarioSweep's arguments.
+func AutopilotSweep(subscribers int64, timescale float64, seed int64) ([]AutopilotPoint, error) {
 	return parallel.Map(len(scenarioMultipliers), func(k int) (AutopilotPoint, error) {
 		mult := scenarioMultipliers[k]
-		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, false))
+		compiled, err := scenario.Compile(scenarioProfile(subscribers, timescale, mult, false))
 		if err != nil {
 			return AutopilotPoint{}, fmt.Errorf("autopilot sweep ×%g: %w", mult, err)
 		}
 		rc := scenario.RunConfig{
 			Scenario:    compiled,
-			Seed:        cfg.Seed,
+			Seed:        seed,
 			Nodes:       scenarioNodes,
 			Replication: scenarioReplication,
 		}

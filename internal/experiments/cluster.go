@@ -32,15 +32,6 @@ type ClusterPoint struct {
 	LostStreams int
 }
 
-// ClusterSweepConfig parameterizes E14 and E19. The zero value of any
-// field selects the documented default.
-type ClusterSweepConfig struct {
-	// Buffer is each node's RAM buffer (default 128 MB).
-	Buffer units.Bits
-	// Seed drives all randomness (default 1).
-	Seed int64
-}
-
 // E14's grid and load: cells with replication > nodes are skipped; the
 // cluster-wide Poisson arrival rate is low enough that failover capacity
 // exists on survivors; the faulted run kills node 0 at half time.
@@ -54,37 +45,27 @@ const (
 	clusterDuration    = 120 * units.Second
 )
 
-func (c ClusterSweepConfig) withDefaults() ClusterSweepConfig {
-	if c.Buffer <= 0 {
-		c.Buffer = 128 * units.MB
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// node is the sweeps' node template: a 16-disk declustered array under a
-// cluster-wide Poisson load.
-func (c ClusterSweepConfig) node(catalog *workload.Catalog, rate float64, duration units.Duration) sim.Config {
+// clusterNode is the sweeps' node template: a 16-disk declustered array
+// with the given buffer under a cluster-wide Poisson load.
+func clusterNode(buffer units.Bits, seed int64, catalog *workload.Catalog, rate float64, duration units.Duration) sim.Config {
 	return sim.Config{
 		Scheme:      scheme.Declustered,
 		Disk:        diskmodel.Default(),
 		D:           16,
 		P:           4,
-		Buffer:      c.Buffer,
+		Buffer:      buffer,
 		Catalog:     catalog,
 		ArrivalRate: rate,
 		Duration:    duration,
-		Seed:        c.Seed,
+		Seed:        seed,
 	}
 }
 
 // ClusterSweep runs E14: sim.RunCluster over the (nodes, replication)
 // grid, healthy and with a mid-run node failure, on the paper's catalog
-// with 16-disk declustered nodes. Cells run in parallel.
-func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterPoint, error) {
-	cfg = cfg.withDefaults()
+// with 16-disk declustered nodes, each with the given buffer. Cells run
+// in parallel.
+func ClusterSweep(buffer units.Bits, seed int64) ([]ClusterPoint, error) {
 	catalog := PaperCatalog()
 	type cell struct{ nodes, rep int }
 	var grid []cell
@@ -98,7 +79,7 @@ func ClusterSweep(cfg ClusterSweepConfig) ([]ClusterPoint, error) {
 	return parallel.Map(len(grid), func(k int) (ClusterPoint, error) {
 		c := grid[k]
 		base := sim.ClusterConfig{
-			Node:        cfg.node(catalog, clusterArrivalRate, clusterDuration),
+			Node:        clusterNode(buffer, seed, catalog, clusterArrivalRate, clusterDuration),
 			Nodes:       c.nodes,
 			Replication: c.rep,
 		}

@@ -3,10 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"ftcms/internal/units"
 )
 
 func TestClusterSweep(t *testing.T) {
-	pts, err := ClusterSweep(ClusterSweepConfig{})
+	pts, err := ClusterSweep(256*units.MB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

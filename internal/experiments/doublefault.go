@@ -98,14 +98,13 @@ func doubleFaultRun(scheme core.Scheme, seed int64) (DoubleFaultPoint, error) {
 	if err != nil {
 		return DoubleFaultPoint{}, err
 	}
-	cfg := doubleFaultConfig(scheme)
-	plan := &faultinject.Plan{Seed: seed}
-	plan.Overlap(d1, d2, 5, 1)
-	cfg.Faults = plan
-	s, err := core.New(cfg)
+	s, err := core.New(doubleFaultConfig(scheme))
 	if err != nil {
 		return DoubleFaultPoint{}, err
 	}
+	plan := faultinject.Plan{Seed: seed}
+	plan.Overlap(d1, d2, 5, 1)
+	s.InjectFaults(plan)
 	clips := map[string][]byte{
 		"a": doubleFaultClip(seed+1, 480_000),
 		"b": doubleFaultClip(seed+2, 400_000),

@@ -113,25 +113,14 @@ var Figure6Columns = []trace.Column[Figure6Point]{
 	trace.Seconds("mean_response_s", "", func(pt Figure6Point) units.Duration { return pt.MeanResponse }),
 }
 
-// Figure6Config parameterizes a simulation sweep.
-type Figure6Config struct {
-	// Buffer is the server buffer (one of BufferSizes for the paper's
-	// panels).
-	Buffer units.Bits
-	// Seed drives the run; the paper's panels use Seed 1.
-	Seed int64
-	// Duration defaults to the paper's 600 time units when zero.
-	Duration units.Duration
-}
+// figure6Duration is the paper's Figure 6 run length, 600 time units.
+const figure6Duration = 600 * units.Second
 
 // Figure6 runs the full simulated panel for one buffer size (E6/E7),
 // fanning the scheme×p grid out over the pool. Every (scheme, p) run is
 // an independent simulation with its own seeded RNG, so the panel is
-// bit-identical at any GOMAXPROCS.
-func Figure6(cfg Figure6Config) ([]Figure6Point, error) {
-	if cfg.Duration == 0 {
-		cfg.Duration = 600 * units.Second
-	}
+// bit-identical at any GOMAXPROCS. The paper's panels use seed 1.
+func Figure6(buffer units.Bits, seed int64) ([]Figure6Point, error) {
 	cat := PaperCatalog()
 	schemes := scheme.Paper()
 	return parallel.Map(len(schemes)*len(GroupSizes), func(k int) (Figure6Point, error) {
@@ -142,11 +131,11 @@ func Figure6(cfg Figure6Config) ([]Figure6Point, error) {
 			Disk:        diskmodel.Default(),
 			D:           32,
 			P:           p,
-			Buffer:      cfg.Buffer,
+			Buffer:      buffer,
 			Catalog:     cat,
 			ArrivalRate: 20,
-			Duration:    cfg.Duration,
-			Seed:        cfg.Seed,
+			Duration:    figure6Duration,
+			Seed:        seed,
 		})
 		if err != nil {
 			return Figure6Point{}, fmt.Errorf("experiments: %v p=%d: %w", s, p, err)

@@ -62,7 +62,7 @@ func TestFigure6Complete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep in -short mode")
 	}
-	pts, err := Figure6(Figure6Config{Buffer: 256 * units.MB, Seed: 1, Duration: 120 * units.Second})
+	pts, err := Figure6(256*units.MB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,20 +33,19 @@ func TestFigure5ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFigure6ParallelMatchesSequential runs a shortened Figure 6 panel
+// TestFigure6ParallelMatchesSequential runs the 256 MB Figure 6 panel
 // at GOMAXPROCS 1, where the pool is a plain loop, and wider, and demands
 // identical results — every simulation is independently seeded, so
 // scheduling must not leak into the output.
 func TestFigure6ParallelMatchesSequential(t *testing.T) {
-	cfg := Figure6Config{Buffer: 256 * units.MB, Seed: 1, Duration: 60 * units.Second}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	seq, err := Figure6(cfg)
+	seq, err := Figure6(256*units.MB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{2, 4} {
 		runtime.GOMAXPROCS(procs)
-		par, err := Figure6(cfg)
+		par, err := Figure6(256*units.MB, 1)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -66,7 +65,7 @@ func TestFigure6ParallelMatchesSequential(t *testing.T) {
 func TestSweepsLeaveNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	before := runtime.NumGoroutine()
-	if _, err := Figure6(Figure6Config{Buffer: 256 * units.MB, Seed: 1, Duration: 30 * units.Second}); err != nil {
+	if _, err := Figure6(256*units.MB, 1); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

@@ -53,17 +53,16 @@ func drainRounds(res sim.ClusterResult, node int) int64 {
 	return pn.RetiredRound - pn.DrainRound
 }
 
-// ReconfigSweep runs E19 on E14's node shape and configuration:
-// sim.RunCluster over the arrival-rate axis, three runs per cell —
-// baseline, drain-under-load, and join-then-drain — on the paper's
-// catalog with 16-disk declustered nodes. Cells run in parallel.
-func ReconfigSweep(cfg ClusterSweepConfig) ([]ReconfigPoint, error) {
-	cfg = cfg.withDefaults()
+// ReconfigSweep runs E19 on E14's node shape: sim.RunCluster over the
+// arrival-rate axis, three runs per cell — baseline, drain-under-load,
+// and join-then-drain — on the paper's catalog with 16-disk declustered
+// nodes, each with the given buffer. Cells run in parallel.
+func ReconfigSweep(buffer units.Bits, seed int64) ([]ReconfigPoint, error) {
 	catalog := PaperCatalog()
 	return parallel.Map(len(reconfigArrivalRates), func(k int) (ReconfigPoint, error) {
 		rate := reconfigArrivalRates[k]
 		base := sim.ClusterConfig{
-			Node:        cfg.node(catalog, rate, reconfigDuration),
+			Node:        clusterNode(buffer, seed, catalog, rate, reconfigDuration),
 			Nodes:       reconfigNodes,
 			Replication: reconfigReplication,
 		}

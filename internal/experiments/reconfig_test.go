@@ -3,10 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"ftcms/internal/units"
 )
 
 func TestReconfigSweep(t *testing.T) {
-	pts, err := ReconfigSweep(ClusterSweepConfig{})
+	pts, err := ReconfigSweep(256*units.MB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,46 +30,33 @@ type ScenarioPoint struct {
 	ViewVersion int64
 }
 
-// ScenarioSweepConfig parameterizes E20 and E21. Zero values select
-// defaults.
-type ScenarioSweepConfig struct {
-	// Subscribers is the population per cell (default 200000 — large
-	// enough to saturate prime time on a three-node cluster, small
-	// enough to sweep quickly).
-	Subscribers int64
-	// TimeScale is the day's compression factor (default 480: a 24-hour
-	// day in 180 simulated seconds).
-	TimeScale float64
-	// Seed drives all randomness (default 1).
-	Seed int64
-}
-
 // E20's and E21's flash-crowd axis and cluster shape.
 var scenarioMultipliers = []float64{1, 2, 4, 8}
 
 const scenarioNodes, scenarioReplication = 3, 2
 
-func (c ScenarioSweepConfig) withDefaults() ScenarioSweepConfig {
-	if c.Subscribers <= 0 {
-		c.Subscribers = 200000
+// scenarioParams fills E20's and E21's defaults for the values p leaves
+// zero, once, before the registry entry calls its sweep: 200000 subscribers per cell (enough to saturate prime time on a
+// three-node cluster, few enough to sweep quickly) and a 480× compressed
+// day (24 hours in 180 simulated seconds).
+func scenarioParams(p Params) Params {
+	if p.Subscribers <= 0 {
+		p.Subscribers = 200000
 	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 480
+	if p.TimeScale <= 0 {
+		p.TimeScale = 480
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+	return p
 }
 
 // scenarioProfile builds one cell's profile: the flagship prime-time day
 // with the flash multiplier as the swept variable and node 1 lost at
 // 19:45. E20 has an operator join a replacement at 20:00; E21 does not.
-func scenarioProfile(cfg ScenarioSweepConfig, mult float64, join bool) scenario.Profile {
-	p := scenario.Profile{
+func scenarioProfile(subscribers int64, timescale, mult float64, join bool) scenario.Profile {
+	prof := scenario.Profile{
 		Name:        fmt.Sprintf("e20-flash-x%g", mult),
-		TimeScale:   cfg.TimeScale,
-		Subscribers: cfg.Subscribers,
+		TimeScale:   timescale,
+		Subscribers: subscribers,
 		Zipf:        1.1,
 		PatienceMin: 8,
 		BucketMin:   60,
@@ -81,28 +68,28 @@ func scenarioProfile(cfg ScenarioSweepConfig, mult float64, join bool) scenario.
 		},
 	}
 	if join {
-		p.Phases = append(p.Phases, scenario.Phase{Kind: scenario.KindMaintenance, Action: scenario.ActionJoin, Hour: 20})
+		prof.Phases = append(prof.Phases, scenario.Phase{Kind: scenario.KindMaintenance, Action: scenario.ActionJoin, Hour: 20})
 	} else {
-		p.Name = fmt.Sprintf("e21-autopilot-x%g", mult)
+		prof.Name = fmt.Sprintf("e21-autopilot-x%g", mult)
 	}
-	return p
+	return prof
 }
 
 // ScenarioSweep runs E20: the scenario engine's prime-time day with a
 // node failure at 19:45 and a join at 20:00, over the flash-crowd
-// multiplier axis. Cells run in parallel; each is independently seeded
+// multiplier axis, for a population of subscribers and a day compressed
+// timescale times. Cells run in parallel; each is independently seeded
 // and deterministic.
-func ScenarioSweep(cfg ScenarioSweepConfig) ([]ScenarioPoint, error) {
-	cfg = cfg.withDefaults()
+func ScenarioSweep(subscribers int64, timescale float64, seed int64) ([]ScenarioPoint, error) {
 	return parallel.Map(len(scenarioMultipliers), func(k int) (ScenarioPoint, error) {
 		mult := scenarioMultipliers[k]
-		compiled, err := scenario.Compile(scenarioProfile(cfg, mult, true))
+		compiled, err := scenario.Compile(scenarioProfile(subscribers, timescale, mult, true))
 		if err != nil {
 			return ScenarioPoint{}, fmt.Errorf("scenario sweep ×%g: %w", mult, err)
 		}
 		res, err := scenario.Run(scenario.RunConfig{
 			Scenario:    compiled,
-			Seed:        cfg.Seed,
+			Seed:        seed,
 			Nodes:       scenarioNodes,
 			Replication: scenarioReplication,
 		})

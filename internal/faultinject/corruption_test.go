@@ -36,9 +36,6 @@ func TestSilentCorruptionExplicitBlockFiresOnce(t *testing.T) {
 			t.Fatalf("round %d: explicit entry refired: %v", r, due)
 		}
 	}
-	if got := in.Stats().Corruptions; got != 1 {
-		t.Fatalf("Stats.Corruptions = %d, want 1", got)
-	}
 }
 
 func TestSilentCorruptionRateIsSeededAndWindowed(t *testing.T) {
@@ -108,9 +105,6 @@ func TestSilentCorruptionLandsOnArrayUndetectedByHook(t *testing.T) {
 	}
 	if err := arr.ReadInto(1, 7, make([]byte, arr.BlockSize())); !errors.Is(err, storage.ErrCorruptBlock) {
 		t.Fatalf("read of rotted block = %v, want ErrCorruptBlock", err)
-	}
-	if st := in.Stats(); st.HardErrors != 0 || st.BadBlockErrors != 0 {
-		t.Fatalf("corruption leaked into error stats: %+v", st)
 	}
 }
 

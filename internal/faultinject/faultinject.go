@@ -119,18 +119,6 @@ func (p *Plan) Overlap(disk1, disk2 int, round, window int64) {
 	)
 }
 
-// Stats counts what the injector actually did, for test assertions.
-type Stats struct {
-	// HardErrors counts injected fail-stop and transient read errors.
-	HardErrors int64
-	// BadBlockErrors counts injected latent-sector errors.
-	BadBlockErrors int64
-	// SlowReads counts reads that were slowed.
-	SlowReads int64
-	// Corruptions counts silent-corruption orders emitted.
-	Corruptions int64
-}
-
 // Injector applies a Plan to an array's reads. Install its Hook with
 // storage.Array.SetReadHook and advance its clock with SetRound. Like the
 // array it serves, one goroutine uses it at a time.
@@ -140,7 +128,6 @@ type Injector struct {
 	round int64
 	bad   map[[2]int64]bool // (disk, block) → latent error active
 	corr  []corruptionEntry
-	stats Stats
 }
 
 // corruptionEntry is a SilentCorruption plus its one-shot latch.
@@ -227,7 +214,6 @@ func (in *Injector) CorruptionsDue() []CorruptionOrder {
 			out = append(out, CorruptionOrder{Disk: c.Disk, Block: -1, Pick: in.rng.Uint64(), Bits: in.randBits(c.Bits)})
 		}
 	}
-	in.stats.Corruptions += int64(len(out))
 	return out
 }
 
@@ -297,11 +283,6 @@ func (in *Injector) ClearDisk(disk int) {
 	}
 }
 
-// Stats returns a snapshot of the injection counters.
-func (in *Injector) Stats() Stats {
-	return in.stats
-}
-
 func window(round, from, until int64) bool {
 	return round >= from && (until == 0 || round < until)
 }
@@ -317,22 +298,16 @@ func (in *Injector) Hook(disk int, block int64) (float64, error) {
 			slow *= s.Factor
 		}
 	}
-	if slow > 1 {
-		in.stats.SlowReads++
-	}
 	for _, f := range in.plan.FailStops {
 		if f.Disk == disk && in.round >= f.Round {
-			in.stats.HardErrors++
 			return slow, fmt.Errorf("faultinject: fail-stop disk %d (round %d): %w", disk, in.round, storage.ErrFailed)
 		}
 	}
 	if in.bad[[2]int64{int64(disk), block}] {
-		in.stats.BadBlockErrors++
 		return slow, fmt.Errorf("faultinject: latent error disk %d block %d: %w", disk, block, storage.ErrBadBlock)
 	}
 	for _, tr := range in.plan.Transients {
 		if tr.Disk == disk && window(in.round, tr.From, tr.Until) && in.rng.Float64() < tr.Prob {
-			in.stats.HardErrors++
 			return slow, fmt.Errorf("faultinject: transient error disk %d (round %d): %w", disk, in.round, storage.ErrFailed)
 		}
 	}

@@ -10,27 +10,26 @@ import (
 // TestCorruptBlockIsNotADiskStrike mirrors the bad-block classification:
 // a checksum mismatch indicts the block, never the device's liveness.
 func TestCorruptBlockIsNotADiskStrike(t *testing.T) {
-	dt := NewDetector(4, Config{FailThreshold: 3})
+	dt := NewDetector(4, Config{FailThreshold: 3, CorruptionThreshold: 11})
+	var declared []int
+	dt.SetOnFail(func(disk int) { declared = append(declared, disk) })
 	for i := 0; i < 10; i++ {
 		if st := dt.Observe(1, 1, storage.ErrCorruptBlock); st != OK {
 			t.Fatalf("observation %d: state = %v, want OK", i, st)
 		}
 	}
-	if n := dt.ConsecutiveErrors(1); n != 0 {
-		t.Fatalf("consecutive errors = %d, want 0", n)
+	// No strike accrued: two hard errors stay below FailThreshold 3.
+	dt.Observe(1, 1, storage.ErrFailed)
+	if st := dt.Observe(1, 1, storage.ErrFailed); st != Suspect || len(declared) != 0 {
+		t.Fatalf("two hard errors after ten corruptions: state %v, declared %v; want Suspect, none", st, declared)
 	}
-	st := dt.Stats()
-	if st.Corruptions != 10 {
-		t.Fatalf("Stats.Corruptions = %d, want 10", st.Corruptions)
+	// Disk 0 keeps its own count: its first corruption is far from 11.
+	if st := dt.Observe(0, 1, storage.ErrCorruptBlock); st != OK {
+		t.Fatalf("disk 0 first corruption: state = %v, want OK", st)
 	}
-	if st.BadBlocks != 0 || st.HardErrors != 0 || st.Declared != 0 {
-		t.Fatalf("corruption bled into other classes: %+v", st)
-	}
-	if n := dt.CorruptionCount(1); n != 10 {
-		t.Fatalf("CorruptionCount(1) = %d, want 10", n)
-	}
-	if n := dt.CorruptionCount(0); n != 0 {
-		t.Fatalf("CorruptionCount(0) = %d, want 0", n)
+	// Disk 1 counted all ten: the eleventh declares it.
+	if st := dt.Observe(1, 1, storage.ErrCorruptBlock); st != Down || len(declared) != 1 || declared[0] != 1 {
+		t.Fatalf("eleventh corruption: state %v, declared %v; want Down, [1]", st, declared)
 	}
 }
 
@@ -41,9 +40,8 @@ func TestCorruptBlockDoesNotResetHardStrikes(t *testing.T) {
 	dt := NewDetector(2, Config{FailThreshold: 3})
 	dt.Observe(0, 1, storage.ErrFailed)
 	dt.Observe(0, 1, storage.ErrFailed)
-	dt.Observe(0, 1, storage.ErrCorruptBlock)
-	if n := dt.ConsecutiveErrors(0); n != 2 {
-		t.Fatalf("consecutive errors after interleaved corruption = %d, want 2", n)
+	if st := dt.Observe(0, 1, storage.ErrCorruptBlock); st != Suspect {
+		t.Fatalf("interleaved corruption: state = %v, want Suspect", st)
 	}
 	if st := dt.Observe(0, 1, storage.ErrFailed); st != Down {
 		t.Fatalf("third hard error: state = %v, want Down", st)
@@ -70,14 +68,14 @@ func TestCorruptionThresholdDeclaresDisk(t *testing.T) {
 	if len(declared) != 1 || declared[0] != 2 {
 		t.Fatalf("OnFail fired %v, want exactly [2]", declared)
 	}
-	if got := dt.Stats().Declared; got != 1 {
-		t.Fatalf("Stats.Declared = %d, want 1", got)
-	}
 
-	// Reset (rejoin after rebuild) clears the cumulative count.
+	// Reset (rejoin after rebuild) clears the cumulative count: three
+	// more corruptions stay below the threshold of four.
 	dt.Reset(2)
-	if dt.State(2) != OK || dt.CorruptionCount(2) != 0 {
-		t.Fatalf("after Reset: state=%v count=%d, want OK/0", dt.State(2), dt.CorruptionCount(2))
+	for i := 0; i < 3; i++ {
+		if st := dt.Observe(2, 1, storage.ErrCorruptBlock); st != OK {
+			t.Fatalf("corruption %d after Reset: state = %v, want OK", i, st)
+		}
 	}
 }
 
@@ -85,10 +83,9 @@ func TestCorruptionThresholdDefaultAndDisable(t *testing.T) {
 	// Default threshold is 16.
 	dt := NewDetector(1, Config{})
 	for i := 0; i < 15; i++ {
-		dt.Observe(0, 1, storage.ErrCorruptBlock)
-	}
-	if st := dt.State(0); st != OK {
-		t.Fatalf("15 corruptions under default: state = %v, want OK", st)
+		if st := dt.Observe(0, 1, storage.ErrCorruptBlock); st != OK {
+			t.Fatalf("corruption %d under default: state = %v, want OK", i+1, st)
+		}
 	}
 	if st := dt.Observe(0, 1, storage.ErrCorruptBlock); st != Down {
 		t.Fatalf("16th corruption under default: state = %v, want Down", st)
@@ -97,10 +94,9 @@ func TestCorruptionThresholdDefaultAndDisable(t *testing.T) {
 	// Negative disables escalation entirely.
 	dt = NewDetector(1, Config{CorruptionThreshold: -1})
 	for i := 0; i < 100; i++ {
-		dt.Observe(0, 1, storage.ErrCorruptBlock)
-	}
-	if st := dt.State(0); st != OK {
-		t.Fatalf("escalation disabled: state = %v, want OK", st)
+		if st := dt.Observe(0, 1, storage.ErrCorruptBlock); st != OK {
+			t.Fatalf("escalation disabled: corruption %d left state %v, want OK", i+1, st)
+		}
 	}
 }
 
@@ -108,7 +104,9 @@ func TestCorruptionThresholdDefaultAndDisable(t *testing.T) {
 // TestReadBadBlockSurfacesAfterOneRetry: one retry (controller hiccups
 // happen; rot does not heal), then the caller reconstructs.
 func TestReadCorruptBlockSurfacesAfterOneRetry(t *testing.T) {
-	dt := NewDetector(1, Config{Retries: 5})
+	dt := NewDetector(1, Config{Retries: 5, CorruptionThreshold: 3})
+	var fired bool
+	dt.SetOnFail(func(int) { fired = true })
 	attempts := 0
 	_, err := readScript(dt, 0, func(dst []byte) (float64, error) {
 		attempts++
@@ -120,11 +118,12 @@ func TestReadCorruptBlockSurfacesAfterOneRetry(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (one retry)", attempts)
 	}
-	if got := dt.Stats().Corruptions; got != 2 {
-		t.Fatalf("Stats.Corruptions = %d, want 2 (both attempts observed)", got)
+	if fired {
+		t.Fatal("two corrupt attempts declared the disk at threshold 3")
 	}
-	if dt.State(0) != OK {
-		t.Fatalf("state = %v, want OK", dt.State(0))
+	// Both attempts were observed: one more corruption reaches 3.
+	if st := dt.Observe(0, 1, storage.ErrCorruptBlock); st != Down || !fired {
+		t.Fatalf("third corruption: state %v, fired %v; want Down, declared", st, fired)
 	}
 }
 

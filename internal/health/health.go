@@ -48,19 +48,6 @@ const (
 	Down
 )
 
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case OK:
-		return "ok"
-	case Suspect:
-		return "suspect"
-	case Down:
-		return "down"
-	}
-	return "unknown"
-}
-
 // Config tunes a Detector. The zero value selects the defaults noted on
 // each field.
 type Config struct {
@@ -126,28 +113,6 @@ type Detector struct {
 	clock     func() int64
 	suspectAt []int64
 	detectLat []int64
-
-	// counters for Stats
-	hardErrors  int64
-	timeouts    int64
-	badBlocks   int64
-	corruptions int64
-	declared    int64
-}
-
-// Stats is a snapshot of the detector's counters.
-type Stats struct {
-	// HardErrors counts hard read errors observed (after classification,
-	// before retry collapsing).
-	HardErrors int64
-	// Timeouts counts slow reads scored as timeout strikes.
-	Timeouts int64
-	// BadBlocks counts latent-sector errors observed.
-	BadBlocks int64
-	// Corruptions counts corrupt-block (checksum mismatch) observations.
-	Corruptions int64
-	// Declared counts disks declared failed.
-	Declared int64
 }
 
 // NewDetector creates a detector for d disks.
@@ -214,35 +179,6 @@ func (dt *Detector) declareAt(disk int) {
 	dt.suspectAt[disk] = -1
 }
 
-// State returns the detector's opinion of the disk.
-func (dt *Detector) State(disk int) State {
-	if disk < 0 || disk >= len(dt.state) {
-		return OK
-	}
-	return dt.state[disk]
-}
-
-// ConsecutiveErrors returns the disk's current strike count.
-func (dt *Detector) ConsecutiveErrors(disk int) int {
-	if disk < 0 || disk >= len(dt.consec) {
-		return 0
-	}
-	return dt.consec[disk]
-}
-
-// CorruptionCount returns the disk's cumulative corrupt-block count.
-func (dt *Detector) CorruptionCount(disk int) int {
-	if disk < 0 || disk >= len(dt.corrupt) {
-		return 0
-	}
-	return dt.corrupt[disk]
-}
-
-// Stats returns a counter snapshot.
-func (dt *Detector) Stats() Stats {
-	return Stats{HardErrors: dt.hardErrors, Timeouts: dt.timeouts, BadBlocks: dt.badBlocks, Corruptions: dt.corruptions, Declared: dt.declared}
-}
-
 // Reset clears the disk's strikes and state — called when a rebuilt disk
 // rejoins or an operator repairs it.
 func (dt *Detector) Reset(disk int) {
@@ -269,39 +205,6 @@ func (dt *Detector) Deregister(disk int) {
 	dt.corrupt[disk] = 0
 	dt.state[disk] = OK
 	dt.suspectAt[disk] = -1
-}
-
-// Registered reports whether the target is still being scored. Out-of-
-// range targets report false.
-func (dt *Detector) Registered(disk int) bool {
-	return disk >= 0 && disk < len(dt.state) && !dt.retired[disk]
-}
-
-// DownCount returns how many registered targets are currently declared
-// Down. Deregistered (retired) slots never count: a node that left the
-// cluster is not a failure. Allocation-free — policy loops poll it every
-// round.
-func (dt *Detector) DownCount() int {
-	n := 0
-	for i, s := range dt.state {
-		if s == Down && !dt.retired[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// Down returns the indices of registered targets currently declared
-// Down, in index order — the detector-confirmed losses the autopilot
-// replaces.
-func (dt *Detector) Down() []int {
-	var out []int
-	for i, s := range dt.state {
-		if s == Down && !dt.retired[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Grow appends n fresh targets (state OK, no strikes) and returns the
@@ -332,31 +235,24 @@ func (dt *Detector) Observe(disk int, slowdown float64, err error) State {
 	var fire func(int)
 	switch {
 	case err == nil:
-		if slowdown >= dt.cfg.SlowFactor {
-			dt.timeouts++
-			strike = true
-		}
+		strike = slowdown >= dt.cfg.SlowFactor
 	case errors.Is(err, storage.ErrBadBlock):
-		dt.badBlocks++
 	case errors.Is(err, storage.ErrCorruptBlock):
 		// Block-indicting, like a bad block: no consecutive-error
 		// strike — the device answered on time. But rot is medium
 		// damage, so it accrues on the disk's cumulative count, and a
 		// disk past the threshold is declared failed exactly as if it
 		// had struck out.
-		dt.corruptions++
 		dt.corrupt[disk]++
 		dt.suspect(disk)
 		if dt.cfg.CorruptionThreshold > 0 && dt.corrupt[disk] >= dt.cfg.CorruptionThreshold && dt.state[disk] != Down {
 			dt.state[disk] = Down
-			dt.declared++
 			dt.declareAt(disk)
 			fire = dt.onFail
 		}
 	case errors.Is(err, storage.ErrNotWritten):
 		// The disk answered; the block is absent. Not a fault.
 	default:
-		dt.hardErrors++
 		strike = true
 	}
 
@@ -366,7 +262,6 @@ func (dt *Detector) Observe(disk int, slowdown float64, err error) State {
 		if dt.state[disk] != Down {
 			if dt.consec[disk] >= dt.cfg.FailThreshold {
 				dt.state[disk] = Down
-				dt.declared++
 				dt.declareAt(disk)
 				fire = dt.onFail
 			} else {

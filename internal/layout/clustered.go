@@ -123,8 +123,3 @@ func (l *Clustered) GroupAt(addr BlockAddr, g *Group) int {
 	g.Parity = BlockAddr{Disk: l.ParityDiskOf(c), Block: addr.Block}
 	return addr.Disk % l.p
 }
-
-// ClusterOfBlock returns the cluster that stores logical block i.
-func (l *Clustered) ClusterOfBlock(i int64) int {
-	return l.Place(i).Disk / l.p
-}

@@ -123,7 +123,7 @@ func TestClusteredGroups(t *testing.T) {
 				t.Fatalf("members %d and %d disagree on parity", i, li)
 			}
 		}
-		if c := l.ClusterOfBlock(i); g.Parity.Disk != l.ParityDiskOf(c) {
+		if c := l.Place(i).Disk / 4; g.Parity.Disk != l.ParityDiskOf(c) {
 			t.Fatalf("parity of block %d not on its cluster's parity disk", i)
 		}
 	}

@@ -54,9 +54,6 @@ func (l *FlatUniform) GroupSize() int { return l.p }
 // Clusters returns d/(p−1).
 func (l *FlatUniform) Clusters() int { return l.d / (l.p - 1) }
 
-// DataBlocks returns the (stripe-rounded) data capacity in blocks.
-func (l *FlatUniform) DataBlocks() int64 { return l.dataBlocks }
-
 // levels returns the height of the data region on each disk.
 func (l *FlatUniform) levels() int64 { return l.dataBlocks / int64(l.d) }
 

@@ -119,7 +119,7 @@ func TestFlatParityUniform(t *testing.T) {
 	}
 	count := map[int]int{}
 	total := 0
-	for i := int64(0); i < l.DataBlocks(); i += 3 {
+	for i := int64(0); i < 54*6; i += 3 {
 		g := l.GroupOf(i)
 		count[g.Parity.Disk]++
 		total++
@@ -137,7 +137,7 @@ func TestFlatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < l.DataBlocks(); i++ {
+	for i := int64(0); i < 2800; i++ {
 		addr := l.Place(i)
 		if back := l.LogicalAt(addr); back != i {
 			t.Fatalf("LogicalAt(Place(%d)) = %d", i, back)
@@ -168,9 +168,8 @@ func TestFlatRoundsUpToStripe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.DataBlocks() != 54 {
-		t.Fatalf("DataBlocks = %d, want 54 (rounded to stripe)", l.DataBlocks())
-	}
+	l.Place(53) // the stripe's last block, past the 50 asked for
+	mustPanic(t, func() { l.Place(54) })
 }
 
 func TestFlatParityTargetClass(t *testing.T) {

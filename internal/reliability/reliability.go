@@ -109,16 +109,6 @@ func MTTDLReplication(disk Hours, d int, mttr Hours) (Hours, error) {
 	return disk * disk / (Hours(d) * mttr), nil
 }
 
-// StorageOverhead returns the fraction of raw capacity a parity scheme
-// with cols parity columns per group of p spends on redundancy: 1/p for
-// single parity, 2/p for P+Q. (Replication spends 1/2.)
-func StorageOverhead(cols, p int) (float64, error) {
-	if cols < 1 || p <= cols {
-		return 0, fmt.Errorf("reliability: %d parity columns need groups larger than p=%d", cols, p)
-	}
-	return float64(cols) / float64(p), nil
-}
-
 // Tradeoff is one row of the redundancy-selection table: what a scheme
 // costs in storage and what it buys in expected time to data loss.
 type Tradeoff struct {

@@ -225,31 +225,25 @@ func TestCompareRedundancy(t *testing.T) {
 	}
 }
 
-// TestStorageOverhead and TestCriticalDisks check the counts and their
-// bounds; the per-scheme values are pinned by the scheme table's test.
+// TestStorageOverhead: the redundancy table charges 1/p of raw capacity
+// for single parity, 2/p for P+Q and 1/2 for replication.
 func TestStorageOverhead(t *testing.T) {
-	cases := []struct {
-		cols, p int
-		want    float64
-	}{
-		{1, 4, 0.25},
-		{1, 8, 0.125},
-		{2, 4, 0.5},
-		{2, 8, 0.25},
-	}
-	for _, c := range cases {
-		got, err := StorageOverhead(c.cols, c.p)
-		if err != nil || math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("StorageOverhead(%d, %d) = %v, %v; want %v", c.cols, c.p, got, err, c.want)
+	for _, p := range []int{4, 8} {
+		rows, err := CompareRedundancy(PaperDiskMTTF, 32, p, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, c := range [][2]int{{0, 4}, {1, 1}, {2, 2}} {
-		if _, err := StorageOverhead(c[0], c[1]); err == nil {
-			t.Errorf("StorageOverhead(%d, %d) accepted", c[0], c[1])
+		want := []float64{1 / float64(p), 2 / float64(p), 0.5}
+		for i, row := range rows {
+			if row.Overhead != want[i] {
+				t.Errorf("p=%d %s: overhead %v, want %v", p, row.Scheme, row.Overhead, want[i])
+			}
 		}
 	}
 }
 
+// TestCriticalDisks checks the counts and their bounds; the per-scheme
+// values are pinned by the scheme table's test.
 func TestCriticalDisks(t *testing.T) {
 	for _, c := range [][3]int{{32, 4, 3}, {32, 32, 31}, {13, 13, 12}} {
 		if got, err := CriticalDisks(c[0], c[1]); err != nil || got != c[2] {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 
 	"ftcms/internal/autopilot"
@@ -9,11 +10,7 @@ import (
 // closedLoop runs the named builtin with the autopilot on.
 func closedLoop(t *testing.T, name string, seed int64) Result {
 	t.Helper()
-	c, err := Builtin(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(RunConfig{Scenario: c, Seed: seed, Autopilot: true})
+	res, err := Run(RunConfig{Scenario: builtin(t, name), Seed: seed, Autopilot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +23,7 @@ func closedLoop(t *testing.T, name string, seed int64) Result {
 // zero lost active streams, and strictly fewer rejected sessions than
 // the open-loop baseline.
 func TestClosedLoopFlagshipAcceptance(t *testing.T) {
-	c, err := Builtin("primetime-flashcrowd-rebuild")
-	if err != nil {
-		t.Fatal(err)
-	}
-	open, err := Run(RunConfig{Scenario: c, Seed: 11})
+	open, err := Run(RunConfig{Scenario: builtin(t, "primetime-flashcrowd-rebuild"), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +116,11 @@ func TestClosedLoopFlagshipAcceptance(t *testing.T) {
 func TestClosedLoopActionTraceDeterminism(t *testing.T) {
 	a := closedLoop(t, "primetime-autopilot", 7)
 	b := closedLoop(t, "primetime-autopilot", 7)
-	ta, tb := autopilot.TraceString(a.Actions), autopilot.TraceString(b.Actions)
-	if ta == "" {
+	if len(a.Actions) == 0 {
 		t.Fatal("closed-loop run produced an empty action trace")
 	}
-	if ta != tb {
-		t.Fatalf("action trace diverged between runs:\n--- first\n%s--- second\n%s", ta, tb)
+	if !slices.Equal(a.Actions, b.Actions) {
+		t.Fatalf("action trace diverged between runs:\n--- first\n%v\n--- second\n%v", a.Actions, b.Actions)
 	}
 	if a.Serviced != b.Serviced || a.Rejected != b.Rejected || a.Shed != b.Shed || a.LostStreams != b.LostStreams {
 		t.Fatalf("closed-loop totals diverged between runs: %+v vs %+v", a, b)

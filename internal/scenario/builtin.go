@@ -109,15 +109,6 @@ func BuiltinProfile(name string) (Profile, error) {
 	return p, nil
 }
 
-// Builtin compiles one of the named scenarios.
-func Builtin(name string) (*Compiled, error) {
-	p, err := BuiltinProfile(name)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(p)
-}
-
 // BuiltinNames lists the named scenarios in sorted order.
 func BuiltinNames() []string {
 	names := make([]string, 0, len(builtins))

@@ -198,17 +198,27 @@ func TestBuiltinsCompile(t *testing.T) {
 		}
 	}
 	for _, name := range names {
-		c, err := Builtin(name)
-		if err != nil {
-			t.Fatalf("builtin %q: %v", name, err)
-		}
-		if c.Profile.Name != name {
+		if c := builtin(t, name); c.Profile.Name != name {
 			t.Errorf("builtin %q names itself %q", name, c.Profile.Name)
 		}
 	}
-	if _, err := Builtin("no-such-scenario"); err == nil {
+	if _, err := BuiltinProfile("no-such-scenario"); err == nil {
 		t.Error("unknown builtin accepted")
 	}
+}
+
+// builtin compiles the named builtin scenario, as cmsim -scenario does.
+func builtin(t *testing.T, name string) *Compiled {
+	t.Helper()
+	p, err := BuiltinProfile(name)
+	if err != nil {
+		t.Fatalf("builtin %q: %v", name, err)
+	}
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatalf("builtin %q: %v", name, err)
+	}
+	return c
 }
 
 // FuzzScenarioParse: Parse must never panic, and anything it accepts

@@ -170,11 +170,7 @@ func TestRunPatienceRejects(t *testing.T) {
 func TestFlagshipScenarioAtScale(t *testing.T) {
 	run := func() Result {
 		t.Helper()
-		c, err := Builtin("primetime-flashcrowd-rebuild")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(RunConfig{Scenario: c, Seed: 11})
+		res, err := Run(RunConfig{Scenario: builtin(t, "primetime-flashcrowd-rebuild"), Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,25 +1,22 @@
 // Package sched implements the round mechanics of §3: per-disk service
-// accounting within a round, C-SCAN ordering of the round's block fetches,
-// and the round clock. The admission layer guarantees that no disk is ever
-// asked for more than q blocks in a round; this package is where that
-// guarantee is enforced and audited at the data path.
+// accounting within a round and the round clock. The admission layer
+// guarantees that no disk is ever asked for more than q blocks in a
+// round; this package is where that guarantee is enforced and audited at
+// the data path. The C-SCAN order of a disk's fetches within a round is
+// diskmodel.CSCANOrder.
 package sched
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ftcms/internal/diskmodel"
-	"ftcms/internal/layout"
 	"ftcms/internal/units"
 )
 
 // Engine tracks rounds and per-disk block budgets.
 type Engine struct {
-	d, q  int
-	disk  diskmodel.Parameters
-	block units.Bits
+	d, q int
 
 	round int64
 	reads []int
@@ -43,17 +40,11 @@ func NewEngine(d, q int, disk diskmodel.Parameters, block units.Bits) (*Engine, 
 	if !disk.SatisfiesEquation1(q, block) {
 		return nil, fmt.Errorf("sched: q=%d blocks of %v violate Equation 1", q, block)
 	}
-	return &Engine{d: d, q: q, disk: disk, block: block, reads: make([]int, d)}, nil
+	return &Engine{d: d, q: q, reads: make([]int, d)}, nil
 }
 
 // Round returns the current round number.
 func (e *Engine) Round() int64 { return e.round }
-
-// RoundDuration returns the wall-clock length of one round, b/r_p.
-func (e *Engine) RoundDuration() units.Duration { return e.disk.RoundDuration(e.block) }
-
-// Budget returns q.
-func (e *Engine) Budget() int { return e.q }
 
 // BeginRound advances the round clock and clears the per-disk ledgers.
 func (e *Engine) BeginRound() {
@@ -88,37 +79,5 @@ func (e *Engine) AddDisk() {
 	e.reads = append(e.reads, 0)
 }
 
-// Disks returns the number of disks the engine budgets for.
-func (e *Engine) Disks() int { return e.d }
-
 // Load returns the blocks charged to a disk this round.
 func (e *Engine) Load(disk int) int { return e.reads[disk] }
-
-// PeakLoad returns the highest per-disk load this round.
-func (e *Engine) PeakLoad() int {
-	peak := 0
-	for _, r := range e.reads {
-		if r > peak {
-			peak = r
-		}
-	}
-	return peak
-}
-
-// ServiceTime returns the worst-case time the round's heaviest disk needs
-// (the left side of Equation 1 at the current peak load).
-func (e *Engine) ServiceTime() units.Duration {
-	return e.disk.RoundBudgetUsed(e.PeakLoad(), e.block)
-}
-
-// CSCANOrder sorts a disk's fetches for one round into a single ascending
-// elevator sweep by block number, in place, mirroring the C-SCAN policy
-// the paper assumes (§3, [SG94]).
-func CSCANOrder(fetches []layout.BlockAddr) {
-	sort.Slice(fetches, func(i, j int) bool {
-		if fetches[i].Disk != fetches[j].Disk {
-			return fetches[i].Disk < fetches[j].Disk
-		}
-		return fetches[i].Block < fetches[j].Block
-	})
-}

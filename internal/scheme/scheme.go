@@ -55,7 +55,7 @@ const (
 
 // record is everything the tree knows about one scheme.
 type record struct {
-	key, short, legend string
+	key, legend string
 	// table builds a placement driven by a parity group table; layout
 	// builds any other. Exactly one is set.
 	table  func(d, p int) (*layout.Declustered, error)
@@ -79,25 +79,25 @@ type record struct {
 }
 
 var records = [...]record{
-	Declustered: {key: "declustered", short: "decl", legend: "Declustered parity",
+	Declustered: {key: "declustered", legend: "Declustered parity",
 		table: layout.NewDeclustered, grid: rows, ctrl: static, coords: rowCoords,
 		buffer: double, parity: 1, addDisk: true, paper: true},
-	PrefetchFlat: {key: "prefetch-flat", short: "pflat", legend: "Pre-fetching without parity disk",
+	PrefetchFlat: {key: "prefetch-flat", legend: "Pre-fetching without parity disk",
 		layout: flat, grid: flatGrid, ctrl: static, coords: flatCoords,
 		buffer: staggered, parity: 1, prefetch: true, paper: true},
-	PrefetchParityDisk: {key: "prefetch-parity-disk", short: "ppd", legend: "Pre-fetching with parity disk",
+	PrefetchParityDisk: {key: "prefetch-parity-disk", legend: "Pre-fetching with parity disk",
 		layout: byCluster(layout.NewPrefetchParityDisk), grid: dataDisks, ctrl: simple, coords: dataDiskCoords,
 		buffer: staggered, parity: 1, clustered: true, prefetch: true, paper: true},
-	StreamingRAID: {key: "streaming-raid", short: "sraid", legend: "Streaming RAID",
+	StreamingRAID: {key: "streaming-raid", legend: "Streaming RAID",
 		layout: byCluster(layout.NewStreamingRAID), grid: clusters, ctrl: simple, coords: clusterCoords,
 		buffer: wholeGroups, parity: 1, clustered: true, prefetch: true, groupFetch: true, paper: true},
-	NonClustered: {key: "non-clustered", short: "nc", legend: "Non-clustered",
+	NonClustered: {key: "non-clustered", legend: "Non-clustered",
 		layout: byCluster(layout.NewNonClustered), grid: dataDisks, ctrl: simple, coords: dataDiskCoords,
 		buffer: double, parity: 1, clustered: true, paper: true},
-	DeclusteredDynamic: {key: "declustered-dynamic", short: "dyn", legend: "Dynamic reservation",
+	DeclusteredDynamic: {key: "declustered-dynamic", legend: "Dynamic reservation",
 		table: layout.NewInterleaved, grid: rows, ctrl: dynamic, coords: rowCoords,
 		buffer: double, parity: 1, dynamic: true},
-	DeclusteredPQ: {key: "declustered-pq", short: "pq", legend: "Declustered P+Q parity",
+	DeclusteredPQ: {key: "declustered-pq", legend: "Declustered P+Q parity",
 		table: layout.NewDeclusteredPQ, grid: rows, ctrl: static, coords: rowCoords,
 		buffer: double, parity: 2, addDisk: true},
 }
@@ -178,9 +178,6 @@ func (s Scheme) rec() *record {
 
 // Key is the scheme's flag and metric name ("declustered", …).
 func (s Scheme) Key() string { return s.rec().key }
-
-// Short is a compact label for width-constrained output ("decl", …).
-func (s Scheme) Short() string { return s.rec().short }
 
 // Legend is the paper's figure-legend name ("Declustered parity", …).
 func (s Scheme) Legend() string { return s.rec().legend }

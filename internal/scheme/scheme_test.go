@@ -45,8 +45,8 @@ func TestTable(t *testing.T) {
 		if got := s.PerClip(1000, p); got != c.buf {
 			t.Errorf("%v: PerClip = %d, want %d", s, got, c.buf)
 		}
-		if got, err := reliability.StorageOverhead(s.ParityCols(), p); err != nil || got != c.overhead {
-			t.Errorf("%v: overhead = %v, %v; want %v", s, got, err, c.overhead)
+		if got := float64(s.ParityCols()) / float64(p); got != c.overhead {
+			t.Errorf("%v: overhead = %v; want %v", s, got, c.overhead)
 		}
 		spread := d
 		if s.Clustered() {
@@ -98,8 +98,8 @@ func TestParseRoundTrip(t *testing.T) {
 		if got, err := scheme.Parse(s.Key()); err != nil || got != s {
 			t.Errorf("Parse(%q) = %v, %v", s.Key(), got, err)
 		}
-		if s.Short() == "" || s.Legend() == "" || s.String() != s.Key() {
-			t.Errorf("%v: labels %q %q", s, s.Short(), s.Legend())
+		if s.Legend() == "" || s.String() != s.Key() {
+			t.Errorf("%v: legend %q", s, s.Legend())
 		}
 	}
 	if _, err := scheme.Parse("raid-0"); err == nil {

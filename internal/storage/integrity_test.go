@@ -319,8 +319,10 @@ func swapMedium(times int) func(a *Array) error {
 	}
 }
 
-// mallocs counts the heap objects f allocates.
+// mallocs counts the heap objects f allocates. Like testing.AllocsPerRun
+// it runs f at GOMAXPROCS 1, so the global count is f's alone.
 func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()

@@ -19,9 +19,7 @@ type model struct {
 	sums   []map[int64]uint32
 	owed   []map[int64]bool
 	state  []DiskState
-	reads  []int64
 	extent int64
-	stats  integrity.Stats
 }
 
 var errOther = errors.New("some other error")
@@ -41,7 +39,7 @@ func class(err error) error {
 
 func newModel(d int) *model {
 	m := &model{data: make([]map[int64][]byte, d), sums: make([]map[int64]uint32, d), owed: make([]map[int64]bool, d),
-		state: make([]DiskState, d), reads: make([]int64, d)}
+		state: make([]DiskState, d)}
 	for i := range m.data {
 		m.data[i], m.sums[i], m.owed[i] = map[int64][]byte{}, map[int64]uint32{}, map[int64]bool{}
 	}
@@ -81,19 +79,12 @@ func (m *model) write(disk int, block int64, b []byte) error {
 	m.sums[disk][block] = integrity.Sum(b)
 	delete(m.owed[disk], block)
 	m.extent = max(m.extent, block+1)
-	m.stats.Recorded++
 	return nil
 }
 
 // verify is the checksum comparison every read and the audit make.
 func (m *model) verify(disk int, block int64) bool {
-	ok := integrity.Sum(m.data[disk][block]) == m.sums[disk][block]
-	if ok {
-		m.stats.Verified++
-	} else {
-		m.stats.Mismatches++
-	}
-	return ok
+	return integrity.Sum(m.data[disk][block]) == m.sums[disk][block]
 }
 
 func (m *model) read(disk int, block int64, zero bool) ([]byte, error) {
@@ -112,7 +103,6 @@ func (m *model) read(disk int, block int64, zero bool) ([]byte, error) {
 	case !m.verify(disk, block):
 		return nil, ErrCorruptBlock
 	}
-	m.reads[disk]++
 	return b, nil
 }
 
@@ -177,8 +167,8 @@ const (
 
 // FuzzArrayModel runs an op script against the array and the model and
 // demands the same errors (by errors.Is), the same bytes, the same
-// Written/NextOwed/OwedBlocks/Extent/WrittenBlocks/State/ReadCount/
-// ChecksumStats after every op, the same CorruptRandomBlock pick and the
+// Written/NextOwed/OwedBlocks/Extent/WrittenBlocks/State after every op,
+// the same CorruptRandomBlock pick and the
 // same AuditChecksums order. An owed block never reads as zeroes, and a
 // disk that owes blocks never rejoins. Every slice Lend hands out must
 // keep, after every later op, the bytes it had when it was lent.
@@ -316,8 +306,8 @@ func FuzzArrayModel(f *testing.F) {
 			}
 			written := 0
 			for disk := 0; disk < d; disk++ {
-				if a.State(disk) != m.state[disk] || a.ReadCount(disk) != m.reads[disk] {
-					t.Fatalf("op %d: disk %d is %v with %d reads, model %v with %d", i/4, disk, a.State(disk), a.ReadCount(disk), m.state[disk], m.reads[disk])
+				if a.State(disk) != m.state[disk] {
+					t.Fatalf("op %d: disk %d is %v, model %v", i/4, disk, a.State(disk), m.state[disk])
 				}
 				written += len(m.data[disk])
 				if a.OwedBlocks(disk) != len(m.owed[disk]) {
@@ -332,9 +322,9 @@ func FuzzArrayModel(f *testing.F) {
 					}
 				}
 			}
-			if a.Extent() != m.extent || a.WrittenBlocks() != written || a.ChecksumStats() != m.stats {
-				t.Fatalf("op %d: extent %d, %d written, sums %+v; model %d, %d, %+v",
-					i/4, a.Extent(), a.WrittenBlocks(), a.ChecksumStats(), m.extent, written, m.stats)
+			if a.Extent() != m.extent || a.WrittenBlocks() != written {
+				t.Fatalf("op %d: extent %d, %d written; model %d, %d",
+					i/4, a.Extent(), a.WrittenBlocks(), m.extent, written)
 			}
 		}
 	})

@@ -126,10 +126,6 @@ type Array struct {
 	written, owed []int
 	state         []DiskState
 	hook          ReadHook
-	sums          integrity.Counters
-
-	// reads counts successful block reads per disk, for load assertions.
-	reads []int64
 }
 
 // NewArray creates an array of d disks with the given block size in bytes.
@@ -147,7 +143,6 @@ func NewArray(d, blockSize int) (*Array, error) {
 		written:   make([]int, d),
 		owed:      make([]int, d),
 		state:     make([]DiskState, d),
-		reads:     make([]int64, d),
 	}
 	return a, nil
 }
@@ -216,7 +211,6 @@ func (a *Array) Write(disk int, block int64, data []byte) error {
 	}
 	r.data = append(r.data[:0], data...)
 	r.sum = integrity.Sum(r.data)
-	a.sums.Recorded()
 	return nil
 }
 
@@ -286,21 +280,19 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 	}
 	r := a.at(disk, block)
 	if r == nil && zero && a.state[disk] == Healthy {
-		a.reads[disk]++
 		clear(dst)
 		return dst, slow, nil
 	}
 	if r == nil {
 		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
 	}
-	if got := integrity.Sum(r.data); !a.sums.Verified(got == r.sum) {
+	if got := integrity.Sum(r.data); got != r.sum {
 		// The disk answered with the wrong bytes. Surfacing the error —
 		// instead of the data — is the whole point of the checksum
 		// layer: corrupt bytes must never reach a stream or be XORed
-		// into a reconstruction. The read is not counted as served.
+		// into a reconstruction.
 		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w: sum %08x, want %08x", disk, block, ErrCorruptBlock, got, r.sum)
 	}
-	a.reads[disk]++
 	if dst != nil {
 		return dst[:copy(dst, r.data)], slow, nil
 	}
@@ -309,9 +301,8 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 }
 
 // Written reports whether (disk, block) currently holds a written block.
-// It consults neither the read hook nor the failure state and does not
-// count as a read — a planning probe for rebuild and recoverability
-// enumeration, not a data access.
+// It consults neither the read hook nor the failure state — a planning
+// probe for rebuild and recoverability enumeration, not a data access.
 func (a *Array) Written(disk int, block int64) bool {
 	if a.checkAddr(disk, block) != nil {
 		return false
@@ -439,29 +430,10 @@ func (a *Array) FailedDisks() []int {
 	return out
 }
 
-// ReadCount returns the number of successful reads served by the disk
-// since creation, for load-balance assertions in tests.
-func (a *Array) ReadCount(disk int) int64 {
-	if disk < 0 || disk >= a.d {
-		return 0
-	}
-	return a.reads[disk]
-}
-
-// ResetReadCounts zeroes all per-disk read counters.
-func (a *Array) ResetReadCounts() {
-	clear(a.reads)
-}
-
-// ChecksumStats returns a snapshot of the integrity layer's counters.
-func (a *Array) ChecksumStats() integrity.Stats {
-	return a.sums.Stats()
-}
-
 // CorruptBits flips the given bit offsets (taken modulo the block's bit
-// width, each distinct position once) of the stored block — silent corruption: no error is returned at
-// injection time, the checksum record is left stale on purpose, nothing is
-// counted as a read or write, and bytes Lend handed out keep what was
+// width, each distinct position once) of the stored block — silent
+// corruption: no error is returned at injection time, the checksum record
+// is left stale on purpose, and bytes Lend handed out keep what was
 // verified. The next read fails with ErrCorruptBlock. Corrupting an absent
 // block reports ErrNotWritten and a failed disk ErrFailed, so injectors
 // know the flip did not land.
@@ -520,7 +492,7 @@ func (a *Array) CorruptRandomBlock(disk int, pick uint64, bits []uint64) (int64,
 // AuditChecksums re-verifies every written block on every non-failed
 // disk and returns, in ascending order, the (disk, block) addresses that
 // no longer match their recorded checksums. A planning/assertion probe:
-// it consults no hook and counts no reads.
+// it consults no hook.
 func (a *Array) AuditChecksums() [][2]int64 {
 	var bad [][2]int64
 	for disk, recs := range a.disks {
@@ -528,7 +500,7 @@ func (a *Array) AuditChecksums() [][2]int64 {
 			continue
 		}
 		for block := range recs {
-			if r := &recs[block]; len(r.data) != 0 && !a.sums.Verified(integrity.Sum(r.data) == r.sum) {
+			if r := &recs[block]; len(r.data) != 0 && integrity.Sum(r.data) != r.sum {
 				bad = append(bad, [2]int64{int64(disk), int64(block)})
 			}
 		}

@@ -103,12 +103,15 @@ func TestReadErrors(t *testing.T) {
 	if err := a.Write(0, 1, block(1, 16)); err != nil {
 		t.Fatal(err)
 	}
+	reads := 0
+	a.SetReadHook(func(int, int64) (float64, error) { reads++; return 1, nil })
 	if err := a.ReadInto(0, 1, make([]byte, 15)); err == nil {
 		t.Error("accepted short buffer")
 	}
-	if got := a.ReadCount(0); got != 0 {
-		t.Errorf("ReadCount(0) = %d after a refused read, want 0", got)
+	if reads != 0 {
+		t.Errorf("a refused read reached the disk %d times, want 0", reads)
 	}
+	a.SetReadHook(nil)
 	got, err := readZero(a, 0, 0)
 	if err != nil {
 		t.Fatalf("ReadZeroInto on absent block: %v", err)
@@ -167,34 +170,6 @@ func TestFailValidation(t *testing.T) {
 	}
 	if a.NextOwed(-2, 0) != -1 || a.OwedBlocks(9) != 0 {
 		t.Error("out-of-range disks owe blocks")
-	}
-}
-
-func TestReadCounts(t *testing.T) {
-	a := newArray(t)
-	if err := a.Write(0, 0, block(1, 16)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := read(a, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := readZero(a, 0, 5); err != nil { // absent: still counted
-		t.Fatal(err)
-	}
-	if got := a.ReadCount(0); got != 4 {
-		t.Errorf("ReadCount(0) = %d, want 4", got)
-	}
-	if got := a.ReadCount(1); got != 0 {
-		t.Errorf("ReadCount(1) = %d, want 0", got)
-	}
-	if got := a.ReadCount(99); got != 0 {
-		t.Errorf("ReadCount(99) = %d, want 0", got)
-	}
-	a.ResetReadCounts()
-	if got := a.ReadCount(0); got != 0 {
-		t.Errorf("after reset: %d", got)
 	}
 }
 

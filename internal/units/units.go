@@ -18,7 +18,6 @@ type Bits int64
 // Common sizes. The paper uses decimal megabytes/gigabytes (e.g. a 2 GB
 // disk, a 256 MB buffer), so MB and GB are powers of ten.
 const (
-	Bit  Bits = 1
 	Byte Bits = 8
 	KB   Bits = 1000 * Byte
 	MB   Bits = 1000 * KB
@@ -26,7 +25,6 @@ const (
 
 	KiB Bits = 1024 * Byte
 	MiB Bits = 1024 * KiB
-	GiB Bits = 1024 * MiB
 )
 
 // Bytes returns the size in whole bytes, truncating any partial byte.
