@@ -73,12 +73,11 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -145,6 +144,9 @@ type server struct {
 	closing bool
 	// conns tracks active connection handlers for the drain.
 	conns sync.WaitGroup
+	// bufs (on mu) is a LIFO freelist of 64 KB buffers, one per connection
+	// ever open at once; a handler reads its command and reply through one.
+	bufs [][]byte
 }
 
 func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Duration, autopilotOn bool) *server {
@@ -262,8 +264,8 @@ func main() {
 		log.Fatalf("cmcluster: %v", err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, *clipKB*1000) // AddClip copies it into blocks
 	for i := 0; i < *nclips; i++ {
-		data := make([]byte, *clipKB*1000)
 		rng.Read(data)
 		if err := cl.AddClip(fmt.Sprintf("clip-%d", i), data); err != nil {
 			log.Fatalf("cmcluster: %v", err)
@@ -399,12 +401,12 @@ type args struct {
 // optional, "a|b" must be one of the listed words, and anything else is
 // free-form. Exactly one of admin and serve is set: admin runs under
 // s.mu and returns the text of an "OK ..." reply (or an error for an
-// "ERR ..." one); serve writes its own reply and takes the lock only as
-// it needs to.
+// "ERR ..." one); serve writes its own reply through the connection's
+// buffer and takes the lock only as it needs to.
 type verb struct {
 	params string
 	admin  func(s *server, a args) (string, error)
-	serve  func(s *server, conn net.Conn, a args)
+	serve  func(s *server, conn net.Conn, a args, buf []byte)
 }
 
 var verbs = map[string]verb{
@@ -469,20 +471,20 @@ var verbs = map[string]verb{
 // hold mu (the ranges are the live cluster's).
 func (s *server) parse(name string, v verb, fields []string) (args, error) {
 	a := args{node: -1, disk: -1}
-	usage := fmt.Errorf("usage: %s %s", name, v.params)
+	usage := func() error { return fmt.Errorf("usage: %s %s", name, v.params) }
 	for i, param := range strings.Fields(v.params) {
 		if i >= len(fields) {
 			if strings.HasPrefix(param, "[") {
 				break
 			}
-			return a, usage
+			return a, usage()
 		}
 		param = strings.Trim(param, "[]")
 		switch {
 		case param == "<node>" || param == "<disk>":
 			n, err := strconv.Atoi(fields[i])
 			if err != nil {
-				return a, usage
+				return a, usage()
 			}
 			what, limit, dst := "node", s.cl.NodeCount(), &a.node
 			if param == "<disk>" {
@@ -495,7 +497,7 @@ func (s *server) parse(name string, v verb, fields []string) (args, error) {
 		case strings.Contains(param, "|"):
 			a.word = strings.ToLower(fields[i])
 			if !slices.Contains(strings.Split(param, "|"), a.word) {
-				return a, usage
+				return a, usage()
 			}
 		default:
 			a.word = fields[i]
@@ -507,12 +509,36 @@ func (s *server) parse(name string, v verb, fields []string) (args, error) {
 // maxCommand caps a command line; every verb fits many times over.
 const maxCommand = 4 << 10
 
+// readLine reads into buf up to the first newline and returns the line
+// before it; a full buf with no newline returns n == len(buf).
+func readLine(conn net.Conn, buf []byte) (line string, n int, err error) {
+	for m := 0; n < len(buf) && err == nil; n += m {
+		m, err = conn.Read(buf[n:])
+		if i := bytes.IndexByte(buf[n:n+m], '\n'); i >= 0 {
+			return string(buf[:n+i]), n + i, nil
+		}
+	}
+	return "", n, err
+}
+
 func (s *server) handle(conn net.Conn) {
 	defer conn.Close()
+	s.mu.Lock()
+	if len(s.bufs) == 0 {
+		s.bufs = append(s.bufs, make([]byte, 64<<10))
+	}
+	buf := s.bufs[len(s.bufs)-1]
+	s.bufs = s.bufs[:len(s.bufs)-1]
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.bufs = append(s.bufs, buf)
+		s.mu.Unlock()
+	}()
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	line, err := bufio.NewReader(io.LimitReader(conn, maxCommand)).ReadString('\n')
-	if err != nil {
-		if len(line) == maxCommand {
+	line, n, err := readLine(conn, buf[:maxCommand])
+	if err != nil || n == maxCommand {
+		if n == maxCommand {
 			s.printf(conn, "ERR command too long\n")
 		}
 		return
@@ -541,21 +567,21 @@ func (s *server) handle(conn net.Conn) {
 	case v.admin != nil:
 		s.printf(conn, "OK %s\n", reply)
 	default:
-		v.serve(s, conn, a)
+		v.serve(s, conn, a, buf)
 	}
 }
 
-func (s *server) list(conn net.Conn, _ args) {
-	var b strings.Builder
+func (s *server) list(conn net.Conn, _ args, buf []byte) {
+	b := buf[:0]
 	s.mu.Lock()
 	for _, name := range s.cl.Clips() {
-		fmt.Fprintf(&b, "%s %d nodes=%v\n", name, s.cl.ClipSize(name), s.cl.Replicas(name))
+		b = fmt.Appendf(b, "%s %d nodes=%v\n", name, s.cl.ClipSize(name), s.cl.Replicas(name))
 	}
 	s.mu.Unlock()
-	s.write(conn, []byte(b.String()))
+	s.write(conn, b)
 }
 
-func (s *server) stats(conn net.Conn, _ args) {
+func (s *server) stats(conn net.Conn, _ args, buf []byte) {
 	s.mu.Lock()
 	st := s.cl.Stats()
 	ticks, migs, paces := s.tickHist.String(), s.migrateHist.String(), s.paceHist.String()
@@ -566,15 +592,14 @@ func (s *server) stats(conn net.Conn, _ args) {
 		apMode = aps.Mode
 	}
 	s.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q tick_hist=%s migrate_hist=%s pace_hist=%s\n",
+	b := fmt.Appendf(buf[:0], "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q tick_hist=%s migrate_hist=%s pace_hist=%s\n",
 		st.Round, st.Nodes, st.Alive, st.FailedNodes, st.Active, st.AwaitingFailover,
 		st.Served, st.FailedOver, st.Terminated, st.Rejected,
 		st.ViewVersion, st.Draining, st.Retired, st.MigrateDone, st.MigrateTotal,
 		st.MigratedBlocks, st.MigratedStreams,
 		apMode, aps.Actions, aps.Cooldown, aps.Last, aps.Interlock, ticks, migs, paces)
 	for i, ns := range st.Node {
-		fmt.Fprintf(&b, "node=%d active=%d served=%d hiccups=%d failed_disks=%v mode=%s scrub_scanned=%d scrub_total=%d scrub_cycles=%d corruptions=%d corruption_repairs=%d detect_hist=%s rebuild_hist=%s overflows=%d spares=%d rebuilding=%d rebuild_pending=%d rebuild_total=%d rebuilds_done=%d terminated=%d\n",
+		b = fmt.Appendf(b, "node=%d active=%d served=%d hiccups=%d failed_disks=%v mode=%s scrub_scanned=%d scrub_total=%d scrub_cycles=%d corruptions=%d corruption_repairs=%d detect_hist=%s rebuild_hist=%s overflows=%d spares=%d rebuilding=%d rebuild_pending=%d rebuild_total=%d rebuilds_done=%d terminated=%d\n",
 			i, ns.Active, ns.Served, ns.Hiccups, ns.FailedDisks, ns.Mode,
 			ns.ScrubScanned, ns.ScrubTotal, ns.ScrubCycles,
 			ns.CorruptionsDetected, ns.CorruptionRepairs,
@@ -582,7 +607,7 @@ func (s *server) stats(conn net.Conn, _ args) {
 			ns.Overflows, ns.SparesLeft, ns.Rebuilding, ns.RebuildPending, ns.RebuildTotal,
 			ns.RebuildsDone, ns.Terminated)
 	}
-	s.write(conn, []byte(b.String()))
+	s.write(conn, b)
 }
 
 // admit opens a PLAY's stream. A cluster-wide admission reject behaves
@@ -608,13 +633,12 @@ func (s *server) admit(clip string) (*cluster.Stream, error) {
 	}
 }
 
-func (s *server) play(conn net.Conn, a args) {
+func (s *server) play(conn net.Conn, a args, buf []byte) {
 	st, err := s.admit(a.word)
 	if err != nil {
 		s.printf(conn, "ERR %v\n", err)
 		return
 	}
-	buf := make([]byte, 64<<10)
 	for {
 		s.mu.Lock()
 		n, rerr := st.Read(buf)

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -779,4 +780,58 @@ func TestHandleAutopilot(t *testing.T) {
 	d.play(t, "clip-0", "with autopilot on")
 	d.expect(t, "AUTOPILOT OFF", "OK autopilot off")
 	d.expect(t, "STATS", "autopilot=off")
+}
+
+// TestPlayAllocs pins what a PLAY costs the heap once the daemon is warm:
+// the connection, the command line and the two stream records, but no
+// copy buffer — that comes off the server's freelist — and nothing per
+// round from the paced ticks it spans. The count covers client and
+// server alike, so the client reuses one read buffer and one command.
+// AllocsPerRun would force GOMAXPROCS 1, where the node fan-out is a
+// plain loop, so this reads runtime.MemStats under each GOMAXPROCS.
+func TestPlayAllocs(t *testing.T) {
+	d := start(t, shapes[1])
+	cmd, buf := []byte("PLAY clip-0\n"), make([]byte, 64<<10)
+	play := func() {
+		conn, err := net.DialTimeout("tcp", d.addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		if _, err := conn.Write(cmd); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for {
+			n, err := conn.Read(buf)
+			got += n
+			if err != nil {
+				break
+			}
+		}
+		if got != len(d.clips["clip-0"]) {
+			t.Fatalf("PLAY clip-0 returned %d bytes, want %d", got, len(d.clips["clip-0"]))
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for range 5 {
+			play()
+		}
+		const plays = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range plays {
+			play()
+		}
+		runtime.ReadMemStats(&after)
+		perPlay := (after.TotalAlloc - before.TotalAlloc) / plays
+		objects := (after.Mallocs - before.Mallocs) / plays
+		if perPlay >= 8<<10 {
+			t.Errorf("GOMAXPROCS=%d: a PLAY allocates %d B in %d objects, want < 8 KB", procs, perPlay, objects)
+		}
+		t.Logf("GOMAXPROCS=%d: %d B, %d objects per PLAY", procs, perPlay, objects)
+	}
 }

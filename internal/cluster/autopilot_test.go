@@ -228,12 +228,10 @@ func TestPilotQuiescentStepAllocs(t *testing.T) {
 // pilot add to every round for ever: after a join, a drain and the
 // drained node's retirement — or a failure mid-drain that leaves the node
 // down — a round of the cluster (Tick, the pilot's Step when one is
-// attached, every stream taking its block) allocates nothing at
-// GOMAXPROCS 1, where the node fan-out is a plain loop. At GOMAXPROCS 2
-// the fan-out (parallel.ForEach: its error slice, counter, wait group and
-// goroutines) costs a few objects a round; the pin there is that the
-// number does not depend on how many streams are open. AllocsPerRun runs
-// at GOMAXPROCS 1, so the wider case counts with runtime.MemStats.
+// attached, every stream taking its block) allocates nothing, at
+// GOMAXPROCS 1, where the node fan-out is a plain loop, and at
+// GOMAXPROCS 2, where it runs on helpers. AllocsPerRun runs at
+// GOMAXPROCS 1, so the wider case counts with runtime.MemStats.
 func TestQuiescentTickAllocs(t *testing.T) {
 	build := func(streams int, withPilot, failMidDrain bool) func() int {
 		c, err := New(Config{
@@ -354,13 +352,9 @@ func TestQuiescentTickAllocs(t *testing.T) {
 					}
 				}
 				name := fmt.Sprintf("failMidDrain=%v pilot=%v GOMAXPROCS=%d", failMidDrain, withPilot, procs)
-				if procs == 1 && allocs != [2]float64{} {
+				if allocs != [2]float64{} {
 					t.Errorf("%s: a quiescent round allocates %v objects at 8 and 48 streams, want 0", name, allocs)
 				}
-				if allocs[0] != allocs[1] {
-					t.Errorf("%s: a quiescent round allocates %v objects at 8 streams and %v at 48", name, allocs[0], allocs[1])
-				}
-				t.Logf("%s: %v allocs/round", name, allocs[0])
 			}
 		}
 	}

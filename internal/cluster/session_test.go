@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"ftcms/internal/core"
 )
@@ -74,7 +76,9 @@ func session(tb testing.TB, c *Cluster, buf []byte) {
 // io.EOF, finish and close — allocates only the cluster.Stream and the
 // core.Stream OpenStream returns; a refused open allocates nothing, and
 // its error still reads and unwraps as a cluster-wide admission refusal.
-// AllocsPerRun runs at GOMAXPROCS 1, where the node fan-out is a loop.
+// AllocsPerRun runs at GOMAXPROCS 1, where the node fan-out is a loop;
+// the session costs the same at GOMAXPROCS 2, where every tick fans out,
+// counted with runtime.MemStats.
 func TestSessionAllocs(t *testing.T) {
 	c := sessionCluster(t)
 	var err error
@@ -89,15 +93,49 @@ func TestSessionAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { session(t, c, buf) }); allocs != 2 {
 		t.Errorf("an admitted session allocates %v objects, want 2", allocs)
 	}
-	if s := c.Stats(); s.Served != 101 || s.Active != 4 || s.Rejected != 102 {
-		t.Errorf("served=%d active=%d rejected=%d, want 101, 4, 102", s.Served, s.Active, s.Rejected)
+	if allocs := allocsAtProcs(2, 100, func() { session(t, c, buf) }); allocs != 2 {
+		t.Errorf("at GOMAXPROCS 2 an admitted session allocates %v objects, want 2", allocs)
+	}
+	if s := c.Stats(); s.Served != 202 || s.Active != 4 || s.Rejected != 102 {
+		t.Errorf("served=%d active=%d rejected=%d, want 202, 4, 102", s.Served, s.Active, s.Rejected)
+	}
+}
+
+// TestTicksLeaveNoGoroutines is TestSweepsLeaveNoGoroutines for the node
+// fan-out: after Tick returns, none of its helpers is left running. The
+// rounds with open sessions keep helpers busy; in the idle rounds a
+// node's round is shorter than a helper's start, so the caller mostly
+// drains every node before its helpers run and they find no work.
+func TestTicksLeaveNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	c := sessionCluster(t)
+	before := runtime.NumGoroutine()
+	buf := make([]byte, 64<<10)
+	for range 20 {
+		session(t, c, buf)
+	}
+	for range 200 {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if after := runtime.NumGoroutine(); after <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // BenchmarkClusterSession times a churned session's two outcomes on
 // sessionCluster: admitted (open, ticks, read to io.EOF, close) and
-// refused (an open against full replicas). Above GOMAXPROCS 1 the
-// admitted count includes the node fan-out's few objects per tick.
+// refused (an open against full replicas). The node fan-out allocates
+// nothing, so allocs/op is the same at every -cpu.
 func BenchmarkClusterSession(b *testing.B) {
 	b.Run("admitted", func(b *testing.B) {
 		c := sessionCluster(b)

@@ -103,3 +103,36 @@ func TestForEachNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestForEachAllocs pins the fan-out at zero heap objects per call once
+// warm: the job record comes off the freelist and each helper's go
+// statement names a function with no closure. AllocsPerRun forces
+// GOMAXPROCS 1, where ForEach is a plain loop, so this counts with
+// runtime.MemStats under an explicit GOMAXPROCS.
+func TestForEachAllocs(t *testing.T) {
+	const runs = 1000
+	var hits [4]atomic.Int32
+	fn := func(i int) error {
+		hits[i].Add(1)
+		return nil
+	}
+	atProcs([]int{2, 4}, func(procs int) {
+		for range runs { // warm: dead helpers' goroutine records on every P
+			ForEach(len(hits), fn)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			ForEach(len(hits), fn)
+		}
+		runtime.ReadMemStats(&after)
+		if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: ForEach(4, …) allocates %d objects per call, want 0", procs, allocs)
+		}
+	})
+	for i := range hits { // two settings, each warm-up and measured calls
+		if got := hits[i].Load(); got != 2*2*runs {
+			t.Fatalf("index %d ran %d times, want %d", i, got, 2*2*runs)
+		}
+	}
+}
