@@ -708,6 +708,94 @@ func TestNodeCorruptionEscalatesToRebuild(t *testing.T) {
 	}
 }
 
+// TestNodesRebuildInsideFanOut: every node rebuilds a disk in the same
+// rounds, so each node's rebuild fans its byte pass out on the pool from
+// inside the cluster's node fan-out. Run with -race at -cpu 4, the nested
+// passes overlap; the rebuilt arrays must hold what they held, and
+// playback must stay byte-exact.
+func TestNodesRebuildInsideFanOut(t *testing.T) {
+	cfg := Config{Replication: 1}
+	for i := 0; i < 3; i++ {
+		nc := nodeConfig()
+		nc.Spares = 1
+		cfg.Nodes = append(cfg.Nodes, nc)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clips := make([][]byte, 6)
+	for i := range clips {
+		clips[i] = clipBytes(int64(20+i), 400_000)
+		if err := c.AddClip(fmt.Sprint("clip-", i), clips[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < 3; n++ {
+		if err := c.NodeServer(n).FailDisk(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type reader struct {
+		st     *Stream
+		offset int64
+		done   bool
+	}
+	var rs []*reader
+	for i := range clips {
+		st, err := c.OpenStream(fmt.Sprint("clip-", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, &reader{st: st})
+	}
+	healthy := func() bool {
+		for _, ns := range c.Stats().Node {
+			if ns.RebuildsDone != 1 || ns.Mode != core.ModeHealthy {
+				return false
+			}
+		}
+		return true
+	}
+	for round := 0; round < 2000; round++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		all := true
+		for i, r := range rs {
+			if !r.done {
+				if r.done, err = readAvailable(t, r.st, clips[i], &r.offset); err != nil {
+					t.Fatal(err)
+				}
+			}
+			all = all && r.done
+		}
+		if all && healthy() {
+			break
+		}
+		if round == 0 {
+			for n, ns := range c.Stats().Node {
+				if ns.Mode != core.ModeRebuilding {
+					t.Fatalf("node %d is %s after one round; the rebuilds must overlap", n, ns.Mode)
+				}
+			}
+		}
+	}
+	if !healthy() {
+		t.Fatalf("rebuilds unfinished: %+v", c.Stats().Node)
+	}
+	for i, r := range rs {
+		if !r.done || r.offset != int64(len(clips[i])) {
+			t.Fatalf("clip %d: done=%v at %d of %d bytes", i, r.done, r.offset, len(clips[i]))
+		}
+	}
+	for n := 0; n < 3; n++ {
+		if bad := c.NodeServer(n).Stats().LostBlocks; bad != 0 {
+			t.Fatalf("node %d lost %d blocks", n, bad)
+		}
+	}
+}
+
 // TestPlacementDiscountsDegradedNode: a dual-degraded P+Q node keeps
 // serving, but its advertised spare capacity shrinks by the degraded
 // fraction of its array, so new clips land on whole nodes first.

@@ -268,6 +268,10 @@ type Server struct {
 	// scratchFree is the freelist of repair scratch (repair.go); block
 	// buffers come off the store's own freelist.
 	scratchFree []*repairScratch
+	// batch is the rebuild's batch (rebuild.go), kept for its buffers;
+	// poolPass runs one entry's pool job.
+	batch    []rebuildJob
+	poolPass func(i int) error
 }
 
 // getBlock returns a block-sized buffer with unspecified contents.

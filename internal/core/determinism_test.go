@@ -1,10 +1,11 @@
 package core
 
-// Determinism pin for the round tick: the same scenario run twice must
-// produce bit-identical delivered bytes, Stats counters, and per-round
-// rebuild/scrub progress. Two scenarios cover four regimes — healthy
-// rounds, corruption-plus-repair rounds, a detected single fail-stop with
-// spare rebuild, and the P+Q overlapping double failure.
+// Determinism pin for the round tick: the same scenario run twice, at
+// GOMAXPROCS 1 and 4, must produce bit-identical delivered bytes, Stats
+// counters, and per-round rebuild/scrub progress. Two scenarios cover four
+// regimes — healthy rounds, corruption-plus-repair rounds, a detected
+// single fail-stop with spare rebuild, and the P+Q overlapping double
+// failure.
 
 import (
 	"bytes"
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ftcms/internal/faultinject"
@@ -269,10 +271,17 @@ func pqScenario(t *testing.T) runResult {
 	return res
 }
 
+// atProcs runs a scenario at GOMAXPROCS n: the rebuild's byte pass runs on
+// one goroutine at 1 and on the pool above, and neither may show.
+func atProcs(t *testing.T, n int, scenario func(*testing.T) runResult) runResult {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return scenario(t)
+}
+
 func TestTickShardDeterminismDeclustered(t *testing.T) {
-	compareRuns(t, declusteredScenario(t), declusteredScenario(t))
+	compareRuns(t, atProcs(t, 1, declusteredScenario), atProcs(t, 4, declusteredScenario))
 }
 
 func TestTickShardDeterminismPQ(t *testing.T) {
-	compareRuns(t, pqScenario(t), pqScenario(t))
+	compareRuns(t, atProcs(t, 1, pqScenario), atProcs(t, 4, pqScenario))
 }

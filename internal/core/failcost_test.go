@@ -153,8 +153,8 @@ func TestFailDiskAllocs(t *testing.T) {
 	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
 		s, _ := scrubServer(t, testConfig(scheme, 13, 4), 400_000)
 		g := s.lay.GroupOf(17)
-		for idx := 0; idx < len(g.Data)+parityCols(g); idx++ {
-			a := memberAddr(g, idx)
+		for idx := 0; idx < len(g.Data)+parityCols(&g); idx++ {
+			a := memberAddr(&g, idx)
 			if n := testing.AllocsPerRun(20, func() {
 				data, err := s.repairAt(a, repairMode{offRound: true})
 				if err != nil {

@@ -51,15 +51,6 @@ const (
 // unrecoverable.
 var ErrStreamLost = errors.New("core: stream lost to unrecoverable parity group")
 
-// rebuildState tracks one online rebuild.
-type rebuildState struct {
-	disk int
-	// queue is membersOn(disk) as of the rebuild's start, consumed as far
-	// as each round's idle capacity reaches.
-	queue []diskMember
-	next  int
-}
-
 // Mode returns the server's current failure-lifecycle mode.
 func (s *Server) Mode() Mode {
 	if len(s.store.Array.FailedDisks()) > 0 {
@@ -127,60 +118,6 @@ func (s *Server) startRebuild(disk int) {
 	s.rebuilds = append(s.rebuilds, &rebuildState{disk: disk, queue: s.membersOn(disk)})
 }
 
-// rebuildStep advances every in-flight online rebuild using only this
-// round's idle capacity: a block is rebuilt only if every disk it must
-// read has charges left under q. It runs after stream service each Tick,
-// so streams always have priority — the §4 contingency bandwidth doubles
-// as rebuild bandwidth only when failure reads leave it free.
-func (s *Server) rebuildStep() {
-	for j := 0; j < len(s.rebuilds); j++ {
-		if s.rebuildOne(s.rebuilds[j]) {
-			s.rebuilds = append(s.rebuilds[:j], s.rebuilds[j+1:]...)
-			j--
-		}
-	}
-	s.nextRebuild()
-}
-
-// rebuildOne advances one rebuild as far as idle capacity allows; it
-// returns true when the rebuild is finished or abandoned.
-func (s *Server) rebuildOne(rb *rebuildState) bool {
-	arr := s.store.Array
-	if arr.State(rb.disk) != storage.Rebuilding {
-		return true // spare crashed or operator repaired the disk
-	}
-	for rb.next < len(rb.queue) {
-		block := rb.queue[rb.next].block
-		data, err := s.repairAt(layout.BlockAddr{Disk: rb.disk, Block: block}, repairMode{idle: true, ledger: &s.rebuildReads})
-		switch {
-		case err == errRepairStalled:
-			return false // out of idle capacity; resume next round
-		case err != nil:
-			// Further failures took too many sources: this block is
-			// unrecoverable for now. Leave it owed (explicit error on
-			// read) and move on — never write a guess.
-			s.lostBlocks++
-		default:
-			werr := arr.Write(rb.disk, block, data)
-			s.putBlock(data)
-			if werr != nil {
-				return true // spare crashed mid-write; abandon
-			}
-			s.rebuiltBlocks++
-		}
-		rb.next++
-	}
-	// Queue exhausted. A disk that still owes a block refuses to rejoin and
-	// stays Rebuilding: its owed blocks keep erroring explicitly rather
-	// than zero-filling.
-	if arr.Rejoin(rb.disk) == nil {
-		s.detector.Reset(rb.disk)
-		s.rebuildsDone++
-		s.recordRebuildDone(rb.disk)
-	}
-	return true
-}
-
 // recordRebuildDone closes the detect→rejoin latency clock for a disk
 // whose rebuild completed, feeding the time-to-rebuild histogram.
 func (s *Server) recordRebuildDone(disk int) {
@@ -241,11 +178,14 @@ func (s *Server) readMonitored(addr layout.BlockAddr, dst []byte) (chunk, error)
 // detector into a caller-owned buffer, preserving the short-group
 // convention: an absent block on a healthy disk is zeroes. Absent blocks
 // on a rebuilding disk stay errors — they have real, unrebuilt contents.
-func (s *Server) readMemberInto(a layout.BlockAddr, dst []byte) error {
+// With a verdict v from the rebuild's pool pass, the read takes it for the
+// checksum and copies nothing: v's bytes are the member's.
+func (s *Server) readMemberInto(a layout.BlockAddr, dst, v []byte) error {
 	arr := s.store.Array
 	if arr.Failed(a.Disk) {
 		return fmt.Errorf("storage: disk %d: %w", a.Disk, storage.ErrFailed)
 	}
+	arr.Vouch(v)
 	err := s.detector.ReadInto(arr, a.Disk, a.Block, dst)
 	if errors.Is(err, storage.ErrNotWritten) && arr.State(a.Disk) == storage.Healthy {
 		clear(dst)

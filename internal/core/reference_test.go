@@ -49,8 +49,8 @@ func refStoredMembers(s *Server, fn func(m refMember)) {
 		g := s.lay.GroupOf(i)
 		nd, x := len(g.Data), slices.Index(g.Data, i)
 		fn(refMember{logical: i, idx: x, addr: g.DataAddr[x]})
-		for idx := nd; idx < nd+parityCols(g); idx++ {
-			if a := memberAddr(g, idx); !seen[a] {
+		for idx := nd; idx < nd+parityCols(&g); idx++ {
+			if a := memberAddr(&g, idx); !seen[a] {
 				seen[a] = true
 				fn(refMember{logical: slices.Min(g.Data), idx: idx, addr: a})
 			}
@@ -90,7 +90,7 @@ func refUnrecoverable(s *Server, i int64) bool {
 		return false
 	}
 	g := s.lay.GroupOf(i)
-	return len(s.unreadable(g, slices.Index(g.Data, i), nil)) > parityCols(g)
+	return len(s.unreadable(&g, slices.Index(g.Data, i), nil)) > parityCols(&g)
 }
 
 // refUnrecoverableGroups lists, in sorted-name clip order, every stored

@@ -23,7 +23,7 @@ import (
 
 // parityCols is the number of parity columns the group carries, which is
 // also the number of erasures it can close.
-func parityCols(g layout.Group) int {
+func parityCols(g *layout.Group) int {
 	if g.HasQ {
 		return 2
 	}
@@ -31,7 +31,7 @@ func parityCols(g layout.Group) int {
 }
 
 // memberAddr returns the address of group member idx.
-func memberAddr(g layout.Group, idx int) layout.BlockAddr {
+func memberAddr(g *layout.Group, idx int) layout.BlockAddr {
 	nd := len(g.Data)
 	switch {
 	case idx < nd:
@@ -53,22 +53,52 @@ type diskMember struct {
 }
 
 // membersOn lists the blocks the disk owes — data, P and Q members alike —
-// in ascending key order.
+// in ascending key order. Walked in block order, the data members' keys
+// nearly ascend (the declustered layouts invert a few inside a rotation),
+// so they are insertion-sorted, and only the P and Q members (one in p)
+// are sorted outright, then merged in.
 func (s *Server) membersOn(disk int) []diskMember {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	arr := s.store.Array
 	out := make([]diskMember, 0, arr.OwedBlocks(disk))
+	par := make([]diskMember, 0, 2*cap(out)/s.cfg.P+1) // P and Q members: cols in p, cols ≤ 2
 	for b := arr.NextOwed(disk, 0); b >= 0; b = arr.NextOwed(disk, b+1) {
-		idx := s.lay.GroupAt(layout.BlockAddr{Disk: disk, Block: b}, &sc.g)
-		key := slices.Min(sc.g.Data)
-		if idx < len(sc.g.Data) {
-			key = sc.g.Data[idx]
+		if idx := s.lay.GroupAt(layout.BlockAddr{Disk: disk, Block: b}, &sc.g); idx < len(sc.g.Data) {
+			out = append(out, diskMember{sc.g.Data[idx], b})
+		} else {
+			par = append(par, diskMember{slices.Min(sc.g.Data), b})
 		}
-		out = append(out, diskMember{key, b})
 	}
-	slices.SortFunc(out, func(a, b diskMember) int { return cmp.Compare(a.key, b.key) })
+	byKey := func(a, b diskMember) int { return cmp.Compare(a.key, b.key) }
+	if !sortNearly(out, len(out)) {
+		slices.SortFunc(out, byKey)
+	}
+	slices.SortFunc(par, byKey)
+	i, j := len(out)-1, len(par)-1
+	for out = out[:len(out)+len(par)]; j >= 0; {
+		if k := i + j + 1; i >= 0 && out[i].key > par[j].key {
+			out[k], i = out[i], i-1
+		} else {
+			out[k], j = par[j], j-1
+		}
+	}
 	return out
+}
+
+// sortNearly insertion-sorts ms by key, in time linear in its length plus
+// the swaps, while those stay within budget; it reports whether it
+// finished (if not, ms is some permutation of itself).
+func sortNearly(ms []diskMember, budget int) bool {
+	for i := 1; i < len(ms); i++ {
+		for j := i; j > 0 && ms[j].key < ms[j-1].key; j-- {
+			if budget--; budget < 0 {
+				return false
+			}
+			ms[j], ms[j-1] = ms[j-1], ms[j]
+		}
+	}
+	return true
 }
 
 // idle reports whether every listed disk still has a read slot left
@@ -94,7 +124,7 @@ func (s *Server) groupIdle(g layout.Group) bool {
 // disk), appending to missing the repair target t, erased by definition,
 // followed by every other member that cannot currently produce its
 // bytes. Append-style so a repair can survey from a stack buffer.
-func (s *Server) unreadable(g layout.Group, t int, missing []int) []int {
+func (s *Server) unreadable(g *layout.Group, t int, missing []int) []int {
 	missing = append(missing, t)
 	for idx := 0; idx < len(g.Data)+parityCols(g); idx++ {
 		if idx != t && !s.blockReadable(memberAddr(g, idx)) {
@@ -111,7 +141,7 @@ func (s *Server) unreadable(g layout.Group, t int, missing []int) []int {
 // through Q. Returns the index of the synthetic erasure (-1 when none)
 // so a later read failure can revoke it — the synthetically-erased
 // column is still physically readable.
-func (s *Server) pqBalance(g layout.Group, missing []int) ([]int, int) {
+func (s *Server) pqBalance(g *layout.Group, missing []int) ([]int, int) {
 	nd := len(g.Data)
 	if !g.HasQ || len(missing) != 1 || missing[0] >= nd {
 		return missing, -1
@@ -126,8 +156,8 @@ func (s *Server) pqBalance(g layout.Group, missing []int) ([]int, int) {
 // still has to read: every present member not read yet, except that a
 // lone erasure in a P+Q group is closed by one parity column alone — Q
 // is skipped unless the erasure IS Q (then the data members suffice and
-// P is skipped). The plan is appended to need.
-func planReads(g layout.Group, missing []int, read []bool, need []int) []int {
+// P is skipped). The plan is appended to need; a nil read is none read.
+func planReads(g *layout.Group, missing []int, read []bool, need []int) []int {
 	nd := len(g.Data)
 	skip := -1
 	if g.HasQ && len(missing) == 1 {
@@ -136,8 +166,8 @@ func planReads(g layout.Group, missing []int, read []bool, need []int) []int {
 			skip = nd
 		}
 	}
-	for idx := range read {
-		if idx != skip && !read[idx] && !slices.Contains(missing, idx) {
+	for idx := range nd + parityCols(g) {
+		if idx != skip && (read == nil || !read[idx]) && !slices.Contains(missing, idx) {
 			need = append(need, idx)
 		}
 	}
@@ -163,13 +193,16 @@ type repairMode struct {
 	// offRound marks operator repair between rounds: its reads are not
 	// round traffic and are charged nowhere.
 	offRound bool
+	// job is a rebuild batch's plan for this repair and the pool's work on
+	// it: its group, its verdicts, its recovered block (rebuild.go).
+	job *rebuildJob
 }
 
-// repairScratch is what one repair needs besides block buffers. repairAt
-// holds one while repairMember takes another, so scratch comes off a
-// freelist, never from a bare field.
+// repairScratch is what one repair needs besides block buffers. A detector
+// declaration inside a repair can start a rebuild, whose queue takes one
+// too, so scratch comes off a freelist, never from a bare field.
 type repairScratch struct {
-	g    layout.Group // the caller's group fill (repairAt)
+	g    layout.Group // the group fill, unless a rebuild job brings its own
 	bufs [][]byte
 	read []bool
 	need []int
@@ -192,8 +225,13 @@ func (s *Server) putScratch(sc *repairScratch) {
 // of its group that is.
 func (s *Server) repairAt(a layout.BlockAddr, mode repairMode) ([]byte, error) {
 	sc := s.getScratch()
-	t := s.lay.GroupAt(a, &sc.g)
-	data, err := s.repairMember(sc.g, t, mode)
+	g, t := &sc.g, 0
+	if mode.job != nil {
+		g, t = &mode.job.g, mode.job.t
+	} else {
+		t = s.lay.GroupAt(a, g)
+	}
+	data, err := s.repairMember(sc, g, t, mode)
 	s.putScratch(sc)
 	return data, err
 }
@@ -207,10 +245,11 @@ func (s *Server) repairAt(a layout.BlockAddr, mode repairMode) ([]byte, error) {
 // it — revoking a synthetic erasure, pulling in the parity column a
 // lone-erasure plan had skipped — as long as the parity columns still
 // cover the count. The recovered block comes from the block pool; the
-// caller owns it. Errors: errRepairStalled, or one wrapping
+// caller owns it; nil if the repair ran as its rebuild job planned (hit),
+// whose block stands. Errors: errRepairStalled, or one wrapping
 // recovery.ErrUnrecoverable (raised from the survey with zero charges,
 // or the moment a late read failure exceeds the columns).
-func (s *Server) repairMember(g layout.Group, t int, mode repairMode) ([]byte, error) {
+func (s *Server) repairMember(sc *repairScratch, g *layout.Group, t int, mode repairMode) ([]byte, error) {
 	nd, cols := len(g.Data), parityCols(g)
 	var scratch [4]int
 	missing := s.unreadable(g, t, scratch[:0])
@@ -219,7 +258,6 @@ func (s *Server) repairMember(g layout.Group, t int, mode repairMode) ([]byte, e
 	}
 	// bufs follows the member numbering; without a Q column bufs[nd+1]
 	// stays nil, which is RecoverPQ's single-parity form.
-	sc := s.getScratch()
 	sc.bufs = slices.Grow(sc.bufs[:0], nd+2)[:nd+2] // all nil: cleared on release
 	sc.read = slices.Grow(sc.read[:0], nd+cols)[:nd+cols]
 	clear(sc.read)
@@ -229,30 +267,33 @@ func (s *Server) repairMember(g layout.Group, t int, mode repairMode) ([]byte, e
 	err := s.solve(sc, g, missing, mode)
 	var out []byte
 	for idx, b := range sc.bufs[:nd+cols] {
-		if idx == t && err == nil {
+		if idx == t && err == nil && (mode.job == nil || !mode.job.hit) {
 			out = b
 		} else {
 			s.putBlock(b)
 		}
 	}
 	clear(sc.bufs)
-	s.putScratch(sc)
 	return out, err
 }
 
 // errLost reports a group with more members unavailable than its parity
 // columns cover.
-func errLost(g layout.Group, missing int) error {
+func errLost(g *layout.Group, missing int) error {
 	return fmt.Errorf("%w: %d members of the group of block %d unavailable, parity covers %d",
 		recovery.ErrUnrecoverable, missing, g.Data[0], parityCols(g))
 }
 
 // solve is repairMember's plan → gate → read → RecoverPQ loop over the
 // block buffers in sc: on success every erased member's buffer holds its
-// recovered bytes.
-func (s *Server) solve(sc *repairScratch, g layout.Group, missing []int, mode repairMode) error {
+// recovered bytes. A read on a rebuild job's verdict copies nothing: if
+// every read went as planned the job's block stands, else the verified
+// members are copied in.
+func (s *Server) solve(sc *repairScratch, g *layout.Group, missing []int, mode repairMode) error {
 	nd, cols := len(g.Data), parityCols(g)
 	missing, synth := s.pqBalance(g, missing)
+	job := mode.job
+	planned := job != nil && job.ok
 	for replan := true; replan; {
 		replan = false
 		sc.need = planReads(g, missing, sc.read, sc.need[:0])
@@ -272,9 +313,10 @@ func (s *Server) solve(sc *repairScratch, g layout.Group, missing []int, mode re
 				}
 			}
 			sc.read[idx] = true
-			if s.readMemberInto(a, sc.bufs[idx]) == nil {
+			if s.readMemberInto(a, sc.bufs[idx], job.verdict(idx)) == nil {
 				continue
 			}
+			planned = false
 			if synth >= 0 {
 				missing = slices.DeleteFunc(missing, func(m int) bool { return m == synth })
 				synth = -1
@@ -284,6 +326,17 @@ func (s *Server) solve(sc *repairScratch, g layout.Group, missing []int, mode re
 			}
 			replan = true
 			break
+		}
+	}
+	if job != nil {
+		if planned && slices.Equal(missing, job.missing) {
+			job.hit = true
+			return nil
+		}
+		for idx, read := range sc.read {
+			if v := job.verdict(idx); read && v != nil {
+				copy(sc.bufs[idx], v)
+			}
 		}
 	}
 	return recovery.RecoverPQ(sc.bufs[:nd], sc.bufs[nd], sc.bufs[nd+1], missing)

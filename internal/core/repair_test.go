@@ -115,8 +115,8 @@ func repairCase(t *testing.T, scheme Scheme, lose []int, spare bool) (*Server, l
 	g := s.lay.GroupOf(40)
 	arr := s.store.Array
 	var want [][]byte
-	for idx := 0; idx < len(g.Data)+parityCols(g); idx++ {
-		a := memberAddr(g, idx)
+	for idx := 0; idx < len(g.Data)+parityCols(&g); idx++ {
+		a := memberAddr(&g, idx)
 		b, err := readAt(s, a.Disk, a.Block)
 		if err != nil {
 			t.Fatalf("member %d not stored: %v", idx, err)
@@ -124,7 +124,7 @@ func repairCase(t *testing.T, scheme Scheme, lose []int, spare bool) (*Server, l
 		want = append(want, b)
 	}
 	for _, idx := range lose {
-		d := memberAddr(g, idx).Disk
+		d := memberAddr(&g, idx).Disk
 		if err := arr.Fail(d); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func ledgerVsReads(t *testing.T, s *Server, reads []int) []int {
 func TestRepairMemberTable(t *testing.T) {
 	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
 		g := newServer(t, scheme, 13, 4).lay.GroupOf(40)
-		nd, cols := len(g.Data), parityCols(g)
+		nd, cols := len(g.Data), parityCols(&g)
 		for _, target := range []int{0, nd, nd + 1}[:1+cols] {
 			// Second erasures: another data member and each parity
 			// column; plus one pair, which is past any tolerance here.
@@ -193,7 +193,7 @@ func TestRepairMemberTable(t *testing.T) {
 func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int, spare bool) {
 	lose := append([]int{target}, extra...)
 	s, g, want, reads := repairCase(t, scheme, lose, spare)
-	got, err := s.repairMember(g, target, repairMode{})
+	got, err := s.repairAt(memberAddr(&g, target), repairMode{})
 
 	if len(lose) > cols {
 		if !errors.Is(err, recovery.ErrUnrecoverable) {
@@ -218,13 +218,13 @@ func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int,
 	// Write back (onto a spare) and repair the other erasures the same
 	// way: the group must verify again.
 	for _, idx := range lose {
-		a := memberAddr(g, idx)
+		a := memberAddr(&g, idx)
 		if !spare {
 			if err := s.store.Array.Replace(a.Disk); err != nil {
 				t.Fatal(err)
 			}
 		}
-		b, err := s.repairMember(g, idx, repairMode{offRound: true})
+		b, err := s.repairAt(memberAddr(&g, idx), repairMode{offRound: true})
 		if err != nil {
 			t.Fatalf("repairing member %d: %v", idx, err)
 		}
@@ -246,7 +246,7 @@ func repairTableCase(t *testing.T, scheme Scheme, cols, target int, extra []int,
 			s.charge(busy)
 		}
 		var ledger int64
-		got, err := s.repairMember(g, target, repairMode{idle: true, ledger: &ledger})
+		got, err := s.repairAt(memberAddr(&g, target), repairMode{idle: true, ledger: &ledger})
 		if g.HasQ && len(lose) == 1 && target < len(g.Data) && busy == g.Parity.Disk {
 			if err != nil || !bytes.Equal(got, want[target]) {
 				t.Fatalf("P disk busy: rerouted repair failed: %v", err)

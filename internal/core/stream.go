@@ -547,7 +547,7 @@ func (s *Server) fetchInto(st *Stream, n int64) error {
 		}
 		s.charge(g.Parity.Disk)
 		pbuf := s.getBlock()
-		if err := s.readMemberInto(g.Parity, pbuf); err != nil {
+		if err := s.readMemberInto(g.Parity, pbuf, nil); err != nil {
 			s.putBlock(pbuf)
 			return fmt.Errorf("%w: parity disk %d unavailable: %v", recovery.ErrUnrecoverable, g.Parity.Disk, err)
 		}
@@ -670,7 +670,7 @@ func (s *Server) reconstructFromDisk(st *Stream, sl *slot) error {
 		}
 		addr := s.lay.Place(li)
 		s.charge(addr.Disk)
-		if err := s.readMemberInto(addr, scratch); err != nil {
+		if err := s.readMemberInto(addr, scratch, nil); err != nil {
 			return fmt.Errorf("%w: disk %d also unavailable: %v", recovery.ErrUnrecoverable, addr.Disk, err)
 		}
 		recovery.XORInto(sl.buf, scratch)

@@ -1,7 +1,9 @@
 // Package parallel provides the small bounded worker pool the experiment
-// sweeps and the cluster's per-node rounds fan out on. Nothing fans out
-// inside one array's round. Its width is runtime.GOMAXPROCS(0): Go's own
-// knob is the only one.
+// sweeps and the cluster's per-node rounds fan out on. Inside one array's
+// round only the online rebuild's byte pass does, once per rebuild batch:
+// its jobs verify and reconstruct bytes and touch nothing else while the
+// round's goroutine waits (core/rebuild.go). Its width is
+// runtime.GOMAXPROCS(0): Go's own knob is the only one.
 //
 // The determinism contract: work items are addressed by index, every
 // worker writes only its own item's slot, and errors are reported as the

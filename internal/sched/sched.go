@@ -70,6 +70,10 @@ func (e *Engine) Charge(disk int) bool {
 	return true
 }
 
+// Refund takes back one Charge that did not overflow: a batch planned by
+// charging its reads is refunded before its reads are charged for real.
+func (e *Engine) Refund(disk int) { e.reads[disk]-- }
+
 // AddDisk widens the engine by one disk with a zero ledger for the
 // current round, preserving the round clock and overflow count. The
 // re-layout path calls it at the instant the wider layout table flips

@@ -126,6 +126,31 @@ type Array struct {
 	written, owed []int
 	state         []DiskState
 	hook          ReadHook
+	misses        []addrError // the slab miss carves read errors from
+	vouched       []byte      // Vouch's token
+}
+
+// addrError is a read refused at (disk, block); its text is built when read.
+type addrError struct {
+	disk  int
+	block int64
+	err   error
+}
+
+func (e *addrError) Error() string {
+	return fmt.Sprintf("storage: read disk %d block %d: %v", e.disk, e.block, e.err)
+}
+
+func (e *addrError) Unwrap() error { return e.err }
+
+// miss returns the read error err at (disk, block), carved from a slab of
+// 64, so a miss allocates nothing of its own.
+func (a *Array) miss(disk int, block int64, err error) error {
+	if len(a.misses) == cap(a.misses) {
+		a.misses = make([]addrError, 0, 64)
+	}
+	a.misses = append(a.misses, addrError{disk, block, err})
+	return &a.misses[len(a.misses)-1]
 }
 
 // NewArray creates an array of d disks with the given block size in bytes.
@@ -257,6 +282,24 @@ func (a *Array) Lend(disk int, block int64) ([]byte, float64, error) {
 	return a.read(disk, block, nil, false)
 }
 
+// Peek returns the stored bytes of a block that matches its checksum, else
+// nil: no hook, state or mark, so goroutines may Peek while none writes the
+// array. The bytes are a verdict for Vouch until the array next changes.
+func (a *Array) Peek(disk int, block int64) []byte {
+	if a.checkAddr(disk, block) != nil {
+		return nil
+	}
+	if r := a.at(disk, block); r != nil && integrity.Sum(r.data) == r.sum {
+		return r.data
+	}
+	return nil
+}
+
+// Vouch makes the verdict v, bytes Peek returned, a one-shot token: the
+// next copy read of the block that holds them takes v for its checksum and
+// copies nothing, since its caller holds the bytes. Vouch(nil) drops it.
+func (a *Array) Vouch(v []byte) { a.vouched = v }
+
 // read is every block read: a copy into dst, or with a nil dst a loan (the
 // one read that marks a block lent); with zero, an absent block of a healthy
 // disk is zeroes, with no error built.
@@ -265,7 +308,7 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 		return nil, 1, err
 	}
 	if a.state[disk] == Failed {
-		return nil, 1, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrFailed)
+		return nil, 1, a.miss(disk, block, ErrFailed)
 	}
 	slow := 1.0
 	if h := a.hook; h != nil {
@@ -275,7 +318,7 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 			slow = 1
 		}
 		if err != nil {
-			return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, err)
+			return nil, slow, a.miss(disk, block, err)
 		}
 	}
 	r := a.at(disk, block)
@@ -284,7 +327,11 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 		return dst, slow, nil
 	}
 	if r == nil {
-		return nil, slow, fmt.Errorf("storage: read disk %d block %d: %w", disk, block, ErrNotWritten)
+		return nil, slow, a.miss(disk, block, ErrNotWritten)
+	}
+	if v := a.vouched; dst != nil && len(v) > 0 && &v[0] == &r.data[0] {
+		a.vouched = nil
+		return dst, slow, nil
 	}
 	if got := integrity.Sum(r.data); got != r.sum {
 		// The disk answered with the wrong bytes. Surfacing the error —
@@ -298,6 +345,31 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 	}
 	r.lent = true
 	return r.data, slow, nil
+}
+
+// Reserve returns the kept buffer of a block the rebuilding disk owes, to
+// build its bytes in for Install, or nil if it is lent (Write gives the
+// block fresh bytes) or not owed.
+func (a *Array) Reserve(disk int, block int64) []byte {
+	if a.State(disk) != Rebuilding || block < 0 || block >= int64(len(a.disks[disk])) {
+		return nil
+	}
+	if r := &a.disks[disk][block]; r.owed && !r.lent {
+		return r.data[:a.blockSize]
+	}
+	return nil
+}
+
+// Install is Write of the bytes the Reserve buffer holds, whose sum is sum.
+func (a *Array) Install(disk int, block int64, sum uint32) error {
+	if a.Reserve(disk, block) == nil {
+		return fmt.Errorf("storage: install disk %d block %d: not reserved on a rebuilding disk", disk, block)
+	}
+	r := &a.disks[disk][block]
+	r.data, r.sum, r.owed = r.data[:a.blockSize], sum, false
+	a.owed[disk]--
+	a.written[disk]++
+	return nil
 }
 
 // Written reports whether (disk, block) currently holds a written block.

@@ -343,3 +343,79 @@ func TestRepairRestoresHealthyFromAnyState(t *testing.T) {
 		}
 	}
 }
+
+var errHook = errors.New("hook: injected")
+
+// TestReadMissAllocs: a read refused at an address — a failed disk, a
+// block not written, the hook's error — builds its text only when read and
+// is carved from a slab, so a miss allocates nothing of its own; its text
+// and what it wraps are unchanged.
+func TestReadMissAllocs(t *testing.T) {
+	a := newArray(t)
+	if err := a.Write(0, 5, block(1, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	a.SetReadHook(func(disk int, _ int64) (float64, error) {
+		if disk == 2 {
+			return 1, errHook
+		}
+		return 1, nil
+	})
+	dst := make([]byte, 16)
+	for _, c := range []struct {
+		disk  int
+		block int64
+		is    error
+		text  string
+	}{
+		{0, 5, ErrFailed, "storage: read disk 0 block 5: storage: disk failed"},
+		{1, 300, ErrNotWritten, "storage: read disk 1 block 300: storage: block not written"},
+		{2, 7, errHook, "storage: read disk 2 block 7: hook: injected"},
+	} {
+		err := a.ReadInto(c.disk, c.block, dst)
+		if !errors.Is(err, c.is) || err.Error() != c.text {
+			t.Errorf("read (%d, %d) = %q, want %q wrapping %v", c.disk, c.block, err, c.text, c.is)
+		}
+		if n := testing.AllocsPerRun(640, func() { _ = a.ReadInto(c.disk, c.block, dst) }); n != 0 {
+			t.Errorf("read (%d, %d): a miss allocates %v objects", c.disk, c.block, n)
+		}
+	}
+}
+
+// TestVouchIsOneShot: a verdict Vouch hands out stands in for one copy
+// read's checksum, and that read copies nothing; the next read checks the
+// sum again, and Vouch(nil) drops a token no read took. (The bytes rot in
+// place here to show which reads check: a verdict holds only while the
+// array does not change.)
+func TestVouchIsOneShot(t *testing.T) {
+	a := newArray(t)
+	if err := a.Write(1, 3, block(7, 16)); err != nil {
+		t.Fatal(err)
+	}
+	v := a.Peek(1, 3)
+	if !bytes.Equal(v, block(7, 16)) {
+		t.Fatalf("Peek = %v", v)
+	}
+	if err := a.CorruptBits(1, 3, []uint64{5}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Peek(1, 3) != nil {
+		t.Fatal("Peek vouched for a rotten block")
+	}
+	dst := make([]byte, 16)
+	a.Vouch(v)
+	if err := a.ReadInto(1, 3, dst); err != nil || !bytes.Equal(dst, make([]byte, 16)) {
+		t.Fatalf("read on a verdict = %v, copied %v; want no check and no copy", err, dst)
+	}
+	if err := a.ReadInto(1, 3, dst); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("second read = %v, want the sum checked again", err)
+	}
+	a.Vouch(v)
+	a.Vouch(nil)
+	if err := a.ReadInto(1, 3, dst); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("read after Vouch(nil) = %v, want the sum checked", err)
+	}
+}
