@@ -385,37 +385,49 @@ func TestReadMissAllocs(t *testing.T) {
 	}
 }
 
-// TestVouchIsOneShot: a verdict Vouch hands out stands in for one copy
-// read's checksum, and that read copies nothing; the next read checks the
-// sum again, and Vouch(nil) drops a token no read took. (The bytes rot in
-// place here to show which reads check: a verdict holds only while the
-// array does not change.)
-func TestVouchIsOneShot(t *testing.T) {
+// TestPeekAndProbe: Peek verifies a block's bytes and sees nothing else;
+// Probe sees the disk's state, the hook and the block's presence as a read
+// does, and neither the bytes nor the checksum.
+func TestPeekAndProbe(t *testing.T) {
 	a := newArray(t)
 	if err := a.Write(1, 3, block(7, 16)); err != nil {
 		t.Fatal(err)
 	}
-	v := a.Peek(1, 3)
-	if !bytes.Equal(v, block(7, 16)) {
+	if v := a.Peek(1, 3); !bytes.Equal(v, block(7, 16)) {
 		t.Fatalf("Peek = %v", v)
 	}
 	if err := a.CorruptBits(1, 3, []uint64{5}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Peek(1, 3) != nil {
-		t.Fatal("Peek vouched for a rotten block")
+		t.Fatal("Peek verified a rotten block")
 	}
-	dst := make([]byte, 16)
-	a.Vouch(v)
-	if err := a.ReadInto(1, 3, dst); err != nil || !bytes.Equal(dst, make([]byte, 16)) {
-		t.Fatalf("read on a verdict = %v, copied %v; want no check and no copy", err, dst)
+	if slow, err := a.Probe(1, 3); err != nil || slow != 1 {
+		t.Fatalf("Probe of a rotten block = %v, %v; want no checksum checked", slow, err)
 	}
-	if err := a.ReadInto(1, 3, dst); !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("second read = %v, want the sum checked again", err)
+	if _, err := a.Probe(1, 4); !errors.Is(err, ErrNotWritten) {
+		t.Fatalf("Probe of an absent block = %v, want ErrNotWritten", err)
 	}
-	a.Vouch(v)
-	a.Vouch(nil)
-	if err := a.ReadInto(1, 3, dst); !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("read after Vouch(nil) = %v, want the sum checked", err)
+	var hooked []int64
+	a.SetReadHook(func(disk int, blk int64) (float64, error) {
+		if hooked = append(hooked, blk); blk == 4 {
+			return 3, errHook
+		}
+		return 2, nil
+	})
+	if slow, err := a.Probe(1, 3); err != nil || slow != 2 {
+		t.Fatalf("Probe under a slow hook = %v, %v", slow, err)
+	}
+	if slow, err := a.Probe(1, 4); !errors.Is(err, errHook) || slow != 3 {
+		t.Fatalf("Probe under a failing hook = %v, %v", slow, err)
+	}
+	if a.Peek(1, 4) != nil || len(hooked) != 2 {
+		t.Fatalf("hook saw blocks %v, want the two probes and no Peek", hooked)
+	}
+	if err := a.Fail(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Probe(1, 3); !errors.Is(err, ErrFailed) || len(hooked) != 2 {
+		t.Fatalf("Probe of a failed disk = %v (hook calls %d), want ErrFailed before the hook", err, len(hooked))
 	}
 }
