@@ -726,7 +726,7 @@ func TestNodesRebuildInsideFanOut(t *testing.T) {
 	}
 	clips := make([][]byte, 6)
 	for i := range clips {
-		clips[i] = clipBytes(int64(20+i), 400_000)
+		clips[i] = clipBytes(int64(20+i), 800_000)
 		if err := c.AddClip(fmt.Sprint("clip-", i), clips[i]); err != nil {
 			t.Fatal(err)
 		}
