@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ftcms/internal/layout"
 	"ftcms/internal/storage"
@@ -115,7 +116,7 @@ func (s *Server) startRebuild(disk int) {
 	if s.injector != nil {
 		s.injector.ClearDisk(disk)
 	}
-	s.rebuilds = append(s.rebuilds, &rebuildState{disk: disk, queue: s.membersOn(disk)})
+	s.rebuilds = append(s.rebuilds, &rebuildState{disk: disk, queue: slices.Clone(s.store.Held(disk))})
 }
 
 // recordRebuildDone closes the detect→rejoin latency clock for a disk

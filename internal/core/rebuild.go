@@ -23,9 +23,10 @@ import (
 // rebuildState tracks one online rebuild.
 type rebuildState struct {
 	disk int
-	// queue is membersOn(disk) as of the rebuild's start, consumed as far
-	// as each round's idle capacity reaches.
-	queue []diskMember
+	// queue is the blocks the disk held when the rebuild started, in the
+	// store's key order (recovery.Store.Held), consumed as far as each
+	// round's idle capacity reaches.
+	queue []recovery.Member
 	next  int
 }
 
@@ -100,7 +101,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 	defer s.releaseBatch(batch)
 	for k := 0; k < len(batch); k++ {
 		e := &batch[k]
-		a := layout.BlockAddr{Disk: rb.disk, Block: rb.queue[rb.next].block}
+		a := layout.BlockAddr{Disk: rb.disk, Block: rb.queue[rb.next].Block}
 		data, lost := []byte(nil), e.lost
 		if !lost && e.dst != nil && !e.ok {
 			// A member the plan probed is rotten. Take back this entry's
@@ -157,7 +158,7 @@ func (s *Server) planBatch(rb *rebuildState) []rebuildJob {
 			s.growBatch()
 		}
 		e := &s.batch[n]
-		a := layout.BlockAddr{Disk: rb.disk, Block: rb.queue[rb.next+n].block}
+		a := layout.BlockAddr{Disk: rb.disk, Block: rb.queue[rb.next+n].Block}
 		e.lost, e.ok = false, false
 		if e.dst = s.store.Array.Reserve(a.Disk, a.Block); e.dst == nil {
 			e.read = e.read[:0]

@@ -17,6 +17,7 @@ import (
 	"ftcms/internal/faultinject"
 	"ftcms/internal/health"
 	"ftcms/internal/layout"
+	"ftcms/internal/recovery"
 	"ftcms/internal/storage"
 )
 
@@ -124,13 +125,12 @@ func TestRebuildHookOrder(t *testing.T) {
 }
 
 // TestMembersOnMatchesSort: on the repository benchmark's geometry
-// (declustered, p = 4) a disk's data keys, walked in block order, come
-// nearly sorted but not sorted, and the rebuild queue still equals a full
-// sort of every owed member (TestRebuildOrderMatchesReference holds the
-// seven schemes' small geometries to the store-wide reference). A run too
-// far from sorted for insertion sort's budget is handed to a full sort.
+// (declustered, p = 4), where a disk's data keys walked in block order come
+// nearly sorted but not sorted, the queue a failure installs equals every
+// block the replaced disk owes, keyed by the layout and fully sorted
+// (TestRebuildOrderMatchesReference holds the seven schemes' small
+// geometries to the store-wide reference).
 func TestMembersOnMatchesSort(t *testing.T) {
-	byKey := func(a, b diskMember) int { return cmp.Compare(a.key, b.key) }
 	for _, d := range []int{32, 64} {
 		s := newServer(t, Declustered, d, 4)
 		for k := 0; k < 3; k++ {
@@ -140,13 +140,8 @@ func TestMembersOnMatchesSort(t *testing.T) {
 		}
 		arr := s.store.Array
 		for _, disk := range []int{0, 1, d / 2, d - 1} {
-			if err := arr.Fail(disk); err != nil {
-				t.Fatal(err)
-			}
-			if err := arr.Replace(disk); err != nil {
-				t.Fatal(err)
-			}
-			var want []diskMember
+			got := installedQueue(t, s, disk)
+			var want []recovery.Member
 			for b := arr.NextOwed(disk, 0); b >= 0; b = arr.NextOwed(disk, b+1) {
 				var g layout.Group
 				key := int64(0)
@@ -155,20 +150,13 @@ func TestMembersOnMatchesSort(t *testing.T) {
 				} else {
 					key = slices.Min(g.Data)
 				}
-				want = append(want, diskMember{key, b})
+				want = append(want, recovery.Member{Key: key, Block: b})
 			}
-			slices.SortFunc(want, byKey)
-			if got := s.membersOn(disk); len(want) == 0 || !slices.Equal(got, want) {
+			slices.SortFunc(want, func(a, b recovery.Member) int { return cmp.Compare(a.Key, b.Key) })
+			if len(want) == 0 || !slices.Equal(got, want) {
 				t.Fatalf("d=%d disk %d: queue of %d members differs from the sorted %d", d, disk, len(got), len(want))
 			}
 		}
-	}
-	reversed := []diskMember{{5, 0}, {4, 1}, {3, 2}, {2, 3}, {1, 4}}
-	if sortNearly(reversed, len(reversed)) || !slices.ContainsFunc(reversed, func(m diskMember) bool { return m.key == 5 }) {
-		t.Fatalf("a reversed run sorted within a budget of its length: %v", reversed)
-	}
-	if nearly := []diskMember{{1, 0}, {3, 1}, {2, 2}, {4, 3}}; !sortNearly(nearly, len(nearly)) || !slices.IsSortedFunc(nearly, byKey) {
-		t.Fatalf("a nearly sorted run: %v", nearly)
 	}
 }
 
@@ -327,7 +315,7 @@ func rotRun(t *testing.T, scheme Scheme, rot bool) rotArc {
 	}
 	arr.SetReadHook(func(int, int64) (float64, error) { r.hooks++; return 1, nil })
 	var g layout.Group
-	r.block = s.rebuilds[0].queue[3].block
+	r.block = s.rebuilds[0].queue[3].Block
 	t0 := s.lay.GroupAt(layout.BlockAddr{Disk: r.disk, Block: r.block}, &g)
 	r.rotten = g.DataAddr[(t0+1)%len(g.Data)]
 	if rot {

@@ -14,6 +14,7 @@
 package recovery
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -43,7 +44,20 @@ type Store struct {
 	free [][]byte
 	// wg is the group WriteRun fills for each block of its run.
 	wg layout.Group
+	// held[disk] is every block the disk has held, by ascending Key: each
+	// block's first write through the store enters it.
+	held [][]Member
 }
+
+// Member is a block a disk holds, under a key from the layout alone: a data
+// block's logical index; for a P or Q block, the lowest data member of its
+// group. A disk has one member per group, so keys are distinct.
+type Member struct{ Key, Block int64 }
+
+// Held returns every block the disk has held, by ascending Key — the blocks
+// a spare swapped in for it owes. The slice is the store's own: valid until
+// the next write, and not to be modified.
+func (s *Store) Held(disk int) []Member { return s.held[disk] }
 
 // GetBlock returns a block-sized buffer with unspecified contents.
 func (s *Store) GetBlock() []byte {
@@ -73,7 +87,7 @@ func NewStore(l layout.Layout, a *storage.Array) (*Store, error) {
 	if l.Disks() != a.Disks() {
 		return nil, fmt.Errorf("recovery: layout has %d disks, array %d", l.Disks(), a.Disks())
 	}
-	return &Store{Layout: l, Array: a}, nil
+	return &Store{Layout: l, Array: a, held: make([][]Member, a.Disks())}, nil
 }
 
 // WriteBlock stores data, zero-padded to one block, as logical block i and
@@ -103,16 +117,32 @@ func (s *Store) WriteRun(first, stride, n int64, data []byte) error {
 		}
 		p, q, err := s.parityOf(s.wg, r)
 		if err == nil {
-			err = s.Array.Write(s.wg.Parity.Disk, s.wg.Parity.Block, p)
+			err = s.write(s.wg.Parity, slices.Min(s.wg.Data), p)
 		}
 		if err == nil && q != nil {
-			err = s.Array.Write(s.wg.Q.Disk, s.wg.Q.Block, q)
+			err = s.write(s.wg.Q, slices.Min(s.wg.Data), q)
 		}
 		s.PutBlock(p)
 		s.PutBlock(q) // a nil q is not block-sized: ignored
 		if err != nil {
 			return fmt.Errorf("recovery: writing the group of block %d: %w", s.wg.Data[0], err)
 		}
+	}
+	return nil
+}
+
+// write stores b at a and enters the block in its disk's index under key.
+func (s *Store) write(a layout.BlockAddr, key int64, b []byte) error {
+	if err := s.Array.Write(a.Disk, a.Block, b); err != nil {
+		return err
+	}
+	ms := s.held[a.Disk]
+	k, found := len(ms), false
+	if k > 0 && ms[k-1].Key >= key { // writes run nearly in key order
+		k, found = slices.BinarySearchFunc(ms, key, func(m Member, key int64) int { return cmp.Compare(m.Key, key) })
+	}
+	if !found {
+		s.held[a.Disk] = slices.Insert(ms, k, Member{key, a.Block})
 	}
 	return nil
 }
@@ -155,7 +185,7 @@ func (s *Store) parityOf(g layout.Group, r run) (p, q []byte, err error) {
 				b = member // the short last block, or padding past the data
 				clear(b[copy(b, r.data[lo:]):])
 			}
-			err = s.Array.Write(a.Disk, a.Block, b)
+			err = s.write(a, g.Data[j], b)
 		}
 		if err != nil {
 			return p, q, err
