@@ -9,6 +9,7 @@ import (
 
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/faultinject"
+	"ftcms/internal/layout"
 	"ftcms/internal/units"
 )
 
@@ -201,6 +202,60 @@ func TestFailDiskBeyondToleranceAllocs(t *testing.T) {
 		doomed := len(refSweep(fb.s))
 		if n > 16 || doomed < streams/2 {
 			t.Errorf("%d streams: FailDisk beyond tolerance allocated %d objects with %d streams doomed; want <= 16, and at least half doomed", streams, n, doomed)
+		}
+	}
+}
+
+// countingLayout is a layout that counts the calls made on it.
+type countingLayout struct {
+	layout.Layout
+	calls int
+}
+
+func (l *countingLayout) Name() string   { l.calls++; return l.Layout.Name() }
+func (l *countingLayout) Disks() int     { l.calls++; return l.Layout.Disks() }
+func (l *countingLayout) GroupSize() int { l.calls++; return l.Layout.GroupSize() }
+func (l *countingLayout) Place(i int64) layout.BlockAddr {
+	l.calls++
+	return l.Layout.Place(i)
+}
+func (l *countingLayout) LogicalAt(a layout.BlockAddr) int64 {
+	l.calls++
+	return l.Layout.LogicalAt(a)
+}
+func (l *countingLayout) GroupOf(i int64) layout.Group {
+	l.calls++
+	return l.Layout.GroupOf(i)
+}
+func (l *countingLayout) GroupAt(a layout.BlockAddr, g *layout.Group) int {
+	l.calls++
+	return l.Layout.GroupAt(a, g)
+}
+
+// TestFailDiskDoesNoLayoutWork: within tolerance FailDisk asks the layout
+// nothing, however many blocks are stored — the rebuild queue it installs
+// is the store's index of the disk, kept as the blocks were written, and
+// holds every block the spare owes.
+func TestFailDiskDoesNoLayoutWork(t *testing.T) {
+	for _, clipBlocks := range []int64{1024, 8192} {
+		fb := newFailBench(t, 50, 1, clipBlocks)
+		s := fb.s
+		lay := &countingLayout{Layout: s.lay}
+		s.lay, s.store.Layout = lay, lay
+		for _, disk := range []int{0, 17} {
+			lay.calls = 0
+			if err := s.FailDisk(disk); err != nil {
+				t.Fatal(err)
+			}
+			if lay.calls != 0 {
+				t.Errorf("%d clip blocks: FailDisk(%d) made %d layout calls, want 0", clipBlocks, disk, lay.calls)
+			}
+			if len(s.rebuilds) != 1 || len(s.rebuilds[0].queue) != s.store.Array.OwedBlocks(disk) {
+				t.Fatalf("%d clip blocks: FailDisk(%d) queued no rebuild of the %d blocks owed", clipBlocks, disk, s.store.Array.OwedBlocks(disk))
+			}
+			for s.Mode() != ModeHealthy {
+				fb.round(t)
+			}
 		}
 	}
 }
@@ -450,5 +505,81 @@ func TestDetectedFailureReplayPin(t *testing.T) {
 		if st.Overflows != 0 || st.Hiccups != 0 || st.LostBlocks != 0 || st.Terminated != 0 {
 			t.Errorf("%s: overflows=%d hiccups=%d lost=%d terminated=%d", tc.scheme, st.Overflows, st.Hiccups, st.LostBlocks, st.Terminated)
 		}
+	}
+}
+
+// TestImportBlockAllocs pins clip migration's per-block paths from the
+// allocation side, once warm: an idle import's block write (into the slots
+// an aborted import of the same blocks left their buffers) and a migration
+// read allocate nothing. A re-layout's copy stores every block on a new
+// medium, whose bytes are the shadow array's own; besides them it allocates
+// nothing per copied block, counted as testing.AllocsPerRun counts, in
+// whole objects (the shadow's per-disk slices grow by doubling, and the
+// flip builds the wider geometry's state once).
+func TestImportBlockAllocs(t *testing.T) {
+	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
+		t.Run(scheme.Key(), func(t *testing.T) {
+			s, clip := scrubServer(t, testConfig(scheme, 6, 3), 200*8000)
+			bs := s.store.Array.BlockSize()
+			buf := make([]byte, bs)
+			const blocks = 40
+			var n int64
+			imp := func() {
+				s.engine.BeginRound()
+				if ok, err := s.ImportClipBlockIdle("x", n, clip[n*int64(bs):(n+1)*int64(bs)]); !ok || err != nil {
+					t.Fatalf("import of block %d: %v %v", n, ok, err)
+				}
+				n++
+			}
+			// The first import stores each block's bytes anew; aborted, it
+			// leaves its slots their buffers, which the second writes into.
+			for pass := range 2 {
+				if err := s.BeginClipImport("x", blocks*int64(bs)); err != nil {
+					t.Fatal(err)
+				}
+				n = 0
+				if pass == 1 {
+					imp()
+					if got := testing.AllocsPerRun(blocks-2, imp); got != 0 {
+						t.Errorf("an idle import's block write allocated %v objects, want 0", got)
+					}
+				}
+				for n < blocks {
+					imp()
+				}
+				if err := s.AbortClipImport("x"); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			n = 0
+			read := func() {
+				s.engine.BeginRound()
+				if ok, err := s.ReadClipBlockIdleInto("a", n%200, buf); !ok || err != nil {
+					t.Fatalf("migration read of block %d: %v %v", n, ok, err)
+				}
+				n++
+			}
+			if got := testing.AllocsPerRun(100, read); got != 0 {
+				t.Errorf("a migration read allocated %v objects, want 0", got)
+			}
+
+			if err := s.AddDisk(); err != nil {
+				t.Fatal(err)
+			}
+			var objects uint64
+			for s.Relayouting() {
+				shadow := s.relayout.store.Array
+				before := shadow.WrittenBlocks()
+				objects += mallocs(func() {
+					s.engine.BeginRound()
+					s.relayoutStep()
+				})
+				objects -= uint64(shadow.WrittenBlocks() - before)
+			}
+			if copied := s.nextFree; objects >= uint64(copied) {
+				t.Errorf("a re-layout allocated %d objects besides its shadow blocks over %d copied blocks, want under one a block", objects, copied)
+			}
+		})
 	}
 }

@@ -90,11 +90,13 @@ func (s *Server) ImportClipBlockIdle(name string, n int64, data []byte) (bool, e
 // until each has one), one more than the store's parity maintenance
 // reads, which keeps migration's pace. The write re-records the checksum.
 func (s *Server) writeBlockIdle(i int64, data []byte) (bool, error) {
-	g := s.lay.GroupOf(i)
-	if !s.idle(g.DataAddr...) {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	s.lay.GroupAt(s.lay.Place(i), &sc.g)
+	if !s.idle(sc.g.DataAddr...) {
 		return false, nil // out of idle capacity; retry next round
 	}
-	for _, a := range g.DataAddr {
+	for _, a := range sc.g.DataAddr {
 		s.charge(a.Disk)
 		s.migrateReads++
 	}
@@ -180,9 +182,8 @@ func (s *Server) ReadClipBlockIdleInto(name string, n int64, dst []byte) (bool, 
 	if int64(len(dst)) != bs {
 		return false, fmt.Errorf("core: clip %q block %d: dst %d bytes, want %d", name, n, len(dst), bs)
 	}
-	i := ci.block(n)
-	addr := s.lay.Place(i)
-	if !s.groupIdle(s.lay.GroupOf(i)) {
+	addr := s.lay.Place(ci.block(n))
+	if !s.groupIdle(addr) {
 		return false, nil
 	}
 	s.charge(addr.Disk)

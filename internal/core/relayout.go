@@ -96,7 +96,7 @@ func (s *Server) relayoutStep() {
 		if !s.store.Array.Written(addr.Disk, addr.Block) {
 			continue // never written: an aborted import's unwritten tail
 		}
-		if !s.groupIdle(s.lay.GroupOf(i)) {
+		if !s.groupIdle(addr) {
 			return // out of idle capacity; resume next round
 		}
 		s.charge(addr.Disk)
