@@ -63,8 +63,9 @@ func BenchmarkFigure3FlatLayout(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var g layout.Group
 		for j := int64(0); j < 54; j += 3 {
-			_ = l.GroupOf(j)
+			l.GroupAt(l.Place(j), &g)
 		}
 	}
 }
@@ -157,14 +158,15 @@ func BenchmarkDeclusteredPlace(b *testing.B) {
 	}
 }
 
-func BenchmarkDeclusteredGroupOf(b *testing.B) {
+func BenchmarkDeclusteredGroupAt(b *testing.B) {
 	l, err := layout.NewDeclustered(32, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var g layout.Group
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = l.GroupOf(int64(i % 100000))
+		l.GroupAt(l.Place(int64(i%100000)), &g)
 	}
 }
 

@@ -22,11 +22,11 @@
 //   - Static — the §4.2 declustered scheme (cap q−f per disk, f per
 //     (disk, PGT row)) and the §6.2 flat pre-fetching scheme (cap q−f per
 //     disk, f per (disk, parity-target class)), which share arithmetic
-//     with the class modulus M = r or d−(p−1) respectively;
+//     with the class modulus M = r or d−(p−1) respectively; with f = 0 it
+//     is the plain cap q per unit of the clustered schemes (§6.1 and
+//     non-clustered per data disk, streaming RAID per cluster);
 //   - Dynamic — the §5 dynamic reservation scheme (per-disk service count
 //     plus the worst contᵢ(j,l) must stay within q);
-//   - Simple — the per-data-disk (§6.1, non-clustered) and per-cluster
-//     (streaming RAID) cap-q controllers;
 //   - Queue — a starvation-free FIFO pending list with optional bounded
 //     bypass.
 package admission
@@ -47,7 +47,7 @@ type Ticket struct {
 }
 
 // Controller is what the per-scheme admission controllers share: *Static
-// and *Dynamic as they are, *Simple through Unclassed.
+// and *Dynamic.
 type Controller interface {
 	Admit(now int64, unit, class int) (Ticket, bool)
 	Release(t Ticket)
@@ -58,15 +58,6 @@ type Controller interface {
 	Audit(now int64) error
 }
 
-// Unclassed gives the one-dimensional controller the common signature:
-// its units have no class.
-type Unclassed struct{ *Simple }
-
-// Admit implements Controller.
-func (c Unclassed) Admit(now int64, unit, _ int) (Ticket, bool) {
-	return c.Simple.Admit(now, unit)
-}
-
 // Static enforces the two-level condition shared by the declustered
 // (§4.2) and flat pre-fetching (§6.2) schemes:
 //
@@ -75,15 +66,19 @@ func (c Unclassed) Admit(now int64, unit, _ int) (Ticket, bool) {
 //
 // where class is the PGT row (declustered) or the parity-target residue
 // level mod (d−(p−1)) (flat). Both disk and class advance in lockstep
-// with rounds, so occupancy is tracked per phase in Z_{d·m}.
+// with rounds, so occupancy is tracked per phase in Z_{d·m}. With f = 0
+// nothing is reserved and (b) lifts to q, leaving the cap q per unit that
+// the clustered schemes admit by (§6.1, §7.3, §7.4).
 type Static struct {
 	d, m, q, f int
+	cellCap    int   // (b)'s cap: f, or q when f = 0
 	cell       []int // per phase class in Z_{d·m}
 	disk       []int // per disk phase class in Z_d
 }
 
 // NewStatic builds the controller for d disks, m classes (PGT rows or
-// parity-target classes), round capacity q and contingency reservation f.
+// parity-target classes), round capacity q and contingency reservation f;
+// f = 0 caps each disk (unit) at q and nothing else.
 func NewStatic(d, m, q, f int) (*Static, error) {
 	if d < 1 || m < 1 {
 		return nil, errors.New("admission: need d >= 1 and m >= 1")
@@ -91,8 +86,12 @@ func NewStatic(d, m, q, f int) (*Static, error) {
 	if f < 0 || q <= f {
 		return nil, fmt.Errorf("admission: need 0 <= f < q, got q=%d f=%d", q, f)
 	}
+	cellCap := f
+	if f == 0 {
+		cellCap = q
+	}
 	return &Static{
-		d: d, m: m, q: q, f: f,
+		d: d, m: m, q: q, f: f, cellCap: cellCap,
 		cell: make([]int, d*m),
 		disk: make([]int, d),
 	}, nil
@@ -119,7 +118,7 @@ func (s *Static) phaseOf(now int64, startDisk, startClass int) (cell, disk int) 
 // the caps reject it.
 func (s *Static) Admit(now int64, startDisk, startClass int) (Ticket, bool) {
 	cell, disk := s.phaseOf(now, startDisk, startClass)
-	if s.disk[disk] >= s.q-s.f || s.cell[cell] >= s.f {
+	if s.disk[disk] >= s.q-s.f || s.cell[cell] >= s.cellCap {
 		return Ticket{}, false
 	}
 	s.cell[cell]++
@@ -150,15 +149,15 @@ func (s *Static) CellLoad(now int64, i, class int) int {
 }
 
 // Audit implements Controller: per-disk load within q−f and per-(disk,
-// class) load within f.
+// class) load within f (within q when f = 0).
 func (s *Static) Audit(now int64) error {
 	for i := 0; i < s.d; i++ {
 		if l := s.DiskLoad(now, i); l > s.q-s.f {
 			return fmt.Errorf("admission: disk %d booked %d streams > q-f=%d", i, l, s.q-s.f)
 		}
 		for c := 0; c < s.m; c++ {
-			if l := s.CellLoad(now, i, c); l > s.f {
-				return fmt.Errorf("admission: disk %d class %d booked %d streams > f=%d", i, c, l, s.f)
+			if l := s.CellLoad(now, i, c); l > s.cellCap {
+				return fmt.Errorf("admission: disk %d class %d booked %d streams > cap %d", i, c, l, s.cellCap)
 			}
 		}
 	}

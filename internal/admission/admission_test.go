@@ -305,48 +305,74 @@ func TestDynamicRelease(t *testing.T) {
 	mustPanic(t, func() { dy.Admit(0, 0, 5) })
 }
 
-// --- Simple ---
+// --- Static with f = 0: the clustered schemes' cap q per unit ---
 
-func TestSimple(t *testing.T) {
-	if _, err := NewSimple(0, 3); err == nil {
+// TestStaticNoContingency: with f = 0 nothing is reserved, and a unit
+// (data disk or cluster) takes q streams whatever their class.
+func TestStaticNoContingency(t *testing.T) {
+	if _, err := NewStatic(0, 1, 3, 0); err == nil {
 		t.Error("accepted zero units")
 	}
-	if _, err := NewSimple(4, 0); err == nil {
+	if _, err := NewStatic(4, 1, 0, 0); err == nil {
 		t.Error("accepted q=0")
 	}
-	s, err := NewSimple(4, 2)
+	s, err := NewStatic(4, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tk Ticket
 	for i := 0; i < 2; i++ {
 		var ok bool
-		tk, ok = s.Admit(0, 1)
+		tk, ok = s.Admit(0, 1, 0)
 		if !ok {
 			t.Fatalf("admission %d refused", i)
 		}
 	}
-	if _, ok := s.Admit(0, 1); ok {
+	if _, ok := s.Admit(0, 1, 0); ok {
 		t.Fatal("over-admitted unit")
 	}
-	if got := s.UnitLoad(0, 2); got != 0 {
-		t.Fatalf("UnitLoad(0, 2) = %d, want 0", got)
+	if got := s.DiskLoad(0, 2); got != 0 {
+		t.Fatalf("DiskLoad(0, 2) = %d, want 0", got)
 	}
 	// Rotation: at round 1 the clips sit at unit 2.
-	if got := s.UnitLoad(1, 2); got != 2 {
-		t.Fatalf("UnitLoad(1, 2) = %d, want 2", got)
+	if got := s.DiskLoad(1, 2); got != 2 {
+		t.Fatalf("DiskLoad(1, 2) = %d, want 2", got)
 	}
-	if got := s.UnitLoad(1, 1); got != 0 {
-		t.Fatalf("UnitLoad(1, 1) = %d, want 0", got)
+	if got := s.DiskLoad(1, 1); got != 0 {
+		t.Fatalf("DiskLoad(1, 1) = %d, want 0", got)
+	}
+	if err := s.Audit(1); err != nil {
+		t.Fatalf("Audit at the cap: %v", err)
 	}
 	s.Release(tk)
-	if got := s.UnitLoad(1, 2); got != 1 {
-		t.Fatalf("UnitLoad(1, 2) after release = %d, want 1", got)
+	if got := s.DiskLoad(1, 2); got != 1 {
+		t.Fatalf("DiskLoad(1, 2) after release = %d, want 1", got)
 	}
-	if !fits(s.Admit(0, 1)) {
+	if !fits(s.Admit(0, 1, 0)) {
 		t.Fatal("released unit should accept")
 	}
-	mustPanic(t, func() { s.Admit(0, 7) })
+	mustPanic(t, func() { s.Admit(0, 7, 0) })
+
+	// With m > 1 the class cap lifts to q as well: one class may take a
+	// whole unit, and the unit cap still binds across classes.
+	s, err = NewStatic(4, 3, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if !fits(s.Admit(0, 2, 1)) {
+			t.Fatalf("admission %d to one class refused", i)
+		}
+	}
+	if fits(s.Admit(0, 2, 0)) || fits(s.Admit(0, 2, 1)) {
+		t.Fatal("unit admitted past q")
+	}
+	if got := s.CellLoad(0, 2, 1); got != 3 {
+		t.Fatalf("CellLoad = %d, want 3", got)
+	}
+	if err := s.Audit(0); err != nil {
+		t.Fatalf("Audit at the cap: %v", err)
+	}
 }
 
 // --- Queue ---

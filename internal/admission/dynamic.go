@@ -185,69 +185,6 @@ func (dy *Dynamic) Audit(now int64) error {
 	return nil
 }
 
-// Simple is the single-cap controller used by pre-fetching with parity
-// disks (§6.1: clips per data disk <= q), the non-clustered baseline
-// (§7.4: same) and streaming RAID (§7.3: clips per cluster <= q, with
-// units = clusters instead of disks). Clips advance one unit per round,
-// so occupancy is per phase in Z_units.
-type Simple struct {
-	units, q int
-	count    []int
-}
-
-// NewSimple builds a controller over the given number of rotation units
-// (data disks or clusters) with cap q per unit per round.
-func NewSimple(units, q int) (*Simple, error) {
-	if units < 1 {
-		return nil, errors.New("admission: need at least one unit")
-	}
-	if q < 1 {
-		return nil, fmt.Errorf("admission: q=%d must be positive", q)
-	}
-	return &Simple{units: units, q: q, count: make([]int, units)}, nil
-}
-
-func (s *Simple) phase(now int64, start int) int {
-	if start < 0 || start >= s.units {
-		panic(fmt.Sprintf("admission: start unit %d out of range [0, %d)", start, s.units))
-	}
-	u := int64(s.units)
-	return int(((int64(start)-now)%u + u) % u)
-}
-
-// Admit admits the clip if the unit has capacity.
-func (s *Simple) Admit(now int64, start int) (Ticket, bool) {
-	c := s.phase(now, start)
-	if s.count[c] >= s.q {
-		return Ticket{}, false
-	}
-	s.count[c]++
-	return Ticket{phase: c, row: -1}, true
-}
-
-// Release frees an admitted clip's capacity.
-func (s *Simple) Release(t Ticket) {
-	if t.phase < 0 || t.phase >= s.units || s.count[t.phase] == 0 {
-		panic("admission: release of unknown or double-released ticket")
-	}
-	s.count[t.phase]--
-}
-
-// UnitLoad returns the clips served by unit i during round now.
-func (s *Simple) UnitLoad(now int64, i int) int {
-	return s.count[s.phase(now, i)]
-}
-
-// Audit implements Controller: per-unit load within q.
-func (s *Simple) Audit(now int64) error {
-	for i := 0; i < s.units; i++ {
-		if l := s.UnitLoad(now, i); l > s.q {
-			return fmt.Errorf("admission: unit %d booked %d streams > q=%d", i, l, s.q)
-		}
-	}
-	return nil
-}
-
 // RowDiskLoad returns the number of super-clip-row clips reading disk i
 // during round now — the failure accounting in the simulator needs the
 // per-row breakdown to attribute reconstruction reads to parity-group

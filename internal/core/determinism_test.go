@@ -186,7 +186,7 @@ func declusteredScenario(t *testing.T) runResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := lay.GroupOf(2)
+	g := groupOf(lay, 2)
 	inGroup := map[int]bool{lay.Place(2).Disk: true, g.Parity.Disk: true}
 	for _, a := range g.DataAddr {
 		inGroup[a.Disk] = true
@@ -254,7 +254,7 @@ func pqScenario(t *testing.T) runResult {
 		t.Fatal(err)
 	}
 	plan := faultinject.Plan{Seed: 3}
-	plan.Overlap(lay.Place(0).Disk, lay.GroupOf(0).Parity.Disk, 12, 1)
+	plan.Overlap(lay.Place(0).Disk, groupOf(lay, 0).Parity.Disk, 12, 1)
 	clips := make([][]byte, 64)
 	for i := range clips {
 		clips[i] = clipBytes(int64(500+i), 320_000)

@@ -73,7 +73,7 @@ func pqOverlapServer(t *testing.T, spares int) (*Server, [3]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := lay.GroupOf(0)
+	g := groupOf(lay, 0)
 	d1 := lay.Place(0).Disk
 	d2 := g.Parity.Disk
 	d3 := g.Q.Disk

@@ -306,7 +306,7 @@ func rotRun(t *testing.T, scheme Scheme, rot bool) rotArc {
 		t.Fatal(err)
 	}
 	arr := s.store.Array
-	r := rotArc{s: s, disk: s.lay.GroupOf(1200).Parity.Disk}
+	r := rotArc{s: s, disk: groupOf(s.lay, 1200).Parity.Disk}
 	for b := int64(0); b < arr.Extent(); b++ {
 		r.image = append(r.image, bytes.Clone(arr.Peek(r.disk, b)))
 	}

@@ -22,6 +22,13 @@ import (
 // The tests below hold the cursor-driven code to exactly their output,
 // and the read to the sweep's verdicts.
 
+// groupOf returns the parity group of logical data block i.
+func groupOf(l layout.Layout, i int64) layout.Group {
+	var g layout.Group
+	l.GroupAt(l.Place(i), &g)
+	return g
+}
+
 // refMember is the old queue entry.
 type refMember struct {
 	logical int64
@@ -59,7 +66,7 @@ func refClipBlocks(s *Server) []int64 {
 func refMembersOf(s *Server, blocks []int64, fn func(m refMember)) {
 	seen := make(map[layout.BlockAddr]bool)
 	for _, i := range blocks {
-		g := s.lay.GroupOf(i)
+		g := groupOf(s.lay, i)
 		nd, x := len(g.Data), slices.Index(g.Data, i)
 		fn(refMember{logical: i, idx: x, addr: g.DataAddr[x]})
 		for idx := nd; idx < nd+parityCols(&g); idx++ {
@@ -141,7 +148,7 @@ func refUnrecoverable(s *Server, i int64) bool {
 	if s.blockReadable(s.lay.Place(i)) {
 		return false
 	}
-	g := s.lay.GroupOf(i)
+	g := groupOf(s.lay, i)
 	return len(s.unreadable(&g, slices.Index(g.Data, i), nil)) > parityCols(&g)
 }
 
@@ -390,7 +397,7 @@ func TestToleranceGateMatchesReference(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%s beyond spare=%v", tc.scheme, tc.spare), func(t *testing.T) {
 			s, want := gateServer(t, tc.scheme)
-			g := s.lay.GroupOf(tc.block)
+			g := groupOf(s.lay, tc.block)
 			disks := []int{g.Parity.Disk, g.DataAddr[0].Disk}
 			if g.HasQ {
 				disks = append(disks, g.Q.Disk)

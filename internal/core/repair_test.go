@@ -114,7 +114,7 @@ func repairCase(t *testing.T, scheme Scheme, lose []int, spare bool) (*Server, l
 	if err := s.AddClip("a", clipBytes(41, 800_000)); err != nil {
 		t.Fatal(err)
 	}
-	g := s.lay.GroupOf(40)
+	g := groupOf(s.lay, 40)
 	arr := s.store.Array
 	var want [][]byte
 	for idx := 0; idx < len(g.Data)+parityCols(&g); idx++ {
@@ -160,7 +160,7 @@ func ledgerVsReads(t *testing.T, s *Server, reads []int) []int {
 // third) erasure, and both ways a member can be unreadable.
 func TestRepairMemberTable(t *testing.T) {
 	for _, scheme := range []Scheme{Declustered, DeclusteredPQ} {
-		g := newServer(t, scheme, 13, 4).lay.GroupOf(40)
+		g := groupOf(newServer(t, scheme, 13, 4).lay, 40)
 		nd, cols := len(g.Data), parityCols(&g)
 		for _, target := range []int{0, nd, nd + 1}[:1+cols] {
 			// Second erasures: another data member and each parity

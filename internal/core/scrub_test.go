@@ -121,7 +121,7 @@ func TestScrubRepairsParityBlock(t *testing.T) {
 	cfg.ScrubRate = -1
 	s, _ := scrubServer(t, cfg, 64_000)
 	s.InjectFaults(faultinject.Plan{Seed: 7})
-	g := s.lay.GroupOf(2)
+	g := groupOf(s.lay, 2)
 	s.injector.AddSilentCorruption(faultinject.SilentCorruption{
 		Disk: g.Parity.Disk, Block: g.Parity.Block, From: 1, Bits: 1,
 	})
@@ -191,7 +191,7 @@ func TestScrubPausesWhileNotHealthy(t *testing.T) {
 	var target layout.BlockAddr
 	found := false
 	for i := int64(0); i < s.nextFree && !found; i++ {
-		addr, g := s.lay.Place(i), s.lay.GroupOf(i)
+		addr, g := s.lay.Place(i), groupOf(s.lay, i)
 		if addr.Disk == 4 || g.Parity.Disk == 4 {
 			continue
 		}
@@ -325,7 +325,7 @@ func TestChaosCorruptionIntegrity(t *testing.T) {
 	pickTargets := func(want int, ok func(layout.BlockAddr, layout.Group) bool) []layout.BlockAddr {
 		var out []layout.BlockAddr
 		for i := int64(0); i < s.nextFree && len(out) < want; i++ {
-			addr, g := s.lay.Place(i), s.lay.GroupOf(i)
+			addr, g := s.lay.Place(i), groupOf(s.lay, i)
 			if usedGroup[g.Parity] || !ok(addr, g) {
 				continue
 			}
@@ -503,8 +503,8 @@ func TestScrubPatrolsQColumn(t *testing.T) {
 	cfg.ScrubRate = -1
 	s, clip := scrubServer(t, cfg, 800_000)
 	arr := s.store.Array
-	data, q := s.lay.Place(7), s.lay.GroupOf(60).Q
-	if g := s.lay.GroupOf(7); g.Q == q || q == data {
+	data, q := s.lay.Place(7), groupOf(s.lay, 60).Q
+	if g := groupOf(s.lay, 7); g.Q == q || q == data {
 		t.Fatal("test wants rot in two different groups")
 	}
 	for _, a := range []layout.BlockAddr{data, q} {

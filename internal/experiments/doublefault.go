@@ -89,7 +89,8 @@ func doubleFaultTargets() (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	g := lay.GroupOf(0)
+	var g layout.Group
+	lay.GroupAt(lay.Place(0), &g)
 	return lay.Place(0).Disk, g.Parity.Disk, nil
 }
 

@@ -13,42 +13,21 @@ import "fmt"
 //
 // The three schemes share this geometry and differ only in retrieval
 // granularity, buffering and degraded-mode behaviour, which live in the
-// admission/recovery layers; Name distinguishes them for reporting.
+// admission/recovery layers.
 type Clustered struct {
-	name string
 	d, p int
 }
 
 // NewClustered builds the shared geometry. p must divide d and p >= 2.
-func NewClustered(name string, d, p int) (*Clustered, error) {
+func NewClustered(d, p int) (*Clustered, error) {
 	if p < 2 {
-		return nil, fmt.Errorf("layout: %s: parity group size %d < 2", name, p)
+		return nil, fmt.Errorf("layout: clustered: parity group size %d < 2", p)
 	}
 	if d < p || d%p != 0 {
-		return nil, fmt.Errorf("layout: %s: cluster size p=%d must divide d=%d", name, p, d)
+		return nil, fmt.Errorf("layout: clustered: cluster size p=%d must divide d=%d", p, d)
 	}
-	return &Clustered{name: name, d: d, p: p}, nil
+	return &Clustered{d: d, p: p}, nil
 }
-
-// NewPrefetchParityDisk builds the §6.1 layout.
-func NewPrefetchParityDisk(d, p int) (*Clustered, error) {
-	return NewClustered("prefetch-parity-disk", d, p)
-}
-
-// NewStreamingRAID builds the streaming RAID layout [TPBG93].
-func NewStreamingRAID(d, p int) (*Clustered, error) {
-	return NewClustered("streaming-raid", d, p)
-}
-
-// NewNonClustered builds the non-clustered layout [BGM95]. (The name is
-// the paper's: clusters exist, but degraded-mode whole-group reads happen
-// only in the failed cluster rather than array-wide.)
-func NewNonClustered(d, p int) (*Clustered, error) {
-	return NewClustered("non-clustered", d, p)
-}
-
-// Name implements Layout.
-func (l *Clustered) Name() string { return l.name }
 
 // Disks implements Layout.
 func (l *Clustered) Disks() int { return l.d }
@@ -99,13 +78,6 @@ func (l *Clustered) LogicalAt(addr BlockAddr) int64 {
 	w := addr.Disk % l.p
 	ord := c*(l.p-1) + w
 	return addr.Block*int64(l.DataDisks()) + int64(ord)
-}
-
-// GroupOf implements Layout.
-func (l *Clustered) GroupOf(i int64) Group {
-	g := newGroup(l.GroupSize())
-	l.GroupAt(l.Place(i), &g)
-	return g
 }
 
 // GroupAt implements Layout: the group at addr is the p−1 consecutive

@@ -3,15 +3,12 @@ package layout
 import "testing"
 
 func TestClusteredBasics(t *testing.T) {
-	l, err := NewPrefetchParityDisk(32, 4)
+	l, err := NewClustered(32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Disks() != 32 || l.GroupSize() != 4 || l.Clusters() != 8 || l.DataDisks() != 24 {
 		t.Fatalf("geometry wrong: d=%d p=%d clusters=%d data=%d", l.Disks(), l.GroupSize(), l.Clusters(), l.DataDisks())
-	}
-	if l.Name() != "prefetch-parity-disk" {
-		t.Errorf("Name = %q", l.Name())
 	}
 	// Parity disks are 3, 7, 11, ..., 31.
 	for c := 0; c < 8; c++ {
@@ -29,25 +26,19 @@ func TestClusteredBasics(t *testing.T) {
 }
 
 func TestClusteredConstructors(t *testing.T) {
-	if l, _ := NewStreamingRAID(8, 4); l.Name() != "streaming-raid" {
-		t.Error("streaming RAID constructor name wrong")
-	}
-	if l, _ := NewNonClustered(8, 4); l.Name() != "non-clustered" {
-		t.Error("non-clustered constructor name wrong")
-	}
-	if _, err := NewClustered("x", 10, 4); err == nil {
+	if _, err := NewClustered(10, 4); err == nil {
 		t.Error("p must divide d")
 	}
-	if _, err := NewClustered("x", 4, 1); err == nil {
+	if _, err := NewClustered(4, 1); err == nil {
 		t.Error("p must be >= 2")
 	}
-	if _, err := NewClustered("x", 2, 4); err == nil {
+	if _, err := NewClustered(2, 4); err == nil {
 		t.Error("d must be >= p")
 	}
 }
 
 func TestClusteredRoundTrip(t *testing.T) {
-	l, err := NewPrefetchParityDisk(8, 4)
+	l, err := NewClustered(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +68,7 @@ func TestClusteredRoundTrip(t *testing.T) {
 // TestClusteredPlacementShape: with d=8, p=4, data disks are 0,1,2 and
 // 4,5,6; the stream visits them in order.
 func TestClusteredPlacementShape(t *testing.T) {
-	l, err := NewPrefetchParityDisk(8, 4)
+	l, err := NewClustered(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +85,12 @@ func TestClusteredPlacementShape(t *testing.T) {
 }
 
 func TestClusteredGroups(t *testing.T) {
-	l, err := NewPrefetchParityDisk(8, 4)
+	l, err := NewClustered(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Group of block 0: blocks 0,1,2 on disks 0,1,2 level 0, parity disk 3.
-	g := l.GroupOf(0)
+	g := groupOf(l, 0)
 	if len(g.Data) != 3 || g.Data[0] != 0 || g.Data[1] != 1 || g.Data[2] != 2 {
 		t.Fatalf("group of 0: %v", g.Data)
 	}
@@ -107,18 +98,18 @@ func TestClusteredGroups(t *testing.T) {
 		t.Fatalf("parity of group 0 at %v", g.Parity)
 	}
 	// Group of block 4: blocks 3,4,5 in cluster 1, parity disk 7.
-	g = l.GroupOf(4)
+	g = groupOf(l, 4)
 	if g.Data[0] != 3 || g.Data[2] != 5 || g.Parity.Disk != 7 {
 		t.Fatalf("group of 4: %v parity %v", g.Data, g.Parity)
 	}
 	// Consistency across members and levels.
 	for i := int64(0); i < 300; i++ {
-		g := l.GroupOf(i)
+		g := groupOf(l, i)
 		if len(g.Data) != 3 {
 			t.Fatalf("group of %d has %d members", i, len(g.Data))
 		}
 		for _, li := range g.Data {
-			g2 := l.GroupOf(li)
+			g2 := groupOf(l, li)
 			if g2.Parity != g.Parity {
 				t.Fatalf("members %d and %d disagree on parity", i, li)
 			}
@@ -130,7 +121,7 @@ func TestClusteredGroups(t *testing.T) {
 }
 
 func TestClusteredPanics(t *testing.T) {
-	l, err := NewPrefetchParityDisk(8, 4)
+	l, err := NewClustered(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +132,14 @@ func TestClusteredPanics(t *testing.T) {
 // TestClusteredMinimalP2: p=2 means 1 data disk + 1 parity disk per
 // cluster (mirroring).
 func TestClusteredMinimalP2(t *testing.T) {
-	l, err := NewPrefetchParityDisk(4, 2)
+	l, err := NewClustered(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.DataDisks() != 2 {
 		t.Fatalf("DataDisks = %d, want 2", l.DataDisks())
 	}
-	g := l.GroupOf(0)
+	g := groupOf(l, 0)
 	if len(g.Data) != 1 || g.Parity.Disk != 1 {
 		t.Fatalf("p=2 group: %v parity %v", g.Data, g.Parity)
 	}

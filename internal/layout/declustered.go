@@ -72,7 +72,8 @@ func newPGT(d, p int, withQ, rowFirst bool) (*Declustered, error) {
 	return l, nil
 }
 
-// Name implements Layout.
+// Name is the scheme key the placement serves, for its constructor's
+// errors.
 func (l *Declustered) Name() string {
 	switch {
 	case l.withQ:
@@ -190,13 +191,6 @@ func (l *Declustered) LogicalAt(addr BlockAddr) int64 {
 func (l *Declustered) RowOf(x int64) int {
 	_, row, _ := l.split(x)
 	return row
-}
-
-// GroupOf implements Layout.
-func (l *Declustered) GroupOf(x int64) Group {
-	g := newGroup(l.GroupSize())
-	l.GroupAt(l.Place(x), &g)
-	return g
 }
 
 // GroupAt implements Layout: the group that owns addr is the window-n

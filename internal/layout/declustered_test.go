@@ -54,14 +54,14 @@ func TestFigure2GoldenPlacement(t *testing.T) {
 // D8 and D2."
 func TestFigure2GroupP0P1(t *testing.T) {
 	l := fanoLayout(t)
-	g0 := l.GroupOf(0)
+	g0 := groupOf(l, 0)
 	if len(g0.Data) != 2 || g0.Data[0] != 0 || g0.Data[1] != 1 {
 		t.Errorf("group of D0 = %v, want [0 1]", g0.Data)
 	}
 	if g0.Parity != (BlockAddr{Disk: 3, Block: 0}) {
 		t.Errorf("P0 at %v, want disk 3 block 0", g0.Parity)
 	}
-	g1 := l.GroupOf(2)
+	g1 := groupOf(l, 2)
 	wantData := map[int64]bool{2: true, 8: true}
 	if len(g1.Data) != 2 || !wantData[g1.Data[0]] || !wantData[g1.Data[1]] {
 		t.Errorf("group of D2 = %v, want {2, 8}", g1.Data)
@@ -103,7 +103,7 @@ func TestDeclusteredGroupInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < 500; i++ {
-			g := l.GroupOf(i)
+			g := groupOf(l, i)
 			if len(g.Data) != cfg.p-1 {
 				t.Fatalf("(%d,%d): group of %d has %d data blocks, want %d", cfg.d, cfg.p, i, len(g.Data), cfg.p-1)
 			}
@@ -122,7 +122,7 @@ func TestDeclusteredGroupInvariants(t *testing.T) {
 					t.Fatalf("(%d,%d): group member addr/index mismatch", cfg.d, cfg.p)
 				}
 				// Consistency: the group seen from the member matches.
-				g2 := l.GroupOf(li)
+				g2 := groupOf(l, li)
 				if g2.Parity != g.Parity {
 					t.Fatalf("(%d,%d): group of %d and %d disagree on parity", cfg.d, cfg.p, i, li)
 				}

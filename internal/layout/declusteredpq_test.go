@@ -38,9 +38,9 @@ func TestDeclusteredPQNoCollisions(t *testing.T) {
 			seen[a] = what
 		}
 		for i := int64(0); i < 400; i++ {
-			grp := l.GroupOf(i)
+			grp := groupOf(l, i)
 			if !grp.HasQ {
-				t.Fatal("GroupOf without HasQ")
+				t.Fatal("group without HasQ")
 			}
 			if grp.Parity == grp.Q {
 				t.Fatalf("(%d,%d): P and Q share %v", g[0], g[1], grp.Parity)
@@ -70,7 +70,7 @@ func TestDeclusteredPQGroupInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < 400; i++ {
-			grp := l.GroupOf(i)
+			grp := groupOf(l, i)
 			if len(grp.Data) != p-2 || len(grp.DataAddr) != p-2 {
 				t.Fatalf("(%d,%d): group of %d has %d data members, want %d", d, p, i, len(grp.Data), p-2)
 			}

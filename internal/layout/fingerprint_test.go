@@ -14,11 +14,11 @@ var (
 	pgtFlavours = []struct {
 		name string
 		minP int
-		new  func(d, p int) (Layout, error)
+		new  func(d, p int) (*Declustered, error)
 	}{
-		{"declustered", 2, func(d, p int) (Layout, error) { return NewDeclustered(d, p) }},
-		{"declustered-pq", 3, func(d, p int) (Layout, error) { return NewDeclusteredPQ(d, p) }},
-		{"declustered-dynamic", 2, func(d, p int) (Layout, error) { return NewInterleaved(d, p) }},
+		{"declustered", 2, NewDeclustered},
+		{"declustered-pq", 3, NewDeclusteredPQ},
+		{"declustered-dynamic", 2, NewInterleaved},
 	}
 	pgtGeometries = [][2]int{{7, 3}, {9, 3}, {13, 4}, {16, 4}, {21, 5}, {32, 4}, {32, 8}, {32, 16}}
 )

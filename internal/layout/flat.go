@@ -42,9 +42,6 @@ func NewFlatUniform(d, p int, dataBlocks int64) (*FlatUniform, error) {
 	return &FlatUniform{d: d, p: p, dataBlocks: dataBlocks}, nil
 }
 
-// Name implements Layout.
-func (l *FlatUniform) Name() string { return "prefetch-flat" }
-
 // Disks implements Layout.
 func (l *FlatUniform) Disks() int { return l.d }
 
@@ -126,13 +123,6 @@ func (l *FlatUniform) LogicalAt(addr BlockAddr) int64 {
 		return -1 // parity region (or unused)
 	}
 	return addr.Block*int64(l.d) + int64(addr.Disk)
-}
-
-// GroupOf implements Layout.
-func (l *FlatUniform) GroupOf(i int64) Group {
-	g := newGroup(l.GroupSize())
-	l.GroupAt(l.Place(i), &g)
-	return g
 }
 
 // GroupAt implements Layout: a data block at level g of cluster

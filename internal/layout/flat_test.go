@@ -44,7 +44,7 @@ func TestFigure3GoldenData(t *testing.T) {
 }
 
 // TestFigure3GoldenParity checks every parity position of Figure 3: Pi
-// lives where the figure says, via GroupOf of its first data block.
+// lives where the figure says, via the group of its first data block.
 func TestFigure3GoldenParity(t *testing.T) {
 	l := flatFigure3(t)
 	// Build want map: parity index -> address.
@@ -59,7 +59,7 @@ func TestFigure3GoldenParity(t *testing.T) {
 		}
 	}
 	for pi := int64(0); pi < 18; pi++ {
-		g := l.GroupOf(3 * pi)
+		g := groupOf(l, 3*pi)
 		if g.Parity != want[pi] {
 			t.Errorf("P%d at %v, want %v", pi, g.Parity, want[pi])
 		}
@@ -78,7 +78,7 @@ func TestFlatParityAddressesDistinct(t *testing.T) {
 	l := flatFigure3(t)
 	seen := map[BlockAddr]int64{}
 	for pi := int64(0); pi < 18; pi++ {
-		g := l.GroupOf(3 * pi)
+		g := groupOf(l, 3*pi)
 		if prev, dup := seen[g.Parity]; dup {
 			t.Fatalf("groups %d and %d share parity address %v", prev, pi, g.Parity)
 		}
@@ -99,7 +99,7 @@ func TestFlatParityNotInOwnCluster(t *testing.T) {
 			t.Fatalf("NewFlatUniform(%d,%d): %v", cfg.d, cfg.p, err)
 		}
 		for i := int64(0); i < cfg.blocks; i += int64(cfg.p - 1) {
-			g := l.GroupOf(i)
+			g := groupOf(l, i)
 			cluster := l.Place(i).Disk / (cfg.p - 1)
 			pc := g.Parity.Disk / (cfg.p - 1)
 			if pc == cluster {
@@ -120,7 +120,7 @@ func TestFlatParityUniform(t *testing.T) {
 	count := map[int]int{}
 	total := 0
 	for i := int64(0); i < 54*6; i += 3 {
-		g := l.GroupOf(i)
+		g := groupOf(l, i)
 		count[g.Parity.Disk]++
 		total++
 	}
@@ -182,12 +182,12 @@ func TestFlatParityTargetClass(t *testing.T) {
 	}
 	// Same class => same parity disk offset: groups of cluster 0 at levels
 	// 0 and 6 share a parity disk.
-	g0 := l.GroupOf(0)
+	g0 := groupOf(l, 0)
 	l2, err := NewFlatUniform(9, 4, 54*2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g6 := l2.GroupOf(6 * 9) // cluster 0, level 6
+	g6 := groupOf(l2, 6*9) // cluster 0, level 6
 	if g0.Parity.Disk != g6.Parity.Disk {
 		t.Fatalf("levels 0 and 6 of cluster 0 use parity disks %d and %d, want equal", g0.Parity.Disk, g6.Parity.Disk)
 	}

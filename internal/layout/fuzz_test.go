@@ -9,7 +9,7 @@ func FuzzDeclusteredRoundTrip(f *testing.F) {
 	f.Add(uint16(0))
 	f.Add(uint16(41))
 	f.Add(uint16(65535))
-	var layouts []Layout
+	var layouts []*Declustered
 	for _, fl := range pgtFlavours {
 		for _, g := range [][2]int{{7, 3}, {13, 4}, {32, 8}, {32, 2}, {32, 32}} {
 			if g[1] < fl.minP {
@@ -30,7 +30,7 @@ func FuzzDeclusteredRoundTrip(f *testing.F) {
 			if back := l.LogicalAt(addr); back != x {
 				t.Fatalf("%s(%d,%d): LogicalAt(Place(%d)) = %d", l.Name(), d, p, x, back)
 			}
-			g := l.GroupOf(x)
+			g := groupOf(l, x)
 			if want := p - parityColumns(g); len(g.Data) != want {
 				t.Fatalf("%s(%d,%d): %d data members, want %d", l.Name(), d, p, len(g.Data), want)
 			}
@@ -52,7 +52,7 @@ func parityColumns(g Group) int {
 // FuzzClusteredInverse: arbitrary addresses decode consistently — every
 // address is either parity or decodes to a block that places back to it.
 func FuzzClusteredInverse(f *testing.F) {
-	l, err := NewPrefetchParityDisk(8, 4)
+	l, err := NewClustered(8, 4)
 	if err != nil {
 		f.Fatal(err)
 	}

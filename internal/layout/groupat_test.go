@@ -22,21 +22,29 @@ func everyLayout(t *testing.T) []Layout {
 	add(pq, err)
 	il, err := NewInterleaved(7, 3)
 	add(il, err)
-	c, err := NewNonClustered(8, 4)
+	c, err := NewClustered(8, 4)
 	add(c, err)
 	f, err := NewFlatUniform(9, 4, 900)
 	add(f, err)
 	return out
 }
 
+// groupOf returns the parity group of logical data block i.
+func groupOf(l Layout, i int64) Group {
+	var g Group
+	l.GroupAt(l.Place(i), &g)
+	return g
+}
+
 // TestGroupAtOwnsEveryMember: from the address of any member — data, P or
-// Q — GroupAt recovers the very group GroupOf names and that member's
-// index in it, and a warm Group is filled without allocating.
+// Q — GroupAt recovers the very group the data block's own address names
+// and that member's index in it, and a warm Group is filled without
+// allocating.
 func TestGroupAtOwnsEveryMember(t *testing.T) {
 	for _, l := range everyLayout(t) {
 		var g Group
 		for i := int64(0); i < 600; i++ {
-			want := l.GroupOf(i)
+			want := groupOf(l, i)
 			members := append([]BlockAddr(nil), want.DataAddr...)
 			members = append(members, want.Parity)
 			if want.HasQ {
@@ -44,16 +52,16 @@ func TestGroupAtOwnsEveryMember(t *testing.T) {
 			}
 			for idx, a := range members {
 				if got := l.GroupAt(a, &g); got != idx || !reflect.DeepEqual(g, want) {
-					t.Fatalf("%s: GroupAt(%v) = %d, %+v; want %d, %+v", l.Name(), a, got, g, idx, want)
+					t.Fatalf("%T: GroupAt(%v) = %d, %+v; want %d, %+v", l, a, got, g, idx, want)
 				}
 			}
 			if k := l.GroupAt(l.Place(i), &g); g.Data[k] != i {
-				t.Fatalf("%s: block %d sits at member %d of %+v", l.Name(), i, k, g)
+				t.Fatalf("%T: block %d sits at member %d of %+v", l, i, k, g)
 			}
 		}
-		a := l.GroupOf(77).Parity
+		a := groupOf(l, 77).Parity
 		if n := testing.AllocsPerRun(100, func() { l.GroupAt(a, &g) }); n != 0 {
-			t.Errorf("%s: GroupAt into a warm Group allocates %v objects", l.Name(), n)
+			t.Errorf("%T: GroupAt into a warm Group allocates %v objects", l, n)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func TestInterleavedGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := int64(0); x < 400; x++ {
-		g := l.GroupOf(x)
+		g := groupOf(l, x)
 		if len(g.Data) != 2 {
 			t.Fatalf("group of %d has %d members", x, len(g.Data))
 		}
@@ -90,7 +90,7 @@ func TestInterleavedGroups(t *testing.T) {
 				t.Fatalf("group of %d repeats a disk", x)
 			}
 			disks[g.DataAddr[k].Disk] = true
-			g2 := l.GroupOf(li)
+			g2 := groupOf(l, li)
 			if g2.Parity != g.Parity {
 				t.Fatalf("groups of %d and %d disagree", x, li)
 			}
@@ -116,7 +116,7 @@ func TestInterleavedPanics(t *testing.T) {
 // TestLayoutsRoundTripProperty: quick-checked Place/LogicalAt inversion
 // across all arithmetic layouts.
 func TestLayoutsRoundTripProperty(t *testing.T) {
-	clus, err := NewPrefetchParityDisk(12, 4)
+	clus, err := NewClustered(12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestLayoutsRoundTripProperty(t *testing.T) {
 func TestLayoutsGroupDisjointProperty(t *testing.T) {
 	decl, _ := NewDeclustered(13, 4)
 	inter, _ := NewInterleaved(13, 4)
-	clus, _ := NewPrefetchParityDisk(12, 4)
+	clus, _ := NewClustered(12, 4)
 	flat, _ := NewFlatUniform(12, 4, 12000)
 	lays := []Layout{decl, inter, clus, flat}
 	f := func(raw uint32) bool {
 		x := int64(raw % 10000)
 		for _, l := range lays {
-			g := l.GroupOf(x)
+			g := groupOf(l, x)
 			disks := map[int]bool{g.Parity.Disk: true}
 			for _, a := range g.DataAddr {
 				if disks[a.Disk] {

@@ -54,8 +54,6 @@ type Group struct {
 
 // Layout is the common interface over all placements.
 type Layout interface {
-	// Name identifies the scheme, e.g. "declustered".
-	Name() string
 	// Disks returns d, the number of disks in the array.
 	Disks() int
 	// GroupSize returns p, the parity group size (data blocks + parity).
@@ -65,22 +63,13 @@ type Layout interface {
 	// LogicalAt returns the logical data block stored at addr, or -1 when
 	// the address holds parity.
 	LogicalAt(addr BlockAddr) int64
-	// GroupOf returns the parity group containing logical data block i.
-	GroupOf(i int64) Group
 	// GroupAt fills g with the parity group that owns the block at addr —
 	// a data, P or Q block alike — reusing g's slices, and returns addr's
 	// member index in it: k for Data[k], len(Data) for P, len(Data)+1 for
 	// Q. It returns -1, with g unspecified, when no group has a block at
 	// addr. Once g's slices have grown to the group size it allocates
-	// nothing; GroupOf(i) is GroupAt(Place(i)) into a fresh Group.
+	// nothing. The group of logical block i is GroupAt(Place(i), g).
 	GroupAt(addr BlockAddr, g *Group) int
-}
-
-// newGroup returns an empty Group with room for the data members of a
-// parity group of size p: what every GroupOf fills through its own
-// GroupAt (a call on the concrete type, so the Group stays off the heap).
-func newGroup(p int) Group {
-	return Group{Data: make([]int64, 0, p-1), DataAddr: make([]BlockAddr, 0, p-1)}
 }
 
 // member returns addr's member index in g (see Layout.GroupAt).

@@ -88,7 +88,7 @@ func TestPQStoreTripleFailureUnrecoverable(t *testing.T) {
 	}
 	// The group of block 0 names four disks; fail three of them
 	// (including block 0's own disk).
-	g := s.Layout.GroupOf(0)
+	g := groupOf(s.Layout, 0)
 	fail := []int{s.Layout.Place(0).Disk, g.Parity.Disk, g.Q.Disk}
 	for _, f := range fail {
 		if err := s.Array.Fail(f); err != nil {
@@ -102,7 +102,7 @@ func TestPQStoreTripleFailureUnrecoverable(t *testing.T) {
 	failed := map[int]bool{fail[0]: true, fail[1]: true, fail[2]: true}
 	checked := 0
 	for i := int64(0); i < n; i++ {
-		gi := s.Layout.GroupOf(i)
+		gi := groupOf(s.Layout, i)
 		down := 0
 		for _, a := range gi.DataAddr {
 			if failed[a.Disk] {

@@ -206,7 +206,8 @@ func (s *Store) parityOf(g layout.Group, r run) (p, q []byte, err error) {
 // ErrUnrecoverable when more members are unreadable than the group has
 // parity columns: one besides i under P+Q, none under single parity.
 func (s *Store) Reconstruct(i int64) ([]byte, error) {
-	g := s.Layout.GroupOf(i)
+	var g layout.Group
+	s.Layout.GroupAt(s.Layout.Place(i), &g)
 	nd := len(g.Data)
 	addrs := append(slices.Clone(g.DataAddr), g.Parity)
 	if g.HasQ {
@@ -238,7 +239,8 @@ func (s *Store) Reconstruct(i int64) ([]byte, error) {
 // compares with the stored parity block (both P and Q for double-parity
 // layouts), returning an error on mismatch — a test/fsck helper.
 func (s *Store) VerifyParity(i int64) error {
-	g := s.Layout.GroupOf(i)
+	var g layout.Group
+	s.Layout.GroupAt(s.Layout.Place(i), &g)
 	want, wantQ, err := s.parityOf(g, run{stride: 1})
 	defer s.PutBlock(want)
 	defer s.PutBlock(wantQ)

@@ -30,9 +30,16 @@ func declusteredStore(t *testing.T, d, p int) *Store {
 	return s
 }
 
+// groupOf returns the parity group of logical data block i.
+func groupOf(l layout.Layout, i int64) layout.Group {
+	var g layout.Group
+	l.GroupAt(l.Place(i), &g)
+	return g
+}
+
 func clusteredStore(t *testing.T, d, p int) *Store {
 	t.Helper()
-	l, err := layout.NewPrefetchParityDisk(d, p)
+	l, err := layout.NewClustered(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}

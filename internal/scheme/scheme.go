@@ -86,13 +86,13 @@ var records = [...]record{
 		layout: flat, grid: flatGrid, ctrl: static, coords: flatCoords,
 		buffer: staggered, parity: 1, prefetch: true, paper: true},
 	PrefetchParityDisk: {key: "prefetch-parity-disk", legend: "Pre-fetching with parity disk",
-		layout: byCluster(layout.NewPrefetchParityDisk), grid: dataDisks, ctrl: simple, coords: dataDiskCoords,
+		layout: byCluster, grid: dataDisks, ctrl: capQ, coords: dataDiskCoords,
 		buffer: staggered, parity: 1, clustered: true, prefetch: true, paper: true},
 	StreamingRAID: {key: "streaming-raid", legend: "Streaming RAID",
-		layout: byCluster(layout.NewStreamingRAID), grid: clusters, ctrl: simple, coords: clusterCoords,
+		layout: byCluster, grid: clusters, ctrl: capQ, coords: clusterCoords,
 		buffer: wholeGroups, parity: 1, clustered: true, prefetch: true, groupFetch: true, paper: true},
 	NonClustered: {key: "non-clustered", legend: "Non-clustered",
-		layout: byCluster(layout.NewNonClustered), grid: dataDisks, ctrl: simple, coords: dataDiskCoords,
+		layout: byCluster, grid: dataDisks, ctrl: capQ, coords: dataDiskCoords,
 		buffer: double, parity: 1, clustered: true, paper: true},
 	DeclusteredDynamic: {key: "declustered-dynamic", legend: "Dynamic reservation",
 		table: layout.NewInterleaved, grid: rows, ctrl: dynamic, coords: rowCoords,
@@ -113,8 +113,8 @@ func flat(d, p int, capacity int64) (layout.Layout, error) {
 	return layout.NewFlatUniform(d, p, capacity)
 }
 
-func byCluster(build func(d, p int) (*layout.Clustered, error)) func(int, int, int64) (layout.Layout, error) {
-	return func(d, p int, _ int64) (layout.Layout, error) { return build(d, p) }
+func byCluster(d, p int, _ int64) (layout.Layout, error) {
+	return layout.NewClustered(d, p)
 }
 
 // Admission grids. The table schemes book a stream on its first disk and
@@ -156,12 +156,10 @@ func dynamic(_, _, q, _ int, t *layout.Declustered) (admission.Controller, error
 	return admission.NewDynamic(t.Table, q)
 }
 
-func simple(n, _, q, _ int, _ *layout.Declustered) (admission.Controller, error) {
-	s, err := admission.NewSimple(n, q)
-	if err != nil {
-		return nil, err
-	}
-	return admission.Unclassed{Simple: s}, nil
+// capQ is the clustered schemes' rule: at most q streams per unit and
+// no contingency, the static rule with f = 0 over one class.
+func capQ(n, _, q, _ int, _ *layout.Declustered) (admission.Controller, error) {
+	return admission.NewStatic(n, 1, q, 0)
 }
 
 // Valid reports whether s names one of the seven schemes.

@@ -1,6 +1,7 @@
 package scheme_test
 
 import (
+	"fmt"
 	"testing"
 
 	"ftcms/internal/reliability"
@@ -10,8 +11,9 @@ import (
 
 // TestTable pins every record at two geometries: the per-clip buffer
 // (b = 1000 bits), storage overhead, critical disks, pre-fetch depth,
-// round multiplier, AddDisk support, the layout's name ("" where the
-// layout refuses the geometry) and the admission cell of blocks 0 and p.
+// round multiplier, AddDisk support, the layout ("" where it refuses the
+// geometry; a table layout's scheme key, else its concrete type) and the
+// admission cell of blocks 0 and p.
 func TestTable(t *testing.T) {
 	cases := []struct {
 		s        scheme.Scheme
@@ -29,11 +31,11 @@ func TestTable(t *testing.T) {
 		{scheme.Declustered, 13, 4, 2000, 0.25, 12, 1, 1, true, "declustered", [4]int{0, 0, 4, 0}},
 		{scheme.PrefetchFlat, 32, 4, 2000, 0.25, 31, 3, 1, false, "", [4]int{}},
 		{scheme.PrefetchFlat, 13, 4, 2000, 0.25, 12, 3, 1, false, "", [4]int{}},
-		{scheme.PrefetchParityDisk, 32, 4, 2000, 0.25, 3, 3, 1, false, "prefetch-parity-disk", [4]int{0, 0, 4, 0}},
+		{scheme.PrefetchParityDisk, 32, 4, 2000, 0.25, 3, 3, 1, false, "*layout.Clustered", [4]int{0, 0, 4, 0}},
 		{scheme.PrefetchParityDisk, 13, 4, 2000, 0.25, 3, 3, 1, false, "", [4]int{}},
-		{scheme.StreamingRAID, 32, 4, 6000, 0.25, 3, 3, 3, false, "streaming-raid", [4]int{0, 0, 1, 0}},
+		{scheme.StreamingRAID, 32, 4, 6000, 0.25, 3, 3, 3, false, "*layout.Clustered", [4]int{0, 0, 1, 0}},
 		{scheme.StreamingRAID, 13, 4, 6000, 0.25, 3, 3, 3, false, "", [4]int{}},
-		{scheme.NonClustered, 32, 4, 2000, 0.25, 3, 1, 1, false, "non-clustered", [4]int{0, 0, 4, 0}},
+		{scheme.NonClustered, 32, 4, 2000, 0.25, 3, 1, 1, false, "*layout.Clustered", [4]int{0, 0, 4, 0}},
 		{scheme.NonClustered, 13, 4, 2000, 0.25, 3, 1, 1, false, "", [4]int{}},
 		{scheme.DeclusteredDynamic, 32, 4, 2000, 0.25, 31, 1, 1, false, "declustered-dynamic", [4]int{0, 0, 0, 4}},
 		{scheme.DeclusteredDynamic, 13, 4, 2000, 0.25, 12, 1, 1, false, "declustered-dynamic", [4]int{0, 0, 1, 0}},
@@ -72,8 +74,12 @@ func TestTable(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if lay.Name() != c.layout {
-			t.Errorf("%v d=%d: layout %q, want %q", s, d, lay.Name(), c.layout)
+		name := fmt.Sprintf("%T", lay)
+		if tab != nil {
+			name = tab.Name()
+		}
+		if name != c.layout {
+			t.Errorf("%v d=%d: layout %q, want %q", s, d, name, c.layout)
 		}
 		var got [4]int
 		got[0], got[1] = s.Coords(lay, tab, 0)
