@@ -349,10 +349,11 @@ func (c *Cluster) stepJob(j *migrateJob) bool {
 }
 
 // abortJob abandons a job, reclaiming the destination's partial import
-// when the destination still serves, and marks the plan dirty so the
-// planner routes around whatever broke.
+// whether or not the destination still serves (one that is down may
+// rejoin, and a stale import would refuse every later job to it), and
+// marks the plan dirty so the planner routes around whatever broke.
 func (c *Cluster) abortJob(j *migrateJob) {
-	if j.begun && c.nodes[j.dst].serving() {
+	if j.begun {
 		_ = c.nodes[j.dst].srv.AbortClipImport(j.clip)
 	}
 	c.clips[j.clip].migrating = false

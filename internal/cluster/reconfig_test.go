@@ -452,3 +452,53 @@ func TestDrainSurvivesFailure(t *testing.T) {
 		t.Fatal("draining a retired node succeeded")
 	}
 }
+
+// TestMigrationDestinationFailsAndRejoins: a destination that fails
+// mid-copy loses its partial import with the aborted job, so after it
+// rejoins, the planner's next job to it begins afresh and completes. A
+// stale import left behind refuses every later BeginClipImport, and the
+// planner re-plans a doomed job every round.
+func TestMigrationDestinationFailsAndRejoins(t *testing.T) {
+	c := testCluster(t, 3, 2)
+	if err := c.AddClip("movie", clipBytes(7, 200*8192)); err != nil {
+		t.Fatal(err)
+	}
+	reps := c.Replicas("movie")
+	victim := reps[0]
+	if err := c.DrainNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	dst := 3 - reps[0] - reps[1] // the one node without a replica
+	for r := 0; c.MigratedBlocks() < 62; r++ {
+		if r == 100 {
+			t.Fatalf("migration copied %d blocks in %d rounds", c.MigratedBlocks(), r)
+		}
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.MigrateDone != 0 || st.MigrateJobs != 1 {
+		t.Fatalf("after %d copied blocks: %+v, want one job in flight", c.MigratedBlocks(), st)
+	}
+	if err := c.FailNode(dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RejoinNode(dst); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{reps[1], dst}
+	slices.Sort(want)
+	for r := 0; r < 3000; r++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := slices.Clone(c.Replicas("movie"))
+	slices.Sort(got)
+	if st := c.Stats(); st.MigrateTotal != 2 || st.MigrateDone != 1 || !slices.Equal(got, want) {
+		t.Fatalf("%d jobs planned, %d done, replicas %v; want 2, 1, %v", st.MigrateTotal, st.MigrateDone, got, want)
+	}
+}

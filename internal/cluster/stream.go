@@ -24,6 +24,9 @@ type Stream struct {
 	// parked between a node failure and a successful failover.
 	node int
 	st   *core.Stream
+	// lost is core's error when the serving node's array lost the stream
+	// while the node stayed up; nil after a node loss or a failover.
+	lost error
 
 	// offset counts bytes handed to the reader; a failover or drain move
 	// reopens the clip at exactly this byte (core.Server.OpenStreamAt).
@@ -85,7 +88,7 @@ func (st *Stream) Read(p []byte) (int, error) {
 		// The serving node hit an unrecoverable parity group (second
 		// disk failure inside the array). Treat it like a node loss for
 		// this stream: another replica may still hold intact parity.
-		st.lostNode()
+		st.lostNode(err)
 		if st.err != nil {
 			return n, st.err
 		}
@@ -95,13 +98,15 @@ func (st *Stream) Read(p []byte) (int, error) {
 	}
 }
 
-// lostNode handles a node-level stream loss discovered mid-read: drop
-// the dead core stream and run the ordinary failover path (which may
-// park the stream or terminate it with ErrStreamLost).
-func (st *Stream) lostNode() {
+// lostNode handles a stream loss inside the serving node's array,
+// discovered mid-read: drop the dead core stream, keep core's reason and
+// run the ordinary failover path (which may park the stream or terminate
+// it with an error wrapping that reason).
+func (st *Stream) lostNode(err error) {
 	if st.st != nil {
 		st.st.Close()
 		st.st = nil
 	}
+	st.lost = err
 	st.c.failover(st)
 }

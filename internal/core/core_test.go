@@ -11,6 +11,7 @@ import (
 
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/recovery"
+	"ftcms/internal/scheme"
 	"ftcms/internal/storage"
 	"ftcms/internal/units"
 )
@@ -624,5 +625,60 @@ func TestDynamicRepair(t *testing.T) {
 	}
 	if got := drainStream(t, s, st, 100); !bytes.Equal(got, want) {
 		t.Fatal("bytes differ after dynamic repair cycle")
+	}
+}
+
+// TestAuditHoldsAtSaturation: each scheme's admission controller, filled
+// through OpenStreamAt at every start block until it refuses, audits
+// clean every round — its per-unit (and per-class) caps hold as the
+// streams rotate, before and after a disk failure.
+func TestAuditHoldsAtSaturation(t *testing.T) {
+	for _, sc := range scheme.All() {
+		t.Run(sc.String(), func(t *testing.T) {
+			s := newServer(t, sc, 12, 4)
+			if err := s.AddClip("v", clipBytes(5, 400*8000)); err != nil {
+				t.Fatal(err)
+			}
+			var streams []*Stream
+			refused := 0
+			for b := int64(0); b < 200; b++ {
+				st, err := s.OpenStreamAt("v", b*8000)
+				if errors.Is(err, ErrAdmission) {
+					refused++
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams = append(streams, st)
+			}
+			if refused == 0 {
+				t.Fatalf("all %d opens admitted; the controller never filled", len(streams))
+			}
+			buf := make([]byte, s.store.Array.BlockSize())
+			for r := 0; r < 16; r++ {
+				if err := s.CheckAdmission(); err != nil {
+					t.Fatalf("round %d, %d streams: %v", r, len(streams), err)
+				}
+				if r == 6 {
+					if err := s.FailDisk(1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Tick(); err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range streams {
+					for {
+						if _, err := st.Read(buf); err != nil {
+							if !errors.Is(err, ErrNoData) {
+								t.Fatalf("round %d: %v", r, err)
+							}
+							break
+						}
+					}
+				}
+			}
+		})
 	}
 }
