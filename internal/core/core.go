@@ -135,7 +135,8 @@ type Stats struct {
 	// unrecoverable-group error.
 	Terminated int
 	// LostBlocks counts blocks the online rebuild had to skip because a
-	// second failure made their group unrecoverable.
+	// second failure made their group unrecoverable, and blocks the
+	// patrol scrub found beyond repair (once each).
 	LostBlocks int64
 	// CorruptionsInjected counts silent-corruption orders that landed on
 	// a written block (fault-injection accounting, not detection).

@@ -30,17 +30,20 @@ type scrubState struct {
 	// and ties by disk: block·d + disk.
 	pos int64
 	// scanned counts the blocks visited; total is the array's written
-	// blocks as the sweep began.
+	// blocks as the sweep began, less lost.
 	scanned, total int
+	// lost holds the blocks the patrol found beyond repair. Sweeps pass
+	// them by, and the set outlives the sweep that found them.
+	lost map[layout.BlockAddr]bool
 }
 
-// seek moves the cursor to the next written block at or after pos and
-// returns its address; ok is false once the sweep is past the array's
-// last block.
+// seek moves the cursor to the next written block not lost at or after
+// pos and returns its address; ok is false once the sweep is past the
+// array's last block.
 func (sc *scrubState) seek(arr *storage.Array) (a layout.BlockAddr, ok bool) {
 	d := int64(arr.Disks())
 	for end := arr.Extent() * d; sc.pos < end; sc.pos++ {
-		if a = (layout.BlockAddr{Disk: int(sc.pos % d), Block: sc.pos / d}); arr.Written(a.Disk, a.Block) {
+		if a = (layout.BlockAddr{Disk: int(sc.pos % d), Block: sc.pos / d}); arr.Written(a.Disk, a.Block) && !sc.lost[a] {
 			return a, true
 		}
 	}
@@ -78,7 +81,7 @@ func (s *Server) scrubStep() {
 	arr := s.store.Array
 	sc := &s.scrub
 	if sc.total == 0 {
-		if sc.total = arr.WrittenBlocks(); sc.total == 0 {
+		if sc.total = arr.WrittenBlocks() - len(sc.lost); sc.total == 0 {
 			return
 		}
 	}
@@ -87,7 +90,7 @@ func (s *Server) scrubStep() {
 		a, ok := sc.seek(arr)
 		if !ok {
 			s.scrubCycles++
-			s.scrub = scrubState{} // next round starts a fresh sweep
+			s.scrub = scrubState{lost: sc.lost} // next round starts a fresh sweep
 			return
 		}
 		if budget == 0 || !s.idle(a) {
@@ -109,15 +112,22 @@ func (s *Server) scrubStep() {
 			// only — scrub repairs, like scrub reads, never intrude on
 			// the round budget.
 			data, rerr := s.repairInPlace(a, err, repairMode{idle: true})
-			if rerr == errRepairStalled {
+			switch {
+			case rerr == errRepairStalled:
 				return // the whole repair retries next round
-			}
-			if rerr == nil {
+			case rerr == nil:
 				s.putBlock(data)
+			default:
+				// The group cannot rebuild the block: under single parity a
+				// second rotten member needs this one for its own repair.
+				// It is lost, counted once; re-reading it would only score
+				// its disk again.
+				if sc.lost == nil {
+					sc.lost = make(map[layout.BlockAddr]bool)
+				}
+				sc.lost[a] = true
+				s.lostBlocks++
 			}
-			// A failed reconstruction (e.g. a second rotten member in the
-			// same group) is skipped: the next cycle retries after the
-			// sibling is repaired.
 		}
 		// Any other error is a hard error or an absent block: the detector
 		// scored what there was to score; patrol moves on.

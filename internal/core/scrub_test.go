@@ -555,3 +555,45 @@ func TestScrubPatrolsQColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestScrubReportsUnrecoverableGroup: two data members of one group rot.
+// Under single parity each one's repair needs the other, so the patrol
+// counts both as detected and lost once, and later sweeps pass them by
+// instead of re-reading them until the detector declares their disks
+// failed. P+Q closes both erasures and repairs them.
+func TestScrubReportsUnrecoverableGroup(t *testing.T) {
+	for _, tc := range []struct {
+		scheme        Scheme
+		repairs, lost int64
+	}{
+		{Declustered, 0, 2},
+		{DeclusteredPQ, 2, 0},
+	} {
+		t.Run(tc.scheme.String(), func(t *testing.T) {
+			cfg := testConfig(tc.scheme, 13, 4)
+			cfg.ScrubRate = -1
+			s, _ := scrubServer(t, cfg, 400_000)
+			g := groupOf(s.lay, 30)
+			for _, a := range g.DataAddr[:2] {
+				if err := s.store.Array.CorruptBits(a.Disk, a.Block, []uint64{9}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for round := 0; round < 400 && s.Stats().ScrubCycles < 4; round++ {
+				tick(t, s, 1)
+				if err := s.CheckAdmission(); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+			st := s.Stats()
+			if st.CorruptionsDetected != 2 || st.CorruptionRepairs != tc.repairs || st.LostBlocks != tc.lost {
+				t.Fatalf("detected/repaired/lost = %d/%d/%d over %d sweeps, want 2/%d/%d",
+					st.CorruptionsDetected, st.CorruptionRepairs, st.LostBlocks, st.ScrubCycles, tc.repairs, tc.lost)
+			}
+			if len(st.FailedDisks) != 0 || st.DetectedFailures != 0 || st.ScrubCycles < 4 {
+				t.Fatalf("disks declared failed %v (%d failures), %d sweeps; want none and 4",
+					st.FailedDisks, st.DetectedFailures, st.ScrubCycles)
+			}
+		})
+	}
+}
