@@ -33,7 +33,7 @@ import (
 // entry names its own; experiments.Run refuses the rest.
 var modeFlags = map[string]string{
 	"-scenario":    "scenario autopilot timeline csv seed subscribers timescale nodes rep",
-	"a single run": "scheme p buffer seed duration rate fail failat rebuild bypass scrub corrupt",
+	"a single run": "scheme p buffer seed duration rate fail failat rebuild bypass",
 }
 
 func main() {
@@ -58,8 +58,6 @@ func main() {
 	timescale := flag.Float64("timescale", 0, "override the scenario's (or scenario sweep's) time compression factor")
 	nodes := flag.Int("nodes", 0, "scenario cluster size (0: default 3; 1: single array)")
 	replication := flag.Int("rep", 0, "scenario replication factor (0: default 2)")
-	scrub := flag.Int("scrub", 0, "patrol scrub rate in verify reads per disk per round (0: off, -1: idle-bounded)")
-	corrupt := flag.String("corrupt", "", "silent-corruption script: disk@sec:blocks[,disk@sec:blocks...]")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -120,10 +118,6 @@ func main() {
 		if buffer == 0 {
 			buffer = experiments.BufferSizes[0]
 		}
-		corruptions, err := parseCorruptions(*corrupt)
-		if err != nil {
-			fatal(err)
-		}
 		var failure []sim.FailureEvent
 		if *failDisk >= 0 {
 			failure = []sim.FailureEvent{{Disk: *failDisk, At: units.Duration(*failAt), Rebuild: *rebuildFlag}}
@@ -140,8 +134,6 @@ func main() {
 			Seed:        *seed,
 			QueueBypass: *bypass,
 			Trace:       failure,
-			ScrubRate:   *scrub,
-			Corruptions: corruptions,
 		})
 		if err != nil {
 			fatal(err)
@@ -155,14 +147,6 @@ func main() {
 		fmt.Printf("mean response     %v\n", res.MeanResponse)
 		fmt.Printf("p95 response      %v\n", res.ResponseP95)
 		fmt.Printf("max queue         %d\n", res.MaxQueue)
-		if len(corruptions) > 0 {
-			fmt.Printf("corruptions       %d injected, %d detected, %d repaired\n",
-				res.CorruptionsInjected, res.CorruptionsDetected, res.CorruptionsRepaired)
-			if res.CorruptionsDetected > 0 {
-				fmt.Printf("mean detection    %v\n", res.MeanDetection)
-			}
-			fmt.Printf("scrub sweeps      %d\n", res.ScrubSweeps)
-		}
 		if *failDisk >= 0 {
 			fmt.Printf("deadline misses   %d\n", res.DeadlineMisses)
 			fmt.Printf("lost blocks       %d\n", res.LostBlocks)
@@ -297,28 +281,6 @@ func runScenario(arg string, opts scenarioOpts) error {
 		return trace.WriteTimelineJSON(out, res.Timeline)
 	}
 	return trace.WriteTimelineCSV(out, res.Timeline)
-}
-
-// parseCorruptions parses "disk@sec:blocks[,disk@sec:blocks...]" into a
-// silent-corruption script.
-func parseCorruptions(s string) ([]sim.CorruptionEvent, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []sim.CorruptionEvent
-	for _, part := range strings.Split(s, ",") {
-		var disk, blocks int
-		var sec float64
-		if _, err := fmt.Sscanf(part, "%d@%f:%d", &disk, &sec, &blocks); err != nil {
-			return nil, fmt.Errorf("bad -corrupt entry %q (want disk@sec:blocks): %v", part, err)
-		}
-		out = append(out, sim.CorruptionEvent{
-			Disk:   disk,
-			At:     units.Duration(sec) * units.Second,
-			Blocks: blocks,
-		})
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -95,6 +95,7 @@ func TestFlagErrors(t *testing.T) {
 		{"-exp figure6 -p 8", "-p does not apply to -exp"},
 		{"-exp doublefault -buffer 2GB", "-buffer does not apply to -exp doublefault"},
 		{"-exp integrity -subscribers 5 -timescale 3", "-subscribers does not apply to -exp integrity"},
+		{"-exp integrity -buffer 2GB", "-buffer does not apply to -exp integrity"},
 		{"-scenario steady -subscribers 2000 -timescale 2880 -p 8", "-p does not apply to -scenario"},
 		{"-scenario steady -rate 99", "-rate does not apply to -scenario"},
 		{"-scenario steady -fail 3", "-fail does not apply to -scenario"},

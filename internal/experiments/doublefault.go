@@ -81,6 +81,46 @@ func DoubleFaultSweep(seed int64) ([]DoubleFaultPoint, error) {
 	})
 }
 
+// track is one playing stream, checked byte for byte against its clip.
+type track struct {
+	st   *core.Stream
+	want []byte
+	got  int64
+	err  error
+	done bool
+}
+
+// exact reports whether the track played its whole clip to EOF.
+func (tr *track) exact() bool {
+	return tr.done && errors.Is(tr.err, io.EOF) && tr.got == int64(len(tr.want))
+}
+
+// tickAndRead runs one round, then drains what each track's stream has
+// delivered, checking every byte against its clip. It reports whether
+// every track has ended, at EOF or with the stream lost.
+func tickAndRead(s *core.Server, tracks []*track, buf []byte) (bool, error) {
+	if err := s.Tick(); err != nil {
+		return false, err
+	}
+	allDone := true
+	for _, tr := range tracks {
+		for !tr.done {
+			n, rerr := tr.st.Read(buf)
+			if end := tr.got + int64(n); end <= int64(len(tr.want)) && !bytes.Equal(buf[:n], tr.want[tr.got:end]) {
+				return false, fmt.Errorf("corrupt byte at offset %d", tr.got)
+			}
+			tr.got += int64(n)
+			if errors.Is(rerr, io.EOF) || errors.Is(rerr, core.ErrStreamLost) {
+				tr.done, tr.err = true, rerr
+			} else if n == 0 {
+				break
+			}
+		}
+		allDone = allDone && tr.done
+	}
+	return allDone, nil
+}
+
 // doubleFaultTargets picks the two disks E18 fail-stops: block 0's own
 // disk and its group's P disk, in the (13, 4) P+Q geometry. Both
 // schemes fail the same physical disks.
@@ -116,13 +156,6 @@ func doubleFaultRun(scheme core.Scheme, seed int64) (DoubleFaultPoint, error) {
 			return DoubleFaultPoint{}, err
 		}
 	}
-	type track struct {
-		st   *core.Stream
-		want []byte
-		got  int64
-		err  error
-		done bool
-	}
 	var tracks []*track
 	for _, name := range []string{"a", "b", "c"} {
 		st, err := s.OpenStream(name)
@@ -134,37 +167,17 @@ func doubleFaultRun(scheme core.Scheme, seed int64) (DoubleFaultPoint, error) {
 	pt := DoubleFaultPoint{Scheme: scheme, Streams: len(tracks)}
 	buf := make([]byte, 64<<10)
 	for round := 0; round < 4000; round++ {
-		if err := s.Tick(); err != nil {
-			return DoubleFaultPoint{}, err
+		done, err := tickAndRead(s, tracks, buf)
+		if err != nil {
+			return DoubleFaultPoint{}, fmt.Errorf("%s: %w", scheme, err)
 		}
-		allDone := true
-		for _, tr := range tracks {
-			for !tr.done {
-				n, rerr := tr.st.Read(buf)
-				if n > 0 {
-					if tr.got+int64(n) <= int64(len(tr.want)) &&
-						!bytes.Equal(buf[:n], tr.want[tr.got:tr.got+int64(n)]) {
-						return DoubleFaultPoint{}, fmt.Errorf("%s: corrupt byte at offset %d", scheme, tr.got)
-					}
-					tr.got += int64(n)
-				}
-				if errors.Is(rerr, io.EOF) || errors.Is(rerr, core.ErrStreamLost) {
-					tr.done, tr.err = true, rerr
-					break
-				}
-				if n == 0 {
-					break
-				}
-			}
-			allDone = allDone && tr.done
-		}
-		if allDone {
+		if done {
 			break
 		}
 	}
 	for _, tr := range tracks {
 		switch {
-		case tr.done && errors.Is(tr.err, io.EOF) && tr.got == int64(len(tr.want)):
+		case tr.exact():
 			pt.Completed++
 		case tr.done && errors.Is(tr.err, core.ErrStreamLost):
 			pt.Lost++

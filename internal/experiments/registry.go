@@ -99,10 +99,11 @@ var Registry = []Experiment{
 			return fmt.Sprintf("E14 — cluster scaling and node-failure survival (B=%v per node, λ=%g/s, %v, fail node 0 at %v)",
 				p.Buffer, clusterArrivalRate, clusterDuration, clusterDuration/2), pts, err
 		})},
-	{Name: "integrity", ID: "E17", Cmd: "cmsim", Doc: "patrol scrub rate vs. a silent-corruption campaign", Flags: "buffer seed",
+	{Name: "integrity", ID: "E17", Cmd: "cmsim", Doc: "patrol scrub rate vs. a silent-corruption campaign", Flags: "seed",
 		Render: table(CorruptionColumns, trace.WriteText, func(p Params) (string, []CorruptionPoint, error) {
-			pts, err := CorruptionSweep(p.Buffer, p.Seed)
-			return fmt.Sprintf("E17 — patrol scrub vs. silent corruption (declustered p=4, B=%v, 80 rotten blocks)", p.Buffer), pts, err
+			pts, err := CorruptionSweep(p.Seed)
+			return fmt.Sprintf("E17 — patrol scrub vs. silent corruption (declustered d=13, p=4, %d clips, %d played; %d rotten cold blocks at round %d; %d rounds)",
+				scrubClips, scrubHot, scrubRotBlocks, scrubRotAt, scrubRounds), pts, err
 		})},
 	{Name: "doublefault", ID: "E18", Cmd: "cmsim", Doc: "two overlapping disk failures: single parity vs P+Q", Flags: "seed",
 		Render: table(DoubleFaultColumns, trace.WriteText, func(p Params) (string, []DoubleFaultPoint, error) {

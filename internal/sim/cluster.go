@@ -29,9 +29,8 @@ import (
 type ClusterConfig struct {
 	// Node is the per-node template: scheme, disk model, geometry, buffer
 	// and catalog, plus the cluster-level workload knobs (ArrivalRate or
-	// Source, Duration, Seed, QueueBypass). Node.Trace, Node.ScrubRate
-	// and Node.Corruptions are ignored — failures happen at node
-	// granularity via NodeTrace.
+	// Source, Duration, Seed, QueueBypass). Node.Trace is ignored —
+	// failures happen at node granularity via NodeTrace.
 	Node Config
 	// Nodes is the cluster size.
 	Nodes int
@@ -95,8 +94,8 @@ type ClusterResult struct {
 	// array (failovers are not re-counted in Serviced; PeakActive counts
 	// live nodes' streams); Block, Q and F echo the per-node operating
 	// point, and timeline buckets carry per-node active counts and the
-	// view version. Its per-disk failure and scrub fields stay zero:
-	// cluster nodes run no disk scripts.
+	// view version. Its per-disk failure fields stay zero: cluster nodes
+	// run no disk scripts.
 	Result
 	// Shed counts new lean-back requests the autopilot's degradation
 	// mode turned away at arrival. Shed requests never enter the
@@ -133,11 +132,10 @@ type ClusterResult struct {
 }
 
 // RunCluster executes a multi-node simulation: the round loop over
-// cfg.Nodes nodes with their per-disk scripts cleared — single-disk
-// failures, scrubbing and corruption are node internals this tier does
-// not model.
+// cfg.Nodes nodes with their failure traces cleared — single-disk
+// failures are node internals this tier does not model.
 func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
-	cfg.Node.Trace, cfg.Node.ScrubRate, cfg.Node.Corruptions = nil, 0, nil
+	cfg.Node.Trace = nil
 	return simulate(cfg)
 }
 
@@ -163,7 +161,6 @@ func simulate(cfg ClusterConfig) (ClusterResult, error) {
 		r.admit()
 		for _, e := range r.nodes {
 			e.failureStep(now)
-			e.scrubStep(now)
 		}
 		r.failNodes()
 		if err := r.applyViewEvents(); err != nil {
@@ -764,7 +761,6 @@ func (r *run) finish(totalRounds int64) ClusterResult {
 	r.res.ViewVersion = r.viewVersion
 	rebuildsReq := 0
 	for _, e := range r.nodes {
-		e.finishScrub()
 		rebuildsReq += e.rebuildsReq
 	}
 	r.res.RebuildDone = rebuildsReq > 0 && r.res.RebuildsDone == rebuildsReq

@@ -101,9 +101,6 @@ func (e *engine) failureStep(now int64) {
 			e.rebuildsReq++
 		}
 		e.failures = append(e.failures, f)
-		// The dead disk takes its undetected rot with it: the rebuild
-		// writes clean reconstructed blocks (scrub.go).
-		e.dropRot(ev.Disk)
 	}
 
 	for idx := 0; idx < len(e.failures); {

@@ -6,10 +6,10 @@
 //
 // There is one round loop (simulate, cluster.go) over one node type
 // (engine, this file): a node is a d-disk array with its own admission
-// controller, buffer pool and per-disk failure and scrub accounting, and
-// the loop is the control plane in front of n of them — pending list,
-// routing, node failover, membership changes, autopilot. Run is that loop
-// with one node; RunCluster is the same loop with n.
+// controller, buffer pool and per-disk failure accounting, and the loop
+// is the control plane in front of n of them — pending list, routing,
+// node failover, membership changes, autopilot. Run is that loop with one
+// node; RunCluster is the same loop with n.
 //
 // The paper's experiment: 32 disks, 1000 clips of 50 time units, Poisson
 // arrivals at mean 20 per unit time, uniform clip choice, per-scheme
@@ -88,13 +88,6 @@ type Config struct {
 	// Timeline, when non-nil, records a per-bucket demand/service
 	// timeline in Result.Timeline.
 	Timeline *TimelineConfig
-	// ScrubRate caps the patrol scrubber's verify reads per disk per
-	// round. 0 disables scrubbing (corruption then stays latent);
-	// negative means the sweep is bounded only by each disk's idle
-	// capacity under q.
-	ScrubRate int
-	// Corruptions scripts silent at-rest corruption events (scrub.go).
-	Corruptions []CorruptionEvent
 }
 
 // Models reports whether the simulator models s: the single-parity
@@ -160,17 +153,6 @@ type Result struct {
 	RebuildDone bool
 	// RebuildsDone counts completed online rebuilds across the trace.
 	RebuildsDone int
-	// CorruptionsInjected, CorruptionsDetected and CorruptionsRepaired
-	// trace the silent-corruption pipeline: blocks rotted by the script,
-	// blocks the patrol scrub caught, and blocks whose reconstruction
-	// reads were paid from idle capacity.
-	CorruptionsInjected, CorruptionsDetected, CorruptionsRepaired int64
-	// MeanDetection is the mean injection→detection latency of detected
-	// corruptions (zero when nothing was detected).
-	MeanDetection units.Duration
-	// ScrubSweeps counts completed full-array patrol sweeps (the minimum
-	// over disks).
-	ScrubSweeps int64
 }
 
 // clip is one active stream. Failure accounting reads the controllers'
@@ -185,7 +167,7 @@ type clip struct {
 }
 
 // Run executes the simulation of one array: the round loop with a single
-// node, whose per-disk scripts (Trace, ScrubRate, Corruptions) are live.
+// node, whose failure Trace is live.
 func Run(cfg Config) (Result, error) {
 	res, err := simulate(ClusterConfig{Node: cfg, Nodes: 1})
 	// A single array's timeline has no per-node column.
@@ -231,12 +213,8 @@ type engine struct {
 	failures    []*failureState
 	rebuildsReq int
 
-	// Integrity state (scrub.go); nil when the run scripts neither
-	// corruption nor scrubbing.
-	scrub *scrubModel
-
-	// res receives the per-disk accounting of failure.go and scrub.go. It
-	// is the run's one Result, shared by its nodes.
+	// res receives the per-disk accounting of failure.go. It is the
+	// run's one Result, shared by its nodes.
 	res *Result
 }
 
@@ -300,9 +278,6 @@ func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
 	}
 	e.randomPositions(sc.Grid(d, p, t))
 	if e.trace, err = orderedTrace(cfg.Trace, "disk", d); err != nil {
-		return nil, err
-	}
-	if err := e.initScrub(); err != nil {
 		return nil, err
 	}
 	return e, nil

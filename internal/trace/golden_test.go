@@ -10,7 +10,6 @@ import (
 	"ftcms/internal/scheme"
 	"ftcms/internal/sim"
 	"ftcms/internal/trace"
-	"ftcms/internal/units"
 )
 
 // TestGoldenOutputs pins every writer's exact bytes — header, column
@@ -53,10 +52,10 @@ func TestGoldenOutputs(t *testing.T) {
 			"2.5,300,290,12,0,-1,295,44,3\n"},
 		{"Corruption", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.CorruptionColumns, []experiments.CorruptionPoint{
-				{Rate: -1, Serviced: 2900, Injected: 80, Detected: 79, Repaired: 78,
-					MeanDetection: 12 * units.Second, Sweeps: 3}})
-		}, "scrub_rate,serviced,injected,detected,repaired,mean_detection_s,sweeps\n" +
-			"-1,2900,80,79,78,12.000000,3\n"},
+				{Rate: -1, Injected: 40, Detected: 39, Repaired: 38, MeanDetection: 7.25,
+					Sweeps: 3, Blocks: 1344, Exact: 2, Hiccups: 1, Failures: 0}})
+		}, "scrub_rate,injected,detected,repaired,mean_detection_rounds,sweeps,sweep_blocks,exact_streams,hiccups,failed_disks\n" +
+			"-1,40,39,38,7.2,3,1344,2,1,0\n"},
 		{"DoubleFault", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.DoubleFaultColumns, []experiments.DoubleFaultPoint{
 				{Scheme: core.DeclusteredPQ, Streams: 24, Completed: 23, Lost: 1, Hiccups: 2,

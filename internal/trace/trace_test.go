@@ -155,10 +155,8 @@ func TestWriteClusterCSV(t *testing.T) {
 
 func TestWriteCorruptionCSV(t *testing.T) {
 	points := []experiments.CorruptionPoint{
-		{Rate: -1, Serviced: 2900, Injected: 80, Detected: 80, Repaired: 80,
-			MeanDetection: 12 * units.Second, Sweeps: 3},
-		{Rate: 2, Serviced: 2900, Injected: 80, Detected: 41, Repaired: 41,
-			MeanDetection: 300 * units.Second, Sweeps: 0},
+		{Rate: -1, Injected: 40, Detected: 40, Repaired: 40, MeanDetection: 7.7, Sweeps: 48, Blocks: 1344, Exact: 2},
+		{Rate: 2, Injected: 40, Detected: 21, Repaired: 21, MeanDetection: 300, Sweeps: 0, Blocks: 1344, Exact: 2},
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, experiments.CorruptionColumns, points); err != nil {
@@ -168,10 +166,10 @@ func TestWriteCorruptionCSV(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(rows))
 	}
-	if rows[0][0] != "scrub_rate" || rows[0][6] != "sweeps" {
+	if rows[0][0] != "scrub_rate" || rows[0][5] != "sweeps" {
 		t.Fatalf("header %v", rows[0])
 	}
-	if rows[1][0] != "-1" || rows[1][3] != "80" || rows[2][4] != "41" {
+	if rows[1][0] != "-1" || rows[1][2] != "40" || rows[2][3] != "21" {
 		t.Fatalf("rows %v", rows[1:])
 	}
 	for _, n := range []int{0, 10} {
