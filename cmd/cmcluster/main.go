@@ -211,7 +211,7 @@ func main() {
 	clipKB := flag.Int("clipkb", 256, "clip size in KB")
 	speed := flag.Float64("speed", 100, "time acceleration factor")
 	spares := flag.Int("spares", 1, "per-node hot spares for automatic online rebuild")
-	scrub := flag.Int("scrub", -1, "per-node patrol scrub rate in verify reads per disk per round (0: off, -1: idle-bounded)")
+	scrub := flag.Int("scrub", -1, "per-node patrol scrub budget in verify reads per round across the node's array (0: off, -1: idle-bounded)")
 	wtimeout := flag.Duration("wtimeout", 10*time.Second, "per-client write deadline")
 	autopilotOn := flag.Bool("autopilot", false, "start with the closed-loop controller enabled (AUTOPILOT on|off toggles it live)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")

@@ -61,14 +61,19 @@ type Controller interface {
 // Static enforces the two-level condition shared by the declustered
 // (§4.2) and flat pre-fetching (§6.2) schemes:
 //
-//	(a) clips per disk             <= q − f
-//	(b) clips per (disk, class)    <= f
+//	(a) clips per unit             <= q − f
+//	(b) clips per (unit, class)    <= f
 //
 // where class is the PGT row (declustered) or the parity-target residue
-// level mod (d−(p−1)) (flat). Both disk and class advance in lockstep
+// level mod (d−(p−1)) (flat). Both unit and class advance in lockstep
 // with rounds, so occupancy is tracked per phase in Z_{d·m}. With f = 0
 // nothing is reserved and (b) lifts to q, leaving the cap q per unit that
 // the clustered schemes admit by (§6.1, §7.3, §7.4).
+//
+// A unit is what one stream reads a block from each round: a disk under
+// the declustered and flat schemes; the k-th data disk, parity disks
+// skipped, under pre-fetching with parity disks and under non-clustered;
+// a cluster under streaming RAID, which reads a whole group a round.
 type Static struct {
 	d, m, q, f int
 	cellCap    int   // (b)'s cap: f, or q when f = 0
@@ -148,16 +153,16 @@ func (s *Static) CellLoad(now int64, i, class int) int {
 	return s.cell[cell]
 }
 
-// Audit implements Controller: per-disk load within q−f and per-(disk,
+// Audit implements Controller: per-unit load within q−f and per-(unit,
 // class) load within f (within q when f = 0).
 func (s *Static) Audit(now int64) error {
 	for i := 0; i < s.d; i++ {
 		if l := s.DiskLoad(now, i); l > s.q-s.f {
-			return fmt.Errorf("admission: disk %d booked %d streams > q-f=%d", i, l, s.q-s.f)
+			return fmt.Errorf("admission: unit %d booked %d streams > q-f=%d", i, l, s.q-s.f)
 		}
 		for c := 0; c < s.m; c++ {
 			if l := s.CellLoad(now, i, c); l > s.cellCap {
-				return fmt.Errorf("admission: disk %d class %d booked %d streams > cap %d", i, c, l, s.cellCap)
+				return fmt.Errorf("admission: unit %d class %d booked %d streams > cap %d", i, c, l, s.cellCap)
 			}
 		}
 	}
