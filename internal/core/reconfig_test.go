@@ -300,7 +300,7 @@ func TestAddDiskAfterAbortedImport(t *testing.T) {
 // resumes to completion after repair.
 func TestAddDiskPausesWhileUnhealthy(t *testing.T) {
 	s := newServer(t, Declustered, 6, 3)
-	if err := s.AddClip("movie", clipBytes(44, 200_000)); err != nil {
+	if err := s.AddClip("movie", clipBytes(44, 1_000_000)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddDisk(); err != nil {
@@ -310,7 +310,7 @@ func TestAddDiskPausesWhileUnhealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.Stats().RelayoutPending == 0 {
-		t.Skip("re-layout finished in one round; cannot observe the pause")
+		t.Fatal("re-layout finished in one round; cannot observe the pause")
 	}
 	if err := s.FailDisk(2); err != nil {
 		t.Fatal(err)
@@ -337,6 +337,30 @@ func TestAddDiskPausesWhileUnhealthy(t *testing.T) {
 	}
 	if s.Disks() != 7 {
 		t.Fatalf("Disks = %d, want 7", s.Disks())
+	}
+}
+
+// Clip imports and the re-layout exclude each other, both ways: AddDisk
+// refuses while an import is in flight, and BeginClipImport refuses while
+// a re-layout runs.
+func TestImportAndRelayoutExclude(t *testing.T) {
+	s := newServer(t, Declustered, 6, 3)
+	if err := s.BeginClipImport("in", 100_000); err != nil {
+		t.Fatal(err)
+	}
+	const importing = "core: clip imports in flight; retry after they commit"
+	if err := s.AddDisk(); err == nil || err.Error() != importing {
+		t.Fatalf("AddDisk during an import: %v, want %s", err, importing)
+	}
+	if err := s.AbortClipImport("in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDisk(); err != nil {
+		t.Fatal(err)
+	}
+	const relayouting = "core: re-layout in progress; retry after it completes"
+	if err := s.BeginClipImport("late", 100_000); err == nil || err.Error() != relayouting {
+		t.Fatalf("BeginClipImport during a re-layout: %v, want %s", err, relayouting)
 	}
 }
 

@@ -7,14 +7,12 @@ import "unsafe"
 // polynomials over GF(2) modulo x^8 + x^4 + x^3 + x^2 + 1 (0x11d), with
 // generator g = 2.
 //
-// Two representations back two speed classes:
-//
-//   - exp/log and a full 64 KB multiplication table serve the
-//     reconstruction path, where the multiplier constants vary per lost
-//     block (one table lookup per byte);
-//   - the encode path never multiplies by anything but g, so Q is built
-//     by Horner's rule with a word-sliced multiply-by-2 kernel that
-//     processes eight field elements per uint64 operation.
+// Q has one evaluation: Horner's rule, whose only multiply is by g, so
+// its bulk loop is a word-sliced multiply-by-2 kernel that processes
+// eight field elements per uint64 operation. Reconstruction multiplies
+// by constants that vary per lost block; those go through exp/log, and
+// a block scaled by one constant c looks each byte up in c's 256-byte
+// product row, built on demand from exp/log (mulRow).
 
 // gfPoly is the reduction polynomial x^8+x^4+x^3+x^2+1.
 const gfPoly = 0x11d
@@ -25,8 +23,6 @@ var (
 	gfExpT [510]byte
 	// gfLogT[a] = log_g(a) for a != 0.
 	gfLogT [256]int
-	// gfMulT[a][b] = a·b — the 64 KB full product table.
-	gfMulT [256][256]byte
 )
 
 func init() {
@@ -42,15 +38,15 @@ func init() {
 	for i := 255; i < len(gfExpT); i++ {
 		gfExpT[i] = gfExpT[i-255]
 	}
-	for a := 1; a < 256; a++ {
-		for b := 1; b < 256; b++ {
-			gfMulT[a][b] = gfExpT[gfLogT[a]+gfLogT[b]]
-		}
-	}
 }
 
 // GMul multiplies two field elements.
-func GMul(a, b byte) byte { return gfMulT[a][b] }
+func GMul(a, b byte) byte {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return gfExpT[gfLogT[a]+gfLogT[b]]
+}
 
 // GExp returns g^k for k >= 0 — the Q coefficient of the data block at
 // group position k.
@@ -97,24 +93,37 @@ func words(b []byte, w int) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), w)
 }
 
-// gfQStep is one Horner step: dst = g·dst ^ src, element-wise. Equal
-// lengths are the caller's contract (QEncode checks once).
+// gfQStep is one Horner step: dst = g·dst ^ src, element-wise. A nil
+// src is a zero block: the step only doubles. Otherwise equal lengths
+// are the caller's contract (QEncode checks once).
 func gfQStep(dst, src []byte) {
+	n := 0
 	if w := len(dst) >> 3; w > 0 && aligned8(dst) && aligned8(src) {
-		dw, sw := words(dst, w), words(src, w)
-		for i := range dw {
-			dw[i] = gfMul2Word(dw[i]) ^ sw[i]
+		dw := words(dst, w)
+		if src == nil {
+			for i := range dw {
+				dw[i] = gfMul2Word(dw[i])
+			}
+		} else {
+			sw := words(src, w)
+			for i := range dw {
+				dw[i] = gfMul2Word(dw[i]) ^ sw[i]
+			}
 		}
-		n := w << 3
-		dst, src = dst[n:], src[n:]
+		n = w << 3
 	}
-	// Misaligned/tail path: bytes through the product table.
-	m2 := &gfMulT[2]
-	for i := range dst {
-		dst[i] = m2[dst[i]] ^ src[i]
+	for i := n; i < len(dst); i++ { // misaligned or tail: byte by byte
+		dst[i] = dst[i]<<1 ^ (dst[i]>>7)*0x1d
+		if src != nil {
+			dst[i] ^= src[i]
+		}
 	}
 }
 
-// mulRow is a convenience for the table row pointer: row c multiplies
-// by the constant c.
-func mulRow(c byte) *[256]byte { return &gfMulT[c] }
+// mulRow returns the product row of the constant c: row[a] = c·a.
+func mulRow(c byte) (row [256]byte) {
+	for a := range row {
+		row[a] = GMul(c, byte(a))
+	}
+	return row
+}

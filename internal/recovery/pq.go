@@ -14,33 +14,20 @@ import "fmt"
 
 // QEncode sets dst to the Q parity of srcs: Σ g^k·srcs[k], evaluated by
 // Horner's rule so the inner loop is the word-sliced multiply-by-2
-// kernel plus an XOR — no table lookups on the bulk path. All slices
-// must share dst's length; dst must not alias any source. With zero
-// sources dst is zeroed.
+// kernel plus an XOR — no table lookups on the bulk path. A nil source
+// is a zero block: it keeps its position's coefficient and adds nothing,
+// which is how a syndrome leaves lost members out. All other slices must
+// share dst's length; dst must not alias any source. With zero sources
+// dst is zeroed.
 func QEncode(dst []byte, srcs ...[]byte) {
 	for _, s := range srcs {
-		aliasCheck(dst, s, "QEncode")
+		if s != nil {
+			aliasCheck(dst, s, "QEncode")
+		}
 	}
 	clear(dst)
 	for i := len(srcs) - 1; i >= 0; i-- {
 		gfQStep(dst, srcs[i])
-	}
-}
-
-// MulAccum accumulates dst ^= c·src element-wise — the arbitrary-
-// constant path used when folding one member into a Q syndrome.
-func MulAccum(dst, src []byte, c byte) {
-	aliasCheck(dst, src, "MulAccum")
-	switch c {
-	case 0:
-		return
-	case 1:
-		XORInto(dst, src)
-		return
-	}
-	row := mulRow(c)
-	for i := range dst {
-		dst[i] ^= row[src[i]]
 	}
 }
 
@@ -127,8 +114,11 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		}
 	}
 	// others collects the present data blocks, excluding positions x, y,
-	// followed by P — on the stack for groups up to 16 wide: this too runs
-	// once per degraded read.
+	// followed by P; qSyndrome sets dst to Q ⊕ Σ_{k∉{x,y}} g^k·D_k, the
+	// data with nil at x and y through QEncode. x == y when one data
+	// block is lost. Both build their source list in one stack array, for
+	// groups up to 16 wide: this too runs once per degraded read, and each
+	// list is used up before the next.
 	var stack [16][]byte
 	others := func(x, y int) [][]byte {
 		out := stack[:0]
@@ -139,6 +129,12 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		}
 		return append(out, p)
 	}
+	qSyndrome := func(dst []byte, x, y int) {
+		srcs := append(stack[:0], data...)
+		srcs[x], srcs[y] = nil, nil
+		QEncode(dst, srcs...)
+		XORInto(dst, q)
+	}
 
 	if len(missing) == 1 {
 		switch x := m[0]; {
@@ -147,7 +143,7 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		case x == iQ:
 			QEncode(q, data...)
 		default:
-			XOR(data[x], others(x, -1)...)
+			XOR(data[x], others(x, x)...)
 		}
 		return nil
 	}
@@ -158,26 +154,15 @@ func RecoverPQ(data [][]byte, p, q []byte, missing []int) error {
 		XOR(p, data...)
 		QEncode(q, data...)
 	case y == iQ && x < nd: // one data block and Q: data via P, then Q.
-		XOR(data[x], others(x, -1)...)
+		XOR(data[x], others(x, x)...)
 		QEncode(q, data...)
 	case y == iP: // one data block and P: data via Q, then P.
-		buf := data[x]
-		copy(buf, q)
-		for k, d := range data {
-			if k != x {
-				MulAccum(buf, d, GExp(k))
-			}
-		}
-		MulConst(buf, GInv(GExp(x)))
+		qSyndrome(data[x], x, x) // g^x·D_x
+		MulConst(data[x], GInv(GExp(x)))
 		XOR(p, data...)
 	default: // two data blocks: the full two-erasure solve.
 		XOR(data[x], others(x, y)...)
-		copy(data[y], q)
-		for k, d := range data {
-			if k != x && k != y {
-				MulAccum(data[y], d, GExp(k))
-			}
-		}
+		qSyndrome(data[y], x, y)
 		SolveTwoData(data[x], data[y], x, y)
 	}
 	return nil

@@ -174,9 +174,10 @@ func (s *Store) parityOf(g layout.Group, r run) (p, q []byte, err error) {
 		q = s.GetBlock()
 		clear(q)
 	}
+	// Last member first: Q folds in by Horner's rule, Σ g^j·D_j.
 	bs, end := int64(len(member)), int64(len(r.data))
-	for j, a := range g.DataAddr {
-		b := member
+	for j := len(g.DataAddr) - 1; j >= 0; j-- {
+		a, b := g.DataAddr[j], member
 		if k := r.index(g.Data[j]); k < 0 {
 			err = s.Array.ReadZeroInto(a.Disk, a.Block, member)
 		} else {
@@ -192,7 +193,7 @@ func (s *Store) parityOf(g layout.Group, r run) (p, q []byte, err error) {
 		}
 		XORInto(p, b)
 		if q != nil {
-			MulAccum(q, b, GExp(j))
+			gfQStep(q, b)
 		}
 	}
 	return p, q, nil
