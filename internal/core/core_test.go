@@ -194,9 +194,10 @@ var allSchemes = []struct {
 // and leaves every (disk, block) record exactly as writing it block by
 // block through WriteBlock, zero-padded, does — under all seven schemes,
 // the dynamic scheme's strided rows included. The clips are not whole
-// groups long, so a clip's first group straddles the one before.
+// groups long, so a clip's first group straddles the one before, and the
+// last is long enough for the pool to fill its groups.
 func TestAddClipMatchesPerBlockWrites(t *testing.T) {
-	sizes := []int{123_456, 8000, 50_001, 24_000, 7_999, 16_001, 40_000}
+	sizes := []int{123_456, 8000, 50_001, 24_000, 7_999, 16_001, 40_000, 2_000_001}
 	for _, c := range allSchemes {
 		s, ref := newServer(t, c.scheme, c.d, c.p), newServer(t, c.scheme, c.d, c.p)
 		bs := int64(s.store.Array.BlockSize())

@@ -42,10 +42,12 @@ func parsePackage(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 // helpers. Whole independent jobs fan out on the pool: the live cluster's
 // node rounds (cluster.Tick, one node's whole stack per worker) and the
 // experiment sweeps' cells, so cluster and experiments import it. Inside an
-// array's round only the rebuild's byte pass does, which touches bytes
-// alone while the round's goroutine waits, so in core only the rebuild's
-// file imports it.
+// array two byte passes do, each touching bytes alone while the owner waits
+// and decides everything before and after: the rebuild's (core's
+// rebuild.go) and the ingest's, which writes a run's groups
+// (recovery.go). Those two files are the only others that import it.
 func TestOneGoroutinePerArray(t *testing.T) {
+	bytePasses := map[string]string{"core": "rebuild.go", "recovery": "recovery.go"}
 	fset := token.NewFileSet()
 	ents, err := os.ReadDir("..")
 	if err != nil {
@@ -70,7 +72,7 @@ func TestOneGoroutinePerArray(t *testing.T) {
 				case (p == "sync" || p == "sync/atomic") && pkg != "parallel",
 					p == "time" && pkg != "cliutil",
 					p == "ftcms/internal/parallel" && pkg != "cluster" && pkg != "experiments" &&
-						(pkg != "core" || filepath.Base(fset.Position(imp.Pos()).Filename) != "rebuild.go"):
+						bytePasses[pkg] != filepath.Base(fset.Position(imp.Pos()).Filename):
 					t.Errorf("%s: %s imports %s", fset.Position(imp.Pos()), pkg, p)
 				}
 			}

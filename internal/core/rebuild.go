@@ -128,7 +128,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 			err = arr.Write(a.Disk, a.Block, data)
 			s.putBlock(data)
 		case e.dst != nil:
-			err = arr.Install(a.Disk, a.Block, e.sum)
+			err = arr.Install(a.Disk, a.Block, e.dst, e.sum)
 		}
 		if err != nil {
 			return true // spare crashed mid-write; abandon
@@ -159,10 +159,13 @@ func (s *Server) planBatch(rb *rebuildState) []rebuildJob {
 		}
 		e := &s.batch[n]
 		a := layout.BlockAddr{Disk: rb.disk, Block: rb.queue[rb.next+n].Block}
-		e.lost, e.ok = false, false
-		if e.dst = s.store.Array.Reserve(a.Disk, a.Block); e.dst == nil {
+		e.lost, e.ok, e.dst = false, false, nil
+		if s.store.Array.NextOwed(a.Disk, a.Block) != a.Block {
 			e.read = e.read[:0]
 			continue // a stream's repair installed it already
+		}
+		if e.dst, _ = s.store.Array.Reserve(a.Disk, a.Block); e.dst == nil { // a spare takes writes
+			e.dst = make([]byte, s.store.Array.BlockSize()) // a lent slot's bytes stay with their holders
 		}
 		var err error
 		t := s.lay.GroupAt(a, &e.g)

@@ -364,6 +364,55 @@ func TestImportAndRelayoutExclude(t *testing.T) {
 	}
 }
 
+// TestIngestArgumentErrors holds each argument check of the ingest API to its
+// error, in a sequence that reaches every one: an import block out of order,
+// of the wrong length or past the payload, a commit before the last block,
+// an AddClip under an import's name, and a migration read outside the payload
+// or into a buffer of the wrong length.
+func TestIngestArgumentErrors(t *testing.T) {
+	s := newServer(t, Declustered, 6, 3)
+	bs := s.store.Array.BlockSize()
+	block := make([]byte, bs)
+	if err := s.AddClip("stored", clipBytes(3, 2*bs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BeginClipImport("in", int64(2*bs)); err != nil {
+		t.Fatal(err)
+	}
+	importBlock := func(n int64, b []byte) func() error {
+		return func() error {
+			ok, err := s.ImportClipBlockIdle("in", n, b)
+			if err == nil && !ok {
+				err = errors.New("stalled")
+			}
+			return err
+		}
+	}
+	readBlock := func(n int64, dst []byte) func() error {
+		return func() error { _, err := s.ReadClipBlockIdleInto("stored", n, dst); return err }
+	}
+	for _, c := range []struct {
+		name string
+		do   func() error
+		want string // "" for a step that must succeed
+	}{
+		{"first block", importBlock(0, block), ""},
+		{"out of order", importBlock(0, block), `core: import "in" block 0 out of order (next is 1)`},
+		{"short block", importBlock(1, block[1:]), `core: import "in" block 1: 7999 bytes, want 8000`},
+		{"early commit", func() error { _, err := s.CommitClipImport("in"); return err }, `core: import "in" incomplete: 1/2 blocks`},
+		{"AddClip over an import", func() error { return s.AddClip("in", block) }, `core: clip "in" import in flight`},
+		{"last block", importBlock(1, block), ""},
+		{"past the payload", importBlock(2, block), `core: import "in" block 2 beyond payload (2 blocks)`},
+		{"read before the payload", readBlock(-1, block), `core: clip "stored" block -1 outside payload`},
+		{"read past the payload", readBlock(2, block), `core: clip "stored" block 2 outside payload`},
+		{"read into a short buffer", readBlock(1, block[1:]), `core: clip "stored" block 1: dst 7999 bytes, want 8000`},
+	} {
+		if err := c.do(); c.want == "" && err != nil || c.want != "" && (err == nil || err.Error() != c.want) {
+			t.Fatalf("%s: %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 // AddDisk on an unsupported scheme errors cleanly.
 func TestAddDiskUnsupportedScheme(t *testing.T) {
 	s := newServer(t, StreamingRAID, 6, 3)

@@ -1,9 +1,9 @@
 // Package parallel provides the small bounded worker pool the experiment
-// sweeps and the cluster's per-node rounds fan out on. Inside one array's
-// round only the online rebuild's byte pass does, once per rebuild batch:
-// its jobs verify and reconstruct bytes and touch nothing else while the
-// round's goroutine waits (core/rebuild.go). Its width is
-// runtime.GOMAXPROCS(0): Go's own knob is the only one.
+// sweeps and the cluster's per-node rounds fan out on. Inside one array two
+// byte passes do, touching bytes alone while the array's goroutine waits and
+// decides the rest: the rebuild's, per rebuild batch (core/rebuild.go), and
+// the ingest's, per batch of a clip write's groups (recovery.Store.WriteRun).
+// Its width is runtime.GOMAXPROCS(0): Go's own knob is the only one.
 //
 // The determinism contract: work items are addressed by index, every
 // worker writes only its own item's slot, and errors are reported as the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ftcms/internal/layout"
@@ -215,6 +217,60 @@ func FuzzWriteRun(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWriteRunSameAtAnyProcs holds the ingest's byte pass to its one-core
+// loop: a run of many pool-filled batches, its last block short, between
+// stored neighbours that share its edge groups, leaves the same records,
+// checksums and held index at GOMAXPROCS 1 and 4. Single parity and P+Q.
+func TestWriteRunSameAtAnyProcs(t *testing.T) {
+	const size, first, n = 4 << 10, 40, 600 // ≈ 2.4 MB: several batches of 4·fanOut
+	for name, mk := range map[string]func(d, p int) (*layout.Declustered, error){
+		"single parity": layout.NewDeclustered,
+		"P+Q":           layout.NewDeclusteredPQ,
+	} {
+		data := make([]byte, n*size-1000)
+		rand.New(rand.NewSource(7)).Read(data)
+		write := func(procs int) *Store {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			l, err := mk(13, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := storage.NewArray(l.Disks(), size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewStore(l, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			neighbour := make([]byte, size)
+			for i := range int64(first + n + 200) {
+				if i == first {
+					i += n // the run's blocks
+				}
+				rand.New(rand.NewSource(i)).Read(neighbour)
+				if err := s.WriteBlock(i, neighbour); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.WriteRun(first, 1, n, data); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		one, four := write(1), write(4)
+		sameRecords(t, four.Array, one.Array)
+		if bad := four.Array.AuditChecksums(); len(bad) != 0 {
+			t.Fatalf("%s: %d blocks miss their checksums, first %v", name, len(bad), bad[0])
+		}
+		for disk := range one.Array.Disks() {
+			if !slices.Equal(four.Held(disk), one.Held(disk)) {
+				t.Fatalf("%s: disk %d holds %v at GOMAXPROCS 4, %v at 1", name, disk, four.Held(disk), one.Held(disk))
+			}
+		}
+	}
 }
 
 // sameRecords fails unless two arrays hold the same blocks with the same

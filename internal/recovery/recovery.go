@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"slices"
 
+	"ftcms/internal/integrity"
 	"ftcms/internal/layout"
+	"ftcms/internal/parallel"
 	"ftcms/internal/storage"
 )
 
@@ -42,11 +44,26 @@ type Store struct {
 	// whose Put(&b) boxes the slice header — one heap allocation per
 	// recycled block.
 	free [][]byte
-	// wg is the group WriteRun fills for each block of its run.
-	wg layout.Group
 	// held[disk] is every block the disk has held, by ascending Key: each
 	// block's first write through the store enters it.
 	held [][]Member
+
+	// WriteRun's state, kept so a warm write allocates nothing: the run, a bit
+	// per run block a planned group covers, the batch, a zero block, fill.
+	run     run
+	seen    []uint64
+	batch   []groupJob
+	zero    []byte
+	fillJob func(i int) error
+}
+
+// groupJob is one parity group of a WriteRun batch: bufs[m] holds member m
+// (data first, then P and Q), a written slot's Reserve buffer or else the
+// stored bytes, and sums[m] a written slot's checksum.
+type groupJob struct {
+	g    layout.Group
+	bufs [][]byte
+	sums []uint32
 }
 
 // Member is a block a disk holds, under a key from the layout alone: a data
@@ -87,53 +104,156 @@ func NewStore(l layout.Layout, a *storage.Array) (*Store, error) {
 	if l.Disks() != a.Disks() {
 		return nil, fmt.Errorf("recovery: layout has %d disks, array %d", l.Disks(), a.Disks())
 	}
-	return &Store{Layout: l, Array: a, held: make([][]Member, a.Disks())}, nil
+	s := &Store{Layout: l, Array: a, held: make([][]Member, a.Disks()), zero: make([]byte, a.BlockSize())}
+	s.fillJob = func(i int) error { s.fill(&s.batch[i]); return nil }
+	s.makeBatch(batchGroups)
+	return s, nil
 }
 
 // WriteBlock stores data, zero-padded to one block, as logical block i and
 // refreshes its group's parity: WriteRun's one-block case.
 func (s *Store) WriteBlock(i int64, data []byte) error { return s.WriteRun(i, 1, 1, data) }
 
+// A WriteRun batch holds up to batchGroups groups; the pool fills one that
+// spans fanOut bytes, worth its helpers' ≈ 100 µs start (DESIGN §13).
+const batchGroups, fanOut = 64, 256 << 10
+
 // WriteRun stores n logical blocks, first, first+stride, …, block k holding
-// data[k·bs:(k+1)·bs] zero-padded, one parity group at a time: at the
-// run's first block in a group it writes the group's run members and its
-// parity, computed once from their bytes and from the members outside the
-// run (read; absent ones as zeroes), so groups may be written partially.
+// data[k·bs:(k+1)·bs] zero-padded, and the parity of each group they touch,
+// from the run members' bytes and the other members (read; absent ones as
+// zeroes). It takes the groups in batches of three passes, plan, fill and
+// commit, and stops at a group the plan cannot stage with its error.
 func (s *Store) WriteRun(first, stride, n int64, data []byte) error {
 	if stride < 1 || int64(len(data)) > n*int64(s.Array.BlockSize()) {
 		return fmt.Errorf("recovery: %d bytes do not fit a run of %d blocks by %d", len(data), n, stride)
 	}
-	r := run{first, stride, n, data}
-	for k := int64(0); k < n; k++ {
-		s.Layout.GroupAt(s.Layout.Place(first+k*stride), &s.wg)
-		lead := int64(-1) // the group's first block in the run
-		for _, i := range s.wg.Data {
-			if lead = r.index(i); lead >= 0 {
-				break
+	s.run = run{first, stride, n, data}
+	s.seen = slices.Grow(s.seen[:0], int(n/64+1))[:n/64+1]
+	clear(s.seen)
+	size := s.Layout.GroupSize() * s.Array.BlockSize()
+	batch, err := []groupJob(nil), error(nil)
+	for k := int64(0); k < n && err == nil; {
+		batch, k, err = s.plan(k)
+		if len(batch)*size >= fanOut {
+			_ = parallel.ForEach(len(batch), s.fillJob) // fill cannot fail
+		} else {
+			for i := range batch {
+				s.fill(&batch[i])
 			}
 		}
-		if lead != k {
-			continue // written at an earlier block of the run
-		}
-		p, q, err := s.parityOf(s.wg, r)
-		if err == nil {
-			err = s.write(s.wg.Parity, slices.Min(s.wg.Data), p)
-		}
-		if err == nil && q != nil {
-			err = s.write(s.wg.Q, slices.Min(s.wg.Data), q)
-		}
-		s.PutBlock(p)
-		s.PutBlock(q) // a nil q is not block-sized: ignored
-		if err != nil {
-			return fmt.Errorf("recovery: writing the group of block %d: %w", s.wg.Data[0], err)
+		for i := range batch {
+			err = cmp.Or(err, s.commit(&batch[i]))
 		}
 	}
-	return nil
+	s.run = run{} // the caller's bytes are not the store's to keep
+	return err
 }
 
-// write stores b at a and enters the block in its disk's index under key.
-func (s *Store) write(a layout.BlockAddr, key int64, b []byte) error {
-	if err := s.Array.Write(a.Disk, a.Block, b); err != nil {
+// plan is the first pass over the next groups from run block k on, in the
+// order of their first run block: one GroupAt each. A written slot gets its
+// Reserve buffer, another member its stored bytes (the zero block if absent)
+// once a read has met the disk's state, the hook and the checksum. A group
+// it cannot stage ends the batch with that group's error.
+func (s *Store) plan(k int64) ([]groupJob, int64, error) {
+	r, n := s.run, 0
+	for ; k < r.n && n < len(s.batch); k++ {
+		if s.seen[k/64]>>(k%64)&1 != 0 {
+			continue // a planned group's member
+		}
+		j := &s.batch[n]
+		s.Layout.GroupAt(s.Layout.Place(r.first+k*r.stride), &j.g)
+		nd, err := len(j.g.Data), error(nil)
+		for m := nd - 1; m >= 0 && err == nil; m-- {
+			a := j.g.DataAddr[m]
+			if x := r.index(j.g.Data[m]); x >= 0 {
+				s.seen[x/64] |= 1 << (x % 64)
+				j.bufs[m], err = s.Array.Reserve(a.Disk, a.Block)
+				continue
+			}
+			b := s.GetBlock()
+			err = s.Array.ReadZeroInto(a.Disk, a.Block, b)
+			s.PutBlock(b)
+			if j.bufs[m] = s.Array.Peek(a.Disk, a.Block); j.bufs[m] == nil {
+				j.bufs[m] = s.zero
+			}
+		}
+		if err == nil {
+			j.bufs[nd], err = s.Array.Reserve(j.g.Parity.Disk, j.g.Parity.Block)
+		}
+		if err == nil && j.g.HasQ {
+			j.bufs[nd+1], err = s.Array.Reserve(j.g.Q.Disk, j.g.Q.Block)
+		}
+		if err != nil {
+			clear(j.bufs)
+			return s.batch[:n], k, fmt.Errorf("recovery: writing the group of block %d: %w", j.g.Data[0], err)
+		}
+		n++
+	}
+	return s.batch[:n], k, nil
+}
+
+// fill, the pass the pool may run, copies the run's members of group j into
+// their slots, zero-padded, builds P and Q and takes each written slot's
+// checksum. It touches j's buffers alone, and reads the run's bytes.
+func (s *Store) fill(j *groupJob) {
+	r, nd := &s.run, len(j.g.Data)
+	bs, end := int64(s.Array.BlockSize()), int64(len(r.data))
+	for m, i := range j.g.Data {
+		if k := r.index(i); k >= 0 {
+			lo, hi := min(k*bs, end), min(k*bs+bs, end) // short at the end of the data
+			b := j.bufs[m][:0]
+			if hi-lo < bs {
+				b = slices.Grow(b, int(bs)) // one allocation, not one for the bytes and one for the padding
+			}
+			b = append(append(b, r.data[lo:hi]...), make([]byte, bs-hi+lo)...)
+			j.bufs[m], j.sums[m] = b, integrity.Sum(b)
+		}
+	}
+	j.bufs[nd] = append(j.bufs[nd][:0], j.bufs[nd-1]...) // sized by a copy, not a clear
+	XOR(j.bufs[nd], j.bufs[:nd]...)
+	j.sums[nd] = integrity.Sum(j.bufs[nd])
+	if j.g.HasQ {
+		q := append(j.bufs[nd+1][:0], j.bufs[nd-1]...) // Σ g^m·D_m, last member first
+		for m := nd - 2; m >= 0; m-- {
+			gfQStep(q, j.bufs[m])
+		}
+		j.bufs[nd+1], j.sums[nd+1] = q, integrity.Sum(q)
+	}
+}
+
+// commit is the last pass over group j, in batch order: it installs every
+// slot fill wrote, with its checksum, and drops the group's buffers.
+func (s *Store) commit(j *groupJob) (err error) {
+	nd, key := len(j.g.Data), slices.Min(j.g.Data)
+	for m, i := range j.g.Data {
+		if s.run.index(i) >= 0 {
+			err = cmp.Or(err, s.install(j.g.DataAddr[m], i, j.bufs[m], j.sums[m]))
+		}
+	}
+	err = cmp.Or(err, s.install(j.g.Parity, key, j.bufs[nd], j.sums[nd]))
+	if j.g.HasQ {
+		err = cmp.Or(err, s.install(j.g.Q, key, j.bufs[nd+1], j.sums[nd+1]))
+	}
+	clear(j.bufs)
+	return err
+}
+
+// makeBatch makes the batch of k groups, their slices carved from one allocation
+// per kind.
+func (s *Store) makeBatch(k int) {
+	w := s.Layout.GroupSize() + 1
+	data, addrs := make([]int64, k*w), make([]layout.BlockAddr, k*w)
+	bufs, sums := make([][]byte, k*w), make([]uint32, k*w)
+	for i := 0; i < k*w; i += w {
+		g := layout.Group{Data: data[i : i : i+w], DataAddr: addrs[i : i : i+w]}
+		s.batch = append(s.batch, groupJob{g, bufs[i : i+w : i+w], sums[i : i+w : i+w]})
+	}
+}
+
+// install stores b, whose checksum is sum, at a and enters the block in its
+// disk's index under key.
+func (s *Store) install(a layout.BlockAddr, key int64, b []byte, sum uint32) error {
+	if err := s.Array.Install(a.Disk, a.Block, b, sum); err != nil {
 		return err
 	}
 	ms := s.held[a.Disk]
@@ -159,44 +279,6 @@ func (r run) index(i int64) int64 {
 		return off / r.stride
 	}
 	return -1
-}
-
-// parityOf computes the group's parity column(s) into buffers off the
-// freelist that the caller puts back (also on error); q is nil without a
-// Q column. Data members in the run r are written from its bytes on the
-// way; the rest are read, absent ones as zeroes.
-func (s *Store) parityOf(g layout.Group, r run) (p, q []byte, err error) {
-	member := s.GetBlock()
-	defer s.PutBlock(member)
-	p = s.GetBlock()
-	clear(p)
-	if g.HasQ {
-		q = s.GetBlock()
-		clear(q)
-	}
-	// Last member first: Q folds in by Horner's rule, Σ g^j·D_j.
-	bs, end := int64(len(member)), int64(len(r.data))
-	for j := len(g.DataAddr) - 1; j >= 0; j-- {
-		a, b := g.DataAddr[j], member
-		if k := r.index(g.Data[j]); k < 0 {
-			err = s.Array.ReadZeroInto(a.Disk, a.Block, member)
-		} else {
-			lo := min(k*bs, end)
-			if b = r.data[lo:min(lo+bs, end)]; int64(len(b)) < bs {
-				b = member // the short last block, or padding past the data
-				clear(b[copy(b, r.data[lo:]):])
-			}
-			err = s.write(a, g.Data[j], b)
-		}
-		if err != nil {
-			return p, q, err
-		}
-		XORInto(p, b)
-		if q != nil {
-			gfQStep(q, b)
-		}
-	}
-	return p, q, nil
 }
 
 // Reconstruct rebuilds logical block i from the other members of its
@@ -236,21 +318,23 @@ func (s *Store) Reconstruct(i int64) ([]byte, error) {
 	return bufs[x], nil
 }
 
-// VerifyParity recomputes the parity of block i's group from data and
-// compares with the stored parity block (both P and Q for double-parity
-// layouts), returning an error on mismatch — a test/fsck helper.
+// VerifyParity recomputes the parity of block i's group from its data
+// members, read last first as a write reads them, and compares it with the
+// stored parity block (both P and Q for double-parity layouts), returning an
+// error on mismatch — a test/fsck helper.
 func (s *Store) VerifyParity(i int64) error {
 	var g layout.Group
 	s.Layout.GroupAt(s.Layout.Place(i), &g)
-	want, wantQ, err := s.parityOf(g, run{stride: 1})
-	defer s.PutBlock(want)
-	defer s.PutBlock(wantQ)
-	if err != nil {
-		return err
+	data := make([][]byte, len(g.Data))
+	for m := len(g.Data) - 1; m >= 0; m-- {
+		data[m] = make([]byte, s.Array.BlockSize())
+		if err := s.Array.ReadZeroInto(g.DataAddr[m].Disk, g.DataAddr[m].Block, data[m]); err != nil {
+			return err
+		}
 	}
-	got := s.GetBlock() // each stored parity column goes through it
-	defer s.PutBlock(got)
-	check := func(name string, a layout.BlockAddr, want []byte) error {
+	want, got := make([]byte, s.Array.BlockSize()), make([]byte, s.Array.BlockSize())
+	check := func(name string, a layout.BlockAddr, encode func([]byte, ...[]byte)) error {
+		encode(want, data...)
 		if err := s.Array.ReadZeroInto(a.Disk, a.Block, got); err != nil {
 			return err
 		}
@@ -261,8 +345,8 @@ func (s *Store) VerifyParity(i int64) error {
 		}
 		return nil
 	}
-	if err := check("parity", g.Parity, want); err != nil || !g.HasQ {
+	if err := check("parity", g.Parity, XOR); err != nil || !g.HasQ {
 		return err
 	}
-	return check("Q parity", g.Q, wantQ)
+	return check("Q parity", g.Q, QEncode)
 }

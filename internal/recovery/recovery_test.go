@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math/rand"
 	"testing"
@@ -106,9 +107,13 @@ func swapDisk(t *testing.T, s *Store, disk int) {
 		if idx < len(g.Data) {
 			data, err = s.Reconstruct(g.Data[idx])
 		} else {
-			var p, q []byte
-			p, q, err = s.parityOf(g, run{stride: 1})
-			data = [][]byte{p, q}[idx-len(g.Data)]
+			members := make([][]byte, len(g.Data))
+			for k, a := range g.DataAddr {
+				members[k] = make([]byte, bs)
+				err = cmp.Or(err, s.Array.ReadZeroInto(a.Disk, a.Block, members[k]))
+			}
+			data = make([]byte, bs)
+			[]func([]byte, ...[]byte){XOR, QEncode}[idx-len(g.Data)](data, members...)
 		}
 		if err != nil {
 			t.Fatalf("restore disk %d block %d: %v", disk, b, err)

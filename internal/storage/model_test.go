@@ -175,9 +175,9 @@ const (
 // disk that owes blocks never rejoins. Every slice Lend hands out must
 // keep, after every later op, the bytes it had when it was lent. Peek
 // sees what a read would, and Probe answers as the read but for the
-// checksum; Reserve offers a buffer for an owed block on a spare only —
-// fresh bytes for a lent one, whose loan keeps the old — and Install of it
-// is Write of its bytes.
+// checksum; Reserve offers a slot's kept buffer wherever Write would write —
+// none for a lent one, whose loan keeps the old — and Install of the bytes
+// built in it is Write of them.
 func FuzzArrayModel(f *testing.F) {
 	// What integrity.Map's own tests pinned, as the array shows it.
 	// Record, verify, a flipped bit is caught, an overwrite re-records:
@@ -216,8 +216,9 @@ func FuzzArrayModel(f *testing.F) {
 		opReadZero, 0, 1, 0, opRead, 0, 3, 0, opCorruptRandom, 0, 0, 9, opRead, 0, 3, 0, opWrite, 0, 3, 8, opRejoin, 0, 0, 0, opRead, 0, 5, 0})
 	// A rebuild's three passes: Probe and Peek a survivor, before and
 	// after it rots; build owed blocks in their reserved buffers, a lent
-	// one's fresh, and install them.
-	f.Add([]byte{opWrite, 0, 3, 1, opWrite, 1, 3, 2, opWrite, 1, 5, 3, opLend, 1, 5, 0, opFail, 1, 0, 0, opReplace, 1, 0, 0,
+	// one's fresh, and install them. A failed disk reserves nothing, and a
+	// block no disk held is built as a write's.
+	f.Add([]byte{opWrite, 0, 3, 1, opWrite, 1, 3, 2, opWrite, 1, 5, 3, opLend, 1, 5, 0, opFail, 1, 0, 0, opReserve, 1, 3, 9, opReplace, 1, 0, 0,
 		opPeek, 0, 3, 0, opCorruptBits, 0, 3, 7, opPeek, 0, 3, 0, opReserve, 1, 3, 9, opReserve, 1, 5, 9, opReserve, 1, 3, 9,
 		opRejoin, 1, 0, 0, opWrite, 1, 5, 4, opRejoin, 1, 0, 0, opRead, 1, 3, 0, opPeek, 1, 5, 0, opReserve, 2, 3, 0})
 	for seed := int64(1); seed <= 4; seed++ {
@@ -317,20 +318,16 @@ func FuzzArrayModel(f *testing.F) {
 					want = rerr
 				}
 			case opReserve:
-				buf := a.Reserve(disk, block)
-				owed := m.inRange(disk) && m.state[disk] == Rebuilding && m.owed[disk][block]
-				if buf == nil {
-					if owed {
-						t.Fatalf("op %d: Reserve(%d, %d) refused an owed block", i/4, disk, block)
-					}
-					break
-				}
-				if !owed {
-					t.Fatalf("op %d: Reserve(%d, %d) offered a block not owed on a spare", i/4, disk, block)
-				}
+				buf, err := a.Reserve(disk, block)
 				b := bytes.Repeat([]byte{arg}, bs)
-				copy(buf, b)
-				got, want = a.Install(disk, block, integrity.Sum(b)), m.write(disk, block, b)
+				if err == nil {
+					if len(buf) != 0 && len(buf) != bs {
+						t.Fatalf("op %d: Reserve(%d, %d) offered %d bytes, want none or a block", i/4, disk, block, len(buf))
+					}
+					buf = append(buf[:0], b...)
+					err = a.Install(disk, block, buf, integrity.Sum(buf))
+				}
+				got, want = err, m.write(disk, block, b)
 			}
 			for k := range lent {
 				if !bytes.Equal(lent[k], kept[k]) {

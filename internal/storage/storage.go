@@ -205,37 +205,17 @@ func (a *Array) at(disk int, block int64) *record {
 // Write stores data (exactly blockSize bytes) at (disk, block). Writing
 // to a failed disk is rejected: the array models a crashed, not a
 // degraded, device. Rebuilding disks accept writes — that is how the
-// online rebuild refills the spare.
+// online rebuild refills the spare. It is Reserve, a copy and Install.
 func (a *Array) Write(disk int, block int64, data []byte) error {
-	if err := a.checkAddr(disk, block); err != nil {
+	b, err := a.Reserve(disk, block)
+	if err == nil && len(data) != a.blockSize {
+		err = fmt.Errorf("storage: write of %d bytes, want block size %d", len(data), a.blockSize)
+	}
+	if err != nil {
 		return err
 	}
-	if len(data) != a.blockSize {
-		return fmt.Errorf("storage: write of %d bytes, want block size %d", len(data), a.blockSize)
-	}
-	if a.state[disk] == Failed {
-		return fmt.Errorf("storage: write to disk %d: %w", disk, ErrFailed)
-	}
-	// A write reuses the slot's buffer, kept across a medium swap, unless
-	// Lend handed it out, so parity rewrites and rebuilds, whose reads
-	// copy, stay allocation-free.
-	for int64(len(a.disks[disk])) <= block {
-		a.disks[disk] = append(a.disks[disk], record{})
-	}
-	r := &a.disks[disk][block]
-	if len(r.data) == 0 {
-		a.written[disk]++
-	}
-	if r.owed {
-		r.owed = false
-		a.owed[disk]--
-	}
-	if r.lent {
-		r.lent, r.data = false, nil // the lent bytes stay with their holders
-	}
-	r.data = append(r.data[:0], data...)
-	r.sum = integrity.Sum(r.data)
-	return nil
+	b = append(b[:0], data...)
+	return a.Install(disk, block, b, integrity.Sum(b))
 }
 
 // ReadInto copies the block at (disk, block) into dst, which must be
@@ -347,32 +327,45 @@ func (a *Array) read(disk int, block int64, dst []byte, zero bool) ([]byte, floa
 	return r.data, slow, nil
 }
 
-// Reserve returns the buffer to build a block the rebuilding disk owes in,
-// for Install: its slot's kept one, or fresh bytes if Lend handed that out.
-// It returns nil if the block is not owed.
-func (a *Array) Reserve(disk int, block int64) []byte {
-	if a.State(disk) != Rebuilding || block < 0 || block >= int64(len(a.disks[disk])) {
-		return nil
+// Reserve returns the buffer to build a block in, for Install: its slot's
+// kept one, a block long, so that a write, parity rewrites and rebuilds among
+// them, reuses it; nil when the slot has none or Lend handed it out, for
+// fresh bytes. It refuses what Write refuses but the length.
+func (a *Array) Reserve(disk int, block int64) ([]byte, error) {
+	if err := a.checkAddr(disk, block); err != nil {
+		return nil, err
 	}
-	r := &a.disks[disk][block]
-	if !r.owed {
-		return nil
+	if a.state[disk] == Failed {
+		return nil, fmt.Errorf("storage: write to disk %d: %w", disk, ErrFailed)
 	}
-	if r.lent {
-		r.lent, r.data = false, make([]byte, 0, a.blockSize) // the lent bytes stay with their holders
+	if recs := a.disks[disk]; block < int64(len(recs)) && !recs[block].lent && cap(recs[block].data) >= a.blockSize {
+		return recs[block].data[:a.blockSize], nil
 	}
-	return r.data[:a.blockSize]
+	return nil, nil
 }
 
-// Install is Write of the bytes the Reserve buffer holds, whose sum is sum.
-func (a *Array) Install(disk int, block int64, sum uint32) error {
-	if a.Reserve(disk, block) == nil {
-		return fmt.Errorf("storage: install disk %d block %d: not reserved on a rebuilding disk", disk, block)
+// Install is Write of b, built in the Reserve buffer or grown from it, whose
+// checksum is sum: the slot keeps b itself, and the bytes of a lent block
+// stay with their holders.
+func (a *Array) Install(disk int, block int64, b []byte, sum uint32) error {
+	if _, err := a.Reserve(disk, block); err != nil {
+		return err
+	}
+	if len(b) != a.blockSize {
+		return fmt.Errorf("storage: install of %d bytes, want block size %d", len(b), a.blockSize)
+	}
+	for int64(len(a.disks[disk])) <= block {
+		a.disks[disk] = append(a.disks[disk], record{})
 	}
 	r := &a.disks[disk][block]
-	r.data, r.sum, r.owed = r.data[:a.blockSize], sum, false
-	a.owed[disk]--
-	a.written[disk]++
+	if len(r.data) == 0 {
+		a.written[disk]++
+	}
+	if r.owed {
+		r.owed = false
+		a.owed[disk]--
+	}
+	r.data, r.sum, r.lent = b, sum, false
 	return nil
 }
 
