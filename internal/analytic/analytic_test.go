@@ -110,7 +110,10 @@ func TestSolveBasicSanity(t *testing.T) {
 				if res.F < 0 || res.F >= res.Q {
 					t.Errorf("%v p=%d: f=%d out of range (q=%d)", s, p, res.F, res.Q)
 				}
-				// Equation 1 (or the streaming RAID variant) must hold.
+				// Continuity must hold: Equation 1 outside streaming RAID.
+				if !s.Continuous(c.Disk, p, res.Q, res.Block) {
+					t.Errorf("%v p=%d: continuity violated at q=%d b=%v", s, p, res.Q, res.Block)
+				}
 				if s != scheme.StreamingRAID && !c.Disk.SatisfiesEquation1(res.Q, res.Block) {
 					t.Errorf("%v p=%d: Equation 1 violated at q=%d b=%v", s, p, res.Q, res.Block)
 				}
@@ -125,8 +128,8 @@ func TestSolveBasicSanity(t *testing.T) {
 func TestDeclusteredContingencyGrows(t *testing.T) {
 	c := paperConfig(256 * units.MB)
 	r16 := solveAt(t, c, scheme.Declustered, 16)
-	if r16.Rows != 2 {
-		t.Fatalf("p=16: rows = %d, want 2", r16.Rows)
+	if _, rows := scheme.Declustered.Grid(c.D, 16); rows != 2 {
+		t.Fatalf("p=16: rows = %d, want 2", rows)
 	}
 	if 2*r16.F < r16.Q-r16.F {
 		t.Fatalf("p=16: row capacity violated: f=%d q=%d", r16.F, r16.Q)
@@ -135,8 +138,8 @@ func TestDeclusteredContingencyGrows(t *testing.T) {
 		t.Errorf("p=16: f/q = %.2f, want ≈ 1/3", frac)
 	}
 	r32 := solveAt(t, c, scheme.Declustered, 32)
-	if r32.Rows != 1 {
-		t.Fatalf("p=32: rows = %d, want 1", r32.Rows)
+	if _, rows := scheme.Declustered.Grid(c.D, 32); rows != 1 {
+		t.Fatalf("p=32: rows = %d, want 1", rows)
 	}
 	if frac := float64(r32.F) / float64(r32.Q); frac < 0.4 || frac > 0.6 {
 		t.Errorf("p=32: f/q = %.2f, want ≈ 1/2", frac)
@@ -285,28 +288,34 @@ func TestOptimize(t *testing.T) {
 
 func TestSolveErrors(t *testing.T) {
 	c := paperConfig(256 * units.MB)
-	if _, err := SolveStreamingRAID(c, 5); err == nil {
+	if _, err := Solve(c, scheme.StreamingRAID, 5); err == nil {
 		t.Error("streaming RAID accepted p∤d")
 	}
-	if _, err := SolveNonClustered(c, 3); err == nil {
+	if _, err := Solve(c, scheme.NonClustered, 3); err == nil {
 		t.Error("non-clustered accepted p∤d")
 	}
-	if _, err := SolvePrefetchParityDisk(c, 7); err == nil {
+	if _, err := Solve(c, scheme.PrefetchParityDisk, 7); err == nil {
 		t.Error("prefetch-parity-disk accepted p∤d")
 	}
-	if _, err := SolveDeclustered(c, 1, 1); err == nil {
+	if _, err := solveF(c, scheme.Declustered, 1, 1); err == nil {
 		t.Error("declustered accepted p=1")
 	}
-	if _, err := SolveDeclustered(c, 4, 0); err == nil {
+	if _, err := solveF(c, scheme.Declustered, 4, 0); err == nil {
 		t.Error("declustered accepted f=0")
 	}
-	if _, err := SolvePrefetchFlat(c, 40, 1); err == nil {
+	if _, err := solveF(c, scheme.PrefetchFlat, 40, 1); err == nil {
 		t.Error("prefetch-flat accepted p>d")
+	}
+	if _, err := solveF(c, scheme.StreamingRAID, 4, 1); err == nil {
+		t.Error("streaming RAID accepted f=1")
 	}
 	bad := c
 	bad.Buffer = 0
 	if _, err := Optimize(bad, scheme.Declustered); err == nil {
 		t.Error("Optimize accepted invalid config")
+	}
+	if _, err := Solve(bad, scheme.Declustered, 4); err == nil {
+		t.Error("Solve accepted invalid config")
 	}
 }
 

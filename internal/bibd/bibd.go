@@ -188,15 +188,15 @@ func CompletePairs(v int) (*Design, error) {
 // each base block B yields v sets {B+t mod v : t ∈ Z_v}. When the base
 // blocks form a (v, k, 1) difference family — every nonzero residue occurs
 // exactly once as a difference within the family — the result is an exact
-// λ=1 BIBD. For a *planar difference set* (single base block with
-// k(k−1) = v−1), translates repeat with period v, giving the projective
-// plane; this function detects that and emits each set once.
+// λ=1 BIBD; a *planar difference set* (one base block with
+// k(k−1) = v−1) gives the projective plane. The translates of a
+// full-orbit block are distinct; a repeated one would double λ on its
+// pairs, which the exactness check refuses.
 func FromDifferenceFamily(v int, family [][]int) (*Design, error) {
 	if v < 2 || len(family) == 0 {
 		return nil, errors.New("bibd: empty difference family")
 	}
 	k := len(family[0])
-	seen := make(map[string]bool)
 	var sets [][]int
 	for _, base := range family {
 		if len(base) != k {
@@ -208,11 +208,6 @@ func FromDifferenceFamily(v int, family [][]int) (*Design, error) {
 				s[i] = (x + t) % v
 			}
 			sort.Ints(s)
-			key := fmt.Sprint(s)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
 			sets = append(sets, s)
 		}
 	}
@@ -238,65 +233,11 @@ func SearchDifferenceFamily(v, k int, maxNodes int) ([][]int, bool) {
 	}
 	need := (v - 1) / (k * (k - 1)) // number of base blocks (full orbits)
 	if need*k*(k-1) != v-1 {
-		// A short (fixed-point) orbit would be required, e.g. planar
-		// difference sets with k(k−1) = v−1 have need = 0 here; handle
-		// that case explicitly.
-		if k*(k-1) == v-1 {
-			need = 1
-		} else {
-			return nil, false
-		}
+		return nil, false // a short orbit would be required
 	}
 	usedDiff := make([]bool, v)
 	family := make([][]int, 0, need)
 	nodes := 0
-
-	markBlock := func(b []int, on bool) bool {
-		// Mark all pairwise differences ±(b[i]-b[j]); report false (and
-		// roll back) if any difference is already used.
-		var marked [][2]int
-		for i := 0; i < len(b); i++ {
-			for j := i + 1; j < len(b); j++ {
-				d1 := ((b[j]-b[i])%v + v) % v
-				d2 := (v - d1) % v
-				if usedDiff[d1] || (d2 != d1 && usedDiff[d2]) {
-					for _, m := range marked {
-						usedDiff[m[0]] = false
-						if m[1] != m[0] {
-							usedDiff[m[1]] = false
-						}
-					}
-					return false
-				}
-				usedDiff[d1] = true
-				if d2 != d1 {
-					usedDiff[d2] = true
-				}
-				marked = append(marked, [2]int{d1, d2})
-			}
-		}
-		if !on { // caller only wanted a feasibility probe
-			for _, m := range marked {
-				usedDiff[m[0]] = false
-				if m[1] != m[0] {
-					usedDiff[m[1]] = false
-				}
-			}
-		}
-		return true
-	}
-	unmarkBlock := func(b []int) {
-		for i := 0; i < len(b); i++ {
-			for j := i + 1; j < len(b); j++ {
-				d1 := ((b[j]-b[i])%v + v) % v
-				d2 := (v - d1) % v
-				usedDiff[d1] = false
-				if d2 != d1 {
-					usedDiff[d2] = false
-				}
-			}
-		}
-	}
 
 	var extend func() bool
 	var grow func(block []int, minNext int) bool
@@ -362,8 +303,6 @@ func SearchDifferenceFamily(v, k int, maxNodes int) ([][]int, bool) {
 	if !extend() {
 		return nil, false
 	}
-	_ = markBlock // retained for clarity of the rollback contract
-	_ = unmarkBlock
 	return family, true
 }
 

@@ -59,8 +59,8 @@ type Config struct {
 	D int
 	// P is the parity group size.
 	P int
-	// Block is the block size; it must satisfy Equation 1 for the
-	// requested Q.
+	// Block is the block size; Q blocks of it must keep playback
+	// continuous under the scheme (scheme.Continuous).
 	Block units.Bits
 	// Q is the per-disk (per-cluster for streaming RAID) round budget.
 	Q int
@@ -295,8 +295,10 @@ type clipInfo struct {
 // block returns the logical index of the clip's n-th block.
 func (ci clipInfo) block(n int64) int64 { return ci.start + n*ci.stride }
 
-// New builds a server. The block size and q must satisfy Equation 1; use
-// the analytic package to derive an optimal operating point.
+// New builds a server. The block size and q must keep playback
+// continuous under the scheme (scheme.Continuous: Equation 1, or the
+// whole-group form under streaming RAID); use the analytic package to
+// derive an optimal operating point.
 func New(cfg Config) (*Server, error) {
 	if cfg.Disk == (diskmodel.Parameters{}) {
 		cfg.Disk = diskmodel.Default()
@@ -306,6 +308,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.D < 2 || cfg.P < 2 || cfg.P > cfg.D {
 		return nil, fmt.Errorf("core: bad geometry d=%d p=%d", cfg.D, cfg.P)
+	}
+	if !cfg.Scheme.Continuous(cfg.Disk, cfg.P, cfg.Q, cfg.Block) {
+		return nil, fmt.Errorf("core: q=%d blocks of %v break %v's continuity of playback", cfg.Q, cfg.Block, cfg.Scheme)
 	}
 
 	s := &Server{

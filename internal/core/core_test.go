@@ -144,6 +144,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted Equation-1-violating block size")
 	}
+	// On the Figure 1 disk, q=29 blocks of 100 KB violate Equation 1.
+	cfg = testConfig(Declustered, 8, 4)
+	cfg.Disk, cfg.Q, cfg.Block = diskmodel.Default(), 29, 100*units.KB
+	if _, err := New(cfg); err == nil {
+		t.Error("accepted Equation-1-violating configuration")
+	}
 	cfg = testConfig(StreamingRAID, 7, 3) // p must divide d
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted p∤d for streaming RAID")

@@ -26,8 +26,10 @@ type Engine struct {
 }
 
 // NewEngine creates the round engine for d disks with per-round budget q
-// and block size b.
-func NewEngine(d, q int, disk diskmodel.Parameters, block units.Bits) (*Engine, error) {
+// and block size b. Whether q blocks of size b keep playback continuous
+// depends on the scheme's round (scheme.Continuous), so the caller that
+// knows the scheme checks it: core.New does.
+func NewEngine(d, q int, _ diskmodel.Parameters, block units.Bits) (*Engine, error) {
 	if d < 1 {
 		return nil, errors.New("sched: need at least one disk")
 	}
@@ -36,9 +38,6 @@ func NewEngine(d, q int, disk diskmodel.Parameters, block units.Bits) (*Engine, 
 	}
 	if block <= 0 {
 		return nil, errors.New("sched: block size must be positive")
-	}
-	if !disk.SatisfiesEquation1(q, block) {
-		return nil, fmt.Errorf("sched: q=%d blocks of %v violate Equation 1", q, block)
 	}
 	return &Engine{d: d, q: q, reads: make([]int, d)}, nil
 }

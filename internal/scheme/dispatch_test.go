@@ -15,11 +15,10 @@ import (
 	"ftcms/internal/scheme"
 )
 
-// dispatchAllowed names the per-scheme formulas that stay switches:
-// analytic.Solve's five §7 closed forms and the simulator's §8 failure
-// models. Each case there is a different formula, not a table field.
+// dispatchAllowed names the per-scheme formulas that stay switches: the
+// simulator's §8 failure models. Each case there is a different formula,
+// not a table field.
 var dispatchAllowed = map[string]bool{
-	"internal/analytic/analytic.go:Solve":    true,
 	"internal/sim/failure.go:accountFailure": true,
 	"internal/sim/failure.go:dueLoad":        true,
 }

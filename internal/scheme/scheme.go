@@ -1,16 +1,18 @@
 // Package scheme is the one table of the server's seven fault-tolerance
 // schemes. The paper defines a scheme by a layout, an admission rule, a
 // per-clip buffer and an optimiser constraint (§4–§7); a record here
-// holds the first three plus the facts the rest of the tree reads — the
-// parity columns, whether parity groups stay inside a cluster, how far
-// fetching runs ahead — so a consumer reads a field where it would
-// otherwise switch on a name. A new scheme is one more record.
+// holds all four — the constraint as the admission grid, the buffer in
+// normal and degraded operation and the continuity rule — plus the facts
+// the rest of the tree reads: the parity columns, whether parity groups
+// stay inside a cluster, how far fetching runs ahead. A consumer reads a
+// field where it would otherwise switch on a name. A new scheme is one
+// more record.
 //
-// Two dispatches remain outside the table, because each case is a
-// different formula rather than a parameter of one: analytic.Solve over
-// the five §7 closed forms, and the simulator's §8 failure models
-// (accountFailure and dueLoad in internal/sim). A go/parser test in this
-// package holds the rest of the module to field reads.
+// One dispatch remains outside the table, because each case is a
+// different formula rather than a parameter of one: the simulator's §8
+// failure models (accountFailure and dueLoad in internal/sim). A
+// go/parser test in this package holds the rest of the module to field
+// reads.
 package scheme
 
 import (
@@ -18,6 +20,7 @@ import (
 	"strings"
 
 	"ftcms/internal/admission"
+	"ftcms/internal/diskmodel"
 	"ftcms/internal/layout"
 	"ftcms/internal/units"
 )
@@ -64,11 +67,14 @@ type record struct {
 	// booked on and the classes per unit. ctrl builds the controller over
 	// them, and coords maps a stream's first block to its cell. t is the
 	// table layout, nil when the scheme has none.
-	grid   func(d, p int, t *layout.Declustered) (units, classes int)
+	grid   func(d, p int) (units, classes int)
 	ctrl   func(units, classes, q, f int, t *layout.Declustered) (admission.Controller, error)
 	coords func(lay layout.Layout, t *layout.Declustered, start int64) (unit, class int)
-	// buffer is the per-clip buffer for block size b and group size p.
-	buffer     func(b units.Bits, p int) units.Bits
+	// buffer is the per-clip buffer in blocks at group size p; degraded
+	// is the buffer §7 charges each clip of a failed unit, nil when §7
+	// analyses no failure of the scheme.
+	buffer, degraded func(p int) float64
+
 	parity     int  // parity columns per group
 	clustered  bool // parity groups stay inside one p-disk cluster
 	prefetch   bool // fetching runs p−1 blocks ahead of delivery
@@ -81,33 +87,36 @@ type record struct {
 var records = [...]record{
 	Declustered: {key: "declustered", legend: "Declustered parity",
 		table: layout.NewDeclustered, grid: rows, ctrl: static, coords: rowCoords,
-		buffer: double, parity: 1, addDisk: true, paper: true},
+		buffer: two, degraded: group, parity: 1, addDisk: true, paper: true},
 	PrefetchFlat: {key: "prefetch-flat", legend: "Pre-fetching without parity disk",
 		layout: flat, grid: flatGrid, ctrl: static, coords: flatCoords,
-		buffer: staggered, parity: 1, prefetch: true, paper: true},
+		buffer: halfGroup, degraded: halfGroup, parity: 1, prefetch: true, paper: true},
 	PrefetchParityDisk: {key: "prefetch-parity-disk", legend: "Pre-fetching with parity disk",
 		layout: byCluster, grid: dataDisks, ctrl: capQ, coords: dataDiskCoords,
-		buffer: staggered, parity: 1, clustered: true, prefetch: true, paper: true},
+		buffer: halfGroup, degraded: halfGroup, parity: 1, clustered: true, prefetch: true, paper: true},
 	StreamingRAID: {key: "streaming-raid", legend: "Streaming RAID",
 		layout: byCluster, grid: clusters, ctrl: capQ, coords: clusterCoords,
-		buffer: wholeGroups, parity: 1, clustered: true, prefetch: true, groupFetch: true, paper: true},
+		buffer: twoGroups, degraded: twoGroups, parity: 1, clustered: true, prefetch: true, groupFetch: true, paper: true},
 	NonClustered: {key: "non-clustered", legend: "Non-clustered",
 		layout: byCluster, grid: dataDisks, ctrl: capQ, coords: dataDiskCoords,
-		buffer: double, parity: 1, clustered: true, paper: true},
+		buffer: two, degraded: halfGroup, parity: 1, clustered: true, paper: true},
 	DeclusteredDynamic: {key: "declustered-dynamic", legend: "Dynamic reservation",
 		table: layout.NewInterleaved, grid: rows, ctrl: dynamic, coords: rowCoords,
-		buffer: double, parity: 1, dynamic: true},
+		buffer: two, degraded: group, parity: 1, dynamic: true},
 	DeclusteredPQ: {key: "declustered-pq", legend: "Declustered P+Q parity",
 		table: layout.NewDeclusteredPQ, grid: rows, ctrl: static, coords: rowCoords,
-		buffer: double, parity: 2, addDisk: true},
+		buffer: two, parity: 2, addDisk: true},
 }
 
-// Per-clip buffers (§4, §6, §7): two blocks for the schemes that read one
-// block per round, p·b/2 for pre-fetching with the staggered-group
-// optimization of [BGM95], and two whole groups for streaming RAID.
-func double(b units.Bits, _ int) units.Bits      { return 2 * b }
-func staggered(b units.Bits, p int) units.Bits   { return units.Bits(p) * b / 2 }
-func wholeGroups(b units.Bits, p int) units.Bits { return 2 * units.Bits(p-1) * b }
+// Per-clip buffers in blocks (§4, §6, §7): two for the schemes that read
+// one block per round, p/2 for pre-fetching with the staggered-group
+// optimization of [BGM95], two whole groups for streaming RAID, and the
+// failed block's whole group, p, for a declustered clip whose disk
+// failed. Each is a half of a small integer, which float64 holds exactly.
+func two(int) float64         { return 2 }
+func halfGroup(p int) float64 { return float64(p) / 2 }
+func twoGroups(p int) float64 { return 2 * float64(p-1) }
+func group(p int) float64     { return float64(p) }
 
 func flat(d, p int, capacity int64) (layout.Layout, error) {
 	return layout.NewFlatUniform(d, p, capacity)
@@ -118,13 +127,14 @@ func byCluster(d, p int, _ int64) (layout.Layout, error) {
 }
 
 // Admission grids. The table schemes book a stream on its first disk and
-// PGT row; the flat scheme on its first disk and the §6.2 parity-target
-// residue of its level, one of d−(p−1); the clustered schemes on their
-// first data disk, or, for streaming RAID, on their first cluster.
-func rows(d, _ int, t *layout.Declustered) (int, int)      { return d, t.Rows() }
-func flatGrid(d, p int, _ *layout.Declustered) (int, int)  { return d, d - (p - 1) }
-func dataDisks(d, p int, _ *layout.Declustered) (int, int) { return d * (p - 1) / p, 1 }
-func clusters(d, p int, _ *layout.Declustered) (int, int)  { return d / p, 1 }
+// PGT row, of which every table has r = max(⌊(d−1)/(p−1)⌋, 1); the flat
+// scheme on its first disk and the §6.2 parity-target residue of its
+// level, one of d−(p−1); the clustered schemes on their first data disk,
+// or, for streaming RAID, on their first cluster.
+func rows(d, p int) (int, int)      { return d, max((d-1)/(p-1), 1) }
+func flatGrid(d, p int) (int, int)  { return d, d - (p - 1) }
+func dataDisks(d, p int) (int, int) { return d * (p - 1) / p, 1 }
+func clusters(d, p int) (int, int)  { return d / p, 1 }
 
 func rowCoords(_ layout.Layout, t *layout.Declustered, start int64) (int, int) {
 	return t.Place(start).Disk, t.RowOf(start)
@@ -215,11 +225,10 @@ func (s Scheme) Table(d, p int) (*layout.Declustered, error) {
 	return nil, nil
 }
 
-// Grid returns the admission coordinates' extent: units and classes per
-// unit. t is the scheme's table layout (nil when it has none).
-func (s Scheme) Grid(d, p int, t *layout.Declustered) (units, classes int) {
-	return s.rec().grid(d, p, t)
-}
+// Grid returns the admission coordinates' extent at d disks in groups of
+// p: the units a stream is booked on and the contingency classes per
+// unit.
+func (s Scheme) Grid(d, p int) (units, classes int) { return s.rec().grid(d, p) }
 
 // Admission builds the scheme's admission controller for a per-disk
 // (per-cluster for streaming RAID) budget q and contingency f.
@@ -227,7 +236,7 @@ func (s Scheme) Admission(d, p, q, f int, t *layout.Declustered) (admission.Cont
 	if !s.Valid() {
 		return nil, fmt.Errorf("scheme: invalid %v", s)
 	}
-	n, m := s.Grid(d, p, t)
+	n, m := s.Grid(d, p)
 	return s.rec().ctrl(n, m, q, f, t)
 }
 
@@ -238,7 +247,32 @@ func (s Scheme) Coords(lay layout.Layout, t *layout.Declustered, start int64) (u
 }
 
 // PerClip is the buffer each admitted stream reserves.
-func (s Scheme) PerClip(b units.Bits, p int) units.Bits { return s.rec().buffer(b, p) }
+func (s Scheme) PerClip(b units.Bits, p int) units.Bits {
+	return units.Bits(s.rec().buffer(p) * float64(b))
+}
+
+// BufferBlocks is the per-clip buffer in blocks at group size p: in
+// normal operation, and for each clip of the failed unit under §7's
+// single-failure analysis. ok is false when §7 analyses no failure of
+// the scheme (P+Q).
+func (s Scheme) BufferBlocks(p int) (normal, degraded float64, ok bool) {
+	r := s.rec()
+	if r.degraded == nil {
+		return 0, 0, false
+	}
+	return r.buffer(p), r.degraded(p), true
+}
+
+// Continuous reports whether q accesses per disk per round of block size
+// b keep playback continuous: Equation 1, or under whole-group fetching
+// the §7.3 form as printed, 2·t_seek + q·(t_rot + b/r_d) ≤ (p−1)·b/r_p,
+// whose round delivers p−1 blocks and whose accesses pay no settle.
+func (s Scheme) Continuous(disk diskmodel.Parameters, p, q int, b units.Bits) bool {
+	if s.GroupFetch() {
+		disk.Settle = 0
+	}
+	return q >= 0 && b > 0 && disk.RoundBudgetUsed(q, b) <= units.Duration(s.RoundBlocks(p))*disk.RoundDuration(b)
+}
 
 // ParityCols is the number of parity columns per group: how many
 // overlapping failures a group survives.

@@ -135,3 +135,50 @@ func TestInvalid(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestPerClipMatchesIntegerBuffers pins the per-clip buffer, now a
+// coefficient in blocks, to the integer formulas it replaced, odd b and
+// odd p·b included.
+func TestPerClipMatchesIntegerBuffers(t *testing.T) {
+	double := func(b units.Bits, _ int) units.Bits { return 2 * b }
+	staggered := func(b units.Bits, p int) units.Bits { return units.Bits(p) * b / 2 }
+	wholeGroups := func(b units.Bits, p int) units.Bits { return 2 * units.Bits(p-1) * b }
+	old := map[scheme.Scheme]func(units.Bits, int) units.Bits{
+		scheme.Declustered: double, scheme.PrefetchFlat: staggered, scheme.PrefetchParityDisk: staggered,
+		scheme.StreamingRAID: wholeGroups, scheme.NonClustered: double,
+		scheme.DeclusteredDynamic: double, scheme.DeclusteredPQ: double,
+	}
+	for _, s := range scheme.All() {
+		for p := 2; p <= 64; p++ {
+			for _, b := range []units.Bits{1, 7, 1000, 12345, 92*units.KB + 3, 8*units.MB + 1, 1<<40 + 1} {
+				if got, want := s.PerClip(b, p), old[s](b, p); got != want {
+					t.Fatalf("%v p=%d b=%d: PerClip = %d, want %d", s, p, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGridRowsMatchTables: every parity group table buildable at d ≤ 40
+// has the r = max(⌊(d−1)/(p−1)⌋, 1) rows Grid reports without building
+// it.
+func TestGridRowsMatchTables(t *testing.T) {
+	built := 0
+	for _, s := range scheme.All() {
+		for d := 2; d <= 40; d++ {
+			for p := 2; p <= d; p++ {
+				tab, err := s.Table(d, p)
+				if err != nil || tab == nil {
+					continue
+				}
+				built++
+				if _, rows := s.Grid(d, p); rows != tab.Rows() {
+					t.Errorf("%v d=%d p=%d: Grid rows %d, table %d", s, d, p, rows, tab.Rows())
+				}
+			}
+		}
+	}
+	if built == 0 {
+		t.Fatal("no table layout built")
+	}
+}

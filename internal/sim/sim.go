@@ -276,7 +276,7 @@ func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
 	if e.ctrl, err = sc.Admission(d, p, op.Q, op.F, t); err != nil {
 		return nil, err
 	}
-	e.randomPositions(sc.Grid(d, p, t))
+	e.randomPositions(sc.Grid(d, p))
 	if e.trace, err = orderedTrace(cfg.Trace, "disk", d); err != nil {
 		return nil, err
 	}
