@@ -5,6 +5,9 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"unsafe"
+
+	"ftcms/internal/layout"
 )
 
 // readPieces drains what the stream has delivered in reads of len(piece)
@@ -76,6 +79,78 @@ func TestCorruptBetweenTickAndRead(t *testing.T) {
 	}
 	if bad := s.store.Array.AuditChecksums(); len(bad) != 0 {
 		t.Fatalf("repair left %v failing their checksums", bad)
+	}
+}
+
+// TestSlabSlotIsolated: a clip's blocks share allocations, each slot its
+// own view capped at one block, and a lent slot rewritten — repaired after
+// rot, or overwritten through Install — leaves both the holder's bytes and
+// the slot after it in the same allocation as they were.
+func TestSlabSlotIsolated(t *testing.T) {
+	s := newServer(t, Declustered, 7, 3)
+	want := clipBytes(3, 38_000) // five blocks, the last one short
+	if err := s.AddClip("m", want); err != nil {
+		t.Fatal(err)
+	}
+	arr, bs, ci := s.store.Array, s.store.Array.BlockSize(), s.clips["m"]
+	slot := map[*byte]layout.BlockAddr{} // every stored slot by its first byte
+	for disk := range arr.Disks() {
+		for block := range arr.Extent() {
+			if b := arr.Peek(disk, block); b != nil {
+				if cap(b) != bs {
+					t.Fatalf("(%d, %d) has capacity %d, want the block size %d", disk, block, cap(b), bs)
+				}
+				slot[unsafe.SliceData(b)] = layout.BlockAddr{Disk: disk, Block: block}
+			}
+		}
+	}
+	other := clipBytes(9, bs)
+	for _, rw := range []struct {
+		how     string
+		n       int64 // the clip block lent and rewritten
+		rewrite func(a layout.BlockAddr)
+	}{
+		// Block 0's next slot is block 1, which the write leaves as it was.
+		{"Install", 0, func(a layout.BlockAddr) {
+			if err := s.store.WriteBlock(ci.block(0), other); err != nil {
+				t.Fatal(err)
+			}
+			if got := arr.Peek(a.Disk, a.Block); !bytes.Equal(got, other) {
+				t.Fatal("the write did not store its bytes")
+			}
+		}},
+		// Block 1's next slot is its group's parity, which a repair leaves.
+		{"repair", 1, func(a layout.BlockAddr) {
+			if err := arr.CorruptBits(a.Disk, a.Block, []uint64{3, 777}); err != nil {
+				t.Fatal(err)
+			}
+			c, err := s.readMonitored(a, nil)
+			if err != nil || !c.owned || !bytes.Equal(c.buf, want[bs:2*bs]) {
+				t.Fatalf("the read of a rotten block got %v, repaired %v", err, c.owned)
+			}
+			if got := arr.Peek(a.Disk, a.Block); !bytes.Equal(got, want[bs:2*bs]) {
+				t.Fatal("the repair did not rewrite the block")
+			}
+		}},
+	} {
+		a := s.lay.Place(ci.block(rw.n))
+		held, _, err := arr.Lend(a.Disk, a.Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, ok := slot[(*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(held)), bs))]
+		if !ok {
+			t.Fatalf("%s: no slot follows block %d in its allocation", rw.how, rw.n)
+		}
+		nextBytes := arr.Peek(next.Disk, next.Block)
+		heldWas, nextWas := bytes.Clone(held), bytes.Clone(nextBytes)
+		rw.rewrite(a)
+		if !bytes.Equal(held, heldWas) {
+			t.Errorf("%s: the holder's bytes of block %d changed under it", rw.how, rw.n)
+		}
+		if !bytes.Equal(nextBytes, nextWas) || !bytes.Equal(arr.Peek(next.Disk, next.Block), nextWas) {
+			t.Errorf("%s of block %d changed the next slot of its allocation, %v", rw.how, rw.n, next)
+		}
 	}
 }
 

@@ -86,12 +86,11 @@ func (s *Server) rebuildStep() {
 }
 
 // rebuildOne advances one rebuild as far as idle capacity allows; it
-// returns true when the rebuild is finished or abandoned.
+// returns true when the rebuild is finished or abandoned. Its disk is
+// Rebuilding: a spare's crash and an operator's repair drop the rebuild in
+// the call that takes the disk out of that state (onDiskFailed, RepairDisk).
 func (s *Server) rebuildOne(rb *rebuildState) bool {
 	arr := s.store.Array
-	if arr.State(rb.disk) != storage.Rebuilding {
-		return true // spare crashed or operator repaired the disk
-	}
 	if s.poolPass == nil {
 		s.zero = make([]byte, arr.BlockSize())
 		s.poolPass = func(i int) error { s.batch[i].run(s.store.Array, s.zero); return nil }

@@ -220,11 +220,11 @@ func FuzzWriteRun(f *testing.F) {
 }
 
 // TestWriteRunSameAtAnyProcs holds the ingest's byte pass to its one-core
-// loop: a run of many pool-filled batches, its last block short, between
+// loop: a run of two pool-filled batches, its last block short, between
 // stored neighbours that share its edge groups, leaves the same records,
 // checksums and held index at GOMAXPROCS 1 and 4. Single parity and P+Q.
 func TestWriteRunSameAtAnyProcs(t *testing.T) {
-	const size, first, n = 4 << 10, 40, 600 // ≈ 2.4 MB: several batches of 4·fanOut
+	const size, first, n = 4 << 10, 40, 1800 // ≈ 7.4 MB: two batches, each of several chunks
 	for name, mk := range map[string]func(d, p int) (*layout.Declustered, error){
 		"single parity": layout.NewDeclustered,
 		"P+Q":           layout.NewDeclusteredPQ,

@@ -14,6 +14,7 @@
 package recovery
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -49,17 +50,21 @@ type Store struct {
 	held [][]Member
 
 	// WriteRun's state, kept so a warm write allocates nothing: the run, a bit
-	// per run block a planned group covers, the batch, a zero block, fill.
+	// per run block a planned group covers, the batch grown a chunk at a time,
+	// the groups planned, each chunk's gather list, a zero block, fill.
 	run     run
 	seen    []uint64
 	batch   []groupJob
+	planned []groupJob
+	parts   [][][]byte
 	zero    []byte
-	fillJob func(i int) error
+	fillJob func(c int) error
 }
 
 // groupJob is one parity group of a WriteRun batch: bufs[m] holds member m
-// (data first, then P and Q), a written slot's Reserve buffer or else the
-// stored bytes, and sums[m] a written slot's checksum.
+// (data first, then P and Q), a written slot's Reserve buffer (nil for a
+// fresh or lent slot until fill carves it one) or else the stored bytes,
+// and sums[m] a written slot's checksum.
 type groupJob struct {
 	g    layout.Group
 	bufs [][]byte
@@ -105,8 +110,8 @@ func NewStore(l layout.Layout, a *storage.Array) (*Store, error) {
 		return nil, fmt.Errorf("recovery: layout has %d disks, array %d", l.Disks(), a.Disks())
 	}
 	s := &Store{Layout: l, Array: a, held: make([][]Member, a.Disks()), zero: make([]byte, a.BlockSize())}
-	s.fillJob = func(i int) error { s.fill(&s.batch[i]); return nil }
-	s.makeBatch(batchGroups)
+	s.fillJob = func(c int) error { s.fill(c); return nil }
+	s.parts = make([][][]byte, batchGroups/chunkGroups)
 	return s, nil
 }
 
@@ -114,9 +119,11 @@ func NewStore(l layout.Layout, a *storage.Array) (*Store, error) {
 // refreshes its group's parity: WriteRun's one-block case.
 func (s *Store) WriteBlock(i int64, data []byte) error { return s.WriteRun(i, 1, 1, data) }
 
-// A WriteRun batch holds up to batchGroups groups; the pool fills one that
-// spans fanOut bytes, worth its helpers' ≈ 100 µs start (DESIGN §13).
-const batchGroups, fanOut = 64, 256 << 10
+// A WriteRun batch holds up to batchGroups groups, eight chunks of
+// chunkGroups (1 MB at p = 4 and 4 KB blocks), each one pool item whose
+// fresh slots are one allocation; the pool fills a batch that spans fanOut
+// bytes, worth its helpers' ≈ 100 µs start (DESIGN §13).
+const chunkGroups, batchGroups, fanOut = 64, 8 * 64, 256 << 10
 
 // WriteRun stores n logical blocks, first, first+stride, …, block k holding
 // data[k·bs:(k+1)·bs] zero-padded, and the parity of each group they touch,
@@ -131,18 +138,19 @@ func (s *Store) WriteRun(first, stride, n int64, data []byte) error {
 	s.seen = slices.Grow(s.seen[:0], int(n/64+1))[:n/64+1]
 	clear(s.seen)
 	size := s.Layout.GroupSize() * s.Array.BlockSize()
-	batch, err := []groupJob(nil), error(nil)
+	err := error(nil)
 	for k := int64(0); k < n && err == nil; {
-		batch, k, err = s.plan(k)
-		if len(batch)*size >= fanOut {
-			_ = parallel.ForEach(len(batch), s.fillJob) // fill cannot fail
+		s.planned, k, err = s.plan(k)
+		chunks := (len(s.planned) + chunkGroups - 1) / chunkGroups
+		if len(s.planned)*size >= fanOut {
+			_ = parallel.ForEach(chunks, s.fillJob) // fill cannot fail
 		} else {
-			for i := range batch {
-				s.fill(&batch[i])
+			for c := range chunks {
+				s.fill(c)
 			}
 		}
-		for i := range batch {
-			err = cmp.Or(err, s.commit(&batch[i]))
+		for i := range s.planned {
+			err = cmp.Or(err, s.commit(&s.planned[i]))
 		}
 	}
 	s.run = run{} // the caller's bytes are not the store's to keep
@@ -156,9 +164,12 @@ func (s *Store) WriteRun(first, stride, n int64, data []byte) error {
 // it cannot stage ends the batch with that group's error.
 func (s *Store) plan(k int64) ([]groupJob, int64, error) {
 	r, n := s.run, 0
-	for ; k < r.n && n < len(s.batch); k++ {
+	for ; k < r.n && n < batchGroups; k++ {
 		if s.seen[k/64]>>(k%64)&1 != 0 {
 			continue // a planned group's member
+		}
+		if n == len(s.batch) {
+			s.makeBatch(chunkGroups)
 		}
 		j := &s.batch[n]
 		s.Layout.GroupAt(s.Layout.Place(r.first+k*r.stride), &j.g)
@@ -192,33 +203,75 @@ func (s *Store) plan(k int64) ([]groupJob, int64, error) {
 	return s.batch[:n], k, nil
 }
 
-// fill, the pass the pool may run, copies the run's members of group j into
-// their slots, zero-padded, builds P and Q and takes each written slot's
-// checksum. It touches j's buffers alone, and reads the run's bytes.
-func (s *Store) fill(j *groupJob) {
-	r, nd := &s.run, len(j.g.Data)
-	bs, end := int64(s.Array.BlockSize()), int64(len(r.data))
-	for m, i := range j.g.Data {
-		if k := r.index(i); k >= 0 {
-			lo, hi := min(k*bs, end), min(k*bs+bs, end) // short at the end of the data
-			b := j.bufs[m][:0]
-			if hi-lo < bs {
-				b = slices.Grow(b, int(bs)) // one allocation, not one for the bytes and one for the padding
+// fill, the pass the pool may run, fills chunk c of the planned groups. A
+// written slot with no buffer, fresh or lent, is carved as a capped view of
+// one allocation of the chunk's gathered initial bytes, which bytes.Join
+// does not zero: the copy is its pages' first touch. A kept buffer gets its
+// initial bytes by a copy. Then each data slot takes its checksum, P the XOR
+// of the data and Q its Horner steps. It touches the chunk's slots alone,
+// and reads the run's bytes.
+func (s *Store) fill(c int) {
+	js := s.planned[c*chunkGroups : min(c*chunkGroups+chunkGroups, len(s.planned))]
+	parts := s.parts[c][:0]
+	for i := range js {
+		for x, b := range js[i].bufs {
+			if body, pad, ok := s.initial(&js[i], x); ok && b == nil {
+				parts = append(parts, body, s.zero[:pad])
 			}
-			b = append(append(b, r.data[lo:hi]...), make([]byte, bs-hi+lo)...)
-			j.bufs[m], j.sums[m] = b, integrity.Sum(b)
 		}
 	}
-	j.bufs[nd] = append(j.bufs[nd][:0], j.bufs[nd-1]...) // sized by a copy, not a clear
-	XOR(j.bufs[nd], j.bufs[:nd]...)
-	j.sums[nd] = integrity.Sum(j.bufs[nd])
-	if j.g.HasQ {
-		q := append(j.bufs[nd+1][:0], j.bufs[nd-1]...) // Σ g^m·D_m, last member first
-		for m := nd - 2; m >= 0; m-- {
-			gfQStep(q, j.bufs[m])
+	slab, bs := bytes.Join(parts, nil), len(s.zero)
+	clear(parts)
+	s.parts[c] = parts
+	for i := range js {
+		j, nd := &js[i], len(js[i].g.Data)
+		for x, b := range j.bufs {
+			body, _, ok := s.initial(j, x)
+			switch {
+			case !ok:
+				continue
+			case b == nil:
+				j.bufs[x], slab = slab[:bs:bs], slab[bs:]
+			default:
+				clear(b[copy(b, body):])
+			}
+			if x < nd {
+				j.sums[x] = integrity.Sum(j.bufs[x])
+			}
 		}
-		j.bufs[nd+1], j.sums[nd+1] = q, integrity.Sum(q)
+		XOR(j.bufs[nd], j.bufs[:nd]...)
+		j.sums[nd] = integrity.Sum(j.bufs[nd])
+		if j.g.HasQ {
+			q := j.bufs[nd+1] // Σ g^m·D_m, last member first
+			for m := nd - 2; m >= 0; m-- {
+				gfQStep(q, j.bufs[m])
+			}
+			j.sums[nd+1] = integrity.Sum(q)
+		}
 	}
+}
+
+// initial returns the bytes slot x of group j starts from, body and then pad
+// zeroes, or ok false for a slot the run does not write. A run member starts
+// from its data, zero-padded; P and Q from the last data member's bytes,
+// which are Q's first Horner term and P's size.
+func (s *Store) initial(j *groupJob, x int) (body []byte, pad int, ok bool) {
+	nd, r := len(j.g.Data), &s.run
+	switch {
+	case x > nd+1 || x == nd+1 && !j.g.HasQ:
+		return nil, 0, false
+	case x >= nd:
+		if x = nd - 1; r.index(j.g.Data[x]) < 0 {
+			return j.bufs[x], 0, true
+		}
+	}
+	k := r.index(j.g.Data[x])
+	if k < 0 {
+		return nil, 0, false
+	}
+	bs, end := int64(len(s.zero)), int64(len(r.data))
+	lo, hi := min(k*bs, end), min(k*bs+bs, end) // short at the end of the data
+	return r.data[lo:hi], int(bs - hi + lo), true
 }
 
 // commit is the last pass over group j, in batch order: it installs every
@@ -238,8 +291,8 @@ func (s *Store) commit(j *groupJob) (err error) {
 	return err
 }
 
-// makeBatch makes the batch of k groups, their slices carved from one allocation
-// per kind.
+// makeBatch adds k groups to the batch, their slices carved from one
+// allocation per kind.
 func (s *Store) makeBatch(k int) {
 	w := s.Layout.GroupSize() + 1
 	data, addrs := make([]int64, k*w), make([]layout.BlockAddr, k*w)

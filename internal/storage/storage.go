@@ -118,9 +118,10 @@ type Array struct {
 	blockSize int
 	// disks[disk][block] is the block's record. A disk's slice reaches its
 	// highest block ever written and never shrinks: swapping the medium
-	// (Replace) blanks the records in place and keeps their buffers.
-	// Each block's bytes are their own allocation — one slab grown by
-	// doubling would hold, while it copies, twice the data the array stores.
+	// (Replace) blanks the records in place and keeps their buffers. A
+	// record keeps the bytes Install was given: a clip write's are views,
+	// capped at one block, of one allocation per chunk of its groups, never
+	// grown or copied (recovery.Store.WriteRun; DESIGN §9).
 	disks [][]record
 	// written and owed count each disk's written and owed blocks.
 	written, owed []int
