@@ -217,6 +217,7 @@ type Server struct {
 	// at once with nothing unrecoverable, and of concurrent rebuilds.
 	erasures         int
 	rebuilds         []*rebuildState
+	rebuildPass      int64
 	rebuildQueue     []int
 	rebuildsDone     int
 	detectedFailures int64

@@ -28,6 +28,8 @@ type rebuildState struct {
 	// round's idle capacity reaches.
 	queue []recovery.Member
 	next  int
+	// pass is the last rebuildStep that ran this rebuild.
+	pass int64
 }
 
 // rebuildJob is a batch entry: the plan's repair of a member of the group
@@ -75,11 +77,27 @@ func (e *rebuildJob) run(arr *storage.Array, zero []byte) {
 // read has charges left under q. It runs after stream service each Tick,
 // so streams always have priority — the §4 contingency bandwidth doubles
 // as rebuild bandwidth only when failure reads leave it free.
+//
+// Each rebuild runs once a step, in list order. One rebuild's reads can
+// end another (a read that gets a spare declared failed drops its
+// rebuild, onDiskFailed) or start one, so the list is searched afresh
+// after every call and a finished rebuild leaves it by identity.
 func (s *Server) rebuildStep() {
-	for j := 0; j < len(s.rebuilds); j++ {
-		if s.rebuildOne(s.rebuilds[j]) {
-			s.rebuilds = append(s.rebuilds[:j], s.rebuilds[j+1:]...)
-			j--
+	s.rebuildPass++
+	for {
+		var rb *rebuildState
+		for _, r := range s.rebuilds {
+			if r.pass != s.rebuildPass {
+				rb = r
+				break
+			}
+		}
+		if rb == nil {
+			break
+		}
+		rb.pass = s.rebuildPass
+		if s.rebuildOne(rb) {
+			s.rebuilds = slices.DeleteFunc(s.rebuilds, func(r *rebuildState) bool { return r == rb })
 		}
 	}
 	s.nextRebuild()

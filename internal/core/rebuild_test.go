@@ -394,3 +394,88 @@ func TestRebuildRotProgress(t *testing.T) {
 		})
 	}
 }
+
+// TestRebuildDroppedMidStep: under P+Q two rebuilds run at once, and the
+// second one's read of a block the first has already rebuilt can get the
+// first one's spare declared failed, which drops the first rebuild inside
+// the second one's step. When the second then finishes, rebuildStep must
+// take it out by identity: both rebuilds leave the list and the step does
+// not panic. The state is built by hand: the first rebuild stalls on its
+// next entry (every disk outside the second one's group is charged to q)
+// and the second owes one block, whose group reads the first one's spare.
+func TestRebuildDroppedMidStep(t *testing.T) {
+	const a, b = 3, 8
+	cfg := testConfig(DeclusteredPQ, 13, 4)
+	cfg.Spares = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClip("c", clipBytes(1, 8_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailDisk(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailDisk(b); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.rebuilds) != 2 || s.rebuilds[0].disk != a || s.rebuilds[0].next == 0 {
+		t.Fatalf("want disk %d's rebuild under way ahead of disk %d's, have %d rebuilds", a, b, len(s.rebuilds))
+	}
+	ra, rb := s.rebuilds[0], s.rebuilds[1]
+	arr := s.store.Array
+	disks := func(at layout.BlockAddr) map[int]bool {
+		var g layout.Group
+		s.lay.GroupAt(at, &g)
+		set := map[int]bool{}
+		for idx := 0; idx < len(g.Data)+2; idx++ {
+			set[memberAddr(&g, idx).Disk] = true
+		}
+		return set
+	}
+	next := disks(layout.BlockAddr{Disk: a, Block: ra.queue[ra.next].Block})
+	// The entry of the second rebuild to keep: its group reads a block the
+	// first has rebuilt, and leaves out a disk the first one's next entry
+	// reads, which the charges below then stall.
+	var group map[int]bool
+	for _, m := range rb.queue {
+		var g layout.Group
+		t := s.lay.GroupAt(layout.BlockAddr{Disk: b, Block: m.Block}, &g)
+		set := disks(layout.BlockAddr{Disk: b, Block: m.Block})
+		readsA, stalls := false, false
+		for _, idx := range planReads(&g, []int{t}, nil, nil) {
+			ma := memberAddr(&g, idx)
+			readsA = readsA || ma.Disk == a && arr.Written(a, ma.Block)
+		}
+		for d := range next {
+			stalls = stalls || d != a && !set[d]
+		}
+		if readsA && stalls {
+			rb.queue, group = []recovery.Member{m}, set
+			break
+		}
+	}
+	if group == nil {
+		t.Fatal("no entry of the second rebuild reads a block the first has rebuilt")
+	}
+	arr.SetReadHook(func(disk int, _ int64) (float64, error) {
+		if disk == a {
+			return 0, errors.New("spare dead")
+		}
+		return 1, nil
+	})
+	s.engine.BeginRound()
+	for d := 0; d < cfg.D; d++ {
+		for !group[d] && s.engine.Load(d) < cfg.Q {
+			s.engine.Charge(d)
+		}
+	}
+	s.rebuildStep()
+	if !arr.Failed(a) || len(s.rebuilds) != 0 || rb.next != 1 {
+		t.Fatalf("disk %d failed %v, %d rebuilds left, second rebuild at %d of 1", a, arr.Failed(a), len(s.rebuilds), rb.next)
+	}
+}

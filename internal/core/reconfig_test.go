@@ -340,6 +340,36 @@ func TestAddDiskPausesWhileUnhealthy(t *testing.T) {
 	}
 }
 
+// AddDisk refuses a degraded array: with no spare, the re-layout would
+// wait for a health that never comes, and meanwhile clip imports and,
+// once the disk is repaired, AddClip would refuse with "re-layout in
+// progress". The refusal leaves both working.
+func TestAddDiskRefusesDegraded(t *testing.T) {
+	s := newServer(t, Declustered, 6, 3)
+	if err := s.AddClip("movie", clipBytes(45, 100_000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	const unhealthy = "core: array not healthy; repair before growing"
+	if err := s.AddDisk(); err == nil || err.Error() != unhealthy {
+		t.Fatalf("AddDisk on a degraded array: %v, want %s", err, unhealthy)
+	}
+	if err := s.BeginClipImport("extra", 30_000); err != nil {
+		t.Fatalf("BeginClipImport after the refusal: %v", err)
+	}
+	if err := s.AbortClipImport("extra"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RepairDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClip("trailer", clipBytes(46, 50_000)); err != nil {
+		t.Fatalf("AddClip after the refusal: %v", err)
+	}
+}
+
 // Clip imports and the re-layout exclude each other, both ways: AddDisk
 // refuses while an import is in flight, and BeginClipImport refuses while
 // a re-layout runs.

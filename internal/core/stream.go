@@ -520,11 +520,17 @@ func (s *Server) advance(st *Stream, perRound int64) (int64, error) {
 // when the block's disk has failed — whether declared by the detector or
 // injected — the pre-fetching schemes fetch the group's parity block
 // instead (§6) and the others fetch the surviving members and
-// reconstruct (§4).
+// reconstruct (§4). The pre-fetching schemes take the parity route for a
+// block not yet rebuilt onto a spare too: their admission reserves that
+// one parity read, not the p−1 survivors an in-place repair reads.
 func (s *Server) fetchInto(st *Stream, n int64) error {
 	logical := st.clip.block(n)
 	addr := s.lay.Place(logical)
-	if !s.store.Array.Failed(addr.Disk) {
+	direct := !s.store.Array.Failed(addr.Disk)
+	if s.prefetchDepth > 1 {
+		direct = s.blockReadable(addr)
+	}
+	if direct {
 		s.charge(addr.Disk)
 		c, err := s.readMonitored(addr, nil)
 		if err == nil {
