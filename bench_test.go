@@ -135,13 +135,13 @@ func BenchmarkFailureContinuity(b *testing.B) {
 	var pts []experiments.ContinuityPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.FailureContinuity(256*units.MB, 1)
+		pts, err = experiments.FailureContinuity(1)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	for _, pt := range pts {
-		b.ReportMetric(float64(pt.DeadlineMisses), "misses/"+pt.Scheme.Key()+"-p"+strconv.Itoa(pt.P))
+		b.ReportMetric(float64(pt.Overflows), "overflows/"+pt.Scheme.Key()+"-p"+strconv.Itoa(pt.P))
 	}
 }
 

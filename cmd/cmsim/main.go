@@ -7,7 +7,7 @@
 //
 //	cmsim -exp figure6                   # a registered experiment as a text table
 //	cmsim -exp continuity -csv           # the same columns as CSV
-//	cmsim -scheme non-clustered -p 8 -fail 2 -failat 100   # one run, metrics printed
+//	cmsim -scheme non-clustered -p 8 -rate 10              # one run, metrics printed
 //	cmsim -scenario primetime-flashcrowd-rebuild           # a scenario day (-scenario list)
 //	cmsim -h                             # every single-run and scenario flag
 package main
@@ -33,7 +33,7 @@ import (
 // entry names its own; experiments.Run refuses the rest.
 var modeFlags = map[string]string{
 	"-scenario":    "scenario autopilot timeline csv seed subscribers timescale nodes rep",
-	"a single run": "scheme p buffer seed duration rate fail failat rebuild bypass",
+	"a single run": "scheme p buffer seed duration rate bypass",
 }
 
 func main() {
@@ -46,9 +46,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	duration := flag.Float64("duration", 600, "simulated seconds")
 	rate := flag.Float64("rate", 20, "Poisson arrival rate (requests/second)")
-	failDisk := flag.Int("fail", -1, "disk to fail (-1: none)")
-	failAt := flag.Float64("failat", 0, "failure time (seconds)")
-	rebuildFlag := flag.Bool("rebuild", false, "rebuild the failed disk online from spare bandwidth")
 	bypass := flag.Int("bypass", 0, "pending-list bypass window (0: default 256, -1: strict FIFO)")
 	csvOut := flag.Bool("csv", false, "with -exp: emit the table's columns as CSV; with -scenario: the timeline CSV to stdout")
 	scenarioFlag := flag.String("scenario", "", "run a scenario day: a builtin name, a profile JSON file, or 'list'")
@@ -118,10 +115,6 @@ func main() {
 		if buffer == 0 {
 			buffer = experiments.BufferSizes[0]
 		}
-		var failure []sim.FailureEvent
-		if *failDisk >= 0 {
-			failure = []sim.FailureEvent{{Disk: *failDisk, At: units.Duration(*failAt), Rebuild: *rebuildFlag}}
-		}
 		res, err := sim.Run(sim.Config{
 			Scheme:      sc,
 			Disk:        diskmodel.Default(),
@@ -133,7 +126,6 @@ func main() {
 			Duration:    units.Duration(*duration),
 			Seed:        *seed,
 			QueueBypass: *bypass,
-			Trace:       failure,
 		})
 		if err != nil {
 			fatal(err)
@@ -147,17 +139,6 @@ func main() {
 		fmt.Printf("mean response     %v\n", res.MeanResponse)
 		fmt.Printf("p95 response      %v\n", res.ResponseP95)
 		fmt.Printf("max queue         %d\n", res.MaxQueue)
-		if *failDisk >= 0 {
-			fmt.Printf("deadline misses   %d\n", res.DeadlineMisses)
-			fmt.Printf("lost blocks       %d\n", res.LostBlocks)
-			if *rebuildFlag {
-				if res.RebuildDone {
-					fmt.Printf("rebuild           finished in %v\n", res.RebuildTime)
-				} else {
-					fmt.Printf("rebuild           did not finish within the run\n")
-				}
-			}
-		}
 	}
 }
 
@@ -255,9 +236,6 @@ func runScenario(arg string, opts scenarioOpts) error {
 				fmt.Printf("  %s\n", a)
 			}
 		}
-	} else if res.RebuildsDone > 0 {
-		fmt.Printf("rebuilds          %d (first finished in %v)\n",
-			res.RebuildsDone, res.RebuildTime)
 	}
 	fmt.Printf("timeline          %d buckets of %v\n", len(res.Timeline), compiled.Bucket())
 

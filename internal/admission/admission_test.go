@@ -293,11 +293,11 @@ func TestDynamicRelease(t *testing.T) {
 	if !ok {
 		t.Fatal("refused")
 	}
-	if dy.DiskLoad(0, 2) != 1 {
+	if dy.serviceCount(dy.phase(0, 2)) != 1 {
 		t.Fatal("load accounting wrong")
 	}
 	dy.Release(tk)
-	if dy.DiskLoad(0, 2) != 0 {
+	if dy.serviceCount(dy.phase(0, 2)) != 0 {
 		t.Fatal("release accounting wrong")
 	}
 	mustPanic(t, func() { dy.Release(tk) })

@@ -161,11 +161,6 @@ func (dy *Dynamic) Release(t Ticket) {
 	dy.count[t.row][t.phase]--
 }
 
-// DiskLoad returns the clips reading disk i during round now.
-func (dy *Dynamic) DiskLoad(now int64, i int) int {
-	return dy.serviceCount(dy.phase(now, i))
-}
-
 // WorstCaseFailureLoad returns, for disk i at round now, the §5.2 bound
 // serviceCount(i) + max contᵢ(j,l): the blocks disk i would serve in the
 // worst single-disk failure. Always <= q for admitted populations.
@@ -183,15 +178,4 @@ func (dy *Dynamic) Audit(now int64) error {
 		}
 	}
 	return nil
-}
-
-// RowDiskLoad returns the number of super-clip-row clips reading disk i
-// during round now — the failure accounting in the simulator needs the
-// per-row breakdown to attribute reconstruction reads to parity-group
-// member disks.
-func (dy *Dynamic) RowDiskLoad(now int64, i, row int) int {
-	if row < 0 || row >= dy.t.R {
-		panic(fmt.Sprintf("admission: row %d out of range [0, %d)", row, dy.t.R))
-	}
-	return dy.count[row][dy.phase(now, i)]
 }

@@ -22,8 +22,7 @@ import (
 //     disks are reconstructed per-block and rewritten (sector remap).
 //   - Rebuild: when a hot spare is available, the failed disk is
 //     replaced and rebuilt online, byte-accurately, consuming only the
-//     idle block-read capacity each round leaves after stream service
-//     (mirroring sim/failure.go's spare accounting).
+//     idle block-read capacity each round leaves after stream service.
 //   - Rejoin: when every block is back, the spare is promoted to
 //     healthy and detection state clears.
 //   - Beyond tolerance: nothing is enumerated when the failure lands. A

@@ -289,6 +289,72 @@ func TestHotSpareRebuildRejoin(t *testing.T) {
 	}
 }
 
+// TestFailureParityDiskBenign: under the two schemes with dedicated parity
+// disks, losing cluster 0's parity disk costs a playing stream nothing —
+// no read past q, no hiccup, every byte exact — and the spare is rebuilt
+// from the cluster's idle data-disk reads and rejoins.
+func TestFailureParityDiskBenign(t *testing.T) {
+	for _, sc := range []Scheme{PrefetchParityDisk, NonClustered} {
+		cfg := testConfig(sc, 8, 4)
+		cfg.Spares = 1
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clip := clipBytes(12, 480_000)
+		if err := s.AddClip("a", clip); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.OpenStream("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FailDisk(3); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := drainResult(t, s, st, clip, 400); err != nil || n != int64(len(clip)) {
+			t.Fatalf("%v: played %d of %d bytes: %v", sc, n, len(clip), err)
+		}
+		for i := 0; i < 400 && s.Mode() != ModeHealthy; i++ {
+			if err := s.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stats := s.Stats(); stats.Overflows != 0 || stats.Hiccups != 0 || stats.RebuildsDone != 1 {
+			t.Errorf("%v: %d overflows, %d hiccups, %d rebuilds done; want 0, 0, 1",
+				sc, stats.Overflows, stats.Hiccups, stats.RebuildsDone)
+		}
+	}
+}
+
+// TestIndependentClusterFailures: the clustered schemes confine every
+// parity group to one cluster, so failures in two clusters are two single
+// failures: a stream across both plays every byte to EOF.
+func TestIndependentClusterFailures(t *testing.T) {
+	for _, sc := range []Scheme{PrefetchParityDisk, StreamingRAID, NonClustered} {
+		s := newServer(t, sc, 8, 4)
+		clip := clipBytes(13, 480_000)
+		if err := s.AddClip("a", clip); err != nil {
+			t.Fatal(err)
+		}
+		for _, disk := range []int{1, 5} {
+			if err := s.FailDisk(disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := s.OpenStream("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := drainResult(t, s, st, clip, 400); err != nil || n != int64(len(clip)) {
+			t.Fatalf("%v: played %d of %d bytes: %v", sc, n, len(clip), err)
+		}
+		if stats := s.Stats(); stats.Hiccups != 0 || stats.Terminated != 0 {
+			t.Errorf("%v: %d hiccups, %d streams ended", sc, stats.Hiccups, stats.Terminated)
+		}
+	}
+}
+
 // TestSecondFailureDuringRebuild is the acceptance scenario: a seeded
 // plan fails one disk, lets the online rebuild get partway, then fails a
 // second disk. The server must (a) never emit a corrupt byte, (b) end

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+
 	"ftcms/internal/analytic"
+	"ftcms/internal/core"
 	"ftcms/internal/diskmodel"
 	"ftcms/internal/parallel"
 	"ftcms/internal/scheme"
@@ -118,20 +123,42 @@ var StaggeredColumns = []trace.Column[StaggeredAblationPoint]{
 	trace.Col("plain_clips", "clips (plain, p·b)", func(pt StaggeredAblationPoint) any { return pt.PlainClips }),
 }
 
-// ContinuityPoint summarizes a failure-injection run (E10).
+// ContinuityPoint is one scheme's run of E10 on core.Server: an array
+// held at full load loses a disk mid-run and rebuilds it onto one hot
+// spare from idle capacity.
 type ContinuityPoint struct {
-	Scheme         scheme.Scheme
-	P              int
-	Serviced       int
-	DeadlineMisses int64
-	LostBlocks     int64
+	Scheme scheme.Scheme
+	P      int
+	// Peak is the most streams open at once; Opened counts every stream
+	// opened in the run.
+	Peak, Opened int
+	// Hiccups counts deliveries that missed their round, Overflows disk
+	// charges past q (deadline misses) and Lost streams ended with
+	// core.ErrStreamLost.
+	Hiccups, Overflows int64
+	Lost               int
+	// RebuildRounds is the failure→rejoin time of the spare, -1 when the
+	// rebuild does not finish inside the run.
+	RebuildRounds int64
 }
 
-// FailureContinuity runs E10: every scheme with a disk failing mid-run.
-// The rate-guaranteeing schemes report zero misses and losses; the
-// non-clustered baseline does not.
-func FailureContinuity(buffer units.Bits, seed int64) ([]ContinuityPoint, error) {
-	cat := PaperCatalog()
+// The E10 run: d = 32 Figure 1 disks sized by analytic.Solve at an 8 MB
+// buffer, so every case's bytes fit in memory; disk 5 fails at round 40
+// of 400.
+const (
+	continuityBuffer = 8 * units.MB
+	continuityDisk   = 5
+	continuityFailAt = 40
+	continuityRounds = 400
+)
+
+// FailureContinuity runs E10: every paper scheme at full load through a
+// disk failure and its rebuild. The rate-guaranteeing schemes deliver
+// every block in its round with no charge past q and lose no stream; the
+// non-clustered baseline overruns q. Declustering spreads the rebuild's
+// reads over the whole array, so only the declustered and flat layouts
+// find idle capacity to finish it at full load (E12).
+func FailureContinuity(seed int64) ([]ContinuityPoint, error) {
 	cases := []struct {
 		s scheme.Scheme
 		p int
@@ -144,28 +171,82 @@ func FailureContinuity(buffer units.Bits, seed int64) ([]ContinuityPoint, error)
 		{scheme.NonClustered, 8},
 	}
 	return parallel.Map(len(cases), func(k int) (ContinuityPoint, error) {
-		c := cases[k]
-		res, err := sim.Run(sim.Config{
-			Scheme: c.s, Disk: diskmodel.Default(), D: 32, P: c.p,
-			Buffer: buffer, Catalog: cat, ArrivalRate: 20,
-			Duration: 300 * units.Second, Seed: seed,
-			Trace: []sim.FailureEvent{{Disk: 5, At: 100 * units.Second}},
-		})
+		pt, err := continuityRun(cases[k].s, cases[k].p, seed)
 		if err != nil {
-			return ContinuityPoint{}, err
+			return pt, fmt.Errorf("experiments: %v p=%d: %w", cases[k].s, cases[k].p, err)
 		}
-		return ContinuityPoint{
-			Scheme: c.s, P: c.p, Serviced: res.Serviced,
-			DeadlineMisses: res.DeadlineMisses, LostBlocks: res.LostBlocks,
-		}, nil
+		return pt, nil
 	})
 }
 
-// ContinuityColumns is E10's table.
+// continuityRun stores one clip with a group start on every admission
+// cell, twice over, and each round opens streams at every group start,
+// in a fresh random order, until refused, so the array stays at full
+// load; every delivered byte is checked against the clip.
+func continuityRun(sc scheme.Scheme, p int, seed int64) (ContinuityPoint, error) {
+	const d = 32
+	disk := diskmodel.Default()
+	op, err := analytic.Solve(analytic.Config{Disk: disk, D: d, Buffer: continuityBuffer}, sc, p)
+	if err != nil {
+		return ContinuityPoint{}, err
+	}
+	s, err := core.New(core.Config{Scheme: sc, Disk: disk, D: d, P: p, Block: op.Block, Q: op.Q, F: op.F,
+		Buffer: continuityBuffer, Spares: 1})
+	if err != nil {
+		return ContinuityPoint{}, err
+	}
+	unitsN, classes := sc.Grid(d, p)
+	groups := 2 * unitsN * classes
+	group := int64(op.Block.Bytes()) * int64(sc.PrefetchDepth(p))
+	clip := doubleFaultClip(seed, int(group)*groups)
+	if err := s.AddClip("c", clip); err != nil {
+		return ContinuityPoint{}, err
+	}
+	pt := ContinuityPoint{Scheme: sc, P: p, RebuildRounds: -1}
+	rng := rand.New(rand.NewSource(seed))
+	var tracks []*track
+	buf := make([]byte, 64<<10)
+	for round := 0; round < continuityRounds; round++ {
+		if round == continuityFailAt {
+			if err := s.FailDisk(continuityDisk); err != nil {
+				return pt, err
+			}
+		}
+		for _, g := range rng.Perm(groups) {
+			off := int64(g) * group
+			for st, err := s.OpenStreamAt("c", off); err == nil; st, err = s.OpenStreamAt("c", off) {
+				tracks = append(tracks, &track{st: st, want: clip[off:]})
+				pt.Opened++
+			}
+		}
+		pt.Peak = max(pt.Peak, s.ActiveStreams())
+		if _, err := tickAndRead(s, tracks, buf); err != nil {
+			return pt, err
+		}
+		tracks = slices.DeleteFunc(tracks, func(tr *track) bool { return tr.done })
+	}
+	st := s.Stats()
+	pt.Hiccups, pt.Overflows, pt.Lost = st.Hiccups, st.Overflows, st.Terminated
+	if lats := s.RebuildLatencies(); len(lats) > 0 {
+		pt.RebuildRounds = lats[0]
+	}
+	return pt, nil
+}
+
+// ContinuityColumns is E10's table; a rebuild that does not finish reads
+// "none".
 var ContinuityColumns = []trace.Column[ContinuityPoint]{
 	trace.Col("scheme", "scheme", func(pt ContinuityPoint) any { return pt.Scheme.Legend() }),
 	trace.Col("p", "p", func(pt ContinuityPoint) any { return pt.P }),
-	trace.Col("serviced", "serviced", func(pt ContinuityPoint) any { return pt.Serviced }),
-	trace.Col("deadline_misses", "deadline misses", func(pt ContinuityPoint) any { return pt.DeadlineMisses }),
-	trace.Col("lost_blocks", "lost blocks", func(pt ContinuityPoint) any { return pt.LostBlocks }),
+	trace.Col("peak_streams", "peak streams", func(pt ContinuityPoint) any { return pt.Peak }),
+	trace.Col("opened", "opened", func(pt ContinuityPoint) any { return pt.Opened }),
+	trace.Col("hiccups", "hiccups", func(pt ContinuityPoint) any { return pt.Hiccups }),
+	trace.Col("overflows", "overflows", func(pt ContinuityPoint) any { return pt.Overflows }),
+	trace.Col("streams_lost", "streams lost", func(pt ContinuityPoint) any { return pt.Lost }),
+	trace.Col("rebuild_rounds", "rebuild rounds", func(pt ContinuityPoint) any {
+		if pt.RebuildRounds < 0 {
+			return "none"
+		}
+		return pt.RebuildRounds
+	}),
 }

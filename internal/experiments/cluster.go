@@ -88,7 +88,7 @@ func ClusterSweep(buffer units.Bits, seed int64) ([]ClusterPoint, error) {
 			return ClusterPoint{}, fmt.Errorf("cluster sweep n=%d rep=%d: %w", c.nodes, c.rep, err)
 		}
 		faulted := base
-		faulted.NodeTrace = []sim.FailureEvent{{Disk: 0, At: clusterDuration / 2}}
+		faulted.NodeTrace = []sim.NodeFailure{{Node: 0, At: clusterDuration / 2}}
 		fres, err := sim.RunCluster(faulted)
 		if err != nil {
 			return ClusterPoint{}, fmt.Errorf("cluster sweep n=%d rep=%d (faulted): %w", c.nodes, c.rep, err)

@@ -2,7 +2,7 @@
 // evaluation (§8): the Figure 1 parameter table, the analytical Figure 5
 // curves, the simulated Figure 6 curves, and the ablations the design
 // calls out (E8: admission policy; E9: staggered-group buffering; E10:
-// failure continuity). Each experiment is a typed sweep, one column list
+// failure continuity, on the byte-level server). Each experiment is a typed sweep, one column list
 // beside its point type that renders both the text table and the CSV,
 // and one entry in Registry (registry.go), which is all cmd/cmsim and
 // cmd/cmopt know of it.

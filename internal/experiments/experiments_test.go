@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ftcms/internal/analytic"
+	"ftcms/internal/diskmodel"
 	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 )
@@ -112,30 +113,46 @@ func TestStaggeredAblation(t *testing.T) {
 	}
 }
 
+// TestFailureContinuity (E10/E12): at full load, with disk 5 failing and
+// one hot spare rebuilding it, the five rate-guaranteeing schemes deliver
+// every block in its round with no charge past q and lose no stream, and
+// the non-clustered baseline overruns q. The declustered and flat layouts
+// finish the rebuild from idle capacity; the cluster-confined pre-fetching
+// schemes, whose admission books every slot of the failed cluster, do not.
+// Every case holds the peak Solve sizes.
 func TestFailureContinuity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulation in -short mode")
+		t.Skip("byte-level runs in -short mode")
 	}
-	pts, err := FailureContinuity(256*units.MB, 1)
+	pts, err := FailureContinuity(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawNonClusteredLoss := false
+	if len(pts) != 6 {
+		t.Fatalf("%d cases, want 6", len(pts))
+	}
 	for _, pt := range pts {
+		name := fmt.Sprintf("%v p=%d", pt.Scheme, pt.P)
+		op, err := analytic.Solve(analytic.Config{Disk: diskmodel.Default(), D: 32, Buffer: continuityBuffer}, pt.Scheme, pt.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Peak != op.Clips {
+			t.Errorf("%s: peak %d streams, Solve sizes %d", name, pt.Peak, op.Clips)
+		}
 		if pt.Scheme == scheme.NonClustered {
-			if pt.LostBlocks > 0 {
-				sawNonClusteredLoss = true
+			if pt.Overflows == 0 {
+				t.Errorf("%s: no charge past q; the baseline's degraded reads must overrun it", name)
 			}
-			continue
+		} else if pt.Hiccups != 0 || pt.Overflows != 0 || pt.Lost != 0 {
+			t.Errorf("%s: %d hiccups, %d overflows, %d streams lost; want none", name, pt.Hiccups, pt.Overflows, pt.Lost)
 		}
-		if pt.DeadlineMisses != 0 || pt.LostBlocks != 0 {
-			t.Errorf("%v p=%d: misses=%d lost=%d, want 0/0", pt.Scheme, pt.P, pt.DeadlineMisses, pt.LostBlocks)
+		finishes := pt.Scheme == scheme.Declustered || pt.Scheme == scheme.PrefetchFlat
+		if pt.Scheme != scheme.NonClustered && (pt.RebuildRounds >= 0) != finishes {
+			t.Errorf("%s: rebuild rounds %d; want it to finish: %v", name, pt.RebuildRounds, finishes)
 		}
 	}
-	if !sawNonClusteredLoss {
-		t.Error("non-clustered scheme lost nothing; expected transition loss")
-	}
-	if !strings.Contains(render(t, "cmsim", "continuity", Params{Buffer: 256 * units.MB, Seed: 1}, false), "E10") {
+	if !strings.Contains(render(t, "cmsim", "continuity", Params{Seed: 1}, false), "E10") {
 		t.Error("E10 table malformed")
 	}
 }

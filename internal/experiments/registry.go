@@ -77,10 +77,11 @@ var Registry = []Experiment{
 			pts, err := StaggeredAblation(p.Buffer)
 			return fmt.Sprintf("E9 — staggered-group buffering ablation (prefetch-flat, B=%v)", p.Buffer), pts, err
 		})},
-	{Name: "continuity", ID: "E10", Cmd: "cmsim", Doc: "failure continuity: disk 5 fails mid-run under every scheme", Flags: "buffer seed",
+	{Name: "continuity", ID: "E10", Cmd: "cmsim", Doc: "failure continuity and online rebuild at full load (E12) on core.Server", Flags: "seed",
 		Render: table(ContinuityColumns, trace.WriteText, func(p Params) (string, []ContinuityPoint, error) {
-			pts, err := FailureContinuity(p.Buffer, p.Seed)
-			return fmt.Sprintf("E10 — disk 5 fails at t=100s of 300s (B=%v)", p.Buffer), pts, err
+			pts, err := FailureContinuity(p.Seed)
+			return fmt.Sprintf("E10/E12 — disk %d fails at round %d of %d under full load, one hot spare (core.Server, d=32, B=%v)",
+				continuityDisk, continuityFailAt, continuityRounds, continuityBuffer), pts, err
 		})},
 	{Name: "rebuild", ID: "E11", Cmd: "cmopt", Doc: "rebuild time and MTTDL per operating point", Flags: "buffer", Panels: true,
 		Render: table(RebuildColumns, trace.WriteText, func(p Params) (string, []RebuildPoint, error) {

@@ -29,7 +29,7 @@ const (
 	KindFlashCrowd  = "flashcrowd"
 	KindMaintenance = "maintenance"
 
-	ActionFail    = "fail"    // node down for the rest of the run (disk failure + online rebuild on single arrays)
+	ActionFail    = "fail"    // node down for the rest of the run
 	ActionRestart = "restart" // node fails and rejoins empty next round
 	ActionDrain   = "drain"   // graceful leave: no new streams, migrate, retire
 	ActionJoin    = "join"    // a new node joins and absorbs admissions

@@ -27,9 +27,8 @@ type RunConfig struct {
 	// Seed drives all randomness: arrivals, clip choice, session
 	// behavior and placements.
 	Seed int64
-	// Nodes is the cluster size (default 3). 1 is a single array:
-	// fail/restart maintenance becomes a disk failure with an online
-	// rebuild, and drain/join/adddisk are rejected.
+	// Nodes is the cluster size (default 3). 1 is a single array, which
+	// rejects every maintenance action: they act on nodes.
 	Nodes int
 	// Replication is the clip replication factor (default 2, clamped to
 	// Nodes).
@@ -70,8 +69,7 @@ func (rc RunConfig) withDefaults() RunConfig {
 
 // Run executes a compiled scenario end to end: it builds the catalog and
 // streaming arrival source, maps the maintenance schedule onto the
-// simulator's failure and view traces — disk failures for a single array
-// (Nodes == 1), node failures and view events for a cluster — and runs it
+// simulator's node-failure and view traces (a cluster only) and runs it
 // with a timeline collector sized by the profile's bucket width.
 func Run(rc RunConfig) (Result, error) {
 	if rc.Scenario == nil {
@@ -112,18 +110,8 @@ func Run(rc RunConfig) (Result, error) {
 		if rc.Autopilot {
 			return Result{}, fmt.Errorf("scenario: autopilot needs a cluster (nodes > 1)")
 		}
-		for _, ev := range c.Maintenance() {
-			switch ev.Action {
-			case ActionFail, ActionRestart:
-				if ev.Node >= nodeDisks {
-					return Result{}, fmt.Errorf("scenario: maintenance disk %d outside array of %d disks", ev.Node, nodeDisks)
-				}
-				// A single array repairs through the online rebuild path
-				// for both actions.
-				node.Trace = append(node.Trace, sim.FailureEvent{Disk: ev.Node, At: ev.At, Rebuild: true})
-			default:
-				return Result{}, fmt.Errorf("scenario: maintenance action %q needs a cluster (nodes > 1)", ev.Action)
-			}
+		if m := c.Maintenance(); len(m) > 0 {
+			return Result{}, fmt.Errorf("scenario: maintenance action %q needs a cluster (nodes > 1)", m[0].Action)
 		}
 		out.Result, err = sim.Run(node)
 	} else {
@@ -136,7 +124,7 @@ func Run(rc RunConfig) (Result, error) {
 		for _, ev := range c.Maintenance() {
 			switch ev.Action {
 			case ActionFail, ActionRestart:
-				ccfg.NodeTrace = append(ccfg.NodeTrace, sim.FailureEvent{Disk: ev.Node, At: ev.At, Rebuild: ev.Action == ActionRestart})
+				ccfg.NodeTrace = append(ccfg.NodeTrace, sim.NodeFailure{Node: ev.Node, At: ev.At, Restart: ev.Action == ActionRestart})
 			case ActionDrain, ActionJoin, ActionAddDisk:
 				// The action names are the simulator's view-event kinds.
 				// Closed-loop runs suppress operator reconfiguration: the

@@ -84,23 +84,19 @@ func TestRunClusterScenario(t *testing.T) {
 	}
 }
 
-// TestRunSingleArrayScenario: Nodes == 1 selects the single-array engine
-// and maps fail maintenance onto a disk failure with online rebuild.
+// TestRunSingleArrayScenario: Nodes == 1 selects the single-array engine:
+// one node, no per-node results, the profile's timeline.
 func TestRunSingleArrayScenario(t *testing.T) {
-	// Light load and mild compression: rebuilding a 2 GB disk from idle
-	// capacity takes a few hundred rounds, so the compressed day must
-	// leave that many after the failure.
 	c := mustCompile(t, `{
 		"name": "one-array", "subscribers": 200, "time_scale": 60,
-		"zipf": 1.1, "patience_min": 8, "bucket_min": 120,
-		"phases": [{"kind": "maintenance", "action": "fail", "node": 3, "hour": 1}]
+		"zipf": 1.1, "patience_min": 8, "bucket_min": 120
 	}`)
 	res, err := Run(RunConfig{Scenario: c, Seed: 2, Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PerNode != nil || res.NodeFailures != 0 {
-		t.Fatalf("Nodes=1 should fail a disk of a single array, not a node: %+v", res.ClusterResult)
+		t.Fatalf("Nodes=1 should run one array, not a cluster: %+v", res.ClusterResult)
 	}
 	if res.Serviced == 0 {
 		t.Fatal("no clips serviced")
@@ -108,21 +104,20 @@ func TestRunSingleArrayScenario(t *testing.T) {
 	if len(res.Timeline) != 12 {
 		t.Fatalf("%d buckets, want 12", len(res.Timeline))
 	}
-	if !res.RebuildDone || res.RebuildTime <= 0 {
-		t.Fatalf("fail maintenance did not rebuild: done=%v time=%v",
-			res.RebuildDone, res.RebuildTime)
-	}
 }
 
-// TestRunSingleArrayRejectsClusterMaintenance: drain/join/adddisk have
-// no single-array analogue.
+// TestRunSingleArrayRejectsClusterMaintenance: every maintenance action
+// acts on a node, so a single array refuses each one alike.
 func TestRunSingleArrayRejectsClusterMaintenance(t *testing.T) {
-	c := mustCompile(t, `{
-		"name": "bad", "subscribers": 1000,
-		"phases": [{"kind": "maintenance", "action": "drain", "node": 0, "hour": 6}]
-	}`)
-	if _, err := Run(RunConfig{Scenario: c, Seed: 1, Nodes: 1}); err == nil {
-		t.Fatal("single array accepted a drain")
+	for _, action := range []string{ActionFail, ActionRestart, ActionDrain, ActionJoin, ActionAddDisk} {
+		c := mustCompile(t, `{
+			"name": "bad", "subscribers": 1000,
+			"phases": [{"kind": "maintenance", "action": "`+action+`", "node": 0, "hour": 6}]
+		}`)
+		want := `scenario: maintenance action "` + action + `" needs a cluster (nodes > 1)`
+		if _, err := Run(RunConfig{Scenario: c, Seed: 1, Nodes: 1}); err == nil || err.Error() != want {
+			t.Errorf("single array with %s: %v, want %s", action, err, want)
+		}
 	}
 }
 

@@ -15,18 +15,11 @@ import (
 	"ftcms/internal/scheme"
 )
 
-// dispatchAllowed names the per-scheme formulas that stay switches: the
-// simulator's §8 failure models. Each case there is a different formula,
-// not a table field.
-var dispatchAllowed = map[string]bool{
-	"internal/sim/failure.go:accountFailure": true,
-	"internal/sim/failure.go:dueLoad":        true,
-}
-
 // TestNoSchemeDispatch walks the module's non-test Go files and fails on
 // any case clause or ==/!= outside this package that names one of the
 // seven scheme constants — through this package or core's re-exports —
-// or a scheme key as a string literal. Everything else reads a field.
+// or a scheme key as a string literal. Every consumer reads a field; no
+// switch is allowed.
 func TestNoSchemeDispatch(t *testing.T) {
 	consts := map[string]bool{}
 	for _, n := range []string{"Declustered", "PrefetchFlat", "PrefetchParityDisk", "StreamingRAID",
@@ -92,9 +85,6 @@ func TestNoSchemeDispatch(t *testing.T) {
 			return false
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && dispatchAllowed[rel+":"+fn.Name.Name] {
-				continue
-			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CaseClause:

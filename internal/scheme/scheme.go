@@ -6,13 +6,8 @@
 // the rest of the tree reads: the parity columns, whether parity groups
 // stay inside a cluster, how far fetching runs ahead. A consumer reads a
 // field where it would otherwise switch on a name. A new scheme is one
-// more record.
-//
-// One dispatch remains outside the table, because each case is a
-// different formula rather than a parameter of one: the simulator's §8
-// failure models (accountFailure and dueLoad in internal/sim). A
-// go/parser test in this package holds the rest of the module to field
-// reads.
+// more record. A go/parser test in this package holds the whole module to
+// field reads.
 package scheme
 
 import (

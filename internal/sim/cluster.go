@@ -8,7 +8,7 @@ package sim
 // surviving replicas when their controllers have room and counts them
 // lost otherwise. A single array is the n = 1 case: one replica, nothing
 // to fail over to, no membership to change — Run is this loop with one
-// node whose per-disk scripts are live.
+// node.
 
 import (
 	"errors"
@@ -29,20 +29,15 @@ import (
 type ClusterConfig struct {
 	// Node is the per-node template: scheme, disk model, geometry, buffer
 	// and catalog, plus the cluster-level workload knobs (ArrivalRate or
-	// Source, Duration, Seed, QueueBypass). Node.Trace is ignored —
-	// failures happen at node granularity via NodeTrace.
+	// Source, Duration, Seed, QueueBypass).
 	Node Config
 	// Nodes is the cluster size.
 	Nodes int
 	// Replication is how many nodes hold each clip (1 ≤ Replication ≤
 	// Nodes). Clip i lives on nodes (i+k) mod Nodes for k < Replication.
 	Replication int
-	// NodeTrace scripts node failures, reusing FailureEvent with Disk
-	// indexing nodes. Rebuild=true models a fast process restart: the
-	// node's in-flight streams still fail over or die, but the node
-	// rejoins empty from the next round; Rebuild=false keeps it down for
-	// the rest of the run.
-	NodeTrace []FailureEvent
+	// NodeTrace scripts node failures.
+	NodeTrace []NodeFailure
 	// ViewTrace scripts elastic reconfiguration events (join, drain,
 	// adddisk), mirroring NodeTrace. Joined nodes take the next node id
 	// and, once live, absorb admissions for any clip (modeling the
@@ -58,6 +53,18 @@ type ClusterConfig struct {
 	// applied through the same join/drain machinery the ViewTrace uses.
 	// Its floor is the original membership (the replication floor).
 	Autopilot bool
+}
+
+// NodeFailure is one scripted node failure in a NodeTrace.
+type NodeFailure struct {
+	// Node fails at time At; failing a node that is down already is
+	// ignored.
+	Node int
+	At   units.Duration
+	// Restart models a fast process restart: the node's in-flight
+	// streams still fail over or die, but the node rejoins empty from the
+	// next round. Without it the node stays down for the rest of the run.
+	Restart bool
 }
 
 // ViewEvent is one scripted reconfiguration action in a ViewTrace.
@@ -94,8 +101,7 @@ type ClusterResult struct {
 	// array (failovers are not re-counted in Serviced; PeakActive counts
 	// live nodes' streams); Block, Q and F echo the per-node operating
 	// point, and timeline buckets carry per-node active counts and the
-	// view version. Its per-disk failure fields stay zero: cluster nodes
-	// run no disk scripts.
+	// view version.
 	Result
 	// Shed counts new lean-back requests the autopilot's degradation
 	// mode turned away at arrival. Shed requests never enter the
@@ -132,18 +138,14 @@ type ClusterResult struct {
 }
 
 // RunCluster executes a multi-node simulation: the round loop over
-// cfg.Nodes nodes with their failure traces cleared — single-disk
-// failures are node internals this tier does not model.
-func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
-	cfg.Node.Trace = nil
-	return simulate(cfg)
-}
+// cfg.Nodes nodes.
+func RunCluster(cfg ClusterConfig) (ClusterResult, error) { return simulate(cfg) }
 
 // simulate is the simulator's round loop. A round feeds arrivals,
 // completes finished streams, lets impatient requests abandon, retries
-// parked failovers, admits from the pending list, runs every node's
-// disk-level accounting, applies node failures and membership changes,
-// consults the autopilot and closes timeline buckets.
+// parked failovers, admits from the pending list, applies node failures
+// and membership changes, consults the autopilot and closes timeline
+// buckets.
 func simulate(cfg ClusterConfig) (ClusterResult, error) {
 	r, err := newRun(cfg)
 	if err != nil {
@@ -159,9 +161,6 @@ func simulate(cfg ClusterConfig) (ClusterResult, error) {
 		r.abandon()
 		r.retryParked()
 		r.admit()
-		for _, e := range r.nodes {
-			e.failureStep(now)
-		}
 		r.failNodes()
 		if err := r.applyViewEvents(); err != nil {
 			return ClusterResult{}, err
@@ -220,7 +219,7 @@ type run struct {
 
 	// Scripted node failures and view events in time order, and the
 	// failover streams waiting for room.
-	events    []FailureEvent
+	events    []NodeFailure
 	nextEvent int
 	views     []ViewEvent
 	nextView  int
@@ -279,9 +278,13 @@ func newRun(cfg ClusterConfig) (*run, error) {
 	if nc.D < 2 {
 		return nil, errors.New("sim: need at least 2 disks per node")
 	}
-	events, err := orderedTrace(cfg.NodeTrace, "node", cfg.Nodes)
-	if err != nil {
-		return nil, err
+	for _, ev := range cfg.NodeTrace {
+		if ev.Node < 0 || ev.Node >= cfg.Nodes {
+			return nil, fmt.Errorf("sim: trace node %d out of range [0, %d)", ev.Node, cfg.Nodes)
+		}
+		if ev.At < 0 {
+			return nil, fmt.Errorf("sim: trace event at negative time %v", ev.At)
+		}
 	}
 	for _, ev := range cfg.ViewTrace {
 		switch ev.Kind {
@@ -313,10 +316,11 @@ func newRun(cfg ClusterConfig) (*run, error) {
 	r := &run{
 		cfg:        cfg,
 		op:         op,
-		events:     events,
+		events:     slices.Clone(cfg.NodeTrace),
 		views:      slices.Clone(cfg.ViewTrace),
 		relayoutAt: map[int]int64{},
 	}
+	sort.SliceStable(r.events, func(a, b int) bool { return r.events[a].At < r.events[b].At })
 	sort.SliceStable(r.views, func(a, b int) bool { return r.views[a].At < r.views[b].At })
 	r.res.Block, r.res.Q, r.res.F = op.Block, op.Q, op.F
 	for len(r.nodes) < cfg.Nodes {
@@ -365,7 +369,7 @@ func newRun(cfg ClusterConfig) (*run, error) {
 func (r *run) addNode() error {
 	c := r.cfg.Node
 	c.Seed += int64(len(r.nodes)) * 7919
-	e, err := newEngine(c, r.op, &r.res.Result)
+	e, err := newEngine(c, r.op)
 	if err != nil {
 		return err
 	}
@@ -586,15 +590,15 @@ func (r *run) failNodes() {
 	for r.nextEvent < len(r.events) && r.events[r.nextEvent].At < r.tEnd {
 		ev := r.events[r.nextEvent]
 		r.nextEvent++
-		if !r.alive[ev.Disk] {
+		if !r.alive[ev.Node] {
 			continue
 		}
 		r.res.NodeFailures++
-		r.res.PerNode[ev.Disk].FailRound = r.now
-		r.alive[ev.Disk] = false
+		r.res.PerNode[ev.Node].FailRound = r.now
+		r.alive[ev.Node] = false
 		// Every stream leaves the dead node, which releases it: a no-op
 		// for a node that stays down, a clean slate for one restarting.
-		r.nodes[ev.Disk].displace(func(c *clip) bool {
+		r.nodes[ev.Node].displace(func(c *clip) bool {
 			remaining := c.doneRound - r.now
 			switch {
 			case r.failover(c.clipID, remaining):
@@ -605,9 +609,9 @@ func (r *run) failNodes() {
 			}
 			return true
 		})
-		if ev.Rebuild {
+		if ev.Restart {
 			// Fast restart: the node rejoins empty next round.
-			r.alive[ev.Disk] = true
+			r.alive[ev.Node] = true
 		} else {
 			// A permanent loss the autopilot may replace.
 			r.nodeLosses++
@@ -759,11 +763,6 @@ func (r *run) finish(totalRounds int64) ClusterResult {
 	// Failover streams still parked at close never resumed: lost.
 	r.res.LostStreams += len(r.parked)
 	r.res.ViewVersion = r.viewVersion
-	rebuildsReq := 0
-	for _, e := range r.nodes {
-		rebuildsReq += e.rebuildsReq
-	}
-	r.res.RebuildDone = rebuildsReq > 0 && r.res.RebuildsDone == rebuildsReq
 	r.res.Rounds = totalRounds
 	if r.res.Serviced > 0 {
 		r.res.MeanResponse = r.responseSum / units.Duration(r.res.Serviced)

@@ -52,7 +52,7 @@ func TestRunClusterValidation(t *testing.T) {
 		t.Error("accepted zero duration")
 	}
 	bad = base
-	bad.NodeTrace = []FailureEvent{{Disk: 9, At: units.Second}}
+	bad.NodeTrace = []NodeFailure{{Node: 9, At: units.Second}}
 	if _, err := RunCluster(bad); err == nil {
 		t.Error("accepted out-of-range trace node")
 	}
@@ -135,7 +135,7 @@ func TestRunClusterNodeFailureFailsOver(t *testing.T) {
 	// Moderate load: failover capacity only exists if the survivors'
 	// controllers are not already saturated.
 	base.Node.ArrivalRate = 5
-	base.NodeTrace = []FailureEvent{{Disk: 1, At: 60 * units.Second}}
+	base.NodeTrace = []NodeFailure{{Node: 1, At: 60 * units.Second}}
 
 	res, err := RunCluster(base)
 	if err != nil {
@@ -185,9 +185,9 @@ func TestRunClusterNodeFailureFailsOver(t *testing.T) {
 func TestRunClusterRestartRejoins(t *testing.T) {
 	base := clusterBase(t)
 	down := base
-	down.NodeTrace = []FailureEvent{{Disk: 0, At: 30 * units.Second}}
+	down.NodeTrace = []NodeFailure{{Node: 0, At: 30 * units.Second}}
 	restart := base
-	restart.NodeTrace = []FailureEvent{{Disk: 0, At: 30 * units.Second, Rebuild: true}}
+	restart.NodeTrace = []NodeFailure{{Node: 0, At: 30 * units.Second, Restart: true}}
 
 	dres, err := RunCluster(down)
 	if err != nil {

@@ -1,15 +1,15 @@
 // Package sim implements the simulation study of §8.2: a round-granularity
 // discrete-event simulation of a d-disk continuous media server under one
 // of the five fault-tolerant schemes, with Poisson request arrivals, a
-// starvation-free pending list, per-scheme admission control and buffer
-// accounting, and optional single-disk failure injection.
+// starvation-free pending list, and per-scheme admission control and
+// buffer accounting.
 //
 // There is one round loop (simulate, cluster.go) over one node type
 // (engine, this file): a node is a d-disk array with its own admission
-// controller, buffer pool and per-disk failure accounting, and the loop
-// is the control plane in front of n of them — pending list, routing,
-// node failover, membership changes, autopilot. Run is that loop with one
-// node; RunCluster is the same loop with n.
+// controller and buffer pool, and the loop is the control plane in front
+// of n of them — pending list, routing, node failover, membership
+// changes, autopilot. Run is that loop with one node; RunCluster is the
+// same loop with n.
 //
 // The paper's experiment: 32 disks, 1000 clips of 50 time units, Poisson
 // arrivals at mean 20 per unit time, uniform clip choice, per-scheme
@@ -17,11 +17,9 @@
 // time; the metric is the number of clips serviced (playback initiated)
 // in the window. One paper time unit is one second here.
 //
-// Failure injection extends the paper's E10 claim checks: after the
-// failure round, the simulator accounts the reconstruction reads each
-// scheme sends to each surviving disk and counts deadline misses (blocks
-// beyond the disk's q budget in a round) and, for the non-clustered
-// baseline, blocks lost in the transition to whole-group reads.
+// A disk failure inside an array is not modelled here: the byte-level
+// server, core, fails, serves and rebuilds disks for real, and the
+// failure experiments (E10, E12, E17, E18) run on it.
 package sim
 
 import (
@@ -34,7 +32,6 @@ import (
 	"ftcms/internal/analytic"
 	"ftcms/internal/buffer"
 	"ftcms/internal/diskmodel"
-	"ftcms/internal/pgt"
 	"ftcms/internal/scheme"
 	"ftcms/internal/units"
 	"ftcms/internal/workload"
@@ -67,13 +64,6 @@ type Config struct {
 	// to; -1 selects strict FIFO head-of-line (one blocked head stalls
 	// the round), the E8 ablation's other endpoint.
 	QueueBypass int
-	// Trace scripts disk failures (fail → rebuild → second failure → …);
-	// empty means none. While two dependent failures overlap (same parity
-	// domain: any pair for the declustered and flat schemes, same cluster
-	// for the clustered ones), the younger failed disk's due blocks are
-	// counted as LostBlocks each round and its rebuild stalls; independent
-	// failures are each accounted as ordinary single failures.
-	Trace []FailureEvent
 	// Source streams arrivals incrementally and supersedes ArrivalRate
 	// (Poisson over uniform clip choice) when non-nil: a flash crowd, a
 	// Zipf catalog or a fixed trace (workload.NewSliceSource). Sources are
@@ -91,24 +81,8 @@ type Config struct {
 }
 
 // Models reports whether the simulator models s: the single-parity
-// schemes, whose §8 failure accounting it implements.
+// schemes, the ones analytic.Solve sizes an operating point for.
 func Models(s scheme.Scheme) bool { return s.ParityCols() == 1 }
-
-// FailureEvent is one scripted disk failure in a Config.Trace.
-type FailureEvent struct {
-	// Disk fails at time At. Re-failing a disk that has since been
-	// rebuilt starts a fresh failure; re-failing a still-failed disk is
-	// ignored.
-	Disk int
-	// At is the failure time.
-	At units.Duration
-	// Rebuild starts an online rebuild onto a hot spare immediately:
-	// every surviving disk donates its idle round capacity (q minus its
-	// service and reconstruction load) to reading surviving group
-	// members, until blocks·(p−1) reads have been served. The failed
-	// disk rejoins when the rebuild finishes.
-	Rebuild bool
-}
 
 // Result carries the run's metrics.
 type Result struct {
@@ -137,26 +111,9 @@ type Result struct {
 	Block units.Bits
 	// Q and F echo the operating point.
 	Q, F int
-	// DeadlineMisses counts blocks that exceeded a disk's q budget in a
-	// round after the failure (each is a playback hiccup).
-	DeadlineMisses int64
-	// LostBlocks counts blocks irrecoverably lost in the failure
-	// transition (non-clustered scheme only; every other scheme
-	// guarantees zero).
-	LostBlocks int64
-	// RebuildTime is how long the online rebuild took (zero when Rebuild
-	// is off or the rebuild did not finish inside the run). With a
-	// multi-event Trace it is the first completed rebuild's duration.
-	RebuildTime units.Duration
-	// RebuildDone reports whether every requested rebuild finished
-	// inside the run.
-	RebuildDone bool
-	// RebuildsDone counts completed online rebuilds across the trace.
-	RebuildsDone int
 }
 
-// clip is one active stream. Failure accounting reads the controllers'
-// phase counts directly, so only completion bookkeeping lives here.
+// clip is one active stream: only completion bookkeeping lives here.
 type clip struct {
 	clipID    int
 	doneRound int64
@@ -167,7 +124,7 @@ type clip struct {
 }
 
 // Run executes the simulation of one array: the round loop with a single
-// node, whose failure Trace is live.
+// node.
 func Run(cfg Config) (Result, error) {
 	res, err := simulate(ClusterConfig{Node: cfg, Nodes: 1})
 	// A single array's timeline has no per-node column.
@@ -178,7 +135,7 @@ func Run(cfg Config) (Result, error) {
 }
 
 // engine is one node of a run: a d-disk array with its own admission
-// controller, buffer pool, stream registry and per-disk accounting.
+// controller, buffer pool and stream registry.
 type engine struct {
 	cfg Config
 	op  analytic.Result
@@ -191,8 +148,6 @@ type engine struct {
 	clipRounds int64
 
 	ctrl admission.Controller
-	// table is set for the table-driven schemes (failure accounting).
-	table *pgt.Table
 
 	active  map[int64][]*clip // completion buckets by round
 	rounds  []int64           // displace's scratch
@@ -205,27 +160,6 @@ type engine struct {
 	// (disk/unit, class/row), chosen once like the paper's disk(C),
 	// row(C).
 	position []startPos
-
-	// Failure-trace state (failure.go): pending scripted events and the
-	// failures currently outstanding, oldest first.
-	trace       []FailureEvent
-	nextEvent   int
-	failures    []*failureState
-	rebuildsReq int
-
-	// res receives the per-disk accounting of failure.go. It is the
-	// run's one Result, shared by its nodes.
-	res *Result
-}
-
-// failureState is one outstanding disk failure from the trace.
-type failureState struct {
-	disk      int
-	failRound int64
-	rebuild   bool
-	// remaining is the number of reconstruction reads the online rebuild
-	// still needs (group slots for streaming RAID).
-	remaining int64
 }
 
 type pending struct {
@@ -239,13 +173,12 @@ type startPos struct {
 	unit, class int
 }
 
-func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
+func newEngine(cfg Config, op analytic.Result) (*engine, error) {
 	e := &engine{
 		cfg:    cfg,
 		op:     op,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		active: make(map[int64][]*clip),
-		res:    res,
 	}
 	var err error
 	e.pool, err = buffer.NewPool(cfg.Buffer)
@@ -270,16 +203,10 @@ func newEngine(cfg Config, op analytic.Result, res *Result) (*engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if t != nil {
-		e.table = t.Table
-	}
 	if e.ctrl, err = sc.Admission(d, p, op.Q, op.F, t); err != nil {
 		return nil, err
 	}
 	e.randomPositions(sc.Grid(d, p))
-	if e.trace, err = orderedTrace(cfg.Trace, "disk", d); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 

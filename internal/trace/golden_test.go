@@ -36,8 +36,10 @@ func TestGoldenOutputs(t *testing.T) {
 		}, "scheme,p,serviced,peak_active,mean_response_s\nPre-fetching without parity disk,8,100,12,1.500000\n"},
 		{"Continuity", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.ContinuityColumns, []experiments.ContinuityPoint{
-				{Scheme: scheme.NonClustered, P: 8, Serviced: 5, DeadlineMisses: 7, LostBlocks: 2}})
-		}, "scheme,p,serviced,deadline_misses,lost_blocks\nNon-clustered,8,5,7,2\n"},
+				{Scheme: scheme.NonClustered, P: 8, Peak: 140, Opened: 1495, Overflows: 12, RebuildRounds: 7},
+				{Scheme: scheme.StreamingRAID, P: 8, Peak: 84, Opened: 5523, Hiccups: 1, Lost: 2, RebuildRounds: -1}})
+		}, "scheme,p,peak_streams,opened,hiccups,overflows,streams_lost,rebuild_rounds\n" +
+			"Non-clustered,8,140,1495,0,12,0,7\nStreaming RAID,8,84,5523,1,0,2,none\n"},
 		{"Cluster", func(w io.Writer) error {
 			return trace.WriteCSV(w, experiments.ClusterColumns, []experiments.ClusterPoint{
 				{Nodes: 3, Replication: 2, Serviced: 900, PeakActive: 120, MeanResponse: 0.25,

@@ -60,14 +60,14 @@ func TestWriteFigure6CSV(t *testing.T) {
 
 func TestWriteContinuityCSV(t *testing.T) {
 	points := []experiments.ContinuityPoint{
-		{Scheme: scheme.NonClustered, P: 8, Serviced: 5, DeadlineMisses: 7, LostBlocks: 2},
+		{Scheme: scheme.NonClustered, P: 8, Peak: 140, Opened: 1495, Overflows: 7, Lost: 2, RebuildRounds: -1},
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, experiments.ContinuityColumns, points); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, buf.String())
-	if rows[1][3] != "7" || rows[1][4] != "2" {
+	if rows[1][5] != "7" || rows[1][6] != "2" || rows[1][7] != "none" {
 		t.Fatalf("rows %v", rows)
 	}
 }
