@@ -156,8 +156,8 @@ const (
 // disk failure and its rebuild. The rate-guaranteeing schemes deliver
 // every block in its round with no charge past q and lose no stream; the
 // non-clustered baseline overruns q. Declustering spreads the rebuild's
-// reads over the whole array, so only the declustered and flat layouts
-// find idle capacity to finish it at full load (E12).
+// reads over the whole array, so of the five only the declustered and
+// flat layouts find idle capacity to finish it at full load (E12).
 func FailureContinuity(seed int64) ([]ContinuityPoint, error) {
 	cases := []struct {
 		s scheme.Scheme
@@ -195,8 +195,8 @@ func continuityRun(sc scheme.Scheme, p int, seed int64) (ContinuityPoint, error)
 	if err != nil {
 		return ContinuityPoint{}, err
 	}
-	unitsN, classes := sc.Grid(d, p)
-	groups := 2 * unitsN * classes
+	u, c := sc.Grid(d, p)
+	groups := 2 * u * c
 	group := int64(op.Block.Bytes()) * int64(sc.PrefetchDepth(p))
 	clip := doubleFaultClip(seed, int(group)*groups)
 	if err := s.AddClip("c", clip); err != nil {
