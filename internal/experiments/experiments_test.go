@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ftcms/internal/analytic"
@@ -113,43 +114,98 @@ func TestStaggeredAblation(t *testing.T) {
 	}
 }
 
-// TestFailureContinuity (E10/E12): at full load, with disk 5 failing and
-// one hot spare rebuilding it, the five rate-guaranteeing schemes deliver
-// every block in its round with no charge past q and lose no stream, and
-// the non-clustered baseline overruns q. The declustered and flat layouts
-// finish the rebuild from idle capacity; the cluster-confined pre-fetching
-// schemes, whose admission books every slot of the failed cluster, do not.
-// Every case holds the peak Solve sizes.
-func TestFailureContinuity(t *testing.T) {
+// continuityPoints runs the E10 sweep once for the tests that read it: each
+// case is a byte-level run at full load, about 2 s for the six.
+var continuityPoints = sync.OnceValues(func() ([]ContinuityPoint, error) {
+	return FailureContinuity(1)
+})
+
+// continuitySweep returns the E10 points, skipping in -short mode.
+func continuitySweep(t *testing.T) []ContinuityPoint {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("byte-level runs in -short mode")
 	}
-	pts, err := FailureContinuity(1)
+	pts, err := continuityPoints()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pts
+}
+
+func continuityName(pt ContinuityPoint) string {
+	return fmt.Sprintf("%v p=%d", pt.Scheme, pt.P)
+}
+
+// TestFailureContinuity (E10/E12): the sweep runs its six cases at full
+// load, disk 5 failing and one hot spare rebuilding it, each holding the
+// peak Solve sizes.
+func TestFailureContinuity(t *testing.T) {
+	pts := continuitySweep(t)
 	if len(pts) != 6 {
 		t.Fatalf("%d cases, want 6", len(pts))
 	}
 	for _, pt := range pts {
-		name := fmt.Sprintf("%v p=%d", pt.Scheme, pt.P)
 		op, err := analytic.Solve(analytic.Config{Disk: diskmodel.Default(), D: 32, Buffer: continuityBuffer}, pt.Scheme, pt.P)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pt.Peak != op.Clips {
-			t.Errorf("%s: peak %d streams, Solve sizes %d", name, pt.Peak, op.Clips)
+			t.Errorf("%s: peak %d streams, Solve sizes %d", continuityName(pt), pt.Peak, op.Clips)
 		}
+	}
+}
+
+// TestFailureContinuityGuaranteed (E10): through the failure and the
+// rebuild, the five rate-guaranteeing schemes deliver every block in its
+// round with no charge past q and lose no stream.
+func TestFailureContinuityGuaranteed(t *testing.T) {
+	n := 0
+	for _, pt := range continuitySweep(t) {
 		if pt.Scheme == scheme.NonClustered {
-			if pt.Overflows == 0 {
-				t.Errorf("%s: no charge past q; the baseline's degraded reads must overrun it", name)
-			}
-		} else if pt.Hiccups != 0 || pt.Overflows != 0 || pt.Lost != 0 {
-			t.Errorf("%s: %d hiccups, %d overflows, %d streams lost; want none", name, pt.Hiccups, pt.Overflows, pt.Lost)
+			continue
+		}
+		n++
+		if pt.Hiccups != 0 || pt.Overflows != 0 || pt.Lost != 0 {
+			t.Errorf("%s: %d hiccups, %d overflows, %d streams lost; want none",
+				continuityName(pt), pt.Hiccups, pt.Overflows, pt.Lost)
+		}
+	}
+	if n != 5 {
+		t.Errorf("%d rate-guaranteeing cases, want 5", n)
+	}
+}
+
+// TestFailureNonClusteredLoses (E10): the non-clustered baseline reserves
+// no contingency, so its degraded reads overrun q — the paper's §9 caveat
+// ("could result in hiccups and data loss").
+func TestFailureNonClusteredLoses(t *testing.T) {
+	n := 0
+	for _, pt := range continuitySweep(t) {
+		if pt.Scheme != scheme.NonClustered {
+			continue
+		}
+		n++
+		if pt.Overflows == 0 {
+			t.Errorf("%s: no charge past q; the baseline's degraded reads must overrun it", continuityName(pt))
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d non-clustered cases, want 1", n)
+	}
+}
+
+// TestOnlineRebuild (E12): at full load the declustered and flat layouts
+// finish the rebuild from idle capacity; the cluster-confined pre-fetching
+// schemes, whose admission books every slot of the failed cluster, do not.
+func TestOnlineRebuild(t *testing.T) {
+	for _, pt := range continuitySweep(t) {
+		if pt.Scheme == scheme.NonClustered {
+			continue
 		}
 		finishes := pt.Scheme == scheme.Declustered || pt.Scheme == scheme.PrefetchFlat
-		if pt.Scheme != scheme.NonClustered && (pt.RebuildRounds >= 0) != finishes {
-			t.Errorf("%s: rebuild rounds %d; want it to finish: %v", name, pt.RebuildRounds, finishes)
+		if (pt.RebuildRounds >= 0) != finishes {
+			t.Errorf("%s: rebuild rounds %d; want it to finish: %v", continuityName(pt), pt.RebuildRounds, finishes)
 		}
 	}
 }
