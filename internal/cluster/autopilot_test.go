@@ -229,7 +229,7 @@ func TestPilotQuiescentStepAllocs(t *testing.T) {
 // drained node's retirement — or a failure mid-drain that leaves the node
 // down — a round of the cluster (Tick, the pilot's Step when one is
 // attached, every stream taking its block) allocates nothing, at
-// GOMAXPROCS 1, where the node fan-out is a plain loop, and at
+// GOMAXPROCS 1, where the node fan-out starts no helper, and at
 // GOMAXPROCS 2, where it runs on helpers. AllocsPerRun runs at
 // GOMAXPROCS 1, so the wider case counts with runtime.MemStats.
 func TestQuiescentTickAllocs(t *testing.T) {

@@ -270,9 +270,10 @@ type Server struct {
 	// buffers come off the store's own freelist.
 	scratchFree []*repairScratch
 	// batch is the rebuild's batch (rebuild.go), kept for its buffers;
-	// poolPass runs one entry's pool job; zero is the block it reads for an
-	// absent member of a short group.
+	// feed runs poolPass, one entry's pool job; zero is the block the job
+	// reads for an absent member of a short group.
 	batch    []rebuildJob
+	feed     poolFeed
 	poolPass func(i int) error
 	zero     []byte
 }

@@ -42,9 +42,10 @@ func parsePackage(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 // helpers. Whole independent jobs fan out on the pool: the live cluster's
 // node rounds (cluster.Tick, one node's whole stack per worker) and the
 // experiment sweeps' cells, so cluster and experiments import it. Inside an
-// array two byte passes do, each touching bytes alone while the owner waits
-// and decides everything before and after: the rebuild's (core's
-// rebuild.go) and the ingest's, which writes a run's groups
+// array two byte passes do, each touching bytes alone while the owner
+// decides everything before and after: the rebuild's (core's rebuild.go),
+// whose owner plans beside the pool, feeding it each entry it has planned,
+// and the ingest's, which writes a run's groups while the owner waits
 // (recovery.go). Those two files are the only others that import it.
 func TestOneGoroutinePerArray(t *testing.T) {
 	bytePasses := map[string]string{"core": "rebuild.go", "recovery": "recovery.go"}

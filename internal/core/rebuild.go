@@ -15,10 +15,13 @@ import (
 // charges, read hook, detector, replans — except that every read is a Probe,
 // which takes no bytes (owner). The pool verifies the bytes the plan read
 // and recovers each block into the spare's own buffer, touching nothing but
-// bytes (parallel.ForEach, the one fan-out inside an array's round). The
-// commit installs the entries in queue order up to the first whose member
-// the pool found rotten: it refunds that entry's charges and every later
-// one's, repairs that block live and ends the batch (owner).
+// bytes, as soon as the plan has finished the entry (parallel.Feed, the one
+// fan-out inside an array's round). A plan changes the array only by a
+// detector declaration, which drains the feed first; the entries then run
+// again after the plan. The commit installs the entries in queue order up
+// to the first whose member the pool found rotten: it refunds that entry's
+// charges and every later one's, repairs that block live and ends the batch
+// (owner).
 
 // rebuildState tracks one online rebuild.
 type rebuildState struct {
@@ -51,6 +54,7 @@ type rebuildJob struct {
 
 // run is the pool pass over one entry.
 func (e *rebuildJob) run(arr *storage.Array, zero []byte) {
+	e.ok, e.sum = false, 0
 	if e.lost || e.dst == nil {
 		return
 	}
@@ -100,7 +104,25 @@ func (s *Server) rebuildStep() {
 			s.rebuilds = slices.DeleteFunc(s.rebuilds, func(r *rebuildState) bool { return r == rb })
 		}
 	}
+	_ = s.feed.Join()
 	s.nextRebuild()
+}
+
+// poolFeed runs the pool pass.
+type poolFeed = parallel.Feed
+
+// startPool opens the pool pass, unless it is open or no rebuild is in
+// flight. Tick opens it before it serves the streams, so that its helper
+// is awake when the plan finishes the first entry.
+func (s *Server) startPool() {
+	if len(s.rebuilds) == 0 {
+		return
+	}
+	if s.poolPass == nil {
+		s.zero = make([]byte, s.store.Array.BlockSize())
+		s.poolPass = func(i int) error { s.batch[i].run(s.store.Array, s.zero); return nil }
+	}
+	s.feed.Start(s.poolPass)
 }
 
 // rebuildOne advances one rebuild as far as idle capacity allows; it
@@ -109,12 +131,16 @@ func (s *Server) rebuildStep() {
 // the call that takes the disk out of that state (onDiskFailed, RepairDisk).
 func (s *Server) rebuildOne(rb *rebuildState) bool {
 	arr := s.store.Array
-	if s.poolPass == nil {
-		s.zero = make([]byte, arr.BlockSize())
-		s.poolPass = func(i int) error { s.batch[i].run(s.store.Array, s.zero); return nil }
-	}
+	s.startPool()
+	declared := s.detectedFailures
 	batch := s.planBatch(rb)
-	_ = parallel.ForEach(len(batch), s.poolPass)
+	if s.detectedFailures != declared {
+		// The array changed under the plan: run every entry again on it.
+		_ = s.feed.Join()
+		s.feed.Start(s.poolPass)
+		s.feed.Publish(len(batch))
+	}
+	_ = s.feed.Join()
 	defer s.releaseBatch(batch)
 	for k := 0; k < len(batch); k++ {
 		e := &batch[k]
@@ -167,16 +193,19 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 }
 
 // planBatch is the plan pass: the repairs of rb's next queued blocks, up to
-// the first the round's idle capacity stalls, each solved in probe mode.
+// the first the round's idle capacity stalls, each solved in probe mode and
+// published to the pool as soon as it is solved.
 func (s *Server) planBatch(rb *rebuildState) []rebuildJob {
 	n := 0
 	for ; rb.next+n < len(rb.queue); n++ {
+		s.feed.Publish(n)
 		if n == len(s.batch) {
+			s.feed.Wait() // the pool reads the batch growBatch moves
 			s.growBatch()
 		}
 		e := &s.batch[n]
 		a := layout.BlockAddr{Disk: rb.disk, Block: rb.queue[rb.next+n].Block}
-		e.lost, e.ok, e.dst = false, false, nil
+		e.lost, e.dst = false, nil
 		if s.store.Array.NextOwed(a.Disk, a.Block) != a.Block {
 			e.read = e.read[:0]
 			continue // a stream's repair installed it already
@@ -200,6 +229,7 @@ func (s *Server) planBatch(rb *rebuildState) []rebuildJob {
 			e.bufs[m] = e.spare
 		}
 	}
+	s.feed.Publish(n)
 	return s.batch[:n]
 }
 

@@ -21,7 +21,7 @@ import (
 	"ftcms/internal/storage"
 )
 
-var updateHookOrder = flag.Bool("update", false, "rewrite testdata/rebuild_hooks_*.txt from this run")
+var updateHookOrder = flag.Bool("update", false, "rewrite testdata/rebuild_hooks_*.txt and rebuild_midplan.txt from this run")
 
 // hookOrderRun runs a server through a rebuild under faults and returns its
 // ledger: one line per round with the number of read-hook calls and an FNV
@@ -121,6 +121,96 @@ func TestRebuildHookOrder(t *testing.T) {
 				t.Fatalf("%s: %d lines, want %d", golden, len(gl), len(wl))
 			}
 		})
+	}
+}
+
+// midPlanRun rebuilds disk 3 of a P+Q array that has two spares and serves
+// no stream, so every read is the rebuild's. In the rebuild's second round,
+// once its plan has read 40 times, survivor disk 8 fails its reads until
+// the detector declares it, and the second spare is swapped in: Replace
+// blanks the disk in the middle of the plan, after entries that probed it.
+// It returns the ledger hookOrderRun keeps, the bytes both spares ended
+// with and how many blocks each still owes.
+func midPlanRun(t *testing.T) string {
+	t.Helper()
+	const a, x = 3, 8
+	cfg := testConfig(DeclusteredPQ, 13, 4)
+	cfg.Spares = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 4; c++ {
+		if err := s.AddClip(fmt.Sprint("c", c), clipBytes(int64(60+c), 2_000_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.FailDisk(a); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		out          strings.Builder
+		round, calls int
+		failing      bool
+	)
+	h := fnv.New64a()
+	arr := s.store.Array
+	arr.SetReadHook(func(disk int, block int64) (float64, error) {
+		calls++
+		fmt.Fprintf(h, "%d/%d ", disk, block)
+		if failing = failing || round == 2 && calls == 40; failing && disk == x {
+			return 1, storage.ErrFailed
+		}
+		return 1, nil
+	})
+	s.detector.SetOnFail(func(disk int) {
+		fmt.Fprintf(&out, "declare r%d disk %d after %d reads\n", round, disk, calls)
+		failing = false
+		s.failDeclared(disk)
+	})
+	for round = 1; s.Mode() != ModeHealthy && round <= 40; round++ {
+		calls = 0
+		h.Reset()
+		if err := s.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "r%d hooks=%d %016x mode=%s\n", round, calls, h.Sum64(), s.Mode())
+	}
+	fmt.Fprintf(&out, "stats %+v\n", s.Stats())
+	for _, d := range []int{a, x} {
+		fmt.Fprintf(&out, "disk %d image %016x owes %d\n", d, diskImage(arr, d), arr.OwedBlocks(d))
+	}
+	return out.String()
+}
+
+// TestRebuildDeclaredMidPlan: the pool runs each entry as soon as the plan
+// has finished it, so a declaration in the middle of the plan lands after
+// the pool read bytes it takes away. The feed is drained before the
+// declaration and every entry runs again after the plan, so the spares'
+// bytes, the lost blocks, the ledger, the hook order and Stats are those
+// of the sequential plan → pool → commit (testdata/rebuild_midplan.txt) at
+// any GOMAXPROCS.
+func TestRebuildDeclaredMidPlan(t *testing.T) {
+	golden := filepath.Join("testdata", "rebuild_midplan.txt")
+	if *updateHookOrder {
+		if err := os.WriteFile(golden, []byte(midPlanRun(t)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(want), "declare r2 disk 8") {
+		t.Fatalf("%s: disk 8 is not declared in round 2", golden)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := midPlanRun(t); got != string(want) {
+			t.Fatalf("GOMAXPROCS=%d: the ledger differs from %s:\n%s", procs, golden, got)
+		}
 	}
 }
 

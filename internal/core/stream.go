@@ -420,6 +420,7 @@ func (st *Stream) Read(p []byte) (int, error) {
 // service drives the online rebuild first and then the integrity
 // scrubber. Tick itself errors only on programming bugs.
 func (s *Server) Tick() error {
+	s.startPool() // its helper wakes while the streams are served
 	// Close the previous round's migration ledger before anything else:
 	// migration charges land both inside Tick (the AddDisk re-layout
 	// step) and between ticks (the cluster tier's clip-migration calls),
@@ -441,6 +442,7 @@ func (s *Server) Tick() error {
 	// stream in ascending-id order, maintained incrementally.
 	s.compactReg()
 	if err := s.serviceStreams(perRound); err != nil {
+		_ = s.feed.Join()
 		return err
 	}
 	before := s.rebuildReads

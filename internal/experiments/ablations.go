@@ -198,8 +198,8 @@ func continuityRun(sc scheme.Scheme, p int, seed int64) (ContinuityPoint, error)
 	u, c := sc.Grid(d, p)
 	groups := 2 * u * c
 	group := int64(op.Block.Bytes()) * int64(sc.PrefetchDepth(p))
-	clip := doubleFaultClip(seed, int(group)*groups)
-	if err := s.AddClip("c", clip); err != nil {
+	clip := clipGen{seed, group * int64(groups)}
+	if err := s.AddClip("c", clip.fill(make([]byte, clip.size), 0)); err != nil {
 		return ContinuityPoint{}, err
 	}
 	pt := ContinuityPoint{Scheme: sc, P: p, RebuildRounds: -1}
@@ -215,7 +215,7 @@ func continuityRun(sc scheme.Scheme, p int, seed int64) (ContinuityPoint, error)
 		for _, g := range rng.Perm(groups) {
 			off := int64(g) * group
 			for st, err := s.OpenStreamAt("c", off); err == nil; st, err = s.OpenStreamAt("c", off) {
-				tracks = append(tracks, &track{st: st, want: clip[off:]})
+				tracks = append(tracks, &track{st: st, clip: clip, from: off})
 				pt.Opened++
 			}
 		}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"ftcms/internal/core"
 	"ftcms/internal/diskmodel"
@@ -62,12 +62,23 @@ func doubleFaultConfig(scheme core.Scheme) core.Config {
 	}
 }
 
-// doubleFaultClip generates deterministic clip payload.
-func doubleFaultClip(seed int64, n int) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	b := make([]byte, n)
-	rng.Read(b)
-	return b
+// clipGen is a clip's payload as a pure function of its seed and offset,
+// so a check regenerates what it compares instead of keeping the clip
+// beside the store's copy: word k is splitmix64's output for seed and k.
+type clipGen struct{ seed, size int64 }
+
+// fill writes the clip's bytes from off into dst.
+func (c clipGen) fill(dst []byte, off int64) []byte {
+	for b := dst; len(b) > 0; {
+		z := uint64(c.seed)*0x9E3779B97F4A7C15 + uint64(off/8+1)*0x9E3779B97F4A7C15
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], z^z>>31)
+		n := copy(b, w[off%8:])
+		b, off = b[n:], off+int64(n)
+	}
+	return dst
 }
 
 // DoubleFaultSweep runs E18: single-parity declustering and P+Q
@@ -84,7 +95,8 @@ func DoubleFaultSweep(seed int64) ([]DoubleFaultPoint, error) {
 // track is one playing stream, checked byte for byte against its clip.
 type track struct {
 	st   *core.Stream
-	want []byte
+	clip clipGen
+	from int64 // the clip offset the stream opened at
 	got  int64
 	err  error
 	done bool
@@ -92,13 +104,15 @@ type track struct {
 
 // exact reports whether the track played its whole clip to EOF.
 func (tr *track) exact() bool {
-	return tr.done && errors.Is(tr.err, io.EOF) && tr.got == int64(len(tr.want))
+	return tr.done && errors.Is(tr.err, io.EOF) && tr.got == tr.clip.size-tr.from
 }
 
 // tickAndRead runs one round, then drains what each track's stream has
-// delivered, checking every byte against its clip. It reports whether
-// every track has ended, at EOF or with the stream lost.
+// delivered into the first half of buf, checking every byte against its
+// clip regenerated in the second. It reports whether every track has
+// ended, at EOF or with the stream lost.
 func tickAndRead(s *core.Server, tracks []*track, buf []byte) (bool, error) {
+	buf, want := buf[:len(buf)/2], buf[len(buf)/2:]
 	if err := s.Tick(); err != nil {
 		return false, err
 	}
@@ -106,7 +120,7 @@ func tickAndRead(s *core.Server, tracks []*track, buf []byte) (bool, error) {
 	for _, tr := range tracks {
 		for !tr.done {
 			n, rerr := tr.st.Read(buf)
-			if end := tr.got + int64(n); end <= int64(len(tr.want)) && !bytes.Equal(buf[:n], tr.want[tr.got:end]) {
+			if end := tr.got + int64(n); end <= tr.clip.size-tr.from && !bytes.Equal(buf[:n], tr.clip.fill(want[:n], tr.from+tr.got)) {
 				return false, fmt.Errorf("corrupt byte at offset %d", tr.got)
 			}
 			tr.got += int64(n)
@@ -146,13 +160,9 @@ func doubleFaultRun(scheme core.Scheme, seed int64) (DoubleFaultPoint, error) {
 	plan := faultinject.Plan{Seed: seed}
 	plan.Overlap(d1, d2, 5, 1)
 	s.InjectFaults(plan)
-	clips := map[string][]byte{
-		"a": doubleFaultClip(seed+1, 480_000),
-		"b": doubleFaultClip(seed+2, 400_000),
-		"c": doubleFaultClip(seed+3, 320_000),
-	}
+	clips := map[string]clipGen{"a": {seed + 1, 480_000}, "b": {seed + 2, 400_000}, "c": {seed + 3, 320_000}}
 	for _, name := range []string{"a", "b", "c"} {
-		if err := s.AddClip(name, clips[name]); err != nil {
+		if err := s.AddClip(name, clips[name].fill(make([]byte, clips[name].size), 0)); err != nil {
 			return DoubleFaultPoint{}, err
 		}
 	}
@@ -162,7 +172,7 @@ func doubleFaultRun(scheme core.Scheme, seed int64) (DoubleFaultPoint, error) {
 		if err != nil {
 			return DoubleFaultPoint{}, err
 		}
-		tracks = append(tracks, &track{st: st, want: clips[name]})
+		tracks = append(tracks, &track{st: st, clip: clips[name]})
 	}
 	pt := DoubleFaultPoint{Scheme: scheme, Streams: len(tracks)}
 	buf := make([]byte, 64<<10)
@@ -212,7 +222,7 @@ func MeasureRebuild(scheme core.Scheme) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := s.AddClip("v", doubleFaultClip(7, clipSize)); err != nil {
+	if err := s.AddClip("v", clipGen{7, clipSize}.fill(make([]byte, clipSize), 0)); err != nil {
 		return 0, 0, err
 	}
 	if err := s.FailDisk(0); err != nil {

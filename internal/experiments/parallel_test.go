@@ -34,7 +34,7 @@ func TestFigure5ParallelMatchesSequential(t *testing.T) {
 }
 
 // TestFigure6ParallelMatchesSequential runs the 256 MB Figure 6 panel
-// at GOMAXPROCS 1, where the pool is a plain loop, and wider, and demands
+// at GOMAXPROCS 1, where the pool starts no helper, and wider, and demands
 // identical results — every simulation is independently seeded, so
 // scheduling must not leak into the output.
 func TestFigure6ParallelMatchesSequential(t *testing.T) {

@@ -96,8 +96,8 @@ func scrubRun(rate int, seed int64) (CorruptionPoint, error) {
 	size := int(2 * units.MB.Bytes())
 	var tracks []*track
 	for k := 0; k < scrubClips; k++ {
-		name, clip := fmt.Sprint("clip-", k), doubleFaultClip(seed+int64(k), size)
-		if err := s.AddClip(name, clip); err != nil {
+		name, clip := fmt.Sprint("clip-", k), clipGen{seed + int64(k), int64(size)}
+		if err := s.AddClip(name, clip.fill(make([]byte, size), 0)); err != nil {
 			return CorruptionPoint{}, err
 		}
 		if k < scrubHot {
@@ -105,7 +105,7 @@ func scrubRun(rate int, seed int64) (CorruptionPoint, error) {
 			if err != nil {
 				return CorruptionPoint{}, err
 			}
-			tracks = append(tracks, &track{st: st, want: clip})
+			tracks = append(tracks, &track{st: st, clip: clip})
 		}
 	}
 	// The server lays clips back to back from logical block 0.

@@ -1,9 +1,9 @@
 // Package parallel provides the small bounded worker pool the experiment
 // sweeps and the cluster's per-node rounds fan out on. Inside one array two
-// byte passes do, touching bytes alone while the array's goroutine waits and
-// decides the rest: the rebuild's, per rebuild batch (core/rebuild.go), and
-// the ingest's, per batch of a clip write's groups (recovery.Store.WriteRun).
-// Its width is runtime.GOMAXPROCS(0): Go's own knob is the only one.
+// byte passes do, touching bytes alone while the array's goroutine decides
+// the rest: the rebuild's, fed entries as it plans them (core/rebuild.go),
+// and the ingest's, per batch of a clip write's groups (WriteRun). Its width
+// is runtime.GOMAXPROCS(0): Go's own knob is the only one.
 //
 // The determinism contract: work items are addressed by index, every
 // worker writes only its own item's slot, and errors are reported as the
@@ -15,80 +15,146 @@
 package parallel
 
 import (
-	"cmp"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// job is one ForEach call: next item, helpers, errs[i] = fn(i).
+// job is one fan-out: fn over the items published so far. next is the
+// first unclaimed item, done counts finished ones, and closed says no more
+// are coming.
 type job struct {
-	fn   func(i int) error
-	next atomic.Int64
-	wg   sync.WaitGroup
-	errs []error
+	fn                    func(i int) error
+	next, published, done atomic.Int64
+	closed                atomic.Bool
+	helpers               int
+	wg                    sync.WaitGroup
+	mu                    sync.Mutex // guards err, the lowest failing item's, errAt
+	err                   error
+	errAt                 int
 }
 
 var (
-	mu   sync.Mutex
-	jobs []*job // idle jobs under mu, LIFO: one per ForEach ever run at once
+	mu      sync.Mutex
+	jobs    []*job // idle jobs under mu, LIFO: one per fan-out ever open at once
+	helping int    // helpers of the open fan-outs, under mu
 	// handoff hands each helper its job, so `go help()` needs no closure.
-	// Buffered so ForEach need not wait for a helper to be scheduled; when
-	// full, a helper ForEach already started frees a place.
+	// Buffered so a fan-out need not wait for a helper to be scheduled;
+	// when full, a helper already started frees a place.
 	handoff = make(chan *job, 64)
 )
 
-// help works one job, then exits.
-func help() { (<-handoff).work() }
-
-// work runs items off the shared counter until none is left.
-func (j *job) work() {
-	for i := j.next.Add(1) - 1; i < int64(len(j.errs)); i = j.next.Add(1) - 1 {
-		j.errs[i] = j.fn(int(i))
+// help works one job, then exits: it runs published items, yielding while
+// none is left, until the job is closed.
+func help() {
+	j := <-handoff
+	for i := j.next.Load(); i < j.published.Load() || !j.closed.Load(); i = j.next.Load() {
+		if i < j.published.Load() {
+			j.claim(i)
+		} else {
+			runtime.Gosched()
+		}
 	}
 	j.wg.Done()
 }
 
-// ForEach runs fn(i) for every i in [0, n) on the calling goroutine and
-// up to GOMAXPROCS−1 helpers, and returns the error of the lowest index
-// that failed — the same error a sequential first-error-wins loop
-// reports. Every helper has finished its share by the time it returns.
-// At GOMAXPROCS 1, or with fewer than two items, it is a plain loop on
-// the calling goroutine.
-func ForEach(n int, fn func(i int) error) error {
-	helpers := min(runtime.GOMAXPROCS(0), n) - 1
-	if helpers <= 0 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+// claim runs item i unless a worker took it first.
+func (j *job) claim(i int64) {
+	if !j.next.CompareAndSwap(i, i+1) {
+		return
 	}
+	if err := j.fn(int(i)); err != nil {
+		j.mu.Lock()
+		if j.err == nil || int(i) < j.errAt {
+			j.err, j.errAt = err, int(i)
+		}
+		j.mu.Unlock()
+	}
+	j.done.Add(1)
+}
+
+// A Feed is a fan-out whose items the caller publishes while it works on.
+// Its helpers poll with runtime.Gosched, so one started ahead of the first
+// item is awake when it comes. The zero Feed is closed; Wait and Join on it
+// do nothing. A warm feed allocates nothing.
+type Feed struct{ j *job }
+
+// Start opens the feed on fn unless it is open, with GOMAXPROCS−1 helpers:
+// none while other fan-outs' helpers have the processors.
+func (f *Feed) Start(fn func(i int) error) {
+	if f.j == nil {
+		f.start(fn, runtime.GOMAXPROCS(0)-1, true)
+	}
+}
+
+func (f *Feed) start(fn func(i int) error, helpers int, alone bool) {
 	mu.Lock()
+	if helpers = max(helpers, 0); alone && helping > 0 {
+		helpers = 0
+	}
+	helping += helpers
 	if len(jobs) == 0 {
 		jobs = append(jobs, new(job))
 	}
 	j := jobs[len(jobs)-1]
 	jobs = jobs[:len(jobs)-1]
 	mu.Unlock()
-	j.fn, j.errs = fn, slices.Grow(j.errs[:0], n)[:n]
-	j.next.Store(0)
-	j.wg.Add(helpers + 1)
+	*j = job{fn: fn, helpers: helpers}
+	j.wg.Add(helpers)
 	for range helpers {
 		go help()
 		handoff <- j
 	}
-	j.work()
+	f.j = j
+}
+
+// Publish lets items [0, n) of the open feed run; n never shrinks.
+func (f *Feed) Publish(n int) { f.j.published.Store(int64(n)) }
+
+// Wait runs the published items no helper has taken and returns once every
+// published item has finished.
+func (f *Feed) Wait() {
+	if j := f.j; j != nil {
+		n := j.published.Load()
+		for i := j.next.Load(); i < n; i = j.next.Load() {
+			j.claim(i)
+		}
+		for j.done.Load() < n {
+			runtime.Gosched()
+		}
+	}
+}
+
+// Join waits, lets the helpers go and closes the feed. It returns the
+// error of the lowest item that failed — the one a sequential
+// first-error-wins loop reports.
+func (f *Feed) Join() error {
+	j := f.j
+	if j == nil {
+		return nil
+	}
+	j.closed.Store(true)
+	f.Wait()
 	j.wg.Wait()
-	err := cmp.Or(j.errs...) // the lowest index's
-	clear(j.errs)
-	j.fn = nil
+	err := j.err
+	j.fn, j.err, f.j = nil, nil, nil // the freelist keeps no caller's state
 	mu.Lock()
+	helping -= j.helpers
 	jobs = append(jobs, j)
 	mu.Unlock()
 	return err
+}
+
+// ForEach runs fn(i) for every i in [0, n) on the calling goroutine and
+// up to GOMAXPROCS−1 helpers: a feed whose n items are published at once.
+// It returns the error of the lowest index that failed, and every helper
+// has finished by the time it returns. At GOMAXPROCS 1, or with fewer
+// than two items, no helper starts.
+func ForEach(n int, fn func(i int) error) error {
+	var f Feed
+	f.start(fn, min(runtime.GOMAXPROCS(0), n)-1, false)
+	f.Publish(n)
+	return f.Join()
 }
 
 // Map runs fn over [0, n) under ForEach's pool and collects the results

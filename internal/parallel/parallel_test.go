@@ -107,7 +107,7 @@ func TestForEachNoGoroutineLeak(t *testing.T) {
 // TestForEachAllocs pins the fan-out at zero heap objects per call once
 // warm: the job record comes off the freelist and each helper's go
 // statement names a function with no closure. AllocsPerRun forces
-// GOMAXPROCS 1, where ForEach is a plain loop, so this counts with
+// GOMAXPROCS 1, where ForEach starts no helper, so this counts with
 // runtime.MemStats under an explicit GOMAXPROCS.
 func TestForEachAllocs(t *testing.T) {
 	const runs = 1000
@@ -135,4 +135,109 @@ func TestForEachAllocs(t *testing.T) {
 			t.Fatalf("index %d ran %d times, want %d", i, got, 2*2*runs)
 		}
 	}
+}
+
+// feedRun opens a feed on fn and publishes n items a few at a time,
+// working between publications as a planning caller does, then joins.
+func feedRun(n int, fn func(i int) error) error {
+	var f Feed
+	f.Start(fn)
+	for k := 0; k <= n; k += 3 {
+		f.Publish(k)
+		runtime.Gosched()
+	}
+	f.Publish(n)
+	return f.Join()
+}
+
+func TestFeedRunsEachPublishedIndexOnce(t *testing.T) {
+	atProcs([]int{1, 2, 4, 64}, func(procs int) {
+		const n = 100
+		var hits [n]atomic.Int32
+		if err := feedRun(n, func(i int) error {
+			hits[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, got)
+			}
+		}
+	})
+}
+
+// TestFeedWaitDrains: Wait returns only once every published item has
+// finished, helpers' included, and runs nothing past what is published.
+func TestFeedWaitDrains(t *testing.T) {
+	atProcs([]int{1, 2, 4}, func(procs int) {
+		const n = 64
+		var finished [n]atomic.Bool
+		var f Feed
+		f.Start(func(i int) error {
+			for range 50 { // long enough for the caller to reach Wait
+				runtime.Gosched()
+			}
+			finished[i].Store(true)
+			return nil
+		})
+		for _, k := range []int{1, 17, 40} {
+			f.Publish(k)
+			f.Wait()
+			for i := range finished {
+				if finished[i].Load() != (i < k) {
+					t.Fatalf("GOMAXPROCS=%d: after Wait on %d published, item %d finished %v", procs, k, i, finished[i].Load())
+				}
+			}
+		}
+		f.Publish(n)
+		if err := f.Join(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range finished {
+			if !finished[i].Load() {
+				t.Fatalf("GOMAXPROCS=%d: Join returned before item %d finished", procs, i)
+			}
+		}
+	})
+}
+
+func TestFeedLowestIndexError(t *testing.T) {
+	errs := map[int]error{3: errors.New("e3"), 7: errors.New("e7"), 42: errors.New("e42")}
+	atProcs([]int{1, 2, 8}, func(procs int) {
+		if err := feedRun(100, func(i int) error { return errs[i] }); err != errs[3] {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want lowest-index error e3", procs, err)
+		}
+	})
+	var f Feed // a feed never opened waits and joins clean
+	f.Wait()
+	if err := f.Join(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFeedAllocs pins a warm feed, helpers and all, at zero heap objects,
+// counted with runtime.MemStats as TestForEachAllocs counts.
+func TestFeedAllocs(t *testing.T) {
+	const runs = 1000
+	var hits [8]atomic.Int32
+	fn := func(i int) error {
+		hits[i].Add(1)
+		return nil
+	}
+	atProcs([]int{2, 4}, func(procs int) {
+		for range runs {
+			feedRun(len(hits), fn)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			feedRun(len(hits), fn)
+		}
+		runtime.ReadMemStats(&after)
+		if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: a feed of %d items allocates %d objects, want 0", procs, len(hits), allocs)
+		}
+	})
 }
