@@ -47,7 +47,7 @@ func NewPilot(c *Cluster, tmpl core.Config) *Pilot {
 		tmpl:         tmpl,
 		base:         len(c.nodes),
 		enabled:      true,
-		lastRejected: c.rejected,
+		lastRejected: c.stats.Rejected,
 	}
 }
 
@@ -60,7 +60,7 @@ func (p *Pilot) Enabled() bool { return p.enabled }
 // window's rejects do not fire a stale scale-out.
 func (p *Pilot) SetEnabled(on bool) {
 	if on && !p.enabled {
-		p.lastRejected = p.c.rejected
+		p.lastRejected = p.c.stats.Rejected
 	}
 	p.enabled = on
 }
@@ -83,8 +83,8 @@ func (p *Pilot) Step() (autopilot.Action, bool, error) {
 		return autopilot.Action{}, false, nil
 	}
 	c := p.c
-	rejects := c.rejected - p.lastRejected
-	p.lastRejected = c.rejected
+	rejects := c.stats.Rejected - p.lastRejected
+	p.lastRejected = c.stats.Rejected
 
 	// One pass over the membership gathers every per-node signal.
 	// Capacity counts active nodes only (a draining node's slots are on

@@ -106,6 +106,18 @@ func (n *node) placeable() bool { return !n.down && n.state == nodeActive }
 // counts as failed until it rejoins.
 func (n *node) draining() bool { return !n.down && n.state == nodeDraining }
 
+// placeRank is the node's rank as a placement target, higher first: its
+// free bytes discounted by the fraction of its array currently failed or
+// rebuilding. A degraded node (one mid-rebuild, or a P+Q array absorbing
+// two overlapping failures) keeps serving its streams, but new replicas
+// land on whole arrays first — their contingency bandwidth is already
+// spoken for.
+func (n *node) placeRank() int64 {
+	free := n.srv.FreeBlocks() * n.srv.BlockSize().Bytes()
+	d := n.srv.Disks()
+	return free * int64(d-n.srv.DegradedDisks()) / int64(d)
+}
+
 // Cluster is a set of fault-tolerant arrays behind one admission and
 // placement layer.
 type Cluster struct {
@@ -139,10 +151,9 @@ type Cluster struct {
 	// had no admission capacity yet; retried every Tick.
 	pendingFailover []*Stream
 
-	served     int
-	failedOver int
-	terminated int
-	rejected   int
+	// stats holds the cluster's own counters; Stats returns a copy of it
+	// with the derived fields and every node's Stats filled in.
+	stats Stats
 	// nodeLosses counts nodeFailed transitions, cumulatively — a node
 	// that later rejoins still counted. The autopilot replaces each
 	// loss once; a rejoin after a replacement just leaves surplus
@@ -159,10 +170,6 @@ type Cluster struct {
 	// planDirty marks that membership or placement changed and
 	// planRepairs must re-derive the job set.
 	planDirty bool
-	// Cumulative migration counters.
-	jobsPlanned, jobsDone int
-	migratedBlocks        int64
-	migratedStreams       int
 }
 
 // clipRecord is everything the cluster knows about one stored clip.
@@ -270,7 +277,7 @@ func (c *Cluster) NodeServer(i int) *core.Server { return c.nodes[i].srv }
 // MigratedBlocks returns the cumulative count of clip blocks copied
 // between nodes by the migration engine — cheap enough for a per-tick
 // poll (Stats allocates; this does not).
-func (c *Cluster) MigratedBlocks() int64 { return c.migratedBlocks }
+func (c *Cluster) MigratedBlocks() int64 { return c.stats.MigratedBlocks }
 
 // Injector exposes the node-fault injector (nil unless Config.Faults was
 // set). Front ends use it to schedule node faults that detection then
@@ -292,7 +299,7 @@ func (c *Cluster) AddClip(name string, data []byte) error {
 }
 
 // AddClipReplicated stores a clip on exactly replicas live nodes, chosen
-// by descending free capacity (ties to the lower node id). A clip that
+// by descending placeRank (ties to the lower node id). A clip that
 // cannot get all its replicas stored is rejected whole.
 func (c *Cluster) AddClipReplicated(name string, data []byte, replicas int) error {
 	if _, dup := c.clips[name]; dup {
@@ -302,24 +309,14 @@ func (c *Cluster) AddClipReplicated(name string, data []byte, replicas int) erro
 		return fmt.Errorf("cluster: replication %d out of range [1, %d]", replicas, len(c.nodes))
 	}
 	// Candidates: active nodes only (draining nodes take no new
-	// placements — they are on their way out), most free bytes first.
+	// placements — they are on their way out), highest rank first.
 	cands := make([]*node, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		if n.placeable() {
 			cands = append(cands, n)
 		}
 	}
-	// A node's placement rank is its free capacity discounted by the
-	// fraction of its array currently failed or rebuilding: a degraded
-	// node (one mid-rebuild, or a P+Q array absorbing two overlapping
-	// failures) keeps serving its streams, but new clips land on whole
-	// arrays first — their contingency bandwidth is already spoken for.
-	freeBytes := func(n *node) int64 {
-		free := n.srv.FreeBlocks() * n.srv.BlockSize().Bytes()
-		d := n.srv.Disks()
-		return free * int64(d-n.srv.DegradedDisks()) / int64(d)
-	}
-	sort.SliceStable(cands, func(a, b int) bool { return freeBytes(cands[a]) > freeBytes(cands[b]) })
+	sort.SliceStable(cands, func(a, b int) bool { return cands[a].placeRank() > cands[b].placeRank() })
 	var placed []int
 	for _, n := range cands {
 		if len(placed) == replicas {
@@ -422,7 +419,7 @@ func (c *Cluster) OpenStream(name string) (*Stream, error) {
 			return nil, err
 		}
 	}
-	c.rejected++
+	c.stats.Rejected++
 	if rec.refused == nil || rec.refused.replicas != len(cands) {
 		rec.refused = &refusedError{replicas: len(cands), clip: name}
 	}
@@ -577,7 +574,7 @@ func (c *Cluster) failover(st *Stream) {
 			how, cause = "lost the stream", st.lost
 		}
 		st.err = fmt.Errorf("cluster: node %d %s and clip %q has no other live replica: %w", st.node, how, st.clip, cause)
-		c.terminated++
+		c.stats.Terminated++
 		c.unregister(st)
 		return
 	}
@@ -588,12 +585,12 @@ func (c *Cluster) failover(st *Stream) {
 		}
 		if err != nil {
 			st.err = fmt.Errorf("cluster: failover of %q to node %d: %v: %w", st.clip, n.id, err, core.ErrStreamLost)
-			c.terminated++
+			c.stats.Terminated++
 			c.unregister(st)
 			return
 		}
 		st.node, st.st, st.lost = n.id, cs, nil
-		c.failedOver++
+		c.stats.FailedOver++
 		return
 	}
 	// Replicas exist but are full right now: park and retry each round.
@@ -618,7 +615,7 @@ func (c *Cluster) retryFailovers() {
 // finish retires a stream that delivered its whole clip.
 func (c *Cluster) finish(st *Stream) {
 	if c.unregister(st) {
-		c.served++
+		c.stats.Served++
 	}
 }
 
@@ -638,21 +635,9 @@ func (c *Cluster) unregister(st *Stream) bool {
 
 // Stats returns the cluster's counters and every node's Stats.
 func (c *Cluster) Stats() Stats {
-	st := Stats{
-		Round:           c.round,
-		Nodes:           len(c.nodes),
-		Active:          len(c.streams),
-		Served:          c.served,
-		FailedOver:      c.failedOver,
-		Terminated:      c.terminated,
-		Rejected:        c.rejected,
-		ViewVersion:     c.version,
-		MigrateJobs:     len(c.jobs),
-		MigrateDone:     c.jobsDone,
-		MigrateTotal:    c.jobsPlanned,
-		MigratedBlocks:  c.migratedBlocks,
-		MigratedStreams: c.migratedStreams,
-	}
+	st := c.stats
+	st.Round, st.Nodes, st.Active = c.round, len(c.nodes), len(c.streams)
+	st.ViewVersion, st.MigrateJobs = c.version, len(c.jobs)
 	for _, n := range c.nodes {
 		switch {
 		case n.state == nodeRetired:

@@ -913,3 +913,69 @@ func TestInArrayLossFailsOver(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsIsAValue: a cluster Stats shares nothing with the cluster or
+// its nodes. A snapshot taken before a disk failure and its rebuild still
+// reads the same after them, and scribbling over another snapshot's
+// slices and node records leaves what later Stats report untouched.
+func TestStatsIsAValue(t *testing.T) {
+	cfg := Config{Replication: 2}
+	for i := 0; i < 3; i++ {
+		nc := nodeConfig()
+		nc.Spares = 2
+		cfg.Nodes = append(cfg.Nodes, nc)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddClip("movie", clipBytes(4, 200_000)); err != nil {
+		t.Fatal(err)
+	}
+	rebuildUntil := func(done int) {
+		for r := 0; c.Stats().Node[0].RebuildsDone < done; r++ {
+			if r == 2000 {
+				t.Fatalf("rebuild %d never finished", done)
+			}
+			if err := c.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.NodeServer(0).FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	rebuildUntil(1)
+	if err := c.FailNode(2); err != nil {
+		t.Fatal(err)
+	}
+
+	first := c.Stats()
+	if len(first.FailedNodes) != 1 || len(first.Node[0].RebuildLatencies) != 1 {
+		t.Fatalf("failed nodes %v, node 0 rebuilds %v; want one each", first.FailedNodes, first.Node[0].RebuildLatencies)
+	}
+	want := fmt.Sprintf("%+v", first)
+	edited := c.Stats()
+	edited.FailedNodes[0] = -1
+	edited.Node[0].RebuildLatencies[0] = -1
+	edited.Node[0].RebuildsDone = -1
+
+	if err := c.RejoinNode(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.NodeServer(0).FailDisk(3); err != nil {
+		t.Fatal(err)
+	}
+	rebuildUntil(2)
+
+	if got := fmt.Sprintf("%+v", first); got != want {
+		t.Fatalf("the first snapshot moved:\n got %s\nwant %s", got, want)
+	}
+	now := c.Stats()
+	if len(now.FailedNodes) != 0 {
+		t.Fatalf("failed nodes %v after the rejoin, want none", now.FailedNodes)
+	}
+	if ns := now.Node[0]; ns.RebuildsDone != 2 || len(ns.RebuildLatencies) != 2 || ns.RebuildLatencies[0] != first.Node[0].RebuildLatencies[0] {
+		t.Fatalf("node 0: %d rebuilds, latencies %v; want 2, starting with %v", ns.RebuildsDone, ns.RebuildLatencies, first.Node[0].RebuildLatencies)
+	}
+}

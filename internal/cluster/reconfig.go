@@ -218,8 +218,8 @@ func (c *Cluster) migrationPaused() bool {
 // membership: every clip whose replica count on *active* nodes fell
 // below its desired count (capped by the active node count) gets one
 // re-replication job — source preferring an active replica over a
-// draining one, destination the active node with the most free bytes
-// that doesn't already hold the clip. Deterministic: clips in sorted
+// draining one, destination the active node of highest placeRank that
+// doesn't already hold the clip. Deterministic: clips in sorted
 // order, ties to the lower node id.
 func (c *Cluster) planRepairs() {
 	c.planDirty = false
@@ -245,7 +245,7 @@ func (c *Cluster) planRepairs() {
 		}
 		src := c.nodes[reps[k]]
 		var dst *node
-		var dstFree int64
+		var dstRank int64
 		for _, n := range c.nodes {
 			if !n.placeable() || n.srv.Relayouting() {
 				continue
@@ -256,9 +256,8 @@ func (c *Cluster) planRepairs() {
 			if slices.Contains(reps, n.id) {
 				continue
 			}
-			free := n.srv.FreeBlocks() * n.srv.BlockSize().Bytes()
-			if dst == nil || free > dstFree {
-				dst, dstFree = n, free
+			if r := n.placeRank(); dst == nil || r > dstRank {
+				dst, dstRank = n, r
 			}
 		}
 		if dst == nil {
@@ -266,7 +265,7 @@ func (c *Cluster) planRepairs() {
 		}
 		c.jobs = append(c.jobs, &migrateJob{clip: name, src: src.id, dst: dst.id})
 		rec.migrating = true
-		c.jobsPlanned++
+		c.stats.MigrateTotal++
 	}
 }
 
@@ -330,7 +329,7 @@ func (c *Cluster) stepJob(j *migrateJob) bool {
 		}
 		j.bufValid = false
 		j.next++
-		c.migratedBlocks++
+		c.stats.MigratedBlocks++
 	}
 	done, err := dst.srv.CommitClipImport(j.clip)
 	if err != nil {
@@ -343,7 +342,7 @@ func (c *Cluster) stepJob(j *migrateJob) bool {
 	rec := c.clips[j.clip]
 	rec.reps = append(rec.reps, j.dst)
 	rec.migrating = false
-	c.jobsDone++
+	c.stats.MigrateDone++
 	c.planDirty = true
 	return true
 }
@@ -378,7 +377,7 @@ func (c *Cluster) moveDrainingStreams() {
 			if cs, err := n.srv.OpenStreamAt(st.clip, st.offset); err == nil {
 				st.st.Close()
 				st.node, st.st = n.id, cs
-				c.migratedStreams++
+				c.stats.MigratedStreams++
 				break
 			}
 		}

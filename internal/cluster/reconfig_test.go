@@ -502,3 +502,44 @@ func TestMigrationDestinationFailsAndRejoins(t *testing.T) {
 		t.Fatalf("%d jobs planned, %d done, replicas %v; want 2, 1, %v", st.MigrateTotal, st.MigrateDone, got, want)
 	}
 }
+
+// TestRepairPlanAvoidsDegradedNode: the repair planner ranks destinations
+// as placement does, by free bytes discounted by failed disks. A drain
+// planned while the freest other node runs degraded, with no spare, puts
+// the new replica on the healthy node: migration waits out the degraded
+// array but never re-plans, so a raw free-bytes pick would fix the copy
+// on the degraded node.
+func TestRepairPlanAvoidsDegradedNode(t *testing.T) {
+	c := testCluster(t, 4, 2)
+	if err := c.AddClip("movie", clipBytes(8, 100_000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddClipReplicated("filler", clipBytes(9, 80_000), 1); err != nil {
+		t.Fatal(err)
+	}
+	reps := c.Replicas("movie")
+	if !slices.Equal(reps, []int{0, 1}) || !slices.Equal(c.Replicas("filler"), []int{2}) {
+		t.Fatalf("placement movie=%v filler=%v, want [0 1] and [2]", reps, c.Replicas("filler"))
+	}
+	// Node 3 holds the most free bytes, but one of its seven disks is out.
+	if err := c.NodeServer(3).FailDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DrainNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Tick(); err != nil { // plans the re-replication
+		t.Fatal(err)
+	}
+	if err := c.NodeServer(3).RepairDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 1500 && !slices.Contains(c.Stats().Retired, 0); r++ {
+		if err := c.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Replicas("movie"); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("movie on %v after the drain, want [1 2]: the new replica belongs on the healthy node", got)
+	}
+}

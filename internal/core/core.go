@@ -198,8 +198,10 @@ type Server struct {
 	// scheme.
 	clipCount    int
 	nextStreamID int
-	served       int
-	hiccups      int64
+
+	// stats holds every counter the server keeps; Stats returns a copy of
+	// it with the derived fields filled in.
+	stats Stats
 
 	// reg is the service registry: every stream the Tick loop visits, in
 	// ascending-id order, maintained incrementally on open/release.
@@ -209,55 +211,30 @@ type Server struct {
 	active int
 
 	// Failure lifecycle (failure.go).
-	detector   *health.Detector
-	injector   *faultinject.Injector
-	sparesLeft int
+	detector *health.Detector
+	injector *faultinject.Injector
 	// erasures is how many lost members every parity group can close —
 	// its parity columns: the number of disks that may be out of service
 	// at once with nothing unrecoverable, and of concurrent rebuilds.
-	erasures         int
-	rebuilds         []*rebuildState
-	rebuildPass      int64
-	rebuildQueue     []int
-	rebuildsDone     int
-	detectedFailures int64
-	badBlockRepairs  int64
-	terminated       int
-	lostBlocks       int64
-	// rebuildReads counts physical reads charged on behalf of online
-	// rebuilds (the Luby-style repair-rate ledger); rebuildReadsLast is
-	// the previous round's share of it.
-	rebuildReads     int64
-	rebuildReadsLast int64
+	erasures     int
+	rebuilds     []*rebuildState
+	rebuildPass  int64
+	rebuildQueue []int
 	// failRound records, per disk, the round its failure was handled —
 	// the start of the detect→rebuild clock (satellite of the health
 	// histograms) — or -1 while no failure of the disk awaits its rejoin.
 	failRound []int64
-	// rebuildLat collects completed rebuilds' durations in rounds.
-	rebuildLat []int64
 
 	// Data integrity (scrub.go).
-	scrub               scrubState
-	scrubCycles         int64
-	corruptionsInjected int64
-	corruptionsDetected int64
-	corruptionRepairs   int64
+	scrub scrubState
 
 	// Online reconfiguration (import.go, relayout.go).
 	imports map[string]*importState
 	// relayout, when non-nil, is the in-flight AddDisk re-layout onto a
 	// shadow array one disk wider.
 	relayout *relayoutState
-	// relayoutsDone counts completed AddDisk re-layouts.
-	relayoutsDone int
-	// migrateReads counts physical reads charged on behalf of
-	// reconfiguration traffic — clip-migration exports/imports plus
-	// AddDisk re-layout copies — the migration side of the Luby-style
-	// repair-rate ledger. migrateReadsLast is the previous round's
-	// share; migrateReadsMark is the ledger value at the top of the
-	// current round.
-	migrateReads     int64
-	migrateReadsLast int64
+	// migrateReadsMark is Stats.MigrateReads at the top of the current
+	// round.
 	migrateReadsMark int64
 
 	// prefetchDepth is how many blocks ahead of delivery fetching runs
@@ -353,7 +330,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.sparesLeft = cfg.Spares
+	s.stats.SparesLeft = cfg.Spares
 	s.detector = health.NewDetector(cfg.D, cfg.Health)
 	s.detector.SetOnFail(s.failDeclared)
 	s.detector.SetClock(s.engine.Round)
@@ -517,29 +494,11 @@ func (s *Server) RepairDisk(disk int) error {
 
 // Stats returns the server's counters.
 func (s *Server) Stats() Stats {
-	st := Stats{
-		Rounds:           s.engine.Round(),
-		Active:           s.active,
-		Served:           s.served,
-		Hiccups:          s.hiccups,
-		Overflows:        s.engine.Overflows,
-		FailedDisks:      s.store.Array.FailedDisks(),
-		Mode:             s.Mode(),
-		SparesLeft:       s.sparesLeft,
-		Rebuilding:       -1,
-		RebuildsDone:     s.rebuildsDone,
-		DetectedFailures: s.detectedFailures,
-		BadBlockRepairs:  s.badBlockRepairs,
-		Terminated:       s.terminated,
-		LostBlocks:       s.lostBlocks,
-
-		CorruptionsInjected: s.corruptionsInjected,
-		CorruptionsDetected: s.corruptionsDetected,
-		CorruptionRepairs:   s.corruptionRepairs,
-		ScrubCycles:         s.scrubCycles,
-		DetectLatencies:     s.DetectLatencies(),
-		RebuildLatencies:    s.RebuildLatencies(),
-	}
+	st := s.stats
+	st.Rounds, st.Active, st.Overflows = s.engine.Round(), s.active, s.engine.Overflows
+	st.FailedDisks, st.Mode, st.Rebuilding = s.store.Array.FailedDisks(), s.Mode(), -1
+	st.DetectLatencies = s.detector.DetectLatencies()
+	st.RebuildLatencies = slices.Clone(s.stats.RebuildLatencies)
 	for _, rb := range s.rebuilds {
 		if st.Rebuilding < 0 {
 			st.Rebuilding = rb.disk
@@ -548,11 +507,6 @@ func (s *Server) Stats() Stats {
 		st.RebuildTotal += len(rb.queue)
 		st.RebuildPending += len(rb.queue) - rb.next
 	}
-	st.RebuildReads = s.rebuildReads
-	st.RebuildReadsLastRound = s.rebuildReadsLast
-	st.MigrateReads = s.migrateReads
-	st.MigrateReadsLastRound = s.migrateReadsLast
-	st.RelayoutsDone = s.relayoutsDone
 	if s.relayout != nil {
 		st.RelayoutTotal = int(s.nextFree)
 		st.RelayoutPending = int(s.nextFree - s.relayout.next)

@@ -70,14 +70,14 @@ func (s *Server) Mode() Mode {
 // if a hot spare is available; it looks at no stream and no block, so it
 // costs the same at any failure count.
 func (s *Server) onDiskFailed(disk int) {
-	s.detectedFailures++
+	s.stats.DetectedFailures++
 	if s.failRound[disk] < 0 {
 		s.failRound[disk] = s.engine.Round()
 	}
 	// A failure of the disk currently being rebuilt kills the spare:
 	// abandon the rebuild (a further spare, if any, restarts it).
 	s.dropRebuild(disk)
-	if s.sparesLeft > 0 {
+	if s.stats.SparesLeft > 0 {
 		if len(s.rebuilds) < s.erasures {
 			s.startRebuild(disk)
 		} else {
@@ -110,7 +110,7 @@ func (s *Server) startRebuild(disk int) {
 	if err := s.store.Array.Replace(disk); err != nil {
 		return // not failed (already repaired) — nothing to rebuild
 	}
-	s.sparesLeft--
+	s.stats.SparesLeft--
 	// The spare is new hardware: the failed device's scripted faults do
 	// not carry over (a fresh fault event can still target the slot).
 	if s.injector != nil {
@@ -123,26 +123,14 @@ func (s *Server) startRebuild(disk int) {
 // whose rebuild completed, feeding the time-to-rebuild histogram.
 func (s *Server) recordRebuildDone(disk int) {
 	if start := s.failRound[disk]; start >= 0 {
-		s.rebuildLat = append(s.rebuildLat, s.engine.Round()-start)
+		s.stats.RebuildLatencies = append(s.stats.RebuildLatencies, s.engine.Round()-start)
 		s.failRound[disk] = -1
 	}
 }
 
-// RebuildLatencies returns the completed online rebuilds' detect→rejoin
-// durations in rounds, in completion order.
-func (s *Server) RebuildLatencies() []int64 {
-	return append([]int64(nil), s.rebuildLat...)
-}
-
-// DetectLatencies returns the health detector's first-strike→declaration
-// durations in rounds, in declaration order.
-func (s *Server) DetectLatencies() []int64 {
-	return s.detector.DetectLatencies()
-}
-
 // nextRebuild starts queued rebuilds while slots and spares remain.
 func (s *Server) nextRebuild() {
-	for len(s.rebuilds) < s.erasures && len(s.rebuildQueue) > 0 && s.sparesLeft > 0 {
+	for len(s.rebuilds) < s.erasures && len(s.rebuildQueue) > 0 && s.stats.SparesLeft > 0 {
 		disk := s.rebuildQueue[0]
 		s.rebuildQueue = s.rebuildQueue[1:]
 		if s.store.Array.Failed(disk) {
@@ -220,7 +208,7 @@ func (s *Server) blockReadable(a layout.BlockAddr) bool {
 // then receives the reason instead of io.EOF.
 func (s *Server) terminate(st *Stream, reason error) {
 	st.termErr, st.done = reason, true
-	s.terminated++
+	s.stats.Terminated++
 	st.recyclePipeline()
 	s.release(st)
 }

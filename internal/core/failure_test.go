@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"ftcms/internal/faultinject"
@@ -695,5 +697,81 @@ func TestRebuildRestoresDiskImage(t *testing.T) {
 				t.Fatalf("imported clip streamed %d bytes, not its %d", len(got), len(half))
 			}
 		})
+	}
+}
+
+// TestStatsIsAValue: a Stats shares nothing with the server. A snapshot
+// taken before a failure and its rebuild still reads the same after
+// them, and scribbling over another snapshot's slices leaves what later
+// Stats report untouched.
+func TestStatsIsAValue(t *testing.T) {
+	cfg := testConfig(Declustered, 7, 3)
+	cfg.Spares = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.InjectFaults(faultinject.Plan{
+		Seed:      1,
+		FailStops: []faultinject.FailStop{{Disk: 2, Round: 3}},
+	})
+	clip := clipBytes(7, 320_000)
+	if err := s.AddClip("a", clip); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.OpenStream("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainStream(t, s, st, 200); !bytes.Equal(got, clip) {
+		t.Fatal("bytes diverge across the detected failure")
+	}
+	rebuildUntil := func(done int) {
+		for r := 0; s.Stats().RebuildsDone < done; r++ {
+			if r == 2000 {
+				t.Fatalf("rebuild %d never finished", done)
+			}
+			tick(t, s, 1)
+		}
+	}
+	rebuildUntil(1)
+
+	first := s.Stats()
+	if len(first.DetectLatencies) != 1 || len(first.RebuildLatencies) != 1 {
+		t.Fatalf("latencies detect=%v rebuild=%v, want one each", first.DetectLatencies, first.RebuildLatencies)
+	}
+	want := fmt.Sprintf("%+v", first)
+	edited := s.Stats()
+	for _, sl := range [][]int64{edited.DetectLatencies, edited.RebuildLatencies} {
+		for i := range sl {
+			sl[i] = -1
+		}
+	}
+
+	if err := s.FailDisk(4); err != nil {
+		t.Fatal(err)
+	}
+	mid := s.Stats()
+	for _, sl := range [][]int{mid.RebuildingDisks, mid.FailedDisks} {
+		for i := range sl {
+			sl[i] = -1
+		}
+	}
+	rebuildUntil(2)
+
+	if got := fmt.Sprintf("%+v", first); got != want {
+		t.Fatalf("the first snapshot moved:\n got %s\nwant %s", got, want)
+	}
+	now := s.Stats()
+	if len(now.RebuildLatencies) != 2 || now.RebuildLatencies[0] != first.RebuildLatencies[0] ||
+		!slices.Equal(now.DetectLatencies, first.DetectLatencies) {
+		t.Fatalf("latencies detect=%v rebuild=%v after the second rebuild, want %v and %v then one more",
+			now.DetectLatencies, now.RebuildLatencies, first.DetectLatencies, first.RebuildLatencies)
+	}
+	if len(now.FailedDisks) != 0 || len(now.RebuildingDisks) != 0 || now.Rebuilding != -1 {
+		t.Fatalf("failed=%v rebuilding=%v (%d) after both rebuilds, want none", now.FailedDisks, now.RebuildingDisks, now.Rebuilding)
+	}
+	if mid.RebuildingDisks == nil {
+		t.Fatal("no rebuild in flight after the second failure")
 	}
 }

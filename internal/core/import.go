@@ -98,7 +98,7 @@ func (s *Server) writeBlockIdle(i int64, data []byte) (bool, error) {
 	}
 	for _, a := range sc.g.DataAddr {
 		s.charge(a.Disk)
-		s.migrateReads++
+		s.stats.MigrateReads++
 	}
 	if err := s.store.WriteBlock(i, data); err != nil {
 		return false, err
@@ -187,7 +187,7 @@ func (s *Server) ReadClipBlockIdleInto(name string, n int64, dst []byte) (bool, 
 		return false, nil
 	}
 	s.charge(addr.Disk)
-	s.migrateReads++
+	s.stats.MigrateReads++
 	c, err := s.readMonitored(addr, dst) // a copy read: the block stays unmarked
 	if err != nil {
 		return false, err

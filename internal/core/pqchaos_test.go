@@ -172,7 +172,7 @@ func TestPQDoubleFailureChaos(t *testing.T) {
 	if st.RebuildReads == 0 {
 		t.Fatal("rebuild read ledger stayed zero across a dual rebuild")
 	}
-	if lats := s.RebuildLatencies(); len(lats) != 2 {
+	if lats := st.RebuildLatencies; len(lats) != 2 {
 		t.Fatalf("RebuildLatencies = %v, want two entries", lats)
 	}
 	// The store must be whole again: every block of every clip verifies

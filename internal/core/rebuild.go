@@ -132,9 +132,9 @@ func (s *Server) startPool() {
 func (s *Server) rebuildOne(rb *rebuildState) bool {
 	arr := s.store.Array
 	s.startPool()
-	declared := s.detectedFailures
+	declared := s.stats.DetectedFailures
 	batch := s.planBatch(rb)
-	if s.detectedFailures != declared {
+	if s.stats.DetectedFailures != declared {
 		// The array changed under the plan: run every entry again on it.
 		_ = s.feed.Join()
 		s.feed.Start(s.poolPass)
@@ -155,7 +155,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 			s.refund(batch[k:])
 			batch = batch[:k+1]
 			var err error
-			if data, err = s.repairAt(a, repairMode{idle: true, ledger: &s.rebuildReads}); err == errRepairStalled {
+			if data, err = s.repairAt(a, repairMode{idle: true, ledger: &s.stats.RebuildReads}); err == errRepairStalled {
 				return false
 			}
 			lost = err != nil
@@ -166,7 +166,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 			// Further failures took too many sources: this block is
 			// unrecoverable for now. Leave it owed (explicit error on
 			// read) and move on — never write a guess.
-			s.lostBlocks++
+			s.stats.LostBlocks++
 		case data != nil:
 			err = arr.Write(a.Disk, a.Block, data)
 			s.putBlock(data)
@@ -186,7 +186,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 	// than zero-filling.
 	if arr.Rejoin(rb.disk) == nil {
 		s.detector.Reset(rb.disk)
-		s.rebuildsDone++
+		s.stats.RebuildsDone++
 		s.recordRebuildDone(rb.disk)
 	}
 	return true
@@ -215,7 +215,7 @@ func (s *Server) planBatch(rb *rebuildState) []rebuildJob {
 		}
 		var err error
 		t := s.lay.GroupAt(a, &e.g)
-		e.missing, err = s.solve(&e.repairScratch, t, e.missing[:0], repairMode{idle: true, ledger: &s.rebuildReads, probe: true})
+		e.missing, err = s.solve(&e.repairScratch, t, e.missing[:0], repairMode{idle: true, ledger: &s.stats.RebuildReads, probe: true})
 		if err == errRepairStalled {
 			e.dst = nil
 			break
@@ -240,7 +240,7 @@ func (s *Server) refund(rest []rebuildJob) {
 		for idx, read := range rest[i].read {
 			if read {
 				s.engine.Refund(memberAddr(&rest[i].g, idx).Disk)
-				s.rebuildReads--
+				s.stats.RebuildReads--
 			}
 		}
 	}

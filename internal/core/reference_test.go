@@ -116,7 +116,7 @@ func sameQueue(s *Server, disk int, got []recovery.Member, want []refMember) str
 // the rebuild it starts was given; the rebuild itself is dropped again.
 func installedQueue(t testing.TB, s *Server, disk int) []recovery.Member {
 	t.Helper()
-	s.sparesLeft, s.rebuilds, s.rebuildQueue = 1, nil, nil
+	s.stats.SparesLeft, s.rebuilds, s.rebuildQueue = 1, nil, nil
 	if err := s.FailDisk(disk); err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func (s *Server) relayoutStep() {
 			return // out of idle capacity; resume next round
 		}
 		s.charge(addr.Disk)
-		s.migrateReads++
+		s.stats.MigrateReads++
 		c, err := s.readMonitored(addr, nil)
 		if err != nil {
 			// The read escalated (disk declared failed mid-copy): the
@@ -172,5 +172,5 @@ func (s *Server) finishRelayout() {
 	// Scrub sweeps hold physical addresses of the old layout.
 	s.scrub = scrubState{}
 	s.relayout = nil
-	s.relayoutsDone++
+	s.stats.RelayoutsDone++
 }

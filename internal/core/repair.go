@@ -279,7 +279,7 @@ func (s *Server) repairInPlace(a layout.BlockAddr, cause error, mode repairMode)
 	if rot {
 		// The detector has already scored the observation toward the
 		// disk's corruption threshold.
-		s.corruptionsDetected++
+		s.stats.CorruptionsDetected++
 	}
 	if err != nil {
 		return nil, err
@@ -289,13 +289,13 @@ func (s *Server) repairInPlace(a layout.BlockAddr, cause error, mode repairMode)
 	}
 	switch {
 	case rot:
-		s.corruptionRepairs++
+		s.stats.CorruptionRepairs++
 	case errors.Is(cause, storage.ErrBadBlock):
 		// Sector remap: the rewrite lands on a good sector.
 		if s.injector != nil {
 			s.injector.ClearBadBlock(a.Disk, a.Block)
 		}
-		s.badBlockRepairs++
+		s.stats.BadBlockRepairs++
 	}
 	return data, nil
 }

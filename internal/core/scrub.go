@@ -66,7 +66,7 @@ func (s *Server) applyCorruptions() {
 			_, err = s.store.Array.CorruptRandomBlock(o.Disk, o.Pick, o.Bits)
 		}
 		if err == nil {
-			s.corruptionsInjected++
+			s.stats.CorruptionsInjected++
 		}
 	}
 }
@@ -89,7 +89,7 @@ func (s *Server) scrubStep() {
 	for budget := s.cfg.ScrubRate; ; budget-- {
 		a, ok := sc.seek(arr)
 		if !ok {
-			s.scrubCycles++
+			s.stats.ScrubCycles++
 			s.scrub = scrubState{lost: sc.lost} // next round starts a fresh sweep
 			return
 		}
@@ -126,7 +126,7 @@ func (s *Server) scrubStep() {
 					sc.lost = make(map[layout.BlockAddr]bool)
 				}
 				sc.lost[a] = true
-				s.lostBlocks++
+				s.stats.LostBlocks++
 			}
 		}
 		// Any other error is a hard error or an absent block: the detector

@@ -114,6 +114,76 @@ func TestScrubLeavesNoMark(t *testing.T) {
 	}
 }
 
+// TestScrubStalledRepairCountsOnce: a rotten block at the end of a
+// round's sweep finds its group's other disks out of idle slots, so its
+// repair stalls and the patrol reads it again the next round. The rot is
+// detected once, in the round the repair runs, not once per visit.
+func TestScrubStalledRepairCountsOnce(t *testing.T) {
+	cfg := testConfig(Declustered, 7, 3)
+	cfg.ScrubRate = -1
+	s, _ := scrubServer(t, cfg, 400_000)
+	// The first sweep reads q rows a round, disk by disk: the last disk's
+	// block of row q−1 comes after every other disk has spent its q slots.
+	a := layout.BlockAddr{Disk: cfg.D - 1, Block: int64(cfg.Q - 1)}
+	if err := s.store.Array.CorruptBits(a.Disk, a.Block, []uint64{5}); err != nil {
+		t.Fatal(err)
+	}
+	visits, read := 0, false
+	s.store.Array.SetReadHook(func(disk int, block int64) (float64, error) {
+		read = read || disk == a.Disk && block == a.Block
+		return 0, nil
+	})
+	for round := 0; round < 10 && s.Stats().CorruptionRepairs == 0; round++ {
+		read = false
+		tick(t, s, 1)
+		if read {
+			visits++
+		}
+	}
+	st := s.Stats()
+	if visits != 2 {
+		t.Fatalf("the patrol read the rotten block in %d rounds, want 2: the first repair must stall", visits)
+	}
+	if st.CorruptionsDetected != 1 || st.CorruptionRepairs != 1 {
+		t.Fatalf("detected/repaired = %d/%d, want 1/1", st.CorruptionsDetected, st.CorruptionRepairs)
+	}
+}
+
+// TestScrubStopsAtItsDeclaration: when the patrol's own verify read
+// pushes a disk over the corruption threshold, the patrol stops in that
+// read: the round's idle slots left after it belong to the rebuild the
+// declaration starts, and the patrol makes no further read.
+func TestScrubStopsAtItsDeclaration(t *testing.T) {
+	cfg := testConfig(Declustered, 7, 3)
+	cfg.ScrubRate = -1
+	cfg.Spares = 1
+	cfg.Health = health.Config{CorruptionThreshold: 4}
+	s, _ := scrubServer(t, cfg, 400_000)
+	inj := s.InjectFaults(faultinject.Plan{Seed: 11})
+	inj.AddSilentCorruption(faultinject.SilentCorruption{
+		Disk: s.lay.Place(0).Disk, Block: -1, Rate: 1, From: 1, Bits: 1,
+	})
+	var declared int64
+	after := 0
+	s.store.Array.SetReadHook(func(disk int, block int64) (float64, error) {
+		if s.stats.DetectedFailures > declared {
+			after++
+		}
+		return inj.Hook(disk, block)
+	})
+	for round := 0; round < 60; round++ {
+		declared = s.stats.DetectedFailures
+		tick(t, s, 1)
+		if s.stats.DetectedFailures > declared {
+			if after != 0 {
+				t.Fatalf("round %d: the patrol read %d blocks after its read declared a disk failed, want 0", round, after)
+			}
+			return
+		}
+	}
+	t.Fatal("the rotting disk was never declared failed")
+}
+
 // TestScrubRepairsParityBlock: rot on a parity block (which no stream
 // ever reads) is found and recomputed from the group's data members.
 func TestScrubRepairsParityBlock(t *testing.T) {

@@ -425,8 +425,8 @@ func (s *Server) Tick() error {
 	// migration charges land both inside Tick (the AddDisk re-layout
 	// step) and between ticks (the cluster tier's clip-migration calls),
 	// so the per-round share is everything since the last round began.
-	s.migrateReadsLast = s.migrateReads - s.migrateReadsMark
-	s.migrateReadsMark = s.migrateReads
+	s.stats.MigrateReadsLastRound = s.stats.MigrateReads - s.migrateReadsMark
+	s.migrateReadsMark = s.stats.MigrateReads
 	s.engine.BeginRound()
 	if s.injector != nil {
 		s.injector.SetRound(s.engine.Round())
@@ -445,11 +445,11 @@ func (s *Server) Tick() error {
 		_ = s.feed.Join()
 		return err
 	}
-	before := s.rebuildReads
+	before := s.stats.RebuildReads
 	s.rebuildStep()
 	s.scrubStep()
 	s.relayoutStep()
-	s.rebuildReadsLast = s.rebuildReads - before
+	s.stats.RebuildReadsLastRound = s.stats.RebuildReads - before
 	return nil
 }
 
@@ -484,7 +484,7 @@ func (s *Server) tickStream(st *Stream, perRound int64) error {
 	}
 	if st.nextDeliver >= st.clip.blocks {
 		st.done = true
-		s.served++
+		s.stats.Served++
 		s.release(st)
 	}
 	return nil
@@ -620,7 +620,7 @@ func (s *Server) deliver(st *Stream) error {
 	sl := st.slot(n)
 	if sl == nil {
 		// The pipeline failed to produce the block in time.
-		s.hiccups++
+		s.stats.Hiccups++
 		st.nextDeliver++
 		return nil
 	}

@@ -227,7 +227,7 @@ func continuityRun(sc scheme.Scheme, p int, seed int64) (ContinuityPoint, error)
 	}
 	st := s.Stats()
 	pt.Hiccups, pt.Overflows, pt.Lost = st.Hiccups, st.Overflows, st.Terminated
-	if lats := s.RebuildLatencies(); len(lats) > 0 {
+	if lats := st.RebuildLatencies; len(lats) > 0 {
 		pt.RebuildRounds = lats[0]
 	}
 	return pt, nil

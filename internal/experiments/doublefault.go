@@ -239,7 +239,7 @@ func MeasureRebuild(scheme core.Scheme) (int64, int64, error) {
 			break
 		}
 	}
-	lats := s.RebuildLatencies()
+	lats := s.Stats().RebuildLatencies
 	if len(lats) != 1 {
 		return 0, 0, fmt.Errorf("%s: rebuild never completed", scheme)
 	}

@@ -7,9 +7,12 @@
 #
 #   bash scripts/untested.sh [out]    # default experiments-report/untested.txt
 #
-# The command tests build their binaries with coverage when GOCOVERDIR is
-# set, so the mains count: the script points GOCOVERDIR at a directory of
-# its own and merges what the subprocesses write there.
+# The mains count too. The cmsim and cmopt tests build their binaries with
+# coverage when GOCOVERDIR is set, which is all the exported variable is
+# for: go test runs each test binary with a coverage directory of its own,
+# which the binaries those tests start inherit, and -coverprofile folds
+# their counters into that package's profile. Nothing lands in the
+# directory GOCOVERDIR names.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out=${1:-experiments-report/untested.txt}
@@ -17,14 +20,12 @@ mkdir -p "$(dirname "$out")"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-mkdir "$work/cov"
-GOCOVERDIR="$work/cov" go test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile="$work/all.out" ./... > "$work/test.log" ||
+GOCOVERDIR="$work" go test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile="$work/all.out" ./... > "$work/test.log" ||
   { cat "$work/test.log"; exit 1; }
-go tool covdata textfmt -i="$work/cov" -o="$work/cmd.out"
 # Each binary lists every instrumented block: keep the highest count.
 awk '/^mode:/ { if (NR == 1) print; next }
      { k = $1 " " $2; if (!(k in n) || $3 > n[k]) n[k] = $3 }
-     END { for (k in n) print k, n[k] }' "$work/all.out" "$work/cmd.out" > "$work/merged.out"
+     END { for (k in n) print k, n[k] }' "$work/all.out" > "$work/merged.out"
 go tool cover -func="$work/merged.out" > "$work/func.txt"
 
 # A block belongs to the last function of its file starting at or before
