@@ -176,7 +176,8 @@ type Stats struct {
 // Server is a fault-tolerant continuous media server. It is owned by one
 // goroutine: its methods, Tick included, must not run concurrently, and
 // a round's stream service is one pass over the registry on the calling
-// goroutine. Callers that share a Server serialize on their own lock.
+// goroutine, which may hand checksums to the round's pool (pending.go).
+// Callers that share a Server serialize on their own lock.
 type Server struct {
 	cfg Config
 	lay layout.Layout
@@ -246,13 +247,16 @@ type Server struct {
 	// scratchFree is the freelist of repair scratch (repair.go); block
 	// buffers come off the store's own freelist.
 	scratchFree []*repairScratch
-	// batch is the rebuild's batch (rebuild.go), kept for its buffers;
-	// feed runs poolPass, one entry's pool job; zero is the block the job
-	// reads for an absent member of a short group.
-	batch    []rebuildJob
+	// feed is the round's pool (pending.go), running poolPass on the
+	// stream pass's pending reads, pend, and on the rebuild's batch
+	// (rebuild.go), kept for its buffers; zero is the block a rebuild entry
+	// reads for an absent member of a short group, and zeroSum its sum.
 	feed     poolFeed
 	poolPass func(i int) error
+	pend     pendingList
+	batch    []rebuildJob
 	zero     []byte
+	zeroSum  uint32
 }
 
 // getBlock returns a block-sized buffer with unspecified contents.

@@ -609,6 +609,27 @@ func TestDynamicMultiRowClips(t *testing.T) {
 	}
 }
 
+// TestFreeBlocksDynamic: under the dynamic scheme the free space is the sum
+// over super-clips of what each row has left, which every clip stored
+// takes its blocks from; the cluster's placement reads it.
+func TestFreeBlocksDynamic(t *testing.T) {
+	s := newServer(t, DeclusteredDynamic, 7, 3)
+	free, rows := s.FreeBlocks(), int64(s.pgt.Rows())
+	if want := s.capacity() / rows * rows; free != want {
+		t.Fatalf("an empty server has %d blocks free, want its %d rows' %d", free, rows, want)
+	}
+	for i := 0; i < 5; i++ { // more clips than rows (r = 3): rows reused
+		name := string(rune('a' + i))
+		if err := s.AddClip(name, clipBytes(int64(100+i), 60_000+i*30_000)); err != nil {
+			t.Fatal(err)
+		}
+		free -= s.clips[name].blocks
+		if got := s.FreeBlocks(); got != free {
+			t.Fatalf("after clip %s (%d blocks): %d blocks free, want %d", name, s.clips[name].blocks, got, free)
+		}
+	}
+}
+
 // TestDynamicRepair: the dynamic scheme's per-row allocation survives the
 // repair/rebuild cycle.
 func TestDynamicRepair(t *testing.T) {

@@ -99,7 +99,7 @@ func (s *Server) dropRebuild(disk int) {
 // failDeclared is the health detector's OnFail callback: fail-stop the
 // disk in the array, then run the common failure path.
 func (s *Server) failDeclared(disk int) {
-	s.feed.Wait() // the rebuild's pool pass reads the array this changes
+	s.feed.Wait() // the round's pool reads the array this changes
 	_ = s.store.Array.Fail(disk)
 	s.onDiskFailed(disk)
 }

@@ -42,13 +42,15 @@ func parsePackage(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 // helpers. Whole independent jobs fan out on the pool: the live cluster's
 // node rounds (cluster.Tick, one node's whole stack per worker) and the
 // experiment sweeps' cells, so cluster and experiments import it. Inside an
-// array two byte passes do, each touching bytes alone while the owner
-// decides everything before and after: the rebuild's (core's rebuild.go),
-// whose owner plans beside the pool, feeding it each entry it has planned,
-// and the ingest's, which writes a run's groups while the owner waits
-// (recovery.go). Those two files are the only others that import it.
+// array three byte passes do, each touching bytes alone while the owner
+// decides everything before and after: on the round's one feed (core's
+// pending.go), the stream pass's, whose owner serves on while the pool sums
+// its plain reads, and the rebuild's, whose owner plans beside the pool,
+// feeding it each entry it has planned; and the ingest's, which writes a
+// run's groups while the owner waits (recovery.go). Those two files are the
+// only others that import it.
 func TestOneGoroutinePerArray(t *testing.T) {
-	bytePasses := map[string]string{"core": "rebuild.go", "recovery": "recovery.go"}
+	bytePasses := map[string]string{"core": "pending.go", "recovery": "recovery.go"}
 	fset := token.NewFileSet()
 	ents, err := os.ReadDir("..")
 	if err != nil {

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"ftcms/internal/integrity"
 	"ftcms/internal/layout"
-	"ftcms/internal/parallel"
 	"ftcms/internal/recovery"
 	"ftcms/internal/storage"
 )
@@ -15,13 +15,15 @@ import (
 // charges, read hook, detector, replans — except that every read is a Probe,
 // which takes no bytes (owner). The pool verifies the bytes the plan read
 // and recovers each block into the spare's own buffer, touching nothing but
-// bytes, as soon as the plan has finished the entry (parallel.Feed, the one
-// fan-out inside an array's round). A plan changes the array only by a
-// detector declaration, which drains the feed first; the entries then run
-// again after the plan. The commit installs the entries in queue order up
-// to the first whose member the pool found rotten: it refunds that entry's
-// charges and every later one's, repairs that block live and ends the batch
-// (owner).
+// bytes, as soon as the plan has finished the entry (the round's feed,
+// pending.go). Where it rebuilds by XOR it checks the block's sum against
+// the members' stored sums. A plan changes the array only by a detector
+// declaration, which drains the feed first; the entries then run again
+// after the plan. The commit installs the entries in queue order up to the
+// first whose member the pool found rotten: it refunds that entry's charges
+// and every later one's, repairs that block live and ends the batch
+// (owner); one whose sum missed ends the batch, installs nothing and fails
+// the round.
 
 // rebuildState tracks one online rebuild.
 type rebuildState struct {
@@ -47,17 +49,23 @@ type rebuildJob struct {
 	// the target, spare (a freelist block) for a second erasure.
 	dst, spare []byte
 	// lost: the plan found the group beyond its parity; ok: the pool
-	// recovered dst, whose checksum is sum.
-	lost, ok bool
-	sum      uint32
+	// recovered dst, whose checksum is sum; wrong: it did, but sum is not
+	// the one the members' stored sums predict.
+	lost, ok, wrong bool
+	sum             uint32
 }
 
-// run is the pool pass over one entry.
-func (e *rebuildJob) run(arr *storage.Array, zero []byte) {
-	e.ok, e.sum = false, 0
+// run is the pool pass over one entry. A block rebuilt by XOR alone — one
+// erasure, closed by P — must sum to what its members' stored sums predict:
+// CRC-32C is affine, so the XOR of k blocks sums to the XOR of their sums,
+// and of zeroSum, the zero block's, once more when k is even. An absent
+// member is the zero block.
+func (e *rebuildJob) run(arr *storage.Array, zero []byte, zeroSum uint32) {
+	e.ok, e.wrong, e.sum = false, false, 0
 	if e.lost || e.dst == nil {
 		return
 	}
+	nd, want := len(e.g.Data), zeroSum
 	for idx, read := range e.read {
 		if !read || slices.Contains(e.missing, idx) {
 			continue
@@ -68,11 +76,13 @@ func (e *rebuildJob) run(arr *storage.Array, zero []byte) {
 				return // rotten: the commit repairs this entry live
 			}
 			e.bufs[idx] = zero
+		} else if idx <= nd {
+			want ^= arr.SumAt(a.Disk, a.Block) ^ zeroSum
 		}
 	}
-	nd := len(e.g.Data)
 	if recovery.RecoverPQ(e.bufs[:nd], e.bufs[nd], e.bufs[nd+1], e.missing) == nil {
 		e.sum, e.ok = integrity.Sum(e.dst), true
+		e.wrong = len(e.missing) == 1 && e.missing[0] <= nd && e.sum != want
 	}
 }
 
@@ -85,10 +95,12 @@ func (e *rebuildJob) run(arr *storage.Array, zero []byte) {
 // Each rebuild runs once a step, in list order. One rebuild's reads can
 // end another (a read that gets a spare declared failed drops its
 // rebuild, onDiskFailed) or start one, so the list is searched afresh
-// after every call and a finished rebuild leaves it by identity.
-func (s *Server) rebuildStep() {
+// after every call and a finished rebuild leaves it by identity. An error
+// from rebuildOne ends the step.
+func (s *Server) rebuildStep() error {
 	s.rebuildPass++
-	for {
+	var err error
+	for err == nil {
 		var rb *rebuildState
 		for _, r := range s.rebuilds {
 			if r.pass != s.rebuildPass {
@@ -100,51 +112,41 @@ func (s *Server) rebuildStep() {
 			break
 		}
 		rb.pass = s.rebuildPass
-		if s.rebuildOne(rb) {
+		var done bool
+		if done, err = s.rebuildOne(rb); done {
 			s.rebuilds = slices.DeleteFunc(s.rebuilds, func(r *rebuildState) bool { return r == rb })
 		}
 	}
-	_ = s.feed.Join()
+	s.joinPool()
 	s.nextRebuild()
-}
-
-// poolFeed runs the pool pass.
-type poolFeed = parallel.Feed
-
-// startPool opens the pool pass, unless it is open or no rebuild is in
-// flight. Tick opens it before it serves the streams, so that its helper
-// is awake when the plan finishes the first entry.
-func (s *Server) startPool() {
-	if len(s.rebuilds) == 0 {
-		return
-	}
-	if s.poolPass == nil {
-		s.zero = make([]byte, s.store.Array.BlockSize())
-		s.poolPass = func(i int) error { s.batch[i].run(s.store.Array, s.zero); return nil }
-	}
-	s.feed.Start(s.poolPass)
+	return err
 }
 
 // rebuildOne advances one rebuild as far as idle capacity allows; it
-// returns true when the rebuild is finished or abandoned. Its disk is
+// returns true when the rebuild is finished or abandoned, and an error
+// naming a block the pool rebuilt to the wrong sum. Its disk is
 // Rebuilding: a spare's crash and an operator's repair drop the rebuild in
 // the call that takes the disk out of that state (onDiskFailed, RepairDisk).
-func (s *Server) rebuildOne(rb *rebuildState) bool {
+func (s *Server) rebuildOne(rb *rebuildState) (bool, error) {
 	arr := s.store.Array
 	s.startPool()
 	declared := s.stats.DetectedFailures
 	batch := s.planBatch(rb)
 	if s.stats.DetectedFailures != declared {
 		// The array changed under the plan: run every entry again on it.
-		_ = s.feed.Join()
+		s.joinPool()
 		s.feed.Start(s.poolPass)
-		s.feed.Publish(len(batch))
+		s.publishBatch(len(batch))
 	}
-	_ = s.feed.Join()
+	s.joinPool()
 	defer s.releaseBatch(batch)
 	for k := 0; k < len(batch); k++ {
 		e := &batch[k]
 		a := layout.BlockAddr{Disk: rb.disk, Block: rb.queue[rb.next].Block}
+		if e.wrong { // the block stays owed, the rest of the batch unplanned
+			s.refund(batch[k:])
+			return false, fmt.Errorf("core: rebuild of disk %d block %d: the rebuilt bytes sum to %08x, not what their group's sums predict", a.Disk, a.Block, e.sum)
+		}
 		data, lost := []byte(nil), e.lost
 		if !lost && e.dst != nil && !e.ok {
 			// A member the plan probed is rotten. Take back this entry's
@@ -156,7 +158,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 			batch = batch[:k+1]
 			var err error
 			if data, err = s.repairAt(a, repairMode{idle: true, ledger: &s.stats.RebuildReads}); err == errRepairStalled {
-				return false
+				return false, nil
 			}
 			lost = err != nil
 		}
@@ -174,12 +176,12 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 			err = arr.Install(a.Disk, a.Block, e.dst, e.sum)
 		}
 		if err != nil {
-			return true // spare crashed mid-write; abandon
+			return true, nil // spare crashed mid-write; abandon
 		}
 		rb.next++
 	}
 	if rb.next < len(rb.queue) {
-		return false // out of idle capacity; resume next round
+		return false, nil // out of idle capacity; resume next round
 	}
 	// Queue exhausted. A disk that still owes a block refuses to rejoin and
 	// stays Rebuilding: its owed blocks keep erroring explicitly rather
@@ -189,7 +191,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 		s.stats.RebuildsDone++
 		s.recordRebuildDone(rb.disk)
 	}
-	return true
+	return true, nil
 }
 
 // planBatch is the plan pass: the repairs of rb's next queued blocks, up to
@@ -198,7 +200,7 @@ func (s *Server) rebuildOne(rb *rebuildState) bool {
 func (s *Server) planBatch(rb *rebuildState) []rebuildJob {
 	n := 0
 	for ; rb.next+n < len(rb.queue); n++ {
-		s.feed.Publish(n)
+		s.publishBatch(n)
 		if n == len(s.batch) {
 			s.feed.Wait() // the pool reads the batch growBatch moves
 			s.growBatch()
@@ -229,7 +231,7 @@ func (s *Server) planBatch(rb *rebuildState) []rebuildJob {
 			e.bufs[m] = e.spare
 		}
 	}
-	s.feed.Publish(n)
+	s.publishBatch(n)
 	return s.batch[:n]
 }
 

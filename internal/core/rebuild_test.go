@@ -569,3 +569,43 @@ func TestRebuildDroppedMidStep(t *testing.T) {
 		t.Fatalf("disk %d failed %v, %d rebuilds left, second rebuild at %d of 1", a, arr.Failed(a), len(s.rebuilds), rb.next)
 	}
 }
+
+// TestRebuildChecksMembersSums: a block the pool rebuilds by XOR must sum to
+// what its members' stored sums predict. Fed a wrong member — the zero
+// block an absent member of a short group stands for, with a bit set — the
+// rebuild installs nothing, leaves the block owed and fails the round with
+// the block's name; with the member right again the next round rebuilds it.
+func TestRebuildChecksMembersSums(t *testing.T) {
+	cfg := testConfig(Declustered, 7, 3)
+	cfg.Spares = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clipBytes(9, 5000) // block 0 of a group whose block 1 is absent
+	if err := s.AddClip("c", want); err != nil {
+		t.Fatal(err)
+	}
+	a := s.lay.Place(0)
+	if err := s.FailDisk(a.Disk); err != nil {
+		t.Fatal(err)
+	}
+	s.startPool()
+	s.joinPool()
+	s.zero[17] ^= 4
+	err = s.Tick()
+	if name := fmt.Sprintf("disk %d block %d", a.Disk, a.Block); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("Tick = %v, want an error naming %s", err, name)
+	}
+	if b := s.store.Array.NextOwed(a.Disk, a.Block); b != a.Block {
+		t.Fatalf("the disk owes block %d first, want %d still owed", b, a.Block)
+	}
+	s.zero[17] ^= 4
+	if err := s.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	got := s.store.Array.Peek(a.Disk, a.Block)
+	if s.Mode() != ModeHealthy || !bytes.Equal(got[:len(want)], want) {
+		t.Fatalf("mode %s: the block was not rebuilt to its bytes", s.Mode())
+	}
+}

@@ -418,8 +418,12 @@ func (st *Stream) Read(p []byte) (int, error) {
 // terminated with an explicit reason rather than failing the round; every
 // other stream is served normally. Idle capacity left after stream
 // service drives the online rebuild first and then the integrity
-// scrubber. Tick itself errors only on programming bugs.
+// scrubber. Tick itself errors only on programming bugs, and on a block
+// the rebuild recovered to bytes its group's sums rule out.
 func (s *Server) Tick() error {
+	// Deterministic iteration: the service registry holds every active
+	// stream in ascending-id order, maintained incrementally.
+	s.compactReg()
 	s.startPool() // its helper wakes while the streams are served
 	// Close the previous round's migration ledger before anything else:
 	// migration charges land both inside Tick (the AddDisk re-layout
@@ -438,33 +442,29 @@ func (s *Server) Tick() error {
 	if s.groupFetch {
 		perRound = int64(s.cfg.P - 1)
 	}
-	// Deterministic iteration: the service registry holds every active
-	// stream in ascending-id order, maintained incrementally.
-	s.compactReg()
 	if err := s.serviceStreams(perRound); err != nil {
-		_ = s.feed.Join()
+		s.joinPool()
 		return err
 	}
 	before := s.stats.RebuildReads
-	s.rebuildStep()
+	err := s.rebuildStep()
 	s.scrubStep()
 	s.relayoutStep()
 	s.stats.RebuildReadsLastRound = s.stats.RebuildReads - before
-	return nil
+	return err
 }
 
 // serviceStreams runs the round's fetch/delivery phase for every active
-// stream, in registry order.
+// stream, in registry order: compactReg left no other in it, and a stream
+// ends only in its turn or, by a fix-up, after it. The pending reads before
+// an error are committed, and a commit's error comes first.
 func (s *Server) serviceStreams(perRound int64) error {
-	for _, st := range s.reg {
-		if !st.active || st.done {
-			continue // released or terminated earlier this round
-		}
-		if err := s.tickStream(st, perRound); err != nil {
-			return err
-		}
+	s.beginPass()
+	var err error
+	for i := 0; i < len(s.reg) && err == nil; i++ {
+		err = s.tickStream(s.reg[i], perRound)
 	}
-	return nil
+	return cmp.Or(s.endPass(), err)
 }
 
 // tickStream runs one stream's fetch and delivery phases for the round.
@@ -474,19 +474,24 @@ func (s *Server) serviceStreams(perRound int64) error {
 // it has been delivered; the pre-fetching schemes fetch up to p−2 blocks
 // ahead of delivery and drop those.
 func (s *Server) tickStream(st *Stream, perRound int64) error {
-	n, err := s.advance(st, perRound)
-	if errors.Is(err, recovery.ErrUnrecoverable) {
-		s.terminate(st, fmt.Errorf("%w: clip block %d: %v", ErrStreamLost, n, err))
-		return nil
-	}
-	if err != nil {
-		return err
+	if n, err := s.advance(st, perRound); err != nil {
+		return s.lose(st, n, err)
 	}
 	if st.nextDeliver >= st.clip.blocks {
 		st.done = true
 		s.stats.Served++
 		s.release(st)
 	}
+	return nil
+}
+
+// lose ends st with a reason naming clip block n when err is a group's
+// that cannot produce the block, and returns any other err.
+func (s *Server) lose(st *Stream, n int64, err error) error {
+	if !errors.Is(err, recovery.ErrUnrecoverable) {
+		return err
+	}
+	s.terminate(st, fmt.Errorf("%w: clip block %d: %v", ErrStreamLost, n, err))
 	return nil
 }
 
@@ -525,9 +530,18 @@ func (s *Server) advance(st *Stream, perRound int64) (int64, error) {
 // reconstruct (§4). The pre-fetching schemes take the parity route for a
 // block not yet rebuilt onto a spare too: their admission reserves that
 // one parity read, not the p−1 survivors an in-place repair reads.
+//
+// A plain read goes on the pending list (pending.go); every other read
+// commits the list first.
 func (s *Server) fetchInto(st *Stream, n int64) error {
 	logical := st.clip.block(n)
 	addr := s.lay.Place(logical)
+	if s.lendPlain(st, n, addr) {
+		return nil
+	}
+	if err := s.commitReads(); err != nil {
+		return err
+	}
 	direct := !s.store.Array.Failed(addr.Disk)
 	if s.prefetchDepth > 1 {
 		direct = s.blockReadable(addr)

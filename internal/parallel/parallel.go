@@ -1,9 +1,11 @@
 // Package parallel provides the small bounded worker pool the experiment
-// sweeps and the cluster's per-node rounds fan out on. Inside one array two
-// byte passes do, touching bytes alone while the array's goroutine decides
-// the rest: the rebuild's, fed entries as it plans them (core/rebuild.go),
-// and the ingest's, per batch of a clip write's groups (WriteRun). Its width
-// is runtime.GOMAXPROCS(0): Go's own knob is the only one.
+// sweeps and the cluster's per-node rounds fan out on. Inside one array
+// three byte passes do, touching bytes alone while the array's goroutine
+// decides the rest: on one feed per round (core/pending.go), the stream
+// pass's, fed plain reads to verify as it serves them, and the rebuild's,
+// fed entries as it plans them; and the ingest's, per batch of a clip
+// write's groups (WriteRun). Its width is runtime.GOMAXPROCS(0): Go's own
+// knob is the only one.
 //
 // The determinism contract: work items are addressed by index, every
 // worker writes only its own item's slot, and errors are reported as the
@@ -21,11 +23,12 @@ import (
 )
 
 // job is one fan-out: fn over the items published so far. next is the
-// first unclaimed item, done counts finished ones, and closed says no more
-// are coming.
+// first unclaimed item, done counts finished ones, closed says no more
+// are coming, and left counts the helpers that have let it go.
 type job struct {
 	fn                    func(i int) error
 	next, published, done atomic.Int64
+	left                  atomic.Int32
 	closed                atomic.Bool
 	helpers               int
 	wg                    sync.WaitGroup
@@ -55,6 +58,7 @@ func help() {
 			runtime.Gosched()
 		}
 	}
+	j.left.Add(1)
 	j.wg.Done()
 }
 
@@ -108,8 +112,17 @@ func (f *Feed) start(fn func(i int) error, helpers int, alone bool) {
 	f.j = j
 }
 
+// Helped reports whether the open feed got a helper: without one its items
+// run on the caller alone, at Wait or Join.
+func (f *Feed) Helped() bool { return f.j != nil && f.j.helpers > 0 }
+
 // Publish lets items [0, n) of the open feed run; n never shrinks.
 func (f *Feed) Publish(n int) { f.j.published.Store(int64(n)) }
+
+// spin is how many times Wait and Join poll a helper before they yield or
+// park: a caller that yields or parks resumes on whichever processor takes
+// it, often the helper's, away from its own cache.
+const spin = 1 << 14
 
 // Wait runs the published items no helper has taken and returns once every
 // published item has finished.
@@ -119,8 +132,10 @@ func (f *Feed) Wait() {
 		for i := j.next.Load(); i < n; i = j.next.Load() {
 			j.claim(i)
 		}
-		for j.done.Load() < n {
-			runtime.Gosched()
+		for k := 0; j.done.Load() < n; k++ {
+			if k >= spin {
+				runtime.Gosched()
+			}
 		}
 	}
 }
@@ -135,6 +150,8 @@ func (f *Feed) Join() error {
 	}
 	j.closed.Store(true)
 	f.Wait()
+	for k := 0; k < spin && j.left.Load() < int32(j.helpers); k++ {
+	}
 	j.wg.Wait()
 	err := j.err
 	j.fn, j.err, f.j = nil, nil, nil // the freelist keeps no caller's state

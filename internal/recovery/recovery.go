@@ -121,9 +121,10 @@ func (s *Store) WriteBlock(i int64, data []byte) error { return s.WriteRun(i, 1,
 
 // A WriteRun batch holds up to batchGroups groups, eight chunks of
 // chunkGroups (1 MB at p = 4 and 4 KB blocks), each one pool item whose
-// fresh slots are one allocation; the pool fills a batch that spans fanOut
-// bytes, worth its helpers' ≈ 100 µs start (DESIGN §13).
-const chunkGroups, batchGroups, fanOut = 64, 8 * 64, 256 << 10
+// fresh slots are one allocation; the pool fills a batch that spans FanOut
+// bytes, worth its helpers' ≈ 100 µs start (DESIGN §13), as it sums core's
+// stream pass's plain reads when a round's span FanOut.
+const chunkGroups, batchGroups, FanOut = 64, 8 * 64, 256 << 10
 
 // WriteRun stores n logical blocks, first, first+stride, …, block k holding
 // data[k·bs:(k+1)·bs] zero-padded, and the parity of each group they touch,
@@ -142,7 +143,7 @@ func (s *Store) WriteRun(first, stride, n int64, data []byte) error {
 	for k := int64(0); k < n && err == nil; {
 		s.planned, k, err = s.plan(k)
 		chunks := (len(s.planned) + chunkGroups - 1) / chunkGroups
-		if len(s.planned)*size >= fanOut {
+		if len(s.planned)*size >= FanOut {
 			_ = parallel.ForEach(chunks, s.fillJob) // fill cannot fail
 		} else {
 			for c := range chunks {

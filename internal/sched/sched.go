@@ -69,9 +69,15 @@ func (e *Engine) Charge(disk int) bool {
 	return true
 }
 
-// Refund takes back one Charge that did not overflow: the reads the
-// rebuild planned for entries its commit does not install.
-func (e *Engine) Refund(disk int) { e.reads[disk]-- }
+// Refund takes back one Charge, and the overflow it counted, if any: the
+// reads the rebuild planned for entries its commit does not install, and
+// the stream pass's charges that a re-read must pay again in its place.
+func (e *Engine) Refund(disk int) {
+	if e.reads[disk] > e.q {
+		e.Overflows--
+	}
+	e.reads[disk]--
+}
 
 // AddDisk widens the engine by one disk with a zero ledger for the
 // current round, preserving the round clock and overflow count. The

@@ -164,6 +164,7 @@ const (
 	opLend
 	opPeek
 	opReserve
+	opLendUnchecked
 	nOps
 )
 
@@ -177,7 +178,9 @@ const (
 // sees what a read would, and Probe answers as the read but for the
 // checksum; Reserve offers a slot's kept buffer wherever Write would write —
 // none for a lent one, whose loan keeps the old — and Install of the bytes
-// built in it is Write of them.
+// built in it is Write of them. LendUnchecked lends a written block of a
+// healthy disk, rotten or not, with the sum SumAt reports, and its loan
+// keeps its bytes as Lend's does.
 func FuzzArrayModel(f *testing.F) {
 	// What integrity.Map's own tests pinned, as the array shows it.
 	// Record, verify, a flipped bit is caught, an overwrite re-records:
@@ -328,6 +331,18 @@ func FuzzArrayModel(f *testing.F) {
 					err = a.Install(disk, block, buf, integrity.Sum(buf))
 				}
 				got, want = err, m.write(disk, block, b)
+			case opLendUnchecked:
+				b, sum, _ := a.LendUnchecked(disk, block)
+				var ref []byte
+				if m.inRange(disk) && m.state[disk] == Healthy {
+					ref = m.data[disk][block]
+				}
+				if !bytes.Equal(b, ref) || (b == nil) != (ref == nil) || b != nil && (sum != m.sums[disk][block] || a.SumAt(disk, block) != sum) {
+					t.Fatalf("op %d: LendUnchecked(%d, %d) = %v, %08x; model %v", i/4, disk, block, b, sum, ref)
+				}
+				if b != nil {
+					lent, kept = append(lent, b), append(kept, bytes.Clone(b))
+				}
 			}
 			for k := range lent {
 				if !bytes.Equal(lent[k], kept[k]) {

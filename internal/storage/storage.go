@@ -275,6 +275,38 @@ func (a *Array) Peek(disk int, block int64) []byte {
 	return nil
 }
 
+// SumAt returns the checksum Write recorded for a block, 0 for an absent
+// one: like Peek it meets no hook, state or mark.
+func (a *Array) SumAt(disk int, block int64) uint32 {
+	if a.checkAddr(disk, block) == nil {
+		if r := a.at(disk, block); r != nil {
+			return r.sum
+		}
+	}
+	return 0
+}
+
+// LendUnchecked is Lend for a plain read — a written block of a healthy
+// disk, no read hook installed — without the checksum: it returns the
+// stored bytes and the sum Write recorded, for the caller to compare, and
+// marks the block lent. marked says the mark is this loan's, for Unlend to
+// take back should the bytes miss their sum. Any other read returns nil.
+func (a *Array) LendUnchecked(disk int, block int64) (data []byte, sum uint32, marked bool) {
+	if a.hook != nil || a.checkAddr(disk, block) != nil || a.state[disk] != Healthy {
+		return nil, 0, false
+	}
+	r := a.at(disk, block)
+	if r == nil {
+		return nil, 0, false
+	}
+	marked, r.lent = !r.lent, true
+	return r.data, r.sum, marked
+}
+
+// Unlend clears a block's lent mark, as if the read that set it had not
+// been: a later Write rewrites the bytes in place.
+func (a *Array) Unlend(disk int, block int64) { a.disks[disk][block].lent = false }
+
 // Probe is a read that takes no bytes: it meets the disk's state, the hook
 // and the block's presence as ReadTimedInto does, but no checksum.
 func (a *Array) Probe(disk int, block int64) (float64, error) {
