@@ -98,9 +98,10 @@ type Stats struct {
 	Active int
 	// Served is the number of streams that completed playback.
 	Served int
-	// Hiccups counts block deliveries that missed their round (late or
-	// unreconstructable). Zero for the rate-guaranteeing schemes under a
-	// single failure.
+	// Hiccups counts block deliveries skipped because the pipeline had
+	// not fetched the block by its round. A read charged past q counts in
+	// Overflows instead, and an unreconstructable block ends its stream
+	// (Terminated).
 	Hiccups int64
 	// Overflows counts disk charges beyond the q budget (from sched).
 	Overflows int64
@@ -244,9 +245,9 @@ type Server struct {
 	// groupFetch is set for streaming RAID: fetch a whole group at once.
 	groupFetch bool
 
-	// scratchFree is the freelist of repair scratch (repair.go); block
-	// buffers come off the store's own freelist.
-	scratchFree []*repairScratch
+	// scratch is the repair scratch (repair.go); block buffers come off
+	// the store's own freelist.
+	scratch repairScratch
 	// feed is the round's pool (pending.go), running poolPass on the
 	// stream pass's pending reads, pend, and on the rebuild's batch
 	// (rebuild.go), kept for its buffers; zero is the block a rebuild entry

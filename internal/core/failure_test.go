@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"ftcms/internal/faultinject"
@@ -773,5 +774,43 @@ func TestStatsIsAValue(t *testing.T) {
 	}
 	if len(now.FailedDisks) != 0 || len(now.RebuildingDisks) != 0 || now.Rebuilding != -1 {
 		t.Fatalf("failed=%v rebuilding=%v (%d) after both rebuilds, want none", now.FailedDisks, now.RebuildingDisks, now.Rebuilding)
+	}
+}
+
+// TestSecondFailureInPrefetchGroup: under the pre-fetching schemes, with
+// the disks of two members of a stream's first group failed, each member
+// is fetched as the group's parity block, so neither can be rebuilt from
+// the buffer. The stream ends at the group's first block with
+// ErrStreamLost, having delivered nothing, and nothing reads a sibling
+// from disk: Tick returns nil and no disk is charged past q.
+func TestSecondFailureInPrefetchGroup(t *testing.T) {
+	for _, c := range []struct {
+		scheme Scheme
+		d, p   int
+	}{
+		{PrefetchParityDisk, 8, 4},
+		{PrefetchFlat, 9, 4},
+	} {
+		s := newServer(t, c.scheme, c.d, c.p)
+		want := clipBytes(61, 100_000)
+		if err := s.AddClip("m", want); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.OpenStream("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int64{0, 1} {
+			if err := s.FailDisk(s.lay.Place(st.clip.block(n)).Disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := drainResult(t, s, st, want, 50)
+		if !errors.Is(err, ErrStreamLost) || !strings.Contains(err.Error(), "clip block 0:") || n != 0 {
+			t.Errorf("%s: stream read %d bytes, then %v; want none, then ErrStreamLost at clip block 0", c.scheme, n, err)
+		}
+		if got := s.Stats(); got.Terminated != 1 || got.Overflows != 0 {
+			t.Errorf("%s: %d terminated, %d overflows; want 1 and 0", c.scheme, got.Terminated, got.Overflows)
+		}
 	}
 }

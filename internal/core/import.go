@@ -90,13 +90,12 @@ func (s *Server) ImportClipBlockIdle(name string, n int64, data []byte) (bool, e
 // until each has one), one more than the store's parity maintenance
 // reads, which keeps migration's pace. The write re-records the checksum.
 func (s *Server) writeBlockIdle(i int64, data []byte) (bool, error) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.lay.GroupAt(s.lay.Place(i), &sc.g)
-	if !s.idle(sc.g.DataAddr...) {
+	g := &s.scratch.g
+	s.lay.GroupAt(s.lay.Place(i), g)
+	if !s.idle(g.DataAddr...) {
 		return false, nil // out of idle capacity; retry next round
 	}
-	for _, a := range sc.g.DataAddr {
+	for _, a := range g.DataAddr {
 		s.charge(a.Disk)
 		s.stats.MigrateReads++
 	}

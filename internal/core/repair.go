@@ -59,9 +59,7 @@ func (s *Server) idle(addrs ...layout.BlockAddr) bool {
 // conservative gate of a monitored copy read, which may turn into an
 // in-place repair that reads any of them.
 func (s *Server) groupIdle(a layout.BlockAddr) bool {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	g := &sc.g
+	g := &s.scratch.g
 	s.lay.GroupAt(a, g)
 	return s.idle(g.DataAddr...) && s.idle(g.Parity) && (!g.HasQ || s.idle(g.Q))
 }
@@ -145,27 +143,15 @@ type repairMode struct {
 	probe bool
 }
 
-// repairScratch is what one repair needs besides block buffers. A detector
-// declaration inside a repair can start a rebuild, whose queue takes one
-// too, so scratch comes off a freelist, never from a bare field.
+// repairScratch is what one repair needs besides block buffers. The
+// server keeps one (Server.scratch), which no two holders need at once:
+// a detector declaration inside repairAt's reads runs pool items, which
+// carry their own, and then starts a rebuild, which takes none.
 type repairScratch struct {
 	g    layout.Group
 	bufs [][]byte
 	read []bool
 	need []int
-}
-
-func (s *Server) getScratch() *repairScratch {
-	if n := len(s.scratchFree); n > 0 {
-		sc := s.scratchFree[n-1]
-		s.scratchFree = s.scratchFree[:n-1]
-		return sc
-	}
-	return new(repairScratch)
-}
-
-func (s *Server) putScratch(sc *repairScratch) {
-	s.scratchFree = append(s.scratchFree, sc)
 }
 
 // repairAt recovers the block at address a, whichever member of its group
@@ -175,8 +161,7 @@ func (s *Server) putScratch(sc *repairScratch) {
 // the survey with zero charges, or the moment a late read failure exceeds
 // the columns).
 func (s *Server) repairAt(a layout.BlockAddr, mode repairMode) ([]byte, error) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := &s.scratch
 	g := &sc.g
 	t := s.lay.GroupAt(a, g)
 	var scratch [4]int

@@ -289,7 +289,6 @@ func (st *Stream) Pause() error {
 	// Drop the pipeline: blocks not yet delivered are re-fetched on
 	// resume (the buffer they lived in is being handed back).
 	st.recyclePipeline()
-	st.nextFetch = st.nextDeliver
 	st.started = false
 	st.srv.release(st)
 	return nil
@@ -354,6 +353,12 @@ func (st *Stream) dropReadable() {
 // Resume re-admits a paused stream at its saved position. On
 // ErrAdmission the stream stays paused and Resume can be retried on a
 // later round.
+//
+// Fetching restarts where OpenStreamAt would: at the pre-fetch group
+// boundary at or before the next block to deliver, so a pre-fetching
+// stream holds its whole group again before delivery resumes and a
+// failed member costs one parity read. The blocks re-read lie before
+// Pos, so delivery recycles them; the reader sees nothing of it.
 func (st *Stream) Resume() error {
 	if st.done {
 		return errors.New("core: stream finished")
@@ -361,12 +366,14 @@ func (st *Stream) Resume() error {
 	if !st.paused {
 		return nil
 	}
-	// Admission coordinates follow the stream's *next* block, not the
-	// clip's first: bandwidth is consumed from wherever fetching resumes.
-	tk, perClip, err := st.srv.admit(st.clip.block(min(st.nextFetch, st.clip.blocks-1)))
+	block := st.nextDeliver - st.nextDeliver%st.srv.prefetchDepth
+	// Admission coordinates follow that block, not the clip's first:
+	// bandwidth is consumed from wherever fetching resumes.
+	tk, perClip, err := st.srv.admit(st.clip.block(block))
 	if err != nil {
 		return err
 	}
+	st.nextFetch, st.nextDeliver = block, block
 	st.ticket, st.buf, st.paused = tk, perClip, false
 	st.srv.activate(st)
 	return nil
@@ -563,10 +570,8 @@ func (s *Server) fetchInto(st *Stream, n int64) error {
 	if s.prefetchDepth > 1 {
 		// Pre-fetching schemes: fetch only the parity block now;
 		// reconstruction happens at delivery from the buffered siblings.
-		sc := s.getScratch()
-		s.lay.GroupAt(addr, &sc.g)
-		par := sc.g.Parity
-		s.putScratch(sc)
+		s.lay.GroupAt(addr, &s.scratch.g)
+		par := s.scratch.g.Parity
 		if s.store.Array.Failed(par.Disk) {
 			return fmt.Errorf("%w: parity disk %d also failed", recovery.ErrUnrecoverable, par.Disk)
 		}
@@ -591,17 +596,17 @@ func (s *Server) fetchInto(st *Stream, n int64) error {
 
 // reconstructPending rebuilds, from buffered siblings plus the fetched
 // parity block, every group member of clip block n that is still awaiting
-// reconstruction. It runs before the group's first delivery, when §6.1
-// guarantees all surviving members are in the buffer.
+// reconstruction. Fetching starts only at a group boundary and delivery
+// only once the group is fetched, so at the group's first delivery every
+// member is in the buffer (§6.1): a member it cannot rebuild has a sibling
+// that is parity too, and deliver ends the stream on it.
 func (s *Server) reconstructPending(st *Stream, n int64) {
 	if st.pendingParity == 0 {
 		return // nothing pending: the common case, and the healthy path's only one
 	}
 	// idx is a group member's clip-relative index.
 	idx := func(l int64) int64 { return (l - st.clip.start) / st.clip.stride }
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	g := &sc.g
+	g := &s.scratch.g
 	s.lay.GroupAt(s.lay.Place(st.clip.block(n)), g)
 	for _, li := range g.Data {
 		sl := st.slot(idx(li))
@@ -611,7 +616,7 @@ func (s *Server) reconstructPending(st *Stream, n int64) {
 		complete := true
 		for _, lj := range g.Data {
 			if lj != li && st.data(idx(lj)) == nil {
-				complete = false // group not fully fetched yet; retry next delivery
+				complete = false // a second member lost
 				break
 			}
 		}
@@ -639,12 +644,8 @@ func (s *Server) deliver(st *Stream) error {
 		return nil
 	}
 	if sl.isParity {
-		// A mid-group restart (pause/resume across a failure) dropped
-		// the buffered siblings the §6 invariant normally provides;
-		// fall back to reading them from disk for this one group.
-		if err := s.reconstructFromDisk(st, sl); err != nil {
-			return err
-		}
+		// reconstructPending left it: a sibling is parity too.
+		return fmt.Errorf("%w: block %d: a second member of its group is lost", recovery.ErrUnrecoverable, st.clip.block(n))
 	}
 	// The block holds clip bytes [lo, hi), the final one trimmed to the
 	// clip's true payload length. Only the bytes from deliveredBytes on
@@ -676,39 +677,8 @@ func (s *Server) deliver(st *Stream) error {
 	return nil
 }
 
-// reconstructFromDisk turns the parity block in sl into the clip block it
-// stands for by XORing the siblings in, preferring buffered siblings and
-// charging disk reads for the rest. A sibling on another failed disk makes
-// the group unrecoverable (and leaves sl half-summed: the stream ends).
-func (s *Server) reconstructFromDisk(st *Stream, sl *slot) error {
-	logical := st.clip.block(sl.n)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	g := &sc.g
-	s.lay.GroupAt(s.lay.Place(logical), g)
-	scratch := s.getBlock()
-	defer s.putBlock(scratch)
-	for _, li := range g.Data {
-		if li == logical {
-			continue
-		}
-		if sib := st.data((li - st.clip.start) / st.clip.stride); sib != nil {
-			recovery.XORInto(sl.buf, sib)
-			continue
-		}
-		addr := s.lay.Place(li)
-		s.charge(addr.Disk)
-		if err := s.readMemberInto(addr, scratch); err != nil {
-			return fmt.Errorf("%w: disk %d also unavailable: %v", recovery.ErrUnrecoverable, addr.Disk, err)
-		}
-		recovery.XORInto(sl.buf, scratch)
-	}
-	st.reconstructed(sl)
-	return nil
-}
-
-// charge records a physical read against the round ledger; budget
-// overruns become hiccup accounting rather than failures.
+// charge records a physical read against the round ledger; a charge past
+// q is not refused but counted in Stats.Overflows.
 func (s *Server) charge(disk int) {
 	s.engine.Charge(disk)
 }

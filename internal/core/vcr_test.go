@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"ftcms/internal/analytic"
+	"ftcms/internal/diskmodel"
 	"ftcms/internal/units"
 )
 
@@ -39,15 +44,12 @@ func readAvailable(t *testing.T, st *Stream) ([]byte, bool) {
 	}
 }
 
-// TestPauseResumeByteExact: pausing mid-playback and resuming later
-// yields the same bytes as uninterrupted playback.
+// TestPauseResumeByteExact: under every scheme, pausing mid-playback and
+// resuming later yields the same bytes as uninterrupted playback.
 func TestPauseResumeByteExact(t *testing.T) {
-	for _, scheme := range []Scheme{Declustered, DeclusteredDynamic, PrefetchParityDisk} {
-		d, p := 8, 4
-		if scheme == Declustered || scheme == DeclusteredDynamic {
-			d, p = 7, 3
-		}
-		s := newServer(t, scheme, d, p)
+	for _, c := range allSchemes {
+		scheme := c.scheme
+		s := newServer(t, scheme, c.d, c.p)
 		want := clipBytes(21, 160_000)
 		if err := s.AddClip("m", want); err != nil {
 			t.Fatal(err)
@@ -132,8 +134,9 @@ func TestPauseFreesCapacity(t *testing.T) {
 
 // TestPauseResumeAcrossFailure: pause mid-group, fail the disk of the very
 // block the stream resumes at, resume — content still byte-exact. Under
-// the pre-fetching schemes the resume lands mid-group, so the lost block
-// is rebuilt from its parity block and sibling reads; a second pause, again
+// the pre-fetching schemes the resume refetches from the group's first
+// block, so the lost block comes from its parity read and the buffered
+// siblings, at the group's first delivery; a second pause, again
 // mid-group, then seeks back and replays the clip through the degraded
 // pipeline, parity slots and all.
 func TestPauseResumeAcrossFailure(t *testing.T) {
@@ -180,7 +183,7 @@ func TestPauseResumeAcrossFailure(t *testing.T) {
 		}
 		want := clip
 		if tc.seek >= 0 {
-			play(5)
+			play(6)
 			if err := st.Pause(); err != nil {
 				t.Fatal(err)
 			}
@@ -393,6 +396,112 @@ func TestExactStartAllSchemes(t *testing.T) {
 				if st := s.Stats(); st.Hiccups != 0 || st.DetectedFailures != 1 {
 					t.Fatalf("%s at %d (seek %v): %d hiccups, %d failures", c.scheme, off, seek, st.Hiccups, st.DetectedFailures)
 				}
+			}
+		}
+	}
+}
+
+// TestResumeMidGroupAtFullLoad: a pre-fetching stream paused mid-group,
+// with the disk of its next block failed while it waits, resumes at full
+// load without charging a disk past q. Resume restarts fetching at the
+// group boundary, as OpenStreamAt does, so the lost block comes from the
+// one parity read admission reserves and the siblings the stream
+// re-reads in its own slot, never from a sibling read nobody booked.
+//
+// The array is d = 12, p = 4 at Solve's operating point for a 2 MB
+// buffer. For 2d rounds streams open at every group start until refused,
+// which holds Solve's clip count open. One started stream is paused
+// mid-group, the disk of its next block fails, other streams close,
+// oldest first, until the resume is admitted, and 3(p−1) rounds follow:
+// Overflows must not move, the resumed stream must read past the lost
+// block, and every byte any stream reads is checked against the clip.
+// Under the parity-disk placement admission reserves nothing for a
+// failure; prefetch-flat, whose contingency f absorbs a stray read, is
+// the control.
+func TestResumeMidGroupAtFullLoad(t *testing.T) {
+	const d, p = 12, 4
+	for _, sc := range []Scheme{PrefetchParityDisk, PrefetchFlat} {
+		op, err := analytic.Solve(analytic.Config{Disk: diskmodel.Default(), D: d, Buffer: 2 * units.MB}, sc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 5; seed++ {
+			name := fmt.Sprintf("%v/seed=%d", sc, seed)
+			s, err := New(Config{Scheme: sc, D: d, P: p, Block: op.Block, Q: op.Q, F: op.F, Buffer: 2 * units.MB})
+			if err != nil {
+				t.Fatal(err)
+			}
+			group := int64(s.cfg.Block.Bytes()) * s.prefetchDepth
+			clip := clipBytes(seed, int(group)*(d*d+2*d))
+			if err := s.AddClip("c", clip); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			// pos is the clip offset a stream's reader has reached.
+			type track struct {
+				st  *Stream
+				pos int64
+			}
+			var open []*track
+			buf := make([]byte, group)
+			play := func(rounds int) {
+				for range rounds {
+					if err := s.Tick(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for _, tr := range open {
+						for n, _ := tr.st.Read(buf); n > 0; n, _ = tr.st.Read(buf) {
+							if !bytes.Equal(buf[:n], clip[tr.pos:tr.pos+int64(n)]) {
+								t.Fatalf("%s: wrong bytes at clip offset %d", name, tr.pos)
+							}
+							tr.pos += int64(n)
+						}
+					}
+				}
+			}
+			for range 2 * d {
+				for _, g := range rng.Perm(d * d) {
+					off := int64(g) * group
+					for st, err := s.OpenStreamAt("c", off); err == nil; st, err = s.OpenStreamAt("c", off) {
+						open = append(open, &track{st: st, pos: off})
+					}
+				}
+				play(1)
+			}
+			if s.ActiveStreams() != op.Clips {
+				t.Fatalf("%s: %d streams open, want Solve's %d", name, s.ActiveStreams(), op.Clips)
+			}
+			var midGroup []*track
+			for _, tr := range open {
+				if tr.st.started && tr.st.nextDeliver%s.prefetchDepth != 0 {
+					midGroup = append(midGroup, tr)
+				}
+			}
+			paused := midGroup[rng.Intn(len(midGroup))]
+			st := paused.st
+			overflows := s.Stats().Overflows
+			if err := st.Pause(); err != nil {
+				t.Fatal(err)
+			}
+			lost := st.nextDeliver
+			if err := s.FailDisk(s.lay.Place(st.clip.block(lost)).Disk); err != nil {
+				t.Fatal(err)
+			}
+			open = slices.DeleteFunc(open, func(tr *track) bool { return tr == paused })
+			for err = st.Resume(); errors.Is(err, ErrAdmission); err = st.Resume() {
+				open[0].st.Close()
+				open = open[1:]
+			}
+			open = append(open, paused)
+			if err != nil {
+				t.Fatal(err)
+			}
+			play(3 * (p - 1))
+			if got := s.Stats().Overflows; got != overflows {
+				t.Errorf("%s: the failure and resume took overflows %d → %d", name, overflows, got)
+			}
+			if bs := int64(s.cfg.Block.Bytes()); paused.pos < (lost+1)*bs {
+				t.Errorf("%s: resumed stream read through byte %d, short of lost block %d", name, paused.pos, lost)
 			}
 		}
 	}

@@ -132,7 +132,7 @@ type ContinuityPoint struct {
 	// Peak is the most streams open at once; Opened counts every stream
 	// opened in the run.
 	Peak, Opened int
-	// Hiccups counts deliveries that missed their round, Overflows disk
+	// Hiccups counts deliveries the pipeline skipped, Overflows disk
 	// charges past q (deadline misses) and Lost streams ended with
 	// core.ErrStreamLost.
 	Hiccups, Overflows int64

@@ -30,7 +30,7 @@ type CorruptionPoint struct {
 	Sweeps int64
 	Blocks int
 	// Exact counts hot streams played byte-exact to EOF; Hiccups and
-	// Failures count missed deliveries and disks declared failed.
+	// Failures count skipped deliveries and disks declared failed.
 	Exact             int
 	Hiccups, Failures int64
 }
